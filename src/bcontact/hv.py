@@ -51,13 +51,6 @@ def pi1(m: Metric, x, y, z, w):
     ) * np.einsum("ij,i,j->", g, y, w)
 
 
-def pi1_tensor(m: Metric) -> Tensor:
-    """pi_1 as a (0,4) tensor over the basis."""
-    g = m.matrix
-    data = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
-    return Tensor(0, 4, data)
-
-
 @dataclass(frozen=True)
 class HVComponents:
     """Horizontal/vertical components of a potential and torsion, all (1,2)."""

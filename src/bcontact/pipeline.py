@@ -1,34 +1,28 @@
-"""One-stop computation of every derived quantity for a model.
+"""One-stop access to every derived quantity for a model.
 
-A Workspace takes the raw structure data, builds both metrics of the pair and
-everything downstream of them (connections, fundamental tensors, Lee forms,
-potential, Schouten-van Kampen pair, shape operators, curvature), and keeps
-the results around for the check suite, the classifier and the CLI.  All
-fields are computed once, eagerly, along the *primary* route; the independent
-second routes live in the check suite.
+A Workspace takes the raw structure data and exposes both metrics of the pair
+and everything downstream of them (connections, fundamental tensors, Lee
+forms, potential, Schouten-van Kampen pair, shape operators, curvature) to the
+check suite, the classifier and the CLI.  Each field is computed on first use,
+along the *primary* route only, and cached, so a caller pays only for what it
+reads.  The independent second routes, and every comparison between routes,
+live in the check suite (``checks.run_checks``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
-from . import scalars, svk as svk_mod
-from .curvature import (
-    CurvatureData,
-    curvature_data,
-    ricci_xi_formula,
-    svk_curvature_formula,
-)
+from .curvature import CurvatureData, curvature_data
 from .hv import ShapeData, shape_operator
-from .liegroup import Connection, d_eta, levi_civita
+from .liegroup import Connection, covariant_derivative, levi_civita
 from .scalars import DEFAULT_EPS
 from .structure import (
     ACBStructure,
     ClassificationReport,
     LeeForms,
-    assoc_fundamental,
+    ValidationReport,
     associated_of,
     classify,
     connection_potential,
@@ -36,39 +30,116 @@ from .structure import (
     fundamental_tensor,
     lee_forms,
     nabla_xi_class_residuals,
-    phi_potential,
     potential_lowered,
     validate_structure,
 )
+from .svk import svk_connection
 from .tensor import Metric, Tensor, lower_out
 
 
-@dataclass
 class MetricView:
     """Everything attached to one metric of the pair."""
 
-    role: str
-    metric: Metric
-    conn: Connection
-    fundamental: Tensor
-    lee: LeeForms
-    svk: Connection
-    potential: Tensor  # (1,2) Q of the SvK connection
-    torsion: Tensor  # (1,2) T of the SvK connection
-    potential03: Tensor
-    torsion03: Tensor
-    svk_phi: Tensor  # (1,2) covariant derivative of phi under the SvK connection
-    shape: ShapeData
-    curv: CurvatureData
-    classification: Optional[ClassificationReport] = None
-    nabla_xi_residuals: dict = field(default_factory=dict)
+    def __init__(self, ws: "Workspace", role: str, metric: Metric):
+        self.ws = ws
+        self.role = role
+        self.metric = metric
 
     @property
-    def rho_xi_xi(self):
-        xi = self._xi
-        return np.einsum("yz,y,z->", self.curv.rho.data, xi, xi)
+    def partner(self) -> "MetricView":
+        """The view of the other metric of the pair."""
+        return self.ws.gt if self is self.ws.g else self.ws.g
 
-    _xi: np.ndarray = None  # set by the workspace
+    @cached_property
+    def conn(self) -> Connection:
+        return levi_civita(self.ws.algebra, self.metric, self.ws.eps)
+
+    @cached_property
+    def fundamental(self) -> Tensor:
+        return fundamental_tensor(self.ws.s, self.conn, self.metric)
+
+    @cached_property
+    def lee(self) -> LeeForms:
+        return lee_forms(self.ws.s, self.fundamental, self.metric)
+
+    @cached_property
+    def assoc(self) -> Metric:
+        """The associated metric of this view's metric (for g~ it is
+        -g + 2 eta (x) eta, not g again); it carries the starred divergence."""
+        s = self.ws.s
+        return s.assoc if self.role == "g" else associated_of(self.metric, s)
+
+    @cached_property
+    def div_pair(self):
+        """(div(eta), div*(eta)) for the structure carried by this metric."""
+        return divergences(self.ws.s, self.conn, self.metric, self.assoc)
+
+    @cached_property
+    def partner_potential(self) -> Tensor:
+        """(1,2) potential of the partner's Levi-Civita connection with
+        respect to this one."""
+        return connection_potential(self.conn, self.partner.conn)
+
+    @cached_property
+    def partner_potential03(self) -> Tensor:
+        return potential_lowered(self.partner_potential, self.metric)
+
+    @cached_property
+    def classification(self) -> ClassificationReport:
+        return classify(
+            self.ws.s, self.fundamental, self.lee, self.metric, self.conn,
+            self.partner.conn, self.partner_potential03, self.div_pair,
+            self.role, self.ws.eps,
+        )
+
+    @cached_property
+    def nabla_xi_residuals(self) -> dict:
+        return nabla_xi_class_residuals(
+            self.ws.s, self.conn, self.metric, self.lee, self.div_pair,
+            self.classification,
+        )
+
+    @cached_property
+    def svk(self) -> Connection:
+        return svk_connection(self.conn, self.ws.s)
+
+    @cached_property
+    def potential(self) -> Tensor:
+        """(1,2) Q = D - nabla of the SvK connection."""
+        return connection_potential(self.conn, self.svk)
+
+    @cached_property
+    def torsion(self) -> Tensor:
+        """(1,2) T of the SvK connection."""
+        return self.svk.torsion(self.ws.algebra)
+
+    @cached_property
+    def potential03(self) -> Tensor:
+        return lower_out(self.potential, self.metric)
+
+    @cached_property
+    def torsion03(self) -> Tensor:
+        return lower_out(self.torsion, self.metric)
+
+    @cached_property
+    def svk_phi(self) -> Tensor:
+        """(1,2) covariant derivative of phi under the SvK connection."""
+        return covariant_derivative(self.svk, self.ws.s.phi)
+
+    @cached_property
+    def shape(self) -> ShapeData:
+        return shape_operator(self.ws.s, self.conn, self.metric)
+
+    @cached_property
+    def curv(self) -> CurvatureData:
+        return curvature_data(
+            self.ws.s, self.ws.algebra, self.conn, self.svk, self.metric
+        )
+
+    @cached_property
+    def rho_xi_xi(self):
+        xi = self.ws.s.xi_v
+        return np.einsum("yz,y,z->", self.curv.rho.data, xi, xi)
 
 
 class Workspace:
@@ -79,87 +150,23 @@ class Workspace:
         self.eps = eps
         self.algebra = s.algebra
         self.mode = s.mode
+        self.g = MetricView(self, "g", s.metric)
+        self.gt = MetricView(self, "gtilde", s.assoc)
 
-        self.validation = validate_structure(s, eps)
-        self.d_eta = d_eta(s.algebra, s.eta)
+    @cached_property
+    def validation(self) -> ValidationReport:
+        return validate_structure(self.s, self.eps)
 
-        self.g = self._build_view("g", s.metric)
-        self.gt = self._build_view("gtilde", s.assoc)
+    @property
+    def pot(self) -> Tensor:
+        """Potential of the g~ Levi-Civita connection with respect to the g
+        one, as a (1,2) tensor."""
+        return self.g.partner_potential
 
-        # potential of the second Levi-Civita connection w.r.t. the first,
-        # cross-asserted against its closed form in the fundamental tensor
-        self.pot, self.pot03 = phi_potential(
-            s, self.g.conn, self.gt.conn, self.g.fundamental, self.g.lee, eps
-        )
-        assoc_fundamental(s, self.gt.conn, self.g.fundamental, eps)
-        via_pot = svk_mod.svk_pair_from_potential(self.g.svk, self.pot, s)
-        if not scalars.arrays_equal(
-            via_pot.gamma.data, self.gt.svk.gamma.data, eps
-        ):
-            raise ArithmeticError(
-                "the two routes to the second projected connection disagree"
-            )
-        # potential of the pair seen from the associated side, lowered by g~
-        self.pot03_assoc = potential_lowered(
-            connection_potential(self.gt.conn, self.g.conn), s.assoc
-        )
-
-        # the associated metric of g~ itself (needed for the tilde-side
-        # starred divergence; it is -g + 2 eta (x) eta, not g again)
-        self.assoc_of_assoc = associated_of(s.assoc, s)
-        self.div_pair = divergences(s, self.g.conn, s.metric, s.assoc, self.g.lee, eps)
-        self.div_pair_assoc = divergences(
-            s, self.gt.conn, s.assoc, self.assoc_of_assoc, self.gt.lee, eps
-        )
-
-        self.g.classification = classify(
-            s, self.g.fundamental, self.g.lee, s.metric,
-            self.g.conn, self.gt.conn, self.pot03, self.div_pair, "g", eps,
-        )
-        self.gt.classification = classify(
-            s, self.gt.fundamental, self.gt.lee, s.assoc,
-            self.gt.conn, self.g.conn, self.pot03_assoc, self.div_pair_assoc,
-            "gtilde", eps,
-        )
-        self.g.nabla_xi_residuals = nabla_xi_class_residuals(
-            s, self.g.conn, s.metric, self.g.lee, self.div_pair, self.g.classification
-        )
-        self.gt.nabla_xi_residuals = nabla_xi_class_residuals(
-            s, self.gt.conn, s.assoc, self.gt.lee, self.div_pair_assoc,
-            self.gt.classification,
-        )
-
-    def _build_view(self, role: str, m: Metric) -> MetricView:
-        s = self.s
-        conn = levi_civita(self.algebra, m, self.eps)
-        f = fundamental_tensor(s, conn, m, self.eps)
-        lee = lee_forms(s, f, m, self.eps)
-        d = svk_mod.svk_connection(conn, s, self.eps)
-        q, t = svk_mod.potential_and_torsion(d, conn, s, self.eps)
-        shape = shape_operator(s, conn, m)
-        curv = curvature_data(s, self.algebra, conn, d, m)
-        formula = svk_curvature_formula(s, curv.r04, shape, m)
-        if not scalars.arrays_equal(curv.r04_svk.data, formula.data, self.eps):
-            raise ArithmeticError(
-                "projected-connection curvature disagrees with its closed relation"
-            )
-        view = MetricView(
-            role=role,
-            metric=m,
-            conn=conn,
-            fundamental=f,
-            lee=lee,
-            svk=d,
-            potential=q,
-            torsion=t,
-            potential03=lower_out(q, m),
-            torsion03=lower_out(t, m),
-            svk_phi=svk_mod.svk_covariant_phi(d, conn, s, self.eps),
-            shape=shape,
-            curv=curv,
-        )
-        view._xi = s.xi_v
-        return view
+    @property
+    def pot03(self) -> Tensor:
+        """The same potential lowered by g, as a (0,3) tensor."""
+        return self.g.partner_potential03
 
     def view(self, role: str) -> MetricView:
         if role == "g":
@@ -167,11 +174,6 @@ class Workspace:
         if role in ("gtilde", "g~"):
             return self.gt
         raise ValueError(f"unknown metric role {role!r}")
-
-    def ricci_xi_both_routes(self, view: MetricView):
-        direct = view.rho_xi_xi
-        formula = ricci_xi_formula(self.s, view.conn, view.shape, view.metric)
-        return direct, formula
 
     def reported_scalars(self) -> dict[str, float]:
         """Every scalar the reports print, as floats (used for backend

@@ -69,6 +69,14 @@ def array(nested, mode: str) -> np.ndarray:
     return out.astype(np.float64)
 
 
+def eye(dim: int, mode: str) -> np.ndarray:
+    """Identity matrix in the backend type."""
+    out = zeros((dim, dim), mode)
+    for i in range(dim):
+        out[i, i] = one(mode)
+    return out
+
+
 def mode_of(arr: np.ndarray) -> str:
     return RATIONAL if arr.dtype == object else FLOAT
 
@@ -111,12 +119,3 @@ def is_zero(arr: np.ndarray, eps: float = DEFAULT_EPS, *context: np.ndarray) -> 
     if mode_of(arr) == RATIONAL:
         return residual(arr) == 0.0
     return residual(arr) <= tolerance(eps, arr, *context)
-
-
-def arrays_equal(a: np.ndarray, b: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    if mode_of(a) == RATIONAL and mode_of(b) == RATIONAL:
-        return residual(a, b) == 0.0
-    return residual(a, b) <= tolerance(eps, a, b)

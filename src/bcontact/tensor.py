@@ -84,37 +84,11 @@ class Tensor:
         if (self.up, self.down, self.dim) != (other.up, other.down, other.dim):
             raise ValueError("tensor valence/dimension mismatch")
 
-    def tprod(self, other: "Tensor") -> "Tensor":
-        """Tensor product; contravariant slots of both factors come first."""
-        if self.dim != other.dim and self.rank and other.rank:
-            raise ValueError("dimension mismatch in tensor product")
-        a = np.tensordot(self.data, other.data, axes=0)
-        # interleave: move other's up-axes next to self's up-axes
-        perm = (
-            list(range(self.up))
-            + [self.rank + k for k in range(other.up)]
-            + list(range(self.up, self.rank))
-            + [self.rank + other.up + k for k in range(other.down)]
-        )
-        return Tensor(self.up + other.up, self.down + other.down, np.transpose(a, perm))
-
-    def contract(self, up_slot: int, down_slot: int) -> "Tensor":
-        """Trace one contravariant slot against one covariant slot."""
-        if not (0 <= up_slot < self.up and 0 <= down_slot < self.down):
-            raise ValueError("contraction slots out of range")
-        a = np.asarray(np.trace(self.data, axis1=up_slot, axis2=self.up + down_slot))
-        return Tensor(self.up - 1, self.down - 1, a)
-
     def swap_down(self, a: int, b: int) -> "Tensor":
         """Transpose two covariant slots (partial symmetrization plumbing)."""
         axes = list(range(self.rank))
         axes[self.up + a], axes[self.up + b] = axes[self.up + b], axes[self.up + a]
         return Tensor(self.up, self.down, np.transpose(self.data, axes))
-
-    def alt_down(self, a: int, b: int) -> "Tensor":
-        """Alternation over two covariant slots."""
-        h = scalars.half(self.mode)
-        return Tensor(self.up, self.down, (self.data - self.swap_down(a, b).data) * h)
 
 
 def zero_tensor(up: int, down: int, dim: int, mode: str) -> Tensor:
@@ -145,9 +119,7 @@ def _rational_inverse(m: np.ndarray) -> np.ndarray:
     """Gauss-Jordan inverse over exact rationals."""
     n = m.shape[0]
     a = m.astype(object).copy()
-    inv = scalars.zeros((n, n), RATIONAL)
-    for i in range(n):
-        inv[i, i] = Fraction(1)
+    inv = scalars.eye(n, RATIONAL)
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r, col] != 0), None)
         if pivot is None:

@@ -1,6 +1,8 @@
 """Shared helpers: cached workspaces and check-suite runs per zoo entry."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 from bcontact import zoo
 from bcontact.checks import run_checks
 from bcontact.scalars import RATIONAL
@@ -25,3 +27,12 @@ def suite_results(name: str, mode: str = RATIONAL, planes: int = 20):
 
 def result_map(name: str, mode: str = RATIONAL, planes: int = 20):
     return {r.name: r for r in suite_results(name, mode, planes)}
+
+
+def corrupted_phi_entry():
+    """solv5-f1 with phi[0][0] = 1/2: it parses, but breaks the axiom
+    phi^2 = -id + eta (x) xi."""
+    entry = zoo.builtin("solv5-f1")
+    phi = [list(row) for row in entry.phi]
+    phi[0][0] = "1/2"
+    return replace(entry, name="solv5-f1-bad-phi", phi=tuple(map(tuple, phi)))

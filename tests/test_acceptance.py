@@ -169,7 +169,7 @@ def test_criterion_7_curvature_relations():
 def test_criterion_8_trace_identity():
     for name in NAMES:
         ws = workspace(name)
-        div = ws.div_pair[0]
+        div = ws.g.div_pair[0]
         assert (
             ws.g.shape.trace
             == ws.gt.shape.trace

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from bcontact import modelfile, zoo
+from bcontact import cli, modelfile, zoo
+
+from support import corrupted_phi_entry
 
 RUN = [sys.executable, "-m", "bcontact.cli"]
 
@@ -29,6 +31,9 @@ def files(tmp_path_factory):
     p = root / "bad-eta.json"
     modelfile.save_path(str(p), bad)
     paths["bad-eta"] = str(p)
+    p = root / "bad-phi.json"
+    modelfile.save_path(str(p), corrupted_phi_entry().doc())
+    paths["bad-phi"] = str(p)
     p = root / "broken.json"
     p.write_text("{not json")
     paths["broken"] = str(p)
@@ -161,3 +166,28 @@ def test_report_json(files):
     payload = json.loads(run_cli("report", files["solv3-f4"], "--json").stdout)
     assert payload["valid"] is True
     assert payload["classification"]["g"]["membership"]["F4"] is True
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "classify", "report", "curvature", "verify"]
+)
+def test_corrupted_phi_names_broken_axiom(files, command):
+    proc = run_cli(command, files["bad-phi"])
+    assert proc.returncode == 1
+    assert "phi^2 = -id + eta (x) xi" in proc.stdout + proc.stderr
+
+
+def test_verify_zoo_reports_each_entry_past_a_bad_one(monkeypatch, capsys):
+    curated = zoo.all_entries()
+    monkeypatch.setattr(
+        zoo, "all_entries", lambda: curated + [corrupted_phi_entry()]
+    )
+    code = cli.main(["verify", "--zoo", "--mode", "float"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    for entry in curated:
+        lines = [l for l in out if l.startswith(f"{entry.name}: ")]
+        assert lines and all(l.split(": ", 1)[1].startswith("PASS") for l in lines)
+    bad = [l for l in out if l.startswith("solv5-f1-bad-phi: ")]
+    assert len(bad) == 1 and "FAIL  structure-axioms" in bad[0]
+    assert "phi^2 = -id + eta (x) xi" in bad[0]

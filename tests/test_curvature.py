@@ -78,8 +78,8 @@ def test_ricci_reeb_formula():
     for name in ALL_NAMES:
         ws = workspace(name)
         for view in (ws.g, ws.gt):
-            direct, via_shape = ws.ricci_xi_both_routes(view)
-            assert direct == via_shape, name
+            via_shape = ricci_xi_formula(ws.s, view.conn, view.shape, view.metric)
+            assert view.rho_xi_xi == via_shape, name
 
 
 def test_curvature_reeb_identity_over_basis_pairs():

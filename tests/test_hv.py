@@ -1,4 +1,3 @@
-from itertools import product
 
 import numpy as np
 
@@ -7,7 +6,6 @@ from bcontact.hv import (
     equivalence_chains,
     hv_split,
     pi1,
-    pi1_tensor,
     potential_pi1_form,
     reference_components,
 )
@@ -28,7 +26,7 @@ def test_shape_operator_vanishes_on_parallel_entries():
 def test_shape_trace_identity_three_routes():
     for name in ALL_NAMES:
         ws = workspace(name)
-        div = ws.div_pair[0]
+        div = ws.g.div_pair[0]
         assert ws.g.shape.trace == ws.gt.shape.trace == -div, name
         assert ws.g.shape.trace == -ws.g.lee.theta_star_xi(ws.s)
 
@@ -67,15 +65,6 @@ def test_pi1_antisymmetries():
         assert pi1(ws.s.metric, x, x, z, w) == 0
         assert pi1(ws.s.metric, x, y, z, z) == 0
         assert pi1(ws.s.metric, x, y, z, w) == -pi1(ws.s.metric, y, x, z, w)
-
-
-def test_pi1_tensor_matches_pointwise():
-    ws = workspace("solv3-f4")
-    t = pi1_tensor(ws.s.metric).data
-    dim = ws.s.dim
-    for i, j, k, l in product(range(dim), repeat=4):
-        e = [basis_vector(m, dim, RATIONAL) for m in (i, j, k, l)]
-        assert t[i, j, k, l] == pi1(ws.s.metric, *e)
 
 
 def test_hv_components_sum_and_reference_forms():

@@ -116,14 +116,14 @@ def test_divergence_trace_identities():
     # theta(xi) = div*(eta) on the pure-trace entry, both sides evaluated
     # through different contractions
     ws = workspace("solv3-f4")
-    div, div_star = ws.div_pair
+    div, div_star = ws.g.div_pair
     assert ws.g.lee.theta_xi(ws.s) == div_star == 2
     assert ws.g.lee.theta_star_xi(ws.s) == div == 0
 
 
 def test_divergences_vanish_for_commuting_traceless_action():
     ws = workspace("solv5-f6")
-    assert ws.div_pair == (0, 0)
+    assert ws.g.div_pair == (0, 0)
     assert ws.g.classification["F6"]
 
 
@@ -190,7 +190,7 @@ def test_second_trace_entry_row():
     # nabla xi + (div(eta)/2n) phi^2 = 0 for the second pure-trace class
     ws = workspace("solv3-a")
     assert ws.g.classification["F5"]
-    div = ws.div_pair[0]
+    div = ws.g.div_pair[0]
     nxi = ws.g.conn.nabla_of_constant(ws.s.xi_v)
     res = nxi + ws.s.phi2 * (Fraction(div) / (2 * ws.s.n))
     assert scalars.residual(res) == 0.0

@@ -13,7 +13,6 @@ from bcontact.svk import (
     phi_b_connection,
     potential_from_torsion,
     project_h,
-    project_v,
     svk_connection_projected,
     svk_pair_covariant_phi,
     svk_pair_from_potential,
@@ -29,21 +28,18 @@ ALL_NAMES = zoo.names()
 def test_projections_of_reeb_vector():
     ws = workspace("abelian3")
     assert scalars.residual(project_h(ws.s, ws.s.xi_v)) == 0.0
-    assert np.array_equal(project_v(ws.s, ws.s.xi_v), ws.s.xi_v)
 
 
 def test_projections_of_horizontal_vector():
     ws = workspace("abelian3")
     e1 = basis_vector(0, 3, RATIONAL)
     assert np.array_equal(project_h(ws.s, e1), e1)
-    assert scalars.residual(project_v(ws.s, e1)) == 0.0
 
 
 def test_projection_splits_mixed_vector():
     ws = workspace("abelian3")
     x = basis_vector(0, 3, RATIONAL) + ws.s.xi_v * Fraction(3)
     assert np.array_equal(project_h(ws.s, x), basis_vector(0, 3, RATIONAL))
-    assert np.array_equal(project_v(ws.s, x), ws.s.xi_v * Fraction(3))
     # x^h = -phi^2 x as well
     assert np.array_equal(project_h(ws.s, x), -(ws.s.phi2 @ x))
 

@@ -155,22 +155,11 @@ def test_tensor_index_bounds():
         t[0]
 
 
-def test_tensor_product_and_contraction():
-    v = Tensor(1, 0, rat([1, 2, 0]))
-    w = Tensor(0, 1, rat([3, 0, 1]))
-    prod = v.tprod(w)
-    assert (prod.up, prod.down) == (1, 1)
-    assert prod[1, 2] == 2
-    assert prod.contract(0, 0).data[()] == 3  # v^i w_i
-
-
 def test_partial_slot_operations():
     ws = workspace("solv3-a")
     f = ws.g.fundamental
     # the fundamental tensor is symmetric in its last two slots
     assert np.array_equal(f.swap_down(1, 2).data, f.data)
-    assert scalars.residual(f.alt_down(1, 2).data) == 0.0
-    assert scalars.residual(f.alt_down(0, 1).data) > 0
 
 
 def test_valence_shape_mismatch_rejected():
