@@ -9,7 +9,9 @@ passes only with residual exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .curvature import (
 from .hv import (
     equivalence_chains,
     hv_split,
+    pi1,
     potential_pi1_form,
     reference_components,
     torsion_pi1_form,
@@ -53,39 +56,31 @@ from .svk import (
     svk_torsion_closed,
     torsion_from_potential,
 )
+from .tensor import sharp
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One named result.  Checks that test arrays for zero are built as
+    ``CheckResult(name, *scalars.zero_test(arrays, eps, *context))``."""
+
     name: str
     passed: bool
     residual: float
+    worst_index: Optional[tuple] = None
     detail: str = ""
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        where = f" at {self.worst_index}" if self.worst_index else ""
         extra = f"  [{self.detail}]" if self.detail else ""
-        return f"{status}  {self.name}  (max residual {self.residual:.3g}){extra}"
-
-
-def _result(name, arrays, eps, ctx=(), detail="") -> CheckResult:
-    residual = 0.0
-    ok = True
-    for a in arrays:
-        a = np.asarray(a)
-        residual = max(residual, scalars.residual(a))
-        ok = ok and scalars.is_zero(a, eps, *ctx)
-    return CheckResult(name, ok, residual, detail)
+        return f"{status}  {self.name}  (max residual {self.residual:.3g}{where}){extra}"
 
 
 def _bool_result(name, booleans: dict[str, bool]) -> CheckResult:
     consistent = len(set(booleans.values())) <= 1
     detail = ", ".join(f"{k}={v}" for k, v in booleans.items())
-    return CheckResult(name, consistent, 0.0 if consistent else 1.0, detail)
-
-
-def _zero(arr, eps, *ctx):
-    return scalars.is_zero(np.asarray(arr), eps, *ctx)
+    return CheckResult(name, consistent, 0.0 if consistent else 1.0, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +91,18 @@ def check_structure_axioms(ws: Workspace):
     rep = ws.validation
     worst = max((c.residual for c in rep.checks), default=0.0)
     failed = [c.name for c in rep.failures()]
-    yield CheckResult(
-        "structure-axioms", rep.passed, worst, "; ".join(failed) if failed else ""
-    )
+    yield CheckResult("structure-axioms", rep.passed, worst, detail="; ".join(failed))
 
 
 def check_fundamental_identities(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    """The identities F is built on: its symmetries, the projection identity,
+    F(x, phi y, xi) = m(nabla_x xi, y) = (nabla_x eta)(y), and the two
+    properties of the Levi-Civita connection F is taken with (torsion-free,
+    metric)."""
+    s = ws.s
     phi, xi, eta = s.phi_m, s.xi_v, s.eta_v
     for view in (ws.g, ws.gt):
+        conn, m = view.conn, view.metric
         f = view.fundamental.data
         fxiz = np.einsum("xmz,m->xz", f, xi)
         proj = (
@@ -113,144 +111,148 @@ def check_fundamental_identities(ws: Workspace):
             + np.einsum("z,xy->xyz", eta, fxiz)
         )
         # F(x, phi y, xi) = (nabla_x eta)(y) = m(nabla_x xi, y)
-        lam = np.einsum("ki,kj->ij", view.conn.nabla_of_constant(xi), view.metric.matrix)
-        neta = covariant_derivative(view.conn, s.eta).data
-        yield _result(
+        lam = np.einsum("ki,kj->ij", conn.nabla_of_constant(xi), m.matrix)
+        neta = covariant_derivative(conn, s.eta).data
+        yield CheckResult(
             f"fundamental-identities[{view.role}]",
-            [
-                f - np.einsum("xyz->xzy", f),
-                f - proj,
-                np.einsum("xaz,ay,z->xy", f, phi, xi) - lam,
-                neta - lam,
-            ],
-            eps,
-            (f,),
+            *scalars.zero_test(
+                [
+                    f - np.einsum("xyz->xzy", f),
+                    f - proj,
+                    np.einsum("xaz,ay,z->xy", f, phi, xi) - lam,
+                    neta - lam,
+                    conn.torsion(ws.algebra).data,
+                    covariant_derivative(conn, m.tensor).data,
+                ],
+                s.eps,
+                f,
+                conn.gamma.data,
+                m.matrix,
+            ),
         )
 
 
 def check_lee_identities(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     for view in (ws.g, ws.gt):
         lee = view.lee
-        yield _result(
+        yield CheckResult(
             f"lee-form-identities[{view.role}]",
-            [
-                np.asarray(lee.omega.data @ s.xi_v),
-                lee.theta_star.data @ s.phi_m + lee.theta.data @ s.phi2,
-            ],
-            eps,
-            (view.fundamental.data,),
+            *scalars.zero_test(
+                [
+                    lee.omega.data @ s.xi_v,
+                    lee.theta_star.data @ s.phi_m + lee.theta.data @ s.phi2,
+                ],
+                s.eps,
+                view.fundamental.data,
+            ),
         )
 
 
 def check_divergence_traces(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     for view in (ws.g, ws.gt):
         div, div_star = view.div_pair
-        yield _result(
+        yield CheckResult(
             f"divergence-trace[{view.role}]",
-            [
-                np.asarray(view.lee.theta_xi(s) - div_star),
-                np.asarray(view.lee.theta_star_xi(s) - div),
-            ],
-            eps,
+            *scalars.zero_test(
+                [view.lee.theta_xi(s) - div_star, view.lee.theta_star_xi(s) - div],
+                s.eps,
+            ),
         )
 
 
 def check_nabla_xi_table(ws: Workspace):
     for view in (ws.g, ws.gt):
-        res = view.nabla_xi_residuals
-        worst = max(res.values(), default=0.0)
-        classes = sorted(res)
-        ok = all(
-            v == 0.0 if ws.mode == scalars.RATIONAL else v <= ws.eps for v in res.values()
-        )
+        conds = view.nabla_xi_conditions
         yield CheckResult(
             f"class-nabla-xi-table[{view.role}]",
-            ok,
-            worst,
-            f"classes checked: {', '.join(classes) if classes else 'none'}",
+            *scalars.zero_test(
+                [a for arrays in conds.values() for a in arrays],
+                ws.s.eps,
+                view.conn.gamma.data,
+            ),
+            detail=f"classes checked: {', '.join(sorted(conds)) or 'none'}",
         )
 
 
 def check_potential_routes(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     direct = ws.pot03.data
     closed = potential_from_fundamental(s, ws.g.fundamental, ws.g.lee).data
-    yield _result(
+    yield CheckResult(
         "potential-closed-form",
-        [direct - closed, direct - np.einsum("xyz->yxz", direct)],
-        eps,
-        (direct,),
+        *scalars.zero_test(
+            [direct - closed, direct - np.einsum("xyz->yxz", direct)], s.eps, direct
+        ),
     )
+    f = ws.g.fundamental.data
     rebuilt = fundamental_from_potential(s, ws.pot03).data
-    yield _result(
-        "fundamental-reconstruction",
-        [rebuilt - ws.g.fundamental.data],
-        eps,
-        (ws.g.fundamental.data,),
+    yield CheckResult(
+        "fundamental-reconstruction", *scalars.zero_test([rebuilt - f], s.eps, f)
     )
     # full metric trace of the potential in its last two slots, at the Reeb slot
-    yield _result(
+    yield CheckResult(
         "potential-vertical-trace",
-        [np.einsum("ij,mij,m->", s.metric.inv, direct, s.xi_v)],
-        eps,
-        (direct,),
+        *scalars.zero_test(
+            [np.einsum("ij,mij,m->", s.metric.inv, direct, s.xi_v)], s.eps, direct
+        ),
     )
 
 
 def check_assoc_fundamental(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     direct = ws.gt.fundamental.data
     converted = assoc_fundamental_from_fundamental(s, ws.g.fundamental).data
-    yield _result(
-        "assoc-fundamental-two-routes", [direct - converted], eps, (direct,)
+    yield CheckResult(
+        "assoc-fundamental-two-routes",
+        *scalars.zero_test([direct - converted], s.eps, direct),
     )
 
 
 def check_zero_class_equivalences(ws: Workspace):
-    eps = ws.eps
+    eps = ws.s.eps
+    gamma, gamma_t = ws.g.conn.gamma.data, ws.gt.conn.gamma.data
     booleans = {
-        "fundamental zero": _zero(ws.g.fundamental.data, eps),
-        "potential zero": _zero(ws.pot.data, eps),
-        "assoc fundamental zero": _zero(ws.gt.fundamental.data, eps),
-        "connections coincide": _zero(
-            ws.g.conn.gamma.data - ws.gt.conn.gamma.data, eps, ws.g.conn.gamma.data
-        ),
+        "fundamental zero": scalars.is_zero(ws.g.fundamental.data, eps),
+        "potential zero": scalars.is_zero(ws.pot.data, eps),
+        "assoc fundamental zero": scalars.is_zero(ws.gt.fundamental.data, eps),
+        "connections coincide": scalars.is_zero(gamma - gamma_t, eps, gamma),
     }
     yield _bool_result("zero-class-equivalences", booleans)
 
 
 def check_svk_preserves_structure(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     for view in (ws.g, ws.gt):
         d = view.svk
-        yield _result(
+        yield CheckResult(
             f"svk-preserves-structure[{view.role}]",
-            [
-                covariant_derivative(d, view.metric.tensor).data,
-                d.nabla_of_constant(s.xi_v),
-                covariant_derivative(d, s.eta).data,
-            ],
-            eps,
-            (d.gamma.data, view.metric.matrix),
+            *scalars.zero_test(
+                [
+                    covariant_derivative(d, view.metric.tensor).data,
+                    d.nabla_of_constant(s.xi_v),
+                    covariant_derivative(d, s.eta).data,
+                ],
+                s.eps,
+                d.gamma.data,
+                view.metric.matrix,
+            ),
         )
 
 
 def check_svk_two_routes(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     for view in (ws.g, ws.gt):
-        proj = svk_connection_projected(view.conn, s)
-        yield _result(
-            f"svk-projector-route[{view.role}]",
-            [proj.gamma.data - view.svk.gamma.data],
-            eps,
-            (view.svk.gamma.data,),
+        proj = svk_connection_projected(view.conn, s).gamma.data
+        d = view.svk.gamma.data
+        yield CheckResult(
+            f"svk-projector-route[{view.role}]", *scalars.zero_test([proj - d], s.eps, d)
         )
 
 
 def check_svk_distributions(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     eta, xi = s.eta_v, s.xi_v
     pv = np.einsum("k,l->kl", xi, eta)
     ph = scalars.eye(s.dim, s.mode) - pv
@@ -258,54 +260,56 @@ def check_svk_distributions(ws: Workspace):
         d = view.svk.gamma.data
         horiz_stays = np.einsum("k,kim,mj->ij", eta, d, ph)
         vert_stays = np.einsum("kl,lim,mj->kij", ph, d, pv)
-        yield _result(
+        yield CheckResult(
             f"svk-distributions-parallel[{view.role}]",
-            [horiz_stays, vert_stays],
-            eps,
-            (d,),
+            *scalars.zero_test([horiz_stays, vert_stays], s.eps, d),
         )
 
 
 def check_svk_closed_forms(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     for view in (ws.g, ws.gt):
-        q_closed = svk_potential_closed(view.conn, s)
-        t_closed = svk_torsion_closed(view.conn, s)
-        yield _result(
+        q, t = view.potential.data, view.torsion.data
+        yield CheckResult(
             f"svk-potential-torsion-closed-forms[{view.role}]",
-            [
-                view.potential.data - q_closed.data,
-                view.torsion.data - t_closed.data,
-                view.torsion.data + np.einsum("kij->kji", view.torsion.data),
-            ],
-            eps,
-            (view.potential.data, view.torsion.data),
+            *scalars.zero_test(
+                [
+                    q - svk_potential_closed(view.conn, s).data,
+                    t - svk_torsion_closed(view.conn, s).data,
+                    t + np.einsum("kij->kji", t),
+                ],
+                s.eps,
+                q,
+                t,
+            ),
         )
 
 
 def check_torsion_potential_bijection(ws: Workspace):
-    eps = ws.eps
+    eps = ws.s.eps
     for view in (ws.g, ws.gt):
-        q03, t03 = view.potential03, view.torsion03
-        t_from_q = torsion_from_potential(q03)
-        q_from_t = potential_from_torsion(t03)
-        yield _result(
+        q03, t03 = view.potential03.data, view.torsion03.data
+        yield CheckResult(
             f"torsion-potential-bijection[{view.role}]",
-            [
-                t_from_q.data - t03.data,
-                q_from_t.data - q03.data,
-                q03.data + np.einsum("xyz->xzy", q03.data),  # metric potentials
-            ],
-            eps,
-            (q03.data, t03.data),
+            *scalars.zero_test(
+                [
+                    torsion_from_potential(view.potential03).data - t03,
+                    potential_from_torsion(view.torsion03, eps).data - q03,
+                    q03 + np.einsum("xyz->xzy", q03),  # metric potentials
+                ],
+                eps,
+                q03,
+                t03,
+            ),
         )
 
 
 def check_svk_coincidence(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     for view in (ws.g, ws.gt):
-        eq = _zero(view.svk.gamma.data - view.conn.gamma.data, eps, view.conn.gamma.data)
-        par = _zero(view.conn.nabla_of_constant(s.xi_v), eps, view.conn.gamma.data)
+        gamma = view.conn.gamma.data
+        eq = scalars.is_zero(view.svk.gamma.data - gamma, s.eps, gamma)
+        par = scalars.is_zero(view.conn.nabla_of_constant(s.xi_v), s.eps, gamma)
         yield _bool_result(
             f"svk-coincides-iff-reeb-parallel[{view.role}]",
             {"svk equals levi-civita": eq, "nabla xi zero": par},
@@ -313,44 +317,38 @@ def check_svk_coincidence(ws: Workspace):
 
 
 def check_reeb_parallel_transfer(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
+    lc, lc_t = ws.g.conn.gamma.data, ws.gt.conn.gamma.data
     booleans = {
-        "svk(g) = lc(g)": _zero(
-            ws.g.svk.gamma.data - ws.g.conn.gamma.data, eps, ws.g.conn.gamma.data
-        ),
-        "nabla xi = 0": _zero(ws.g.conn.nabla_of_constant(s.xi_v), eps),
-        "svk(g~) = lc(g~)": _zero(
-            ws.gt.svk.gamma.data - ws.gt.conn.gamma.data, eps, ws.gt.conn.gamma.data
-        ),
-        "nabla~ xi = 0": _zero(ws.gt.conn.nabla_of_constant(s.xi_v), eps),
+        "svk(g) = lc(g)": scalars.is_zero(ws.g.svk.gamma.data - lc, s.eps, lc),
+        "nabla xi = 0": scalars.is_zero(ws.g.conn.nabla_of_constant(s.xi_v), s.eps),
+        "svk(g~) = lc(g~)": scalars.is_zero(ws.gt.svk.gamma.data - lc_t, s.eps, lc_t),
+        "nabla~ xi = 0": scalars.is_zero(ws.gt.conn.nabla_of_constant(s.xi_v), s.eps),
     }
     yield _bool_result("reeb-parallel-transfer", booleans)
 
 
 def check_svk_naturality(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
+    d = ws.g.svk.gamma.data
     u2 = ws.g.classification["U2"]
-    dphi_zero = _zero(ws.g.svk_phi.data, eps, ws.g.svk.gamma.data)
-    natural = svk_mod.is_natural(ws.g.svk, s, s.metric, eps)
+    dphi_zero = scalars.is_zero(ws.g.svk_phi.data, s.eps, d)
+    natural = svk_mod.is_natural(ws.g.svk, s, s.metric)
     yield _bool_result(
         "svk-natural-iff-vertical-fundamental",
         {"svk-phi zero": dphi_zero, "U2 condition": u2, "is-natural": natural},
     )
     if u2:
-        phib = svk_mod.phi_b_connection(ws.g.conn, s)
-        yield _result(
-            "phib-coincidence-on-u2",
-            [phib.gamma.data - ws.g.svk.gamma.data],
-            eps,
-            (ws.g.svk.gamma.data,),
+        phib = svk_mod.phi_b_connection(ws.g.conn, s).gamma.data
+        yield CheckResult(
+            "phib-coincidence-on-u2", *scalars.zero_test([phib - d], s.eps, d)
         )
 
 
 def check_svk_pair_coincide(ws: Workspace):
-    s, eps = ws.s, ws.eps
-    same = _zero(
-        ws.gt.svk.gamma.data - ws.g.svk.gamma.data, eps, ws.g.svk.gamma.data
-    )
+    s = ws.s
+    d = ws.g.svk.gamma.data
+    same = scalars.is_zero(ws.gt.svk.gamma.data - d, s.eps, d)
     # the potential-level condition that is exactly equivalent to the pair
     # coinciding: Phi(x,y) - eta(Phi(x,y)) xi - eta(y) Phi(x,xi) = 0
     p = ws.pot.data
@@ -362,7 +360,7 @@ def check_svk_pair_coincide(ws: Workspace):
     )
     yield _bool_result(
         "svk-pair-coincide-iff-potential-vertical",
-        {"pair coincide": same, "potential vertical": _zero(vert, eps, p)},
+        {"pair coincide": same, "potential vertical": scalars.is_zero(vert, s.eps, p)},
     )
     yield _bool_result(
         "svk-pair-coincide-iff-u2",
@@ -371,51 +369,47 @@ def check_svk_pair_coincide(ws: Workspace):
 
 
 def check_svk_pair_routes(ws: Workspace):
-    s, eps = ws.s, ws.eps
-    via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, s)
-    yield _result(
-        "svk-pair-potential-route",
-        [via_pot.gamma.data - ws.gt.svk.gamma.data],
-        eps,
-        (ws.gt.svk.gamma.data,),
+    s = ws.s
+    via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, s).gamma.data
+    d = ws.gt.svk.gamma.data
+    yield CheckResult(
+        "svk-pair-potential-route", *scalars.zero_test([via_pot - d], s.eps, d)
     )
 
 
 def check_svk_phi_forms(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     for view in (ws.g, ws.gt):
-        closed = svk_covariant_phi_closed(view.conn, s)
-        yield _result(
+        dphi = view.svk_phi.data
+        closed = svk_covariant_phi_closed(view.conn, s).data
+        yield CheckResult(
             f"svk-phi-closed-form[{view.role}]",
-            [view.svk_phi.data - closed.data],
-            eps,
-            (view.svk_phi.data,),
+            *scalars.zero_test([dphi - closed], s.eps, dphi),
         )
-    relation = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, s)
-    yield _result(
-        "svk-pair-phi-relation",
-        [relation.data - ws.gt.svk_phi.data],
-        eps,
-        (ws.gt.svk_phi.data,),
+    relation = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, s).data
+    dphi_t = ws.gt.svk_phi.data
+    yield CheckResult(
+        "svk-pair-phi-relation", *scalars.zero_test([relation - dphi_t], s.eps, dphi_t)
     )
 
 
 def check_svk_phi_equalities(ws: Workspace):
-    eps = ws.eps
+    eps = ws.s.eps
     cls = ws.g.classification
-    dphi_equal = _zero(
-        ws.gt.svk_phi.data - ws.g.svk_phi.data, eps, ws.g.svk_phi.data
-    )
+    dphi, dphi_t = ws.g.svk_phi.data, ws.gt.svk_phi.data
     yield _bool_result(
         "svk-pair-phi-equal-iff",
-        {"derivatives of phi coincide": dphi_equal, "F3+U3 condition": cls["F3+U3"]},
+        {
+            "derivatives of phi coincide": scalars.is_zero(dphi_t - dphi, eps, dphi),
+            "F3+U3 condition": cls["F3+U3"],
+        },
     )
-    assoc_natural = _zero(ws.gt.svk_phi.data, eps, ws.gt.svk.gamma.data)
+    assoc_natural = scalars.is_zero(dphi_t, eps, ws.gt.svk.gamma.data)
     yield _bool_result(
         "assoc-svk-natural-iff",
         {"assoc svk-phi zero": assoc_natural, "F1+F2+U3 condition": cls["F1+F2+U3"]},
     )
-    both = _zero(ws.g.svk_phi.data, eps, ws.g.svk.gamma.data) and assoc_natural
+    both = scalars.is_zero(dphi, eps, ws.g.svk.gamma.data) and assoc_natural
     yield _bool_result(
         "both-svk-natural-iff-u3",
         {"both svk-phi zero": both, "U3 condition": cls["U3"]},
@@ -423,91 +417,85 @@ def check_svk_phi_equalities(ws: Workspace):
 
 
 def check_shape_operators(ws: Workspace):
-    s, eps = ws.s, ws.eps
-    from .tensor import sharp
-
+    s = ws.s
     for view in (ws.g, ws.gt):
         sop = view.shape.operator.data
         horiz = np.einsum("ki,kj,j->i", sop, view.metric.matrix, s.xi_v)
         omega_sharp = sharp(view.lee.omega, view.metric).data
         reeb_row = sop @ s.xi_v + s.phi_m @ omega_sharp
-        yield _result(
+        yield CheckResult(
             f"shape-operator-identities[{view.role}]",
-            [horiz, reeb_row],
-            eps,
-            (sop,),
+            *scalars.zero_test([horiz, reeb_row], s.eps, sop),
         )
     # pair relations through the potential
-    pot = ws.pot.data
-    pot_xi = np.einsum("lim,m->li", pot, s.xi_v)
-    yield _result(
+    pot_xi = np.einsum("lim,m->li", ws.pot.data, s.xi_v)
+    sd = ws.g.shape.diamond.data
+    yield CheckResult(
         "shape-pair-relations",
-        [
-            ws.gt.shape.operator.data - (ws.g.shape.operator.data - pot_xi),
-            ws.gt.shape.diamond.data
-            - (
-                np.einsum("im,mj->ij", ws.g.shape.diamond.data, s.phi_m)
-                - np.einsum("mia,ab,m->ib", ws.pot03.data, s.phi_m, s.xi_v)
-            ),
-        ],
-        eps,
-        (ws.g.shape.diamond.data,),
+        *scalars.zero_test(
+            [
+                ws.gt.shape.operator.data - (ws.g.shape.operator.data - pot_xi),
+                ws.gt.shape.diamond.data
+                - (
+                    np.einsum("im,mj->ij", sd, s.phi_m)
+                    - np.einsum("mia,ab,m->ib", ws.pot03.data, s.phi_m, s.xi_v)
+                ),
+            ],
+            s.eps,
+            sd,
+        ),
     )
 
 
 def check_trace_identity(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     div, _ = ws.g.div_pair
     tr = ws.g.shape.trace
-    tr_assoc = ws.gt.shape.trace
-    theta_star_xi = ws.g.lee.theta_star_xi(s)
-    yield _result(
+    yield CheckResult(
         "shape-trace-identity",
-        [
-            np.asarray(tr - tr_assoc),
-            np.asarray(tr + div),
-            np.asarray(tr + theta_star_xi),
-        ],
-        eps,
+        *scalars.zero_test(
+            [tr - ws.gt.shape.trace, tr + div, tr + ws.g.lee.theta_star_xi(s)], s.eps
+        ),
     )
 
 
 def check_qt_components(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     for view in (ws.g, ws.gt):
+        q, t = view.potential.data, view.torsion.data
         comps = hv_split(s, view.potential, view.torsion)
         by_conn, by_shape = reference_components(s, view.conn, view.shape)
         arrays = [
-            comps.q_h.data + comps.q_v.data - view.potential.data,
-            comps.t_h.data + comps.t_v.data - view.torsion.data,
-            comps.q_h.data - by_conn.q_h.data,
-            comps.q_v.data - by_conn.q_v.data,
-            comps.t_h.data - by_conn.t_h.data,
-            comps.t_v.data - by_conn.t_v.data,
-            comps.q_h.data - by_shape.q_h.data,
-            comps.q_v.data - by_shape.q_v.data,
-            comps.t_h.data - by_shape.t_h.data,
-            comps.t_v.data - by_shape.t_v.data,
+            comps.q_h.data + comps.q_v.data - q,
+            comps.t_h.data + comps.t_v.data - t,
         ]
-        yield _result(
+        for ref in (by_conn, by_shape):
+            arrays += [
+                comps.q_h.data - ref.q_h.data,
+                comps.q_v.data - ref.q_v.data,
+                comps.t_h.data - ref.t_h.data,
+                comps.t_v.data - ref.t_v.data,
+            ]
+        yield CheckResult(
             f"potential-torsion-hv-components[{view.role}]",
-            arrays,
-            eps,
-            (view.potential.data, view.torsion.data),
+            *scalars.zero_test(arrays, s.eps, q, t),
         )
-        yield _result(
+        q03 = view.potential03.data
+        yield CheckResult(
             f"potential-torsion-pi1-forms[{view.role}]",
-            [
-                view.potential03.data - potential_pi1_form(s, view.shape, view.metric).data,
-                view.torsion03.data - torsion_pi1_form(s, view.shape, view.metric).data,
-            ],
-            eps,
-            (view.potential03.data,),
+            *scalars.zero_test(
+                [
+                    q03 - potential_pi1_form(s, view.shape, view.metric).data,
+                    view.torsion03.data - torsion_pi1_form(s, view.shape, view.metric).data,
+                ],
+                s.eps,
+                q03,
+            ),
         )
 
 
 def check_qt_pair_relations(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     pot = ws.pot.data
     eta, xi = s.eta_v, s.xi_v
     pot_xi = np.einsum("lim,m->li", pot, xi)
@@ -541,87 +529,85 @@ def check_qt_pair_relations(ws: Workspace):
         comps_t.q_v.data - (comps.q_v.data - np.einsum("ij,k->kij", dsd, xi)),
         comps_t.t_h.data - (comps.t_h.data - wedge_form_operator(eta, ds)),
     ]
-    yield _result(
-        "potential-torsion-pair-relations", arrays, eps, (q, t, qt, tt)
+    yield CheckResult(
+        "potential-torsion-pair-relations", *scalars.zero_test(arrays, s.eps, q, t, qt, tt)
     )
 
 
 def check_equivalence_chains(ws: Workspace):
-    s, eps = ws.s, ws.eps
     for view in (ws.g, ws.gt):
         chains = equivalence_chains(
-            s, view.conn, view.svk, view.shape, view.potential, view.torsion,
-            view.metric, eps,
+            ws.s, view.conn, view.svk, view.shape, view.potential, view.torsion,
+            view.metric,
         )
         for chain in chains:
             yield _bool_result(f"chain-{chain.name}[{view.role}]", chain.predicates)
 
 
 def check_svk_curvature(ws: Workspace):
-    s, eps = ws.s, ws.eps
+    s = ws.s
     for view in (ws.g, ws.gt):
-        formula = svk_curvature_formula(s, view.curv.r04, view.shape, view.metric)
-        yield _result(
+        curv = view.curv
+        formula = svk_curvature_formula(s, curv.r04, view.shape, view.metric)
+        yield CheckResult(
             f"svk-curvature-relation[{view.role}]",
-            [view.curv.r04_svk.data - formula.data],
-            eps,
-            (view.curv.r04.data, view.curv.r04_svk.data),
+            *scalars.zero_test(
+                [curv.r04_svk.data - formula.data], s.eps, curv.r04.data, curv.r04_svk.data
+            ),
         )
-        rho_formula = svk_ricci_formula(
-            s, view.curv.r04, view.curv.rho, view.shape, view.metric
-        )
-        yield _result(
+        rho_formula = svk_ricci_formula(s, curv.r04, curv.rho, view.shape, view.metric)
+        yield CheckResult(
             f"svk-ricci-relation[{view.role}]",
-            [view.curv.rho_svk.data - rho_formula.data],
-            eps,
-            (view.curv.rho.data,),
+            *scalars.zero_test([curv.rho_svk.data - rho_formula.data], s.eps, curv.rho.data),
         )
-        tau_formula = svk_scalar_formula(view.curv.tau, view.rho_xi_xi, view.shape)
-        yield _result(
+        tau_formula = svk_scalar_formula(curv.tau, view.rho_xi_xi, view.shape)
+        yield CheckResult(
             f"svk-scalar-relation[{view.role}]",
-            [np.asarray(view.curv.tau_svk - tau_formula)],
-            eps,
+            *scalars.zero_test([curv.tau_svk - tau_formula], s.eps),
         )
         via_shape = ricci_xi_formula(s, view.conn, view.shape, view.metric)
-        yield _result(
+        yield CheckResult(
             f"ricci-reeb-formula[{view.role}]",
-            [np.asarray(view.rho_xi_xi - via_shape)],
-            eps,
+            *scalars.zero_test([view.rho_xi_xi - via_shape], s.eps),
         )
-        yield _result(
+        yield CheckResult(
             f"curvature-reeb-identity[{view.role}]",
-            [curvature_reeb_identity(s, view.conn, view.shape)],
-            eps,
-            (view.curv.r04.data,),
+            *scalars.zero_test(
+                [curvature_reeb_identity(s, view.conn, view.shape)], s.eps, curv.r04.data
+            ),
         )
 
 
 def check_curvature_symmetries(ws: Workspace):
-    eps = ws.eps
+    eps = ws.s.eps
     for view in (ws.g, ws.gt):
         r = view.curv.r04.data
         bianchi = r + np.einsum("ijkl->jkil", r) + np.einsum("ijkl->kijl", r)
-        yield _result(
+        yield CheckResult(
             f"curvature-symmetries[{view.role}]",
-            [
-                r + np.einsum("ijkl->jikl", r),
-                r + np.einsum("ijkl->ijlk", r),
-                r - np.einsum("ijkl->klij", r),
-                bianchi,
-            ],
-            eps,
-            (r,),
+            *scalars.zero_test(
+                [
+                    r + np.einsum("ijkl->jikl", r),
+                    r + np.einsum("ijkl->ijlk", r),
+                    r - np.einsum("ijkl->klij", r),
+                    bianchi,
+                ],
+                eps,
+                r,
+            ),
         )
         rd = view.curv.r04_svk.data
         measured = {
-            "last-pair-antisymmetric": _zero(rd + np.einsum("ijkl->ijlk", rd), eps, rd),
-            "pair-exchange-symmetric": _zero(rd - np.einsum("ijkl->klij", rd), eps, rd),
+            "last-pair-antisymmetric": scalars.is_zero(
+                rd + np.einsum("ijkl->ijlk", rd), eps, rd
+            ),
+            "pair-exchange-symmetric": scalars.is_zero(
+                rd - np.einsum("ijkl->klij", rd), eps, rd
+            ),
         }
-        yield _result(
+        yield CheckResult(
             f"svk-curvature-first-pair-antisymmetry[{view.role}]",
-            [rd + np.einsum("ijkl->jikl", rd)],
-            eps,
-            (rd,),
+            *scalars.zero_test([rd + np.einsum("ijkl->jikl", rd)], eps, rd),
             detail="measured: " + ", ".join(f"{k}={v}" for k, v in measured.items()),
         )
 
@@ -633,8 +619,6 @@ def check_curvature_symmetries(ws: Workspace):
 def _random_vector(rng: np.random.Generator, dim: int, mode: str) -> np.ndarray:
     vals = rng.integers(-3, 4, size=dim)
     if mode == scalars.RATIONAL:
-        from fractions import Fraction
-
         out = np.empty(dim, dtype=object)
         for i, v in enumerate(vals):
             out[i] = Fraction(int(v))
@@ -653,25 +637,29 @@ def sample_planes(ws: Workspace, view: MetricView, seed: int, count: int = 20):
         y = _random_vector(rng, ws.s.dim, ws.mode)
         plane = SectionPlane(x, y)
         try:
-            plane.check_nondegenerate(view.metric, ws.eps)
+            plane.check_nondegenerate(view.metric, ws.s.eps)
         except DegeneratePlaneError:
             continue
         planes.append(plane)
     return planes
 
 
+def _horizontal_basis(ws: Workspace):
+    """The nonzero horizontal parts of the basis vectors."""
+    s = ws.s
+    parts = (svk_mod.project_h(s, e) for e in scalars.eye(s.dim, ws.mode))
+    return [h for h in parts if not scalars.is_zero(h, s.eps)]
+
+
 def xi_section_candidates(ws: Workspace, view: MetricView):
     """Non-degenerate planes containing the Reeb vector."""
     s = ws.s
     out = []
-    for e in scalars.eye(s.dim, ws.mode):
-        h = svk_mod.project_h(s, e)  # horizontal part, so the plane is honest
-        if _zero(h, ws.eps):
-            continue
+    for h in _horizontal_basis(ws):  # horizontal, so the plane is honest
         for cand in (h, h + s.phi_m @ h):
             plane = SectionPlane(cand, s.xi_v)
             try:
-                plane.check_nondegenerate(view.metric, ws.eps)
+                plane.check_nondegenerate(view.metric, s.eps)
             except DegeneratePlaneError:
                 continue
             out.append(plane)
@@ -679,103 +667,78 @@ def xi_section_candidates(ws: Workspace, view: MetricView):
 
 
 def check_sectional_curvature(ws: Workspace, seed: int = 0, count: int = 20):
-    s, eps = ws.s, ws.eps
+    s, eps = ws.s, ws.s.eps
     for view in (ws.g, ws.gt):
+        r04, r04_svk, m = view.curv.r04, view.curv.r04_svk, view.metric
         planes = sample_planes(ws, view, seed + (0 if view.role == "g" else 1), count)
-        residual = 0.0
-        ok = True
-        for plane in planes:
-            direct = sectional(view.curv.r04_svk, view.metric, plane, eps)
-            formula = svk_sectional_formula(
-                plane, view.curv.r04, view.shape, s, view.metric, eps
-            )
-            r = scalars.residual(np.asarray(direct - formula))
-            residual = max(residual, r)
-            ok = ok and _zero(np.asarray(direct - formula), eps, view.curv.r04.data)
+        passed, residual, worst = scalars.zero_test(
+            [
+                sectional(r04_svk, m, p, eps)
+                - svk_sectional_formula(p, r04, view.shape, s, m)
+                for p in planes
+            ],
+            eps,
+            r04.data,
+        )
         yield CheckResult(
             f"sectional-relation[{view.role}]",
-            ok and len(planes) >= count,
+            passed and len(planes) >= count,
             residual,
+            worst,
             f"{len(planes)} sampled planes",
         )
 
         xi_planes = xi_section_candidates(ws, view)
-        arrays = [
-            np.asarray(sectional(view.curv.r04_svk, view.metric, p, eps))
-            for p in xi_planes
-        ]
-        yield _result(
+        yield CheckResult(
             f"reeb-section-flatness[{view.role}]",
-            arrays,
-            eps,
-            (view.curv.r04_svk.data,),
+            *scalars.zero_test(
+                [sectional(r04_svk, m, p, eps) for p in xi_planes], eps, r04_svk.data
+            ),
             detail=f"{len(xi_planes)} reeb sections",
         )
 
         # invariance of the sectional value under change of plane basis
         rng = np.random.default_rng(seed + 17)
-        inv_res = 0.0
-        inv_ok = True
+        one = scalars.one(ws.mode)
+        values, diffs = [], []
         for plane in planes[:5]:
+            k = sectional(r04_svk, m, plane, eps)
             for _ in range(3):
                 a, b, c, d = (int(v) for v in rng.integers(-3, 4, size=4))
                 if a * d - b * c == 0:
                     continue
-                conv = scalars.one(ws.mode)
-                x2 = plane.x * (conv * a) + plane.y * (conv * b)
-                y2 = plane.x * (conv * c) + plane.y * (conv * d)
-                other = SectionPlane(x2, y2)
+                other = SectionPlane(
+                    plane.x * (one * a) + plane.y * (one * b),
+                    plane.x * (one * c) + plane.y * (one * d),
+                )
                 try:
-                    v1 = sectional(view.curv.r04_svk, view.metric, plane, eps)
-                    v2 = sectional(view.curv.r04_svk, view.metric, other, eps)
+                    diffs.append(k - sectional(r04_svk, m, other, eps))
                 except DegeneratePlaneError:
                     continue
-                diff = scalars.residual(np.asarray(v1 - v2))
-                inv_res = max(inv_res, diff)
-                inv_ok = inv_ok and _zero(np.asarray(v1 - v2), eps, np.asarray([v1]))
+                values.append(k)
         yield CheckResult(
-            f"sectional-basis-invariance[{view.role}]", inv_ok, inv_res
+            f"sectional-basis-invariance[{view.role}]",
+            *scalars.zero_test(diffs, eps, np.array(values)),
         )
 
         # specialized forms for distinguished section types
-        spec_res = 0.0
-        spec_ok = True
+        sop = view.shape.operator.data
         counted = {HOLOMORPHIC: 0, TOTALLY_REAL: 0}
-        hol = _holomorphic_candidates(ws, view)
-        tre = _totally_real_candidates(ws, view)
-        for plane, kind in [(p, HOLOMORPHIC) for p in hol] + [
-            (p, TOTALLY_REAL) for p in tre
+        diffs = []
+        for plane, kind in [(p, HOLOMORPHIC) for p in _holomorphic_candidates(ws, view)] + [
+            (p, TOTALLY_REAL) for p in _totally_real_candidates(ws, view)
         ]:
-            k_direct = sectional(view.curv.r04_svk, view.metric, plane, eps)
             x, y = plane.x, plane.y
-            sx = view.shape.operator.data @ x
-            sy = view.shape.operator.data @ y
-            from .hv import pi1
-
-            corr = pi1(view.metric, sx, sy, y, x) / plane.denominator(view.metric)
-            k_base = sectional(view.curv.r04, view.metric, plane, eps)
-            diff = scalars.residual(np.asarray(k_direct - (k_base + corr)))
-            spec_res = max(spec_res, diff)
-            spec_ok = spec_ok and _zero(
-                np.asarray(k_direct - (k_base + corr)), eps, view.curv.r04.data
-            )
+            corr = pi1(m, sop @ x, sop @ y, y, x) / plane.denominator(m)
+            k_base = sectional(r04, m, plane, eps)
+            diffs.append(sectional(r04_svk, m, plane, eps) - (k_base + corr))
             counted[kind] += 1
         yield CheckResult(
             f"sectional-special-types[{view.role}]",
-            spec_ok,
-            spec_res,
-            f"holomorphic={counted[HOLOMORPHIC]}, totally-real={counted[TOTALLY_REAL]}",
+            *scalars.zero_test(diffs, eps, r04.data),
+            detail=f"holomorphic={counted[HOLOMORPHIC]}, "
+            f"totally-real={counted[TOTALLY_REAL]}",
         )
-
-
-def _horizontal_basis(ws: Workspace):
-    s = ws.s
-    out = []
-    for e in scalars.eye(s.dim, ws.mode):
-        h = svk_mod.project_h(s, e)
-        if not _zero(h, ws.eps):
-            out.append(h)
-    return out
 
 
 def _holomorphic_candidates(ws: Workspace, view: MetricView):
@@ -784,7 +747,7 @@ def _holomorphic_candidates(ws: Workspace, view: MetricView):
     for h in _horizontal_basis(ws):
         plane = SectionPlane(h, s.phi_m @ h)
         try:
-            kind, _ = section_type(plane, s, view.metric, ws.eps)
+            kind, _ = section_type(plane, s, view.metric)
         except DegeneratePlaneError:
             continue
         if kind == HOLOMORPHIC:
@@ -797,11 +760,10 @@ def _totally_real_candidates(ws: Workspace, view: MetricView):
     if s.dim < 5:
         return []
     out = []
-    basis = _horizontal_basis(ws)
-    for hi, hj in combinations(basis, 2):
+    for hi, hj in combinations(_horizontal_basis(ws), 2):
         plane = SectionPlane(hi, hj)
         try:
-            kind, ortho = section_type(plane, s, view.metric, ws.eps)
+            kind, ortho = section_type(plane, s, view.metric)
         except DegeneratePlaneError:
             continue
         if kind == TOTALLY_REAL and ortho:

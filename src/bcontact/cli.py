@@ -4,7 +4,7 @@ Subcommands: validate, classify, verify, curvature, report.  Exit codes are
 a stable contract for CI use: 0 on success, 1 when a check or identity
 fails, 2 on unreadable or invalid input.  The default float tolerance can be
 set through the BCONTACT_EPS environment variable and overridden per run
-with --eps.
+with --eps; it is fixed once per model, when the model is loaded.
 """
 from __future__ import annotations
 
@@ -51,8 +51,7 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _load_workspace(path: str, mode: str, eps: float):
     doc = modelfile.load_path(path)
-    s = modelfile.to_structure(doc, mode)
-    return doc, Workspace(s, eps)
+    return doc, Workspace(modelfile.to_structure(doc, mode, eps))
 
 
 def _fmt(x) -> str:
@@ -71,11 +70,8 @@ def _invalid(ws: Workspace) -> bool:
 
 
 def cmd_validate(args) -> int:
-    doc = modelfile.load_path(args.path)
-    s = modelfile.to_structure(doc, args.mode)
-    from .structure import validate_structure
-
-    report = validate_structure(s, args.eps)
+    doc, ws = _load_workspace(args.path, args.mode, args.eps)
+    report = ws.validation
     if args.json:
         payload = {
             "model": doc.get("name", args.path),
@@ -127,7 +123,7 @@ def _verify_one(name: str, ws: Workspace, seed: int, as_json: bool) -> tuple[boo
         results = run_checks(ws, seed=seed)
     except ArithmeticError as exc:
         # the model is valid but a derived quantity could not be formed
-        results = [CheckResult("structure-invariants", False, 1.0, str(exc))]
+        results = [CheckResult("structure-invariants", False, 1.0, detail=str(exc))]
     ok = all(r.passed for r in results)
     lines = []
     for r in results:
@@ -212,28 +208,28 @@ def cmd_curvature(args) -> int:
         rd = view.curv.r04_svk.data
         measured = {
             "first-pair-antisymmetric": scalars.is_zero(
-                rd + np.einsum("ijkl->jikl", rd), args.eps, rd
+                rd + np.einsum("ijkl->jikl", rd), ws.s.eps, rd
             ),
             "last-pair-antisymmetric": scalars.is_zero(
-                rd + np.einsum("ijkl->ijlk", rd), args.eps, rd
+                rd + np.einsum("ijkl->ijlk", rd), ws.s.eps, rd
             ),
             "pair-exchange-symmetric": scalars.is_zero(
-                rd - np.einsum("ijkl->klij", rd), args.eps, rd
+                rd - np.einsum("ijkl->klij", rd), ws.s.eps, rd
             ),
         }
         payload.setdefault("svk_curvature_symmetries", {})[tag] = measured
 
     plane = _parse_plane(args, ws)
     if plane is not None:
-        kind, ortho = section_type(plane, ws.s, ws.s.metric, args.eps)
+        kind, ortho = section_type(plane, ws.s, ws.s.metric)
         payload["plane"] = {"type": kind, "orthogonal_to_xi": ortho}
         for view in (ws.g, ws.gt):
             tag = view.role
             try:
-                k_base = sectional(view.curv.r04, view.metric, plane, args.eps)
-                k_svk = sectional(view.curv.r04_svk, view.metric, plane, args.eps)
+                k_base = sectional(view.curv.r04, view.metric, plane, ws.s.eps)
+                k_svk = sectional(view.curv.r04_svk, view.metric, plane, ws.s.eps)
                 k_formula = svk_sectional_formula(
-                    plane, view.curv.r04, view.shape, ws.s, view.metric, args.eps
+                    plane, view.curv.r04, view.shape, ws.s, view.metric
                 )
             except DegeneratePlaneError:
                 payload["plane"][f"k[{tag}]"] = "degenerate"

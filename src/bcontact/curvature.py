@@ -154,9 +154,9 @@ class SectionPlane:
     def denominator(self, m: Metric):
         return pi1(m, self.x, self.y, self.y, self.x)
 
-    def check_nondegenerate(self, m: Metric, eps: float = scalars.DEFAULT_EPS):
+    def check_nondegenerate(self, m: Metric, eps: float):
         d = self.denominator(m)
-        if scalars.is_zero(np.asarray(d), eps, m.matrix):
+        if scalars.is_zero(d, eps, m.matrix):
             raise DegeneratePlaneError("plane is degenerate for this metric")
         return d
 
@@ -164,28 +164,20 @@ class SectionPlane:
 def _in_span(vectors: list[np.ndarray], w: np.ndarray, eps: float) -> bool:
     """Exact (or eps-scaled) rank test: w in span(vectors) iff stacking does
     not raise the rank, decided via vanishing of all maximal minors."""
-    a = np.stack(vectors + [w])
-    k = a.shape[0]
-    dim = a.shape[1]
     from itertools import combinations
 
     from .tensor import _rational_det
 
-    for cols in combinations(range(dim), k):
-        sub = a[:, cols]
-        if a.dtype == object:
-            det = _rational_det(sub)
-            if det != 0:
-                return False
-        else:
-            if abs(np.linalg.det(sub.astype(np.float64))) > scalars.tolerance(eps, a):
-                return False
-    return True
+    a = np.stack(vectors + [w])
+    k, dim = a.shape
+    subs = [a[:, cols] for cols in combinations(range(dim), k)]
+    if a.dtype == object:
+        # exact minors are costly: stop at the first one that is nonzero
+        return all(scalars.is_zero(_rational_det(sub), eps) for sub in subs)
+    return scalars.is_zero(np.linalg.det(np.stack(subs).astype(np.float64)), eps, a)
 
 
-def section_type(
-    plane: SectionPlane, s: ACBStructure, m: Metric, eps: float = scalars.DEFAULT_EPS
-) -> tuple[str, bool]:
+def section_type(plane: SectionPlane, s: ACBStructure, m: Metric) -> tuple[str, bool]:
     """Classify the plane; returns (kind, orthogonal_to_xi).
 
     xi-section: xi lies in the plane.  phi-holomorphic: the plane is
@@ -194,20 +186,21 @@ def section_type(
     reports m-orthogonality of the plane to xi, which selects the right
     sectional-curvature specialization for totally-real planes.
     """
+    eps = s.eps
     plane.check_nondegenerate(m, eps)
     x, y = plane.x, plane.y
     phi = s.phi_m
     span = [x, y]
-    ortho_to_xi = scalars.is_zero(
-        np.asarray(s.eta_v @ x), eps, x
-    ) and scalars.is_zero(np.asarray(s.eta_v @ y), eps, y)
+    ortho_to_xi = scalars.is_zero(s.eta_v @ x, eps, x) and scalars.is_zero(
+        s.eta_v @ y, eps, y
+    )
     if _in_span(span, s.xi_v, eps):
         return XI_SECTION, ortho_to_xi
     if _in_span(span, phi @ x, eps) and _in_span(span, phi @ y, eps):
         return HOLOMORPHIC, ortho_to_xi
     pairs = [(x, x), (x, y), (y, y)]
     if all(
-        scalars.is_zero(np.asarray(np.einsum("ij,i,j->", m.matrix, u, phi @ v)), eps, m.matrix)
+        scalars.is_zero(np.einsum("ij,i,j->", m.matrix, u, phi @ v), eps, m.matrix)
         for u, v in pairs
     ):
         if s.dim < 5:
@@ -218,7 +211,7 @@ def section_type(
     return GENERIC, ortho_to_xi
 
 
-def sectional(r04: Tensor, m: Metric, plane: SectionPlane, eps: float = scalars.DEFAULT_EPS):
+def sectional(r04: Tensor, m: Metric, plane: SectionPlane, eps: float):
     """k(plane) = R(x,y,y,x) / pi_1(x,y,y,x)."""
     den = plane.check_nondegenerate(m, eps)
     num = np.einsum("ijkl,i,j,k,l->", r04.data, plane.x, plane.y, plane.y, plane.x)
@@ -231,14 +224,13 @@ def svk_sectional_formula(
     shape: ShapeData,
     s: ACBStructure,
     m: Metric,
-    eps: float = scalars.DEFAULT_EPS,
 ):
     """k^D through the base curvature:
 
     k^D = k + [pi_1(S x, S y, y, x) - eta(x) R(x,y,y,xi) - eta(y) R(x,y,xi,x)]
               / pi_1(x,y,y,x).
     """
-    den = plane.check_nondegenerate(m, eps)
+    den = plane.check_nondegenerate(m, s.eps)
     x, y = plane.x, plane.y
     sx = shape.operator.data @ x
     sy = shape.operator.data @ y
@@ -248,4 +240,4 @@ def svk_sectional_formula(
         - (s.eta_v @ x) * np.einsum("ijkl,i,j,k,l->", rd, x, y, y, s.xi_v)
         - (s.eta_v @ y) * np.einsum("ijkl,i,j,k,l->", rd, x, y, s.xi_v, x)
     )
-    return sectional(r04_base, m, plane, eps) + corr / den
+    return sectional(r04_base, m, plane, s.eps) + corr / den

@@ -157,10 +157,10 @@ def equivalence_chains(
     q: Tensor,
     t: Tensor,
     m: Metric,
-    eps: float = scalars.DEFAULT_EPS,
 ) -> tuple[ChainReport, ChainReport, ChainReport]:
     """The three predicate chains for one metric of the pair: within each
-    chain all predicates must evaluate to the same boolean on any model."""
+    chain all predicates must evaluate to the same boolean on any model.
+    Each predicate is the vanishing of its list of arrays."""
     neta = covariant_derivative(conn, s.eta).data
     de = d_eta(s.algebra, s.eta).data
     lg = lie_derivative_metric(conn, s.xi_v, m).data
@@ -172,40 +172,38 @@ def equivalence_chains(
     adj = np.einsum("ki,kj->ij", sop, g)  # m(S(x), y)
     adj_t = np.einsum("kj,ki->ij", sop, g)  # m(x, S(y))
 
-    def z(a, *ctx):
-        return scalars.is_zero(np.asarray(a), eps, *(c for c in ctx))
-
-    ctx = (conn.gamma.data,)
-    chain_sym = ChainReport(
-        "symmetric",
-        {
-            "nabla-eta symmetric": z(neta - neta.T, *ctx),
-            "eta closed": z(de, *ctx),
-            "Q-vertical symmetric": z(qv - np.einsum("kij->kji", qv), *ctx),
-            "T-vertical vanishes": z(comps.t_v.data, *ctx),
-            "shape self-adjoint": z(adj - adj_t, *ctx),
-            "shape form symmetric": z(sd - sd.T, *ctx),
+    chains = {
+        "symmetric": {
+            "nabla-eta symmetric": [neta - neta.T],
+            "eta closed": [de],
+            "Q-vertical symmetric": [qv - np.einsum("kij->kji", qv)],
+            "T-vertical vanishes": [comps.t_v.data],
+            "shape self-adjoint": [adj - adj_t],
+            "shape form symmetric": [sd - sd.T],
         },
-    )
-    chain_skew = ChainReport(
-        "skew",
-        {
-            "nabla-eta skew": z(neta + neta.T, *ctx),
-            "reeb killing": z(lg, *ctx),
-            "Q-vertical skew": z(qv + np.einsum("kij->kji", qv), *ctx),
-            "shape anti-self-adjoint": z(adj + adj_t, *ctx),
-            "shape form skew": z(sd + sd.T, *ctx),
+        "skew": {
+            "nabla-eta skew": [neta + neta.T],
+            "reeb killing": [lg],
+            "Q-vertical skew": [qv + np.einsum("kij->kji", qv)],
+            "shape anti-self-adjoint": [adj + adj_t],
+            "shape form skew": [sd + sd.T],
         },
-    )
-    chain_zero = ChainReport(
-        "vanishing",
-        {
-            "nabla-eta zero": z(neta, *ctx),
-            "eta closed and reeb killing": z(de, *ctx) and z(lg, *ctx),
-            "nabla-xi zero": z(conn.nabla_of_constant(s.xi_v), *ctx),
-            "shape zero": z(sop, *ctx),
-            "shape form zero": z(sd, *ctx),
-            "svk equals levi-civita": z(svk_conn.gamma.data - conn.gamma.data, *ctx),
+        "vanishing": {
+            "nabla-eta zero": [neta],
+            "eta closed and reeb killing": [de, lg],
+            "nabla-xi zero": [conn.nabla_of_constant(s.xi_v)],
+            "shape zero": [sop],
+            "shape form zero": [sd],
+            "svk equals levi-civita": [svk_conn.gamma.data - conn.gamma.data],
         },
+    }
+    return tuple(
+        ChainReport(
+            name,
+            {
+                k: scalars.zero_test(arrays, s.eps, conn.gamma.data)[0]
+                for k, arrays in predicates.items()
+            },
+        )
+        for name, predicates in chains.items()
     )
-    return chain_sym, chain_skew, chain_zero

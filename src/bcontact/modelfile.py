@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import scalars
 from .liegroup import LieAlgebra, StructureError
-from .scalars import RATIONAL
+from .scalars import DEFAULT_EPS, RATIONAL
 from .structure import ACBStructure
 from .tensor import DegenerateMetricError, Metric, Tensor
 
@@ -113,8 +113,15 @@ def save_path(path: str, doc: dict):
         fh.write(dumps(doc))
 
 
-def to_structure(doc: dict, mode: str = RATIONAL) -> ACBStructure:
-    """Build the structure a document describes, or raise ModelFileError."""
+def to_structure(
+    doc: dict, mode: str = RATIONAL, eps: float = DEFAULT_EPS
+) -> ACBStructure:
+    """Build the structure a document describes, or raise ModelFileError.
+
+    ``eps`` is the float tolerance of the model: the load-time tests
+    (antisymmetry, Jacobi, symmetry and degeneracy of g) use it, and the
+    structure carries it to every later zero test.
+    """
     doc = canonicalize(doc)
     dim = doc["dim"]
     c = scalars.zeros((dim, dim, dim), mode)
@@ -124,13 +131,13 @@ def to_structure(doc: dict, mode: str = RATIONAL) -> ACBStructure:
             c[k, i, j] = v
             c[k, j, i] = -v
     try:
-        algebra = LieAlgebra(Tensor(1, 2, c))
         return ACBStructure(
-            algebra,
+            LieAlgebra(Tensor(1, 2, c), eps),
             Tensor(1, 1, scalars.array(doc["phi"], mode)),
             Tensor(1, 0, scalars.array(doc["xi"], mode)),
             Tensor(0, 1, scalars.array(doc["eta"], mode)),
-            Metric.from_matrix(scalars.array(doc["g"], mode)),
+            Metric.from_matrix(scalars.array(doc["g"], mode), eps),
+            eps,
         )
     except (StructureError, DegenerateMetricError, ValueError) as exc:
         raise ModelFileError(str(exc)) from exc

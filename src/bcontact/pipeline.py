@@ -17,7 +17,6 @@ import numpy as np
 from .curvature import CurvatureData, curvature_data
 from .hv import ShapeData, shape_operator
 from .liegroup import Connection, covariant_derivative, levi_civita
-from .scalars import DEFAULT_EPS
 from .structure import (
     ACBStructure,
     ClassificationReport,
@@ -29,7 +28,7 @@ from .structure import (
     divergences,
     fundamental_tensor,
     lee_forms,
-    nabla_xi_class_residuals,
+    nabla_xi_class_conditions,
     potential_lowered,
     validate_structure,
 )
@@ -52,7 +51,7 @@ class MetricView:
 
     @cached_property
     def conn(self) -> Connection:
-        return levi_civita(self.ws.algebra, self.metric, self.ws.eps)
+        return levi_civita(self.ws.algebra, self.metric)
 
     @cached_property
     def fundamental(self) -> Tensor:
@@ -89,12 +88,12 @@ class MetricView:
         return classify(
             self.ws.s, self.fundamental, self.lee, self.metric, self.conn,
             self.partner.conn, self.partner_potential03, self.div_pair,
-            self.role, self.ws.eps,
+            self.role,
         )
 
     @cached_property
-    def nabla_xi_residuals(self) -> dict:
-        return nabla_xi_class_residuals(
+    def nabla_xi_conditions(self) -> dict:
+        return nabla_xi_class_conditions(
             self.ws.s, self.conn, self.metric, self.lee, self.div_pair,
             self.classification,
         )
@@ -143,19 +142,24 @@ class MetricView:
 
 
 class Workspace:
-    """Derived data for one structure, in one scalar mode."""
+    """Derived data for one structure, in one scalar mode; every zero test
+    on it uses the structure's ``eps``."""
 
-    def __init__(self, s: ACBStructure, eps: float = DEFAULT_EPS):
+    def __init__(self, s: ACBStructure):
         self.s = s
-        self.eps = eps
         self.algebra = s.algebra
         self.mode = s.mode
         self.g = MetricView(self, "g", s.metric)
-        self.gt = MetricView(self, "gtilde", s.assoc)
+
+    @cached_property
+    def gt(self) -> MetricView:
+        """The view of the associated metric; touching it on a model whose
+        axioms fail raises, so callers gate on ``validation`` first."""
+        return MetricView(self, "gtilde", self.s.assoc)
 
     @cached_property
     def validation(self) -> ValidationReport:
-        return validate_structure(self.s, self.eps)
+        return validate_structure(self.s)
 
     @property
     def pot(self) -> Tensor:

@@ -5,7 +5,9 @@ binary floats.  Rational mode is the reference: all formulas in this library
 are rational in their inputs (the Koszul formula only divides by 2), so every
 identity can be verified with zero residual.  Float mode exists for speed and
 for data that arrives as decimals; comparisons there use an absolute
-tolerance scaled by the magnitude of the tensors involved.
+tolerance scaled by the magnitude of the tensors involved.  Every zero test
+in the library goes through ``zero_test``; the tolerance ``eps`` is fixed once
+per model when it is loaded and carried on the structure.
 """
 from __future__ import annotations
 
@@ -105,17 +107,41 @@ def residual(a: np.ndarray, b=None) -> float:
     return max_abs(np.asarray(d))
 
 
-def tolerance(eps: float, *arrays: np.ndarray) -> float:
-    """Absolute comparison tolerance, scaled by the largest participating entry."""
-    scale = 1.0
-    for arr in arrays:
-        scale = max(scale, max_abs(arr))
-    return eps * scale
+def _tolerance(eps: float, residual: float, context_scale: float) -> float:
+    """Float tolerance for one compared array: eps scaled by the largest
+    entry of the array itself and of its context arrays, and by at least 1."""
+    return eps * max(1.0, residual, context_scale)
 
 
-def is_zero(arr: np.ndarray, eps: float = DEFAULT_EPS, *context: np.ndarray) -> bool:
-    """Zero test: exact in rational mode, scaled-eps in float mode."""
-    arr = np.asarray(arr)
-    if mode_of(arr) == RATIONAL:
-        return residual(arr) == 0.0
-    return residual(arr) <= tolerance(eps, arr, *context)
+def zero_test(arrays, eps: float, *context: np.ndarray):
+    """The library's one zero test: do all ``arrays`` vanish?
+
+    Returns ``(passed, residual, worst_index)``.  The residual is the largest
+    absolute entry over all arrays.  A rational (object) array passes only
+    when it is exactly zero; a float array passes when its own largest entry
+    is within the tolerance of ``_tolerance``, scaled by the ``context``
+    arrays the compared quantities were built from.  ``worst_index`` is None
+    on success; on failure it locates the largest entry of the worst array,
+    prefixed by that array's position when more than one array is tested.
+    """
+    arrays = [np.asarray(a) for a in arrays]
+    res = [max_abs(a) for a in arrays]
+    exact = [a.dtype == object for a in arrays]
+    scale = 0.0 if all(exact) else max((max_abs(c) for c in context), default=0.0)
+    passed = all(
+        r == 0.0 if e else r <= _tolerance(eps, r, scale) for e, r in zip(exact, res)
+    )
+    worst = max(res, default=0.0)
+    if passed:
+        return True, worst, None
+    k = int(np.argmax(res))
+    mag = np.abs(to_float(arrays[k]))
+    where = tuple(int(i) for i in np.unravel_index(np.argmax(mag), mag.shape))
+    if len(arrays) > 1:
+        return False, worst, (k,) + where
+    return False, worst, where or None
+
+
+def is_zero(arr: np.ndarray, eps: float, *context: np.ndarray) -> bool:
+    """``zero_test`` of a single array, as a boolean."""
+    return zero_test([arr], eps, *context)[0]

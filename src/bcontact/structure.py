@@ -13,14 +13,14 @@ derivation route, compared with the primary one by the check suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import scalars
 from .liegroup import Connection, LieAlgebra, covariant_derivative
-from .scalars import DEFAULT_EPS
 from .tensor import Metric, Tensor, sharp
 
 
@@ -49,36 +49,30 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _check(name, arr, eps, *context) -> IdentityCheck:
-    arr = np.asarray(arr)
-    res = scalars.residual(arr)
-    ok = scalars.is_zero(arr, eps, *context)
-    worst = None
-    if not ok and arr.ndim:
-        worst = tuple(
-            int(k)
-            for k in np.unravel_index(
-                np.argmax(np.abs(scalars.to_float(arr))), arr.shape
-            )
-        )
-    return IdentityCheck(name, ok, res, worst)
-
-
 @dataclass(frozen=True)
 class ACBStructure:
-    """Almost contact B-metric structure on a left-invariant model."""
+    """Almost contact B-metric structure on a left-invariant model.
+
+    ``eps`` is the float tolerance of every zero test made on this model,
+    fixed when the model is loaded.
+    """
 
     algebra: LieAlgebra
     phi: Tensor  # (1,1)
     xi: Tensor  # (1,0)
     eta: Tensor  # (0,1)
     metric: Metric
-    assoc: Metric = field(init=False)
+    eps: float
 
     def __post_init__(self):
         if self.dim % 2 == 0:
             raise ValueError("almost contact structures need odd dimension")
-        object.__setattr__(self, "assoc", associated_metric(self))
+
+    @cached_property
+    def assoc(self) -> Metric:
+        """g~(x,y) = g(x, phi y) + eta(x) eta(y); built on first use, since it
+        is a metric only when the axioms on g hold."""
+        return associated_of(self.metric, self)
 
     @property
     def dim(self) -> int:
@@ -115,76 +109,56 @@ def associated_of(m: Metric, s: "ACBStructure") -> Metric:
     mat = np.einsum("im,mj->ij", m.matrix, s.phi_m) + np.einsum(
         "i,j->ij", s.eta_v, s.eta_v
     )
-    return Metric.from_matrix(mat)
+    return Metric.from_matrix(mat, s.eps)
 
 
-def associated_metric(s: ACBStructure) -> Metric:
-    """g~(x,y) = g(x, phi y) + eta(x) eta(y)."""
-    g, phi, eta = s.metric.matrix, s.phi_m, s.eta_v
-    m = np.einsum("im,mj->ij", g, phi) + np.einsum("i,j->ij", eta, eta)
-    return Metric.from_matrix(m)
-
-
-def validate_structure(s: ACBStructure, eps: float = DEFAULT_EPS) -> ValidationReport:
+def validate_structure(s: ACBStructure) -> ValidationReport:
     """Check every algebraic axiom of the structure, reporting each identity
-    with its worst residual instead of raising, so callers can print diagnostics."""
-    dim, n = s.dim, s.n
+    with its worst residual instead of raising, so callers can print
+    diagnostics.  The associated metric is built only once the axioms on g
+    hold (only then is it a metric); until then its rows are reported failed
+    with residual 1, like a wrong signature."""
+    n, eps = s.n, s.eps
     phi, xi, eta, g = s.phi_m, s.xi_v, s.eta_v, s.metric.matrix
-    eye = scalars.eye(dim, s.mode)
+    one = scalars.one(s.mode)
+
+    def row(name, arr, *context):
+        return IdentityCheck(name, *scalars.zero_test([arr], eps, *context))
+
+    def b_metric(m):
+        return np.einsum("mi,rj,mr->ij", phi, phi, m) + m - np.einsum("i,j->ij", eta, eta)
+
+    def signature(name, m: Metric):
+        ok = m.signature == (n + 1, n)
+        return IdentityCheck(name, ok, 0.0 if ok else 1.0)
 
     checks = [
-        _check("phi(xi) = 0", phi @ xi, eps, phi),
-        _check(
+        row("phi(xi) = 0", phi @ xi, phi),
+        row(
             "phi^2 = -id + eta (x) xi",
-            phi @ phi + eye - np.einsum("i,j->ij", xi, eta),
-            eps,
+            phi @ phi + scalars.eye(s.dim, s.mode) - np.einsum("i,j->ij", xi, eta),
             phi,
         ),
-        _check("eta o phi = 0", eta @ phi, eps, phi),
-        _check("eta(xi) = 1", np.asarray(eta @ xi - scalars.one(s.mode)), eps),
-        _check(
-            "g(phi x, phi y) = -g(x,y) + eta(x) eta(y)",
-            np.einsum("mi,rj,mr->ij", phi, phi, g) + g - np.einsum("i,j->ij", eta, eta),
-            eps,
-            g,
-        ),
-        _check("g(xi, xi) = 1", np.asarray(s.metric.inner(xi, xi) - scalars.one(s.mode)), eps, g),
-        _check("g(xi, .) = eta", np.einsum("ij,i->j", g, xi) - eta, eps, g),
+        row("eta o phi = 0", eta @ phi, phi),
+        row("eta(xi) = 1", eta @ xi - one),
+        row("g(phi x, phi y) = -g(x,y) + eta(x) eta(y)", b_metric(g), g),
+        row("g(xi, xi) = 1", s.metric.inner(xi, xi) - one, g),
+        row("g(xi, .) = eta", np.einsum("ij,i->j", g, xi) - eta, g),
+        signature(f"signature of g is ({n + 1},{n})", s.metric),
     ]
-
-    sig = s.metric.signature
-    checks.append(
-        IdentityCheck(
-            f"signature of g is ({n + 1},{n})",
-            sig == (n + 1, n),
-            0.0 if sig == (n + 1, n) else 1.0,
-        )
-    )
-    asig = s.assoc.signature
-    checks.append(
-        IdentityCheck(
-            f"signature of associated metric is ({n + 1},{n})",
-            asig == (n + 1, n),
-            0.0 if asig == (n + 1, n) else 1.0,
-        )
-    )
-    gt = s.assoc.matrix
-    checks.append(
-        _check(
-            "g~(xi, xi) = 1",
-            np.asarray(s.assoc.inner(xi, xi) - scalars.one(s.mode)),
-            eps,
-            gt,
-        )
-    )
-    checks.append(
-        _check(
-            "g~ is itself a B-metric",
-            np.einsum("mi,rj,mr->ij", phi, phi, gt) + gt - np.einsum("i,j->ij", eta, eta),
-            eps,
-            gt,
-        )
-    )
+    assoc_names = [
+        f"signature of associated metric is ({n + 1},{n})",
+        "g~(xi, xi) = 1",
+        "g~ is itself a B-metric",
+    ]
+    if not all(c.passed for c in checks):
+        return ValidationReport(checks + [IdentityCheck(k, False, 1.0) for k in assoc_names])
+    gt = s.assoc
+    checks += [
+        signature(assoc_names[0], gt),
+        row(assoc_names[1], gt.inner(xi, xi) - one, gt.matrix),
+        row(assoc_names[2], b_metric(gt.matrix), gt.matrix),
+    ]
     return ValidationReport(checks)
 
 
@@ -464,7 +438,6 @@ def classify(
     pot03: Tensor,
     div_pair,
     metric_role: str = "g",
-    eps: float = DEFAULT_EPS,
 ) -> ClassificationReport:
     """Decide every membership flag by direct substitution into the defining
     identities over the whole basis.
@@ -476,37 +449,27 @@ def classify(
     """
     fd, phi, xi, eta = f.data, s.phi_m, s.xi_v, s.eta_v
     phi2 = s.phi2
-    membership: dict[str, bool] = {}
-    residuals: dict[str, float] = {}
-
-    def record(flag: str, arrays: list[np.ndarray]):
-        res = max((scalars.residual(np.asarray(a)) for a in arrays), default=0.0)
-        ok = all(scalars.is_zero(np.asarray(a), eps, fd) for a in arrays)
-        membership[flag] = ok
-        residuals[flag] = res
-
-    record("F0", [fd])
-    for name, arrays in _class_conditions(s, f, lee, m).items():
-        record(name, arrays)
-
-    record("U1", [conn.nabla_of_constant(xi)])
-    record("U1_assoc", [conn_partner.nabla_of_constant(xi)])
+    conds = {"F0": [fd], **_class_conditions(s, f, lee, m)}
+    conds["U1"] = [conn.nabla_of_constant(xi)]
+    conds["U1_assoc"] = [conn_partner.nabla_of_constant(xi)]
 
     fxi = np.einsum("xym,m->xy", fd, xi)
-    u2 = fd - np.einsum("xy,z->xyz", fxi, eta) - np.einsum("xz,y->xyz", fxi, eta)
-    record("U2", [u2])
+    conds["U2"] = [fd - np.einsum("xy,z->xyz", fxi, eta) - np.einsum("xz,y->xyz", fxi, eta)]
 
     p = pot03.data
-    f3u3 = np.einsum("xab,ay,bz->xyz", p, phi2, phi2) + np.einsum(
-        "xab,ay,bz->xyz", p, phi, phi
-    )
-    record("F3+U3", [f3u3])
+    conds["F3+U3"] = [
+        np.einsum("xab,ay,bz->xyz", p, phi2, phi2) + np.einsum("xab,ay,bz->xyz", p, phi, phi)
+    ]
 
     # F(phi y,phi z,x) + F(phi^2 y,phi^2 z,x) - F(phi z,phi y,x) - F(phi^2 z,phi^2 y,x)
     e1 = np.einsum("abx,ay,bz->xyz", fd, phi, phi)
     e2 = np.einsum("abx,ay,bz->xyz", fd, phi2, phi2)
-    record("F1+F2+U3", [e1 + e2 - np.einsum("xyz->xzy", e1) - np.einsum("xyz->xzy", e2)])
+    conds["F1+F2+U3"] = [e1 + e2 - np.einsum("xyz->xzy", e1) - np.einsum("xyz->xzy", e2)]
 
+    membership: dict[str, bool] = {}
+    residuals: dict[str, float] = {}
+    for flag, arrays in conds.items():
+        membership[flag], residuals[flag], _ = scalars.zero_test(arrays, s.eps, fd)
     membership["U3"] = membership["U2"] and membership["F3+U3"]
     residuals["U3"] = max(residuals["U2"], residuals["F3+U3"])
 
@@ -520,16 +483,16 @@ def classify(
     return ClassificationReport(metric_role, membership, residuals, report_scalars)
 
 
-def nabla_xi_class_residuals(
+def nabla_xi_class_conditions(
     s: ACBStructure,
     conn: Connection,
     m: Metric,
     lee: LeeForms,
     div_pair,
     report: ClassificationReport,
-) -> dict[str, float]:
-    """For each basic class the structure belongs to, the residual of the
-    covariant-derivative-of-xi identity that class forces:
+) -> dict[str, list[np.ndarray]]:
+    """For each basic class the structure belongs to, the arrays that vanish
+    by the covariant-derivative-of-xi identity that class forces:
 
       F1,F2,F3,F10: nabla xi = 0         F4: nabla xi = (div*(eta)/2n) phi
       F5: nabla xi = -(div(eta)/2n) phi^2
@@ -543,23 +506,14 @@ def nabla_xi_class_residuals(
     lam_phiphi = np.einsum("ab,ai,bj->ij", lam, phi, phi)
     div, div_star = div_pair
     inv2n = _inv2n(s)
-
-    out: dict[str, float] = {}
-
-    def put(flag: str, arrays: list[np.ndarray]):
-        if report.membership.get(flag):
-            out[flag] = max(
-                (scalars.residual(np.asarray(a)) for a in arrays), default=0.0
-            )
-
-    for flag in ("F1", "F2", "F3", "F10"):
-        put(flag, [nxi])
-    put("F4", [nxi - phi * (div_star * inv2n)])
-    put("F5", [nxi + s.phi2 * (div * inv2n)])
-    put("F6", [lam - lam.T, lam + lam_phiphi, np.asarray(div), np.asarray(div_star)])
-    put("F7", [lam + lam.T, lam + lam_phiphi])
-    put("F8", [lam + lam.T, lam - lam_phiphi])
-    put("F9", [lam - lam.T, lam - lam_phiphi])
     phi_om = phi @ sharp(lee.omega, m).data
-    put("F11", [nxi - np.einsum("k,i->ki", phi_om, eta)])
-    return out
+
+    conds = {flag: [nxi] for flag in ("F1", "F2", "F3", "F10")}
+    conds["F4"] = [nxi - phi * (div_star * inv2n)]
+    conds["F5"] = [nxi + s.phi2 * (div * inv2n)]
+    conds["F6"] = [lam - lam.T, lam + lam_phiphi, div, div_star]
+    conds["F7"] = [lam + lam.T, lam + lam_phiphi]
+    conds["F8"] = [lam + lam.T, lam - lam_phiphi]
+    conds["F9"] = [lam - lam.T, lam - lam_phiphi]
+    conds["F11"] = [nxi - np.einsum("k,i->ki", phi_om, eta)]
+    return {flag: arrays for flag, arrays in conds.items() if report.membership[flag]}

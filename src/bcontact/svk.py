@@ -89,12 +89,12 @@ def torsion_from_potential(q: Tensor) -> Tensor:
     return Tensor(0, 3, q.data - np.einsum("xyz->yxz", q.data))
 
 
-def potential_from_torsion(t: Tensor) -> Tensor:
+def potential_from_torsion(t: Tensor, eps: float) -> Tensor:
     """2 Q(x,y,z) = T(x,y,z) - T(y,z,x) + T(z,x,y); requires T antisymmetric
-    in its first two slots."""
+    in its first two slots (to within ``eps`` in float mode)."""
     if (t.up, t.down) != (0, 3):
         raise ValueError("expected a (0,3) torsion")
-    if not scalars.is_zero(t.data + np.einsum("xyz->yxz", t.data), scalars.DEFAULT_EPS, t.data):
+    if not scalars.is_zero(t.data + np.einsum("xyz->yxz", t.data), eps, t.data):
         raise ValueError("torsion must be antisymmetric in its first two slots")
     # out[x,y,z] = T(x,y,z) - T(y,z,x) + T(z,x,y)
     q2 = t.data - np.einsum("yzx->xyz", t.data) + np.einsum("zxy->xyz", t.data)
@@ -122,15 +122,13 @@ def svk_covariant_phi_closed(conn: Connection, s: ACBStructure) -> Tensor:
     return Tensor(1, 2, out)
 
 
-def is_natural(
-    conn: Connection, s: ACBStructure, m: Metric, eps: float = scalars.DEFAULT_EPS
-) -> bool:
+def is_natural(conn: Connection, s: ACBStructure, m: Metric) -> bool:
     """A connection is natural for the structure when phi, xi, eta and the
     metric are all parallel."""
-    ok_phi = scalars.is_zero(covariant_derivative(conn, s.phi).data, eps, s.phi_m)
-    ok_xi = scalars.is_zero(conn.nabla_of_constant(s.xi_v), eps)
-    ok_eta = scalars.is_zero(covariant_derivative(conn, s.eta).data, eps)
-    ok_m = scalars.is_zero(covariant_derivative(conn, m.tensor).data, eps, m.matrix)
+    ok_phi = scalars.is_zero(covariant_derivative(conn, s.phi).data, s.eps, s.phi_m)
+    ok_xi = scalars.is_zero(conn.nabla_of_constant(s.xi_v), s.eps)
+    ok_eta = scalars.is_zero(covariant_derivative(conn, s.eta).data, s.eps)
+    ok_m = scalars.is_zero(covariant_derivative(conn, m.tensor).data, s.eps, m.matrix)
     return ok_phi and ok_xi and ok_eta and ok_m
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import scalars
-from .scalars import DEFAULT_EPS, RATIONAL
+from .scalars import RATIONAL
 
 
 class DegenerateMetricError(ValueError):
@@ -77,30 +77,9 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return Tensor(self.up, self.down, -self.data)
 
-    def scale(self, c) -> "Tensor":
-        return Tensor(self.up, self.down, self.data * c)
-
     def _check_compatible(self, other: "Tensor"):
         if (self.up, self.down, self.dim) != (other.up, other.down, other.dim):
             raise ValueError("tensor valence/dimension mismatch")
-
-    def swap_down(self, a: int, b: int) -> "Tensor":
-        """Transpose two covariant slots (partial symmetrization plumbing)."""
-        axes = list(range(self.rank))
-        axes[self.up + a], axes[self.up + b] = axes[self.up + b], axes[self.up + a]
-        return Tensor(self.up, self.down, np.transpose(self.data, axes))
-
-
-def zero_tensor(up: int, down: int, dim: int, mode: str) -> Tensor:
-    return Tensor(up, down, scalars.zeros((dim,) * (up + down), mode))
-
-
-def sym2(t: Tensor) -> Tensor:
-    """Symmetrization of a (0,2) tensor."""
-    if (t.up, t.down) != (0, 2):
-        raise ValueError("sym2 expects a (0,2) tensor")
-    h = scalars.half(t.mode)
-    return Tensor(0, 2, (t.data + t.data.T) * h)
 
 
 def alt2(t: Tensor) -> Tensor:
@@ -214,7 +193,7 @@ class Metric:
         return self.tensor.mode
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, eps: float = DEFAULT_EPS) -> "Metric":
+    def from_matrix(cls, m: np.ndarray, eps: float) -> "Metric":
         t = Tensor(0, 2, m)
         if not scalars.is_zero(m - m.T, eps):
             raise ValueError("metric matrix must be symmetric")
@@ -223,8 +202,7 @@ class Metric:
             sig = _rational_signature(m)
         else:
             ev = np.linalg.eigvalsh(m.astype(np.float64))
-            tol = scalars.tolerance(eps, m)
-            if np.any(np.abs(ev) <= tol):
+            if scalars.is_zero(np.min(np.abs(ev)), eps, m):
                 raise DegenerateMetricError("metric has a numerically zero eigenvalue")
             sig = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
         return cls(t, inv, sig)
@@ -233,7 +211,7 @@ class Metric:
         return np.einsum("ij,i,j->", self.matrix, x, y)
 
 
-def metric_inverse(m: Tensor, eps: float = DEFAULT_EPS) -> Tensor:
+def metric_inverse(m: Tensor, eps: float) -> Tensor:
     """Inverse of a symmetric non-degenerate (0,2) tensor, as a (2,0) tensor."""
     if (m.up, m.down) != (0, 2):
         raise ValueError("metric_inverse expects a (0,2) tensor")
@@ -242,7 +220,7 @@ def metric_inverse(m: Tensor, eps: float = DEFAULT_EPS) -> Tensor:
             raise DegenerateMetricError("metric determinant is zero")
         return Tensor(2, 0, _rational_inverse(m.data))
     det = np.linalg.det(m.data)
-    if abs(det) < scalars.tolerance(eps, m.data):
+    if scalars.is_zero(det, eps, m.data):
         raise DegenerateMetricError(f"metric determinant {det} below tolerance")
     return Tensor(2, 0, np.linalg.inv(m.data))
 
@@ -254,24 +232,6 @@ def sharp(omega: Tensor, m: Metric) -> Tensor:
     if omega.dim != m.dim:
         raise ValueError("dimension mismatch")
     return Tensor(1, 0, np.einsum("ij,j->i", m.inv, omega.data))
-
-
-def flat(vec: Tensor, m: Metric) -> Tensor:
-    """Lower a vector with the metric."""
-    if (vec.up, vec.down) != (1, 0):
-        raise ValueError("flat expects a (1,0) tensor")
-    if vec.dim != m.dim:
-        raise ValueError("dimension mismatch")
-    return Tensor(0, 1, np.einsum("ij,j->i", m.matrix, vec.data))
-
-
-def trace_with_metric(b: Tensor, m: Metric):
-    """Full metric trace g^{ij} B_{ij} of a (0,2) tensor."""
-    if (b.up, b.down) != (0, 2):
-        raise ValueError("trace_with_metric expects a (0,2) tensor")
-    if b.dim != m.dim:
-        raise ValueError("dimension mismatch")
-    return np.einsum("ij,ij->", m.inv, b.data)
 
 
 def lower_out(t: Tensor, m: Metric) -> Tensor:

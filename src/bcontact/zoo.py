@@ -27,12 +27,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import scalars
-from .liegroup import LieAlgebra
+from . import modelfile
 from .pipeline import Workspace
 from .scalars import DEFAULT_EPS, RATIONAL
 from .structure import ACBStructure
-from .tensor import Metric, Tensor
 
 
 class UnknownEntryError(KeyError):
@@ -85,25 +83,12 @@ class ZooEntry:
             out["metadata"] = meta
         return out
 
-    def structure(self, mode: str = RATIONAL) -> ACBStructure:
-        dim = self.dim
-        c = scalars.zeros((dim, dim, dim), mode)
-        for i, j, coeffs in self.brackets:
-            for k, tok in enumerate(coeffs):
-                v = scalars.parse_scalar(tok, mode)
-                c[k, i, j] = v
-                c[k, j, i] = -v
-        algebra = LieAlgebra(Tensor(1, 2, c))
-        return ACBStructure(
-            algebra,
-            Tensor(1, 1, scalars.array(self.phi, mode)),
-            Tensor(1, 0, scalars.array(self.xi, mode)),
-            Tensor(0, 1, scalars.array(self.eta, mode)),
-            Metric.from_matrix(scalars.array(self.g, mode)),
-        )
+    def structure(self, mode: str = RATIONAL, eps: float = DEFAULT_EPS) -> ACBStructure:
+        """The entry's model, built the way a model file is loaded."""
+        return modelfile.to_structure(self.doc(), mode, eps)
 
     def workspace(self, mode: str = RATIONAL, eps: float = DEFAULT_EPS) -> Workspace:
-        return Workspace(self.structure(mode), eps)
+        return Workspace(self.structure(mode, eps))
 
 
 def _standard_frame(n: int):

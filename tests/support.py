@@ -1,11 +1,15 @@
-"""Shared helpers: cached workspaces and check-suite runs per zoo entry."""
+"""Shared helpers: cached workspaces and check-suite runs per zoo entry,
+broken variants of zoo entries, and the covariant basis change of a model."""
 from __future__ import annotations
 
 from dataclasses import replace
 
-from bcontact import zoo
+import numpy as np
+
+from bcontact import scalars, zoo
 from bcontact.checks import run_checks
 from bcontact.scalars import RATIONAL
+from bcontact.tensor import _rational_inverse
 
 _WS = {}
 _RESULTS = {}
@@ -36,3 +40,45 @@ def corrupted_phi_entry():
     phi = [list(row) for row in entry.phi]
     phi[0][0] = "1/2"
     return replace(entry, name="solv5-f1-bad-phi", phi=tuple(map(tuple, phi)))
+
+
+def non_isometric_phi_entry():
+    """solv5-f1 with phi[0][1] = 2: phi is no longer an anti-isometry of g,
+    so g(x, phi y) + eta(x) eta(y) is not even symmetric."""
+    entry = zoo.builtin("solv5-f1")
+    phi = [list(row) for row in entry.phi]
+    phi[0][1] = "2"
+    return replace(entry, name="solv5-f1-non-isometric-phi", phi=tuple(map(tuple, phi)))
+
+
+def basis_change(entry, p) -> dict:
+    """Model document of ``entry`` in the basis e'_a = sum_i p[i][a] e_i.
+
+    Every structure tensor transforms covariantly: c' = P^-1 c(P., P.),
+    phi' = P^-1 phi P, xi' = P^-1 xi, eta' = eta P, g' = P^T g P, so any
+    invariant of the model is unchanged.
+    """
+    p = scalars.array(p, RATIONAL)
+    q = _rational_inverse(p)
+    s = entry.structure(RATIONAL)
+    c = np.einsum("kl,lij,ia,jb->kab", q, s.algebra.c.data, p, p)
+    dim = entry.dim
+    brackets = [
+        [a, b, [str(v) for v in c[:, a, b]]]
+        for a in range(dim)
+        for b in range(a + 1, dim)
+        if any(v != 0 for v in c[:, a, b])
+    ]
+
+    def strings(arr):
+        return np.vectorize(str, otypes=[object])(arr).tolist()
+
+    return {
+        "name": f"{entry.name}-basis-change",
+        "dim": dim,
+        "brackets": brackets,
+        "phi": strings(q @ s.phi_m @ p),
+        "xi": strings(q @ s.xi_v),
+        "eta": strings(s.eta_v @ p),
+        "g": strings(p.T @ s.metric.matrix @ p),
+    }

@@ -6,7 +6,7 @@ import pytest
 
 from bcontact import cli, modelfile, zoo
 
-from support import corrupted_phi_entry
+from support import corrupted_phi_entry, non_isometric_phi_entry
 
 RUN = [sys.executable, "-m", "bcontact.cli"]
 
@@ -31,9 +31,18 @@ def files(tmp_path_factory):
     p = root / "bad-eta.json"
     modelfile.save_path(str(p), bad)
     paths["bad-eta"] = str(p)
-    p = root / "bad-phi.json"
-    modelfile.save_path(str(p), corrupted_phi_entry().doc())
-    paths["bad-phi"] = str(p)
+    for key, entry in (
+        ("bad-phi", corrupted_phi_entry()),
+        ("non-isometric-phi", non_isometric_phi_entry()),
+    ):
+        p = root / f"{key}.json"
+        modelfile.save_path(str(p), entry.doc())
+        paths[key] = str(p)
+    near = zoo.builtin("abelian3").doc()
+    near["g"][0][1] = "1e-8"
+    p = root / "near-symmetric-g.json"
+    modelfile.save_path(str(p), near)
+    paths["near-symmetric-g"] = str(p)
     p = root / "broken.json"
     p.write_text("{not json")
     paths["broken"] = str(p)
@@ -168,13 +177,33 @@ def test_report_json(files):
     assert payload["classification"]["g"]["membership"]["F4"] is True
 
 
-@pytest.mark.parametrize(
-    "command", ["validate", "classify", "report", "curvature", "verify"]
-)
+COMMANDS = ["validate", "classify", "report", "curvature", "verify"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_corrupted_phi_names_broken_axiom(files, command):
     proc = run_cli(command, files["bad-phi"])
     assert proc.returncode == 1
     assert "phi^2 = -id + eta (x) xi" in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_non_isometric_phi_names_broken_axiom(files, command):
+    proc = run_cli(command, files["non-isometric-phi"])
+    assert proc.returncode == 1
+    assert (
+        "g(phi x, phi y) = -g(x,y) + eta(x) eta(y)"
+        in proc.stdout + proc.stderr
+    )
+
+
+def test_eps_reaches_model_loading(files, capsys):
+    # g[0][1] = 1e-8 with g[1][0] = 0: symmetric to within eps = 1e-6 only
+    path = files["near-symmetric-g"]
+    assert cli.main(["validate", path, "--mode", "float", "--eps", "1e-6"]) == 0
+    assert cli.main(["validate", path, "--mode", "float"]) == 2
+    assert cli.main(["validate", path]) == 2
+    assert "metric matrix must be symmetric" in capsys.readouterr().err
 
 
 def test_verify_zoo_reports_each_entry_past_a_bad_one(monkeypatch, capsys):

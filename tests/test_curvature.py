@@ -21,7 +21,6 @@ from bcontact.curvature import (
     svk_scalar_formula,
     svk_sectional_formula,
 )
-from bcontact.liegroup import basis_vector
 from bcontact.scalars import RATIONAL
 
 from support import workspace
@@ -91,9 +90,7 @@ def test_curvature_reeb_identity_over_basis_pairs():
 
 def test_section_types_on_dim5_entry():
     ws = workspace("dim5-tr")
-    e0 = basis_vector(0, 5, RATIONAL)
-    e1 = basis_vector(1, 5, RATIONAL)
-    e2 = basis_vector(2, 5, RATIONAL)
+    e0, e1, e2 = scalars.eye(5, RATIONAL)[:3]
     kind, _ = section_type(SectionPlane(e0, ws.s.xi_v), ws.s, ws.s.metric)
     assert kind == XI_SECTION
     kind, _ = section_type(SectionPlane(e0, e2), ws.s, ws.s.metric)
@@ -127,21 +124,20 @@ def test_totally_real_rejected_in_dim3():
     ws = workspace("solv3-a")
     # in dimension 3 no horizontal 2-plane can be orthogonal to its phi-image;
     # the classifier never reports the totally-real type there
-    e0, e1 = basis_vector(0, 3, RATIONAL), basis_vector(1, 3, RATIONAL)
+    e0, e1 = scalars.eye(3, RATIONAL)[:2]
     kind, _ = section_type(SectionPlane(e0, e1), ws.s, ws.s.metric)
     assert kind != TOTALLY_REAL
 
 
 def test_degenerate_plane_raises():
     ws = workspace("dim5-tr")
-    e0 = basis_vector(0, 5, RATIONAL)
-    e1 = basis_vector(1, 5, RATIONAL)
+    e0, e1 = scalars.eye(5, RATIONAL)[:2]
     # the (e0,e1)-plane is degenerate for the associated metric of this entry
     with pytest.raises(DegeneratePlaneError):
-        sectional(ws.gt.curv.r04, ws.s.assoc, SectionPlane(e0, e1))
+        sectional(ws.gt.curv.r04, ws.s.assoc, SectionPlane(e0, e1), ws.s.eps)
     # and a rank-deficient pair is degenerate for any metric
     with pytest.raises(DegeneratePlaneError):
-        sectional(ws.g.curv.r04, ws.s.metric, SectionPlane(e0, e0))
+        sectional(ws.g.curv.r04, ws.s.metric, SectionPlane(e0, e0), ws.s.eps)
 
 
 def test_reeb_sections_flat_for_svk():
@@ -149,14 +145,14 @@ def test_reeb_sections_flat_for_svk():
         ws = workspace(name)
         for view in (ws.g, ws.gt):
             for i in range(ws.s.dim):
-                e = basis_vector(i, ws.s.dim, RATIONAL)
+                e = scalars.eye(ws.s.dim, RATIONAL)[i]
                 h = e - (ws.s.eta_v @ e) * ws.s.xi_v
                 if scalars.residual(h) == 0.0:
                     continue
                 for x in (h, h + ws.s.phi_m @ h):
                     plane = SectionPlane(x, ws.s.xi_v)
                     try:
-                        k = sectional(view.curv.r04_svk, view.metric, plane)
+                        k = sectional(view.curv.r04_svk, view.metric, plane, ws.s.eps)
                     except DegeneratePlaneError:
                         continue
                     assert k == 0, name
@@ -172,7 +168,7 @@ def test_sectional_formula_on_seeded_planes():
             y = scalars.array(rng.integers(-3, 4, size=ws.s.dim).tolist(), RATIONAL)
             plane = SectionPlane(x, y)
             try:
-                direct = sectional(ws.g.curv.r04_svk, ws.s.metric, plane)
+                direct = sectional(ws.g.curv.r04_svk, ws.s.metric, plane, ws.s.eps)
                 formula = svk_sectional_formula(
                     plane, ws.g.curv.r04, ws.g.shape, ws.s, ws.s.metric
                 )
@@ -187,13 +183,13 @@ def test_sectional_holomorphic_correction():
     from bcontact.hv import pi1
 
     ws = workspace("dim5-tr")
-    e0 = basis_vector(0, 5, RATIONAL)
+    e0 = scalars.eye(5, RATIONAL)[0]
     plane = SectionPlane(e0, ws.s.phi_m @ e0)
     sx = ws.g.shape.operator.data @ plane.x
     sy = ws.g.shape.operator.data @ plane.y
     corr = pi1(ws.s.metric, sx, sy, plane.y, plane.x) / plane.denominator(ws.s.metric)
-    k_base = sectional(ws.g.curv.r04, ws.s.metric, plane)
-    k_svk = sectional(ws.g.curv.r04_svk, ws.s.metric, plane)
+    k_base = sectional(ws.g.curv.r04, ws.s.metric, plane, ws.s.eps)
+    k_svk = sectional(ws.g.curv.r04_svk, ws.s.metric, plane, ws.s.eps)
     assert k_svk == k_base + corr
     assert corr != 0  # the correction genuinely matters on this entry
 
@@ -202,24 +198,22 @@ def test_sectional_totally_real_correction():
     from bcontact.hv import pi1
 
     ws = workspace("dim5-tr")
-    e0, e1 = basis_vector(0, 5, RATIONAL), basis_vector(1, 5, RATIONAL)
+    e0, e1 = scalars.eye(5, RATIONAL)[:2]
     plane = SectionPlane(e0, e1)
     kind, ortho = section_type(plane, ws.s, ws.s.metric)
     assert kind == TOTALLY_REAL and ortho
     sx = ws.g.shape.operator.data @ plane.x
     sy = ws.g.shape.operator.data @ plane.y
     corr = pi1(ws.s.metric, sx, sy, plane.y, plane.x) / plane.denominator(ws.s.metric)
-    assert sectional(ws.g.curv.r04_svk, ws.s.metric, plane) == sectional(
-        ws.g.curv.r04, ws.s.metric, plane
-    ) + corr
+    k_svk = sectional(ws.g.curv.r04_svk, ws.s.metric, plane, ws.s.eps)
+    assert k_svk == sectional(ws.g.curv.r04, ws.s.metric, plane, ws.s.eps) + corr
 
 
 def test_sectional_invariant_under_basis_change():
     ws = workspace("solv3-f4")
-    e0 = basis_vector(0, 3, RATIONAL)
-    e1 = basis_vector(1, 3, RATIONAL)
+    e0, e1 = scalars.eye(3, RATIONAL)[:2]
     plane = SectionPlane(e0, e1)
-    base = sectional(ws.g.curv.r04_svk, ws.s.metric, plane)
+    base = sectional(ws.g.curv.r04_svk, ws.s.metric, plane, ws.s.eps)
     rng = np.random.default_rng(23)
     tried = 0
     while tried < 10:
@@ -228,7 +222,8 @@ def test_sectional_invariant_under_basis_change():
             continue
         x2 = e0 * Fraction(a) + e1 * Fraction(b)
         y2 = e0 * Fraction(c) + e1 * Fraction(d)
-        assert sectional(ws.g.curv.r04_svk, ws.s.metric, SectionPlane(x2, y2)) == base
+        other = SectionPlane(x2, y2)
+        assert sectional(ws.g.curv.r04_svk, ws.s.metric, other, ws.s.eps) == base
         tried += 1
 
 

@@ -9,7 +9,6 @@ from bcontact.hv import (
     potential_pi1_form,
     reference_components,
 )
-from bcontact.liegroup import basis_vector
 from bcontact.scalars import RATIONAL
 
 from support import result_map, workspace
@@ -49,7 +48,7 @@ def test_shape_range_is_horizontal():
 
 def test_pi1_flat_model_values():
     ws = workspace("abelian3")
-    e1, e2 = basis_vector(0, 3, RATIONAL), basis_vector(1, 3, RATIONAL)
+    e1, e2 = scalars.eye(3, RATIONAL)[:2]
     # g(e2,e2) g(e1,e1) - g(e1,e2)^2 = (-1)(1) - 0
     assert pi1(ws.s.metric, e1, e2, e2, e1) == -1
     # with the associated metric: 0*0 - (-1)^2
