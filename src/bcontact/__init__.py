@@ -6,7 +6,7 @@ from .liegroup import Connection, LieAlgebra, StructureError, levi_civita
 from .pipeline import Workspace
 from .scalars import DEFAULT_EPS, FLOAT, RATIONAL
 from .structure import ACBStructure, ClassificationReport, ValidationReport
-from .tensor import DegenerateMetricError, Metric, Tensor
+from .tensor import DegenerateMetricError, Metric
 
 __all__ = [
     "ACBStructure",
@@ -19,7 +19,6 @@ __all__ = [
     "Metric",
     "RATIONAL",
     "StructureError",
-    "Tensor",
     "ValidationReport",
     "Workspace",
     "levi_civita",

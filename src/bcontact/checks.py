@@ -26,6 +26,7 @@ from .curvature import (
     section_type,
     sectional,
     svk_curvature_formula,
+    svk_curvature_symmetries,
     svk_ricci_formula,
     svk_scalar_formula,
     svk_sectional_formula,
@@ -56,7 +57,9 @@ from .svk import (
     svk_torsion_closed,
     torsion_from_potential,
 )
-from .tensor import sharp
+
+# sampled planes per metric in the sectional-curvature checks
+PLANE_COUNT = 20
 
 
 @dataclass(frozen=True)
@@ -100,10 +103,10 @@ def check_fundamental_identities(ws: Workspace):
     properties of the Levi-Civita connection F is taken with (torsion-free,
     metric)."""
     s = ws.s
-    phi, xi, eta = s.phi_m, s.xi_v, s.eta_v
+    phi, xi, eta = s.phi, s.xi, s.eta
     for view in (ws.g, ws.gt):
         conn, m = view.conn, view.metric
-        f = view.fundamental.data
+        f = view.fundamental
         fxiz = np.einsum("xmz,m->xz", f, xi)
         proj = (
             np.einsum("xab,ay,bz->xyz", f, phi, phi)
@@ -112,7 +115,7 @@ def check_fundamental_identities(ws: Workspace):
         )
         # F(x, phi y, xi) = (nabla_x eta)(y) = m(nabla_x xi, y)
         lam = np.einsum("ki,kj->ij", conn.nabla_of_constant(xi), m.matrix)
-        neta = covariant_derivative(conn, s.eta).data
+        neta = covariant_derivative(conn, s.eta, 0)
         yield CheckResult(
             f"fundamental-identities[{view.role}]",
             *scalars.zero_test(
@@ -121,12 +124,12 @@ def check_fundamental_identities(ws: Workspace):
                     f - proj,
                     np.einsum("xaz,ay,z->xy", f, phi, xi) - lam,
                     neta - lam,
-                    conn.torsion(ws.algebra).data,
-                    covariant_derivative(conn, m.tensor).data,
+                    conn.torsion(ws.algebra),
+                    covariant_derivative(conn, m.matrix, 0),
                 ],
                 s.eps,
                 f,
-                conn.gamma.data,
+                conn.gamma,
                 m.matrix,
             ),
         )
@@ -140,11 +143,11 @@ def check_lee_identities(ws: Workspace):
             f"lee-form-identities[{view.role}]",
             *scalars.zero_test(
                 [
-                    lee.omega.data @ s.xi_v,
-                    lee.theta_star.data @ s.phi_m + lee.theta.data @ s.phi2,
+                    lee.omega @ s.xi,
+                    lee.theta_star @ s.phi + lee.theta @ s.phi2,
                 ],
                 s.eps,
-                view.fundamental.data,
+                view.fundamental,
             ),
         )
 
@@ -170,7 +173,7 @@ def check_nabla_xi_table(ws: Workspace):
             *scalars.zero_test(
                 [a for arrays in conds.values() for a in arrays],
                 ws.s.eps,
-                view.conn.gamma.data,
+                view.conn.gamma,
             ),
             detail=f"classes checked: {', '.join(sorted(conds)) or 'none'}",
         )
@@ -178,16 +181,16 @@ def check_nabla_xi_table(ws: Workspace):
 
 def check_potential_routes(ws: Workspace):
     s = ws.s
-    direct = ws.pot03.data
-    closed = potential_from_fundamental(s, ws.g.fundamental, ws.g.lee).data
+    direct = ws.pot03
+    closed = potential_from_fundamental(s, ws.g.fundamental, ws.g.lee)
     yield CheckResult(
         "potential-closed-form",
         *scalars.zero_test(
             [direct - closed, direct - np.einsum("xyz->yxz", direct)], s.eps, direct
         ),
     )
-    f = ws.g.fundamental.data
-    rebuilt = fundamental_from_potential(s, ws.pot03).data
+    f = ws.g.fundamental
+    rebuilt = fundamental_from_potential(s, ws.pot03)
     yield CheckResult(
         "fundamental-reconstruction", *scalars.zero_test([rebuilt - f], s.eps, f)
     )
@@ -195,15 +198,15 @@ def check_potential_routes(ws: Workspace):
     yield CheckResult(
         "potential-vertical-trace",
         *scalars.zero_test(
-            [np.einsum("ij,mij,m->", s.metric.inv, direct, s.xi_v)], s.eps, direct
+            [np.einsum("ij,mij,m->", s.metric.inv, direct, s.xi)], s.eps, direct
         ),
     )
 
 
 def check_assoc_fundamental(ws: Workspace):
     s = ws.s
-    direct = ws.gt.fundamental.data
-    converted = assoc_fundamental_from_fundamental(s, ws.g.fundamental).data
+    direct = ws.gt.fundamental
+    converted = assoc_fundamental_from_fundamental(s, ws.g.fundamental)
     yield CheckResult(
         "assoc-fundamental-two-routes",
         *scalars.zero_test([direct - converted], s.eps, direct),
@@ -212,11 +215,11 @@ def check_assoc_fundamental(ws: Workspace):
 
 def check_zero_class_equivalences(ws: Workspace):
     eps = ws.s.eps
-    gamma, gamma_t = ws.g.conn.gamma.data, ws.gt.conn.gamma.data
+    gamma, gamma_t = ws.g.conn.gamma, ws.gt.conn.gamma
     booleans = {
-        "fundamental zero": scalars.is_zero(ws.g.fundamental.data, eps),
-        "potential zero": scalars.is_zero(ws.pot.data, eps),
-        "assoc fundamental zero": scalars.is_zero(ws.gt.fundamental.data, eps),
+        "fundamental zero": scalars.is_zero(ws.g.fundamental, eps),
+        "potential zero": scalars.is_zero(ws.pot, eps),
+        "assoc fundamental zero": scalars.is_zero(ws.gt.fundamental, eps),
         "connections coincide": scalars.is_zero(gamma - gamma_t, eps, gamma),
     }
     yield _bool_result("zero-class-equivalences", booleans)
@@ -230,12 +233,12 @@ def check_svk_preserves_structure(ws: Workspace):
             f"svk-preserves-structure[{view.role}]",
             *scalars.zero_test(
                 [
-                    covariant_derivative(d, view.metric.tensor).data,
-                    d.nabla_of_constant(s.xi_v),
-                    covariant_derivative(d, s.eta).data,
+                    covariant_derivative(d, view.metric.matrix, 0),
+                    d.nabla_of_constant(s.xi),
+                    covariant_derivative(d, s.eta, 0),
                 ],
                 s.eps,
-                d.gamma.data,
+                d.gamma,
                 view.metric.matrix,
             ),
         )
@@ -244,8 +247,8 @@ def check_svk_preserves_structure(ws: Workspace):
 def check_svk_two_routes(ws: Workspace):
     s = ws.s
     for view in (ws.g, ws.gt):
-        proj = svk_connection_projected(view.conn, s).gamma.data
-        d = view.svk.gamma.data
+        proj = svk_connection_projected(view.conn, s).gamma
+        d = view.svk.gamma
         yield CheckResult(
             f"svk-projector-route[{view.role}]", *scalars.zero_test([proj - d], s.eps, d)
         )
@@ -253,11 +256,11 @@ def check_svk_two_routes(ws: Workspace):
 
 def check_svk_distributions(ws: Workspace):
     s = ws.s
-    eta, xi = s.eta_v, s.xi_v
+    eta, xi = s.eta, s.xi
     pv = np.einsum("k,l->kl", xi, eta)
     ph = scalars.eye(s.dim, s.mode) - pv
     for view in (ws.g, ws.gt):
-        d = view.svk.gamma.data
+        d = view.svk.gamma
         horiz_stays = np.einsum("k,kim,mj->ij", eta, d, ph)
         vert_stays = np.einsum("kl,lim,mj->kij", ph, d, pv)
         yield CheckResult(
@@ -269,13 +272,13 @@ def check_svk_distributions(ws: Workspace):
 def check_svk_closed_forms(ws: Workspace):
     s = ws.s
     for view in (ws.g, ws.gt):
-        q, t = view.potential.data, view.torsion.data
+        q, t = view.potential, view.torsion
         yield CheckResult(
             f"svk-potential-torsion-closed-forms[{view.role}]",
             *scalars.zero_test(
                 [
-                    q - svk_potential_closed(view.conn, s).data,
-                    t - svk_torsion_closed(view.conn, s).data,
+                    q - svk_potential_closed(view.conn, s),
+                    t - svk_torsion_closed(view.conn, s),
                     t + np.einsum("kij->kji", t),
                 ],
                 s.eps,
@@ -288,13 +291,13 @@ def check_svk_closed_forms(ws: Workspace):
 def check_torsion_potential_bijection(ws: Workspace):
     eps = ws.s.eps
     for view in (ws.g, ws.gt):
-        q03, t03 = view.potential03.data, view.torsion03.data
+        q03, t03 = view.potential03, view.torsion03
         yield CheckResult(
             f"torsion-potential-bijection[{view.role}]",
             *scalars.zero_test(
                 [
-                    torsion_from_potential(view.potential03).data - t03,
-                    potential_from_torsion(view.torsion03, eps).data - q03,
+                    torsion_from_potential(view.potential03) - t03,
+                    potential_from_torsion(view.torsion03, eps) - q03,
                     q03 + np.einsum("xyz->xzy", q03),  # metric potentials
                 ],
                 eps,
@@ -307,9 +310,9 @@ def check_torsion_potential_bijection(ws: Workspace):
 def check_svk_coincidence(ws: Workspace):
     s = ws.s
     for view in (ws.g, ws.gt):
-        gamma = view.conn.gamma.data
-        eq = scalars.is_zero(view.svk.gamma.data - gamma, s.eps, gamma)
-        par = scalars.is_zero(view.conn.nabla_of_constant(s.xi_v), s.eps, gamma)
+        gamma = view.conn.gamma
+        eq = scalars.is_zero(view.svk.gamma - gamma, s.eps, gamma)
+        par = scalars.is_zero(view.conn.nabla_of_constant(s.xi), s.eps, gamma)
         yield _bool_result(
             f"svk-coincides-iff-reeb-parallel[{view.role}]",
             {"svk equals levi-civita": eq, "nabla xi zero": par},
@@ -318,28 +321,28 @@ def check_svk_coincidence(ws: Workspace):
 
 def check_reeb_parallel_transfer(ws: Workspace):
     s = ws.s
-    lc, lc_t = ws.g.conn.gamma.data, ws.gt.conn.gamma.data
+    lc, lc_t = ws.g.conn.gamma, ws.gt.conn.gamma
     booleans = {
-        "svk(g) = lc(g)": scalars.is_zero(ws.g.svk.gamma.data - lc, s.eps, lc),
-        "nabla xi = 0": scalars.is_zero(ws.g.conn.nabla_of_constant(s.xi_v), s.eps),
-        "svk(g~) = lc(g~)": scalars.is_zero(ws.gt.svk.gamma.data - lc_t, s.eps, lc_t),
-        "nabla~ xi = 0": scalars.is_zero(ws.gt.conn.nabla_of_constant(s.xi_v), s.eps),
+        "svk(g) = lc(g)": scalars.is_zero(ws.g.svk.gamma - lc, s.eps, lc),
+        "nabla xi = 0": scalars.is_zero(ws.g.conn.nabla_of_constant(s.xi), s.eps),
+        "svk(g~) = lc(g~)": scalars.is_zero(ws.gt.svk.gamma - lc_t, s.eps, lc_t),
+        "nabla~ xi = 0": scalars.is_zero(ws.gt.conn.nabla_of_constant(s.xi), s.eps),
     }
     yield _bool_result("reeb-parallel-transfer", booleans)
 
 
 def check_svk_naturality(ws: Workspace):
     s = ws.s
-    d = ws.g.svk.gamma.data
+    d = ws.g.svk.gamma
     u2 = ws.g.classification["U2"]
-    dphi_zero = scalars.is_zero(ws.g.svk_phi.data, s.eps, d)
+    dphi_zero = scalars.is_zero(ws.g.svk_phi, s.eps, d)
     natural = svk_mod.is_natural(ws.g.svk, s, s.metric)
     yield _bool_result(
         "svk-natural-iff-vertical-fundamental",
         {"svk-phi zero": dphi_zero, "U2 condition": u2, "is-natural": natural},
     )
     if u2:
-        phib = svk_mod.phi_b_connection(ws.g.conn, s).gamma.data
+        phib = svk_mod.phi_b_connection(ws.g.conn, s).gamma
         yield CheckResult(
             "phib-coincidence-on-u2", *scalars.zero_test([phib - d], s.eps, d)
         )
@@ -347,16 +350,16 @@ def check_svk_naturality(ws: Workspace):
 
 def check_svk_pair_coincide(ws: Workspace):
     s = ws.s
-    d = ws.g.svk.gamma.data
-    same = scalars.is_zero(ws.gt.svk.gamma.data - d, s.eps, d)
+    d = ws.g.svk.gamma
+    same = scalars.is_zero(ws.gt.svk.gamma - d, s.eps, d)
     # the potential-level condition that is exactly equivalent to the pair
     # coinciding: Phi(x,y) - eta(Phi(x,y)) xi - eta(y) Phi(x,xi) = 0
-    p = ws.pot.data
-    p_xi = np.einsum("lim,m->li", p, s.xi_v)
+    p = ws.pot
+    p_xi = np.einsum("lim,m->li", p, s.xi)
     vert = (
         p
-        - np.einsum("m,mij,k->kij", s.eta_v, p, s.xi_v)
-        - np.einsum("j,ki->kij", s.eta_v, p_xi)
+        - np.einsum("m,mij,k->kij", s.eta, p, s.xi)
+        - np.einsum("j,ki->kij", s.eta, p_xi)
     )
     yield _bool_result(
         "svk-pair-coincide-iff-potential-vertical",
@@ -370,8 +373,8 @@ def check_svk_pair_coincide(ws: Workspace):
 
 def check_svk_pair_routes(ws: Workspace):
     s = ws.s
-    via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, s).gamma.data
-    d = ws.gt.svk.gamma.data
+    via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, s).gamma
+    d = ws.gt.svk.gamma
     yield CheckResult(
         "svk-pair-potential-route", *scalars.zero_test([via_pot - d], s.eps, d)
     )
@@ -380,14 +383,14 @@ def check_svk_pair_routes(ws: Workspace):
 def check_svk_phi_forms(ws: Workspace):
     s = ws.s
     for view in (ws.g, ws.gt):
-        dphi = view.svk_phi.data
-        closed = svk_covariant_phi_closed(view.conn, s).data
+        dphi = view.svk_phi
+        closed = svk_covariant_phi_closed(view.conn, s)
         yield CheckResult(
             f"svk-phi-closed-form[{view.role}]",
             *scalars.zero_test([dphi - closed], s.eps, dphi),
         )
-    relation = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, s).data
-    dphi_t = ws.gt.svk_phi.data
+    relation = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, s)
+    dphi_t = ws.gt.svk_phi
     yield CheckResult(
         "svk-pair-phi-relation", *scalars.zero_test([relation - dphi_t], s.eps, dphi_t)
     )
@@ -396,7 +399,7 @@ def check_svk_phi_forms(ws: Workspace):
 def check_svk_phi_equalities(ws: Workspace):
     eps = ws.s.eps
     cls = ws.g.classification
-    dphi, dphi_t = ws.g.svk_phi.data, ws.gt.svk_phi.data
+    dphi, dphi_t = ws.g.svk_phi, ws.gt.svk_phi
     yield _bool_result(
         "svk-pair-phi-equal-iff",
         {
@@ -404,12 +407,12 @@ def check_svk_phi_equalities(ws: Workspace):
             "F3+U3 condition": cls["F3+U3"],
         },
     )
-    assoc_natural = scalars.is_zero(dphi_t, eps, ws.gt.svk.gamma.data)
+    assoc_natural = scalars.is_zero(dphi_t, eps, ws.gt.svk.gamma)
     yield _bool_result(
         "assoc-svk-natural-iff",
         {"assoc svk-phi zero": assoc_natural, "F1+F2+U3 condition": cls["F1+F2+U3"]},
     )
-    both = scalars.is_zero(dphi, eps, ws.g.svk.gamma.data) and assoc_natural
+    both = scalars.is_zero(dphi, eps, ws.g.svk.gamma) and assoc_natural
     yield _bool_result(
         "both-svk-natural-iff-u3",
         {"both svk-phi zero": both, "U3 condition": cls["U3"]},
@@ -419,26 +422,25 @@ def check_svk_phi_equalities(ws: Workspace):
 def check_shape_operators(ws: Workspace):
     s = ws.s
     for view in (ws.g, ws.gt):
-        sop = view.shape.operator.data
-        horiz = np.einsum("ki,kj,j->i", sop, view.metric.matrix, s.xi_v)
-        omega_sharp = sharp(view.lee.omega, view.metric).data
-        reeb_row = sop @ s.xi_v + s.phi_m @ omega_sharp
+        sop = view.shape.operator
+        horiz = np.einsum("ki,kj,j->i", sop, view.metric.matrix, s.xi)
+        reeb_row = sop @ s.xi + s.phi @ view.lee.omega_sharp
         yield CheckResult(
             f"shape-operator-identities[{view.role}]",
             *scalars.zero_test([horiz, reeb_row], s.eps, sop),
         )
     # pair relations through the potential
-    pot_xi = np.einsum("lim,m->li", ws.pot.data, s.xi_v)
-    sd = ws.g.shape.diamond.data
+    pot_xi = np.einsum("lim,m->li", ws.pot, s.xi)
+    sd = ws.g.shape.diamond
     yield CheckResult(
         "shape-pair-relations",
         *scalars.zero_test(
             [
-                ws.gt.shape.operator.data - (ws.g.shape.operator.data - pot_xi),
-                ws.gt.shape.diamond.data
+                ws.gt.shape.operator - (ws.g.shape.operator - pot_xi),
+                ws.gt.shape.diamond
                 - (
-                    np.einsum("im,mj->ij", sd, s.phi_m)
-                    - np.einsum("mia,ab,m->ib", ws.pot03.data, s.phi_m, s.xi_v)
+                    np.einsum("im,mj->ij", sd, s.phi)
+                    - np.einsum("mia,ab,m->ib", ws.pot03, s.phi, s.xi)
                 ),
             ],
             s.eps,
@@ -462,31 +464,31 @@ def check_trace_identity(ws: Workspace):
 def check_qt_components(ws: Workspace):
     s = ws.s
     for view in (ws.g, ws.gt):
-        q, t = view.potential.data, view.torsion.data
+        q, t = view.potential, view.torsion
         comps = hv_split(s, view.potential, view.torsion)
         by_conn, by_shape = reference_components(s, view.conn, view.shape)
         arrays = [
-            comps.q_h.data + comps.q_v.data - q,
-            comps.t_h.data + comps.t_v.data - t,
+            comps.q_h + comps.q_v - q,
+            comps.t_h + comps.t_v - t,
         ]
         for ref in (by_conn, by_shape):
             arrays += [
-                comps.q_h.data - ref.q_h.data,
-                comps.q_v.data - ref.q_v.data,
-                comps.t_h.data - ref.t_h.data,
-                comps.t_v.data - ref.t_v.data,
+                comps.q_h - ref.q_h,
+                comps.q_v - ref.q_v,
+                comps.t_h - ref.t_h,
+                comps.t_v - ref.t_v,
             ]
         yield CheckResult(
             f"potential-torsion-hv-components[{view.role}]",
             *scalars.zero_test(arrays, s.eps, q, t),
         )
-        q03 = view.potential03.data
+        q03 = view.potential03
         yield CheckResult(
             f"potential-torsion-pi1-forms[{view.role}]",
             *scalars.zero_test(
                 [
-                    q03 - potential_pi1_form(s, view.shape, view.metric).data,
-                    view.torsion03.data - torsion_pi1_form(s, view.shape, view.metric).data,
+                    q03 - potential_pi1_form(s, view.shape, view.metric),
+                    view.torsion03 - torsion_pi1_form(s, view.shape, view.metric),
                 ],
                 s.eps,
                 q03,
@@ -496,13 +498,13 @@ def check_qt_components(ws: Workspace):
 
 def check_qt_pair_relations(ws: Workspace):
     s = ws.s
-    pot = ws.pot.data
-    eta, xi = s.eta_v, s.xi_v
+    pot = ws.pot
+    eta, xi = s.eta, s.xi
     pot_xi = np.einsum("lim,m->li", pot, xi)
     eta_pot = np.einsum("m,mij->ij", eta, pot)
 
-    q, qt = ws.g.potential.data, ws.gt.potential.data
-    t, tt = ws.g.torsion.data, ws.gt.torsion.data
+    q, qt = ws.g.potential, ws.gt.potential
+    t, tt = ws.g.torsion, ws.gt.torsion
     rel_q = qt - (
         q - np.einsum("j,ki->kij", eta, pot_xi) - np.einsum("ij,k->kij", eta_pot, xi)
     )
@@ -510,8 +512,8 @@ def check_qt_pair_relations(ws: Workspace):
         t + np.einsum("i,kj->kij", eta, pot_xi) - np.einsum("j,ki->kij", eta, pot_xi)
     )
 
-    ds = ws.gt.shape.operator.data - ws.g.shape.operator.data
-    dsd = ws.gt.shape.diamond.data - ws.g.shape.diamond.data
+    ds = ws.gt.shape.operator - ws.g.shape.operator
+    dsd = ws.gt.shape.diamond - ws.g.shape.diamond
     rel_q_shape = qt - (
         q + np.einsum("ki,j->kij", ds, eta) - np.einsum("ij,k->kij", dsd, xi)
     )
@@ -524,10 +526,10 @@ def check_qt_pair_relations(ws: Workspace):
         rel_t,
         rel_q_shape,
         rel_t_shape,
-        comps_t.t_v.data - comps.t_v.data,
-        comps_t.q_h.data - (comps.q_h.data + np.einsum("ki,j->kij", ds, eta)),
-        comps_t.q_v.data - (comps.q_v.data - np.einsum("ij,k->kij", dsd, xi)),
-        comps_t.t_h.data - (comps.t_h.data - wedge_form_operator(eta, ds)),
+        comps_t.t_v - comps.t_v,
+        comps_t.q_h - (comps.q_h + np.einsum("ki,j->kij", ds, eta)),
+        comps_t.q_v - (comps.q_v - np.einsum("ij,k->kij", dsd, xi)),
+        comps_t.t_h - (comps.t_h - wedge_form_operator(eta, ds)),
     ]
     yield CheckResult(
         "potential-torsion-pair-relations", *scalars.zero_test(arrays, s.eps, q, t, qt, tt)
@@ -552,13 +554,13 @@ def check_svk_curvature(ws: Workspace):
         yield CheckResult(
             f"svk-curvature-relation[{view.role}]",
             *scalars.zero_test(
-                [curv.r04_svk.data - formula.data], s.eps, curv.r04.data, curv.r04_svk.data
+                [curv.r04_svk - formula], s.eps, curv.r04, curv.r04_svk
             ),
         )
         rho_formula = svk_ricci_formula(s, curv.r04, curv.rho, view.shape, view.metric)
         yield CheckResult(
             f"svk-ricci-relation[{view.role}]",
-            *scalars.zero_test([curv.rho_svk.data - rho_formula.data], s.eps, curv.rho.data),
+            *scalars.zero_test([curv.rho_svk - rho_formula], s.eps, curv.rho),
         )
         tau_formula = svk_scalar_formula(curv.tau, view.rho_xi_xi, view.shape)
         yield CheckResult(
@@ -573,7 +575,7 @@ def check_svk_curvature(ws: Workspace):
         yield CheckResult(
             f"curvature-reeb-identity[{view.role}]",
             *scalars.zero_test(
-                [curvature_reeb_identity(s, view.conn, view.shape)], s.eps, curv.r04.data
+                [curvature_reeb_identity(s, view.conn, view.shape)], s.eps, curv.r04
             ),
         )
 
@@ -581,7 +583,7 @@ def check_svk_curvature(ws: Workspace):
 def check_curvature_symmetries(ws: Workspace):
     eps = ws.s.eps
     for view in (ws.g, ws.gt):
-        r = view.curv.r04.data
+        r = view.curv.r04
         bianchi = r + np.einsum("ijkl->jkil", r) + np.einsum("ijkl->kijl", r)
         yield CheckResult(
             f"curvature-symmetries[{view.role}]",
@@ -596,19 +598,12 @@ def check_curvature_symmetries(ws: Workspace):
                 r,
             ),
         )
-        rd = view.curv.r04_svk.data
-        measured = {
-            "last-pair-antisymmetric": scalars.is_zero(
-                rd + np.einsum("ijkl->ijlk", rd), eps, rd
-            ),
-            "pair-exchange-symmetric": scalars.is_zero(
-                rd - np.einsum("ijkl->klij", rd), eps, rd
-            ),
-        }
+        measured = svk_curvature_symmetries(view.curv.r04_svk, eps)
+        first_pair = measured.pop("first-pair-antisymmetric")
         yield CheckResult(
             f"svk-curvature-first-pair-antisymmetry[{view.role}]",
-            *scalars.zero_test([rd + np.einsum("ijkl->jikl", rd)], eps, rd),
-            detail="measured: " + ", ".join(f"{k}={v}" for k, v in measured.items()),
+            *first_pair,
+            detail="measured: " + ", ".join(f"{k}={v[0]}" for k, v in measured.items()),
         )
 
 
@@ -626,12 +621,12 @@ def _random_vector(rng: np.random.Generator, dim: int, mode: str) -> np.ndarray:
     return vals.astype(np.float64)
 
 
-def sample_planes(ws: Workspace, view: MetricView, seed: int, count: int = 20):
+def sample_planes(ws: Workspace, view: MetricView, seed: int):
     """Seeded non-degenerate 2-planes for the sectional-curvature checks."""
     rng = np.random.default_rng(seed)
     planes = []
     attempts = 0
-    while len(planes) < count and attempts < 60 * count:
+    while len(planes) < PLANE_COUNT and attempts < 60 * PLANE_COUNT:
         attempts += 1
         x = _random_vector(rng, ws.s.dim, ws.mode)
         y = _random_vector(rng, ws.s.dim, ws.mode)
@@ -656,8 +651,8 @@ def xi_section_candidates(ws: Workspace, view: MetricView):
     s = ws.s
     out = []
     for h in _horizontal_basis(ws):  # horizontal, so the plane is honest
-        for cand in (h, h + s.phi_m @ h):
-            plane = SectionPlane(cand, s.xi_v)
+        for cand in (h, h + s.phi @ h):
+            plane = SectionPlane(cand, s.xi)
             try:
                 plane.check_nondegenerate(view.metric, s.eps)
             except DegeneratePlaneError:
@@ -666,11 +661,11 @@ def xi_section_candidates(ws: Workspace, view: MetricView):
     return out
 
 
-def check_sectional_curvature(ws: Workspace, seed: int = 0, count: int = 20):
+def check_sectional_curvature(ws: Workspace, seed: int = 0):
     s, eps = ws.s, ws.s.eps
     for view in (ws.g, ws.gt):
         r04, r04_svk, m = view.curv.r04, view.curv.r04_svk, view.metric
-        planes = sample_planes(ws, view, seed + (0 if view.role == "g" else 1), count)
+        planes = sample_planes(ws, view, seed + (0 if view.role == "g" else 1))
         passed, residual, worst = scalars.zero_test(
             [
                 sectional(r04_svk, m, p, eps)
@@ -678,11 +673,11 @@ def check_sectional_curvature(ws: Workspace, seed: int = 0, count: int = 20):
                 for p in planes
             ],
             eps,
-            r04.data,
+            r04,
         )
         yield CheckResult(
             f"sectional-relation[{view.role}]",
-            passed and len(planes) >= count,
+            passed and len(planes) >= PLANE_COUNT,
             residual,
             worst,
             f"{len(planes)} sampled planes",
@@ -692,7 +687,7 @@ def check_sectional_curvature(ws: Workspace, seed: int = 0, count: int = 20):
         yield CheckResult(
             f"reeb-section-flatness[{view.role}]",
             *scalars.zero_test(
-                [sectional(r04_svk, m, p, eps) for p in xi_planes], eps, r04_svk.data
+                [sectional(r04_svk, m, p, eps) for p in xi_planes], eps, r04_svk
             ),
             detail=f"{len(xi_planes)} reeb sections",
         )
@@ -722,7 +717,7 @@ def check_sectional_curvature(ws: Workspace, seed: int = 0, count: int = 20):
         )
 
         # specialized forms for distinguished section types
-        sop = view.shape.operator.data
+        sop = view.shape.operator
         counted = {HOLOMORPHIC: 0, TOTALLY_REAL: 0}
         diffs = []
         for plane, kind in [(p, HOLOMORPHIC) for p in _holomorphic_candidates(ws, view)] + [
@@ -735,7 +730,7 @@ def check_sectional_curvature(ws: Workspace, seed: int = 0, count: int = 20):
             counted[kind] += 1
         yield CheckResult(
             f"sectional-special-types[{view.role}]",
-            *scalars.zero_test(diffs, eps, r04.data),
+            *scalars.zero_test(diffs, eps, r04),
             detail=f"holomorphic={counted[HOLOMORPHIC]}, "
             f"totally-real={counted[TOTALLY_REAL]}",
         )
@@ -745,7 +740,7 @@ def _holomorphic_candidates(ws: Workspace, view: MetricView):
     s = ws.s
     out = []
     for h in _horizontal_basis(ws):
-        plane = SectionPlane(h, s.phi_m @ h)
+        plane = SectionPlane(h, s.phi @ h)
         try:
             kind, _ = section_type(plane, s, view.metric)
         except DegeneratePlaneError:
@@ -805,7 +800,7 @@ CHECKS = [
 ]
 
 
-def run_checks(ws: Workspace, seed: int = 0, plane_count: int = 20) -> list[CheckResult]:
+def run_checks(ws: Workspace, seed: int = 0) -> list[CheckResult]:
     """Every check on one model; the only place where the second derivation
     routes are computed and compared with the Workspace's primary ones.
 
@@ -817,5 +812,5 @@ def run_checks(ws: Workspace, seed: int = 0, plane_count: int = 20) -> list[Chec
         return results
     for fn in CHECKS:
         results.extend(fn(ws))
-    results.extend(check_sectional_curvature(ws, seed=seed, count=plane_count))
+    results.extend(check_sectional_curvature(ws, seed=seed))
     return results

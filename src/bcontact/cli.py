@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import modelfile, scalars, zoo
 from .checks import CheckResult, run_checks
 from .curvature import (
@@ -21,6 +19,7 @@ from .curvature import (
     SectionPlane,
     section_type,
     sectional,
+    svk_curvature_symmetries,
     svk_sectional_formula,
 )
 from .modelfile import ModelFileError
@@ -97,7 +96,7 @@ def cmd_classify(args) -> int:
     doc, ws = _load_workspace(args.path, args.mode, args.eps)
     if _invalid(ws):
         return EXIT_CHECK_FAILED
-    view = ws.view("g" if args.metric == "g" else "gtilde")
+    view = ws.view(args.metric)
     rep = view.classification
     if args.json:
         payload = {
@@ -190,6 +189,8 @@ def _parse_plane(args, ws: Workspace):
             y = scalars.array([t.strip() for t in ys.split(",")], ws.mode)
         except Exception as exc:
             raise ModelFileError(f"bad --plane-vectors: {exc}")
+        if x.shape != (ws.s.dim,) or y.shape != (ws.s.dim,):
+            raise ModelFileError(f"--plane-vectors needs two vectors of {ws.s.dim} entries")
         return SectionPlane(x, y)
     return None
 
@@ -205,19 +206,10 @@ def cmd_curvature(args) -> int:
         payload["scalars"][f"tau[{tag}]"] = view.curv.tau
         payload["scalars"][f"tau_svk[{tag}]"] = view.curv.tau_svk
         payload["scalars"][f"rho(xi,xi)[{tag}]"] = view.rho_xi_xi
-        rd = view.curv.r04_svk.data
-        measured = {
-            "first-pair-antisymmetric": scalars.is_zero(
-                rd + np.einsum("ijkl->jikl", rd), ws.s.eps, rd
-            ),
-            "last-pair-antisymmetric": scalars.is_zero(
-                rd + np.einsum("ijkl->ijlk", rd), ws.s.eps, rd
-            ),
-            "pair-exchange-symmetric": scalars.is_zero(
-                rd - np.einsum("ijkl->klij", rd), ws.s.eps, rd
-            ),
+        measured = svk_curvature_symmetries(view.curv.r04_svk, ws.s.eps)
+        payload.setdefault("svk_curvature_symmetries", {})[tag] = {
+            k: v[0] for k, v in measured.items()
         }
-        payload.setdefault("svk_curvature_symmetries", {})[tag] = measured
 
     plane = _parse_plane(args, ws)
     if plane is not None:
@@ -236,9 +228,7 @@ def cmd_curvature(args) -> int:
                 continue
             payload["plane"][f"k[{tag}]"] = k_base
             payload["plane"][f"k_svk[{tag}]"] = k_svk
-            payload["plane"][f"relation_residual[{tag}]"] = scalars.residual(
-                np.asarray(k_svk - k_formula)
-            )
+            payload["plane"][f"relation_residual[{tag}]"] = scalars.residual(k_svk, k_formula)
 
     if args.json:
         out = json.loads(json.dumps(payload, default=_fmt))

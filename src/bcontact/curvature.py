@@ -12,70 +12,71 @@ so that the direct route has an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+
 import numpy as np
 
 from . import scalars
 from .hv import ShapeData, pi1
 from .liegroup import Connection, LieAlgebra, covariant_derivative, curvature
 from .structure import ACBStructure
-from .tensor import Metric, Tensor
+from .tensor import Metric, _rational_det
 
 
 class DegeneratePlaneError(ValueError):
     """The 2-plane is degenerate for the metric in use."""
 
 
-def curvature_04(algebra: LieAlgebra, conn: Connection, m: Metric) -> Tensor:
+def curvature_04(algebra: LieAlgebra, conn: Connection, m: Metric) -> np.ndarray:
     """(0,4) curvature R(x,y,z,w) = m(R(x,y)z, w)."""
     r13 = curvature(algebra, conn)
-    return Tensor(0, 4, np.einsum("lijk,lw->ijkw", r13.data, m.matrix))
+    return np.einsum("lijk,lw->ijkw", r13, m.matrix)
 
 
-def ricci(r04: Tensor, m: Metric) -> Tensor:
+def ricci(r04: np.ndarray, m: Metric) -> np.ndarray:
     """rho(y,z) = m^{ij} R(e_i, y, z, e_j)."""
-    return Tensor(0, 2, np.einsum("ij,iabj->ab", m.inv, r04.data))
+    return np.einsum("ij,iabj->ab", m.inv, r04)
 
 
-def scalar_curvature(rho: Tensor, m: Metric):
-    return np.einsum("ij,ij->", m.inv, rho.data)
+def scalar_curvature(rho: np.ndarray, m: Metric):
+    return np.einsum("ij,ij->", m.inv, rho)
 
 
 def svk_curvature_formula(
-    s: ACBStructure, r04_base: Tensor, shape: ShapeData, m: Metric
-) -> Tensor:
+    s: ACBStructure, r04_base: np.ndarray, shape: ShapeData, m: Metric
+) -> np.ndarray:
     """Right-hand side of the curvature relation tying the SvK connection to
     its base Levi-Civita connection."""
     phi2 = s.phi2
-    first = np.einsum("ijab,ak,bl->ijkl", r04_base.data, phi2, phi2)
-    sd = shape.diamond.data  # m(S(x), y)
+    first = np.einsum("ijab,ak,bl->ijkl", r04_base, phi2, phi2)
+    sd = shape.diamond  # m(S(x), y)
     second = np.einsum("jk,il->ijkl", sd, sd) - np.einsum("ik,jl->ijkl", sd, sd)
-    return Tensor(0, 4, first + second)
+    return first + second
 
 
 def svk_ricci_formula(
-    s: ACBStructure, r04_base: Tensor, rho_base: Tensor, shape: ShapeData, m: Metric
-) -> Tensor:
+    s: ACBStructure, r04_base: np.ndarray, rho_base: np.ndarray, shape: ShapeData, m: Metric
+) -> np.ndarray:
     """rho^D(y,z) = rho(y,z) - eta(z) rho(y,xi) - R(xi,y,z,xi)
     - m(S(S(y)), z) + tr(S) m(S(y), z)."""
-    xi, eta = s.xi_v, s.eta_v
-    rho_y_xi = np.einsum("ym,m->y", rho_base.data, xi)
-    r_xi = np.einsum("iyzj,i,j->yz", r04_base.data, xi, xi)
-    sop, sd = shape.operator.data, shape.diamond.data
+    xi, eta = s.xi, s.eta
+    rho_y_xi = np.einsum("ym,m->y", rho_base, xi)
+    r_xi = np.einsum("iyzj,i,j->yz", r04_base, xi, xi)
+    sop, sd = shape.operator, shape.diamond
     ss = np.einsum("km,mi->ki", sop, sop)
     ss_low = np.einsum("ky,kz->yz", ss, m.matrix)
-    data = (
-        rho_base.data
+    return (
+        rho_base
         - np.einsum("z,y->yz", eta, rho_y_xi)
         - r_xi
         - ss_low
         + sd * shape.trace
     )
-    return Tensor(0, 2, data)
 
 
 def svk_scalar_formula(tau_base, rho_xi_xi, shape: ShapeData):
     """tau^D = tau - 2 rho(xi,xi) - tr(S^2) + (tr S)^2."""
-    s2 = np.trace(shape.operator.data @ shape.operator.data)
+    s2 = np.trace(shape.operator @ shape.operator)
     return tau_base - 2 * rho_xi_xi - s2 + shape.trace**2
 
 
@@ -83,14 +84,14 @@ def ricci_xi_formula(
     s: ACBStructure, conn: Connection, shape: ShapeData, m: Metric
 ):
     """rho(xi,xi) = tr(nabla_xi S) - div(S(xi)) - tr(S^2)."""
-    xi = s.xi_v
-    nS = covariant_derivative(conn, shape.operator).data  # [k, x, i]
+    xi = s.xi
+    nS = covariant_derivative(conn, shape.operator, 1)  # [k, x, i]
     tr_nabla_xi_s = np.einsum("kxk,x->", nS, xi)
-    s_xi = np.einsum("ki,i->k", shape.operator.data, xi)
+    s_xi = np.einsum("ki,i->k", shape.operator, xi)
     div_s_xi = np.einsum(
         "ij,ki,kj->", m.inv, conn.nabla_of_constant(s_xi), m.matrix
     )
-    s2 = np.trace(shape.operator.data @ shape.operator.data)
+    s2 = np.trace(shape.operator @ shape.operator)
     return tr_nabla_xi_s - div_s_xi - s2
 
 
@@ -98,13 +99,23 @@ def curvature_reeb_identity(
     s: ACBStructure, conn: Connection, shape: ShapeData
 ) -> np.ndarray:
     """Residual of R(x,y) xi = -(nabla_x S) y + (nabla_y S) x over the basis."""
-    from .liegroup import curvature as _curv
-
-    r13 = _curv(s.algebra, conn).data
-    lhs = np.einsum("lijk,k->lij", r13, s.xi_v)
-    nS = covariant_derivative(conn, shape.operator).data  # [l, x, y]
+    r13 = curvature(s.algebra, conn)
+    lhs = np.einsum("lijk,k->lij", r13, s.xi)
+    nS = covariant_derivative(conn, shape.operator, 1)  # [l, x, y]
     rhs = -nS + np.einsum("lxy->lyx", nS)
     return lhs - rhs
+
+
+def svk_curvature_symmetries(rd: np.ndarray, eps: float) -> dict[str, tuple]:
+    """Zero tests of the three curvature symmetries a Levi-Civita curvature
+    has, measured on the (0,4) SvK curvature ``rd``:
+    name -> (passed, residual, worst_index)."""
+    arrays = {
+        "first-pair-antisymmetric": rd + np.einsum("ijkl->jikl", rd),
+        "last-pair-antisymmetric": rd + np.einsum("ijkl->ijlk", rd),
+        "pair-exchange-symmetric": rd - np.einsum("ijkl->klij", rd),
+    }
+    return {name: scalars.zero_test([a], eps, rd) for name, a in arrays.items()}
 
 
 @dataclass(frozen=True)
@@ -112,11 +123,11 @@ class CurvatureData:
     """Curvature package of one metric: its Levi-Civita curvature and the
     curvature of the associated Schouten-van Kampen connection."""
 
-    r04: Tensor
-    rho: Tensor
+    r04: np.ndarray
+    rho: np.ndarray
     tau: object
-    r04_svk: Tensor
-    rho_svk: Tensor
+    r04_svk: np.ndarray
+    rho_svk: np.ndarray
     tau_svk: object
 
 
@@ -164,10 +175,6 @@ class SectionPlane:
 def _in_span(vectors: list[np.ndarray], w: np.ndarray, eps: float) -> bool:
     """Exact (or eps-scaled) rank test: w in span(vectors) iff stacking does
     not raise the rank, decided via vanishing of all maximal minors."""
-    from itertools import combinations
-
-    from .tensor import _rational_det
-
     a = np.stack(vectors + [w])
     k, dim = a.shape
     subs = [a[:, cols] for cols in combinations(range(dim), k)]
@@ -189,12 +196,12 @@ def section_type(plane: SectionPlane, s: ACBStructure, m: Metric) -> tuple[str, 
     eps = s.eps
     plane.check_nondegenerate(m, eps)
     x, y = plane.x, plane.y
-    phi = s.phi_m
+    phi = s.phi
     span = [x, y]
-    ortho_to_xi = scalars.is_zero(s.eta_v @ x, eps, x) and scalars.is_zero(
-        s.eta_v @ y, eps, y
+    ortho_to_xi = scalars.is_zero(s.eta @ x, eps, x) and scalars.is_zero(
+        s.eta @ y, eps, y
     )
-    if _in_span(span, s.xi_v, eps):
+    if _in_span(span, s.xi, eps):
         return XI_SECTION, ortho_to_xi
     if _in_span(span, phi @ x, eps) and _in_span(span, phi @ y, eps):
         return HOLOMORPHIC, ortho_to_xi
@@ -211,16 +218,16 @@ def section_type(plane: SectionPlane, s: ACBStructure, m: Metric) -> tuple[str, 
     return GENERIC, ortho_to_xi
 
 
-def sectional(r04: Tensor, m: Metric, plane: SectionPlane, eps: float):
+def sectional(r04: np.ndarray, m: Metric, plane: SectionPlane, eps: float):
     """k(plane) = R(x,y,y,x) / pi_1(x,y,y,x)."""
     den = plane.check_nondegenerate(m, eps)
-    num = np.einsum("ijkl,i,j,k,l->", r04.data, plane.x, plane.y, plane.y, plane.x)
+    num = np.einsum("ijkl,i,j,k,l->", r04, plane.x, plane.y, plane.y, plane.x)
     return num / den
 
 
 def svk_sectional_formula(
     plane: SectionPlane,
-    r04_base: Tensor,
+    r04_base: np.ndarray,
     shape: ShapeData,
     s: ACBStructure,
     m: Metric,
@@ -232,12 +239,11 @@ def svk_sectional_formula(
     """
     den = plane.check_nondegenerate(m, s.eps)
     x, y = plane.x, plane.y
-    sx = shape.operator.data @ x
-    sy = shape.operator.data @ y
-    rd = r04_base.data
+    sx = shape.operator @ x
+    sy = shape.operator @ y
     corr = (
         pi1(m, sx, sy, y, x)
-        - (s.eta_v @ x) * np.einsum("ijkl,i,j,k,l->", rd, x, y, y, s.xi_v)
-        - (s.eta_v @ y) * np.einsum("ijkl,i,j,k,l->", rd, x, y, s.xi_v, x)
+        - (s.eta @ x) * np.einsum("ijkl,i,j,k,l->", r04_base, x, y, y, s.xi)
+        - (s.eta @ y) * np.einsum("ijkl,i,j,k,l->", r04_base, x, y, s.xi, x)
     )
     return sectional(r04_base, m, plane, s.eps) + corr / den

@@ -21,7 +21,7 @@ import numpy as np
 from . import scalars
 from .liegroup import Connection, covariant_derivative, d_eta, lie_derivative_metric
 from .structure import ACBStructure
-from .tensor import Metric, Tensor, alt2
+from .tensor import Metric
 
 
 @dataclass(frozen=True)
@@ -29,18 +29,18 @@ class ShapeData:
     """Shape operator of one metric of the pair: S as a (1,1) tensor
     (S(xi) = -nabla_xi xi included) and its bilinear form S<>(x,y) = m(S(x),y)."""
 
-    operator: Tensor  # (1,1)
-    diamond: Tensor  # (0,2)
+    operator: np.ndarray  # (1,1)
+    diamond: np.ndarray  # (0,2)
 
     @property
     def trace(self):
-        return np.trace(self.operator.data)
+        return np.trace(self.operator)
 
 
 def shape_operator(s: ACBStructure, conn: Connection, m: Metric) -> ShapeData:
-    op = -conn.nabla_of_constant(s.xi_v)  # [k, i] = component k of S(e_i)
+    op = -conn.nabla_of_constant(s.xi)  # [k, i] = component k of S(e_i)
     diamond = np.einsum("ki,kj->ij", op, m.matrix)
-    return ShapeData(Tensor(1, 1, op), Tensor(0, 2, diamond))
+    return ShapeData(op, diamond)
 
 
 def pi1(m: Metric, x, y, z, w):
@@ -55,19 +55,19 @@ def pi1(m: Metric, x, y, z, w):
 class HVComponents:
     """Horizontal/vertical components of a potential and torsion, all (1,2)."""
 
-    q_h: Tensor
-    q_v: Tensor
-    t_h: Tensor
-    t_v: Tensor
+    q_h: np.ndarray
+    q_v: np.ndarray
+    t_h: np.ndarray
+    t_v: np.ndarray
 
 
-def hv_split(s: ACBStructure, q: Tensor, t: Tensor) -> HVComponents:
+def hv_split(s: ACBStructure, q: np.ndarray, t: np.ndarray) -> HVComponents:
     """Split the output slot of Q and T into horizontal and vertical parts."""
-    pv = np.einsum("k,l->kl", s.xi_v, s.eta_v)
+    pv = np.einsum("k,l->kl", s.xi, s.eta)
 
-    def split(x: Tensor):
-        v = np.einsum("kl,lij->kij", pv, x.data)
-        return Tensor(1, 2, x.data - v), Tensor(1, 2, v)
+    def split(x: np.ndarray):
+        v = np.einsum("kl,lij->kij", pv, x)
+        return x - v, v
 
     qh, qv = split(q)
     th, tv = split(t)
@@ -89,45 +89,41 @@ def reference_components(
     through the shape data:  Q^h = S (x) eta,            Q^v = -S<> (x) xi,
                              T^h = -eta ^ S,             T^v = -2 Alt(S<>) (x) xi.
     """
-    nxi = conn.nabla_of_constant(s.xi_v)
-    neta = covariant_derivative(conn, s.eta).data
-    de = d_eta(s.algebra, s.eta).data
-    eta, xi = s.eta_v, s.xi_v
+    nxi = conn.nabla_of_constant(s.xi)
+    neta = covariant_derivative(conn, s.eta, 0)
+    de = d_eta(s.algebra, s.eta)
+    eta, xi = s.eta, s.xi
 
     by_conn = HVComponents(
-        Tensor(1, 2, -np.einsum("ki,j->kij", nxi, eta)),
-        Tensor(1, 2, np.einsum("ij,k->kij", neta, xi)),
-        Tensor(1, 2, wedge_form_operator(eta, nxi)),
-        Tensor(1, 2, np.einsum("ij,k->kij", de, xi)),
+        -np.einsum("ki,j->kij", nxi, eta),
+        np.einsum("ij,k->kij", neta, xi),
+        wedge_form_operator(eta, nxi),
+        np.einsum("ij,k->kij", de, xi),
     )
-    sop, sd = shape.operator.data, shape.diamond.data
-    two = scalars.one(s.mode) * 2
+    sop, sd = shape.operator, shape.diamond
     by_shape = HVComponents(
-        Tensor(1, 2, np.einsum("ki,j->kij", sop, eta)),
-        Tensor(1, 2, -np.einsum("ij,k->kij", sd, xi)),
-        Tensor(1, 2, -wedge_form_operator(eta, sop)),
-        Tensor(1, 2, -np.einsum("ij,k->kij", alt2(shape.diamond).data * two, xi)),
+        np.einsum("ki,j->kij", sop, eta),
+        -np.einsum("ij,k->kij", sd, xi),
+        -wedge_form_operator(eta, sop),
+        -np.einsum("ij,k->kij", sd - sd.T, xi),
     )
     return by_conn, by_shape
 
 
-def potential_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> Tensor:
+def potential_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarray:
     """Q(x,y,z) = -pi_1(xi, S(x), y, z) as a (0,3) tensor."""
-    g, xi = m.matrix, s.xi_v
-    sop = shape.operator.data
     # pi_1(xi, S(x), y, z) = m(S(x),y) m(xi,z) - m(xi,y) m(S(x),z)
-    eta_like = np.einsum("ij,i->j", g, xi)
-    sd = shape.diamond.data
-    data = -(
+    eta_like = np.einsum("ij,i->j", m.matrix, s.xi)
+    sd = shape.diamond
+    return -(
         np.einsum("xy,z->xyz", sd, eta_like) - np.einsum("y,xz->xyz", eta_like, sd)
     )
-    return Tensor(0, 3, data)
 
 
-def torsion_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> Tensor:
+def torsion_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarray:
     """T(x,y,z) = -pi_1(xi,S(x),y,z) + pi_1(xi,S(y),x,z)."""
-    q = potential_pi1_form(s, shape, m).data
-    return Tensor(0, 3, q - np.einsum("xyz->yxz", q))
+    q = potential_pi1_form(s, shape, m)
+    return q - np.einsum("xyz->yxz", q)
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +150,20 @@ def equivalence_chains(
     conn: Connection,
     svk_conn: Connection,
     shape: ShapeData,
-    q: Tensor,
-    t: Tensor,
+    q: np.ndarray,
+    t: np.ndarray,
     m: Metric,
 ) -> tuple[ChainReport, ChainReport, ChainReport]:
     """The three predicate chains for one metric of the pair: within each
     chain all predicates must evaluate to the same boolean on any model.
     Each predicate is the vanishing of its list of arrays."""
-    neta = covariant_derivative(conn, s.eta).data
-    de = d_eta(s.algebra, s.eta).data
-    lg = lie_derivative_metric(conn, s.xi_v, m).data
+    neta = covariant_derivative(conn, s.eta, 0)
+    de = d_eta(s.algebra, s.eta)
+    lg = lie_derivative_metric(conn, s.xi, m)
     comps = hv_split(s, q, t)
-    qv = comps.q_v.data
-    sd = shape.diamond.data
-    sop = shape.operator.data
+    qv = comps.q_v
+    sd = shape.diamond
+    sop = shape.operator
     g = m.matrix
     adj = np.einsum("ki,kj->ij", sop, g)  # m(S(x), y)
     adj_t = np.einsum("kj,ki->ij", sop, g)  # m(x, S(y))
@@ -177,7 +173,7 @@ def equivalence_chains(
             "nabla-eta symmetric": [neta - neta.T],
             "eta closed": [de],
             "Q-vertical symmetric": [qv - np.einsum("kij->kji", qv)],
-            "T-vertical vanishes": [comps.t_v.data],
+            "T-vertical vanishes": [comps.t_v],
             "shape self-adjoint": [adj - adj_t],
             "shape form symmetric": [sd - sd.T],
         },
@@ -191,17 +187,17 @@ def equivalence_chains(
         "vanishing": {
             "nabla-eta zero": [neta],
             "eta closed and reeb killing": [de, lg],
-            "nabla-xi zero": [conn.nabla_of_constant(s.xi_v)],
+            "nabla-xi zero": [conn.nabla_of_constant(s.xi)],
             "shape zero": [sop],
             "shape form zero": [sd],
-            "svk equals levi-civita": [svk_conn.gamma.data - conn.gamma.data],
+            "svk equals levi-civita": [svk_conn.gamma - conn.gamma],
         },
     }
     return tuple(
         ChainReport(
             name,
             {
-                k: scalars.zero_test(arrays, s.eps, conn.gamma.data)[0]
+                k: scalars.zero_test(arrays, s.eps, conn.gamma)[0]
                 for k, arrays in predicates.items()
             },
         )

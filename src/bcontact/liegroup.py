@@ -11,7 +11,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import scalars
-from .tensor import Metric, Tensor
+from .tensor import Metric
 
 
 class StructureError(ValueError):
@@ -26,28 +26,26 @@ class LieAlgebra:
     tolerance ``eps`` of the model being loaded; the algebra does not keep it.
     """
 
-    c: Tensor  # (1,2), data[k,i,j]
+    c: np.ndarray  # (1,2), c[k,i,j]
     eps: InitVar[float]
 
     def __post_init__(self, eps: float):
-        if (self.c.up, self.c.down) != (1, 2):
-            raise StructureError("structure constants must be a (1,2) tensor")
-        if not scalars.is_zero(self.c.data + np.swapaxes(self.c.data, 1, 2), eps):
+        if not scalars.is_zero(self.c + np.swapaxes(self.c, 1, 2), eps):
             raise StructureError("structure constants are not antisymmetric")
-        ok, _, worst = scalars.zero_test([self._jacobiator()], eps, self.c.data)
+        ok, _, worst = scalars.zero_test([self._jacobiator()], eps, self.c)
         if not ok:
             raise StructureError(f"Jacobi identity fails, worst component at {worst}")
 
     @property
     def dim(self) -> int:
-        return self.c.dim
+        return self.c.shape[0]
 
     @property
     def mode(self) -> str:
-        return self.c.mode
+        return scalars.mode_of(self.c)
 
     def _jacobiator(self) -> np.ndarray:
-        c = self.c.data
+        c = self.c
         # [[e_i,e_j],e_k] = c^m_{ij} c^l_{mk}
         t = np.einsum("mij,lmk->lijk", c, c)
         return t + np.einsum("lijk->ljki", t) + np.einsum("lijk->lkij", t)
@@ -55,31 +53,31 @@ class LieAlgebra:
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError("bracket arguments must be vectors of the model dimension")
-        return np.einsum("kij,i,j->k", self.c.data, x, y)
+        return np.einsum("kij,i,j->k", self.c, x, y)
 
 
 @dataclass(frozen=True)
 class Connection:
     """Affine connection nabla_{e_i} e_j = gamma^k_{ij} e_k on a fixed model."""
 
-    gamma: Tensor  # (1,2), data[k,i,j]
+    gamma: np.ndarray  # (1,2), gamma[k,i,j]
 
     @property
     def dim(self) -> int:
-        return self.gamma.dim
+        return self.gamma.shape[0]
 
     @property
     def mode(self) -> str:
-        return self.gamma.mode
+        return scalars.mode_of(self.gamma)
 
     def nabla_of_constant(self, v: np.ndarray) -> np.ndarray:
         """(nabla v)[k, i] = component k of nabla_{e_i} v."""
-        return np.einsum("kim,m->ki", self.gamma.data, v)
+        return np.einsum("kim,m->ki", self.gamma, v)
 
-    def torsion(self, algebra: LieAlgebra) -> Tensor:
+    def torsion(self, algebra: LieAlgebra) -> np.ndarray:
         """T(x,y) = nabla_x y - nabla_y x - [x,y], as a (1,2) tensor."""
-        g = self.gamma.data
-        return Tensor(1, 2, g - np.swapaxes(g, 1, 2) - algebra.c.data)
+        g = self.gamma
+        return g - np.swapaxes(g, 1, 2) - algebra.c
 
 
 def levi_civita(algebra: LieAlgebra, m: Metric) -> Connection:
@@ -90,69 +88,59 @@ def levi_civita(algebra: LieAlgebra, m: Metric) -> Connection:
     the only surviving terms for constant-component fields.  Torsion-freeness
     and metric compatibility are checked by ``fundamental-identities``.
     """
-    c, g = algebra.c.data, m.matrix
+    c, g = algebra.c, m.matrix
     rhs = (
         np.einsum("lij,lk->ijk", c, g)
         - np.einsum("ljk,li->ijk", c, g)
         + np.einsum("lki,lj->ijk", c, g)
     )
     gamma = np.einsum("ijk,km->mij", rhs, m.inv) * scalars.half(m.mode)
-    return Connection(Tensor(1, 2, gamma))
+    return Connection(gamma)
 
 
-def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
-    """Covariant derivative of a constant-component tensor field.
+def covariant_derivative(conn: Connection, t: np.ndarray, up: int) -> np.ndarray:
+    """Covariant derivative of a constant-component tensor field with ``up``
+    contravariant slots, stored first, and covariant slots after them.
 
     The direction slot is prepended to the covariant block, so a (r,s) input
     yields valence (r, s+1) with (nabla t)(x, y_1, ..., y_s) = (nabla_x t)(y_1, ...).
     Only connection terms survive since all components are constant.
     """
-    if t.dim and t.dim != conn.dim:
-        raise ValueError("tensor and connection dimensions differ")
-    gamma = conn.gamma.data
-    dim = conn.dim
-    if t.rank == 0:
-        return Tensor(0, 1, scalars.zeros((dim,), conn.mode))
+    gamma = conn.gamma
+    out = scalars.zeros((conn.dim,) * (t.ndim + 1), conn.mode)
+    src = "abcdefgh"[: t.ndim]
+    ups, downs = src[:up], src[up:]
     # result axes: up-axes of t, then direction axis, then down-axes of t
-    out = scalars.zeros((dim,) * (t.rank + 1), conn.mode)
-    letters = "abcdefgh"
-    ups = letters[: t.up]
-    downs = letters[t.up : t.rank]
-    src = ups + downs
-    for a in range(t.up):
+    for a in range(up):
         repl = src.replace(src[a], "m")
-        out = out + np.einsum(f"{src[a]}xm,{repl}->{ups}x{downs}", gamma, t.data)
-    for b in range(t.down):
-        pos = t.up + b
+        out = out + np.einsum(f"{src[a]}xm,{repl}->{ups}x{downs}", gamma, t)
+    for pos in range(up, t.ndim):
         repl = src.replace(src[pos], "m")
-        out = out - np.einsum(f"mx{src[pos]},{repl}->{ups}x{downs}", gamma, t.data)
-    return Tensor(t.up, t.down + 1, out)
+        out = out - np.einsum(f"mx{src[pos]},{repl}->{ups}x{downs}", gamma, t)
+    return out
 
 
-def curvature(algebra: LieAlgebra, conn: Connection) -> Tensor:
+def curvature(algebra: LieAlgebra, conn: Connection) -> np.ndarray:
     """Curvature R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_{[x,y]} z
-    as a (1,3) tensor with data[l, i, j, k] = component l of R(e_i, e_j) e_k."""
+    as a (1,3) tensor with r[l, i, j, k] = component l of R(e_i, e_j) e_k."""
     if algebra.dim != conn.dim:
         raise ValueError("algebra and connection dimensions differ")
-    g, c = conn.gamma.data, algebra.c.data
-    r = (
+    g, c = conn.gamma, algebra.c
+    return (
         np.einsum("mjk,lim->lijk", g, g)
         - np.einsum("mik,ljm->lijk", g, g)
         - np.einsum("mij,lmk->lijk", c, g)
     )
-    return Tensor(1, 3, r)
 
 
-def d_eta(algebra: LieAlgebra, eta: Tensor) -> Tensor:
+def d_eta(algebra: LieAlgebra, eta: np.ndarray) -> np.ndarray:
     """Exterior derivative of a left-invariant 1-form: d eta (x,y) = -eta([x,y])."""
-    if (eta.up, eta.down) != (0, 1):
-        raise ValueError("d_eta expects a (0,1) tensor")
-    return Tensor(0, 2, -np.einsum("kij,k->ij", algebra.c.data, eta.data))
+    return -np.einsum("kij,k->ij", algebra.c, eta)
 
 
-def lie_derivative_metric(conn: Connection, xi: np.ndarray, m: Metric) -> Tensor:
+def lie_derivative_metric(conn: Connection, xi: np.ndarray, m: Metric) -> np.ndarray:
     """(L_xi g)(x,y) = g(nabla_x xi, y) + g(nabla_y xi, x) for torsion-free nabla."""
     nxi = conn.nabla_of_constant(xi)  # [k, i]
     low = np.einsum("ki,kj->ij", nxi, m.matrix)
-    return Tensor(0, 2, low + low.T)
+    return low + low.T
 

@@ -14,7 +14,7 @@ from . import scalars
 from .liegroup import LieAlgebra, StructureError
 from .scalars import DEFAULT_EPS, RATIONAL
 from .structure import ACBStructure
-from .tensor import DegenerateMetricError, Metric, Tensor
+from .tensor import DegenerateMetricError, Metric
 
 FORMAT = "bcontact-model/1"
 
@@ -132,10 +132,10 @@ def to_structure(
             c[k, j, i] = -v
     try:
         return ACBStructure(
-            LieAlgebra(Tensor(1, 2, c), eps),
-            Tensor(1, 1, scalars.array(doc["phi"], mode)),
-            Tensor(1, 0, scalars.array(doc["xi"], mode)),
-            Tensor(0, 1, scalars.array(doc["eta"], mode)),
+            LieAlgebra(c, eps),
+            scalars.array(doc["phi"], mode),
+            scalars.array(doc["xi"], mode),
+            scalars.array(doc["eta"], mode),
             Metric.from_matrix(scalars.array(doc["g"], mode), eps),
             eps,
         )

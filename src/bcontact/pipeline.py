@@ -10,10 +10,11 @@ live in the check suite (``checks.run_checks``).
 """
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
+from . import scalars
 from .curvature import CurvatureData, curvature_data
 from .hv import ShapeData, shape_operator
 from .liegroup import Connection, covariant_derivative, levi_civita
@@ -29,11 +30,15 @@ from .structure import (
     fundamental_tensor,
     lee_forms,
     nabla_xi_class_conditions,
-    potential_lowered,
     validate_structure,
 )
 from .svk import svk_connection
-from .tensor import Metric, Tensor, lower_out
+from .tensor import Metric, lower_out
+
+
+def _cached(fn):
+    """A field computed on first use and cached, with its arrays read-only."""
+    return cached_property(wraps(fn)(lambda self: scalars.freeze(fn(self))))
 
 
 class MetricView:
@@ -49,41 +54,41 @@ class MetricView:
         """The view of the other metric of the pair."""
         return self.ws.gt if self is self.ws.g else self.ws.g
 
-    @cached_property
+    @_cached
     def conn(self) -> Connection:
         return levi_civita(self.ws.algebra, self.metric)
 
-    @cached_property
-    def fundamental(self) -> Tensor:
+    @_cached
+    def fundamental(self) -> np.ndarray:
         return fundamental_tensor(self.ws.s, self.conn, self.metric)
 
-    @cached_property
+    @_cached
     def lee(self) -> LeeForms:
         return lee_forms(self.ws.s, self.fundamental, self.metric)
 
-    @cached_property
+    @_cached
     def assoc(self) -> Metric:
         """The associated metric of this view's metric (for g~ it is
         -g + 2 eta (x) eta, not g again); it carries the starred divergence."""
         s = self.ws.s
         return s.assoc if self.role == "g" else associated_of(self.metric, s)
 
-    @cached_property
+    @_cached
     def div_pair(self):
         """(div(eta), div*(eta)) for the structure carried by this metric."""
         return divergences(self.ws.s, self.conn, self.metric, self.assoc)
 
-    @cached_property
-    def partner_potential(self) -> Tensor:
+    @_cached
+    def partner_potential(self) -> np.ndarray:
         """(1,2) potential of the partner's Levi-Civita connection with
         respect to this one."""
         return connection_potential(self.conn, self.partner.conn)
 
-    @cached_property
-    def partner_potential03(self) -> Tensor:
-        return potential_lowered(self.partner_potential, self.metric)
+    @_cached
+    def partner_potential03(self) -> np.ndarray:
+        return lower_out(self.partner_potential, self.metric)
 
-    @cached_property
+    @_cached
     def classification(self) -> ClassificationReport:
         return classify(
             self.ws.s, self.fundamental, self.lee, self.metric, self.conn,
@@ -91,54 +96,54 @@ class MetricView:
             self.role,
         )
 
-    @cached_property
+    @_cached
     def nabla_xi_conditions(self) -> dict:
         return nabla_xi_class_conditions(
             self.ws.s, self.conn, self.metric, self.lee, self.div_pair,
             self.classification,
         )
 
-    @cached_property
+    @_cached
     def svk(self) -> Connection:
         return svk_connection(self.conn, self.ws.s)
 
-    @cached_property
-    def potential(self) -> Tensor:
+    @_cached
+    def potential(self) -> np.ndarray:
         """(1,2) Q = D - nabla of the SvK connection."""
         return connection_potential(self.conn, self.svk)
 
-    @cached_property
-    def torsion(self) -> Tensor:
+    @_cached
+    def torsion(self) -> np.ndarray:
         """(1,2) T of the SvK connection."""
         return self.svk.torsion(self.ws.algebra)
 
-    @cached_property
-    def potential03(self) -> Tensor:
+    @_cached
+    def potential03(self) -> np.ndarray:
         return lower_out(self.potential, self.metric)
 
-    @cached_property
-    def torsion03(self) -> Tensor:
+    @_cached
+    def torsion03(self) -> np.ndarray:
         return lower_out(self.torsion, self.metric)
 
-    @cached_property
-    def svk_phi(self) -> Tensor:
+    @_cached
+    def svk_phi(self) -> np.ndarray:
         """(1,2) covariant derivative of phi under the SvK connection."""
-        return covariant_derivative(self.svk, self.ws.s.phi)
+        return covariant_derivative(self.svk, self.ws.s.phi, 1)
 
-    @cached_property
+    @_cached
     def shape(self) -> ShapeData:
         return shape_operator(self.ws.s, self.conn, self.metric)
 
-    @cached_property
+    @_cached
     def curv(self) -> CurvatureData:
         return curvature_data(
             self.ws.s, self.ws.algebra, self.conn, self.svk, self.metric
         )
 
-    @cached_property
+    @_cached
     def rho_xi_xi(self):
-        xi = self.ws.s.xi_v
-        return np.einsum("yz,y,z->", self.curv.rho.data, xi, xi)
+        xi = self.ws.s.xi
+        return np.einsum("yz,y,z->", self.curv.rho, xi, xi)
 
 
 class Workspace:
@@ -162,20 +167,20 @@ class Workspace:
         return validate_structure(self.s)
 
     @property
-    def pot(self) -> Tensor:
+    def pot(self) -> np.ndarray:
         """Potential of the g~ Levi-Civita connection with respect to the g
         one, as a (1,2) tensor."""
         return self.g.partner_potential
 
     @property
-    def pot03(self) -> Tensor:
+    def pot03(self) -> np.ndarray:
         """The same potential lowered by g, as a (0,3) tensor."""
         return self.g.partner_potential03
 
     def view(self, role: str) -> MetricView:
         if role == "g":
             return self.g
-        if role in ("gtilde", "g~"):
+        if role == "gtilde":
             return self.gt
         raise ValueError(f"unknown metric role {role!r}")
 

@@ -11,6 +11,7 @@ per model when it is loaded and carried on the structure.
 """
 from __future__ import annotations
 
+import dataclasses
 import os
 from fractions import Fraction
 from typing import Union
@@ -145,3 +146,23 @@ def zero_test(arrays, eps: float, *context: np.ndarray):
 def is_zero(arr: np.ndarray, eps: float, *context: np.ndarray) -> bool:
     """``zero_test`` of a single array, as a boolean."""
     return zero_test([arr], eps, *context)[0]
+
+
+def freeze(obj):
+    """Make every array reachable from ``obj`` read-only and return ``obj``.
+
+    Arrays are reached through tuples, lists, dict values and dataclass
+    fields, so one call covers a model or a cached derived value.
+    """
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            freeze(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            freeze(item)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            freeze(getattr(obj, f.name))
+    return obj

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import scalars
 from .liegroup import Connection, LieAlgebra, covariant_derivative
-from .tensor import Metric, Tensor, sharp
+from .tensor import Metric, sharp
 
 
 @dataclass(frozen=True)
@@ -54,25 +54,27 @@ class ACBStructure:
     """Almost contact B-metric structure on a left-invariant model.
 
     ``eps`` is the float tolerance of every zero test made on this model,
-    fixed when the model is loaded.
+    fixed when the model is loaded.  The component arrays are made read-only
+    on construction.
     """
 
     algebra: LieAlgebra
-    phi: Tensor  # (1,1)
-    xi: Tensor  # (1,0)
-    eta: Tensor  # (0,1)
+    phi: np.ndarray  # (1,1)
+    xi: np.ndarray  # (1,0)
+    eta: np.ndarray  # (0,1)
     metric: Metric
     eps: float
 
     def __post_init__(self):
         if self.dim % 2 == 0:
             raise ValueError("almost contact structures need odd dimension")
+        scalars.freeze(self)
 
     @cached_property
     def assoc(self) -> Metric:
         """g~(x,y) = g(x, phi y) + eta(x) eta(y); built on first use, since it
         is a metric only when the axioms on g hold."""
-        return associated_of(self.metric, self)
+        return scalars.freeze(associated_of(self.metric, self))
 
     @property
     def dim(self) -> int:
@@ -86,28 +88,15 @@ class ACBStructure:
     def mode(self) -> str:
         return self.algebra.mode
 
-    # small conveniences used all over the derived modules
-    @property
-    def phi_m(self) -> np.ndarray:
-        return self.phi.data
-
     @property
     def phi2(self) -> np.ndarray:
-        return self.phi.data @ self.phi.data
-
-    @property
-    def xi_v(self) -> np.ndarray:
-        return self.xi.data
-
-    @property
-    def eta_v(self) -> np.ndarray:
-        return self.eta.data
+        return self.phi @ self.phi
 
 
 def associated_of(m: Metric, s: "ACBStructure") -> Metric:
     """Associated metric of an arbitrary B-metric for the same (phi, eta)."""
-    mat = np.einsum("im,mj->ij", m.matrix, s.phi_m) + np.einsum(
-        "i,j->ij", s.eta_v, s.eta_v
+    mat = np.einsum("im,mj->ij", m.matrix, s.phi) + np.einsum(
+        "i,j->ij", s.eta, s.eta
     )
     return Metric.from_matrix(mat, s.eps)
 
@@ -119,7 +108,7 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
     hold (only then is it a metric); until then its rows are reported failed
     with residual 1, like a wrong signature."""
     n, eps = s.n, s.eps
-    phi, xi, eta, g = s.phi_m, s.xi_v, s.eta_v, s.metric.matrix
+    phi, xi, eta, g = s.phi, s.xi, s.eta, s.metric.matrix
     one = scalars.one(s.mode)
 
     def row(name, arr, *context):
@@ -166,32 +155,32 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
 # fundamental tensor and Lee forms
 # ---------------------------------------------------------------------------
 
-def fundamental_tensor(s: ACBStructure, conn: Connection, m: Metric) -> Tensor:
+def fundamental_tensor(s: ACBStructure, conn: Connection, m: Metric) -> np.ndarray:
     """F(x,y,z) = m((nabla_x phi) y, z) for the Levi-Civita connection of m.
 
     Its defining symmetries are checked by ``fundamental-identities``.
     """
-    nphi = covariant_derivative(conn, s.phi)  # data[l, x, y]
-    return Tensor(0, 3, np.einsum("lxy,lz->xyz", nphi.data, m.matrix))
+    nphi = covariant_derivative(conn, s.phi, 1)  # [l, x, y]
+    return np.einsum("lxy,lz->xyz", nphi, m.matrix)
 
 
 @dataclass(frozen=True)
 class LeeForms:
     """The three metric contractions of a fundamental tensor."""
 
-    theta: Tensor
-    theta_star: Tensor
-    omega: Tensor
-    omega_sharp: Tensor
+    theta: np.ndarray
+    theta_star: np.ndarray
+    omega: np.ndarray
+    omega_sharp: np.ndarray
 
     def theta_xi(self, s: ACBStructure):
-        return self.theta.data @ s.xi_v
+        return self.theta @ s.xi
 
     def theta_star_xi(self, s: ACBStructure):
-        return self.theta_star.data @ s.xi_v
+        return self.theta_star @ s.xi
 
 
-def lee_forms(s: ACBStructure, f: Tensor, m: Metric) -> LeeForms:
+def lee_forms(s: ACBStructure, f: np.ndarray, m: Metric) -> LeeForms:
     """theta(z) = m^{ij} F(e_i,e_j,z), theta*(z) = m^{ij} F(e_i, phi e_j, z),
     omega(z) = F(xi, xi, z).
 
@@ -204,12 +193,11 @@ def lee_forms(s: ACBStructure, f: Tensor, m: Metric) -> LeeForms:
     z = xi since omega(xi) = 0).  Both identities are checked by
     ``lee-form-identities``.
     """
-    phi, xi = s.phi_m, s.xi_v
-    omega = np.einsum("i,j,ijz->z", xi, xi, f.data)
-    theta = np.einsum("ij,ijz->z", m.inv, f.data) - omega
-    theta_star = np.einsum("ij,mj,imz->z", m.inv, phi, f.data)
-    om = Tensor(0, 1, omega)
-    return LeeForms(Tensor(0, 1, theta), Tensor(0, 1, theta_star), om, sharp(om, m))
+    phi, xi = s.phi, s.xi
+    omega = np.einsum("i,j,ijz->z", xi, xi, f)
+    theta = np.einsum("ij,ijz->z", m.inv, f) - omega
+    theta_star = np.einsum("ij,mj,imz->z", m.inv, phi, f)
+    return LeeForms(theta, theta_star, omega, sharp(omega, m))
 
 
 def divergences(s: ACBStructure, conn: Connection, m: Metric, m_assoc: Metric):
@@ -221,7 +209,7 @@ def divergences(s: ACBStructure, conn: Connection, m: Metric, m_assoc: Metric):
     theta(xi) = div*(eta) and theta*(xi) = div(eta) are checked by
     ``divergence-trace``.
     """
-    neta = covariant_derivative(conn, s.eta).data
+    neta = covariant_derivative(conn, s.eta, 0)
     div = np.einsum("ij,ij->", m.inv, neta)
     div_star = np.einsum("ij,ij->", m_assoc.inv, neta)
     return div, div_star
@@ -231,16 +219,12 @@ def divergences(s: ACBStructure, conn: Connection, m: Metric, m_assoc: Metric):
 # potential of the second Levi-Civita connection and the conversion formulas
 # ---------------------------------------------------------------------------
 
-def connection_potential(conn_from: Connection, conn_to: Connection) -> Tensor:
+def connection_potential(conn_from: Connection, conn_to: Connection) -> np.ndarray:
     """Potential of conn_to with respect to conn_from, as a (1,2) tensor."""
-    return Tensor(1, 2, conn_to.gamma.data - conn_from.gamma.data)
+    return conn_to.gamma - conn_from.gamma
 
 
-def potential_lowered(pot: Tensor, m: Metric) -> Tensor:
-    return Tensor(0, 3, np.einsum("lxy,lz->xyz", pot.data, m.matrix))
-
-
-def potential_from_fundamental(s: ACBStructure, f: Tensor, lee: LeeForms) -> Tensor:
+def potential_from_fundamental(s: ACBStructure, f: np.ndarray, lee: LeeForms) -> np.ndarray:
     """Closed form of the potential (0,3) tensor in terms of F:
 
     2 Phi(x,y,z) = -F(x,y,phi z) - F(y,x,phi z) + F(phi z,x,y)
@@ -249,14 +233,14 @@ def potential_from_fundamental(s: ACBStructure, f: Tensor, lee: LeeForms) -> Ten
                  + eta(z) {-F(xi,x,y) + F(x,y,xi) + F(x,phi y,xi) - omega(phi x) eta(y)
                            + F(y,x,xi) + F(y,phi x,xi) - omega(phi y) eta(x)}.
     """
-    fd, phi, xi, eta = f.data, s.phi_m, s.xi_v, s.eta_v
-    om_phi = np.einsum("m,mz->z", lee.omega.data, phi)  # omega(phi .)
-    fxi = np.einsum("xym,m->xy", fd, xi)  # F(x,y,xi)
-    fphiphixi = np.einsum("abm,ax,by,m->xy", fd, phi, phi, xi)  # F(phi x, phi y, xi)
-    f_xyphiz = np.einsum("xym,mz->xyz", fd, phi)  # F(x,y,phi z)
-    fphiz_xy = np.einsum("mxy,mz->xyz", fd, phi)  # F(phi z,x,y) indexed [x,y,z]
-    fxiphiy = np.einsum("xam,ay,m->xy", fd, phi, xi)  # F(x, phi y, xi)
-    f_xi_first = np.einsum("mxy,m->xy", fd, xi)  # F(xi, x, y)
+    phi, xi, eta = s.phi, s.xi, s.eta
+    om_phi = np.einsum("m,mz->z", lee.omega, phi)  # omega(phi .)
+    fxi = np.einsum("xym,m->xy", f, xi)  # F(x,y,xi)
+    fphiphixi = np.einsum("abm,ax,by,m->xy", f, phi, phi, xi)  # F(phi x, phi y, xi)
+    f_xyphiz = np.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
+    fphiz_xy = np.einsum("mxy,mz->xyz", f, phi)  # F(phi z,x,y) indexed [x,y,z]
+    fxiphiy = np.einsum("xam,ay,m->xy", f, phi, xi)  # F(x, phi y, xi)
+    f_xi_first = np.einsum("mxy,m->xy", f, xi)  # F(xi, x, y)
 
     # bracket shared by the eta(x) and eta(y) terms: F(u,v,xi) + F(phi v, phi u, xi)
     b = fxi + fphiphixi.T
@@ -277,17 +261,17 @@ def potential_from_fundamental(s: ACBStructure, f: Tensor, lee: LeeForms) -> Ten
         + np.einsum("y,xz->xyz", eta, b)
         + np.einsum("z,xy->xyz", eta, zc)
     )
-    return Tensor(0, 3, two_phi * scalars.half(s.mode))
+    return two_phi * scalars.half(s.mode)
 
 
-def fundamental_from_potential(s: ACBStructure, phi03: Tensor) -> Tensor:
+def fundamental_from_potential(s: ACBStructure, phi03: np.ndarray) -> np.ndarray:
     """Reconstruct F from the potential:
 
     F(x,y,z) = Phi(x,y,phi z) + Phi(x,z,phi y)
              + 1/2 eta(z) {Phi(x,y,xi) - Phi(x,phi y,xi) + Phi(xi,x,y) - Phi(xi,x,phi y)}
              + 1/2 eta(y) {Phi(x,z,xi) - Phi(x,phi z,xi) + Phi(xi,x,z) - Phi(xi,x,phi z)}.
     """
-    p, phi, xi, eta = phi03.data, s.phi_m, s.xi_v, s.eta_v
+    p, phi, xi, eta = phi03, s.phi, s.xi, s.eta
     p_xyphiz = np.einsum("xym,mz->xyz", p, phi)
     pxi = np.einsum("xym,m->xy", p, xi)  # Phi(x,y,xi)
     pxiphiy = np.einsum("xam,ay,m->xy", p, phi, xi)  # Phi(x,phi y,xi)
@@ -295,16 +279,15 @@ def fundamental_from_potential(s: ACBStructure, phi03: Tensor) -> Tensor:
     pfirstphi = np.einsum("mxa,m,ay->xy", p, xi, phi)  # Phi(xi,x,phi y)
     bracket = pxi - pxiphiy + pfirst - pfirstphi  # indexed [x,y]
     h = scalars.half(s.mode)
-    f = (
+    return (
         p_xyphiz
         + np.einsum("xyz->xzy", p_xyphiz)
         + np.einsum("z,xy->xyz", eta, bracket) * h
         + np.einsum("y,xz->xyz", eta, bracket) * h
     )
-    return Tensor(0, 3, f)
 
 
-def assoc_fundamental_from_fundamental(s: ACBStructure, f: Tensor) -> Tensor:
+def assoc_fundamental_from_fundamental(s: ACBStructure, f: np.ndarray) -> np.ndarray:
     """Fundamental tensor of the associated structure computed from F alone:
 
     2 F~(x,y,z) = F(phi y,z,x) - F(y,phi z,x) + F(phi z,y,x) - F(z,phi y,x)
@@ -312,15 +295,15 @@ def assoc_fundamental_from_fundamental(s: ACBStructure, f: Tensor) -> Tensor:
                 + eta(y) {F(x,z,xi) + F(phi z,phi x,xi) + F(x,phi z,xi)}
                 + eta(z) {F(x,y,xi) + F(phi y,phi x,xi) + F(x,phi y,xi)}.
     """
-    fd, phi, xi, eta = f.data, s.phi_m, s.xi_v, s.eta_v
-    fxi = np.einsum("xym,m->xy", fd, xi)
-    fphiphixi = np.einsum("abm,ax,by,m->xy", fd, phi, phi, xi)
-    fxiphiy = np.einsum("xam,ay,m->xy", fd, phi, xi)
+    phi, xi, eta = s.phi, s.xi, s.eta
+    fxi = np.einsum("xym,m->xy", f, xi)
+    fphiphixi = np.einsum("abm,ax,by,m->xy", f, phi, phi, xi)
+    fxiphiy = np.einsum("xam,ay,m->xy", f, phi, xi)
 
-    t1 = np.einsum("azx,ay->xyz", fd, phi)  # F(phi y, z, x)
-    t2 = np.einsum("yax,az->xyz", fd, phi)  # F(y, phi z, x)
-    t3 = np.einsum("ayx,az->xyz", fd, phi)  # F(phi z, y, x)
-    t4 = np.einsum("zax,ay->xyz", fd, phi)  # F(z, phi y, x)
+    t1 = np.einsum("azx,ay->xyz", f, phi)  # F(phi y, z, x)
+    t2 = np.einsum("yax,az->xyz", f, phi)  # F(y, phi z, x)
+    t3 = np.einsum("ayx,az->xyz", f, phi)  # F(phi z, y, x)
+    t4 = np.einsum("zax,ay->xyz", f, phi)  # F(z, phi y, x)
     bx = fxi + fphiphixi.T + fxi.T + fphiphixi  # [y,z] bracket of the eta(x) term
     by = fxi + fphiphixi.T + fxiphiy  # [x,z] bracket of the eta(y) term
     two_ft = (
@@ -332,7 +315,7 @@ def assoc_fundamental_from_fundamental(s: ACBStructure, f: Tensor) -> Tensor:
         + np.einsum("y,xz->xyz", eta, by)
         + np.einsum("z,xy->xyz", eta, by)
     )
-    return Tensor(0, 3, two_ft * scalars.half(s.mode))
+    return two_ft * scalars.half(s.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +349,22 @@ def _inv2n(s: ACBStructure):
     return scalars.one(s.mode) / (2 * s.n)
 
 
-def _class_conditions(s: ACBStructure, f: Tensor, lee: LeeForms, m: Metric):
+def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
     """Residual arrays for the defining identity of each basic class."""
-    fd, phi, xi, eta, g = f.data, s.phi_m, s.xi_v, s.eta_v, m.matrix
+    phi, xi, eta, g = s.phi, s.xi, s.eta, m.matrix
     phi2 = s.phi2
-    theta, theta_star = lee.theta.data, lee.theta_star.data
-    omega = lee.omega.data
+    theta, theta_star = lee.theta, lee.theta_star
+    omega = lee.omega
     inv2n = _inv2n(s)
 
     g_phi = np.einsum("im,mj->ij", g, phi)  # g(e_i, phi e_j)
     g_phiphi = np.einsum("mi,rj,mr->ij", phi, phi, g)  # g(phi e_i, phi e_j)
     th_phi = theta @ phi
     th_phi2 = theta @ phi2
-    fxi = np.einsum("xym,m->xy", fd, xi)  # F(x,y,xi)
-    f_first_xi = np.einsum("mxy,m->xy", fd, xi)  # F(xi,y,z)
-    f_mid_xi = np.einsum("xmy,m->xy", fd, xi)  # F(x,xi,z)
-    fxi_phiphi = np.einsum("abm,ax,by,m->xy", fd, phi, phi, xi)  # F(phi x, phi y, xi)
+    fxi = np.einsum("xym,m->xy", f, xi)  # F(x,y,xi)
+    f_first_xi = np.einsum("mxy,m->xy", f, xi)  # F(xi,y,z)
+    f_mid_xi = np.einsum("xmy,m->xy", f, xi)  # F(x,xi,z)
+    fxi_phiphi = np.einsum("abm,ax,by,m->xy", f, phi, phi, xi)  # F(phi x, phi y, xi)
 
     conds: dict[str, list[np.ndarray]] = {}
 
@@ -391,11 +374,11 @@ def _class_conditions(s: ACBStructure, f: Tensor, lee: LeeForms, m: Metric):
         + np.einsum("xz,y->xyz", g_phi, th_phi)
         + np.einsum("xz,y->xyz", g_phiphi, th_phi2)
     ) * inv2n
-    conds["F1"] = [fd - rhs1]
+    conds["F1"] = [f - rhs1]
 
-    f_phi_z = np.einsum("xym,mz->xyz", fd, phi)  # F(x,y,phi z)
+    f_phi_z = np.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
     cyc_phi = f_phi_z + np.einsum("xyz->yzx", f_phi_z) + np.einsum("xyz->zxy", f_phi_z)
-    cyc = fd + np.einsum("xyz->yzx", fd) + np.einsum("xyz->zxy", fd)
+    cyc = f + np.einsum("xyz->yzx", f) + np.einsum("xyz->zxy", f)
     conds["F2"] = [f_first_xi, f_mid_xi, cyc_phi, theta]
     conds["F3"] = [f_first_xi, f_mid_xi, cyc]
 
@@ -403,39 +386,39 @@ def _class_conditions(s: ACBStructure, f: Tensor, lee: LeeForms, m: Metric):
     rhs4 = -(
         np.einsum("xy,z->xyz", g_phiphi, eta) + np.einsum("xz,y->xyz", g_phiphi, eta)
     ) * (txi * inv2n)
-    conds["F4"] = [fd - rhs4]
+    conds["F4"] = [f - rhs4]
 
     tsxi = lee.theta_star_xi(s)
     rhs5 = -(
         np.einsum("xy,z->xyz", g_phi, eta) + np.einsum("xz,y->xyz", g_phi, eta)
     ) * (tsxi * inv2n)
-    conds["F5"] = [fd - rhs5]
+    conds["F5"] = [f - rhs5]
 
     vert_form = np.einsum("xy,z->xyz", fxi, eta) + np.einsum("xz,y->xyz", fxi, eta)
-    form_res = fd - vert_form
+    form_res = f - vert_form
     conds["F6"] = [form_res, fxi - fxi.T, fxi + fxi_phiphi, theta, theta_star]
     conds["F7"] = [form_res, fxi + fxi.T, fxi + fxi_phiphi]
     conds["F8"] = [form_res, fxi - fxi.T, fxi - fxi_phiphi]
     conds["F9"] = [form_res, fxi + fxi.T, fxi - fxi_phiphi]
 
-    f_xi_phiphi = np.einsum("mab,m,ay,bz->yz", fd, xi, phi, phi)  # F(xi, phi y, phi z)
-    conds["F10"] = [fd - np.einsum("x,yz->xyz", eta, f_xi_phiphi)]
+    f_xi_phiphi = np.einsum("mab,m,ay,bz->yz", f, xi, phi, phi)  # F(xi, phi y, phi z)
+    conds["F10"] = [f - np.einsum("x,yz->xyz", eta, f_xi_phiphi)]
 
     rhs11 = np.einsum("x,y,z->xyz", eta, eta, omega) + np.einsum(
         "x,z,y->xyz", eta, eta, omega
     )
-    conds["F11"] = [fd - rhs11]
+    conds["F11"] = [f - rhs11]
     return conds
 
 
 def classify(
     s: ACBStructure,
-    f: Tensor,
+    f: np.ndarray,
     lee: LeeForms,
     m: Metric,
     conn: Connection,
     conn_partner: Connection,
-    pot03: Tensor,
+    pot03: np.ndarray,
     div_pair,
     metric_role: str = "g",
 ) -> ClassificationReport:
@@ -447,29 +430,29 @@ def classify(
     U1_assoc flag.  ``pot03`` is the (0,3) potential of the partner connection
     with respect to ``conn``, lowered by ``m``.
     """
-    fd, phi, xi, eta = f.data, s.phi_m, s.xi_v, s.eta_v
+    phi, xi, eta = s.phi, s.xi, s.eta
     phi2 = s.phi2
-    conds = {"F0": [fd], **_class_conditions(s, f, lee, m)}
+    conds = {"F0": [f], **_class_conditions(s, f, lee, m)}
     conds["U1"] = [conn.nabla_of_constant(xi)]
     conds["U1_assoc"] = [conn_partner.nabla_of_constant(xi)]
 
-    fxi = np.einsum("xym,m->xy", fd, xi)
-    conds["U2"] = [fd - np.einsum("xy,z->xyz", fxi, eta) - np.einsum("xz,y->xyz", fxi, eta)]
+    fxi = np.einsum("xym,m->xy", f, xi)
+    conds["U2"] = [f - np.einsum("xy,z->xyz", fxi, eta) - np.einsum("xz,y->xyz", fxi, eta)]
 
-    p = pot03.data
+    p = pot03
     conds["F3+U3"] = [
         np.einsum("xab,ay,bz->xyz", p, phi2, phi2) + np.einsum("xab,ay,bz->xyz", p, phi, phi)
     ]
 
     # F(phi y,phi z,x) + F(phi^2 y,phi^2 z,x) - F(phi z,phi y,x) - F(phi^2 z,phi^2 y,x)
-    e1 = np.einsum("abx,ay,bz->xyz", fd, phi, phi)
-    e2 = np.einsum("abx,ay,bz->xyz", fd, phi2, phi2)
+    e1 = np.einsum("abx,ay,bz->xyz", f, phi, phi)
+    e2 = np.einsum("abx,ay,bz->xyz", f, phi2, phi2)
     conds["F1+F2+U3"] = [e1 + e2 - np.einsum("xyz->xzy", e1) - np.einsum("xyz->xzy", e2)]
 
     membership: dict[str, bool] = {}
     residuals: dict[str, float] = {}
     for flag, arrays in conds.items():
-        membership[flag], residuals[flag], _ = scalars.zero_test(arrays, s.eps, fd)
+        membership[flag], residuals[flag], _ = scalars.zero_test(arrays, s.eps, f)
     membership["U3"] = membership["U2"] and membership["F3+U3"]
     residuals["U3"] = max(residuals["U2"], residuals["F3+U3"])
 
@@ -500,13 +483,13 @@ def nabla_xi_class_conditions(
       F7/F8/F9: the corresponding symmetry pattern of m(nabla_. xi, .)
       F11: nabla xi = eta (x) (phi omega#)
     """
-    phi, xi, eta = s.phi_m, s.xi_v, s.eta_v
+    phi, xi, eta = s.phi, s.xi, s.eta
     nxi = conn.nabla_of_constant(xi)  # [k, i]
     lam = np.einsum("ki,kj->ij", nxi, m.matrix)  # m(nabla_{e_i} xi, e_j)
     lam_phiphi = np.einsum("ab,ai,bj->ij", lam, phi, phi)
     div, div_star = div_pair
     inv2n = _inv2n(s)
-    phi_om = phi @ sharp(lee.omega, m).data
+    phi_om = phi @ sharp(lee.omega, m)
 
     conds = {flag: [nxi] for flag in ("F1", "F2", "F3", "F10")}
     conds["F4"] = [nxi - phi * (div_star * inv2n)]

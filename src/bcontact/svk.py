@@ -15,20 +15,20 @@ import numpy as np
 from . import scalars
 from .liegroup import Connection, covariant_derivative, d_eta
 from .structure import ACBStructure
-from .tensor import Metric, Tensor
+from .tensor import Metric
 
 
 def project_h(s: ACBStructure, x: np.ndarray) -> np.ndarray:
     """Horizontal part x - eta(x) xi (equivalently -phi^2 x)."""
-    return x - (s.eta_v @ x) * s.xi_v
+    return x - (s.eta @ x) * s.xi
 
 
 def _nabla_xi(conn: Connection, s: ACBStructure) -> np.ndarray:
-    return conn.nabla_of_constant(s.xi_v)  # [k, i]
+    return conn.nabla_of_constant(s.xi)  # [k, i]
 
 
 def _nabla_eta(conn: Connection, s: ACBStructure) -> np.ndarray:
-    return covariant_derivative(conn, s.eta).data  # [i, j]
+    return covariant_derivative(conn, s.eta, 0)  # [i, j]
 
 
 def svk_connection(conn: Connection, s: ACBStructure) -> Connection:
@@ -37,11 +37,11 @@ def svk_connection(conn: Connection, s: ACBStructure) -> Connection:
     nxi = _nabla_xi(conn, s)
     neta = _nabla_eta(conn, s)
     gamma = (
-        conn.gamma.data
-        - np.einsum("j,ki->kij", s.eta_v, nxi)
-        + np.einsum("ij,k->kij", neta, s.xi_v)
+        conn.gamma
+        - np.einsum("j,ki->kij", s.eta, nxi)
+        + np.einsum("ij,k->kij", neta, s.xi)
     )
-    return Connection(Tensor(1, 2, gamma))
+    return Connection(gamma)
 
 
 def svk_connection_projected(conn: Connection, s: ACBStructure) -> Connection:
@@ -49,86 +49,79 @@ def svk_connection_projected(conn: Connection, s: ACBStructure) -> Connection:
 
     Independent of the closed form above; the two must agree exactly.
     """
-    pv = np.einsum("k,l->kl", s.xi_v, s.eta_v)
+    pv = np.einsum("k,l->kl", s.xi, s.eta)
     ph = scalars.eye(s.dim, s.mode) - pv
-    g = conn.gamma.data
+    g = conn.gamma
     gamma = np.einsum("kl,lim,mj->kij", ph, g, ph) + np.einsum(
         "kl,lim,mj->kij", pv, g, pv
     )
-    return Connection(Tensor(1, 2, gamma))
+    return Connection(gamma)
 
 
-def svk_potential_closed(conn: Connection, s: ACBStructure) -> Tensor:
+def svk_potential_closed(conn: Connection, s: ACBStructure) -> np.ndarray:
     """Q(x,y) = -eta(y) nabla_x xi + (nabla_x eta)(y) xi."""
     nxi = _nabla_xi(conn, s)
     neta = _nabla_eta(conn, s)
-    q = -np.einsum("j,ki->kij", s.eta_v, nxi) + np.einsum("ij,k->kij", neta, s.xi_v)
-    return Tensor(1, 2, q)
+    return -np.einsum("j,ki->kij", s.eta, nxi) + np.einsum("ij,k->kij", neta, s.xi)
 
 
-def svk_torsion_closed(conn: Connection, s: ACBStructure) -> Tensor:
+def svk_torsion_closed(conn: Connection, s: ACBStructure) -> np.ndarray:
     """T(x,y) = eta(x) nabla_y xi - eta(y) nabla_x xi + d eta(x,y) xi."""
     nxi = _nabla_xi(conn, s)
-    de = d_eta(s.algebra, s.eta).data
-    t = (
-        np.einsum("i,kj->kij", s.eta_v, nxi)
-        - np.einsum("j,ki->kij", s.eta_v, nxi)
-        + np.einsum("ij,k->kij", de, s.xi_v)
+    de = d_eta(s.algebra, s.eta)
+    return (
+        np.einsum("i,kj->kij", s.eta, nxi)
+        - np.einsum("j,ki->kij", s.eta, nxi)
+        + np.einsum("ij,k->kij", de, s.xi)
     )
-    return Tensor(1, 2, t)
 
 
 # ---------------------------------------------------------------------------
 # the torsion <-> potential bijection for metric connections
 # ---------------------------------------------------------------------------
 
-def torsion_from_potential(q: Tensor) -> Tensor:
+def torsion_from_potential(q: np.ndarray) -> np.ndarray:
     """T(x,y,z) = Q(x,y,z) - Q(y,x,z) on (0,3) tensors."""
-    if (q.up, q.down) != (0, 3):
-        raise ValueError("expected a (0,3) potential")
-    return Tensor(0, 3, q.data - np.einsum("xyz->yxz", q.data))
+    return q - np.einsum("xyz->yxz", q)
 
 
-def potential_from_torsion(t: Tensor, eps: float) -> Tensor:
+def potential_from_torsion(t: np.ndarray, eps: float) -> np.ndarray:
     """2 Q(x,y,z) = T(x,y,z) - T(y,z,x) + T(z,x,y); requires T antisymmetric
     in its first two slots (to within ``eps`` in float mode)."""
-    if (t.up, t.down) != (0, 3):
-        raise ValueError("expected a (0,3) torsion")
-    if not scalars.is_zero(t.data + np.einsum("xyz->yxz", t.data), eps, t.data):
+    if not scalars.is_zero(t + np.einsum("xyz->yxz", t), eps, t):
         raise ValueError("torsion must be antisymmetric in its first two slots")
     # out[x,y,z] = T(x,y,z) - T(y,z,x) + T(z,x,y)
-    q2 = t.data - np.einsum("yzx->xyz", t.data) + np.einsum("zxy->xyz", t.data)
-    return Tensor(0, 3, q2 * scalars.half(t.mode))
+    q2 = t - np.einsum("yzx->xyz", t) + np.einsum("zxy->xyz", t)
+    return q2 * scalars.half(scalars.mode_of(t))
 
 
 # ---------------------------------------------------------------------------
 # covariant derivative of phi and naturality
 # ---------------------------------------------------------------------------
 
-def svk_covariant_phi_closed(conn: Connection, s: ACBStructure) -> Tensor:
+def svk_covariant_phi_closed(conn: Connection, s: ACBStructure) -> np.ndarray:
     """(D_x phi) y = (nabla_x phi) y + eta(y) phi nabla_x xi + (nabla_x eta)(phi y) xi,
 
     expressing the Schouten-van Kampen derivative of phi through the base
     connection alone.
     """
-    nphi = covariant_derivative(conn, s.phi).data  # [l, x, y]
+    nphi = covariant_derivative(conn, s.phi, 1)  # [l, x, y]
     nxi = _nabla_xi(conn, s)
     neta = _nabla_eta(conn, s)
-    out = (
+    return (
         nphi
-        + np.einsum("j,km,mi->kij", s.eta_v, s.phi_m, nxi)
-        + np.einsum("im,mj,k->kij", neta, s.phi_m, s.xi_v)
+        + np.einsum("j,km,mi->kij", s.eta, s.phi, nxi)
+        + np.einsum("im,mj,k->kij", neta, s.phi, s.xi)
     )
-    return Tensor(1, 2, out)
 
 
 def is_natural(conn: Connection, s: ACBStructure, m: Metric) -> bool:
     """A connection is natural for the structure when phi, xi, eta and the
     metric are all parallel."""
-    ok_phi = scalars.is_zero(covariant_derivative(conn, s.phi).data, s.eps, s.phi_m)
-    ok_xi = scalars.is_zero(conn.nabla_of_constant(s.xi_v), s.eps)
-    ok_eta = scalars.is_zero(covariant_derivative(conn, s.eta).data, s.eps)
-    ok_m = scalars.is_zero(covariant_derivative(conn, m.tensor).data, s.eps, m.matrix)
+    ok_phi = scalars.is_zero(covariant_derivative(conn, s.phi, 1), s.eps, s.phi)
+    ok_xi = scalars.is_zero(conn.nabla_of_constant(s.xi), s.eps)
+    ok_eta = scalars.is_zero(covariant_derivative(conn, s.eta, 0), s.eps)
+    ok_m = scalars.is_zero(covariant_derivative(conn, m.matrix, 0), s.eps, m.matrix)
     return ok_phi and ok_xi and ok_eta and ok_m
 
 
@@ -138,54 +131,51 @@ def phi_b_connection(conn: Connection, s: ACBStructure) -> Connection:
     nabla*_x y = nabla_x y + 1/2 {(nabla_x phi) phi y + (nabla_x eta)(y) xi}
                - eta(y) nabla_x xi.
     """
-    nphi = covariant_derivative(conn, s.phi).data
+    nphi = covariant_derivative(conn, s.phi, 1)
     nxi = _nabla_xi(conn, s)
     neta = _nabla_eta(conn, s)
     h = scalars.half(s.mode)
     gamma = (
-        conn.gamma.data
-        + (np.einsum("kim,mj->kij", nphi, s.phi_m) + np.einsum("ij,k->kij", neta, s.xi_v)) * h
-        - np.einsum("j,ki->kij", s.eta_v, nxi)
+        conn.gamma
+        + (np.einsum("kim,mj->kij", nphi, s.phi) + np.einsum("ij,k->kij", neta, s.xi)) * h
+        - np.einsum("j,ki->kij", s.eta, nxi)
     )
-    return Connection(Tensor(1, 2, gamma))
+    return Connection(gamma)
 
 
 # ---------------------------------------------------------------------------
 # relations between the two connections of the pair
 # ---------------------------------------------------------------------------
 
-def svk_pair_from_potential(svk: Connection, pot: Tensor, s: ACBStructure) -> Connection:
+def svk_pair_from_potential(svk: Connection, p: np.ndarray, s: ACBStructure) -> Connection:
     """Second connection of the pair from the first and the potential of the
     second Levi-Civita connection:
 
     D~_x y = D_x y + Phi(x,y) - eta(Phi(x,y)) xi - eta(y) Phi(x,xi).
     """
-    p = pot.data  # (1,2): [l, x, y]
-    p_xi = np.einsum("lim,m->li", p, s.xi_v)  # Phi(x, xi)
+    p_xi = np.einsum("lim,m->li", p, s.xi)  # Phi(x, xi)
     gamma = (
-        svk.gamma.data
+        svk.gamma
         + p
-        - np.einsum("m,mij,k->kij", s.eta_v, p, s.xi_v)
-        - np.einsum("j,ki->kij", s.eta_v, p_xi)
+        - np.einsum("m,mij,k->kij", s.eta, p, s.xi)
+        - np.einsum("j,ki->kij", s.eta, p_xi)
     )
-    return Connection(Tensor(1, 2, gamma))
+    return Connection(gamma)
 
 
-def svk_pair_covariant_phi(dphi: Tensor, pot: Tensor, s: ACBStructure) -> Tensor:
+def svk_pair_covariant_phi(dphi: np.ndarray, p: np.ndarray, s: ACBStructure) -> np.ndarray:
     """(D~_x phi) y from (D_x phi) y and the potential:
 
     (D~_x phi) y = (D_x phi) y + Phi(x, phi y) - phi Phi(x,y)
                  + eta(y) phi Phi(x,xi) - eta(Phi(x, phi y)) xi.
     """
-    p = pot.data
-    phi = s.phi_m
+    phi = s.phi
     p_phiy = np.einsum("lim,mj->lij", p, phi)  # Phi(x, phi y)
-    p_xi = np.einsum("lim,m->li", p, s.xi_v)
-    out = (
-        dphi.data
+    p_xi = np.einsum("lim,m->li", p, s.xi)
+    return (
+        dphi
         + p_phiy
         - np.einsum("km,mij->kij", phi, p)
-        + np.einsum("j,km,mi->kij", s.eta_v, phi, p_xi)
-        - np.einsum("m,mij,k->kij", s.eta_v, p_phiy, s.xi_v)
+        + np.einsum("j,km,mi->kij", s.eta, phi, p_xi)
+        - np.einsum("m,mij,k->kij", s.eta, p_phiy, s.xi)
     )
-    return Tensor(1, 2, out)

@@ -1,17 +1,20 @@
 """Dense multilinear algebra over a small fixed dimension.
 
-Index conventions used throughout the library (all components are taken in
-the fixed basis e_0, ..., e_{dim-1}):
+A tensor is the array of its components: an object array of ``Fraction`` in
+rational mode, a float64 array in float mode.  Index conventions used
+throughout the library (all components are taken in the fixed basis
+e_0, ..., e_{dim-1}):
 
 * a tensor of valence (r, s) stores its r contravariant axes first;
-* an endomorphism A has ``A.data[i, j]`` = i-th component of A(e_j);
-* connection coefficients: ``gamma.data[k, i, j]`` with nabla_{e_i} e_j =
-  gamma^k_{ij} e_k, and structure constants ``c.data[k, i, j]`` with
+* an endomorphism A has ``A[i, j]`` = i-th component of A(e_j);
+* connection coefficients: ``gamma[k, i, j]`` with nabla_{e_i} e_j =
+  gamma^k_{ij} e_k, and structure constants ``c[k, i, j]`` with
   [e_i, e_j] = c^k_{ij} e_k;
-* a (0,3) tensor B stores ``B.data[i, j, k]`` = B(e_i, e_j, e_k).
+* a (0,3) tensor B stores ``B[i, j, k]`` = B(e_i, e_j, e_k).
 
-Everything is immutable after construction and safe to share between
-threads; all operations are pure functions.
+All operations are pure functions.  The arrays of a model and of the values
+a ``Workspace`` caches are made read-only (``scalars.freeze``), so they are
+safe to share between threads.
 """
 from __future__ import annotations
 
@@ -26,68 +29,6 @@ from .scalars import RATIONAL
 
 class DegenerateMetricError(ValueError):
     """Raised when a symmetric bilinear form has zero determinant."""
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Dense tensor with ``up`` contravariant and ``down`` covariant slots."""
-
-    up: int
-    down: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.dim,) * self.rank if self.rank else ()
-        if self.data.shape != expected:
-            raise ValueError(
-                f"valence ({self.up},{self.down}) needs shape {expected}, got {self.data.shape}"
-            )
-        self.data.setflags(write=False)
-
-    @property
-    def rank(self) -> int:
-        return self.up + self.down
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0] if self.data.ndim else 0
-
-    @property
-    def mode(self) -> str:
-        return scalars.mode_of(self.data)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, int):
-            idx = (idx,)
-        if len(idx) != self.rank:
-            raise IndexError(f"need {self.rank} indices, got {len(idx)}")
-        for i in idx:
-            if not 0 <= i < self.dim:
-                raise IndexError(f"index {i} out of range for dim {self.dim}")
-        return self.data[tuple(idx)]
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_compatible(other)
-        return Tensor(self.up, self.down, self.data + other.data)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        self._check_compatible(other)
-        return Tensor(self.up, self.down, self.data - other.data)
-
-    def __neg__(self) -> "Tensor":
-        return Tensor(self.up, self.down, -self.data)
-
-    def _check_compatible(self, other: "Tensor"):
-        if (self.up, self.down, self.dim) != (other.up, other.down, other.dim):
-            raise ValueError("tensor valence/dimension mismatch")
-
-
-def alt2(t: Tensor) -> Tensor:
-    """Alternation of a (0,2) tensor: Alt(B)(x,y) = (B(x,y) - B(y,x)) / 2."""
-    if (t.up, t.down) != (0, 2):
-        raise ValueError("alt2 expects a (0,2) tensor")
-    h = scalars.half(t.mode)
-    return Tensor(0, 2, (t.data - t.data.T) * h)
 
 
 # ---------------------------------------------------------------------------
@@ -170,74 +111,53 @@ def _rational_signature(m: np.ndarray) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Metric:
-    """Non-degenerate symmetric (0,2) tensor with its inverse and signature."""
+    """Non-degenerate symmetric (0,2) tensor with its inverse (2,0) tensor and
+    its signature."""
 
-    tensor: Tensor
-    inverse: Tensor = field(repr=False)
+    matrix: np.ndarray
+    inv: np.ndarray = field(repr=False)
     signature: tuple[int, int]
 
     @property
-    def dim(self) -> int:
-        return self.tensor.dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def inv(self) -> np.ndarray:
-        return self.inverse.data
-
-    @property
     def mode(self) -> str:
-        return self.tensor.mode
+        return scalars.mode_of(self.matrix)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray, eps: float) -> "Metric":
-        t = Tensor(0, 2, m)
         if not scalars.is_zero(m - m.T, eps):
             raise ValueError("metric matrix must be symmetric")
-        inv = metric_inverse(t, eps)
-        if t.mode == RATIONAL:
+        inv = metric_inverse(m, eps)
+        if scalars.mode_of(m) == RATIONAL:
             sig = _rational_signature(m)
         else:
             ev = np.linalg.eigvalsh(m.astype(np.float64))
             if scalars.is_zero(np.min(np.abs(ev)), eps, m):
                 raise DegenerateMetricError("metric has a numerically zero eigenvalue")
             sig = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
-        return cls(t, inv, sig)
+        return cls(m, inv, sig)
 
     def inner(self, x: np.ndarray, y: np.ndarray):
         return np.einsum("ij,i,j->", self.matrix, x, y)
 
 
-def metric_inverse(m: Tensor, eps: float) -> Tensor:
+def metric_inverse(m: np.ndarray, eps: float) -> np.ndarray:
     """Inverse of a symmetric non-degenerate (0,2) tensor, as a (2,0) tensor."""
-    if (m.up, m.down) != (0, 2):
-        raise ValueError("metric_inverse expects a (0,2) tensor")
-    if m.mode == RATIONAL:
-        if _rational_det(m.data) == 0:
+    if scalars.mode_of(m) == RATIONAL:
+        if _rational_det(m) == 0:
             raise DegenerateMetricError("metric determinant is zero")
-        return Tensor(2, 0, _rational_inverse(m.data))
-    det = np.linalg.det(m.data)
-    if scalars.is_zero(det, eps, m.data):
+        return _rational_inverse(m)
+    det = np.linalg.det(m)
+    if scalars.is_zero(det, eps, m):
         raise DegenerateMetricError(f"metric determinant {det} below tolerance")
-    return Tensor(2, 0, np.linalg.inv(m.data))
+    return np.linalg.inv(m)
 
 
-def sharp(omega: Tensor, m: Metric) -> Tensor:
+def sharp(omega: np.ndarray, m: Metric) -> np.ndarray:
     """Raise a covector with the metric: g(sharp(w), y) = w(y)."""
-    if (omega.up, omega.down) != (0, 1):
-        raise ValueError("sharp expects a (0,1) tensor")
-    if omega.dim != m.dim:
-        raise ValueError("dimension mismatch")
-    return Tensor(1, 0, np.einsum("ij,j->i", m.inv, omega.data))
+    return np.einsum("ij,j->i", m.inv, omega)
 
 
-def lower_out(t: Tensor, m: Metric) -> Tensor:
+def lower_out(t: np.ndarray, m: Metric) -> np.ndarray:
     """Lower the single contravariant slot of a (1,k) tensor into a trailing
     covariant slot: T(x_1,...,x_k, z) = g(T(x_1,...,x_k), z)."""
-    if t.up != 1:
-        raise ValueError("lower_out expects a (1,k) tensor")
-    data = np.einsum("l...,lz->...z", t.data, m.matrix)
-    return Tensor(0, t.down + 1, data)
+    return np.einsum("l...,lz->...z", t, m.matrix)

@@ -30,7 +30,7 @@ import numpy as np
 from . import modelfile
 from .pipeline import Workspace
 from .scalars import DEFAULT_EPS, RATIONAL
-from .structure import ACBStructure
+from .structure import ACBStructure, validate_structure
 
 
 class UnknownEntryError(KeyError):
@@ -381,7 +381,11 @@ def all_entries() -> list[ZooEntry]:
     return [builtin(n) for n in names()]
 
 
-def random_structure(seed: int, n: int, retries: int = 64) -> ZooEntry:
+# draws random_structure makes before it gives up on a seed
+_RETRIES = 64
+
+
+def random_structure(seed: int, n: int) -> ZooEntry:
     """Deterministic random entry: a phi-adapted frame whose only brackets
     are [xi, .] = A for a random rational matrix A on the horizontal space.
 
@@ -400,7 +404,7 @@ def random_structure(seed: int, n: int, retries: int = 64) -> ZooEntry:
     m = 2 * n
     gdiag = [Fraction(1)] * n + [Fraction(-1)] * n
     half = Fraction(1, 2)
-    for _ in range(retries):
+    for _ in range(_RETRIES):
         num = rng.integers(-2, 3, size=(m, m))
         den = rng.integers(1, 3, size=(m, m))
         a = [
@@ -437,8 +441,6 @@ def random_structure(seed: int, n: int, retries: int = 64) -> ZooEntry:
             structure = entry.structure(RATIONAL)
         except Exception:
             continue
-        from .structure import validate_structure
-
         if validate_structure(structure).passed:
             return entry
-    raise GenerationError(f"no valid structure after {retries} draws (seed {seed})")
+    raise GenerationError(f"no valid structure after {_RETRIES} draws (seed {seed})")

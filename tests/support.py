@@ -22,15 +22,15 @@ def workspace(name: str, mode: str = RATIONAL):
     return _WS[key]
 
 
-def suite_results(name: str, mode: str = RATIONAL, planes: int = 20):
-    key = (name, mode, planes)
+def suite_results(name: str, mode: str = RATIONAL):
+    key = (name, mode)
     if key not in _RESULTS:
-        _RESULTS[key] = run_checks(workspace(name, mode), seed=0, plane_count=planes)
+        _RESULTS[key] = run_checks(workspace(name, mode), seed=0)
     return _RESULTS[key]
 
 
-def result_map(name: str, mode: str = RATIONAL, planes: int = 20):
-    return {r.name: r for r in suite_results(name, mode, planes)}
+def result_map(name: str, mode: str = RATIONAL):
+    return {r.name: r for r in suite_results(name, mode)}
 
 
 def corrupted_phi_entry():
@@ -61,7 +61,7 @@ def basis_change(entry, p) -> dict:
     p = scalars.array(p, RATIONAL)
     q = _rational_inverse(p)
     s = entry.structure(RATIONAL)
-    c = np.einsum("kl,lij,ia,jb->kab", q, s.algebra.c.data, p, p)
+    c = np.einsum("kl,lij,ia,jb->kab", q, s.algebra.c, p, p)
     dim = entry.dim
     brackets = [
         [a, b, [str(v) for v in c[:, a, b]]]
@@ -77,8 +77,8 @@ def basis_change(entry, p) -> dict:
         "name": f"{entry.name}-basis-change",
         "dim": dim,
         "brackets": brackets,
-        "phi": strings(q @ s.phi_m @ p),
-        "xi": strings(q @ s.xi_v),
-        "eta": strings(s.eta_v @ p),
+        "phi": strings(q @ s.phi @ p),
+        "xi": strings(q @ s.xi),
+        "eta": strings(s.eta @ p),
         "g": strings(p.T @ s.metric.matrix @ p),
     }

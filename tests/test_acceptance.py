@@ -91,10 +91,10 @@ def test_criterion_4_coincidence_booleans():
     for name in NAMES:
         ws = workspace(name)
         bools = [
-            scalars.residual(ws.g.svk.gamma.data - ws.g.conn.gamma.data) == 0.0,
-            scalars.residual(ws.g.conn.nabla_of_constant(ws.s.xi_v)) == 0.0,
-            scalars.residual(ws.gt.svk.gamma.data - ws.gt.conn.gamma.data) == 0.0,
-            scalars.residual(ws.gt.conn.nabla_of_constant(ws.s.xi_v)) == 0.0,
+            scalars.residual(ws.g.svk.gamma - ws.g.conn.gamma) == 0.0,
+            scalars.residual(ws.g.conn.nabla_of_constant(ws.s.xi)) == 0.0,
+            scalars.residual(ws.gt.svk.gamma - ws.gt.conn.gamma) == 0.0,
+            scalars.residual(ws.gt.conn.nabla_of_constant(ws.s.xi)) == 0.0,
         ]
         assert len(set(bools)) == 1, (name, bools)
         values.append(bools[0])
@@ -114,15 +114,15 @@ def test_criterion_5_natural_connection_coincidences():
             continue
         u2_seen += 1
         phib = phi_b_connection(ws.g.conn, ws.s)
-        assert np.array_equal(phib.gamma.data, ws.g.svk.gamma.data), name
-        assert np.array_equal(ws.gt.svk.gamma.data, ws.g.svk.gamma.data), name
-        assert scalars.residual(ws.g.svk_phi.data) == 0.0, name
+        assert np.array_equal(phib.gamma, ws.g.svk.gamma), name
+        assert np.array_equal(ws.gt.svk.gamma, ws.g.svk.gamma), name
+        assert scalars.residual(ws.g.svk_phi) == 0.0, name
     assert u2_seen >= 2
     ws = workspace("nil5-f2")  # outside the vertical union: all three fail
     phib = phi_b_connection(ws.g.conn, ws.s)
-    d, dt = ws.g.svk.gamma.data, ws.gt.svk.gamma.data
-    assert scalars.residual(d - phib.gamma.data) > 0
-    assert scalars.residual(phib.gamma.data - dt) > 0
+    d, dt = ws.g.svk.gamma, ws.gt.svk.gamma
+    assert scalars.residual(d - phib.gamma) > 0
+    assert scalars.residual(phib.gamma - dt) > 0
     assert scalars.residual(d - dt) > 0
     _verdict(
         "5 (svk = phiB = assoc-svk with parallel phi on the vertical union)",

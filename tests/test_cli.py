@@ -164,6 +164,15 @@ def test_curvature_degenerate_plane_named(files):
     assert "degenerate" in proc.stderr
 
 
+def test_curvature_plane_vectors_of_wrong_length_are_input_errors(files, capsys):
+    # abelian3 has dimension 3
+    for vectors in ("1,0;0,1", "1,0,0;0,1", "1,0,0,0;0,1,0,0"):
+        assert cli.main(["curvature", files["abelian3"], "--plane-vectors", vectors]) == 2
+        assert "input error: --plane-vectors needs two vectors of 3 entries" in (
+            capsys.readouterr().err
+        )
+
+
 def test_report_summary(files):
     proc = run_cli("report", files["solv3-f4"])
     assert proc.returncode == 0

@@ -31,8 +31,8 @@ ALL_NAMES = zoo.names()
 def test_flat_model_everything_vanishes():
     ws = workspace("abelian3")
     for view in (ws.g, ws.gt):
-        assert scalars.residual(view.curv.r04.data) == 0.0
-        assert scalars.residual(view.curv.r04_svk.data) == 0.0
+        assert scalars.residual(view.curv.r04) == 0.0
+        assert scalars.residual(view.curv.r04_svk) == 0.0
         assert view.curv.tau == view.curv.tau_svk == 0
         assert view.rho_xi_xi == 0
 
@@ -42,14 +42,14 @@ def test_svk_curvature_relation_direct_vs_formula():
         ws = workspace(name)
         for view in (ws.g, ws.gt):
             formula = svk_curvature_formula(ws.s, view.curv.r04, view.shape, view.metric)
-            assert np.array_equal(view.curv.r04_svk.data, formula.data), name
+            assert np.array_equal(view.curv.r04_svk, formula), name
 
 
 def test_svk_curvature_on_parallel_entry_is_projected_base():
     # with a vanishing shape operator the relation collapses to the
     # double-phi projection of the base curvature, checked over all quadruples
     ws = workspace("nil5-u1")
-    r, rd = ws.g.curv.r04.data, ws.g.curv.r04_svk.data
+    r, rd = ws.g.curv.r04, ws.g.curv.r04_svk
     phi2 = ws.s.phi2
     dim = ws.s.dim
     for i, j, k, l in product(range(dim), repeat=4):
@@ -68,7 +68,7 @@ def test_svk_ricci_and_scalar_relations():
             rho_formula = svk_ricci_formula(
                 ws.s, view.curv.r04, view.curv.rho, view.shape, view.metric
             )
-            assert np.array_equal(view.curv.rho_svk.data, rho_formula.data), name
+            assert np.array_equal(view.curv.rho_svk, rho_formula), name
             tau_formula = svk_scalar_formula(view.curv.tau, view.rho_xi_xi, view.shape)
             assert view.curv.tau_svk == tau_formula, name
 
@@ -91,7 +91,7 @@ def test_curvature_reeb_identity_over_basis_pairs():
 def test_section_types_on_dim5_entry():
     ws = workspace("dim5-tr")
     e0, e1, e2 = scalars.eye(5, RATIONAL)[:3]
-    kind, _ = section_type(SectionPlane(e0, ws.s.xi_v), ws.s, ws.s.metric)
+    kind, _ = section_type(SectionPlane(e0, ws.s.xi), ws.s, ws.s.metric)
     assert kind == XI_SECTION
     kind, _ = section_type(SectionPlane(e0, e2), ws.s, ws.s.metric)
     assert kind == HOLOMORPHIC
@@ -103,7 +103,7 @@ def test_section_types_on_dim5_entry():
     kind, _ = section_type(mixed, ws.s, ws.s.metric)
     assert kind == GENERIC
     # totally-real but not orthogonal to the Reeb vector
-    tilted = SectionPlane(e0 + ws.s.xi_v, e1)
+    tilted = SectionPlane(e0 + ws.s.xi, e1)
     kind, ortho = section_type(tilted, ws.s, ws.s.metric)
     assert kind == TOTALLY_REAL and not ortho
 
@@ -146,11 +146,11 @@ def test_reeb_sections_flat_for_svk():
         for view in (ws.g, ws.gt):
             for i in range(ws.s.dim):
                 e = scalars.eye(ws.s.dim, RATIONAL)[i]
-                h = e - (ws.s.eta_v @ e) * ws.s.xi_v
+                h = e - (ws.s.eta @ e) * ws.s.xi
                 if scalars.residual(h) == 0.0:
                     continue
-                for x in (h, h + ws.s.phi_m @ h):
-                    plane = SectionPlane(x, ws.s.xi_v)
+                for x in (h, h + ws.s.phi @ h):
+                    plane = SectionPlane(x, ws.s.xi)
                     try:
                         k = sectional(view.curv.r04_svk, view.metric, plane, ws.s.eps)
                     except DegeneratePlaneError:
@@ -184,9 +184,9 @@ def test_sectional_holomorphic_correction():
 
     ws = workspace("dim5-tr")
     e0 = scalars.eye(5, RATIONAL)[0]
-    plane = SectionPlane(e0, ws.s.phi_m @ e0)
-    sx = ws.g.shape.operator.data @ plane.x
-    sy = ws.g.shape.operator.data @ plane.y
+    plane = SectionPlane(e0, ws.s.phi @ e0)
+    sx = ws.g.shape.operator @ plane.x
+    sy = ws.g.shape.operator @ plane.y
     corr = pi1(ws.s.metric, sx, sy, plane.y, plane.x) / plane.denominator(ws.s.metric)
     k_base = sectional(ws.g.curv.r04, ws.s.metric, plane, ws.s.eps)
     k_svk = sectional(ws.g.curv.r04_svk, ws.s.metric, plane, ws.s.eps)
@@ -202,8 +202,8 @@ def test_sectional_totally_real_correction():
     plane = SectionPlane(e0, e1)
     kind, ortho = section_type(plane, ws.s, ws.s.metric)
     assert kind == TOTALLY_REAL and ortho
-    sx = ws.g.shape.operator.data @ plane.x
-    sy = ws.g.shape.operator.data @ plane.y
+    sx = ws.g.shape.operator @ plane.x
+    sy = ws.g.shape.operator @ plane.y
     corr = pi1(ws.s.metric, sx, sy, plane.y, plane.x) / plane.denominator(ws.s.metric)
     k_svk = sectional(ws.g.curv.r04_svk, ws.s.metric, plane, ws.s.eps)
     assert k_svk == sectional(ws.g.curv.r04, ws.s.metric, plane, ws.s.eps) + corr
@@ -232,4 +232,4 @@ def test_ricci_xi_formula_pieces_nonzero():
     ws = workspace("solv3-f11")
     val = ricci_xi_formula(ws.s, ws.g.conn, ws.g.shape, ws.s.metric)
     assert val == ws.g.rho_xi_xi
-    assert scalars.residual(ws.g.shape.operator.data) > 0
+    assert scalars.residual(ws.g.shape.operator) > 0

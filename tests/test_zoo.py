@@ -15,7 +15,7 @@ def test_catalog_has_required_coverage():
     assert "abelian3" in names
     assert any(
         workspace(n).g.classification["U1"]
-        and scalars.residual(workspace(n).g.fundamental.data) > 0
+        and scalars.residual(workspace(n).g.fundamental) > 0
         for n in names
     )
     assert any(
@@ -37,7 +37,7 @@ def test_every_basic_class_realized_purely():
     realized = set()
     for name in zoo.names() + zoo.boundary_names():
         ws = workspace(name)
-        if scalars.residual(ws.g.fundamental.data) == 0:
+        if scalars.residual(ws.g.fundamental) == 0:
             continue
         flags = {
             f for f, v in ws.g.classification.membership.items()
@@ -88,12 +88,12 @@ def test_boundary_entries_swap_one_sided_classes():
     # two views
     for name in ("x-solv3-f9", "x-solv5-f9"):
         ws = workspace(name)
-        assert scalars.residual(ws.g.conn.nabla_of_constant(ws.s.xi_v)) > 0
-        assert scalars.residual(ws.gt.conn.nabla_of_constant(ws.s.xi_v)) == 0.0
+        assert scalars.residual(ws.g.conn.nabla_of_constant(ws.s.xi)) > 0
+        assert scalars.residual(ws.gt.conn.nabla_of_constant(ws.s.xi)) == 0.0
         assert ws.g.classification["F9"] and ws.gt.classification["F10"]
     ws = workspace("x-solv3-f10")
-    assert scalars.residual(ws.g.conn.nabla_of_constant(ws.s.xi_v)) == 0.0
-    assert scalars.residual(ws.gt.conn.nabla_of_constant(ws.s.xi_v)) > 0
+    assert scalars.residual(ws.g.conn.nabla_of_constant(ws.s.xi)) == 0.0
+    assert scalars.residual(ws.gt.conn.nabla_of_constant(ws.s.xi)) > 0
     assert ws.g.classification["F10"] and ws.gt.classification["F9"]
 
 
