@@ -2,7 +2,7 @@
 pair of Schouten-van Kampen connections, class membership, and an executable
 verification suite for the identities tying all of it together."""
 
-from .liegroup import Connection, LieAlgebra, StructureError, levi_civita
+from .liegroup import LieAlgebra, StructureError, levi_civita
 from .pipeline import Workspace
 from .scalars import DEFAULT_EPS, FLOAT, RATIONAL
 from .structure import ACBStructure, ClassificationReport, ValidationReport
@@ -11,7 +11,6 @@ from .tensor import DegenerateMetricError, Metric
 __all__ = [
     "ACBStructure",
     "ClassificationReport",
-    "Connection",
     "DEFAULT_EPS",
     "DegenerateMetricError",
     "FLOAT",

@@ -8,10 +8,8 @@ passes only with residual exactly zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -40,9 +38,10 @@ from .hv import (
     torsion_pi1_form,
     wedge_form_operator,
 )
-from .liegroup import covariant_derivative
+from .liegroup import covariant_derivative, nabla_of_constant, torsion
 from .pipeline import MetricView, Workspace
 from .structure import (
+    CheckResult,
     assoc_fundamental_from_fundamental,
     fundamental_from_potential,
     potential_from_fundamental,
@@ -60,24 +59,6 @@ from .svk import (
 
 # sampled planes per metric in the sectional-curvature checks
 PLANE_COUNT = 20
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One named result.  Checks that test arrays for zero are built as
-    ``CheckResult(name, *scalars.zero_test(arrays, eps, *context))``."""
-
-    name: str
-    passed: bool
-    residual: float
-    worst_index: Optional[tuple] = None
-    detail: str = ""
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        where = f" at {self.worst_index}" if self.worst_index else ""
-        extra = f"  [{self.detail}]" if self.detail else ""
-        return f"{status}  {self.name}  (max residual {self.residual:.3g}{where}){extra}"
 
 
 def _bool_result(name, booleans: dict[str, bool]) -> CheckResult:
@@ -114,7 +95,7 @@ def check_fundamental_identities(ws: Workspace):
             + np.einsum("z,xy->xyz", eta, fxiz)
         )
         # F(x, phi y, xi) = (nabla_x eta)(y) = m(nabla_x xi, y)
-        lam = np.einsum("ki,kj->ij", conn.nabla_of_constant(xi), m.matrix)
+        lam = np.einsum("ki,kj->ij", nabla_of_constant(conn, xi), m.matrix)
         neta = covariant_derivative(conn, s.eta, 0)
         yield CheckResult(
             f"fundamental-identities[{view.role}]",
@@ -124,12 +105,12 @@ def check_fundamental_identities(ws: Workspace):
                     f - proj,
                     np.einsum("xaz,ay,z->xy", f, phi, xi) - lam,
                     neta - lam,
-                    conn.torsion(ws.algebra),
+                    torsion(conn, s.algebra),
                     covariant_derivative(conn, m.matrix, 0),
                 ],
                 s.eps,
                 f,
-                conn.gamma,
+                conn,
                 m.matrix,
             ),
         )
@@ -173,7 +154,7 @@ def check_nabla_xi_table(ws: Workspace):
             *scalars.zero_test(
                 [a for arrays in conds.values() for a in arrays],
                 ws.s.eps,
-                view.conn.gamma,
+                view.conn,
             ),
             detail=f"classes checked: {', '.join(sorted(conds)) or 'none'}",
         )
@@ -215,7 +196,7 @@ def check_assoc_fundamental(ws: Workspace):
 
 def check_zero_class_equivalences(ws: Workspace):
     eps = ws.s.eps
-    gamma, gamma_t = ws.g.conn.gamma, ws.gt.conn.gamma
+    gamma, gamma_t = ws.g.conn, ws.gt.conn
     booleans = {
         "fundamental zero": scalars.is_zero(ws.g.fundamental, eps),
         "potential zero": scalars.is_zero(ws.pot, eps),
@@ -234,11 +215,11 @@ def check_svk_preserves_structure(ws: Workspace):
             *scalars.zero_test(
                 [
                     covariant_derivative(d, view.metric.matrix, 0),
-                    d.nabla_of_constant(s.xi),
+                    nabla_of_constant(d, s.xi),
                     covariant_derivative(d, s.eta, 0),
                 ],
                 s.eps,
-                d.gamma,
+                d,
                 view.metric.matrix,
             ),
         )
@@ -247,8 +228,8 @@ def check_svk_preserves_structure(ws: Workspace):
 def check_svk_two_routes(ws: Workspace):
     s = ws.s
     for view in (ws.g, ws.gt):
-        proj = svk_connection_projected(view.conn, s).gamma
-        d = view.svk.gamma
+        proj = svk_connection_projected(view.conn, s)
+        d = view.svk
         yield CheckResult(
             f"svk-projector-route[{view.role}]", *scalars.zero_test([proj - d], s.eps, d)
         )
@@ -260,7 +241,7 @@ def check_svk_distributions(ws: Workspace):
     pv = np.einsum("k,l->kl", xi, eta)
     ph = scalars.eye(s.dim, s.mode) - pv
     for view in (ws.g, ws.gt):
-        d = view.svk.gamma
+        d = view.svk
         horiz_stays = np.einsum("k,kim,mj->ij", eta, d, ph)
         vert_stays = np.einsum("kl,lim,mj->kij", ph, d, pv)
         yield CheckResult(
@@ -310,9 +291,9 @@ def check_torsion_potential_bijection(ws: Workspace):
 def check_svk_coincidence(ws: Workspace):
     s = ws.s
     for view in (ws.g, ws.gt):
-        gamma = view.conn.gamma
-        eq = scalars.is_zero(view.svk.gamma - gamma, s.eps, gamma)
-        par = scalars.is_zero(view.conn.nabla_of_constant(s.xi), s.eps, gamma)
+        gamma = view.conn
+        eq = scalars.is_zero(view.svk - gamma, s.eps, gamma)
+        par = scalars.is_zero(nabla_of_constant(gamma, s.xi), s.eps, gamma)
         yield _bool_result(
             f"svk-coincides-iff-reeb-parallel[{view.role}]",
             {"svk equals levi-civita": eq, "nabla xi zero": par},
@@ -321,19 +302,19 @@ def check_svk_coincidence(ws: Workspace):
 
 def check_reeb_parallel_transfer(ws: Workspace):
     s = ws.s
-    lc, lc_t = ws.g.conn.gamma, ws.gt.conn.gamma
+    lc, lc_t = ws.g.conn, ws.gt.conn
     booleans = {
-        "svk(g) = lc(g)": scalars.is_zero(ws.g.svk.gamma - lc, s.eps, lc),
-        "nabla xi = 0": scalars.is_zero(ws.g.conn.nabla_of_constant(s.xi), s.eps),
-        "svk(g~) = lc(g~)": scalars.is_zero(ws.gt.svk.gamma - lc_t, s.eps, lc_t),
-        "nabla~ xi = 0": scalars.is_zero(ws.gt.conn.nabla_of_constant(s.xi), s.eps),
+        "svk(g) = lc(g)": scalars.is_zero(ws.g.svk - lc, s.eps, lc),
+        "nabla xi = 0": scalars.is_zero(nabla_of_constant(lc, s.xi), s.eps),
+        "svk(g~) = lc(g~)": scalars.is_zero(ws.gt.svk - lc_t, s.eps, lc_t),
+        "nabla~ xi = 0": scalars.is_zero(nabla_of_constant(lc_t, s.xi), s.eps),
     }
     yield _bool_result("reeb-parallel-transfer", booleans)
 
 
 def check_svk_naturality(ws: Workspace):
     s = ws.s
-    d = ws.g.svk.gamma
+    d = ws.g.svk
     u2 = ws.g.classification["U2"]
     dphi_zero = scalars.is_zero(ws.g.svk_phi, s.eps, d)
     natural = svk_mod.is_natural(ws.g.svk, s, s.metric)
@@ -342,7 +323,7 @@ def check_svk_naturality(ws: Workspace):
         {"svk-phi zero": dphi_zero, "U2 condition": u2, "is-natural": natural},
     )
     if u2:
-        phib = svk_mod.phi_b_connection(ws.g.conn, s).gamma
+        phib = svk_mod.phi_b_connection(ws.g.conn, s)
         yield CheckResult(
             "phib-coincidence-on-u2", *scalars.zero_test([phib - d], s.eps, d)
         )
@@ -350,8 +331,8 @@ def check_svk_naturality(ws: Workspace):
 
 def check_svk_pair_coincide(ws: Workspace):
     s = ws.s
-    d = ws.g.svk.gamma
-    same = scalars.is_zero(ws.gt.svk.gamma - d, s.eps, d)
+    d = ws.g.svk
+    same = scalars.is_zero(ws.gt.svk - d, s.eps, d)
     # the potential-level condition that is exactly equivalent to the pair
     # coinciding: Phi(x,y) - eta(Phi(x,y)) xi - eta(y) Phi(x,xi) = 0
     p = ws.pot
@@ -373,8 +354,8 @@ def check_svk_pair_coincide(ws: Workspace):
 
 def check_svk_pair_routes(ws: Workspace):
     s = ws.s
-    via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, s).gamma
-    d = ws.gt.svk.gamma
+    via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, s)
+    d = ws.gt.svk
     yield CheckResult(
         "svk-pair-potential-route", *scalars.zero_test([via_pot - d], s.eps, d)
     )
@@ -407,12 +388,12 @@ def check_svk_phi_equalities(ws: Workspace):
             "F3+U3 condition": cls["F3+U3"],
         },
     )
-    assoc_natural = scalars.is_zero(dphi_t, eps, ws.gt.svk.gamma)
+    assoc_natural = scalars.is_zero(dphi_t, eps, ws.gt.svk)
     yield _bool_result(
         "assoc-svk-natural-iff",
         {"assoc svk-phi zero": assoc_natural, "F1+F2+U3 condition": cls["F1+F2+U3"]},
     )
-    both = scalars.is_zero(dphi, eps, ws.g.svk.gamma) and assoc_natural
+    both = scalars.is_zero(dphi, eps, ws.g.svk) and assoc_natural
     yield _bool_result(
         "both-svk-natural-iff-u3",
         {"both svk-phi zero": both, "U3 condition": cls["U3"]},
@@ -628,8 +609,8 @@ def sample_planes(ws: Workspace, view: MetricView, seed: int):
     attempts = 0
     while len(planes) < PLANE_COUNT and attempts < 60 * PLANE_COUNT:
         attempts += 1
-        x = _random_vector(rng, ws.s.dim, ws.mode)
-        y = _random_vector(rng, ws.s.dim, ws.mode)
+        x = _random_vector(rng, ws.s.dim, ws.s.mode)
+        y = _random_vector(rng, ws.s.dim, ws.s.mode)
         plane = SectionPlane(x, y)
         try:
             plane.check_nondegenerate(view.metric, ws.s.eps)
@@ -642,7 +623,7 @@ def sample_planes(ws: Workspace, view: MetricView, seed: int):
 def _horizontal_basis(ws: Workspace):
     """The nonzero horizontal parts of the basis vectors."""
     s = ws.s
-    parts = (svk_mod.project_h(s, e) for e in scalars.eye(s.dim, ws.mode))
+    parts = (svk_mod.project_h(s, e) for e in scalars.eye(s.dim, s.mode))
     return [h for h in parts if not scalars.is_zero(h, s.eps)]
 
 
@@ -694,7 +675,6 @@ def check_sectional_curvature(ws: Workspace, seed: int = 0):
 
         # invariance of the sectional value under change of plane basis
         rng = np.random.default_rng(seed + 17)
-        one = scalars.one(ws.mode)
         values, diffs = [], []
         for plane in planes[:5]:
             k = sectional(r04_svk, m, plane, eps)
@@ -703,8 +683,8 @@ def check_sectional_curvature(ws: Workspace, seed: int = 0):
                 if a * d - b * c == 0:
                     continue
                 other = SectionPlane(
-                    plane.x * (one * a) + plane.y * (one * b),
-                    plane.x * (one * c) + plane.y * (one * d),
+                    plane.x * a + plane.y * b,
+                    plane.x * c + plane.y * d,
                 )
                 try:
                     diffs.append(k - sectional(r04_svk, m, other, eps))

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import modelfile, scalars, zoo
-from .checks import CheckResult, run_checks
+from .checks import run_checks
 from .curvature import (
     DegeneratePlaneError,
     SectionPlane,
@@ -25,11 +25,32 @@ from .curvature import (
 from .modelfile import ModelFileError
 from .pipeline import Workspace
 from .scalars import DEFAULT_EPS, FLOAT, RATIONAL
-from .structure import ALL_FLAGS
+from .structure import ALL_FLAGS, CheckResult
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+
+
+def _checked(parse, check):
+    """An argparse type: ``parse`` the text, then ``check`` the value; a
+    rejected value is reported against its flag, with exit code 2."""
+
+    def convert(text: str):
+        value = parse(text)
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    convert.__name__ = parse.__name__  # argparse's "invalid <type> value"
+    return convert
+
+
+def _nonnegative(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"must be >= 0, got {n}")
+    return n
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -41,7 +62,7 @@ def _add_common(p: argparse.ArgumentParser):
     )
     p.add_argument(
         "--eps",
-        type=float,
+        type=_checked(float, scalars.check_eps),
         default=DEFAULT_EPS,
         help="absolute tolerance for float mode (default from BCONTACT_EPS or 1e-9)",
     )
@@ -180,13 +201,13 @@ def _parse_plane(args, ws: Workspace):
         dim = ws.s.dim
         if not (0 <= i < dim and 0 <= j < dim and i != j):
             raise ModelFileError(f"--plane indices must be distinct and < {dim}")
-        basis = scalars.eye(dim, ws.mode)
+        basis = scalars.eye(dim, ws.s.mode)
         return SectionPlane(basis[i], basis[j])
     if args.plane_vectors:
         try:
             xs, ys = args.plane_vectors.split(";")
-            x = scalars.array([t.strip() for t in xs.split(",")], ws.mode)
-            y = scalars.array([t.strip() for t in ys.split(",")], ws.mode)
+            x = scalars.array([t.strip() for t in xs.split(",")], ws.s.mode)
+            y = scalars.array([t.strip() for t in ys.split(",")], ws.s.mode)
         except Exception as exc:
             raise ModelFileError(f"bad --plane-vectors: {exc}")
         if x.shape != (ws.s.dim,) or y.shape != (ws.s.dim,):
@@ -301,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full identity suite")
     p.add_argument("path", nargs="?")
     p.add_argument("--zoo", action="store_true", help="verify every builtin entry")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled planes "
-                   "and, with --zoo, two extra generated entries")
+    p.add_argument("--seed", type=_checked(int, _nonnegative), default=None,
+                   help="seed for sampled planes and, with --zoo, two extra "
+                   "generated entries")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 

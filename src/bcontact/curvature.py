@@ -18,7 +18,7 @@ import numpy as np
 
 from . import scalars
 from .hv import ShapeData, pi1
-from .liegroup import Connection, LieAlgebra, covariant_derivative, curvature
+from .liegroup import LieAlgebra, covariant_derivative, curvature, nabla_of_constant
 from .structure import ACBStructure
 from .tensor import Metric, _rational_det
 
@@ -27,7 +27,7 @@ class DegeneratePlaneError(ValueError):
     """The 2-plane is degenerate for the metric in use."""
 
 
-def curvature_04(algebra: LieAlgebra, conn: Connection, m: Metric) -> np.ndarray:
+def curvature_04(algebra: LieAlgebra, conn: np.ndarray, m: Metric) -> np.ndarray:
     """(0,4) curvature R(x,y,z,w) = m(R(x,y)z, w)."""
     r13 = curvature(algebra, conn)
     return np.einsum("lijk,lw->ijkw", r13, m.matrix)
@@ -80,24 +80,18 @@ def svk_scalar_formula(tau_base, rho_xi_xi, shape: ShapeData):
     return tau_base - 2 * rho_xi_xi - s2 + shape.trace**2
 
 
-def ricci_xi_formula(
-    s: ACBStructure, conn: Connection, shape: ShapeData, m: Metric
-):
+def ricci_xi_formula(s: ACBStructure, conn: np.ndarray, shape: ShapeData, m: Metric):
     """rho(xi,xi) = tr(nabla_xi S) - div(S(xi)) - tr(S^2)."""
     xi = s.xi
     nS = covariant_derivative(conn, shape.operator, 1)  # [k, x, i]
     tr_nabla_xi_s = np.einsum("kxk,x->", nS, xi)
     s_xi = np.einsum("ki,i->k", shape.operator, xi)
-    div_s_xi = np.einsum(
-        "ij,ki,kj->", m.inv, conn.nabla_of_constant(s_xi), m.matrix
-    )
+    div_s_xi = np.einsum("ij,ki,kj->", m.inv, nabla_of_constant(conn, s_xi), m.matrix)
     s2 = np.trace(shape.operator @ shape.operator)
     return tr_nabla_xi_s - div_s_xi - s2
 
 
-def curvature_reeb_identity(
-    s: ACBStructure, conn: Connection, shape: ShapeData
-) -> np.ndarray:
+def curvature_reeb_identity(s: ACBStructure, conn: np.ndarray, shape: ShapeData) -> np.ndarray:
     """Residual of R(x,y) xi = -(nabla_x S) y + (nabla_y S) x over the basis."""
     r13 = curvature(s.algebra, conn)
     lhs = np.einsum("lijk,k->lij", r13, s.xi)
@@ -132,16 +126,12 @@ class CurvatureData:
 
 
 def curvature_data(
-    s: ACBStructure,
-    algebra: LieAlgebra,
-    conn: Connection,
-    svk_conn: Connection,
-    m: Metric,
+    s: ACBStructure, conn: np.ndarray, svk_conn: np.ndarray, m: Metric
 ) -> CurvatureData:
-    r04 = curvature_04(algebra, conn, m)
+    r04 = curvature_04(s.algebra, conn, m)
     rho = ricci(r04, m)
     tau = scalar_curvature(rho, m)
-    r04_d = curvature_04(algebra, svk_conn, m)
+    r04_d = curvature_04(s.algebra, svk_conn, m)
     rho_d = ricci(r04_d, m)
     tau_d = scalar_curvature(rho_d, m)
     return CurvatureData(r04, rho, tau, r04_d, rho_d, tau_d)

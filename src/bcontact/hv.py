@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalars
-from .liegroup import Connection, covariant_derivative, d_eta, lie_derivative_metric
+from .liegroup import covariant_derivative, d_eta, lie_derivative_metric, nabla_of_constant
 from .structure import ACBStructure
 from .tensor import Metric
 
@@ -37,8 +37,8 @@ class ShapeData:
         return np.trace(self.operator)
 
 
-def shape_operator(s: ACBStructure, conn: Connection, m: Metric) -> ShapeData:
-    op = -conn.nabla_of_constant(s.xi)  # [k, i] = component k of S(e_i)
+def shape_operator(s: ACBStructure, conn: np.ndarray, m: Metric) -> ShapeData:
+    op = -nabla_of_constant(conn, s.xi)  # [k, i] = component k of S(e_i)
     diamond = np.einsum("ki,kj->ij", op, m.matrix)
     return ShapeData(op, diamond)
 
@@ -80,7 +80,7 @@ def wedge_form_operator(alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def reference_components(
-    s: ACBStructure, conn: Connection, shape: ShapeData
+    s: ACBStructure, conn: np.ndarray, shape: ShapeData
 ) -> tuple[HVComponents, HVComponents]:
     """The two sets of closed forms the split components must reproduce:
 
@@ -89,7 +89,7 @@ def reference_components(
     through the shape data:  Q^h = S (x) eta,            Q^v = -S<> (x) xi,
                              T^h = -eta ^ S,             T^v = -2 Alt(S<>) (x) xi.
     """
-    nxi = conn.nabla_of_constant(s.xi)
+    nxi = nabla_of_constant(conn, s.xi)
     neta = covariant_derivative(conn, s.eta, 0)
     de = d_eta(s.algebra, s.eta)
     eta, xi = s.eta, s.xi
@@ -147,8 +147,8 @@ class ChainReport:
 
 def equivalence_chains(
     s: ACBStructure,
-    conn: Connection,
-    svk_conn: Connection,
+    conn: np.ndarray,
+    svk_conn: np.ndarray,
     shape: ShapeData,
     q: np.ndarray,
     t: np.ndarray,
@@ -187,17 +187,17 @@ def equivalence_chains(
         "vanishing": {
             "nabla-eta zero": [neta],
             "eta closed and reeb killing": [de, lg],
-            "nabla-xi zero": [conn.nabla_of_constant(s.xi)],
+            "nabla-xi zero": [nabla_of_constant(conn, s.xi)],
             "shape zero": [sop],
             "shape form zero": [sd],
-            "svk equals levi-civita": [svk_conn.gamma - conn.gamma],
+            "svk equals levi-civita": [svk_conn - conn],
         },
     }
     return tuple(
         ChainReport(
             name,
             {
-                k: scalars.zero_test(arrays, s.eps, conn.gamma)[0]
+                k: scalars.zero_test(arrays, s.eps, conn)[0]
                 for k, arrays in predicates.items()
             },
         )

@@ -3,7 +3,8 @@
 A Lie algebra with structure constants carries every tensor field of the
 model as an array of constant components; covariant derivatives then reduce
 to finite algebra in the connection coefficients, which is what makes exact
-verification possible at desk scale.
+verification possible at desk scale.  A connection is the array of those
+coefficients, ``gamma[k, i, j]`` with nabla_{e_i} e_j = gamma^k_{ij} e_k.
 """
 from __future__ import annotations
 
@@ -40,10 +41,6 @@ class LieAlgebra:
     def dim(self) -> int:
         return self.c.shape[0]
 
-    @property
-    def mode(self) -> str:
-        return scalars.mode_of(self.c)
-
     def _jacobiator(self) -> np.ndarray:
         c = self.c
         # [[e_i,e_j],e_k] = c^m_{ij} c^l_{mk}
@@ -56,37 +53,25 @@ class LieAlgebra:
         return np.einsum("kij,i,j->k", self.c, x, y)
 
 
-@dataclass(frozen=True)
-class Connection:
-    """Affine connection nabla_{e_i} e_j = gamma^k_{ij} e_k on a fixed model."""
-
-    gamma: np.ndarray  # (1,2), gamma[k,i,j]
-
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[0]
-
-    @property
-    def mode(self) -> str:
-        return scalars.mode_of(self.gamma)
-
-    def nabla_of_constant(self, v: np.ndarray) -> np.ndarray:
-        """(nabla v)[k, i] = component k of nabla_{e_i} v."""
-        return np.einsum("kim,m->ki", self.gamma, v)
-
-    def torsion(self, algebra: LieAlgebra) -> np.ndarray:
-        """T(x,y) = nabla_x y - nabla_y x - [x,y], as a (1,2) tensor."""
-        g = self.gamma
-        return g - np.swapaxes(g, 1, 2) - algebra.c
+def nabla_of_constant(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(nabla v)[k, i] = component k of nabla_{e_i} v, for the connection
+    with coefficients ``gamma``."""
+    return np.einsum("kim,m->ki", gamma, v)
 
 
-def levi_civita(algebra: LieAlgebra, m: Metric) -> Connection:
+def torsion(gamma: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
+    """T(x,y) = nabla_x y - nabla_y x - [x,y], as a (1,2) tensor."""
+    return gamma - np.swapaxes(gamma, 1, 2) - algebra.c
+
+
+def levi_civita(algebra: LieAlgebra, m: Metric) -> np.ndarray:
     """Levi-Civita connection of a left-invariant metric via the Koszul formula
 
         2 m(nabla_x y, z) = m([x,y],z) - m([y,z],x) + m([z,x],y),
 
-    the only surviving terms for constant-component fields.  Torsion-freeness
-    and metric compatibility are checked by ``fundamental-identities``.
+    the only surviving terms for constant-component fields.  Returns the
+    coefficient array ``gamma``; torsion-freeness and metric compatibility
+    are checked by ``fundamental-identities``.
     """
     c, g = algebra.c, m.matrix
     rhs = (
@@ -94,11 +79,10 @@ def levi_civita(algebra: LieAlgebra, m: Metric) -> Connection:
         - np.einsum("ljk,li->ijk", c, g)
         + np.einsum("lki,lj->ijk", c, g)
     )
-    gamma = np.einsum("ijk,km->mij", rhs, m.inv) * scalars.half(m.mode)
-    return Connection(gamma)
+    return np.einsum("ijk,km->mij", rhs, m.inv) / 2
 
 
-def covariant_derivative(conn: Connection, t: np.ndarray, up: int) -> np.ndarray:
+def covariant_derivative(gamma: np.ndarray, t: np.ndarray, up: int) -> np.ndarray:
     """Covariant derivative of a constant-component tensor field with ``up``
     contravariant slots, stored first, and covariant slots after them.
 
@@ -106,8 +90,7 @@ def covariant_derivative(conn: Connection, t: np.ndarray, up: int) -> np.ndarray
     yields valence (r, s+1) with (nabla t)(x, y_1, ..., y_s) = (nabla_x t)(y_1, ...).
     Only connection terms survive since all components are constant.
     """
-    gamma = conn.gamma
-    out = scalars.zeros((conn.dim,) * (t.ndim + 1), conn.mode)
+    out = scalars.zeros((gamma.shape[0],) * (t.ndim + 1), scalars.mode_of(gamma))
     src = "abcdefgh"[: t.ndim]
     ups, downs = src[:up], src[up:]
     # result axes: up-axes of t, then direction axis, then down-axes of t
@@ -120,12 +103,10 @@ def covariant_derivative(conn: Connection, t: np.ndarray, up: int) -> np.ndarray
     return out
 
 
-def curvature(algebra: LieAlgebra, conn: Connection) -> np.ndarray:
+def curvature(algebra: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
     """Curvature R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_{[x,y]} z
     as a (1,3) tensor with r[l, i, j, k] = component l of R(e_i, e_j) e_k."""
-    if algebra.dim != conn.dim:
-        raise ValueError("algebra and connection dimensions differ")
-    g, c = conn.gamma, algebra.c
+    g, c = gamma, algebra.c
     return (
         np.einsum("mjk,lim->lijk", g, g)
         - np.einsum("mik,ljm->lijk", g, g)
@@ -138,9 +119,9 @@ def d_eta(algebra: LieAlgebra, eta: np.ndarray) -> np.ndarray:
     return -np.einsum("kij,k->ij", algebra.c, eta)
 
 
-def lie_derivative_metric(conn: Connection, xi: np.ndarray, m: Metric) -> np.ndarray:
+def lie_derivative_metric(gamma: np.ndarray, xi: np.ndarray, m: Metric) -> np.ndarray:
     """(L_xi g)(x,y) = g(nabla_x xi, y) + g(nabla_y xi, x) for torsion-free nabla."""
-    nxi = conn.nabla_of_constant(xi)  # [k, i]
+    nxi = nabla_of_constant(gamma, xi)  # [k, i]
     low = np.einsum("ki,kj->ij", nxi, m.matrix)
     return low + low.T
 

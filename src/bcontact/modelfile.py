@@ -25,7 +25,7 @@ class ModelFileError(ValueError):
 
 def _canonical_scalar(tok) -> str:
     try:
-        return str(Fraction(tok) if not isinstance(tok, float) else Fraction(tok).limit_denominator(10**12))
+        return str(scalars.exact(tok))
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ModelFileError(f"bad scalar {tok!r}: {exc}") from exc
 
@@ -83,7 +83,7 @@ def canonicalize(doc: dict) -> dict:
 
 
 def _negate(tok) -> str:
-    return str(-Fraction(str(tok)))
+    return str(-Fraction(_canonical_scalar(tok)))
 
 
 def dumps(doc: dict) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 from . import scalars
 from .curvature import CurvatureData, curvature_data
 from .hv import ShapeData, shape_operator
-from .liegroup import Connection, covariant_derivative, levi_civita
+from .liegroup import covariant_derivative, levi_civita, torsion
 from .structure import (
     ACBStructure,
     ClassificationReport,
@@ -25,7 +25,6 @@ from .structure import (
     ValidationReport,
     associated_of,
     classify,
-    connection_potential,
     divergences,
     fundamental_tensor,
     lee_forms,
@@ -55,8 +54,9 @@ class MetricView:
         return self.ws.gt if self is self.ws.g else self.ws.g
 
     @_cached
-    def conn(self) -> Connection:
-        return levi_civita(self.ws.algebra, self.metric)
+    def conn(self) -> np.ndarray:
+        """Coefficients of the Levi-Civita connection of this metric."""
+        return levi_civita(self.ws.s.algebra, self.metric)
 
     @_cached
     def fundamental(self) -> np.ndarray:
@@ -82,7 +82,7 @@ class MetricView:
     def partner_potential(self) -> np.ndarray:
         """(1,2) potential of the partner's Levi-Civita connection with
         respect to this one."""
-        return connection_potential(self.conn, self.partner.conn)
+        return self.partner.conn - self.conn
 
     @_cached
     def partner_potential03(self) -> np.ndarray:
@@ -104,18 +104,19 @@ class MetricView:
         )
 
     @_cached
-    def svk(self) -> Connection:
+    def svk(self) -> np.ndarray:
+        """Coefficients of the Schouten-van Kampen connection of this metric."""
         return svk_connection(self.conn, self.ws.s)
 
     @_cached
     def potential(self) -> np.ndarray:
         """(1,2) Q = D - nabla of the SvK connection."""
-        return connection_potential(self.conn, self.svk)
+        return self.svk - self.conn
 
     @_cached
     def torsion(self) -> np.ndarray:
         """(1,2) T of the SvK connection."""
-        return self.svk.torsion(self.ws.algebra)
+        return torsion(self.svk, self.ws.s.algebra)
 
     @_cached
     def potential03(self) -> np.ndarray:
@@ -136,9 +137,7 @@ class MetricView:
 
     @_cached
     def curv(self) -> CurvatureData:
-        return curvature_data(
-            self.ws.s, self.ws.algebra, self.conn, self.svk, self.metric
-        )
+        return curvature_data(self.ws.s, self.conn, self.svk, self.metric)
 
     @_cached
     def rho_xi_xi(self):
@@ -152,8 +151,6 @@ class Workspace:
 
     def __init__(self, s: ACBStructure):
         self.s = s
-        self.algebra = s.algebra
-        self.mode = s.mode
         self.g = MetricView(self, "g", s.metric)
 
     @cached_property

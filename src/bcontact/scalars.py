@@ -12,6 +12,7 @@ per model when it is loaded and carried on the structure.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from fractions import Fraction
 from typing import Union
@@ -26,21 +27,30 @@ ScalarLike = Union[int, float, str, Fraction]
 DEFAULT_EPS = float(os.environ.get("BCONTACT_EPS", "1e-9"))
 
 
+def check_eps(eps: float) -> float:
+    """``eps`` if it can serve as a tolerance: a finite number >= 0."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"must be a finite number >= 0, got {eps!r}")
+    return eps
+
+
+def exact(tok: ScalarLike) -> Fraction:
+    """The exact value of a scalar token ("p/q", decimal string, int, float).
+
+    A float reads as its shortest decimal, so the number 1e-13 and the string
+    "1e-13" are the same value; a non-finite float raises ValueError.
+    """
+    if isinstance(tok, (float, np.floating)):
+        return Fraction(repr(float(tok)))
+    return Fraction(tok)
+
+
 def parse_scalar(tok: ScalarLike, mode: str):
-    """Parse a scalar token ("p/q", decimal string, int, float) into the backend type."""
-    if isinstance(tok, Fraction):
-        val = tok
-    elif isinstance(tok, str):
-        val = Fraction(tok)  # accepts "3", "-1/2", "0.25"
-    elif isinstance(tok, (int, np.integer)):
-        val = Fraction(int(tok))
-    elif isinstance(tok, (float, np.floating)):
-        if mode == RATIONAL:
-            val = Fraction(tok).limit_denominator(10**12)
-        else:
-            return float(tok)
-    else:
-        raise TypeError(f"cannot parse scalar of type {type(tok)!r}")
+    """Parse a scalar token into the backend type; float mode keeps a float
+    token as it is."""
+    if mode != RATIONAL and isinstance(tok, (float, np.floating)):
+        return float(tok)
+    val = exact(tok)
     return val if mode == RATIONAL else float(val)
 
 
@@ -75,21 +85,12 @@ def array(nested, mode: str) -> np.ndarray:
 def eye(dim: int, mode: str) -> np.ndarray:
     """Identity matrix in the backend type."""
     out = zeros((dim, dim), mode)
-    for i in range(dim):
-        out[i, i] = one(mode)
+    np.fill_diagonal(out, parse_scalar(1, mode))
     return out
 
 
 def mode_of(arr: np.ndarray) -> str:
     return RATIONAL if arr.dtype == object else FLOAT
-
-
-def one(mode: str):
-    return Fraction(1) if mode == RATIONAL else 1.0
-
-
-def half(mode: str):
-    return Fraction(1, 2) if mode == RATIONAL else 0.5
 
 
 def to_float(arr: np.ndarray) -> np.ndarray:

@@ -14,38 +14,51 @@ derivation route, compared with the primary one by the check suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import scalars
-from .liegroup import Connection, LieAlgebra, covariant_derivative
+from .liegroup import LieAlgebra, covariant_derivative, nabla_of_constant
 from .tensor import Metric, sharp
 
 
 @dataclass(frozen=True)
-class IdentityCheck:
+class CheckResult:
+    """One named result of an axiom or of a check.  Zero tests are built as
+    ``CheckResult(name, *scalars.zero_test(arrays, eps, *context))``."""
+
     name: str
     passed: bool
     residual: float
     worst_index: Optional[tuple] = None
+    detail: str = ""
 
     def __str__(self):
+        """The axiom line printed by ``validate`` and for a broken model."""
         status = "ok" if self.passed else "FAIL"
         where = "" if self.worst_index is None else f" at {self.worst_index}"
         return f"{self.name}: {status} (residual {self.residual:.3g}{where})"
 
+    def line(self) -> str:
+        """The check line printed by ``verify``."""
+        status = "PASS" if self.passed else "FAIL"
+        where = f" at {self.worst_index}" if self.worst_index else ""
+        extra = f"  [{self.detail}]" if self.detail else ""
+        return f"{status}  {self.name}  (max residual {self.residual:.3g}{where}){extra}"
+
 
 @dataclass(frozen=True)
 class ValidationReport:
-    checks: list[IdentityCheck]
+    checks: list[CheckResult]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[IdentityCheck]:
+    def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
 
@@ -86,7 +99,7 @@ class ACBStructure:
 
     @property
     def mode(self) -> str:
-        return self.algebra.mode
+        return scalars.mode_of(self.phi)
 
     @property
     def phi2(self) -> np.ndarray:
@@ -109,17 +122,16 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
     with residual 1, like a wrong signature."""
     n, eps = s.n, s.eps
     phi, xi, eta, g = s.phi, s.xi, s.eta, s.metric.matrix
-    one = scalars.one(s.mode)
 
     def row(name, arr, *context):
-        return IdentityCheck(name, *scalars.zero_test([arr], eps, *context))
+        return CheckResult(name, *scalars.zero_test([arr], eps, *context))
 
     def b_metric(m):
         return np.einsum("mi,rj,mr->ij", phi, phi, m) + m - np.einsum("i,j->ij", eta, eta)
 
     def signature(name, m: Metric):
         ok = m.signature == (n + 1, n)
-        return IdentityCheck(name, ok, 0.0 if ok else 1.0)
+        return CheckResult(name, ok, 0.0 if ok else 1.0)
 
     checks = [
         row("phi(xi) = 0", phi @ xi, phi),
@@ -129,9 +141,9 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
             phi,
         ),
         row("eta o phi = 0", eta @ phi, phi),
-        row("eta(xi) = 1", eta @ xi - one),
+        row("eta(xi) = 1", eta @ xi - 1),
         row("g(phi x, phi y) = -g(x,y) + eta(x) eta(y)", b_metric(g), g),
-        row("g(xi, xi) = 1", s.metric.inner(xi, xi) - one, g),
+        row("g(xi, xi) = 1", s.metric.inner(xi, xi) - 1, g),
         row("g(xi, .) = eta", np.einsum("ij,i->j", g, xi) - eta, g),
         signature(f"signature of g is ({n + 1},{n})", s.metric),
     ]
@@ -141,11 +153,11 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
         "g~ is itself a B-metric",
     ]
     if not all(c.passed for c in checks):
-        return ValidationReport(checks + [IdentityCheck(k, False, 1.0) for k in assoc_names])
+        return ValidationReport(checks + [CheckResult(k, False, 1.0) for k in assoc_names])
     gt = s.assoc
     checks += [
         signature(assoc_names[0], gt),
-        row(assoc_names[1], gt.inner(xi, xi) - one, gt.matrix),
+        row(assoc_names[1], gt.inner(xi, xi) - 1, gt.matrix),
         row(assoc_names[2], b_metric(gt.matrix), gt.matrix),
     ]
     return ValidationReport(checks)
@@ -155,7 +167,7 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
 # fundamental tensor and Lee forms
 # ---------------------------------------------------------------------------
 
-def fundamental_tensor(s: ACBStructure, conn: Connection, m: Metric) -> np.ndarray:
+def fundamental_tensor(s: ACBStructure, conn: np.ndarray, m: Metric) -> np.ndarray:
     """F(x,y,z) = m((nabla_x phi) y, z) for the Levi-Civita connection of m.
 
     Its defining symmetries are checked by ``fundamental-identities``.
@@ -200,7 +212,7 @@ def lee_forms(s: ACBStructure, f: np.ndarray, m: Metric) -> LeeForms:
     return LeeForms(theta, theta_star, omega, sharp(omega, m))
 
 
-def divergences(s: ACBStructure, conn: Connection, m: Metric, m_assoc: Metric):
+def divergences(s: ACBStructure, conn: np.ndarray, m: Metric, m_assoc: Metric):
     """div(eta) and div*(eta) for the structure carried by the metric m.
 
     Both divergences contract the same covariant derivative of eta (taken
@@ -218,11 +230,6 @@ def divergences(s: ACBStructure, conn: Connection, m: Metric, m_assoc: Metric):
 # ---------------------------------------------------------------------------
 # potential of the second Levi-Civita connection and the conversion formulas
 # ---------------------------------------------------------------------------
-
-def connection_potential(conn_from: Connection, conn_to: Connection) -> np.ndarray:
-    """Potential of conn_to with respect to conn_from, as a (1,2) tensor."""
-    return conn_to.gamma - conn_from.gamma
-
 
 def potential_from_fundamental(s: ACBStructure, f: np.ndarray, lee: LeeForms) -> np.ndarray:
     """Closed form of the potential (0,3) tensor in terms of F:
@@ -261,7 +268,7 @@ def potential_from_fundamental(s: ACBStructure, f: np.ndarray, lee: LeeForms) ->
         + np.einsum("y,xz->xyz", eta, b)
         + np.einsum("z,xy->xyz", eta, zc)
     )
-    return two_phi * scalars.half(s.mode)
+    return two_phi / 2
 
 
 def fundamental_from_potential(s: ACBStructure, phi03: np.ndarray) -> np.ndarray:
@@ -278,12 +285,11 @@ def fundamental_from_potential(s: ACBStructure, phi03: np.ndarray) -> np.ndarray
     pfirst = np.einsum("mxy,m->xy", p, xi)  # Phi(xi,x,y)
     pfirstphi = np.einsum("mxa,m,ay->xy", p, xi, phi)  # Phi(xi,x,phi y)
     bracket = pxi - pxiphiy + pfirst - pfirstphi  # indexed [x,y]
-    h = scalars.half(s.mode)
     return (
         p_xyphiz
         + np.einsum("xyz->xzy", p_xyphiz)
-        + np.einsum("z,xy->xyz", eta, bracket) * h
-        + np.einsum("y,xz->xyz", eta, bracket) * h
+        + np.einsum("z,xy->xyz", eta, bracket) / 2
+        + np.einsum("y,xz->xyz", eta, bracket) / 2
     )
 
 
@@ -315,7 +321,7 @@ def assoc_fundamental_from_fundamental(s: ACBStructure, f: np.ndarray) -> np.nda
         + np.einsum("y,xz->xyz", eta, by)
         + np.einsum("z,xy->xyz", eta, by)
     )
-    return two_ft * scalars.half(s.mode)
+    return two_ft / 2
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +352,7 @@ class ClassificationReport:
 
 def _inv2n(s: ACBStructure):
     """1 / 2n in the structure's scalar mode."""
-    return scalars.one(s.mode) / (2 * s.n)
+    return scalars.parse_scalar(Fraction(1, 2 * s.n), s.mode)
 
 
 def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
@@ -416,8 +422,8 @@ def classify(
     f: np.ndarray,
     lee: LeeForms,
     m: Metric,
-    conn: Connection,
-    conn_partner: Connection,
+    conn: np.ndarray,
+    conn_partner: np.ndarray,
     pot03: np.ndarray,
     div_pair,
     metric_role: str = "g",
@@ -433,8 +439,8 @@ def classify(
     phi, xi, eta = s.phi, s.xi, s.eta
     phi2 = s.phi2
     conds = {"F0": [f], **_class_conditions(s, f, lee, m)}
-    conds["U1"] = [conn.nabla_of_constant(xi)]
-    conds["U1_assoc"] = [conn_partner.nabla_of_constant(xi)]
+    conds["U1"] = [nabla_of_constant(conn, xi)]
+    conds["U1_assoc"] = [nabla_of_constant(conn_partner, xi)]
 
     fxi = np.einsum("xym,m->xy", f, xi)
     conds["U2"] = [f - np.einsum("xy,z->xyz", fxi, eta) - np.einsum("xz,y->xyz", fxi, eta)]
@@ -468,7 +474,7 @@ def classify(
 
 def nabla_xi_class_conditions(
     s: ACBStructure,
-    conn: Connection,
+    conn: np.ndarray,
     m: Metric,
     lee: LeeForms,
     div_pair,
@@ -484,7 +490,7 @@ def nabla_xi_class_conditions(
       F11: nabla xi = eta (x) (phi omega#)
     """
     phi, xi, eta = s.phi, s.xi, s.eta
-    nxi = conn.nabla_of_constant(xi)  # [k, i]
+    nxi = nabla_of_constant(conn, xi)  # [k, i]
     lam = np.einsum("ki,kj->ij", nxi, m.matrix)  # m(nabla_{e_i} xi, e_j)
     lam_phiphi = np.einsum("ab,ai,bj->ij", lam, phi, phi)
     div, div_star = div_pair

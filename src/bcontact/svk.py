@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import scalars
-from .liegroup import Connection, covariant_derivative, d_eta
+from .liegroup import covariant_derivative, d_eta, nabla_of_constant
 from .structure import ACBStructure
 from .tensor import Metric
 
@@ -23,51 +23,40 @@ def project_h(s: ACBStructure, x: np.ndarray) -> np.ndarray:
     return x - (s.eta @ x) * s.xi
 
 
-def _nabla_xi(conn: Connection, s: ACBStructure) -> np.ndarray:
-    return conn.nabla_of_constant(s.xi)  # [k, i]
-
-
-def _nabla_eta(conn: Connection, s: ACBStructure) -> np.ndarray:
-    return covariant_derivative(conn, s.eta, 0)  # [i, j]
-
-
-def svk_connection(conn: Connection, s: ACBStructure) -> Connection:
+def svk_connection(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """The Schouten-van Kampen connection of a Levi-Civita connection, via the
     closed form D_x y = nabla_x y - eta(y) nabla_x xi + (nabla_x eta)(y) xi."""
-    nxi = _nabla_xi(conn, s)
-    neta = _nabla_eta(conn, s)
-    gamma = (
-        conn.gamma
+    nxi = nabla_of_constant(conn, s.xi)  # [k, i]
+    neta = covariant_derivative(conn, s.eta, 0)  # [i, j]
+    return (
+        conn
         - np.einsum("j,ki->kij", s.eta, nxi)
         + np.einsum("ij,k->kij", neta, s.xi)
     )
-    return Connection(gamma)
 
 
-def svk_connection_projected(conn: Connection, s: ACBStructure) -> Connection:
+def svk_connection_projected(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """Projector route D_x y = (nabla_x y^h)^h + (nabla_x y^v)^v.
 
     Independent of the closed form above; the two must agree exactly.
     """
     pv = np.einsum("k,l->kl", s.xi, s.eta)
     ph = scalars.eye(s.dim, s.mode) - pv
-    g = conn.gamma
-    gamma = np.einsum("kl,lim,mj->kij", ph, g, ph) + np.einsum(
-        "kl,lim,mj->kij", pv, g, pv
+    return np.einsum("kl,lim,mj->kij", ph, conn, ph) + np.einsum(
+        "kl,lim,mj->kij", pv, conn, pv
     )
-    return Connection(gamma)
 
 
-def svk_potential_closed(conn: Connection, s: ACBStructure) -> np.ndarray:
+def svk_potential_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """Q(x,y) = -eta(y) nabla_x xi + (nabla_x eta)(y) xi."""
-    nxi = _nabla_xi(conn, s)
-    neta = _nabla_eta(conn, s)
+    nxi = nabla_of_constant(conn, s.xi)
+    neta = covariant_derivative(conn, s.eta, 0)
     return -np.einsum("j,ki->kij", s.eta, nxi) + np.einsum("ij,k->kij", neta, s.xi)
 
 
-def svk_torsion_closed(conn: Connection, s: ACBStructure) -> np.ndarray:
+def svk_torsion_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """T(x,y) = eta(x) nabla_y xi - eta(y) nabla_x xi + d eta(x,y) xi."""
-    nxi = _nabla_xi(conn, s)
+    nxi = nabla_of_constant(conn, s.xi)
     de = d_eta(s.algebra, s.eta)
     return (
         np.einsum("i,kj->kij", s.eta, nxi)
@@ -92,22 +81,22 @@ def potential_from_torsion(t: np.ndarray, eps: float) -> np.ndarray:
         raise ValueError("torsion must be antisymmetric in its first two slots")
     # out[x,y,z] = T(x,y,z) - T(y,z,x) + T(z,x,y)
     q2 = t - np.einsum("yzx->xyz", t) + np.einsum("zxy->xyz", t)
-    return q2 * scalars.half(scalars.mode_of(t))
+    return q2 / 2
 
 
 # ---------------------------------------------------------------------------
 # covariant derivative of phi and naturality
 # ---------------------------------------------------------------------------
 
-def svk_covariant_phi_closed(conn: Connection, s: ACBStructure) -> np.ndarray:
+def svk_covariant_phi_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """(D_x phi) y = (nabla_x phi) y + eta(y) phi nabla_x xi + (nabla_x eta)(phi y) xi,
 
     expressing the Schouten-van Kampen derivative of phi through the base
     connection alone.
     """
     nphi = covariant_derivative(conn, s.phi, 1)  # [l, x, y]
-    nxi = _nabla_xi(conn, s)
-    neta = _nabla_eta(conn, s)
+    nxi = nabla_of_constant(conn, s.xi)
+    neta = covariant_derivative(conn, s.eta, 0)
     return (
         nphi
         + np.einsum("j,km,mi->kij", s.eta, s.phi, nxi)
@@ -115,52 +104,49 @@ def svk_covariant_phi_closed(conn: Connection, s: ACBStructure) -> np.ndarray:
     )
 
 
-def is_natural(conn: Connection, s: ACBStructure, m: Metric) -> bool:
+def is_natural(conn: np.ndarray, s: ACBStructure, m: Metric) -> bool:
     """A connection is natural for the structure when phi, xi, eta and the
     metric are all parallel."""
     ok_phi = scalars.is_zero(covariant_derivative(conn, s.phi, 1), s.eps, s.phi)
-    ok_xi = scalars.is_zero(conn.nabla_of_constant(s.xi), s.eps)
+    ok_xi = scalars.is_zero(nabla_of_constant(conn, s.xi), s.eps)
     ok_eta = scalars.is_zero(covariant_derivative(conn, s.eta, 0), s.eps)
     ok_m = scalars.is_zero(covariant_derivative(conn, m.matrix, 0), s.eps, m.matrix)
     return ok_phi and ok_xi and ok_eta and ok_m
 
 
-def phi_b_connection(conn: Connection, s: ACBStructure) -> Connection:
+def phi_b_connection(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """The phiB-connection
 
     nabla*_x y = nabla_x y + 1/2 {(nabla_x phi) phi y + (nabla_x eta)(y) xi}
                - eta(y) nabla_x xi.
     """
     nphi = covariant_derivative(conn, s.phi, 1)
-    nxi = _nabla_xi(conn, s)
-    neta = _nabla_eta(conn, s)
-    h = scalars.half(s.mode)
-    gamma = (
-        conn.gamma
-        + (np.einsum("kim,mj->kij", nphi, s.phi) + np.einsum("ij,k->kij", neta, s.xi)) * h
+    nxi = nabla_of_constant(conn, s.xi)
+    neta = covariant_derivative(conn, s.eta, 0)
+    return (
+        conn
+        + (np.einsum("kim,mj->kij", nphi, s.phi) + np.einsum("ij,k->kij", neta, s.xi)) / 2
         - np.einsum("j,ki->kij", s.eta, nxi)
     )
-    return Connection(gamma)
 
 
 # ---------------------------------------------------------------------------
 # relations between the two connections of the pair
 # ---------------------------------------------------------------------------
 
-def svk_pair_from_potential(svk: Connection, p: np.ndarray, s: ACBStructure) -> Connection:
+def svk_pair_from_potential(svk: np.ndarray, p: np.ndarray, s: ACBStructure) -> np.ndarray:
     """Second connection of the pair from the first and the potential of the
     second Levi-Civita connection:
 
     D~_x y = D_x y + Phi(x,y) - eta(Phi(x,y)) xi - eta(y) Phi(x,xi).
     """
     p_xi = np.einsum("lim,m->li", p, s.xi)  # Phi(x, xi)
-    gamma = (
-        svk.gamma
+    return (
+        svk
         + p
         - np.einsum("m,mij,k->kij", s.eta, p, s.xi)
         - np.einsum("j,ki->kij", s.eta, p_xi)
     )
-    return Connection(gamma)
 
 
 def svk_pair_covariant_phi(dphi: np.ndarray, p: np.ndarray, s: ACBStructure) -> np.ndarray:

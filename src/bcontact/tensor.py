@@ -118,10 +118,6 @@ class Metric:
     inv: np.ndarray = field(repr=False)
     signature: tuple[int, int]
 
-    @property
-    def mode(self) -> str:
-        return scalars.mode_of(self.matrix)
-
     @classmethod
     def from_matrix(cls, m: np.ndarray, eps: float) -> "Metric":
         if not scalars.is_zero(m - m.T, eps):

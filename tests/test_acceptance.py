@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from bcontact import modelfile, scalars, zoo
-from bcontact.liegroup import levi_civita
+from bcontact.liegroup import levi_civita, nabla_of_constant
 from bcontact.scalars import FLOAT, RATIONAL
 from bcontact.structure import fundamental_tensor, validate_structure
 from bcontact.svk import phi_b_connection
@@ -91,10 +91,10 @@ def test_criterion_4_coincidence_booleans():
     for name in NAMES:
         ws = workspace(name)
         bools = [
-            scalars.residual(ws.g.svk.gamma - ws.g.conn.gamma) == 0.0,
-            scalars.residual(ws.g.conn.nabla_of_constant(ws.s.xi)) == 0.0,
-            scalars.residual(ws.gt.svk.gamma - ws.gt.conn.gamma) == 0.0,
-            scalars.residual(ws.gt.conn.nabla_of_constant(ws.s.xi)) == 0.0,
+            scalars.residual(ws.g.svk - ws.g.conn) == 0.0,
+            scalars.residual(nabla_of_constant(ws.g.conn, ws.s.xi)) == 0.0,
+            scalars.residual(ws.gt.svk - ws.gt.conn) == 0.0,
+            scalars.residual(nabla_of_constant(ws.gt.conn, ws.s.xi)) == 0.0,
         ]
         assert len(set(bools)) == 1, (name, bools)
         values.append(bools[0])
@@ -114,15 +114,15 @@ def test_criterion_5_natural_connection_coincidences():
             continue
         u2_seen += 1
         phib = phi_b_connection(ws.g.conn, ws.s)
-        assert np.array_equal(phib.gamma, ws.g.svk.gamma), name
-        assert np.array_equal(ws.gt.svk.gamma, ws.g.svk.gamma), name
+        assert np.array_equal(phib, ws.g.svk), name
+        assert np.array_equal(ws.gt.svk, ws.g.svk), name
         assert scalars.residual(ws.g.svk_phi) == 0.0, name
     assert u2_seen >= 2
     ws = workspace("nil5-f2")  # outside the vertical union: all three fail
     phib = phi_b_connection(ws.g.conn, ws.s)
-    d, dt = ws.g.svk.gamma, ws.gt.svk.gamma
-    assert scalars.residual(d - phib.gamma) > 0
-    assert scalars.residual(phib.gamma - dt) > 0
+    d, dt = ws.g.svk, ws.gt.svk
+    assert scalars.residual(d - phib) > 0
+    assert scalars.residual(phib - dt) > 0
     assert scalars.residual(d - dt) > 0
     _verdict(
         "5 (svk = phiB = assoc-svk with parallel phi on the vertical union)",

@@ -229,3 +229,22 @@ def test_verify_zoo_reports_each_entry_past_a_bad_one(monkeypatch, capsys):
     bad = [l for l in out if l.startswith("solv5-f1-bad-phi: ")]
     assert len(bad) == 1 and "FAIL  structure-axioms" in bad[0]
     assert "phi^2 = -id + eta (x) xi" in bad[0]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "MODEL", "--seed", "-1"], "--seed"),
+        (["verify", "--zoo", "--seed", "-3"], "--seed"),
+        (["validate", "MODEL", "--mode", "float", "--eps", "-1"], "--eps"),
+        (["validate", "MODEL", "--mode", "float", "--eps", "nan"], "--eps"),
+        (["validate", "MODEL", "--mode", "float", "--eps", "inf"], "--eps"),
+    ],
+    ids=["seed-negative", "zoo-seed-negative", "eps-negative", "eps-nan", "eps-inf"],
+)
+def test_out_of_range_flag_is_input_error(files, capsys, argv, flag):
+    argv = [files["abelian3"] if a == "MODEL" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err

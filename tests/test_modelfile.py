@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from bcontact import modelfile, zoo
+from bcontact import cli, modelfile, scalars, zoo
 from bcontact.modelfile import ModelFileError
 from bcontact.scalars import FLOAT, RATIONAL
 
@@ -97,3 +98,29 @@ def test_save_and_load_round_trip(tmp_path):
     doc = modelfile.load_path(str(p))
     assert doc["name"] == "abelian3"
     assert modelfile.dumps(doc) == p.read_text()
+
+
+def test_float_token_reads_as_its_shortest_decimal():
+    # a JSON number and the same value written as a string load alike
+    doc = doc3()
+    doc["g"][0][1] = 1e-13
+    doc["g"][1][0] = "1e-13"
+    doc["g"][1][1] = 0.5
+    out = modelfile.loads(json.dumps(doc))
+    assert out["g"][0][1] == out["g"][1][0] == "1/10000000000000"
+    assert out["g"][1][1] == "1/2"
+    assert scalars.parse_scalar(1e-13, RATIONAL) == Fraction(1, 10**13)
+    assert scalars.parse_scalar(0.25, RATIONAL) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_json_number_is_a_bad_scalar(tmp_path, capsys, token):
+    doc = doc3()
+    doc["g"][1][1] = "TOKEN"
+    text = json.dumps(doc).replace('"TOKEN"', token)
+    with pytest.raises(ModelFileError, match="bad scalar"):
+        modelfile.loads(text)
+    p = tmp_path / "model.json"
+    p.write_text(text)
+    assert cli.main(["validate", str(p)]) == 2
+    assert "input error: bad scalar" in capsys.readouterr().err

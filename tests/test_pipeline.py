@@ -44,7 +44,7 @@ def test_model_and_cached_arrays_are_read_only(mode):
         "s.algebra.c": ws.s.algebra.c,
         "s.metric.matrix": ws.s.metric.matrix,
         "s.assoc.inv": ws.s.assoc.inv,
-        "g.conn.gamma": ws.g.conn.gamma,
+        "g.conn": ws.g.conn,
         "g.fundamental": ws.g.fundamental,
         "g.lee.theta": ws.g.lee.theta,
         "gt.shape.operator": ws.gt.shape.operator,

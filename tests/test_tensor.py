@@ -92,7 +92,7 @@ def test_trace_of_shape_form_is_minus_divergence():
     ws = workspace("solv3-f4")
     tr = metric_trace(ws.g.shape.diamond, ws.s.metric)
     neta = np.einsum(
-        "kim,m,kj->ij", ws.g.conn.gamma, ws.s.xi, ws.s.metric.matrix
+        "kim,m,kj->ij", ws.g.conn, ws.s.xi, ws.s.metric.matrix
     )
     div = sum(
         ws.s.metric.inv[i, j] * neta[i, j]
