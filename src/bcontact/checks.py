@@ -88,22 +88,22 @@ def check_fundamental_identities(ws: Workspace):
     for view in (ws.g, ws.gt):
         conn, m = view.conn, view.metric
         f = view.fundamental
-        fxiz = np.einsum("xmz,m->xz", f, xi)
+        fxiz = scalars.einsum("xmz,m->xz", f, xi)
         proj = (
-            np.einsum("xab,ay,bz->xyz", f, phi, phi)
-            + np.einsum("y,xz->xyz", eta, fxiz)
-            + np.einsum("z,xy->xyz", eta, fxiz)
+            scalars.einsum("xab,ay,bz->xyz", f, phi, phi)
+            + scalars.einsum("y,xz->xyz", eta, fxiz)
+            + scalars.einsum("z,xy->xyz", eta, fxiz)
         )
         # F(x, phi y, xi) = (nabla_x eta)(y) = m(nabla_x xi, y)
-        lam = np.einsum("ki,kj->ij", nabla_of_constant(conn, xi), m.matrix)
+        lam = scalars.einsum("ki,kj->ij", nabla_of_constant(conn, xi), m.matrix)
         neta = covariant_derivative(conn, s.eta, 0)
         yield CheckResult(
             f"fundamental-identities[{view.role}]",
             *scalars.zero_test(
                 [
-                    f - np.einsum("xyz->xzy", f),
+                    f - scalars.einsum("xyz->xzy", f),
                     f - proj,
-                    np.einsum("xaz,ay,z->xy", f, phi, xi) - lam,
+                    scalars.einsum("xaz,ay,z->xy", f, phi, xi) - lam,
                     neta - lam,
                     torsion(conn, s.algebra),
                     covariant_derivative(conn, m.matrix, 0),
@@ -167,7 +167,7 @@ def check_potential_routes(ws: Workspace):
     yield CheckResult(
         "potential-closed-form",
         *scalars.zero_test(
-            [direct - closed, direct - np.einsum("xyz->yxz", direct)], s.eps, direct
+            [direct - closed, direct - scalars.einsum("xyz->yxz", direct)], s.eps, direct
         ),
     )
     f = ws.g.fundamental
@@ -179,7 +179,7 @@ def check_potential_routes(ws: Workspace):
     yield CheckResult(
         "potential-vertical-trace",
         *scalars.zero_test(
-            [np.einsum("ij,mij,m->", s.metric.inv, direct, s.xi)], s.eps, direct
+            [scalars.einsum("ij,mij,m->", s.metric.inv, direct, s.xi)], s.eps, direct
         ),
     )
 
@@ -238,12 +238,12 @@ def check_svk_two_routes(ws: Workspace):
 def check_svk_distributions(ws: Workspace):
     s = ws.s
     eta, xi = s.eta, s.xi
-    pv = np.einsum("k,l->kl", xi, eta)
+    pv = scalars.einsum("k,l->kl", xi, eta)
     ph = scalars.eye(s.dim, s.mode) - pv
     for view in (ws.g, ws.gt):
         d = view.svk
-        horiz_stays = np.einsum("k,kim,mj->ij", eta, d, ph)
-        vert_stays = np.einsum("kl,lim,mj->kij", ph, d, pv)
+        horiz_stays = scalars.einsum("k,kim,mj->ij", eta, d, ph)
+        vert_stays = scalars.einsum("kl,lim,mj->kij", ph, d, pv)
         yield CheckResult(
             f"svk-distributions-parallel[{view.role}]",
             *scalars.zero_test([horiz_stays, vert_stays], s.eps, d),
@@ -260,7 +260,7 @@ def check_svk_closed_forms(ws: Workspace):
                 [
                     q - svk_potential_closed(view.conn, s),
                     t - svk_torsion_closed(view.conn, s),
-                    t + np.einsum("kij->kji", t),
+                    t + scalars.einsum("kij->kji", t),
                 ],
                 s.eps,
                 q,
@@ -279,7 +279,7 @@ def check_torsion_potential_bijection(ws: Workspace):
                 [
                     torsion_from_potential(view.potential03) - t03,
                     potential_from_torsion(view.torsion03, eps) - q03,
-                    q03 + np.einsum("xyz->xzy", q03),  # metric potentials
+                    q03 + scalars.einsum("xyz->xzy", q03),  # metric potentials
                 ],
                 eps,
                 q03,
@@ -336,11 +336,11 @@ def check_svk_pair_coincide(ws: Workspace):
     # the potential-level condition that is exactly equivalent to the pair
     # coinciding: Phi(x,y) - eta(Phi(x,y)) xi - eta(y) Phi(x,xi) = 0
     p = ws.pot
-    p_xi = np.einsum("lim,m->li", p, s.xi)
+    p_xi = scalars.einsum("lim,m->li", p, s.xi)
     vert = (
         p
-        - np.einsum("m,mij,k->kij", s.eta, p, s.xi)
-        - np.einsum("j,ki->kij", s.eta, p_xi)
+        - scalars.einsum("m,mij,k->kij", s.eta, p, s.xi)
+        - scalars.einsum("j,ki->kij", s.eta, p_xi)
     )
     yield _bool_result(
         "svk-pair-coincide-iff-potential-vertical",
@@ -404,14 +404,14 @@ def check_shape_operators(ws: Workspace):
     s = ws.s
     for view in (ws.g, ws.gt):
         sop = view.shape.operator
-        horiz = np.einsum("ki,kj,j->i", sop, view.metric.matrix, s.xi)
+        horiz = scalars.einsum("ki,kj,j->i", sop, view.metric.matrix, s.xi)
         reeb_row = sop @ s.xi + s.phi @ view.lee.omega_sharp
         yield CheckResult(
             f"shape-operator-identities[{view.role}]",
             *scalars.zero_test([horiz, reeb_row], s.eps, sop),
         )
     # pair relations through the potential
-    pot_xi = np.einsum("lim,m->li", ws.pot, s.xi)
+    pot_xi = scalars.einsum("lim,m->li", ws.pot, s.xi)
     sd = ws.g.shape.diamond
     yield CheckResult(
         "shape-pair-relations",
@@ -420,8 +420,8 @@ def check_shape_operators(ws: Workspace):
                 ws.gt.shape.operator - (ws.g.shape.operator - pot_xi),
                 ws.gt.shape.diamond
                 - (
-                    np.einsum("im,mj->ij", sd, s.phi)
-                    - np.einsum("mia,ab,m->ib", ws.pot03, s.phi, s.xi)
+                    scalars.einsum("im,mj->ij", sd, s.phi)
+                    - scalars.einsum("mia,ab,m->ib", ws.pot03, s.phi, s.xi)
                 ),
             ],
             s.eps,
@@ -481,22 +481,22 @@ def check_qt_pair_relations(ws: Workspace):
     s = ws.s
     pot = ws.pot
     eta, xi = s.eta, s.xi
-    pot_xi = np.einsum("lim,m->li", pot, xi)
-    eta_pot = np.einsum("m,mij->ij", eta, pot)
+    pot_xi = scalars.einsum("lim,m->li", pot, xi)
+    eta_pot = scalars.einsum("m,mij->ij", eta, pot)
 
     q, qt = ws.g.potential, ws.gt.potential
     t, tt = ws.g.torsion, ws.gt.torsion
     rel_q = qt - (
-        q - np.einsum("j,ki->kij", eta, pot_xi) - np.einsum("ij,k->kij", eta_pot, xi)
+        q - scalars.einsum("j,ki->kij", eta, pot_xi) - scalars.einsum("ij,k->kij", eta_pot, xi)
     )
     rel_t = tt - (
-        t + np.einsum("i,kj->kij", eta, pot_xi) - np.einsum("j,ki->kij", eta, pot_xi)
+        t + scalars.einsum("i,kj->kij", eta, pot_xi) - scalars.einsum("j,ki->kij", eta, pot_xi)
     )
 
     ds = ws.gt.shape.operator - ws.g.shape.operator
     dsd = ws.gt.shape.diamond - ws.g.shape.diamond
     rel_q_shape = qt - (
-        q + np.einsum("ki,j->kij", ds, eta) - np.einsum("ij,k->kij", dsd, xi)
+        q + scalars.einsum("ki,j->kij", ds, eta) - scalars.einsum("ij,k->kij", dsd, xi)
     )
     rel_t_shape = tt - (t - wedge_form_operator(eta, ds))
 
@@ -508,8 +508,8 @@ def check_qt_pair_relations(ws: Workspace):
         rel_q_shape,
         rel_t_shape,
         comps_t.t_v - comps.t_v,
-        comps_t.q_h - (comps.q_h + np.einsum("ki,j->kij", ds, eta)),
-        comps_t.q_v - (comps.q_v - np.einsum("ij,k->kij", dsd, xi)),
+        comps_t.q_h - (comps.q_h + scalars.einsum("ki,j->kij", ds, eta)),
+        comps_t.q_v - (comps.q_v - scalars.einsum("ij,k->kij", dsd, xi)),
         comps_t.t_h - (comps.t_h - wedge_form_operator(eta, ds)),
     ]
     yield CheckResult(
@@ -565,14 +565,14 @@ def check_curvature_symmetries(ws: Workspace):
     eps = ws.s.eps
     for view in (ws.g, ws.gt):
         r = view.curv.r04
-        bianchi = r + np.einsum("ijkl->jkil", r) + np.einsum("ijkl->kijl", r)
+        bianchi = r + scalars.einsum("ijkl->jkil", r) + scalars.einsum("ijkl->kijl", r)
         yield CheckResult(
             f"curvature-symmetries[{view.role}]",
             *scalars.zero_test(
                 [
-                    r + np.einsum("ijkl->jikl", r),
-                    r + np.einsum("ijkl->ijlk", r),
-                    r - np.einsum("ijkl->klij", r),
+                    r + scalars.einsum("ijkl->jikl", r),
+                    r + scalars.einsum("ijkl->ijlk", r),
+                    r - scalars.einsum("ijkl->klij", r),
                     bianchi,
                 ],
                 eps,

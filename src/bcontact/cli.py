@@ -24,7 +24,7 @@ from .curvature import (
 )
 from .modelfile import ModelFileError
 from .pipeline import Workspace
-from .scalars import DEFAULT_EPS, FLOAT, RATIONAL
+from .scalars import FLOAT, RATIONAL
 from .structure import ALL_FLAGS, CheckResult
 
 EXIT_OK = 0
@@ -63,7 +63,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument(
         "--eps",
         type=_checked(float, scalars.check_eps),
-        default=DEFAULT_EPS,
         help="absolute tolerance for float mode (default from BCONTACT_EPS or 1e-9)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -343,7 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.eps = scalars.eps_or_env(args.eps)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return args.fn(args)
     except ModelFileError as exc:

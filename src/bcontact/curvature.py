@@ -30,16 +30,16 @@ class DegeneratePlaneError(ValueError):
 def curvature_04(algebra: LieAlgebra, conn: np.ndarray, m: Metric) -> np.ndarray:
     """(0,4) curvature R(x,y,z,w) = m(R(x,y)z, w)."""
     r13 = curvature(algebra, conn)
-    return np.einsum("lijk,lw->ijkw", r13, m.matrix)
+    return scalars.einsum("lijk,lw->ijkw", r13, m.matrix)
 
 
 def ricci(r04: np.ndarray, m: Metric) -> np.ndarray:
     """rho(y,z) = m^{ij} R(e_i, y, z, e_j)."""
-    return np.einsum("ij,iabj->ab", m.inv, r04)
+    return scalars.einsum("ij,iabj->ab", m.inv, r04)
 
 
 def scalar_curvature(rho: np.ndarray, m: Metric):
-    return np.einsum("ij,ij->", m.inv, rho)
+    return scalars.einsum("ij,ij->", m.inv, rho)
 
 
 def svk_curvature_formula(
@@ -48,9 +48,9 @@ def svk_curvature_formula(
     """Right-hand side of the curvature relation tying the SvK connection to
     its base Levi-Civita connection."""
     phi2 = s.phi2
-    first = np.einsum("ijab,ak,bl->ijkl", r04_base, phi2, phi2)
+    first = scalars.einsum("ijab,ak,bl->ijkl", r04_base, phi2, phi2)
     sd = shape.diamond  # m(S(x), y)
-    second = np.einsum("jk,il->ijkl", sd, sd) - np.einsum("ik,jl->ijkl", sd, sd)
+    second = scalars.einsum("jk,il->ijkl", sd, sd) - scalars.einsum("ik,jl->ijkl", sd, sd)
     return first + second
 
 
@@ -60,14 +60,14 @@ def svk_ricci_formula(
     """rho^D(y,z) = rho(y,z) - eta(z) rho(y,xi) - R(xi,y,z,xi)
     - m(S(S(y)), z) + tr(S) m(S(y), z)."""
     xi, eta = s.xi, s.eta
-    rho_y_xi = np.einsum("ym,m->y", rho_base, xi)
-    r_xi = np.einsum("iyzj,i,j->yz", r04_base, xi, xi)
+    rho_y_xi = scalars.einsum("ym,m->y", rho_base, xi)
+    r_xi = scalars.einsum("iyzj,i,j->yz", r04_base, xi, xi)
     sop, sd = shape.operator, shape.diamond
-    ss = np.einsum("km,mi->ki", sop, sop)
-    ss_low = np.einsum("ky,kz->yz", ss, m.matrix)
+    ss = scalars.einsum("km,mi->ki", sop, sop)
+    ss_low = scalars.einsum("ky,kz->yz", ss, m.matrix)
     return (
         rho_base
-        - np.einsum("z,y->yz", eta, rho_y_xi)
+        - scalars.einsum("z,y->yz", eta, rho_y_xi)
         - r_xi
         - ss_low
         + sd * shape.trace
@@ -84,9 +84,9 @@ def ricci_xi_formula(s: ACBStructure, conn: np.ndarray, shape: ShapeData, m: Met
     """rho(xi,xi) = tr(nabla_xi S) - div(S(xi)) - tr(S^2)."""
     xi = s.xi
     nS = covariant_derivative(conn, shape.operator, 1)  # [k, x, i]
-    tr_nabla_xi_s = np.einsum("kxk,x->", nS, xi)
-    s_xi = np.einsum("ki,i->k", shape.operator, xi)
-    div_s_xi = np.einsum("ij,ki,kj->", m.inv, nabla_of_constant(conn, s_xi), m.matrix)
+    tr_nabla_xi_s = scalars.einsum("kxk,x->", nS, xi)
+    s_xi = scalars.einsum("ki,i->k", shape.operator, xi)
+    div_s_xi = scalars.einsum("ij,ki,kj->", m.inv, nabla_of_constant(conn, s_xi), m.matrix)
     s2 = np.trace(shape.operator @ shape.operator)
     return tr_nabla_xi_s - div_s_xi - s2
 
@@ -94,9 +94,9 @@ def ricci_xi_formula(s: ACBStructure, conn: np.ndarray, shape: ShapeData, m: Met
 def curvature_reeb_identity(s: ACBStructure, conn: np.ndarray, shape: ShapeData) -> np.ndarray:
     """Residual of R(x,y) xi = -(nabla_x S) y + (nabla_y S) x over the basis."""
     r13 = curvature(s.algebra, conn)
-    lhs = np.einsum("lijk,k->lij", r13, s.xi)
+    lhs = scalars.einsum("lijk,k->lij", r13, s.xi)
     nS = covariant_derivative(conn, shape.operator, 1)  # [l, x, y]
-    rhs = -nS + np.einsum("lxy->lyx", nS)
+    rhs = -nS + scalars.einsum("lxy->lyx", nS)
     return lhs - rhs
 
 
@@ -105,9 +105,9 @@ def svk_curvature_symmetries(rd: np.ndarray, eps: float) -> dict[str, tuple]:
     has, measured on the (0,4) SvK curvature ``rd``:
     name -> (passed, residual, worst_index)."""
     arrays = {
-        "first-pair-antisymmetric": rd + np.einsum("ijkl->jikl", rd),
-        "last-pair-antisymmetric": rd + np.einsum("ijkl->ijlk", rd),
-        "pair-exchange-symmetric": rd - np.einsum("ijkl->klij", rd),
+        "first-pair-antisymmetric": rd + scalars.einsum("ijkl->jikl", rd),
+        "last-pair-antisymmetric": rd + scalars.einsum("ijkl->ijlk", rd),
+        "pair-exchange-symmetric": rd - scalars.einsum("ijkl->klij", rd),
     }
     return {name: scalars.zero_test([a], eps, rd) for name, a in arrays.items()}
 
@@ -197,7 +197,7 @@ def section_type(plane: SectionPlane, s: ACBStructure, m: Metric) -> tuple[str, 
         return HOLOMORPHIC, ortho_to_xi
     pairs = [(x, x), (x, y), (y, y)]
     if all(
-        scalars.is_zero(np.einsum("ij,i,j->", m.matrix, u, phi @ v), eps, m.matrix)
+        scalars.is_zero(scalars.einsum("ij,i,j->", m.matrix, u, phi @ v), eps, m.matrix)
         for u, v in pairs
     ):
         if s.dim < 5:
@@ -211,7 +211,7 @@ def section_type(plane: SectionPlane, s: ACBStructure, m: Metric) -> tuple[str, 
 def sectional(r04: np.ndarray, m: Metric, plane: SectionPlane, eps: float):
     """k(plane) = R(x,y,y,x) / pi_1(x,y,y,x)."""
     den = plane.check_nondegenerate(m, eps)
-    num = np.einsum("ijkl,i,j,k,l->", r04, plane.x, plane.y, plane.y, plane.x)
+    num = scalars.einsum("ijkl,i,j,k,l->", r04, plane.x, plane.y, plane.y, plane.x)
     return num / den
 
 
@@ -233,7 +233,7 @@ def svk_sectional_formula(
     sy = shape.operator @ y
     corr = (
         pi1(m, sx, sy, y, x)
-        - (s.eta @ x) * np.einsum("ijkl,i,j,k,l->", r04_base, x, y, y, s.xi)
-        - (s.eta @ y) * np.einsum("ijkl,i,j,k,l->", r04_base, x, y, s.xi, x)
+        - (s.eta @ x) * scalars.einsum("ijkl,i,j,k,l->", r04_base, x, y, y, s.xi)
+        - (s.eta @ y) * scalars.einsum("ijkl,i,j,k,l->", r04_base, x, y, s.xi, x)
     )
     return sectional(r04_base, m, plane, s.eps) + corr / den

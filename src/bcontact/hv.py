@@ -39,16 +39,16 @@ class ShapeData:
 
 def shape_operator(s: ACBStructure, conn: np.ndarray, m: Metric) -> ShapeData:
     op = -nabla_of_constant(conn, s.xi)  # [k, i] = component k of S(e_i)
-    diamond = np.einsum("ki,kj->ij", op, m.matrix)
+    diamond = scalars.einsum("ki,kj->ij", op, m.matrix)
     return ShapeData(op, diamond)
 
 
 def pi1(m: Metric, x, y, z, w):
     """pi_1(x,y,z,w) = m(y,z) m(x,w) - m(x,z) m(y,w)."""
     g = m.matrix
-    return np.einsum("ij,i,j->", g, y, z) * np.einsum("ij,i,j->", g, x, w) - np.einsum(
-        "ij,i,j->", g, x, z
-    ) * np.einsum("ij,i,j->", g, y, w)
+    return scalars.einsum("ij,i,j->", g, y, z) * scalars.einsum(
+        "ij,i,j->", g, x, w
+    ) - scalars.einsum("ij,i,j->", g, x, z) * scalars.einsum("ij,i,j->", g, y, w)
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ class HVComponents:
 
 def hv_split(s: ACBStructure, q: np.ndarray, t: np.ndarray) -> HVComponents:
     """Split the output slot of Q and T into horizontal and vertical parts."""
-    pv = np.einsum("k,l->kl", s.xi, s.eta)
+    pv = scalars.einsum("k,l->kl", s.xi, s.eta)
 
     def split(x: np.ndarray):
-        v = np.einsum("kl,lij->kij", pv, x)
+        v = scalars.einsum("kl,lij->kij", pv, x)
         return x - v, v
 
     qh, qv = split(q)
@@ -76,7 +76,7 @@ def hv_split(s: ACBStructure, q: np.ndarray, t: np.ndarray) -> HVComponents:
 
 def wedge_form_operator(alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(alpha ^ B)(x,y) = alpha(x) B(y) - alpha(y) B(x); b indexed [k, arg]."""
-    return np.einsum("i,kj->kij", alpha, b) - np.einsum("j,ki->kij", alpha, b)
+    return scalars.einsum("i,kj->kij", alpha, b) - scalars.einsum("j,ki->kij", alpha, b)
 
 
 def reference_components(
@@ -95,17 +95,17 @@ def reference_components(
     eta, xi = s.eta, s.xi
 
     by_conn = HVComponents(
-        -np.einsum("ki,j->kij", nxi, eta),
-        np.einsum("ij,k->kij", neta, xi),
+        -scalars.einsum("ki,j->kij", nxi, eta),
+        scalars.einsum("ij,k->kij", neta, xi),
         wedge_form_operator(eta, nxi),
-        np.einsum("ij,k->kij", de, xi),
+        scalars.einsum("ij,k->kij", de, xi),
     )
     sop, sd = shape.operator, shape.diamond
     by_shape = HVComponents(
-        np.einsum("ki,j->kij", sop, eta),
-        -np.einsum("ij,k->kij", sd, xi),
+        scalars.einsum("ki,j->kij", sop, eta),
+        -scalars.einsum("ij,k->kij", sd, xi),
         -wedge_form_operator(eta, sop),
-        -np.einsum("ij,k->kij", sd - sd.T, xi),
+        -scalars.einsum("ij,k->kij", sd - sd.T, xi),
     )
     return by_conn, by_shape
 
@@ -113,17 +113,17 @@ def reference_components(
 def potential_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarray:
     """Q(x,y,z) = -pi_1(xi, S(x), y, z) as a (0,3) tensor."""
     # pi_1(xi, S(x), y, z) = m(S(x),y) m(xi,z) - m(xi,y) m(S(x),z)
-    eta_like = np.einsum("ij,i->j", m.matrix, s.xi)
+    eta_like = scalars.einsum("ij,i->j", m.matrix, s.xi)
     sd = shape.diamond
     return -(
-        np.einsum("xy,z->xyz", sd, eta_like) - np.einsum("y,xz->xyz", eta_like, sd)
+        scalars.einsum("xy,z->xyz", sd, eta_like) - scalars.einsum("y,xz->xyz", eta_like, sd)
     )
 
 
 def torsion_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarray:
     """T(x,y,z) = -pi_1(xi,S(x),y,z) + pi_1(xi,S(y),x,z)."""
     q = potential_pi1_form(s, shape, m)
-    return q - np.einsum("xyz->yxz", q)
+    return q - scalars.einsum("xyz->yxz", q)
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +165,14 @@ def equivalence_chains(
     sd = shape.diamond
     sop = shape.operator
     g = m.matrix
-    adj = np.einsum("ki,kj->ij", sop, g)  # m(S(x), y)
-    adj_t = np.einsum("kj,ki->ij", sop, g)  # m(x, S(y))
+    adj = scalars.einsum("ki,kj->ij", sop, g)  # m(S(x), y)
+    adj_t = scalars.einsum("kj,ki->ij", sop, g)  # m(x, S(y))
 
     chains = {
         "symmetric": {
             "nabla-eta symmetric": [neta - neta.T],
             "eta closed": [de],
-            "Q-vertical symmetric": [qv - np.einsum("kij->kji", qv)],
+            "Q-vertical symmetric": [qv - scalars.einsum("kij->kji", qv)],
             "T-vertical vanishes": [comps.t_v],
             "shape self-adjoint": [adj - adj_t],
             "shape form symmetric": [sd - sd.T],
@@ -180,7 +180,7 @@ def equivalence_chains(
         "skew": {
             "nabla-eta skew": [neta + neta.T],
             "reeb killing": [lg],
-            "Q-vertical skew": [qv + np.einsum("kij->kji", qv)],
+            "Q-vertical skew": [qv + scalars.einsum("kij->kji", qv)],
             "shape anti-self-adjoint": [adj + adj_t],
             "shape form skew": [sd + sd.T],
         },

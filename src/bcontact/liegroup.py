@@ -44,19 +44,19 @@ class LieAlgebra:
     def _jacobiator(self) -> np.ndarray:
         c = self.c
         # [[e_i,e_j],e_k] = c^m_{ij} c^l_{mk}
-        t = np.einsum("mij,lmk->lijk", c, c)
-        return t + np.einsum("lijk->ljki", t) + np.einsum("lijk->lkij", t)
+        t = scalars.einsum("mij,lmk->lijk", c, c)
+        return t + scalars.einsum("lijk->ljki", t) + scalars.einsum("lijk->lkij", t)
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError("bracket arguments must be vectors of the model dimension")
-        return np.einsum("kij,i,j->k", self.c, x, y)
+        return scalars.einsum("kij,i,j->k", self.c, x, y)
 
 
 def nabla_of_constant(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(nabla v)[k, i] = component k of nabla_{e_i} v, for the connection
     with coefficients ``gamma``."""
-    return np.einsum("kim,m->ki", gamma, v)
+    return scalars.einsum("kim,m->ki", gamma, v)
 
 
 def torsion(gamma: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
@@ -75,11 +75,11 @@ def levi_civita(algebra: LieAlgebra, m: Metric) -> np.ndarray:
     """
     c, g = algebra.c, m.matrix
     rhs = (
-        np.einsum("lij,lk->ijk", c, g)
-        - np.einsum("ljk,li->ijk", c, g)
-        + np.einsum("lki,lj->ijk", c, g)
+        scalars.einsum("lij,lk->ijk", c, g)
+        - scalars.einsum("ljk,li->ijk", c, g)
+        + scalars.einsum("lki,lj->ijk", c, g)
     )
-    return np.einsum("ijk,km->mij", rhs, m.inv) / 2
+    return scalars.einsum("ijk,km->mij", rhs, m.inv) / 2
 
 
 def covariant_derivative(gamma: np.ndarray, t: np.ndarray, up: int) -> np.ndarray:
@@ -96,10 +96,10 @@ def covariant_derivative(gamma: np.ndarray, t: np.ndarray, up: int) -> np.ndarra
     # result axes: up-axes of t, then direction axis, then down-axes of t
     for a in range(up):
         repl = src.replace(src[a], "m")
-        out = out + np.einsum(f"{src[a]}xm,{repl}->{ups}x{downs}", gamma, t)
+        out = out + scalars.einsum(f"{src[a]}xm,{repl}->{ups}x{downs}", gamma, t)
     for pos in range(up, t.ndim):
         repl = src.replace(src[pos], "m")
-        out = out - np.einsum(f"mx{src[pos]},{repl}->{ups}x{downs}", gamma, t)
+        out = out - scalars.einsum(f"mx{src[pos]},{repl}->{ups}x{downs}", gamma, t)
     return out
 
 
@@ -108,20 +108,20 @@ def curvature(algebra: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
     as a (1,3) tensor with r[l, i, j, k] = component l of R(e_i, e_j) e_k."""
     g, c = gamma, algebra.c
     return (
-        np.einsum("mjk,lim->lijk", g, g)
-        - np.einsum("mik,ljm->lijk", g, g)
-        - np.einsum("mij,lmk->lijk", c, g)
+        scalars.einsum("mjk,lim->lijk", g, g)
+        - scalars.einsum("mik,ljm->lijk", g, g)
+        - scalars.einsum("mij,lmk->lijk", c, g)
     )
 
 
 def d_eta(algebra: LieAlgebra, eta: np.ndarray) -> np.ndarray:
     """Exterior derivative of a left-invariant 1-form: d eta (x,y) = -eta([x,y])."""
-    return -np.einsum("kij,k->ij", algebra.c, eta)
+    return -scalars.einsum("kij,k->ij", algebra.c, eta)
 
 
 def lie_derivative_metric(gamma: np.ndarray, xi: np.ndarray, m: Metric) -> np.ndarray:
     """(L_xi g)(x,y) = g(nabla_x xi, y) + g(nabla_y xi, x) for torsion-free nabla."""
     nxi = nabla_of_constant(gamma, xi)  # [k, i]
-    low = np.einsum("ki,kj->ij", nxi, m.matrix)
+    low = scalars.einsum("ki,kj->ij", nxi, m.matrix)
     return low + low.T
 

@@ -142,7 +142,7 @@ class MetricView:
     @_cached
     def rho_xi_xi(self):
         xi = self.ws.s.xi
-        return np.einsum("yz,y,z->", self.curv.rho, xi, xi)
+        return scalars.einsum("yz,y,z->", self.curv.rho, xi, xi)
 
 
 class Workspace:

@@ -24,7 +24,8 @@ FLOAT = "float"
 
 ScalarLike = Union[int, float, str, Fraction]
 
-DEFAULT_EPS = float(os.environ.get("BCONTACT_EPS", "1e-9"))
+DEFAULT_EPS = 1e-9
+EPS_VARIABLE = "BCONTACT_EPS"
 
 
 def check_eps(eps: float) -> float:
@@ -32,6 +33,23 @@ def check_eps(eps: float) -> float:
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"must be a finite number >= 0, got {eps!r}")
     return eps
+
+
+def eps_or_env(eps: float | None) -> float:
+    """``eps`` when it is given, else the tolerance BCONTACT_EPS sets, else
+    DEFAULT_EPS; a variable that ``check_eps`` rejects raises ValueError
+    naming it."""
+    if eps is not None:
+        return eps
+    text = os.environ.get(EPS_VARIABLE)
+    if text is None:
+        return DEFAULT_EPS
+    try:
+        return check_eps(float(text))
+    except ValueError:
+        raise ValueError(
+            f"{EPS_VARIABLE} must be a finite number >= 0, got {text!r}"
+        ) from None
 
 
 def exact(tok: ScalarLike) -> Fraction:
@@ -89,6 +107,55 @@ def eye(dim: int, mode: str) -> np.ndarray:
     return out
 
 
+def _summed(spec: str) -> bool:
+    """Whether an einsum spec sums over at least one index."""
+    inputs, arrow, output = spec.partition("->")
+    letters = [c for c in inputs if c.isalpha()]
+    if not arrow:  # implicit output: the indices that occur once
+        return len(set(letters)) < len(letters)
+    return not set(letters) <= set(output)
+
+
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(n, d)`` with ``a == n / d``: ``n`` an object array of Python ints
+    and ``d`` the least common denominator of the entries of ``a``."""
+    ratios = [x.as_integer_ratio() for x in a.ravel().tolist()]
+    d = math.lcm(*(q for _, q in ratios))
+    n = np.empty(len(ratios), dtype=object)
+    n[:] = [p * (d // q) for p, q in ratios]
+    return n.reshape(a.shape), d
+
+
+def einsum(spec: str, *operands: np.ndarray):
+    """``np.einsum(spec, *operands)``: the library's one contraction.
+
+    A rational contraction of two or more operands that sums over an index
+    runs over integers instead of ``Fraction`` objects: each operand is
+    scaled by the least common denominator of its entries, numpy contracts
+    the integer arrays, and each entry of the result is the exact
+    ``Fraction`` of its integer over the product of the scales.  A 0-d
+    result is a ``Fraction`` scalar.  Every other call, float operands
+    included, is numpy's own; numpy is looked up at each call, so a wrapper
+    installed on ``np.einsum`` sees every contraction.
+    """
+    # the float test comes first: it is all a float call pays
+    if (
+        operands[0].dtype != object
+        or len(operands) < 2
+        or any(a.dtype != object for a in operands)
+        or not _summed(spec)
+    ):
+        return np.einsum(spec, *operands)
+    scaled = [_scaled(a) for a in operands]
+    den = math.prod(d for _, d in scaled)
+    out = np.einsum(spec, *(n for n, _ in scaled))
+    if not isinstance(out, np.ndarray):
+        return Fraction(out, den)
+    res = np.empty(out.size, dtype=object)
+    res[:] = [Fraction(n, den) for n in out.ravel().tolist()]
+    return res.reshape(out.shape)
+
+
 def mode_of(arr: np.ndarray) -> str:
     return RATIONAL if arr.dtype == object else FLOAT
 
@@ -98,7 +165,8 @@ def to_float(arr: np.ndarray) -> np.ndarray:
 
 
 def max_abs(arr: np.ndarray) -> float:
-    if arr.size == 0:
+    # an exactly zero rational array needs no conversion to float
+    if arr.size == 0 or (arr.dtype == object and not np.count_nonzero(arr)):
         return 0.0
     return float(np.max(np.abs(to_float(arr))))
 

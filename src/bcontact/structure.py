@@ -108,7 +108,7 @@ class ACBStructure:
 
 def associated_of(m: Metric, s: "ACBStructure") -> Metric:
     """Associated metric of an arbitrary B-metric for the same (phi, eta)."""
-    mat = np.einsum("im,mj->ij", m.matrix, s.phi) + np.einsum(
+    mat = scalars.einsum("im,mj->ij", m.matrix, s.phi) + scalars.einsum(
         "i,j->ij", s.eta, s.eta
     )
     return Metric.from_matrix(mat, s.eps)
@@ -127,7 +127,7 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
         return CheckResult(name, *scalars.zero_test([arr], eps, *context))
 
     def b_metric(m):
-        return np.einsum("mi,rj,mr->ij", phi, phi, m) + m - np.einsum("i,j->ij", eta, eta)
+        return scalars.einsum("mi,rj,mr->ij", phi, phi, m) + m - scalars.einsum("i,j->ij", eta, eta)
 
     def signature(name, m: Metric):
         ok = m.signature == (n + 1, n)
@@ -137,14 +137,14 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
         row("phi(xi) = 0", phi @ xi, phi),
         row(
             "phi^2 = -id + eta (x) xi",
-            phi @ phi + scalars.eye(s.dim, s.mode) - np.einsum("i,j->ij", xi, eta),
+            phi @ phi + scalars.eye(s.dim, s.mode) - scalars.einsum("i,j->ij", xi, eta),
             phi,
         ),
         row("eta o phi = 0", eta @ phi, phi),
         row("eta(xi) = 1", eta @ xi - 1),
         row("g(phi x, phi y) = -g(x,y) + eta(x) eta(y)", b_metric(g), g),
         row("g(xi, xi) = 1", s.metric.inner(xi, xi) - 1, g),
-        row("g(xi, .) = eta", np.einsum("ij,i->j", g, xi) - eta, g),
+        row("g(xi, .) = eta", scalars.einsum("ij,i->j", g, xi) - eta, g),
         signature(f"signature of g is ({n + 1},{n})", s.metric),
     ]
     assoc_names = [
@@ -173,7 +173,7 @@ def fundamental_tensor(s: ACBStructure, conn: np.ndarray, m: Metric) -> np.ndarr
     Its defining symmetries are checked by ``fundamental-identities``.
     """
     nphi = covariant_derivative(conn, s.phi, 1)  # [l, x, y]
-    return np.einsum("lxy,lz->xyz", nphi, m.matrix)
+    return scalars.einsum("lxy,lz->xyz", nphi, m.matrix)
 
 
 @dataclass(frozen=True)
@@ -206,9 +206,9 @@ def lee_forms(s: ACBStructure, f: np.ndarray, m: Metric) -> LeeForms:
     ``lee-form-identities``.
     """
     phi, xi = s.phi, s.xi
-    omega = np.einsum("i,j,ijz->z", xi, xi, f)
-    theta = np.einsum("ij,ijz->z", m.inv, f) - omega
-    theta_star = np.einsum("ij,mj,imz->z", m.inv, phi, f)
+    omega = scalars.einsum("i,j,ijz->z", xi, xi, f)
+    theta = scalars.einsum("ij,ijz->z", m.inv, f) - omega
+    theta_star = scalars.einsum("ij,mj,imz->z", m.inv, phi, f)
     return LeeForms(theta, theta_star, omega, sharp(omega, m))
 
 
@@ -222,8 +222,8 @@ def divergences(s: ACBStructure, conn: np.ndarray, m: Metric, m_assoc: Metric):
     ``divergence-trace``.
     """
     neta = covariant_derivative(conn, s.eta, 0)
-    div = np.einsum("ij,ij->", m.inv, neta)
-    div_star = np.einsum("ij,ij->", m_assoc.inv, neta)
+    div = scalars.einsum("ij,ij->", m.inv, neta)
+    div_star = scalars.einsum("ij,ij->", m_assoc.inv, neta)
     return div, div_star
 
 
@@ -241,13 +241,13 @@ def potential_from_fundamental(s: ACBStructure, f: np.ndarray, lee: LeeForms) ->
                            + F(y,x,xi) + F(y,phi x,xi) - omega(phi y) eta(x)}.
     """
     phi, xi, eta = s.phi, s.xi, s.eta
-    om_phi = np.einsum("m,mz->z", lee.omega, phi)  # omega(phi .)
-    fxi = np.einsum("xym,m->xy", f, xi)  # F(x,y,xi)
-    fphiphixi = np.einsum("abm,ax,by,m->xy", f, phi, phi, xi)  # F(phi x, phi y, xi)
-    f_xyphiz = np.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
-    fphiz_xy = np.einsum("mxy,mz->xyz", f, phi)  # F(phi z,x,y) indexed [x,y,z]
-    fxiphiy = np.einsum("xam,ay,m->xy", f, phi, xi)  # F(x, phi y, xi)
-    f_xi_first = np.einsum("mxy,m->xy", f, xi)  # F(xi, x, y)
+    om_phi = scalars.einsum("m,mz->z", lee.omega, phi)  # omega(phi .)
+    fxi = scalars.einsum("xym,m->xy", f, xi)  # F(x,y,xi)
+    fphiphixi = scalars.einsum("abm,ax,by,m->xy", f, phi, phi, xi)  # F(phi x, phi y, xi)
+    f_xyphiz = scalars.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
+    fphiz_xy = scalars.einsum("mxy,mz->xyz", f, phi)  # F(phi z,x,y) indexed [x,y,z]
+    fxiphiy = scalars.einsum("xam,ay,m->xy", f, phi, xi)  # F(x, phi y, xi)
+    f_xi_first = scalars.einsum("mxy,m->xy", f, xi)  # F(xi, x, y)
 
     # bracket shared by the eta(x) and eta(y) terms: F(u,v,xi) + F(phi v, phi u, xi)
     b = fxi + fphiphixi.T
@@ -255,18 +255,18 @@ def potential_from_fundamental(s: ACBStructure, f: np.ndarray, lee: LeeForms) ->
         -f_xi_first
         + fxi
         + fxiphiy
-        - np.einsum("x,y->xy", om_phi, eta)
+        - scalars.einsum("x,y->xy", om_phi, eta)
         + fxi.T
         + fxiphiy.T
-        - np.einsum("y,x->xy", om_phi, eta)
+        - scalars.einsum("y,x->xy", om_phi, eta)
     )
     two_phi = (
         -f_xyphiz
-        - np.einsum("xyz->yxz", f_xyphiz)
+        - scalars.einsum("xyz->yxz", f_xyphiz)
         + fphiz_xy
-        + np.einsum("x,yz->xyz", eta, b)
-        + np.einsum("y,xz->xyz", eta, b)
-        + np.einsum("z,xy->xyz", eta, zc)
+        + scalars.einsum("x,yz->xyz", eta, b)
+        + scalars.einsum("y,xz->xyz", eta, b)
+        + scalars.einsum("z,xy->xyz", eta, zc)
     )
     return two_phi / 2
 
@@ -279,17 +279,17 @@ def fundamental_from_potential(s: ACBStructure, phi03: np.ndarray) -> np.ndarray
              + 1/2 eta(y) {Phi(x,z,xi) - Phi(x,phi z,xi) + Phi(xi,x,z) - Phi(xi,x,phi z)}.
     """
     p, phi, xi, eta = phi03, s.phi, s.xi, s.eta
-    p_xyphiz = np.einsum("xym,mz->xyz", p, phi)
-    pxi = np.einsum("xym,m->xy", p, xi)  # Phi(x,y,xi)
-    pxiphiy = np.einsum("xam,ay,m->xy", p, phi, xi)  # Phi(x,phi y,xi)
-    pfirst = np.einsum("mxy,m->xy", p, xi)  # Phi(xi,x,y)
-    pfirstphi = np.einsum("mxa,m,ay->xy", p, xi, phi)  # Phi(xi,x,phi y)
+    p_xyphiz = scalars.einsum("xym,mz->xyz", p, phi)
+    pxi = scalars.einsum("xym,m->xy", p, xi)  # Phi(x,y,xi)
+    pxiphiy = scalars.einsum("xam,ay,m->xy", p, phi, xi)  # Phi(x,phi y,xi)
+    pfirst = scalars.einsum("mxy,m->xy", p, xi)  # Phi(xi,x,y)
+    pfirstphi = scalars.einsum("mxa,m,ay->xy", p, xi, phi)  # Phi(xi,x,phi y)
     bracket = pxi - pxiphiy + pfirst - pfirstphi  # indexed [x,y]
     return (
         p_xyphiz
-        + np.einsum("xyz->xzy", p_xyphiz)
-        + np.einsum("z,xy->xyz", eta, bracket) / 2
-        + np.einsum("y,xz->xyz", eta, bracket) / 2
+        + scalars.einsum("xyz->xzy", p_xyphiz)
+        + scalars.einsum("z,xy->xyz", eta, bracket) / 2
+        + scalars.einsum("y,xz->xyz", eta, bracket) / 2
     )
 
 
@@ -302,14 +302,14 @@ def assoc_fundamental_from_fundamental(s: ACBStructure, f: np.ndarray) -> np.nda
                 + eta(z) {F(x,y,xi) + F(phi y,phi x,xi) + F(x,phi y,xi)}.
     """
     phi, xi, eta = s.phi, s.xi, s.eta
-    fxi = np.einsum("xym,m->xy", f, xi)
-    fphiphixi = np.einsum("abm,ax,by,m->xy", f, phi, phi, xi)
-    fxiphiy = np.einsum("xam,ay,m->xy", f, phi, xi)
+    fxi = scalars.einsum("xym,m->xy", f, xi)
+    fphiphixi = scalars.einsum("abm,ax,by,m->xy", f, phi, phi, xi)
+    fxiphiy = scalars.einsum("xam,ay,m->xy", f, phi, xi)
 
-    t1 = np.einsum("azx,ay->xyz", f, phi)  # F(phi y, z, x)
-    t2 = np.einsum("yax,az->xyz", f, phi)  # F(y, phi z, x)
-    t3 = np.einsum("ayx,az->xyz", f, phi)  # F(phi z, y, x)
-    t4 = np.einsum("zax,ay->xyz", f, phi)  # F(z, phi y, x)
+    t1 = scalars.einsum("azx,ay->xyz", f, phi)  # F(phi y, z, x)
+    t2 = scalars.einsum("yax,az->xyz", f, phi)  # F(y, phi z, x)
+    t3 = scalars.einsum("ayx,az->xyz", f, phi)  # F(phi z, y, x)
+    t4 = scalars.einsum("zax,ay->xyz", f, phi)  # F(z, phi y, x)
     bx = fxi + fphiphixi.T + fxi.T + fphiphixi  # [y,z] bracket of the eta(x) term
     by = fxi + fphiphixi.T + fxiphiy  # [x,z] bracket of the eta(y) term
     two_ft = (
@@ -317,9 +317,9 @@ def assoc_fundamental_from_fundamental(s: ACBStructure, f: np.ndarray) -> np.nda
         - t2
         + t3
         - t4
-        + np.einsum("x,yz->xyz", eta, bx)
-        + np.einsum("y,xz->xyz", eta, by)
-        + np.einsum("z,xy->xyz", eta, by)
+        + scalars.einsum("x,yz->xyz", eta, bx)
+        + scalars.einsum("y,xz->xyz", eta, by)
+        + scalars.einsum("z,xy->xyz", eta, by)
     )
     return two_ft / 2
 
@@ -363,54 +363,54 @@ def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
     omega = lee.omega
     inv2n = _inv2n(s)
 
-    g_phi = np.einsum("im,mj->ij", g, phi)  # g(e_i, phi e_j)
-    g_phiphi = np.einsum("mi,rj,mr->ij", phi, phi, g)  # g(phi e_i, phi e_j)
+    g_phi = scalars.einsum("im,mj->ij", g, phi)  # g(e_i, phi e_j)
+    g_phiphi = scalars.einsum("mi,rj,mr->ij", phi, phi, g)  # g(phi e_i, phi e_j)
     th_phi = theta @ phi
     th_phi2 = theta @ phi2
-    fxi = np.einsum("xym,m->xy", f, xi)  # F(x,y,xi)
-    f_first_xi = np.einsum("mxy,m->xy", f, xi)  # F(xi,y,z)
-    f_mid_xi = np.einsum("xmy,m->xy", f, xi)  # F(x,xi,z)
-    fxi_phiphi = np.einsum("abm,ax,by,m->xy", f, phi, phi, xi)  # F(phi x, phi y, xi)
+    fxi = scalars.einsum("xym,m->xy", f, xi)  # F(x,y,xi)
+    f_first_xi = scalars.einsum("mxy,m->xy", f, xi)  # F(xi,y,z)
+    f_mid_xi = scalars.einsum("xmy,m->xy", f, xi)  # F(x,xi,z)
+    fxi_phiphi = scalars.einsum("abm,ax,by,m->xy", f, phi, phi, xi)  # F(phi x, phi y, xi)
 
     conds: dict[str, list[np.ndarray]] = {}
 
     rhs1 = (
-        np.einsum("xy,z->xyz", g_phi, th_phi)
-        + np.einsum("xy,z->xyz", g_phiphi, th_phi2)
-        + np.einsum("xz,y->xyz", g_phi, th_phi)
-        + np.einsum("xz,y->xyz", g_phiphi, th_phi2)
+        scalars.einsum("xy,z->xyz", g_phi, th_phi)
+        + scalars.einsum("xy,z->xyz", g_phiphi, th_phi2)
+        + scalars.einsum("xz,y->xyz", g_phi, th_phi)
+        + scalars.einsum("xz,y->xyz", g_phiphi, th_phi2)
     ) * inv2n
     conds["F1"] = [f - rhs1]
 
-    f_phi_z = np.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
-    cyc_phi = f_phi_z + np.einsum("xyz->yzx", f_phi_z) + np.einsum("xyz->zxy", f_phi_z)
-    cyc = f + np.einsum("xyz->yzx", f) + np.einsum("xyz->zxy", f)
+    f_phi_z = scalars.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
+    cyc_phi = f_phi_z + scalars.einsum("xyz->yzx", f_phi_z) + scalars.einsum("xyz->zxy", f_phi_z)
+    cyc = f + scalars.einsum("xyz->yzx", f) + scalars.einsum("xyz->zxy", f)
     conds["F2"] = [f_first_xi, f_mid_xi, cyc_phi, theta]
     conds["F3"] = [f_first_xi, f_mid_xi, cyc]
 
     txi = lee.theta_xi(s)
     rhs4 = -(
-        np.einsum("xy,z->xyz", g_phiphi, eta) + np.einsum("xz,y->xyz", g_phiphi, eta)
+        scalars.einsum("xy,z->xyz", g_phiphi, eta) + scalars.einsum("xz,y->xyz", g_phiphi, eta)
     ) * (txi * inv2n)
     conds["F4"] = [f - rhs4]
 
     tsxi = lee.theta_star_xi(s)
     rhs5 = -(
-        np.einsum("xy,z->xyz", g_phi, eta) + np.einsum("xz,y->xyz", g_phi, eta)
+        scalars.einsum("xy,z->xyz", g_phi, eta) + scalars.einsum("xz,y->xyz", g_phi, eta)
     ) * (tsxi * inv2n)
     conds["F5"] = [f - rhs5]
 
-    vert_form = np.einsum("xy,z->xyz", fxi, eta) + np.einsum("xz,y->xyz", fxi, eta)
+    vert_form = scalars.einsum("xy,z->xyz", fxi, eta) + scalars.einsum("xz,y->xyz", fxi, eta)
     form_res = f - vert_form
     conds["F6"] = [form_res, fxi - fxi.T, fxi + fxi_phiphi, theta, theta_star]
     conds["F7"] = [form_res, fxi + fxi.T, fxi + fxi_phiphi]
     conds["F8"] = [form_res, fxi - fxi.T, fxi - fxi_phiphi]
     conds["F9"] = [form_res, fxi + fxi.T, fxi - fxi_phiphi]
 
-    f_xi_phiphi = np.einsum("mab,m,ay,bz->yz", f, xi, phi, phi)  # F(xi, phi y, phi z)
-    conds["F10"] = [f - np.einsum("x,yz->xyz", eta, f_xi_phiphi)]
+    f_xi_phiphi = scalars.einsum("mab,m,ay,bz->yz", f, xi, phi, phi)  # F(xi, phi y, phi z)
+    conds["F10"] = [f - scalars.einsum("x,yz->xyz", eta, f_xi_phiphi)]
 
-    rhs11 = np.einsum("x,y,z->xyz", eta, eta, omega) + np.einsum(
+    rhs11 = scalars.einsum("x,y,z->xyz", eta, eta, omega) + scalars.einsum(
         "x,z,y->xyz", eta, eta, omega
     )
     conds["F11"] = [f - rhs11]
@@ -442,18 +442,21 @@ def classify(
     conds["U1"] = [nabla_of_constant(conn, xi)]
     conds["U1_assoc"] = [nabla_of_constant(conn_partner, xi)]
 
-    fxi = np.einsum("xym,m->xy", f, xi)
-    conds["U2"] = [f - np.einsum("xy,z->xyz", fxi, eta) - np.einsum("xz,y->xyz", fxi, eta)]
+    fxi = scalars.einsum("xym,m->xy", f, xi)
+    conds["U2"] = [
+        f - scalars.einsum("xy,z->xyz", fxi, eta) - scalars.einsum("xz,y->xyz", fxi, eta)
+    ]
 
     p = pot03
     conds["F3+U3"] = [
-        np.einsum("xab,ay,bz->xyz", p, phi2, phi2) + np.einsum("xab,ay,bz->xyz", p, phi, phi)
+        scalars.einsum("xab,ay,bz->xyz", p, phi2, phi2)
+        + scalars.einsum("xab,ay,bz->xyz", p, phi, phi)
     ]
 
     # F(phi y,phi z,x) + F(phi^2 y,phi^2 z,x) - F(phi z,phi y,x) - F(phi^2 z,phi^2 y,x)
-    e1 = np.einsum("abx,ay,bz->xyz", f, phi, phi)
-    e2 = np.einsum("abx,ay,bz->xyz", f, phi2, phi2)
-    conds["F1+F2+U3"] = [e1 + e2 - np.einsum("xyz->xzy", e1) - np.einsum("xyz->xzy", e2)]
+    e1 = scalars.einsum("abx,ay,bz->xyz", f, phi, phi)
+    e2 = scalars.einsum("abx,ay,bz->xyz", f, phi2, phi2)
+    conds["F1+F2+U3"] = [e1 + e2 - scalars.einsum("xyz->xzy", e1) - scalars.einsum("xyz->xzy", e2)]
 
     membership: dict[str, bool] = {}
     residuals: dict[str, float] = {}
@@ -491,8 +494,8 @@ def nabla_xi_class_conditions(
     """
     phi, xi, eta = s.phi, s.xi, s.eta
     nxi = nabla_of_constant(conn, xi)  # [k, i]
-    lam = np.einsum("ki,kj->ij", nxi, m.matrix)  # m(nabla_{e_i} xi, e_j)
-    lam_phiphi = np.einsum("ab,ai,bj->ij", lam, phi, phi)
+    lam = scalars.einsum("ki,kj->ij", nxi, m.matrix)  # m(nabla_{e_i} xi, e_j)
+    lam_phiphi = scalars.einsum("ab,ai,bj->ij", lam, phi, phi)
     div, div_star = div_pair
     inv2n = _inv2n(s)
     phi_om = phi @ sharp(lee.omega, m)
@@ -504,5 +507,5 @@ def nabla_xi_class_conditions(
     conds["F7"] = [lam + lam.T, lam + lam_phiphi]
     conds["F8"] = [lam + lam.T, lam - lam_phiphi]
     conds["F9"] = [lam - lam.T, lam - lam_phiphi]
-    conds["F11"] = [nxi - np.einsum("k,i->ki", phi_om, eta)]
+    conds["F11"] = [nxi - scalars.einsum("k,i->ki", phi_om, eta)]
     return {flag: arrays for flag, arrays in conds.items() if report.membership[flag]}

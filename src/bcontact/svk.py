@@ -30,8 +30,8 @@ def svk_connection(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     neta = covariant_derivative(conn, s.eta, 0)  # [i, j]
     return (
         conn
-        - np.einsum("j,ki->kij", s.eta, nxi)
-        + np.einsum("ij,k->kij", neta, s.xi)
+        - scalars.einsum("j,ki->kij", s.eta, nxi)
+        + scalars.einsum("ij,k->kij", neta, s.xi)
     )
 
 
@@ -40,9 +40,9 @@ def svk_connection_projected(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
 
     Independent of the closed form above; the two must agree exactly.
     """
-    pv = np.einsum("k,l->kl", s.xi, s.eta)
+    pv = scalars.einsum("k,l->kl", s.xi, s.eta)
     ph = scalars.eye(s.dim, s.mode) - pv
-    return np.einsum("kl,lim,mj->kij", ph, conn, ph) + np.einsum(
+    return scalars.einsum("kl,lim,mj->kij", ph, conn, ph) + scalars.einsum(
         "kl,lim,mj->kij", pv, conn, pv
     )
 
@@ -51,7 +51,7 @@ def svk_potential_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """Q(x,y) = -eta(y) nabla_x xi + (nabla_x eta)(y) xi."""
     nxi = nabla_of_constant(conn, s.xi)
     neta = covariant_derivative(conn, s.eta, 0)
-    return -np.einsum("j,ki->kij", s.eta, nxi) + np.einsum("ij,k->kij", neta, s.xi)
+    return -scalars.einsum("j,ki->kij", s.eta, nxi) + scalars.einsum("ij,k->kij", neta, s.xi)
 
 
 def svk_torsion_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
@@ -59,9 +59,9 @@ def svk_torsion_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     nxi = nabla_of_constant(conn, s.xi)
     de = d_eta(s.algebra, s.eta)
     return (
-        np.einsum("i,kj->kij", s.eta, nxi)
-        - np.einsum("j,ki->kij", s.eta, nxi)
-        + np.einsum("ij,k->kij", de, s.xi)
+        scalars.einsum("i,kj->kij", s.eta, nxi)
+        - scalars.einsum("j,ki->kij", s.eta, nxi)
+        + scalars.einsum("ij,k->kij", de, s.xi)
     )
 
 
@@ -71,16 +71,16 @@ def svk_torsion_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
 
 def torsion_from_potential(q: np.ndarray) -> np.ndarray:
     """T(x,y,z) = Q(x,y,z) - Q(y,x,z) on (0,3) tensors."""
-    return q - np.einsum("xyz->yxz", q)
+    return q - scalars.einsum("xyz->yxz", q)
 
 
 def potential_from_torsion(t: np.ndarray, eps: float) -> np.ndarray:
     """2 Q(x,y,z) = T(x,y,z) - T(y,z,x) + T(z,x,y); requires T antisymmetric
     in its first two slots (to within ``eps`` in float mode)."""
-    if not scalars.is_zero(t + np.einsum("xyz->yxz", t), eps, t):
+    if not scalars.is_zero(t + scalars.einsum("xyz->yxz", t), eps, t):
         raise ValueError("torsion must be antisymmetric in its first two slots")
     # out[x,y,z] = T(x,y,z) - T(y,z,x) + T(z,x,y)
-    q2 = t - np.einsum("yzx->xyz", t) + np.einsum("zxy->xyz", t)
+    q2 = t - scalars.einsum("yzx->xyz", t) + scalars.einsum("zxy->xyz", t)
     return q2 / 2
 
 
@@ -99,8 +99,8 @@ def svk_covariant_phi_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     neta = covariant_derivative(conn, s.eta, 0)
     return (
         nphi
-        + np.einsum("j,km,mi->kij", s.eta, s.phi, nxi)
-        + np.einsum("im,mj,k->kij", neta, s.phi, s.xi)
+        + scalars.einsum("j,km,mi->kij", s.eta, s.phi, nxi)
+        + scalars.einsum("im,mj,k->kij", neta, s.phi, s.xi)
     )
 
 
@@ -125,8 +125,8 @@ def phi_b_connection(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     neta = covariant_derivative(conn, s.eta, 0)
     return (
         conn
-        + (np.einsum("kim,mj->kij", nphi, s.phi) + np.einsum("ij,k->kij", neta, s.xi)) / 2
-        - np.einsum("j,ki->kij", s.eta, nxi)
+        + (scalars.einsum("kim,mj->kij", nphi, s.phi) + scalars.einsum("ij,k->kij", neta, s.xi)) / 2
+        - scalars.einsum("j,ki->kij", s.eta, nxi)
     )
 
 
@@ -140,12 +140,12 @@ def svk_pair_from_potential(svk: np.ndarray, p: np.ndarray, s: ACBStructure) -> 
 
     D~_x y = D_x y + Phi(x,y) - eta(Phi(x,y)) xi - eta(y) Phi(x,xi).
     """
-    p_xi = np.einsum("lim,m->li", p, s.xi)  # Phi(x, xi)
+    p_xi = scalars.einsum("lim,m->li", p, s.xi)  # Phi(x, xi)
     return (
         svk
         + p
-        - np.einsum("m,mij,k->kij", s.eta, p, s.xi)
-        - np.einsum("j,ki->kij", s.eta, p_xi)
+        - scalars.einsum("m,mij,k->kij", s.eta, p, s.xi)
+        - scalars.einsum("j,ki->kij", s.eta, p_xi)
     )
 
 
@@ -156,12 +156,12 @@ def svk_pair_covariant_phi(dphi: np.ndarray, p: np.ndarray, s: ACBStructure) -> 
                  + eta(y) phi Phi(x,xi) - eta(Phi(x, phi y)) xi.
     """
     phi = s.phi
-    p_phiy = np.einsum("lim,mj->lij", p, phi)  # Phi(x, phi y)
-    p_xi = np.einsum("lim,m->li", p, s.xi)
+    p_phiy = scalars.einsum("lim,mj->lij", p, phi)  # Phi(x, phi y)
+    p_xi = scalars.einsum("lim,m->li", p, s.xi)
     return (
         dphi
         + p_phiy
-        - np.einsum("km,mij->kij", phi, p)
-        + np.einsum("j,km,mi->kij", s.eta, phi, p_xi)
-        - np.einsum("m,mij,k->kij", s.eta, p_phiy, s.xi)
+        - scalars.einsum("km,mij->kij", phi, p)
+        + scalars.einsum("j,km,mi->kij", s.eta, phi, p_xi)
+        - scalars.einsum("m,mij,k->kij", s.eta, p_phiy, s.xi)
     )

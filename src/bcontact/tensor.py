@@ -133,7 +133,7 @@ class Metric:
         return cls(m, inv, sig)
 
     def inner(self, x: np.ndarray, y: np.ndarray):
-        return np.einsum("ij,i,j->", self.matrix, x, y)
+        return scalars.einsum("ij,i,j->", self.matrix, x, y)
 
 
 def metric_inverse(m: np.ndarray, eps: float) -> np.ndarray:
@@ -150,10 +150,10 @@ def metric_inverse(m: np.ndarray, eps: float) -> np.ndarray:
 
 def sharp(omega: np.ndarray, m: Metric) -> np.ndarray:
     """Raise a covector with the metric: g(sharp(w), y) = w(y)."""
-    return np.einsum("ij,j->i", m.inv, omega)
+    return scalars.einsum("ij,j->i", m.inv, omega)
 
 
 def lower_out(t: np.ndarray, m: Metric) -> np.ndarray:
     """Lower the single contravariant slot of a (1,k) tensor into a trailing
     covariant slot: T(x_1,...,x_k, z) = g(T(x_1,...,x_k), z)."""
-    return np.einsum("l...,lz->...z", t, m.matrix)
+    return scalars.einsum("l...,lz->...z", t, m.matrix)

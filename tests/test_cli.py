@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -248,3 +249,31 @@ def test_out_of_range_flag_is_input_error(files, capsys, argv, flag):
         cli.main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
+def test_bad_bcontact_eps_is_input_error(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("BCONTACT_EPS", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", files["abelian3"], "--mode", "float"])
+    assert exc.value.code == 2
+    assert f"BCONTACT_EPS must be a finite number >= 0, got '{value}'" in capsys.readouterr().err
+
+
+def test_bad_bcontact_eps_leaves_help_and_explicit_eps_working(files):
+    env = {**os.environ, "BCONTACT_EPS": "abc"}
+    proc = subprocess.run(RUN + ["--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    proc = subprocess.run(
+        RUN + ["validate", files["abelian3"], "--mode", "float", "--eps", "1e-9"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bcontact_eps_reaches_model_loading(files, monkeypatch):
+    # the near-symmetric metric passes only with a tolerance of about 1e-8
+    path = files["near-symmetric-g"]
+    monkeypatch.setenv("BCONTACT_EPS", "1e-6")
+    assert cli.main(["validate", path, "--mode", "float"]) == 0
+    assert cli.main(["validate", path, "--mode", "float", "--eps", "1e-9"]) == 2

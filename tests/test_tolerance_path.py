@@ -84,3 +84,20 @@ def test_only_scalars_computes_a_tolerance():
             ):
                 offenders.append(f"{module}:{node.lineno}")
     assert offenders == []
+
+
+def test_environment_read_only_when_the_command_line_resolves_eps():
+    # BCONTACT_EPS is read and checked by scalars.eps_or_env alone, so
+    # importing the library never reads it and a bad value cannot escape
+    # the --eps rule
+    readers = []
+    for module, tree in _modules():
+        owners = {
+            node: name for name, fn in _functions(tree, module) for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in {"environ", "getenv"}) or (
+                isinstance(node, ast.alias) and node.name in {"environ", "getenv"}
+            ):
+                readers.append(owners.get(node, module))
+    assert set(readers) == {"scalars.eps_or_env"}
