@@ -5,9 +5,22 @@ concrete model: identities are evaluated over the whole basis, equivalences
 as pairs of independently computed booleans, and quantities with two
 derivation routes are compared entry by entry.  In rational mode a check
 passes only with residual exactly zero.
+
+A check family states its checks as rows, and ``_result`` turns each row into
+a ``CheckResult``:
+
+* ``(name, arrays, context[, detail])`` passes when every array vanishes
+  (``scalars.zero_test`` with the model's eps; ``context`` holds the arrays
+  the compared ones were built from);
+* ``(name, booleans)`` passes when the named booleans of a dict agree.
+
+A family decorated with ``_rows`` yields the rows of one model; one decorated
+with ``_per_view`` is stated once for a ``MetricView`` and runs on g, then on
+g~, each name suffixed with the metric's role.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,11 +33,11 @@ from .curvature import (
     SectionPlane,
     TOTALLY_REAL,
     curvature_reeb_identity,
+    pair_symmetries,
     ricci_xi_formula,
     section_type,
     sectional,
     svk_curvature_formula,
-    svk_curvature_symmetries,
     svk_ricci_formula,
     svk_scalar_formula,
     svk_sectional_formula,
@@ -61,10 +74,47 @@ from .svk import (
 PLANE_COUNT = 20
 
 
-def _bool_result(name, booleans: dict[str, bool]) -> CheckResult:
-    consistent = len(set(booleans.values())) <= 1
-    detail = ", ".join(f"{k}={v}" for k, v in booleans.items())
-    return CheckResult(name, consistent, 0.0 if consistent else 1.0, detail=detail)
+# ---------------------------------------------------------------------------
+# rows to results
+# ---------------------------------------------------------------------------
+
+def _result(eps: float, name: str, tested, context=(), detail: str = "") -> CheckResult:
+    """The ``CheckResult`` of one row (see the module docstring)."""
+    if isinstance(tested, dict):
+        agree = len(set(tested.values())) <= 1
+        detail = ", ".join(f"{k}={v}" for k, v in tested.items())
+        return CheckResult(name, agree, 0.0 if agree else 1.0, detail=detail)
+    return CheckResult(name, *scalars.zero_test(tested, eps, *context), detail=detail)
+
+
+# the row families in the order run_checks runs them: the order of definition
+CHECKS = []
+
+
+def _rows(family):
+    """A check family from a generator of the rows of one model, appended to
+    ``CHECKS``."""
+
+    @functools.wraps(family)
+    def checks(ws: Workspace):
+        for row in family(ws):
+            yield _result(ws.s.eps, *row)
+
+    CHECKS.append(checks)
+    return checks
+
+
+def _views(ws: Workspace, rows):
+    """The rows of ``rows(ws, view)`` on g, then on g~, each name suffixed
+    with the metric's role."""
+    for view in (ws.g, ws.gt):
+        for name, *rest in rows(ws, view):
+            yield (f"{name}[{view.role}]", *rest)
+
+
+def _per_view(rows):
+    """A check family stated once for a ``MetricView``; see ``_views``."""
+    return _rows(functools.wraps(rows)(lambda ws: _views(ws, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -78,257 +128,188 @@ def check_structure_axioms(ws: Workspace):
     yield CheckResult("structure-axioms", rep.passed, worst, detail="; ".join(failed))
 
 
-def check_fundamental_identities(ws: Workspace):
+@_per_view
+def check_fundamental_identities(ws: Workspace, view: MetricView):
     """The identities F is built on: its symmetries, the projection identity,
     F(x, phi y, xi) = m(nabla_x xi, y) = (nabla_x eta)(y), and the two
     properties of the Levi-Civita connection F is taken with (torsion-free,
     metric)."""
     s = ws.s
     phi, xi, eta = s.phi, s.xi, s.eta
-    for view in (ws.g, ws.gt):
-        conn, m = view.conn, view.metric
-        f = view.fundamental
-        fxiz = scalars.einsum("xmz,m->xz", f, xi)
-        proj = (
-            scalars.einsum("xab,ay,bz->xyz", f, phi, phi)
-            + scalars.einsum("y,xz->xyz", eta, fxiz)
-            + scalars.einsum("z,xy->xyz", eta, fxiz)
-        )
-        # F(x, phi y, xi) = (nabla_x eta)(y) = m(nabla_x xi, y)
-        lam = scalars.einsum("ki,kj->ij", nabla_of_constant(conn, xi), m.matrix)
-        neta = covariant_derivative(conn, s.eta, 0)
-        yield CheckResult(
-            f"fundamental-identities[{view.role}]",
-            *scalars.zero_test(
-                [
-                    f - scalars.einsum("xyz->xzy", f),
-                    f - proj,
-                    scalars.einsum("xaz,ay,z->xy", f, phi, xi) - lam,
-                    neta - lam,
-                    torsion(conn, s.algebra),
-                    covariant_derivative(conn, m.matrix, 0),
-                ],
-                s.eps,
-                f,
-                conn,
-                m.matrix,
-            ),
-        )
+    conn, m = view.conn, view.metric
+    f = view.fundamental
+    fxiz = scalars.einsum("xmz,m->xz", f, xi)
+    proj = (
+        scalars.einsum("xab,ay,bz->xyz", f, phi, phi)
+        + scalars.einsum("y,xz->xyz", eta, fxiz)
+        + scalars.einsum("z,xy->xyz", eta, fxiz)
+    )
+    # F(x, phi y, xi) = (nabla_x eta)(y) = m(nabla_x xi, y)
+    lam = scalars.einsum("ki,kj->ij", nabla_of_constant(conn, xi), m.matrix)
+    neta = covariant_derivative(conn, s.eta, 0)
+    yield "fundamental-identities", [
+        f - scalars.einsum("xyz->xzy", f),
+        f - proj,
+        scalars.einsum("xaz,ay,z->xy", f, phi, xi) - lam,
+        neta - lam,
+        torsion(conn, s.algebra),
+        covariant_derivative(conn, m.matrix, 0),
+    ], (f, conn, m.matrix)
 
 
-def check_lee_identities(ws: Workspace):
+@_per_view
+def check_lee_identities(ws: Workspace, view: MetricView):
+    s, lee = ws.s, view.lee
+    yield "lee-form-identities", [
+        lee.omega @ s.xi,
+        lee.theta_star @ s.phi + lee.theta @ s.phi2,
+    ], (view.fundamental,)
+
+
+@_per_view
+def check_divergence_traces(ws: Workspace, view: MetricView):
     s = ws.s
-    for view in (ws.g, ws.gt):
-        lee = view.lee
-        yield CheckResult(
-            f"lee-form-identities[{view.role}]",
-            *scalars.zero_test(
-                [
-                    lee.omega @ s.xi,
-                    lee.theta_star @ s.phi + lee.theta @ s.phi2,
-                ],
-                s.eps,
-                view.fundamental,
-            ),
-        )
+    div, div_star = view.div_pair
+    yield "divergence-trace", [
+        view.lee.theta_xi(s) - div_star,
+        view.lee.theta_star_xi(s) - div,
+    ], ()
 
 
-def check_divergence_traces(ws: Workspace):
-    s = ws.s
-    for view in (ws.g, ws.gt):
-        div, div_star = view.div_pair
-        yield CheckResult(
-            f"divergence-trace[{view.role}]",
-            *scalars.zero_test(
-                [view.lee.theta_xi(s) - div_star, view.lee.theta_star_xi(s) - div],
-                s.eps,
-            ),
-        )
+@_per_view
+def check_nabla_xi_table(ws: Workspace, view: MetricView):
+    conds = view.nabla_xi_conditions
+    yield (
+        "class-nabla-xi-table",
+        [a for arrays in conds.values() for a in arrays],
+        (view.conn,),
+        f"classes checked: {', '.join(sorted(conds)) or 'none'}",
+    )
 
 
-def check_nabla_xi_table(ws: Workspace):
-    for view in (ws.g, ws.gt):
-        conds = view.nabla_xi_conditions
-        yield CheckResult(
-            f"class-nabla-xi-table[{view.role}]",
-            *scalars.zero_test(
-                [a for arrays in conds.values() for a in arrays],
-                ws.s.eps,
-                view.conn,
-            ),
-            detail=f"classes checked: {', '.join(sorted(conds)) or 'none'}",
-        )
-
-
+@_rows
 def check_potential_routes(ws: Workspace):
     s = ws.s
     direct = ws.pot03
     closed = potential_from_fundamental(s, ws.g.fundamental, ws.g.lee)
-    yield CheckResult(
-        "potential-closed-form",
-        *scalars.zero_test(
-            [direct - closed, direct - scalars.einsum("xyz->yxz", direct)], s.eps, direct
-        ),
-    )
+    yield "potential-closed-form", [
+        direct - closed,
+        direct - scalars.einsum("xyz->yxz", direct),
+    ], (direct,)
     f = ws.g.fundamental
     rebuilt = fundamental_from_potential(s, ws.pot03)
-    yield CheckResult(
-        "fundamental-reconstruction", *scalars.zero_test([rebuilt - f], s.eps, f)
-    )
+    yield "fundamental-reconstruction", [rebuilt - f], (f,)
     # full metric trace of the potential in its last two slots, at the Reeb slot
-    yield CheckResult(
-        "potential-vertical-trace",
-        *scalars.zero_test(
-            [scalars.einsum("ij,mij,m->", s.metric.inv, direct, s.xi)], s.eps, direct
-        ),
-    )
+    yield "potential-vertical-trace", [
+        scalars.einsum("ij,mij,m->", s.metric.inv, direct, s.xi)
+    ], (direct,)
 
 
+@_rows
 def check_assoc_fundamental(ws: Workspace):
-    s = ws.s
     direct = ws.gt.fundamental
-    converted = assoc_fundamental_from_fundamental(s, ws.g.fundamental)
-    yield CheckResult(
-        "assoc-fundamental-two-routes",
-        *scalars.zero_test([direct - converted], s.eps, direct),
-    )
+    converted = assoc_fundamental_from_fundamental(ws.s, ws.g.fundamental)
+    yield "assoc-fundamental-two-routes", [direct - converted], (direct,)
 
 
+@_rows
 def check_zero_class_equivalences(ws: Workspace):
     eps = ws.s.eps
     gamma, gamma_t = ws.g.conn, ws.gt.conn
-    booleans = {
+    yield "zero-class-equivalences", {
         "fundamental zero": scalars.is_zero(ws.g.fundamental, eps),
         "potential zero": scalars.is_zero(ws.pot, eps),
         "assoc fundamental zero": scalars.is_zero(ws.gt.fundamental, eps),
         "connections coincide": scalars.is_zero(gamma - gamma_t, eps, gamma),
     }
-    yield _bool_result("zero-class-equivalences", booleans)
 
 
-def check_svk_preserves_structure(ws: Workspace):
-    s = ws.s
-    for view in (ws.g, ws.gt):
-        d = view.svk
-        yield CheckResult(
-            f"svk-preserves-structure[{view.role}]",
-            *scalars.zero_test(
-                [
-                    covariant_derivative(d, view.metric.matrix, 0),
-                    nabla_of_constant(d, s.xi),
-                    covariant_derivative(d, s.eta, 0),
-                ],
-                s.eps,
-                d,
-                view.metric.matrix,
-            ),
-        )
+@_per_view
+def check_svk_preserves_structure(ws: Workspace, view: MetricView):
+    s, d = ws.s, view.svk
+    yield "svk-preserves-structure", [
+        covariant_derivative(d, view.metric.matrix, 0),
+        nabla_of_constant(d, s.xi),
+        covariant_derivative(d, s.eta, 0),
+    ], (d, view.metric.matrix)
 
 
-def check_svk_two_routes(ws: Workspace):
-    s = ws.s
-    for view in (ws.g, ws.gt):
-        proj = svk_connection_projected(view.conn, s)
-        d = view.svk
-        yield CheckResult(
-            f"svk-projector-route[{view.role}]", *scalars.zero_test([proj - d], s.eps, d)
-        )
+@_per_view
+def check_svk_two_routes(ws: Workspace, view: MetricView):
+    # svk-projector-route is D's independent oracle; the closed forms share one formula
+    proj = svk_connection_projected(view.conn, ws.s)
+    d = view.svk
+    yield "svk-projector-route", [proj - d], (d,)
 
 
-def check_svk_distributions(ws: Workspace):
-    s = ws.s
-    eta, xi = s.eta, s.xi
-    pv = scalars.einsum("k,l->kl", xi, eta)
+@_per_view
+def check_svk_distributions(ws: Workspace, view: MetricView):
+    s, d = ws.s, view.svk
+    pv = scalars.einsum("k,l->kl", s.xi, s.eta)
     ph = scalars.eye(s.dim, s.mode) - pv
-    for view in (ws.g, ws.gt):
-        d = view.svk
-        horiz_stays = scalars.einsum("k,kim,mj->ij", eta, d, ph)
-        vert_stays = scalars.einsum("kl,lim,mj->kij", ph, d, pv)
-        yield CheckResult(
-            f"svk-distributions-parallel[{view.role}]",
-            *scalars.zero_test([horiz_stays, vert_stays], s.eps, d),
-        )
+    horiz_stays = scalars.einsum("k,kim,mj->ij", s.eta, d, ph)
+    vert_stays = scalars.einsum("kl,lim,mj->kij", ph, d, pv)
+    yield "svk-distributions-parallel", [horiz_stays, vert_stays], (d,)
 
 
-def check_svk_closed_forms(ws: Workspace):
+@_per_view
+def check_svk_closed_forms(ws: Workspace, view: MetricView):
     s = ws.s
-    for view in (ws.g, ws.gt):
-        q, t = view.potential, view.torsion
-        yield CheckResult(
-            f"svk-potential-torsion-closed-forms[{view.role}]",
-            *scalars.zero_test(
-                [
-                    q - svk_potential_closed(view.conn, s),
-                    t - svk_torsion_closed(view.conn, s),
-                    t + scalars.einsum("kij->kji", t),
-                ],
-                s.eps,
-                q,
-                t,
-            ),
-        )
+    q, t = view.potential, view.torsion
+    yield "svk-potential-torsion-closed-forms", [
+        q - svk_potential_closed(view.conn, s),
+        t - svk_torsion_closed(view.conn, s),
+        t + scalars.einsum("kij->kji", t),
+    ], (q, t)
 
 
-def check_torsion_potential_bijection(ws: Workspace):
-    eps = ws.s.eps
-    for view in (ws.g, ws.gt):
-        q03, t03 = view.potential03, view.torsion03
-        yield CheckResult(
-            f"torsion-potential-bijection[{view.role}]",
-            *scalars.zero_test(
-                [
-                    torsion_from_potential(view.potential03) - t03,
-                    potential_from_torsion(view.torsion03, eps) - q03,
-                    q03 + scalars.einsum("xyz->xzy", q03),  # metric potentials
-                ],
-                eps,
-                q03,
-                t03,
-            ),
-        )
+@_per_view
+def check_torsion_potential_bijection(ws: Workspace, view: MetricView):
+    q03, t03 = view.potential03, view.torsion03
+    yield "torsion-potential-bijection", [
+        torsion_from_potential(q03) - t03,
+        potential_from_torsion(t03, ws.s.eps) - q03,
+        q03 + scalars.einsum("xyz->xzy", q03),  # metric potentials
+    ], (q03, t03)
 
 
-def check_svk_coincidence(ws: Workspace):
-    s = ws.s
-    for view in (ws.g, ws.gt):
-        gamma = view.conn
-        eq = scalars.is_zero(view.svk - gamma, s.eps, gamma)
-        par = scalars.is_zero(nabla_of_constant(gamma, s.xi), s.eps, gamma)
-        yield _bool_result(
-            f"svk-coincides-iff-reeb-parallel[{view.role}]",
-            {"svk equals levi-civita": eq, "nabla xi zero": par},
-        )
+@_per_view
+def check_svk_coincidence(ws: Workspace, view: MetricView):
+    s, gamma = ws.s, view.conn
+    yield "svk-coincides-iff-reeb-parallel", {
+        "svk equals levi-civita": scalars.is_zero(view.svk - gamma, s.eps, gamma),
+        "nabla xi zero": scalars.is_zero(nabla_of_constant(gamma, s.xi), s.eps, gamma),
+    }
 
 
+@_rows
 def check_reeb_parallel_transfer(ws: Workspace):
     s = ws.s
     lc, lc_t = ws.g.conn, ws.gt.conn
-    booleans = {
+    yield "reeb-parallel-transfer", {
         "svk(g) = lc(g)": scalars.is_zero(ws.g.svk - lc, s.eps, lc),
         "nabla xi = 0": scalars.is_zero(nabla_of_constant(lc, s.xi), s.eps),
         "svk(g~) = lc(g~)": scalars.is_zero(ws.gt.svk - lc_t, s.eps, lc_t),
         "nabla~ xi = 0": scalars.is_zero(nabla_of_constant(lc_t, s.xi), s.eps),
     }
-    yield _bool_result("reeb-parallel-transfer", booleans)
 
 
+@_rows
 def check_svk_naturality(ws: Workspace):
     s = ws.s
     d = ws.g.svk
     u2 = ws.g.classification["U2"]
-    dphi_zero = scalars.is_zero(ws.g.svk_phi, s.eps, d)
-    natural = svk_mod.is_natural(ws.g.svk, s, s.metric)
-    yield _bool_result(
-        "svk-natural-iff-vertical-fundamental",
-        {"svk-phi zero": dphi_zero, "U2 condition": u2, "is-natural": natural},
-    )
+    yield "svk-natural-iff-vertical-fundamental", {
+        "svk-phi zero": scalars.is_zero(ws.g.svk_phi, s.eps, d),
+        "U2 condition": u2,
+        "is-natural": svk_mod.is_natural(d, s, s.metric),
+    }
     if u2:
         phib = svk_mod.phi_b_connection(ws.g.conn, s)
-        yield CheckResult(
-            "phib-coincidence-on-u2", *scalars.zero_test([phib - d], s.eps, d)
-        )
+        yield "phib-coincidence-on-u2", [phib - d], (d,)
 
 
+@_rows
 def check_svk_pair_coincide(ws: Workspace):
     s = ws.s
     d = ws.g.svk
@@ -342,141 +323,112 @@ def check_svk_pair_coincide(ws: Workspace):
         - scalars.einsum("m,mij,k->kij", s.eta, p, s.xi)
         - scalars.einsum("j,ki->kij", s.eta, p_xi)
     )
-    yield _bool_result(
-        "svk-pair-coincide-iff-potential-vertical",
-        {"pair coincide": same, "potential vertical": scalars.is_zero(vert, s.eps, p)},
-    )
-    yield _bool_result(
-        "svk-pair-coincide-iff-u2",
-        {"pair coincide": same, "U2 condition": ws.g.classification["U2"]},
-    )
+    yield "svk-pair-coincide-iff-potential-vertical", {
+        "pair coincide": same,
+        "potential vertical": scalars.is_zero(vert, s.eps, p),
+    }
+    yield "svk-pair-coincide-iff-u2", {
+        "pair coincide": same,
+        "U2 condition": ws.g.classification["U2"],
+    }
 
 
+@_rows
 def check_svk_pair_routes(ws: Workspace):
-    s = ws.s
-    via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, s)
+    via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, ws.s)
     d = ws.gt.svk
-    yield CheckResult(
-        "svk-pair-potential-route", *scalars.zero_test([via_pot - d], s.eps, d)
-    )
+    yield "svk-pair-potential-route", [via_pot - d], (d,)
 
 
+def _svk_phi_closed_form(ws: Workspace, view: MetricView):
+    dphi = view.svk_phi
+    yield "svk-phi-closed-form", [dphi - svk_covariant_phi_closed(view.conn, ws.s)], (dphi,)
+
+
+@_rows
 def check_svk_phi_forms(ws: Workspace):
-    s = ws.s
-    for view in (ws.g, ws.gt):
-        dphi = view.svk_phi
-        closed = svk_covariant_phi_closed(view.conn, s)
-        yield CheckResult(
-            f"svk-phi-closed-form[{view.role}]",
-            *scalars.zero_test([dphi - closed], s.eps, dphi),
-        )
-    relation = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, s)
+    yield from _views(ws, _svk_phi_closed_form)
+    relation = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, ws.s)
     dphi_t = ws.gt.svk_phi
-    yield CheckResult(
-        "svk-pair-phi-relation", *scalars.zero_test([relation - dphi_t], s.eps, dphi_t)
-    )
+    yield "svk-pair-phi-relation", [relation - dphi_t], (dphi_t,)
 
 
+@_rows
 def check_svk_phi_equalities(ws: Workspace):
     eps = ws.s.eps
     cls = ws.g.classification
     dphi, dphi_t = ws.g.svk_phi, ws.gt.svk_phi
-    yield _bool_result(
-        "svk-pair-phi-equal-iff",
-        {
-            "derivatives of phi coincide": scalars.is_zero(dphi_t - dphi, eps, dphi),
-            "F3+U3 condition": cls["F3+U3"],
-        },
-    )
+    yield "svk-pair-phi-equal-iff", {
+        "derivatives of phi coincide": scalars.is_zero(dphi_t - dphi, eps, dphi),
+        "F3+U3 condition": cls["F3+U3"],
+    }
     assoc_natural = scalars.is_zero(dphi_t, eps, ws.gt.svk)
-    yield _bool_result(
-        "assoc-svk-natural-iff",
-        {"assoc svk-phi zero": assoc_natural, "F1+F2+U3 condition": cls["F1+F2+U3"]},
-    )
+    yield "assoc-svk-natural-iff", {
+        "assoc svk-phi zero": assoc_natural,
+        "F1+F2+U3 condition": cls["F1+F2+U3"],
+    }
     both = scalars.is_zero(dphi, eps, ws.g.svk) and assoc_natural
-    yield _bool_result(
-        "both-svk-natural-iff-u3",
-        {"both svk-phi zero": both, "U3 condition": cls["U3"]},
-    )
+    yield "both-svk-natural-iff-u3", {"both svk-phi zero": both, "U3 condition": cls["U3"]}
 
 
+def _shape_operator_identities(ws: Workspace, view: MetricView):
+    s = ws.s
+    sop = view.shape.operator
+    horiz = scalars.einsum("ki,kj,j->i", sop, view.metric.matrix, s.xi)
+    reeb_row = sop @ s.xi + s.phi @ view.lee.omega_sharp
+    yield "shape-operator-identities", [horiz, reeb_row], (sop,)
+
+
+@_rows
 def check_shape_operators(ws: Workspace):
     s = ws.s
-    for view in (ws.g, ws.gt):
-        sop = view.shape.operator
-        horiz = scalars.einsum("ki,kj,j->i", sop, view.metric.matrix, s.xi)
-        reeb_row = sop @ s.xi + s.phi @ view.lee.omega_sharp
-        yield CheckResult(
-            f"shape-operator-identities[{view.role}]",
-            *scalars.zero_test([horiz, reeb_row], s.eps, sop),
-        )
+    yield from _views(ws, _shape_operator_identities)
     # pair relations through the potential
     pot_xi = scalars.einsum("lim,m->li", ws.pot, s.xi)
     sd = ws.g.shape.diamond
-    yield CheckResult(
-        "shape-pair-relations",
-        *scalars.zero_test(
-            [
-                ws.gt.shape.operator - (ws.g.shape.operator - pot_xi),
-                ws.gt.shape.diamond
-                - (
-                    scalars.einsum("im,mj->ij", sd, s.phi)
-                    - scalars.einsum("mia,ab,m->ib", ws.pot03, s.phi, s.xi)
-                ),
-            ],
-            s.eps,
-            sd,
+    yield "shape-pair-relations", [
+        ws.gt.shape.operator - (ws.g.shape.operator - pot_xi),
+        ws.gt.shape.diamond
+        - (
+            scalars.einsum("im,mj->ij", sd, s.phi)
+            - scalars.einsum("mia,ab,m->ib", ws.pot03, s.phi, s.xi)
         ),
-    )
+    ], (sd,)
 
 
+@_rows
 def check_trace_identity(ws: Workspace):
-    s = ws.s
     div, _ = ws.g.div_pair
     tr = ws.g.shape.trace
-    yield CheckResult(
-        "shape-trace-identity",
-        *scalars.zero_test(
-            [tr - ws.gt.shape.trace, tr + div, tr + ws.g.lee.theta_star_xi(s)], s.eps
-        ),
-    )
+    yield "shape-trace-identity", [
+        tr - ws.gt.shape.trace,
+        tr + div,
+        tr + ws.g.lee.theta_star_xi(ws.s),
+    ], ()
 
 
-def check_qt_components(ws: Workspace):
+@_per_view
+def check_qt_components(ws: Workspace, view: MetricView):
     s = ws.s
-    for view in (ws.g, ws.gt):
-        q, t = view.potential, view.torsion
-        comps = hv_split(s, view.potential, view.torsion)
-        by_conn, by_shape = reference_components(s, view.conn, view.shape)
-        arrays = [
-            comps.q_h + comps.q_v - q,
-            comps.t_h + comps.t_v - t,
+    q, t = view.potential, view.torsion
+    comps = hv_split(s, q, t)
+    arrays = [comps.q_h + comps.q_v - q, comps.t_h + comps.t_v - t]
+    for ref in reference_components(s, view.conn, view.shape):
+        arrays += [
+            comps.q_h - ref.q_h,
+            comps.q_v - ref.q_v,
+            comps.t_h - ref.t_h,
+            comps.t_v - ref.t_v,
         ]
-        for ref in (by_conn, by_shape):
-            arrays += [
-                comps.q_h - ref.q_h,
-                comps.q_v - ref.q_v,
-                comps.t_h - ref.t_h,
-                comps.t_v - ref.t_v,
-            ]
-        yield CheckResult(
-            f"potential-torsion-hv-components[{view.role}]",
-            *scalars.zero_test(arrays, s.eps, q, t),
-        )
-        q03 = view.potential03
-        yield CheckResult(
-            f"potential-torsion-pi1-forms[{view.role}]",
-            *scalars.zero_test(
-                [
-                    q03 - potential_pi1_form(s, view.shape, view.metric),
-                    view.torsion03 - torsion_pi1_form(s, view.shape, view.metric),
-                ],
-                s.eps,
-                q03,
-            ),
-        )
+    yield "potential-torsion-hv-components", arrays, (q, t)
+    q03 = view.potential03
+    yield "potential-torsion-pi1-forms", [
+        q03 - potential_pi1_form(s, view.shape, view.metric),
+        view.torsion03 - torsion_pi1_form(s, view.shape, view.metric),
+    ], (q03,)
 
 
+@_rows
 def check_qt_pair_relations(ws: Workspace):
     s = ws.s
     pot = ws.pot
@@ -500,9 +452,9 @@ def check_qt_pair_relations(ws: Workspace):
     )
     rel_t_shape = tt - (t - wedge_form_operator(eta, ds))
 
-    comps = hv_split(s, ws.g.potential, ws.g.torsion)
-    comps_t = hv_split(s, ws.gt.potential, ws.gt.torsion)
-    arrays = [
+    comps = hv_split(s, q, t)
+    comps_t = hv_split(s, qt, tt)
+    yield "potential-torsion-pair-relations", [
         rel_q,
         rel_t,
         rel_q_shape,
@@ -511,81 +463,46 @@ def check_qt_pair_relations(ws: Workspace):
         comps_t.q_h - (comps.q_h + scalars.einsum("ki,j->kij", ds, eta)),
         comps_t.q_v - (comps.q_v - scalars.einsum("ij,k->kij", dsd, xi)),
         comps_t.t_h - (comps.t_h - wedge_form_operator(eta, ds)),
-    ]
-    yield CheckResult(
-        "potential-torsion-pair-relations", *scalars.zero_test(arrays, s.eps, q, t, qt, tt)
+    ], (q, t, qt, tt)
+
+
+@_per_view
+def check_equivalence_chains(ws: Workspace, view: MetricView):
+    chains = equivalence_chains(
+        ws.s, view.conn, view.svk, view.shape, view.potential, view.torsion, view.metric
     )
+    for chain, predicates in chains.items():
+        yield f"chain-{chain}", predicates
 
 
-def check_equivalence_chains(ws: Workspace):
-    for view in (ws.g, ws.gt):
-        chains = equivalence_chains(
-            ws.s, view.conn, view.svk, view.shape, view.potential, view.torsion,
-            view.metric,
-        )
-        for chain in chains:
-            yield _bool_result(f"chain-{chain.name}[{view.role}]", chain.predicates)
+@_per_view
+def check_svk_curvature(ws: Workspace, view: MetricView):
+    s, curv = ws.s, view.curv
+    formula = svk_curvature_formula(s, curv.r04, view.shape, view.metric)
+    yield "svk-curvature-relation", [curv.r04_svk - formula], (curv.r04, curv.r04_svk)
+    rho_formula = svk_ricci_formula(s, curv.r04, curv.rho, view.shape, view.metric)
+    yield "svk-ricci-relation", [curv.rho_svk - rho_formula], (curv.rho,)
+    tau_formula = svk_scalar_formula(curv.tau, view.rho_xi_xi, view.shape)
+    yield "svk-scalar-relation", [curv.tau_svk - tau_formula], ()
+    via_shape = ricci_xi_formula(s, view.conn, view.shape, view.metric)
+    yield "ricci-reeb-formula", [view.rho_xi_xi - via_shape], ()
+    yield "curvature-reeb-identity", [
+        curvature_reeb_identity(s, view.conn, view.shape)
+    ], (curv.r04,)
 
 
-def check_svk_curvature(ws: Workspace):
-    s = ws.s
-    for view in (ws.g, ws.gt):
-        curv = view.curv
-        formula = svk_curvature_formula(s, curv.r04, view.shape, view.metric)
-        yield CheckResult(
-            f"svk-curvature-relation[{view.role}]",
-            *scalars.zero_test(
-                [curv.r04_svk - formula], s.eps, curv.r04, curv.r04_svk
-            ),
-        )
-        rho_formula = svk_ricci_formula(s, curv.r04, curv.rho, view.shape, view.metric)
-        yield CheckResult(
-            f"svk-ricci-relation[{view.role}]",
-            *scalars.zero_test([curv.rho_svk - rho_formula], s.eps, curv.rho),
-        )
-        tau_formula = svk_scalar_formula(curv.tau, view.rho_xi_xi, view.shape)
-        yield CheckResult(
-            f"svk-scalar-relation[{view.role}]",
-            *scalars.zero_test([curv.tau_svk - tau_formula], s.eps),
-        )
-        via_shape = ricci_xi_formula(s, view.conn, view.shape, view.metric)
-        yield CheckResult(
-            f"ricci-reeb-formula[{view.role}]",
-            *scalars.zero_test([view.rho_xi_xi - via_shape], s.eps),
-        )
-        yield CheckResult(
-            f"curvature-reeb-identity[{view.role}]",
-            *scalars.zero_test(
-                [curvature_reeb_identity(s, view.conn, view.shape)], s.eps, curv.r04
-            ),
-        )
-
-
-def check_curvature_symmetries(ws: Workspace):
-    eps = ws.s.eps
-    for view in (ws.g, ws.gt):
-        r = view.curv.r04
-        bianchi = r + scalars.einsum("ijkl->jkil", r) + scalars.einsum("ijkl->kijl", r)
-        yield CheckResult(
-            f"curvature-symmetries[{view.role}]",
-            *scalars.zero_test(
-                [
-                    r + scalars.einsum("ijkl->jikl", r),
-                    r + scalars.einsum("ijkl->ijlk", r),
-                    r - scalars.einsum("ijkl->klij", r),
-                    bianchi,
-                ],
-                eps,
-                r,
-            ),
-        )
-        measured = svk_curvature_symmetries(view.curv.r04_svk, eps)
-        first_pair = measured.pop("first-pair-antisymmetric")
-        yield CheckResult(
-            f"svk-curvature-first-pair-antisymmetry[{view.role}]",
-            *first_pair,
-            detail="measured: " + ", ".join(f"{k}={v[0]}" for k, v in measured.items()),
-        )
+@_per_view
+def check_curvature_symmetries(ws: Workspace, view: MetricView):
+    r = view.curv.r04
+    bianchi = r + scalars.einsum("ijkl->jkil", r) + scalars.einsum("ijkl->kijl", r)
+    yield "curvature-symmetries", [*pair_symmetries(r).values(), bianchi], (r,)
+    # the SvK curvature keeps the first-pair antisymmetry; the other two
+    # pair symmetries are measured only
+    rd = view.curv.r04_svk
+    others = pair_symmetries(rd)
+    first_pair = others.pop("first-pair-antisymmetric")
+    measured = ", ".join(f"{k}={scalars.is_zero(a, ws.s.eps, rd)}" for k, a in others.items())
+    yield "svk-curvature-first-pair-antisymmetry", [first_pair], (rd,), "measured: " + measured
 
 
 # ---------------------------------------------------------------------------
@@ -750,42 +667,13 @@ def _totally_real_candidates(ws: Workspace, view: MetricView):
 # suite driver
 # ---------------------------------------------------------------------------
 
-CHECKS = [
-    check_fundamental_identities,
-    check_lee_identities,
-    check_divergence_traces,
-    check_nabla_xi_table,
-    check_potential_routes,
-    check_assoc_fundamental,
-    check_zero_class_equivalences,
-    check_svk_preserves_structure,
-    check_svk_two_routes,
-    check_svk_distributions,
-    check_svk_closed_forms,
-    check_torsion_potential_bijection,
-    check_svk_coincidence,
-    check_reeb_parallel_transfer,
-    check_svk_naturality,
-    check_svk_pair_coincide,
-    check_svk_pair_routes,
-    check_svk_phi_forms,
-    check_svk_phi_equalities,
-    check_shape_operators,
-    check_trace_identity,
-    check_qt_components,
-    check_qt_pair_relations,
-    check_equivalence_chains,
-    check_svk_curvature,
-    check_curvature_symmetries,
-]
-
-
 def run_checks(ws: Workspace, seed: int = 0) -> list[CheckResult]:
     """Every check on one model; the only place where the second derivation
     routes are computed and compared with the Workspace's primary ones.
 
     ``structure-axioms`` comes first; when it fails the suite stops there,
-    because nothing derived from an invalid structure is meaningful.
+    because nothing derived from an invalid structure is meaningful.  The
+    families of ``CHECKS`` follow, then the sectional-curvature checks.
     """
     results = list(check_structure_axioms(ws))
     if not ws.validation.passed:

@@ -17,9 +17,9 @@ from .checks import run_checks
 from .curvature import (
     DegeneratePlaneError,
     SectionPlane,
+    pair_symmetries,
     section_type,
     sectional,
-    svk_curvature_symmetries,
     svk_sectional_formula,
 )
 from .modelfile import ModelFileError
@@ -226,9 +226,9 @@ def cmd_curvature(args) -> int:
         payload["scalars"][f"tau[{tag}]"] = view.curv.tau
         payload["scalars"][f"tau_svk[{tag}]"] = view.curv.tau_svk
         payload["scalars"][f"rho(xi,xi)[{tag}]"] = view.rho_xi_xi
-        measured = svk_curvature_symmetries(view.curv.r04_svk, ws.s.eps)
+        rd = view.curv.r04_svk
         payload.setdefault("svk_curvature_symmetries", {})[tag] = {
-            k: v[0] for k, v in measured.items()
+            k: scalars.is_zero(a, ws.s.eps, rd) for k, a in pair_symmetries(rd).items()
         }
 
     plane = _parse_plane(args, ws)

@@ -100,16 +100,14 @@ def curvature_reeb_identity(s: ACBStructure, conn: np.ndarray, shape: ShapeData)
     return lhs - rhs
 
 
-def svk_curvature_symmetries(rd: np.ndarray, eps: float) -> dict[str, tuple]:
-    """Zero tests of the three curvature symmetries a Levi-Civita curvature
-    has, measured on the (0,4) SvK curvature ``rd``:
-    name -> (passed, residual, worst_index)."""
-    arrays = {
-        "first-pair-antisymmetric": rd + scalars.einsum("ijkl->jikl", rd),
-        "last-pair-antisymmetric": rd + scalars.einsum("ijkl->ijlk", rd),
-        "pair-exchange-symmetric": rd - scalars.einsum("ijkl->klij", rd),
+def pair_symmetries(r: np.ndarray) -> dict[str, np.ndarray]:
+    """The three pair symmetries every Levi-Civita (0,4) curvature has, each
+    as the array that vanishes when ``r`` has it."""
+    return {
+        "first-pair-antisymmetric": r + scalars.einsum("ijkl->jikl", r),
+        "last-pair-antisymmetric": r + scalars.einsum("ijkl->ijlk", r),
+        "pair-exchange-symmetric": r - scalars.einsum("ijkl->klij", r),
     }
-    return {name: scalars.zero_test([a], eps, rd) for name, a in arrays.items()}
 
 
 @dataclass(frozen=True)

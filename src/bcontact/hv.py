@@ -130,21 +130,6 @@ def torsion_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarray
 # equivalence chains: each is a family of predicates that provably agree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainReport:
-    name: str
-    predicates: dict[str, bool]
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(self.predicates.values())) <= 1
-
-    @property
-    def value(self) -> bool:
-        # meaningful only when consistent
-        return next(iter(self.predicates.values()))
-
-
 def equivalence_chains(
     s: ACBStructure,
     conn: np.ndarray,
@@ -153,10 +138,11 @@ def equivalence_chains(
     q: np.ndarray,
     t: np.ndarray,
     m: Metric,
-) -> tuple[ChainReport, ChainReport, ChainReport]:
-    """The three predicate chains for one metric of the pair: within each
-    chain all predicates must evaluate to the same boolean on any model.
-    Each predicate is the vanishing of its list of arrays."""
+) -> dict[str, dict[str, bool]]:
+    """The three predicate chains for one metric of the pair, as chain ->
+    predicate -> boolean: within each chain all predicates must evaluate to
+    the same boolean on any model.  Each predicate is the vanishing of its
+    list of arrays."""
     neta = covariant_derivative(conn, s.eta, 0)
     de = d_eta(s.algebra, s.eta)
     lg = lie_derivative_metric(conn, s.xi, m)
@@ -193,13 +179,7 @@ def equivalence_chains(
             "svk equals levi-civita": [svk_conn - conn],
         },
     }
-    return tuple(
-        ChainReport(
-            name,
-            {
-                k: scalars.zero_test(arrays, s.eps, conn)[0]
-                for k, arrays in predicates.items()
-            },
-        )
+    return {
+        name: {k: scalars.zero_test(arrays, s.eps, conn)[0] for k, arrays in predicates.items()}
         for name, predicates in chains.items()
-    )
+    }

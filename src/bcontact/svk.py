@@ -25,14 +25,8 @@ def project_h(s: ACBStructure, x: np.ndarray) -> np.ndarray:
 
 def svk_connection(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """The Schouten-van Kampen connection of a Levi-Civita connection, via the
-    closed form D_x y = nabla_x y - eta(y) nabla_x xi + (nabla_x eta)(y) xi."""
-    nxi = nabla_of_constant(conn, s.xi)  # [k, i]
-    neta = covariant_derivative(conn, s.eta, 0)  # [i, j]
-    return (
-        conn
-        - scalars.einsum("j,ki->kij", s.eta, nxi)
-        + scalars.einsum("ij,k->kij", neta, s.xi)
-    )
+    closed form D_x y = nabla_x y + Q(x,y) (see ``svk_potential_closed``)."""
+    return conn + svk_potential_closed(conn, s)
 
 
 def svk_connection_projected(conn: np.ndarray, s: ACBStructure) -> np.ndarray:

@@ -139,9 +139,10 @@ class Metric:
 def metric_inverse(m: np.ndarray, eps: float) -> np.ndarray:
     """Inverse of a symmetric non-degenerate (0,2) tensor, as a (2,0) tensor."""
     if scalars.mode_of(m) == RATIONAL:
-        if _rational_det(m) == 0:
-            raise DegenerateMetricError("metric determinant is zero")
-        return _rational_inverse(m)
+        try:
+            return _rational_inverse(m)
+        except DegenerateMetricError:
+            raise DegenerateMetricError("metric determinant is zero") from None
     det = np.linalg.det(m)
     if scalars.is_zero(det, eps, m):
         raise DegenerateMetricError(f"metric determinant {det} below tolerance")

@@ -44,6 +44,11 @@ def files(tmp_path_factory):
     p = root / "near-symmetric-g.json"
     modelfile.save_path(str(p), near)
     paths["near-symmetric-g"] = str(p)
+    singular = zoo.builtin("abelian3").doc()
+    singular["g"][1][1] = "0"
+    p = root / "singular-g.json"
+    modelfile.save_path(str(p), singular)
+    paths["singular-g"] = str(p)
     p = root / "broken.json"
     p.write_text("{not json")
     paths["broken"] = str(p)
@@ -67,6 +72,13 @@ def test_parse_error_exit_code(files):
     proc = run_cli("validate", files["broken"])
     assert proc.returncode == 2
     assert "input error" in proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_singular_metric_is_input_error(files, mode):
+    proc = run_cli("validate", files["singular-g"], "--mode", mode)
+    assert proc.returncode == 2
+    assert "input error: metric determinant" in proc.stderr
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -120,53 +120,37 @@ def test_potential_pi1_form():
         assert np.array_equal(q03, ws.g.potential03), name
 
 
+def _chain_values(ws, view):
+    """chain -> its one value; asserts that the chain's predicates agree."""
+    chains = equivalence_chains(
+        ws.s, view.conn, view.svk, view.shape, view.potential, view.torsion, view.metric
+    )
+    values = {}
+    for chain, predicates in chains.items():
+        assert len(set(predicates.values())) == 1, (chain, view.role, predicates)
+        values[chain] = next(iter(predicates.values()))
+    return values
+
+
 def test_chain_consistency_everywhere():
     for name in ALL_NAMES + zoo.boundary_names():
         ws = workspace(name)
         for view in (ws.g, ws.gt):
-            chains = equivalence_chains(
-                ws.s, view.conn, view.svk, view.shape,
-                view.potential, view.torsion, view.metric,
-            )
-            for chain in chains:
-                assert chain.consistent, (name, view.role, chain.predicates)
+            assert set(_chain_values(ws, view)) == {"symmetric", "skew", "vanishing"}, name
 
 
 def test_chain_values_on_representative_entries():
+    def values(name):
+        ws = workspace(name)
+        return _chain_values(ws, ws.g)
+
     # symmetric chain true on the pure-trace entry, all chains true on a
-    # parallel entry, symmetric chain false on the omega entry
-    sym, skew, zero = equivalence_chains(
-        workspace("solv3-f4").s,
-        workspace("solv3-f4").g.conn,
-        workspace("solv3-f4").g.svk,
-        workspace("solv3-f4").g.shape,
-        workspace("solv3-f4").g.potential,
-        workspace("solv3-f4").g.torsion,
-        workspace("solv3-f4").s.metric,
-    )
-    assert sym.value and not skew.value and not zero.value
-
-    ws = workspace("nil5-u1")
-    chains = equivalence_chains(
-        ws.s, ws.g.conn, ws.g.svk, ws.g.shape, ws.g.potential, ws.g.torsion,
-        ws.s.metric,
-    )
-    assert all(c.value for c in chains)
-
-    ws = workspace("solv3-f11")
-    sym11, skew11, zero11 = equivalence_chains(
-        ws.s, ws.g.conn, ws.g.svk, ws.g.shape, ws.g.potential, ws.g.torsion,
-        ws.s.metric,
-    )
-    assert not sym11.value and not skew11.value and not zero11.value
-
+    # parallel entry, every chain false on the omega entry
+    assert values("solv3-f4") == {"symmetric": True, "skew": False, "vanishing": False}
+    assert values("nil5-u1") == {"symmetric": True, "skew": True, "vanishing": True}
+    assert values("solv3-f11") == {"symmetric": False, "skew": False, "vanishing": False}
     # Killing chain true with non-parallel Reeb vector on the boundary entry
-    ws = workspace("x-heis5-f7")
-    symh, skewh, zeroh = equivalence_chains(
-        ws.s, ws.g.conn, ws.g.svk, ws.g.shape, ws.g.potential, ws.g.torsion,
-        ws.s.metric,
-    )
-    assert skewh.value and not symh.value and not zeroh.value
+    assert values("x-heis5-f7") == {"symmetric": False, "skew": True, "vanishing": False}
 
 
 def test_shape_pair_relation_via_potential():
