@@ -30,10 +30,12 @@ from . import scalars, svk as svk_mod
 from .curvature import (
     DegeneratePlaneError,
     HOLOMORPHIC,
+    PlaneStack,
     SectionPlane,
     TOTALLY_REAL,
     curvature_reeb_identity,
     pair_symmetries,
+    reeb_flatness_polarized,
     ricci_xi_formula,
     section_type,
     sectional,
@@ -41,6 +43,7 @@ from .curvature import (
     svk_ricci_formula,
     svk_scalar_formula,
     svk_sectional_formula,
+    svk_sectional_polarized,
 )
 from .hv import (
     equivalence_chains,
@@ -65,7 +68,6 @@ from .svk import (
     svk_covariant_phi_closed,
     svk_pair_covariant_phi,
     svk_pair_from_potential,
-    svk_potential_closed,
     svk_torsion_closed,
     torsion_from_potential,
 )
@@ -255,12 +257,13 @@ def check_svk_distributions(ws: Workspace, view: MetricView):
 @_per_view
 def check_svk_closed_forms(ws: Workspace, view: MetricView):
     s = ws.s
-    q, t = view.potential, view.torsion
+    # the potential is built from its closed form, so only the torsion is
+    # compared (svk-projector-route tests the potential)
+    t = view.torsion
     yield "svk-potential-torsion-closed-forms", [
-        q - svk_potential_closed(view.conn, s),
         t - svk_torsion_closed(view.conn, s),
         t + scalars.einsum("kij->kji", t),
-    ], (q, t)
+    ], (view.potential, t)
 
 
 @_per_view
@@ -519,22 +522,35 @@ def _random_vector(rng: np.random.Generator, dim: int, mode: str) -> np.ndarray:
     return vals.astype(np.float64)
 
 
-def sample_planes(ws: Workspace, view: MetricView, seed: int):
-    """Seeded non-degenerate 2-planes for the sectional-curvature checks."""
+def _stack(vectors, ws: Workspace) -> np.ndarray:
+    """The vectors as the rows of one (len(vectors), dim) array."""
+    dtype = object if ws.s.mode == scalars.RATIONAL else np.float64
+    return np.array(vectors, dtype=dtype).reshape(len(vectors), ws.s.dim)
+
+
+def sample_planes(ws: Workspace, view: MetricView, seed: int) -> PlaneStack:
+    """Seeded non-degenerate 2-planes for the sectional-curvature checks: the
+    first PLANE_COUNT non-degenerate planes of up to 60 * PLANE_COUNT seeded
+    draws, each draw tested in a batch of the draws still needed."""
+    s = ws.s
     rng = np.random.default_rng(seed)
-    planes = []
-    attempts = 0
-    while len(planes) < PLANE_COUNT and attempts < 60 * PLANE_COUNT:
-        attempts += 1
-        x = _random_vector(rng, ws.s.dim, ws.s.mode)
-        y = _random_vector(rng, ws.s.dim, ws.s.mode)
-        plane = SectionPlane(x, y)
-        try:
-            plane.check_nondegenerate(view.metric, ws.s.eps)
-        except DegeneratePlaneError:
-            continue
-        planes.append(plane)
-    return planes
+    batches = []
+    accepted = attempts = 0
+    while accepted < PLANE_COUNT and attempts < 60 * PLANE_COUNT:
+        n = min(PLANE_COUNT - accepted, 60 * PLANE_COUNT - attempts)
+        attempts += n
+        draws = [_random_vector(rng, s.dim, s.mode) for _ in range(2 * n)]
+        batch = PlaneStack.nondegenerate(
+            view.metric, _stack(draws[0::2], ws), _stack(draws[1::2], ws), s.eps
+        )
+        batches.append(batch)
+        accepted += len(batch)
+    return PlaneStack(
+        view.metric,
+        np.concatenate([b.x for b in batches]),
+        np.concatenate([b.y for b in batches]),
+        np.concatenate([b.den for b in batches]),
+    )
 
 
 def _horizontal_basis(ws: Workspace):
@@ -544,93 +560,90 @@ def _horizontal_basis(ws: Workspace):
     return [h for h in parts if not scalars.is_zero(h, s.eps)]
 
 
-def xi_section_candidates(ws: Workspace, view: MetricView):
+def xi_section_candidates(ws: Workspace, view: MetricView) -> PlaneStack:
     """Non-degenerate planes containing the Reeb vector."""
     s = ws.s
-    out = []
-    for h in _horizontal_basis(ws):  # horizontal, so the plane is honest
-        for cand in (h, h + s.phi @ h):
-            plane = SectionPlane(cand, s.xi)
-            try:
-                plane.check_nondegenerate(view.metric, s.eps)
-            except DegeneratePlaneError:
-                continue
-            out.append(plane)
-    return out
+    # horizontal, so the plane is honest
+    x = _stack([c for h in _horizontal_basis(ws) for c in (h, h + s.phi @ h)], ws)
+    return PlaneStack.nondegenerate(view.metric, x, _stack([s.xi] * len(x), ws), s.eps)
 
 
 def check_sectional_curvature(ws: Workspace, seed: int = 0):
-    s, eps = ws.s, ws.s.eps
+    """The checks of ``_sectional_checks`` on g, then on g~."""
     for view in (ws.g, ws.gt):
-        r04, r04_svk, m = view.curv.r04, view.curv.r04_svk, view.metric
-        planes = sample_planes(ws, view, seed + (0 if view.role == "g" else 1))
-        passed, residual, worst = scalars.zero_test(
-            [
-                sectional(r04_svk, m, p, eps)
-                - svk_sectional_formula(p, r04, view.shape, s, m)
-                for p in planes
-            ],
-            eps,
-            r04,
-        )
-        yield CheckResult(
-            f"sectional-relation[{view.role}]",
-            passed and len(planes) >= PLANE_COUNT,
-            residual,
-            worst,
-            f"{len(planes)} sampled planes",
-        )
+        yield from _sectional_checks(ws, view, seed)
 
-        xi_planes = xi_section_candidates(ws, view)
-        yield CheckResult(
-            f"reeb-section-flatness[{view.role}]",
-            *scalars.zero_test(
-                [sectional(r04_svk, m, p, eps) for p in xi_planes], eps, r04_svk
-            ),
-            detail=f"{len(xi_planes)} reeb sections",
-        )
 
-        # invariance of the sectional value under change of plane basis
-        rng = np.random.default_rng(seed + 17)
-        values, diffs = [], []
-        for plane in planes[:5]:
-            k = sectional(r04_svk, m, plane, eps)
-            for _ in range(3):
-                a, b, c, d = (int(v) for v in rng.integers(-3, 4, size=4))
-                if a * d - b * c == 0:
-                    continue
-                other = SectionPlane(
-                    plane.x * a + plane.y * b,
-                    plane.x * c + plane.y * d,
-                )
-                try:
-                    diffs.append(k - sectional(r04_svk, m, other, eps))
-                except DegeneratePlaneError:
-                    continue
-                values.append(k)
-        yield CheckResult(
-            f"sectional-basis-invariance[{view.role}]",
-            *scalars.zero_test(diffs, eps, np.array(values)),
-        )
+def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
+    """The sectional-curvature relations of one metric, each evaluated over
+    one stack of planes; the relation and the flatness of Reeb sections are
+    also tested in polarized form, as tensor identities."""
+    s, eps, role = ws.s, ws.s.eps, view.role
+    r04, r04_svk, m = view.curv.r04, view.curv.r04_svk, view.metric
+    planes = sample_planes(ws, view, seed + (0 if role == "g" else 1))
+    k_svk = sectional(r04_svk, planes)
+    passed, residual, worst = scalars.zero_test(
+        [
+            k_svk - svk_sectional_formula(planes, r04, view.shape, s),
+            svk_sectional_polarized(s, r04_svk, r04, view.shape),
+        ],
+        eps,
+        r04,
+    )
+    yield CheckResult(
+        f"sectional-relation[{role}]",
+        passed and len(planes) >= PLANE_COUNT,
+        residual,
+        worst,
+        f"{len(planes)} sampled planes",
+    )
 
-        # specialized forms for distinguished section types
-        sop = view.shape.operator
-        counted = {HOLOMORPHIC: 0, TOTALLY_REAL: 0}
-        diffs = []
-        for plane, kind in [(p, HOLOMORPHIC) for p in _holomorphic_candidates(ws, view)] + [
-            (p, TOTALLY_REAL) for p in _totally_real_candidates(ws, view)
-        ]:
-            x, y = plane.x, plane.y
-            corr = pi1(m, sop @ x, sop @ y, y, x) / plane.denominator(m)
-            k_base = sectional(r04, m, plane, eps)
-            diffs.append(sectional(r04_svk, m, plane, eps) - (k_base + corr))
-            counted[kind] += 1
-        yield CheckResult(
-            f"sectional-special-types[{view.role}]",
-            *scalars.zero_test(diffs, eps, r04),
-            detail=f"holomorphic={counted[HOLOMORPHIC]}, "
-            f"totally-real={counted[TOTALLY_REAL]}",
-        )
+    xi_planes = xi_section_candidates(ws, view)
+    yield _result(
+        eps,
+        f"reeb-section-flatness[{role}]",
+        [sectional(r04_svk, xi_planes), reeb_flatness_polarized(r04_svk, s.xi)],
+        (r04_svk,),
+        f"{len(xi_planes)} reeb sections",
+    )
+
+    # invariance of the sectional value under change of plane basis; an
+    # invertible change keeps a non-degenerate plane non-degenerate
+    rng = np.random.default_rng(seed + 17)
+    x, y = planes.x, planes.y
+    base, xs, ys = [], [], []
+    for n in range(min(5, len(planes))):
+        for _ in range(3):
+            a, b, c, d = (int(v) for v in rng.integers(-3, 4, size=4))
+            if a * d - b * c == 0:
+                continue
+            base.append(n)
+            xs.append(x[n] * a + y[n] * b)
+            ys.append(x[n] * c + y[n] * d)
+    values = k_svk[base]
+    other = sectional(r04_svk, PlaneStack.of(m, _stack(xs, ws), _stack(ys, ws), eps))
+    yield _result(eps, f"sectional-basis-invariance[{role}]", [values - other], (values,))
+
+    # specialized forms for distinguished section types
+    holomorphic = _holomorphic_candidates(ws, view)
+    real = _totally_real_candidates(ws, view)
+    special = PlaneStack.of(
+        m,
+        _stack([p.x for p in holomorphic + real], ws),
+        _stack([p.y for p in holomorphic + real], ws),
+        eps,
+    )
+    sop = view.shape.operator
+    sx = scalars.einsum("ki,ni->nk", sop, special.x)
+    sy = scalars.einsum("ki,ni->nk", sop, special.y)
+    corr = pi1(m, sx, sy, special.y, special.x) / special.den
+    yield _result(
+        eps,
+        f"sectional-special-types[{role}]",
+        [sectional(r04_svk, special) - (sectional(r04, special) + corr)],
+        (r04,),
+        f"holomorphic={len(holomorphic)}, totally-real={len(real)}",
+    )
 
 
 def _holomorphic_candidates(ws: Workspace, view: MetricView):

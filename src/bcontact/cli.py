@@ -238,14 +238,13 @@ def cmd_curvature(args) -> int:
         for view in (ws.g, ws.gt):
             tag = view.role
             try:
-                k_base = sectional(view.curv.r04, view.metric, plane, ws.s.eps)
-                k_svk = sectional(view.curv.r04_svk, view.metric, plane, ws.s.eps)
-                k_formula = svk_sectional_formula(
-                    plane, view.curv.r04, view.shape, ws.s, view.metric
-                )
+                planes = plane.stack(view.metric, ws.s.eps)
             except DegeneratePlaneError:
                 payload["plane"][f"k[{tag}]"] = "degenerate"
                 continue
+            (k_base,) = sectional(view.curv.r04, planes)
+            (k_svk,) = sectional(view.curv.r04_svk, planes)
+            (k_formula,) = svk_sectional_formula(planes, view.curv.r04, view.shape, ws.s)
             payload["plane"][f"k[{tag}]"] = k_base
             payload["plane"][f"k_svk[{tag}]"] = k_svk
             payload["plane"][f"relation_residual[{tag}]"] = scalars.residual(k_svk, k_formula)

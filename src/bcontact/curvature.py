@@ -20,7 +20,7 @@ from . import scalars
 from .hv import ShapeData, pi1
 from .liegroup import LieAlgebra, covariant_derivative, curvature, nabla_of_constant
 from .structure import ACBStructure
-from .tensor import Metric, _rational_det
+from .tensor import Metric, _rational_rank
 
 
 class DegeneratePlaneError(ValueError):
@@ -138,6 +138,9 @@ def curvature_data(
 # ---------------------------------------------------------------------------
 # 2-plane sections
 # ---------------------------------------------------------------------------
+# Sectional values are computed over a ``PlaneStack``: the planes of one
+# metric, plane n spanned by x[n] and y[n].  Each curvature tensor then enters
+# one contraction per stack instead of one per plane.
 
 XI_SECTION = "xi-section"
 HOLOMORPHIC = "phi-holomorphic"
@@ -159,16 +162,52 @@ class SectionPlane:
             raise DegeneratePlaneError("plane is degenerate for this metric")
         return d
 
+    def stack(self, m: Metric, eps: float) -> "PlaneStack":
+        """The stack of this one plane for ``m``."""
+        return PlaneStack.of(m, self.x[None], self.y[None], eps)
+
+
+@dataclass(frozen=True)
+class PlaneStack:
+    """Non-degenerate 2-planes of one metric: plane n is spanned by x[n] and
+    y[n] (x, y of shape planes x dim), and den[n] = pi_1(x,y,y,x) is the
+    denominator of its sectional curvature."""
+
+    metric: Metric
+    x: np.ndarray
+    y: np.ndarray
+    den: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    @classmethod
+    def nondegenerate(cls, m: Metric, x: np.ndarray, y: np.ndarray, eps: float):
+        """The planes x[n], y[n] that are non-degenerate for ``m``, in order."""
+        den = pi1(m, x, y, y, x)
+        keep = np.array([not scalars.is_zero(d, eps, m.matrix) for d in den], dtype=bool)
+        return cls(m, x[keep], y[keep], den[keep])
+
+    @classmethod
+    def of(cls, m: Metric, x: np.ndarray, y: np.ndarray, eps: float):
+        """The planes x[n], y[n]; raises DegeneratePlaneError when one of them
+        is degenerate for ``m``."""
+        planes = cls.nondegenerate(m, x, y, eps)
+        if len(planes) < len(x):
+            raise DegeneratePlaneError("plane is degenerate for this metric")
+        return planes
+
 
 def _in_span(vectors: list[np.ndarray], w: np.ndarray, eps: float) -> bool:
-    """Exact (or eps-scaled) rank test: w in span(vectors) iff stacking does
-    not raise the rank, decided via vanishing of all maximal minors."""
+    """Whether w lies in the span of the linearly independent ``vectors``:
+    stacking w must not raise the rank.  Exact vectors compare two ranks, each
+    from one exact elimination; float vectors test that every maximal minor
+    of the stack is within eps of zero."""
     a = np.stack(vectors + [w])
+    if a.dtype == object:
+        return _rational_rank(a) == _rational_rank(a[:-1])
     k, dim = a.shape
     subs = [a[:, cols] for cols in combinations(range(dim), k)]
-    if a.dtype == object:
-        # exact minors are costly: stop at the first one that is nonzero
-        return all(scalars.is_zero(_rational_det(sub), eps) for sub in subs)
     return scalars.is_zero(np.linalg.det(np.stack(subs).astype(np.float64)), eps, a)
 
 
@@ -206,32 +245,80 @@ def section_type(plane: SectionPlane, s: ACBStructure, m: Metric) -> tuple[str, 
     return GENERIC, ortho_to_xi
 
 
-def sectional(r04: np.ndarray, m: Metric, plane: SectionPlane, eps: float):
-    """k(plane) = R(x,y,y,x) / pi_1(x,y,y,x)."""
-    den = plane.check_nondegenerate(m, eps)
-    num = scalars.einsum("ijkl,i,j,k,l->", r04, plane.x, plane.y, plane.y, plane.x)
-    return num / den
+def sectional(r04: np.ndarray, planes: PlaneStack) -> np.ndarray:
+    """k = R(x,y,y,x) / pi_1(x,y,y,x) of every plane of the stack."""
+    x, y = planes.x, planes.y
+    return scalars.einsum("ijkl,ni,nj,nk,nl->n", r04, x, y, y, x) / planes.den
 
 
 def svk_sectional_formula(
-    plane: SectionPlane,
-    r04_base: np.ndarray,
-    shape: ShapeData,
-    s: ACBStructure,
-    m: Metric,
-):
-    """k^D through the base curvature:
+    planes: PlaneStack, r04_base: np.ndarray, shape: ShapeData, s: ACBStructure
+) -> np.ndarray:
+    """k^D through the base curvature, for every plane of the stack:
 
     k^D = k + [pi_1(S x, S y, y, x) - eta(x) R(x,y,y,xi) - eta(y) R(x,y,xi,x)]
               / pi_1(x,y,y,x).
     """
-    den = plane.check_nondegenerate(m, s.eps)
-    x, y = plane.x, plane.y
-    sx = shape.operator @ x
-    sy = shape.operator @ y
+    x, y, den = planes.x, planes.y, planes.den
+    rxy = scalars.einsum("ijkl,ni,nj->nkl", r04_base, x, y)  # R(x, y, ., .)
+    sx = scalars.einsum("ki,ni->nk", shape.operator, x)
+    sy = scalars.einsum("ki,ni->nk", shape.operator, y)
     corr = (
-        pi1(m, sx, sy, y, x)
-        - (s.eta @ x) * scalars.einsum("ijkl,i,j,k,l->", r04_base, x, y, y, s.xi)
-        - (s.eta @ y) * scalars.einsum("ijkl,i,j,k,l->", r04_base, x, y, s.xi, x)
+        pi1(planes.metric, sx, sy, y, x)
+        - (x @ s.eta) * scalars.einsum("nkl,nk,l->n", rxy, y, s.xi)
+        - (y @ s.eta) * scalars.einsum("nkl,k,nl->n", rxy, s.xi, x)
     )
-    return sectional(r04_base, m, plane, s.eps) + corr / den
+    return scalars.einsum("nkl,nk,nl->n", rxy, y, x) / den + corr / den
+
+
+# ---------------------------------------------------------------------------
+# polarized forms: the plane-wise relations as tensor identities
+# ---------------------------------------------------------------------------
+# A relation Q(x, y) = T(x,y,y,x) = 0 holds on every plane iff it holds for
+# all x, y, iff the symmetrization of T under the index permutations that fix
+# the monomial x_i y_j y_k x_l vanishes (polarization; Kobayashi-Nomizu I,
+# ch. V).
+
+# the identity, (i<->l), (j<->k) and both, as einsum transpositions
+_PLANE_SYMMETRIES = ("ijkl->ijkl", "ijkl->ljki", "ijkl->ikjl", "ijkl->lkji")
+
+
+def _combination(coefficients, arrays) -> np.ndarray:
+    """sum_t c_t a_t as one contraction, so exact terms are added by the
+    integer kernel."""
+    stack = np.stack(arrays)
+    return scalars.einsum("t,t...->...", np.array(coefficients, dtype=stack.dtype), stack)
+
+
+def svk_sectional_polarized(
+    s: ACBStructure, r04_svk: np.ndarray, r04_base: np.ndarray, shape: ShapeData
+) -> np.ndarray:
+    """The relation of ``svk_sectional_formula`` multiplied through by
+    pi_1(x,y,y,x), as the tensor
+
+    T = R^D - R - (S<>_jk S<>_il - S<>_ik S<>_jl) + R_ijkm xi_m eta_l + R_ijml xi_m eta_k
+
+    with T(x,y,y,x) = pi_1(x,y,y,x) (k^D - formula); returns its
+    (i<->l),(j<->k)-symmetrization, which vanishes iff the relation holds on
+    every plane."""
+    sd = shape.diamond
+    sdsd = scalars.einsum("jk,il->ijkl", sd, sd)
+    t = _combination(
+        [1, -1, -1, 1, 1, 1],
+        [
+            r04_svk,
+            r04_base,
+            sdsd,
+            sdsd.transpose(1, 0, 2, 3),
+            scalars.einsum("ijkm,m,l->ijkl", r04_base, s.xi, s.eta),
+            scalars.einsum("ijml,m,k->ijkl", r04_base, s.xi, s.eta),
+        ],
+    )
+    return _combination([1] * 4, [scalars.einsum(p, t) for p in _PLANE_SYMMETRIES])
+
+
+def reeb_flatness_polarized(r04_svk: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """R^D(x, xi, xi, x) = 0 for every x, polarized: the (i<->l)-symmetrization
+    of R^D_imnl xi_m xi_n."""
+    a = scalars.einsum("imnl,m,n->il", r04_svk, xi, xi)
+    return a + a.T

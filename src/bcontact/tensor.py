@@ -58,22 +58,22 @@ def _rational_inverse(m: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _rational_det(m: np.ndarray):
-    n = m.shape[0]
-    a = m.astype(object).copy()
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r, col] != 0), None)
+def _rational_rank(m: np.ndarray) -> int:
+    """Rank of a rational matrix, by one exact Gaussian elimination."""
+    rows = [list(r) for r in m]
+    rank = 0
+    for col in range(m.shape[1]):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            det = -det
-        det *= a[col, col]
-        for r in range(col + 1, n):
-            if a[r, col] != 0:
-                a[r] = a[r] - (a[r, col] / a[col, col]) * a[col]
-    return det
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                f = Fraction(rows[r][col]) / top[col]
+                rows[r] = [u - f * v for u, v in zip(rows[r], top)]
+        rank += 1
+    return rank
 
 
 def _rational_signature(m: np.ndarray) -> tuple[int, int]:

@@ -134,10 +134,10 @@ def test_degenerate_plane_raises():
     e0, e1 = scalars.eye(5, RATIONAL)[:2]
     # the (e0,e1)-plane is degenerate for the associated metric of this entry
     with pytest.raises(DegeneratePlaneError):
-        sectional(ws.gt.curv.r04, ws.s.assoc, SectionPlane(e0, e1), ws.s.eps)
+        sectional(ws.gt.curv.r04, SectionPlane(e0, e1).stack(ws.s.assoc, ws.s.eps))
     # and a rank-deficient pair is degenerate for any metric
     with pytest.raises(DegeneratePlaneError):
-        sectional(ws.g.curv.r04, ws.s.metric, SectionPlane(e0, e0), ws.s.eps)
+        sectional(ws.g.curv.r04, SectionPlane(e0, e0).stack(ws.s.metric, ws.s.eps))
 
 
 def test_reeb_sections_flat_for_svk():
@@ -152,7 +152,7 @@ def test_reeb_sections_flat_for_svk():
                 for x in (h, h + ws.s.phi @ h):
                     plane = SectionPlane(x, ws.s.xi)
                     try:
-                        k = sectional(view.curv.r04_svk, view.metric, plane, ws.s.eps)
+                        k = sectional(view.curv.r04_svk, plane.stack(view.metric, ws.s.eps))[0]
                     except DegeneratePlaneError:
                         continue
                     assert k == 0, name
@@ -168,9 +168,9 @@ def test_sectional_formula_on_seeded_planes():
             y = scalars.array(rng.integers(-3, 4, size=ws.s.dim).tolist(), RATIONAL)
             plane = SectionPlane(x, y)
             try:
-                direct = sectional(ws.g.curv.r04_svk, ws.s.metric, plane, ws.s.eps)
-                formula = svk_sectional_formula(
-                    plane, ws.g.curv.r04, ws.g.shape, ws.s, ws.s.metric
+                direct = sectional(ws.g.curv.r04_svk, plane.stack(ws.s.metric, ws.s.eps))[0]
+                (formula,) = svk_sectional_formula(
+                    plane.stack(ws.s.metric, ws.s.eps), ws.g.curv.r04, ws.g.shape, ws.s
                 )
             except DegeneratePlaneError:
                 continue
@@ -188,8 +188,8 @@ def test_sectional_holomorphic_correction():
     sx = ws.g.shape.operator @ plane.x
     sy = ws.g.shape.operator @ plane.y
     corr = pi1(ws.s.metric, sx, sy, plane.y, plane.x) / plane.denominator(ws.s.metric)
-    k_base = sectional(ws.g.curv.r04, ws.s.metric, plane, ws.s.eps)
-    k_svk = sectional(ws.g.curv.r04_svk, ws.s.metric, plane, ws.s.eps)
+    k_base = sectional(ws.g.curv.r04, plane.stack(ws.s.metric, ws.s.eps))[0]
+    k_svk = sectional(ws.g.curv.r04_svk, plane.stack(ws.s.metric, ws.s.eps))[0]
     assert k_svk == k_base + corr
     assert corr != 0  # the correction genuinely matters on this entry
 
@@ -205,15 +205,15 @@ def test_sectional_totally_real_correction():
     sx = ws.g.shape.operator @ plane.x
     sy = ws.g.shape.operator @ plane.y
     corr = pi1(ws.s.metric, sx, sy, plane.y, plane.x) / plane.denominator(ws.s.metric)
-    k_svk = sectional(ws.g.curv.r04_svk, ws.s.metric, plane, ws.s.eps)
-    assert k_svk == sectional(ws.g.curv.r04, ws.s.metric, plane, ws.s.eps) + corr
+    k_svk = sectional(ws.g.curv.r04_svk, plane.stack(ws.s.metric, ws.s.eps))[0]
+    assert k_svk == sectional(ws.g.curv.r04, plane.stack(ws.s.metric, ws.s.eps))[0] + corr
 
 
 def test_sectional_invariant_under_basis_change():
     ws = workspace("solv3-f4")
     e0, e1 = scalars.eye(3, RATIONAL)[:2]
     plane = SectionPlane(e0, e1)
-    base = sectional(ws.g.curv.r04_svk, ws.s.metric, plane, ws.s.eps)
+    base = sectional(ws.g.curv.r04_svk, plane.stack(ws.s.metric, ws.s.eps))[0]
     rng = np.random.default_rng(23)
     tried = 0
     while tried < 10:
@@ -223,7 +223,7 @@ def test_sectional_invariant_under_basis_change():
         x2 = e0 * Fraction(a) + e1 * Fraction(b)
         y2 = e0 * Fraction(c) + e1 * Fraction(d)
         other = SectionPlane(x2, y2)
-        assert sectional(ws.g.curv.r04_svk, ws.s.metric, other, ws.s.eps) == base
+        assert sectional(ws.g.curv.r04_svk, other.stack(ws.s.metric, ws.s.eps))[0] == base
         tried += 1
 
 

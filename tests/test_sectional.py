@@ -1,0 +1,194 @@
+"""The sectional-curvature checks: planes evaluated as one stack per metric,
+the polarized form of the sectional relation, and the exact span test that
+classifies planes.
+
+An ``ast`` guard keeps every sectional value of the check suite on the
+batched path: no loop of ``checks.py`` calls ``sectional`` or
+``svk_sectional_formula``.
+"""
+import ast
+from dataclasses import replace
+from fractions import Fraction
+from itertools import combinations, permutations
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import bcontact
+from bcontact import checks, scalars, zoo
+from bcontact.checks import check_sectional_curvature, run_checks, sample_planes
+from bcontact.curvature import _in_span, sectional, svk_sectional_polarized
+from bcontact.scalars import FLOAT, RATIONAL
+
+from support import workspace
+
+SECTIONAL_ROWS = [
+    f"{name}[{role}]"
+    for role in ("g", "gtilde")
+    for name in (
+        "sectional-relation",
+        "reeb-section-flatness",
+        "sectional-basis-invariance",
+        "sectional-special-types",
+    )
+]
+
+
+def _reeb_term(ws, view):
+    """eta(y) R(x,y,xi,x) as a tensor: R_ijml xi_m eta_k."""
+    return scalars.einsum("ijml,m,k->ijkl", view.curv.r04, ws.s.xi, ws.s.eta)
+
+
+@pytest.mark.parametrize("name", ["solv5-f1", "sl2-f3"])
+def test_reeb_term_vanishes_where_it_cannot_be_a_mutation(name):
+    # adding a zero tensor to r04_svk changes nothing, so these entries
+    # cannot show whether the checks see the Reeb term
+    ws = workspace(name)
+    for view in (ws.g, ws.gt):
+        assert scalars.residual(_reeb_term(ws, view)) == 0.0
+
+
+@pytest.mark.parametrize("name, mode, residual", [
+    ("dim5-tr", RATIONAL, 4.0),
+    ("solv7-u2", FLOAT, 8.0),
+])
+def test_sectional_relation_fails_when_svk_curvature_gains_reeb_term(name, mode, residual):
+    ws = zoo.builtin(name).workspace(mode)  # a fresh one: it is mutated
+    for view in (ws.g, ws.gt):
+        curv = view.curv
+        bad = curv.r04_svk + _reeb_term(ws, view)
+        polarized = svk_sectional_polarized(ws.s, bad, curv.r04, view.shape)
+        assert scalars.residual(polarized) == residual
+        view.__dict__["curv"] = replace(curv, r04_svk=bad)
+    rows = {r.name: r for r in check_sectional_curvature(ws)}
+    for role in ("g", "gtilde"):
+        row = rows[f"sectional-relation[{role}]"]
+        assert not row.passed and row.residual >= residual
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sectional_rows_pass_exactly_for_every_plane_seed(seed):
+    ws = workspace("dim5-tr")
+    rows = {r.name: r for r in run_checks(ws, seed=seed)}
+    for name in SECTIONAL_ROWS:
+        assert rows[name].passed and rows[name].residual == 0.0, (seed, name)
+    for role in ("g", "gtilde"):
+        assert rows[f"sectional-relation[{role}]"].detail == "20 sampled planes"
+
+
+def _loop_sectional(r, g, x, y):
+    """R(x,y,y,x) / pi_1(x,y,y,x) of one plane, by plain Python sums."""
+    dim = len(x)
+    idx = range(dim)
+    num = sum(
+        r[i, j, k, l] * x[i] * y[j] * y[k] * x[l]
+        for i in idx for j in idx for k in idx for l in idx
+    )
+
+    def form(u, v):
+        return sum(g[i, j] * u[i] * v[j] for i in idx for j in idx)
+
+    return num / (form(x, x) * form(y, y) - form(x, y) * form(y, x))
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_batched_sectional_values_equal_a_plain_loop(mode):
+    ws = workspace("dim5-tr", mode)
+    for seed, view in enumerate((ws.g, ws.gt)):
+        planes = sample_planes(ws, view, seed)
+        assert len(planes) == checks.PLANE_COUNT
+        for r in (view.curv.r04, view.curv.r04_svk):
+            batched = sectional(r, planes)
+            g = view.metric.matrix
+            looped = [_loop_sectional(r, g, x, y) for x, y in zip(planes.x, planes.y)]
+            if mode == RATIONAL:
+                assert list(batched) == looped
+            else:
+                assert batched == pytest.approx(looped, rel=1e-12, abs=1e-12)
+
+
+def _loop_calls(tree: ast.AST, names: set[str]) -> list[int]:
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+    lines = []
+    for loop in (n for n in ast.walk(tree) if isinstance(n, loops)):
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in names:
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_no_loop_in_checks_evaluates_planes_one_at_a_time():
+    path = Path(bcontact.__file__).resolve().parent / "checks.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _loop_calls(tree, {"sectional", "svk_sectional_formula"}) == []
+    # the guard does see a call in a loop
+    probe = ast.parse("for p in planes:\n    k = sectional(r, p.stack(m, eps))\n")
+    assert _loop_calls(probe, {"sectional"}) == [2]
+
+
+def _det(a) -> Fraction:
+    """Leibniz determinant of a small square matrix."""
+    n = len(a)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(sign)
+        for i, p in enumerate(perm):
+            term *= a[i][p]
+        total += term
+    return total
+
+
+def _minors(rows):
+    """Every maximal minor of the matrix with the given rows."""
+    k, dim = len(rows), len(rows[0])
+    return [_det([[row[c] for c in cols] for row in rows]) for cols in combinations(range(dim), k)]
+
+
+def _in_span_by_minors(vectors, w) -> bool:
+    """The definition: every maximal minor of the stacked vectors vanishes."""
+    return all(m == 0 for m in _minors([list(v) for v in vectors] + [list(w)]))
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def span_cases(draw):
+    """Linearly independent rational vectors and a w that is either a
+    rational combination of them or drawn freely."""
+    dim = draw(st.integers(min_value=2, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=min(3, dim - 1)))
+    vectors = [
+        scalars.array(draw(st.lists(fractions, min_size=dim, max_size=dim)), RATIONAL)
+        for _ in range(k)
+    ]
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(fractions, min_size=k, max_size=k))
+        w = sum((c * v for c, v in zip(coeffs, vectors)), scalars.zeros(dim, RATIONAL))
+    else:
+        w = scalars.array(draw(st.lists(fractions, min_size=dim, max_size=dim)), RATIONAL)
+    return vectors, w
+
+
+@given(span_cases())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_exact_span_test_agrees_with_minors(case):
+    vectors, w = case
+    # the span test is stated for independent vectors, as the two vectors of
+    # a non-degenerate plane are
+    assume(any(m != 0 for m in _minors([list(v) for v in vectors])))
+    assert _in_span(vectors, w, 0.0) == _in_span_by_minors(vectors, w)
+
+
+def test_exact_span_test_on_known_cases():
+    e = scalars.eye(4, RATIONAL)
+    assert _in_span([e[0], e[1]], e[0] * Fraction(2, 3) - e[1], 0.0)
+    assert not _in_span([e[0], e[1]], e[2], 0.0)
+    assert not _in_span([e[0] + e[1]], e[0], 0.0)

@@ -245,3 +245,28 @@ def test_corrupted_connection_breaks_preservation():
     bad[0, 1, 1] += Fraction(1)
     dg = covariant_derivative(bad, ws.s.metric.matrix, 0)
     assert scalars.residual(dg) > 0
+
+
+@pytest.mark.parametrize("name", ["solv3-f4", "dim5-tr"])
+def test_checks_see_a_wrong_svk_potential(monkeypatch, name):
+    # the workspace builds D from svk_potential_closed; doubling its
+    # (nabla_x eta)(y) xi term must be caught by the routes that do not use it
+    from bcontact import checks, svk
+    from bcontact.liegroup import covariant_derivative
+
+    closed = svk.svk_potential_closed
+
+    def doubled(conn, s):
+        neta = covariant_derivative(conn, s.eta, 0)
+        return closed(conn, s) + scalars.einsum("ij,k->kij", neta, s.xi)
+
+    monkeypatch.setattr(svk, "svk_potential_closed", doubled)
+    ws = zoo.builtin(name).workspace(RATIONAL)  # a fresh one, built with the wrong D
+    rows = {
+        r.name: r
+        for family in (checks.check_svk_two_routes, checks.check_qt_components)
+        for r in family(ws)
+    }
+    for role in ("g", "gtilde"):
+        for check in ("svk-projector-route", "potential-torsion-hv-components"):
+            assert not rows[f"{check}[{role}]"].passed, (check, role)
