@@ -21,17 +21,14 @@ g~, each name suffixed with the metric's role.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from . import scalars, svk as svk_mod
 from .curvature import (
-    DegeneratePlaneError,
     HOLOMORPHIC,
     PlaneStack,
-    SectionPlane,
     TOTALLY_REAL,
     curvature_reeb_identity,
     pair_symmetries,
@@ -67,6 +64,7 @@ from .svk import (
     svk_connection_projected,
     svk_covariant_phi_closed,
     svk_pair_covariant_phi,
+    svk_pair_difference,
     svk_pair_from_potential,
     svk_torsion_closed,
     torsion_from_potential,
@@ -317,18 +315,9 @@ def check_svk_pair_coincide(ws: Workspace):
     s = ws.s
     d = ws.g.svk
     same = scalars.is_zero(ws.gt.svk - d, s.eps, d)
-    # the potential-level condition that is exactly equivalent to the pair
-    # coinciding: Phi(x,y) - eta(Phi(x,y)) xi - eta(y) Phi(x,xi) = 0
-    p = ws.pot
-    p_xi = scalars.einsum("lim,m->li", p, s.xi)
-    vert = (
-        p
-        - scalars.einsum("m,mij,k->kij", s.eta, p, s.xi)
-        - scalars.einsum("j,ki->kij", s.eta, p_xi)
-    )
     yield "svk-pair-coincide-iff-potential-vertical", {
         "pair coincide": same,
-        "potential vertical": scalars.is_zero(vert, s.eps, p),
+        "potential vertical": scalars.is_zero(svk_pair_difference(ws.pot, s), s.eps, ws.pot),
     }
     yield "svk-pair-coincide-iff-u2", {
         "pair coincide": same,
@@ -481,7 +470,7 @@ def check_equivalence_chains(ws: Workspace, view: MetricView):
 @_per_view
 def check_svk_curvature(ws: Workspace, view: MetricView):
     s, curv = ws.s, view.curv
-    formula = svk_curvature_formula(s, curv.r04, view.shape, view.metric)
+    formula = svk_curvature_formula(s, curv.r04, view.shape)
     yield "svk-curvature-relation", [curv.r04_svk - formula], (curv.r04, curv.r04_svk)
     rho_formula = svk_ricci_formula(s, curv.r04, curv.rho, view.shape, view.metric)
     yield "svk-ricci-relation", [curv.rho_svk - rho_formula], (curv.rho,)
@@ -512,16 +501,6 @@ def check_curvature_symmetries(ws: Workspace, view: MetricView):
 # sectional-curvature sampling
 # ---------------------------------------------------------------------------
 
-def _random_vector(rng: np.random.Generator, dim: int, mode: str) -> np.ndarray:
-    vals = rng.integers(-3, 4, size=dim)
-    if mode == scalars.RATIONAL:
-        out = np.empty(dim, dtype=object)
-        for i, v in enumerate(vals):
-            out[i] = Fraction(int(v))
-        return out
-    return vals.astype(np.float64)
-
-
 def _stack(vectors, ws: Workspace) -> np.ndarray:
     """The vectors as the rows of one (len(vectors), dim) array."""
     dtype = object if ws.s.mode == scalars.RATIONAL else np.float64
@@ -539,18 +518,11 @@ def sample_planes(ws: Workspace, view: MetricView, seed: int) -> PlaneStack:
     while accepted < PLANE_COUNT and attempts < 60 * PLANE_COUNT:
         n = min(PLANE_COUNT - accepted, 60 * PLANE_COUNT - attempts)
         attempts += n
-        draws = [_random_vector(rng, s.dim, s.mode) for _ in range(2 * n)]
-        batch = PlaneStack.nondegenerate(
-            view.metric, _stack(draws[0::2], ws), _stack(draws[1::2], ws), s.eps
-        )
+        draws = scalars.array(rng.integers(-3, 4, size=(2 * n, s.dim)).tolist(), s.mode)
+        batch = PlaneStack.nondegenerate(view.metric, draws[0::2], draws[1::2], s.eps)
         batches.append(batch)
         accepted += len(batch)
-    return PlaneStack(
-        view.metric,
-        np.concatenate([b.x for b in batches]),
-        np.concatenate([b.y for b in batches]),
-        np.concatenate([b.den for b in batches]),
-    )
+    return PlaneStack.concat(batches)
 
 
 def _horizontal_basis(ws: Workspace):
@@ -625,14 +597,8 @@ def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
     yield _result(eps, f"sectional-basis-invariance[{role}]", [values - other], (values,))
 
     # specialized forms for distinguished section types
-    holomorphic = _holomorphic_candidates(ws, view)
-    real = _totally_real_candidates(ws, view)
-    special = PlaneStack.of(
-        m,
-        _stack([p.x for p in holomorphic + real], ws),
-        _stack([p.y for p in holomorphic + real], ws),
-        eps,
-    )
+    holomorphic, real = _special_planes(ws, view)
+    special = PlaneStack.concat([holomorphic, real])
     sop = view.shape.operator
     sx = scalars.einsum("ki,ni->nk", sop, special.x)
     sy = scalars.einsum("ki,ni->nk", sop, special.y)
@@ -646,34 +612,24 @@ def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
     )
 
 
-def _holomorphic_candidates(ws: Workspace, view: MetricView):
-    s = ws.s
-    out = []
-    for h in _horizontal_basis(ws):
-        plane = SectionPlane(h, s.phi @ h)
-        try:
-            kind, _ = section_type(plane, s, view.metric)
-        except DegeneratePlaneError:
-            continue
-        if kind == HOLOMORPHIC:
-            out.append(plane)
-    return out
-
-
-def _totally_real_candidates(ws: Workspace, view: MetricView):
-    s = ws.s
-    if s.dim < 5:
-        return []
-    out = []
-    for hi, hj in combinations(_horizontal_basis(ws), 2):
-        plane = SectionPlane(hi, hj)
-        try:
-            kind, ortho = section_type(plane, s, view.metric)
-        except DegeneratePlaneError:
-            continue
-        if kind == TOTALLY_REAL and ortho:
-            out.append(plane)
-    return out
+def _special_planes(ws: Workspace, view: MetricView) -> tuple[PlaneStack, PlaneStack]:
+    """The phi-holomorphic planes among the (h, phi h) and the
+    phi-totally-real planes among the pairs of horizontal basis parts h; all
+    non-degenerate and orthogonal to xi."""
+    s, m = ws.s, view.metric
+    hs = _horizontal_basis(ws)
+    pairs = list(combinations(hs, 2))
+    holomorphic = PlaneStack.nondegenerate(
+        m, _stack(hs, ws), _stack([s.phi @ h for h in hs], ws), s.eps
+    )
+    real = PlaneStack.nondegenerate(
+        m, _stack([a for a, _ in pairs], ws), _stack([b for _, b in pairs], ws), s.eps
+    )
+    kinds, real_kinds = section_type(holomorphic, s), section_type(real, s)
+    return (
+        holomorphic[[k == (HOLOMORPHIC, True) for k in kinds]],
+        real[[k == (TOTALLY_REAL, True) for k in real_kinds]],
+    )
 
 
 # ---------------------------------------------------------------------------

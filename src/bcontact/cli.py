@@ -16,7 +16,7 @@ from . import modelfile, scalars, zoo
 from .checks import run_checks
 from .curvature import (
     DegeneratePlaneError,
-    SectionPlane,
+    PlaneStack,
     pair_symmetries,
     section_type,
     sectional,
@@ -192,6 +192,8 @@ def cmd_verify(args) -> int:
 
 
 def _parse_plane(args, ws: Workspace):
+    """The two vectors spanning the plane of --plane or --plane-vectors, or
+    None when neither is given."""
     if args.plane:
         try:
             i, j = (int(t) for t in args.plane.split(","))
@@ -201,7 +203,7 @@ def _parse_plane(args, ws: Workspace):
         if not (0 <= i < dim and 0 <= j < dim and i != j):
             raise ModelFileError(f"--plane indices must be distinct and < {dim}")
         basis = scalars.eye(dim, ws.s.mode)
-        return SectionPlane(basis[i], basis[j])
+        return basis[i], basis[j]
     if args.plane_vectors:
         try:
             xs, ys = args.plane_vectors.split(";")
@@ -211,7 +213,7 @@ def _parse_plane(args, ws: Workspace):
             raise ModelFileError(f"bad --plane-vectors: {exc}")
         if x.shape != (ws.s.dim,) or y.shape != (ws.s.dim,):
             raise ModelFileError(f"--plane-vectors needs two vectors of {ws.s.dim} entries")
-        return SectionPlane(x, y)
+        return x, y
     return None
 
 
@@ -233,12 +235,13 @@ def cmd_curvature(args) -> int:
 
     plane = _parse_plane(args, ws)
     if plane is not None:
-        kind, ortho = section_type(plane, ws.s, ws.s.metric)
+        x, y = (v[None] for v in plane)
+        [(kind, ortho)] = section_type(PlaneStack.of(ws.g.metric, x, y, ws.s.eps), ws.s)
         payload["plane"] = {"type": kind, "orthogonal_to_xi": ortho}
         for view in (ws.g, ws.gt):
             tag = view.role
             try:
-                planes = plane.stack(view.metric, ws.s.eps)
+                planes = PlaneStack.of(view.metric, x, y, ws.s.eps)
             except DegeneratePlaneError:
                 payload["plane"][f"k[{tag}]"] = "degenerate"
                 continue
@@ -318,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("verify", help="run the full identity suite")
-    p.add_argument("path", nargs="?")
-    p.add_argument("--zoo", action="store_true", help="verify every builtin entry")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("path", nargs="?")
+    target.add_argument("--zoo", action="store_true", help="verify every builtin entry")
     p.add_argument("--seed", type=_checked(int, _nonnegative), default=None,
                    help="seed for sampled planes and, with --zoo, two extra "
                    "generated entries")
@@ -328,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curvature", help="curvature scalars and sectional values")
     p.add_argument("path")
-    p.add_argument("--plane", help="two basis indices i,j spanning a section")
-    p.add_argument("--plane-vectors", help="'x1,..,xn;y1,..,yn' spanning a section")
+    section = p.add_mutually_exclusive_group()
+    section.add_argument("--plane", help="two basis indices i,j spanning a section")
+    section.add_argument("--plane-vectors", help="'x1,..,xn;y1,..,yn' spanning a section")
     _add_common(p)
     p.set_defaults(fn=cmd_curvature)
 

@@ -12,7 +12,6 @@ so that the direct route has an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from . import scalars
 from .hv import ShapeData, pi1
 from .liegroup import LieAlgebra, covariant_derivative, curvature, nabla_of_constant
 from .structure import ACBStructure
-from .tensor import Metric, _rational_rank
+from .tensor import Metric
 
 
 class DegeneratePlaneError(ValueError):
@@ -42,9 +41,7 @@ def scalar_curvature(rho: np.ndarray, m: Metric):
     return scalars.einsum("ij,ij->", m.inv, rho)
 
 
-def svk_curvature_formula(
-    s: ACBStructure, r04_base: np.ndarray, shape: ShapeData, m: Metric
-) -> np.ndarray:
+def svk_curvature_formula(s: ACBStructure, r04_base: np.ndarray, shape: ShapeData) -> np.ndarray:
     """Right-hand side of the curvature relation tying the SvK connection to
     its base Levi-Civita connection."""
     phi2 = s.phi2
@@ -149,25 +146,6 @@ GENERIC = "generic"
 
 
 @dataclass(frozen=True)
-class SectionPlane:
-    x: np.ndarray
-    y: np.ndarray
-
-    def denominator(self, m: Metric):
-        return pi1(m, self.x, self.y, self.y, self.x)
-
-    def check_nondegenerate(self, m: Metric, eps: float):
-        d = self.denominator(m)
-        if scalars.is_zero(d, eps, m.matrix):
-            raise DegeneratePlaneError("plane is degenerate for this metric")
-        return d
-
-    def stack(self, m: Metric, eps: float) -> "PlaneStack":
-        """The stack of this one plane for ``m``."""
-        return PlaneStack.of(m, self.x[None], self.y[None], eps)
-
-
-@dataclass(frozen=True)
 class PlaneStack:
     """Non-degenerate 2-planes of one metric: plane n is spanned by x[n] and
     y[n] (x, y of shape planes x dim), and den[n] = pi_1(x,y,y,x) is the
@@ -181,12 +159,22 @@ class PlaneStack:
     def __len__(self) -> int:
         return len(self.x)
 
+    def __getitem__(self, keep) -> "PlaneStack":
+        """The planes where the boolean mask ``keep`` is true, in order."""
+        keep = np.asarray(keep, dtype=bool)
+        return PlaneStack(self.metric, self.x[keep], self.y[keep], self.den[keep])
+
+    @classmethod
+    def concat(cls, stacks: list["PlaneStack"]) -> "PlaneStack":
+        """The planes of ``stacks`` (of one metric), one stack after the other."""
+        x, y, den = (np.concatenate([getattr(p, f) for p in stacks]) for f in ("x", "y", "den"))
+        return cls(stacks[0].metric, x, y, den)
+
     @classmethod
     def nondegenerate(cls, m: Metric, x: np.ndarray, y: np.ndarray, eps: float):
         """The planes x[n], y[n] that are non-degenerate for ``m``, in order."""
         den = pi1(m, x, y, y, x)
-        keep = np.array([not scalars.is_zero(d, eps, m.matrix) for d in den], dtype=bool)
-        return cls(m, x[keep], y[keep], den[keep])
+        return cls(m, x, y, den)[[not scalars.is_zero(d, eps, m.matrix) for d in den]]
 
     @classmethod
     def of(cls, m: Metric, x: np.ndarray, y: np.ndarray, eps: float):
@@ -198,51 +186,62 @@ class PlaneStack:
         return planes
 
 
-def _in_span(vectors: list[np.ndarray], w: np.ndarray, eps: float) -> bool:
-    """Whether w lies in the span of the linearly independent ``vectors``:
-    stacking w must not raise the rank.  Exact vectors compare two ranks, each
-    from one exact elimination; float vectors test that every maximal minor
-    of the stack is within eps of zero."""
-    a = np.stack(vectors + [w])
-    if a.dtype == object:
-        return _rational_rank(a) == _rational_rank(a[:-1])
-    k, dim = a.shape
-    subs = [a[:, cols] for cols in combinations(range(dim), k)]
-    return scalars.is_zero(np.linalg.det(np.stack(subs).astype(np.float64)), eps, a)
+def _in_planes(planes: PlaneStack, w: np.ndarray, eps: float) -> list[bool]:
+    """Whether w[n] lies in plane n, for every plane of the stack.
+
+    With m the stack's metric, w lies in the plane iff its m-orthogonal
+    projection onto the plane, multiplied through by den = pi_1(x,y,y,x),
+    gives den w back:
+
+        den w - (m(y,y) m(x,w) - m(x,y) m(y,w)) x - (m(x,x) m(y,w) - m(x,y) m(x,w)) y = 0.
+
+    Exact in rational mode; a float test is scaled by the three terms."""
+    x, y, m = planes.x, planes.y, planes.metric
+    xx, xy, yy, xw, yw = m.inner(x, x), m.inner(x, y), m.inner(y, y), m.inner(x, w), m.inner(y, w)
+    terms = (
+        planes.den[:, None] * w,
+        (yy * xw - xy * yw)[:, None] * x,
+        (xx * yw - xy * xw)[:, None] * y,
+    )
+    r = terms[0] - terms[1] - terms[2]
+    return [scalars.is_zero(r[n], eps, *(t[n] for t in terms)) for n in range(len(r))]
 
 
-def section_type(plane: SectionPlane, s: ACBStructure, m: Metric) -> tuple[str, bool]:
-    """Classify the plane; returns (kind, orthogonal_to_xi).
+def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
+    """Classify every plane of the stack, with the stack's metric m; returns
+    one (kind, orthogonal_to_xi) per plane.
 
     xi-section: xi lies in the plane.  phi-holomorphic: the plane is
     phi-invariant.  phi-totally-real: the plane is m-orthogonal to its
-    phi-image (meaningful only from dimension 5 up).  The second value
-    reports m-orthogonality of the plane to xi, which selects the right
+    phi-image (meaningful only from dimension 5 up, so a totally-real plane
+    below it raises DegeneratePlaneError).  The second value reports
+    m-orthogonality of the plane to xi, which selects the right
     sectional-curvature specialization for totally-real planes.
     """
-    eps = s.eps
-    plane.check_nondegenerate(m, eps)
-    x, y = plane.x, plane.y
-    phi = s.phi
-    span = [x, y]
-    ortho_to_xi = scalars.is_zero(s.eta @ x, eps, x) and scalars.is_zero(
-        s.eta @ y, eps, y
-    )
-    if _in_span(span, s.xi, eps):
-        return XI_SECTION, ortho_to_xi
-    if _in_span(span, phi @ x, eps) and _in_span(span, phi @ y, eps):
-        return HOLOMORPHIC, ortho_to_xi
-    pairs = [(x, x), (x, y), (y, y)]
-    if all(
-        scalars.is_zero(scalars.einsum("ij,i,j->", m.matrix, u, phi @ v), eps, m.matrix)
-        for u, v in pairs
-    ):
-        if s.dim < 5:
-            raise DegeneratePlaneError(
-                "totally-real planes require dimension at least 5"
-            )
-        return TOTALLY_REAL, ortho_to_xi
-    return GENERIC, ortho_to_xi
+    eps, m = s.eps, planes.metric
+    x, y = planes.x, planes.y
+    phi_x = scalars.einsum("ki,ni->nk", s.phi, x)
+    phi_y = scalars.einsum("ki,ni->nk", s.phi, y)
+    reeb = _in_planes(planes, np.broadcast_to(s.xi, x.shape), eps)
+    phi_x_in = _in_planes(planes, phi_x, eps)
+    phi_y_in = _in_planes(planes, phi_y, eps)
+    # m(u, phi v) for the pairs (x,x), (x,y), (y,y)
+    forms = [m.inner(u, v) for u, v in ((x, phi_x), (x, phi_y), (y, phi_y))]
+    kinds = [
+        XI_SECTION if reeb[n]
+        else HOLOMORPHIC if phi_x_in[n] and phi_y_in[n]
+        else TOTALLY_REAL if all(scalars.is_zero(f[n], eps, m.matrix) for f in forms)
+        else GENERIC
+        for n in range(len(planes))
+    ]
+    if TOTALLY_REAL in kinds and s.dim < 5:
+        raise DegeneratePlaneError("totally-real planes require dimension at least 5")
+    eta_x, eta_y = x @ s.eta, y @ s.eta
+    ortho = [
+        scalars.is_zero(eta_x[n], eps, x[n]) and scalars.is_zero(eta_y[n], eps, y[n])
+        for n in range(len(planes))
+    ]
+    return list(zip(kinds, ortho))
 
 
 def sectional(r04: np.ndarray, planes: PlaneStack) -> np.ndarray:

@@ -46,10 +46,7 @@ def shape_operator(s: ACBStructure, conn: np.ndarray, m: Metric) -> ShapeData:
 def pi1(m: Metric, x, y, z, w):
     """pi_1(x,y,z,w) = m(y,z) m(x,w) - m(x,z) m(y,w), of four vectors or,
     plane by plane, of four stacks of vectors (planes x dim)."""
-    def form(u, v):
-        return scalars.einsum("ij,...i,...j->...", m.matrix, u, v)
-
-    return form(y, z) * form(x, w) - form(x, z) * form(y, w)
+    return m.inner(y, z) * m.inner(x, w) - m.inner(x, z) * m.inner(y, w)
 
 
 @dataclass(frozen=True)

@@ -128,19 +128,25 @@ def phi_b_connection(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
 # relations between the two connections of the pair
 # ---------------------------------------------------------------------------
 
-def svk_pair_from_potential(svk: np.ndarray, p: np.ndarray, s: ACBStructure) -> np.ndarray:
-    """Second connection of the pair from the first and the potential of the
-    second Levi-Civita connection:
+def svk_pair_difference(p: np.ndarray, s: ACBStructure) -> np.ndarray:
+    """D~ - D from the potential Phi of the second Levi-Civita connection:
 
-    D~_x y = D_x y + Phi(x,y) - eta(Phi(x,y)) xi - eta(y) Phi(x,xi).
+    (D~ - D)(x,y) = Phi(x,y) - eta(Phi(x,y)) xi - eta(y) Phi(x,xi);
+
+    it vanishes iff the two connections of the pair coincide.
     """
     p_xi = scalars.einsum("lim,m->li", p, s.xi)  # Phi(x, xi)
     return (
-        svk
-        + p
+        p
         - scalars.einsum("m,mij,k->kij", s.eta, p, s.xi)
         - scalars.einsum("j,ki->kij", s.eta, p_xi)
     )
+
+
+def svk_pair_from_potential(svk: np.ndarray, p: np.ndarray, s: ACBStructure) -> np.ndarray:
+    """Second connection of the pair from the first and the potential of the
+    second Levi-Civita connection: D~ = D + ``svk_pair_difference``."""
+    return svk + svk_pair_difference(p, s)
 
 
 def svk_pair_covariant_phi(dphi: np.ndarray, p: np.ndarray, s: ACBStructure) -> np.ndarray:

@@ -19,7 +19,6 @@ safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,24 +55,6 @@ def _rational_inverse(m: np.ndarray) -> np.ndarray:
                 a[r] = a[r] - f * a[col]
                 inv[r] = inv[r] - f * inv[col]
     return inv
-
-
-def _rational_rank(m: np.ndarray) -> int:
-    """Rank of a rational matrix, by one exact Gaussian elimination."""
-    rows = [list(r) for r in m]
-    rank = 0
-    for col in range(m.shape[1]):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = Fraction(rows[r][col]) / top[col]
-                rows[r] = [u - f * v for u, v in zip(rows[r], top)]
-        rank += 1
-    return rank
 
 
 def _rational_signature(m: np.ndarray) -> tuple[int, int]:
@@ -133,7 +114,8 @@ class Metric:
         return cls(m, inv, sig)
 
     def inner(self, x: np.ndarray, y: np.ndarray):
-        return scalars.einsum("ij,i,j->", self.matrix, x, y)
+        """m(x, y) of two vectors or, row by row, of two stacks of vectors."""
+        return scalars.einsum("ij,...i,...j->...", self.matrix, x, y)
 
 
 def metric_inverse(m: np.ndarray, eps: float) -> np.ndarray:

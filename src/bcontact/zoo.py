@@ -22,6 +22,7 @@ frozen in their entries and asserted by the test suite instead.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -346,16 +347,9 @@ def _boundary_catalog() -> dict[str, ZooEntry]:
     return {e.name: e for e in entries}
 
 
-_CATALOG: dict[str, ZooEntry] | None = None
-_BOUNDARY: dict[str, ZooEntry] | None = None
-
-
+@functools.cache
 def _catalogs():
-    global _CATALOG, _BOUNDARY
-    if _CATALOG is None:
-        _CATALOG = _catalog()
-        _BOUNDARY = _boundary_catalog()
-    return _CATALOG, _BOUNDARY
+    return _catalog(), _boundary_catalog()
 
 
 def names() -> list[str]:

@@ -152,6 +152,19 @@ def test_verify_without_target_is_input_error():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["verify", "{abelian3}", "--zoo"], ("--zoo", "path")),
+    (["curvature", "{abelian3}", "--plane", "0,1", "--plane-vectors", "1,0,0;0,0,1"],
+     ("--plane-vectors", "--plane")),
+])
+def test_alternative_targets_are_exclusive(files, capsys, argv, flags):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(**files) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(f"argument {flag}" in err for flag in flags)
+
+
 def test_curvature_scalars_and_plane(files):
     proc = run_cli("curvature", files["dim5-tr"], "--plane", "0,1")
     assert proc.returncode == 0

@@ -9,7 +9,7 @@ from bcontact.curvature import (
     DegeneratePlaneError,
     GENERIC,
     HOLOMORPHIC,
-    SectionPlane,
+    PlaneStack,
     TOTALLY_REAL,
     XI_SECTION,
     curvature_reeb_identity,
@@ -21,11 +21,23 @@ from bcontact.curvature import (
     svk_scalar_formula,
     svk_sectional_formula,
 )
-from bcontact.scalars import RATIONAL
+from bcontact.scalars import DEFAULT_EPS, RATIONAL
 
 from support import workspace
 
 ALL_NAMES = zoo.names()
+
+
+def _plane(m, x, y):
+    """The stack of the one plane spanned by x and y (rational, so eps is
+    not used)."""
+    return PlaneStack.of(m, x[None], y[None], DEFAULT_EPS)
+
+
+def _type(ws, x, y):
+    """(kind, orthogonal_to_xi) of the plane spanned by x and y, for g."""
+    (out,) = section_type(_plane(ws.s.metric, x, y), ws.s)
+    return out
 
 
 def test_flat_model_everything_vanishes():
@@ -41,7 +53,7 @@ def test_svk_curvature_relation_direct_vs_formula():
     for name in ALL_NAMES:
         ws = workspace(name)
         for view in (ws.g, ws.gt):
-            formula = svk_curvature_formula(ws.s, view.curv.r04, view.shape, view.metric)
+            formula = svk_curvature_formula(ws.s, view.curv.r04, view.shape)
             assert np.array_equal(view.curv.r04_svk, formula), name
 
 
@@ -91,20 +103,18 @@ def test_curvature_reeb_identity_over_basis_pairs():
 def test_section_types_on_dim5_entry():
     ws = workspace("dim5-tr")
     e0, e1, e2 = scalars.eye(5, RATIONAL)[:3]
-    kind, _ = section_type(SectionPlane(e0, ws.s.xi), ws.s, ws.s.metric)
+    kind, _ = _type(ws, e0, ws.s.xi)
     assert kind == XI_SECTION
-    kind, _ = section_type(SectionPlane(e0, e2), ws.s, ws.s.metric)
+    kind, _ = _type(ws, e0, e2)
     assert kind == HOLOMORPHIC
-    kind, ortho = section_type(SectionPlane(e0, e1), ws.s, ws.s.metric)
+    kind, ortho = _type(ws, e0, e1)
     assert kind == TOTALLY_REAL and ortho
     # a slanted plane: non-degenerate, not phi-invariant, pairs with its
     # phi-image, contains no Reeb direction
-    mixed = SectionPlane(e0 * Fraction(2) + e2, e1)
-    kind, _ = section_type(mixed, ws.s, ws.s.metric)
+    kind, _ = _type(ws, e0 * Fraction(2) + e2, e1)
     assert kind == GENERIC
     # totally-real but not orthogonal to the Reeb vector
-    tilted = SectionPlane(e0 + ws.s.xi, e1)
-    kind, ortho = section_type(tilted, ws.s, ws.s.metric)
+    kind, ortho = _type(ws, e0 + ws.s.xi, e1)
     assert kind == TOTALLY_REAL and not ortho
 
 
@@ -113,10 +123,7 @@ def test_recorded_planes_verify():
         entry = zoo.builtin(name)
         ws = workspace(name)
         for kind, x, y in entry.planes:
-            plane = SectionPlane(
-                scalars.array(x, RATIONAL), scalars.array(y, RATIONAL)
-            )
-            derived, _ = section_type(plane, ws.s, ws.s.metric)
+            derived, _ = _type(ws, scalars.array(x, RATIONAL), scalars.array(y, RATIONAL))
             assert derived == kind, (name, kind)
 
 
@@ -125,7 +132,7 @@ def test_totally_real_rejected_in_dim3():
     # in dimension 3 no horizontal 2-plane can be orthogonal to its phi-image;
     # the classifier never reports the totally-real type there
     e0, e1 = scalars.eye(3, RATIONAL)[:2]
-    kind, _ = section_type(SectionPlane(e0, e1), ws.s, ws.s.metric)
+    kind, _ = _type(ws, e0, e1)
     assert kind != TOTALLY_REAL
 
 
@@ -134,10 +141,10 @@ def test_degenerate_plane_raises():
     e0, e1 = scalars.eye(5, RATIONAL)[:2]
     # the (e0,e1)-plane is degenerate for the associated metric of this entry
     with pytest.raises(DegeneratePlaneError):
-        sectional(ws.gt.curv.r04, SectionPlane(e0, e1).stack(ws.s.assoc, ws.s.eps))
+        sectional(ws.gt.curv.r04, _plane(ws.s.assoc, e0, e1))
     # and a rank-deficient pair is degenerate for any metric
     with pytest.raises(DegeneratePlaneError):
-        sectional(ws.g.curv.r04, SectionPlane(e0, e0).stack(ws.s.metric, ws.s.eps))
+        sectional(ws.g.curv.r04, _plane(ws.s.metric, e0, e0))
 
 
 def test_reeb_sections_flat_for_svk():
@@ -150,9 +157,8 @@ def test_reeb_sections_flat_for_svk():
                 if scalars.residual(h) == 0.0:
                     continue
                 for x in (h, h + ws.s.phi @ h):
-                    plane = SectionPlane(x, ws.s.xi)
                     try:
-                        k = sectional(view.curv.r04_svk, plane.stack(view.metric, ws.s.eps))[0]
+                        k = sectional(view.curv.r04_svk, _plane(view.metric, x, ws.s.xi))[0]
                     except DegeneratePlaneError:
                         continue
                     assert k == 0, name
@@ -166,12 +172,10 @@ def test_sectional_formula_on_seeded_planes():
         while checked < 20:
             x = scalars.array(rng.integers(-3, 4, size=ws.s.dim).tolist(), RATIONAL)
             y = scalars.array(rng.integers(-3, 4, size=ws.s.dim).tolist(), RATIONAL)
-            plane = SectionPlane(x, y)
             try:
-                direct = sectional(ws.g.curv.r04_svk, plane.stack(ws.s.metric, ws.s.eps))[0]
-                (formula,) = svk_sectional_formula(
-                    plane.stack(ws.s.metric, ws.s.eps), ws.g.curv.r04, ws.g.shape, ws.s
-                )
+                plane = _plane(ws.s.metric, x, y)
+                direct = sectional(ws.g.curv.r04_svk, plane)[0]
+                (formula,) = svk_sectional_formula(plane, ws.g.curv.r04, ws.g.shape, ws.s)
             except DegeneratePlaneError:
                 continue
             assert direct == formula
@@ -184,12 +188,13 @@ def test_sectional_holomorphic_correction():
 
     ws = workspace("dim5-tr")
     e0 = scalars.eye(5, RATIONAL)[0]
-    plane = SectionPlane(e0, ws.s.phi @ e0)
-    sx = ws.g.shape.operator @ plane.x
-    sy = ws.g.shape.operator @ plane.y
-    corr = pi1(ws.s.metric, sx, sy, plane.y, plane.x) / plane.denominator(ws.s.metric)
-    k_base = sectional(ws.g.curv.r04, plane.stack(ws.s.metric, ws.s.eps))[0]
-    k_svk = sectional(ws.g.curv.r04_svk, plane.stack(ws.s.metric, ws.s.eps))[0]
+    x, y = e0, ws.s.phi @ e0
+    m = ws.s.metric
+    sx = ws.g.shape.operator @ x
+    sy = ws.g.shape.operator @ y
+    corr = pi1(m, sx, sy, y, x) / pi1(m, x, y, y, x)
+    k_base = sectional(ws.g.curv.r04, _plane(m, x, y))[0]
+    k_svk = sectional(ws.g.curv.r04_svk, _plane(m, x, y))[0]
     assert k_svk == k_base + corr
     assert corr != 0  # the correction genuinely matters on this entry
 
@@ -199,21 +204,21 @@ def test_sectional_totally_real_correction():
 
     ws = workspace("dim5-tr")
     e0, e1 = scalars.eye(5, RATIONAL)[:2]
-    plane = SectionPlane(e0, e1)
-    kind, ortho = section_type(plane, ws.s, ws.s.metric)
+    x, y = e0, e1
+    m = ws.s.metric
+    kind, ortho = _type(ws, x, y)
     assert kind == TOTALLY_REAL and ortho
-    sx = ws.g.shape.operator @ plane.x
-    sy = ws.g.shape.operator @ plane.y
-    corr = pi1(ws.s.metric, sx, sy, plane.y, plane.x) / plane.denominator(ws.s.metric)
-    k_svk = sectional(ws.g.curv.r04_svk, plane.stack(ws.s.metric, ws.s.eps))[0]
-    assert k_svk == sectional(ws.g.curv.r04, plane.stack(ws.s.metric, ws.s.eps))[0] + corr
+    sx = ws.g.shape.operator @ x
+    sy = ws.g.shape.operator @ y
+    corr = pi1(m, sx, sy, y, x) / pi1(m, x, y, y, x)
+    k_svk = sectional(ws.g.curv.r04_svk, _plane(m, x, y))[0]
+    assert k_svk == sectional(ws.g.curv.r04, _plane(m, x, y))[0] + corr
 
 
 def test_sectional_invariant_under_basis_change():
     ws = workspace("solv3-f4")
     e0, e1 = scalars.eye(3, RATIONAL)[:2]
-    plane = SectionPlane(e0, e1)
-    base = sectional(ws.g.curv.r04_svk, plane.stack(ws.s.metric, ws.s.eps))[0]
+    base = sectional(ws.g.curv.r04_svk, _plane(ws.s.metric, e0, e1))[0]
     rng = np.random.default_rng(23)
     tried = 0
     while tried < 10:
@@ -222,8 +227,7 @@ def test_sectional_invariant_under_basis_change():
             continue
         x2 = e0 * Fraction(a) + e1 * Fraction(b)
         y2 = e0 * Fraction(c) + e1 * Fraction(d)
-        other = SectionPlane(x2, y2)
-        assert sectional(ws.g.curv.r04_svk, other.stack(ws.s.metric, ws.s.eps))[0] == base
+        assert sectional(ws.g.curv.r04_svk, _plane(ws.s.metric, x2, y2))[0] == base
         tried += 1
 
 

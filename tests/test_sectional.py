@@ -2,9 +2,9 @@
 the polarized form of the sectional relation, and the exact span test that
 classifies planes.
 
-An ``ast`` guard keeps every sectional value of the check suite on the
-batched path: no loop of ``checks.py`` calls ``sectional`` or
-``svk_sectional_formula``.
+An ``ast`` guard keeps every sectional value and section type of the check
+suite on the batched path: no loop of ``checks.py`` calls ``sectional``,
+``svk_sectional_formula`` or ``section_type``.
 """
 import ast
 from dataclasses import replace
@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 import bcontact
 from bcontact import checks, scalars, zoo
 from bcontact.checks import check_sectional_curvature, run_checks, sample_planes
-from bcontact.curvature import _in_span, sectional, svk_sectional_polarized
+from bcontact.curvature import PlaneStack, _in_planes, sectional, svk_sectional_polarized
+from bcontact.hv import pi1
 from bcontact.scalars import FLOAT, RATIONAL
+from bcontact.tensor import Metric
 
 from support import workspace
 
@@ -126,9 +129,9 @@ def _loop_calls(tree: ast.AST, names: set[str]) -> list[int]:
 def test_no_loop_in_checks_evaluates_planes_one_at_a_time():
     path = Path(bcontact.__file__).resolve().parent / "checks.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _loop_calls(tree, {"sectional", "svk_sectional_formula"}) == []
+    assert _loop_calls(tree, {"sectional", "svk_sectional_formula", "section_type"}) == []
     # the guard does see a call in a loop
-    probe = ast.parse("for p in planes:\n    k = sectional(r, p.stack(m, eps))\n")
+    probe = ast.parse("for p in planes:\n    k = sectional(r, p)\n")
     assert _loop_calls(probe, {"sectional"}) == [2]
 
 
@@ -161,34 +164,40 @@ fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 @st.composite
 def span_cases(draw):
-    """Linearly independent rational vectors and a w that is either a
-    rational combination of them or drawn freely."""
-    dim = draw(st.integers(min_value=2, max_value=5))
-    k = draw(st.integers(min_value=1, max_value=min(3, dim - 1)))
-    vectors = [
+    """A ±1 diagonal metric, two rational vectors spanning a plane and a w
+    that is either a rational combination of them or drawn freely."""
+    dim = draw(st.integers(min_value=3, max_value=5))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim))
+    m = Metric.from_matrix(np.diag(scalars.array(signs, RATIONAL)), 0.0)
+    x, y = (
         scalars.array(draw(st.lists(fractions, min_size=dim, max_size=dim)), RATIONAL)
-        for _ in range(k)
-    ]
+        for _ in range(2)
+    )
     if draw(st.booleans()):
-        coeffs = draw(st.lists(fractions, min_size=k, max_size=k))
-        w = sum((c * v for c, v in zip(coeffs, vectors)), scalars.zeros(dim, RATIONAL))
+        a, b = draw(st.lists(fractions, min_size=2, max_size=2))
+        w = x * a + y * b
     else:
         w = scalars.array(draw(st.lists(fractions, min_size=dim, max_size=dim)), RATIONAL)
-    return vectors, w
+    return m, x, y, w
+
+
+def _in_plane(m, x, y, w) -> bool:
+    """The span rule of ``section_type`` on the one plane spanned by x, y."""
+    (inside,) = _in_planes(PlaneStack.of(m, x[None], y[None], 0.0), w[None], 0.0)
+    return inside
 
 
 @given(span_cases())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_exact_span_test_agrees_with_minors(case):
-    vectors, w = case
-    # the span test is stated for independent vectors, as the two vectors of
-    # a non-degenerate plane are
-    assume(any(m != 0 for m in _minors([list(v) for v in vectors])))
-    assert _in_span(vectors, w, 0.0) == _in_span_by_minors(vectors, w)
+    m, x, y, w = case
+    # the span rule is stated for non-degenerate planes
+    assume(pi1(m, x, y, y, x) != 0)
+    assert _in_plane(m, x, y, w) == _in_span_by_minors([x, y], w)
 
 
 def test_exact_span_test_on_known_cases():
     e = scalars.eye(4, RATIONAL)
-    assert _in_span([e[0], e[1]], e[0] * Fraction(2, 3) - e[1], 0.0)
-    assert not _in_span([e[0], e[1]], e[2], 0.0)
-    assert not _in_span([e[0] + e[1]], e[0], 0.0)
+    m = Metric.from_matrix(np.diag(scalars.array([1, 1, -1, -1], RATIONAL)), 0.0)
+    assert _in_plane(m, e[0], e[1], e[0] * Fraction(2, 3) - e[1])
+    assert not _in_plane(m, e[0], e[1], e[2])
