@@ -51,12 +51,13 @@ from .hv import (
     torsion_pi1_form,
     wedge_form_operator,
 )
-from .liegroup import covariant_derivative, nabla_of_constant, torsion
+from .liegroup import covariant_derivative, torsion
 from .pipeline import MetricView, Workspace
 from .structure import (
     CheckResult,
     assoc_fundamental_from_fundamental,
     fundamental_from_potential,
+    nabla_xi_class_conditions,
     potential_from_fundamental,
 )
 from .svk import (
@@ -69,6 +70,7 @@ from .svk import (
     svk_torsion_closed,
     torsion_from_potential,
 )
+from .tensor import lower_out
 
 # sampled planes per metric in the sectional-curvature checks
 PLANE_COUNT = 20
@@ -145,7 +147,7 @@ def check_fundamental_identities(ws: Workspace, view: MetricView):
         + scalars.einsum("z,xy->xyz", eta, fxiz)
     )
     # F(x, phi y, xi) = (nabla_x eta)(y) = m(nabla_x xi, y)
-    lam = scalars.einsum("ki,kj->ij", nabla_of_constant(conn, xi), m.matrix)
+    lam = lower_out(covariant_derivative(conn, xi, 1), m)
     neta = covariant_derivative(conn, s.eta, 0)
     yield "fundamental-identities", [
         f - scalars.einsum("xyz->xzy", f),
@@ -178,7 +180,9 @@ def check_divergence_traces(ws: Workspace, view: MetricView):
 
 @_per_view
 def check_nabla_xi_table(ws: Workspace, view: MetricView):
-    conds = view.nabla_xi_conditions
+    conds = nabla_xi_class_conditions(
+        ws.s, view.conn, view.metric, view.lee, view.div_pair, view.classification
+    )
     yield (
         "class-nabla-xi-table",
         [a for arrays in conds.values() for a in arrays],
@@ -229,7 +233,7 @@ def check_svk_preserves_structure(ws: Workspace, view: MetricView):
     s, d = ws.s, view.svk
     yield "svk-preserves-structure", [
         covariant_derivative(d, view.metric.matrix, 0),
-        nabla_of_constant(d, s.xi),
+        covariant_derivative(d, s.xi, 1),
         covariant_derivative(d, s.eta, 0),
     ], (d, view.metric.matrix)
 
@@ -279,7 +283,7 @@ def check_svk_coincidence(ws: Workspace, view: MetricView):
     s, gamma = ws.s, view.conn
     yield "svk-coincides-iff-reeb-parallel", {
         "svk equals levi-civita": scalars.is_zero(view.svk - gamma, s.eps, gamma),
-        "nabla xi zero": scalars.is_zero(nabla_of_constant(gamma, s.xi), s.eps, gamma),
+        "nabla xi zero": scalars.is_zero(covariant_derivative(gamma, s.xi, 1), s.eps, gamma),
     }
 
 
@@ -289,9 +293,9 @@ def check_reeb_parallel_transfer(ws: Workspace):
     lc, lc_t = ws.g.conn, ws.gt.conn
     yield "reeb-parallel-transfer", {
         "svk(g) = lc(g)": scalars.is_zero(ws.g.svk - lc, s.eps, lc),
-        "nabla xi = 0": scalars.is_zero(nabla_of_constant(lc, s.xi), s.eps),
+        "nabla xi = 0": scalars.is_zero(covariant_derivative(lc, s.xi, 1), s.eps),
         "svk(g~) = lc(g~)": scalars.is_zero(ws.gt.svk - lc_t, s.eps, lc_t),
-        "nabla~ xi = 0": scalars.is_zero(nabla_of_constant(lc_t, s.xi), s.eps),
+        "nabla~ xi = 0": scalars.is_zero(covariant_derivative(lc_t, s.xi, 1), s.eps),
     }
 
 
@@ -476,11 +480,10 @@ def check_svk_curvature(ws: Workspace, view: MetricView):
     yield "svk-ricci-relation", [curv.rho_svk - rho_formula], (curv.rho,)
     tau_formula = svk_scalar_formula(curv.tau, view.rho_xi_xi, view.shape)
     yield "svk-scalar-relation", [curv.tau_svk - tau_formula], ()
-    via_shape = ricci_xi_formula(s, view.conn, view.shape, view.metric)
+    n_s = covariant_derivative(view.conn, view.shape.operator, 1)
+    via_shape = ricci_xi_formula(s, view.conn, n_s, view.shape, view.metric)
     yield "ricci-reeb-formula", [view.rho_xi_xi - via_shape], ()
-    yield "curvature-reeb-identity", [
-        curvature_reeb_identity(s, view.conn, view.shape)
-    ], (curv.r04,)
+    yield "curvature-reeb-identity", [curvature_reeb_identity(s, curv.r13, n_s)], (curv.r04,)
 
 
 @_per_view

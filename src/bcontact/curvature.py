@@ -17,19 +17,13 @@ import numpy as np
 
 from . import scalars
 from .hv import ShapeData, pi1
-from .liegroup import LieAlgebra, covariant_derivative, curvature, nabla_of_constant
+from .liegroup import covariant_derivative, curvature
 from .structure import ACBStructure
-from .tensor import Metric
+from .tensor import Metric, lower_out
 
 
 class DegeneratePlaneError(ValueError):
     """The 2-plane is degenerate for the metric in use."""
-
-
-def curvature_04(algebra: LieAlgebra, conn: np.ndarray, m: Metric) -> np.ndarray:
-    """(0,4) curvature R(x,y,z,w) = m(R(x,y)z, w)."""
-    r13 = curvature(algebra, conn)
-    return scalars.einsum("lijk,lw->ijkw", r13, m.matrix)
 
 
 def ricci(r04: np.ndarray, m: Metric) -> np.ndarray:
@@ -61,12 +55,11 @@ def svk_ricci_formula(
     r_xi = scalars.einsum("iyzj,i,j->yz", r04_base, xi, xi)
     sop, sd = shape.operator, shape.diamond
     ss = scalars.einsum("km,mi->ki", sop, sop)
-    ss_low = scalars.einsum("ky,kz->yz", ss, m.matrix)
     return (
         rho_base
         - scalars.einsum("z,y->yz", eta, rho_y_xi)
         - r_xi
-        - ss_low
+        - lower_out(ss, m)
         + sd * shape.trace
     )
 
@@ -77,24 +70,26 @@ def svk_scalar_formula(tau_base, rho_xi_xi, shape: ShapeData):
     return tau_base - 2 * rho_xi_xi - s2 + shape.trace**2
 
 
-def ricci_xi_formula(s: ACBStructure, conn: np.ndarray, shape: ShapeData, m: Metric):
-    """rho(xi,xi) = tr(nabla_xi S) - div(S(xi)) - tr(S^2)."""
+def ricci_xi_formula(
+    s: ACBStructure, conn: np.ndarray, n_s: np.ndarray, shape: ShapeData, m: Metric
+):
+    """rho(xi,xi) = tr(nabla_xi S) - div(S(xi)) - tr(S^2), with ``n_s`` the
+    covariant derivative nabla S indexed [k, x, i]."""
     xi = s.xi
-    nS = covariant_derivative(conn, shape.operator, 1)  # [k, x, i]
-    tr_nabla_xi_s = scalars.einsum("kxk,x->", nS, xi)
+    tr_nabla_xi_s = scalars.einsum("kxk,x->", n_s, xi)
     s_xi = scalars.einsum("ki,i->k", shape.operator, xi)
-    div_s_xi = scalars.einsum("ij,ki,kj->", m.inv, nabla_of_constant(conn, s_xi), m.matrix)
+    div_s_xi = scalars.einsum(
+        "ij,ki,kj->", m.inv, covariant_derivative(conn, s_xi, 1), m.matrix
+    )
     s2 = np.trace(shape.operator @ shape.operator)
     return tr_nabla_xi_s - div_s_xi - s2
 
 
-def curvature_reeb_identity(s: ACBStructure, conn: np.ndarray, shape: ShapeData) -> np.ndarray:
-    """Residual of R(x,y) xi = -(nabla_x S) y + (nabla_y S) x over the basis."""
-    r13 = curvature(s.algebra, conn)
+def curvature_reeb_identity(s: ACBStructure, r13: np.ndarray, n_s: np.ndarray) -> np.ndarray:
+    """Residual of R(x,y) xi = -(nabla_x S) y + (nabla_y S) x over the basis,
+    from the (1,3) curvature and nabla S indexed [l, x, y]."""
     lhs = scalars.einsum("lijk,k->lij", r13, s.xi)
-    nS = covariant_derivative(conn, shape.operator, 1)  # [l, x, y]
-    rhs = -nS + scalars.einsum("lxy->lyx", nS)
-    return lhs - rhs
+    return lhs - (-n_s + scalars.einsum("lxy->lyx", n_s))
 
 
 def pair_symmetries(r: np.ndarray) -> dict[str, np.ndarray]:
@@ -109,9 +104,11 @@ def pair_symmetries(r: np.ndarray) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class CurvatureData:
-    """Curvature package of one metric: its Levi-Civita curvature and the
-    curvature of the associated Schouten-van Kampen connection."""
+    """Curvature package of one metric: its Levi-Civita curvature, as (1,3)
+    and (0,4) tensors, and the curvature of the associated Schouten-van
+    Kampen connection."""
 
+    r13: np.ndarray
     r04: np.ndarray
     rho: np.ndarray
     tau: object
@@ -123,13 +120,14 @@ class CurvatureData:
 def curvature_data(
     s: ACBStructure, conn: np.ndarray, svk_conn: np.ndarray, m: Metric
 ) -> CurvatureData:
-    r04 = curvature_04(s.algebra, conn, m)
+    r13 = curvature(s.algebra, conn)
+    r04 = lower_out(r13, m)
     rho = ricci(r04, m)
     tau = scalar_curvature(rho, m)
-    r04_d = curvature_04(s.algebra, svk_conn, m)
+    r04_d = lower_out(curvature(s.algebra, svk_conn), m)
     rho_d = ricci(r04_d, m)
     tau_d = scalar_curvature(rho_d, m)
-    return CurvatureData(r04, rho, tau, r04_d, rho_d, tau_d)
+    return CurvatureData(r13, r04, rho, tau, r04_d, rho_d, tau_d)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalars
-from .liegroup import covariant_derivative, d_eta, lie_derivative_metric, nabla_of_constant
+from .liegroup import covariant_derivative, d_eta, lie_derivative_metric
 from .structure import ACBStructure
-from .tensor import Metric
+from .tensor import Metric, lower_out
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,8 @@ class ShapeData:
 
 
 def shape_operator(s: ACBStructure, conn: np.ndarray, m: Metric) -> ShapeData:
-    op = -nabla_of_constant(conn, s.xi)  # [k, i] = component k of S(e_i)
-    diamond = scalars.einsum("ki,kj->ij", op, m.matrix)
-    return ShapeData(op, diamond)
+    op = -covariant_derivative(conn, s.xi, 1)  # [k, i] = component k of S(e_i)
+    return ShapeData(op, lower_out(op, m))
 
 
 def pi1(m: Metric, x, y, z, w):
@@ -87,7 +86,7 @@ def reference_components(
     through the shape data:  Q^h = S (x) eta,            Q^v = -S<> (x) xi,
                              T^h = -eta ^ S,             T^v = -2 Alt(S<>) (x) xi.
     """
-    nxi = nabla_of_constant(conn, s.xi)
+    nxi = covariant_derivative(conn, s.xi, 1)
     neta = covariant_derivative(conn, s.eta, 0)
     de = d_eta(s.algebra, s.eta)
     eta, xi = s.eta, s.xi
@@ -148,9 +147,7 @@ def equivalence_chains(
     qv = comps.q_v
     sd = shape.diamond
     sop = shape.operator
-    g = m.matrix
-    adj = scalars.einsum("ki,kj->ij", sop, g)  # m(S(x), y)
-    adj_t = scalars.einsum("kj,ki->ij", sop, g)  # m(x, S(y))
+    adj = lower_out(sop, m)  # m(S(x), y)
 
     chains = {
         "symmetric": {
@@ -158,20 +155,20 @@ def equivalence_chains(
             "eta closed": [de],
             "Q-vertical symmetric": [qv - scalars.einsum("kij->kji", qv)],
             "T-vertical vanishes": [comps.t_v],
-            "shape self-adjoint": [adj - adj_t],
+            "shape self-adjoint": [adj - adj.T],
             "shape form symmetric": [sd - sd.T],
         },
         "skew": {
             "nabla-eta skew": [neta + neta.T],
             "reeb killing": [lg],
             "Q-vertical skew": [qv + scalars.einsum("kij->kji", qv)],
-            "shape anti-self-adjoint": [adj + adj_t],
+            "shape anti-self-adjoint": [adj + adj.T],
             "shape form skew": [sd + sd.T],
         },
         "vanishing": {
             "nabla-eta zero": [neta],
             "eta closed and reeb killing": [de, lg],
-            "nabla-xi zero": [nabla_of_constant(conn, s.xi)],
+            "nabla-xi zero": [covariant_derivative(conn, s.xi, 1)],
             "shape zero": [sop],
             "shape form zero": [sd],
             "svk equals levi-civita": [svk_conn - conn],

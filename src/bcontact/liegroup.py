@@ -12,7 +12,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import scalars
-from .tensor import Metric
+from .tensor import Metric, lower_out
 
 
 class StructureError(ValueError):
@@ -51,12 +51,6 @@ class LieAlgebra:
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError("bracket arguments must be vectors of the model dimension")
         return scalars.einsum("kij,i,j->k", self.c, x, y)
-
-
-def nabla_of_constant(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(nabla v)[k, i] = component k of nabla_{e_i} v, for the connection
-    with coefficients ``gamma``."""
-    return scalars.einsum("kim,m->ki", gamma, v)
 
 
 def torsion(gamma: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
@@ -121,7 +115,6 @@ def d_eta(algebra: LieAlgebra, eta: np.ndarray) -> np.ndarray:
 
 def lie_derivative_metric(gamma: np.ndarray, xi: np.ndarray, m: Metric) -> np.ndarray:
     """(L_xi g)(x,y) = g(nabla_x xi, y) + g(nabla_y xi, x) for torsion-free nabla."""
-    nxi = nabla_of_constant(gamma, xi)  # [k, i]
-    low = scalars.einsum("ki,kj->ij", nxi, m.matrix)
+    low = lower_out(covariant_derivative(gamma, xi, 1), m)
     return low + low.T
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from . import scalars
 from .liegroup import LieAlgebra, StructureError
 from .scalars import DEFAULT_EPS, RATIONAL
@@ -30,11 +32,18 @@ def _canonical_scalar(tok) -> str:
         raise ModelFileError(f"bad scalar {tok!r}: {exc}") from exc
 
 
+def _index(tok) -> int:
+    """An integer entry (``dim`` or a bracket index); a boolean is none."""
+    if isinstance(tok, (bool, np.bool_)):
+        raise TypeError("a boolean is not an integer")
+    return int(tok)
+
+
 def canonicalize(doc: dict) -> dict:
     """Normalized document: fixed key order, canonical scalar strings,
     brackets sorted by index pair."""
     try:
-        dim = int(doc["dim"])
+        dim = _index(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError("missing or bad 'dim'") from exc
 
@@ -51,7 +60,7 @@ def canonicalize(doc: dict) -> dict:
     brackets = []
     for item in doc.get("brackets", []):
         try:
-            i, j, coeffs = int(item[0]), int(item[1]), item[2]
+            i, j, coeffs = _index(item[0]), _index(item[1]), item[2]
         except (TypeError, ValueError, IndexError) as exc:
             raise ModelFileError(f"bad bracket entry {item!r}") from exc
         if not (0 <= i < dim and 0 <= j < dim) or i == j:

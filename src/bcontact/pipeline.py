@@ -28,7 +28,6 @@ from .structure import (
     divergences,
     fundamental_tensor,
     lee_forms,
-    nabla_xi_class_conditions,
     validate_structure,
 )
 from .svk import svk_connection
@@ -94,13 +93,6 @@ class MetricView:
             self.ws.s, self.fundamental, self.lee, self.metric, self.conn,
             self.partner.conn, self.partner_potential03, self.div_pair,
             self.role,
-        )
-
-    @_cached
-    def nabla_xi_conditions(self) -> dict:
-        return nabla_xi_class_conditions(
-            self.ws.s, self.conn, self.metric, self.lee, self.div_pair,
-            self.classification,
         )
 
     @_cached

@@ -56,8 +56,11 @@ def exact(tok: ScalarLike) -> Fraction:
     """The exact value of a scalar token ("p/q", decimal string, int, float).
 
     A float reads as its shortest decimal, so the number 1e-13 and the string
-    "1e-13" are the same value; a non-finite float raises ValueError.
+    "1e-13" are the same value; a non-finite float raises ValueError.  A
+    boolean is not a scalar and raises TypeError.
     """
+    if isinstance(tok, (bool, np.bool_)):
+        raise TypeError("a boolean is not a number")
     if isinstance(tok, (float, np.floating)):
         return Fraction(repr(float(tok)))
     return Fraction(tok)
@@ -107,15 +110,6 @@ def eye(dim: int, mode: str) -> np.ndarray:
     return out
 
 
-def _summed(spec: str) -> bool:
-    """Whether an einsum spec sums over at least one index."""
-    inputs, arrow, output = spec.partition("->")
-    letters = [c for c in inputs if c.isalpha()]
-    if not arrow:  # implicit output: the indices that occur once
-        return len(set(letters)) < len(letters)
-    return not set(letters) <= set(output)
-
-
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     """``(n, d)`` with ``a == n / d``: ``n`` an object array of Python ints
     and ``d`` the least common denominator of the entries of ``a``."""
@@ -129,21 +123,20 @@ def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
 def einsum(spec: str, *operands: np.ndarray):
     """``np.einsum(spec, *operands)``: the library's one contraction.
 
-    A rational contraction of two or more operands that sums over an index
-    runs over integers instead of ``Fraction`` objects: each operand is
-    scaled by the least common denominator of its entries, numpy contracts
-    the integer arrays, and each entry of the result is the exact
-    ``Fraction`` of its integer over the product of the scales.  A 0-d
-    result is a ``Fraction`` scalar.  Every other call, float operands
-    included, is numpy's own; numpy is looked up at each call, so a wrapper
-    installed on ``np.einsum`` sees every contraction.
+    Every rational call of two or more operands runs over integers instead
+    of ``Fraction`` objects: each operand is scaled by the least common
+    denominator of its entries, numpy contracts the integer arrays, and each
+    entry of the result is the exact ``Fraction`` of its integer over the
+    product of the scales.  A 0-d result is a ``Fraction`` scalar.  Float
+    calls and single-operand calls (transposes, traces) are numpy's own;
+    numpy is looked up at each call, so a wrapper installed on ``np.einsum``
+    sees every contraction.
     """
     # the float test comes first: it is all a float call pays
     if (
         operands[0].dtype != object
         or len(operands) < 2
         or any(a.dtype != object for a in operands)
-        or not _summed(spec)
     ):
         return np.einsum(spec, *operands)
     scaled = [_scaled(a) for a in operands]

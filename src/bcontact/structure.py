@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import scalars
-from .liegroup import LieAlgebra, covariant_derivative, nabla_of_constant
-from .tensor import Metric, sharp
+from .liegroup import LieAlgebra, covariant_derivative
+from .tensor import Metric, lower_out, sharp
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,7 @@ def fundamental_tensor(s: ACBStructure, conn: np.ndarray, m: Metric) -> np.ndarr
 
     Its defining symmetries are checked by ``fundamental-identities``.
     """
-    nphi = covariant_derivative(conn, s.phi, 1)  # [l, x, y]
-    return scalars.einsum("lxy,lz->xyz", nphi, m.matrix)
+    return lower_out(covariant_derivative(conn, s.phi, 1), m)
 
 
 @dataclass(frozen=True)
@@ -439,8 +438,8 @@ def classify(
     phi, xi, eta = s.phi, s.xi, s.eta
     phi2 = s.phi2
     conds = {"F0": [f], **_class_conditions(s, f, lee, m)}
-    conds["U1"] = [nabla_of_constant(conn, xi)]
-    conds["U1_assoc"] = [nabla_of_constant(conn_partner, xi)]
+    conds["U1"] = [covariant_derivative(conn, xi, 1)]
+    conds["U1_assoc"] = [covariant_derivative(conn_partner, xi, 1)]
 
     fxi = scalars.einsum("xym,m->xy", f, xi)
     conds["U2"] = [
@@ -493,8 +492,8 @@ def nabla_xi_class_conditions(
       F11: nabla xi = eta (x) (phi omega#)
     """
     phi, xi, eta = s.phi, s.xi, s.eta
-    nxi = nabla_of_constant(conn, xi)  # [k, i]
-    lam = scalars.einsum("ki,kj->ij", nxi, m.matrix)  # m(nabla_{e_i} xi, e_j)
+    nxi = covariant_derivative(conn, xi, 1)  # [k, i]
+    lam = lower_out(nxi, m)  # m(nabla_{e_i} xi, e_j)
     lam_phiphi = scalars.einsum("ab,ai,bj->ij", lam, phi, phi)
     div, div_star = div_pair
     inv2n = _inv2n(s)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import scalars
-from .liegroup import covariant_derivative, d_eta, nabla_of_constant
+from .liegroup import covariant_derivative, d_eta
 from .structure import ACBStructure
 from .tensor import Metric
 
@@ -43,14 +43,14 @@ def svk_connection_projected(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
 
 def svk_potential_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """Q(x,y) = -eta(y) nabla_x xi + (nabla_x eta)(y) xi."""
-    nxi = nabla_of_constant(conn, s.xi)
+    nxi = covariant_derivative(conn, s.xi, 1)
     neta = covariant_derivative(conn, s.eta, 0)
     return -scalars.einsum("j,ki->kij", s.eta, nxi) + scalars.einsum("ij,k->kij", neta, s.xi)
 
 
 def svk_torsion_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """T(x,y) = eta(x) nabla_y xi - eta(y) nabla_x xi + d eta(x,y) xi."""
-    nxi = nabla_of_constant(conn, s.xi)
+    nxi = covariant_derivative(conn, s.xi, 1)
     de = d_eta(s.algebra, s.eta)
     return (
         scalars.einsum("i,kj->kij", s.eta, nxi)
@@ -89,7 +89,7 @@ def svk_covariant_phi_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     connection alone.
     """
     nphi = covariant_derivative(conn, s.phi, 1)  # [l, x, y]
-    nxi = nabla_of_constant(conn, s.xi)
+    nxi = covariant_derivative(conn, s.xi, 1)
     neta = covariant_derivative(conn, s.eta, 0)
     return (
         nphi
@@ -102,7 +102,7 @@ def is_natural(conn: np.ndarray, s: ACBStructure, m: Metric) -> bool:
     """A connection is natural for the structure when phi, xi, eta and the
     metric are all parallel."""
     ok_phi = scalars.is_zero(covariant_derivative(conn, s.phi, 1), s.eps, s.phi)
-    ok_xi = scalars.is_zero(nabla_of_constant(conn, s.xi), s.eps)
+    ok_xi = scalars.is_zero(covariant_derivative(conn, s.xi, 1), s.eps)
     ok_eta = scalars.is_zero(covariant_derivative(conn, s.eta, 0), s.eps)
     ok_m = scalars.is_zero(covariant_derivative(conn, m.matrix, 0), s.eps, m.matrix)
     return ok_phi and ok_xi and ok_eta and ok_m
@@ -115,7 +115,7 @@ def phi_b_connection(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
                - eta(y) nabla_x xi.
     """
     nphi = covariant_derivative(conn, s.phi, 1)
-    nxi = nabla_of_constant(conn, s.xi)
+    nxi = covariant_derivative(conn, s.xi, 1)
     neta = covariant_derivative(conn, s.eta, 0)
     return (
         conn

@@ -31,37 +31,17 @@ class DegenerateMetricError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers (shared by both backends)
+# exact linear algebra of the rational backend
 # ---------------------------------------------------------------------------
 
-def _rational_inverse(m: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverse over exact rationals."""
+def _diagonalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Congruence diagonalization of a symmetric rational matrix: ``(e, d)``
+    with ``e m e^T = diag(d)`` and every d[k] nonzero, so the signs of d are
+    the signature and m^-1 = e^T diag(d)^-1 e.  Each row operation on m is
+    also applied to ``e``, which starts as the identity."""
     n = m.shape[0]
-    a = m.astype(object).copy()
-    inv = scalars.eye(n, RATIONAL)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r, col] != 0), None)
-        if pivot is None:
-            raise DegenerateMetricError("matrix is singular")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        p = a[col, col]
-        a[col] = a[col] / p
-        inv[col] = inv[col] / p
-        for r in range(n):
-            if r != col and a[r, col] != 0:
-                f = a[r, col]
-                a[r] = a[r] - f * a[col]
-                inv[r] = inv[r] - f * inv[col]
-    return inv
-
-
-def _rational_signature(m: np.ndarray) -> tuple[int, int]:
-    """Signature of a symmetric rational matrix via congruence diagonalization."""
-    n = m.shape[0]
-    a = m.astype(object).copy()
-    pos = neg = 0
+    a = m.copy()
+    e = scalars.eye(n, RATIONAL)
     rows = list(range(n))
     while rows:
         # find a nonzero diagonal pivot, creating one by e_i -> e_i + e_j if needed
@@ -71,23 +51,21 @@ def _rational_signature(m: np.ndarray) -> tuple[int, int]:
                 ((i, j) for i in rows for j in rows if i != j and a[i, j] != 0), None
             )
             if off is None:
-                raise DegenerateMetricError("matrix is singular")
+                raise DegenerateMetricError("metric determinant is zero")
             i, j = off
             a[i, :] = a[i, :] + a[j, :]
             a[:, i] = a[:, i] + a[:, j]
+            e[i] = e[i] + e[j]
             piv = i
         p = a[piv, piv]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
         rows.remove(piv)
         for r in rows:
             if a[r, piv] != 0:
                 f = a[r, piv] / p
                 a[r, :] = a[r, :] - f * a[piv, :]
                 a[:, r] = a[:, r] - f * a[:, piv]
-    return pos, neg
+                e[r] = e[r] - f * e[piv]
+    return e, np.diagonal(a)
 
 
 @dataclass(frozen=True)
@@ -103,32 +81,22 @@ class Metric:
     def from_matrix(cls, m: np.ndarray, eps: float) -> "Metric":
         if not scalars.is_zero(m - m.T, eps):
             raise ValueError("metric matrix must be symmetric")
-        inv = metric_inverse(m, eps)
         if scalars.mode_of(m) == RATIONAL:
-            sig = _rational_signature(m)
-        else:
-            ev = np.linalg.eigvalsh(m.astype(np.float64))
-            if scalars.is_zero(np.min(np.abs(ev)), eps, m):
-                raise DegenerateMetricError("metric has a numerically zero eigenvalue")
-            sig = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
-        return cls(m, inv, sig)
+            e, d = _diagonalize(m)
+            inv = scalars.einsum("ki,k,kj->ij", e, 1 / d, e)
+            return cls(m, inv, (sum(x > 0 for x in d), sum(x < 0 for x in d)))
+        det = np.linalg.det(m)
+        if scalars.is_zero(det, eps, m):
+            raise DegenerateMetricError(f"metric determinant {det} below tolerance")
+        inv = np.linalg.inv(m)
+        ev = np.linalg.eigvalsh(m.astype(np.float64))
+        if scalars.is_zero(np.min(np.abs(ev)), eps, m):
+            raise DegenerateMetricError("metric has a numerically zero eigenvalue")
+        return cls(m, inv, (int(np.sum(ev > 0)), int(np.sum(ev < 0))))
 
     def inner(self, x: np.ndarray, y: np.ndarray):
         """m(x, y) of two vectors or, row by row, of two stacks of vectors."""
         return scalars.einsum("ij,...i,...j->...", self.matrix, x, y)
-
-
-def metric_inverse(m: np.ndarray, eps: float) -> np.ndarray:
-    """Inverse of a symmetric non-degenerate (0,2) tensor, as a (2,0) tensor."""
-    if scalars.mode_of(m) == RATIONAL:
-        try:
-            return _rational_inverse(m)
-        except DegenerateMetricError:
-            raise DegenerateMetricError("metric determinant is zero") from None
-    det = np.linalg.det(m)
-    if scalars.is_zero(det, eps, m):
-        raise DegenerateMetricError(f"metric determinant {det} below tolerance")
-    return np.linalg.inv(m)
 
 
 def sharp(omega: np.ndarray, m: Metric) -> np.ndarray:

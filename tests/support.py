@@ -8,8 +8,8 @@ import numpy as np
 
 from bcontact import scalars, zoo
 from bcontact.checks import run_checks
-from bcontact.scalars import RATIONAL
-from bcontact.tensor import _rational_inverse
+from bcontact.scalars import DEFAULT_EPS, RATIONAL
+from bcontact.tensor import Metric
 
 _WS = {}
 _RESULTS = {}
@@ -59,7 +59,9 @@ def basis_change(entry, p) -> dict:
     invariant of the model is unchanged.
     """
     p = scalars.array(p, RATIONAL)
-    q = _rational_inverse(p)
+    # P^-1 = (P^T P)^-1 P^T, with P^T P symmetric and non-degenerate
+    q = Metric.from_matrix(p.T @ p, DEFAULT_EPS).inv @ p.T
+    assert np.array_equal(q @ p, scalars.eye(len(p), RATIONAL))
     s = entry.structure(RATIONAL)
     c = np.einsum("kl,lij,ia,jb->kab", q, s.algebra.c, p, p)
     dim = entry.dim

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from bcontact import modelfile, scalars, zoo
-from bcontact.liegroup import levi_civita, nabla_of_constant
+from bcontact.liegroup import covariant_derivative, levi_civita
 from bcontact.scalars import FLOAT, RATIONAL
 from bcontact.structure import fundamental_tensor, validate_structure
 from bcontact.svk import phi_b_connection
@@ -92,9 +92,9 @@ def test_criterion_4_coincidence_booleans():
         ws = workspace(name)
         bools = [
             scalars.residual(ws.g.svk - ws.g.conn) == 0.0,
-            scalars.residual(nabla_of_constant(ws.g.conn, ws.s.xi)) == 0.0,
+            scalars.residual(covariant_derivative(ws.g.conn, ws.s.xi, 1)) == 0.0,
             scalars.residual(ws.gt.svk - ws.gt.conn) == 0.0,
-            scalars.residual(nabla_of_constant(ws.gt.conn, ws.s.xi)) == 0.0,
+            scalars.residual(covariant_derivative(ws.gt.conn, ws.s.xi, 1)) == 0.0,
         ]
         assert len(set(bools)) == 1, (name, bools)
         values.append(bools[0])

@@ -21,6 +21,7 @@ from bcontact.curvature import (
     svk_scalar_formula,
     svk_sectional_formula,
 )
+from bcontact.liegroup import covariant_derivative
 from bcontact.scalars import DEFAULT_EPS, RATIONAL
 
 from support import workspace
@@ -89,14 +90,16 @@ def test_ricci_reeb_formula():
     for name in ALL_NAMES:
         ws = workspace(name)
         for view in (ws.g, ws.gt):
-            via_shape = ricci_xi_formula(ws.s, view.conn, view.shape, view.metric)
+            n_s = covariant_derivative(view.conn, view.shape.operator, 1)
+            via_shape = ricci_xi_formula(ws.s, view.conn, n_s, view.shape, view.metric)
             assert view.rho_xi_xi == via_shape, name
 
 
 def test_curvature_reeb_identity_over_basis_pairs():
     for name in ("solv3-a", "solv3-f11", "solv7-u2"):
         ws = workspace(name)
-        res = curvature_reeb_identity(ws.s, ws.g.conn, ws.g.shape)
+        n_s = covariant_derivative(ws.g.conn, ws.g.shape.operator, 1)
+        res = curvature_reeb_identity(ws.s, ws.g.curv.r13, n_s)
         assert scalars.residual(res) == 0.0, name
 
 
@@ -234,6 +237,7 @@ def test_sectional_invariant_under_basis_change():
 def test_ricci_xi_formula_pieces_nonzero():
     # the identity is only interesting when the pieces are individually nonzero
     ws = workspace("solv3-f11")
-    val = ricci_xi_formula(ws.s, ws.g.conn, ws.g.shape, ws.s.metric)
+    n_s = covariant_derivative(ws.g.conn, ws.g.shape.operator, 1)
+    val = ricci_xi_formula(ws.s, ws.g.conn, n_s, ws.g.shape, ws.s.metric)
     assert val == ws.g.rho_xi_xi
     assert scalars.residual(ws.g.shape.operator) > 0

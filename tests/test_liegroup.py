@@ -12,7 +12,6 @@ from bcontact.liegroup import (
     curvature,
     d_eta,
     lie_derivative_metric,
-    nabla_of_constant,
     torsion,
 )
 from bcontact.scalars import DEFAULT_EPS, RATIONAL
@@ -137,7 +136,7 @@ def test_nabla_eta_equals_lowered_nabla_xi():
     ws = workspace("solv3-f4")
     neta = covariant_derivative(ws.g.conn, ws.s.eta, 0)
     lam = np.einsum(
-        "ki,kj->ij", nabla_of_constant(ws.g.conn, ws.s.xi), ws.s.metric.matrix
+        "ki,kj->ij", covariant_derivative(ws.g.conn, ws.s.xi, 1), ws.s.metric.matrix
     )
     assert np.array_equal(neta, lam)
 
@@ -164,7 +163,7 @@ def test_killing_reeb_with_nonparallel_xi():
     ws = workspace("x-heis5-f7")
     lg = lie_derivative_metric(ws.g.conn, ws.s.xi, ws.s.metric)
     assert scalars.residual(lg) == 0.0
-    assert scalars.residual(nabla_of_constant(ws.g.conn, ws.s.xi)) > 0
+    assert scalars.residual(covariant_derivative(ws.g.conn, ws.s.xi, 1)) > 0
 
 
 def test_lie_derivative_against_bracket_formula():

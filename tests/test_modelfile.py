@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bcontact import cli, modelfile, scalars, zoo
@@ -124,3 +125,44 @@ def test_non_finite_json_number_is_a_bad_scalar(tmp_path, capsys, token):
     p.write_text(text)
     assert cli.main(["validate", str(p)]) == 2
     assert "input error: bad scalar" in capsys.readouterr().err
+
+
+def _with_boolean(where):
+    """A valid model document with one number replaced by the JSON boolean
+    ``true``/``false`` at ``where``."""
+    doc = zoo.builtin("solv3-a").doc()
+    if where == "xi":
+        doc["xi"] = ["BOOL" if str(v) == "1" else v for v in doc["xi"]]
+        return json.dumps(doc).replace('"BOOL"', "true")
+    if where == "dim":
+        return json.dumps(doc).replace('"dim": 3', '"dim": true')
+    i = doc["brackets"][0][0]
+    assert i in (0, 1)
+    doc["brackets"][0][0] = "BOOL"
+    return json.dumps(doc).replace('"BOOL"', "true" if i else "false")
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("xi", "bad scalar True"),
+        ("dim", "missing or bad 'dim'"),
+        ("bracket", "bad bracket entry"),
+    ],
+)
+def test_json_boolean_is_not_a_number(tmp_path, capsys, where, message):
+    # true == 1 and false == 0 in Python, so each of these documents would
+    # otherwise load as the valid model it was taken from
+    text = _with_boolean(where)
+    with pytest.raises(ModelFileError, match=message):
+        modelfile.loads(text)
+    p = tmp_path / "model.json"
+    p.write_text(text)
+    assert cli.main(["validate", str(p)]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", [True, False, np.True_, np.False_])
+def test_boolean_is_not_an_exact_scalar(token):
+    with pytest.raises(TypeError):
+        scalars.exact(token)

@@ -1,10 +1,11 @@
 """The scalar kernel: ``scalars.einsum``, the one contraction path, and the
 exact-zero shortcut of ``scalars.zero_test``.
 
-A rational contraction runs over integers scaled by a common denominator and
-must give exactly what ``np.einsum`` gives over ``Fraction`` objects; a float
-contraction is numpy's own call.  An ``ast`` guard keeps every contraction of
-the library on this path.
+A rational contraction of two or more operands runs over integers scaled by
+a common denominator and must give exactly what ``np.einsum`` gives over
+``Fraction`` objects; a float contraction is numpy's own call.  ``ast`` guards
+keep every contraction of the library on this path, and every lowering of an
+upper index by a metric in ``tensor.lower_out``.
 """
 import ast
 import math
@@ -59,20 +60,14 @@ def contractions(draw):
     return spec, operands
 
 
-def _contracts(spec, operands):
-    """Whether the call multiplies two or more operands and sums an index."""
-    inputs, arrow, output = spec.partition("->")
-    letters = [c for c in inputs if c != ","]
-    if not arrow:
-        output = [c for c in letters if letters.count(c) == 1]
-    return len(operands) >= 2 and bool(set(letters) - set(output))
-
-
 @given(contractions())
-# an empty summed axis, and a 0-d result of mixed denominators
+# an empty summed axis, a 0-d result of mixed denominators, and an outer
+# product, which sums no index
 @example(("ij,jk->ik", [scalars.zeros((2, 0), RATIONAL), scalars.zeros((0, 3), RATIONAL)]))
 @example(("i,i->", [scalars.array(["1/2", "-2/3", 5], RATIONAL),
                     scalars.array([3, "1/4", "-1/10"], RATIONAL)]))
+@example(("i,j->ij", [scalars.array(["1/2", "-2/3", 5], RATIONAL),
+                      scalars.array(["3/4", 0], RATIONAL)]))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_rational_einsum_equals_numpy_exactly(case):
     spec, operands = case
@@ -81,12 +76,13 @@ def test_rational_einsum_equals_numpy_exactly(case):
     if not isinstance(expected, np.ndarray):
         assert not isinstance(got, np.ndarray)
         assert got == expected
-        if _contracts(spec, operands):
+        if len(operands) >= 2:
             assert type(got) is Fraction
         return
     assert got.dtype == object and got.shape == expected.shape
     assert all(g == e for g, e in zip(got.flat, expected.flat))
-    if _contracts(spec, operands):
+    # every rational call of two or more operands runs on the integer kernel
+    if len(operands) >= 2:
         assert all(type(x) is Fraction for x in got.flat)
 
 
@@ -157,3 +153,70 @@ def test_nonzero_rational_array_keeps_residual_and_worst_index():
     assert scalars.zero_test([scalars.zeros((2,), RATIONAL), a], 0.0) == (
         False, 1.5, (1, 1, 2),
     )
+
+
+def _lowers_first_index(spec: str) -> bool:
+    """Whether an einsum spec has the shape "aR,az->Rz": the first index of
+    the first operand summed against the first of a two-index second
+    operand, whose other index comes last in the output."""
+    inputs, arrow, output = spec.partition("->")
+    terms = inputs.split(",")
+    if len(terms) != 2:
+        return False
+    first, second = terms
+    if not arrow:  # implicit output: the indices that occur once, sorted
+        letters = first + second
+        output = "".join(sorted(c for c in set(letters) if letters.count(c) == 1))
+    return (
+        len(second) == 2
+        and first[:1] == second[0]
+        and second[0] not in first[1:] + second[1]
+        and output == first[1:] + second[1]
+    )
+
+
+def _hand_written_lowerings(tree):
+    """The lines of ``scalars.einsum(spec, t, <...>.matrix)`` calls whose spec
+    lowers the first index of t, outside ``lower_out``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "einsum"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "scalars"
+            and len(node.args) == 3
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+            and isinstance(node.args[2], ast.Attribute)
+            and node.args[2].attr == "matrix"
+            and _lowers_first_index(node.args[0].value)
+            and function != "lower_out"
+        ):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_lowering_pattern_recognized():
+    assert _lowers_first_index("ki,kj->ij")
+    assert _lowers_first_index("lijk,lw->ijkw")
+    assert _lowers_first_index("ki,kj")
+    assert not _lowers_first_index("kj,ki->ij")  # m(x, S(y)), a transpose
+    assert not _lowers_first_index("ij,ij->")
+    assert not _lowers_first_index("ij,j->i")
+
+
+def test_every_lowering_is_lower_out():
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses += [f"{path.stem}:{line}" for line in _hand_written_lowerings(tree)]
+    assert uses == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bcontact import scalars, zoo
-from bcontact.liegroup import nabla_of_constant
+from bcontact.liegroup import covariant_derivative
 from bcontact.scalars import DEFAULT_EPS, RATIONAL
 from bcontact.structure import (
     ACBStructure,
@@ -15,7 +15,7 @@ from bcontact.structure import (
 )
 from bcontact.tensor import Metric
 
-from support import workspace
+from support import result_map, workspace
 
 ALL_NAMES = zoo.names()
 
@@ -177,7 +177,7 @@ def test_classify_omega_entry_nabla_xi_row():
     # nabla xi = eta (x) phi(omega#) checked componentwise
     ws = workspace("solv3-f11")
     assert ws.g.classification["F11"]
-    nxi = nabla_of_constant(ws.g.conn, ws.s.xi)
+    nxi = covariant_derivative(ws.g.conn, ws.s.xi, 1)
     phi_om = ws.s.phi @ ws.g.lee.omega_sharp
     assert np.array_equal(nxi, np.einsum("k,i->ki", phi_om, ws.s.eta))
 
@@ -185,10 +185,10 @@ def test_classify_omega_entry_nabla_xi_row():
 def test_nabla_xi_rows_for_members():
     # every class a structure belongs to forces its covariant-derivative row
     for name in ALL_NAMES + zoo.boundary_names():
-        ws = workspace(name)
-        for view in (ws.g, ws.gt):
-            conds = view.nabla_xi_conditions.values()
-            assert all(scalars.residual(a) == 0.0 for c in conds for a in c), name
+        rows = result_map(name)
+        for role in ("g", "gtilde"):
+            row = rows[f"class-nabla-xi-table[{role}]"]
+            assert row.passed and row.residual == 0.0, (name, role)
 
 
 def test_second_trace_entry_row():
@@ -196,7 +196,7 @@ def test_second_trace_entry_row():
     ws = workspace("solv3-a")
     assert ws.g.classification["F5"]
     div = ws.g.div_pair[0]
-    nxi = nabla_of_constant(ws.g.conn, ws.s.xi)
+    nxi = covariant_derivative(ws.g.conn, ws.s.xi, 1)
     res = nxi + ws.s.phi2 * (Fraction(div) / (2 * ws.s.n))
     assert scalars.residual(res) == 0.0
 
@@ -206,7 +206,7 @@ def test_symmetry_row_of_boundary_entry():
     ws = workspace("x-solv3-f9")
     assert ws.g.classification["F9"]
     lam = np.einsum(
-        "ki,kj->ij", nabla_of_constant(ws.g.conn, ws.s.xi), ws.s.metric.matrix
+        "ki,kj->ij", covariant_derivative(ws.g.conn, ws.s.xi, 1), ws.s.metric.matrix
     )
     lam_phiphi = np.einsum("ab,ai,bj->ij", lam, ws.s.phi, ws.s.phi)
     assert np.array_equal(lam, lam.T)
@@ -218,7 +218,7 @@ def test_skew_row_of_symmetric_one_sided_entry():
     ws = workspace("x-mix5-f8")
     assert ws.g.classification["F8"]
     lam = np.einsum(
-        "ki,kj->ij", nabla_of_constant(ws.g.conn, ws.s.xi), ws.s.metric.matrix
+        "ki,kj->ij", covariant_derivative(ws.g.conn, ws.s.xi, 1), ws.s.metric.matrix
     )
     lam_phiphi = np.einsum("ab,ai,bj->ij", lam, ws.s.phi, ws.s.phi)
     assert np.array_equal(lam, -lam.T)

@@ -1,7 +1,7 @@
 import pytest
 
 from bcontact import scalars, zoo
-from bcontact.liegroup import nabla_of_constant
+from bcontact.liegroup import covariant_derivative
 from bcontact.scalars import RATIONAL
 from bcontact.structure import validate_structure
 
@@ -89,12 +89,12 @@ def test_boundary_entries_swap_one_sided_classes():
     # two views
     for name in ("x-solv3-f9", "x-solv5-f9"):
         ws = workspace(name)
-        assert scalars.residual(nabla_of_constant(ws.g.conn, ws.s.xi)) > 0
-        assert scalars.residual(nabla_of_constant(ws.gt.conn, ws.s.xi)) == 0.0
+        assert scalars.residual(covariant_derivative(ws.g.conn, ws.s.xi, 1)) > 0
+        assert scalars.residual(covariant_derivative(ws.gt.conn, ws.s.xi, 1)) == 0.0
         assert ws.g.classification["F9"] and ws.gt.classification["F10"]
     ws = workspace("x-solv3-f10")
-    assert scalars.residual(nabla_of_constant(ws.g.conn, ws.s.xi)) == 0.0
-    assert scalars.residual(nabla_of_constant(ws.gt.conn, ws.s.xi)) > 0
+    assert scalars.residual(covariant_derivative(ws.g.conn, ws.s.xi, 1)) == 0.0
+    assert scalars.residual(covariant_derivative(ws.gt.conn, ws.s.xi, 1)) > 0
     assert ws.g.classification["F10"] and ws.gt.classification["F9"]
 
 
