@@ -119,6 +119,11 @@ def _per_view(rows):
     return _rows(functools.wraps(rows)(lambda ws: _views(ws, rows)))
 
 
+def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b, added by the scalar kernel in rational mode."""
+    return scalars.combine([1, -1], [a, b])
+
+
 # ---------------------------------------------------------------------------
 # individual checks; each takes the workspace and yields CheckResults
 # ---------------------------------------------------------------------------
@@ -141,17 +146,20 @@ def check_fundamental_identities(ws: Workspace, view: MetricView):
     conn, m = view.conn, view.metric
     f = view.fundamental
     fxiz = scalars.einsum("xmz,m->xz", f, xi)
-    proj = (
-        scalars.einsum("xab,ay,bz->xyz", f, phi, phi)
-        + scalars.einsum("y,xz->xyz", eta, fxiz)
-        + scalars.einsum("z,xy->xyz", eta, fxiz)
+    proj = scalars.combine(
+        [1, 1, 1],
+        [
+            scalars.einsum("xab,ay,bz->xyz", f, phi, phi),
+            scalars.einsum("y,xz->xyz", eta, fxiz),
+            scalars.einsum("z,xy->xyz", eta, fxiz),
+        ],
     )
     # F(x, phi y, xi) = (nabla_x eta)(y) = m(nabla_x xi, y)
-    lam = lower_out(covariant_derivative(conn, xi, 1), m)
+    lam = lower_out(view.nabla_xi, m)
     neta = covariant_derivative(conn, s.eta, 0)
     yield "fundamental-identities", [
-        f - scalars.einsum("xyz->xzy", f),
-        f - proj,
+        _minus(f, scalars.einsum("xyz->xzy", f)),
+        _minus(f, proj),
         scalars.einsum("xaz,ay,z->xy", f, phi, xi) - lam,
         neta - lam,
         torsion(conn, s.algebra),
@@ -181,7 +189,7 @@ def check_divergence_traces(ws: Workspace, view: MetricView):
 @_per_view
 def check_nabla_xi_table(ws: Workspace, view: MetricView):
     conds = nabla_xi_class_conditions(
-        ws.s, view.conn, view.metric, view.lee, view.div_pair, view.classification
+        ws.s, view.nabla_xi, view.metric, view.lee, view.div_pair, view.classification
     )
     yield (
         "class-nabla-xi-table",
@@ -197,12 +205,12 @@ def check_potential_routes(ws: Workspace):
     direct = ws.pot03
     closed = potential_from_fundamental(s, ws.g.fundamental, ws.g.lee)
     yield "potential-closed-form", [
-        direct - closed,
-        direct - scalars.einsum("xyz->yxz", direct),
+        _minus(direct, closed),
+        _minus(direct, scalars.einsum("xyz->yxz", direct)),
     ], (direct,)
     f = ws.g.fundamental
     rebuilt = fundamental_from_potential(s, ws.pot03)
-    yield "fundamental-reconstruction", [rebuilt - f], (f,)
+    yield "fundamental-reconstruction", [_minus(rebuilt, f)], (f,)
     # full metric trace of the potential in its last two slots, at the Reeb slot
     yield "potential-vertical-trace", [
         scalars.einsum("ij,mij,m->", s.metric.inv, direct, s.xi)
@@ -213,7 +221,7 @@ def check_potential_routes(ws: Workspace):
 def check_assoc_fundamental(ws: Workspace):
     direct = ws.gt.fundamental
     converted = assoc_fundamental_from_fundamental(ws.s, ws.g.fundamental)
-    yield "assoc-fundamental-two-routes", [direct - converted], (direct,)
+    yield "assoc-fundamental-two-routes", [_minus(direct, converted)], (direct,)
 
 
 @_rows
@@ -224,7 +232,7 @@ def check_zero_class_equivalences(ws: Workspace):
         "fundamental zero": scalars.is_zero(ws.g.fundamental, eps),
         "potential zero": scalars.is_zero(ws.pot, eps),
         "assoc fundamental zero": scalars.is_zero(ws.gt.fundamental, eps),
-        "connections coincide": scalars.is_zero(gamma - gamma_t, eps, gamma),
+        "connections coincide": scalars.is_zero(_minus(gamma, gamma_t), eps, gamma),
     }
 
 
@@ -243,7 +251,7 @@ def check_svk_two_routes(ws: Workspace, view: MetricView):
     # svk-projector-route is D's independent oracle; the closed forms share one formula
     proj = svk_connection_projected(view.conn, ws.s)
     d = view.svk
-    yield "svk-projector-route", [proj - d], (d,)
+    yield "svk-projector-route", [_minus(proj, d)], (d,)
 
 
 @_per_view
@@ -263,8 +271,8 @@ def check_svk_closed_forms(ws: Workspace, view: MetricView):
     # compared (svk-projector-route tests the potential)
     t = view.torsion
     yield "svk-potential-torsion-closed-forms", [
-        t - svk_torsion_closed(view.conn, s),
-        t + scalars.einsum("kij->kji", t),
+        _minus(t, svk_torsion_closed(view.nabla_xi, s)),
+        scalars.combine([1, 1], [t, scalars.einsum("kij->kji", t)]),
     ], (view.potential, t)
 
 
@@ -272,9 +280,9 @@ def check_svk_closed_forms(ws: Workspace, view: MetricView):
 def check_torsion_potential_bijection(ws: Workspace, view: MetricView):
     q03, t03 = view.potential03, view.torsion03
     yield "torsion-potential-bijection", [
-        torsion_from_potential(q03) - t03,
-        potential_from_torsion(t03, ws.s.eps) - q03,
-        q03 + scalars.einsum("xyz->xzy", q03),  # metric potentials
+        _minus(torsion_from_potential(q03), t03),
+        _minus(potential_from_torsion(t03, ws.s.eps), q03),
+        scalars.combine([1, 1], [q03, scalars.einsum("xyz->xzy", q03)]),  # metric potentials
     ], (q03, t03)
 
 
@@ -282,8 +290,8 @@ def check_torsion_potential_bijection(ws: Workspace, view: MetricView):
 def check_svk_coincidence(ws: Workspace, view: MetricView):
     s, gamma = ws.s, view.conn
     yield "svk-coincides-iff-reeb-parallel", {
-        "svk equals levi-civita": scalars.is_zero(view.svk - gamma, s.eps, gamma),
-        "nabla xi zero": scalars.is_zero(covariant_derivative(gamma, s.xi, 1), s.eps, gamma),
+        "svk equals levi-civita": scalars.is_zero(_minus(view.svk, gamma), s.eps, gamma),
+        "nabla xi zero": scalars.is_zero(view.nabla_xi, s.eps, gamma),
     }
 
 
@@ -292,10 +300,10 @@ def check_reeb_parallel_transfer(ws: Workspace):
     s = ws.s
     lc, lc_t = ws.g.conn, ws.gt.conn
     yield "reeb-parallel-transfer", {
-        "svk(g) = lc(g)": scalars.is_zero(ws.g.svk - lc, s.eps, lc),
-        "nabla xi = 0": scalars.is_zero(covariant_derivative(lc, s.xi, 1), s.eps),
-        "svk(g~) = lc(g~)": scalars.is_zero(ws.gt.svk - lc_t, s.eps, lc_t),
-        "nabla~ xi = 0": scalars.is_zero(covariant_derivative(lc_t, s.xi, 1), s.eps),
+        "svk(g) = lc(g)": scalars.is_zero(_minus(ws.g.svk, lc), s.eps, lc),
+        "nabla xi = 0": scalars.is_zero(ws.g.nabla_xi, s.eps),
+        "svk(g~) = lc(g~)": scalars.is_zero(_minus(ws.gt.svk, lc_t), s.eps, lc_t),
+        "nabla~ xi = 0": scalars.is_zero(ws.gt.nabla_xi, s.eps),
     }
 
 
@@ -311,14 +319,14 @@ def check_svk_naturality(ws: Workspace):
     }
     if u2:
         phib = svk_mod.phi_b_connection(ws.g.conn, s)
-        yield "phib-coincidence-on-u2", [phib - d], (d,)
+        yield "phib-coincidence-on-u2", [_minus(phib, d)], (d,)
 
 
 @_rows
 def check_svk_pair_coincide(ws: Workspace):
     s = ws.s
     d = ws.g.svk
-    same = scalars.is_zero(ws.gt.svk - d, s.eps, d)
+    same = scalars.is_zero(_minus(ws.gt.svk, d), s.eps, d)
     yield "svk-pair-coincide-iff-potential-vertical", {
         "pair coincide": same,
         "potential vertical": scalars.is_zero(svk_pair_difference(ws.pot, s), s.eps, ws.pot),
@@ -333,12 +341,13 @@ def check_svk_pair_coincide(ws: Workspace):
 def check_svk_pair_routes(ws: Workspace):
     via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, ws.s)
     d = ws.gt.svk
-    yield "svk-pair-potential-route", [via_pot - d], (d,)
+    yield "svk-pair-potential-route", [_minus(via_pot, d)], (d,)
 
 
 def _svk_phi_closed_form(ws: Workspace, view: MetricView):
     dphi = view.svk_phi
-    yield "svk-phi-closed-form", [dphi - svk_covariant_phi_closed(view.conn, ws.s)], (dphi,)
+    closed = svk_covariant_phi_closed(view.conn, ws.s, view.nabla_xi)
+    yield "svk-phi-closed-form", [_minus(dphi, closed)], (dphi,)
 
 
 @_rows
@@ -346,7 +355,7 @@ def check_svk_phi_forms(ws: Workspace):
     yield from _views(ws, _svk_phi_closed_form)
     relation = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, ws.s)
     dphi_t = ws.gt.svk_phi
-    yield "svk-pair-phi-relation", [relation - dphi_t], (dphi_t,)
+    yield "svk-pair-phi-relation", [_minus(relation, dphi_t)], (dphi_t,)
 
 
 @_rows
@@ -355,7 +364,7 @@ def check_svk_phi_equalities(ws: Workspace):
     cls = ws.g.classification
     dphi, dphi_t = ws.g.svk_phi, ws.gt.svk_phi
     yield "svk-pair-phi-equal-iff", {
-        "derivatives of phi coincide": scalars.is_zero(dphi_t - dphi, eps, dphi),
+        "derivatives of phi coincide": scalars.is_zero(_minus(dphi_t, dphi), eps, dphi),
         "F3+U3 condition": cls["F3+U3"],
     }
     assoc_natural = scalars.is_zero(dphi_t, eps, ws.gt.svk)
@@ -408,19 +417,22 @@ def check_qt_components(ws: Workspace, view: MetricView):
     s = ws.s
     q, t = view.potential, view.torsion
     comps = hv_split(s, q, t)
-    arrays = [comps.q_h + comps.q_v - q, comps.t_h + comps.t_v - t]
+    arrays = [
+        scalars.combine([1, 1, -1], [comps.q_h, comps.q_v, q]),
+        scalars.combine([1, 1, -1], [comps.t_h, comps.t_v, t]),
+    ]
     for ref in reference_components(s, view.conn, view.shape):
         arrays += [
-            comps.q_h - ref.q_h,
-            comps.q_v - ref.q_v,
-            comps.t_h - ref.t_h,
-            comps.t_v - ref.t_v,
+            _minus(comps.q_h, ref.q_h),
+            _minus(comps.q_v, ref.q_v),
+            _minus(comps.t_h, ref.t_h),
+            _minus(comps.t_v, ref.t_v),
         ]
     yield "potential-torsion-hv-components", arrays, (q, t)
     q03 = view.potential03
     yield "potential-torsion-pi1-forms", [
-        q03 - potential_pi1_form(s, view.shape, view.metric),
-        view.torsion03 - torsion_pi1_form(s, view.shape, view.metric),
+        _minus(q03, potential_pi1_form(s, view.shape, view.metric)),
+        _minus(view.torsion03, torsion_pi1_form(s, view.shape, view.metric)),
     ], (q03,)
 
 
@@ -434,19 +446,24 @@ def check_qt_pair_relations(ws: Workspace):
 
     q, qt = ws.g.potential, ws.gt.potential
     t, tt = ws.g.torsion, ws.gt.torsion
-    rel_q = qt - (
-        q - scalars.einsum("j,ki->kij", eta, pot_xi) - scalars.einsum("ij,k->kij", eta_pot, xi)
-    )
-    rel_t = tt - (
-        t + scalars.einsum("i,kj->kij", eta, pot_xi) - scalars.einsum("j,ki->kij", eta, pot_xi)
-    )
+    eta_pot_xi = scalars.einsum("j,ki->kij", eta, pot_xi)
+    rel_q = _minus(qt, scalars.combine(
+        [1, -1, -1], [q, eta_pot_xi, scalars.einsum("ij,k->kij", eta_pot, xi)]
+    ))
+    rel_t = _minus(tt, scalars.combine(
+        [1, 1, -1], [t, scalars.einsum("i,kj->kij", eta, pot_xi), eta_pot_xi]
+    ))
 
     ds = ws.gt.shape.operator - ws.g.shape.operator
     dsd = ws.gt.shape.diamond - ws.g.shape.diamond
-    rel_q_shape = qt - (
-        q + scalars.einsum("ki,j->kij", ds, eta) - scalars.einsum("ij,k->kij", dsd, xi)
-    )
-    rel_t_shape = tt - (t - wedge_form_operator(eta, ds))
+    # each term enters two relations, so its scaled form is kept
+    ds_eta, dsd_xi, wedge_ds = scalars.freeze([
+        scalars.einsum("ki,j->kij", ds, eta),
+        scalars.einsum("ij,k->kij", dsd, xi),
+        wedge_form_operator(eta, ds),
+    ])
+    rel_q_shape = _minus(qt, scalars.combine([1, 1, -1], [q, ds_eta, dsd_xi]))
+    rel_t_shape = _minus(tt, _minus(t, wedge_ds))
 
     comps = hv_split(s, q, t)
     comps_t = hv_split(s, qt, tt)
@@ -455,10 +472,10 @@ def check_qt_pair_relations(ws: Workspace):
         rel_t,
         rel_q_shape,
         rel_t_shape,
-        comps_t.t_v - comps.t_v,
-        comps_t.q_h - (comps.q_h + scalars.einsum("ki,j->kij", ds, eta)),
-        comps_t.q_v - (comps.q_v - scalars.einsum("ij,k->kij", dsd, xi)),
-        comps_t.t_h - (comps.t_h - wedge_form_operator(eta, ds)),
+        _minus(comps_t.t_v, comps.t_v),
+        _minus(comps_t.q_h, scalars.combine([1, 1], [comps.q_h, ds_eta])),
+        _minus(comps_t.q_v, _minus(comps.q_v, dsd_xi)),
+        _minus(comps_t.t_h, _minus(comps.t_h, wedge_ds)),
     ], (q, t, qt, tt)
 
 
@@ -475,12 +492,12 @@ def check_equivalence_chains(ws: Workspace, view: MetricView):
 def check_svk_curvature(ws: Workspace, view: MetricView):
     s, curv = ws.s, view.curv
     formula = svk_curvature_formula(s, curv.r04, view.shape)
-    yield "svk-curvature-relation", [curv.r04_svk - formula], (curv.r04, curv.r04_svk)
+    yield "svk-curvature-relation", [_minus(curv.r04_svk, formula)], (curv.r04, curv.r04_svk)
     rho_formula = svk_ricci_formula(s, curv.r04, curv.rho, view.shape, view.metric)
     yield "svk-ricci-relation", [curv.rho_svk - rho_formula], (curv.rho,)
     tau_formula = svk_scalar_formula(curv.tau, view.rho_xi_xi, view.shape)
     yield "svk-scalar-relation", [curv.tau_svk - tau_formula], ()
-    n_s = covariant_derivative(view.conn, view.shape.operator, 1)
+    n_s = scalars.freeze(covariant_derivative(view.conn, view.shape.operator, 1))
     via_shape = ricci_xi_formula(s, view.conn, n_s, view.shape, view.metric)
     yield "ricci-reeb-formula", [view.rho_xi_xi - via_shape], ()
     yield "curvature-reeb-identity", [curvature_reeb_identity(s, curv.r13, n_s)], (curv.r04,)
@@ -489,7 +506,9 @@ def check_svk_curvature(ws: Workspace, view: MetricView):
 @_per_view
 def check_curvature_symmetries(ws: Workspace, view: MetricView):
     r = view.curv.r04
-    bianchi = r + scalars.einsum("ijkl->jkil", r) + scalars.einsum("ijkl->kijl", r)
+    bianchi = scalars.combine(
+        [1, 1, 1], [r, scalars.einsum("ijkl->jkil", r), scalars.einsum("ijkl->kijl", r)]
+    )
     yield "curvature-symmetries", [*pair_symmetries(r).values(), bianchi], (r,)
     # the SvK curvature keeps the first-pair antisymmetry; the other two
     # pair symmetries are measured only

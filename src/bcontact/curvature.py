@@ -41,8 +41,11 @@ def svk_curvature_formula(s: ACBStructure, r04_base: np.ndarray, shape: ShapeDat
     phi2 = s.phi2
     first = scalars.einsum("ijab,ak,bl->ijkl", r04_base, phi2, phi2)
     sd = shape.diamond  # m(S(x), y)
-    second = scalars.einsum("jk,il->ijkl", sd, sd) - scalars.einsum("ik,jl->ijkl", sd, sd)
-    return first + second
+    # first + (second term - third term), added in that order in float mode
+    return scalars.combine(
+        [1, -1, 1],
+        [scalars.einsum("jk,il->ijkl", sd, sd), scalars.einsum("ik,jl->ijkl", sd, sd), first],
+    )
 
 
 def svk_ricci_formula(
@@ -89,16 +92,17 @@ def curvature_reeb_identity(s: ACBStructure, r13: np.ndarray, n_s: np.ndarray) -
     """Residual of R(x,y) xi = -(nabla_x S) y + (nabla_y S) x over the basis,
     from the (1,3) curvature and nabla S indexed [l, x, y]."""
     lhs = scalars.einsum("lijk,k->lij", r13, s.xi)
-    return lhs - (-n_s + scalars.einsum("lxy->lyx", n_s))
+    rhs = scalars.combine([-1, 1], [n_s, scalars.einsum("lxy->lyx", n_s)])
+    return scalars.combine([1, -1], [lhs, rhs])
 
 
 def pair_symmetries(r: np.ndarray) -> dict[str, np.ndarray]:
     """The three pair symmetries every Levi-Civita (0,4) curvature has, each
     as the array that vanishes when ``r`` has it."""
     return {
-        "first-pair-antisymmetric": r + scalars.einsum("ijkl->jikl", r),
-        "last-pair-antisymmetric": r + scalars.einsum("ijkl->ijlk", r),
-        "pair-exchange-symmetric": r - scalars.einsum("ijkl->klij", r),
+        "first-pair-antisymmetric": scalars.combine([1, 1], [r, scalars.einsum("ijkl->jikl", r)]),
+        "last-pair-antisymmetric": scalars.combine([1, 1], [r, scalars.einsum("ijkl->ijlk", r)]),
+        "pair-exchange-symmetric": scalars.combine([1, -1], [r, scalars.einsum("ijkl->klij", r)]),
     }
 
 
@@ -120,11 +124,13 @@ class CurvatureData:
 def curvature_data(
     s: ACBStructure, conn: np.ndarray, svk_conn: np.ndarray, m: Metric
 ) -> CurvatureData:
-    r13 = curvature(s.algebra, conn)
-    r04 = lower_out(r13, m)
+    # frozen as soon as they are built: each is read again, so the scalar
+    # kernel keeps its scaled form
+    r13 = scalars.freeze(curvature(s.algebra, conn))
+    r04 = scalars.freeze(lower_out(r13, m))
     rho = ricci(r04, m)
     tau = scalar_curvature(rho, m)
-    r04_d = lower_out(curvature(s.algebra, svk_conn), m)
+    r04_d = scalars.freeze(lower_out(curvature(s.algebra, svk_conn), m))
     rho_d = ricci(r04_d, m)
     tau_d = scalar_curvature(rho_d, m)
     return CurvatureData(r13, r04, rho, tau, r04_d, rho_d, tau_d)
@@ -147,7 +153,8 @@ GENERIC = "generic"
 class PlaneStack:
     """Non-degenerate 2-planes of one metric: plane n is spanned by x[n] and
     y[n] (x, y of shape planes x dim), and den[n] = pi_1(x,y,y,x) is the
-    denominator of its sectional curvature."""
+    denominator of its sectional curvature.  The stacks that a mask,
+    ``concat``, ``nondegenerate`` and ``of`` return hold read-only copies."""
 
     metric: Metric
     x: np.ndarray
@@ -160,13 +167,14 @@ class PlaneStack:
     def __getitem__(self, keep) -> "PlaneStack":
         """The planes where the boolean mask ``keep`` is true, in order."""
         keep = np.asarray(keep, dtype=bool)
-        return PlaneStack(self.metric, self.x[keep], self.y[keep], self.den[keep])
+        arrays = (self.x[keep], self.y[keep], self.den[keep])
+        return PlaneStack(self.metric, *scalars.freeze(arrays))
 
     @classmethod
     def concat(cls, stacks: list["PlaneStack"]) -> "PlaneStack":
         """The planes of ``stacks`` (of one metric), one stack after the other."""
-        x, y, den = (np.concatenate([getattr(p, f) for p in stacks]) for f in ("x", "y", "den"))
-        return cls(stacks[0].metric, x, y, den)
+        arrays = tuple(np.concatenate([getattr(p, f) for p in stacks]) for f in ("x", "y", "den"))
+        return cls(stacks[0].metric, *scalars.freeze(arrays))
 
     @classmethod
     def nondegenerate(cls, m: Metric, x: np.ndarray, y: np.ndarray, eps: float):
@@ -218,8 +226,9 @@ def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
     """
     eps, m = s.eps, planes.metric
     x, y = planes.x, planes.y
-    phi_x = scalars.einsum("ki,ni->nk", s.phi, x)
-    phi_y = scalars.einsum("ki,ni->nk", s.phi, y)
+    phi_x, phi_y = scalars.freeze(
+        (scalars.einsum("ki,ni->nk", s.phi, x), scalars.einsum("ki,ni->nk", s.phi, y))
+    )
     reeb = _in_planes(planes, np.broadcast_to(s.xi, x.shape), eps)
     phi_x_in = _in_planes(planes, phi_x, eps)
     phi_y_in = _in_planes(planes, phi_y, eps)
@@ -280,13 +289,6 @@ def svk_sectional_formula(
 _PLANE_SYMMETRIES = ("ijkl->ijkl", "ijkl->ljki", "ijkl->ikjl", "ijkl->lkji")
 
 
-def _combination(coefficients, arrays) -> np.ndarray:
-    """sum_t c_t a_t as one contraction, so exact terms are added by the
-    integer kernel."""
-    stack = np.stack(arrays)
-    return scalars.einsum("t,t...->...", np.array(coefficients, dtype=stack.dtype), stack)
-
-
 def svk_sectional_polarized(
     s: ACBStructure, r04_svk: np.ndarray, r04_base: np.ndarray, shape: ShapeData
 ) -> np.ndarray:
@@ -299,8 +301,9 @@ def svk_sectional_polarized(
     (i<->l),(j<->k)-symmetrization, which vanishes iff the relation holds on
     every plane."""
     sd = shape.diamond
-    sdsd = scalars.einsum("jk,il->ijkl", sd, sd)
-    t = _combination(
+    # sdsd and t are read twice and four times: frozen, they are scaled once
+    sdsd = scalars.freeze(scalars.einsum("jk,il->ijkl", sd, sd))
+    t = scalars.combine(
         [1, -1, -1, 1, 1, 1],
         [
             r04_svk,
@@ -311,7 +314,8 @@ def svk_sectional_polarized(
             scalars.einsum("ijml,m,k->ijkl", r04_base, s.xi, s.eta),
         ],
     )
-    return _combination([1] * 4, [scalars.einsum(p, t) for p in _PLANE_SYMMETRIES])
+    scalars.freeze(t)
+    return scalars.combine([1] * 4, [scalars.einsum(p, t) for p in _PLANE_SYMMETRIES])
 
 
 def reeb_flatness_polarized(r04_svk: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -37,8 +37,10 @@ class ShapeData:
         return np.trace(self.operator)
 
 
-def shape_operator(s: ACBStructure, conn: np.ndarray, m: Metric) -> ShapeData:
-    op = -covariant_derivative(conn, s.xi, 1)  # [k, i] = component k of S(e_i)
+def shape_operator(nxi: np.ndarray, m: Metric) -> ShapeData:
+    """The shape data of S = -nabla xi, from ``nxi`` = nabla xi of the
+    Levi-Civita connection of ``m``."""
+    op = -nxi  # [k, i] = component k of S(e_i)
     return ShapeData(op, lower_out(op, m))
 
 
@@ -59,12 +61,13 @@ class HVComponents:
 
 
 def hv_split(s: ACBStructure, q: np.ndarray, t: np.ndarray) -> HVComponents:
-    """Split the output slot of Q and T into horizontal and vertical parts."""
+    """Split the output slot of Q and T into horizontal and vertical parts;
+    the parts are read-only."""
     pv = scalars.einsum("k,l->kl", s.xi, s.eta)
 
     def split(x: np.ndarray):
         v = scalars.einsum("kl,lij->kij", pv, x)
-        return x - v, v
+        return scalars.freeze((scalars.combine([1, -1], [x, v]), v))
 
     qh, qv = split(q)
     th, tv = split(t)
@@ -73,7 +76,9 @@ def hv_split(s: ACBStructure, q: np.ndarray, t: np.ndarray) -> HVComponents:
 
 def wedge_form_operator(alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(alpha ^ B)(x,y) = alpha(x) B(y) - alpha(y) B(x); b indexed [k, arg]."""
-    return scalars.einsum("i,kj->kij", alpha, b) - scalars.einsum("j,ki->kij", alpha, b)
+    return scalars.combine(
+        [1, -1], [scalars.einsum("i,kj->kij", alpha, b), scalars.einsum("j,ki->kij", alpha, b)]
+    )
 
 
 def reference_components(
@@ -92,7 +97,7 @@ def reference_components(
     eta, xi = s.eta, s.xi
 
     by_conn = HVComponents(
-        -scalars.einsum("ki,j->kij", nxi, eta),
+        scalars.einsum("ki,j->kij", -nxi, eta),
         scalars.einsum("ij,k->kij", neta, xi),
         wedge_form_operator(eta, nxi),
         scalars.einsum("ij,k->kij", de, xi),
@@ -100,9 +105,9 @@ def reference_components(
     sop, sd = shape.operator, shape.diamond
     by_shape = HVComponents(
         scalars.einsum("ki,j->kij", sop, eta),
-        -scalars.einsum("ij,k->kij", sd, xi),
-        -wedge_form_operator(eta, sop),
-        -scalars.einsum("ij,k->kij", sd - sd.T, xi),
+        scalars.einsum("ij,k->kij", -sd, xi),
+        wedge_form_operator(eta, -sop),
+        scalars.einsum("ij,k->kij", sd.T - sd, xi),
     )
     return by_conn, by_shape
 
@@ -112,15 +117,16 @@ def potential_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarr
     # pi_1(xi, S(x), y, z) = m(S(x),y) m(xi,z) - m(xi,y) m(S(x),z)
     eta_like = scalars.einsum("ij,i->j", m.matrix, s.xi)
     sd = shape.diamond
-    return -(
-        scalars.einsum("xy,z->xyz", sd, eta_like) - scalars.einsum("y,xz->xyz", eta_like, sd)
+    return scalars.combine(
+        [-1, 1],
+        [scalars.einsum("xy,z->xyz", sd, eta_like), scalars.einsum("y,xz->xyz", eta_like, sd)],
     )
 
 
 def torsion_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarray:
     """T(x,y,z) = -pi_1(xi,S(x),y,z) + pi_1(xi,S(y),x,z)."""
-    q = potential_pi1_form(s, shape, m)
-    return q - scalars.einsum("xyz->yxz", q)
+    q = scalars.freeze(potential_pi1_form(s, shape, m))
+    return scalars.combine([1, -1], [q, scalars.einsum("xyz->yxz", q)])
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +154,13 @@ def equivalence_chains(
     sd = shape.diamond
     sop = shape.operator
     adj = lower_out(sop, m)  # m(S(x), y)
+    qv_t = scalars.einsum("kij->kji", qv)
 
     chains = {
         "symmetric": {
             "nabla-eta symmetric": [neta - neta.T],
             "eta closed": [de],
-            "Q-vertical symmetric": [qv - scalars.einsum("kij->kji", qv)],
+            "Q-vertical symmetric": [scalars.combine([1, -1], [qv, qv_t])],
             "T-vertical vanishes": [comps.t_v],
             "shape self-adjoint": [adj - adj.T],
             "shape form symmetric": [sd - sd.T],
@@ -161,7 +168,7 @@ def equivalence_chains(
         "skew": {
             "nabla-eta skew": [neta + neta.T],
             "reeb killing": [lg],
-            "Q-vertical skew": [qv + scalars.einsum("kij->kji", qv)],
+            "Q-vertical skew": [scalars.combine([1, 1], [qv, qv_t])],
             "shape anti-self-adjoint": [adj + adj.T],
             "shape form skew": [sd + sd.T],
         },
@@ -171,7 +178,7 @@ def equivalence_chains(
             "nabla-xi zero": [covariant_derivative(conn, s.xi, 1)],
             "shape zero": [sop],
             "shape form zero": [sd],
-            "svk equals levi-civita": [svk_conn - conn],
+            "svk equals levi-civita": [scalars.combine([1, -1], [svk_conn, conn])],
         },
     }
     return {

@@ -44,8 +44,10 @@ class LieAlgebra:
     def _jacobiator(self) -> np.ndarray:
         c = self.c
         # [[e_i,e_j],e_k] = c^m_{ij} c^l_{mk}
-        t = scalars.einsum("mij,lmk->lijk", c, c)
-        return t + scalars.einsum("lijk->ljki", t) + scalars.einsum("lijk->lkij", t)
+        t = scalars.freeze(scalars.einsum("mij,lmk->lijk", c, c))
+        return scalars.combine(
+            [1, 1, 1], [t, scalars.einsum("lijk->ljki", t), scalars.einsum("lijk->lkij", t)]
+        )
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,) or y.shape != (self.dim,):
@@ -55,7 +57,7 @@ class LieAlgebra:
 
 def torsion(gamma: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
     """T(x,y) = nabla_x y - nabla_y x - [x,y], as a (1,2) tensor."""
-    return gamma - np.swapaxes(gamma, 1, 2) - algebra.c
+    return scalars.combine([1, -1, -1], [gamma, np.swapaxes(gamma, 1, 2), algebra.c])
 
 
 def levi_civita(algebra: LieAlgebra, m: Metric) -> np.ndarray:
@@ -68,10 +70,13 @@ def levi_civita(algebra: LieAlgebra, m: Metric) -> np.ndarray:
     are checked by ``fundamental-identities``.
     """
     c, g = algebra.c, m.matrix
-    rhs = (
-        scalars.einsum("lij,lk->ijk", c, g)
-        - scalars.einsum("ljk,li->ijk", c, g)
-        + scalars.einsum("lki,lj->ijk", c, g)
+    rhs = scalars.combine(
+        [1, -1, 1],
+        [
+            scalars.einsum("lij,lk->ijk", c, g),
+            scalars.einsum("ljk,li->ijk", c, g),
+            scalars.einsum("lki,lj->ijk", c, g),
+        ],
     )
     return scalars.einsum("ijk,km->mij", rhs, m.inv) / 2
 
@@ -84,27 +89,32 @@ def covariant_derivative(gamma: np.ndarray, t: np.ndarray, up: int) -> np.ndarra
     yields valence (r, s+1) with (nabla t)(x, y_1, ..., y_s) = (nabla_x t)(y_1, ...).
     Only connection terms survive since all components are constant.
     """
-    out = scalars.zeros((gamma.shape[0],) * (t.ndim + 1), scalars.mode_of(gamma))
     src = "abcdefgh"[: t.ndim]
     ups, downs = src[:up], src[up:]
     # result axes: up-axes of t, then direction axis, then down-axes of t
-    for a in range(up):
-        repl = src.replace(src[a], "m")
-        out = out + scalars.einsum(f"{src[a]}xm,{repl}->{ups}x{downs}", gamma, t)
-    for pos in range(up, t.ndim):
-        repl = src.replace(src[pos], "m")
-        out = out - scalars.einsum(f"mx{src[pos]},{repl}->{ups}x{downs}", gamma, t)
-    return out
+    terms = [
+        scalars.einsum(f"{src[a]}xm,{src.replace(src[a], 'm')}->{ups}x{downs}", gamma, t)
+        for a in range(up)
+    ] + [
+        scalars.einsum(f"mx{src[pos]},{src.replace(src[pos], 'm')}->{ups}x{downs}", gamma, t)
+        for pos in range(up, t.ndim)
+    ]
+    if not terms:  # a constant function
+        return scalars.zeros((gamma.shape[0],), scalars.mode_of(gamma))
+    return scalars.combine([1] * up + [-1] * (t.ndim - up), terms)
 
 
 def curvature(algebra: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
     """Curvature R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_{[x,y]} z
     as a (1,3) tensor with r[l, i, j, k] = component l of R(e_i, e_j) e_k."""
     g, c = gamma, algebra.c
-    return (
-        scalars.einsum("mjk,lim->lijk", g, g)
-        - scalars.einsum("mik,ljm->lijk", g, g)
-        - scalars.einsum("mij,lmk->lijk", c, g)
+    return scalars.combine(
+        [1, -1, -1],
+        [
+            scalars.einsum("mjk,lim->lijk", g, g),
+            scalars.einsum("mik,ljm->lijk", g, g),
+            scalars.einsum("mij,lmk->lijk", c, g),
+        ],
     )
 
 

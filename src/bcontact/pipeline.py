@@ -81,7 +81,7 @@ class MetricView:
     def partner_potential(self) -> np.ndarray:
         """(1,2) potential of the partner's Levi-Civita connection with
         respect to this one."""
-        return self.partner.conn - self.conn
+        return scalars.combine([1, -1], [self.partner.conn, self.conn])
 
     @_cached
     def partner_potential03(self) -> np.ndarray:
@@ -90,8 +90,8 @@ class MetricView:
     @_cached
     def classification(self) -> ClassificationReport:
         return classify(
-            self.ws.s, self.fundamental, self.lee, self.metric, self.conn,
-            self.partner.conn, self.partner_potential03, self.div_pair,
+            self.ws.s, self.fundamental, self.lee, self.metric, self.nabla_xi,
+            self.partner.nabla_xi, self.partner_potential03, self.div_pair,
             self.role,
         )
 
@@ -103,7 +103,7 @@ class MetricView:
     @_cached
     def potential(self) -> np.ndarray:
         """(1,2) Q = D - nabla of the SvK connection."""
-        return self.svk - self.conn
+        return scalars.combine([1, -1], [self.svk, self.conn])
 
     @_cached
     def torsion(self) -> np.ndarray:
@@ -124,8 +124,13 @@ class MetricView:
         return covariant_derivative(self.svk, self.ws.s.phi, 1)
 
     @_cached
+    def nabla_xi(self) -> np.ndarray:
+        """(1,1) nabla xi of the Levi-Civita connection of this metric."""
+        return covariant_derivative(self.conn, self.ws.s.xi, 1)
+
+    @_cached
     def shape(self) -> ShapeData:
-        return shape_operator(self.ws.s, self.conn, self.metric)
+        return shape_operator(self.nabla_xi, self.metric)
 
     @_cached
     def curv(self) -> CurvatureData:

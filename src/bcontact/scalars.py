@@ -8,12 +8,20 @@ for data that arrives as decimals; comparisons there use an absolute
 tolerance scaled by the magnitude of the tensors involved.  Every zero test
 in the library goes through ``zero_test``; the tolerance ``eps`` is fixed once
 per model when it is loaded and carried on the structure.
+
+The rational kernel does its arithmetic over Python ints.  ``einsum``
+contracts and ``combine`` adds arrays scaled to integer numerators over a
+common denominator, and each builds the ``Fraction`` entries of its result
+once, with equal entries sharing one object (every 0 is ``ZERO``).  The
+scaled form of an array that ``freeze`` made read-only is computed once and
+kept while the array lives.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 import os
+import weakref
 from fractions import Fraction
 from typing import Union
 
@@ -84,10 +92,14 @@ def format_scalar(x) -> str:
     return repr(float(x))
 
 
+# the exact zero every rational zero entry built by this module shares
+ZERO = Fraction(0)
+
+
 def zeros(shape, mode: str) -> np.ndarray:
     if mode == RATIONAL:
         out = np.empty(shape, dtype=object)
-        out[...] = Fraction(0)
+        out[...] = ZERO
         return out
     return np.zeros(shape, dtype=np.float64)
 
@@ -110,14 +122,71 @@ def eye(dim: int, mode: str) -> np.ndarray:
     return out
 
 
-def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+def _scale(a: np.ndarray) -> tuple[np.ndarray, int]:
     """``(n, d)`` with ``a == n / d``: ``n`` an object array of Python ints
     and ``d`` the least common denominator of the entries of ``a``."""
     ratios = [x.as_integer_ratio() for x in a.ravel().tolist()]
-    d = math.lcm(*(q for _, q in ratios))
+    dens = {q for _, q in ratios}
+    d = math.lcm(*dens)
     n = np.empty(len(ratios), dtype=object)
-    n[:] = [p * (d // q) for p, q in ratios]
+    n[:] = [p for p, _ in ratios] if len(dens) == 1 else [p * (d // q) for p, q in ratios]
     return n.reshape(a.shape), d
+
+
+# id(owner) -> (weak reference to owner, scaled owner, its denominator), for
+# read-only owners of object arrays; an entry leaves when its owner dies.
+# Threads that race on one owner at worst scale it twice.
+_SCALED: dict[int, tuple] = {}
+
+
+def _frozen_owner(a: np.ndarray):
+    """The array that owns the memory of ``a`` when ``a`` and every array of
+    its ``.base`` chain are read-only, and it is C-contiguous; else None."""
+    while not a.flags.writeable:
+        base = a.base
+        if base is None:
+            return a if a.flags.c_contiguous else None
+        if not isinstance(base, np.ndarray):
+            return None
+        a = base
+    return None
+
+
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``_scale(a)``, computed once per read-only memory owner: the scaled
+    form of a read-only array, or of a read-only view of one, is a view of
+    its owner's scaled form, with the owner's denominator."""
+    owner = _frozen_owner(a) if a.size else None
+    if owner is None:
+        return _scale(a)
+    key = id(owner)
+    hit = _SCALED.get(key)
+    if hit is None or hit[0]() is not owner:
+        n, d = _scale(owner.reshape(-1))
+        hit = _SCALED[key] = (weakref.ref(owner, lambda _, k=key: _SCALED.pop(k, None)), n, d)
+    _, n, d = hit
+    if a.size == owner.size and a.flags.c_contiguous:
+        return n.reshape(a.shape), d
+    offset = a.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
+    view = np.lib.stride_tricks.as_strided(
+        n[offset // a.itemsize:], a.shape, a.strides, writeable=False
+    )
+    return view, d
+
+
+def _rebuild(n, den: int):
+    """The exact value of ``n / den`` for an integer array (or Python int)
+    ``n``: an object array of ``Fraction``, equal entries sharing one object,
+    or a ``Fraction`` for a 0-d ``n``."""
+    n = np.asarray(n, dtype=object)
+    if not n.ndim:
+        return Fraction(n[()], den)
+    flat = n.ravel().tolist()
+    built = {v: Fraction(v, den) for v in set(flat)}
+    built[0] = ZERO
+    out = np.empty(len(flat), dtype=object)
+    out[:] = list(map(built.__getitem__, flat))
+    return out.reshape(n.shape)
 
 
 def einsum(spec: str, *operands: np.ndarray):
@@ -127,10 +196,12 @@ def einsum(spec: str, *operands: np.ndarray):
     of ``Fraction`` objects: each operand is scaled by the least common
     denominator of its entries, numpy contracts the integer arrays, and each
     entry of the result is the exact ``Fraction`` of its integer over the
-    product of the scales.  A 0-d result is a ``Fraction`` scalar.  Float
-    calls and single-operand calls (transposes, traces) are numpy's own;
-    numpy is looked up at each call, so a wrapper installed on ``np.einsum``
-    sees every contraction.
+    product of the scales (equal entries share one ``Fraction``).  A 0-d
+    result is a ``Fraction`` scalar.  A read-only operand is scaled once in
+    its lifetime (see ``_scaled``), and ``combine`` adds exact arrays on the
+    same scaled integers.  Float calls and single-operand calls (transposes,
+    traces) are numpy's own; numpy is looked up at each call, so a wrapper
+    installed on ``np.einsum`` sees every contraction.
     """
     # the float test comes first: it is all a float call pays
     if (
@@ -141,12 +212,45 @@ def einsum(spec: str, *operands: np.ndarray):
         return np.einsum(spec, *operands)
     scaled = [_scaled(a) for a in operands]
     den = math.prod(d for _, d in scaled)
-    out = np.einsum(spec, *(n for n, _ in scaled))
-    if not isinstance(out, np.ndarray):
-        return Fraction(out, den)
-    res = np.empty(out.size, dtype=object)
-    res[:] = [Fraction(n, den) for n in out.ravel().tolist()]
-    return res.reshape(out.shape)
+    return _rebuild(np.einsum(spec, *(n for n, _ in scaled)), den)
+
+
+def combine(coefficients, arrays):
+    """sum_t c_t a_t of scalar coefficients and (broadcastable) arrays, added
+    left to right.
+
+    A coefficient is an int or a ``Fraction`` in either mode, or a float in
+    float mode.  In float mode this is numpy's ``c_0 a_0 + c_1 a_1 + ...``,
+    where a coefficient of 1 adds and one of -1 subtracts its array, and a
+    ``Fraction`` coefficient is its nearest float.  In rational mode the
+    arrays are scaled to integers (read-only ones once, see ``_scaled``),
+    added over the least common multiple of the terms' denominators, and the
+    ``Fraction`` entries are built once at the end; a 0-d result is a
+    ``Fraction``.
+    """
+    if not len(arrays):
+        raise ValueError("combine needs at least one array")
+    # the float test comes first: it is all a float call pays
+    if arrays[0].dtype != object or any(a.dtype != object for a in arrays):
+        out = None
+        for c, a in zip(coefficients, arrays, strict=True):
+            if c == 1:
+                out = a if out is None else out + a
+            elif c == -1:
+                out = -a if out is None else out - a
+            else:
+                out = float(c) * a if out is None else out + float(c) * a
+        return out.copy() if out is arrays[0] else out
+    scaled = [(Fraction(c), *_scaled(a)) for c, a in zip(coefficients, arrays, strict=True)]
+    den = math.lcm(*(c.denominator * d for c, _, d in scaled))
+    out = None
+    for c, n, d in scaled:
+        k = c.numerator * (den // (c.denominator * d))
+        if out is None:
+            out = n if k == 1 else n * k
+        else:
+            out = out + n if k == 1 else out - n if k == -1 else out + n * k
+    return _rebuild(out, den)
 
 
 def mode_of(arr: np.ndarray) -> str:
@@ -158,10 +262,14 @@ def to_float(arr: np.ndarray) -> np.ndarray:
 
 
 def max_abs(arr: np.ndarray) -> float:
-    # an exactly zero rational array needs no conversion to float
+    """The largest absolute entry, as a float; a rational array's is the
+    rounded exact maximum, found over its scaled integers."""
     if arr.size == 0 or (arr.dtype == object and not np.count_nonzero(arr)):
         return 0.0
-    return float(np.max(np.abs(to_float(arr))))
+    if arr.dtype == object:
+        n, d = _scaled(arr)
+        return max(map(abs, n.ravel().tolist())) / d
+    return float(np.abs(arr).max())
 
 
 def residual(a: np.ndarray, b=None) -> float:
@@ -211,13 +319,23 @@ def is_zero(arr: np.ndarray, eps: float, *context: np.ndarray) -> bool:
 
 
 def freeze(obj):
-    """Make every array reachable from ``obj`` read-only and return ``obj``.
+    """Make every array reachable from ``obj`` read-only, with the arrays of
+    its ``.base`` chain, and return ``obj``.
 
     Arrays are reached through tuples, lists, dict values and dataclass
-    fields, so one call covers a model or a cached derived value.
+    fields, so one call covers a model or a cached derived value.  A frozen
+    array must not be written again (say, after ``setflags(write=True)``):
+    the kernel keeps its scaled form.  So a local array that is read more
+    than once, itself or through views such as transposes, is frozen to be
+    scaled once.
     """
     if isinstance(obj, np.ndarray):
-        obj.setflags(write=False)
+        # an array computed by numpy is often a view of a writable owner:
+        # the owner is frozen too, so the kernel may keep its scaled form
+        a = obj
+        while isinstance(a, np.ndarray):
+            a.setflags(write=False)
+            a = a.base
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             freeze(item)

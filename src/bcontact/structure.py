@@ -13,7 +13,7 @@ derivation route, compared with the primary one by the check suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -67,8 +67,8 @@ class ACBStructure:
     """Almost contact B-metric structure on a left-invariant model.
 
     ``eps`` is the float tolerance of every zero test made on this model,
-    fixed when the model is loaded.  The component arrays are made read-only
-    on construction.
+    fixed when the model is loaded.  ``phi2`` = phi o phi is computed on
+    construction, and the component arrays are then made read-only.
     """
 
     algebra: LieAlgebra
@@ -77,10 +77,12 @@ class ACBStructure:
     eta: np.ndarray  # (0,1)
     metric: Metric
     eps: float
+    phi2: np.ndarray = field(init=False, repr=False)  # (1,1)
 
     def __post_init__(self):
         if self.dim % 2 == 0:
             raise ValueError("almost contact structures need odd dimension")
+        object.__setattr__(self, "phi2", self.phi @ self.phi)
         scalars.freeze(self)
 
     @cached_property
@@ -100,10 +102,6 @@ class ACBStructure:
     @property
     def mode(self) -> str:
         return scalars.mode_of(self.phi)
-
-    @property
-    def phi2(self) -> np.ndarray:
-        return self.phi @ self.phi
 
 
 def associated_of(m: Metric, s: "ACBStructure") -> Metric:
@@ -243,7 +241,7 @@ def potential_from_fundamental(s: ACBStructure, f: np.ndarray, lee: LeeForms) ->
     om_phi = scalars.einsum("m,mz->z", lee.omega, phi)  # omega(phi .)
     fxi = scalars.einsum("xym,m->xy", f, xi)  # F(x,y,xi)
     fphiphixi = scalars.einsum("abm,ax,by,m->xy", f, phi, phi, xi)  # F(phi x, phi y, xi)
-    f_xyphiz = scalars.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
+    f_xyphiz = scalars.freeze(scalars.einsum("xym,mz->xyz", f, phi))  # F(x,y,phi z)
     fphiz_xy = scalars.einsum("mxy,mz->xyz", f, phi)  # F(phi z,x,y) indexed [x,y,z]
     fxiphiy = scalars.einsum("xam,ay,m->xy", f, phi, xi)  # F(x, phi y, xi)
     f_xi_first = scalars.einsum("mxy,m->xy", f, xi)  # F(xi, x, y)
@@ -259,15 +257,18 @@ def potential_from_fundamental(s: ACBStructure, f: np.ndarray, lee: LeeForms) ->
         + fxiphiy.T
         - scalars.einsum("y,x->xy", om_phi, eta)
     )
-    two_phi = (
-        -f_xyphiz
-        - scalars.einsum("xyz->yxz", f_xyphiz)
-        + fphiz_xy
-        + scalars.einsum("x,yz->xyz", eta, b)
-        + scalars.einsum("y,xz->xyz", eta, b)
-        + scalars.einsum("z,xy->xyz", eta, zc)
+    half = Fraction(1, 2)
+    return scalars.combine(
+        [-half, -half, half, half, half, half],
+        [
+            f_xyphiz,
+            scalars.einsum("xyz->yxz", f_xyphiz),
+            fphiz_xy,
+            scalars.einsum("x,yz->xyz", eta, b),
+            scalars.einsum("y,xz->xyz", eta, b),
+            scalars.einsum("z,xy->xyz", eta, zc),
+        ],
     )
-    return two_phi / 2
 
 
 def fundamental_from_potential(s: ACBStructure, phi03: np.ndarray) -> np.ndarray:
@@ -278,17 +279,21 @@ def fundamental_from_potential(s: ACBStructure, phi03: np.ndarray) -> np.ndarray
              + 1/2 eta(y) {Phi(x,z,xi) - Phi(x,phi z,xi) + Phi(xi,x,z) - Phi(xi,x,phi z)}.
     """
     p, phi, xi, eta = phi03, s.phi, s.xi, s.eta
-    p_xyphiz = scalars.einsum("xym,mz->xyz", p, phi)
+    p_xyphiz = scalars.freeze(scalars.einsum("xym,mz->xyz", p, phi))
     pxi = scalars.einsum("xym,m->xy", p, xi)  # Phi(x,y,xi)
     pxiphiy = scalars.einsum("xam,ay,m->xy", p, phi, xi)  # Phi(x,phi y,xi)
     pfirst = scalars.einsum("mxy,m->xy", p, xi)  # Phi(xi,x,y)
     pfirstphi = scalars.einsum("mxa,m,ay->xy", p, xi, phi)  # Phi(xi,x,phi y)
     bracket = pxi - pxiphiy + pfirst - pfirstphi  # indexed [x,y]
-    return (
-        p_xyphiz
-        + scalars.einsum("xyz->xzy", p_xyphiz)
-        + scalars.einsum("z,xy->xyz", eta, bracket) / 2
-        + scalars.einsum("y,xz->xyz", eta, bracket) / 2
+    half = Fraction(1, 2)
+    return scalars.combine(
+        [1, 1, half, half],
+        [
+            p_xyphiz,
+            scalars.einsum("xyz->xzy", p_xyphiz),
+            scalars.einsum("z,xy->xyz", eta, bracket),
+            scalars.einsum("y,xz->xyz", eta, bracket),
+        ],
     )
 
 
@@ -311,16 +316,19 @@ def assoc_fundamental_from_fundamental(s: ACBStructure, f: np.ndarray) -> np.nda
     t4 = scalars.einsum("zax,ay->xyz", f, phi)  # F(z, phi y, x)
     bx = fxi + fphiphixi.T + fxi.T + fphiphixi  # [y,z] bracket of the eta(x) term
     by = fxi + fphiphixi.T + fxiphiy  # [x,z] bracket of the eta(y) term
-    two_ft = (
-        t1
-        - t2
-        + t3
-        - t4
-        + scalars.einsum("x,yz->xyz", eta, bx)
-        + scalars.einsum("y,xz->xyz", eta, by)
-        + scalars.einsum("z,xy->xyz", eta, by)
+    half = Fraction(1, 2)
+    return scalars.combine(
+        [half, -half, half, -half, half, half, half],
+        [
+            t1,
+            t2,
+            t3,
+            t4,
+            scalars.einsum("x,yz->xyz", eta, bx),
+            scalars.einsum("y,xz->xyz", eta, by),
+            scalars.einsum("z,xy->xyz", eta, by),
+        ],
     )
-    return two_ft / 2
 
 
 # ---------------------------------------------------------------------------
@@ -373,46 +381,53 @@ def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
 
     conds: dict[str, list[np.ndarray]] = {}
 
-    rhs1 = (
-        scalars.einsum("xy,z->xyz", g_phi, th_phi)
-        + scalars.einsum("xy,z->xyz", g_phiphi, th_phi2)
-        + scalars.einsum("xz,y->xyz", g_phi, th_phi)
-        + scalars.einsum("xz,y->xyz", g_phiphi, th_phi2)
-    ) * inv2n
-    conds["F1"] = [f - rhs1]
+    def minus_f(a):  # f - a
+        return scalars.combine([1, -1], [f, a])
 
-    f_phi_z = scalars.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
-    cyc_phi = f_phi_z + scalars.einsum("xyz->yzx", f_phi_z) + scalars.einsum("xyz->zxy", f_phi_z)
-    cyc = f + scalars.einsum("xyz->yzx", f) + scalars.einsum("xyz->zxy", f)
+    def total(*arrays):
+        return scalars.combine([1] * len(arrays), arrays)
+
+    rhs1 = total(
+        scalars.einsum("xy,z->xyz", g_phi, th_phi),
+        scalars.einsum("xy,z->xyz", g_phiphi, th_phi2),
+        scalars.einsum("xz,y->xyz", g_phi, th_phi),
+        scalars.einsum("xz,y->xyz", g_phiphi, th_phi2),
+    )
+    conds["F1"] = [scalars.combine([1, -inv2n], [f, rhs1])]
+
+    f_phi_z = scalars.freeze(scalars.einsum("xym,mz->xyz", f, phi))  # F(x,y,phi z)
+    cyc_phi = total(
+        f_phi_z, scalars.einsum("xyz->yzx", f_phi_z), scalars.einsum("xyz->zxy", f_phi_z)
+    )
+    cyc = total(f, scalars.einsum("xyz->yzx", f), scalars.einsum("xyz->zxy", f))
     conds["F2"] = [f_first_xi, f_mid_xi, cyc_phi, theta]
     conds["F3"] = [f_first_xi, f_mid_xi, cyc]
 
+    # F4, F5: f = -(theta(xi) / 2n) (...) and f = -(theta*(xi) / 2n) (...)
     txi = lee.theta_xi(s)
-    rhs4 = -(
-        scalars.einsum("xy,z->xyz", g_phiphi, eta) + scalars.einsum("xz,y->xyz", g_phiphi, eta)
-    ) * (txi * inv2n)
-    conds["F4"] = [f - rhs4]
+    rhs4 = total(
+        scalars.einsum("xy,z->xyz", g_phiphi, eta), scalars.einsum("xz,y->xyz", g_phiphi, eta)
+    )
+    conds["F4"] = [scalars.combine([1, txi * inv2n], [f, rhs4])]
 
     tsxi = lee.theta_star_xi(s)
-    rhs5 = -(
-        scalars.einsum("xy,z->xyz", g_phi, eta) + scalars.einsum("xz,y->xyz", g_phi, eta)
-    ) * (tsxi * inv2n)
-    conds["F5"] = [f - rhs5]
+    rhs5 = total(scalars.einsum("xy,z->xyz", g_phi, eta), scalars.einsum("xz,y->xyz", g_phi, eta))
+    conds["F5"] = [scalars.combine([1, tsxi * inv2n], [f, rhs5])]
 
-    vert_form = scalars.einsum("xy,z->xyz", fxi, eta) + scalars.einsum("xz,y->xyz", fxi, eta)
-    form_res = f - vert_form
+    vert_form = total(scalars.einsum("xy,z->xyz", fxi, eta), scalars.einsum("xz,y->xyz", fxi, eta))
+    form_res = minus_f(vert_form)
     conds["F6"] = [form_res, fxi - fxi.T, fxi + fxi_phiphi, theta, theta_star]
     conds["F7"] = [form_res, fxi + fxi.T, fxi + fxi_phiphi]
     conds["F8"] = [form_res, fxi - fxi.T, fxi - fxi_phiphi]
     conds["F9"] = [form_res, fxi + fxi.T, fxi - fxi_phiphi]
 
     f_xi_phiphi = scalars.einsum("mab,m,ay,bz->yz", f, xi, phi, phi)  # F(xi, phi y, phi z)
-    conds["F10"] = [f - scalars.einsum("x,yz->xyz", eta, f_xi_phiphi)]
+    conds["F10"] = [minus_f(scalars.einsum("x,yz->xyz", eta, f_xi_phiphi))]
 
-    rhs11 = scalars.einsum("x,y,z->xyz", eta, eta, omega) + scalars.einsum(
-        "x,z,y->xyz", eta, eta, omega
+    rhs11 = total(
+        scalars.einsum("x,y,z->xyz", eta, eta, omega), scalars.einsum("x,z,y->xyz", eta, eta, omega)
     )
-    conds["F11"] = [f - rhs11]
+    conds["F11"] = [minus_f(rhs11)]
     return conds
 
 
@@ -421,8 +436,8 @@ def classify(
     f: np.ndarray,
     lee: LeeForms,
     m: Metric,
-    conn: np.ndarray,
-    conn_partner: np.ndarray,
+    nxi: np.ndarray,
+    nxi_partner: np.ndarray,
     pot03: np.ndarray,
     div_pair,
     metric_role: str = "g",
@@ -430,32 +445,38 @@ def classify(
     """Decide every membership flag by direct substitution into the defining
     identities over the whole basis.
 
-    ``conn`` is the Levi-Civita connection belonging to ``m``; ``conn_partner``
-    is the one belonging to the other metric of the pair, used for the
-    U1_assoc flag.  ``pot03`` is the (0,3) potential of the partner connection
-    with respect to ``conn``, lowered by ``m``.
+    ``nxi`` is nabla xi for the Levi-Civita connection of ``m``;
+    ``nxi_partner`` is nabla xi for the one of the other metric of the pair,
+    used for the U1_assoc flag.  ``pot03`` is the (0,3) potential of the
+    partner connection with respect to the one of ``m``, lowered by ``m``.
     """
     phi, xi, eta = s.phi, s.xi, s.eta
     phi2 = s.phi2
     conds = {"F0": [f], **_class_conditions(s, f, lee, m)}
-    conds["U1"] = [covariant_derivative(conn, xi, 1)]
-    conds["U1_assoc"] = [covariant_derivative(conn_partner, xi, 1)]
+    conds["U1"] = [nxi]
+    conds["U1_assoc"] = [nxi_partner]
 
     fxi = scalars.einsum("xym,m->xy", f, xi)
-    conds["U2"] = [
-        f - scalars.einsum("xy,z->xyz", fxi, eta) - scalars.einsum("xz,y->xyz", fxi, eta)
-    ]
+    conds["U2"] = [scalars.combine(
+        [1, -1, -1],
+        [f, scalars.einsum("xy,z->xyz", fxi, eta), scalars.einsum("xz,y->xyz", fxi, eta)],
+    )]
 
     p = pot03
-    conds["F3+U3"] = [
-        scalars.einsum("xab,ay,bz->xyz", p, phi2, phi2)
-        + scalars.einsum("xab,ay,bz->xyz", p, phi, phi)
-    ]
+    conds["F3+U3"] = [scalars.combine(
+        [1, 1],
+        [
+            scalars.einsum("xab,ay,bz->xyz", p, phi2, phi2),
+            scalars.einsum("xab,ay,bz->xyz", p, phi, phi),
+        ],
+    )]
 
     # F(phi y,phi z,x) + F(phi^2 y,phi^2 z,x) - F(phi z,phi y,x) - F(phi^2 z,phi^2 y,x)
-    e1 = scalars.einsum("abx,ay,bz->xyz", f, phi, phi)
-    e2 = scalars.einsum("abx,ay,bz->xyz", f, phi2, phi2)
-    conds["F1+F2+U3"] = [e1 + e2 - scalars.einsum("xyz->xzy", e1) - scalars.einsum("xyz->xzy", e2)]
+    e1 = scalars.freeze(scalars.einsum("abx,ay,bz->xyz", f, phi, phi))
+    e2 = scalars.freeze(scalars.einsum("abx,ay,bz->xyz", f, phi2, phi2))
+    conds["F1+F2+U3"] = [scalars.combine(
+        [1, 1, -1, -1], [e1, e2, scalars.einsum("xyz->xzy", e1), scalars.einsum("xyz->xzy", e2)]
+    )]
 
     membership: dict[str, bool] = {}
     residuals: dict[str, float] = {}
@@ -476,7 +497,7 @@ def classify(
 
 def nabla_xi_class_conditions(
     s: ACBStructure,
-    conn: np.ndarray,
+    nxi: np.ndarray,
     m: Metric,
     lee: LeeForms,
     div_pair,
@@ -490,9 +511,10 @@ def nabla_xi_class_conditions(
       F6: symmetric, sign-reversed under phi, both divergences vanish
       F7/F8/F9: the corresponding symmetry pattern of m(nabla_. xi, .)
       F11: nabla xi = eta (x) (phi omega#)
+
+    with ``nxi`` = nabla xi [k, i] for the Levi-Civita connection of ``m``.
     """
-    phi, xi, eta = s.phi, s.xi, s.eta
-    nxi = covariant_derivative(conn, xi, 1)  # [k, i]
+    phi, eta = s.phi, s.eta
     lam = lower_out(nxi, m)  # m(nabla_{e_i} xi, e_j)
     lam_phiphi = scalars.einsum("ab,ai,bj->ij", lam, phi, phi)
     div, div_star = div_pair

@@ -10,6 +10,8 @@ computation routes; the check suite compares them.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from . import scalars
@@ -26,7 +28,7 @@ def project_h(s: ACBStructure, x: np.ndarray) -> np.ndarray:
 def svk_connection(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """The Schouten-van Kampen connection of a Levi-Civita connection, via the
     closed form D_x y = nabla_x y + Q(x,y) (see ``svk_potential_closed``)."""
-    return conn + svk_potential_closed(conn, s)
+    return scalars.combine([1, 1], [conn, svk_potential_closed(conn, s)])
 
 
 def svk_connection_projected(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
@@ -36,8 +38,12 @@ def svk_connection_projected(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """
     pv = scalars.einsum("k,l->kl", s.xi, s.eta)
     ph = scalars.eye(s.dim, s.mode) - pv
-    return scalars.einsum("kl,lim,mj->kij", ph, conn, ph) + scalars.einsum(
-        "kl,lim,mj->kij", pv, conn, pv
+    return scalars.combine(
+        [1, 1],
+        [
+            scalars.einsum("kl,lim,mj->kij", ph, conn, ph),
+            scalars.einsum("kl,lim,mj->kij", pv, conn, pv),
+        ],
     )
 
 
@@ -45,17 +51,22 @@ def svk_potential_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """Q(x,y) = -eta(y) nabla_x xi + (nabla_x eta)(y) xi."""
     nxi = covariant_derivative(conn, s.xi, 1)
     neta = covariant_derivative(conn, s.eta, 0)
-    return -scalars.einsum("j,ki->kij", s.eta, nxi) + scalars.einsum("ij,k->kij", neta, s.xi)
+    return scalars.combine(
+        [-1, 1], [scalars.einsum("j,ki->kij", s.eta, nxi), scalars.einsum("ij,k->kij", neta, s.xi)]
+    )
 
 
-def svk_torsion_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
-    """T(x,y) = eta(x) nabla_y xi - eta(y) nabla_x xi + d eta(x,y) xi."""
-    nxi = covariant_derivative(conn, s.xi, 1)
+def svk_torsion_closed(nxi: np.ndarray, s: ACBStructure) -> np.ndarray:
+    """T(x,y) = eta(x) nabla_y xi - eta(y) nabla_x xi + d eta(x,y) xi, from
+    ``nxi`` = nabla xi of the base Levi-Civita connection."""
     de = d_eta(s.algebra, s.eta)
-    return (
-        scalars.einsum("i,kj->kij", s.eta, nxi)
-        - scalars.einsum("j,ki->kij", s.eta, nxi)
-        + scalars.einsum("ij,k->kij", de, s.xi)
+    return scalars.combine(
+        [1, -1, 1],
+        [
+            scalars.einsum("i,kj->kij", s.eta, nxi),
+            scalars.einsum("j,ki->kij", s.eta, nxi),
+            scalars.einsum("ij,k->kij", de, s.xi),
+        ],
     )
 
 
@@ -65,36 +76,40 @@ def svk_torsion_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
 
 def torsion_from_potential(q: np.ndarray) -> np.ndarray:
     """T(x,y,z) = Q(x,y,z) - Q(y,x,z) on (0,3) tensors."""
-    return q - scalars.einsum("xyz->yxz", q)
+    return scalars.combine([1, -1], [q, scalars.einsum("xyz->yxz", q)])
 
 
 def potential_from_torsion(t: np.ndarray, eps: float) -> np.ndarray:
     """2 Q(x,y,z) = T(x,y,z) - T(y,z,x) + T(z,x,y); requires T antisymmetric
     in its first two slots (to within ``eps`` in float mode)."""
-    if not scalars.is_zero(t + scalars.einsum("xyz->yxz", t), eps, t):
+    if not scalars.is_zero(scalars.combine([1, 1], [t, scalars.einsum("xyz->yxz", t)]), eps, t):
         raise ValueError("torsion must be antisymmetric in its first two slots")
-    # out[x,y,z] = T(x,y,z) - T(y,z,x) + T(z,x,y)
-    q2 = t - scalars.einsum("yzx->xyz", t) + scalars.einsum("zxy->xyz", t)
-    return q2 / 2
+    # out[x,y,z] = (T(x,y,z) - T(y,z,x) + T(z,x,y)) / 2
+    half = Fraction(1, 2)
+    return scalars.combine(
+        [half, -half, half], [t, scalars.einsum("yzx->xyz", t), scalars.einsum("zxy->xyz", t)]
+    )
 
 
 # ---------------------------------------------------------------------------
 # covariant derivative of phi and naturality
 # ---------------------------------------------------------------------------
 
-def svk_covariant_phi_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
+def svk_covariant_phi_closed(conn: np.ndarray, s: ACBStructure, nxi: np.ndarray) -> np.ndarray:
     """(D_x phi) y = (nabla_x phi) y + eta(y) phi nabla_x xi + (nabla_x eta)(phi y) xi,
 
     expressing the Schouten-van Kampen derivative of phi through the base
-    connection alone.
+    connection alone; ``nxi`` is its nabla xi.
     """
     nphi = covariant_derivative(conn, s.phi, 1)  # [l, x, y]
-    nxi = covariant_derivative(conn, s.xi, 1)
     neta = covariant_derivative(conn, s.eta, 0)
-    return (
-        nphi
-        + scalars.einsum("j,km,mi->kij", s.eta, s.phi, nxi)
-        + scalars.einsum("im,mj,k->kij", neta, s.phi, s.xi)
+    return scalars.combine(
+        [1, 1, 1],
+        [
+            nphi,
+            scalars.einsum("j,km,mi->kij", s.eta, s.phi, nxi),
+            scalars.einsum("im,mj,k->kij", neta, s.phi, s.xi),
+        ],
     )
 
 
@@ -117,10 +132,12 @@ def phi_b_connection(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     nphi = covariant_derivative(conn, s.phi, 1)
     nxi = covariant_derivative(conn, s.xi, 1)
     neta = covariant_derivative(conn, s.eta, 0)
-    return (
-        conn
-        + (scalars.einsum("kim,mj->kij", nphi, s.phi) + scalars.einsum("ij,k->kij", neta, s.xi)) / 2
-        - scalars.einsum("j,ki->kij", s.eta, nxi)
+    braces = scalars.combine(
+        [1, 1],
+        [scalars.einsum("kim,mj->kij", nphi, s.phi), scalars.einsum("ij,k->kij", neta, s.xi)],
+    )
+    return scalars.combine(
+        [1, Fraction(1, 2), -1], [conn, braces, scalars.einsum("j,ki->kij", s.eta, nxi)]
     )
 
 
@@ -136,17 +153,20 @@ def svk_pair_difference(p: np.ndarray, s: ACBStructure) -> np.ndarray:
     it vanishes iff the two connections of the pair coincide.
     """
     p_xi = scalars.einsum("lim,m->li", p, s.xi)  # Phi(x, xi)
-    return (
-        p
-        - scalars.einsum("m,mij,k->kij", s.eta, p, s.xi)
-        - scalars.einsum("j,ki->kij", s.eta, p_xi)
+    return scalars.combine(
+        [1, -1, -1],
+        [
+            p,
+            scalars.einsum("m,mij,k->kij", s.eta, p, s.xi),
+            scalars.einsum("j,ki->kij", s.eta, p_xi),
+        ],
     )
 
 
 def svk_pair_from_potential(svk: np.ndarray, p: np.ndarray, s: ACBStructure) -> np.ndarray:
     """Second connection of the pair from the first and the potential of the
     second Levi-Civita connection: D~ = D + ``svk_pair_difference``."""
-    return svk + svk_pair_difference(p, s)
+    return scalars.combine([1, 1], [svk, svk_pair_difference(p, s)])
 
 
 def svk_pair_covariant_phi(dphi: np.ndarray, p: np.ndarray, s: ACBStructure) -> np.ndarray:
@@ -158,10 +178,13 @@ def svk_pair_covariant_phi(dphi: np.ndarray, p: np.ndarray, s: ACBStructure) -> 
     phi = s.phi
     p_phiy = scalars.einsum("lim,mj->lij", p, phi)  # Phi(x, phi y)
     p_xi = scalars.einsum("lim,m->li", p, s.xi)
-    return (
-        dphi
-        + p_phiy
-        - scalars.einsum("km,mij->kij", phi, p)
-        + scalars.einsum("j,km,mi->kij", s.eta, phi, p_xi)
-        - scalars.einsum("m,mij,k->kij", s.eta, p_phiy, s.xi)
+    return scalars.combine(
+        [1, 1, -1, 1, -1],
+        [
+            dphi,
+            p_phiy,
+            scalars.einsum("km,mij->kij", phi, p),
+            scalars.einsum("j,km,mi->kij", s.eta, phi, p_xi),
+            scalars.einsum("m,mij,k->kij", s.eta, p_phiy, s.xi),
+        ],
     )

@@ -1,14 +1,18 @@
-"""The scalar kernel: ``scalars.einsum``, the one contraction path, and the
-exact-zero shortcut of ``scalars.zero_test``.
+"""The scalar kernel: ``scalars.einsum``, the one contraction path,
+``scalars.combine``, its linear combinations, the memo of scaled read-only
+arrays, and the exact-zero shortcut of ``scalars.zero_test``.
 
-A rational contraction of two or more operands runs over integers scaled by
-a common denominator and must give exactly what ``np.einsum`` gives over
-``Fraction`` objects; a float contraction is numpy's own call.  ``ast`` guards
+A rational contraction of two or more operands, and a rational linear
+combination, run over integers scaled by a common denominator and must give
+exactly what numpy gives over ``Fraction`` objects; a float contraction is
+numpy's own call, and a float combination numpy's own sum.  ``ast`` guards
 keep every contraction of the library on this path, and every lowering of an
 upper index by a metric in ``tensor.lower_out``.
 """
 import ast
+import gc
 import math
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -220,3 +224,216 @@ def test_every_lowering_is_lower_out():
         tree = ast.parse(path.read_text(), filename=str(path))
         uses += [f"{path.stem}:{line}" for line in _hand_written_lowerings(tree)]
     assert uses == []
+
+
+# ---------------------------------------------------------------------------
+# linear combinations
+# ---------------------------------------------------------------------------
+
+coefficients = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+
+
+@st.composite
+def combinations(draw):
+    """Coefficients and arrays for ``combine``: up to four rational arrays of
+    axis lengths 0 to 3 that broadcast together (a shape is a suffix of the
+    broadcast shape, with some axes of length 1), each a fresh array, a
+    frozen one, a frozen one's transpose or a reversed view of it."""
+    full = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=3))
+    terms = draw(st.integers(min_value=1, max_value=4))
+    cs, arrays = [], []
+    for _ in range(terms):
+        rank = draw(st.integers(min_value=0, max_value=len(full)))
+        shape = [n if draw(st.booleans()) else 1 for n in full[len(full) - rank:]]
+        view = draw(st.sampled_from(["fresh", "frozen", "transposed", "reversed"]))
+        drawn = shape[::-1] if view == "transposed" else shape
+        entries = draw(st.lists(values, min_size=math.prod(drawn), max_size=math.prod(drawn)))
+        a = _object_array(entries, tuple(drawn))
+        if view != "fresh":
+            scalars.freeze(a)
+        if view == "transposed":
+            a = a.T
+        elif view == "reversed" and a.ndim:
+            a = a[::-1]
+        cs.append(draw(coefficients))
+        arrays.append(a)
+    return cs, arrays
+
+
+def _fraction_sum(cs, arrays):
+    """sum_t c_t a_t in plain ``Fraction`` arithmetic over object arrays."""
+    total = cs[0] * arrays[0]
+    for c, a in zip(cs[1:], arrays[1:]):
+        total = total + c * a
+    return total
+
+
+@given(combinations())
+# mixed denominators with broadcasting, a zero-size result, Python-int
+# entries, and a single term
+@example(([Fraction(1, 2), -1], [scalars.array([["1/3", "2/5"]], RATIONAL),
+                                 scalars.array([["1/7"], [3]], RATIONAL)]))
+@example(([1, 1], [scalars.zeros((0, 2), RATIONAL), scalars.array(["1/2", 1], RATIONAL)]))
+@example(([3, -2], [_object_array([1, 2], (2,)), _object_array([5, -7], (2,))]))
+@example(([1], [scalars.array([["1/2", 0]], RATIONAL)]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_rational_combine_equals_fraction_arithmetic(case):
+    cs, arrays = case
+    expected = _fraction_sum(cs, arrays)
+    got = scalars.combine(cs, arrays)
+    if not isinstance(expected, np.ndarray):
+        assert type(got) is Fraction and got == expected
+        return
+    assert got.dtype == object and got.shape == expected.shape
+    assert all(type(x) is Fraction for x in got.flat)
+    assert all(g == e for g, e in zip(got.flat, expected.flat))
+    assert all(a is not got for a in arrays)
+
+
+floats = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@st.composite
+def float_combinations(draw):
+    """Signs (or a float coefficient) and float arrays of one shape."""
+    shape = tuple(draw(st.lists(st.integers(min_value=0, max_value=3), max_size=3)))
+    terms = draw(st.integers(min_value=1, max_value=4))
+    cs = draw(st.lists(st.one_of(st.sampled_from([1, -1]), floats), min_size=terms, max_size=terms))
+    arrays = [
+        np.array(draw(st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape))))
+        .reshape(shape)
+        for _ in range(terms)
+    ]
+    return cs, arrays
+
+
+def _numpy_expression(cs, arrays):
+    """The expression ``combine`` stands for in float mode, written out:
+    a0 + a1 - a2 ... for signs, c * a for other coefficients."""
+    def term(c, a):
+        return a if c == 1 else -a if c == -1 else c * a
+
+    total = term(cs[0], arrays[0])
+    for c, a in zip(cs[1:], arrays[1:]):
+        op = operator.sub if c == -1 else operator.add
+        total = op(total, a if c in (1, -1) else c * a)
+    return total
+
+
+@given(float_combinations())
+@example(([-1, 1], [np.array([0.0, -0.0]), np.array([0.0, 0.0])]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_float_combine_is_the_numpy_expression_bit_for_bit(case):
+    cs, arrays = case
+    expected = _numpy_expression(cs, arrays)
+    got = scalars.combine(cs, arrays)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert all(a is not got for a in arrays)
+
+
+def test_combine_of_no_arrays_is_an_error():
+    with pytest.raises(ValueError):
+        scalars.combine([], [])
+
+
+# ---------------------------------------------------------------------------
+# the memo of scaled read-only arrays
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def scale_calls(monkeypatch):
+    """The arrays ``scalars._scale`` is called on, as they are scaled."""
+    calls = []
+    real = scalars._scale
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(scalars, "_scale", counting)
+    return calls
+
+
+def test_frozen_array_is_scaled_once(scale_calls):
+    a = scalars.freeze(scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL))
+    v = scalars.freeze(scalars.array(["1/5", -1], RATIONAL))
+    first = scalars.einsum("ij,j->i", a, v)
+    assert len(scale_calls) == 2
+    # again, through a transpose, and in a linear combination
+    assert np.array_equal(scalars.einsum("ij,j->i", a, v), first)
+    scalars.einsum("ji,j->i", a.T, v)
+    scalars.combine([1, Fraction(-1, 3)], [a, a.T])
+    assert len(scale_calls) == 2
+
+
+def test_frozen_result_of_the_kernel_is_scaled_once(scale_calls):
+    # an einsum result is a view of a writable owner until freeze reaches it
+    a = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
+    r = scalars.freeze(scalars.einsum("ij,jk->ik", a, a))
+    assert isinstance(r.base, np.ndarray) and not r.base.flags.writeable
+    del scale_calls[:]
+    scalars.combine([1, 1], [r, r.T])
+    scalars.einsum("ij,jk->ik", r, r)
+    assert scale_calls == [(4,)]
+
+
+def test_writable_array_is_not_served_from_the_memo(scale_calls):
+    a = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
+    v = scalars.freeze(scalars.array(["1/5", -1], RATIONAL))
+    scalars.einsum("ij,j->i", a, v)
+    a[0, 0] = Fraction(9, 4)
+    got = scalars.einsum("ij,j->i", a, v)
+    assert list(got) == list(np.einsum("ij,j->i", a, v))
+    assert scale_calls == [(2, 2), (2,), (2, 2)]
+
+
+def test_read_only_view_of_a_writable_base_is_not_served_from_the_memo(scale_calls):
+    base = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
+    view = base.view()
+    view.setflags(write=False)
+    v = scalars.array(["1/5", -1], RATIONAL)
+    before = scalars.einsum("ij,j->i", view, v)
+    base[1, 1] = Fraction(-11, 6)
+    after = scalars.einsum("ij,j->i", view, v)
+    assert list(after) == list(np.einsum("ij,j->i", view, v))
+    assert list(after) != list(before)
+    combined = scalars.combine([1, 1], [view, view])
+    assert combined[1, 1] == Fraction(-11, 3)
+
+
+def test_memo_entry_leaves_with_its_array():
+    a = scalars.freeze(scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL))
+    key = id(a)
+    scalars.combine([1, 1], [a, a])
+    assert key in scalars._SCALED
+    del a
+    gc.collect()
+    assert key not in scalars._SCALED
+
+
+def test_equal_entries_share_one_fraction():
+    a = scalars.array([["1/2", "-1/2"], ["1/2", 0]], RATIONAL)
+    b = scalars.combine([1, 1], [a, a.T])
+    assert b[0, 0] == 1 and b[0, 1] == 0 and b[1, 0] == 0
+    assert b[0, 1] is b[1, 0] is b[1, 1] is scalars.ZERO
+    c = scalars.einsum("ij,jk->ik", a, a)  # [[0, -1/4], [1/4, -1/4]]
+    assert c[0, 0] is scalars.ZERO
+    assert c[0, 1] == Fraction(-1, 4) and c[0, 1] is c[1, 1]
+
+
+@given(st.lists(values, min_size=1, max_size=12))
+@example([Fraction(1, 3), Fraction(-1, 3), Fraction(333333333333333333, 10**18)])
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_rational_max_abs_is_the_rounded_exact_maximum(entries):
+    a = _object_array(entries, (len(entries),))
+    got = scalars.max_abs(a)
+    assert type(got) is float
+    assert got == float(max(abs(Fraction(x)) for x in entries))
