@@ -32,7 +32,6 @@ from .curvature import (
     TOTALLY_REAL,
     curvature_reeb_identity,
     pair_symmetries,
-    reeb_flatness_polarized,
     ricci_xi_formula,
     section_type,
     sectional,
@@ -156,12 +155,11 @@ def check_fundamental_identities(ws: Workspace, view: MetricView):
     )
     # F(x, phi y, xi) = (nabla_x eta)(y) = m(nabla_x xi, y)
     lam = lower_out(view.nabla_xi, m)
-    neta = covariant_derivative(conn, s.eta, 0)
     yield "fundamental-identities", [
         _minus(f, scalars.einsum("xyz->xzy", f)),
         _minus(f, proj),
         scalars.einsum("xaz,ay,z->xy", f, phi, xi) - lam,
-        neta - lam,
+        view.nabla_eta - lam,
         torsion(conn, s.algebra),
         covariant_derivative(conn, m.matrix, 0),
     ], (f, conn, m.matrix)
@@ -318,7 +316,7 @@ def check_svk_naturality(ws: Workspace):
         "is-natural": svk_mod.is_natural(d, s, s.metric),
     }
     if u2:
-        phib = svk_mod.phi_b_connection(ws.g.conn, s)
+        phib = svk_mod.phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.nabla_xi, ws.g.nabla_eta, s)
         yield "phib-coincidence-on-u2", [_minus(phib, d)], (d,)
 
 
@@ -346,7 +344,7 @@ def check_svk_pair_routes(ws: Workspace):
 
 def _svk_phi_closed_form(ws: Workspace, view: MetricView):
     dphi = view.svk_phi
-    closed = svk_covariant_phi_closed(view.conn, ws.s, view.nabla_xi)
+    closed = svk_covariant_phi_closed(view.nabla_phi, view.nabla_xi, view.nabla_eta, ws.s)
     yield "svk-phi-closed-form", [_minus(dphi, closed)], (dphi,)
 
 
@@ -421,7 +419,7 @@ def check_qt_components(ws: Workspace, view: MetricView):
         scalars.combine([1, 1, -1], [comps.q_h, comps.q_v, q]),
         scalars.combine([1, 1, -1], [comps.t_h, comps.t_v, t]),
     ]
-    for ref in reference_components(s, view.conn, view.shape):
+    for ref in reference_components(s, view.nabla_xi, view.nabla_eta, view.shape):
         arrays += [
             _minus(comps.q_h, ref.q_h),
             _minus(comps.q_v, ref.q_v),
@@ -482,7 +480,8 @@ def check_qt_pair_relations(ws: Workspace):
 @_per_view
 def check_equivalence_chains(ws: Workspace, view: MetricView):
     chains = equivalence_chains(
-        ws.s, view.conn, view.svk, view.shape, view.potential, view.torsion, view.metric
+        ws.s, view.conn, view.nabla_xi, view.nabla_eta, view.svk, view.shape,
+        view.potential, view.torsion, view.metric,
     )
     for chain, predicates in chains.items():
         yield f"chain-{chain}", predicates
@@ -570,8 +569,9 @@ def check_sectional_curvature(ws: Workspace, seed: int = 0):
 
 def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
     """The sectional-curvature relations of one metric, each evaluated over
-    one stack of planes; the relation and the flatness of Reeb sections are
-    also tested in polarized form, as tensor identities."""
+    one stack of planes; the relation is also tested in polarized form, and
+    the flatness of Reeb sections through R^D(x,y,z,xi) = 0, both as tensor
+    identities."""
     s, eps, role = ws.s, ws.s.eps, view.role
     r04, r04_svk, m = view.curv.r04, view.curv.r04_svk, view.metric
     planes = sample_planes(ws, view, seed + (0 if role == "g" else 1))
@@ -592,11 +592,13 @@ def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
         f"{len(planes)} sampled planes",
     )
 
+    # R^D(x,y,z,xi) = -(R^D(x,y) eta)(z) = 0 as D eta = 0; as D is metric,
+    # it gives R^D(x,xi,xi,x) = 0 on every plane through xi
     xi_planes = xi_section_candidates(ws, view)
     yield _result(
         eps,
         f"reeb-section-flatness[{role}]",
-        [sectional(r04_svk, xi_planes), reeb_flatness_polarized(r04_svk, s.xi)],
+        [sectional(r04_svk, xi_planes), scalars.einsum("ijkm,m->ijk", r04_svk, s.xi)],
         (r04_svk,),
         f"{len(xi_planes)} reeb sections",
     )

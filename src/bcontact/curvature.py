@@ -317,9 +317,3 @@ def svk_sectional_polarized(
     scalars.freeze(t)
     return scalars.combine([1] * 4, [scalars.einsum(p, t) for p in _PLANE_SYMMETRIES])
 
-
-def reeb_flatness_polarized(r04_svk: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """R^D(x, xi, xi, x) = 0 for every x, polarized: the (i<->l)-symmetrization
-    of R^D_imnl xi_m xi_n."""
-    a = scalars.einsum("imnl,m,n->il", r04_svk, xi, xi)
-    return a + a.T

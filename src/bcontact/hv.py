@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalars
-from .liegroup import covariant_derivative, d_eta, lie_derivative_metric
+from .liegroup import lie_derivative_metric
 from .structure import ACBStructure
 from .tensor import Metric, lower_out
 
@@ -82,25 +82,25 @@ def wedge_form_operator(alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def reference_components(
-    s: ACBStructure, conn: np.ndarray, shape: ShapeData
+    s: ACBStructure, nxi: np.ndarray, neta: np.ndarray, shape: ShapeData
 ) -> tuple[HVComponents, HVComponents]:
     """The two sets of closed forms the split components must reproduce:
 
     through the connection:  Q^h = -(nabla xi) (x) eta,  Q^v = (nabla eta) (x) xi,
                              T^h = eta ^ (nabla xi),     T^v = d eta (x) xi;
     through the shape data:  Q^h = S (x) eta,            Q^v = -S<> (x) xi,
-                             T^h = -eta ^ S,             T^v = -2 Alt(S<>) (x) xi.
+                             T^h = -eta ^ S,             T^v = -2 Alt(S<>) (x) xi,
+
+    with ``nxi`` and ``neta`` the derivatives of xi and eta under the
+    Levi-Civita connection.
     """
-    nxi = covariant_derivative(conn, s.xi, 1)
-    neta = covariant_derivative(conn, s.eta, 0)
-    de = d_eta(s.algebra, s.eta)
     eta, xi = s.eta, s.xi
 
     by_conn = HVComponents(
         scalars.einsum("ki,j->kij", -nxi, eta),
         scalars.einsum("ij,k->kij", neta, xi),
         wedge_form_operator(eta, nxi),
-        scalars.einsum("ij,k->kij", de, xi),
+        scalars.einsum("ij,k->kij", s.d_eta, xi),
     )
     sop, sd = shape.operator, shape.diamond
     by_shape = HVComponents(
@@ -134,26 +134,19 @@ def torsion_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def equivalence_chains(
-    s: ACBStructure,
-    conn: np.ndarray,
-    svk_conn: np.ndarray,
-    shape: ShapeData,
-    q: np.ndarray,
-    t: np.ndarray,
-    m: Metric,
+    s: ACBStructure, conn: np.ndarray, nxi: np.ndarray, neta: np.ndarray,
+    svk_conn: np.ndarray, shape: ShapeData, q: np.ndarray, t: np.ndarray, m: Metric,
 ) -> dict[str, dict[str, bool]]:
     """The three predicate chains for one metric of the pair, as chain ->
     predicate -> boolean: within each chain all predicates must evaluate to
     the same boolean on any model.  Each predicate is the vanishing of its
-    list of arrays."""
-    neta = covariant_derivative(conn, s.eta, 0)
-    de = d_eta(s.algebra, s.eta)
-    lg = lie_derivative_metric(conn, s.xi, m)
+    list of arrays; ``nxi`` and ``neta`` are nabla xi and nabla eta of the
+    Levi-Civita connection ``conn`` of ``m``."""
+    de = s.d_eta
+    lg = lie_derivative_metric(s.algebra, s.xi, m)
     comps = hv_split(s, q, t)
     qv = comps.q_v
     sd = shape.diamond
-    sop = shape.operator
-    adj = lower_out(sop, m)  # m(S(x), y)
     qv_t = scalars.einsum("kij->kji", qv)
 
     chains = {
@@ -162,21 +155,18 @@ def equivalence_chains(
             "eta closed": [de],
             "Q-vertical symmetric": [scalars.combine([1, -1], [qv, qv_t])],
             "T-vertical vanishes": [comps.t_v],
-            "shape self-adjoint": [adj - adj.T],
             "shape form symmetric": [sd - sd.T],
         },
         "skew": {
             "nabla-eta skew": [neta + neta.T],
             "reeb killing": [lg],
             "Q-vertical skew": [scalars.combine([1, 1], [qv, qv_t])],
-            "shape anti-self-adjoint": [adj + adj.T],
             "shape form skew": [sd + sd.T],
         },
         "vanishing": {
             "nabla-eta zero": [neta],
             "eta closed and reeb killing": [de, lg],
-            "nabla-xi zero": [covariant_derivative(conn, s.xi, 1)],
-            "shape zero": [sop],
+            "nabla-xi zero": [nxi],
             "shape form zero": [sd],
             "svk equals levi-civita": [scalars.combine([1, -1], [svk_conn, conn])],
         },

@@ -12,7 +12,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import scalars
-from .tensor import Metric, lower_out
+from .tensor import Metric
 
 
 class StructureError(ValueError):
@@ -123,8 +123,7 @@ def d_eta(algebra: LieAlgebra, eta: np.ndarray) -> np.ndarray:
     return -scalars.einsum("kij,k->ij", algebra.c, eta)
 
 
-def lie_derivative_metric(gamma: np.ndarray, xi: np.ndarray, m: Metric) -> np.ndarray:
-    """(L_xi g)(x,y) = g(nabla_x xi, y) + g(nabla_y xi, x) for torsion-free nabla."""
-    low = lower_out(covariant_derivative(gamma, xi, 1), m)
-    return low + low.T
-
+def lie_derivative_metric(algebra: LieAlgebra, xi: np.ndarray, m: Metric) -> np.ndarray:
+    """(L_xi m)(x,y) = -m([xi,x],y) - m(x,[xi,y]) for left-invariant fields."""
+    ad = scalars.einsum("kji,j,kl->il", algebra.c, xi, m.matrix)  # m([xi,e_i], e_l)
+    return -(ad + ad.T)

@@ -41,35 +41,41 @@ def _index(tok) -> int:
 
 def canonicalize(doc: dict) -> dict:
     """Normalized document: fixed key order, canonical scalar strings,
-    brackets sorted by index pair."""
+    brackets sorted by index pair, each pair given once."""
     try:
         dim = _index(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError("missing or bad 'dim'") from exc
 
+    def array(v, what):  # a JSON array, or a list or tuple from Python
+        if not isinstance(v, (list, tuple)) or len(v) != dim:
+            raise ModelFileError(f"{what} must be an array of {dim} entries")
+        return v
+
     def vec(v, what):
-        if len(v) != dim:
-            raise ModelFileError(f"{what} must have {dim} entries")
-        return [_canonical_scalar(t) for t in v]
+        return [_canonical_scalar(t) for t in array(v, what)]
 
     def mat(m, what):
-        if len(m) != dim:
-            raise ModelFileError(f"{what} must be {dim}x{dim}")
-        return [vec(r, what) for r in m]
+        return [vec(r, what) for r in array(m, what)]
 
-    brackets = []
-    for item in doc.get("brackets", []):
+    items = doc.get("brackets", [])
+    if not isinstance(items, (list, tuple)):
+        raise ModelFileError(f"'brackets' must be an array, not {items!r}")
+    brackets = {}
+    for item in items:
         try:
             i, j, coeffs = _index(item[0]), _index(item[1]), item[2]
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
             raise ModelFileError(f"bad bracket entry {item!r}") from exc
         if not (0 <= i < dim and 0 <= j < dim) or i == j:
             raise ModelFileError(f"bracket indices ({i},{j}) out of range")
+        coeffs = vec(coeffs, f"bracket ({i},{j})")
         if i > j:
             i, j = j, i
-            coeffs = [_negate(t) for t in coeffs]
-        brackets.append([i, j, vec(coeffs, f"bracket ({i},{j})")])
-    brackets.sort(key=lambda b: (b[0], b[1]))
+            coeffs = [str(-Fraction(t)) for t in coeffs]
+        if (i, j) in brackets:
+            raise ModelFileError(f"bracket ({i},{j}) given twice")
+        brackets[i, j] = coeffs
 
     for key in ("phi", "xi", "eta", "g"):
         if key not in doc:
@@ -80,7 +86,7 @@ def canonicalize(doc: dict) -> dict:
         out["name"] = str(doc["name"])
     out.update(
         dim=dim,
-        brackets=brackets,
+        brackets=[[i, j, brackets[i, j]] for i, j in sorted(brackets)],
         phi=mat(doc["phi"], "phi"),
         xi=vec(doc["xi"], "xi"),
         eta=vec(doc["eta"], "eta"),
@@ -89,10 +95,6 @@ def canonicalize(doc: dict) -> dict:
     if doc.get("metadata"):
         out["metadata"] = doc["metadata"]
     return out
-
-
-def _negate(tok) -> str:
-    return str(-Fraction(_canonical_scalar(tok)))
 
 
 def dumps(doc: dict) -> str:

@@ -1,11 +1,11 @@
 """One-stop access to every derived quantity for a model.
 
 A Workspace takes the raw structure data and exposes both metrics of the pair
-and everything downstream of them (connections, fundamental tensors, Lee
-forms, potential, Schouten-van Kampen pair, shape operators, curvature) to the
-check suite, the classifier and the CLI.  Each field is computed on first use,
-along the *primary* route only, and cached, so a caller pays only for what it
-reads.  The independent second routes, and every comparison between routes,
+and everything downstream of them (connections, the derivatives of xi, eta
+and phi, fundamental tensors, Lee forms, potential, Schouten-van Kampen pair,
+shape operators, curvature) to the check suite, the classifier and the CLI.
+Each field is computed on first use, along the *primary* route only, and
+cached, so a caller pays only for what it reads.  The independent second routes, and every comparison between routes,
 live in the check suite (``checks.run_checks``).
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from . import scalars
+from . import scalars, svk as svk_mod
 from .curvature import CurvatureData, curvature_data
 from .hv import ShapeData, shape_operator
 from .liegroup import covariant_derivative, levi_civita, torsion
@@ -30,7 +30,6 @@ from .structure import (
     lee_forms,
     validate_structure,
 )
-from .svk import svk_connection
 from .tensor import Metric, lower_out
 
 
@@ -57,9 +56,26 @@ class MetricView:
         """Coefficients of the Levi-Civita connection of this metric."""
         return levi_civita(self.ws.s.algebra, self.metric)
 
+    # the only derivatives of xi, eta and phi under this Levi-Civita
+    # connection: every closed form of the structure reads them
+    @_cached
+    def nabla_xi(self) -> np.ndarray:
+        """(1,1) nabla xi of the Levi-Civita connection of this metric."""
+        return covariant_derivative(self.conn, self.ws.s.xi, 1)
+
+    @_cached
+    def nabla_eta(self) -> np.ndarray:
+        """(0,2) nabla eta of the Levi-Civita connection of this metric."""
+        return covariant_derivative(self.conn, self.ws.s.eta, 0)
+
+    @_cached
+    def nabla_phi(self) -> np.ndarray:
+        """(1,2) nabla phi of the Levi-Civita connection of this metric."""
+        return covariant_derivative(self.conn, self.ws.s.phi, 1)
+
     @_cached
     def fundamental(self) -> np.ndarray:
-        return fundamental_tensor(self.ws.s, self.conn, self.metric)
+        return fundamental_tensor(self.nabla_phi, self.metric)
 
     @_cached
     def lee(self) -> LeeForms:
@@ -75,7 +91,7 @@ class MetricView:
     @_cached
     def div_pair(self):
         """(div(eta), div*(eta)) for the structure carried by this metric."""
-        return divergences(self.ws.s, self.conn, self.metric, self.assoc)
+        return divergences(self.nabla_eta, self.metric, self.assoc)
 
     @_cached
     def partner_potential(self) -> np.ndarray:
@@ -96,14 +112,14 @@ class MetricView:
         )
 
     @_cached
-    def svk(self) -> np.ndarray:
-        """Coefficients of the Schouten-van Kampen connection of this metric."""
-        return svk_connection(self.conn, self.ws.s)
+    def potential(self) -> np.ndarray:
+        """(1,2) potential Q = D - nabla of the SvK connection, by its closed form."""
+        return svk_mod.svk_potential_closed(self.nabla_xi, self.nabla_eta, self.ws.s)
 
     @_cached
-    def potential(self) -> np.ndarray:
-        """(1,2) Q = D - nabla of the SvK connection."""
-        return scalars.combine([1, -1], [self.svk, self.conn])
+    def svk(self) -> np.ndarray:
+        """Coefficients of the Schouten-van Kampen connection of this metric."""
+        return svk_mod.svk_connection(self.conn, self.potential)
 
     @_cached
     def torsion(self) -> np.ndarray:
@@ -122,11 +138,6 @@ class MetricView:
     def svk_phi(self) -> np.ndarray:
         """(1,2) covariant derivative of phi under the SvK connection."""
         return covariant_derivative(self.svk, self.ws.s.phi, 1)
-
-    @_cached
-    def nabla_xi(self) -> np.ndarray:
-        """(1,1) nabla xi of the Levi-Civita connection of this metric."""
-        return covariant_derivative(self.conn, self.ws.s.xi, 1)
 
     @_cached
     def shape(self) -> ShapeData:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import scalars
-from .liegroup import LieAlgebra, covariant_derivative
+from .liegroup import LieAlgebra, d_eta
 from .tensor import Metric, lower_out, sharp
 
 
@@ -90,6 +90,11 @@ class ACBStructure:
         """g~(x,y) = g(x, phi y) + eta(x) eta(y); built on first use, since it
         is a metric only when the axioms on g hold."""
         return scalars.freeze(associated_of(self.metric, self))
+
+    @cached_property
+    def d_eta(self) -> np.ndarray:
+        """d eta as a (0,2) tensor, the same for both metrics of the pair."""
+        return scalars.freeze(d_eta(self.algebra, self.eta))
 
     @property
     def dim(self) -> int:
@@ -165,12 +170,13 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
 # fundamental tensor and Lee forms
 # ---------------------------------------------------------------------------
 
-def fundamental_tensor(s: ACBStructure, conn: np.ndarray, m: Metric) -> np.ndarray:
-    """F(x,y,z) = m((nabla_x phi) y, z) for the Levi-Civita connection of m.
+def fundamental_tensor(nphi: np.ndarray, m: Metric) -> np.ndarray:
+    """F(x,y,z) = m((nabla_x phi) y, z), from ``nphi`` = nabla phi of the
+    Levi-Civita connection of m.
 
     Its defining symmetries are checked by ``fundamental-identities``.
     """
-    return lower_out(covariant_derivative(conn, s.phi, 1), m)
+    return lower_out(nphi, m)
 
 
 @dataclass(frozen=True)
@@ -209,16 +215,14 @@ def lee_forms(s: ACBStructure, f: np.ndarray, m: Metric) -> LeeForms:
     return LeeForms(theta, theta_star, omega, sharp(omega, m))
 
 
-def divergences(s: ACBStructure, conn: np.ndarray, m: Metric, m_assoc: Metric):
+def divergences(neta: np.ndarray, m: Metric, m_assoc: Metric):
     """div(eta) and div*(eta) for the structure carried by the metric m.
 
-    Both divergences contract the same covariant derivative of eta (taken
-    with the Levi-Civita connection of m); the plain one traces with m, the
-    starred one with the associated metric of m.  The trace identities
-    theta(xi) = div*(eta) and theta*(xi) = div(eta) are checked by
-    ``divergence-trace``.
+    Both divergences contract ``neta`` = nabla eta of the Levi-Civita
+    connection of m; the plain one traces with m, the starred one with the
+    associated metric of m.  The trace identities theta(xi) = div*(eta) and
+    theta*(xi) = div(eta) are checked by ``divergence-trace``.
     """
-    neta = covariant_derivative(conn, s.eta, 0)
     div = scalars.einsum("ij,ij->", m.inv, neta)
     div_star = scalars.einsum("ij,ij->", m_assoc.inv, neta)
     return div, div_star

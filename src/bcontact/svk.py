@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import scalars
-from .liegroup import covariant_derivative, d_eta
+from .liegroup import covariant_derivative
 from .structure import ACBStructure
 from .tensor import Metric
 
@@ -25,32 +25,27 @@ def project_h(s: ACBStructure, x: np.ndarray) -> np.ndarray:
     return x - (s.eta @ x) * s.xi
 
 
-def svk_connection(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
-    """The Schouten-van Kampen connection of a Levi-Civita connection, via the
-    closed form D_x y = nabla_x y + Q(x,y) (see ``svk_potential_closed``)."""
-    return scalars.combine([1, 1], [conn, svk_potential_closed(conn, s)])
+def svk_connection(conn: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The Schouten-van Kampen connection D_x y = nabla_x y + Q(x,y) of a
+    Levi-Civita connection and its potential (``svk_potential_closed``)."""
+    return scalars.combine([1, 1], [conn, q])
 
 
 def svk_connection_projected(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     """Projector route D_x y = (nabla_x y^h)^h + (nabla_x y^v)^v.
 
-    Independent of the closed form above; the two must agree exactly.
+    The vertical term (nabla_x y^v)^v = eta(y) eta(nabla_x xi) xi is not
+    formed: it vanishes, because m(xi, .) = eta and m(xi, xi) = 1 for both
+    metrics m of the pair, so eta(nabla_x xi) = m(nabla_x xi, xi) = 0.
+    Independent of the closed form; the two must agree exactly.
     """
-    pv = scalars.einsum("k,l->kl", s.xi, s.eta)
-    ph = scalars.eye(s.dim, s.mode) - pv
-    return scalars.combine(
-        [1, 1],
-        [
-            scalars.einsum("kl,lim,mj->kij", ph, conn, ph),
-            scalars.einsum("kl,lim,mj->kij", pv, conn, pv),
-        ],
-    )
+    ph = scalars.eye(s.dim, s.mode) - scalars.einsum("k,l->kl", s.xi, s.eta)
+    return scalars.einsum("kl,lim,mj->kij", ph, conn, ph)
 
 
-def svk_potential_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
-    """Q(x,y) = -eta(y) nabla_x xi + (nabla_x eta)(y) xi."""
-    nxi = covariant_derivative(conn, s.xi, 1)
-    neta = covariant_derivative(conn, s.eta, 0)
+def svk_potential_closed(nxi: np.ndarray, neta: np.ndarray, s: ACBStructure) -> np.ndarray:
+    """Q(x,y) = -eta(y) nabla_x xi + (nabla_x eta)(y) xi, from ``nxi`` and
+    ``neta`` = nabla xi and nabla eta of the base Levi-Civita connection."""
     return scalars.combine(
         [-1, 1], [scalars.einsum("j,ki->kij", s.eta, nxi), scalars.einsum("ij,k->kij", neta, s.xi)]
     )
@@ -59,13 +54,12 @@ def svk_potential_closed(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
 def svk_torsion_closed(nxi: np.ndarray, s: ACBStructure) -> np.ndarray:
     """T(x,y) = eta(x) nabla_y xi - eta(y) nabla_x xi + d eta(x,y) xi, from
     ``nxi`` = nabla xi of the base Levi-Civita connection."""
-    de = d_eta(s.algebra, s.eta)
     return scalars.combine(
         [1, -1, 1],
         [
             scalars.einsum("i,kj->kij", s.eta, nxi),
             scalars.einsum("j,ki->kij", s.eta, nxi),
-            scalars.einsum("ij,k->kij", de, s.xi),
+            scalars.einsum("ij,k->kij", s.d_eta, s.xi),
         ],
     )
 
@@ -95,14 +89,15 @@ def potential_from_torsion(t: np.ndarray, eps: float) -> np.ndarray:
 # covariant derivative of phi and naturality
 # ---------------------------------------------------------------------------
 
-def svk_covariant_phi_closed(conn: np.ndarray, s: ACBStructure, nxi: np.ndarray) -> np.ndarray:
+def svk_covariant_phi_closed(
+    nphi: np.ndarray, nxi: np.ndarray, neta: np.ndarray, s: ACBStructure
+) -> np.ndarray:
     """(D_x phi) y = (nabla_x phi) y + eta(y) phi nabla_x xi + (nabla_x eta)(phi y) xi,
 
     expressing the Schouten-van Kampen derivative of phi through the base
-    connection alone; ``nxi`` is its nabla xi.
+    connection alone: ``nphi`` [l, x, y], ``nxi`` and ``neta`` are its
+    derivatives of phi, xi and eta.
     """
-    nphi = covariant_derivative(conn, s.phi, 1)  # [l, x, y]
-    neta = covariant_derivative(conn, s.eta, 0)
     return scalars.combine(
         [1, 1, 1],
         [
@@ -123,15 +118,15 @@ def is_natural(conn: np.ndarray, s: ACBStructure, m: Metric) -> bool:
     return ok_phi and ok_xi and ok_eta and ok_m
 
 
-def phi_b_connection(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
-    """The phiB-connection
+def phi_b_connection(
+    conn: np.ndarray, nphi: np.ndarray, nxi: np.ndarray, neta: np.ndarray, s: ACBStructure
+) -> np.ndarray:
+    """The phiB-connection of a Levi-Civita connection, from its derivatives
+    ``nphi``, ``nxi`` and ``neta`` of phi, xi and eta:
 
     nabla*_x y = nabla_x y + 1/2 {(nabla_x phi) phi y + (nabla_x eta)(y) xi}
                - eta(y) nabla_x xi.
     """
-    nphi = covariant_derivative(conn, s.phi, 1)
-    nxi = covariant_derivative(conn, s.xi, 1)
-    neta = covariant_derivative(conn, s.eta, 0)
     braces = scalars.combine(
         [1, 1],
         [scalars.einsum("kim,mj->kij", nphi, s.phi), scalars.einsum("ij,k->kij", neta, s.xi)],

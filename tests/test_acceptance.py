@@ -50,7 +50,7 @@ def test_criterion_1_structure_axioms_and_runtime():
         s = entry.structure(RATIONAL)
         report = validate_structure(s)
         conn = levi_civita(s.algebra, s.metric)
-        fundamental_tensor(s, conn, s.metric)
+        fundamental_tensor(covariant_derivative(conn, s.phi, 1), s.metric)
         timings[name] = time.perf_counter() - t0
         assert report.passed, name
         for r in _checks(name, "structure-axioms", "fundamental-identities"):
@@ -113,13 +113,13 @@ def test_criterion_5_natural_connection_coincidences():
         if not ws.g.classification["U2"]:
             continue
         u2_seen += 1
-        phib = phi_b_connection(ws.g.conn, ws.s)
+        phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.nabla_xi, ws.g.nabla_eta, ws.s)
         assert np.array_equal(phib, ws.g.svk), name
         assert np.array_equal(ws.gt.svk, ws.g.svk), name
         assert scalars.residual(ws.g.svk_phi) == 0.0, name
     assert u2_seen >= 2
     ws = workspace("nil5-f2")  # outside the vertical union: all three fail
-    phib = phi_b_connection(ws.g.conn, ws.s)
+    phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.nabla_xi, ws.g.nabla_eta, ws.s)
     d, dt = ws.g.svk, ws.gt.svk
     assert scalars.residual(d - phib) > 0
     assert scalars.residual(phib - dt) > 0

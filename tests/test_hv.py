@@ -71,7 +71,9 @@ def test_hv_components_sum_and_reference_forms():
         ws = workspace(name)
         for view in (ws.g, ws.gt):
             comps = hv_split(ws.s, view.potential, view.torsion)
-            by_conn, by_shape = reference_components(ws.s, view.conn, view.shape)
+            by_conn, by_shape = reference_components(
+                ws.s, view.nabla_xi, view.nabla_eta, view.shape
+            )
             assert np.array_equal(
                 comps.q_h + comps.q_v, view.potential
             )
@@ -123,7 +125,8 @@ def test_potential_pi1_form():
 def _chain_values(ws, view):
     """chain -> its one value; asserts that the chain's predicates agree."""
     chains = equivalence_chains(
-        ws.s, view.conn, view.svk, view.shape, view.potential, view.torsion, view.metric
+        ws.s, view.conn, view.nabla_xi, view.nabla_eta, view.svk, view.shape,
+        view.potential, view.torsion, view.metric,
     )
     values = {}
     for chain, predicates in chains.items():

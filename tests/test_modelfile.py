@@ -35,6 +35,14 @@ def test_bracket_index_normalization():
     assert modelfile.dumps(flipped) == modelfile.dumps(doc)
 
 
+# a container of the wrong JSON type, with the message naming the field
+MALFORMED_CONTAINERS = [
+    ("brackets", 5, "'brackets' must be an array"),
+    ("phi", 7, "phi must be an array"),
+    ("brackets", [{"0": 0, "1": 1, "2": ["1", "0", "0"]}], "bad bracket entry"),
+]
+
+
 def test_parse_errors():
     with pytest.raises(ModelFileError, match="JSON"):
         modelfile.loads("{oops")
@@ -55,6 +63,31 @@ def test_parse_errors():
     doc = doc3()
     doc["g"][0][0] = "one"
     with pytest.raises(ModelFileError, match="bad scalar"):
+        modelfile.loads(json.dumps(doc))
+    for key, value, message in MALFORMED_CONTAINERS:
+        doc = doc3()
+        doc[key] = value
+        with pytest.raises(ModelFileError, match=message):
+            modelfile.loads(json.dumps(doc))
+
+
+def test_malformed_container_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "model.json"
+    for key, value, message in MALFORMED_CONTAINERS:
+        doc = doc3()
+        doc[key] = value
+        p.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(p)]) == 2, key
+        assert f"input error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeat", [[2, 0, ["0", "0", "0"]], [0, 2, ["0", "0", "0"]]])
+def test_repeated_bracket_pair_is_an_input_error(repeat):
+    # without the check the later entry would silently replace the first
+    doc = zoo.builtin("solv3-f4").doc()
+    assert any(b[:2] == [0, 2] for b in doc["brackets"])
+    doc["brackets"].append(repeat)
+    with pytest.raises(ModelFileError, match=r"bracket \(0,2\) given twice"):
         modelfile.loads(json.dumps(doc))
 
 

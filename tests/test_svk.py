@@ -63,7 +63,7 @@ def test_svk_equals_levi_civita_iff_parallel_reeb():
 
 def test_svk_differs_but_matches_phib_on_vertical_class():
     ws = workspace("solv3-f4")
-    phib = phi_b_connection(ws.g.conn, ws.s)
+    phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.nabla_xi, ws.g.nabla_eta, ws.s)
     assert np.array_equal(phib, ws.g.svk)
 
 
@@ -159,7 +159,7 @@ def test_svk_phi_vanishes_exactly_on_vertical_class():
 
 def test_phib_differs_outside_vertical_class():
     ws = workspace("nil5-f2")
-    phib = phi_b_connection(ws.g.conn, ws.s)
+    phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.nabla_xi, ws.g.nabla_eta, ws.s)
     assert scalars.residual(phib - ws.g.svk) > 0
 
 
@@ -252,13 +252,11 @@ def test_checks_see_a_wrong_svk_potential(monkeypatch, name):
     # the workspace builds D from svk_potential_closed; doubling its
     # (nabla_x eta)(y) xi term must be caught by the routes that do not use it
     from bcontact import checks, svk
-    from bcontact.liegroup import covariant_derivative
 
     closed = svk.svk_potential_closed
 
-    def doubled(conn, s):
-        neta = covariant_derivative(conn, s.eta, 0)
-        return closed(conn, s) + scalars.einsum("ij,k->kij", neta, s.xi)
+    def doubled(nxi, neta, s):
+        return closed(nxi, neta, s) + scalars.einsum("ij,k->kij", neta, s.xi)
 
     monkeypatch.setattr(svk, "svk_potential_closed", doubled)
     ws = zoo.builtin(name).workspace(RATIONAL)  # a fresh one, built with the wrong D
