@@ -454,12 +454,9 @@ def check_qt_pair_relations(ws: Workspace):
 
     ds = ws.gt.shape.operator - ws.g.shape.operator
     dsd = ws.gt.shape.diamond - ws.g.shape.diamond
-    # each term enters two relations, so its scaled form is kept
-    ds_eta, dsd_xi, wedge_ds = scalars.freeze([
-        scalars.einsum("ki,j->kij", ds, eta),
-        scalars.einsum("ij,k->kij", dsd, xi),
-        wedge_form_operator(eta, ds),
-    ])
+    ds_eta = scalars.einsum("ki,j->kij", ds, eta)
+    dsd_xi = scalars.einsum("ij,k->kij", dsd, xi)
+    wedge_ds = wedge_form_operator(eta, ds)
     rel_q_shape = _minus(qt, scalars.combine([1, 1, -1], [q, ds_eta, dsd_xi]))
     rel_t_shape = _minus(tt, _minus(t, wedge_ds))
 
@@ -496,7 +493,7 @@ def check_svk_curvature(ws: Workspace, view: MetricView):
     yield "svk-ricci-relation", [curv.rho_svk - rho_formula], (curv.rho,)
     tau_formula = svk_scalar_formula(curv.tau, view.rho_xi_xi, view.shape)
     yield "svk-scalar-relation", [curv.tau_svk - tau_formula], ()
-    n_s = scalars.freeze(covariant_derivative(view.conn, view.shape.operator, 1))
+    n_s = covariant_derivative(view.conn, view.shape.operator, 1)
     via_shape = ricci_xi_formula(s, view.conn, n_s, view.shape, view.metric)
     yield "ricci-reeb-formula", [view.rho_xi_xi - via_shape], ()
     yield "curvature-reeb-identity", [curvature_reeb_identity(s, curv.r13, n_s)], (curv.r04,)

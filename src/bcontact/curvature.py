@@ -124,13 +124,11 @@ class CurvatureData:
 def curvature_data(
     s: ACBStructure, conn: np.ndarray, svk_conn: np.ndarray, m: Metric
 ) -> CurvatureData:
-    # frozen as soon as they are built: each is read again, so the scalar
-    # kernel keeps its scaled form
-    r13 = scalars.freeze(curvature(s.algebra, conn))
-    r04 = scalars.freeze(lower_out(r13, m))
+    r13 = curvature(s.algebra, conn)
+    r04 = lower_out(r13, m)
     rho = ricci(r04, m)
     tau = scalar_curvature(rho, m)
-    r04_d = scalars.freeze(lower_out(curvature(s.algebra, svk_conn), m))
+    r04_d = lower_out(curvature(s.algebra, svk_conn), m)
     rho_d = ricci(r04_d, m)
     tau_d = scalar_curvature(rho_d, m)
     return CurvatureData(r13, r04, rho, tau, r04_d, rho_d, tau_d)
@@ -179,8 +177,12 @@ class PlaneStack:
     @classmethod
     def nondegenerate(cls, m: Metric, x: np.ndarray, y: np.ndarray, eps: float):
         """The planes x[n], y[n] that are non-degenerate for ``m``, in order."""
-        den = pi1(m, x, y, y, x)
-        return cls(m, x, y, den)[[not scalars.is_zero(d, eps, m.matrix) for d in den]]
+        # read-only copies: the kernel scales x and y once for the four inner
+        # products of pi_1, and once for every later use of the stack
+        x, y = scalars.freeze((np.array(x), np.array(y)))
+        planes = cls(m, x, y, scalars.freeze(pi1(m, x, y, y, x)))
+        keep = [not d for d in scalars.zero_rows(planes.den, eps, [m.matrix] * len(x))]
+        return planes if all(keep) else planes[keep]
 
     @classmethod
     def of(cls, m: Metric, x: np.ndarray, y: np.ndarray, eps: float):
@@ -209,8 +211,7 @@ def _in_planes(planes: PlaneStack, w: np.ndarray, eps: float) -> list[bool]:
         (yy * xw - xy * yw)[:, None] * x,
         (xx * yw - xy * xw)[:, None] * y,
     )
-    r = terms[0] - terms[1] - terms[2]
-    return [scalars.is_zero(r[n], eps, *(t[n] for t in terms)) for n in range(len(r))]
+    return scalars.zero_rows(scalars.combine([1, -1, -1], terms), eps, *terms)
 
 
 def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
@@ -226,29 +227,30 @@ def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
     """
     eps, m = s.eps, planes.metric
     x, y = planes.x, planes.y
-    phi_x, phi_y = scalars.freeze(
-        (scalars.einsum("ki,ni->nk", s.phi, x), scalars.einsum("ki,ni->nk", s.phi, y))
-    )
+    phi_x = scalars.einsum("ki,ni->nk", s.phi, x)
+    phi_y = scalars.einsum("ki,ni->nk", s.phi, y)
     reeb = _in_planes(planes, np.broadcast_to(s.xi, x.shape), eps)
     phi_x_in = _in_planes(planes, phi_x, eps)
     phi_y_in = _in_planes(planes, phi_y, eps)
-    # m(u, phi v) for the pairs (x,x), (x,y), (y,y)
-    forms = [m.inner(u, v) for u, v in ((x, phi_x), (x, phi_y), (y, phi_y))]
     kinds = [
-        XI_SECTION if reeb[n]
-        else HOLOMORPHIC if phi_x_in[n] and phi_y_in[n]
-        else TOTALLY_REAL if all(scalars.is_zero(f[n], eps, m.matrix) for f in forms)
-        else GENERIC
-        for n in range(len(planes))
+        XI_SECTION if on_reeb else HOLOMORPHIC if in_x and in_y else None
+        for on_reeb, in_x, in_y in zip(reeb, phi_x_in, phi_y_in)
     ]
+    # each other plane is totally real when m(u, phi v) vanishes for the
+    # pairs (x,x), (x,y), (y,y)
+    rest = np.array([k is None for k in kinds], dtype=bool)
+    metric = [m.matrix] * int(rest.sum())
+    forms = [
+        scalars.zero_rows(m.inner(u, v)[rest], eps, metric)
+        for u, v in ((x, phi_x), (x, phi_y), (y, phi_y))
+    ]
+    real = map(all, zip(*forms))
+    kinds = [k or (TOTALLY_REAL if next(real) else GENERIC) for k in kinds]
     if TOTALLY_REAL in kinds and s.dim < 5:
         raise DegeneratePlaneError("totally-real planes require dimension at least 5")
-    eta_x, eta_y = x @ s.eta, y @ s.eta
-    ortho = [
-        scalars.is_zero(eta_x[n], eps, x[n]) and scalars.is_zero(eta_y[n], eps, y[n])
-        for n in range(len(planes))
-    ]
-    return list(zip(kinds, ortho))
+    eta_x = scalars.zero_rows(x @ s.eta, eps, x)
+    eta_y = scalars.zero_rows(y @ s.eta, eps, y)
+    return [(kind, ox and oy) for kind, ox, oy in zip(kinds, eta_x, eta_y)]
 
 
 def sectional(r04: np.ndarray, planes: PlaneStack) -> np.ndarray:
@@ -301,8 +303,7 @@ def svk_sectional_polarized(
     (i<->l),(j<->k)-symmetrization, which vanishes iff the relation holds on
     every plane."""
     sd = shape.diamond
-    # sdsd and t are read twice and four times: frozen, they are scaled once
-    sdsd = scalars.freeze(scalars.einsum("jk,il->ijkl", sd, sd))
+    sdsd = scalars.einsum("jk,il->ijkl", sd, sd)
     t = scalars.combine(
         [1, -1, -1, 1, 1, 1],
         [
@@ -314,6 +315,5 @@ def svk_sectional_polarized(
             scalars.einsum("ijml,m,k->ijkl", r04_base, s.xi, s.eta),
         ],
     )
-    scalars.freeze(t)
     return scalars.combine([1] * 4, [scalars.einsum(p, t) for p in _PLANE_SYMMETRIES])
 

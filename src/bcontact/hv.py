@@ -61,13 +61,12 @@ class HVComponents:
 
 
 def hv_split(s: ACBStructure, q: np.ndarray, t: np.ndarray) -> HVComponents:
-    """Split the output slot of Q and T into horizontal and vertical parts;
-    the parts are read-only."""
+    """Split the output slot of Q and T into horizontal and vertical parts."""
     pv = scalars.einsum("k,l->kl", s.xi, s.eta)
 
     def split(x: np.ndarray):
         v = scalars.einsum("kl,lij->kij", pv, x)
-        return scalars.freeze((scalars.combine([1, -1], [x, v]), v))
+        return scalars.combine([1, -1], [x, v]), v
 
     qh, qv = split(q)
     th, tv = split(t)
@@ -125,7 +124,7 @@ def potential_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarr
 
 def torsion_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarray:
     """T(x,y,z) = -pi_1(xi,S(x),y,z) + pi_1(xi,S(y),x,z)."""
-    q = scalars.freeze(potential_pi1_form(s, shape, m))
+    q = potential_pi1_form(s, shape, m)
     return scalars.combine([1, -1], [q, scalars.einsum("xyz->yxz", q)])
 
 

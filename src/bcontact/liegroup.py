@@ -44,7 +44,7 @@ class LieAlgebra:
     def _jacobiator(self) -> np.ndarray:
         c = self.c
         # [[e_i,e_j],e_k] = c^m_{ij} c^l_{mk}
-        t = scalars.freeze(scalars.einsum("mij,lmk->lijk", c, c))
+        t = scalars.einsum("mij,lmk->lijk", c, c)
         return scalars.combine(
             [1, 1, 1], [t, scalars.einsum("lijk->ljki", t), scalars.einsum("lijk->lkij", t)]
         )

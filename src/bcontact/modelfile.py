@@ -33,9 +33,12 @@ def _canonical_scalar(tok) -> str:
 
 
 def _index(tok) -> int:
-    """An integer entry (``dim`` or a bracket index); a boolean is none."""
+    """An integer entry (``dim`` or a bracket index); a boolean is none, and
+    so is a number with a fractional part (3.0 is 3, 3.7 is not 3)."""
     if isinstance(tok, (bool, np.bool_)):
         raise TypeError("a boolean is not an integer")
+    if isinstance(tok, (float, np.floating)) and not float(tok).is_integer():
+        raise ValueError(f"{tok!r} is not an integer")
     return int(tok)
 
 

@@ -13,8 +13,10 @@ The rational kernel does its arithmetic over Python ints.  ``einsum``
 contracts and ``combine`` adds arrays scaled to integer numerators over a
 common denominator, and each builds the ``Fraction`` entries of its result
 once, with equal entries sharing one object (every 0 is ``ZERO``).  The
-scaled form of an array that ``freeze`` made read-only is computed once and
-kept while the array lives.
+scaled form of a read-only array is computed once and kept while the array
+lives.  A rational kernel result is born read-only with its scaled form
+kept, so the next kernel call, ``max_abs`` and ``zero_rows`` read its
+integers; ``freeze`` makes other arrays read-only, to be scaled once.
 """
 from __future__ import annotations
 
@@ -152,19 +154,34 @@ def _frozen_owner(a: np.ndarray):
     return None
 
 
+def _memo(a: np.ndarray):
+    """``(owner, entry)``: the read-only memory owner of ``a`` (None when it
+    has none) and the owner's ``_SCALED`` entry (None when it is unscaled)."""
+    owner = _frozen_owner(a) if a.size else None
+    if owner is None:
+        return None, None
+    hit = _SCALED.get(id(owner))
+    return owner, hit if hit is not None and hit[0]() is owner else None
+
+
+def _remember(owner: np.ndarray, n: np.ndarray, d: int) -> None:
+    """Keep ``(n, d)``, ``n`` flat, as the scaled form of ``owner``."""
+    key = id(owner)
+    _SCALED[key] = (weakref.ref(owner, lambda _, k=key: _SCALED.pop(k, None)), n, d)
+
+
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     """``_scale(a)``, computed once per read-only memory owner: the scaled
     form of a read-only array, or of a read-only view of one, is a view of
     its owner's scaled form, with the owner's denominator."""
-    owner = _frozen_owner(a) if a.size else None
+    owner, hit = _memo(a)
     if owner is None:
         return _scale(a)
-    key = id(owner)
-    hit = _SCALED.get(key)
-    if hit is None or hit[0]() is not owner:
+    if hit is None:
         n, d = _scale(owner.reshape(-1))
-        hit = _SCALED[key] = (weakref.ref(owner, lambda _, k=key: _SCALED.pop(k, None)), n, d)
-    _, n, d = hit
+        _remember(owner, n, d)
+    else:
+        _, n, d = hit
     if a.size == owner.size and a.flags.c_contiguous:
         return n.reshape(a.shape), d
     offset = a.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
@@ -176,16 +193,29 @@ def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _rebuild(n, den: int):
     """The exact value of ``n / den`` for an integer array (or Python int)
-    ``n``: an object array of ``Fraction``, equal entries sharing one object,
-    or a ``Fraction`` for a 0-d ``n``."""
+    ``n``: a read-only object array of ``Fraction``, equal entries sharing
+    one object, or a ``Fraction`` for a 0-d ``n``.
+
+    ``n`` and ``den`` are first divided by g = gcd(den, n_1, ...), which
+    gives ``_scale``'s form of the result: the least common multiple of the
+    reduced denominators of n_i / den is den / g.  That form is kept for the
+    result, so it is never scaled again."""
     n = np.asarray(n, dtype=object)
     if not n.ndim:
         return Fraction(n[()], den)
-    flat = n.ravel().tolist()
+    ints = n.ravel()
+    flat = ints.tolist()
+    g = math.gcd(den, *flat)
+    if g > 1:
+        den //= g
+        ints = ints // g
+        flat = ints.tolist()
     built = {v: Fraction(v, den) for v in set(flat)}
     built[0] = ZERO
     out = np.empty(len(flat), dtype=object)
     out[:] = list(map(built.__getitem__, flat))
+    out.setflags(write=False)
+    _remember(out, ints, den)
     return out.reshape(n.shape)
 
 
@@ -197,11 +227,13 @@ def einsum(spec: str, *operands: np.ndarray):
     denominator of its entries, numpy contracts the integer arrays, and each
     entry of the result is the exact ``Fraction`` of its integer over the
     product of the scales (equal entries share one ``Fraction``).  A 0-d
-    result is a ``Fraction`` scalar.  A read-only operand is scaled once in
-    its lifetime (see ``_scaled``), and ``combine`` adds exact arrays on the
-    same scaled integers.  Float calls and single-operand calls (transposes,
-    traces) are numpy's own; numpy is looked up at each call, so a wrapper
-    installed on ``np.einsum`` sees every contraction.
+    result is a ``Fraction`` scalar; an array result is read-only and
+    carries its scaled form (see ``_rebuild``).  A read-only operand is
+    scaled once in its lifetime (see ``_scaled``), and ``combine`` adds
+    exact arrays on the same scaled integers.  Float calls and
+    single-operand calls (transposes, traces) are numpy's own; numpy is
+    looked up at each call, so a wrapper installed on ``np.einsum`` sees
+    every contraction.
     """
     # the float test comes first: it is all a float call pays
     if (
@@ -226,7 +258,7 @@ def combine(coefficients, arrays):
     arrays are scaled to integers (read-only ones once, see ``_scaled``),
     added over the least common multiple of the terms' denominators, and the
     ``Fraction`` entries are built once at the end; a 0-d result is a
-    ``Fraction``.
+    ``Fraction``, an array result is read-only and carries its scaled form.
     """
     if not len(arrays):
         raise ValueError("combine needs at least one array")
@@ -264,9 +296,12 @@ def to_float(arr: np.ndarray) -> np.ndarray:
 def max_abs(arr: np.ndarray) -> float:
     """The largest absolute entry, as a float; a rational array's is the
     rounded exact maximum, found over its scaled integers."""
-    if arr.size == 0 or (arr.dtype == object and not np.count_nonzero(arr)):
+    if arr.size == 0:
         return 0.0
     if arr.dtype == object:
+        # an unscaled array that is exactly zero is never scaled
+        if _memo(arr)[1] is None and not np.count_nonzero(arr):
+            return 0.0
         n, d = _scaled(arr)
         return max(map(abs, n.ravel().tolist())) / d
     return float(np.abs(arr).max())
@@ -318,6 +353,20 @@ def is_zero(arr: np.ndarray, eps: float, *context: np.ndarray) -> bool:
     return zero_test([arr], eps, *context)[0]
 
 
+def zero_rows(a: np.ndarray, eps: float, *context) -> list[bool]:
+    """``is_zero(a[n], eps, *(c[n] for c in context))`` for every row n of
+    ``a``, with each context a sequence of one entry per row: one exact pass
+    over the scaled integers of a rational array, the per-row ``zero_test``
+    of a float one."""
+    a = np.asarray(a)
+    if a.dtype != object:
+        return [is_zero(row, eps, *rows) for row, *rows in zip(a, *context, strict=True)]
+    if not len(a):
+        return []
+    n, _ = _scaled(a)
+    return [not any(row) for row in n.reshape(len(a), -1).tolist()]
+
+
 def freeze(obj):
     """Make every array reachable from ``obj`` read-only, with the arrays of
     its ``.base`` chain, and return ``obj``.
@@ -325,9 +374,10 @@ def freeze(obj):
     Arrays are reached through tuples, lists, dict values and dataclass
     fields, so one call covers a model or a cached derived value.  A frozen
     array must not be written again (say, after ``setflags(write=True)``):
-    the kernel keeps its scaled form.  So a local array that is read more
-    than once, itself or through views such as transposes, is frozen to be
-    scaled once.
+    the kernel keeps its scaled form.  A rational result of ``einsum`` or
+    ``combine`` needs no call: it is born read-only and scaled.  Freeze an
+    array built otherwise (by ``Fraction`` arithmetic, ``@``, a mask) that
+    the kernel reads more than once, itself or through views.
     """
     if isinstance(obj, np.ndarray):
         # an array computed by numpy is often a view of a writable owner:

@@ -245,7 +245,7 @@ def potential_from_fundamental(s: ACBStructure, f: np.ndarray, lee: LeeForms) ->
     om_phi = scalars.einsum("m,mz->z", lee.omega, phi)  # omega(phi .)
     fxi = scalars.einsum("xym,m->xy", f, xi)  # F(x,y,xi)
     fphiphixi = scalars.einsum("abm,ax,by,m->xy", f, phi, phi, xi)  # F(phi x, phi y, xi)
-    f_xyphiz = scalars.freeze(scalars.einsum("xym,mz->xyz", f, phi))  # F(x,y,phi z)
+    f_xyphiz = scalars.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
     fphiz_xy = scalars.einsum("mxy,mz->xyz", f, phi)  # F(phi z,x,y) indexed [x,y,z]
     fxiphiy = scalars.einsum("xam,ay,m->xy", f, phi, xi)  # F(x, phi y, xi)
     f_xi_first = scalars.einsum("mxy,m->xy", f, xi)  # F(xi, x, y)
@@ -283,7 +283,7 @@ def fundamental_from_potential(s: ACBStructure, phi03: np.ndarray) -> np.ndarray
              + 1/2 eta(y) {Phi(x,z,xi) - Phi(x,phi z,xi) + Phi(xi,x,z) - Phi(xi,x,phi z)}.
     """
     p, phi, xi, eta = phi03, s.phi, s.xi, s.eta
-    p_xyphiz = scalars.freeze(scalars.einsum("xym,mz->xyz", p, phi))
+    p_xyphiz = scalars.einsum("xym,mz->xyz", p, phi)
     pxi = scalars.einsum("xym,m->xy", p, xi)  # Phi(x,y,xi)
     pxiphiy = scalars.einsum("xam,ay,m->xy", p, phi, xi)  # Phi(x,phi y,xi)
     pfirst = scalars.einsum("mxy,m->xy", p, xi)  # Phi(xi,x,y)
@@ -399,7 +399,7 @@ def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
     )
     conds["F1"] = [scalars.combine([1, -inv2n], [f, rhs1])]
 
-    f_phi_z = scalars.freeze(scalars.einsum("xym,mz->xyz", f, phi))  # F(x,y,phi z)
+    f_phi_z = scalars.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
     cyc_phi = total(
         f_phi_z, scalars.einsum("xyz->yzx", f_phi_z), scalars.einsum("xyz->zxy", f_phi_z)
     )
@@ -476,8 +476,8 @@ def classify(
     )]
 
     # F(phi y,phi z,x) + F(phi^2 y,phi^2 z,x) - F(phi z,phi y,x) - F(phi^2 z,phi^2 y,x)
-    e1 = scalars.freeze(scalars.einsum("abx,ay,bz->xyz", f, phi, phi))
-    e2 = scalars.freeze(scalars.einsum("abx,ay,bz->xyz", f, phi2, phi2))
+    e1 = scalars.einsum("abx,ay,bz->xyz", f, phi, phi)
+    e2 = scalars.einsum("abx,ay,bz->xyz", f, phi2, phi2)
     conds["F1+F2+U3"] = [scalars.combine(
         [1, 1, -1, -1], [e1, e2, scalars.einsum("xyz->xzy", e1), scalars.einsum("xyz->xzy", e2)]
     )]

@@ -195,6 +195,39 @@ def test_json_boolean_is_not_a_number(tmp_path, capsys, where, message):
     assert f"input error: {message}" in capsys.readouterr().err
 
 
+def _with_number(where, value):
+    """solv3-f4's document, with ``dim`` or the first index of the bracket
+    (0, 2) replaced by the JSON number ``value``."""
+    doc = zoo.builtin("solv3-f4").doc()
+    if where == "dim":
+        doc["dim"] = value
+    else:
+        [bracket] = [b for b in doc["brackets"] if b[:2] == [0, 2]]
+        bracket[0] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [("dim", 3.7, "missing or bad 'dim'"), ("bracket", 0.9, "bad bracket entry")],
+)
+def test_number_with_a_fractional_part_is_not_an_index(tmp_path, capsys, where, value, message):
+    # int() would truncate these to the valid model's dim 3 and index 0
+    text = _with_number(where, value)
+    with pytest.raises(ModelFileError, match=message):
+        modelfile.loads(text)
+    p = tmp_path / "model.json"
+    p.write_text(text)
+    assert cli.main(["validate", str(p)]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, value", [("dim", 3.0), ("bracket", 0.0)])
+def test_integral_float_is_an_index(where, value):
+    expected = modelfile.dumps(zoo.builtin("solv3-f4").doc())
+    assert modelfile.dumps(modelfile.loads(_with_number(where, value))) == expected
+
+
 @pytest.mark.parametrize("token", [True, False, np.True_, np.False_])
 def test_boolean_is_not_an_exact_scalar(token):
     with pytest.raises(TypeError):

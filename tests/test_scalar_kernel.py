@@ -1,13 +1,15 @@
 """The scalar kernel: ``scalars.einsum``, the one contraction path,
 ``scalars.combine``, its linear combinations, the memo of scaled read-only
-arrays, and the exact-zero shortcut of ``scalars.zero_test``.
+arrays (kernel results are born in it), the exact-zero shortcut of
+``scalars.zero_test``, and ``scalars.zero_rows``, the zero test of a stack.
 
 A rational contraction of two or more operands, and a rational linear
 combination, run over integers scaled by a common denominator and must give
 exactly what numpy gives over ``Fraction`` objects; a float contraction is
 numpy's own call, and a float combination numpy's own sum.  ``ast`` guards
-keep every contraction of the library on this path, and every lowering of an
-upper index by a metric in ``tensor.lower_out``.
+keep every contraction of the library on this path, every lowering of an
+upper index by a metric in ``tensor.lower_out``, and every zero test of a
+stack of planes or rows in ``zero_rows``.
 """
 import ast
 import gc
@@ -375,14 +377,16 @@ def test_frozen_array_is_scaled_once(scale_calls):
 
 
 def test_frozen_result_of_the_kernel_is_scaled_once(scale_calls):
-    # an einsum result is a view of a writable owner until freeze reaches it
+    # a kernel result is born read-only, a view of a read-only owner, with
+    # its scaled form kept: reading it again scales nothing
     a = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
     r = scalars.freeze(scalars.einsum("ij,jk->ik", a, a))
     assert isinstance(r.base, np.ndarray) and not r.base.flags.writeable
     del scale_calls[:]
     scalars.combine([1, 1], [r, r.T])
     scalars.einsum("ij,jk->ik", r, r)
-    assert scale_calls == [(4,)]
+    scalars.max_abs(r)
+    assert scale_calls == []
 
 
 def test_writable_array_is_not_served_from_the_memo(scale_calls):
@@ -437,3 +441,163 @@ def test_rational_max_abs_is_the_rounded_exact_maximum(entries):
     got = scalars.max_abs(a)
     assert type(got) is float
     assert got == float(max(abs(Fraction(x)) for x in entries))
+
+
+def _assert_born_scaled(result):
+    """A rational kernel result is read-only, and the memo holds exactly
+    ``_scale``'s form of it."""
+    assert not result.flags.writeable
+    owner = scalars._frozen_owner(result)
+    ref, n, d = scalars._SCALED[id(owner)]
+    assert ref() is owner and owner.size == result.size
+    expected_n, expected_d = scalars._scale(result)
+    assert d == expected_d
+    assert all(type(v) is int for v in n)
+    assert n.reshape(result.shape).tolist() == expected_n.tolist()
+
+
+@given(contractions())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_rational_einsum_result_is_born_scaled(case):
+    spec, operands = case
+    got = scalars.einsum(spec, *operands)
+    if len(operands) >= 2 and isinstance(got, np.ndarray):
+        _assert_born_scaled(got)
+
+
+@given(combinations())
+@example(([2, 2], [scalars.array(["1/2", "3/2"], RATIONAL),
+                   scalars.array(["1/2", "-1/2"], RATIONAL)]))  # result [2, 2]: g = den
+@example(([1, -1], [scalars.array(["1/6", "1/3"], RATIONAL),
+                    scalars.array(["1/6", "1/3"], RATIONAL)]))  # exactly zero
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_rational_combine_result_is_born_scaled(case):
+    cs, arrays = case
+    got = scalars.combine(cs, arrays)
+    if isinstance(got, np.ndarray):
+        _assert_born_scaled(got)
+
+
+def test_kernel_result_is_read_only():
+    a = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
+    for r in (scalars.einsum("ij,jk->ik", a, a), scalars.combine([1, 1], [a, a])):
+        with pytest.raises(ValueError, match="read-only"):
+            r[0, 0] = Fraction(1)
+
+
+def test_max_abs_of_a_scaled_array_counts_no_fraction(monkeypatch):
+    a = scalars.array([["1/2", "1/3"], ["-2/7", 0]], RATIONAL)
+    r = scalars.einsum("ij,jk->ik", a, a)
+    zero = scalars.combine([1, -1], [a, a])
+
+    def no_count(arr):
+        raise AssertionError("max_abs went through the Fraction entries")
+
+    monkeypatch.setattr(np, "count_nonzero", no_count)
+    assert scalars.max_abs(r) == float(max(abs(x) for x in np.einsum("ij,jk->ik", a, a).flat))
+    assert scalars.max_abs(r[1:, ::-1]) == float(max(abs(x) for x in r[1:, ::-1].flat))
+    assert scalars.max_abs(zero) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the zero test of a stack
+# ---------------------------------------------------------------------------
+
+def _per_row(a, eps, *context):
+    return [scalars.is_zero(a[n], eps, *(c[n] for c in context)) for n in range(len(a))]
+
+
+@st.composite
+def stacks(draw):
+    """A stack of rows (1-D rows of scalars, or rows of shape 2 or 2 x 2,
+    some of them zero) and a context stack of the same length."""
+    rows = draw(st.integers(min_value=0, max_value=5))
+    shape = (rows, *draw(st.sampled_from([(), (2,), (2, 2)])))
+    vanish = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    entries = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+    a = _object_array(entries, shape)
+    a[np.array(vanish, dtype=bool)] = scalars.ZERO
+    context = _object_array(
+        draw(st.lists(values, min_size=rows * 3, max_size=rows * 3)), (rows, 3)
+    )
+    return a, context
+
+
+@given(stacks(), st.sampled_from(["fresh", "frozen", "kernel result"]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_rational_zero_rows_is_the_per_row_zero_test(case, kind):
+    a, context = case
+    if kind == "frozen":
+        a = scalars.freeze(a)
+    elif kind == "kernel result":
+        a = scalars.combine([Fraction(1, 3)], [a])
+    assert scalars.zero_rows(a, 0.0, context) == _per_row(a, 0.0, context)
+
+
+@given(stacks(), st.sampled_from([0.0, 1e-9, 0.5]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_float_zero_rows_is_the_per_row_zero_test(case, eps):
+    a, context = (scalars.to_float(x) for x in case)
+    assert scalars.zero_rows(a, eps, context) == _per_row(a, eps, context)
+
+
+def test_float_verdict_of_a_row_depends_on_its_own_context():
+    # one residual, 1e-6: within eps of row 1's context scale of 1e4 only
+    a = np.array([[1e-6, 0.0], [1e-6, 0.0]])
+    context = np.array([[1.0], [1e4]])
+    assert scalars.zero_rows(a, 1e-9, context) == [False, True]
+    assert scalars.zero_rows(a, 1e-9, context) == _per_row(a, 1e-9, context)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_zero_rows_of_an_empty_stack_and_of_scalars(mode):
+    assert scalars.zero_rows(scalars.zeros((0, 3), mode), 0.0) == []
+    assert scalars.zero_rows(scalars.zeros((0,), mode), 0.0) == []
+    col = scalars.array([0, "1/3", 0, "-2"], mode)
+    assert scalars.zero_rows(col, 1e-9) == [True, False, True, False]
+    assert scalars.zero_rows(scalars.zeros((2, 0), mode), 0.0) == [True, True]
+
+
+def _callee(call: ast.Call):
+    """The name a call calls: ``f`` of ``f(...)`` and of ``m.f(...)``."""
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def _over_range_len(gen: ast.comprehension) -> bool:
+    it = gen.iter
+    return (
+        isinstance(it, ast.Call)
+        and _callee(it) == "range"
+        and any(isinstance(a, ast.Call) and _callee(a) == "len" for a in it.args)
+    )
+
+
+def _stack_tests_by_row(path: Path) -> list[str]:
+    """The lines of ``is_zero``/``zero_test`` calls inside a comprehension
+    that iterates over ``range(len(...))``."""
+    comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    return [
+        f"{path.stem}:{call.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, comprehensions) and any(map(_over_range_len, node.generators))
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and _callee(call) in {"is_zero", "zero_test"}
+    ]
+
+
+def test_stack_guard_sees_a_per_row_zero_test(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "ok = [scalars.is_zero(r[n], eps) for n in range(len(r))]\n"
+        "ok = all(zero_test([r[n]], eps)[0] for n in range(len(r)))\n"
+        "ok = [scalars.is_zero(a, eps) for a in arrays]\n"
+    )
+    assert _stack_tests_by_row(sample) == ["sample:1", "sample:2"]
+
+
+def test_stacks_are_tested_by_zero_rows():
+    uses = []
+    for stem in ("curvature", "checks"):
+        uses += _stack_tests_by_row(SRC / f"{stem}.py")
+    assert uses == []
