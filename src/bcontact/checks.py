@@ -550,25 +550,29 @@ def _horizontal_basis(ws: Workspace):
     return [h for h in parts if not scalars.is_zero(h, s.eps)]
 
 
-def xi_section_candidates(ws: Workspace, view: MetricView) -> PlaneStack:
-    """Non-degenerate planes containing the Reeb vector."""
+def xi_section_candidates(ws: Workspace, view: MetricView, hs) -> PlaneStack:
+    """Non-degenerate planes containing the Reeb vector, one spanned with each
+    horizontal basis part h of ``hs`` and one with h + phi h."""
     s = ws.s
     # horizontal, so the plane is honest
-    x = _stack([c for h in _horizontal_basis(ws) for c in (h, h + s.phi @ h)], ws)
+    x = _stack([c for h in hs for c in (h, h + s.phi @ h)], ws)
     return PlaneStack.nondegenerate(view.metric, x, _stack([s.xi] * len(x), ws), s.eps)
 
 
 def check_sectional_curvature(ws: Workspace, seed: int = 0):
-    """The checks of ``_sectional_checks`` on g, then on g~."""
+    """The checks of ``_sectional_checks`` on g, then on g~, over one list
+    of horizontal basis parts."""
+    hs = _horizontal_basis(ws)
     for view in (ws.g, ws.gt):
-        yield from _sectional_checks(ws, view, seed)
+        yield from _sectional_checks(ws, view, seed, hs)
 
 
-def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
+def _sectional_checks(ws: Workspace, view: MetricView, seed: int, hs):
     """The sectional-curvature relations of one metric, each evaluated over
     one stack of planes; the relation is also tested in polarized form, and
     the flatness of Reeb sections through R^D(x,y,z,xi) = 0, both as tensor
-    identities."""
+    identities.  ``hs`` are the nonzero horizontal parts of the basis
+    vectors."""
     s, eps, role = ws.s, ws.s.eps, view.role
     r04, r04_svk, m = view.curv.r04, view.curv.r04_svk, view.metric
     planes = sample_planes(ws, view, seed + (0 if role == "g" else 1))
@@ -591,7 +595,7 @@ def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
 
     # R^D(x,y,z,xi) = -(R^D(x,y) eta)(z) = 0 as D eta = 0; as D is metric,
     # it gives R^D(x,xi,xi,x) = 0 on every plane through xi
-    xi_planes = xi_section_candidates(ws, view)
+    xi_planes = xi_section_candidates(ws, view, hs)
     yield _result(
         eps,
         f"reeb-section-flatness[{role}]",
@@ -618,7 +622,7 @@ def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
     yield _result(eps, f"sectional-basis-invariance[{role}]", [values - other], (values,))
 
     # specialized forms for distinguished section types
-    holomorphic, real = _special_planes(ws, view)
+    holomorphic, real = _special_planes(ws, view, hs)
     special = PlaneStack.concat([holomorphic, real])
     sop = view.shape.operator
     sx = scalars.einsum("ki,ni->nk", sop, special.x)
@@ -633,12 +637,11 @@ def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
     )
 
 
-def _special_planes(ws: Workspace, view: MetricView) -> tuple[PlaneStack, PlaneStack]:
+def _special_planes(ws: Workspace, view: MetricView, hs) -> tuple[PlaneStack, PlaneStack]:
     """The phi-holomorphic planes among the (h, phi h) and the
-    phi-totally-real planes among the pairs of horizontal basis parts h; all
-    non-degenerate and orthogonal to xi."""
+    phi-totally-real planes among the pairs of horizontal basis parts h of
+    ``hs``; all non-degenerate and orthogonal to xi."""
     s, m = ws.s, view.metric
-    hs = _horizontal_basis(ws)
     pairs = list(combinations(hs, 2))
     holomorphic = PlaneStack.nondegenerate(
         m, _stack(hs, ws), _stack([s.phi @ h for h in hs], ws), s.eps

@@ -9,18 +9,27 @@ tolerance scaled by the magnitude of the tensors involved.  Every zero test
 in the library goes through ``zero_test``; the tolerance ``eps`` is fixed once
 per model when it is loaded and carried on the structure.
 
-The rational kernel does its arithmetic over Python ints.  ``einsum``
+The rational kernel does its arithmetic over integers.  ``einsum``
 contracts and ``combine`` adds arrays scaled to integer numerators over a
 common denominator, and each builds the ``Fraction`` entries of its result
-once, with equal entries sharing one object (every 0 is ``ZERO``).  The
+once, for its nonzero entries only, with equal entries sharing one object
+(every 0 is ``ZERO``).  A scaled form is an int64 array when all its
+numerators fit in int64, else an object array of Python ints, and it keeps
+M, its largest absolute numerator.  A contraction runs in int64 when every
+operand is int64 and K * prod(max(1, M_i)) <= 2**63 - 1, K being the number
+of products summed into one result entry; a combination when
+sum_t |k_t| M_t <= 2**63 - 1, k_t being the integer factor of term t.  Any
+other call runs over Python ints, the exact path that has no bound.  The
 scaled form of a read-only array is computed once and kept while the array
 lives.  A rational kernel result is born read-only with its scaled form
-kept, so the next kernel call, ``max_abs`` and ``zero_rows`` read its
-integers; ``freeze`` makes other arrays read-only, to be scaled once.
+kept, so the next kernel call, ``max_abs``, ``zero_test`` and ``zero_rows``
+read its integers: a rational verdict, residual and worst index are exact.
+``freeze`` makes other arrays read-only, to be scaled once.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import weakref
@@ -124,20 +133,31 @@ def eye(dim: int, mode: str) -> np.ndarray:
     return out
 
 
-def _scale(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(n, d)`` with ``a == n / d``: ``n`` an object array of Python ints
-    and ``d`` the least common denominator of the entries of ``a``."""
+# the largest int64; an int64 sum of products whose magnitude bound is at
+# most this cannot wrap around
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _scale(a: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """``(n, d, m)`` with ``a == n / d``: ``d`` the least common denominator
+    of the entries of ``a``, ``m`` the largest ``abs(n_i)`` and ``n`` an int64
+    array when ``m`` fits in int64, else an object array of Python ints."""
     ratios = [x.as_integer_ratio() for x in a.ravel().tolist()]
     dens = {q for _, q in ratios}
     d = math.lcm(*dens)
-    n = np.empty(len(ratios), dtype=object)
-    n[:] = [p for p, _ in ratios] if len(dens) == 1 else [p * (d // q) for p, q in ratios]
-    return n.reshape(a.shape), d
+    nums = [p for p, _ in ratios] if len(dens) == 1 else [p * (d // q) for p, q in ratios]
+    m = max(map(abs, nums), default=0)
+    if m <= _INT64_MAX:
+        return np.array(nums, dtype=np.int64).reshape(a.shape), d, m
+    n = np.empty(len(nums), dtype=object)
+    n[:] = nums
+    return n.reshape(a.shape), d, m
 
 
-# id(owner) -> (weak reference to owner, scaled owner, its denominator), for
-# read-only owners of object arrays; an entry leaves when its owner dies.
-# Threads that race on one owner at worst scale it twice.
+# id(owner) -> (weak reference to owner, scaled owner, its denominator, its
+# largest absolute numerator), for read-only owners of object arrays; an
+# entry leaves when its owner dies.  Threads that race on one owner at worst
+# scale it twice.
 _SCALED: dict[int, tuple] = {}
 
 
@@ -164,59 +184,96 @@ def _memo(a: np.ndarray):
     return owner, hit if hit is not None and hit[0]() is owner else None
 
 
-def _remember(owner: np.ndarray, n: np.ndarray, d: int) -> None:
-    """Keep ``(n, d)``, ``n`` flat, as the scaled form of ``owner``."""
+def _remember(owner: np.ndarray, n: np.ndarray, d: int, m: int) -> None:
+    """Keep ``(n, d, m)``, ``n`` flat and made read-only, as the scaled form
+    of ``owner``."""
     key = id(owner)
-    _SCALED[key] = (weakref.ref(owner, lambda _, k=key: _SCALED.pop(k, None)), n, d)
+    n.setflags(write=False)
+    _SCALED[key] = (weakref.ref(owner, lambda _, k=key: _SCALED.pop(k, None)), n, d, m)
 
 
-def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int, int]:
     """``_scale(a)``, computed once per read-only memory owner: the scaled
     form of a read-only array, or of a read-only view of one, is a view of
-    its owner's scaled form, with the owner's denominator."""
+    its owner's scaled form, with the owner's denominator and largest
+    absolute numerator (a bound for the view's)."""
     owner, hit = _memo(a)
     if owner is None:
         return _scale(a)
     if hit is None:
-        n, d = _scale(owner.reshape(-1))
-        _remember(owner, n, d)
+        n, d, m = _scale(owner.reshape(-1))
+        _remember(owner, n, d, m)
     else:
-        _, n, d = hit
+        _, n, d, m = hit
     if a.size == owner.size and a.flags.c_contiguous:
-        return n.reshape(a.shape), d
+        return n.reshape(a.shape), d, m
+    # the byte offset and strides of ``a`` in its owner, in entries, then
+    # in bytes of the scaled array
+    step = a.itemsize
     offset = a.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
-    view = np.lib.stride_tricks.as_strided(
-        n[offset // a.itemsize:], a.shape, a.strides, writeable=False
-    )
-    return view, d
+    strides = tuple(s // step * n.itemsize for s in a.strides)
+    view = np.lib.stride_tricks.as_strided(n[offset // step:], a.shape, strides, writeable=False)
+    return view, d, m
 
 
 def _rebuild(n, den: int):
-    """The exact value of ``n / den`` for an integer array (or Python int)
-    ``n``: a read-only object array of ``Fraction``, equal entries sharing
-    one object, or a ``Fraction`` for a 0-d ``n``.
+    """The exact value of ``n / den`` for an integer array (or integer) ``n``,
+    int64 or Python ints: a read-only object array of ``Fraction``, equal
+    entries sharing one object and every zero ``ZERO``, or a ``Fraction``
+    for a 0-d ``n``.
 
     ``n`` and ``den`` are first divided by g = gcd(den, n_1, ...), which
     gives ``_scale``'s form of the result: the least common multiple of the
     reduced denominators of n_i / den is den / g.  That form is kept for the
-    result, so it is never scaled again."""
-    n = np.asarray(n, dtype=object)
-    if not n.ndim:
-        return Fraction(n[()], den)
+    result, so it is never scaled again.  Only the nonzero entries are read
+    and built; every ``Fraction`` holds Python ints."""
+    if not isinstance(n, np.ndarray) or not n.ndim:
+        return Fraction(int(n), den)
     ints = n.ravel()
-    flat = ints.tolist()
-    g = math.gcd(den, *flat)
-    if g > 1:
-        den //= g
-        ints = ints // g
-        flat = ints.tolist()
-    built = {v: Fraction(v, den) for v in set(flat)}
-    built[0] = ZERO
-    out = np.empty(len(flat), dtype=object)
-    out[:] = list(map(built.__getitem__, flat))
+    nonzero = ints.nonzero()[0]
+    values = ints[nonzero].tolist()
+    out = np.empty(len(ints), dtype=object)
+    out.fill(ZERO)
+    if values:
+        g = math.gcd(den, *values)
+        if g > 1:
+            den //= g
+            values = [v // g for v in values]
+            ints = ints // g
+        built = {v: Fraction(v, den) for v in set(values)}
+        out[nonzero] = list(map(built.__getitem__, values))
+    else:
+        den = 1
+    m = max(map(abs, values), default=0)
+    if ints.dtype == object and m <= _INT64_MAX:
+        ints = ints.astype(np.int64)
     out.setflags(write=False)
-    _remember(out, ints, den)
+    _remember(out, ints, den, m)
     return out.reshape(n.shape)
+
+
+def _widen(ns) -> list[np.ndarray]:
+    """The integer arrays ``ns`` as object arrays of Python ints: the exact
+    path for sums that int64 cannot be shown to hold."""
+    return [n.astype(object) for n in ns]
+
+
+@functools.lru_cache(maxsize=4096)
+def _term_count(spec: str, shapes: tuple) -> int:
+    """The number of products ``np.einsum(spec, *operands)`` sums into one
+    entry of its result, for operands of the given shapes: the product of
+    the lengths of the summed labels.  An implicit output keeps the labels
+    that occur once; the axes an ellipsis covers are never summed."""
+    inputs, arrow, output = spec.replace(" ", "").partition("->")
+    terms = inputs.split(",")
+    if not arrow:
+        output = [c for c in inputs if inputs.count(c) == 1]
+    sizes = {}
+    for term, shape in zip(terms, shapes):
+        head, _, tail = term.partition("...")
+        for c, k in zip(head + tail, shape[:len(head)] + shape[len(shape) - len(tail):]):
+            sizes[c] = max(k, sizes.get(c, 0))
+    return math.prod(k for c, k in sizes.items() if c not in output)
 
 
 def einsum(spec: str, *operands: np.ndarray):
@@ -226,7 +283,10 @@ def einsum(spec: str, *operands: np.ndarray):
     of ``Fraction`` objects: each operand is scaled by the least common
     denominator of its entries, numpy contracts the integer arrays, and each
     entry of the result is the exact ``Fraction`` of its integer over the
-    product of the scales (equal entries share one ``Fraction``).  A 0-d
+    product of the scales (equal entries share one ``Fraction``).  The
+    integers are int64 when a bound proves the sums fit: K * prod(max(1, M_i))
+    <= 2**63 - 1, for K products per result entry and M_i the largest
+    absolute numerator of operand i.  Otherwise they are Python ints.  A 0-d
     result is a ``Fraction`` scalar; an array result is read-only and
     carries its scaled form (see ``_rebuild``).  A read-only operand is
     scaled once in its lifetime (see ``_scaled``), and ``combine`` adds
@@ -242,9 +302,14 @@ def einsum(spec: str, *operands: np.ndarray):
         or any(a.dtype != object for a in operands)
     ):
         return np.einsum(spec, *operands)
-    scaled = [_scaled(a) for a in operands]
-    den = math.prod(d for _, d in scaled)
-    return _rebuild(np.einsum(spec, *(n for n, _ in scaled)), den)
+    ns, dens, bounds = zip(*map(_scaled, operands))
+    if (
+        any(n.dtype == object for n in ns)
+        or _term_count(spec, tuple(n.shape for n in ns)) * math.prod(max(1, m) for m in bounds)
+        > _INT64_MAX
+    ):
+        ns = _widen(ns)
+    return _rebuild(np.einsum(spec, *ns), math.prod(dens))
 
 
 def combine(coefficients, arrays):
@@ -259,6 +324,9 @@ def combine(coefficients, arrays):
     added over the least common multiple of the terms' denominators, and the
     ``Fraction`` entries are built once at the end; a 0-d result is a
     ``Fraction``, an array result is read-only and carries its scaled form.
+    The integers are added in int64 when sum_t |k_t| M_t <= 2**63 - 1, for
+    k_t the integer factor of term t and M_t the largest absolute numerator
+    of its array, and as Python ints otherwise.
     """
     if not len(arrays):
         raise ValueError("combine needs at least one array")
@@ -273,11 +341,21 @@ def combine(coefficients, arrays):
             else:
                 out = float(c) * a if out is None else out + float(c) * a
         return out.copy() if out is arrays[0] else out
-    scaled = [(Fraction(c), *_scaled(a)) for c, a in zip(coefficients, arrays, strict=True)]
-    den = math.lcm(*(c.denominator * d for c, _, d in scaled))
+    terms = []
+    for c, a in zip(coefficients, arrays, strict=True):
+        c = Fraction(c)
+        terms.append((int(c.numerator), int(c.denominator), *_scaled(a)))
+    den = math.lcm(*(q * d for _, q, _, d, _ in terms))
+    # an all-zero term adds nothing: its factor is 1, whatever its coefficient
+    ks = [p * (den // (q * d)) if m else 1 for p, q, _, d, m in terms]
+    ns = [n for _, _, n, _, _ in terms]
+    if (
+        any(n.dtype == object for n in ns)
+        or sum(abs(k) * m for k, (*_, m) in zip(ks, terms)) > _INT64_MAX
+    ):
+        ns = _widen(ns)
     out = None
-    for c, n, d in scaled:
-        k = c.numerator * (den // (c.denominator * d))
+    for k, n in zip(ks, ns):
         if out is None:
             out = n if k == 1 else n * k
         else:
@@ -289,22 +367,25 @@ def mode_of(arr: np.ndarray) -> str:
     return RATIONAL if arr.dtype == object else FLOAT
 
 
-def to_float(arr: np.ndarray) -> np.ndarray:
-    return arr.astype(np.float64) if arr.dtype == object else arr
+def _peak(a: np.ndarray) -> tuple[int, int]:
+    """``(p, d)``: the largest absolute entry of the rational array ``a`` is
+    exactly p / d, found over its scaled integers.  An unscaled array that
+    is exactly zero is never scaled."""
+    if not a.size or (_memo(a)[1] is None and not np.count_nonzero(a)):
+        return 0, 1
+    n, d, _ = _scaled(a)
+    if n.dtype == object:
+        return max(map(abs, n.ravel().tolist())), d
+    return int(np.abs(n).max()), d
 
 
 def max_abs(arr: np.ndarray) -> float:
     """The largest absolute entry, as a float; a rational array's is the
     rounded exact maximum, found over its scaled integers."""
-    if arr.size == 0:
-        return 0.0
     if arr.dtype == object:
-        # an unscaled array that is exactly zero is never scaled
-        if _memo(arr)[1] is None and not np.count_nonzero(arr):
-            return 0.0
-        n, d = _scaled(arr)
-        return max(map(abs, n.ravel().tolist())) / d
-    return float(np.abs(arr).max())
+        p, d = _peak(arr)
+        return p / d
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def residual(a: np.ndarray, b=None) -> float:
@@ -324,24 +405,33 @@ def zero_test(arrays, eps: float, *context: np.ndarray):
 
     Returns ``(passed, residual, worst_index)``.  The residual is the largest
     absolute entry over all arrays.  A rational (object) array passes only
-    when it is exactly zero; a float array passes when its own largest entry
-    is within the tolerance of ``_tolerance``, scaled by the ``context``
-    arrays the compared quantities were built from.  ``worst_index`` is None
-    on success; on failure it locates the largest entry of the worst array,
-    prefixed by that array's position when more than one array is tested.
+    when its scaled integers are all zero; a float array passes when its own
+    largest entry is within the tolerance of ``_tolerance``, scaled by the
+    ``context`` arrays the compared quantities were built from.
+    ``worst_index`` is None on success; on failure it locates the largest
+    entry of the worst array, prefixed by that array's position when more
+    than one array is tested.  When every array is rational, the verdict,
+    the worst array and its worst index are exact.
     """
     arrays = [np.asarray(a) for a in arrays]
-    res = [max_abs(a) for a in arrays]
-    exact = [a.dtype == object for a in arrays]
-    scale = 0.0 if all(exact) else max((max_abs(c) for c in context), default=0.0)
+    peaks = [_peak(a) if a.dtype == object else None for a in arrays]
+    res = [max_abs(a) if p is None else p[0] / p[1] for a, p in zip(arrays, peaks)]
+    exact = all(p is not None for p in peaks)
+    scale = 0.0 if exact else max((max_abs(c) for c in context), default=0.0)
     passed = all(
-        r == 0.0 if e else r <= _tolerance(eps, r, scale) for e, r in zip(exact, res)
+        r <= _tolerance(eps, r, scale) if p is None else p[0] == 0
+        for p, r in zip(peaks, res)
     )
     worst = max(res, default=0.0)
     if passed:
         return True, worst, None
-    k = int(np.argmax(res))
-    mag = np.abs(to_float(arrays[k]))
+    if exact:
+        k = max(range(len(arrays)), key=lambda i: Fraction(*peaks[i]))
+    else:
+        k = int(np.argmax(res))
+    # the first largest entry; a rational array's, exactly, over its integers
+    a = arrays[k]
+    mag = np.abs(_scaled(a)[0] if a.dtype == object else a)
     where = tuple(int(i) for i in np.unravel_index(np.argmax(mag), mag.shape))
     if len(arrays) > 1:
         return False, worst, (k,) + where
@@ -363,7 +453,7 @@ def zero_rows(a: np.ndarray, eps: float, *context) -> list[bool]:
         return [is_zero(row, eps, *rows) for row, *rows in zip(a, *context, strict=True)]
     if not len(a):
         return []
-    n, _ = _scaled(a)
+    n, _, _ = _scaled(a)
     return [not any(row) for row in n.reshape(len(a), -1).tolist()]
 
 

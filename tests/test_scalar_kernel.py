@@ -4,8 +4,10 @@ arrays (kernel results are born in it), the exact-zero shortcut of
 ``scalars.zero_test``, and ``scalars.zero_rows``, the zero test of a stack.
 
 A rational contraction of two or more operands, and a rational linear
-combination, run over integers scaled by a common denominator and must give
-exactly what numpy gives over ``Fraction`` objects; a float contraction is
+combination, run over integers scaled by a common denominator (int64 where a
+bound proves the sums fit, Python ints otherwise) and must give exactly what
+numpy gives over ``Fraction`` objects, on both sides of that bound; a
+rational zero test decides on those integers; a float contraction is
 numpy's own call, and a float combination numpy's own sum.  ``ast`` guards
 keep every contraction of the library on this path, every lowering of an
 upper index by a metric in ``tensor.lower_out``, and every zero test of a
@@ -24,7 +26,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bcontact
-from bcontact import scalars
+from bcontact import scalars, zoo
+from bcontact.checks import run_checks
 from bcontact.scalars import FLOAT, RATIONAL
 
 SRC = Path(bcontact.__file__).resolve().parent
@@ -43,8 +46,17 @@ def _object_array(entries, shape):
     return out.reshape(shape)
 
 
+# numerators from 2**31 to 2**70 over small denominators: their sums of
+# products fall on both sides of the int64 bound of the kernel
+big_values = st.builds(
+    Fraction,
+    st.integers(min_value=2**31, max_value=2**70) | st.integers(min_value=-2**70, max_value=-2**31),
+    st.integers(min_value=1, max_value=12),
+)
+
+
 @st.composite
-def contractions(draw):
+def contractions(draw, values=values):
     """An einsum spec over up to three operands, with rational operands of
     axis lengths 0 to 3 (mixed denominators, integer-valued entries, Python
     ints) and an output of any rank, 0-d included."""
@@ -76,7 +88,16 @@ def contractions(draw):
                       scalars.array(["3/4", 0], RATIONAL)]))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_rational_einsum_equals_numpy_exactly(case):
-    spec, operands = case
+    _assert_einsum_is_exact(*case)
+
+
+@given(contractions(big_values))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_rational_einsum_is_exact_at_the_int64_bound(case):
+    _assert_einsum_is_exact(*case)
+
+
+def _assert_einsum_is_exact(spec, operands):
     expected = np.einsum(spec, *operands)
     got = scalars.einsum(spec, *operands)
     if not isinstance(expected, np.ndarray):
@@ -96,7 +117,7 @@ def test_rational_einsum_equals_numpy_exactly(case):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_float_einsum_is_numpy_bit_for_bit(case):
     spec, operands = case
-    operands = [scalars.to_float(a) for a in operands]
+    operands = [a.astype(np.float64) for a in operands]
     expected = np.einsum(spec, *operands)
     got = scalars.einsum(spec, *operands)
     assert type(got) is type(expected)
@@ -142,13 +163,41 @@ def test_no_numpy_einsum_outside_scalars():
     assert uses == []
 
 
-def test_exact_zero_is_tested_without_float_conversion(monkeypatch):
-    def no_conversion(arr):
-        raise AssertionError("an exactly zero array was converted to float")
+class _NoFloat(Fraction):
+    """A ``Fraction`` that refuses to become a float."""
 
-    monkeypatch.setattr(scalars, "to_float", no_conversion)
-    zero = scalars.zeros((3, 3, 3), RATIONAL)
+    def __float__(self):
+        raise AssertionError("a rational entry was converted to float")
+
+
+def test_exact_zero_is_tested_without_float_conversion():
+    zero = _object_array([_NoFloat(0)] * 27, (3, 3, 3))
     assert scalars.zero_test([zero, zero], 0.0) == (True, 0.0, None)
+    # a nonzero array: its worst index comes from its scaled integers too
+    a = _object_array([_NoFloat(0)] * 6, (2, 3))
+    a[1, 0] = _NoFloat(-7, 3)
+    assert scalars.zero_test([zero, a], 0.0) == (False, 7 / 3, (1, 1, 0))
+
+
+def test_rational_worst_index_is_the_exact_largest_entry():
+    # 10**17 and 10**17 + 1 round to one float: only exact comparison tells
+    # them apart, within one array and across arrays
+    close = scalars.array([10**17, 10**17 + 1, -5], RATIONAL)
+    assert scalars.zero_test([close], 0.0) == (False, 1e17, (1,))
+    low, high = scalars.array([10**17], RATIONAL), scalars.array([-(10**17 + 1)], RATIONAL)
+    assert scalars.zero_test([low, high], 0.0) == (False, 1e17, (1, 0))
+    # the first of equal largest entries, as numpy's argmax gives it
+    tie = scalars.array(["1/3", "-1/3", 0], RATIONAL)
+    assert scalars.zero_test([tie, tie], 0.0)[2] == (0, 0)
+
+
+def test_rational_verdict_does_not_round_a_tiny_entry_to_zero():
+    # 1/10**400 is below the smallest float: the residual rounds to 0.0,
+    # but the array is not zero, and zero_rows agrees
+    tiny = scalars.array([Fraction(1, 10**400), 0], RATIONAL)
+    assert scalars.zero_test([tiny], 0.0) == (False, 0.0, (0,))
+    assert not scalars.is_zero(tiny, 1e-9)
+    assert scalars.zero_rows(tiny, 0.0) == [False, True]
 
 
 def test_nonzero_rational_array_keeps_residual_and_worst_index():
@@ -240,7 +289,7 @@ coefficients = st.one_of(
 
 
 @st.composite
-def combinations(draw):
+def combinations(draw, values=values):
     """Coefficients and arrays for ``combine``: up to four rational arrays of
     axis lengths 0 to 3 that broadcast together (a shape is a suffix of the
     broadcast shape, with some axes of length 1), each a fresh array, a
@@ -284,7 +333,16 @@ def _fraction_sum(cs, arrays):
 @example(([1], [scalars.array([["1/2", 0]], RATIONAL)]))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_rational_combine_equals_fraction_arithmetic(case):
-    cs, arrays = case
+    _assert_combine_is_exact(*case)
+
+
+@given(combinations(big_values))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_rational_combine_is_exact_at_the_int64_bound(case):
+    _assert_combine_is_exact(*case)
+
+
+def _assert_combine_is_exact(cs, arrays):
     expected = _fraction_sum(cs, arrays)
     got = scalars.combine(cs, arrays)
     if not isinstance(expected, np.ndarray):
@@ -445,14 +503,16 @@ def test_rational_max_abs_is_the_rounded_exact_maximum(entries):
 
 def _assert_born_scaled(result):
     """A rational kernel result is read-only, and the memo holds exactly
-    ``_scale``'s form of it."""
+    ``_scale``'s form of it: the same integers, int64 when they fit and
+    Python ints otherwise, and the same largest absolute numerator."""
     assert not result.flags.writeable
     owner = scalars._frozen_owner(result)
-    ref, n, d = scalars._SCALED[id(owner)]
+    ref, n, d, m = scalars._SCALED[id(owner)]
     assert ref() is owner and owner.size == result.size
-    expected_n, expected_d = scalars._scale(result)
-    assert d == expected_d
-    assert all(type(v) is int for v in n)
+    expected_n, expected_d, expected_m = scalars._scale(result)
+    assert (d, m) == (expected_d, expected_m)
+    assert n.dtype == expected_n.dtype
+    assert n.dtype == np.int64 or all(type(v) is int for v in n)
     assert n.reshape(result.shape).tolist() == expected_n.tolist()
 
 
@@ -500,6 +560,111 @@ def test_max_abs_of_a_scaled_array_counts_no_fraction(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# int64 where a bound proves the sums fit, Python ints otherwise
+# ---------------------------------------------------------------------------
+
+def test_contraction_beyond_the_bound_stays_exact(monkeypatch):
+    widened = []
+    real = scalars._widen
+    monkeypatch.setattr(scalars, "_widen", lambda ns: widened.append(len(ns)) or real(ns))
+    # each product fits int64, the sum of two does not
+    r = 3037000499  # floor(sqrt(2**63 - 1))
+    a = scalars.freeze(scalars.array([r, r], RATIONAL))
+    assert scalars._scaled(a)[0].dtype == np.int64
+    assert scalars.einsum("i,i->", a, a) == 2 * r * r > 2**63
+    assert scalars.einsum("i,i->i", a, a).tolist() == [r * r, r * r]
+    assert widened == [2]
+    # a result of the exact path whose numerators fit keeps them as int64
+    fits = scalars.einsum("ij,j->i", scalars.array([[r, -r], [r, 0]], RATIONAL), a)
+    assert fits.tolist() == [0, r * r] and widened == [2, 2]
+    _assert_born_scaled(fits)
+    # numerators that fit int64 only as Python ints: the operands are scaled
+    # to object arrays, and the result is exact
+    b = scalars.array([2**62, Fraction(-(2**63), 3)], RATIONAL)
+    assert scalars._scale(b)[0].dtype == object
+    assert scalars.einsum("i,i->", b, b) == Fraction(2**124) + Fraction(2**126, 9)
+    assert scalars.combine([1, 1], [b, b]).tolist() == [2**63, Fraction(-(2**64), 3)]
+
+
+def test_all_zero_term_takes_any_coefficient():
+    zero = scalars.freeze(scalars.zeros((2, 2), RATIONAL))
+    a = scalars.array([["1/2", -3], [0, 5]], RATIONAL)
+    got = scalars.combine([2**70, 1, -(2**80)], [zero, a, zero])
+    assert got.tolist() == a.tolist()
+    assert scalars._SCALED[id(scalars._frozen_owner(got))][1].dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "spec, shapes",
+    [
+        ("ij,jk", [(2, 3), (3, 4)]),
+        ("ij,ij", [(2, 3), (2, 3)]),
+        ("ii,i", [(3, 3), (3,)]),
+        ("ij,jk,kl", [(2, 3), (3, 4), (4, 2)]),
+        ("i,j->", [(3,), (2,)]),
+        (" ij , jk -> ik ", [(2, 3), (3, 4)]),
+        ("...i,...i", [(2, 3, 4), (3, 4)]),
+        ("...i,...i->...", [(2, 3, 4), (3, 4)]),
+        ("i...,i...->...", [(2, 1, 3), (2, 4, 1)]),
+        ("...ij,jk->...ik", [(5, 2, 3), (3, 4)]),
+        ("ij,...", [(2, 3), (4,)]),
+        ("j...k,kl...", [(2, 3, 4), (4, 5, 3)]),
+    ],
+)
+def test_term_count_is_the_brute_force_count(spec, shapes):
+    # every entry of a contraction of all-ones arrays is its number of terms
+    counts = np.einsum(spec, *(np.ones(s, dtype=np.int64) for s in shapes))
+    assert np.all(counts == np.max(counts))
+    assert scalars._term_count(spec, tuple(shapes)) == np.max(counts)
+
+
+def test_views_of_an_int64_owner_read_its_entries():
+    owner = scalars.freeze(
+        scalars.array([[Fraction(p * 7 - 40, p % 3 + 1) for p in range(q, q + 4)]
+                       for q in range(0, 12, 4)], RATIONAL)
+    )
+    n, d, m = scalars._scaled(owner)
+    assert n.dtype == np.int64 and m == max(abs(v) for v in n.ravel().tolist())
+    views = [
+        owner.T, owner[1:, ::2], owner[::-1, 1], owner[:, ::-1].T,
+        np.broadcast_to(owner[0], (2, 4)), np.broadcast_to(owner[:, 2:3], (3, 3)),
+    ]
+    for view in views:
+        n, d, _ = scalars._scaled(view)
+        assert n.dtype == np.int64 and n.shape == view.shape
+        assert [Fraction(v, d) for v in n.ravel().tolist()] == view.ravel().tolist()
+        vec = scalars.array(list(range(1, view.shape[-1] + 1)), RATIONAL)
+        got = scalars.einsum("...j,j->...", view, vec)
+        assert np.ravel(got).tolist() == np.ravel(view @ vec).tolist()
+
+
+def test_rational_verification_stays_on_int64():
+    # a whole rational run on a dim-5 model: no sum leaves int64, every
+    # scaled form the kernel keeps is int64, and every Fraction it returns
+    # holds Python ints
+    widened, results = [], []
+    real_widen, real_rebuild = scalars._widen, scalars._rebuild
+
+    def rebuild(n, den):
+        out = real_rebuild(n, den)
+        results.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scalars, "_widen", lambda ns: widened.append(ns) or real_widen(ns))
+        patch.setattr(scalars, "_rebuild", rebuild)
+        rows = run_checks(zoo.builtin("solv5-f1").workspace(RATIONAL))
+    assert all(r.passed for r in rows)
+    assert widened == [] and results
+    for out in results:
+        if isinstance(out, np.ndarray):
+            assert scalars._SCALED[id(scalars._frozen_owner(out))][1].dtype == np.int64
+        for x in np.ravel(out).tolist():
+            assert type(x) is Fraction
+            assert type(x.numerator) is int and type(x.denominator) is int
+
+
+# ---------------------------------------------------------------------------
 # the zero test of a stack
 # ---------------------------------------------------------------------------
 
@@ -537,7 +702,7 @@ def test_rational_zero_rows_is_the_per_row_zero_test(case, kind):
 @given(stacks(), st.sampled_from([0.0, 1e-9, 0.5]))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_float_zero_rows_is_the_per_row_zero_test(case, eps):
-    a, context = (scalars.to_float(x) for x in case)
+    a, context = (x.astype(np.float64) for x in case)
     assert scalars.zero_rows(a, eps, context) == _per_row(a, eps, context)
 
 

@@ -135,6 +135,18 @@ def test_no_loop_in_checks_evaluates_planes_one_at_a_time():
     assert _loop_calls(probe, {"sectional"}) == [2]
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_horizontal_basis_is_computed_once_per_model(monkeypatch, mode):
+    # it does not depend on the metric: both views share one list
+    calls = []
+    real = checks._horizontal_basis
+    monkeypatch.setattr(checks, "_horizontal_basis", lambda ws: calls.append(ws) or real(ws))
+    ws = workspace("solv5-f1", mode)
+    rows = list(check_sectional_curvature(ws))
+    assert [r.name for r in rows] == SECTIONAL_ROWS and all(r.passed for r in rows)
+    assert calls == [ws]
+
+
 def _det(a) -> Fraction:
     """Leibniz determinant of a small square matrix."""
     n = len(a)
