@@ -536,7 +536,7 @@ def sample_planes(ws: Workspace, view: MetricView, seed: int) -> PlaneStack:
     while accepted < PLANE_COUNT and attempts < 60 * PLANE_COUNT:
         n = min(PLANE_COUNT - accepted, 60 * PLANE_COUNT - attempts)
         attempts += n
-        draws = scalars.array(rng.integers(-3, 4, size=(2 * n, s.dim)).tolist(), s.mode)
+        draws = scalars.array(rng.integers(-3, 4, size=(2 * n, s.dim)), s.mode)
         batch = PlaneStack.nondegenerate(view.metric, draws[0::2], draws[1::2], s.eps)
         batches.append(batch)
         accepted += len(batch)

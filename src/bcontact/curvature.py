@@ -181,7 +181,8 @@ class PlaneStack:
         # products of pi_1, and once for every later use of the stack
         x, y = scalars.freeze((np.array(x), np.array(y)))
         planes = cls(m, x, y, scalars.freeze(pi1(m, x, y, y, x)))
-        keep = [not d for d in scalars.zero_rows(planes.den, eps, [m.matrix] * len(x))]
+        metric = np.broadcast_to(m.matrix, (len(x), *m.matrix.shape))
+        keep = [not d for d in scalars.zero_rows(planes.den, eps, metric)]
         return planes if all(keep) else planes[keep]
 
     @classmethod
@@ -239,7 +240,7 @@ def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
     # each other plane is totally real when m(u, phi v) vanishes for the
     # pairs (x,x), (x,y), (y,y)
     rest = np.array([k is None for k in kinds], dtype=bool)
-    metric = [m.matrix] * int(rest.sum())
+    metric = np.broadcast_to(m.matrix, (int(rest.sum()), *m.matrix.shape))
     forms = [
         scalars.zero_rows(m.inner(u, v)[rest], eps, metric)
         for u, v in ((x, phi_x), (x, phi_y), (y, phi_y))

@@ -5,9 +5,16 @@ binary floats.  Rational mode is the reference: all formulas in this library
 are rational in their inputs (the Koszul formula only divides by 2), so every
 identity can be verified with zero residual.  Float mode exists for speed and
 for data that arrives as decimals; comparisons there use an absolute
-tolerance scaled by the magnitude of the tensors involved.  Every zero test
-in the library goes through ``zero_test``; the tolerance ``eps`` is fixed once
-per model when it is loaded and carried on the structure.
+tolerance scaled by the magnitude of the tensors involved: a float residual r
+passes when it is finite and r <= eps * max(1, r, scale), scale being the
+largest absolute entry of the context arrays, NaN entries ignored.  Every
+zero test in the library goes through ``zero_test`` (verdict, residual and
+worst index), ``is_zero`` (its verdict alone) or ``zero_rows`` (the verdict of
+every row of a stack), and all three decide by that one rule; the tolerance
+``eps`` is fixed once per model when it is loaded and carried on the
+structure.  ``zero_rows`` decides a float stack in one pass of numpy
+reductions over its rows and its contexts' rows; a context that is one
+array broadcast to every row is reduced once.
 
 The rational kernel does its arithmetic over integers.  ``einsum``
 contracts and ``combine`` adds arrays scaled to integer numerators over a
@@ -23,7 +30,9 @@ other call runs over Python ints, the exact path that has no bound.  The
 scaled form of a read-only array is computed once and kept while the array
 lives.  A rational kernel result is born read-only with its scaled form
 kept, so the next kernel call, ``max_abs``, ``zero_test`` and ``zero_rows``
-read its integers: a rational verdict, residual and worst index are exact.
+read its integers: a rational verdict and worst index are exact, and a
+residual is the float of the exact largest entry (the smallest positive
+float when that rounds to 0 but the entry is not 0).
 ``freeze`` makes other arrays read-only, to be scaled once.
 """
 from __future__ import annotations
@@ -116,7 +125,15 @@ def zeros(shape, mode: str) -> np.ndarray:
 
 
 def array(nested, mode: str) -> np.ndarray:
-    """Build a backend array from (possibly nested) scalar tokens."""
+    """Build a backend array from (possibly nested) scalar tokens, or from
+    an integer array: in float mode its float64 copy, in rational mode one
+    ``Fraction`` of a Python int per entry."""
+    if isinstance(nested, np.ndarray) and nested.dtype.kind in "iu":
+        if mode != RATIONAL:
+            return nested.astype(np.float64)
+        out = np.empty(nested.size, dtype=object)
+        out[:] = [Fraction(v) for v in nested.ravel().tolist()]
+        return out.reshape(nested.shape)
     a = np.asarray(nested, dtype=object)
     out = np.empty(a.shape, dtype=object)
     for idx in np.ndindex(*a.shape) if a.shape else [()]:
@@ -394,10 +411,70 @@ def residual(a: np.ndarray, b=None) -> float:
     return max_abs(np.asarray(d))
 
 
-def _tolerance(eps: float, residual: float, context_scale: float) -> float:
-    """Float tolerance for one compared array: eps scaled by the largest
-    entry of the array itself and of its context arrays, and by at least 1."""
-    return eps * max(1.0, residual, context_scale)
+def _within_tolerance(residual, eps: float, scale):
+    """The float verdict: is ``residual`` within eps * max(1, residual,
+    scale)?  Elementwise when ``residual`` and ``scale`` are arrays.
+
+    A non-finite residual never passes, and a NaN scale adds nothing.  The
+    test is spelled as three comparisons, one per term of the max, so that
+    it runs on floats and on arrays alike; wherever the max is defined it is
+    the same test, as multiplying by eps >= 0 keeps the order of floats."""
+    return (residual < math.inf) & (
+        (residual <= eps) | (residual <= eps * residual) | (residual <= eps * scale)
+    )
+
+
+def _context_scale(c: np.ndarray) -> float:
+    """The largest absolute entry of one context array, NaN entries ignored,
+    so that the scale of several contexts does not depend on their order."""
+    if c.dtype == object:
+        return max_abs(c)
+    return float(np.fmax.reduce(np.abs(c), axis=None, initial=0.0))
+
+
+def _rational_residual(peak: tuple[int, int]) -> float:
+    """The exact largest absolute entry p / d of a rational array as a
+    float; one that rounds to 0.0 but is not 0 is the smallest positive
+    float, so a failed row never reports residual 0, and one beyond the
+    float range is inf."""
+    p, d = peak
+    try:
+        r = p / d
+    except OverflowError:
+        return math.inf
+    return r if r or not p else math.ulp(0.0)
+
+
+def _decide(arrays: list[np.ndarray], eps: float, context) -> tuple[bool, list, list]:
+    """``(passed, residuals, peaks)`` of ``zero_test``: its verdict, the
+    residual of each array, and the exact ``_peak`` of each rational array
+    (None for a float one)."""
+    peaks = [_peak(a) if a.dtype == object else None for a in arrays]
+    res = [max_abs(a) if p is None else _rational_residual(p) for a, p in zip(arrays, peaks)]
+    if all(p is not None for p in peaks):
+        return not any(p for p, _ in peaks), res, peaks
+    scale = max((_context_scale(np.asarray(c)) for c in context), default=0.0)
+    passed = all(
+        _within_tolerance(r, eps, scale) if p is None else p[0] == 0
+        for p, r in zip(peaks, res)
+    )
+    return passed, res, peaks
+
+
+def _locate(arrays: list[np.ndarray], res: list, peaks: list) -> tuple | None:
+    """The worst index of a failed ``zero_test``: the first largest entry of
+    the worst array, prefixed by that array's position when there are
+    several; exact when every array is rational."""
+    if all(p is not None for p in peaks):
+        k = max(range(len(arrays)), key=lambda i: Fraction(*peaks[i]))
+    else:
+        k = int(np.argmax(res))
+    a = arrays[k]
+    mag = np.abs(_scaled(a)[0] if a.dtype == object else a)
+    where = tuple(int(i) for i in np.unravel_index(np.argmax(mag), mag.shape))
+    if len(arrays) > 1:
+        return (k,) + where
+    return where or None
 
 
 def zero_test(arrays, eps: float, *context: np.ndarray):
@@ -406,51 +483,64 @@ def zero_test(arrays, eps: float, *context: np.ndarray):
     Returns ``(passed, residual, worst_index)``.  The residual is the largest
     absolute entry over all arrays.  A rational (object) array passes only
     when its scaled integers are all zero; a float array passes when its own
-    largest entry is within the tolerance of ``_tolerance``, scaled by the
-    ``context`` arrays the compared quantities were built from.
+    largest entry r is finite and within eps * max(1, r, scale), scale being
+    the largest absolute entry of the ``context`` arrays the compared
+    quantities were built from, NaN entries ignored (``_within_tolerance``).
     ``worst_index`` is None on success; on failure it locates the largest
     entry of the worst array, prefixed by that array's position when more
     than one array is tested.  When every array is rational, the verdict,
-    the worst array and its worst index are exact.
+    the worst array and its worst index are exact, and a nonzero residual
+    too small for a float reads as the smallest positive float.
     """
     arrays = [np.asarray(a) for a in arrays]
-    peaks = [_peak(a) if a.dtype == object else None for a in arrays]
-    res = [max_abs(a) if p is None else p[0] / p[1] for a, p in zip(arrays, peaks)]
-    exact = all(p is not None for p in peaks)
-    scale = 0.0 if exact else max((max_abs(c) for c in context), default=0.0)
-    passed = all(
-        r <= _tolerance(eps, r, scale) if p is None else p[0] == 0
-        for p, r in zip(peaks, res)
-    )
+    passed, res, peaks = _decide(arrays, eps, context)
     worst = max(res, default=0.0)
     if passed:
         return True, worst, None
-    if exact:
-        k = max(range(len(arrays)), key=lambda i: Fraction(*peaks[i]))
-    else:
-        k = int(np.argmax(res))
-    # the first largest entry; a rational array's, exactly, over its integers
-    a = arrays[k]
-    mag = np.abs(_scaled(a)[0] if a.dtype == object else a)
-    where = tuple(int(i) for i in np.unravel_index(np.argmax(mag), mag.shape))
-    if len(arrays) > 1:
-        return False, worst, (k,) + where
-    return False, worst, where or None
+    return False, worst, _locate(arrays, res, peaks)
 
 
 def is_zero(arr: np.ndarray, eps: float, *context: np.ndarray) -> bool:
-    """``zero_test`` of a single array, as a boolean."""
-    return zero_test([arr], eps, *context)[0]
+    """The verdict of ``zero_test`` on a single array, without locating its
+    worst entry."""
+    return _decide([np.asarray(arr)], eps, context)[0]
+
+
+def _context_rows(c, rows: int) -> np.ndarray:
+    """The context stack ``c`` as an array of ``rows`` rows; ValueError when
+    it has another number of rows."""
+    c = np.asarray(c)
+    if not c.ndim or len(c) != rows:
+        raise ValueError(f"a context needs one row per row of the stack ({rows}), got shape {c.shape}")
+    return c
+
+
+def _row_scales(c: np.ndarray) -> np.ndarray:
+    """The largest absolute entry of each row of the context stack ``c``,
+    NaN entries ignored; a stack whose rows are one array broadcast (row
+    stride 0, say ``np.broadcast_to``) is reduced once, without a copy."""
+    c = np.asarray(c, dtype=np.float64)
+    if len(c) and c.strides[0] == 0:
+        return np.full(len(c), _context_scale(c[0]))
+    return np.fmax.reduce(np.abs(c), axis=tuple(range(1, c.ndim)), initial=0.0)
 
 
 def zero_rows(a: np.ndarray, eps: float, *context) -> list[bool]:
     """``is_zero(a[n], eps, *(c[n] for c in context))`` for every row n of
-    ``a``, with each context a sequence of one entry per row: one exact pass
-    over the scaled integers of a rational array, the per-row ``zero_test``
-    of a float one."""
+    ``a``, with each context a stack of one entry per row (a context of
+    another length raises ValueError).  One pass over the whole stack: over
+    the scaled integers of a rational array, exactly, and by numpy
+    reductions over the rows of a float one and of its contexts, with the
+    verdict of ``_within_tolerance``."""
     a = np.asarray(a)
+    context = [_context_rows(c, len(a)) for c in context]
     if a.dtype != object:
-        return [is_zero(row, eps, *rows) for row, *rows in zip(a, *context, strict=True)]
+        residual = np.abs(a).max(axis=tuple(range(1, a.ndim)), initial=0.0)
+        scale = functools.reduce(np.fmax, map(_row_scales, context), 0.0)
+        # eps times an infinite entry is NaN when eps is 0, and a product may
+        # overflow to inf: the comparisons still give the verdict
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _within_tolerance(residual, eps, scale).tolist()
     if not len(a):
         return []
     n, _, _ = _scaled(a)

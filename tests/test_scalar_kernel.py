@@ -8,7 +8,10 @@ combination, run over integers scaled by a common denominator (int64 where a
 bound proves the sums fit, Python ints otherwise) and must give exactly what
 numpy gives over ``Fraction`` objects, on both sides of that bound; a
 rational zero test decides on those integers; a float contraction is
-numpy's own call, and a float combination numpy's own sum.  ``ast`` guards
+numpy's own call, and a float combination numpy's own sum.  A float zero
+test fails a non-finite residual and ignores NaN context entries, and a
+float stack is decided in one numpy pass that gives the per-row verdicts,
+with no per-row ``zero_test``.  ``ast`` guards
 keep every contraction of the library on this path, every lowering of an
 upper index by a metric in ``tensor.lower_out``, and every zero test of a
 stack of planes or rows in ``zero_rows``.
@@ -17,6 +20,7 @@ import ast
 import gc
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -192,12 +196,48 @@ def test_rational_worst_index_is_the_exact_largest_entry():
 
 
 def test_rational_verdict_does_not_round_a_tiny_entry_to_zero():
-    # 1/10**400 is below the smallest float: the residual rounds to 0.0,
-    # but the array is not zero, and zero_rows agrees
+    # 1/10**400 is below the smallest float: its float rounds to 0.0, but
+    # the array is not zero, zero_rows agrees, and the failed test reports
+    # the smallest positive float as its residual, never 0
     tiny = scalars.array([Fraction(1, 10**400), 0], RATIONAL)
-    assert scalars.zero_test([tiny], 0.0) == (False, 0.0, (0,))
+    assert scalars.max_abs(tiny) == 0.0
+    assert scalars.zero_test([tiny], 0.0) == (False, math.ulp(0.0), (0,))
     assert not scalars.is_zero(tiny, 1e-9)
     assert scalars.zero_rows(tiny, 0.0) == [False, True]
+    # the exactly larger of two tiny entries is the worst one
+    tinier = scalars.array([0, Fraction(-1, 10**401)], RATIONAL)
+    assert scalars.zero_test([tinier, tiny], 0.0) == (False, math.ulp(0.0), (1, 0))
+    zero = scalars.zeros((2,), RATIONAL)
+    assert scalars.zero_test([zero, tinier], 0.0) == (False, math.ulp(0.0), (1, 1))
+    # an entry beyond the float range reads as inf, and is located exactly
+    huge = scalars.array([10**400, -(10**400 + 1)], RATIONAL)
+    assert scalars.zero_test([tiny, huge], 0.0) == (False, math.inf, (1, 1))
+    assert not scalars.is_zero(huge, 1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 0.5, 2.0])
+def test_float_zero_test_never_passes_a_non_finite_residual(bad, eps):
+    a = np.array([bad, 0.0])
+    passed, residual, worst = scalars.zero_test([a], eps)
+    assert not passed and not math.isfinite(residual) and worst is not None
+    assert not scalars.is_zero(a, eps)
+    assert not scalars.is_zero(a, eps, np.array([1e300]))
+    assert scalars.zero_rows(np.stack([a, np.zeros(2)]), eps) == [False, True]
+
+
+def test_float_context_scale_ignores_nan_in_any_order():
+    # 1e-3 is within 1e-9 of a scale of 1e9; a NaN context, or a NaN entry
+    # of a context, changes nothing whichever comes first
+    a = np.array([1e-3])
+    nan, big, mixed = np.array([np.nan]), np.array([1e9]), np.array([np.nan, -1e9])
+    for context in [(nan, big), (big, nan), (mixed,), (mixed[::-1],), (nan, mixed)]:
+        assert scalars.is_zero(a, 1e-9, *context)
+        assert scalars.zero_test([a], 1e-9, *context) == (True, 1e-3, None)
+        assert scalars.zero_rows(a[None], 1e-9, *(c[None] for c in context)) == [True]
+    # a NaN context alone scales nothing
+    assert not scalars.is_zero(a, 1e-9, nan)
+    assert scalars.zero_rows(a[None], 1e-9, nan[None]) == [False]
 
 
 def test_nonzero_rational_array_keeps_residual_and_worst_index():
@@ -699,11 +739,104 @@ def test_rational_zero_rows_is_the_per_row_zero_test(case, kind):
     assert scalars.zero_rows(a, 0.0, context) == _per_row(a, 0.0, context)
 
 
-@given(stacks(), st.sampled_from([0.0, 1e-9, 0.5]))
-@settings(max_examples=60, deadline=None, derandomize=True)
+float_values = st.one_of(
+    values.map(float),
+    st.floats(min_value=-1e-6, max_value=1e-6),
+    st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 1e300]),
+)
+
+
+@st.composite
+def float_stacks(draw):
+    """A float stack of rows (scalars, or rows of shape 2 or 2 x 2), some of
+    them 0.0 or -0.0, with entries that include +-inf, NaN and -0.0, and up
+    to two contexts: each a stack of rows of 3 entries, drawn per row or one
+    row broadcast to every row (``np.broadcast_to``)."""
+    rows = draw(st.integers(min_value=0, max_value=5))
+    shape = (rows, *draw(st.sampled_from([(), (2,), (2, 2)])))
+    size = math.prod(shape)
+    a = np.array(draw(st.lists(float_values, min_size=size, max_size=size))).reshape(shape)
+    for n in range(rows):
+        if draw(st.booleans()):
+            a[n] = draw(st.sampled_from([0.0, -0.0]))
+    contexts = []
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if draw(st.booleans()):
+            one = np.array(draw(st.lists(float_values, min_size=3, max_size=3)))
+            contexts.append(np.broadcast_to(one, (rows, 3)))
+        else:
+            entries = draw(st.lists(float_values, min_size=rows * 3, max_size=rows * 3))
+            contexts.append(np.array(entries).reshape(rows, 3))
+    return a, contexts
+
+
+@given(float_stacks(), st.sampled_from([0.0, 1e-9, 0.5, 2.0]))
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_float_zero_rows_is_the_per_row_zero_test(case, eps):
-    a, context = (x.astype(np.float64) for x in case)
-    assert scalars.zero_rows(a, eps, context) == _per_row(a, eps, context)
+    a, contexts = case
+    assert scalars.zero_rows(a, eps, *contexts) == _per_row(a, eps, *contexts)
+    # and zero_test on each row gives the same verdicts
+    tested = [scalars.zero_test([a[n]], eps, *(c[n] for c in contexts))[0] for n in range(len(a))]
+    assert tested == _per_row(a, eps, *contexts)
+
+
+def test_float_zero_rows_makes_no_per_row_zero_test(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-row zero test")
+
+    monkeypatch.setattr(scalars, "zero_test", refuse)
+    monkeypatch.setattr(scalars, "is_zero", refuse)
+    a = np.array([[1e-12, 0.0], [1.0, 0.0], [0.0, -0.0], [np.inf, 0.0]])
+    metric = np.broadcast_to(np.diag([1.0, -1.0]), (4, 2, 2))
+    assert scalars.zero_rows(a, 1e-9, metric, a) == [True, False, True, False]
+
+
+def test_a_broadcast_context_is_reduced_without_a_copy():
+    rows, dim = 20_000, 7
+    metric = np.broadcast_to(np.eye(dim), (rows, dim, dim))
+    copy = rows * dim * dim * 8  # bytes of a copy of the context: 7.8 MB
+    a = np.zeros((rows, 2))
+    tracemalloc.start()
+    try:
+        verdicts = scalars.zero_rows(a, 1e-9, metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [True] * rows
+    assert peak < copy / 4
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_a_context_of_another_length_is_an_error(mode):
+    a = scalars.zeros((3, 2), mode)
+    for context in (scalars.zeros((2, 2), mode), scalars.zeros((4,), mode), scalars.zeros((), mode)):
+        with pytest.raises(ValueError):
+            scalars.zero_rows(a, 1e-9, context)
+    with pytest.raises(ValueError):
+        scalars.zero_rows(a, 1e-9, np.broadcast_to(scalars.eye(2, mode), (2, 2, 2)))
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize(
+    "ints",
+    [
+        np.array(5),
+        np.zeros((0, 3), dtype=np.int64),
+        np.arange(-3, 4),
+        np.arange(-6, 6, dtype=np.int8).reshape(3, 4),
+        np.arange(7, dtype=np.uint16).reshape(7, 1),
+        np.array([2**62 + 1, -(2**63), 2**63 - 1]),
+    ],
+)
+def test_array_of_an_integer_array_is_the_array_of_its_list(mode, ints):
+    got, want = scalars.array(ints, mode), scalars.array(ints.tolist(), mode)
+    # ``tolist`` keeps no shape for an empty array
+    assert got.dtype == want.dtype and got.shape == ints.shape
+    assert got.tolist() == want.tolist()
+    if mode == RATIONAL:
+        for x in np.ravel(got).tolist():
+            assert type(x) is Fraction
+            assert type(x.numerator) is int and type(x.denominator) is int
 
 
 def test_float_verdict_of_a_row_depends_on_its_own_context():
