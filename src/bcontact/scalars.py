@@ -13,8 +13,7 @@ worst index), ``is_zero`` (its verdict alone) or ``zero_rows`` (the verdict of
 every row of a stack), and all three decide by that one rule; the tolerance
 ``eps`` is fixed once per model when it is loaded and carried on the
 structure.  ``zero_rows`` decides a float stack in one pass of numpy
-reductions over its rows and its contexts' rows; a context that is one
-array broadcast to every row is reduced once.
+reductions over its rows and its contexts' rows.
 
 The rational kernel does its arithmetic over integers.  ``einsum``
 contracts and ``combine`` adds arrays scaled to integer numerators over a
@@ -31,8 +30,9 @@ scaled form of a read-only array is computed once and kept while the array
 lives.  A rational kernel result is born read-only with its scaled form
 kept, so the next kernel call, ``max_abs``, ``zero_test`` and ``zero_rows``
 read its integers: a rational verdict and worst index are exact, and a
-residual is the float of the exact largest entry (the smallest positive
-float when that rounds to 0 but the entry is not 0).
+residual, like ``max_abs``, is the float of the exact largest entry (the
+smallest positive float when that rounds to 0 but the entry is not 0, and
+inf beyond the float range).
 ``freeze`` makes other arrays read-only, to be scaled once.
 """
 from __future__ import annotations
@@ -396,12 +396,25 @@ def _peak(a: np.ndarray) -> tuple[int, int]:
     return int(np.abs(n).max()), d
 
 
+def _rational_residual(peak: tuple[int, int]) -> float:
+    """The exact largest absolute entry p / d of a rational array as a
+    float; one that rounds to 0.0 but is not 0 is the smallest positive
+    float, so a nonzero array never reports residual 0, and one beyond the
+    float range is inf."""
+    p, d = peak
+    try:
+        r = p / d
+    except OverflowError:
+        return math.inf
+    return r if r or not p else math.ulp(0.0)
+
+
 def max_abs(arr: np.ndarray) -> float:
     """The largest absolute entry, as a float; a rational array's is the
-    rounded exact maximum, found over its scaled integers."""
+    rounded exact maximum, found over its scaled integers
+    (``_rational_residual``)."""
     if arr.dtype == object:
-        p, d = _peak(arr)
-        return p / d
+        return _rational_residual(_peak(arr))
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
@@ -417,8 +430,10 @@ def _within_tolerance(residual, eps: float, scale):
 
     A non-finite residual never passes, and a NaN scale adds nothing.  The
     test is spelled as three comparisons, one per term of the max, so that
-    it runs on floats and on arrays alike; wherever the max is defined it is
-    the same test, as multiplying by eps >= 0 keeps the order of floats."""
+    it runs on floats and on arrays alike.  Wherever eps * max(...) is a
+    number it is the same test, as multiplying by eps >= 0 keeps the order
+    of floats; where it is not (eps 0 times an infinite scale) eps 0 asks
+    for a residual of 0."""
     return (residual < math.inf) & (
         (residual <= eps) | (residual <= eps * residual) | (residual <= eps * scale)
     )
@@ -430,19 +445,6 @@ def _context_scale(c: np.ndarray) -> float:
     if c.dtype == object:
         return max_abs(c)
     return float(np.fmax.reduce(np.abs(c), axis=None, initial=0.0))
-
-
-def _rational_residual(peak: tuple[int, int]) -> float:
-    """The exact largest absolute entry p / d of a rational array as a
-    float; one that rounds to 0.0 but is not 0 is the smallest positive
-    float, so a failed row never reports residual 0, and one beyond the
-    float range is inf."""
-    p, d = peak
-    try:
-        r = p / d
-    except OverflowError:
-        return math.inf
-    return r if r or not p else math.ulp(0.0)
 
 
 def _decide(arrays: list[np.ndarray], eps: float, context) -> tuple[bool, list, list]:
@@ -506,37 +508,24 @@ def is_zero(arr: np.ndarray, eps: float, *context: np.ndarray) -> bool:
     return _decide([np.asarray(arr)], eps, context)[0]
 
 
-def _context_rows(c, rows: int) -> np.ndarray:
-    """The context stack ``c`` as an array of ``rows`` rows; ValueError when
-    it has another number of rows."""
-    c = np.asarray(c)
-    if not c.ndim or len(c) != rows:
-        raise ValueError(f"a context needs one row per row of the stack ({rows}), got shape {c.shape}")
-    return c
-
-
-def _row_scales(c: np.ndarray) -> np.ndarray:
-    """The largest absolute entry of each row of the context stack ``c``,
-    NaN entries ignored; a stack whose rows are one array broadcast (row
-    stride 0, say ``np.broadcast_to``) is reduced once, without a copy."""
-    c = np.asarray(c, dtype=np.float64)
-    if len(c) and c.strides[0] == 0:
-        return np.full(len(c), _context_scale(c[0]))
-    return np.fmax.reduce(np.abs(c), axis=tuple(range(1, c.ndim)), initial=0.0)
-
-
 def zero_rows(a: np.ndarray, eps: float, *context) -> list[bool]:
     """``is_zero(a[n], eps, *(c[n] for c in context))`` for every row n of
-    ``a``, with each context a stack of one entry per row (a context of
-    another length raises ValueError).  One pass over the whole stack: over
-    the scaled integers of a rational array, exactly, and by numpy
-    reductions over the rows of a float one and of its contexts, with the
-    verdict of ``_within_tolerance``."""
+    ``a``, with each context a stack of one entry per row.  One pass over
+    the whole stack: over the scaled integers of a rational array, exactly,
+    and by numpy reductions over the rows of a float one and of its
+    contexts, with the verdict of ``_within_tolerance``; there a context of
+    another length raises ValueError."""
     a = np.asarray(a)
-    context = [_context_rows(c, len(a)) for c in context]
     if a.dtype != object:
         residual = np.abs(a).max(axis=tuple(range(1, a.ndim)), initial=0.0)
-        scale = functools.reduce(np.fmax, map(_row_scales, context), 0.0)
+        scale = 0.0
+        for c in context:
+            c = np.asarray(c, dtype=np.float64)
+            if not c.ndim or len(c) != len(a):
+                raise ValueError(
+                    f"a context needs one row per row of the stack ({len(a)}), got shape {c.shape}"
+                )
+            scale = np.fmax(scale, np.fmax.reduce(np.abs(c), axis=tuple(range(1, c.ndim)), initial=0.0))
         # eps times an infinite entry is NaN when eps is 0, and a product may
         # overflow to inf: the comparisons still give the verdict
         with np.errstate(invalid="ignore", over="ignore"):

@@ -20,7 +20,6 @@ import ast
 import gc
 import math
 import operator
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -197,10 +196,10 @@ def test_rational_worst_index_is_the_exact_largest_entry():
 
 def test_rational_verdict_does_not_round_a_tiny_entry_to_zero():
     # 1/10**400 is below the smallest float: its float rounds to 0.0, but
-    # the array is not zero, zero_rows agrees, and the failed test reports
-    # the smallest positive float as its residual, never 0
+    # the array is not zero, zero_rows agrees, and the failed test and
+    # max_abs report the smallest positive float as its residual, never 0
     tiny = scalars.array([Fraction(1, 10**400), 0], RATIONAL)
-    assert scalars.max_abs(tiny) == 0.0
+    assert scalars.max_abs(tiny) == math.ulp(0.0)
     assert scalars.zero_test([tiny], 0.0) == (False, math.ulp(0.0), (0,))
     assert not scalars.is_zero(tiny, 1e-9)
     assert scalars.zero_rows(tiny, 0.0) == [False, True]
@@ -213,6 +212,7 @@ def test_rational_verdict_does_not_round_a_tiny_entry_to_zero():
     huge = scalars.array([10**400, -(10**400 + 1)], RATIONAL)
     assert scalars.zero_test([tiny, huge], 0.0) == (False, math.inf, (1, 1))
     assert not scalars.is_zero(huge, 1e-9)
+    assert scalars.max_abs(huge) == scalars.residual(huge, tiny) == math.inf
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -774,7 +774,23 @@ def float_stacks(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_float_zero_rows_is_the_per_row_zero_test(case, eps):
     a, contexts = case
-    assert scalars.zero_rows(a, eps, *contexts) == _per_row(a, eps, *contexts)
+    verdicts = scalars.zero_rows(a, eps, *contexts)
+    assert verdicts == _per_row(a, eps, *contexts)
+    # the rule itself, in plain Python floats: a row whose residual r is
+    # finite passes when r <= eps * max(1, r, scale), scale ignoring NaN
+    # (eps 0 asks for r == 0, even when the scale is inf); any other fails
+    for n, verdict in enumerate(verdicts):
+        row = np.ravel(a[n]).tolist()
+        if not all(math.isfinite(x) for x in row):
+            assert verdict is False
+            continue
+        r = max((abs(x) for x in row), default=0.0)
+        scale = max(
+            (abs(x) for c in contexts for x in np.ravel(c[n]).tolist() if not math.isnan(x)),
+            default=0.0,
+        )
+        tolerance = eps * max(1.0, r, scale) if eps else 0.0
+        assert verdict is (r <= tolerance)
     # and zero_test on each row gives the same verdicts
     tested = [scalars.zero_test([a[n]], eps, *(c[n] for c in contexts))[0] for n in range(len(a))]
     assert tested == _per_row(a, eps, *contexts)
@@ -791,29 +807,13 @@ def test_float_zero_rows_makes_no_per_row_zero_test(monkeypatch):
     assert scalars.zero_rows(a, 1e-9, metric, a) == [True, False, True, False]
 
 
-def test_a_broadcast_context_is_reduced_without_a_copy():
-    rows, dim = 20_000, 7
-    metric = np.broadcast_to(np.eye(dim), (rows, dim, dim))
-    copy = rows * dim * dim * 8  # bytes of a copy of the context: 7.8 MB
-    a = np.zeros((rows, 2))
-    tracemalloc.start()
-    try:
-        verdicts = scalars.zero_rows(a, 1e-9, metric)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert verdicts == [True] * rows
-    assert peak < copy / 4
-
-
-@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
-def test_a_context_of_another_length_is_an_error(mode):
-    a = scalars.zeros((3, 2), mode)
-    for context in (scalars.zeros((2, 2), mode), scalars.zeros((4,), mode), scalars.zeros((), mode)):
+def test_a_float_context_of_another_length_is_an_error():
+    a = scalars.zeros((3, 2), FLOAT)
+    for context in (scalars.zeros((2, 2), FLOAT), scalars.zeros((4,), FLOAT), scalars.zeros((), FLOAT)):
         with pytest.raises(ValueError):
             scalars.zero_rows(a, 1e-9, context)
     with pytest.raises(ValueError):
-        scalars.zero_rows(a, 1e-9, np.broadcast_to(scalars.eye(2, mode), (2, 2, 2)))
+        scalars.zero_rows(a, 1e-9, np.broadcast_to(np.eye(2), (2, 2, 2)))
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
