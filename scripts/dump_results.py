@@ -1,18 +1,23 @@
 """Write every result bcontact computes on a fixed set of models to one
 sorted JSON file, so that two checkouts can be compared with ``diff``.
 
-    PYTHONPATH=src python scripts/dump_results.py OUT.json
+    PYTHONPATH=src python scripts/dump_results.py OUT.json [--compare OLD.json]
 
-Run it from the root of each checkout, then ``diff`` the two files.  The
-models are the curated zoo, the boundary catalog and
-``random_structure(seed, n)`` for seeds 0 and 3 and n = 1, 2 (dims 3 to 7).
+Run it from the root of each checkout, then ``diff`` the two files, or give
+the first file to the second run with ``--compare``: it then prints, for
+each mode, the keys whose values differ (the entry name left out, a check
+row named by its name) with the number of differing values, and the largest
+relative change of a number.  The models are the curated zoo, the boundary
+catalog and ``random_structure(seed, n)`` for seeds 0 and 3 and n = 1, 2
+(dims 3 to 7).
 For each model, in rational and in float mode, the file holds:
 
 - every ``run_checks`` row: verdict, ``repr`` of the residual, worst index
   and detail, in suite order;
 - the memberships and class residuals of g and g~;
-- the sampled sectional values of g and g~ (``sectional`` of R and of R^D,
-  and ``svk_sectional_formula``) and the section type of every sampled plane;
+- the sampled sectional values of g and g~ (k of R and of R^D, and the
+  formula for k^D, from ``sectional``) and the section type of every sampled
+  plane;
 - the output and exit code of the ``validate``, ``classify`` (g, gtilde),
   ``report`` and ``curvature --plane 0,1`` commands, as text and as JSON.
 
@@ -21,16 +26,21 @@ the sign of a zero shows.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import math
+import re
 import sys
 import tempfile
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 from bcontact import cli, modelfile, scalars, zoo
 from bcontact.checks import run_checks, sample_planes
-from bcontact.curvature import DegeneratePlaneError, section_type, sectional, svk_sectional_formula
+from bcontact.curvature import DegeneratePlaneError, section_type, sectional
 
 MODES = (scalars.RATIONAL, scalars.FLOAT)
 SEED = 0
@@ -72,11 +82,12 @@ def _sectional(ws):
             kinds = [list(k) for k in section_type(planes, ws.s)]
         except DegeneratePlaneError as exc:
             kinds = f"DegeneratePlaneError: {exc}"
+        values = sectional(planes, view.curv, view.shape, ws.s)
         out[view.role] = {
             "planes": len(planes),
-            "k": _value(sectional(view.curv.r04, planes)),
-            "k_svk": _value(sectional(view.curv.r04_svk, planes)),
-            "k_formula": _value(svk_sectional_formula(planes, view.curv.r04, view.shape, ws.s)),
+            "k": _value(values.k),
+            "k_svk": _value(values.k_svk),
+            "k_formula": _value(values.formula),
             "types": kinds,
         }
     return out
@@ -130,12 +141,84 @@ def dump(models) -> dict:
     return out
 
 
+# the fields of a dumped check row after its name
+ROW_FIELDS = ("passed", "residual", "worst", "detail")
+NUMBER = re.compile(r"-?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf|nan)")
+
+
+def _leaves(value, key=()):
+    """(key, leaf) of every scalar of a dumped model, a check row keyed by
+    its name and a field name, a sectional or list entry by its list's key."""
+    if isinstance(value, dict):
+        for k, v in sorted(value.items()):
+            yield from _leaves(v, key + (k,))
+    elif key == ("checks",):
+        for row in value:
+            for field, v in zip(ROW_FIELDS, row[1:]):
+                yield key + (row[0], field), v
+    elif isinstance(value, list):
+        for v in value:
+            yield from _leaves(v, key)
+    else:
+        yield key, value
+
+
+def _relative_change(old, new):
+    """The largest relative change between the numbers of two leaves that
+    differ only in their numbers, or None when they differ otherwise."""
+    old_text, new_text = str(old), str(new)
+    if NUMBER.sub("#", old_text) != NUMBER.sub("#", new_text):
+        return None
+    worst = 0.0
+    for a, b in zip(NUMBER.findall(old_text), NUMBER.findall(new_text)):
+        a, b = (float(Fraction(t)) if "/" in t else float(t) for t in (a, b))
+        if a != b:
+            scale = max(abs(a), abs(b))
+            worst = max(worst, abs(a - b) / scale if math.isfinite(scale) else math.inf)
+    return worst
+
+
+def compare(old: dict, new: dict) -> list:
+    """The lines that report, per mode, how the dump ``new`` differs from
+    ``old``."""
+    counts = {mode: Counter() for mode in MODES}
+    largest = dict.fromkeys(MODES, 0.0)
+    for model in sorted(set(old) | set(new)):
+        mode = model.rsplit("/", 1)[1]
+        if model not in old or model not in new:
+            counts[mode][("<model " + ("added" if model in new else "removed") + ">",)] += 1
+            continue
+        a, b = list(_leaves(old[model])), list(_leaves(new[model]))
+        if [k for k, _ in a] != [k for k, _ in b]:
+            counts[mode][("<keys differ>",)] += 1
+            continue
+        for (key, u), (_, v) in zip(a, b):
+            if u != v:
+                counts[mode][key] += 1
+                change = _relative_change(u, v)
+                largest[mode] = max(largest[mode], math.inf if change is None else change)
+    lines = []
+    for mode in MODES:
+        if not counts[mode]:
+            lines.append(f"{mode}: identical")
+            continue
+        total = sum(counts[mode].values())
+        lines.append(f"{mode}: {total} values differ under {len(counts[mode])} keys; "
+                     f"largest relative change {largest[mode]:.3g}")
+        lines += [f"  {'/'.join(map(str, key))}: {n}" for key, n in sorted(counts[mode].items())]
+    return lines
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    Path(argv[0]).write_text(json.dumps(dump(entries()), indent=1, sort_keys=True) + "\n")
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", help="the JSON file to write")
+    ap.add_argument("--compare", metavar="OLD", help="a dump to compare the new one with")
+    args = ap.parse_args(argv)
+    out = dump(entries())
+    Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    if args.compare:
+        old = json.loads(Path(args.compare).read_text())
+        print("\n".join(compare(old, json.loads(json.dumps(out)))))
     return 0
 
 

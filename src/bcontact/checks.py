@@ -38,13 +38,11 @@ from .curvature import (
     svk_curvature_formula,
     svk_ricci_formula,
     svk_scalar_formula,
-    svk_sectional_formula,
     svk_sectional_polarized,
 )
 from .hv import (
     equivalence_chains,
     hv_split,
-    pi1,
     potential_pi1_form,
     reference_components,
     torsion_pi1_form,
@@ -519,12 +517,6 @@ def check_curvature_symmetries(ws: Workspace, view: MetricView):
 # sectional-curvature sampling
 # ---------------------------------------------------------------------------
 
-def _stack(vectors, ws: Workspace) -> np.ndarray:
-    """The vectors as the rows of one (len(vectors), dim) array."""
-    dtype = object if ws.s.mode == scalars.RATIONAL else np.float64
-    return np.array(vectors, dtype=dtype).reshape(len(vectors), ws.s.dim)
-
-
 def sample_planes(ws: Workspace, view: MetricView, seed: int) -> PlaneStack:
     """Seeded non-degenerate 2-planes for the sectional-curvature checks: the
     first PLANE_COUNT non-degenerate planes of up to 60 * PLANE_COUNT seeded
@@ -537,54 +529,69 @@ def sample_planes(ws: Workspace, view: MetricView, seed: int) -> PlaneStack:
         n = min(PLANE_COUNT - accepted, 60 * PLANE_COUNT - attempts)
         attempts += n
         draws = scalars.array(rng.integers(-3, 4, size=(2 * n, s.dim)), s.mode)
-        batch = PlaneStack.nondegenerate(view.metric, draws[0::2], draws[1::2], s.eps)
+        batch = PlaneStack.nondegenerate(view.metric, draws.reshape(n, 2, s.dim), s.eps)
         batches.append(batch)
         accepted += len(batch)
     return PlaneStack.concat(batches)
 
 
 def _horizontal_basis(ws: Workspace):
-    """The nonzero horizontal parts of the basis vectors."""
+    """``(hs, phi_hs)``: the nonzero horizontal parts h of the basis vectors,
+    as the rows of one array, and the rows phi h."""
     s = ws.s
-    parts = (svk_mod.project_h(s, e) for e in scalars.eye(s.dim, s.mode))
-    return [h for h in parts if not scalars.is_zero(h, s.eps)]
+    hs = svk_mod.project_h(s, scalars.eye(s.dim, s.mode))
+    hs = scalars.freeze(hs[[not z for z in scalars.zero_rows(hs, s.eps)]])
+    return hs, scalars.einsum("ki,ni->nk", s.phi, hs)
 
 
-def xi_section_candidates(ws: Workspace, view: MetricView, hs) -> PlaneStack:
+def xi_section_candidates(ws: Workspace, view: MetricView, hs, phi_hs) -> PlaneStack:
     """Non-degenerate planes containing the Reeb vector, one spanned with each
     horizontal basis part h of ``hs`` and one with h + phi h."""
     s = ws.s
     # horizontal, so the plane is honest
-    x = _stack([c for h in hs for c in (h, h + s.phi @ h)], ws)
-    return PlaneStack.nondegenerate(view.metric, x, _stack([s.xi] * len(x), ws), s.eps)
+    sums = scalars.combine([1, 1], [hs, phi_hs])
+    pairs = [(c, s.xi) for h, h_phi_h in zip(hs, sums) for c in (h, h_phi_h)]
+    return PlaneStack.nondegenerate(view.metric, pairs, s.eps)
 
 
 def check_sectional_curvature(ws: Workspace, seed: int = 0):
     """The checks of ``_sectional_checks`` on g, then on g~, over one list
     of horizontal basis parts."""
-    hs = _horizontal_basis(ws)
+    basis = _horizontal_basis(ws)
     for view in (ws.g, ws.gt):
-        yield from _sectional_checks(ws, view, seed, hs)
+        yield from _sectional_checks(ws, view, seed, *basis)
 
 
-def _sectional_checks(ws: Workspace, view: MetricView, seed: int, hs):
-    """The sectional-curvature relations of one metric, each evaluated over
-    one stack of planes; the relation is also tested in polarized form, and
-    the flatness of Reeb sections through R^D(x,y,z,xi) = 0, both as tensor
-    identities.  ``hs`` are the nonzero horizontal parts of the basis
-    vectors."""
+def _sectional_checks(ws: Workspace, view: MetricView, seed: int, hs, phi_hs):
+    """The sectional-curvature relations of one metric.  The sampled planes,
+    the Reeb sections, the re-based planes and the special planes form one
+    stack for one ``sectional`` call, and each row reads its segment.  The
+    relation is also tested in polarized form, and the flatness of Reeb
+    sections through R^D(x,y,z,xi) = 0, both as tensor identities.  ``hs``
+    and ``phi_hs`` are as ``_horizontal_basis`` returns them."""
     s, eps, role = ws.s, ws.s.eps, view.role
-    r04, r04_svk, m = view.curv.r04, view.curv.r04_svk, view.metric
+    r04, r04_svk = view.curv.r04, view.curv.r04_svk
     planes = sample_planes(ws, view, seed + (0 if role == "g" else 1))
-    k_svk = sectional(r04_svk, planes)
-    passed, residual, worst = scalars.zero_test(
-        [
-            k_svk - svk_sectional_formula(planes, r04, view.shape, s),
-            svk_sectional_polarized(s, r04_svk, r04, view.shape),
-        ],
-        eps,
-        r04,
-    )
+    xi_planes = xi_section_candidates(ws, view, hs, phi_hs)
+    # up to three copies of each of the first five planes, re-based by seeded
+    # invertible integer changes, which keep a plane non-degenerate;
+    # change[t, a, b] is the coefficient of old vector b in new vector a
+    rng = np.random.default_rng(seed + 17)
+    draws = [(n, rng.integers(-3, 4, size=4)) for n in range(min(5, len(planes))) for _ in range(3)]
+    kept = [(n, c) for n, c in draws if c[0] * c[3] != c[1] * c[2]]
+    base = [n for n, _ in kept]
+    change = scalars.array(np.array([c for _, c in kept], dtype=np.int64).reshape(-1, 2, 2), s.mode)
+    rebased = scalars.einsum("tab,tbk->tak", change, planes.xy[base])
+    rebased = PlaneStack.of(view.metric, rebased, eps)
+    special_planes, holomorphic, real = _special_planes(ws, view, hs, phi_hs)
+    stacks = [planes, xi_planes, rebased, special_planes]
+    sampled, reeb, other, special = sectional(
+        PlaneStack.concat(stacks), view.curv, view.shape, s
+    ).split([len(p) for p in stacks])
+
+    polarized = svk_sectional_polarized(s, r04_svk, r04, view.shape)
+    relation = [sampled.k_svk - sampled.formula, polarized]
+    passed, residual, worst = scalars.zero_test(relation, eps, r04)
     yield CheckResult(
         f"sectional-relation[{role}]",
         passed and len(planes) >= PLANE_COUNT,
@@ -595,65 +602,36 @@ def _sectional_checks(ws: Workspace, view: MetricView, seed: int, hs):
 
     # R^D(x,y,z,xi) = -(R^D(x,y) eta)(z) = 0 as D eta = 0; as D is metric,
     # it gives R^D(x,xi,xi,x) = 0 on every plane through xi
-    xi_planes = xi_section_candidates(ws, view, hs)
-    yield _result(
-        eps,
-        f"reeb-section-flatness[{role}]",
-        [sectional(r04_svk, xi_planes), scalars.einsum("ijkm,m->ijk", r04_svk, s.xi)],
-        (r04_svk,),
-        f"{len(xi_planes)} reeb sections",
-    )
+    flat = [reeb.k_svk, scalars.einsum("ijkm,m->ijk", r04_svk, s.xi)]
+    detail = f"{len(xi_planes)} reeb sections"
+    yield _result(eps, f"reeb-section-flatness[{role}]", flat, (r04_svk,), detail)
 
-    # invariance of the sectional value under change of plane basis; an
-    # invertible change keeps a non-degenerate plane non-degenerate
-    rng = np.random.default_rng(seed + 17)
-    x, y = planes.x, planes.y
-    base, xs, ys = [], [], []
-    for n in range(min(5, len(planes))):
-        for _ in range(3):
-            a, b, c, d = (int(v) for v in rng.integers(-3, 4, size=4))
-            if a * d - b * c == 0:
-                continue
-            base.append(n)
-            xs.append(x[n] * a + y[n] * b)
-            ys.append(x[n] * c + y[n] * d)
-    values = k_svk[base]
-    other = sectional(r04_svk, PlaneStack.of(m, _stack(xs, ws), _stack(ys, ws), eps))
-    yield _result(eps, f"sectional-basis-invariance[{role}]", [values - other], (values,))
+    # invariance of the sectional value under change of plane basis
+    values = sampled.k_svk[base]
+    yield _result(eps, f"sectional-basis-invariance[{role}]", [values - other.k_svk], (values,))
 
     # specialized forms for distinguished section types
-    holomorphic, real = _special_planes(ws, view, hs)
-    special = PlaneStack.concat([holomorphic, real])
-    sop = view.shape.operator
-    sx = scalars.einsum("ki,ni->nk", sop, special.x)
-    sy = scalars.einsum("ki,ni->nk", sop, special.y)
-    corr = pi1(m, sx, sy, special.y, special.x) / special.den
-    yield _result(
-        eps,
-        f"sectional-special-types[{role}]",
-        [sectional(r04_svk, special) - (sectional(r04, special) + corr)],
-        (r04,),
-        f"holomorphic={len(holomorphic)}, totally-real={len(real)}",
-    )
+    specialized = [special.k_svk - (special.k + special.shape_term / special.den)]
+    detail = f"holomorphic={holomorphic}, totally-real={real}"
+    yield _result(eps, f"sectional-special-types[{role}]", specialized, (r04,), detail)
 
 
-def _special_planes(ws: Workspace, view: MetricView, hs) -> tuple[PlaneStack, PlaneStack]:
-    """The phi-holomorphic planes among the (h, phi h) and the
-    phi-totally-real planes among the pairs of horizontal basis parts h of
-    ``hs``; all non-degenerate and orthogonal to xi."""
-    s, m = ws.s, view.metric
-    pairs = list(combinations(hs, 2))
-    holomorphic = PlaneStack.nondegenerate(
-        m, _stack(hs, ws), _stack([s.phi @ h for h in hs], ws), s.eps
-    )
-    real = PlaneStack.nondegenerate(
-        m, _stack([a for a, _ in pairs], ws), _stack([b for _, b in pairs], ws), s.eps
-    )
-    kinds, real_kinds = section_type(holomorphic, s), section_type(real, s)
-    return (
-        holomorphic[[k == (HOLOMORPHIC, True) for k in kinds]],
-        real[[k == (TOTALLY_REAL, True) for k in real_kinds]],
-    )
+def _special_planes(ws: Workspace, view: MetricView, hs, phi_hs) -> tuple[PlaneStack, int, int]:
+    """``(planes, holomorphic, real)``: the phi-holomorphic planes among the
+    (h, phi h), then the phi-totally-real planes among the pairs of
+    horizontal basis parts h of ``hs``, all non-degenerate and orthogonal to
+    xi, with the number of each.  The candidates are typed as one stack."""
+    s = ws.s
+    pairs = list(zip(hs, phi_hs)) + list(combinations(hs, 2))
+    candidates = PlaneStack.spanned(view.metric, pairs)
+    keep = np.logical_not(candidates.degenerate(s.eps))
+    planes = candidates[keep]
+    # the (h, phi h) candidates come first
+    first = np.flatnonzero(keep) < len(hs)
+    kinds = section_type(planes, s)
+    holomorphic = [k == (HOLOMORPHIC, True) and f for k, f in zip(kinds, first)]
+    real = [k == (TOTALLY_REAL, True) and not f for k, f in zip(kinds, first)]
+    return planes[np.logical_or(holomorphic, real)], sum(holomorphic), sum(real)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .curvature import (
     pair_symmetries,
     section_type,
     sectional,
-    svk_sectional_formula,
 )
 from .modelfile import ModelFileError
 from .pipeline import Workspace
@@ -235,19 +234,17 @@ def cmd_curvature(args) -> int:
 
     plane = _parse_plane(args, ws)
     if plane is not None:
-        x, y = (v[None] for v in plane)
-        [(kind, ortho)] = section_type(PlaneStack.of(ws.g.metric, x, y, ws.s.eps), ws.s)
+        [(kind, ortho)] = section_type(PlaneStack.of(ws.g.metric, [plane], ws.s.eps), ws.s)
         payload["plane"] = {"type": kind, "orthogonal_to_xi": ortho}
         for view in (ws.g, ws.gt):
             tag = view.role
             try:
-                planes = PlaneStack.of(view.metric, x, y, ws.s.eps)
+                planes = PlaneStack.of(view.metric, [plane], ws.s.eps)
             except DegeneratePlaneError:
                 payload["plane"][f"k[{tag}]"] = "degenerate"
                 continue
-            (k_base,) = sectional(view.curv.r04, planes)
-            (k_svk,) = sectional(view.curv.r04_svk, planes)
-            (k_formula,) = svk_sectional_formula(planes, view.curv.r04, view.shape, ws.s)
+            values = sectional(planes, view.curv, view.shape, ws.s)
+            (k_base,), (k_svk,), (k_formula,) = values.k, values.k_svk, values.formula
             payload["plane"][f"k[{tag}]"] = k_base
             payload["plane"][f"k_svk[{tag}]"] = k_svk
             payload["plane"][f"relation_residual[{tag}]"] = scalars.residual(k_svk, k_formula)

@@ -11,12 +11,12 @@ so that the direct route has an independent oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import scalars
-from .hv import ShapeData, pi1
+from .hv import ShapeData
 from .liegroup import covariant_derivative, curvature
 from .structure import ACBStructure
 from .tensor import Metric, lower_out
@@ -138,7 +138,8 @@ def curvature_data(
 # 2-plane sections
 # ---------------------------------------------------------------------------
 # Sectional values are computed over a ``PlaneStack``: the planes of one
-# metric, plane n spanned by x[n] and y[n].  Each curvature tensor then enters
+# metric, plane n spanned by x[n] and y[n].  Every per-plane inner product
+# comes from one Gram contraction per stack, and each curvature tensor enters
 # one contraction per stack instead of one per plane.
 
 XI_SECTION = "xi-section"
@@ -147,72 +148,94 @@ TOTALLY_REAL = "phi-totally-real"
 GENERIC = "generic"
 
 
+def _gram(form: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """form(u[n, a], v[n, b]) for two stacks of shape planes x k x dim."""
+    return scalars.einsum("ij,nai,nbj->nab", form, u, v)
+
+
+def _pi1(gram: np.ndarray) -> np.ndarray:
+    """B(y,y) B(x,x) - B(x,y) B(y,x) of each plane from its Gram block of a
+    form B: pi_1(x,y,y,x) for the metric, pi_1(Sx,Sy,y,x) for m(S., .)."""
+    return gram[:, 1, 1] * gram[:, 0, 0] - gram[:, 0, 1] * gram[:, 1, 0]
+
+
 @dataclass(frozen=True)
 class PlaneStack:
-    """Non-degenerate 2-planes of one metric: plane n is spanned by x[n] and
-    y[n] (x, y of shape planes x dim), and den[n] = pi_1(x,y,y,x) is the
-    denominator of its sectional curvature.  The stacks that a mask,
-    ``concat``, ``nondegenerate`` and ``of`` return hold read-only copies."""
+    """2-planes of one metric m: plane n is spanned by x = xy[n, 0] and
+    y = xy[n, 1] (xy of shape planes x 2 x dim), gram[n] is its Gram block
+    m(u, v) for u, v in (x, y), and den[n] = pi_1(x,y,y,x) is the
+    denominator of its sectional curvature.  All three are read-only."""
 
     metric: Metric
-    x: np.ndarray
-    y: np.ndarray
+    xy: np.ndarray
+    gram: np.ndarray
     den: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.xy)
 
     def __getitem__(self, keep) -> "PlaneStack":
         """The planes where the boolean mask ``keep`` is true, in order."""
         keep = np.asarray(keep, dtype=bool)
-        arrays = (self.x[keep], self.y[keep], self.den[keep])
+        arrays = (self.xy[keep], self.gram[keep], self.den[keep])
         return PlaneStack(self.metric, *scalars.freeze(arrays))
 
     @classmethod
     def concat(cls, stacks: list["PlaneStack"]) -> "PlaneStack":
         """The planes of ``stacks`` (of one metric), one stack after the other."""
-        arrays = tuple(np.concatenate([getattr(p, f) for p in stacks]) for f in ("x", "y", "den"))
+        arrays = [np.concatenate([getattr(p, f) for p in stacks]) for f in ("xy", "gram", "den")]
         return cls(stacks[0].metric, *scalars.freeze(arrays))
 
     @classmethod
-    def nondegenerate(cls, m: Metric, x: np.ndarray, y: np.ndarray, eps: float):
-        """The planes x[n], y[n] that are non-degenerate for ``m``, in order."""
-        # read-only copies: the kernel scales x and y once for the four inner
-        # products of pi_1, and once for every later use of the stack
-        x, y = scalars.freeze((np.array(x), np.array(y)))
-        planes = cls(m, x, y, scalars.freeze(pi1(m, x, y, y, x)))
-        metric = np.broadcast_to(m.matrix, (len(x), *m.matrix.shape))
-        keep = [not d for d in scalars.zero_rows(planes.den, eps, metric)]
+    def spanned(cls, m: Metric, xy) -> "PlaneStack":
+        """Every plane xy[n], degenerate ones included, ``xy`` being pairs of
+        vectors, as a planes x 2 x dim array or a list."""
+        # a read-only copy, which the kernel scales once for every contraction
+        xy = scalars.freeze(np.array(xy, dtype=m.matrix.dtype).reshape(len(xy), 2, len(m.matrix)))
+        gram = _gram(m.matrix, xy, xy)
+        return cls(m, xy, gram, scalars.freeze(_pi1(gram)))
+
+    def degenerate(self, eps: float) -> list[bool]:
+        """Whether den vanishes, on the scale of the metric, plane by plane."""
+        m = self.metric.matrix
+        return scalars.zero_rows(self.den, eps, np.broadcast_to(m, (len(self), *m.shape)))
+
+    @classmethod
+    def nondegenerate(cls, m: Metric, xy, eps: float) -> "PlaneStack":
+        """The planes xy[n] that are non-degenerate for ``m``, in order."""
+        planes = cls.spanned(m, xy)
+        keep = [not d for d in planes.degenerate(eps)]
         return planes if all(keep) else planes[keep]
 
     @classmethod
-    def of(cls, m: Metric, x: np.ndarray, y: np.ndarray, eps: float):
-        """The planes x[n], y[n]; raises DegeneratePlaneError when one of them
-        is degenerate for ``m``."""
-        planes = cls.nondegenerate(m, x, y, eps)
-        if len(planes) < len(x):
+    def of(cls, m: Metric, xy, eps: float) -> "PlaneStack":
+        """The planes xy[n]; raises DegeneratePlaneError when one of them is
+        degenerate for ``m``."""
+        planes = cls.nondegenerate(m, xy, eps)
+        if len(planes) < len(xy):
             raise DegeneratePlaneError("plane is degenerate for this metric")
         return planes
 
 
-def _in_planes(planes: PlaneStack, w: np.ndarray, eps: float) -> list[bool]:
-    """Whether w[n] lies in plane n, for every plane of the stack.
+def _in_planes(planes: PlaneStack, w: np.ndarray, gw: np.ndarray, eps: float) -> np.ndarray:
+    """Whether w[n, b] lies in plane n (w of shape planes x k x dim), from
+    the Gram block gw[n, a, b] = m(xy[n, a], w[n, b]); planes x k booleans.
 
     With m the stack's metric, w lies in the plane iff its m-orthogonal
     projection onto the plane, multiplied through by den = pi_1(x,y,y,x),
-    gives den w back:
+    gives den w back; the coefficients of x and y are adj(gram) gw:
 
         den w - (m(y,y) m(x,w) - m(x,y) m(y,w)) x - (m(x,x) m(y,w) - m(x,y) m(x,w)) y = 0.
 
     Exact in rational mode; a float test is scaled by the three terms."""
-    x, y, m = planes.x, planes.y, planes.metric
-    xx, xy, yy, xw, yw = m.inner(x, x), m.inner(x, y), m.inner(y, y), m.inner(x, w), m.inner(y, w)
-    terms = (
-        planes.den[:, None] * w,
-        (yy * xw - xy * yw)[:, None] * x,
-        (xx * yw - xy * xw)[:, None] * y,
-    )
-    return scalars.zero_rows(scalars.combine([1, -1, -1], terms), eps, *terms)
+    g = planes.gram
+    adjugate = np.stack([g[:, 1, 1], -g[:, 0, 1], -g[:, 0, 1], g[:, 0, 0]], axis=1)
+    coefficients = scalars.einsum("nts,nsb->nbt", adjugate.reshape(-1, 2, 2), gw)
+    parts = scalars.einsum("nbt,ntk->tnbk", coefficients, planes.xy)
+    terms = (scalars.einsum("n,nbk->nbk", planes.den, w), parts[0], parts[1])
+    dim = w.shape[-1]
+    residual, *context = (t.reshape(-1, dim) for t in (scalars.combine([1, -1, -1], terms), *terms))
+    return np.reshape(scalars.zero_rows(residual, eps, *context), w.shape[:2])
 
 
 def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
@@ -226,58 +249,67 @@ def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
     m-orthogonality of the plane to xi, which selects the right
     sectional-curvature specialization for totally-real planes.
     """
-    eps, m = s.eps, planes.metric
-    x, y = planes.x, planes.y
-    phi_x = scalars.einsum("ki,ni->nk", s.phi, x)
-    phi_y = scalars.einsum("ki,ni->nk", s.phi, y)
-    reeb = _in_planes(planes, np.broadcast_to(s.xi, x.shape), eps)
-    phi_x_in = _in_planes(planes, phi_x, eps)
-    phi_y_in = _in_planes(planes, phi_y, eps)
+    eps, m, xy, n, dim = s.eps, planes.metric, planes.xy, len(planes), s.dim
+    # w = (xi, phi x, phi y) of every plane, and its Gram block with (x, y)
+    phi_xy = scalars.einsum("ki,nai->nak", s.phi, xy)
+    w = scalars.freeze(np.concatenate([np.broadcast_to(s.xi, (n, 1, dim)), phi_xy], axis=1))
+    gw = _gram(m.matrix, xy, w)
+    reeb, phi_x_in, phi_y_in = _in_planes(planes, w, gw, eps).T
+    # totally real: m(u, phi v) vanishes for (u, v) = (x,x), (x,y), (y,y)
+    metric = np.broadcast_to(m.matrix, (n, dim, dim))
+    real = scalars.zero_rows(gw[:, [0, 0, 1], [1, 2, 2]], eps, metric)
     kinds = [
-        XI_SECTION if on_reeb else HOLOMORPHIC if in_x and in_y else None
-        for on_reeb, in_x, in_y in zip(reeb, phi_x_in, phi_y_in)
+        XI_SECTION if on_reeb else HOLOMORPHIC if in_x and in_y else TOTALLY_REAL if r else GENERIC
+        for on_reeb, in_x, in_y, r in zip(reeb, phi_x_in, phi_y_in, real)
     ]
-    # each other plane is totally real when m(u, phi v) vanishes for the
-    # pairs (x,x), (x,y), (y,y)
-    rest = np.array([k is None for k in kinds], dtype=bool)
-    metric = np.broadcast_to(m.matrix, (int(rest.sum()), *m.matrix.shape))
-    forms = [
-        scalars.zero_rows(m.inner(u, v)[rest], eps, metric)
-        for u, v in ((x, phi_x), (x, phi_y), (y, phi_y))
-    ]
-    real = map(all, zip(*forms))
-    kinds = [k or (TOTALLY_REAL if next(real) else GENERIC) for k in kinds]
     if TOTALLY_REAL in kinds and s.dim < 5:
         raise DegeneratePlaneError("totally-real planes require dimension at least 5")
-    eta_x = scalars.zero_rows(x @ s.eta, eps, x)
-    eta_y = scalars.zero_rows(y @ s.eta, eps, y)
-    return [(kind, ox and oy) for kind, ox, oy in zip(kinds, eta_x, eta_y)]
+    # eta(x) and eta(y), each on the scale of its own vector
+    eta = scalars.einsum("nai,i->na", xy, s.eta).reshape(-1)
+    orthogonal = np.reshape(scalars.zero_rows(eta, eps, xy.reshape(-1, dim)), (n, 2)).all(axis=1)
+    return list(zip(kinds, orthogonal.tolist()))
 
 
-def sectional(r04: np.ndarray, planes: PlaneStack) -> np.ndarray:
-    """k = R(x,y,y,x) / pi_1(x,y,y,x) of every plane of the stack."""
-    x, y = planes.x, planes.y
-    return scalars.einsum("ijkl,ni,nj,nk,nl->n", r04, x, y, y, x) / planes.den
+@dataclass(frozen=True)
+class Sectional:
+    """Sectional values of the planes of a stack, one entry per plane: k of
+    R, k_svk of R^D, and the numerator terms of the relation
+    k^D = k + [pi_1(Sx,Sy,y,x) - eta(x) R(x,y,y,xi) - eta(y) R(x,y,xi,x)] / den."""
+
+    den: np.ndarray  # pi_1(x,y,y,x)
+    k: np.ndarray
+    k_svk: np.ndarray
+    shape_term: np.ndarray  # pi_1(Sx,Sy,y,x)
+    reeb_x: np.ndarray  # eta(x) R(x,y,y,xi)
+    reeb_y: np.ndarray  # eta(y) R(x,y,xi,x)
+
+    @property
+    def formula(self) -> np.ndarray:
+        """k^D through the base curvature."""
+        return self.k + (self.shape_term - self.reeb_x - self.reeb_y) / self.den
+
+    def split(self, sizes) -> list["Sectional"]:
+        """The values of consecutive segments of the stack, of the given lengths."""
+        parts = [np.split(getattr(self, f.name), np.cumsum(sizes)[:-1]) for f in fields(self)]
+        return [Sectional(*p) for p in zip(*parts)]
 
 
-def svk_sectional_formula(
-    planes: PlaneStack, r04_base: np.ndarray, shape: ShapeData, s: ACBStructure
-) -> np.ndarray:
-    """k^D through the base curvature, for every plane of the stack:
-
-    k^D = k + [pi_1(S x, S y, y, x) - eta(x) R(x,y,y,xi) - eta(y) R(x,y,xi,x)]
-              / pi_1(x,y,y,x).
-    """
-    x, y, den = planes.x, planes.y, planes.den
-    rxy = scalars.einsum("ijkl,ni,nj->nkl", r04_base, x, y)  # R(x, y, ., .)
-    sx = scalars.einsum("ki,ni->nk", shape.operator, x)
-    sy = scalars.einsum("ki,ni->nk", shape.operator, y)
-    corr = (
-        pi1(planes.metric, sx, sy, y, x)
-        - (x @ s.eta) * scalars.einsum("nkl,nk,l->n", rxy, y, s.xi)
-        - (y @ s.eta) * scalars.einsum("nkl,k,nl->n", rxy, s.xi, x)
+def sectional(planes: PlaneStack, curv: CurvatureData, shape: ShapeData, s: ACBStructure):
+    """The ``Sectional`` values of the stack: R and R^D each enter one
+    contraction R(x, y, ., .), which gives k and the eta terms, and
+    pi_1(Sx,Sy,y,x) comes from one Gram block of the shape form m(S., .)."""
+    (x, y), den = planes.xy.transpose(1, 0, 2), planes.den
+    rxy = scalars.einsum("ijkl,ni,nj->nkl", curv.r04, x, y)
+    rxy_svk = scalars.einsum("ijkl,ni,nj->nkl", curv.r04_svk, x, y)
+    eta_x, eta_y = scalars.einsum("nai,i->an", planes.xy, s.eta)
+    return Sectional(
+        den,
+        scalars.einsum("nkl,nk,nl->n", rxy, y, x) / den,
+        scalars.einsum("nkl,nk,nl->n", rxy_svk, y, x) / den,
+        _pi1(_gram(shape.diamond, planes.xy, planes.xy)),
+        eta_x * scalars.einsum("nkl,nk,l->n", rxy, y, s.xi),
+        eta_y * scalars.einsum("nkl,k,nl->n", rxy, s.xi, x),
     )
-    return scalars.einsum("nkl,nk,nl->n", rxy, y, x) / den + corr / den
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +327,7 @@ _PLANE_SYMMETRIES = ("ijkl->ijkl", "ijkl->ljki", "ijkl->ikjl", "ijkl->lkji")
 def svk_sectional_polarized(
     s: ACBStructure, r04_svk: np.ndarray, r04_base: np.ndarray, shape: ShapeData
 ) -> np.ndarray:
-    """The relation of ``svk_sectional_formula`` multiplied through by
+    """The relation of ``Sectional.formula`` multiplied through by
     pi_1(x,y,y,x), as the tensor
 
     T = R^D - R - (S<>_jk S<>_il - S<>_ik S<>_jl) + R_ijkm xi_m eta_l + R_ijml xi_m eta_k

@@ -44,12 +44,6 @@ def shape_operator(nxi: np.ndarray, m: Metric) -> ShapeData:
     return ShapeData(op, lower_out(op, m))
 
 
-def pi1(m: Metric, x, y, z, w):
-    """pi_1(x,y,z,w) = m(y,z) m(x,w) - m(x,z) m(y,w), of four vectors or,
-    plane by plane, of four stacks of vectors (planes x dim)."""
-    return m.inner(y, z) * m.inner(x, w) - m.inner(x, z) * m.inner(y, w)
-
-
 @dataclass(frozen=True)
 class HVComponents:
     """Horizontal/vertical components of a potential and torsion, all (1,2)."""

@@ -139,12 +139,12 @@ def to_structure(
     doc = canonicalize(doc)
     dim = doc["dim"]
     c = scalars.zeros((dim, dim, dim), mode)
-    for i, j, coeffs in doc["brackets"]:
-        for k, tok in enumerate(coeffs):
-            v = scalars.parse_scalar(tok, mode)
-            c[k, i, j] = v
-            c[k, j, i] = -v
     try:
+        for i, j, coeffs in doc["brackets"]:
+            for k, tok in enumerate(coeffs):
+                v = scalars.parse_scalar(tok, mode)
+                c[k, i, j] = v
+                c[k, j, i] = -v
         return ACBStructure(
             LieAlgebra(c, eps),
             scalars.array(doc["phi"], mode),
@@ -153,5 +153,20 @@ def to_structure(
             Metric.from_matrix(scalars.array(doc["g"], mode), eps),
             eps,
         )
+    except OverflowError:
+        raise ModelFileError(f"{_beyond_float(doc)} is beyond the float range") from None
     except (StructureError, DegenerateMetricError, ValueError) as exc:
         raise ModelFileError(str(exc)) from exc
+
+
+def _beyond_float(doc: dict) -> str:
+    """The name of the first scalar of a canonical document too large for a
+    float."""
+    named = [(f"bracket ({i},{j})", c) for i, j, c in doc["brackets"]]
+    for name, values in named + [(key, doc[key]) for key in ("phi", "xi", "eta", "g")]:
+        values = np.array(values, dtype=object)
+        for idx in np.ndindex(values.shape):
+            try:
+                float(Fraction(values[idx]))
+            except OverflowError:
+                return name + "".join(f"[{i}]" for i in idx)

@@ -84,13 +84,16 @@ def exact(tok: ScalarLike) -> Fraction:
     """The exact value of a scalar token ("p/q", decimal string, int, float).
 
     A float reads as its shortest decimal, so the number 1e-13 and the string
-    "1e-13" are the same value; a non-finite float raises ValueError.  A
-    boolean is not a scalar and raises TypeError.
+    "1e-13" are the same value; a non-finite float raises ValueError, and so
+    does a string with a non-ASCII character (``Fraction`` would read other
+    scripts' digits).  A boolean is not a scalar and raises TypeError.
     """
     if isinstance(tok, (bool, np.bool_)):
         raise TypeError("a boolean is not a number")
     if isinstance(tok, (float, np.floating)):
         return Fraction(repr(float(tok)))
+    if isinstance(tok, str) and not tok.isascii():
+        raise ValueError("non-ASCII character in a number")
     return Fraction(tok)
 
 
@@ -472,7 +475,8 @@ def _locate(arrays: list[np.ndarray], res: list, peaks: list) -> tuple | None:
     else:
         k = int(np.argmax(res))
     a = arrays[k]
-    mag = np.abs(_scaled(a)[0] if a.dtype == object else a)
+    # np.abs of a 0-d array of Python ints is a Python int
+    mag = np.asarray(np.abs(_scaled(a)[0] if a.dtype == object else a))
     where = tuple(int(i) for i in np.unravel_index(np.argmax(mag), mag.shape))
     if len(arrays) > 1:
         return (k,) + where
@@ -483,11 +487,12 @@ def zero_test(arrays, eps: float, *context: np.ndarray):
     """The library's one zero test: do all ``arrays`` vanish?
 
     Returns ``(passed, residual, worst_index)``.  The residual is the largest
-    absolute entry over all arrays.  A rational (object) array passes only
-    when its scaled integers are all zero; a float array passes when its own
-    largest entry r is finite and within eps * max(1, r, scale), scale being
-    the largest absolute entry of the ``context`` arrays the compared
-    quantities were built from, NaN entries ignored (``_within_tolerance``).
+    absolute entry over all arrays, NaN when a float array holds one.  A
+    rational (object) array passes only when its scaled integers are all
+    zero; a float array passes when its own largest entry r is finite and
+    within eps * max(1, r, scale), scale being the largest absolute entry of
+    the ``context`` arrays the compared quantities were built from, NaN
+    entries ignored (``_within_tolerance``).
     ``worst_index`` is None on success; on failure it locates the largest
     entry of the worst array, prefixed by that array's position when more
     than one array is tested.  When every array is rational, the verdict,
@@ -496,7 +501,8 @@ def zero_test(arrays, eps: float, *context: np.ndarray):
     """
     arrays = [np.asarray(a) for a in arrays]
     passed, res, peaks = _decide(arrays, eps, context)
-    worst = max(res, default=0.0)
+    # a NaN residual is the worst, whatever its position
+    worst = float(np.max(res)) if res else 0.0
     if passed:
         return True, worst, None
     return False, worst, _locate(arrays, res, peaks)

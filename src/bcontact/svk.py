@@ -21,8 +21,9 @@ from .tensor import Metric
 
 
 def project_h(s: ACBStructure, x: np.ndarray) -> np.ndarray:
-    """Horizontal part x - eta(x) xi (equivalently -phi^2 x)."""
-    return x - (s.eta @ x) * s.xi
+    """Horizontal part x - eta(x) xi (equivalently -phi^2 x) of a vector or,
+    row by row, of a stack of vectors."""
+    return x - np.multiply.outer(x @ s.eta, s.xi)
 
 
 def svk_connection(conn: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared helpers: cached workspaces and check-suite runs per zoo entry,
-broken variants of zoo entries, and the covariant basis change of a model."""
+broken variants of zoo entries, the covariant basis change of a model, and
+pi_1 by its definition."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -84,3 +85,10 @@ def basis_change(entry, p) -> dict:
         "eta": strings(s.eta @ p),
         "g": strings(p.T @ s.metric.matrix @ p),
     }
+
+
+def pi1(m: Metric, x, y, z, w):
+    """pi_1(x,y,z,w) = m(y,z) m(x,w) - m(x,z) m(y,w) of four vectors, by its
+    definition: the oracle for the Gram-block route of ``PlaneStack`` and
+    ``sectional``."""
+    return m.inner(y, z) * m.inner(x, w) - m.inner(x, z) * m.inner(y, w)

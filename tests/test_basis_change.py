@@ -4,15 +4,17 @@ dim5-tr is taken through the integer change of basis drawn from
 ``default_rng(100)`` (entries in [-4, 4], condition number about 78), so its
 metric is no longer diagonal.  Every check must still pass, with residual
 exactly zero in rational mode, and float mode must decide the same class
-flags as rational mode.
+flags and section types as rational mode.
 """
 import numpy as np
 import pytest
 
-from bcontact import modelfile, zoo
+from bcontact import modelfile, scalars, zoo
 from bcontact.checks import run_checks
+from bcontact.curvature import GENERIC, HOLOMORPHIC, TOTALLY_REAL, XI_SECTION, PlaneStack, section_type
 from bcontact.pipeline import Workspace
-from bcontact.scalars import FLOAT, RATIONAL
+from bcontact.scalars import DEFAULT_EPS, FLOAT, RATIONAL
+from bcontact.tensor import Metric
 
 from support import basis_change, result_map, workspace
 
@@ -61,3 +63,29 @@ def test_flags_and_invariants_unchanged(transformed):
 
 def test_float_flags_match_rational(transformed):
     assert _flags(transformed[FLOAT][0]) == _flags(transformed[RATIONAL][0])
+
+
+def test_section_types_in_the_changed_basis(transformed):
+    # planes of dim5-tr in its own basis, with their (kind, orthogonal_to_xi)
+    e0, e1, e2, e3 = scalars.eye(5, RATIONAL)[:4]
+    xi = workspace("dim5-tr").s.xi
+    planes = [
+        (e0, xi, (XI_SECTION, False)),
+        (e0, e2, (HOLOMORPHIC, True)),
+        (e0, e1, (TOTALLY_REAL, True)),
+        (e0 * 2 + e2, e1, (GENERIC, True)),
+        # generic planes on which only one of the totally-real forms
+        # m(x, phi x), m(x, phi y), m(y, phi y) is nonzero
+        (e0, e1 * 2 + e2, (GENERIC, True)),
+        (e0, e1 * 2 + e3, (GENERIC, True)),
+        (e0 + xi, e1, (TOTALLY_REAL, False)),
+    ]
+    # a vector v has the components P^-1 v in the basis e'_a = sum_i P[i][a] e_i
+    p = scalars.array(P.tolist(), RATIONAL)
+    q = Metric.from_matrix(p.T @ p, DEFAULT_EPS).inv @ p.T
+    xy = np.array([[q @ x, q @ y] for x, y, _ in planes])
+    expected = [kind for *_, kind in planes]
+    for mode in (RATIONAL, FLOAT):
+        ws, _ = transformed[mode]
+        # in float mode, each component is the nearest float of its exact value
+        assert section_type(PlaneStack.of(ws.s.metric, xy, ws.s.eps), ws.s) == expected, mode

@@ -19,12 +19,11 @@ from bcontact.curvature import (
     svk_curvature_formula,
     svk_ricci_formula,
     svk_scalar_formula,
-    svk_sectional_formula,
 )
 from bcontact.liegroup import covariant_derivative
 from bcontact.scalars import DEFAULT_EPS, RATIONAL
 
-from support import workspace
+from support import pi1, workspace
 
 ALL_NAMES = zoo.names()
 
@@ -32,7 +31,13 @@ ALL_NAMES = zoo.names()
 def _plane(m, x, y):
     """The stack of the one plane spanned by x and y (rational, so eps is
     not used)."""
-    return PlaneStack.of(m, x[None], y[None], DEFAULT_EPS)
+    return PlaneStack.of(m, [(x, y)], DEFAULT_EPS)
+
+
+def _sectional(ws, view, x, y):
+    """The ``Sectional`` values of the plane spanned by x and y, for the
+    metric of ``view``."""
+    return sectional(_plane(view.metric, x, y), view.curv, view.shape, ws.s)
 
 
 def _type(ws, x, y):
@@ -144,10 +149,10 @@ def test_degenerate_plane_raises():
     e0, e1 = scalars.eye(5, RATIONAL)[:2]
     # the (e0,e1)-plane is degenerate for the associated metric of this entry
     with pytest.raises(DegeneratePlaneError):
-        sectional(ws.gt.curv.r04, _plane(ws.s.assoc, e0, e1))
+        _sectional(ws, ws.gt, e0, e1)
     # and a rank-deficient pair is degenerate for any metric
     with pytest.raises(DegeneratePlaneError):
-        sectional(ws.g.curv.r04, _plane(ws.s.metric, e0, e0))
+        _sectional(ws, ws.g, e0, e0)
 
 
 def test_reeb_sections_flat_for_svk():
@@ -161,7 +166,7 @@ def test_reeb_sections_flat_for_svk():
                     continue
                 for x in (h, h + ws.s.phi @ h):
                     try:
-                        k = sectional(view.curv.r04_svk, _plane(view.metric, x, ws.s.xi))[0]
+                        (k,) = _sectional(ws, view, x, ws.s.xi).k_svk
                     except DegeneratePlaneError:
                         continue
                     assert k == 0, name
@@ -176,19 +181,15 @@ def test_sectional_formula_on_seeded_planes():
             x = scalars.array(rng.integers(-3, 4, size=ws.s.dim).tolist(), RATIONAL)
             y = scalars.array(rng.integers(-3, 4, size=ws.s.dim).tolist(), RATIONAL)
             try:
-                plane = _plane(ws.s.metric, x, y)
-                direct = sectional(ws.g.curv.r04_svk, plane)[0]
-                (formula,) = svk_sectional_formula(plane, ws.g.curv.r04, ws.g.shape, ws.s)
+                values = _sectional(ws, ws.g, x, y)
             except DegeneratePlaneError:
                 continue
-            assert direct == formula
+            assert list(values.k_svk) == list(values.formula)
             checked += 1
 
 
 def test_sectional_holomorphic_correction():
     # k_svk = k + pi1(Sx, Sy, y, x) / pi1(x, y, y, x) on a phi-invariant plane
-    from bcontact.hv import pi1
-
     ws = workspace("dim5-tr")
     e0 = scalars.eye(5, RATIONAL)[0]
     x, y = e0, ws.s.phi @ e0
@@ -196,15 +197,14 @@ def test_sectional_holomorphic_correction():
     sx = ws.g.shape.operator @ x
     sy = ws.g.shape.operator @ y
     corr = pi1(m, sx, sy, y, x) / pi1(m, x, y, y, x)
-    k_base = sectional(ws.g.curv.r04, _plane(m, x, y))[0]
-    k_svk = sectional(ws.g.curv.r04_svk, _plane(m, x, y))[0]
-    assert k_svk == k_base + corr
+    values = _sectional(ws, ws.g, x, y)
+    assert list(values.k_svk) == [values.k[0] + corr]
+    # the Gram route to the correction is pi_1's definition
+    assert list(values.shape_term / values.den) == [corr]
     assert corr != 0  # the correction genuinely matters on this entry
 
 
 def test_sectional_totally_real_correction():
-    from bcontact.hv import pi1
-
     ws = workspace("dim5-tr")
     e0, e1 = scalars.eye(5, RATIONAL)[:2]
     x, y = e0, e1
@@ -214,14 +214,14 @@ def test_sectional_totally_real_correction():
     sx = ws.g.shape.operator @ x
     sy = ws.g.shape.operator @ y
     corr = pi1(m, sx, sy, y, x) / pi1(m, x, y, y, x)
-    k_svk = sectional(ws.g.curv.r04_svk, _plane(m, x, y))[0]
-    assert k_svk == sectional(ws.g.curv.r04, _plane(m, x, y))[0] + corr
+    values = _sectional(ws, ws.g, x, y)
+    assert list(values.k_svk) == [values.k[0] + corr]
 
 
 def test_sectional_invariant_under_basis_change():
     ws = workspace("solv3-f4")
     e0, e1 = scalars.eye(3, RATIONAL)[:2]
-    base = sectional(ws.g.curv.r04_svk, _plane(ws.s.metric, e0, e1))[0]
+    (base,) = _sectional(ws, ws.g, e0, e1).k_svk
     rng = np.random.default_rng(23)
     tried = 0
     while tried < 10:
@@ -230,7 +230,8 @@ def test_sectional_invariant_under_basis_change():
             continue
         x2 = e0 * Fraction(a) + e1 * Fraction(b)
         y2 = e0 * Fraction(c) + e1 * Fraction(d)
-        assert sectional(ws.g.curv.r04_svk, _plane(ws.s.metric, x2, y2))[0] == base
+        (k,) = _sectional(ws, ws.g, x2, y2).k_svk
+        assert k == base
         tried += 1
 
 

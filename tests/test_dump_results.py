@@ -32,3 +32,32 @@ def test_dump_covers_rows_classes_planes_and_commands_in_both_modes():
             assert {row[2] for row in result["checks"]} == {"0.0"}
     text = json.dumps(out, sort_keys=True)
     assert text == json.dumps(script.dump([entry]), sort_keys=True)
+
+
+def test_compare_names_the_keys_that_differ_and_the_largest_relative_change():
+    script = _script()
+    old = {
+        "m/rational": {"checks": [["a[g]", True, "0.0", [], ""]], "sectional": {"g": {"k": ["1/2", "3"]}}},
+        "m/float": {
+            "checks": [["a[g]", True, "0.0", [], ""], ["b[g]", True, "2e-16", [], ""]],
+            "sectional": {"g": {"k": ["0.5", "3.0"]}},
+            "commands": {"curvature": {"stdout": "k[g] = 0.25\n"}},
+        },
+    }
+    assert script.compare(old, old) == ["rational: identical", "float: identical"]
+    new = json.loads(json.dumps(old))
+    new["m/float"]["sectional"]["g"]["k"][1] = "3.0000000000000004"
+    new["m/float"]["checks"][1][2] = "4e-16"
+    new["m/float"]["commands"]["curvature"]["stdout"] = "k[g] = 0.5\n"
+    assert script.compare(old, new) == [
+        "rational: identical",
+        "float: 3 values differ under 3 keys; largest relative change 0.5",
+        "  checks/b[g]/residual: 1",
+        "  commands/curvature/stdout: 1",
+        "  sectional/g/k: 1",
+    ]
+    # a text that differs in more than its numbers has no relative change
+    new["m/rational"]["checks"][0][4] = "1 sampled plane"
+    assert script.compare(old, new)[0] == (
+        "rational: 1 values differ under 1 keys; largest relative change inf"
+    )

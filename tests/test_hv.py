@@ -2,16 +2,16 @@
 import numpy as np
 
 from bcontact import scalars, zoo
+from bcontact.curvature import PlaneStack
 from bcontact.hv import (
     equivalence_chains,
     hv_split,
-    pi1,
     potential_pi1_form,
     reference_components,
 )
 from bcontact.scalars import RATIONAL
 
-from support import result_map, workspace
+from support import pi1, result_map, workspace
 
 ALL_NAMES = zoo.names()
 
@@ -46,24 +46,36 @@ def test_shape_range_is_horizontal():
             assert scalars.residual(paired) == 0.0
 
 
+def _den(m, *planes):
+    """pi_1(x,y,y,x) of each plane (x, y), by the Gram block of a PlaneStack."""
+    return list(PlaneStack.spanned(m, planes).den)
+
+
 def test_pi1_flat_model_values():
     ws = workspace("abelian3")
     e1, e2 = scalars.eye(3, RATIONAL)[:2]
     # g(e2,e2) g(e1,e1) - g(e1,e2)^2 = (-1)(1) - 0
     assert pi1(ws.s.metric, e1, e2, e2, e1) == -1
+    assert _den(ws.s.metric, (e1, e2)) == [-1]
     # with the associated metric: 0*0 - (-1)^2
     assert pi1(ws.s.assoc, e1, e2, e2, e1) == -1
+    assert _den(ws.s.assoc, (e1, e2)) == [-1]
 
 
 def test_pi1_antisymmetries():
     ws = workspace("solv3-a")
+    m = ws.s.metric
     rng = np.random.default_rng(5)
     for _ in range(10):
         vals = rng.integers(-3, 4, size=(4, 3))
         x, y, z, w = (scalars.array(v.tolist(), RATIONAL) for v in vals)
-        assert pi1(ws.s.metric, x, x, z, w) == 0
-        assert pi1(ws.s.metric, x, y, z, z) == 0
-        assert pi1(ws.s.metric, x, y, z, w) == -pi1(ws.s.metric, y, x, z, w)
+        assert pi1(m, x, x, z, w) == 0
+        assert pi1(m, x, y, z, z) == 0
+        assert pi1(m, x, y, z, w) == -pi1(m, y, x, z, w)
+        # the Gram route: a plane spanned twice over is degenerate, and the
+        # denominator is that of the definition, whatever the order
+        assert _den(m, (x, x), (x, y), (y, x)) == [0, pi1(m, x, y, y, x), pi1(m, y, x, x, y)]
+        assert pi1(m, x, y, y, x) == pi1(m, y, x, x, y)
 
 
 def test_hv_components_sum_and_reference_forms():

@@ -232,3 +232,47 @@ def test_integral_float_is_an_index(where, value):
 def test_boolean_is_not_an_exact_scalar(token):
     with pytest.raises(TypeError):
         scalars.exact(token)
+
+
+def _solv3_f4_file(tmp_path, xi1, ensure_ascii=True):
+    """solv3-f4's model file, with xi[1] replaced by the token ``xi1``."""
+    doc = zoo.builtin("solv3-f4").doc()
+    doc["xi"] = list(doc["xi"])
+    doc["xi"][1] = xi1
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc, ensure_ascii=ensure_ascii), encoding="utf-8")
+    return str(p)
+
+
+def test_value_beyond_the_float_range_is_an_input_error_in_float_mode(tmp_path, capsys):
+    path = _solv3_f4_file(tmp_path, "1e400")
+    with pytest.raises(ModelFileError, match=r"xi\[1\] is beyond the float range"):
+        modelfile.to_structure(modelfile.load_path(path), FLOAT)
+    for command in ("validate", "verify"):
+        assert cli.main([command, path, "--mode", "float"]) == 2
+        assert "input error: xi[1] is beyond the float range" in capsys.readouterr().err
+    # the exact backend holds the value: the model loads, and fails its axioms
+    s = modelfile.to_structure(modelfile.load_path(path), RATIONAL)
+    assert s.xi[1] == 10**400
+    assert cli.main(["validate", path, "--mode", "rational"]) == 1
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_value_beyond_int64_fails_validation_without_a_traceback(tmp_path, capsys, mode):
+    path = _solv3_f4_file(tmp_path, "1000000000000000000000000000000")
+    for command in ("validate", "verify"):
+        assert cli.main([command, path, "--mode", mode]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["\u0661", "1\u0660", "\uff11/2", "\u00bd"])
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_non_ascii_number_is_an_input_error(tmp_path, capsys, token, mode):
+    # Fraction reads the digits of other scripts: "\u0661" would load as 1
+    with pytest.raises(ValueError, match="non-ASCII"):
+        scalars.exact(token)
+    path = _solv3_f4_file(tmp_path, token, ensure_ascii=False)
+    with pytest.raises(ModelFileError, match="non-ASCII"):
+        modelfile.load_path(path)
+    assert cli.main(["validate", path, "--mode", mode]) == 2
+    assert "input error: bad scalar" in capsys.readouterr().err

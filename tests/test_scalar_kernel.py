@@ -240,6 +240,20 @@ def test_float_context_scale_ignores_nan_in_any_order():
     assert scalars.zero_rows(a[None], 1e-9, nan[None]) == [False]
 
 
+def test_failed_float_zero_test_reports_a_nan_array_in_either_order():
+    one, nan = np.array([1.0]), np.array([np.nan])
+    for arrays, worst in (([one, nan], (1, 0)), ([nan, one], (0, 0))):
+        passed, residual, index = scalars.zero_test(arrays, 1e-9)
+        assert not passed and math.isnan(residual) and index == worst
+
+
+@pytest.mark.parametrize("value", [Fraction(10**30), Fraction(-(10**30), 7), Fraction(3)])
+def test_zero_dimensional_rational_array_fails_without_an_index(value):
+    # a 0-d array beyond int64 is scaled to a 0-d array of Python ints
+    a = np.array(value, dtype=object)
+    assert scalars.zero_test([a], 0.0) == (False, float(abs(value)), None)
+
+
 def test_nonzero_rational_array_keeps_residual_and_worst_index():
     a = scalars.zeros((3, 3), RATIONAL)
     a[1, 2] = Fraction(-3, 2)

@@ -3,8 +3,8 @@ the polarized form of the sectional relation, and the exact span test that
 classifies planes.
 
 An ``ast`` guard keeps every sectional value and section type of the check
-suite on the batched path: no loop of ``checks.py`` calls ``sectional``,
-``svk_sectional_formula`` or ``section_type``.
+suite on the batched path: no loop of ``checks.py`` calls ``sectional`` or
+``section_type``.  A count guard keeps the family at one pass per metric.
 """
 import ast
 from dataclasses import replace
@@ -20,12 +20,11 @@ from hypothesis import strategies as st
 import bcontact
 from bcontact import checks, scalars, zoo
 from bcontact.checks import check_sectional_curvature, run_checks, sample_planes
-from bcontact.curvature import PlaneStack, _in_planes, sectional, svk_sectional_polarized
-from bcontact.hv import pi1
+from bcontact.curvature import PlaneStack, _gram, _in_planes, sectional, svk_sectional_polarized
 from bcontact.scalars import FLOAT, RATIONAL
 from bcontact.tensor import Metric
 
-from support import workspace
+from support import pi1, workspace
 
 SECTIONAL_ROWS = [
     f"{name}[{role}]"
@@ -102,10 +101,10 @@ def test_batched_sectional_values_equal_a_plain_loop(mode):
     for seed, view in enumerate((ws.g, ws.gt)):
         planes = sample_planes(ws, view, seed)
         assert len(planes) == checks.PLANE_COUNT
-        for r in (view.curv.r04, view.curv.r04_svk):
-            batched = sectional(r, planes)
+        values = sectional(planes, view.curv, view.shape, ws.s)
+        for r, batched in ((view.curv.r04, values.k), (view.curv.r04_svk, values.k_svk)):
             g = view.metric.matrix
-            looped = [_loop_sectional(r, g, x, y) for x, y in zip(planes.x, planes.y)]
+            looped = [_loop_sectional(r, g, x, y) for x, y in planes.xy]
             if mode == RATIONAL:
                 assert list(batched) == looped
             else:
@@ -129,10 +128,25 @@ def _loop_calls(tree: ast.AST, names: set[str]) -> list[int]:
 def test_no_loop_in_checks_evaluates_planes_one_at_a_time():
     path = Path(bcontact.__file__).resolve().parent / "checks.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _loop_calls(tree, {"sectional", "svk_sectional_formula", "section_type"}) == []
+    assert _loop_calls(tree, {"sectional", "section_type"}) == []
     # the guard does see a call in a loop
     probe = ast.parse("for p in planes:\n    k = sectional(r, p)\n")
     assert _loop_calls(probe, {"sectional"}) == [2]
+
+
+def test_sectional_family_contracts_each_stack_once(monkeypatch):
+    # one Gram block per plane stack, one typing of the special planes and
+    # one R(x, y, ., .) per curvature tensor: 55 contractions on solv7-u2,
+    # where one contraction per plane quantity took 178
+    ws = workspace("solv7-u2")
+    for view in (ws.g, ws.gt):
+        view.curv, view.shape
+    calls = []
+    real = scalars.einsum
+    monkeypatch.setattr(scalars, "einsum", lambda spec, *ops: calls.append(spec) or real(spec, *ops))
+    rows = list(check_sectional_curvature(ws))
+    assert all(r.passed for r in rows)
+    assert len(calls) <= 80
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
@@ -195,7 +209,9 @@ def span_cases(draw):
 
 def _in_plane(m, x, y, w) -> bool:
     """The span rule of ``section_type`` on the one plane spanned by x, y."""
-    (inside,) = _in_planes(PlaneStack.of(m, x[None], y[None], 0.0), w[None], 0.0)
+    planes = PlaneStack.of(m, [(x, y)], 0.0)
+    w = w[None, None]
+    ((inside,),) = _in_planes(planes, w, _gram(m.matrix, planes.xy, w), 0.0)
     return inside
 
 
