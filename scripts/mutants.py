@@ -1,0 +1,299 @@
+"""Mutation survey of the sectional-curvature code.
+
+Which one-site changes of the code do the check suite and the tests notice?
+
+    PYTHONPATH=src python scripts/mutants.py [--jobs N] [--out FILE] [--compare OLD.json]
+
+Run it from the root of a checkout.  The mutated code is
+``src/bcontact/curvature.py`` and the sectional part of
+``src/bcontact/checks.py`` (from its "sectional-curvature sampling" header
+to its "suite driver" header).  Each mutant changes one site:
+
+- ``sign``: a binary ``+`` becomes ``-`` or back (``+=`` and ``-=`` too),
+  and a positive coefficient of a ``scalars.combine`` list gains a minus;
+- ``unary``: a unary minus is dropped (a negative coefficient among them);
+- ``einsum``: two output letters of an einsum spec are swapped (every string
+  literal of the form ``ab,bc->ac``).
+
+Each mutant runs against two oracles, each in a fresh interpreter on a copy
+of the checkout that holds the mutant:
+
+- ``suite``: ``run_checks`` in rational mode on every curated and boundary
+  entry up to dimension 5; the mutant is killed when an entry's failing
+  checks differ from its frozen ``failing_checks`` (none for a curated
+  entry), or when a run raises or times out;
+- ``tests``: pytest on ``tests/test_sectional.py``, ``test_curvature.py``
+  and ``test_basis_change.py``; the mutant is killed when a test fails.
+
+The script prints the survivors of each oracle and the counts.  ``--out``
+writes every mutant with its verdicts as JSON.  ``--compare`` reads such a
+file from another checkout and names each mutant of the code both share
+(the same line, mutated the same way) that the old checkout kills and this
+one does not, and each mutant that only the tests kill here.
+"""
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import queue
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass
+from itertools import combinations
+from pathlib import Path
+
+ROOT = Path.cwd()
+TARGETS = {
+    "src/bcontact/curvature.py": None,
+    "src/bcontact/checks.py": ("# sectional-curvature sampling", "# suite driver"),
+}
+TESTS = ["tests/test_sectional.py", "tests/test_curvature.py", "tests/test_basis_change.py"]
+EINSUM_SPEC = re.compile(r"^[a-z]+(,[a-z]+)*->[a-z]*$")
+SUITE_TIMEOUT, TESTS_TIMEOUT = 120, 600
+
+# failing checks per entry that differ from the frozen ones, as JSON
+SUITE_ORACLE = """
+import json
+from bcontact import zoo
+from bcontact.checks import run_checks
+out = {}
+for name in zoo.names() + zoo.boundary_names():
+    entry = zoo.builtin(name)
+    if entry.dim > 5:
+        continue
+    try:
+        failing = sorted(r.name for r in run_checks(entry.workspace("rational")) if not r.passed)
+    except Exception as exc:
+        failing = ["raised " + type(exc).__name__]
+    if failing != sorted(entry.failing_checks):
+        out[name] = failing
+print(json.dumps(out))
+"""
+
+
+@dataclass
+class Mutant:
+    """One mutant: ``file`` with ``line`` (1-based) changed from ``before``
+    to ``after``; ``key`` names it across checkouts."""
+
+    file: str
+    function: str
+    kind: str
+    line: int
+    before: str
+    after: str
+    key: str = ""
+    suite: str = ""  # "killed: <why>" or "survived"
+    tests: str = ""
+
+
+def _region(source: str, bounds) -> tuple[int, int]:
+    """The first and last line (1-based) of the mutated part of a file."""
+    lines = source.splitlines()
+    if bounds is None:
+        return 1, len(lines)
+    start, end = (next(i for i, l in enumerate(lines, 1) if l.startswith(b)) for b in bounds)
+    return start, end
+
+
+def _edits(tree: ast.AST, lines: list[str]):
+    """(kind, line, column, old text, new text) of every mutation site."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            # the operator is the first + or - after the left operand
+            row, col = node.left.end_lineno, node.left.end_col_offset
+            while True:
+                text = lines[row - 1]
+                hit = re.search(r"[+-]", text[col:].split("#")[0])
+                if hit:
+                    col += hit.start()
+                    break
+                row, col = row + 1, 0
+            new = "-" if text[col] == "+" else "+"
+            yield "sign", row, col, text[col], new
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub)):
+            row = node.target.end_lineno
+            text = lines[row - 1]
+            col = text.index("=", node.target.end_col_offset) - 1
+            yield "sign", row, col, text[col], "-" if text[col] == "+" else "+"
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            yield "unary", node.lineno, node.col_offset, "-", ""
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "combine"
+            and node.args
+            and isinstance(node.args[0], (ast.List, ast.BinOp))
+        ):
+            coefficients = node.args[0]
+            if isinstance(coefficients, ast.BinOp):  # [1] * n
+                coefficients = coefficients.left
+            for c in getattr(coefficients, "elts", []):
+                if not (isinstance(c, ast.UnaryOp) and isinstance(c.op, ast.USub)):
+                    yield "sign", c.lineno, c.col_offset, "", "-"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            spec = node.value
+            if EINSUM_SPEC.match(spec) and node.lineno == node.end_lineno:
+                inputs, output = spec.split("->")
+                for p, q in combinations(range(len(output)), 2):
+                    out = list(output)
+                    out[p], out[q] = out[q], out[p]
+                    new = f"{inputs}->{''.join(out)}"
+                    text = lines[node.lineno - 1]
+                    col = text.index(spec, node.col_offset)
+                    yield "einsum", node.lineno, col, spec, new
+
+
+def _functions(tree: ast.AST) -> dict[int, str]:
+    """The innermost function or class around each line."""
+    owner = {}
+    nodes = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    for node in sorted(nodes, key=lambda n: n.end_lineno - n.lineno, reverse=True):
+        for row in range(node.lineno, node.end_lineno + 1):
+            owner[row] = node.name
+    return owner
+
+
+def mutants(root: Path) -> list[tuple[Mutant, str]]:
+    """Every mutant of the targets under ``root``, with the mutated source of
+    its file."""
+    out = []
+    for file, bounds in TARGETS.items():
+        source = (root / file).read_text()
+        lines = source.splitlines(keepends=True)
+        tree = ast.parse(source)
+        first, last = _region(source, bounds)
+        owner = _functions(tree)
+        seen = Counter()
+        edits = sorted(set(_edits(tree, lines)))
+        for kind, row, col, old, new in edits:
+            if not first <= row <= last:
+                continue
+            text = lines[row - 1]
+            assert text[col:col + len(old)] == old, (file, row, col, old)
+            changed = text[:col] + new + text[col + len(old):]
+            mutated = "".join(lines[: row - 1]) + changed + "".join(lines[row:])
+            ast.parse(mutated)  # every mutant is valid Python
+            m = Mutant(file, owner.get(row, "<module>"), kind, row, text.strip(), changed.strip())
+            base = f"{file}|{m.before}|{m.after}"
+            m.key = f"{base}|{seen[base]}"
+            seen[base] += 1
+            out.append((m, mutated))
+    return out
+
+
+def _copy(root: Path, into: Path) -> Path:
+    for part in ("src", "tests"):
+        shutil.copytree(root / part, into / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(root / "pyproject.toml", into / "pyproject.toml")
+    return into
+
+
+def _run(cmd, cwd: Path, timeout: int):
+    env = {**os.environ, "PYTHONPATH": str(cwd / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def _suite(copy: Path) -> str:
+    proc = _run([sys.executable, "-c", SUITE_ORACLE], copy, SUITE_TIMEOUT)
+    if proc is None:
+        return "killed: timeout"
+    if proc.returncode != 0:
+        return "killed: " + (proc.stderr.strip().splitlines() or ["exit"])[-1][:120]
+    differ = json.loads(proc.stdout)
+    if differ:
+        name, failing = next(iter(sorted(differ.items())))
+        return f"killed: {len(differ)} entries, first {name}: {', '.join(failing)[:200]}"
+    return "survived"
+
+
+def _tests(copy: Path) -> str:
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+    proc = _run(cmd, copy, TESTS_TIMEOUT)
+    if proc is None:
+        return "killed: timeout"
+    if proc.returncode == 0:
+        return "survived"
+    failed = [l for l in proc.stdout.splitlines() if l.startswith(("FAILED", "ERROR"))]
+    return "killed: " + (failed[0] if failed else f"exit {proc.returncode}")[:200]
+
+
+def survey(root: Path, jobs: int) -> list[Mutant]:
+    todo = mutants(root)
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = queue.Queue()
+        for j in range(jobs):
+            copies.put(_copy(root, Path(tmp) / str(j)))
+
+        def run(item):
+            m, mutated = item
+            copy = copies.get()
+            target = copy / m.file
+            original = target.read_text()
+            try:
+                target.write_text(mutated)
+                m.suite, m.tests = _suite(copy), _tests(copy)
+            finally:
+                target.write_text(original)
+                copies.put(copy)
+            print(f"{m.suite[:8]:8} {m.tests[:8]:8} {m.file}:{m.line} {m.after}", file=sys.stderr)
+            return m
+
+        with ThreadPoolExecutor(jobs) as pool:
+            return list(pool.map(run, todo))
+
+
+def _killed(m: dict) -> bool:
+    return m["suite"] != "survived" or m["tests"] != "survived"
+
+
+def report(found: list[dict], old: list[dict] | None = None) -> None:
+    for oracle in ("suite", "tests"):
+        survivors = [m for m in found if m[oracle] == "survived"]
+        print(f"\n{oracle}: {len(found) - len(survivors)} of {len(found)} killed; survivors:")
+        for m in survivors:
+            print(f"  {m['file']}:{m['line']} [{m['function']}] {m['kind']}: {m['after']}")
+    both = [m for m in found if not _killed(m)]
+    print(f"\nboth oracles: {len(found) - len(both)} of {len(found)} killed, {len(both)} survive")
+    only_tests = [m for m in found if m["suite"] == "survived" and m["tests"] != "survived"]
+    print(f"killed by the tests only: {len(only_tests)}")
+    for m in only_tests:
+        print(f"  {m['file']}:{m['line']} [{m['function']}] {m['kind']}: {m['after']}")
+    if old is None:
+        return
+    now = {m["key"]: m for m in found}
+    shared = [m for m in old if m["key"] in now]
+    lost = [m for m in shared if _killed(m) and not _killed(now[m["key"]])]
+    print(f"\nshared with the old checkout: {len(shared)} mutants, "
+          f"{sum(map(_killed, shared))} killed there, "
+          f"{sum(_killed(now[m['key']]) for m in shared)} killed here")
+    print(f"killed there, surviving here: {len(lost)}")
+    for m in lost:
+        print(f"  {m['file']} [{m['function']}] {m['kind']}: {m['after']}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once (default 1)")
+    parser.add_argument("--out", type=Path, help="write every mutant and its verdicts here")
+    parser.add_argument("--compare", type=Path, help="a --out file of another checkout")
+    args = parser.parse_args(argv)
+    found = [asdict(m) for m in survey(ROOT, max(1, args.jobs))]
+    if args.out:
+        args.out.write_text(json.dumps(found, indent=1) + "\n")
+    old = json.loads(args.compare.read_text()) if args.compare else None
+    report(found, old)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,7 @@ so that the direct route has an independent oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,16 +195,13 @@ class PlaneStack:
         gram = _gram(m.matrix, xy, xy)
         return cls(m, xy, gram, scalars.freeze(_pi1(gram)))
 
-    def degenerate(self, eps: float) -> list[bool]:
-        """Whether den vanishes, on the scale of the metric, plane by plane."""
-        m = self.metric.matrix
-        return scalars.zero_rows(self.den, eps, np.broadcast_to(m, (len(self), *m.shape)))
-
     @classmethod
     def nondegenerate(cls, m: Metric, xy, eps: float) -> "PlaneStack":
-        """The planes xy[n] that are non-degenerate for ``m``, in order."""
+        """The planes xy[n] that are non-degenerate for ``m``, in order: those
+        whose den does not vanish on the scale of the metric."""
         planes = cls.spanned(m, xy)
-        keep = [not d for d in planes.degenerate(eps)]
+        scale = np.broadcast_to(m.matrix, (len(planes), *m.matrix.shape))
+        keep = [not d for d in scalars.zero_rows(planes.den, eps, scale)]
         return planes if all(keep) else planes[keep]
 
     @classmethod
@@ -288,11 +285,6 @@ class Sectional:
         """k^D through the base curvature."""
         return self.k + (self.shape_term - self.reeb_x - self.reeb_y) / self.den
 
-    def split(self, sizes) -> list["Sectional"]:
-        """The values of consecutive segments of the stack, of the given lengths."""
-        parts = [np.split(getattr(self, f.name), np.cumsum(sizes)[:-1]) for f in fields(self)]
-        return [Sectional(*p) for p in zip(*parts)]
-
 
 def sectional(planes: PlaneStack, curv: CurvatureData, shape: ShapeData, s: ACBStructure):
     """The ``Sectional`` values of the stack: R and R^D each enter one
@@ -324,6 +316,12 @@ def sectional(planes: PlaneStack, curv: CurvatureData, shape: ShapeData, s: ACBS
 _PLANE_SYMMETRIES = ("ijkl->ijkl", "ijkl->ljki", "ijkl->ikjl", "ijkl->lkji")
 
 
+def _plane_symmetrization(t: np.ndarray) -> np.ndarray:
+    """The sum of ``t`` over ``_PLANE_SYMMETRIES``: the tensor B with
+    B(x,y,y,x) = 4 t(x,y,y,x), invariant under (i<->l) and under (j<->k)."""
+    return scalars.combine([1] * 4, [scalars.einsum(p, t) for p in _PLANE_SYMMETRIES])
+
+
 def svk_sectional_polarized(
     s: ACBStructure, r04_svk: np.ndarray, r04_base: np.ndarray, shape: ShapeData
 ) -> np.ndarray:
@@ -337,7 +335,7 @@ def svk_sectional_polarized(
     every plane."""
     sd = shape.diamond
     sdsd = scalars.einsum("jk,il->ijkl", sd, sd)
-    t = scalars.combine(
+    return _plane_symmetrization(scalars.combine(
         [1, -1, -1, 1, 1, 1],
         [
             r04_svk,
@@ -347,6 +345,33 @@ def svk_sectional_polarized(
             scalars.einsum("ijkm,m,l->ijkl", r04_base, s.xi, s.eta),
             scalars.einsum("ijml,m,k->ijkl", r04_base, s.xi, s.eta),
         ],
-    )
-    return scalars.combine([1] * 4, [scalars.einsum(p, t) for p in _PLANE_SYMMETRIES])
+    ))
 
+
+def basis_invariance_forms(r: np.ndarray) -> list[np.ndarray]:
+    """Two tensors that both vanish iff N(x,y) = r(x,y,y,x) scales by det^2
+    under every change of basis of the plane, so that N / pi_1(x,y,y,x) is a
+    function of the plane alone.
+
+    The shears y -> y + s x and x -> x + s y, with the scalings, generate
+    GL(2); with B the plane symmetrization of r, N is invariant under the
+    first iff B(x,x,y,x) = 0 and under the second iff B(x,y,y,y) = 0 for all
+    x, y (the s^2 terms are the cases y = x).  Each cubic condition is
+    polarized over its three repeated slots, modulo the symmetry B already
+    has there.  Weaker than antisymmetry in both pairs, and exact."""
+    b = _plane_symmetrization(r)
+    return [
+        scalars.combine([1, 1, 1], [b, scalars.einsum("ijkl->jikl", b), scalars.einsum("ijkl->ilkj", b)]),
+        scalars.combine([1, 1, 1], [b, scalars.einsum("ijkl->ilkj", b), scalars.einsum("ijkl->ijlk", b)]),
+    ]
+
+
+def horizontal_restriction(t: np.ndarray, s: ACBStructure) -> np.ndarray:
+    """t(x^h, y^h, z^h, w^h) of a (0,4) tensor, x^h = -phi^2 x being the
+    horizontal part.  Each slot is contracted with phi^2 (the four signs
+    cancel), one slot per contraction, since one five-operand call would be
+    a dim^8 loop: a contraction takes the first slot and puts the result
+    last, so four of them restore the order."""
+    for _ in range(4):
+        t = scalars.einsum("aijk,al->ijkl", t, s.phi2)
+    return t

@@ -49,11 +49,6 @@ class LieAlgebra:
             [1, 1, 1], [t, scalars.einsum("lijk->ljki", t), scalars.einsum("lijk->lkij", t)]
         )
 
-    def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise ValueError("bracket arguments must be vectors of the model dimension")
-        return scalars.einsum("kij,i,j->k", self.c, x, y)
-
 
 def torsion(gamma: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
     """T(x,y) = nabla_x y - nabla_y x - [x,y], as a (1,2) tensor."""

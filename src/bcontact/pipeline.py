@@ -16,7 +16,7 @@ import numpy as np
 
 from . import scalars, svk as svk_mod
 from .curvature import CurvatureData, curvature_data
-from .hv import ShapeData, shape_operator
+from .hv import ShapeData, equivalence_chains, shape_operator
 from .liegroup import covariant_derivative, levi_civita, torsion
 from .structure import (
     ACBStructure,
@@ -142,6 +142,17 @@ class MetricView:
     @_cached
     def shape(self) -> ShapeData:
         return shape_operator(self.nabla_xi, self.metric)
+
+    @_cached
+    def chains(self) -> dict[str, dict[str, bool]]:
+        """The verdicts of the three predicate chains of this metric (see
+        ``hv.equivalence_chains``); every check that asks whether the SvK
+        connection is the Levi-Civita one, or whether nabla xi vanishes,
+        reads them here."""
+        return equivalence_chains(
+            self.ws.s, self.conn, self.nabla_xi, self.nabla_eta, self.svk, self.shape,
+            self.potential, self.torsion, self.metric,
+        )
 
     @_cached
     def curv(self) -> CurvatureData:

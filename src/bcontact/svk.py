@@ -20,12 +20,6 @@ from .structure import ACBStructure
 from .tensor import Metric
 
 
-def project_h(s: ACBStructure, x: np.ndarray) -> np.ndarray:
-    """Horizontal part x - eta(x) xi (equivalently -phi^2 x) of a vector or,
-    row by row, of a stack of vectors."""
-    return x - np.multiply.outer(x @ s.eta, s.xi)
-
-
 def svk_connection(conn: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The Schouten-van Kampen connection D_x y = nabla_x y + Q(x,y) of a
     Levi-Civita connection and its potential (``svk_potential_closed``)."""

@@ -1,6 +1,6 @@
 """Shared helpers: cached workspaces and check-suite runs per zoo entry,
 broken variants of zoo entries, the covariant basis change of a model, and
-pi_1 by its definition."""
+pi_1 and the Lie bracket by their definitions."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -92,3 +92,9 @@ def pi1(m: Metric, x, y, z, w):
     definition: the oracle for the Gram-block route of ``PlaneStack`` and
     ``sectional``."""
     return m.inner(y, z) * m.inner(x, w) - m.inner(x, z) * m.inner(y, w)
+
+
+def bracket(algebra, x, y):
+    """[x, y] = c^k_ij x^i y^j of two vectors, by its definition: the oracle
+    of the Koszul formula in ``levi_civita``."""
+    return scalars.einsum("kij,i,j->k", algebra.c, x, y)

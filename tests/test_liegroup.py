@@ -17,34 +17,9 @@ from bcontact.liegroup import (
 from bcontact.scalars import DEFAULT_EPS, RATIONAL
 from bcontact.tensor import lower_out
 
-from support import workspace
+from support import bracket, workspace
 
 ZOO_NAMES = ["abelian3", "solv3-a", "solv3-f4", "solv3-f11", "nil5-u1", "solv5-f6"]
-
-
-def test_bracket_abelian_vanishes():
-    ws = workspace("abelian3")
-    e1, e2 = scalars.eye(3, RATIONAL)[:2]
-    assert scalars.residual(ws.s.algebra.bracket(e1, e2)) == 0.0
-
-
-def test_bracket_antisymmetric_on_diagonal():
-    ws = workspace("solv3-f4")
-    for e in scalars.eye(3, RATIONAL):
-        assert scalars.residual(ws.s.algebra.bracket(e, e)) == 0.0
-
-
-def test_bracket_readback_solvable():
-    # [xi, e1] = e1 for the solvable entry built from the identity action
-    ws = workspace("solv3-a")
-    xi, e1 = ws.s.xi, scalars.eye(3, RATIONAL)[0]
-    assert np.array_equal(ws.s.algebra.bracket(xi, e1), e1)
-
-
-def test_bracket_dimension_mismatch():
-    ws = workspace("abelian3")
-    with pytest.raises(ValueError):
-        ws.s.algebra.bracket(scalars.eye(3, RATIONAL)[0], scalars.eye(5, RATIONAL)[0])
 
 
 def test_jacobi_violation_rejected():
@@ -85,9 +60,9 @@ def test_koszul_against_bruteforce_oracle():
         rhs = scalars.zeros((dim,), RATIONAL)
         for k, ek in enumerate(basis):
             rhs[k] = (
-                m.inner(alg.bracket(ei, ej), ek)
-                - m.inner(alg.bracket(ej, ek), ei)
-                + m.inner(alg.bracket(ek, ei), ej)
+                m.inner(bracket(alg, ei, ej), ek)
+                - m.inner(bracket(alg, ej, ek), ei)
+                + m.inner(bracket(alg, ek, ei), ej)
             ) / 2
         gamma[:, i, j] = m.inv @ rhs
     assert np.array_equal(gamma, ws.g.conn)

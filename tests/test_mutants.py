@@ -1,0 +1,39 @@
+"""``scripts/mutants.py``, the mutation survey of the sectional code: every
+mutant it makes is valid Python (it parses each one) that differs from its
+file in one line, and each has a key of its own.  The survey itself runs
+outside these tests."""
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "mutants.py"
+
+
+@pytest.fixture(scope="module")
+def found():
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module.mutants(ROOT)
+
+
+def test_each_mutant_changes_one_line_of_its_target(found):
+    assert {m.kind for m, _ in found} == {"sign", "unary", "einsum"}
+    assert len({m.key for m, _ in found}) == len(found)
+    for m, mutated in found:
+        original = (ROOT / m.file).read_text().splitlines()
+        changed = mutated.splitlines()
+        differ = [i for i, (a, b) in enumerate(zip(original, changed)) if a != b]
+        assert len(original) == len(changed) and differ == [m.line - 1], m
+
+
+def test_checks_is_mutated_only_in_its_sectional_part(found):
+    per_function = Counter(m.function for m, _ in found if m.file.endswith("checks.py"))
+    assert per_function and set(per_function) <= {
+        "sample_planes", "check_sectional_curvature", "_sectional_checks",
+    }

@@ -1,5 +1,6 @@
 """The sectional-curvature checks: planes evaluated as one stack per metric,
-the polarized form of the sectional relation, and the exact span test that
+the tensor identities that state the sectional relation and its forms on
+Reeb, re-based and horizontal planes, and the exact span test that
 classifies planes.
 
 An ``ast`` guard keeps every sectional value and section type of the check
@@ -20,7 +21,15 @@ from hypothesis import strategies as st
 import bcontact
 from bcontact import checks, scalars, zoo
 from bcontact.checks import check_sectional_curvature, run_checks, sample_planes
-from bcontact.curvature import PlaneStack, _gram, _in_planes, sectional, svk_sectional_polarized
+from bcontact.curvature import (
+    PlaneStack,
+    _gram,
+    _in_planes,
+    basis_invariance_forms,
+    pair_symmetries,
+    sectional,
+    svk_sectional_polarized,
+)
 from bcontact.scalars import FLOAT, RATIONAL
 from bcontact.tensor import Metric
 
@@ -68,6 +77,105 @@ def test_sectional_relation_fails_when_svk_curvature_gains_reeb_term(name, mode,
     for role in ("g", "gtilde"):
         row = rows[f"sectional-relation[{role}]"]
         assert not row.passed and row.residual >= residual
+
+
+def _gained_terms(ws, view):
+    """Per row, a term that R^D may not gain without that row failing."""
+    m, eta = view.metric.matrix, ws.s.eta
+    # m on horizontal vectors, zero on xi (m(xi, .) = eta for both metrics)
+    mh = scalars.combine([1, -1], [m, scalars.einsum("i,j->ij", eta, eta)])
+    return {
+        # N(x,y) gains m(x,y)^2, which a shear of the plane basis changes
+        "sectional-basis-invariance": scalars.einsum("ij,kl->ijkl", m, m),
+        # pi_1 of the horizontal metric: pair-antisymmetric, zero with a xi slot
+        "sectional-special-types": scalars.combine(
+            [1, -1], [scalars.einsum("jk,il->ijkl", mh, mh), scalars.einsum("ik,jl->ijkl", mh, mh)]
+        ),
+        # m(x,y) eta(z) eta(w): nonzero on (x, y, xi, xi)
+        "reeb-section-flatness": scalars.einsum("ij,k,l->ijkl", m, eta, eta),
+    }
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("row", [
+    "reeb-section-flatness", "sectional-basis-invariance", "sectional-special-types",
+])
+def test_sectional_row_fails_when_svk_curvature_gains_a_term_it_must_see(row, mode):
+    ws = zoo.builtin("dim5-tr").workspace(mode)  # a fresh one: it is mutated
+    for view in (ws.g, ws.gt):
+        curv = view.curv
+        bad = scalars.combine([1, 1], [curv.r04_svk, _gained_terms(ws, view)[row]])
+        view.__dict__["curv"] = replace(curv, r04_svk=bad)
+    rows = {r.name: r for r in check_sectional_curvature(ws)}
+    for role in ("g", "gtilde"):
+        result = rows[f"{row}[{role}]"]
+        assert not result.passed and result.residual >= 1.0, (role, result)
+
+
+def _rebasing_keeps_det2(t) -> bool:
+    """Whether N(x,y) = t(x,y,y,x) of an integer tensor becomes
+    det^2 N(x,y) under seeded integer changes of basis of seeded integer
+    planes: the brute-force oracle of ``basis_invariance_forms``."""
+    rng = np.random.default_rng(0)
+
+    def n(x, y):
+        return np.einsum("ijkl,i,j,k,l->", t, x, y, y, x)
+
+    for x, y in rng.integers(-3, 4, size=(4, 2, len(t))):
+        for a, b, c, d in rng.integers(-3, 4, size=(4, 4)):
+            if n(a * x + b * y, c * x + d * y) != (a * d - b * c) ** 2 * n(x, y):
+                return False
+    return True
+
+
+@st.composite
+def quartic_tensors(draw):
+    """An integer (0,4) tensor of dimension 2 or 3: one antisymmetric in both
+    pairs; such a tensor plus one whose form t(x,y,y,x) vanishes, which keeps
+    it invariant and in general breaks both pair antisymmetries; or one drawn
+    freely, which is in general not invariant."""
+    dim = draw(st.integers(min_value=2, max_value=3))
+
+    def integers():
+        entries = draw(st.lists(st.integers(-2, 2), min_size=dim**4, max_size=dim**4))
+        return np.array(entries, dtype=np.int64).reshape((dim,) * 4)
+
+    kind = draw(st.sampled_from(["pair-antisymmetric", "invariant", "free"]))
+    if kind == "free":
+        return integers()
+    a = integers()
+    a = a - np.einsum("ijkl->jikl", a)
+    t = a - np.einsum("ijkl->ijlk", a)
+    if kind == "invariant":
+        # c(x,y,y,x) - c(x,y,y,x) with (i<->l) or (j<->k) applied to the second c
+        c = integers()
+        t = t + c - np.einsum(draw(st.sampled_from(["ijkl->ljki", "ijkl->ikjl"])), c)
+    return t
+
+
+def _forms_vanish(t) -> bool:
+    forms = basis_invariance_forms(scalars.array(t, RATIONAL))
+    return all(scalars.residual(f) == 0.0 for f in forms)
+
+
+@given(quartic_tensors())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_shear_forms_decide_basis_invariance_exactly(t):
+    assert _forms_vanish(t) == _rebasing_keeps_det2(t)
+
+
+def test_shear_forms_pass_an_invariant_tensor_that_is_not_pair_antisymmetric():
+    # e_0121 - e_1120: its form t(x,y,y,x) vanishes, so it is invariant, but it
+    # has neither pair antisymmetry; the forms are exact, not only sufficient
+    t = np.zeros((3,) * 4, dtype=np.int64)
+    t[0, 1, 2, 1], t[1, 1, 2, 0] = 1, -1
+    assert _rebasing_keeps_det2(t) and _forms_vanish(t)
+    symmetries = pair_symmetries(scalars.array(t, RATIONAL))
+    assert scalars.residual(symmetries["first-pair-antisymmetric"]) > 0
+    assert scalars.residual(symmetries["last-pair-antisymmetric"]) > 0
+    # the same entry alone is neither invariant nor passed
+    t[1, 1, 2, 0] = 0
+    assert not _rebasing_keeps_det2(t) and not _forms_vanish(t)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -135,9 +243,10 @@ def test_no_loop_in_checks_evaluates_planes_one_at_a_time():
 
 
 def test_sectional_family_contracts_each_stack_once(monkeypatch):
-    # one Gram block per plane stack, one typing of the special planes and
-    # one R(x, y, ., .) per curvature tensor: 55 contractions on solv7-u2,
-    # where one contraction per plane quantity took 178
+    # one Gram block for the sampled stack and one R(x, y, ., .) per
+    # curvature tensor, then the tensor identities: 58 contractions on
+    # solv7-u2, 24 of them single-operand transpositions, where one
+    # contraction per plane quantity took 178
     ws = workspace("solv7-u2")
     for view in (ws.g, ws.gt):
         view.curv, view.shape
@@ -147,18 +256,6 @@ def test_sectional_family_contracts_each_stack_once(monkeypatch):
     rows = list(check_sectional_curvature(ws))
     assert all(r.passed for r in rows)
     assert len(calls) <= 80
-
-
-@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
-def test_horizontal_basis_is_computed_once_per_model(monkeypatch, mode):
-    # it does not depend on the metric: both views share one list
-    calls = []
-    real = checks._horizontal_basis
-    monkeypatch.setattr(checks, "_horizontal_basis", lambda ws: calls.append(ws) or real(ws))
-    ws = workspace("solv5-f1", mode)
-    rows = list(check_sectional_curvature(ws))
-    assert [r.name for r in rows] == SECTIONAL_ROWS and all(r.passed for r in rows)
-    assert calls == [ws]
 
 
 def _det(a) -> Fraction:

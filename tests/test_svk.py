@@ -11,7 +11,6 @@ from bcontact.svk import (
     is_natural,
     phi_b_connection,
     potential_from_torsion,
-    project_h,
     svk_connection_projected,
     svk_pair_covariant_phi,
     svk_pair_from_potential,
@@ -21,26 +20,6 @@ from bcontact.svk import (
 from support import workspace
 
 ALL_NAMES = zoo.names()
-
-
-def test_projections_of_reeb_vector():
-    ws = workspace("abelian3")
-    assert scalars.residual(project_h(ws.s, ws.s.xi)) == 0.0
-
-
-def test_projections_of_horizontal_vector():
-    ws = workspace("abelian3")
-    e1 = scalars.eye(3, RATIONAL)[0]
-    assert np.array_equal(project_h(ws.s, e1), e1)
-
-
-def test_projection_splits_mixed_vector():
-    ws = workspace("abelian3")
-    e1 = scalars.eye(3, RATIONAL)[0]
-    x = e1 + ws.s.xi * Fraction(3)
-    assert np.array_equal(project_h(ws.s, x), e1)
-    # x^h = -phi^2 x as well
-    assert np.array_equal(project_h(ws.s, x), -(ws.s.phi2 @ x))
 
 
 def test_svk_routes_agree_everywhere():
