@@ -38,13 +38,7 @@ from .curvature import (
     svk_scalar_formula,
     svk_sectional_polarized,
 )
-from .hv import (
-    hv_split,
-    potential_pi1_form,
-    reference_components,
-    torsion_pi1_form,
-    wedge_form_operator,
-)
+from .hv import potential_pi1_form, shape_components, wedge_form_operator
 from .liegroup import covariant_derivative, torsion
 from .pipeline import MetricView, Workspace
 from .structure import (
@@ -64,7 +58,6 @@ from .svk import (
     svk_torsion_closed,
     torsion_from_potential,
 )
-from .tensor import lower_out
 
 # sampled planes per metric in the sectional-curvature checks
 PLANE_COUNT = 20
@@ -149,7 +142,7 @@ def check_fundamental_identities(ws: Workspace, view: MetricView):
         ],
     )
     # F(x, phi y, xi) = (nabla_x eta)(y) = m(nabla_x xi, y)
-    lam = lower_out(view.nabla_xi, m)
+    lam = view.nabla_xi02
     yield "fundamental-identities", [
         _minus(f, scalars.einsum("xyz->xzy", f)),
         _minus(f, proj),
@@ -182,7 +175,7 @@ def check_divergence_traces(ws: Workspace, view: MetricView):
 @_per_view
 def check_nabla_xi_table(ws: Workspace, view: MetricView):
     conds = nabla_xi_class_conditions(
-        ws.s, view.nabla_xi, view.metric, view.lee, view.div_pair, view.classification
+        ws.s, view.nabla_xi, view.nabla_xi02, view.lee, view.div_pair, view.classification
     )
     yield (
         "class-nabla-xi-table",
@@ -231,12 +224,8 @@ def check_zero_class_equivalences(ws: Workspace):
 
 @_per_view
 def check_svk_preserves_structure(ws: Workspace, view: MetricView):
-    s, d = ws.s, view.svk
-    yield "svk-preserves-structure", [
-        covariant_derivative(d, view.metric.matrix, 0),
-        covariant_derivative(d, s.xi, 1),
-        covariant_derivative(d, s.eta, 0),
-    ], (d, view.metric.matrix)
+    derivatives = [view.svk_metric, view.svk_xi, view.svk_eta]
+    yield "svk-preserves-structure", derivatives, (view.svk, view.metric.matrix)
 
 
 @_per_view
@@ -250,21 +239,18 @@ def check_svk_two_routes(ws: Workspace, view: MetricView):
 @_per_view
 def check_svk_distributions(ws: Workspace, view: MetricView):
     s, d = ws.s, view.svk
-    pv = scalars.einsum("k,l->kl", s.xi, s.eta)
-    ph = scalars.eye(s.dim, s.mode) - pv
-    horiz_stays = scalars.einsum("k,kim,mj->ij", s.eta, d, ph)
-    vert_stays = scalars.einsum("kl,lim,mj->kij", ph, d, pv)
+    horiz_stays = scalars.einsum("k,kim,mj->ij", s.eta, d, s.horizontal)
+    vert_stays = scalars.einsum("kl,lim,mj->kij", s.horizontal, d, s.vertical)
     yield "svk-distributions-parallel", [horiz_stays, vert_stays], (d,)
 
 
 @_per_view
 def check_svk_closed_forms(ws: Workspace, view: MetricView):
-    s = ws.s
     # the potential is built from its closed form, so only the torsion is
     # compared (svk-projector-route tests the potential)
     t = view.torsion
     yield "svk-potential-torsion-closed-forms", [
-        _minus(t, svk_torsion_closed(view.nabla_xi, s)),
+        _minus(t, svk_torsion_closed(view.hv_closed)),
         scalars.combine([1, 1], [t, scalars.einsum("kij->kji", t)]),
     ], (view.potential, t)
 
@@ -301,16 +287,22 @@ def check_reeb_parallel_transfer(ws: Workspace):
 
 @_rows
 def check_svk_naturality(ws: Workspace):
-    s = ws.s
-    d = ws.g.svk
-    u2 = ws.g.classification["U2"]
+    s, g = ws.s, ws.g
+    d = g.svk
+    u2 = g.classification["U2"]
+    natural = (  # phi, xi, eta and the metric all parallel
+        scalars.is_zero(g.svk_phi, s.eps, s.phi)
+        and scalars.is_zero(g.svk_xi, s.eps)
+        and scalars.is_zero(g.svk_eta, s.eps)
+        and scalars.is_zero(g.svk_metric, s.eps, s.metric.matrix)
+    )
     yield "svk-natural-iff-vertical-fundamental", {
-        "svk-phi zero": scalars.is_zero(ws.g.svk_phi, s.eps, d),
+        "svk-phi zero": scalars.is_zero(g.svk_phi, s.eps, d),
         "U2 condition": u2,
-        "is-natural": svk_mod.is_natural(d, s, s.metric),
+        "is-natural": natural,
     }
     if u2:
-        phib = svk_mod.phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.nabla_xi, ws.g.nabla_eta, s)
+        phib = svk_mod.phi_b_connection(g.conn, g.nabla_phi, g.hv_closed, s)
         yield "phib-coincidence-on-u2", [_minus(phib, d)], (d,)
 
 
@@ -319,9 +311,10 @@ def check_svk_pair_coincide(ws: Workspace):
     s = ws.s
     d = ws.g.svk
     same = scalars.is_zero(_minus(ws.gt.svk, d), s.eps, d)
+    difference = svk_pair_difference(ws.pot, ws.g.partner_potential_xi, s)
     yield "svk-pair-coincide-iff-potential-vertical", {
         "pair coincide": same,
-        "potential vertical": scalars.is_zero(svk_pair_difference(ws.pot, s), s.eps, ws.pot),
+        "potential vertical": scalars.is_zero(difference, s.eps, ws.pot),
     }
     yield "svk-pair-coincide-iff-u2", {
         "pair coincide": same,
@@ -331,7 +324,7 @@ def check_svk_pair_coincide(ws: Workspace):
 
 @_rows
 def check_svk_pair_routes(ws: Workspace):
-    via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, ws.s)
+    via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, ws.g.partner_potential_xi, ws.s)
     d = ws.gt.svk
     yield "svk-pair-potential-route", [_minus(via_pot, d)], (d,)
 
@@ -345,7 +338,7 @@ def _svk_phi_closed_form(ws: Workspace, view: MetricView):
 @_rows
 def check_svk_phi_forms(ws: Workspace):
     yield from _views(ws, _svk_phi_closed_form)
-    relation = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, ws.s)
+    relation = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, ws.g.partner_potential_xi, ws.s)
     dphi_t = ws.gt.svk_phi
     yield "svk-pair-phi-relation", [_minus(relation, dphi_t)], (dphi_t,)
 
@@ -381,10 +374,9 @@ def check_shape_operators(ws: Workspace):
     s = ws.s
     yield from _views(ws, _shape_operator_identities)
     # pair relations through the potential
-    pot_xi = scalars.einsum("lim,m->li", ws.pot, s.xi)
     sd = ws.g.shape.diamond
     yield "shape-pair-relations", [
-        ws.gt.shape.operator - (ws.g.shape.operator - pot_xi),
+        ws.gt.shape.operator - (ws.g.shape.operator - ws.g.partner_potential_xi),
         ws.gt.shape.diamond
         - (
             scalars.einsum("im,mj->ij", sd, s.phi)
@@ -408,12 +400,12 @@ def check_trace_identity(ws: Workspace):
 def check_qt_components(ws: Workspace, view: MetricView):
     s = ws.s
     q, t = view.potential, view.torsion
-    comps = hv_split(s, q, t)
+    comps = view.hv
     arrays = [
         scalars.combine([1, 1, -1], [comps.q_h, comps.q_v, q]),
         scalars.combine([1, 1, -1], [comps.t_h, comps.t_v, t]),
     ]
-    for ref in reference_components(s, view.nabla_xi, view.nabla_eta, view.shape):
+    for ref in (view.hv_closed, shape_components(s, view.shape)):
         arrays += [
             _minus(comps.q_h, ref.q_h),
             _minus(comps.q_v, ref.q_v),
@@ -422,19 +414,19 @@ def check_qt_components(ws: Workspace, view: MetricView):
         ]
     yield "potential-torsion-hv-components", arrays, (q, t)
     q03 = view.potential03
+    q_pi1 = potential_pi1_form(s, view.shape, view.metric)
     yield "potential-torsion-pi1-forms", [
-        _minus(q03, potential_pi1_form(s, view.shape, view.metric)),
-        _minus(view.torsion03, torsion_pi1_form(s, view.shape, view.metric)),
+        _minus(q03, q_pi1),
+        _minus(view.torsion03, torsion_from_potential(q_pi1)),
     ], (q03,)
 
 
 @_rows
 def check_qt_pair_relations(ws: Workspace):
     s = ws.s
-    pot = ws.pot
     eta, xi = s.eta, s.xi
-    pot_xi = scalars.einsum("lim,m->li", pot, xi)
-    eta_pot = scalars.einsum("m,mij->ij", eta, pot)
+    pot_xi = ws.g.partner_potential_xi
+    eta_pot = scalars.einsum("m,mij->ij", eta, ws.pot)
 
     q, qt = ws.g.potential, ws.gt.potential
     t, tt = ws.g.torsion, ws.gt.torsion
@@ -454,8 +446,7 @@ def check_qt_pair_relations(ws: Workspace):
     rel_q_shape = _minus(qt, scalars.combine([1, 1, -1], [q, ds_eta, dsd_xi]))
     rel_t_shape = _minus(tt, _minus(t, wedge_ds))
 
-    comps = hv_split(s, q, t)
-    comps_t = hv_split(s, qt, tt)
+    comps, comps_t = ws.g.hv, ws.gt.hv
     yield "potential-torsion-pair-relations", [
         rel_q,
         rel_t,

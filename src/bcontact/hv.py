@@ -56,10 +56,9 @@ class HVComponents:
 
 def hv_split(s: ACBStructure, q: np.ndarray, t: np.ndarray) -> HVComponents:
     """Split the output slot of Q and T into horizontal and vertical parts."""
-    pv = scalars.einsum("k,l->kl", s.xi, s.eta)
 
     def split(x: np.ndarray):
-        v = scalars.einsum("kl,lij->kij", pv, x)
+        v = scalars.einsum("kl,lij->kij", s.vertical, x)
         return scalars.combine([1, -1], [x, v]), v
 
     qh, qv = split(q)
@@ -74,35 +73,28 @@ def wedge_form_operator(alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def reference_components(
-    s: ACBStructure, nxi: np.ndarray, neta: np.ndarray, shape: ShapeData
-) -> tuple[HVComponents, HVComponents]:
-    """The two sets of closed forms the split components must reproduce:
-
-    through the connection:  Q^h = -(nabla xi) (x) eta,  Q^v = (nabla eta) (x) xi,
-                             T^h = eta ^ (nabla xi),     T^v = d eta (x) xi;
-    through the shape data:  Q^h = S (x) eta,            Q^v = -S<> (x) xi,
-                             T^h = -eta ^ S,             T^v = -2 Alt(S<>) (x) xi,
-
-    with ``nxi`` and ``neta`` the derivatives of xi and eta under the
-    Levi-Civita connection.
-    """
-    eta, xi = s.eta, s.xi
-
-    by_conn = HVComponents(
-        scalars.einsum("ki,j->kij", -nxi, eta),
-        scalars.einsum("ij,k->kij", neta, xi),
-        wedge_form_operator(eta, nxi),
-        scalars.einsum("ij,k->kij", s.d_eta, xi),
+def connection_components(s: ACBStructure, nxi: np.ndarray, neta: np.ndarray) -> HVComponents:
+    """Q^h = -(nabla xi) (x) eta, Q^v = (nabla eta) (x) xi, T^h = eta ^ (nabla xi)
+    and T^v = d eta (x) xi, from ``nxi`` and ``neta`` = nabla xi and nabla eta
+    of the Levi-Civita connection; Q and the closed form of T are their sums."""
+    return HVComponents(
+        scalars.einsum("ki,j->kij", -nxi, s.eta),
+        scalars.einsum("ij,k->kij", neta, s.xi),
+        wedge_form_operator(s.eta, nxi),
+        s.d_eta_xi,
     )
+
+
+def shape_components(s: ACBStructure, shape: ShapeData) -> HVComponents:
+    """Q^h = S (x) eta, Q^v = -S<> (x) xi, T^h = -eta ^ S, T^v = -2 Alt(S<>) (x) xi."""
+    eta, xi = s.eta, s.xi
     sop, sd = shape.operator, shape.diamond
-    by_shape = HVComponents(
+    return HVComponents(
         scalars.einsum("ki,j->kij", sop, eta),
         scalars.einsum("ij,k->kij", -sd, xi),
         wedge_form_operator(eta, -sop),
         scalars.einsum("ij,k->kij", sd.T - sd, xi),
     )
-    return by_conn, by_shape
 
 
 def potential_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarray:
@@ -116,28 +108,22 @@ def potential_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarr
     )
 
 
-def torsion_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarray:
-    """T(x,y,z) = -pi_1(xi,S(x),y,z) + pi_1(xi,S(y),x,z)."""
-    q = potential_pi1_form(s, shape, m)
-    return scalars.combine([1, -1], [q, scalars.einsum("xyz->yxz", q)])
-
-
 # ---------------------------------------------------------------------------
 # equivalence chains: each is a family of predicates that provably agree
 # ---------------------------------------------------------------------------
 
 def equivalence_chains(
     s: ACBStructure, conn: np.ndarray, nxi: np.ndarray, neta: np.ndarray,
-    svk_conn: np.ndarray, shape: ShapeData, q: np.ndarray, t: np.ndarray, m: Metric,
+    svk_conn: np.ndarray, shape: ShapeData, comps: HVComponents, m: Metric,
 ) -> dict[str, dict[str, bool]]:
     """The three predicate chains for one metric of the pair, as chain ->
     predicate -> boolean: within each chain all predicates must evaluate to
     the same boolean on any model.  Each predicate is the vanishing of its
     list of arrays; ``nxi`` and ``neta`` are nabla xi and nabla eta of the
-    Levi-Civita connection ``conn`` of ``m``."""
+    Levi-Civita connection ``conn`` of ``m``, and ``comps`` is the
+    ``hv_split`` of the potential and torsion of its SvK connection."""
     de = s.d_eta
     lg = lie_derivative_metric(s.algebra, s.xi, m)
-    comps = hv_split(s, q, t)
     qv = comps.q_v
     sd = shape.diamond
     qv_t = scalars.einsum("kij->kji", qv)

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import scalars, svk as svk_mod
 from .curvature import CurvatureData, curvature_data
-from .hv import ShapeData, equivalence_chains, shape_operator
+from .hv import HVComponents, ShapeData, connection_components, equivalence_chains
+from .hv import hv_split, shape_operator
 from .liegroup import covariant_derivative, levi_civita, torsion
 from .structure import (
     ACBStructure,
@@ -74,6 +75,11 @@ class MetricView:
         return covariant_derivative(self.conn, self.ws.s.phi, 1)
 
     @_cached
+    def nabla_xi02(self) -> np.ndarray:
+        """(0,2) m(nabla_x xi, y) of this view's metric m."""
+        return lower_out(self.nabla_xi, self.metric)
+
+    @_cached
     def fundamental(self) -> np.ndarray:
         return fundamental_tensor(self.nabla_phi, self.metric)
 
@@ -104,6 +110,11 @@ class MetricView:
         return lower_out(self.partner_potential, self.metric)
 
     @_cached
+    def partner_potential_xi(self) -> np.ndarray:
+        """(1,1) Phi(x, xi) of the partner potential Phi."""
+        return scalars.einsum("lim,m->li", self.partner_potential, self.ws.s.xi)
+
+    @_cached
     def classification(self) -> ClassificationReport:
         return classify(
             self.ws.s, self.fundamental, self.lee, self.metric, self.nabla_xi,
@@ -112,9 +123,15 @@ class MetricView:
         )
 
     @_cached
+    def hv_closed(self) -> HVComponents:
+        """Q^h, Q^v, T^h and T^v by their closed forms through nabla xi and
+        nabla eta: the closed forms of Q, T and the phiB-connection add them."""
+        return connection_components(self.ws.s, self.nabla_xi, self.nabla_eta)
+
+    @_cached
     def potential(self) -> np.ndarray:
         """(1,2) potential Q = D - nabla of the SvK connection, by its closed form."""
-        return svk_mod.svk_potential_closed(self.nabla_xi, self.nabla_eta, self.ws.s)
+        return svk_mod.svk_potential_closed(self.hv_closed)
 
     @_cached
     def svk(self) -> np.ndarray:
@@ -135,9 +152,27 @@ class MetricView:
         return lower_out(self.torsion, self.metric)
 
     @_cached
+    def hv(self) -> HVComponents:
+        """The horizontal/vertical split of this view's Q and T."""
+        return hv_split(self.ws.s, self.potential, self.torsion)
+
+    # the only derivatives of phi (1,2), xi (1,1), eta (0,2) and this view's
+    # metric (0,3) under the SvK connection: every check of them reads these
+    @_cached
     def svk_phi(self) -> np.ndarray:
-        """(1,2) covariant derivative of phi under the SvK connection."""
         return covariant_derivative(self.svk, self.ws.s.phi, 1)
+
+    @_cached
+    def svk_xi(self) -> np.ndarray:
+        return covariant_derivative(self.svk, self.ws.s.xi, 1)
+
+    @_cached
+    def svk_eta(self) -> np.ndarray:
+        return covariant_derivative(self.svk, self.ws.s.eta, 0)
+
+    @_cached
+    def svk_metric(self) -> np.ndarray:
+        return covariant_derivative(self.svk, self.metric.matrix, 0)
 
     @_cached
     def shape(self) -> ShapeData:
@@ -151,7 +186,7 @@ class MetricView:
         reads them here."""
         return equivalence_chains(
             self.ws.s, self.conn, self.nabla_xi, self.nabla_eta, self.svk, self.shape,
-            self.potential, self.torsion, self.metric,
+            self.hv, self.metric,
         )
 
     @_cached

@@ -96,6 +96,21 @@ class ACBStructure:
         """d eta as a (0,2) tensor, the same for both metrics of the pair."""
         return scalars.freeze(d_eta(self.algebra, self.eta))
 
+    @cached_property
+    def vertical(self) -> np.ndarray:
+        """xi (x) eta, the (1,1) projector onto span(xi) along ker(eta)."""
+        return scalars.freeze(scalars.einsum("k,l->kl", self.xi, self.eta))
+
+    @cached_property
+    def horizontal(self) -> np.ndarray:
+        """id - xi (x) eta, the (1,1) projector onto ker(eta) along span(xi)."""
+        return scalars.freeze(scalars.eye(self.dim, self.mode) - self.vertical)
+
+    @cached_property
+    def d_eta_xi(self) -> np.ndarray:
+        """d eta(x,y) xi [k, x, y], the vertical torsion of both SvK connections."""
+        return scalars.freeze(scalars.einsum("ij,k->kij", self.d_eta, self.xi))
+
     @property
     def dim(self) -> int:
         return self.algebra.dim
@@ -140,7 +155,7 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
         row("phi(xi) = 0", phi @ xi, phi),
         row(
             "phi^2 = -id + eta (x) xi",
-            phi @ phi + scalars.eye(s.dim, s.mode) - scalars.einsum("i,j->ij", xi, eta),
+            s.phi2 + scalars.eye(s.dim, s.mode) - s.vertical,
             phi,
         ),
         row("eta o phi = 0", eta @ phi, phi),
@@ -367,7 +382,9 @@ def _inv2n(s: ACBStructure):
 
 
 def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
-    """Residual arrays for the defining identity of each basic class."""
+    """Residual arrays for the defining identity of each basic class, and
+    the residual of the U2 condition F(x,y,z) = F(x,y,xi) eta(z) +
+    F(x,z,xi) eta(y), which shares its two terms with F6-F9."""
     phi, xi, eta, g = s.phi, s.xi, s.eta, m.matrix
     phi2 = s.phi2
     theta, theta_star = lee.theta, lee.theta_star
@@ -418,8 +435,8 @@ def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
     rhs5 = total(scalars.einsum("xy,z->xyz", g_phi, eta), scalars.einsum("xz,y->xyz", g_phi, eta))
     conds["F5"] = [scalars.combine([1, tsxi * inv2n], [f, rhs5])]
 
-    vert_form = total(scalars.einsum("xy,z->xyz", fxi, eta), scalars.einsum("xz,y->xyz", fxi, eta))
-    form_res = minus_f(vert_form)
+    vert_terms = [scalars.einsum("xy,z->xyz", fxi, eta), scalars.einsum("xz,y->xyz", fxi, eta)]
+    form_res = minus_f(total(*vert_terms))
     conds["F6"] = [form_res, fxi - fxi.T, fxi + fxi_phiphi, theta, theta_star]
     conds["F7"] = [form_res, fxi + fxi.T, fxi + fxi_phiphi]
     conds["F8"] = [form_res, fxi - fxi.T, fxi - fxi_phiphi]
@@ -432,7 +449,7 @@ def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
         scalars.einsum("x,y,z->xyz", eta, eta, omega), scalars.einsum("x,z,y->xyz", eta, eta, omega)
     )
     conds["F11"] = [minus_f(rhs11)]
-    return conds
+    return conds, scalars.combine([1, -1, -1], [f, *vert_terms])
 
 
 def classify(
@@ -454,17 +471,9 @@ def classify(
     used for the U1_assoc flag.  ``pot03`` is the (0,3) potential of the
     partner connection with respect to the one of ``m``, lowered by ``m``.
     """
-    phi, xi, eta = s.phi, s.xi, s.eta
-    phi2 = s.phi2
-    conds = {"F0": [f], **_class_conditions(s, f, lee, m)}
-    conds["U1"] = [nxi]
-    conds["U1_assoc"] = [nxi_partner]
-
-    fxi = scalars.einsum("xym,m->xy", f, xi)
-    conds["U2"] = [scalars.combine(
-        [1, -1, -1],
-        [f, scalars.einsum("xy,z->xyz", fxi, eta), scalars.einsum("xz,y->xyz", fxi, eta)],
-    )]
+    phi, phi2 = s.phi, s.phi2
+    basic, u2 = _class_conditions(s, f, lee, m)
+    conds = {"F0": [f], **basic, "U1": [nxi], "U1_assoc": [nxi_partner], "U2": [u2]}
 
     p = pot03
     conds["F3+U3"] = [scalars.combine(
@@ -502,7 +511,7 @@ def classify(
 def nabla_xi_class_conditions(
     s: ACBStructure,
     nxi: np.ndarray,
-    m: Metric,
+    lam: np.ndarray,
     lee: LeeForms,
     div_pair,
     report: ClassificationReport,
@@ -516,14 +525,14 @@ def nabla_xi_class_conditions(
       F7/F8/F9: the corresponding symmetry pattern of m(nabla_. xi, .)
       F11: nabla xi = eta (x) (phi omega#)
 
-    with ``nxi`` = nabla xi [k, i] for the Levi-Civita connection of ``m``.
+    with ``nxi`` = nabla xi [k, i] for the Levi-Civita connection of a metric
+    m of the pair, and ``lam`` [i, j] = m(nabla_{e_i} xi, e_j).
     """
     phi, eta = s.phi, s.eta
-    lam = lower_out(nxi, m)  # m(nabla_{e_i} xi, e_j)
     lam_phiphi = scalars.einsum("ab,ai,bj->ij", lam, phi, phi)
     div, div_star = div_pair
     inv2n = _inv2n(s)
-    phi_om = phi @ sharp(lee.omega, m)
+    phi_om = phi @ lee.omega_sharp
 
     conds = {flag: [nxi] for flag in ("F1", "F2", "F3", "F10")}
     conds["F4"] = [nxi - phi * (div_star * inv2n)]

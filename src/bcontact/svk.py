@@ -15,9 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import scalars
-from .liegroup import covariant_derivative
+from .hv import HVComponents
 from .structure import ACBStructure
-from .tensor import Metric
 
 
 def svk_connection(conn: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -34,29 +33,19 @@ def svk_connection_projected(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     metrics m of the pair, so eta(nabla_x xi) = m(nabla_x xi, xi) = 0.
     Independent of the closed form; the two must agree exactly.
     """
-    ph = scalars.eye(s.dim, s.mode) - scalars.einsum("k,l->kl", s.xi, s.eta)
-    return scalars.einsum("kl,lim,mj->kij", ph, conn, ph)
+    return scalars.einsum("kl,lim,mj->kij", s.horizontal, conn, s.horizontal)
 
 
-def svk_potential_closed(nxi: np.ndarray, neta: np.ndarray, s: ACBStructure) -> np.ndarray:
-    """Q(x,y) = -eta(y) nabla_x xi + (nabla_x eta)(y) xi, from ``nxi`` and
-    ``neta`` = nabla xi and nabla eta of the base Levi-Civita connection."""
-    return scalars.combine(
-        [-1, 1], [scalars.einsum("j,ki->kij", s.eta, nxi), scalars.einsum("ij,k->kij", neta, s.xi)]
-    )
+def svk_potential_closed(parts: HVComponents) -> np.ndarray:
+    """Q(x,y) = -eta(y) nabla_x xi + (nabla_x eta)(y) xi = Q^h + Q^v, from
+    the components ``hv.connection_components`` of the base connection."""
+    return scalars.combine([1, 1], [parts.q_h, parts.q_v])
 
 
-def svk_torsion_closed(nxi: np.ndarray, s: ACBStructure) -> np.ndarray:
-    """T(x,y) = eta(x) nabla_y xi - eta(y) nabla_x xi + d eta(x,y) xi, from
-    ``nxi`` = nabla xi of the base Levi-Civita connection."""
-    return scalars.combine(
-        [1, -1, 1],
-        [
-            scalars.einsum("i,kj->kij", s.eta, nxi),
-            scalars.einsum("j,ki->kij", s.eta, nxi),
-            scalars.einsum("ij,k->kij", s.d_eta, s.xi),
-        ],
-    )
+def svk_torsion_closed(parts: HVComponents) -> np.ndarray:
+    """T(x,y) = eta(x) nabla_y xi - eta(y) nabla_x xi + d eta(x,y) xi
+    = T^h + T^v, from the components ``hv.connection_components``."""
+    return scalars.combine([1, 1], [parts.t_h, parts.t_v])
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +70,7 @@ def potential_from_torsion(t: np.ndarray, eps: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# covariant derivative of phi and naturality
+# covariant derivative of phi and the phiB-connection
 # ---------------------------------------------------------------------------
 
 def svk_covariant_phi_closed(
@@ -103,46 +92,32 @@ def svk_covariant_phi_closed(
     )
 
 
-def is_natural(conn: np.ndarray, s: ACBStructure, m: Metric) -> bool:
-    """A connection is natural for the structure when phi, xi, eta and the
-    metric are all parallel."""
-    ok_phi = scalars.is_zero(covariant_derivative(conn, s.phi, 1), s.eps, s.phi)
-    ok_xi = scalars.is_zero(covariant_derivative(conn, s.xi, 1), s.eps)
-    ok_eta = scalars.is_zero(covariant_derivative(conn, s.eta, 0), s.eps)
-    ok_m = scalars.is_zero(covariant_derivative(conn, m.matrix, 0), s.eps, m.matrix)
-    return ok_phi and ok_xi and ok_eta and ok_m
-
-
 def phi_b_connection(
-    conn: np.ndarray, nphi: np.ndarray, nxi: np.ndarray, neta: np.ndarray, s: ACBStructure
+    conn: np.ndarray, nphi: np.ndarray, parts: HVComponents, s: ACBStructure
 ) -> np.ndarray:
-    """The phiB-connection of a Levi-Civita connection, from its derivatives
-    ``nphi``, ``nxi`` and ``neta`` of phi, xi and eta:
+    """The phiB-connection of a Levi-Civita connection, from its derivative
+    ``nphi`` of phi and its components ``hv.connection_components``:
 
     nabla*_x y = nabla_x y + 1/2 {(nabla_x phi) phi y + (nabla_x eta)(y) xi}
-               - eta(y) nabla_x xi.
+               - eta(y) nabla_x xi
+               = nabla_x y + 1/2 {(nabla_x phi) phi y + Q^v(x,y)} + Q^h(x,y).
     """
-    braces = scalars.combine(
-        [1, 1],
-        [scalars.einsum("kim,mj->kij", nphi, s.phi), scalars.einsum("ij,k->kij", neta, s.xi)],
-    )
-    return scalars.combine(
-        [1, Fraction(1, 2), -1], [conn, braces, scalars.einsum("j,ki->kij", s.eta, nxi)]
-    )
+    braces = scalars.combine([1, 1], [scalars.einsum("kim,mj->kij", nphi, s.phi), parts.q_v])
+    return scalars.combine([1, Fraction(1, 2), 1], [conn, braces, parts.q_h])
 
 
 # ---------------------------------------------------------------------------
 # relations between the two connections of the pair
 # ---------------------------------------------------------------------------
 
-def svk_pair_difference(p: np.ndarray, s: ACBStructure) -> np.ndarray:
-    """D~ - D from the potential Phi of the second Levi-Civita connection:
+def svk_pair_difference(p: np.ndarray, p_xi: np.ndarray, s: ACBStructure) -> np.ndarray:
+    """D~ - D from the potential Phi of the second Levi-Civita connection
+    and ``p_xi`` = Phi(., xi):
 
     (D~ - D)(x,y) = Phi(x,y) - eta(Phi(x,y)) xi - eta(y) Phi(x,xi);
 
     it vanishes iff the two connections of the pair coincide.
     """
-    p_xi = scalars.einsum("lim,m->li", p, s.xi)  # Phi(x, xi)
     return scalars.combine(
         [1, -1, -1],
         [
@@ -153,21 +128,24 @@ def svk_pair_difference(p: np.ndarray, s: ACBStructure) -> np.ndarray:
     )
 
 
-def svk_pair_from_potential(svk: np.ndarray, p: np.ndarray, s: ACBStructure) -> np.ndarray:
+def svk_pair_from_potential(
+    svk: np.ndarray, p: np.ndarray, p_xi: np.ndarray, s: ACBStructure
+) -> np.ndarray:
     """Second connection of the pair from the first and the potential of the
     second Levi-Civita connection: D~ = D + ``svk_pair_difference``."""
-    return scalars.combine([1, 1], [svk, svk_pair_difference(p, s)])
+    return scalars.combine([1, 1], [svk, svk_pair_difference(p, p_xi, s)])
 
 
-def svk_pair_covariant_phi(dphi: np.ndarray, p: np.ndarray, s: ACBStructure) -> np.ndarray:
-    """(D~_x phi) y from (D_x phi) y and the potential:
+def svk_pair_covariant_phi(
+    dphi: np.ndarray, p: np.ndarray, p_xi: np.ndarray, s: ACBStructure
+) -> np.ndarray:
+    """(D~_x phi) y from (D_x phi) y, the potential and ``p_xi`` = Phi(., xi):
 
     (D~_x phi) y = (D_x phi) y + Phi(x, phi y) - phi Phi(x,y)
                  + eta(y) phi Phi(x,xi) - eta(Phi(x, phi y)) xi.
     """
     phi = s.phi
     p_phiy = scalars.einsum("lim,mj->lij", p, phi)  # Phi(x, phi y)
-    p_xi = scalars.einsum("lim,m->li", p, s.xi)
     return scalars.combine(
         [1, 1, -1, 1, -1],
         [

@@ -113,13 +113,13 @@ def test_criterion_5_natural_connection_coincidences():
         if not ws.g.classification["U2"]:
             continue
         u2_seen += 1
-        phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.nabla_xi, ws.g.nabla_eta, ws.s)
+        phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.hv_closed, ws.s)
         assert np.array_equal(phib, ws.g.svk), name
         assert np.array_equal(ws.gt.svk, ws.g.svk), name
         assert scalars.residual(ws.g.svk_phi) == 0.0, name
     assert u2_seen >= 2
     ws = workspace("nil5-f2")  # outside the vertical union: all three fail
-    phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.nabla_xi, ws.g.nabla_eta, ws.s)
+    phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.hv_closed, ws.s)
     d, dt = ws.g.svk, ws.gt.svk
     assert scalars.residual(d - phib) > 0
     assert scalars.residual(phib - dt) > 0

@@ -212,6 +212,25 @@ def test_report_json(files):
     assert payload["classification"]["g"]["membership"]["F4"] is True
 
 
+# the order in which the classifier decides its flags, which the JSON of
+# classify and report keeps
+FLAG_ORDER = [
+    "F0", *(f"F{i}" for i in range(1, 12)), "U1", "U1_assoc", "U2", "F3+U3", "F1+F2+U3", "U3",
+]
+
+
+def test_json_lists_the_flags_in_the_classifier_order(files, capsys):
+    for metric in ("g", "gtilde"):
+        assert cli.main(["classify", files["dim5-tr"], "--metric", metric, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload["membership"]) == FLAG_ORDER, metric
+        assert list(payload["residuals"]) == FLAG_ORDER, metric
+    assert cli.main(["report", files["dim5-tr"], "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for role in ("g", "gtilde"):
+        assert list(payload["classification"][role]["membership"]) == FLAG_ORDER, role
+
+
 COMMANDS = ["validate", "classify", "report", "curvature", "verify"]
 
 

@@ -13,6 +13,7 @@ from bcontact.curvature import (
     TOTALLY_REAL,
     XI_SECTION,
     curvature_reeb_identity,
+    ricci,
     ricci_xi_formula,
     section_type,
     sectional,
@@ -89,6 +90,34 @@ def test_svk_ricci_and_scalar_relations():
             assert np.array_equal(view.curv.rho_svk, rho_formula), name
             tau_formula = svk_scalar_formula(view.curv.tau, view.rho_xi_xi, view.shape)
             assert view.curv.tau_svk == tau_formula, name
+
+
+def _loop_trace(r, m):
+    """m^{il} R(e_i, y, z, e_l) of a (0,4) tensor, by plain Python sums."""
+    idx = range(len(m.matrix))
+    out = np.empty((len(idx), len(idx)), dtype=object)
+    for y, z in product(idx, idx):
+        out[y, z] = sum(m.inv[i, l] * r[i, y, z, l] for i in idx for l in idx)
+    return out
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_NAMES if zoo.builtin(n).dim == 5])
+def test_ricci_relation_is_the_trace_of_the_curvature_relation(name):
+    # rho^D = tr svk_curvature_formula needs only R(., ., xi, xi) = 0 and
+    # m(xi, .) = eta, so it holds for a random integer tensor antisymmetric
+    # in its last pair, whose rho(., xi) is no multiple of eta and whose
+    # rho and R(xi, ., ., xi) are not symmetric: each eta and transposition
+    # of the Ricci relation shows
+    ws = workspace(name)
+    rng = np.random.default_rng(7)
+    for view in (ws.g, ws.gt):
+        a = rng.integers(-3, 4, size=(ws.s.dim,) * 4)
+        r = scalars.array(a - a.transpose(0, 1, 3, 2), RATIONAL)
+        rho = _loop_trace(r, view.metric)
+        assert np.array_equal(ricci(r, view.metric), rho), view.role
+        traced = _loop_trace(svk_curvature_formula(ws.s, r, view.shape), view.metric)
+        formula = svk_ricci_formula(ws.s, r, rho, view.shape, view.metric)
+        assert np.array_equal(formula, traced), view.role
 
 
 def test_ricci_reeb_formula():

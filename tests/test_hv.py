@@ -4,10 +4,11 @@ import numpy as np
 from bcontact import scalars, zoo
 from bcontact.curvature import PlaneStack
 from bcontact.hv import (
+    connection_components,
     equivalence_chains,
     hv_split,
     potential_pi1_form,
-    reference_components,
+    shape_components,
 )
 from bcontact.scalars import RATIONAL
 
@@ -83,9 +84,8 @@ def test_hv_components_sum_and_reference_forms():
         ws = workspace(name)
         for view in (ws.g, ws.gt):
             comps = hv_split(ws.s, view.potential, view.torsion)
-            by_conn, by_shape = reference_components(
-                ws.s, view.nabla_xi, view.nabla_eta, view.shape
-            )
+            by_conn = connection_components(ws.s, view.nabla_xi, view.nabla_eta)
+            by_shape = shape_components(ws.s, view.shape)
             assert np.array_equal(
                 comps.q_h + comps.q_v, view.potential
             )
@@ -138,7 +138,7 @@ def _chain_values(ws, view):
     """chain -> its one value; asserts that the chain's predicates agree."""
     chains = equivalence_chains(
         ws.s, view.conn, view.nabla_xi, view.nabla_eta, view.svk, view.shape,
-        view.potential, view.torsion, view.metric,
+        view.hv, view.metric,
     )
     values = {}
     for chain, predicates in chains.items():

@@ -5,14 +5,17 @@ from collections import Counter
 
 import pytest
 
-from bcontact import liegroup, pipeline, zoo
+from bcontact import liegroup, pipeline, scalars, zoo
 from bcontact.checks import run_checks
 from bcontact.scalars import FLOAT, RATIONAL
 
 from support import corrupted_phi_entry, suite_results, workspace
 
 # fields of the SvK pair, the shape operators and the curvature
-DOWNSTREAM = {"svk", "potential", "torsion", "svk_phi", "shape", "curv", "rho_xi_xi"}
+DOWNSTREAM = {
+    "hv_closed", "potential", "svk", "torsion", "hv", "svk_phi", "svk_xi", "svk_eta",
+    "svk_metric", "shape", "curv", "rho_xi_xi",
+}
 
 
 def test_classification_computes_no_curvature(monkeypatch):
@@ -50,7 +53,13 @@ def test_model_and_cached_arrays_are_read_only(mode):
         "g.conn": ws.g.conn,
         "g.fundamental": ws.g.fundamental,
         "g.lee.theta": ws.g.lee.theta,
+        "s.vertical": ws.s.vertical,
+        "s.d_eta_xi": ws.s.d_eta_xi,
         "gt.shape.operator": ws.gt.shape.operator,
+        "g.hv_closed.q_h": ws.g.hv_closed.q_h,
+        "gt.hv.t_v": ws.gt.hv.t_v,
+        "g.svk_metric": ws.g.svk_metric,
+        "gt.partner_potential_xi": ws.gt.partner_potential_xi,
         "g.curv.r04": ws.g.curv.r04,
     }
     for name, arr in arrays.items():
@@ -78,20 +87,91 @@ def _count_calls(monkeypatch, fn):
 
 def test_each_structure_tensor_is_differentiated_once_per_metric(monkeypatch):
     # every closed form reads the view's nabla_xi, nabla_eta and nabla_phi and
-    # the structure's d_eta; only the check-side routes of their own (nabla g,
-    # nabla S, the SvK derivatives) differentiate anything else
+    # the structure's d_eta, and every check of the SvK connection reads the
+    # view's D phi, D xi, D eta and D m; besides these, only nabla m, nabla S
+    # and nabla S(xi) are taken, once per metric each
     derivatives = _count_calls(monkeypatch, liegroup.covariant_derivative)
     d_eta_calls = _count_calls(monkeypatch, liegroup.d_eta)
     ws = zoo.builtin("solv7-u2").workspace(RATIONAL)
     assert all(r.passed for r in run_checks(ws))
     s = ws.s
     taken = Counter(
-        (view.role, name)
+        (view.role, connection, name)
         for gamma, t, _ in derivatives
         for view in (ws.g, ws.gt)
-        if gamma is view.conn
-        for name, field in (("xi", s.xi), ("eta", s.eta), ("phi", s.phi))
+        for connection, conn in (("levi-civita", view.conn), ("svk", view.svk))
+        if gamma is conn
+        for name, field in (
+            ("xi", s.xi), ("eta", s.eta), ("phi", s.phi), ("metric", view.metric.matrix)
+        )
         if t is field
     )
-    assert taken == {(role, name): 1 for role in ("g", "gtilde") for name in ("xi", "eta", "phi")}
+    assert taken == {
+        (role, connection, name): 1
+        for role in ("g", "gtilde")
+        for connection in ("levi-civita", "svk")
+        for name in ("xi", "eta", "phi", "metric")
+    }
+    assert len(derivatives) == 20
     assert len(d_eta_calls) == 1
+
+
+# The contractions of two or more operands that one rational run_checks on
+# solv7-u2 makes a second time on the same operands, by (calling function,
+# spec), with how many times and why; every other tensor that two families
+# use has one home on the structure or on a MetricView.
+F_ROUTES = "the second routes of the potential and of F~ take F alone, not the classifier's terms"
+AXIOMS = "validation tests the axioms before the associated metric or a view exists"
+REPEATS_ALLOWED = {
+    ("potential_from_fundamental", "xym,m->xy"): (1, F_ROUTES),
+    ("potential_from_fundamental", "abm,ax,by,m->xy"): (1, F_ROUTES),
+    ("potential_from_fundamental", "xym,mz->xyz"): (1, F_ROUTES),
+    ("potential_from_fundamental", "mxy,m->xy"): (1, F_ROUTES),
+    ("assoc_fundamental_from_fundamental", "xym,m->xy"): (1, F_ROUTES),
+    ("assoc_fundamental_from_fundamental", "abm,ax,by,m->xy"): (1, F_ROUTES),
+    ("assoc_fundamental_from_fundamental", "xam,ay,m->xy"): (1, F_ROUTES),
+    ("b_metric", "i,j->ij"): (1, AXIOMS),
+    ("associated_of", "i,j->ij"): (2, AXIOMS),
+    ("_class_conditions", "im,mj->ij"): (2, AXIOMS),
+    ("_class_conditions", "mi,rj,mr->ij"): (2, AXIOMS),
+    ("potential_pi1_form", "ij,i->j"): (1, AXIOMS + "; the pi_1 form reads g(xi, .), not eta"),
+    ("svk_sectional_polarized", "jk,il->ijkl"): (
+        2, "S<> (x) S<>: the curvature relation and its polarized sectional form"
+    ),
+    ("svk_pair_difference", "m,mij,k->kij"): (1, "two families test the pair difference"),
+    ("svk_pair_difference", "j,ki->kij"): (1, "two families test the pair difference"),
+    ("check_qt_pair_relations", "j,ki->kij"): (
+        1, "eta(y) Phi(x, xi), a term of the pair difference and of the Q and T relations"
+    ),
+}
+
+
+def _memory(a):
+    """The memory an array reads: its root owner, data pointer and layout."""
+    root = a
+    while root.base is not None:
+        root = root.base
+    return id(root), a.__array_interface__["data"][0], a.shape, a.strides
+
+
+def test_run_checks_repeats_only_the_allowed_contractions(monkeypatch):
+    real = scalars.einsum
+    made, repeats, operands = set(), Counter(), []
+
+    def einsum(spec, *arrays):
+        if len(arrays) >= 2:
+            operands.append(arrays)  # kept alive, so no memory is reused
+            key = (spec, *map(_memory, arrays))
+            if key in made:
+                repeats[sys._getframe(1).f_code.co_name, spec] += 1
+            made.add(key)
+        return real(spec, *arrays)
+
+    monkeypatch.setattr(scalars, "einsum", einsum)
+    ws = zoo.builtin("solv7-u2").workspace(RATIONAL)
+    assert all(r.passed for r in run_checks(ws))
+    unexpected = {
+        where: n for where, n in repeats.items() if n > REPEATS_ALLOWED.get(where, (0,))[0]
+    }
+    assert not unexpected
+    assert sum(repeats.values()) <= 20

@@ -188,6 +188,39 @@ def test_sectional_rows_pass_exactly_for_every_plane_seed(seed):
         assert rows[f"sectional-relation[{role}]"].detail == "20 sampled planes"
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("accepted", [0, 1])
+def test_sampling_stops_at_its_draw_budget(monkeypatch, mode, accepted):
+    # when the first batch of a metric yields `accepted` planes and no later
+    # draw is non-degenerate, each metric makes exactly 60 * PLANE_COUNT
+    # draws, its last batch cut to the budget, and sectional-relation fails
+    # on the planes it has; a draw past the budget raises, so a sampler that
+    # would loop on fails here instead of hanging
+    count = checks.PLANE_COUNT
+    budget = 60 * count
+    batches = {}
+    nondegenerate = PlaneStack.nondegenerate
+
+    def scarce(cls, m, xy, eps):
+        drawn = batches.setdefault(id(m), [])
+        drawn.append(len(xy))
+        if sum(drawn) > budget:
+            raise AssertionError(f"{sum(drawn)} draws, past the budget of {budget}")
+        planes = nondegenerate(m, xy, eps)
+        return planes[np.arange(len(planes)) < (accepted if len(drawn) == 1 else 0)]
+
+    monkeypatch.setattr(PlaneStack, "nondegenerate", classmethod(scarce))
+    ws = workspace("solv5-f1", mode)
+    rows = {r.name: r for r in check_sectional_curvature(ws)}
+    for role in ("g", "gtilde"):
+        row = rows[f"sectional-relation[{role}]"]
+        assert not row.passed and row.detail == f"{accepted} sampled planes", role
+    full, cut = divmod(budget - count, count - accepted)
+    expected = [count] + [count - accepted] * full + ([cut] if cut else [])
+    assert list(batches.values()) == [expected, expected]
+    assert sum(expected) == budget and (accepted == 0 or cut)
+
+
 def _loop_sectional(r, g, x, y):
     """R(x,y,y,x) / pi_1(x,y,y,x) of one plane, by plain Python sums."""
     dim = len(x)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bcontact import scalars, zoo
 from bcontact.scalars import DEFAULT_EPS, RATIONAL
 from bcontact.svk import (
-    is_natural,
     phi_b_connection,
     potential_from_torsion,
     svk_connection_projected,
@@ -17,7 +16,7 @@ from bcontact.svk import (
     torsion_from_potential,
 )
 
-from support import workspace
+from support import result_map, workspace
 
 ALL_NAMES = zoo.names()
 
@@ -42,7 +41,7 @@ def test_svk_equals_levi_civita_iff_parallel_reeb():
 
 def test_svk_differs_but_matches_phib_on_vertical_class():
     ws = workspace("solv3-f4")
-    phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.nabla_xi, ws.g.nabla_eta, ws.s)
+    phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.hv_closed, ws.s)
     assert np.array_equal(phib, ws.g.svk)
 
 
@@ -122,10 +121,19 @@ def test_bijection_round_trip_identity_in_general(q):
     assert np.array_equal(back, q)
 
 
+def _is_natural(name):
+    """The suite's verdict on whether phi, xi, eta and g are all parallel
+    under the SvK connection of g."""
+    row = result_map(name)["svk-natural-iff-vertical-fundamental"]
+    return "is-natural=True" in row.detail.split(", ")
+
+
 def test_svk_phi_vanishes_exactly_on_vertical_class():
     natural = workspace("solv3-f4")
     assert scalars.residual(natural.g.svk_phi) == 0.0
-    assert is_natural(natural.g.svk, natural.s, natural.s.metric)
+    for derivative in (natural.g.svk_xi, natural.g.svk_eta, natural.g.svk_metric):
+        assert scalars.residual(derivative) == 0.0
+    assert _is_natural("solv3-f4")
 
     # the pure-cyclic entry is parallel-Reeb but not in the vertical union:
     # its SvK connection is not natural and its phi-derivative survives
@@ -133,12 +141,12 @@ def test_svk_phi_vanishes_exactly_on_vertical_class():
     assert non_natural.g.classification["U1"]
     assert not non_natural.g.classification["U2"]
     assert scalars.residual(non_natural.g.svk_phi) > 0
-    assert not is_natural(non_natural.g.svk, non_natural.s, non_natural.s.metric)
+    assert not _is_natural("nil5-f2")
 
 
 def test_phib_differs_outside_vertical_class():
     ws = workspace("nil5-f2")
-    phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.nabla_xi, ws.g.nabla_eta, ws.s)
+    phib = phi_b_connection(ws.g.conn, ws.g.nabla_phi, ws.g.hv_closed, ws.s)
     assert scalars.residual(phib - ws.g.svk) > 0
 
 
@@ -151,7 +159,7 @@ def test_flat_model_connections_all_coincide():
 def test_pair_from_potential_route():
     for name in ALL_NAMES:
         ws = workspace(name)
-        via = svk_pair_from_potential(ws.g.svk, ws.pot, ws.s)
+        via = svk_pair_from_potential(ws.g.svk, ws.pot, ws.g.partner_potential_xi, ws.s)
         assert np.array_equal(via, ws.gt.svk), name
 
 
@@ -169,7 +177,7 @@ def test_pair_differs_on_parallel_entry():
 def test_pair_phi_relation_and_u3_behaviour():
     for name in ALL_NAMES:
         ws = workspace(name)
-        rel = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, ws.s)
+        rel = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, ws.g.partner_potential_xi, ws.s)
         assert np.array_equal(rel, ws.gt.svk_phi), name
     u3 = workspace("solv7-u2")
     assert u3.g.classification["U3"]
@@ -234,8 +242,8 @@ def test_checks_see_a_wrong_svk_potential(monkeypatch, name):
 
     closed = svk.svk_potential_closed
 
-    def doubled(nxi, neta, s):
-        return closed(nxi, neta, s) + scalars.einsum("ij,k->kij", neta, s.xi)
+    def doubled(parts):
+        return closed(parts) + parts.q_v
 
     monkeypatch.setattr(svk, "svk_potential_closed", doubled)
     ws = zoo.builtin(name).workspace(RATIONAL)  # a fresh one, built with the wrong D
