@@ -1,12 +1,12 @@
-"""Mutation survey of the curvature, SvK and horizontal/vertical code.
+"""Mutation survey of the curvature, SvK, horizontal/vertical and structure code.
 
 Which one-site changes of the code do the check suite and the tests notice?
 
     PYTHONPATH=src python scripts/mutants.py [--jobs N] [--out FILE] [--compare OLD.json]
 
 Run it from the root of a checkout.  The mutated code is
-``src/bcontact/curvature.py``, ``svk.py``, ``hv.py`` and the sectional part
-of ``src/bcontact/checks.py`` (from its "sectional-curvature sampling"
+``src/bcontact/curvature.py``, ``svk.py``, ``hv.py``, ``structure.py`` and
+the sectional part of ``src/bcontact/checks.py`` (from its "sectional-curvature sampling"
 header to its "suite driver" header).  Each mutant changes one site:
 
 - ``sign``: a binary ``+`` becomes ``-`` or back (``+=`` and ``-=`` too),
@@ -23,8 +23,8 @@ of the checkout that holds the mutant:
   checks differ from its frozen ``failing_checks`` (none for a curated
   entry), or when a run raises or times out;
 - ``tests``: pytest on ``tests/test_sectional.py``, ``test_curvature.py``,
-  ``test_basis_change.py``, ``test_hv.py`` and ``test_svk.py``; the mutant
-  is killed when a test fails.
+  ``test_basis_change.py``, ``test_hv.py``, ``test_svk.py`` and
+  ``test_structure.py``; the mutant is killed when a test fails.
 
 The script prints the survivors of each oracle and the counts.  ``--out``
 writes every mutant with its verdicts as JSON.  ``--compare`` reads such a
@@ -55,11 +55,12 @@ TARGETS = {
     "src/bcontact/curvature.py": None,
     "src/bcontact/svk.py": None,
     "src/bcontact/hv.py": None,
+    "src/bcontact/structure.py": None,
     "src/bcontact/checks.py": ("# sectional-curvature sampling", "# suite driver"),
 }
 TESTS = [
     "tests/test_sectional.py", "tests/test_curvature.py", "tests/test_basis_change.py",
-    "tests/test_hv.py", "tests/test_svk.py",
+    "tests/test_hv.py", "tests/test_svk.py", "tests/test_structure.py",
 ]
 EINSUM_SPEC = re.compile(r"^[a-z]+(,[a-z]+)*->[a-z]*$")
 SUITE_TIMEOUT, TESTS_TIMEOUT = 120, 600

@@ -302,7 +302,7 @@ def check_svk_naturality(ws: Workspace):
         "is-natural": natural,
     }
     if u2:
-        phib = svk_mod.phi_b_connection(g.conn, g.nabla_phi, g.hv_closed, s)
+        phib = svk_mod.phi_b_connection(g.conn, g.nabla_phi, g.q_closed, s)
         yield "phib-coincidence-on-u2", [_minus(phib, d)], (d,)
 
 

@@ -33,9 +33,12 @@ EXIT_INPUT_ERROR = 2
 
 def _checked(parse, check):
     """An argparse type: ``parse`` the text, then ``check`` the value; a
-    rejected value is reported against its flag, with exit code 2."""
+    rejected value, or non-ASCII text, is reported against its flag, with
+    exit code 2 (``int`` and ``float`` read the digits of any script)."""
 
     def convert(text: str):
+        if not text.isascii():
+            raise argparse.ArgumentTypeError(f"non-ASCII character in {text!r}")
         value = parse(text)
         try:
             return check(value)
@@ -195,7 +198,8 @@ def _parse_plane(args, ws: Workspace):
     None when neither is given."""
     if args.plane:
         try:
-            i, j = (int(t) for t in args.plane.split(","))
+            # no index of non-ASCII text: int() reads the digits of any script
+            i, j = (int(t) for t in args.plane.split(",") if args.plane.isascii())
         except ValueError:
             raise ModelFileError("--plane expects two comma-separated indices")
         dim = ws.s.dim

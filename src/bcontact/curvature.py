@@ -182,7 +182,10 @@ class PlaneStack:
 
     @classmethod
     def concat(cls, stacks: list["PlaneStack"]) -> "PlaneStack":
-        """The planes of ``stacks`` (of one metric), one stack after the other."""
+        """The planes of ``stacks`` (of one metric), one stack after the
+        other; a single stack is returned as it is, with its scaled arrays."""
+        if len(stacks) == 1:
+            return stacks[0]
         arrays = [np.concatenate([getattr(p, f) for p in stacks]) for f in ("xy", "gram", "den")]
         return cls(stacks[0].metric, *scalars.freeze(arrays))
 
@@ -191,7 +194,7 @@ class PlaneStack:
         """Every plane xy[n], degenerate ones included, ``xy`` being pairs of
         vectors, as a planes x 2 x dim array or a list."""
         # a read-only copy, which the kernel scales once for every contraction
-        xy = scalars.freeze(np.array(xy, dtype=m.matrix.dtype).reshape(len(xy), 2, len(m.matrix)))
+        xy = scalars.freeze(np.array(np.reshape(xy, (len(xy), 2, len(m.matrix))), dtype=m.matrix.dtype))
         gram = _gram(m.matrix, xy, xy)
         return cls(m, xy, gram, scalars.freeze(_pi1(gram)))
 
@@ -290,7 +293,8 @@ def sectional(planes: PlaneStack, curv: CurvatureData, shape: ShapeData, s: ACBS
     """The ``Sectional`` values of the stack: R and R^D each enter one
     contraction R(x, y, ., .), which gives k and the eta terms, and
     pi_1(Sx,Sy,y,x) comes from one Gram block of the shape form m(S., .)."""
-    (x, y), den = planes.xy.transpose(1, 0, 2), planes.den
+    # owned copies of x and y, which the kernel scales once each
+    (x, y), den = scalars.freeze([planes.xy[:, 0].copy(), planes.xy[:, 1].copy()]), planes.den
     rxy = scalars.einsum("ijkl,ni,nj->nkl", curv.r04, x, y)
     rxy_svk = scalars.einsum("ijkl,ni,nj->nkl", curv.r04_svk, x, y)
     eta_x, eta_y = scalars.einsum("nai,i->an", planes.xy, s.eta)
@@ -341,7 +345,7 @@ def svk_sectional_polarized(
             r04_svk,
             r04_base,
             sdsd,
-            sdsd.transpose(1, 0, 2, 3),
+            scalars.einsum("ijkl->jikl", sdsd),
             scalars.einsum("ijkm,m,l->ijkl", r04_base, s.xi, s.eta),
             scalars.einsum("ijml,m,k->ijkl", r04_base, s.xi, s.eta),
         ],

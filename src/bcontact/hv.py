@@ -45,11 +45,17 @@ def shape_operator(nxi: np.ndarray, m: Metric) -> ShapeData:
 
 
 @dataclass(frozen=True)
-class HVComponents:
-    """Horizontal/vertical components of a potential and torsion, all (1,2)."""
+class QComponents:
+    """Horizontal/vertical components of a potential, both (1,2)."""
 
     q_h: np.ndarray
     q_v: np.ndarray
+
+
+@dataclass(frozen=True)
+class HVComponents(QComponents):
+    """Horizontal/vertical components of a potential and torsion, all (1,2)."""
+
     t_h: np.ndarray
     t_v: np.ndarray
 
@@ -73,16 +79,17 @@ def wedge_form_operator(alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def connection_components(s: ACBStructure, nxi: np.ndarray, neta: np.ndarray) -> HVComponents:
-    """Q^h = -(nabla xi) (x) eta, Q^v = (nabla eta) (x) xi, T^h = eta ^ (nabla xi)
-    and T^v = d eta (x) xi, from ``nxi`` and ``neta`` = nabla xi and nabla eta
-    of the Levi-Civita connection; Q and the closed form of T are their sums."""
-    return HVComponents(
-        scalars.einsum("ki,j->kij", -nxi, s.eta),
-        scalars.einsum("ij,k->kij", neta, s.xi),
-        wedge_form_operator(s.eta, nxi),
-        s.d_eta_xi,
-    )
+def potential_components(s: ACBStructure, nxi: np.ndarray, neta: np.ndarray) -> QComponents:
+    """Q^h = -(nabla xi) (x) eta and Q^v = (nabla eta) (x) xi, from ``nxi`` and
+    ``neta`` = nabla xi and nabla eta of the Levi-Civita connection; Q is their sum."""
+    return QComponents(scalars.einsum("ki,j->kij", -nxi, s.eta), scalars.einsum("ij,k->kij", neta, s.xi))
+
+
+def connection_components(s: ACBStructure, nxi: np.ndarray, q: QComponents) -> HVComponents:
+    """The components ``q`` of ``potential_components`` with T^h = eta ^ (nabla xi)
+    and T^v = d eta (x) xi, ``nxi`` being nabla xi of the Levi-Civita
+    connection; the closed form of T is the sum of the last two."""
+    return HVComponents(q.q_h, q.q_v, wedge_form_operator(s.eta, nxi), s.d_eta_xi)
 
 
 def shape_components(s: ACBStructure, shape: ShapeData) -> HVComponents:

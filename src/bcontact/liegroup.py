@@ -52,7 +52,7 @@ class LieAlgebra:
 
 def torsion(gamma: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
     """T(x,y) = nabla_x y - nabla_y x - [x,y], as a (1,2) tensor."""
-    return scalars.combine([1, -1, -1], [gamma, np.swapaxes(gamma, 1, 2), algebra.c])
+    return scalars.combine([1, -1, -1], [gamma, scalars.einsum("kij->kji", gamma), algebra.c])
 
 
 def levi_civita(algebra: LieAlgebra, m: Metric) -> np.ndarray:

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import scalars, svk as svk_mod
 from .curvature import CurvatureData, curvature_data
-from .hv import HVComponents, ShapeData, connection_components, equivalence_chains
-from .hv import hv_split, shape_operator
+from .hv import HVComponents, QComponents, ShapeData, connection_components
+from .hv import equivalence_chains, hv_split, potential_components, shape_operator
 from .liegroup import covariant_derivative, levi_civita, torsion
 from .structure import (
     ACBStructure,
@@ -123,15 +123,21 @@ class MetricView:
         )
 
     @_cached
+    def q_closed(self) -> QComponents:
+        """Q^h and Q^v by their closed forms through nabla xi and nabla eta:
+        the closed forms of Q and the phiB-connection add them."""
+        return potential_components(self.ws.s, self.nabla_xi, self.nabla_eta)
+
+    @_cached
     def hv_closed(self) -> HVComponents:
-        """Q^h, Q^v, T^h and T^v by their closed forms through nabla xi and
-        nabla eta: the closed forms of Q, T and the phiB-connection add them."""
-        return connection_components(self.ws.s, self.nabla_xi, self.nabla_eta)
+        """``q_closed`` with T^h and T^v by their closed forms through nabla
+        xi: the closed form of T adds them.  Only the checks read it."""
+        return connection_components(self.ws.s, self.nabla_xi, self.q_closed)
 
     @_cached
     def potential(self) -> np.ndarray:
         """(1,2) potential Q = D - nabla of the SvK connection, by its closed form."""
-        return svk_mod.svk_potential_closed(self.hv_closed)
+        return svk_mod.svk_potential_closed(self.q_closed)
 
     @_cached
     def svk(self) -> np.ndarray:

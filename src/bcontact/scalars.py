@@ -25,15 +25,15 @@ M, its largest absolute numerator.  A contraction runs in int64 when every
 operand is int64 and K * prod(max(1, M_i)) <= 2**63 - 1, K being the number
 of products summed into one result entry; a combination when
 sum_t |k_t| M_t <= 2**63 - 1, k_t being the integer factor of term t.  Any
-other call runs over Python ints, the exact path that has no bound.  The
-scaled form of a read-only array is computed once and kept while the array
-lives.  A rational kernel result is born read-only with its scaled form
-kept, so the next kernel call, ``max_abs``, ``zero_test`` and ``zero_rows``
-read its integers: a rational verdict and worst index are exact, and a
+other call runs over Python ints, the exact path that has no bound.  A
+scaled form is kept while its array lives for a kernel result (born
+read-only, owning its memory), a read-only array that owns its memory, and
+a transpose ``einsum`` takes of either; any other view is scaled afresh.
+So the next kernel call, ``max_abs``, ``zero_test`` and ``zero_rows`` read
+a result's integers: a rational verdict and worst index are exact, and a
 residual, like ``max_abs``, is the float of the exact largest entry (the
 smallest positive float when that rounds to 0 but the entry is not 0, and
-inf beyond the float range).
-``freeze`` makes other arrays read-only, to be scaled once.
+inf beyond the float range).  ``freeze`` makes other arrays read-only.
 """
 from __future__ import annotations
 
@@ -65,14 +65,16 @@ def check_eps(eps: float) -> float:
 
 def eps_or_env(eps: float | None) -> float:
     """``eps`` when it is given, else the tolerance BCONTACT_EPS sets, else
-    DEFAULT_EPS; a variable that ``check_eps`` rejects raises ValueError
-    naming it."""
+    DEFAULT_EPS; a variable that is not ASCII, or that ``check_eps``
+    rejects, raises ValueError naming it."""
     if eps is not None:
         return eps
     text = os.environ.get(EPS_VARIABLE)
     if text is None:
         return DEFAULT_EPS
     try:
+        if not text.isascii():
+            raise ValueError("non-ASCII character")
         return check_eps(float(text))
     except ValueError:
         raise ValueError(
@@ -174,66 +176,36 @@ def _scale(a: np.ndarray) -> tuple[np.ndarray, int, int]:
     return n.reshape(a.shape), d, m
 
 
-# id(owner) -> (weak reference to owner, scaled owner, its denominator, its
-# largest absolute numerator), for read-only owners of object arrays; an
-# entry leaves when its owner dies.  Threads that race on one owner at worst
+# id(a) -> (weak reference to a, scaled a, its denominator, its largest
+# absolute numerator), for each array whose scaled form is kept; an entry
+# leaves when its array dies.  Threads that race on one array at worst
 # scale it twice.
 _SCALED: dict[int, tuple] = {}
 
 
-def _frozen_owner(a: np.ndarray):
-    """The array that owns the memory of ``a`` when ``a`` and every array of
-    its ``.base`` chain are read-only, and it is C-contiguous; else None."""
-    while not a.flags.writeable:
-        base = a.base
-        if base is None:
-            return a if a.flags.c_contiguous else None
-        if not isinstance(base, np.ndarray):
-            return None
-        a = base
-    return None
+def _kept(a: np.ndarray):
+    """The kept scaled form ``(n, d, m)`` of ``a``, or None."""
+    hit = _SCALED.get(id(a))
+    return hit[1:] if hit is not None and hit[0]() is a else None
 
 
-def _memo(a: np.ndarray):
-    """``(owner, entry)``: the read-only memory owner of ``a`` (None when it
-    has none) and the owner's ``_SCALED`` entry (None when it is unscaled)."""
-    owner = _frozen_owner(a) if a.size else None
-    if owner is None:
-        return None, None
-    hit = _SCALED.get(id(owner))
-    return owner, hit if hit is not None and hit[0]() is owner else None
-
-
-def _remember(owner: np.ndarray, n: np.ndarray, d: int, m: int) -> None:
-    """Keep ``(n, d, m)``, ``n`` flat and made read-only, as the scaled form
-    of ``owner``."""
-    key = id(owner)
+def _remember(a: np.ndarray, n: np.ndarray, d: int, m: int) -> None:
+    """Keep ``(n, d, m)``, ``n`` made read-only, as the scaled form of ``a``."""
+    key = id(a)
     n.setflags(write=False)
-    _SCALED[key] = (weakref.ref(owner, lambda _, k=key: _SCALED.pop(k, None)), n, d, m)
+    _SCALED[key] = (weakref.ref(a, lambda _, k=key: _SCALED.pop(k, None)), n, d, m)
 
 
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """``_scale(a)``, computed once per read-only memory owner: the scaled
-    form of a read-only array, or of a read-only view of one, is a view of
-    its owner's scaled form, with the owner's denominator and largest
-    absolute numerator (a bound for the view's)."""
-    owner, hit = _memo(a)
-    if owner is None:
-        return _scale(a)
-    if hit is None:
-        n, d, m = _scale(owner.reshape(-1))
-        _remember(owner, n, d, m)
-    else:
-        _, n, d, m = hit
-    if a.size == owner.size and a.flags.c_contiguous:
-        return n.reshape(a.shape), d, m
-    # the byte offset and strides of ``a`` in its owner, in entries, then
-    # in bytes of the scaled array
-    step = a.itemsize
-    offset = a.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
-    strides = tuple(s // step * n.itemsize for s in a.strides)
-    view = np.lib.stride_tricks.as_strided(n[offset // step:], a.shape, strides, writeable=False)
-    return view, d, m
+    """``_scale(a)``, kept for ``a`` when it is read-only and owns its
+    memory: the memory of a view may be written through another array."""
+    kept = _kept(a)
+    if kept is not None:
+        return kept
+    n, d, m = _scale(a)
+    if a.base is None and not a.flags.writeable:
+        _remember(a, n, d, m)
+    return n, d, m
 
 
 def _rebuild(n, den: int):
@@ -249,27 +221,26 @@ def _rebuild(n, den: int):
     and built; every ``Fraction`` holds Python ints."""
     if not isinstance(n, np.ndarray) or not n.ndim:
         return Fraction(int(n), den)
-    ints = n.ravel()
-    nonzero = ints.nonzero()[0]
-    values = ints[nonzero].tolist()
-    out = np.empty(len(ints), dtype=object)
+    nonzero = n.nonzero()
+    values = n[nonzero].tolist()
+    out = np.empty(n.shape, dtype=object)
     out.fill(ZERO)
     if values:
         g = math.gcd(den, *values)
         if g > 1:
             den //= g
             values = [v // g for v in values]
-            ints = ints // g
+            n = n // g
         built = {v: Fraction(v, den) for v in set(values)}
         out[nonzero] = list(map(built.__getitem__, values))
     else:
         den = 1
     m = max(map(abs, values), default=0)
-    if ints.dtype == object and m <= _INT64_MAX:
-        ints = ints.astype(np.int64)
+    if n.dtype == object and m <= _INT64_MAX:
+        n = n.astype(np.int64)
     out.setflags(write=False)
-    _remember(out, ints, den, m)
-    return out.reshape(n.shape)
+    _remember(out, n, den, m)
+    return out
 
 
 def _widen(ns) -> list[np.ndarray]:
@@ -308,20 +279,23 @@ def einsum(spec: str, *operands: np.ndarray):
     <= 2**63 - 1, for K products per result entry and M_i the largest
     absolute numerator of operand i.  Otherwise they are Python ints.  A 0-d
     result is a ``Fraction`` scalar; an array result is read-only and
-    carries its scaled form (see ``_rebuild``).  A read-only operand is
-    scaled once in its lifetime (see ``_scaled``), and ``combine`` adds
-    exact arrays on the same scaled integers.  Float calls and
-    single-operand calls (transposes, traces) are numpy's own; numpy is
+    carries its scaled form (see ``_rebuild``).  A read-only operand that
+    owns its memory is scaled once in its lifetime (see ``_scaled``), and
+    ``combine`` adds exact arrays on the same scaled integers.  Float calls
+    and single-operand calls (transposes, traces) are numpy's own; numpy is
     looked up at each call, so a wrapper installed on ``np.einsum`` sees
     every contraction.
     """
     # the float test comes first: it is all a float call pays
-    if (
-        operands[0].dtype != object
-        or len(operands) < 2
-        or any(a.dtype != object for a in operands)
-    ):
+    if operands[0].dtype != object or any(a.dtype != object for a in operands):
         return np.einsum(spec, *operands)
+    if len(operands) == 1:
+        # a read-only view of an array with a kept scaled form (a transpose)
+        # keeps the same view of its integers: its memory is never written
+        out, kept = np.einsum(spec, *operands), _kept(operands[0])
+        if kept is not None and isinstance(out, np.ndarray) and not out.flags.writeable:
+            _remember(out, np.einsum(spec, kept[0]), *kept[1:])
+        return out
     ns, dens, bounds = zip(*map(_scaled, operands))
     if (
         any(n.dtype == object for n in ns)
@@ -391,7 +365,7 @@ def _peak(a: np.ndarray) -> tuple[int, int]:
     """``(p, d)``: the largest absolute entry of the rational array ``a`` is
     exactly p / d, found over its scaled integers.  An unscaled array that
     is exactly zero is never scaled."""
-    if not a.size or (_memo(a)[1] is None and not np.count_nonzero(a)):
+    if not a.size or (_kept(a) is None and not np.count_nonzero(a)):
         return 0, 1
     n, d, _ = _scaled(a)
     if n.dtype == object:
@@ -549,14 +523,13 @@ def freeze(obj):
     Arrays are reached through tuples, lists, dict values and dataclass
     fields, so one call covers a model or a cached derived value.  A frozen
     array must not be written again (say, after ``setflags(write=True)``):
-    the kernel keeps its scaled form.  A rational result of ``einsum`` or
+    the kernel keeps the scaled form of one that owns its memory, but
+    scales a view at each use.  A rational result of ``einsum`` or
     ``combine`` needs no call: it is born read-only and scaled.  Freeze an
-    array built otherwise (by ``Fraction`` arithmetic, ``@``, a mask) that
-    the kernel reads more than once, itself or through views.
+    owned array built otherwise (by ``Fraction`` arithmetic, ``@``, a mask)
+    that the kernel reads more than once.
     """
     if isinstance(obj, np.ndarray):
-        # an array computed by numpy is often a view of a writable owner:
-        # the owner is frozen too, so the kernel may keep its scaled form
         a = obj
         while isinstance(a, np.ndarray):
             a.setflags(write=False)

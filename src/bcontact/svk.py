@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import scalars
-from .hv import HVComponents
+from .hv import HVComponents, QComponents
 from .structure import ACBStructure
 
 
@@ -36,9 +36,9 @@ def svk_connection_projected(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     return scalars.einsum("kl,lim,mj->kij", s.horizontal, conn, s.horizontal)
 
 
-def svk_potential_closed(parts: HVComponents) -> np.ndarray:
+def svk_potential_closed(parts: QComponents) -> np.ndarray:
     """Q(x,y) = -eta(y) nabla_x xi + (nabla_x eta)(y) xi = Q^h + Q^v, from
-    the components ``hv.connection_components`` of the base connection."""
+    the components ``hv.potential_components`` of the base connection."""
     return scalars.combine([1, 1], [parts.q_h, parts.q_v])
 
 
@@ -93,10 +93,10 @@ def svk_covariant_phi_closed(
 
 
 def phi_b_connection(
-    conn: np.ndarray, nphi: np.ndarray, parts: HVComponents, s: ACBStructure
+    conn: np.ndarray, nphi: np.ndarray, parts: QComponents, s: ACBStructure
 ) -> np.ndarray:
     """The phiB-connection of a Levi-Civita connection, from its derivative
-    ``nphi`` of phi and its components ``hv.connection_components``:
+    ``nphi`` of phi and its components ``hv.potential_components``:
 
     nabla*_x y = nabla_x y + 1/2 {(nabla_x phi) phi y + (nabla_x eta)(y) xi}
                - eta(y) nabla_x xi

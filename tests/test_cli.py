@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bcontact import cli, modelfile, zoo
+from bcontact import cli, modelfile, pipeline, zoo
 
 from support import corrupted_phi_entry, non_isometric_phi_entry
 
@@ -212,6 +212,21 @@ def test_report_json(files):
     assert payload["classification"]["g"]["membership"]["F4"] is True
 
 
+def test_report_and_curvature_build_no_torsion_term(files, monkeypatch):
+    # both read the potential of each view, through Q^h and Q^v only: the
+    # closed-form torsion terms T^h and T^v are the checks' alone
+    made = []
+    monkeypatch.setattr(cli, "Workspace", lambda s: made.append(pipeline.Workspace(s)) or made[-1])
+    for argv in (["report", files["dim5-tr"]], ["curvature", files["dim5-tr"], "--plane", "0,1"]):
+        assert cli.main(argv) == 0
+    assert len(made) == 2
+    for ws in made:
+        assert "d_eta_xi" not in vars(ws.s)
+        for view in (ws.g, ws.gt):
+            assert "q_closed" in vars(view), view.role
+            assert not {"hv_closed", "torsion", "hv"} & vars(view).keys(), view.role
+
+
 # the order in which the classifier decides its flags, which the JSON of
 # classify and report keeps
 FLAG_ORDER = [
@@ -295,7 +310,27 @@ def test_out_of_range_flag_is_input_error(files, capsys, argv, flag):
     assert f"argument {flag}: must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
+# int() and float() read the digits of any script; model files do not
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["curvature", "MODEL", "--plane", "\u0660,\u0661"], "--plane"),
+        (["verify", "MODEL", "--seed", "\u0663"], "--seed"),
+        (["validate", "MODEL", "--mode", "float", "--eps", "\u0661e-9"], "--eps"),
+    ],
+    ids=["plane", "seed", "eps"],
+)
+def test_non_ascii_flag_is_input_error(files, capsys, argv, flag):
+    argv = [files["dim5-tr"] if a == "MODEL" else a for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc", "\u0661e-9"])
 def test_bad_bcontact_eps_is_input_error(files, capsys, monkeypatch, value):
     monkeypatch.setenv("BCONTACT_EPS", value)
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from bcontact.hv import (
     connection_components,
     equivalence_chains,
     hv_split,
+    potential_components,
     potential_pi1_form,
     shape_components,
 )
@@ -84,7 +85,8 @@ def test_hv_components_sum_and_reference_forms():
         ws = workspace(name)
         for view in (ws.g, ws.gt):
             comps = hv_split(ws.s, view.potential, view.torsion)
-            by_conn = connection_components(ws.s, view.nabla_xi, view.nabla_eta)
+            q = potential_components(ws.s, view.nabla_xi, view.nabla_eta)
+            by_conn = connection_components(ws.s, view.nabla_xi, q)
             by_shape = shape_components(ws.s, view.shape)
             assert np.array_equal(
                 comps.q_h + comps.q_v, view.potential

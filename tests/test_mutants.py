@@ -1,5 +1,5 @@
-"""``scripts/mutants.py``, the mutation survey of the curvature, SvK and
-horizontal/vertical code and of the sectional checks: every mutant it makes
+"""``scripts/mutants.py``, the mutation survey of the curvature, SvK,
+horizontal/vertical and structure code and of the sectional checks: every mutant it makes
 is valid Python (it parses each one) that differs from its file in one
 line, and each has a key of its own.  The survey itself runs outside these
 tests."""

@@ -13,7 +13,7 @@ from support import corrupted_phi_entry, suite_results, workspace
 
 # fields of the SvK pair, the shape operators and the curvature
 DOWNSTREAM = {
-    "hv_closed", "potential", "svk", "torsion", "hv", "svk_phi", "svk_xi", "svk_eta",
+    "q_closed", "hv_closed", "potential", "svk", "torsion", "hv", "svk_phi", "svk_xi", "svk_eta",
     "svk_metric", "shape", "curv", "rho_xi_xi",
 }
 
