@@ -1,13 +1,14 @@
-"""Mutation survey of the curvature, SvK, horizontal/vertical and structure code.
+"""Mutation survey of the curvature, SvK, horizontal/vertical, structure and Lie algebra code.
 
 Which one-site changes of the code do the check suite and the tests notice?
 
     PYTHONPATH=src python scripts/mutants.py [--jobs N] [--out FILE] [--compare OLD.json]
 
 Run it from the root of a checkout.  The mutated code is
-``src/bcontact/curvature.py``, ``svk.py``, ``hv.py``, ``structure.py`` and
-the sectional part of ``src/bcontact/checks.py`` (from its "sectional-curvature sampling"
-header to its "suite driver" header).  Each mutant changes one site:
+``src/bcontact/curvature.py``, ``svk.py``, ``hv.py``, ``structure.py``,
+``liegroup.py`` and the sectional part of ``src/bcontact/checks.py`` (from
+its "sectional-curvature sampling" header to its "suite driver" header).
+Each mutant changes one site:
 
 - ``sign``: a binary ``+`` becomes ``-`` or back (``+=`` and ``-=`` too),
   and a positive coefficient of a ``scalars.combine`` list gains a minus;
@@ -23,8 +24,9 @@ of the checkout that holds the mutant:
   checks differ from its frozen ``failing_checks`` (none for a curated
   entry), or when a run raises or times out;
 - ``tests``: pytest on ``tests/test_sectional.py``, ``test_curvature.py``,
-  ``test_basis_change.py``, ``test_hv.py``, ``test_svk.py`` and
-  ``test_structure.py``; the mutant is killed when a test fails.
+  ``test_basis_change.py``, ``test_hv.py``, ``test_svk.py``,
+  ``test_structure.py`` and ``test_liegroup.py``; the mutant is killed when
+  a test fails.
 
 The script prints the survivors of each oracle and the counts.  ``--out``
 writes every mutant with its verdicts as JSON.  ``--compare`` reads such a
@@ -56,11 +58,12 @@ TARGETS = {
     "src/bcontact/svk.py": None,
     "src/bcontact/hv.py": None,
     "src/bcontact/structure.py": None,
+    "src/bcontact/liegroup.py": None,
     "src/bcontact/checks.py": ("# sectional-curvature sampling", "# suite driver"),
 }
 TESTS = [
     "tests/test_sectional.py", "tests/test_curvature.py", "tests/test_basis_change.py",
-    "tests/test_hv.py", "tests/test_svk.py", "tests/test_structure.py",
+    "tests/test_hv.py", "tests/test_svk.py", "tests/test_structure.py", "tests/test_liegroup.py",
 ]
 EINSUM_SPEC = re.compile(r"^[a-z]+(,[a-z]+)*->[a-z]*$")
 SUITE_TIMEOUT, TESTS_TIMEOUT = 120, 600

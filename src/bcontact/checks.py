@@ -146,8 +146,8 @@ def check_fundamental_identities(ws: Workspace, view: MetricView):
     yield "fundamental-identities", [
         _minus(f, scalars.einsum("xyz->xzy", f)),
         _minus(f, proj),
-        scalars.einsum("xaz,ay,z->xy", f, phi, xi) - lam,
-        view.nabla_eta - lam,
+        _minus(scalars.einsum("xaz,ay,z->xy", f, phi, xi), lam),
+        _minus(view.nabla_eta, lam),
         torsion(conn, s.algebra),
         covariant_derivative(conn, m.matrix, 0),
     ], (f, conn, m.matrix)
@@ -157,18 +157,17 @@ def check_fundamental_identities(ws: Workspace, view: MetricView):
 def check_lee_identities(ws: Workspace, view: MetricView):
     s, lee = ws.s, view.lee
     yield "lee-form-identities", [
-        lee.omega @ s.xi,
-        lee.theta_star @ s.phi + lee.theta @ s.phi2,
+        scalars.einsum("i,i->", lee.omega, s.xi),
+        scalars.combine([1, 1], [scalars.einsum("i,ij->j", lee.theta_star, s.phi), lee.theta_phi2]),
     ], (view.fundamental,)
 
 
 @_per_view
 def check_divergence_traces(ws: Workspace, view: MetricView):
-    s = ws.s
     div, div_star = view.div_pair
     yield "divergence-trace", [
-        view.lee.theta_xi(s) - div_star,
-        view.lee.theta_star_xi(s) - div,
+        _minus(view.lee.theta_xi, div_star),
+        _minus(view.lee.theta_star_xi, div),
     ], ()
 
 
@@ -365,7 +364,9 @@ def _shape_operator_identities(ws: Workspace, view: MetricView):
     s = ws.s
     sop = view.shape.operator
     horiz = scalars.einsum("ki,kj,j->i", sop, view.metric.matrix, s.xi)
-    reeb_row = sop @ s.xi + s.phi @ view.lee.omega_sharp
+    reeb_row = scalars.combine(
+        [1, 1], [view.shape.reeb, scalars.einsum("ki,i->k", s.phi, view.lee.omega_sharp)]
+    )
     yield "shape-operator-identities", [horiz, reeb_row], (sop,)
 
 
@@ -376,11 +377,13 @@ def check_shape_operators(ws: Workspace):
     # pair relations through the potential
     sd = ws.g.shape.diamond
     yield "shape-pair-relations", [
-        ws.gt.shape.operator - (ws.g.shape.operator - ws.g.partner_potential_xi),
-        ws.gt.shape.diamond
-        - (
-            scalars.einsum("im,mj->ij", sd, s.phi)
-            - scalars.einsum("mia,ab,m->ib", ws.pot03, s.phi, s.xi)
+        _minus(ws.gt.shape.operator, _minus(ws.g.shape.operator, ws.g.partner_potential_xi)),
+        _minus(
+            ws.gt.shape.diamond,
+            _minus(
+                scalars.einsum("im,mj->ij", sd, s.phi),
+                scalars.einsum("mia,ab,m->ib", ws.pot03, s.phi, s.xi),
+            ),
         ),
     ], (sd,)
 
@@ -390,9 +393,9 @@ def check_trace_identity(ws: Workspace):
     div, _ = ws.g.div_pair
     tr = ws.g.shape.trace
     yield "shape-trace-identity", [
-        tr - ws.gt.shape.trace,
-        tr + div,
-        tr + ws.g.lee.theta_star_xi(ws.s),
+        _minus(tr, ws.gt.shape.trace),
+        scalars.combine([1, 1], [tr, div]),
+        scalars.combine([1, 1], [tr, ws.g.lee.theta_star_xi]),
     ], ()
 
 
@@ -438,8 +441,8 @@ def check_qt_pair_relations(ws: Workspace):
         [1, 1, -1], [t, scalars.einsum("i,kj->kij", eta, pot_xi), eta_pot_xi]
     ))
 
-    ds = ws.gt.shape.operator - ws.g.shape.operator
-    dsd = ws.gt.shape.diamond - ws.g.shape.diamond
+    ds = _minus(ws.gt.shape.operator, ws.g.shape.operator)
+    dsd = _minus(ws.gt.shape.diamond, ws.g.shape.diamond)
     ds_eta = scalars.einsum("ki,j->kij", ds, eta)
     dsd_xi = scalars.einsum("ij,k->kij", dsd, xi)
     wedge_ds = wedge_form_operator(eta, ds)
@@ -471,12 +474,12 @@ def check_svk_curvature(ws: Workspace, view: MetricView):
     formula = svk_curvature_formula(s, curv.r04, view.shape)
     yield "svk-curvature-relation", [_minus(curv.r04_svk, formula)], (curv.r04, curv.r04_svk)
     rho_formula = svk_ricci_formula(s, curv.r04, curv.rho, view.shape, view.metric)
-    yield "svk-ricci-relation", [curv.rho_svk - rho_formula], (curv.rho,)
+    yield "svk-ricci-relation", [_minus(curv.rho_svk, rho_formula)], (curv.rho,)
     tau_formula = svk_scalar_formula(curv.tau, view.rho_xi_xi, view.shape)
-    yield "svk-scalar-relation", [curv.tau_svk - tau_formula], ()
+    yield "svk-scalar-relation", [_minus(curv.tau_svk, tau_formula)], ()
     n_s = covariant_derivative(view.conn, view.shape.operator, 1)
     via_shape = ricci_xi_formula(s, view.conn, n_s, view.shape, view.metric)
-    yield "ricci-reeb-formula", [view.rho_xi_xi - via_shape], ()
+    yield "ricci-reeb-formula", [_minus(view.rho_xi_xi, via_shape)], ()
     yield "curvature-reeb-identity", [curvature_reeb_identity(s, curv.r13, n_s)], (curv.r04,)
 
 
@@ -538,7 +541,7 @@ def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
     sampled = sectional(planes, view.curv, view.shape, s)
 
     polarized = svk_sectional_polarized(s, r04_svk, r04, view.shape)
-    relation = [sampled.k_svk - sampled.formula, polarized]
+    relation = [_minus(sampled.k_svk, sampled.formula), polarized]
     passed, residual, worst = scalars.zero_test(relation, eps, r04)
     yield CheckResult(
         f"sectional-relation[{role}]",

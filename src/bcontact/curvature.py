@@ -56,21 +56,24 @@ def svk_ricci_formula(
     xi, eta = s.xi, s.eta
     rho_y_xi = scalars.einsum("ym,m->y", rho_base, xi)
     r_xi = scalars.einsum("iyzj,i,j->yz", r04_base, xi, xi)
-    sop, sd = shape.operator, shape.diamond
-    ss = scalars.einsum("km,mi->ki", sop, sop)
-    return (
-        rho_base
-        - scalars.einsum("z,y->yz", eta, rho_y_xi)
-        - r_xi
-        - lower_out(ss, m)
-        + sd * shape.trace
+    return scalars.combine(
+        [1, -1, -1, -1, shape.trace],
+        [
+            rho_base,
+            scalars.einsum("z,y->yz", eta, rho_y_xi),
+            r_xi,
+            lower_out(shape.square, m),
+            shape.diamond,
+        ],
     )
 
 
 def svk_scalar_formula(tau_base, rho_xi_xi, shape: ShapeData):
     """tau^D = tau - 2 rho(xi,xi) - tr(S^2) + (tr S)^2."""
-    s2 = np.trace(shape.operator @ shape.operator)
-    return tau_base - 2 * rho_xi_xi - s2 + shape.trace**2
+    trace_squared = scalars.einsum(",->", shape.trace, shape.trace)
+    return scalars.combine(
+        [1, -2, -1, 1], [tau_base, rho_xi_xi, shape.square_trace, trace_squared]
+    )
 
 
 def ricci_xi_formula(
@@ -80,12 +83,10 @@ def ricci_xi_formula(
     covariant derivative nabla S indexed [k, x, i]."""
     xi = s.xi
     tr_nabla_xi_s = scalars.einsum("kxk,x->", n_s, xi)
-    s_xi = scalars.einsum("ki,i->k", shape.operator, xi)
     div_s_xi = scalars.einsum(
-        "ij,ki,kj->", m.inv, covariant_derivative(conn, s_xi, 1), m.matrix
+        "ij,ki,kj->", m.inv, covariant_derivative(conn, shape.reeb, 1), m.matrix
     )
-    s2 = np.trace(shape.operator @ shape.operator)
-    return tr_nabla_xi_s - div_s_xi - s2
+    return scalars.combine([1, -1, -1], [tr_nabla_xi_s, div_s_xi, shape.square_trace])
 
 
 def curvature_reeb_identity(s: ACBStructure, r13: np.ndarray, n_s: np.ndarray) -> np.ndarray:
@@ -156,7 +157,13 @@ def _gram(form: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _pi1(gram: np.ndarray) -> np.ndarray:
     """B(y,y) B(x,x) - B(x,y) B(y,x) of each plane from its Gram block of a
     form B: pi_1(x,y,y,x) for the metric, pi_1(Sx,Sy,y,x) for m(S., .)."""
-    return gram[:, 1, 1] * gram[:, 0, 0] - gram[:, 0, 1] * gram[:, 1, 0]
+    return scalars.combine(
+        [1, -1],
+        [
+            scalars.einsum("n,n->n", gram[:, 1, 1], gram[:, 0, 0]),
+            scalars.einsum("n,n->n", gram[:, 0, 1], gram[:, 1, 0]),
+        ],
+    )
 
 
 @dataclass(frozen=True)
@@ -229,7 +236,8 @@ def _in_planes(planes: PlaneStack, w: np.ndarray, gw: np.ndarray, eps: float) ->
 
     Exact in rational mode; a float test is scaled by the three terms."""
     g = planes.gram
-    adjugate = np.stack([g[:, 1, 1], -g[:, 0, 1], -g[:, 0, 1], g[:, 0, 0]], axis=1)
+    minus_g01 = scalars.combine([-1], [g[:, 0, 1]])
+    adjugate = np.stack([g[:, 1, 1], minus_g01, minus_g01, g[:, 0, 0]], axis=1)
     coefficients = scalars.einsum("nts,nsb->nbt", adjugate.reshape(-1, 2, 2), gw)
     parts = scalars.einsum("nbt,ntk->tnbk", coefficients, planes.xy)
     terms = (scalars.einsum("n,nbk->nbk", planes.den, w), parts[0], parts[1])
@@ -286,7 +294,8 @@ class Sectional:
     @property
     def formula(self) -> np.ndarray:
         """k^D through the base curvature."""
-        return self.k + (self.shape_term - self.reeb_x - self.reeb_y) / self.den
+        numerator = scalars.combine([1, -1, -1], [self.shape_term, self.reeb_x, self.reeb_y])
+        return scalars.combine([1, 1], [self.k, scalars.divide_rows(numerator, self.den)])
 
 
 def sectional(planes: PlaneStack, curv: CurvatureData, shape: ShapeData, s: ACBStructure):
@@ -300,11 +309,11 @@ def sectional(planes: PlaneStack, curv: CurvatureData, shape: ShapeData, s: ACBS
     eta_x, eta_y = scalars.einsum("nai,i->an", planes.xy, s.eta)
     return Sectional(
         den,
-        scalars.einsum("nkl,nk,nl->n", rxy, y, x) / den,
-        scalars.einsum("nkl,nk,nl->n", rxy_svk, y, x) / den,
+        scalars.divide_rows(scalars.einsum("nkl,nk,nl->n", rxy, y, x), den),
+        scalars.divide_rows(scalars.einsum("nkl,nk,nl->n", rxy_svk, y, x), den),
         _pi1(_gram(shape.diamond, planes.xy, planes.xy)),
-        eta_x * scalars.einsum("nkl,nk,l->n", rxy, y, s.xi),
-        eta_y * scalars.einsum("nkl,k,nl->n", rxy, s.xi, x),
+        scalars.einsum("n,n->n", eta_x, scalars.einsum("nkl,nk,l->n", rxy, y, s.xi)),
+        scalars.einsum("n,n->n", eta_y, scalars.einsum("nkl,k,nl->n", rxy, s.xi, x)),
     )
 
 

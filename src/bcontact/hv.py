@@ -15,6 +15,7 @@ matrix transpose, because the metrics are indefinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,21 +28,39 @@ from .tensor import Metric, lower_out
 @dataclass(frozen=True)
 class ShapeData:
     """Shape operator of one metric of the pair: S as a (1,1) tensor
-    (S(xi) = -nabla_xi xi included) and its bilinear form S<>(x,y) = m(S(x),y)."""
+    (S(xi) = -nabla_xi xi included) and its bilinear form S<>(x,y) = m(S(x),y),
+    with the Reeb vector xi.  S(xi), S o S, tr S and tr(S^2) are computed on
+    first use."""
 
     operator: np.ndarray  # (1,1)
     diamond: np.ndarray  # (0,2)
+    xi: np.ndarray  # (1,0)
 
-    @property
+    @cached_property
+    def reeb(self) -> np.ndarray:
+        """S(xi)."""
+        return scalars.einsum("ki,i->k", self.operator, self.xi)
+
+    @cached_property
+    def square(self) -> np.ndarray:
+        """S o S, a (1,1) tensor."""
+        return scalars.einsum("km,mi->ki", self.operator, self.operator)
+
+    @cached_property
     def trace(self):
-        return np.trace(self.operator)
+        return scalars.einsum("kk->", self.operator)
+
+    @cached_property
+    def square_trace(self):
+        """tr(S^2)."""
+        return scalars.einsum("kk->", self.square)
 
 
-def shape_operator(nxi: np.ndarray, m: Metric) -> ShapeData:
+def shape_operator(nxi: np.ndarray, m: Metric, xi: np.ndarray) -> ShapeData:
     """The shape data of S = -nabla xi, from ``nxi`` = nabla xi of the
     Levi-Civita connection of ``m``."""
-    op = -nxi  # [k, i] = component k of S(e_i)
-    return ShapeData(op, lower_out(op, m))
+    op = scalars.combine([-1], [nxi])  # [k, i] = component k of S(e_i)
+    return ShapeData(op, lower_out(op, m), xi)
 
 
 @dataclass(frozen=True)
@@ -72,17 +91,22 @@ def hv_split(s: ACBStructure, q: np.ndarray, t: np.ndarray) -> HVComponents:
     return HVComponents(qh, qv, th, tv)
 
 
-def wedge_form_operator(alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(alpha ^ B)(x,y) = alpha(x) B(y) - alpha(y) B(x); b indexed [k, arg]."""
+def wedge_form_operator(alpha: np.ndarray, b: np.ndarray, sign: int = 1) -> np.ndarray:
+    """sign (alpha ^ B)(x,y) = sign (alpha(x) B(y) - alpha(y) B(x)), ``sign``
+    being 1 or -1; b indexed [k, arg]."""
     return scalars.combine(
-        [1, -1], [scalars.einsum("i,kj->kij", alpha, b), scalars.einsum("j,ki->kij", alpha, b)]
+        [sign, -sign],
+        [scalars.einsum("i,kj->kij", alpha, b), scalars.einsum("j,ki->kij", alpha, b)],
     )
 
 
 def potential_components(s: ACBStructure, nxi: np.ndarray, neta: np.ndarray) -> QComponents:
     """Q^h = -(nabla xi) (x) eta and Q^v = (nabla eta) (x) xi, from ``nxi`` and
     ``neta`` = nabla xi and nabla eta of the Levi-Civita connection; Q is their sum."""
-    return QComponents(scalars.einsum("ki,j->kij", -nxi, s.eta), scalars.einsum("ij,k->kij", neta, s.xi))
+    return QComponents(
+        scalars.combine([-1], [scalars.einsum("ki,j->kij", nxi, s.eta)]),
+        scalars.einsum("ij,k->kij", neta, s.xi),
+    )
 
 
 def connection_components(s: ACBStructure, nxi: np.ndarray, q: QComponents) -> HVComponents:
@@ -96,11 +120,12 @@ def shape_components(s: ACBStructure, shape: ShapeData) -> HVComponents:
     """Q^h = S (x) eta, Q^v = -S<> (x) xi, T^h = -eta ^ S, T^v = -2 Alt(S<>) (x) xi."""
     eta, xi = s.eta, s.xi
     sop, sd = shape.operator, shape.diamond
+    alt = scalars.combine([1, -1], [scalars.einsum("ij->ji", sd), sd])
     return HVComponents(
         scalars.einsum("ki,j->kij", sop, eta),
-        scalars.einsum("ij,k->kij", -sd, xi),
-        wedge_form_operator(eta, -sop),
-        scalars.einsum("ij,k->kij", sd.T - sd, xi),
+        scalars.combine([-1], [scalars.einsum("ij,k->kij", sd, xi)]),
+        wedge_form_operator(eta, sop, -1),
+        scalars.einsum("ij,k->kij", alt, xi),
     )
 
 
@@ -134,20 +159,21 @@ def equivalence_chains(
     qv = comps.q_v
     sd = shape.diamond
     qv_t = scalars.einsum("kij->kji", qv)
+    neta_t, sd_t = scalars.einsum("ij->ji", neta), scalars.einsum("ij->ji", sd)
 
     chains = {
         "symmetric": {
-            "nabla-eta symmetric": [neta - neta.T],
+            "nabla-eta symmetric": [scalars.combine([1, -1], [neta, neta_t])],
             "eta closed": [de],
             "Q-vertical symmetric": [scalars.combine([1, -1], [qv, qv_t])],
             "T-vertical vanishes": [comps.t_v],
-            "shape form symmetric": [sd - sd.T],
+            "shape form symmetric": [scalars.combine([1, -1], [sd, sd_t])],
         },
         "skew": {
-            "nabla-eta skew": [neta + neta.T],
+            "nabla-eta skew": [scalars.combine([1, 1], [neta, neta_t])],
             "reeb killing": [lg],
             "Q-vertical skew": [scalars.combine([1, 1], [qv, qv_t])],
-            "shape form skew": [sd + sd.T],
+            "shape form skew": [scalars.combine([1, 1], [sd, sd_t])],
         },
         "vanishing": {
             "nabla-eta zero": [neta],

@@ -9,6 +9,8 @@ coefficients, ``gamma[k, i, j]`` with nabla_{e_i} e_j = gamma^k_{ij} e_k.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from fractions import Fraction
+
 import numpy as np
 
 from . import scalars
@@ -25,13 +27,15 @@ class LieAlgebra:
 
     Antisymmetry and the Jacobi identity are tested on construction with the
     tolerance ``eps`` of the model being loaded; the algebra does not keep it.
+    ``c`` is made read-only first, so the kernel scales it once for both tests.
     """
 
     c: np.ndarray  # (1,2), c[k,i,j]
     eps: InitVar[float]
 
     def __post_init__(self, eps: float):
-        if not scalars.is_zero(self.c + np.swapaxes(self.c, 1, 2), eps):
+        c = scalars.freeze(self.c)
+        if not scalars.is_zero(scalars.combine([1, 1], [c, scalars.einsum("kij->kji", c)]), eps):
             raise StructureError("structure constants are not antisymmetric")
         ok, _, worst = scalars.zero_test([self._jacobiator()], eps, self.c)
         if not ok:
@@ -58,22 +62,23 @@ def torsion(gamma: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
 def levi_civita(algebra: LieAlgebra, m: Metric) -> np.ndarray:
     """Levi-Civita connection of a left-invariant metric via the Koszul formula
 
-        2 m(nabla_x y, z) = m([x,y],z) - m([y,z],x) + m([z,x],y),
+        m(nabla_x y, z) = 1/2 {m([x,y],z) - m([y,z],x) + m([z,x],y)},
 
     the only surviving terms for constant-component fields.  Returns the
     coefficient array ``gamma``; torsion-freeness and metric compatibility
     are checked by ``fundamental-identities``.
     """
     c, g = algebra.c, m.matrix
+    half = Fraction(1, 2)
     rhs = scalars.combine(
-        [1, -1, 1],
+        [half, Fraction(-1, 2), half],
         [
             scalars.einsum("lij,lk->ijk", c, g),
             scalars.einsum("ljk,li->ijk", c, g),
             scalars.einsum("lki,lj->ijk", c, g),
         ],
     )
-    return scalars.einsum("ijk,km->mij", rhs, m.inv) / 2
+    return scalars.einsum("ijk,km->mij", rhs, m.inv)
 
 
 def covariant_derivative(gamma: np.ndarray, t: np.ndarray, up: int) -> np.ndarray:
@@ -115,10 +120,10 @@ def curvature(algebra: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
 
 def d_eta(algebra: LieAlgebra, eta: np.ndarray) -> np.ndarray:
     """Exterior derivative of a left-invariant 1-form: d eta (x,y) = -eta([x,y])."""
-    return -scalars.einsum("kij,k->ij", algebra.c, eta)
+    return scalars.combine([-1], [scalars.einsum("kij,k->ij", algebra.c, eta)])
 
 
 def lie_derivative_metric(algebra: LieAlgebra, xi: np.ndarray, m: Metric) -> np.ndarray:
     """(L_xi m)(x,y) = -m([xi,x],y) - m(x,[xi,y]) for left-invariant fields."""
     ad = scalars.einsum("kji,j,kl->il", algebra.c, xi, m.matrix)  # m([xi,e_i], e_l)
-    return -(ad + ad.T)
+    return scalars.combine([-1, -1], [ad, scalars.einsum("il->li", ad)])

@@ -75,7 +75,7 @@ def canonicalize(doc: dict) -> dict:
         coeffs = vec(coeffs, f"bracket ({i},{j})")
         if i > j:
             i, j = j, i
-            coeffs = [str(-Fraction(t)) for t in coeffs]
+            coeffs = [str(scalars.combine([-1], [Fraction(t)])) for t in coeffs]
         if (i, j) in brackets:
             raise ModelFileError(f"bracket ({i},{j}) given twice")
         brackets[i, j] = coeffs
@@ -138,13 +138,14 @@ def to_structure(
     """
     doc = canonicalize(doc)
     dim = doc["dim"]
-    c = scalars.zeros((dim, dim, dim), mode)
+    upper = scalars.zeros((dim, dim, dim), mode)
     try:
         for i, j, coeffs in doc["brackets"]:
             for k, tok in enumerate(coeffs):
-                v = scalars.parse_scalar(tok, mode)
-                c[k, i, j] = v
-                c[k, j, i] = -v
+                upper[k, i, j] = scalars.parse_scalar(tok, mode)
+        # c[k, j, i] = -c[k, i, j]
+        scalars.freeze(upper)
+        c = scalars.combine([1, -1], [upper, scalars.einsum("kij->kji", upper)])
         return ACBStructure(
             LieAlgebra(c, eps),
             scalars.array(doc["phi"], mode),

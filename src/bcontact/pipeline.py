@@ -182,7 +182,7 @@ class MetricView:
 
     @_cached
     def shape(self) -> ShapeData:
-        return shape_operator(self.nabla_xi, self.metric)
+        return shape_operator(self.nabla_xi, self.metric, self.ws.s.xi)
 
     @_cached
     def chains(self) -> dict[str, dict[str, bool]]:

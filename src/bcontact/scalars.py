@@ -15,6 +15,14 @@ every row of a stack), and all three decide by that one rule; the tolerance
 structure.  ``zero_rows`` decides a float stack in one pass of numpy
 reductions over its rows and its contexts' rows.
 
+Exact arithmetic on a model happens only in this module: every rational
+value that loading a model, its ``Workspace``, the check suite and the CLI
+commands compute is made by ``einsum`` (contractions, products of scalars,
+traces), ``combine`` (sums with rational coefficients), ``divide_rows`` (a
+stack of rows, each over its own scalar) or ``diagonalize`` (the congruence
+behind a metric's inverse and signature).  Elsewhere a ``Fraction`` is only
+read: compared, converted to float or printed.
+
 The rational kernel does its arithmetic over integers.  ``einsum``
 contracts and ``combine`` adds arrays scaled to integer numerators over a
 common denominator, and each builds the ``Fraction`` entries of its result
@@ -196,14 +204,20 @@ def _remember(a: np.ndarray, n: np.ndarray, d: int, m: int) -> None:
     _SCALED[key] = (weakref.ref(a, lambda _, k=key: _SCALED.pop(k, None)), n, d, m)
 
 
+def _keeps(a: np.ndarray) -> bool:
+    """Whether the scaled form of ``a`` may be kept: ``a`` is read-only and
+    owns its memory (the memory of a view may be written through another
+    array)."""
+    return a.base is None and not a.flags.writeable
+
+
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """``_scale(a)``, kept for ``a`` when it is read-only and owns its
-    memory: the memory of a view may be written through another array."""
+    """``_scale(a)``, kept for ``a`` when ``_keeps(a)``."""
     kept = _kept(a)
     if kept is not None:
         return kept
     n, d, m = _scale(a)
-    if a.base is None and not a.flags.writeable:
+    if _keeps(a):
         _remember(a, n, d, m)
     return n, d, m
 
@@ -249,6 +263,17 @@ def _widen(ns) -> list[np.ndarray]:
     return [n.astype(object) for n in ns]
 
 
+@functools.lru_cache(maxsize=1024)
+def _sums(spec: str) -> bool:
+    """Whether ``np.einsum(spec, ...)`` sums over a label: a label of the
+    inputs is left out of the output."""
+    inputs, arrow, output = spec.replace(" ", "").replace(".", "").partition("->")
+    letters = set(inputs) - {","}
+    if not arrow:
+        return any(inputs.count(c) > 1 for c in letters)
+    return not letters <= set(output)
+
+
 @functools.lru_cache(maxsize=4096)
 def _term_count(spec: str, shapes: tuple) -> int:
     """The number of products ``np.einsum(spec, *operands)`` sums into one
@@ -267,6 +292,14 @@ def _term_count(spec: str, shapes: tuple) -> int:
     return math.prod(k for c, k in sizes.items() if c not in output)
 
 
+def _operand(a) -> np.ndarray:
+    """A kernel operand as an array: a ``Fraction`` scalar as a 0-d object
+    array, a float as a 0-d float64 one."""
+    if isinstance(a, np.ndarray):
+        return a
+    return np.asarray(a, dtype=object if isinstance(a, Fraction) else np.float64)
+
+
 def einsum(spec: str, *operands: np.ndarray):
     """``np.einsum(spec, *operands)``: the library's one contraction.
 
@@ -281,20 +314,29 @@ def einsum(spec: str, *operands: np.ndarray):
     result is a ``Fraction`` scalar; an array result is read-only and
     carries its scaled form (see ``_rebuild``).  A read-only operand that
     owns its memory is scaled once in its lifetime (see ``_scaled``), and
-    ``combine`` adds exact arrays on the same scaled integers.  Float calls
-    and single-operand calls (transposes, traces) are numpy's own; numpy is
-    looked up at each call, so a wrapper installed on ``np.einsum`` sees
-    every contraction.
+    ``combine`` adds exact arrays on the same scaled integers.  A single
+    rational operand that is summed over (a trace) takes the same integer
+    path; one that is not (a transpose, a diagonal) is numpy's view of it.
+    An operand may be a scalar of the backend (a ``Fraction`` or a float),
+    read as a 0-d array.  Float calls are numpy's own; numpy is looked up at
+    each call, so a wrapper installed on ``np.einsum`` sees every
+    contraction.
     """
     # the float test comes first: it is all a float call pays
-    if operands[0].dtype != object or any(a.dtype != object for a in operands):
-        return np.einsum(spec, *operands)
-    if len(operands) == 1:
-        # a read-only view of an array with a kept scaled form (a transpose)
-        # keeps the same view of its integers: its memory is never written
-        out, kept = np.einsum(spec, *operands), _kept(operands[0])
-        if kept is not None and isinstance(out, np.ndarray) and not out.flags.writeable:
-            _remember(out, np.einsum(spec, kept[0]), *kept[1:])
+    try:
+        if operands[0].dtype != object or any(a.dtype != object for a in operands):
+            return np.einsum(spec, *operands)
+    except AttributeError:  # a scalar operand
+        return einsum(spec, *map(_operand, operands))
+    if len(operands) == 1 and not _sums(spec):
+        # a read-only view (a transpose) of an array whose scaled form is or
+        # may be kept keeps the same view of its integers: its memory is
+        # never written
+        (a,) = operands
+        out = np.einsum(spec, a)
+        if isinstance(out, np.ndarray) and not out.flags.writeable and (_kept(a) or _keeps(a)):
+            n, d, m = _scaled(a)
+            _remember(out, np.einsum(spec, n), d, m)
         return out
     ns, dens, bounds = zip(*map(_scaled, operands))
     if (
@@ -320,23 +362,26 @@ def combine(coefficients, arrays):
     ``Fraction``, an array result is read-only and carries its scaled form.
     The integers are added in int64 when sum_t |k_t| M_t <= 2**63 - 1, for
     k_t the integer factor of term t and M_t the largest absolute numerator
-    of its array, and as Python ints otherwise.
+    of its array, and as Python ints otherwise.  A term may be a scalar of
+    the backend, read as a 0-d array.
     """
-    if not len(arrays):
-        raise ValueError("combine needs at least one array")
-    # the float test comes first: it is all a float call pays
-    if arrays[0].dtype != object or any(a.dtype != object for a in arrays):
+    if len(coefficients) != len(arrays) or not len(arrays):
+        raise ValueError("combine needs one coefficient per array, and at least one array")
+    # the float test comes first: the loop below is all a float call pays
+    try:
+        exact = arrays[0].dtype == object and all(a.dtype == object for a in arrays)
+    except AttributeError:  # a scalar term
+        return combine(coefficients, list(map(_operand, arrays)))
+    if not exact:
         out = None
-        for c, a in zip(coefficients, arrays, strict=True):
-            if c == 1:
-                out = a if out is None else out + a
-            elif c == -1:
-                out = -a if out is None else out - a
+        for c, a in zip(coefficients, arrays):
+            if out is None:
+                out = a if c == 1 else -a if c == -1 else float(c) * a
             else:
-                out = float(c) * a if out is None else out + float(c) * a
+                out = out + a if c == 1 else out - a if c == -1 else out + float(c) * a
         return out.copy() if out is arrays[0] else out
     terms = []
-    for c, a in zip(coefficients, arrays, strict=True):
+    for c, a in zip(coefficients, arrays):
         c = Fraction(c)
         terms.append((int(c.numerator), int(c.denominator), *_scaled(a)))
     den = math.lcm(*(q * d for _, q, _, d, _ in terms))
@@ -355,6 +400,91 @@ def combine(coefficients, arrays):
         else:
             out = out + n if k == 1 else out - n if k == -1 else out + n * k
     return _rebuild(out, den)
+
+
+def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``a[n] / den[n]`` for every row n of ``a``, ``den`` holding one
+    nonzero scalar per row.
+
+    In float mode this is numpy's ``a / den``, ``den`` given an axis of
+    length 1 for each further axis of ``a``.  In rational mode a and den are
+    scaled to integers, a = A / p and den = B / q, and every row is brought
+    over one denominator: with L the least common multiple of the B[n],
+    a[n] / den[n] = A[n] q (L / B[n]) / (p L).  The result is built once, as
+    by ``einsum``: read-only, with its scaled form.  The products are int64
+    when max(1, max |A|) * q * L <= 2**63 - 1, and Python ints otherwise.  A
+    zero in ``den`` raises ZeroDivisionError.
+    """
+    if a.dtype != object or den.dtype != object:
+        return a / np.reshape(den, den.shape + (1,) * (a.ndim - den.ndim))
+    na, p, m = _scaled(a)
+    nb, q, _ = _scaled(den)
+    rows = nb.tolist()
+    if not all(rows):
+        raise ZeroDivisionError("division of a row by zero")
+    lcm = math.lcm(*rows)
+    factors = [q * (lcm // b) for b in rows]
+    if na.dtype == object or max(1, m) * max(map(abs, factors), default=0) > _INT64_MAX:
+        na, factors = na.astype(object), np.array(factors, dtype=object)
+    else:
+        factors = np.array(factors, dtype=np.int64)
+    shaped = factors.reshape(factors.shape + (1,) * (na.ndim - factors.ndim))
+    return _rebuild(na * shaped, p * lcm)
+
+
+def diagonalize(m: np.ndarray):
+    """Congruence diagonalization of a symmetric rational matrix: ``(e, d)``,
+    rational arrays with ``e m e^T = diag(d)`` and every d[k] nonzero, so the
+    signs of d are the signature of m and m^-1 = e^T diag(d)^-1 e; None when
+    m is degenerate.
+
+    Fraction-free, over the scaled integers M = q m: A = E M E^T starts as M
+    with E the identity.  Each step takes a row k left whose diagonal entry
+    p = A[k, k] is nonzero (creating one by e_i -> e_i + e_j when there is
+    none), and clears A[r, k] and A[k, r] for every other row r left by
+    row r -> p row r - A[r, k] row k, applied to the rows of A, then to its
+    columns, and to the rows of E: a congruence by an integer matrix.  Row r
+    of E is then divided by the gcd g of its entries, and row and column r
+    of A by g, so the integers stay small.  Then e = E and d = diag(A) / q,
+    both read-only."""
+    n, q, _ = _scaled(m)
+    a = n.tolist()
+    size = len(a)
+    e = [[int(i == j) for j in range(size)] for i in range(size)]
+    rows = list(range(size))
+    while rows:
+        k = next((i for i in rows if a[i][i]), None)
+        if k is None:
+            off = next(((i, j) for i in rows for j in rows if i != j and a[i][j]), None)
+            if off is None:
+                return None
+            i, j = off
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+            e[i] = [x + y for x, y in zip(e[i], e[j])]
+            k = i
+        p = a[k][k]
+        rows.remove(k)
+        for r in rows:
+            f = a[r][k]
+            if not f:
+                continue
+            a[r] = [p * x - f * y for x, y in zip(a[r], a[k])]
+            for row in a:
+                row[r] = p * row[r] - f * row[k]
+            e[r] = [p * x - f * y for x, y in zip(e[r], e[k])]
+            g = math.gcd(*e[r])
+            if g > 1:
+                e[r] = [x // g for x in e[r]]
+                a[r] = [x // g for x in a[r]]
+                for row in a:
+                    row[r] //= g
+    d = np.empty(size, dtype=object)
+    d[:] = [Fraction(a[i][i], q) for i in range(size)]
+    out = np.empty((size, size), dtype=object)
+    out[...] = [[Fraction(x) for x in row] for row in e]
+    return freeze(out), freeze(d)
 
 
 def mode_of(arr: np.ndarray) -> str:
@@ -397,7 +527,7 @@ def max_abs(arr: np.ndarray) -> float:
 
 def residual(a: np.ndarray, b=None) -> float:
     """Max absolute entry of a - b (or of a alone), as a float."""
-    d = a if b is None else a - b
+    d = a if b is None else combine([1, -1], [a, b])
     return max_abs(np.asarray(d))
 
 
@@ -476,7 +606,7 @@ def zero_test(arrays, eps: float, *context: np.ndarray):
     arrays = [np.asarray(a) for a in arrays]
     passed, res, peaks = _decide(arrays, eps, context)
     # a NaN residual is the worst, whatever its position
-    worst = float(np.max(res)) if res else 0.0
+    worst = math.nan if any(map(math.isnan, res)) else max(res, default=0.0)
     if passed:
         return True, worst, None
     return False, worst, _locate(arrays, res, peaks)

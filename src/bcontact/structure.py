@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -82,7 +82,8 @@ class ACBStructure:
     def __post_init__(self):
         if self.dim % 2 == 0:
             raise ValueError("almost contact structures need odd dimension")
-        object.__setattr__(self, "phi2", self.phi @ self.phi)
+        phi = scalars.freeze(self.phi)  # scaled once for phi o phi
+        object.__setattr__(self, "phi2", scalars.einsum("ij,jk->ik", phi, phi))
         scalars.freeze(self)
 
     @cached_property
@@ -104,7 +105,8 @@ class ACBStructure:
     @cached_property
     def horizontal(self) -> np.ndarray:
         """id - xi (x) eta, the (1,1) projector onto ker(eta) along span(xi)."""
-        return scalars.freeze(scalars.eye(self.dim, self.mode) - self.vertical)
+        eye = scalars.eye(self.dim, self.mode)
+        return scalars.freeze(scalars.combine([1, -1], [eye, self.vertical]))
 
     @cached_property
     def d_eta_xi(self) -> np.ndarray:
@@ -126,8 +128,9 @@ class ACBStructure:
 
 def associated_of(m: Metric, s: "ACBStructure") -> Metric:
     """Associated metric of an arbitrary B-metric for the same (phi, eta)."""
-    mat = scalars.einsum("im,mj->ij", m.matrix, s.phi) + scalars.einsum(
-        "i,j->ij", s.eta, s.eta
+    mat = scalars.combine(
+        [1, 1],
+        [scalars.einsum("im,mj->ij", m.matrix, s.phi), scalars.einsum("i,j->ij", s.eta, s.eta)],
     )
     return Metric.from_matrix(mat, s.eps)
 
@@ -140,29 +143,36 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
     with residual 1, like a wrong signature."""
     n, eps = s.n, s.eps
     phi, xi, eta, g = s.phi, s.xi, s.eta, s.metric.matrix
+    one = scalars.parse_scalar(1, s.mode)
 
     def row(name, arr, *context):
         return CheckResult(name, *scalars.zero_test([arr], eps, *context))
 
+    def minus(a, b):
+        return scalars.combine([1, -1], [a, b])
+
     def b_metric(m):
-        return scalars.einsum("mi,rj,mr->ij", phi, phi, m) + m - scalars.einsum("i,j->ij", eta, eta)
+        return scalars.combine(
+            [1, 1, -1],
+            [scalars.einsum("mi,rj,mr->ij", phi, phi, m), m, scalars.einsum("i,j->ij", eta, eta)],
+        )
 
     def signature(name, m: Metric):
         ok = m.signature == (n + 1, n)
         return CheckResult(name, ok, 0.0 if ok else 1.0)
 
     checks = [
-        row("phi(xi) = 0", phi @ xi, phi),
+        row("phi(xi) = 0", scalars.einsum("ij,j->i", phi, xi), phi),
         row(
             "phi^2 = -id + eta (x) xi",
-            s.phi2 + scalars.eye(s.dim, s.mode) - s.vertical,
+            scalars.combine([1, 1, -1], [s.phi2, scalars.eye(s.dim, s.mode), s.vertical]),
             phi,
         ),
-        row("eta o phi = 0", eta @ phi, phi),
-        row("eta(xi) = 1", eta @ xi - 1),
+        row("eta o phi = 0", scalars.einsum("i,ij->j", eta, phi), phi),
+        row("eta(xi) = 1", minus(scalars.einsum("i,i->", eta, xi), one)),
         row("g(phi x, phi y) = -g(x,y) + eta(x) eta(y)", b_metric(g), g),
-        row("g(xi, xi) = 1", s.metric.inner(xi, xi) - 1, g),
-        row("g(xi, .) = eta", scalars.einsum("ij,i->j", g, xi) - eta, g),
+        row("g(xi, xi) = 1", minus(s.metric.inner(xi, xi), one), g),
+        row("g(xi, .) = eta", minus(scalars.einsum("ij,i->j", g, xi), eta), g),
         signature(f"signature of g is ({n + 1},{n})", s.metric),
     ]
     assoc_names = [
@@ -175,7 +185,7 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
     gt = s.assoc
     checks += [
         signature(assoc_names[0], gt),
-        row(assoc_names[1], gt.inner(xi, xi) - 1, gt.matrix),
+        row(assoc_names[1], minus(gt.inner(xi, xi), one), gt.matrix),
         row(assoc_names[2], b_metric(gt.matrix), gt.matrix),
     ]
     return ValidationReport(checks)
@@ -196,18 +206,17 @@ def fundamental_tensor(nphi: np.ndarray, m: Metric) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LeeForms:
-    """The three metric contractions of a fundamental tensor."""
+    """The three metric contractions of a fundamental tensor, with the
+    values of theta and theta* at xi and theta o phi^2, which the classifier
+    and the checks read."""
 
     theta: np.ndarray
     theta_star: np.ndarray
     omega: np.ndarray
     omega_sharp: np.ndarray
-
-    def theta_xi(self, s: ACBStructure):
-        return self.theta @ s.xi
-
-    def theta_star_xi(self, s: ACBStructure):
-        return self.theta_star @ s.xi
+    theta_xi: object
+    theta_star_xi: object
+    theta_phi2: np.ndarray
 
 
 def lee_forms(s: ACBStructure, f: np.ndarray, m: Metric) -> LeeForms:
@@ -225,9 +234,17 @@ def lee_forms(s: ACBStructure, f: np.ndarray, m: Metric) -> LeeForms:
     """
     phi, xi = s.phi, s.xi
     omega = scalars.einsum("i,j,ijz->z", xi, xi, f)
-    theta = scalars.einsum("ij,ijz->z", m.inv, f) - omega
+    theta = scalars.combine([1, -1], [scalars.einsum("ij,ijz->z", m.inv, f), omega])
     theta_star = scalars.einsum("ij,mj,imz->z", m.inv, phi, f)
-    return LeeForms(theta, theta_star, omega, sharp(omega, m))
+    return LeeForms(
+        theta,
+        theta_star,
+        omega,
+        sharp(omega, m),
+        scalars.einsum("i,i->", theta, xi),
+        scalars.einsum("i,i->", theta_star, xi),
+        scalars.einsum("i,ij->j", theta, s.phi2),
+    )
 
 
 def divergences(neta: np.ndarray, m: Metric, m_assoc: Metric):
@@ -266,19 +283,22 @@ def potential_from_fundamental(s: ACBStructure, f: np.ndarray, lee: LeeForms) ->
     f_xi_first = scalars.einsum("mxy,m->xy", f, xi)  # F(xi, x, y)
 
     # bracket shared by the eta(x) and eta(y) terms: F(u,v,xi) + F(phi v, phi u, xi)
-    b = fxi + fphiphixi.T
-    zc = (
-        -f_xi_first
-        + fxi
-        + fxiphiy
-        - scalars.einsum("x,y->xy", om_phi, eta)
-        + fxi.T
-        + fxiphiy.T
-        - scalars.einsum("y,x->xy", om_phi, eta)
+    b = scalars.combine([1, 1], [fxi, scalars.einsum("xy->yx", fphiphixi)])
+    zc = scalars.combine(
+        [-1, 1, 1, -1, 1, 1, -1],
+        [
+            f_xi_first,
+            fxi,
+            fxiphiy,
+            scalars.einsum("x,y->xy", om_phi, eta),
+            scalars.einsum("xy->yx", fxi),
+            scalars.einsum("xy->yx", fxiphiy),
+            scalars.einsum("y,x->xy", om_phi, eta),
+        ],
     )
-    half = Fraction(1, 2)
+    half, minus_half = Fraction(1, 2), Fraction(-1, 2)
     return scalars.combine(
-        [-half, -half, half, half, half, half],
+        [minus_half, minus_half, half, half, half, half],
         [
             f_xyphiz,
             scalars.einsum("xyz->yxz", f_xyphiz),
@@ -303,7 +323,7 @@ def fundamental_from_potential(s: ACBStructure, phi03: np.ndarray) -> np.ndarray
     pxiphiy = scalars.einsum("xam,ay,m->xy", p, phi, xi)  # Phi(x,phi y,xi)
     pfirst = scalars.einsum("mxy,m->xy", p, xi)  # Phi(xi,x,y)
     pfirstphi = scalars.einsum("mxa,m,ay->xy", p, xi, phi)  # Phi(xi,x,phi y)
-    bracket = pxi - pxiphiy + pfirst - pfirstphi  # indexed [x,y]
+    bracket = scalars.combine([1, -1, 1, -1], [pxi, pxiphiy, pfirst, pfirstphi])  # indexed [x,y]
     half = Fraction(1, 2)
     return scalars.combine(
         [1, 1, half, half],
@@ -333,11 +353,13 @@ def assoc_fundamental_from_fundamental(s: ACBStructure, f: np.ndarray) -> np.nda
     t2 = scalars.einsum("yax,az->xyz", f, phi)  # F(y, phi z, x)
     t3 = scalars.einsum("ayx,az->xyz", f, phi)  # F(phi z, y, x)
     t4 = scalars.einsum("zax,ay->xyz", f, phi)  # F(z, phi y, x)
-    bx = fxi + fphiphixi.T + fxi.T + fphiphixi  # [y,z] bracket of the eta(x) term
-    by = fxi + fphiphixi.T + fxiphiy  # [x,z] bracket of the eta(y) term
-    half = Fraction(1, 2)
+    fphiphixi_t = scalars.einsum("xy->yx", fphiphixi)
+    fxi_t = scalars.einsum("xy->yx", fxi)
+    bx = scalars.combine([1] * 4, [fxi, fphiphixi_t, fxi_t, fphiphixi])  # [y,z] bracket of eta(x)
+    by = scalars.combine([1] * 3, [fxi, fphiphixi_t, fxiphiy])  # [x,z] bracket of eta(y)
+    half, minus_half = Fraction(1, 2), Fraction(-1, 2)
     return scalars.combine(
-        [half, -half, half, -half, half, half, half],
+        [half, minus_half, half, minus_half, half, half, half],
         [
             t1,
             t2,
@@ -376,9 +398,9 @@ class ClassificationReport:
         return self.membership[flag]
 
 
-def _inv2n(s: ACBStructure):
-    """1 / 2n in the structure's scalar mode."""
-    return scalars.parse_scalar(Fraction(1, 2 * s.n), s.mode)
+def _over_2n(s: ACBStructure, x, sign: int = 1):
+    """sign x / 2n of a scalar x, in the structure's scalar mode."""
+    return scalars.einsum(",->", x, scalars.parse_scalar(Fraction(sign, 2 * s.n), s.mode))
 
 
 def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
@@ -386,15 +408,13 @@ def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
     the residual of the U2 condition F(x,y,z) = F(x,y,xi) eta(z) +
     F(x,z,xi) eta(y), which shares its two terms with F6-F9."""
     phi, xi, eta, g = s.phi, s.xi, s.eta, m.matrix
-    phi2 = s.phi2
     theta, theta_star = lee.theta, lee.theta_star
     omega = lee.omega
-    inv2n = _inv2n(s)
 
     g_phi = scalars.einsum("im,mj->ij", g, phi)  # g(e_i, phi e_j)
     g_phiphi = scalars.einsum("mi,rj,mr->ij", phi, phi, g)  # g(phi e_i, phi e_j)
-    th_phi = theta @ phi
-    th_phi2 = theta @ phi2
+    th_phi = scalars.einsum("i,ij->j", theta, phi)
+    th_phi2 = lee.theta_phi2
     fxi = scalars.einsum("xym,m->xy", f, xi)  # F(x,y,xi)
     f_first_xi = scalars.einsum("mxy,m->xy", f, xi)  # F(xi,y,z)
     f_mid_xi = scalars.einsum("xmy,m->xy", f, xi)  # F(x,xi,z)
@@ -414,7 +434,7 @@ def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
         scalars.einsum("xz,y->xyz", g_phi, th_phi),
         scalars.einsum("xz,y->xyz", g_phiphi, th_phi2),
     )
-    conds["F1"] = [scalars.combine([1, -inv2n], [f, rhs1])]
+    conds["F1"] = [scalars.combine([1, Fraction(-1, 2 * s.n)], [f, rhs1])]
 
     f_phi_z = scalars.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
     cyc_phi = total(
@@ -425,22 +445,24 @@ def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
     conds["F3"] = [f_first_xi, f_mid_xi, cyc]
 
     # F4, F5: f = -(theta(xi) / 2n) (...) and f = -(theta*(xi) / 2n) (...)
-    txi = lee.theta_xi(s)
     rhs4 = total(
         scalars.einsum("xy,z->xyz", g_phiphi, eta), scalars.einsum("xz,y->xyz", g_phiphi, eta)
     )
-    conds["F4"] = [scalars.combine([1, txi * inv2n], [f, rhs4])]
+    conds["F4"] = [scalars.combine([1, _over_2n(s, lee.theta_xi)], [f, rhs4])]
 
-    tsxi = lee.theta_star_xi(s)
     rhs5 = total(scalars.einsum("xy,z->xyz", g_phi, eta), scalars.einsum("xz,y->xyz", g_phi, eta))
-    conds["F5"] = [scalars.combine([1, tsxi * inv2n], [f, rhs5])]
+    conds["F5"] = [scalars.combine([1, _over_2n(s, lee.theta_star_xi)], [f, rhs5])]
 
     vert_terms = [scalars.einsum("xy,z->xyz", fxi, eta), scalars.einsum("xz,y->xyz", fxi, eta)]
     form_res = minus_f(total(*vert_terms))
-    conds["F6"] = [form_res, fxi - fxi.T, fxi + fxi_phiphi, theta, theta_star]
-    conds["F7"] = [form_res, fxi + fxi.T, fxi + fxi_phiphi]
-    conds["F8"] = [form_res, fxi - fxi.T, fxi - fxi_phiphi]
-    conds["F9"] = [form_res, fxi + fxi.T, fxi - fxi_phiphi]
+    fxi_t = scalars.einsum("xy->yx", fxi)
+    skew, sym = scalars.combine([1, -1], [fxi, fxi_t]), total(fxi, fxi_t)
+    plus_phiphi = total(fxi, fxi_phiphi)
+    minus_phiphi = scalars.combine([1, -1], [fxi, fxi_phiphi])
+    conds["F6"] = [form_res, skew, plus_phiphi, theta, theta_star]
+    conds["F7"] = [form_res, sym, plus_phiphi]
+    conds["F8"] = [form_res, skew, minus_phiphi]
+    conds["F9"] = [form_res, sym, minus_phiphi]
 
     f_xi_phiphi = scalars.einsum("mab,m,ay,bz->yz", f, xi, phi, phi)  # F(xi, phi y, phi z)
     conds["F10"] = [minus_f(scalars.einsum("x,yz->xyz", eta, f_xi_phiphi))]
@@ -500,8 +522,8 @@ def classify(
 
     div, div_star = div_pair
     report_scalars = {
-        "theta(xi)": lee.theta_xi(s),
-        "theta*(xi)": lee.theta_star_xi(s),
+        "theta(xi)": lee.theta_xi,
+        "theta*(xi)": lee.theta_star_xi,
         "div(eta)": div,
         "div*(eta)": div_star,
     }
@@ -529,17 +551,33 @@ def nabla_xi_class_conditions(
     m of the pair, and ``lam`` [i, j] = m(nabla_{e_i} xi, e_j).
     """
     phi, eta = s.phi, s.eta
-    lam_phiphi = scalars.einsum("ab,ai,bj->ij", lam, phi, phi)
     div, div_star = div_pair
-    inv2n = _inv2n(s)
-    phi_om = phi @ lee.omega_sharp
 
-    conds = {flag: [nxi] for flag in ("F1", "F2", "F3", "F10")}
-    conds["F4"] = [nxi - phi * (div_star * inv2n)]
-    conds["F5"] = [nxi + s.phi2 * (div * inv2n)]
-    conds["F6"] = [lam - lam.T, lam + lam_phiphi, div, div_star]
-    conds["F7"] = [lam + lam.T, lam + lam_phiphi]
-    conds["F8"] = [lam + lam.T, lam - lam_phiphi]
-    conds["F9"] = [lam - lam.T, lam - lam_phiphi]
-    conds["F11"] = [nxi - scalars.einsum("k,i->ki", phi_om, eta)]
-    return {flag: arrays for flag, arrays in conds.items() if report.membership[flag]}
+    @cache
+    def lam_t():
+        return scalars.einsum("ij->ji", lam)
+
+    @cache
+    def lam_phiphi():
+        return scalars.einsum("ab,ai,bj->ij", lam, phi, phi)
+
+    @cache
+    def lam_plus(k, term):  # lam + k term, built once for F6-F9
+        return scalars.combine([1, k], [lam, term()])
+
+    def reeb_form():
+        phi_om = scalars.einsum("ki,i->k", phi, lee.omega_sharp)
+        return [scalars.combine([1, -1], [nxi, scalars.einsum("k,i->ki", phi_om, eta)])]
+
+    # the arrays of each flag, built only for the classes the model is in
+    conds = {
+        **{flag: lambda: [nxi] for flag in ("F1", "F2", "F3", "F10")},
+        "F4": lambda: [scalars.combine([1, _over_2n(s, div_star, -1)], [nxi, phi])],
+        "F5": lambda: [scalars.combine([1, _over_2n(s, div)], [nxi, s.phi2])],
+        "F6": lambda: [lam_plus(-1, lam_t), lam_plus(1, lam_phiphi), div, div_star],
+        "F7": lambda: [lam_plus(1, lam_t), lam_plus(1, lam_phiphi)],
+        "F8": lambda: [lam_plus(1, lam_t), lam_plus(-1, lam_phiphi)],
+        "F9": lambda: [lam_plus(-1, lam_t), lam_plus(-1, lam_phiphi)],
+        "F11": reeb_form,
+    }
+    return {flag: build() for flag, build in conds.items() if report.membership[flag]}

@@ -65,7 +65,8 @@ def potential_from_torsion(t: np.ndarray, eps: float) -> np.ndarray:
     # out[x,y,z] = (T(x,y,z) - T(y,z,x) + T(z,x,y)) / 2
     half = Fraction(1, 2)
     return scalars.combine(
-        [half, -half, half], [t, scalars.einsum("yzx->xyz", t), scalars.einsum("zxy->xyz", t)]
+        [half, Fraction(-1, 2), half],
+        [t, scalars.einsum("yzx->xyz", t), scalars.einsum("zxy->xyz", t)],
     )
 
 

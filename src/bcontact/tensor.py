@@ -30,44 +30,6 @@ class DegenerateMetricError(ValueError):
     """Raised when a symmetric bilinear form has zero determinant."""
 
 
-# ---------------------------------------------------------------------------
-# exact linear algebra of the rational backend
-# ---------------------------------------------------------------------------
-
-def _diagonalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Congruence diagonalization of a symmetric rational matrix: ``(e, d)``
-    with ``e m e^T = diag(d)`` and every d[k] nonzero, so the signs of d are
-    the signature and m^-1 = e^T diag(d)^-1 e.  Each row operation on m is
-    also applied to ``e``, which starts as the identity."""
-    n = m.shape[0]
-    a = m.copy()
-    e = scalars.eye(n, RATIONAL)
-    rows = list(range(n))
-    while rows:
-        # find a nonzero diagonal pivot, creating one by e_i -> e_i + e_j if needed
-        piv = next((i for i in rows if a[i, i] != 0), None)
-        if piv is None:
-            off = next(
-                ((i, j) for i in rows for j in rows if i != j and a[i, j] != 0), None
-            )
-            if off is None:
-                raise DegenerateMetricError("metric determinant is zero")
-            i, j = off
-            a[i, :] = a[i, :] + a[j, :]
-            a[:, i] = a[:, i] + a[:, j]
-            e[i] = e[i] + e[j]
-            piv = i
-        p = a[piv, piv]
-        rows.remove(piv)
-        for r in rows:
-            if a[r, piv] != 0:
-                f = a[r, piv] / p
-                a[r, :] = a[r, :] - f * a[piv, :]
-                a[:, r] = a[:, r] - f * a[:, piv]
-                e[r] = e[r] - f * e[piv]
-    return e, np.diagonal(a)
-
-
 @dataclass(frozen=True)
 class Metric:
     """Non-degenerate symmetric (0,2) tensor with its inverse (2,0) tensor and
@@ -79,11 +41,17 @@ class Metric:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray, eps: float) -> "Metric":
-        if not scalars.is_zero(m - m.T, eps):
+        """The metric of the symmetric matrix ``m``, which is made read-only."""
+        scalars.freeze(m)
+        if not scalars.is_zero(scalars.combine([1, -1], [m, scalars.einsum("ij->ji", m)]), eps):
             raise ValueError("metric matrix must be symmetric")
         if scalars.mode_of(m) == RATIONAL:
-            e, d = _diagonalize(m)
-            inv = scalars.einsum("ki,k,kj->ij", e, 1 / d, e)
+            diagonal = scalars.diagonalize(m)
+            if diagonal is None:
+                raise DegenerateMetricError("metric determinant is zero")
+            e, d = diagonal
+            # m^-1 = e^T diag(d)^-1 e: row k of e over d[k], contracted with e
+            inv = scalars.einsum("ki,kj->ij", scalars.divide_rows(e, d), e)
             return cls(m, inv, (sum(x > 0 for x in d), sum(x < 0 for x in d)))
         det = np.linalg.det(m)
         if scalars.is_zero(det, eps, m):

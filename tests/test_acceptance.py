@@ -174,7 +174,7 @@ def test_criterion_8_trace_identity():
             ws.g.shape.trace
             == ws.gt.shape.trace
             == -div
-            == -ws.g.lee.theta_star_xi(ws.s)
+            == -ws.g.lee.theta_star_xi
         ), name
     _verdict("8 (trace of both shape operators equals -div(eta))", True)
 

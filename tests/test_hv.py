@@ -29,7 +29,7 @@ def test_shape_trace_identity_three_routes():
         ws = workspace(name)
         div = ws.g.div_pair[0]
         assert ws.g.shape.trace == ws.gt.shape.trace == -div, name
-        assert ws.g.shape.trace == -ws.g.lee.theta_star_xi(ws.s)
+        assert ws.g.shape.trace == -ws.g.lee.theta_star_xi
 
 
 def test_shape_of_reeb_is_minus_phi_omega_sharp():

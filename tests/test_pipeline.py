@@ -2,10 +2,13 @@
 only; run_checks is where the routes are compared."""
 import sys
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bcontact import liegroup, pipeline, scalars, zoo
+from bcontact import cli, liegroup, modelfile, pipeline, scalars, zoo
 from bcontact.checks import run_checks
 from bcontact.scalars import FLOAT, RATIONAL
 
@@ -147,7 +150,10 @@ REPEATS_ALLOWED = {
 
 
 def _memory(a):
-    """The memory an array reads: its root owner, data pointer and layout."""
+    """The memory an array reads: its root owner, data pointer and layout;
+    a scalar operand is known by its identity."""
+    if not isinstance(a, np.ndarray):
+        return id(a)
     root = a
     while root.base is not None:
         root = root.base
@@ -175,3 +181,45 @@ def test_run_checks_repeats_only_the_allowed_contractions(monkeypatch):
     }
     assert not unexpected
     assert sum(repeats.values()) <= 20
+
+
+# Fraction's arithmetic operators: every exact computation of the library
+# is made by the integer kernel in scalars.py, so a Fraction elsewhere is
+# only read (compared, converted, printed)
+ARITHMETIC = [
+    f"__{op}__" for name in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow", "divmod")
+    for op in (name, "r" + name)
+] + ["__neg__", "__pos__", "__abs__"]
+
+
+def _arithmetic_callers(monkeypatch) -> Counter:
+    """Route Fraction's arithmetic operators through a wrapper that counts
+    the calls by the file and function that made them (the function that
+    called numpy, for an operation on an object array)."""
+    callers = Counter()
+    fractions_file = sys.modules[Fraction.__module__].__file__
+
+    def wrap(op):
+        def counted(*args):
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename == fractions_file:
+                frame = frame.f_back
+            callers[Path(frame.f_code.co_filename).name, frame.f_code.co_name] += 1
+            return op(*args)
+        return counted
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, wrap(getattr(Fraction, name)))
+    return callers
+
+
+def test_fraction_arithmetic_happens_only_in_the_kernel(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "dim5-tr.json"
+    modelfile.save_path(str(path), zoo.builtin("dim5-tr").doc())
+    callers = _arithmetic_callers(monkeypatch)
+    for name in zoo.names():
+        assert all(r.passed for r in run_checks(zoo.builtin(name).workspace(RATIONAL))), name
+    for argv in (["validate"], ["classify"], ["report"], ["curvature", "--plane", "0,1"]):
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert {where: n for where, n in callers.items() if where[0] != "scalars.py"} == {}

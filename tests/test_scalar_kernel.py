@@ -559,6 +559,16 @@ def test_transpose_of_a_kept_array_scales_nothing(scale_calls):
     assert scale_calls == []
 
 
+def test_transpose_of_a_frozen_array_scales_it_once(scale_calls):
+    # the array is scaled when its transpose is taken, and both read its
+    # integers: no second scaling for the transpose
+    a = scalars.freeze(scalars.array([["1/2", "1/3", 0], ["-2/7", 5, "3/4"]], RATIONAL))
+    got = scalars.combine([1, 1], [scalars.einsum("ij->ji", a), scalars.einsum("ij->ji", a)])
+    assert got.tolist() == (a.T + a.T).tolist()
+    scalars.einsum("ij,jk->ik", a, scalars.einsum("ij->ji", a))
+    assert scale_calls == [(2, 3)]
+
+
 def test_memo_entry_leaves_with_its_array():
     a = scalars.freeze(scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL))
     key = id(a)
@@ -948,3 +958,106 @@ def test_stacks_are_tested_by_zero_rows():
     for stem in ("curvature", "checks"):
         uses += _stack_tests_by_row(SRC / f"{stem}.py")
     assert uses == []
+
+
+# ---------------------------------------------------------------------------
+# the row-wise division, scalar operands and single-operand sums
+# ---------------------------------------------------------------------------
+
+@st.composite
+def row_divisions(draw, values=values):
+    """A stack of rows (scalars, or rows of shape 2 or 2 x 2) and one
+    nonzero rational per row."""
+    rows = draw(st.integers(min_value=0, max_value=4))
+    shape = (rows, *draw(st.sampled_from([(), (2,), (2, 2)])))
+    entries = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+    dens = draw(st.lists(values.filter(bool), min_size=rows, max_size=rows))
+    return _object_array(entries, shape), _object_array(dens, (rows,))
+
+
+def _assert_division_is_exact(a, den):
+    got = scalars.divide_rows(a, den)
+    expected = [[Fraction(x) / Fraction(d) for x in np.ravel(a[n])] for n, d in enumerate(den)]
+    assert got.shape == a.shape and got.dtype == object
+    assert [np.ravel(g).tolist() for g in got] == expected
+    assert all(type(x) is Fraction for x in got.flat)
+    _assert_born_scaled(got)
+    return got
+
+
+@given(row_divisions())
+# a zero numerator, and a negative denominator
+@example((scalars.array([0, "3/4", "-5/6"], RATIONAL),
+          scalars.array(["2/3", -2, "-1/9"], RATIONAL)))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_row_division_is_fraction_division(case):
+    _assert_division_is_exact(*case)
+
+
+@given(row_divisions(big_values))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_row_division_is_exact_at_the_int64_bound(case):
+    _assert_division_is_exact(*case)
+
+
+def test_row_beyond_the_int64_bound_takes_python_ints():
+    # numerators and denominators that fit int64, and a quotient that does
+    # not: an int64 product would wrap around
+    a = scalars.array([2**40, "-3/5", 0], RATIONAL)
+    den = scalars.array([Fraction(1, 2**30), -7, "1/3"], RATIONAL)
+    assert scalars._scale(a)[0].dtype == scalars._scale(den)[0].dtype == np.int64
+    got = _assert_division_is_exact(a, den)
+    assert got.tolist() == [2**70, Fraction(3, 35), 0]
+    assert scalars._SCALED[id(got)][1].dtype == object
+
+
+def test_row_division_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        scalars.divide_rows(scalars.array([1, 2], RATIONAL), scalars.array([1, 0], RATIONAL))
+
+
+@given(row_divisions(floats))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_float_row_division_is_numpy_bit_for_bit(case):
+    a, den = (x.astype(np.float64) for x in case)
+    with np.errstate(all="ignore"):
+        got = scalars.divide_rows(a, den)
+        expected = a / den.reshape(-1, *[1] * (a.ndim - 1))
+        plain = a / den if a.ndim == 1 else expected  # what ``Sectional`` divided by
+    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes() == plain.tobytes()
+
+
+def test_scalar_operands_are_read_as_zero_dimensional_arrays():
+    x, y = Fraction(2, 3), Fraction(-5, 7)
+    assert scalars.einsum(",->", x, y) == x * y
+    assert type(scalars.einsum(",->", x, y)) is Fraction
+    a = scalars.array(["1/2", -3], RATIONAL)
+    assert scalars.einsum(",i->i", x, a).tolist() == [x / 2, -3 * x]
+    assert scalars.combine([1, -2], [x, y]) == x - 2 * y
+    # float scalars: numpy's own operations
+    fx, fy = 0.1, np.float64(0.7)
+    assert scalars.einsum(",->", fx, fy) == fx * fy
+    assert scalars.combine([1, -1], [fx, fy]) == fx - fy
+
+
+@pytest.mark.parametrize(
+    "spec, sums",
+    [("ij->ji", False), ("ii->i", False), ("ijk->kij", False), ("ij", False), ("ii", True),
+     ("kk->", True), ("ij->i", True), ("ij,jk->ik", True), ("i,j->ij", False),
+     ("...i->i...", False)],
+)
+def test_sums_tells_a_reduction_from_a_view(spec, sums):
+    assert scalars._sums(spec) is sums
+
+
+def test_rational_trace_runs_on_the_integer_kernel(monkeypatch):
+    a = scalars.array([["1/2", 7], ["2/3", "-1/5"]], RATIONAL)
+
+    def no_fraction_sum(self, other):
+        raise AssertionError("a trace added Fraction objects")
+
+    monkeypatch.setattr(Fraction, "__add__", no_fraction_sum)
+    monkeypatch.setattr(Fraction, "__radd__", no_fraction_sum)
+    tr = scalars.einsum("kk->", a)
+    assert type(tr) is Fraction and tr == Fraction(3, 10)
+    assert scalars.einsum("ij->i", a).tolist() == [Fraction(15, 2), Fraction(7, 15)]

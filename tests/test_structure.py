@@ -11,6 +11,7 @@ from bcontact.structure import (
     ACBStructure,
     associated_of,
     fundamental_from_potential,
+    nabla_xi_class_conditions,
     validate_structure,
 )
 from bcontact.tensor import Metric
@@ -121,8 +122,8 @@ def test_divergence_trace_identities():
     # through different contractions
     ws = workspace("solv3-f4")
     div, div_star = ws.g.div_pair
-    assert ws.g.lee.theta_xi(ws.s) == div_star == 2
-    assert ws.g.lee.theta_star_xi(ws.s) == div == 0
+    assert ws.g.lee.theta_xi == div_star == 2
+    assert ws.g.lee.theta_star_xi == div == 0
 
 
 def test_divergences_vanish_for_commuting_traceless_action():
@@ -232,7 +233,7 @@ def test_first_class_entry_lee_form():
     ws = workspace("solv5-f1")
     assert ws.g.classification["F1"]
     assert scalars.residual(ws.g.lee.theta) > 0
-    assert ws.g.lee.theta_xi(ws.s) == 0
+    assert ws.g.lee.theta_xi == 0
 
 
 def test_double_associated_metric():
@@ -259,3 +260,25 @@ def test_invalid_dimension_rejected():
             Metric.from_matrix(scalars.array([[1, 0], [0, -1]], RATIONAL), DEFAULT_EPS),
             DEFAULT_EPS,
         )
+
+
+@pytest.mark.parametrize(
+    "name, signature", [("solv3-f4", "(2,1)"), ("dim5-tr", "(3,2)"), ("solv7-u2", "(4,3)")]
+)
+def test_signature_rows_name_the_signature_of_the_dimension(name, signature):
+    names = [c.name for c in validate_structure(workspace(name).s).checks]
+    assert f"signature of g is {signature}" in names
+    assert f"signature of associated metric is {signature}" in names
+
+
+def test_nabla_xi_table_builds_no_array_for_a_model_in_no_class(monkeypatch):
+    ws = zoo.random_structure(3, 2).workspace(RATIONAL)
+    view = ws.g
+    args = (ws.s, view.nabla_xi, view.nabla_xi02, view.lee, view.div_pair, view.classification)
+    assert not any(view.classification[f"F{i}"] for i in range(1, 12))
+    calls = []
+    for name in ("einsum", "combine"):
+        real = getattr(scalars, name)
+        monkeypatch.setattr(scalars, name, lambda *a, _real=real: calls.append(a) or _real(*a))
+    assert nabla_xi_class_conditions(*args) == {}
+    assert calls == []

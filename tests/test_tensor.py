@@ -199,3 +199,19 @@ def test_one_elimination_gives_inverse_and_signature(m):
     assert np.array_equal(metric.inv @ m, scalars.eye(len(m), RATIONAL))
     ev = np.linalg.eigvalsh(m.astype(np.float64))
     assert metric.signature == (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
+
+
+@given(symmetric_rationals())
+@example(rat([[0, 1, 2], [1, 0, 3], [2, 3, 0]]))
+@example(rat([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_fraction_free_elimination_is_a_congruence(m):
+    diagonal = scalars.diagonalize(m)
+    if _exact_det(m) == 0:
+        assert diagonal is None
+        return
+    e, d = diagonal
+    assert all(d)
+    assert np.array_equal(e @ m @ e.T, np.diag(d))
+    # e holds integers, so the exact inverse is e^T diag(d)^-1 e
+    assert all(x.denominator == 1 for x in e.flat)
