@@ -187,14 +187,14 @@ def check_nabla_xi_table(ws: Workspace, view: MetricView):
 @_rows
 def check_potential_routes(ws: Workspace):
     s = ws.s
-    direct = ws.pot03
+    direct = ws.g.partner_potential03
     closed = potential_from_fundamental(s, ws.g.fundamental, ws.g.lee)
     yield "potential-closed-form", [
         _minus(direct, closed),
         _minus(direct, scalars.einsum("xyz->yxz", direct)),
     ], (direct,)
     f = ws.g.fundamental
-    rebuilt = fundamental_from_potential(s, ws.pot03)
+    rebuilt = fundamental_from_potential(s, direct)
     yield "fundamental-reconstruction", [_minus(rebuilt, f)], (f,)
     # full metric trace of the potential in its last two slots, at the Reeb slot
     yield "potential-vertical-trace", [
@@ -215,7 +215,7 @@ def check_zero_class_equivalences(ws: Workspace):
     gamma, gamma_t = ws.g.conn, ws.gt.conn
     yield "zero-class-equivalences", {
         "fundamental zero": scalars.is_zero(ws.g.fundamental, eps),
-        "potential zero": scalars.is_zero(ws.pot, eps),
+        "potential zero": scalars.is_zero(ws.g.partner_potential, eps),
         "assoc fundamental zero": scalars.is_zero(ws.gt.fundamental, eps),
         "connections coincide": scalars.is_zero(_minus(gamma, gamma_t), eps, gamma),
     }
@@ -308,12 +308,12 @@ def check_svk_naturality(ws: Workspace):
 @_rows
 def check_svk_pair_coincide(ws: Workspace):
     s = ws.s
-    d = ws.g.svk
+    d, pot = ws.g.svk, ws.g.partner_potential
     same = scalars.is_zero(_minus(ws.gt.svk, d), s.eps, d)
-    difference = svk_pair_difference(ws.pot, ws.g.partner_potential_xi, s)
+    difference = svk_pair_difference(pot, ws.g.partner_potential_xi, s)
     yield "svk-pair-coincide-iff-potential-vertical", {
         "pair coincide": same,
-        "potential vertical": scalars.is_zero(difference, s.eps, ws.pot),
+        "potential vertical": scalars.is_zero(difference, s.eps, pot),
     }
     yield "svk-pair-coincide-iff-u2", {
         "pair coincide": same,
@@ -323,7 +323,8 @@ def check_svk_pair_coincide(ws: Workspace):
 
 @_rows
 def check_svk_pair_routes(ws: Workspace):
-    via_pot = svk_pair_from_potential(ws.g.svk, ws.pot, ws.g.partner_potential_xi, ws.s)
+    g = ws.g
+    via_pot = svk_pair_from_potential(g.svk, g.partner_potential, g.partner_potential_xi, ws.s)
     d = ws.gt.svk
     yield "svk-pair-potential-route", [_minus(via_pot, d)], (d,)
 
@@ -337,7 +338,8 @@ def _svk_phi_closed_form(ws: Workspace, view: MetricView):
 @_rows
 def check_svk_phi_forms(ws: Workspace):
     yield from _views(ws, _svk_phi_closed_form)
-    relation = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, ws.g.partner_potential_xi, ws.s)
+    g = ws.g
+    relation = svk_pair_covariant_phi(g.svk_phi, g.partner_potential, g.partner_potential_xi, ws.s)
     dphi_t = ws.gt.svk_phi
     yield "svk-pair-phi-relation", [_minus(relation, dphi_t)], (dphi_t,)
 
@@ -382,7 +384,7 @@ def check_shape_operators(ws: Workspace):
             ws.gt.shape.diamond,
             _minus(
                 scalars.einsum("im,mj->ij", sd, s.phi),
-                scalars.einsum("mia,ab,m->ib", ws.pot03, s.phi, s.xi),
+                scalars.einsum("mia,ab,m->ib", ws.g.partner_potential03, s.phi, s.xi),
             ),
         ),
     ], (sd,)
@@ -429,7 +431,7 @@ def check_qt_pair_relations(ws: Workspace):
     s = ws.s
     eta, xi = s.eta, s.xi
     pot_xi = ws.g.partner_potential_xi
-    eta_pot = scalars.einsum("m,mij->ij", eta, ws.pot)
+    eta_pot = scalars.einsum("m,mij->ij", eta, ws.g.partner_potential)
 
     q, qt = ws.g.potential, ws.gt.potential
     t, tt = ws.g.torsion, ws.gt.torsion

@@ -9,6 +9,7 @@ with --eps; it is fixed once per model, when the model is loaded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -164,22 +165,24 @@ def _verify_one(name: str, ws: Workspace, seed: int, as_json: bool) -> tuple[boo
 
 
 def cmd_verify(args) -> int:
+    # a name and the call that builds its Workspace: each model is built in
+    # its turn and dropped once its rows are made, so one is held at a time
     if args.zoo:
         entries = zoo.all_entries()
         if args.seed is not None:
             entries += [zoo.random_structure(args.seed + n - 1, n) for n in (1, 2)]
-        targets = [(e.name, e.workspace(args.mode, args.eps)) for e in entries]
+        targets = [(e.name, functools.partial(e.workspace, args.mode, args.eps)) for e in entries]
     elif args.path:
         doc, ws = _load_workspace(args.path, args.mode, args.eps)
-        targets = [(doc.get("name", args.path), ws)]
+        targets = [(doc.get("name", args.path), lambda: ws)]
     else:
         print("verify needs a model file or --zoo", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     all_ok = True
     json_rows = []
-    for name, ws in sorted(targets, key=lambda t: t[0]):
-        ok, lines = _verify_one(name, ws, args.seed or 0, args.json)
+    for name, build in sorted(targets, key=lambda t: t[0]):
+        ok, lines = _verify_one(name, build(), args.seed or 0, args.json)
         all_ok = all_ok and ok
         if args.json:
             json_rows.extend(lines)

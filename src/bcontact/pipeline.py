@@ -10,6 +10,7 @@ live in the check suite (``checks.run_checks``).
 """
 from __future__ import annotations
 
+import weakref
 from functools import cached_property, wraps
 
 import numpy as np
@@ -43,36 +44,40 @@ class MetricView:
     """Everything attached to one metric of the pair."""
 
     def __init__(self, ws: "Workspace", role: str, metric: Metric):
-        self.ws = ws
+        self.s = ws.s
         self.role = role
         self.metric = metric
+        # a weak reference, so the views and their Workspace form no cycle:
+        # a dropped Workspace is freed, with all it derived, at once
+        self._ws = weakref.proxy(ws)
 
     @property
     def partner(self) -> "MetricView":
-        """The view of the other metric of the pair."""
-        return self.ws.gt if self is self.ws.g else self.ws.g
+        """The view of the other metric of the pair; ReferenceError once the
+        Workspace is gone."""
+        return self._ws.gt if self is self._ws.g else self._ws.g
 
     @_cached
     def conn(self) -> np.ndarray:
         """Coefficients of the Levi-Civita connection of this metric."""
-        return levi_civita(self.ws.s.algebra, self.metric)
+        return levi_civita(self.s.algebra, self.metric)
 
     # the only derivatives of xi, eta and phi under this Levi-Civita
     # connection: every closed form of the structure reads them
     @_cached
     def nabla_xi(self) -> np.ndarray:
         """(1,1) nabla xi of the Levi-Civita connection of this metric."""
-        return covariant_derivative(self.conn, self.ws.s.xi, 1)
+        return covariant_derivative(self.conn, self.s.xi, 1)
 
     @_cached
     def nabla_eta(self) -> np.ndarray:
         """(0,2) nabla eta of the Levi-Civita connection of this metric."""
-        return covariant_derivative(self.conn, self.ws.s.eta, 0)
+        return covariant_derivative(self.conn, self.s.eta, 0)
 
     @_cached
     def nabla_phi(self) -> np.ndarray:
         """(1,2) nabla phi of the Levi-Civita connection of this metric."""
-        return covariant_derivative(self.conn, self.ws.s.phi, 1)
+        return covariant_derivative(self.conn, self.s.phi, 1)
 
     @_cached
     def nabla_xi02(self) -> np.ndarray:
@@ -85,14 +90,13 @@ class MetricView:
 
     @_cached
     def lee(self) -> LeeForms:
-        return lee_forms(self.ws.s, self.fundamental, self.metric)
+        return lee_forms(self.s, self.fundamental, self.metric)
 
     @_cached
     def assoc(self) -> Metric:
         """The associated metric of this view's metric (for g~ it is
         -g + 2 eta (x) eta, not g again); it carries the starred divergence."""
-        s = self.ws.s
-        return s.assoc if self.role == "g" else associated_of(self.metric, s)
+        return self.s.assoc if self.role == "g" else associated_of(self.metric, self.s)
 
     @_cached
     def div_pair(self):
@@ -112,12 +116,12 @@ class MetricView:
     @_cached
     def partner_potential_xi(self) -> np.ndarray:
         """(1,1) Phi(x, xi) of the partner potential Phi."""
-        return scalars.einsum("lim,m->li", self.partner_potential, self.ws.s.xi)
+        return scalars.einsum("lim,m->li", self.partner_potential, self.s.xi)
 
     @_cached
     def classification(self) -> ClassificationReport:
         return classify(
-            self.ws.s, self.fundamental, self.lee, self.metric, self.nabla_xi,
+            self.s, self.fundamental, self.lee, self.metric, self.nabla_xi,
             self.partner.nabla_xi, self.partner_potential03, self.div_pair,
             self.role,
         )
@@ -126,13 +130,13 @@ class MetricView:
     def q_closed(self) -> QComponents:
         """Q^h and Q^v by their closed forms through nabla xi and nabla eta:
         the closed forms of Q and the phiB-connection add them."""
-        return potential_components(self.ws.s, self.nabla_xi, self.nabla_eta)
+        return potential_components(self.s, self.nabla_xi, self.nabla_eta)
 
     @_cached
     def hv_closed(self) -> HVComponents:
         """``q_closed`` with T^h and T^v by their closed forms through nabla
         xi: the closed form of T adds them.  Only the checks read it."""
-        return connection_components(self.ws.s, self.nabla_xi, self.q_closed)
+        return connection_components(self.s, self.nabla_xi, self.q_closed)
 
     @_cached
     def potential(self) -> np.ndarray:
@@ -147,7 +151,7 @@ class MetricView:
     @_cached
     def torsion(self) -> np.ndarray:
         """(1,2) T of the SvK connection."""
-        return torsion(self.svk, self.ws.s.algebra)
+        return torsion(self.svk, self.s.algebra)
 
     @_cached
     def potential03(self) -> np.ndarray:
@@ -160,21 +164,21 @@ class MetricView:
     @_cached
     def hv(self) -> HVComponents:
         """The horizontal/vertical split of this view's Q and T."""
-        return hv_split(self.ws.s, self.potential, self.torsion)
+        return hv_split(self.s, self.potential, self.torsion)
 
     # the only derivatives of phi (1,2), xi (1,1), eta (0,2) and this view's
     # metric (0,3) under the SvK connection: every check of them reads these
     @_cached
     def svk_phi(self) -> np.ndarray:
-        return covariant_derivative(self.svk, self.ws.s.phi, 1)
+        return covariant_derivative(self.svk, self.s.phi, 1)
 
     @_cached
     def svk_xi(self) -> np.ndarray:
-        return covariant_derivative(self.svk, self.ws.s.xi, 1)
+        return covariant_derivative(self.svk, self.s.xi, 1)
 
     @_cached
     def svk_eta(self) -> np.ndarray:
-        return covariant_derivative(self.svk, self.ws.s.eta, 0)
+        return covariant_derivative(self.svk, self.s.eta, 0)
 
     @_cached
     def svk_metric(self) -> np.ndarray:
@@ -182,7 +186,7 @@ class MetricView:
 
     @_cached
     def shape(self) -> ShapeData:
-        return shape_operator(self.nabla_xi, self.metric, self.ws.s.xi)
+        return shape_operator(self.nabla_xi, self.metric, self.s.xi)
 
     @_cached
     def chains(self) -> dict[str, dict[str, bool]]:
@@ -191,17 +195,17 @@ class MetricView:
         connection is the Levi-Civita one, or whether nabla xi vanishes,
         reads them here."""
         return equivalence_chains(
-            self.ws.s, self.conn, self.nabla_xi, self.nabla_eta, self.svk, self.shape,
+            self.s, self.conn, self.nabla_xi, self.nabla_eta, self.svk, self.shape,
             self.hv, self.metric,
         )
 
     @_cached
     def curv(self) -> CurvatureData:
-        return curvature_data(self.ws.s, self.conn, self.svk, self.metric)
+        return curvature_data(self.s, self.conn, self.svk, self.metric)
 
     @_cached
     def rho_xi_xi(self):
-        xi = self.ws.s.xi
+        xi = self.s.xi
         return scalars.einsum("yz,y,z->", self.curv.rho, xi, xi)
 
 
@@ -222,17 +226,6 @@ class Workspace:
     @cached_property
     def validation(self) -> ValidationReport:
         return validate_structure(self.s)
-
-    @property
-    def pot(self) -> np.ndarray:
-        """Potential of the g~ Levi-Civita connection with respect to the g
-        one, as a (1,2) tensor."""
-        return self.g.partner_potential
-
-    @property
-    def pot03(self) -> np.ndarray:
-        """The same potential lowered by g, as a (0,3) tensor."""
-        return self.g.partner_potential03
 
     def view(self, role: str) -> MetricView:
         if role == "g":

@@ -53,14 +53,16 @@ class Metric:
             # m^-1 = e^T diag(d)^-1 e: row k of e over d[k], contracted with e
             inv = scalars.einsum("ki,kj->ij", scalars.divide_rows(e, d), e)
             return cls(m, inv, (sum(x > 0 for x in d), sum(x < 0 for x in d)))
-        det = np.linalg.det(m)
-        if scalars.is_zero(det, eps, m):
-            raise DegenerateMetricError(f"metric determinant {det} below tolerance")
-        inv = np.linalg.inv(m)
+        # the smallest |eigenvalue| decides, not the determinant, which is tiny
+        # for a well-conditioned metric in a frame of short vectors; it comes
+        # before the inverse, which raises on a singular matrix
         ev = np.linalg.eigvalsh(m.astype(np.float64))
-        if scalars.is_zero(np.min(np.abs(ev)), eps, m):
-            raise DegenerateMetricError("metric has a numerically zero eigenvalue")
-        return cls(m, inv, (int(np.sum(ev > 0)), int(np.sum(ev < 0))))
+        smallest = np.min(np.abs(ev))
+        if scalars.is_zero(smallest, eps, m):
+            raise DegenerateMetricError(
+                f"metric determinant is numerically zero: smallest |eigenvalue| {smallest}"
+            )
+        return cls(m, np.linalg.inv(m), (int(np.sum(ev > 0)), int(np.sum(ev < 0))))
 
     def inner(self, x: np.ndarray, y: np.ndarray):
         """m(x, y) of two vectors or, row by row, of two stacks of vectors."""

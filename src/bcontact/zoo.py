@@ -31,7 +31,7 @@ import numpy as np
 from . import modelfile
 from .pipeline import Workspace
 from .scalars import DEFAULT_EPS, RATIONAL
-from .structure import ACBStructure
+from .structure import ALL_FLAGS, ACBStructure
 
 
 class UnknownEntryError(KeyError):
@@ -129,23 +129,17 @@ def _entry(name, description, n, brackets, expected=None, planes=(), failing=())
 
 def _adjoint_brackets(n: int, a_matrix) -> list:
     """Brackets [xi, e_k] = A e_k for a 2n x 2n matrix A acting on the
-    horizontal basis; stored as [e_k, xi] = -A e_k."""
-    dim = 2 * n + 1
-    out = []
-    for k in range(2 * n):
-        col = [a_matrix[r][k] for r in range(2 * n)]
-        if any(v != 0 for v in col):
-            coeffs = [-v for v in col] + [0]
-            out.append((k, dim - 1, tuple(coeffs)))
-    return out
+    horizontal basis; stored as [e_k, xi] = -A e_k, one per nonzero column."""
+    return _reeb_brackets(n, [[-v for v in col] for col in zip(*a_matrix)])
+
+
+def _reeb_brackets(n: int, columns) -> list:
+    """The brackets [e_k, xi] = columns[k] of the nonzero columns."""
+    return [(k, 2 * n, (*col, 0)) for k, col in enumerate(columns) if any(col)]
 
 
 # Flag sets below were derived by the exact-rational pipeline (see the zoo
 # test, which re-derives and compares them).
-_EVERY_FLAG = {
-    "F0", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11",
-    "U1", "U2", "U3", "U1_assoc", "F3+U3", "F1+F2+U3",
-}
 _U2_FAMILY = {"U2", "U3", "F3+U3", "F1+F2+U3"}
 
 
@@ -156,7 +150,7 @@ def _catalog() -> dict[str, ZooEntry]:
             "flat abelian model; zero fundamental tensor",
             1,
             [],
-            expected={"g": set(_EVERY_FLAG), "gtilde": set(_EVERY_FLAG)},
+            expected={"g": set(ALL_FLAGS), "gtilde": set(ALL_FLAGS)},
         ),
         _entry(
             "solv3-a",
@@ -397,20 +391,24 @@ def random_structure(seed: int, n: int) -> ZooEntry:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     m = 2 * n
-    sign = np.array([1] * n + [-1] * n, dtype=object)  # g on the horizontal basis
-    phi = np.array(_standard_frame(n)[0], dtype=object)[:m, :m]
+    sign = np.array([1] * n + [-1] * n)  # g on the horizontal basis
+    phi = np.array(_standard_frame(n)[0])[:m, :m]
     for _ in range(_RETRIES):
-        num = rng.integers(-2, 3, size=(m, m)).astype(object)
-        den = rng.integers(1, 3, size=(m, m)).astype(object)
-        a = num * Fraction(1) / den
-        # adjoint with respect to g, then the symmetric/skew split of A
-        adj = np.outer(sign, sign) * a.T
-        sym, skew = (a + adj) / 2, (a - adj) / 2
-        if np.any(sym != 0) and np.any(skew @ phi - phi @ skew != 0):
+        num = rng.integers(-2, 3, size=(m, m))
+        den = rng.integers(1, 3, size=(m, m))
+        # the entries of A are num / den with den 1 or 2, so 2A is an integer
+        # matrix; its adjoint with respect to g, then 4 times the
+        # symmetric/skew split of A, are integer matrices too
+        a2 = num * (2 // den)
+        adj2 = np.outer(sign, sign) * a2.T
+        sym4, skew4 = a2 + adj2, a2 - adj2
+        if np.any(sym4) and np.any(skew4 @ phi - phi @ skew4):
+            # the columns of -A = -(2A) / 2, as _adjoint_brackets stores them
+            minus_a = [[Fraction(-v, 2) for v in col] for col in a2.T.tolist()]
             return _entry(
                 f"random-{seed}-n{n}",
                 f"generated entry (seed {seed}, n {n})",
                 n,
-                _adjoint_brackets(n, a),
+                _reeb_brackets(n, minus_a),
             )
     raise GenerationError(f"no valid structure after {_RETRIES} draws (seed {seed})")

@@ -6,6 +6,8 @@ metric is no longer diagonal.  Every check must still pass, with residual
 exactly zero in rational mode, and float mode must decide the same class
 flags and section types as rational mode.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,17 @@ def _flags(ws):
         view.role: {k for k, v in view.classification.membership.items() if v}
         for view in (ws.g, ws.gt)
     }
+
+
+@pytest.mark.parametrize("name, scale", [("solv7-u2", "1/10"), ("dim5-tr", "1/100")])
+def test_a_well_conditioned_metric_of_tiny_determinant_loads_in_float(name, scale):
+    # e'_i = scale e_i on the contact distribution: the metric's determinant
+    # is 1e-12 or 1e-16, its condition number 100 or 1e4
+    entry = zoo.builtin(name)
+    doc = basis_change(entry, np.diag([Fraction(scale)] * (entry.dim - 1) + [Fraction(1)]).tolist())
+    ws = {mode: Workspace(modelfile.to_structure(doc, mode)) for mode in (RATIONAL, FLOAT)}
+    assert [r.name for r in run_checks(ws[FLOAT]) if not r.passed] == []
+    assert _flags(ws[FLOAT]) == _flags(ws[RATIONAL])
 
 
 def test_basis_is_badly_conditioned():

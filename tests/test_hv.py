@@ -173,7 +173,7 @@ def test_chain_values_on_representative_entries():
 def test_shape_pair_relation_via_potential():
     for name in ALL_NAMES:
         ws = workspace(name)
-        pot_xi = np.einsum("lim,m->li", ws.pot, ws.s.xi)
+        pot_xi = np.einsum("lim,m->li", ws.g.partner_potential, ws.s.xi)
         assert np.array_equal(
             ws.gt.shape.operator, ws.g.shape.operator - pot_xi
         ), name
@@ -185,7 +185,7 @@ def test_shape_diamond_pair_relation():
         ws = workspace(name)
         rhs = np.einsum(
             "im,mj->ij", ws.g.shape.diamond, ws.s.phi
-        ) - np.einsum("mia,ab,m->ib", ws.pot03, ws.s.phi, ws.s.xi)
+        ) - np.einsum("mia,ab,m->ib", ws.g.partner_potential03, ws.s.phi, ws.s.xi)
         assert np.array_equal(ws.gt.shape.diamond, rhs), name
 
 

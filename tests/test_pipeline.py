@@ -1,6 +1,8 @@
 """The Workspace computes each field on first use, along the primary route
 only; run_checks is where the routes are compared."""
+import gc
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +37,53 @@ def test_classification_computes_no_curvature(monkeypatch):
         assert not DOWNSTREAM & vars(view).keys(), view.role
     ws.g.curv
     assert len(calls) == 1
+
+
+@pytest.fixture
+def refcount_only():
+    """While the test runs, only reference counting frees objects: the
+    cyclic collector is off."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def test_a_dropped_workspace_is_freed_by_reference_counting(refcount_only):
+    kept = len(scalars._SCALED)
+    ws = zoo.builtin("dim5-tr").workspace(RATIONAL)
+    assert all(r.passed for r in run_checks(ws))
+    assert len(scalars._SCALED) > kept
+    dropped = weakref.ref(ws)
+    del ws
+    assert dropped() is None
+    # the kernel's kept scaled forms of its arrays went with it
+    assert len(scalars._SCALED) == kept
+
+
+def test_verify_zoo_holds_one_model_at_a_time(monkeypatch, capsys, refcount_only):
+    built, alive = [], []
+    real = zoo.ZooEntry.workspace
+
+    def workspace(entry, *args):
+        alive.append(sum(ref() is not None for ref in built))
+        ws = real(entry, *args)
+        built.append(weakref.ref(ws))
+        return ws
+
+    monkeypatch.setattr(zoo.ZooEntry, "workspace", workspace)
+    assert cli.main(["verify", "--zoo"]) == 0
+    capsys.readouterr()
+    # no Workspace was alive when the next one was built
+    assert alive == [0] * len(zoo.names())
+    assert all(ref() is None for ref in built)
+
+
+def test_a_view_outliving_its_workspace_has_no_partner():
+    view = zoo.builtin("solv3-a").workspace().g
+    assert view.conn is not None  # its own fields need only its structure and metric
+    with pytest.raises(ReferenceError):
+        view.partner
 
 
 def test_run_checks_stops_at_broken_axioms():
@@ -221,5 +270,7 @@ def test_fraction_arithmetic_happens_only_in_the_kernel(monkeypatch, tmp_path, c
         assert all(r.passed for r in run_checks(zoo.builtin(name).workspace(RATIONAL))), name
     for argv in (["validate"], ["classify"], ["report"], ["curvature", "--plane", "0,1"]):
         assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    # the generated entries are drawn in the zoo module
+    assert cli.main(["verify", "--zoo", "--seed", "1"]) == 0
     capsys.readouterr()
     assert {where: n for where, n in callers.items() if where[0] != "scalars.py"} == {}

@@ -133,14 +133,14 @@ def test_divergences_vanish_for_commuting_traceless_action():
 
 
 def test_potential_vanishes_iff_zero_class():
-    assert scalars.residual(workspace("abelian3").pot) == 0.0
-    assert scalars.residual(workspace("solv3-a").pot) > 0
+    assert scalars.residual(workspace("abelian3").g.partner_potential) == 0.0
+    assert scalars.residual(workspace("solv3-a").g.partner_potential) > 0
 
 
 def test_potential_symmetric_and_trace_free():
     for name in ALL_NAMES:
         ws = workspace(name)
-        p = ws.pot03
+        p = ws.g.partner_potential03
         assert scalars.residual(p - np.einsum("xyz->yxz", p)) == 0.0
         tr = np.einsum("ij,mij,m->", ws.s.metric.inv, p, ws.s.xi)
         assert tr == 0
@@ -149,7 +149,7 @@ def test_potential_symmetric_and_trace_free():
 def test_fundamental_reconstruction_round_trip():
     for name in ALL_NAMES:
         ws = workspace(name)
-        rebuilt = fundamental_from_potential(ws.s, ws.pot03)
+        rebuilt = fundamental_from_potential(ws.s, ws.g.partner_potential03)
         assert np.array_equal(rebuilt, ws.g.fundamental)
 
 

@@ -159,7 +159,8 @@ def test_flat_model_connections_all_coincide():
 def test_pair_from_potential_route():
     for name in ALL_NAMES:
         ws = workspace(name)
-        via = svk_pair_from_potential(ws.g.svk, ws.pot, ws.g.partner_potential_xi, ws.s)
+        g = ws.g
+        via = svk_pair_from_potential(g.svk, g.partner_potential, g.partner_potential_xi, ws.s)
         assert np.array_equal(via, ws.gt.svk), name
 
 
@@ -177,7 +178,8 @@ def test_pair_differs_on_parallel_entry():
 def test_pair_phi_relation_and_u3_behaviour():
     for name in ALL_NAMES:
         ws = workspace(name)
-        rel = svk_pair_covariant_phi(ws.g.svk_phi, ws.pot, ws.g.partner_potential_xi, ws.s)
+        g = ws.g
+        rel = svk_pair_covariant_phi(g.svk_phi, g.partner_potential, g.partner_potential_xi, ws.s)
         assert np.array_equal(rel, ws.gt.svk_phi), name
     u3 = workspace("solv7-u2")
     assert u3.g.classification["U3"]
@@ -208,7 +210,7 @@ def test_pure_cyclic_entry_phi_derivatives_differ():
     # lives entirely on horizontal slots
     import numpy as np
 
-    pxi = np.einsum("mab,m->ab", ws.pot03, ws.s.xi)
+    pxi = np.einsum("mab,m->ab", ws.g.partner_potential03, ws.s.xi)
     assert scalars.residual(pxi) == 0.0
 
 
