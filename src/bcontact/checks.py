@@ -473,7 +473,7 @@ def check_equivalence_chains(ws: Workspace, view: MetricView):
 @_per_view
 def check_svk_curvature(ws: Workspace, view: MetricView):
     s, curv = ws.s, view.curv
-    formula = svk_curvature_formula(s, curv.r04, view.shape)
+    formula = svk_curvature_formula(curv, view.shape)
     yield "svk-curvature-relation", [_minus(curv.r04_svk, formula)], (curv.r04, curv.r04_svk)
     rho_formula = svk_ricci_formula(s, curv.r04, curv.rho, view.shape, view.metric)
     yield "svk-ricci-relation", [_minus(curv.rho_svk, rho_formula)], (curv.rho,)
@@ -542,7 +542,7 @@ def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
     planes = sample_planes(ws, view, seed + (0 if role == "g" else 1))
     sampled = sectional(planes, view.curv, view.shape, s)
 
-    polarized = svk_sectional_polarized(s, r04_svk, r04, view.shape)
+    polarized = svk_sectional_polarized(view.curv, view.shape)
     relation = [_minus(sampled.k_svk, sampled.formula), polarized]
     passed, residual, worst = scalars.zero_test(relation, eps, r04)
     yield CheckResult(

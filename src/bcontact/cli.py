@@ -72,8 +72,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _load_workspace(path: str, mode: str, eps: float):
-    doc = modelfile.load_path(path)
-    return doc, Workspace(modelfile.to_structure(doc, mode, eps))
+    doc, s = modelfile.load_model(path, mode, eps)
+    return doc, Workspace(s)
 
 
 def _fmt(x) -> str:
@@ -349,8 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing keeps no
+    state in it, each call gets a namespace of its own."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         args.eps = scalars.eps_or_env(args.eps)

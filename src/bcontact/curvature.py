@@ -7,11 +7,18 @@ through the closed relation
 
     R^D(x,y,z,w) = R(x, y, phi^2 z, phi^2 w) + pi_1(S(x), S(y), z, w)
 
-so that the direct route has an independent oracle.
+so that the direct route has an independent oracle.  Since phi^2 = -id +
+xi (x) eta and R is antisymmetric in its last pair (so R(x,y,xi,xi) = 0),
+
+    R(x, y, phi^2 z, phi^2 w) = R(x,y,z,w) - eta(z) R(x,y,xi,w) - eta(w) R(x,y,z,xi),
+
+which takes dim^5 products where the sandwich of R between two phi^2 takes
+dim^6; the sum of the two eta terms is ``CurvatureData.reeb_term``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,16 +42,21 @@ def scalar_curvature(rho: np.ndarray, m: Metric):
     return scalars.einsum("ij,ij->", m.inv, rho)
 
 
-def svk_curvature_formula(s: ACBStructure, r04_base: np.ndarray, shape: ShapeData) -> np.ndarray:
+def svk_curvature_formula(curv: CurvatureData, shape: ShapeData) -> np.ndarray:
     """Right-hand side of the curvature relation tying the SvK connection to
-    its base Levi-Civita connection."""
-    phi2 = s.phi2
-    first = scalars.einsum("ijab,ak,bl->ijkl", r04_base, phi2, phi2)
+    its base Levi-Civita connection, with R(x,y,phi^2 z,phi^2 w) taken
+    as R - ``curv.reeb_term``."""
     sd = shape.diamond  # m(S(x), y)
-    # first + (second term - third term), added in that order in float mode
+    # pi_1(S x, S y, z, w) + R(x,y,phi^2 z,phi^2 w), added left to right in
+    # float mode
     return scalars.combine(
-        [1, -1, 1],
-        [scalars.einsum("jk,il->ijkl", sd, sd), scalars.einsum("ik,jl->ijkl", sd, sd), first],
+        [1, -1, 1, -1],
+        [
+            scalars.einsum("jk,il->ijkl", sd, sd),
+            scalars.einsum("ik,jl->ijkl", sd, sd),
+            curv.r04,
+            curv.reeb_term,
+        ],
     )
 
 
@@ -111,7 +123,7 @@ def pair_symmetries(r: np.ndarray) -> dict[str, np.ndarray]:
 class CurvatureData:
     """Curvature package of one metric: its Levi-Civita curvature, as (1,3)
     and (0,4) tensors, and the curvature of the associated Schouten-van
-    Kampen connection."""
+    Kampen connection; ``xi`` and ``eta`` are the structure's."""
 
     r13: np.ndarray
     r04: np.ndarray
@@ -120,6 +132,19 @@ class CurvatureData:
     r04_svk: np.ndarray
     rho_svk: np.ndarray
     tau_svk: object
+    xi: np.ndarray = field(repr=False)
+    eta: np.ndarray = field(repr=False)
+
+    @cached_property
+    def reeb_term(self) -> np.ndarray:
+        """eta(z) R(x,y,xi,w) + eta(w) R(x,y,z,xi), by which R exceeds
+        R(x,y,phi^2 z,phi^2 w) (module docstring); the polarized sectional
+        relation reads it too."""
+        r, xi, eta = self.r04, self.xi, self.eta
+        return scalars.combine(
+            [1, 1],
+            [scalars.einsum("ijml,m,k->ijkl", r, xi, eta), scalars.einsum("ijkm,m,l->ijkl", r, xi, eta)],
+        )
 
 
 def curvature_data(
@@ -132,7 +157,7 @@ def curvature_data(
     r04_d = lower_out(curvature(s.algebra, svk_conn), m)
     rho_d = ricci(r04_d, m)
     tau_d = scalar_curvature(rho_d, m)
-    return CurvatureData(r13, r04, rho, tau, r04_d, rho_d, tau_d)
+    return CurvatureData(r13, r04, rho, tau, r04_d, rho_d, tau_d, s.xi, s.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -335,29 +360,20 @@ def _plane_symmetrization(t: np.ndarray) -> np.ndarray:
     return scalars.combine([1] * 4, [scalars.einsum(p, t) for p in _PLANE_SYMMETRIES])
 
 
-def svk_sectional_polarized(
-    s: ACBStructure, r04_svk: np.ndarray, r04_base: np.ndarray, shape: ShapeData
-) -> np.ndarray:
+def svk_sectional_polarized(curv: CurvatureData, shape: ShapeData) -> np.ndarray:
     """The relation of ``Sectional.formula`` multiplied through by
     pi_1(x,y,y,x), as the tensor
 
     T = R^D - R - (S<>_jk S<>_il - S<>_ik S<>_jl) + R_ijkm xi_m eta_l + R_ijml xi_m eta_k
 
-    with T(x,y,y,x) = pi_1(x,y,y,x) (k^D - formula); returns its
-    (i<->l),(j<->k)-symmetrization, which vanishes iff the relation holds on
-    every plane."""
+    with T(x,y,y,x) = pi_1(x,y,y,x) (k^D - formula), its last two terms
+    ``curv.reeb_term``; returns its (i<->l),(j<->k)-symmetrization, which
+    vanishes iff the relation holds on every plane."""
     sd = shape.diamond
     sdsd = scalars.einsum("jk,il->ijkl", sd, sd)
     return _plane_symmetrization(scalars.combine(
-        [1, -1, -1, 1, 1, 1],
-        [
-            r04_svk,
-            r04_base,
-            sdsd,
-            scalars.einsum("ijkl->jikl", sdsd),
-            scalars.einsum("ijkm,m,l->ijkl", r04_base, s.xi, s.eta),
-            scalars.einsum("ijml,m,k->ijkl", r04_base, s.xi, s.eta),
-        ],
+        [1, -1, -1, 1, 1],
+        [curv.r04_svk, curv.r04, sdsd, scalars.einsum("ijkl->jikl", sdsd), curv.reeb_term],
     ))
 
 
@@ -381,10 +397,7 @@ def basis_invariance_forms(r: np.ndarray) -> list[np.ndarray]:
 
 def horizontal_restriction(t: np.ndarray, s: ACBStructure) -> np.ndarray:
     """t(x^h, y^h, z^h, w^h) of a (0,4) tensor, x^h = -phi^2 x being the
-    horizontal part.  Each slot is contracted with phi^2 (the four signs
-    cancel), one slot per contraction, since one five-operand call would be
-    a dim^8 loop: a contraction takes the first slot and puts the result
-    last, so four of them restore the order."""
-    for _ in range(4):
-        t = scalars.einsum("aijk,al->ijkl", t, s.phi2)
-    return t
+    horizontal part: each slot contracted with phi^2 (the four signs
+    cancel), which the kernel stages one slot at a time."""
+    p = s.phi2
+    return scalars.einsum("abcd,ai,bj,ck,dl->ijkl", t, p, p, p, p)

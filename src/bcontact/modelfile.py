@@ -25,9 +25,9 @@ class ModelFileError(ValueError):
     """Unparseable or structurally invalid model file."""
 
 
-def _canonical_scalar(tok) -> str:
+def _exact_scalar(tok) -> Fraction:
     try:
-        return str(scalars.exact(tok))
+        return scalars.exact(tok)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ModelFileError(f"bad scalar {tok!r}: {exc}") from exc
 
@@ -42,9 +42,10 @@ def _index(tok) -> int:
     return int(tok)
 
 
-def canonicalize(doc: dict) -> dict:
-    """Normalized document: fixed key order, canonical scalar strings,
-    brackets sorted by index pair, each pair given once."""
+def _parse(doc: dict) -> dict:
+    """``doc`` normalized: fixed key order, every scalar its exact
+    ``Fraction``, brackets sorted by index pair, each pair given once.  The
+    one place where a model's tokens are parsed."""
     try:
         dim = _index(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -56,7 +57,7 @@ def canonicalize(doc: dict) -> dict:
         return v
 
     def vec(v, what):
-        return [_canonical_scalar(t) for t in array(v, what)]
+        return [_exact_scalar(t) for t in array(v, what)]
 
     def mat(m, what):
         return [vec(r, what) for r in array(m, what)]
@@ -75,7 +76,7 @@ def canonicalize(doc: dict) -> dict:
         coeffs = vec(coeffs, f"bracket ({i},{j})")
         if i > j:
             i, j = j, i
-            coeffs = [str(scalars.combine([-1], [Fraction(t)])) for t in coeffs]
+            coeffs = [scalars.combine([-1], [t]) for t in coeffs]
         if (i, j) in brackets:
             raise ModelFileError(f"bracket ({i},{j}) given twice")
         brackets[i, j] = coeffs
@@ -100,26 +101,52 @@ def canonicalize(doc: dict) -> dict:
     return out
 
 
+def _formatted(parsed: dict) -> dict:
+    """A parsed document with every scalar as its canonical string."""
+    out = dict(parsed)
+    out["brackets"] = [[i, j, list(map(str, c))] for i, j, c in parsed["brackets"]]
+    for key in ("xi", "eta"):
+        out[key] = list(map(str, parsed[key]))
+    for key in ("phi", "g"):
+        out[key] = [list(map(str, row)) for row in parsed[key]]
+    return out
+
+
+def canonicalize(doc: dict) -> dict:
+    """Normalized document: fixed key order, canonical scalar strings ("p"
+    or "p/q"), brackets sorted by index pair, each pair given once."""
+    return _formatted(_parse(doc))
+
+
 def dumps(doc: dict) -> str:
     return json.dumps(canonicalize(doc), indent=2) + "\n"
 
 
-def loads(text: str) -> dict:
+def _document(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFileError("model file must contain a JSON object")
-    return canonicalize(doc)
+    return doc
+
+
+def _read(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ModelFileError(f"cannot read {path}: {exc}") from exc
+    return _document(text)
+
+
+def loads(text: str) -> dict:
+    return canonicalize(_document(text))
 
 
 def load_path(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return loads(fh.read())
-    except OSError as exc:
-        raise ModelFileError(f"cannot read {path}: {exc}") from exc
+    return canonicalize(_read(path))
 
 
 def save_path(path: str, doc: dict):
@@ -136,38 +163,49 @@ def to_structure(
     (antisymmetry, Jacobi, symmetry and degeneracy of g) use it, and the
     structure carries it to every later zero test.
     """
-    doc = canonicalize(doc)
-    dim = doc["dim"]
+    return _structure(_parse(doc), mode, eps)
+
+
+def load_model(path: str, mode: str, eps: float) -> tuple[dict, ACBStructure]:
+    """``load_path(path)`` and the structure it describes
+    (``to_structure``), from one parse of the file's tokens."""
+    parsed = _parse(_read(path))
+    return _formatted(parsed), _structure(parsed, mode, eps)
+
+
+def _structure(parsed: dict, mode: str, eps: float) -> ACBStructure:
+    """The structure of a parsed document; in float mode each scalar is the
+    nearest float of its exact value."""
+    dim = parsed["dim"]
     upper = scalars.zeros((dim, dim, dim), mode)
     try:
-        for i, j, coeffs in doc["brackets"]:
-            for k, tok in enumerate(coeffs):
-                upper[k, i, j] = scalars.parse_scalar(tok, mode)
+        for i, j, coeffs in parsed["brackets"]:
+            upper[:, i, j] = coeffs
         # c[k, j, i] = -c[k, i, j]
         scalars.freeze(upper)
         c = scalars.combine([1, -1], [upper, scalars.einsum("kij->kji", upper)])
         return ACBStructure(
             LieAlgebra(c, eps),
-            scalars.array(doc["phi"], mode),
-            scalars.array(doc["xi"], mode),
-            scalars.array(doc["eta"], mode),
-            Metric.from_matrix(scalars.array(doc["g"], mode), eps),
+            scalars.array(parsed["phi"], mode),
+            scalars.array(parsed["xi"], mode),
+            scalars.array(parsed["eta"], mode),
+            Metric.from_matrix(scalars.array(parsed["g"], mode), eps),
             eps,
         )
     except OverflowError:
-        raise ModelFileError(f"{_beyond_float(doc)} is beyond the float range") from None
+        raise ModelFileError(f"{_beyond_float(parsed)} is beyond the float range") from None
     except (StructureError, DegenerateMetricError, ValueError) as exc:
         raise ModelFileError(str(exc)) from exc
 
 
-def _beyond_float(doc: dict) -> str:
-    """The name of the first scalar of a canonical document too large for a
+def _beyond_float(parsed: dict) -> str:
+    """The name of the first scalar of a parsed document too large for a
     float."""
-    named = [(f"bracket ({i},{j})", c) for i, j, c in doc["brackets"]]
-    for name, values in named + [(key, doc[key]) for key in ("phi", "xi", "eta", "g")]:
+    named = [(f"bracket ({i},{j})", c) for i, j, c in parsed["brackets"]]
+    for name, values in named + [(key, parsed[key]) for key in ("phi", "xi", "eta", "g")]:
         values = np.array(values, dtype=object)
         for idx in np.ndindex(values.shape):
             try:
-                float(Fraction(values[idx]))
+                float(values[idx])
             except OverflowError:
                 return name + "".join(f"[{i}]" for i in idx)

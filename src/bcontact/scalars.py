@@ -23,17 +23,26 @@ stack of rows, each over its own scalar) or ``diagonalize`` (the congruence
 behind a metric's inverse and signature).  Elsewhere a ``Fraction`` is only
 read: compared, converted to float or printed.
 
+A contraction of three or more operands with an explicit output runs in
+pairwise stages, one ``np.einsum`` call on two arrays each, in both modes:
+numpy runs a single call as one loop over all its labels, so the dim^6
+loop of R(x,y,a,b) phi^a_k phi^b_l, say, becomes two dim^5 ones.  The
+stages of a spec are planned once, from the spec alone (``_stages``).
+
 The rational kernel does its arithmetic over integers.  ``einsum``
 contracts and ``combine`` adds arrays scaled to integer numerators over a
 common denominator, and each builds the ``Fraction`` entries of its result
 once, for its nonzero entries only, with equal entries sharing one object
-(every 0 is ``ZERO``).  A scaled form is an int64 array when all its
-numerators fit in int64, else an object array of Python ints, and it keeps
-M, its largest absolute numerator.  A contraction runs in int64 when every
-operand is int64 and K * prod(max(1, M_i)) <= 2**63 - 1, K being the number
-of products summed into one result entry; a combination when
-sum_t |k_t| M_t <= 2**63 - 1, k_t being the integer factor of term t.  Any
-other call runs over Python ints, the exact path that has no bound.  A
+(every 0 is ``ZERO``); the stages of a contraction pass integers from one
+to the next, and only the final result is built.  A scaled form is an
+int64 array when all its numerators fit in int64, else an object array of
+Python ints, and it keeps M, its largest absolute numerator.  A
+contraction runs in int64 when every operand is int64 and
+K * prod(max(1, M_i)) <= 2**63 - 1, K being the number of products summed
+into one result entry, a bound that holds for every stage as well; a
+combination when sum_t |k_t| M_t <= 2**63 - 1, k_t being the integer factor
+of term t.  Any other call runs over Python ints, the exact path that has
+no bound.  A
 scaled form is kept while its array lives for a kernel result (born
 read-only, owning its memory), a read-only array that owns its memory, and
 a transpose ``einsum`` takes of either; any other view is scaled afresh.
@@ -96,8 +105,11 @@ def exact(tok: ScalarLike) -> Fraction:
     A float reads as its shortest decimal, so the number 1e-13 and the string
     "1e-13" are the same value; a non-finite float raises ValueError, and so
     does a string with a non-ASCII character (``Fraction`` would read other
-    scripts' digits).  A boolean is not a scalar and raises TypeError.
+    scripts' digits).  A boolean is not a scalar and raises TypeError.  A
+    ``Fraction`` is its own value.
     """
+    if type(tok) is Fraction:
+        return tok
     if isinstance(tok, (bool, np.bool_)):
         raise TypeError("a boolean is not a number")
     if isinstance(tok, (float, np.floating)):
@@ -139,21 +151,21 @@ def zeros(shape, mode: str) -> np.ndarray:
 
 def array(nested, mode: str) -> np.ndarray:
     """Build a backend array from (possibly nested) scalar tokens, or from
-    an integer array: in float mode its float64 copy, in rational mode one
-    ``Fraction`` of a Python int per entry."""
+    an integer array: in float mode the nearest float of each exact value
+    (an integer array's float64 copy), in rational mode one ``Fraction`` per
+    entry, of a Python int for an integer array."""
     if isinstance(nested, np.ndarray) and nested.dtype.kind in "iu":
         if mode != RATIONAL:
             return nested.astype(np.float64)
-        out = np.empty(nested.size, dtype=object)
-        out[:] = [Fraction(v) for v in nested.ravel().tolist()]
-        return out.reshape(nested.shape)
-    a = np.asarray(nested, dtype=object)
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(*a.shape) if a.shape else [()]:
-        out[idx] = parse_scalar(a[idx], RATIONAL)
-    if mode == RATIONAL:
-        return out
-    return out.astype(np.float64)
+        values = [Fraction(v) for v in nested.ravel().tolist()]
+    else:
+        nested = np.asarray(nested, dtype=object)
+        values = list(map(exact, nested.ravel().tolist()))
+    # an array that owns its memory, so that the kernel may keep its scaled
+    # form once it is frozen
+    out = np.empty(nested.shape, dtype=object)
+    out.reshape(-1)[:] = values
+    return out if mode == RATIONAL else out.astype(np.float64)
 
 
 def eye(dim: int, mode: str) -> np.ndarray:
@@ -292,6 +304,64 @@ def _term_count(spec: str, shapes: tuple) -> int:
     return math.prod(k for c, k in sizes.items() if c not in output)
 
 
+@functools.lru_cache(maxsize=1024)
+def _stages(spec: str) -> tuple | None:
+    """The pairwise stages of a contraction of three or more operands, or
+    None when one ``np.einsum`` call should run it.
+
+    A stage ``(i, j, pair_spec)`` contracts operands i < j of the current
+    list, removes them and appends the result; the last stage writes the
+    output.  Stages are chosen greedily from the spec alone, so every call
+    of one spec is staged the same way: of the pairs that share a label (any
+    pair when none does), the one whose loop runs over the fewest labels,
+    then whose result keeps the fewest, then the first.  A pair sums the
+    labels that no other operand and not the output carries.
+
+    One call of p operands makes p - 1 products at each point of its loop
+    over all labels, a stage one product at each point of its own loop, so
+    the stages never make more products; they are kept when they make fewer,
+    that is when some stage's loop leaves a label out.  An implicit output,
+    an ellipsis and a label repeated inside one term take the one call."""
+    inputs, arrow, output = spec.replace(" ", "").partition("->")
+    terms = inputs.split(",")
+    labels = set(inputs) - {","}
+    if (
+        not arrow or len(terms) < 3 or "." in spec or not set(output) <= labels
+        or any(len(set(t)) < len(t) for t in terms)
+    ):
+        return None
+    stages, loops = [], []
+    while len(terms) > 2:
+        pairs = [(i, j) for i in range(len(terms)) for j in range(i + 1, len(terms))]
+        shared = [(i, j) for i, j in pairs if set(terms[i]) & set(terms[j])]
+        candidates = []
+        for i, j in shared or pairs:
+            rest = set(output).union(*(t for k, t in enumerate(terms) if k not in (i, j)))
+            loop = terms[i] + "".join(c for c in terms[j] if c not in terms[i])
+            kept = "".join(c for c in loop if c in rest)
+            candidates.append((len(loop), len(kept), i, j, loop, kept))
+        *_, i, j, loop, kept = min(candidates)
+        stages.append((i, j, f"{terms[i]},{terms[j]}->{kept}"))
+        loops.append(loop)
+        terms = [t for k, t in enumerate(terms) if k not in (i, j)] + [kept]
+    stages.append((0, 1, f"{terms[0]},{terms[1]}->{output}"))
+    loops.append(set(terms[0]) | set(terms[1]))
+    return tuple(stages) if any(len(loop) < len(labels) for loop in loops) else None
+
+
+def _contract(spec: str, operands) -> np.ndarray:
+    """``np.einsum(spec, *operands)``, run in the stages of ``_stages`` when
+    it gives some: each stage is one ``np.einsum`` call on two arrays."""
+    stages = _stages(spec) if len(operands) > 2 else None
+    if stages is None:
+        return np.einsum(spec, *operands)
+    operands = list(operands)
+    for i, j, pair in stages:
+        b, a = operands.pop(j), operands.pop(i)
+        operands.append(np.einsum(pair, a, b))
+    return operands[0]
+
+
 def _operand(a) -> np.ndarray:
     """A kernel operand as an array: a ``Fraction`` scalar as a 0-d object
     array, a float as a 0-d float64 one."""
@@ -318,14 +388,19 @@ def einsum(spec: str, *operands: np.ndarray):
     rational operand that is summed over (a trace) takes the same integer
     path; one that is not (a transpose, a diagonal) is numpy's view of it.
     An operand may be a scalar of the backend (a ``Fraction`` or a float),
-    read as a 0-d array.  Float calls are numpy's own; numpy is looked up at
-    each call, so a wrapper installed on ``np.einsum`` sees every
-    contraction.
+    read as a 0-d array.  A float call of one or two operands is numpy's
+    own.  A call of three or more operands runs in the stages of
+    ``_stages`` when it has some, in either mode: a rational one over its
+    integers, building no ``Fraction`` between stages, and a float one with
+    the rounding of its stages, which matches numpy's single call bit for
+    bit on integer-valued operands and is within the rounding bound of its
+    sums otherwise.  numpy is looked up at each call, so a wrapper installed
+    on ``np.einsum`` sees every contraction, and every stage of one.
     """
     # the float test comes first: it is all a float call pays
     try:
         if operands[0].dtype != object or any(a.dtype != object for a in operands):
-            return np.einsum(spec, *operands)
+            return _contract(spec, operands)
     except AttributeError:  # a scalar operand
         return einsum(spec, *map(_operand, operands))
     if len(operands) == 1 and not _sums(spec):
@@ -339,13 +414,17 @@ def einsum(spec: str, *operands: np.ndarray):
             _remember(out, np.einsum(spec, n), d, m)
         return out
     ns, dens, bounds = zip(*map(_scaled, operands))
+    # the one bound covers every stage of a staged contraction: each entry,
+    # product and partial sum a stage forms is a sum of at most K products of
+    # entries of some of the operands (the labels summed so far are some of
+    # the summed labels), so its magnitude is at most K * prod(max(1, M_i))
     if (
         any(n.dtype == object for n in ns)
         or _term_count(spec, tuple(n.shape for n in ns)) * math.prod(max(1, m) for m in bounds)
         > _INT64_MAX
     ):
         ns = _widen(ns)
-    return _rebuild(np.einsum(spec, *ns), math.prod(dens))
+    return _rebuild(_contract(spec, ns), math.prod(dens))
 
 
 def combine(coefficients, arrays):

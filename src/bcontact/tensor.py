@@ -65,8 +65,8 @@ class Metric:
         return cls(m, np.linalg.inv(m), (int(np.sum(ev > 0)), int(np.sum(ev < 0))))
 
     def inner(self, x: np.ndarray, y: np.ndarray):
-        """m(x, y) of two vectors or, row by row, of two stacks of vectors."""
-        return scalars.einsum("ij,...i,...j->...", self.matrix, x, y)
+        """m(x, y) of two vectors."""
+        return scalars.einsum("ij,i,j->", self.matrix, x, y)
 
 
 def sharp(omega: np.ndarray, m: Metric) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from bcontact import cli, modelfile, pipeline, zoo
+from bcontact import cli, modelfile, pipeline, scalars, zoo
 
 from support import corrupted_phi_entry, non_isometric_phi_entry
 
@@ -356,3 +357,30 @@ def test_bcontact_eps_reaches_model_loading(files, monkeypatch):
     monkeypatch.setenv("BCONTACT_EPS", "1e-6")
     assert cli.main(["validate", path, "--mode", "float"]) == 0
     assert cli.main(["validate", path, "--mode", "float", "--eps", "1e-9"]) == 2
+
+
+def test_successive_calls_share_one_parser_and_no_state(files, monkeypatch, capsys):
+    assert cli.main(["validate", files["abelian3"]]) == 0  # the parser exists now
+    built, loaded = [], []
+    real_init, real_load = argparse.ArgumentParser.__init__, cli._load_workspace
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__",
+        lambda self, *args, **kwargs: built.append(args) or real_init(self, *args, **kwargs),
+    )
+    monkeypatch.setattr(
+        cli, "_load_workspace",
+        lambda path, mode, eps: loaded.append((mode, eps)) or real_load(path, mode, eps),
+    )
+    monkeypatch.delenv("BCONTACT_EPS", raising=False)
+    argv = ["classify", files["abelian3"], "--metric", "gtilde", "--mode", "float", "--eps", "1e-3"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # the later calls get the defaults, not the first call's options
+    assert cli.main(["report", files["abelian3"], "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert cli.main(["curvature", files["abelian3"]]) == 0
+    assert "plane" not in capsys.readouterr().out
+    assert loaded == [
+        ("float", 1e-3), ("rational", scalars.DEFAULT_EPS), ("rational", scalars.DEFAULT_EPS)
+    ]
+    assert built == []

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -60,8 +61,24 @@ def test_svk_curvature_relation_direct_vs_formula():
     for name in ALL_NAMES:
         ws = workspace(name)
         for view in (ws.g, ws.gt):
-            formula = svk_curvature_formula(ws.s, view.curv.r04, view.shape)
+            formula = svk_curvature_formula(view.curv, view.shape)
             assert np.array_equal(view.curv.r04_svk, formula), name
+
+
+@pytest.mark.parametrize("name", ["solv7-u2", "dim5-tr", "x-mix5-f8"])
+def test_phi2_identity_is_the_sandwich_exactly(name):
+    # R(x,y,phi^2 z,phi^2 w) = R - eta(z) R(x,y,xi,w) - eta(w) R(x,y,z,xi),
+    # which the curvature relation uses, is the dim^6 contraction of R with
+    # phi^2 in its last two slots, entry for entry
+    ws = workspace(name)
+    phi2 = ws.s.phi2
+    for view in (ws.g, ws.gt):
+        curv = view.curv
+        sandwich = scalars.einsum("ijab,ak,bl->ijkl", curv.r04, phi2, phi2)
+        identity = scalars.combine([1, -1], [curv.r04, curv.reeb_term])
+        assert identity.dtype == object
+        assert np.array_equal(identity, sandwich), (name, view.role)
+        assert scalars.residual(identity) > 0, (name, view.role)
 
 
 def test_svk_curvature_on_parallel_entry_is_projected_base():
@@ -115,7 +132,7 @@ def test_ricci_relation_is_the_trace_of_the_curvature_relation(name):
         r = scalars.array(a - a.transpose(0, 1, 3, 2), RATIONAL)
         rho = _loop_trace(r, view.metric)
         assert np.array_equal(ricci(r, view.metric), rho), view.role
-        traced = _loop_trace(svk_curvature_formula(ws.s, r, view.shape), view.metric)
+        traced = _loop_trace(svk_curvature_formula(replace(view.curv, r04=r), view.shape), view.metric)
         formula = svk_ricci_formula(ws.s, r, rho, view.shape, view.metric)
         assert np.array_equal(formula, traced), view.role
 

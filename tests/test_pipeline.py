@@ -274,3 +274,22 @@ def test_fraction_arithmetic_happens_only_in_the_kernel(monkeypatch, tmp_path, c
     assert cli.main(["verify", "--zoo", "--seed", "1"]) == 0
     capsys.readouterr()
     assert {where: n for where, n in callers.items() if where[0] != "scalars.py"} == {}
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_every_contraction_of_a_verification_is_pairwise(monkeypatch, mode):
+    # the kernel stages every contraction of three or more operands that
+    # loading a model, its Workspace and the check suite make, so numpy
+    # never runs one as a single loop over all its labels
+    real = np.einsum
+    wide = Counter()
+
+    def einsum(spec, *operands, **kwargs):
+        if len(operands) >= 3:
+            wide[spec] += 1
+        return real(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    rows = run_checks(zoo.builtin("solv7-u2").workspace(mode))
+    assert rows and all(r.passed for r in rows)
+    assert wide == {}

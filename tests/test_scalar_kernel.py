@@ -7,8 +7,11 @@ A rational contraction of two or more operands, and a rational linear
 combination, run over integers scaled by a common denominator (int64 where a
 bound proves the sums fit, Python ints otherwise) and must give exactly what
 numpy gives over ``Fraction`` objects, on both sides of that bound; a
-rational zero test decides on those integers; a float contraction is
-numpy's own call, and a float combination numpy's own sum.  A float zero
+rational zero test decides on those integers.  A float contraction of one or
+two operands is numpy's own call; one of three or more runs in pairwise
+stages, bit for bit with numpy's one call on integer-valued operands and
+within the rounding bound of its sums otherwise.  A float combination is
+numpy's own sum.  A float zero
 test fails a non-finite residual and ignores NaN context entries, and a
 float stack is decided in one numpy pass that gives the per-row verdicts,
 with no per-row ``zero_test``.  ``ast`` guards
@@ -31,16 +34,17 @@ from hypothesis import strategies as st
 import bcontact
 from bcontact import scalars, zoo
 from bcontact.checks import run_checks
-from bcontact.scalars import FLOAT, RATIONAL
+from bcontact.scalars import FLOAT, RATIONAL, _INT64_MAX
 
 SRC = Path(bcontact.__file__).resolve().parent
 
-LETTERS = "ijkl"
+LETTERS = "ijklm"
 
 values = st.one_of(
     st.fractions(min_value=-20, max_value=20, max_denominator=12),
     st.integers(min_value=-20, max_value=20),
 )
+integers = st.integers(min_value=-20, max_value=20)
 
 
 def _object_array(entries, shape):
@@ -57,16 +61,30 @@ big_values = st.builds(
     st.integers(min_value=1, max_value=12),
 )
 
+# numerators from 2**10 to 2**22: the bound of a contraction of three or
+# four of them, which the kernel stages, falls on either side of 2**63
+edge_values = st.builds(
+    Fraction,
+    st.integers(min_value=2**10, max_value=2**22) | st.integers(min_value=-2**22, max_value=-2**10),
+    st.integers(min_value=1, max_value=3),
+)
+
 
 @st.composite
-def contractions(draw, values=values):
-    """An einsum spec over up to three operands, with rational operands of
-    axis lengths 0 to 3 (mixed denominators, integer-valued entries, Python
-    ints) and an output of any rank, 0-d included."""
-    sizes = {c: draw(st.integers(min_value=0, max_value=3)) for c in LETTERS}
-    terms = draw(
-        st.lists(st.lists(st.sampled_from(LETTERS), max_size=3), min_size=1, max_size=3)
-    )
+def contractions(draw, values=values, min_operands=1, max_operands=4):
+    """An einsum spec over ``min_operands`` to ``max_operands`` operands, with
+    rational operands of axis lengths 0 to 4 (mixed denominators,
+    integer-valued entries, Python ints) and an output of any rank, 0-d
+    included.  Labels are distinct within each term in about half of the
+    draws, so that a spec of three or more operands with an explicit output
+    is often one the kernel stages, summing in another order than numpy's
+    one call."""
+    sizes = {c: draw(st.integers(min_value=0, max_value=4)) for c in LETTERS}
+    unique = draw(st.booleans())
+    terms = draw(st.lists(
+        st.lists(st.sampled_from(LETTERS), max_size=3, unique=unique),
+        min_size=min_operands, max_size=max_operands,
+    ))
     used = sorted({c for t in terms for c in t})
     spec = ",".join("".join(t) for t in terms)
     if draw(st.booleans()):
@@ -82,13 +100,21 @@ def contractions(draw, values=values):
 
 
 @given(contractions())
-# an empty summed axis, a 0-d result of mixed denominators, and an outer
-# product, which sums no index
+# an empty summed axis, a 0-d result of mixed denominators, an outer
+# product, which sums no index, and staged contractions of three and four
+# operands
 @example(("ij,jk->ik", [scalars.zeros((2, 0), RATIONAL), scalars.zeros((0, 3), RATIONAL)]))
 @example(("i,i->", [scalars.array(["1/2", "-2/3", 5], RATIONAL),
                     scalars.array([3, "1/4", "-1/10"], RATIONAL)]))
 @example(("i,j->ij", [scalars.array(["1/2", "-2/3", 5], RATIONAL),
                       scalars.array(["3/4", 0], RATIONAL)]))
+@example(("ij,jk,kl->li", [scalars.array([["1/2", 3], [-1, "2/7"]], RATIONAL),
+                           scalars.array([[5, "-1/3", 0], ["1/4", 2, 1]], RATIONAL),
+                           scalars.array([["2/3"], [-2], ["1/5"]], RATIONAL)]))
+@example(("abm,ax,by,m->xy", [scalars.array(np.arange(-4, 4).reshape(2, 2, 2), RATIONAL),
+                              scalars.array([["1/2", 1, 0], [-3, "3/4", 2]], RATIONAL),
+                              scalars.array([[1, "-1/6"], ["5/2", 4]], RATIONAL),
+                              scalars.array(["1/3", -1], RATIONAL)]))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_rational_einsum_equals_numpy_exactly(case):
     _assert_einsum_is_exact(*case)
@@ -97,6 +123,12 @@ def test_rational_einsum_equals_numpy_exactly(case):
 @given(contractions(big_values))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_rational_einsum_is_exact_at_the_int64_bound(case):
+    _assert_einsum_is_exact(*case)
+
+
+@given(contractions(edge_values, min_operands=3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_rational_staged_einsum_is_exact_on_both_sides_of_the_int64_bound(case):
     _assert_einsum_is_exact(*case)
 
 
@@ -116,17 +148,67 @@ def _assert_einsum_is_exact(spec, operands):
         assert all(type(x) is Fraction for x in got.flat)
 
 
-@given(contractions())
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_float_einsum_is_numpy_bit_for_bit(case):
-    spec, operands = case
-    operands = [a.astype(np.float64) for a in operands]
+def _float_operands(operands):
+    return [a.astype(np.float64) for a in operands]
+
+
+def _assert_bit_for_bit(spec, operands):
     expected = np.einsum(spec, *operands)
     got = scalars.einsum(spec, *operands)
     assert type(got) is type(expected)
     assert np.asarray(got).dtype == np.asarray(expected).dtype
     assert np.array_equal(got, expected)
     assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+@given(contractions(max_operands=2))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_float_einsum_of_one_or_two_operands_is_numpy_bit_for_bit(case):
+    spec, operands = case
+    _assert_bit_for_bit(spec, _float_operands(operands))
+
+
+@given(contractions(integers, min_operands=3))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_float_einsum_of_integers_is_numpy_bit_for_bit(case):
+    # every product and partial sum of integers this small is exact in
+    # float64, so the order of the stages does not show
+    spec, operands = case
+    _assert_bit_for_bit(spec, _float_operands(operands))
+
+
+def _gamma(n: int) -> Fraction:
+    """gamma_n = n u / (1 - n u), u = 2**-53 the unit roundoff of float64."""
+    u = Fraction(1, 2**53)
+    return n * u / (1 - n * u)
+
+
+@given(contractions(min_operands=3))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_float_einsum_of_three_or_more_operands_is_within_its_rounding_bound(case):
+    # An entry is a sum of K products of p operand entries.  numpy's one
+    # call makes p - 1 roundings in each product and K - 1 in the sum; the
+    # stages make one rounding per product of two stage operands, p - 1 in
+    # all, and K_s - 1 in the sum of stage s, with prod K_s = K, so
+    # sum (K_s - 1) <= K - 1.  Either way each product carries at most
+    # n = K + p - 2 roundings, and the entry is within gamma_n * E of the
+    # exact value of the float operands, E being the same contraction of
+    # their absolute values (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., ch. 3): the staged and the one-call results
+    # differ by at most 2 gamma_n E.
+    spec, operands = case
+    floats = _float_operands(operands)
+    got = np.asarray(scalars.einsum(spec, *floats))
+    numpy = np.asarray(np.einsum(spec, *floats))
+    exact = [_object_array([Fraction(x) for x in a.ravel().tolist()], a.shape) for a in floats]
+    value = np.asarray(np.einsum(spec, *exact))
+    size = np.asarray(np.einsum(spec, *(np.abs(a) for a in exact)))
+    n = scalars._term_count(spec, tuple(a.shape for a in floats)) + len(floats) - 2
+    assert got.shape == numpy.shape == value.shape and got.dtype == np.float64
+    for g, v, e in zip(got.ravel().tolist(), value.ravel().tolist(), size.ravel().tolist()):
+        assert abs(Fraction(g) - v) <= _gamma(n) * e
+    for g, v, e in zip(numpy.ravel().tolist(), value.ravel().tolist(), size.ravel().tolist()):
+        assert abs(Fraction(g) - v) <= _gamma(n) * e
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
@@ -143,7 +225,55 @@ def test_einsum_calls_numpy_through_its_module_attribute(monkeypatch, mode):
     m = scalars.eye(3, mode)
     scalars.einsum("ij,j->i", m, m[0])
     scalars.einsum("ij->ji", m)
-    assert seen == ["ij,j->i", "ij->ji"]
+    # a staged contraction: each stage is a call
+    scalars.einsum("ij,jk,k->i", m, m, m[0])
+    assert seen == ["ij,j->i", "ij->ji", "jk,k->j", "ij,j->i"]
+
+
+@pytest.mark.parametrize("spec, stages", [
+    # the dim^6 sandwich becomes two dim^5 stages
+    ("ijab,ak,bl->ijkl", ["ijab,ak->ijbk", "bl,ijbk->ijkl"]),
+    # the pair that shares a label and runs over the fewest labels first
+    ("abm,ax,by,m->xy", ["abm,m->ab", "ax,ab->xb", "by,xb->xy"]),
+    ("ij,nai,nbj->nab", ["ij,nai->jna", "nbj,jna->nab"]),
+    # an outer product makes one product per entry instead of two
+    ("x,y,z->xyz", ["x,y->xy", "z,xy->xyz"]),
+    # one call: an implicit output, an ellipsis, a label repeated in a
+    # term, and a spec whose every stage would loop over all its labels
+    ("ij,jk,kl", ["ij,jk,kl"]),
+    ("ij,...i,...j->...", ["ij,...i,...j->..."]),
+    ("ii,ij,j->", ["ii,ij,j->"]),
+    ("ij,ij,ij->ij", ["ij,ij,ij->ij"]),
+])
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_a_multi_operand_contraction_runs_in_pairwise_stages(monkeypatch, spec, stages, mode):
+    rng = np.random.default_rng(5)
+    inputs = spec.partition("->")[0].split(",")
+    shapes = [(3,) * len(t.replace("...", "x")) for t in inputs]
+    operands = [scalars.array(rng.integers(-3, 4, size=shape), mode) for shape in shapes]
+    expected = np.einsum(spec, *operands)
+    real, seen = np.einsum, []
+    monkeypatch.setattr(np, "einsum", lambda s, *ops: seen.append(s) or real(s, *ops))
+    got = scalars.einsum(spec, *operands)
+    assert [s for s in seen if s.count(",") >= 1] == stages
+    assert np.array_equal(got, expected)
+
+
+def test_staged_contraction_is_exact_on_both_sides_of_the_int64_bound(monkeypatch):
+    # K * prod(max(1, M_i)) bounds every stage: with all entries r, the
+    # stage "jk,kl->jl" sums 2 r^2 and the result 4 r^3 = K r^3
+    widened = []
+    real = scalars._widen
+    monkeypatch.setattr(scalars, "_widen", lambda ns: widened.append(len(ns)) or real(ns))
+    r = 1 + math.floor((_INT64_MAX // 4) ** (1 / 3))
+    while 4 * r**3 > _INT64_MAX:
+        r -= 1
+    for v in (r, r + 1):
+        a, b, c = (scalars.array(np.full(shape, v), RATIONAL) for shape in ((1, 2), (2, 2), (2, 1)))
+        assert scalars._stages("ij,jk,kl->il") is not None
+        assert scalars.einsum("ij,jk,kl->il", a, b, c).tolist() == [[4 * v**3]]
+    # only r + 1, whose bound 4 (r + 1)^3 exceeds 2**63 - 1, takes Python ints
+    assert widened == [3]
 
 
 def test_no_numpy_einsum_outside_scalars():

@@ -69,10 +69,9 @@ def test_sectional_relation_fails_when_svk_curvature_gains_reeb_term(name, mode,
     ws = zoo.builtin(name).workspace(mode)  # a fresh one: it is mutated
     for view in (ws.g, ws.gt):
         curv = view.curv
-        bad = curv.r04_svk + _reeb_term(ws, view)
-        polarized = svk_sectional_polarized(ws.s, bad, curv.r04, view.shape)
-        assert scalars.residual(polarized) == residual
-        view.__dict__["curv"] = replace(curv, r04_svk=bad)
+        bad = replace(curv, r04_svk=curv.r04_svk + _reeb_term(ws, view))
+        assert scalars.residual(svk_sectional_polarized(bad, view.shape)) == residual
+        view.__dict__["curv"] = bad
     rows = {r.name: r for r in check_sectional_curvature(ws)}
     for role in ("g", "gtilde"):
         row = rows[f"sectional-relation[{role}]"]
