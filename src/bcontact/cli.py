@@ -241,15 +241,19 @@ def cmd_curvature(args) -> int:
 
     plane = _parse_plane(args, ws)
     if plane is not None:
-        [(kind, ortho)] = section_type(PlaneStack.of(ws.g.metric, [plane], ws.s.eps), ws.s)
+        # a plane degenerate for g raises here; one degenerate for g~ alone
+        # is reported in the loop
+        planes = PlaneStack.of(ws.g.metric, [plane], ws.s.eps)
+        [(kind, ortho)] = section_type(planes, ws.s)
         payload["plane"] = {"type": kind, "orthogonal_to_xi": ortho}
         for view in (ws.g, ws.gt):
             tag = view.role
-            try:
-                planes = PlaneStack.of(view.metric, [plane], ws.s.eps)
-            except DegeneratePlaneError:
-                payload["plane"][f"k[{tag}]"] = "degenerate"
-                continue
+            if view is ws.gt:
+                try:
+                    planes = PlaneStack.of(view.metric, [plane], ws.s.eps)
+                except DegeneratePlaneError:
+                    payload["plane"][f"k[{tag}]"] = "degenerate"
+                    continue
             values = sectional(planes, view.curv, view.shape, ws.s)
             (k_base,), (k_svk,), (k_formula,) = values.k, values.k_svk, values.formula
             payload["plane"][f"k[{tag}]"] = k_base

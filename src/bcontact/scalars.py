@@ -9,8 +9,9 @@ tolerance scaled by the magnitude of the tensors involved: a float residual r
 passes when it is finite and r <= eps * max(1, r, scale), scale being the
 largest absolute entry of the context arrays, NaN entries ignored.  Every
 zero test in the library goes through ``zero_test`` (verdict, residual and
-worst index), ``is_zero`` (its verdict alone) or ``zero_rows`` (the verdict of
-every row of a stack), and all three decide by that one rule; the tolerance
+worst index), ``verdict`` (verdict and residual), ``is_zero`` (its verdict
+alone) or ``zero_rows`` (the verdict of every row of a stack), and all four
+decide by that one rule; the tolerance
 ``eps`` is fixed once per model when it is loaded and carried on the
 structure.  ``zero_rows`` decides a float stack in one pass of numpy
 reductions over its rows and its contexts' rows.
@@ -31,8 +32,9 @@ stages of a spec are planned once, from the spec alone (``_stages``).
 
 The rational kernel does its arithmetic over integers.  ``einsum``
 contracts and ``combine`` adds arrays scaled to integer numerators over a
-common denominator, and each builds the ``Fraction`` entries of its result
-once, for its nonzero entries only, with equal entries sharing one object
+common denominator, and each fills the ``Fraction`` entries of its result
+once, for its nonzero entries only, from one bounded table of ``Fraction``
+values that every result shares, so that equal entries are one object
 (every 0 is ``ZERO``); the stages of a contraction pass integers from one
 to the next, and only the final result is built.  A scaled form is an
 int64 array when all its numerators fit in int64, else an object array of
@@ -234,6 +236,26 @@ def _scaled(a: np.ndarray) -> tuple[np.ndarray, int, int]:
     return n, d, m
 
 
+# (numerator, denominator) in lowest terms -> the ``Fraction`` of that
+# value, shared by every kernel result that holds it, as ``ZERO`` is;
+# emptied when it reaches _FRACTIONS_MAX entries, so that it stays small
+_FRACTIONS: dict[tuple[int, int], Fraction] = {}
+_FRACTIONS_MAX = 4096
+
+
+def _fraction(p: int, q: int) -> Fraction:
+    """The shared ``Fraction`` of p / q, for p != 0 and q > 0, built on its
+    first use."""
+    g = math.gcd(p, q)
+    key = (p // g, q // g)
+    f = _FRACTIONS.get(key)
+    if f is None:
+        if len(_FRACTIONS) >= _FRACTIONS_MAX:
+            _FRACTIONS.clear()
+        f = _FRACTIONS[key] = Fraction(*key)
+    return f
+
+
 def _rebuild(n, den: int):
     """The exact value of ``n / den`` for an integer array (or integer) ``n``,
     int64 or Python ints: a read-only object array of ``Fraction``, equal
@@ -243,25 +265,32 @@ def _rebuild(n, den: int):
     ``n`` and ``den`` are first divided by g = gcd(den, n_1, ...), which
     gives ``_scale``'s form of the result: the least common multiple of the
     reduced denominators of n_i / den is den / g.  That form is kept for the
-    result, so it is never scaled again.  Only the nonzero entries are read
-    and built; every ``Fraction`` holds Python ints."""
+    result, so it is never scaled again.  Only the nonzero entries of an
+    array are read, in one pass over a flat index; each distinct value is
+    taken from the shared table of ``_fraction``, so a ``Fraction`` is built
+    only for a value the table does not hold.  A 0-d result is a ``Fraction``
+    of its own.  Every ``Fraction`` holds Python ints."""
     if not isinstance(n, np.ndarray) or not n.ndim:
         return Fraction(int(n), den)
-    nonzero = n.nonzero()
-    values = n[nonzero].tolist()
+    flat = n.ravel()
+    where = flat.nonzero()[0]
     out = np.empty(n.shape, dtype=object)
     out.fill(ZERO)
-    if values:
-        g = math.gcd(den, *values)
+    m = 0
+    if len(where):
+        values = flat[where].tolist()
+        distinct = set(values)
+        g = math.gcd(den, *distinct)
+        den //= g
+        built = {v: _fraction(v // g, den) for v in distinct}
+        out.reshape(-1)[where] = np.fromiter(
+            map(built.__getitem__, values), dtype=object, count=len(values)
+        )
+        m = max(map(abs, distinct)) // g
         if g > 1:
-            den //= g
-            values = [v // g for v in values]
             n = n // g
-        built = {v: Fraction(v, den) for v in set(values)}
-        out[nonzero] = list(map(built.__getitem__, values))
     else:
         den = 1
-    m = max(map(abs, values), default=0)
     if n.dtype == object and m <= _INT64_MAX:
         n = n.astype(np.int64)
     out.setflags(write=False)
@@ -461,7 +490,10 @@ def combine(coefficients, arrays):
         return out.copy() if out is arrays[0] else out
     terms = []
     for c, a in zip(coefficients, arrays):
-        c = Fraction(c)
+        # an int, a numpy integer and a Fraction carry their own numerator
+        # and denominator
+        if not isinstance(c, (int, np.integer, Fraction)):
+            c = Fraction(c)
         terms.append((int(c.numerator), int(c.denominator), *_scaled(a)))
     den = math.lcm(*(q * d for _, q, _, d, _ in terms))
     # an all-zero term adds nothing: its factor is 1, whatever its coefficient
@@ -633,26 +665,40 @@ def _context_scale(c: np.ndarray) -> float:
     return float(np.fmax.reduce(np.abs(c), axis=None, initial=0.0))
 
 
-def _decide(arrays: list[np.ndarray], eps: float, context) -> tuple[bool, list, list]:
-    """``(passed, residuals, peaks)`` of ``zero_test``: its verdict, the
-    residual of each array, and the exact ``_peak`` of each rational array
-    (None for a float one)."""
+def _residuals(arrays: list[np.ndarray]) -> tuple[list, list]:
+    """``(residuals, peaks)``: the residual of each array, and the exact
+    ``_peak`` of each rational array (None for a float one)."""
     peaks = [_peak(a) if a.dtype == object else None for a in arrays]
     res = [max_abs(a) if p is None else _rational_residual(p) for a, p in zip(arrays, peaks)]
-    if all(p is not None for p in peaks):
-        return not any(p for p, _ in peaks), res, peaks
+    return res, peaks
+
+
+def verdict(arrays, eps: float, *context: np.ndarray) -> tuple[bool, float]:
+    """``(passed, residual)`` of ``zero_test``, without locating the worst
+    entry of a failed test.
+
+    The scale of the ``context`` arrays is computed only when a float
+    residual exceeds eps and no rational array has failed: a residual
+    within eps passes whatever the scale, by the first term of
+    ``_within_tolerance``."""
+    arrays = [np.asarray(a) for a in arrays]
+    res, peaks = _residuals(arrays)
+    # a NaN residual is the worst, whatever its position
+    worst = math.nan if any(map(math.isnan, res)) else max(res, default=0.0)
+    if any(p[0] for p in peaks if p is not None):
+        return False, worst
+    loose = [r for p, r in zip(peaks, res) if p is None and not r <= eps]
+    if not loose:
+        return True, worst
     scale = max((_context_scale(np.asarray(c)) for c in context), default=0.0)
-    passed = all(
-        _within_tolerance(r, eps, scale) if p is None else p[0] == 0
-        for p, r in zip(peaks, res)
-    )
-    return passed, res, peaks
+    return all(_within_tolerance(r, eps, scale) for r in loose), worst
 
 
-def _locate(arrays: list[np.ndarray], res: list, peaks: list) -> tuple | None:
+def _locate(arrays: list[np.ndarray]) -> tuple | None:
     """The worst index of a failed ``zero_test``: the first largest entry of
     the worst array, prefixed by that array's position when there are
     several; exact when every array is rational."""
+    res, peaks = _residuals(arrays)
     if all(p is not None for p in peaks):
         k = max(range(len(arrays)), key=lambda i: Fraction(*peaks[i]))
     else:
@@ -680,21 +726,19 @@ def zero_test(arrays, eps: float, *context: np.ndarray):
     entry of the worst array, prefixed by that array's position when more
     than one array is tested.  When every array is rational, the verdict,
     the worst array and its worst index are exact, and a nonzero residual
-    too small for a float reads as the smallest positive float.
+    too small for a float reads as the smallest positive float.  The verdict
+    and residual are ``verdict``'s; only a failed test locates its worst
+    entry.
     """
     arrays = [np.asarray(a) for a in arrays]
-    passed, res, peaks = _decide(arrays, eps, context)
-    # a NaN residual is the worst, whatever its position
-    worst = math.nan if any(map(math.isnan, res)) else max(res, default=0.0)
-    if passed:
-        return True, worst, None
-    return False, worst, _locate(arrays, res, peaks)
+    passed, worst = verdict(arrays, eps, *context)
+    return passed, worst, None if passed else _locate(arrays)
 
 
 def is_zero(arr: np.ndarray, eps: float, *context: np.ndarray) -> bool:
     """The verdict of ``zero_test`` on a single array, without locating its
     worst entry."""
-    return _decide([np.asarray(arr)], eps, context)[0]
+    return verdict([arr], eps, *context)[0]
 
 
 def zero_rows(a: np.ndarray, eps: float, *context) -> list[bool]:

@@ -516,7 +516,7 @@ def classify(
     membership: dict[str, bool] = {}
     residuals: dict[str, float] = {}
     for flag, arrays in conds.items():
-        membership[flag], residuals[flag], _ = scalars.zero_test(arrays, s.eps, f)
+        membership[flag], residuals[flag] = scalars.verdict(arrays, s.eps, f)
     membership["U3"] = membership["U2"] and membership["F3+U3"]
     residuals["U3"] = max(residuals["U2"], residuals["F3+U3"])
 

@@ -1,0 +1,55 @@
+"""``scripts/kernel_counts.py``, the counts of what the exact kernel does
+while models are verified: every function it wraps still exists, so no
+count reads 0 because its target was renamed, and it counts a dim-3 entry
+and a forced fall-back to Python ints."""
+import importlib.util
+import json
+from fractions import Fraction
+from pathlib import Path
+
+from bcontact import scalars, zoo
+from bcontact.scalars import RATIONAL
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "kernel_counts.py"
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("kernel_counts", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_function_resolves():
+    script = _script()
+    for name in script.TARGETS:
+        assert callable(getattr(scalars, name)), name
+    assert script.KERNEL_FILE == "scalars.py"
+
+
+def test_counts_of_a_dim3_entry(monkeypatch, capsys):
+    script = _script()
+    # an empty table of shared Fractions, as in a fresh interpreter
+    monkeypatch.setattr(scalars, "_FRACTIONS", {})
+    real = {name: getattr(scalars, name) for name in script.TARGETS}
+    real_new = Fraction.__new__
+    out = script.count([zoo.builtin("solv3-f4")])
+    assert out["models"] == ["solv3-f4"] and out["failed_checks"] == []
+    assert out["rebuild_calls"] > 0 and out["scale_calls"] > 0
+    assert out["scaled_entries"] >= out["scale_calls"]
+    built = out["fractions_built"]
+    assert built["_fraction"] > 0
+    assert built["total"] == sum(n for k, n in built.items() if k != "total")
+    assert out["widen_callers"] == {}
+    # every wrapper is taken off again
+    assert {name: getattr(scalars, name) for name in script.TARGETS} == real
+    assert Fraction.__new__ is real_new
+    # a sum beyond int64 is widened, and named by the function outside the
+    # kernel that asked for it
+    big = scalars.array([2**62, -(2**62)], RATIONAL)
+    with script.counting() as counts:
+        scalars.combine([1, 1], [big, big])
+    assert counts["widen:test_kernel_counts.py:test_counts_of_a_dim3_entry"] == 1
+    assert script.main(["--names", "solv3-f4", "--sizes"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["rebuild_calls"] == out["rebuild_calls"]

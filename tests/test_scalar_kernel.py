@@ -23,6 +23,7 @@ import ast
 import gc
 import math
 import operator
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -717,6 +718,137 @@ def test_equal_entries_share_one_fraction():
     c = scalars.einsum("ij,jk->ik", a, a)  # [[0, -1/4], [1/4, -1/4]]
     assert c[0, 0] is scalars.ZERO
     assert c[0, 1] == Fraction(-1, 4) and c[0, 1] is c[1, 1]
+
+
+def test_equal_entries_of_separate_results_are_one_fraction():
+    u = scalars.array(["1/2", 3], RATIONAL)
+    v = scalars.array([1, "-2/3"], RATIONAL)
+    outer = scalars.einsum("i,j->ij", u, v)  # [[1/2, -1/3], [3, -2]]
+    # [1/2, -1/3] over the denominator 6, as 3/6 and -2/6
+    summed = scalars.combine(
+        [1, -1], [scalars.array(["1/3", "-1/6"], RATIONAL), scalars.array(["-1/6", "1/6"], RATIONAL)]
+    )
+    assert summed.tolist() == [Fraction(1, 2), Fraction(-1, 3)]
+    assert summed[0] is outer[0, 0] and summed[1] is outer[0, 1]
+    assert scalars.einsum("ij->i", outer)[1] is scalars.combine([1], [v])[0]  # 1
+
+
+class _WatchedTable(dict):
+    """A ``scalars._FRACTIONS`` that records its size after each entry."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.sizes.append(len(self))
+
+
+def test_fraction_table_stays_within_its_bound(monkeypatch):
+    table = _WatchedTable()
+    monkeypatch.setattr(scalars, "_FRACTIONS", table)
+    bound = scalars._FRACTIONS_MAX
+    # one result of more distinct values than the bound, each twice, then
+    # many small ones
+    ints = np.arange(1, bound + 200)
+    a = scalars.combine([Fraction(1, 7)], [scalars.array(np.concatenate([ints, ints]), RATIONAL)])
+    assert a.tolist() == [Fraction(int(i), 7) for i in ints] * 2
+    assert all(a[k] is a[k + len(ints)] for k in range(len(ints)))
+    for k in range(1, 40):
+        scalars.combine([Fraction(1, k)], [scalars.array(np.arange(1, 100), RATIONAL)])
+    assert len(table.sizes) > bound and max(table.sizes) == bound
+
+
+def test_float_calls_never_touch_the_fraction_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a float call asked for a shared Fraction")
+
+    table = {}
+    monkeypatch.setattr(scalars, "_FRACTIONS", table)
+    monkeypatch.setattr(scalars, "_fraction", refuse)
+    a = scalars.array([["1/2", 3], [-1, "2/7"]], FLOAT)
+    scalars.einsum("ij,jk,kl->il", a, a, a)
+    scalars.combine([Fraction(1, 3), 2, -1], [a, a.T, a])
+    scalars.divide_rows(a, np.array([2.0, -4.0]))
+    assert all(r.passed for r in run_checks(zoo.builtin("solv3-f4").workspace(FLOAT)))
+    assert table == {}
+
+
+# ---------------------------------------------------------------------------
+# the float tolerance short-cut and the coefficients of a combination
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_residual_within_eps_passes_whatever_the_context(monkeypatch, eps):
+    scales = []
+    real = scalars._context_scale
+    monkeypatch.setattr(scalars, "_context_scale", lambda c: scales.append(c) or real(c))
+    small = np.array([eps, -eps / 2, 0.0])
+    contexts = [
+        (), (np.array([np.nan]),), (np.array([np.inf, 1.0]),), (np.array([-np.inf]),),
+        (np.array([1e308, np.nan]),), (np.array([np.nan]), np.array([np.inf])),
+    ]
+    for context in contexts:
+        assert scalars.zero_test([small], eps, *context) == (True, eps, None)
+        assert scalars.zero_test([small, np.zeros(2)], eps, *context) == (True, eps, None)
+        assert scalars.verdict([small], eps, *context) == (True, eps)
+        assert scalars.is_zero(small, eps, *context)
+    # no context was scaled, and a residual above eps scales them
+    assert scales == []
+    assert not scalars.is_zero(np.array([1.0]), eps, np.array([0.5]))
+    assert len(scales) == 1
+
+
+def test_residual_between_eps_and_the_scaled_tolerance_passes_only_by_its_context():
+    a = np.array([0.0, -1e-6])
+    eps = 1e-9
+    assert scalars.zero_test([a], eps) == (False, 1e-6, (1,))
+    assert scalars.verdict([a], eps, np.array([1e2])) == (False, 1e-6)
+    assert scalars.verdict([a], eps, np.array([1e2]), np.array([-1e4])) == (True, 1e-6)
+    assert scalars.zero_test([a], eps, np.array([np.nan, 1e4])) == (True, 1e-6, None)
+    assert not scalars.is_zero(a, eps, np.array([np.nan]))
+    # a failing rational array fails the test whatever the float one gives
+    one = scalars.array([1], RATIONAL)
+    assert scalars.verdict([a, one], eps, np.array([1e4])) == (False, 1.0)
+    assert scalars.zero_test([a, one], eps, np.array([1e4])) == (False, 1.0, (1, 0))
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_combine_reads_int_numpy_and_fraction_coefficients_alike(mode):
+    arrays = [
+        scalars.array([["1/2", -3], ["2/7", 0]], mode),
+        scalars.array([[1, "-5/3"], ["1/9", 4]], mode),
+        scalars.array([["7/2", 1], [0, "-1/4"]], mode),
+    ]
+    ints = [1, -1, 6]
+    results = [
+        scalars.combine(coefficients, arrays)
+        for coefficients in (ints, [np.int64(c) for c in ints], [Fraction(c) for c in ints])
+    ]
+    if mode == FLOAT:
+        assert len({r.tobytes() for r in results}) == 1
+        return
+    assert results[0].tolist() == results[1].tolist() == results[2].tolist()
+    assert len({tuple(map(repr, scalars._SCALED[id(r)][1:])) for r in results}) == 1
+    # and no Fraction is built for such a coefficient
+    built = []
+    real_new, raw_new = Fraction.__new__, vars(Fraction)["__new__"]
+
+    def new(cls, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "combine":
+            built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(new)
+    try:
+        for coefficients in (ints, [np.int64(c) for c in ints], [Fraction(1, 2), Fraction(-3), 2]):
+            scalars.combine(coefficients, arrays)
+        assert built == []
+        scalars.combine([0.5, 1, 1], arrays)
+    finally:
+        Fraction.__new__ = raw_new
+    assert built == [(0.5,)]
 
 
 @given(st.lists(values, min_size=1, max_size=12))
