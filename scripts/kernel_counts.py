@@ -2,13 +2,13 @@
 print the counts as JSON.
 
     PYTHONPATH=src python scripts/kernel_counts.py [--seed N] [--sizes 1 2]
-        [--names NAME ...] [--mode rational|float]
+        [--names NAME ...]
 
 Run it from the root of a checkout.  The models are the curated zoo (or the
 entries ``--names`` gives) and ``random_structure(seed, n)`` for each n of
 ``--sizes``, the model set of the benchmark's verify-zoo-rational workload
 by default; each gets a ``Workspace`` and ``run_checks``, one model at a
-time, in one interpreter.  The output holds four counts:
+time, in one interpreter, in rational mode.  The output holds four counts:
 
 - ``rebuild_calls``: calls of ``scalars._rebuild``, the one place a kernel
   result gets its entries;
@@ -90,17 +90,17 @@ def counting():
             setattr(scalars, name, fn)
 
 
-def count(entries, mode: str = scalars.RATIONAL) -> dict:
-    """The counts of ``Workspace`` plus ``run_checks`` over ``entries``."""
+def count(entries) -> dict:
+    """The counts of rational ``Workspace`` plus ``run_checks`` over
+    ``entries``."""
     with counting() as counts:
         failed = []
         for entry in entries:
-            rows = run_checks(entry.workspace(mode))
+            rows = run_checks(entry.workspace(scalars.RATIONAL))
             failed += [f"{entry.name}: {r.name}" for r in rows if not r.passed]
     built = {k.partition(":")[2]: n for k, n in sorted(counts.items()) if k.startswith("fraction:")}
     return {
         "models": [e.name for e in entries],
-        "mode": mode,
         "failed_checks": failed,
         "rebuild_calls": counts["rebuild_calls"],
         "fractions_built": {"total": sum(built.values()), **built},
@@ -117,11 +117,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--sizes", type=int, nargs="*", default=[1, 2])
     ap.add_argument("--names", nargs="*", help="curated or boundary entries (default: the curated zoo)")
-    ap.add_argument("--mode", choices=(scalars.RATIONAL, scalars.FLOAT), default=scalars.RATIONAL)
     args = ap.parse_args(argv)
     entries = [zoo.builtin(n) for n in args.names] if args.names is not None else zoo.all_entries()
     entries += [zoo.random_structure(args.seed, n) for n in args.sizes]
-    print(json.dumps(count(entries, args.mode), indent=2))
+    print(json.dumps(count(entries), indent=2))
     return 0
 
 

@@ -673,32 +673,38 @@ def _residuals(arrays: list[np.ndarray]) -> tuple[list, list]:
     return res, peaks
 
 
-def verdict(arrays, eps: float, *context: np.ndarray) -> tuple[bool, float]:
-    """``(passed, residual)`` of ``zero_test``, without locating the worst
-    entry of a failed test.
+def _verdict(arrays: list[np.ndarray], eps: float, context) -> tuple[bool, float, list, list]:
+    """``(passed, residual, residuals, peaks)``: the verdict and residual of
+    ``zero_test``, with the ``_residuals`` they were found from, which a
+    failed test hands on to ``_locate``.
 
     The scale of the ``context`` arrays is computed only when a float
     residual exceeds eps and no rational array has failed: a residual
     within eps passes whatever the scale, by the first term of
     ``_within_tolerance``."""
-    arrays = [np.asarray(a) for a in arrays]
     res, peaks = _residuals(arrays)
     # a NaN residual is the worst, whatever its position
     worst = math.nan if any(map(math.isnan, res)) else max(res, default=0.0)
     if any(p[0] for p in peaks if p is not None):
-        return False, worst
+        return False, worst, res, peaks
     loose = [r for p, r in zip(peaks, res) if p is None and not r <= eps]
     if not loose:
-        return True, worst
+        return True, worst, res, peaks
     scale = max((_context_scale(np.asarray(c)) for c in context), default=0.0)
-    return all(_within_tolerance(r, eps, scale) for r in loose), worst
+    return all(_within_tolerance(r, eps, scale) for r in loose), worst, res, peaks
 
 
-def _locate(arrays: list[np.ndarray]) -> tuple | None:
-    """The worst index of a failed ``zero_test``: the first largest entry of
-    the worst array, prefixed by that array's position when there are
-    several; exact when every array is rational."""
-    res, peaks = _residuals(arrays)
+def verdict(arrays, eps: float, *context: np.ndarray) -> tuple[bool, float]:
+    """``(passed, residual)`` of ``zero_test``, without locating the worst
+    entry of a failed test."""
+    return _verdict([np.asarray(a) for a in arrays], eps, context)[:2]
+
+
+def _locate(arrays: list[np.ndarray], res: list, peaks: list) -> tuple | None:
+    """The worst index of a failed ``zero_test``, from the ``_residuals``
+    of its ``arrays``: the first largest entry of the worst array, prefixed
+    by that array's position when there are several; exact when every array
+    is rational."""
     if all(p is not None for p in peaks):
         k = max(range(len(arrays)), key=lambda i: Fraction(*peaks[i]))
     else:
@@ -731,8 +737,8 @@ def zero_test(arrays, eps: float, *context: np.ndarray):
     entry.
     """
     arrays = [np.asarray(a) for a in arrays]
-    passed, worst = verdict(arrays, eps, *context)
-    return passed, worst, None if passed else _locate(arrays)
+    passed, worst, res, peaks = _verdict(arrays, eps, context)
+    return passed, worst, None if passed else _locate(arrays, res, peaks)
 
 
 def is_zero(arr: np.ndarray, eps: float, *context: np.ndarray) -> bool:

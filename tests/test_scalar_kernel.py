@@ -1193,15 +1193,15 @@ def _over_range_len(gen: ast.comprehension) -> bool:
 
 
 def _stack_tests_by_row(path: Path) -> list[str]:
-    """The lines of ``is_zero``/``zero_test`` calls inside a comprehension
-    that iterates over ``range(len(...))``."""
+    """The lines of ``is_zero``/``zero_test``/``verdict`` calls inside a
+    comprehension that iterates over ``range(len(...))``."""
     comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
     return [
         f"{path.stem}:{call.lineno}"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, comprehensions) and any(map(_over_range_len, node.generators))
         for call in ast.walk(node)
-        if isinstance(call, ast.Call) and _callee(call) in {"is_zero", "zero_test"}
+        if isinstance(call, ast.Call) and _callee(call) in {"is_zero", "zero_test", "verdict"}
     ]
 
 
@@ -1210,9 +1210,10 @@ def test_stack_guard_sees_a_per_row_zero_test(tmp_path):
     sample.write_text(
         "ok = [scalars.is_zero(r[n], eps) for n in range(len(r))]\n"
         "ok = all(zero_test([r[n]], eps)[0] for n in range(len(r)))\n"
+        "ok = [scalars.verdict([r[n]], eps)[0] for n in range(len(r))]\n"
         "ok = [scalars.is_zero(a, eps) for a in arrays]\n"
     )
-    assert _stack_tests_by_row(sample) == ["sample:1", "sample:2"]
+    assert sorted(_stack_tests_by_row(sample)) == ["sample:1", "sample:2", "sample:3"]
 
 
 def test_stacks_are_tested_by_zero_rows():
