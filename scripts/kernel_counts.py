@@ -8,7 +8,7 @@ Run it from the root of a checkout.  The models are the curated zoo (or the
 entries ``--names`` gives) and ``random_structure(seed, n)`` for each n of
 ``--sizes``, the model set of the benchmark's verify-zoo-rational workload
 by default; each gets a ``Workspace`` and ``run_checks``, one model at a
-time, in one interpreter, in rational mode.  The output holds four counts:
+time, in one interpreter, in rational mode.  The output holds five counts:
 
 - ``rebuild_calls``: calls of ``scalars._rebuild``, the one place a kernel
   result gets its entries;
@@ -18,7 +18,11 @@ time, in one interpreter, in rational mode.  The output holds four counts:
 - ``scale_calls`` and ``scaled_entries``: calls of ``scalars._scale``, which
   scales an array to integers, and the entries they scale;
 - ``widen_callers``: calls of ``scalars._widen``, the fall-back of a sum to
-  Python ints, by the first function outside ``scalars.py`` on the stack.
+  Python ints, by the first function outside ``scalars.py`` on the stack;
+- ``zero_results``: the ``einsum`` and ``combine`` calls that ended at an
+  exact zero (an operand, or every term, with M = 0) without contracting or
+  adding, by entry point, and their total.  An all-zero sum that
+  ``_rebuild`` receives is not counted: it was contracted or added.
 
 Compare two checkouts by running it from the root of each.
 """
@@ -36,7 +40,7 @@ from bcontact import scalars, zoo
 from bcontact.checks import run_checks
 
 # the kernel functions this script wraps, by their name in ``scalars``
-TARGETS = ("_rebuild", "_scale", "_widen")
+TARGETS = ("_rebuild", "_scale", "_widen", "_zero")
 KERNEL_FILE = Path(scalars.__file__).name
 
 
@@ -73,13 +77,17 @@ def counting():
         counts["widen:" + _caller(1, outside=True)] += 1
         return real["_widen"](ns)
 
+    def zero(shape):
+        counts["zero:" + _caller(1).partition(":")[2]] += 1
+        return real["_zero"](shape)
+
     def new(cls, *args, **kwargs):
         where = _caller(1)
         if where.startswith(KERNEL_FILE + ":"):
             counts["fraction:" + where.partition(":")[2]] += 1
         return real_new(cls, *args, **kwargs)
 
-    for name, wrapper in zip(TARGETS, (rebuild, scale, widen)):
+    for name, wrapper in zip(TARGETS, (rebuild, scale, widen, zero)):
         setattr(scalars, name, wrapper)
     Fraction.__new__ = staticmethod(new)
     try:
@@ -99,6 +107,7 @@ def count(entries) -> dict:
             rows = run_checks(entry.workspace(scalars.RATIONAL))
             failed += [f"{entry.name}: {r.name}" for r in rows if not r.passed]
     built = {k.partition(":")[2]: n for k, n in sorted(counts.items()) if k.startswith("fraction:")}
+    zeros = {name: counts["zero:" + name] for name in ("einsum", "combine")}
     return {
         "models": [e.name for e in entries],
         "failed_checks": failed,
@@ -109,6 +118,7 @@ def count(entries) -> dict:
         "widen_callers": {
             k.partition(":")[2]: n for k, n in sorted(counts.items()) if k.startswith("widen:")
         },
+        "zero_results": {"total": sum(zeros.values()), **zeros},
     }
 
 

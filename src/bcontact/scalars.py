@@ -44,11 +44,15 @@ K * prod(max(1, M_i)) <= 2**63 - 1, K being the number of products summed
 into one result entry, a bound that holds for every stage as well; a
 combination when sum_t |k_t| M_t <= 2**63 - 1, k_t being the integer factor
 of term t.  Any other call runs over Python ints, the exact path that has
-no bound.  A
+no bound.  M = 0 proves an array zero: a contraction with such an operand
+and an explicit output without an ellipsis, and a combination of such
+terms alone, return a zero result at once, with no contraction, sum or
+scan, and a combination leaves such terms out.  A
 scaled form is kept while its array lives for a kernel result (born
 read-only, owning its memory), a read-only array that owns its memory, and
 a transpose ``einsum`` takes of either; any other view is scaled afresh.
-So the next kernel call, ``max_abs``, ``zero_test`` and ``zero_rows`` read
+Each call looks an operand's kept form up once (``_scaled``).  So the
+next kernel call, ``max_abs``, ``zero_test`` and ``zero_rows`` read
 a result's integers: a rational verdict and worst index are exact, and a
 residual, like ``max_abs``, is the float of the exact largest entry (the
 smallest positive float when that rounds to 0 but the entry is not 0, and
@@ -205,12 +209,6 @@ def _scale(a: np.ndarray) -> tuple[np.ndarray, int, int]:
 _SCALED: dict[int, tuple] = {}
 
 
-def _kept(a: np.ndarray):
-    """The kept scaled form ``(n, d, m)`` of ``a``, or None."""
-    hit = _SCALED.get(id(a))
-    return hit[1:] if hit is not None and hit[0]() is a else None
-
-
 def _remember(a: np.ndarray, n: np.ndarray, d: int, m: int) -> None:
     """Keep ``(n, d, m)``, ``n`` made read-only, as the scaled form of ``a``."""
     key = id(a)
@@ -226,10 +224,14 @@ def _keeps(a: np.ndarray) -> bool:
 
 
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """``_scale(a)``, kept for ``a`` when ``_keeps(a)``."""
-    kept = _kept(a)
-    if kept is not None:
-        return kept
+    """``_scale(a)``, kept for ``a`` when ``_keeps(a)``: the one reader of
+    ``_SCALED``, one lookup per array.  The integers of a kept form are
+    read-only, and those of a form just scaled and not kept are not."""
+    hit = _SCALED.get(id(a))
+    if hit is not None:
+        ref, n, d, m = hit
+        if ref() is a:
+            return n, d, m
     n, d, m = _scale(a)
     if _keeps(a):
         _remember(a, n, d, m)
@@ -269,32 +271,44 @@ def _rebuild(n, den: int):
     array are read, in one pass over a flat index; each distinct value is
     taken from the shared table of ``_fraction``, so a ``Fraction`` is built
     only for a value the table does not hold.  A 0-d result is a ``Fraction``
-    of its own.  Every ``Fraction`` holds Python ints."""
+    of its own, and an all-zero array ``_zero``'s.  Every ``Fraction`` holds
+    Python ints."""
     if not isinstance(n, np.ndarray) or not n.ndim:
         return Fraction(int(n), den)
     flat = n.ravel()
     where = flat.nonzero()[0]
+    if not len(where):
+        return _zero(n.shape)
+    values = flat[where].tolist()
+    distinct = set(values)
+    g = math.gcd(den, *distinct)
+    den //= g
+    built = {v: _fraction(v // g, den) for v in distinct}
     out = np.empty(n.shape, dtype=object)
     out.fill(ZERO)
-    m = 0
-    if len(where):
-        values = flat[where].tolist()
-        distinct = set(values)
-        g = math.gcd(den, *distinct)
-        den //= g
-        built = {v: _fraction(v // g, den) for v in distinct}
-        out.reshape(-1)[where] = np.fromiter(
-            map(built.__getitem__, values), dtype=object, count=len(values)
-        )
-        m = max(map(abs, distinct)) // g
-        if g > 1:
-            n = n // g
-    else:
-        den = 1
+    out.reshape(-1)[where] = np.fromiter(
+        map(built.__getitem__, values), dtype=object, count=len(values)
+    )
+    m = max(map(abs, distinct)) // g
+    if g > 1:
+        n = n // g
     if n.dtype == object and m <= _INT64_MAX:
         n = n.astype(np.int64)
     out.setflags(write=False)
     _remember(out, n, den, m)
+    return out
+
+
+def _zero(shape: tuple):
+    """The exact zero of ``shape`` that the kernel returns: a ``Fraction(0)``
+    of its own when 0-d, else a read-only object array of ``ZERO`` that owns
+    its memory, kept as ``(zeros, 1, 0)``."""
+    if not shape:
+        return Fraction(0)
+    out = np.empty(shape, dtype=object)
+    out.fill(ZERO)
+    out.setflags(write=False)
+    _remember(out, np.zeros(shape, dtype=np.int64), 1, 0)
     return out
 
 
@@ -304,33 +318,33 @@ def _widen(ns) -> list[np.ndarray]:
     return [n.astype(object) for n in ns]
 
 
-@functools.lru_cache(maxsize=1024)
-def _sums(spec: str) -> bool:
-    """Whether ``np.einsum(spec, ...)`` sums over a label: a label of the
-    inputs is left out of the output."""
-    inputs, arrow, output = spec.replace(" ", "").replace(".", "").partition("->")
-    letters = set(inputs) - {","}
-    if not arrow:
-        return any(inputs.count(c) > 1 for c in letters)
-    return not letters <= set(output)
-
-
 @functools.lru_cache(maxsize=4096)
-def _term_count(spec: str, shapes: tuple) -> int:
-    """The number of products ``np.einsum(spec, *operands)`` sums into one
-    entry of its result, for operands of the given shapes: the product of
-    the lengths of the summed labels.  An implicit output keeps the labels
-    that occur once; the axes an ellipsis covers are never summed."""
+def _plan(spec: str, shapes: tuple) -> tuple[bool, int, tuple | None]:
+    """``(sums, K, shape)`` of ``np.einsum(spec, *operands)`` for operands
+    of the given shapes: whether it sums over a label (one that the output
+    leaves out), the number K of products it sums into one entry of its
+    result (the product of the lengths of the summed labels), and the shape
+    of its result.  An implicit output keeps the labels that occur once; the
+    axes an ellipsis covers are never summed.  The shape is None for an
+    implicit output, an ellipsis, and operands whose shapes do not fit the
+    spec, which numpy refuses."""
     inputs, arrow, output = spec.replace(" ", "").partition("->")
     terms = inputs.split(",")
     if not arrow:
         output = [c for c in inputs if inputs.count(c) == 1]
-    sizes = {}
+    sizes, fits = {}, bool(arrow) and "." not in spec and len(terms) == len(shapes)
     for term, shape in zip(terms, shapes):
         head, _, tail = term.partition("...")
-        for c, k in zip(head + tail, shape[:len(head)] + shape[len(shape) - len(tail):]):
+        pairs = set(zip(head + tail, shape[:len(head)] + shape[len(shape) - len(tail):]))
+        # a label has one length in a term, and numpy stretches a length of
+        # 1 to the length the label has in the other terms
+        fits = fits and len(term) == len(shape) and len(pairs) == len(set(term))
+        for c, k in pairs:
+            fits = fits and (k == 1 or sizes.get(c, 1) in (1, k))
             sizes[c] = max(k, sizes.get(c, 0))
-    return math.prod(k for c, k in sizes.items() if c not in output)
+    summed = [k for c, k in sizes.items() if c not in output]
+    fits = fits and len(set(output)) == len(output) and set(output) <= sizes.keys()
+    return bool(summed), math.prod(summed), tuple(sizes[c] for c in output) if fits else None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -413,7 +427,9 @@ def einsum(spec: str, *operands: np.ndarray):
     result is a ``Fraction`` scalar; an array result is read-only and
     carries its scaled form (see ``_rebuild``).  A read-only operand that
     owns its memory is scaled once in its lifetime (see ``_scaled``), and
-    ``combine`` adds exact arrays on the same scaled integers.  A single
+    ``combine`` adds exact arrays on the same scaled integers.  An operand
+    with M = 0 ends an explicit output without an ellipsis at once: the
+    result is ``_zero``'s, and no later operand is scaled.  A single
     rational operand that is summed over (a trace) takes the same integer
     path; one that is not (a transpose, a diagonal) is numpy's view of it.
     An operand may be a scalar of the backend (a ``Fraction`` or a float),
@@ -432,28 +448,35 @@ def einsum(spec: str, *operands: np.ndarray):
             return _contract(spec, operands)
     except AttributeError:  # a scalar operand
         return einsum(spec, *map(_operand, operands))
-    if len(operands) == 1 and not _sums(spec):
-        # a read-only view (a transpose) of an array whose scaled form is or
-        # may be kept keeps the same view of its integers: its memory is
-        # never written
+    sums, k, shape = _plan(spec, tuple(a.shape for a in operands))
+    if len(operands) == 1 and not sums:
+        # a read-only view that holds every entry of an array whose scaled
+        # form is kept, as its read-only integers show (a transpose, not a
+        # diagonal), keeps the same view of its integers, with the same M:
+        # its memory is never written
         (a,) = operands
         out = np.einsum(spec, a)
-        if isinstance(out, np.ndarray) and not out.flags.writeable and (_kept(a) or _keeps(a)):
+        if isinstance(out, np.ndarray) and not out.flags.writeable and out.size == a.size:
             n, d, m = _scaled(a)
-            _remember(out, np.einsum(spec, n), d, m)
+            if not n.flags.writeable:
+                _remember(out, np.einsum(spec, n), d, m)
         return out
-    ns, dens, bounds = zip(*map(_scaled, operands))
     # the one bound covers every stage of a staged contraction: each entry,
     # product and partial sum a stage forms is a sum of at most K products of
     # entries of some of the operands (the labels summed so far are some of
     # the summed labels), so its magnitude is at most K * prod(max(1, M_i))
-    if (
-        any(n.dtype == object for n in ns)
-        or _term_count(spec, tuple(n.shape for n in ns)) * math.prod(max(1, m) for m in bounds)
-        > _INT64_MAX
-    ):
+    ns, den, bound, wide = [], 1, k, False
+    for a in operands:
+        n, d, m = _scaled(a)
+        if not m and shape is not None:
+            return _zero(shape)
+        ns.append(n)
+        den *= d
+        bound *= max(1, m)
+        wide = wide or n.dtype == object
+    if wide or bound > _INT64_MAX:
         ns = _widen(ns)
-    return _rebuild(_contract(spec, ns), math.prod(dens))
+    return _rebuild(_contract(spec, ns), den)
 
 
 def combine(coefficients, arrays):
@@ -470,8 +493,10 @@ def combine(coefficients, arrays):
     ``Fraction``, an array result is read-only and carries its scaled form.
     The integers are added in int64 when sum_t |k_t| M_t <= 2**63 - 1, for
     k_t the integer factor of term t and M_t the largest absolute numerator
-    of its array, and as Python ints otherwise.  A term may be a scalar of
-    the backend, read as a 0-d array.
+    of its array, and as Python ints otherwise.  A term with M = 0 is left
+    out, and with every term so the result is ``_zero``'s, of the shape of
+    all the terms.  A term may be a scalar of the backend, read as a 0-d
+    array.
     """
     if len(coefficients) != len(arrays) or not len(arrays):
         raise ValueError("combine needs one coefficient per array, and at least one array")
@@ -488,16 +513,21 @@ def combine(coefficients, arrays):
             else:
                 out = out + a if c == 1 else out - a if c == -1 else out + float(c) * a
         return out.copy() if out is arrays[0] else out
-    terms = []
+    terms, zero_shapes = [], []
     for c, a in zip(coefficients, arrays):
         # an int, a numpy integer and a Fraction carry their own numerator
         # and denominator
         if not isinstance(c, (int, np.integer, Fraction)):
             c = Fraction(c)
-        terms.append((int(c.numerator), int(c.denominator), *_scaled(a)))
+        n, d, m = _scaled(a)
+        if m:
+            terms.append((int(c.numerator), int(c.denominator), n, d, m))
+        else:  # an all-zero term adds nothing, whatever its coefficient
+            zero_shapes.append(a.shape)
+    if not terms:
+        return _zero(np.broadcast_shapes(*zero_shapes))
     den = math.lcm(*(q * d for _, q, _, d, _ in terms))
-    # an all-zero term adds nothing: its factor is 1, whatever its coefficient
-    ks = [p * (den // (q * d)) if m else 1 for p, q, _, d, m in terms]
+    ks = [p * (den // (q * d)) for p, q, _, d, _ in terms]
     ns = [n for _, _, n, _, _ in terms]
     if (
         any(n.dtype == object for n in ns)
@@ -510,6 +540,9 @@ def combine(coefficients, arrays):
             out = n if k == 1 else n * k
         else:
             out = out + n if k == 1 else out - n if k == -1 else out + n * k
+    if any(s != out.shape for s in zero_shapes):
+        # the result has the shape of every term, the zero ones included
+        out = np.broadcast_to(out, np.broadcast_shapes(out.shape, *zero_shapes))
     return _rebuild(out, den)
 
 
@@ -604,11 +637,14 @@ def mode_of(arr: np.ndarray) -> str:
 
 def _peak(a: np.ndarray) -> tuple[int, int]:
     """``(p, d)``: the largest absolute entry of the rational array ``a`` is
-    exactly p / d, found over its scaled integers.  An unscaled array that
-    is exactly zero is never scaled."""
-    if not a.size or (_kept(a) is None and not np.count_nonzero(a)):
+    exactly p / d, found over its scaled integers; those of a scaled form
+    with M = 0 are all zero and are not read.  A writable array, which is
+    never kept, is not scaled when it is exactly zero."""
+    if a.flags.writeable and not np.count_nonzero(a):
         return 0, 1
-    n, d, _ = _scaled(a)
+    n, d, m = _scaled(a)
+    if not m:
+        return 0, 1
     if n.dtype == object:
         return max(map(abs, n.ravel().tolist())), d
     return int(np.abs(n).max()), d

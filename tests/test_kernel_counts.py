@@ -1,7 +1,7 @@
 """``scripts/kernel_counts.py``, the counts of what the exact kernel does
 while models are verified: every function it wraps still exists, so no
-count reads 0 because its target was renamed, and it counts a dim-3 entry
-and a forced fall-back to Python ints."""
+count reads 0 because its target was renamed, and it counts a dim-3 entry,
+its exact zeros and a forced fall-back to Python ints."""
 import importlib.util
 import json
 from fractions import Fraction
@@ -41,6 +41,10 @@ def test_counts_of_a_dim3_entry(monkeypatch, capsys):
     assert built["_fraction"] > 0
     assert built["total"] == sum(n for k, n in built.items() if k != "total")
     assert out["widen_callers"] == {}
+    # calls that end at an exact zero without contracting or adding
+    zeros = out["zero_results"]
+    assert zeros["einsum"] > 0 and zeros["combine"] > 0
+    assert zeros["total"] == zeros["einsum"] + zeros["combine"]
     # every wrapper is taken off again
     assert {name: getattr(scalars, name) for name in script.TARGETS} == real
     assert Fraction.__new__ is real_new

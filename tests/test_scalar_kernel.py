@@ -1,7 +1,8 @@
 """The scalar kernel: ``scalars.einsum``, the one contraction path,
 ``scalars.combine``, its linear combinations, the memo of scaled read-only
 arrays (kernel results are born in it), the exact-zero shortcut of
-``scalars.zero_test``, and ``scalars.zero_rows``, the zero test of a stack.
+``scalars.zero_test``, the exact zero that an all-zero operand or term makes
+of a rational call, and ``scalars.zero_rows``, the zero test of a stack.
 
 A rational contraction of two or more operands, and a rational linear
 combination, run over integers scaled by a common denominator (int64 where a
@@ -204,7 +205,7 @@ def test_float_einsum_of_three_or_more_operands_is_within_its_rounding_bound(cas
     exact = [_object_array([Fraction(x) for x in a.ravel().tolist()], a.shape) for a in floats]
     value = np.asarray(np.einsum(spec, *exact))
     size = np.asarray(np.einsum(spec, *(np.abs(a) for a in exact)))
-    n = scalars._term_count(spec, tuple(a.shape for a in floats)) + len(floats) - 2
+    n = scalars._plan(spec, tuple(a.shape for a in floats))[1] + len(floats) - 2
     assert got.shape == numpy.shape == value.shape and got.dtype == np.float64
     for g, v, e in zip(got.ravel().tolist(), value.ravel().tolist(), size.ravel().tolist()):
         assert abs(Fraction(g) - v) <= _gamma(n) * e
@@ -976,7 +977,10 @@ def test_term_count_is_the_brute_force_count(spec, shapes):
     # every entry of a contraction of all-ones arrays is its number of terms
     counts = np.einsum(spec, *(np.ones(s, dtype=np.int64) for s in shapes))
     assert np.all(counts == np.max(counts))
-    assert scalars._term_count(spec, tuple(shapes)) == np.max(counts)
+    _, k, shape = scalars._plan(spec, tuple(shapes))
+    assert k == np.max(counts)
+    # the plan gives the shape of an explicit output without an ellipsis
+    assert shape == (np.shape(counts) if "->" in spec and "." not in spec else None)
 
 
 def test_views_of_an_int64_owner_read_its_entries():
@@ -1310,7 +1314,9 @@ def test_scalar_operands_are_read_as_zero_dimensional_arrays():
      ("...i->i...", False)],
 )
 def test_sums_tells_a_reduction_from_a_view(spec, sums):
-    assert scalars._sums(spec) is sums
+    # every axis of length 2, an ellipsis covering one
+    terms = spec.replace(" ", "").partition("->")[0].split(",")
+    assert scalars._plan(spec, tuple((2,) * len(t.replace("...", ".")) for t in terms))[0] is sums
 
 
 def test_rational_trace_runs_on_the_integer_kernel(monkeypatch):
@@ -1324,3 +1330,185 @@ def test_rational_trace_runs_on_the_integer_kernel(monkeypatch):
     tr = scalars.einsum("kk->", a)
     assert type(tr) is Fraction and tr == Fraction(3, 10)
     assert scalars.einsum("ij->i", a).tolist() == [Fraction(15, 2), Fraction(7, 15)]
+
+
+# ---------------------------------------------------------------------------
+# exact zeros: an operand or term whose kept M is 0 ends the call at once
+# ---------------------------------------------------------------------------
+
+def _assert_zero_result(got, shape):
+    """The kernel's zero of ``shape``: a ``Fraction(0)`` of its own when
+    0-d, else a read-only array that owns its memory, every entry ``ZERO``,
+    kept as (int64 zeros, 1, 0)."""
+    if not shape:
+        assert type(got) is Fraction and got == 0 and got is not scalars.ZERO
+        return
+    assert got.shape == shape and got.dtype == object
+    assert all(x is scalars.ZERO for x in got.flat)
+    _assert_born_scaled(got)
+    _, n, d, m = scalars._SCALED[id(got)]
+    assert n.dtype == np.int64 and n.shape == shape and not n.any() and (d, m) == (1, 0)
+
+
+def _zero_operands():
+    """An exactly-zero operand kept by the kernel (a result) and one it
+    does not keep (a writable array), each of shape (2, 3)."""
+    a = scalars.array([["1/2", -3, 0], ["2/7", 0, "5/3"]], RATIONAL)
+    return scalars.combine([1, -1], [a, a]), scalars.zeros((2, 3), RATIONAL)
+
+
+def test_contraction_with_a_zero_operand_is_the_fraction_contraction():
+    b = scalars.array([["1/3", 2], [-1, "1/5"], [0, "7/4"]], RATIONAL)
+    for zero in _zero_operands():
+        for spec, operands, shape in (
+            ("ij,jk->ik", (zero, b), (2, 2)),
+            ("jk,ij->ik", (b, zero), (2, 2)),
+            ("ij,jk,kl->il", (zero, b, zero), (2, 3)),
+            ("ij,ij->", (zero, zero), ()),
+            ("ij,jk->", (zero, b), ()),
+        ):
+            _assert_einsum_is_exact(spec, operands)
+            _assert_zero_result(scalars.einsum(spec, *operands), shape)
+
+
+def test_contraction_over_a_zero_length_axis_is_zero():
+    empty = scalars.freeze(scalars.zeros((2, 0), RATIONAL))
+    b = scalars.zeros((0, 3), RATIONAL)
+    for spec, operands, shape in (
+        ("ij,jk->ik", (empty, b), (2, 3)),
+        ("ij,kj->ki", (empty, empty), (2, 2)),
+        ("ij,jk->jk", (empty, b), (0, 3)),
+    ):
+        _assert_einsum_is_exact(spec, operands)
+        _assert_zero_result(scalars.einsum(spec, *operands), shape)
+
+
+def test_implicit_output_and_ellipsis_still_contract(monkeypatch):
+    # the zero rule needs the output shape from the spec: an implicit output
+    # and an ellipsis take numpy's contraction as before
+    zero, _ = _zero_operands()
+    b = scalars.array([["1/3", 2], [-1, "1/5"], [0, "7/4"]], RATIONAL)
+    stack = scalars.array([[[1, "1/2", 0]] * 2] * 4, RATIONAL)
+    cases = [("ij,jk", (zero, b)), ("...ij,jk->...ik", (stack, b)), ("...j,ij->...i", (stack, zero))]
+    for spec, operands in cases:
+        _assert_einsum_is_exact(spec, operands)
+    calls = []
+    real = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args[0]) or real(*args))
+    for spec, operands in cases:
+        got = scalars.einsum(spec, *operands)
+        assert not any(got.flat) or spec == "...ij,jk->...ik"
+        _assert_born_scaled(got)
+    assert calls == [spec for spec, _ in cases]
+    # and shapes that do not fit the spec raise, as numpy's do
+    for spec, operands in (
+        ("ij,jk->ik", (zero, zero)),
+        ("ij,kj->ik", (zero, zero[:, 1:])),
+        ("ii,i->i", (zero, zero[0])),
+        ("ij,j->ij", (zero, zero[0], zero)),
+    ):
+        with pytest.raises(ValueError):
+            scalars.einsum(spec, *operands)
+
+
+def test_zero_terms_are_left_out_of_a_combination():
+    a = scalars.array(["1/2", -3, "5/7"], RATIONAL)
+    for zero in _zero_operands():
+        # a zero term of the larger broadcast shape gives the result its shape
+        for cs, arrays in (
+            ([1, 2], [a, zero]),
+            ([Fraction(1, 3), Fraction(-2, 7), 5], [zero, a, zero]),
+            ([Fraction(-4, 9), 1], [zero, zero[0]]),
+            ([2, Fraction(1, 6)], [zero[:, :1], a]),
+        ):
+            _assert_combine_is_exact(cs, arrays)
+            got = scalars.combine(cs, arrays)
+            assert got.shape == _fraction_sum(cs, arrays).shape
+            _assert_born_scaled(got)
+        _assert_zero_result(scalars.combine([Fraction(2, 3), -1], [zero, zero[:1]]), (2, 3))
+        _assert_zero_result(scalars.combine([1, 1], [zero[0, 0], Fraction(0)]), ())
+
+
+def test_widened_operands_next_to_a_zero_operand():
+    big = scalars.array([2**70, Fraction(-(2**66), 3), 5], RATIONAL)
+    assert scalars._scaled(big)[0].dtype == object
+    for zero in _zero_operands():
+        _assert_einsum_is_exact("ij,j->i", (zero, big))
+        _assert_zero_result(scalars.einsum("ij,j->i", zero, big), (2,))
+        _assert_zero_result(scalars.einsum("j,ij,k->ik", big, zero, big), (2, 3))
+        for cs, arrays in (([1, 3], [big, zero]), ([Fraction(1, 5), 1, -1], [zero, big, zero])):
+            _assert_combine_is_exact(cs, arrays)
+            got = scalars.combine(cs, arrays)
+            _assert_born_scaled(got)
+            assert scalars._SCALED[id(got)][1].dtype == object
+
+
+def test_a_kept_view_keeps_its_own_largest_numerator():
+    # M is the largest absolute numerator of the array it is kept for: a
+    # transpose keeps its array's, a diagonal, which holds fewer entries,
+    # is not kept and is scaled as its own array
+    for a in (
+        scalars.freeze(scalars.array([[0, 5], [7, 0]], RATIONAL)),
+        scalars.einsum("ij,jk->ik", scalars.array([[0, 5], [7, 0]], RATIONAL), scalars.eye(2, RATIONAL)),
+        scalars.freeze(scalars.array([["1/2", 5, 0], [7, "-2/3", 1], [0, 0, 9]], RATIONAL)),
+    ):
+        for spec in ("ij->ji", "ii->i"):
+            view = scalars.einsum(spec, a)
+            n, d, m = scalars._scaled(view)
+            assert [Fraction(v, d) for v in n.ravel().tolist()] == view.ravel().tolist()
+            entries = [Fraction(x) for x in view.ravel().tolist()]
+            assert m == max(abs(x) * math.lcm(*(x.denominator for x in entries)) for x in entries)
+            assert (id(view) in scalars._SCALED) == (spec == "ij->ji")
+    diagonal = scalars.einsum("ii->i", scalars.freeze(scalars.array([[0, 5], [7, 0]], RATIONAL)))
+    assert scalars._scaled(diagonal)[2] == 0
+    assert scalars.max_abs(diagonal) == 0.0 and scalars.is_zero(diagonal, 0.0)
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """The specs ``np.einsum`` is called with, and the arguments of every
+    ``Fraction`` built, from here on."""
+    einsums, built = [], []
+    real_einsum, real_new = np.einsum, Fraction.__new__
+
+    def einsum(*args, **kwargs):
+        einsums.append(args[0])
+        return real_einsum(*args, **kwargs)
+
+    def new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
+    return einsums, built
+
+
+def test_an_exact_zero_makes_no_contraction_and_builds_no_fraction(spies):
+    # the operands are built before the spies are installed
+    einsums, built = spies
+    b = scalars.array([["1/3", 2], [-1, "1/5"], [0, "7/4"]], RATIONAL)
+    zeros, third = _zero_operands(), Fraction(1, 3)
+    scalar = scalars.einsum("ij,jk->", zeros[0], b)
+    del einsums[:], built[:]
+    for zero in zeros:
+        assert not scalars.einsum("ij,jk->ik", zero, b).any()
+        assert not scalars.einsum("jk,ij,kl->il", b, zero, b.T).any()
+        assert not scalars.combine([1, third], [zero, zero[0]]).any()
+    assert einsums == [] and built == []
+    # a 0-d zero builds only its own Fraction(0)
+    assert scalars.einsum("ij,jk->", zeros[1], b) == 0
+    assert scalars.combine([1, -1], [scalar, zeros[0][0, 0]]) == 0
+    assert einsums == [] and built == [(0,)] * 2
+
+
+def test_float_calls_with_a_zero_operand_reach_numpy(spies):
+    einsums, built = spies
+    zero = np.zeros((2, 3))
+    b = np.array([[0.1, 2.0], [-1.0, 0.2], [0.0, 1.75]])
+    got = scalars.einsum("ij,jk->ik", zero, b)
+    assert einsums == ["ij,jk->ik"]
+    assert got.tobytes() == np.einsum("ij,jk->ik", zero, b).tobytes()
+    got = scalars.combine([1, Fraction(1, 3)], [zero, b.T])
+    assert got.tobytes() == (zero + float(Fraction(1, 3)) * b.T).tobytes()
+    assert scalars.combine([1, -1], [zero, zero]).tobytes() == (zero - zero).tobytes()
