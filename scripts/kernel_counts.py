@@ -8,7 +8,7 @@ Run it from the root of a checkout.  The models are the curated zoo (or the
 entries ``--names`` gives) and ``random_structure(seed, n)`` for each n of
 ``--sizes``, the model set of the benchmark's verify-zoo-rational workload
 by default; each gets a ``Workspace`` and ``run_checks``, one model at a
-time, in one interpreter, in rational mode.  The output holds five counts:
+time, in one interpreter, in rational mode.  The output holds these counts:
 
 - ``rebuild_calls``: calls of ``scalars._rebuild``, the one place a kernel
   result gets its entries;
@@ -22,7 +22,12 @@ time, in one interpreter, in rational mode.  The output holds five counts:
 - ``zero_results``: the ``einsum`` and ``combine`` calls that ended at an
   exact zero (an operand, or every term, with M = 0) without contracting or
   adding, by entry point, and their total.  An all-zero sum that
-  ``_rebuild`` receives is not counted: it was contracted or added.
+  ``_rebuild`` receives is not counted: it was contracted or added;
+- ``entry_calls``: the outermost calls of the kernel's entry points
+  (``ENTRY_POINTS``), by entry point, and their total: a call made inside
+  another entry point's call, as ``is_zero`` makes one of ``verdict``, is
+  not counted, so each count is a number of calls that code outside the
+  kernel made.
 
 Compare two checkouts by running it from the root of each.
 """
@@ -41,16 +46,22 @@ from bcontact.checks import run_checks
 
 # the kernel functions this script wraps, by their name in ``scalars``
 TARGETS = ("_rebuild", "_scale", "_widen", "_zero")
+# the kernel's entry points whose outermost calls this script counts
+ENTRY_POINTS = ("einsum", "combine", "divide_rows", "zero_test", "verdict", "is_zero", "zero_rows")
 KERNEL_FILE = Path(scalars.__file__).name
+# frames that ``_caller`` passes over when it looks outside the kernel: the
+# kernel's, and those of this script's wrappers
+INSIDE = {KERNEL_FILE, Path(__file__).name}
 
 
 def _caller(depth: int, outside: bool = False) -> str:
     """``file:function`` of the frame ``depth`` levels above the caller, a
     comprehension or lambda named by the function it is in; with ``outside``
-    the first function from there on that is not in ``scalars.py``."""
+    the first function from there on that is not in ``scalars.py`` or in a
+    wrapper of this script."""
     frame = sys._getframe(depth + 1)
     while frame.f_code.co_name.startswith("<") or (
-        outside and Path(frame.f_code.co_filename).name == KERNEL_FILE
+        outside and Path(frame.f_code.co_filename).name in INSIDE
     ):
         frame = frame.f_back
     return f"{Path(frame.f_code.co_filename).name}:{frame.f_code.co_name}"
@@ -58,10 +69,12 @@ def _caller(depth: int, outside: bool = False) -> str:
 
 @contextmanager
 def counting():
-    """Wrap the ``TARGETS`` of ``scalars`` and ``Fraction.__new__`` while the
-    block runs; yields the ``Counter`` they fill."""
+    """Wrap the ``TARGETS`` and ``ENTRY_POINTS`` of ``scalars`` and
+    ``Fraction.__new__`` while the block runs; yields the ``Counter`` they
+    fill."""
     counts = Counter()
-    real = {name: getattr(scalars, name) for name in TARGETS}
+    real = {name: getattr(scalars, name) for name in TARGETS + ENTRY_POINTS}
+    depth = 0  # the entry-point calls in progress
     real_new, raw_new = Fraction.__new__, vars(Fraction)["__new__"]
 
     def rebuild(n, den):
@@ -87,8 +100,24 @@ def counting():
             counts["fraction:" + where.partition(":")[2]] += 1
         return real_new(cls, *args, **kwargs)
 
+    def entry(name):
+        fn = real[name]
+
+        def call(*args, **kwargs):
+            nonlocal depth
+            if not depth:
+                counts["entry:" + name] += 1
+            depth += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth -= 1
+        return call
+
     for name, wrapper in zip(TARGETS, (rebuild, scale, widen, zero)):
         setattr(scalars, name, wrapper)
+    for name in ENTRY_POINTS:
+        setattr(scalars, name, entry(name))
     Fraction.__new__ = staticmethod(new)
     try:
         yield counts
@@ -108,6 +137,7 @@ def count(entries) -> dict:
             failed += [f"{entry.name}: {r.name}" for r in rows if not r.passed]
     built = {k.partition(":")[2]: n for k, n in sorted(counts.items()) if k.startswith("fraction:")}
     zeros = {name: counts["zero:" + name] for name in ("einsum", "combine")}
+    calls = {name: counts["entry:" + name] for name in ENTRY_POINTS}
     return {
         "models": [e.name for e in entries],
         "failed_checks": failed,
@@ -119,6 +149,7 @@ def count(entries) -> dict:
             k.partition(":")[2]: n for k, n in sorted(counts.items()) if k.startswith("widen:")
         },
         "zero_results": {"total": sum(zeros.values()), **zeros},
+        "entry_calls": {"total": sum(calls.values()), **calls},
     }
 
 

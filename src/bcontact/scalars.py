@@ -13,7 +13,9 @@ worst index), ``verdict`` (verdict and residual), ``is_zero`` (its verdict
 alone) or ``zero_rows`` (the verdict of every row of a stack), and all four
 decide by that one rule; the tolerance
 ``eps`` is fixed once per model when it is loaded and carried on the
-structure.  ``zero_rows`` decides a float stack in one pass of numpy
+structure.  A test of float arrays alone reduces each array once with
+numpy, and reads its contexts only when a residual exceeds eps; the rule
+is the same.  ``zero_rows`` decides a float stack in one pass of numpy
 reductions over its rows and its contexts' rows.
 
 Exact arithmetic on a model happens only in this module: every rational
@@ -47,7 +49,11 @@ of term t.  Any other call runs over Python ints, the exact path that has
 no bound.  M = 0 proves an array zero: a contraction with such an operand
 and an explicit output without an ellipsis, and a combination of such
 terms alone, return a zero result at once, with no contraction, sum or
-scan, and a combination leaves such terms out.  A
+scan, and a combination leaves such terms out.  A zero array result, so
+made or summed, is a read-only copy of one template of ``ZERO`` entries
+per shape (``_zero``), kept with the template's int64 zeros: each owns its
+memory, and no two results are one array.  Each call reads its operands
+in one pass that decides the backend and scales them.  A
 scaled form is kept while its array lives for a kernel result (born
 read-only, owning its memory), a read-only array that owns its memory, and
 a transpose ``einsum`` takes of either; any other view is scaled afresh.
@@ -63,6 +69,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import os
 import weakref
 from fractions import Fraction
@@ -145,6 +152,9 @@ def format_scalar(x) -> str:
 
 # the exact zero every rational zero entry built by this module shares
 ZERO = Fraction(0)
+
+# the dtype of a rational array
+_OBJECT = np.dtype(object)
 
 
 def zeros(shape, mode: str) -> np.ndarray:
@@ -292,23 +302,42 @@ def _rebuild(n, den: int):
     m = max(map(abs, distinct)) // g
     if g > 1:
         n = n // g
-    if n.dtype == object and m <= _INT64_MAX:
+    if n.dtype == _OBJECT and m <= _INT64_MAX:
         n = n.astype(np.int64)
     out.setflags(write=False)
     _remember(out, n, den, m)
     return out
 
 
+# shape -> (a read-only object array of ``ZERO``, read-only int64 zeros) of
+# that shape: the template every zero result of the shape is copied from,
+# and the integers they are all kept with; emptied when it reaches
+# _ZEROS_MAX entries, as _FRACTIONS is
+_ZEROS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_ZEROS_MAX = 1024
+
+
 def _zero(shape: tuple):
     """The exact zero of ``shape`` that the kernel returns: a ``Fraction(0)``
-    of its own when 0-d, else a read-only object array of ``ZERO`` that owns
-    its memory, kept as ``(zeros, 1, 0)``."""
+    of its own when 0-d, else a read-only copy of the shape's template in
+    ``_ZEROS``, which owns its memory and is kept with the template's
+    int64 zeros, as ``(zeros, 1, 0)``."""
     if not shape:
         return Fraction(0)
-    out = np.empty(shape, dtype=object)
-    out.fill(ZERO)
+    template = _ZEROS.get(shape)
+    if template is None:
+        if len(_ZEROS) >= _ZEROS_MAX:
+            _ZEROS.clear()
+        entries = np.empty(shape, dtype=object)
+        entries.fill(ZERO)
+        entries.setflags(write=False)
+        ints = np.zeros(shape, dtype=np.int64)
+        ints.setflags(write=False)
+        template = _ZEROS[shape] = (entries, ints)
+    entries, ints = template
+    out = entries.copy()
     out.setflags(write=False)
-    _remember(out, np.zeros(shape, dtype=np.int64), 1, 0)
+    _remember(out, ints, 1, 0)
     return out
 
 
@@ -429,7 +458,9 @@ def einsum(spec: str, *operands: np.ndarray):
     owns its memory is scaled once in its lifetime (see ``_scaled``), and
     ``combine`` adds exact arrays on the same scaled integers.  An operand
     with M = 0 ends an explicit output without an ellipsis at once: the
-    result is ``_zero``'s, and no later operand is scaled.  A single
+    result is ``_zero``'s, and no later operand is scaled; another spec
+    contracts it with int64 zeros of their shapes in place of the later
+    operands, which gives the same zero, or numpy's error.  A single
     rational operand that is summed over (a trace) takes the same integer
     path; one that is not (a transpose, a diagonal) is numpy's view of it.
     An operand may be a scalar of the backend (a ``Fraction`` or a float),
@@ -442,40 +473,57 @@ def einsum(spec: str, *operands: np.ndarray):
     sums otherwise.  numpy is looked up at each call, so a wrapper installed
     on ``np.einsum`` sees every contraction, and every stage of one.
     """
-    # the float test comes first: it is all a float call pays
-    try:
-        if operands[0].dtype != object or any(a.dtype != object for a in operands):
-            return _contract(spec, operands)
-    except AttributeError:  # a scalar operand
-        return einsum(spec, *map(_operand, operands))
-    sums, k, shape = _plan(spec, tuple(a.shape for a in operands))
-    if len(operands) == 1 and not sums:
-        # a read-only view that holds every entry of an array whose scaled
-        # form is kept, as its read-only integers show (a transpose, not a
-        # diagonal), keeps the same view of its integers, with the same M:
-        # its memory is never written
-        (a,) = operands
-        out = np.einsum(spec, a)
-        if isinstance(out, np.ndarray) and not out.flags.writeable and out.size == a.size:
-            n, d, m = _scaled(a)
-            if not n.flags.writeable:
-                _remember(out, np.einsum(spec, n), d, m)
-        return out
-    # the one bound covers every stage of a staged contraction: each entry,
-    # product and partial sum a stage forms is a sum of at most K products of
-    # entries of some of the operands (the labels summed so far are some of
-    # the summed labels), so its magnitude is at most K * prod(max(1, M_i))
-    ns, den, bound, wide = [], 1, k, False
+    # one pass over the operands decides the backend (a float operand sends
+    # the call to numpy, the first one at once) and collects the shapes and,
+    # for two or more operands, each scaled form until one with M = 0: the
+    # integers, the product of the denominators, that of the M_i, which are
+    # all >= 1 while no operand is zero, and whether any is Python ints
+    many = len(operands) > 1
+    shapes, ns, den, bound, wide = [], [], 1, 1, False
     for a in operands:
-        n, d, m = _scaled(a)
-        if not m and shape is not None:
-            return _zero(shape)
-        ns.append(n)
-        den *= d
-        bound *= max(1, m)
-        wide = wide or n.dtype == object
-    if wide or bound > _INT64_MAX:
-        ns = _widen(ns)
+        try:
+            if a.dtype != _OBJECT:
+                return _contract(spec, operands)
+        except AttributeError:  # a scalar operand
+            return einsum(spec, *map(_operand, operands))
+        shapes.append(a.shape)
+        if many and bound:
+            n, d, m = _scaled(a)
+            ns.append(n)
+            den *= d
+            bound *= m
+            wide = wide or n.dtype == _OBJECT
+    sums, k, shape = _plan(spec, tuple(shapes))
+    if not many:
+        (a,) = operands
+        if not sums:
+            # a read-only view that holds every entry of an array whose
+            # scaled form is kept, as its read-only integers show (a
+            # transpose, not a diagonal), keeps the same view of its
+            # integers, with the same M: its memory is never written
+            out = np.einsum(spec, a)
+            if isinstance(out, np.ndarray) and not out.flags.writeable and out.size == a.size:
+                n, d, m = _scaled(a)
+                if not n.flags.writeable:
+                    _remember(out, np.einsum(spec, n), d, m)
+            return out
+        n, den, bound = _scaled(a)
+        ns, wide = [n], n.dtype == _OBJECT
+    if bound:
+        # the one bound covers every stage of a staged contraction: each
+        # entry, product and partial sum a stage forms is a sum of at most K
+        # products of entries of some of the operands (the labels summed so
+        # far are some of the summed labels), so its magnitude is at most
+        # K * prod(max(1, M_i))
+        if wide or k * bound > _INT64_MAX:
+            ns = _widen(ns)
+    elif shape is not None:
+        return _zero(shape)
+    else:
+        # an implicit output, an ellipsis or shapes that do not fit: numpy
+        # contracts (or refuses) the operands, those not scaled after the
+        # zero one read as zeros of their shape, which give the same zero
+        ns += [np.zeros(s, dtype=np.int64) for s in shapes[len(ns):]]
     return _rebuild(_contract(spec, ns), den)
 
 
@@ -500,39 +548,45 @@ def combine(coefficients, arrays):
     """
     if len(coefficients) != len(arrays) or not len(arrays):
         raise ValueError("combine needs one coefficient per array, and at least one array")
-    # the float test comes first: the loop below is all a float call pays
-    try:
-        exact = arrays[0].dtype == object and all(a.dtype == object for a in arrays)
-    except AttributeError:  # a scalar term
-        return combine(coefficients, list(map(_operand, arrays)))
-    if not exact:
-        out = None
-        for c, a in zip(coefficients, arrays):
-            if out is None:
-                out = a if c == 1 else -a if c == -1 else float(c) * a
-            else:
-                out = out + a if c == 1 else out - a if c == -1 else out + float(c) * a
-        return out.copy() if out is arrays[0] else out
-    terms, zero_shapes = [], []
+    # one pass over the terms decides the backend (a float array sends the
+    # call to numpy's sum, the first one at once) and, while every array is
+    # rational, reads each coefficient p / q once and collects each nonzero
+    # term's integer factor p, denominator q d, integers and M, the bound
+    # sum |p| M, which is the int64 bound when every q d is the same, and
+    # whether any integers are Python ints
+    ks, dens, ns, ms, zero_shapes, bound, wide = [], [], [], [], [], 0, False
     for c, a in zip(coefficients, arrays):
-        # an int, a numpy integer and a Fraction carry their own numerator
-        # and denominator
-        if not isinstance(c, (int, np.integer, Fraction)):
-            c = Fraction(c)
+        try:
+            if a.dtype != _OBJECT:
+                return _float_sum(coefficients, arrays)
+        except AttributeError:  # a scalar term
+            return combine(coefficients, list(map(_operand, arrays)))
+        if type(c) is int:
+            p, q = c, 1
+        else:
+            # a numpy integer and a Fraction carry their own numerator and
+            # denominator
+            if not isinstance(c, (int, np.integer, Fraction)):
+                c = Fraction(c)
+            p, q = int(c.numerator), int(c.denominator)
         n, d, m = _scaled(a)
-        if m:
-            terms.append((int(c.numerator), int(c.denominator), n, d, m))
-        else:  # an all-zero term adds nothing, whatever its coefficient
+        if not m:  # an all-zero term adds nothing, whatever its coefficient
             zero_shapes.append(a.shape)
-    if not terms:
+            continue
+        ks.append(p)
+        dens.append(q * d)
+        ns.append(n)
+        ms.append(m)
+        bound += abs(p) * m
+        wide = wide or n.dtype == _OBJECT
+    if not ns:
         return _zero(np.broadcast_shapes(*zero_shapes))
-    den = math.lcm(*(q * d for _, q, _, d, _ in terms))
-    ks = [p * (den // (q * d)) for p, q, _, d, _ in terms]
-    ns = [n for _, _, n, _, _ in terms]
-    if (
-        any(n.dtype == object for n in ns)
-        or sum(abs(k) * m for k, (*_, m) in zip(ks, terms)) > _INT64_MAX
-    ):
+    den = dens[0]
+    if dens.count(den) != len(dens):
+        den = math.lcm(*dens)
+        ks = [p * (den // q) for p, q in zip(ks, dens)]
+        bound = sum(map(operator.mul, map(abs, ks), ms))
+    if wide or bound > _INT64_MAX:
         ns = _widen(ns)
     out = None
     for k, n in zip(ks, ns):
@@ -540,10 +594,25 @@ def combine(coefficients, arrays):
             out = n if k == 1 else n * k
         else:
             out = out + n if k == 1 else out - n if k == -1 else out + n * k
-    if any(s != out.shape for s in zero_shapes):
-        # the result has the shape of every term, the zero ones included
-        out = np.broadcast_to(out, np.broadcast_shapes(out.shape, *zero_shapes))
+    for s in zero_shapes:
+        if s != out.shape:
+            # the result has the shape of every term, the zero ones included
+            out = np.broadcast_to(out, np.broadcast_shapes(out.shape, *zero_shapes))
+            break
     return _rebuild(out, den)
+
+
+def _float_sum(coefficients, arrays):
+    """``combine`` in float mode: numpy's c_0 a_0 + c_1 a_1 + ..., a
+    coefficient of 1 adding and one of -1 subtracting its array, a new
+    array even for one term."""
+    out = None
+    for c, a in zip(coefficients, arrays):
+        if out is None:
+            out = a if c == 1 else -a if c == -1 else float(c) * a
+        else:
+            out = out + a if c == 1 else out - a if c == -1 else out + float(c) * a
+    return out.copy() if out is arrays[0] else out
 
 
 def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -559,7 +628,7 @@ def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
     when max(1, max |A|) * q * L <= 2**63 - 1, and Python ints otherwise.  A
     zero in ``den`` raises ZeroDivisionError.
     """
-    if a.dtype != object or den.dtype != object:
+    if a.dtype != _OBJECT or den.dtype != _OBJECT:
         return a / np.reshape(den, den.shape + (1,) * (a.ndim - den.ndim))
     na, p, m = _scaled(a)
     nb, q, _ = _scaled(den)
@@ -568,7 +637,7 @@ def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
         raise ZeroDivisionError("division of a row by zero")
     lcm = math.lcm(*rows)
     factors = [q * (lcm // b) for b in rows]
-    if na.dtype == object or max(1, m) * max(map(abs, factors), default=0) > _INT64_MAX:
+    if na.dtype == _OBJECT or max(1, m) * max(map(abs, factors), default=0) > _INT64_MAX:
         na, factors = na.astype(object), np.array(factors, dtype=object)
     else:
         factors = np.array(factors, dtype=np.int64)
@@ -632,7 +701,7 @@ def diagonalize(m: np.ndarray):
 
 
 def mode_of(arr: np.ndarray) -> str:
-    return RATIONAL if arr.dtype == object else FLOAT
+    return RATIONAL if arr.dtype == _OBJECT else FLOAT
 
 
 def _peak(a: np.ndarray) -> tuple[int, int]:
@@ -645,7 +714,7 @@ def _peak(a: np.ndarray) -> tuple[int, int]:
     n, d, m = _scaled(a)
     if not m:
         return 0, 1
-    if n.dtype == object:
+    if n.dtype == _OBJECT:
         return max(map(abs, n.ravel().tolist())), d
     return int(np.abs(n).max()), d
 
@@ -667,7 +736,7 @@ def max_abs(arr: np.ndarray) -> float:
     """The largest absolute entry, as a float; a rational array's is the
     rounded exact maximum, found over its scaled integers
     (``_rational_residual``)."""
-    if arr.dtype == object:
+    if arr.dtype == _OBJECT:
         return _rational_residual(_peak(arr))
     return float(np.abs(arr).max()) if arr.size else 0.0
 
@@ -696,7 +765,7 @@ def _within_tolerance(residual, eps: float, scale):
 def _context_scale(c: np.ndarray) -> float:
     """The largest absolute entry of one context array, NaN entries ignored,
     so that the scale of several contexts does not depend on their order."""
-    if c.dtype == object:
+    if c.dtype == _OBJECT:
         return max_abs(c)
     return float(np.fmax.reduce(np.abs(c), axis=None, initial=0.0))
 
@@ -704,7 +773,7 @@ def _context_scale(c: np.ndarray) -> float:
 def _residuals(arrays: list[np.ndarray]) -> tuple[list, list]:
     """``(residuals, peaks)``: the residual of each array, and the exact
     ``_peak`` of each rational array (None for a float one)."""
-    peaks = [_peak(a) if a.dtype == object else None for a in arrays]
+    peaks = [_peak(a) if a.dtype == _OBJECT else None for a in arrays]
     res = [max_abs(a) if p is None else _rational_residual(p) for a, p in zip(arrays, peaks)]
     return res, peaks
 
@@ -717,12 +786,26 @@ def _verdict(arrays: list[np.ndarray], eps: float, context) -> tuple[bool, float
     The scale of the ``context`` arrays is computed only when a float
     residual exceeds eps and no rational array has failed: a residual
     within eps passes whatever the scale, by the first term of
-    ``_within_tolerance``."""
-    res, peaks = _residuals(arrays)
-    # a NaN residual is the worst, whatever its position
-    worst = math.nan if any(map(math.isnan, res)) else max(res, default=0.0)
-    if any(p[0] for p in peaks if p is not None):
-        return False, worst, res, peaks
+    ``_within_tolerance``.  When every array is float, each residual is one
+    numpy reduction, and the worst of them, NaN when one is, decides
+    whether any exceeds eps."""
+    res, worst = [], 0.0
+    for a in arrays:
+        if a.dtype == _OBJECT:
+            res, peaks = _residuals(arrays)
+            # a NaN residual is the worst, whatever its position
+            worst = math.nan if any(map(math.isnan, res)) else max(res, default=0.0)
+            if any(p[0] for p in peaks if p is not None):
+                return False, worst, res, peaks
+            break
+        r = float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
+        res.append(r)
+        if r > worst or r != r:
+            worst = r
+    else:
+        peaks = [None] * len(res)
+        if worst <= eps:
+            return True, worst, res, peaks
     loose = [r for p, r in zip(peaks, res) if p is None and not r <= eps]
     if not loose:
         return True, worst, res, peaks
@@ -747,7 +830,7 @@ def _locate(arrays: list[np.ndarray], res: list, peaks: list) -> tuple | None:
         k = int(np.argmax(res))
     a = arrays[k]
     # np.abs of a 0-d array of Python ints is a Python int
-    mag = np.asarray(np.abs(_scaled(a)[0] if a.dtype == object else a))
+    mag = np.asarray(np.abs(_scaled(a)[0] if a.dtype == _OBJECT else a))
     where = tuple(int(i) for i in np.unravel_index(np.argmax(mag), mag.shape))
     if len(arrays) > 1:
         return (k,) + where
@@ -791,7 +874,7 @@ def zero_rows(a: np.ndarray, eps: float, *context) -> list[bool]:
     contexts, with the verdict of ``_within_tolerance``; there a context of
     another length raises ValueError."""
     a = np.asarray(a)
-    if a.dtype != object:
+    if a.dtype != _OBJECT:
         residual = np.abs(a).max(axis=tuple(range(1, a.ndim)), initial=0.0)
         scale = 0.0
         for c in context:
@@ -835,7 +918,17 @@ def freeze(obj):
     elif isinstance(obj, dict):
         for item in obj.values():
             freeze(item)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            freeze(getattr(obj, f.name))
+    else:
+        for name in _field_names(type(obj)):
+            freeze(getattr(obj, name))
     return obj
+
+
+@functools.lru_cache(maxsize=256)
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The names of the fields of the dataclass ``cls`` that
+    ``dataclasses.fields`` lists (no ``InitVar`` or ``ClassVar``), read
+    once per class; none for a class that is not a dataclass."""
+    if not dataclasses.is_dataclass(cls):
+        return ()
+    return tuple(f.name for f in dataclasses.fields(cls))

@@ -21,12 +21,14 @@ upper index by a metric in ``tensor.lower_out``, and every zero test of a
 stack of planes or rows in ``zero_rows``.
 """
 import ast
+import dataclasses
 import gc
 import math
 import operator
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from hypothesis import strategies as st
 import bcontact
 from bcontact import scalars, zoo
 from bcontact.checks import run_checks
+from bcontact.liegroup import LieAlgebra
 from bcontact.scalars import FLOAT, RATIONAL, _INT64_MAX
 
 SRC = Path(bcontact.__file__).resolve().parent
@@ -1512,3 +1515,151 @@ def test_float_calls_with_a_zero_operand_reach_numpy(spies):
     got = scalars.combine([1, Fraction(1, 3)], [zero, b.T])
     assert got.tobytes() == (zero + float(Fraction(1, 3)) * b.T).tobytes()
     assert scalars.combine([1, -1], [zero, zero]).tobytes() == (zero - zero).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# zero results are copies of one template per shape
+# ---------------------------------------------------------------------------
+
+def test_zero_results_of_one_shape_are_distinct_copies_of_the_template():
+    zero, _ = _zero_operands()
+    b = scalars.array([["1/3", 2], [-1, "1/5"], [0, "7/4"]], RATIONAL)
+    c = scalars.array([["1/2", 0], [3, "-1/4"]], RATIONAL)
+    # the zero rule of a contraction, and a sum of terms that cancel
+    from_einsum = scalars.einsum("ij,jk->ik", zero, b)
+    from_combine = scalars.combine([1, -1], [c, c])
+    template, ints = scalars._ZEROS[(2, 2)]
+    assert not template.flags.writeable and not ints.flags.writeable
+    results = (from_einsum, from_combine)
+    assert from_einsum is not from_combine
+    assert not np.shares_memory(from_einsum, from_combine)
+    for got in results:
+        _assert_zero_result(got, (2, 2))
+        assert not got.flags.writeable and got.base is None
+        assert scalars._scaled(got)[2] == 0
+        assert got is not template and not np.shares_memory(got, template)
+        assert not any(np.shares_memory(got, a) for a in (zero, b, c))
+
+
+def test_zero_template_table_stays_within_its_bound(monkeypatch):
+    table = _WatchedTable()
+    monkeypatch.setattr(scalars, "_ZEROS", table)
+    monkeypatch.setattr(scalars, "_ZEROS_MAX", 4)
+    for k in range(1, 12):
+        _assert_zero_result(scalars._zero((k, 2)), (k, 2))
+    assert len(table.sizes) == 11 and max(table.sizes) == 4
+    assert len(table) <= scalars._ZEROS_MAX
+
+
+# ---------------------------------------------------------------------------
+# the float verdict against its rule, written out in plain Python
+# ---------------------------------------------------------------------------
+
+def _plain_float_test(arrays, eps, context):
+    """``zero_test``'s rule for float arrays in plain Python: each array's
+    residual r, its largest absolute entry (NaN when it holds one), passes
+    when it is finite and r <= eps * max(1, r, scale), scale being the
+    largest absolute context entry, NaN entries ignored, and eps 0 asking
+    for r = 0; the residual is the worst r, and a failed test locates the
+    first largest entry of the first worst array."""
+    entries = [[abs(x) for x in np.asarray(a).ravel().tolist()] for a in arrays]
+    rs = [math.nan if any(map(math.isnan, e)) else max(e, default=0.0) for e in entries]
+    scale = max(
+        (abs(x) for c in context for x in np.asarray(c).ravel().tolist() if not math.isnan(x)),
+        default=0.0,
+    )
+    passed = all(math.isfinite(r) and r <= (eps * max(1.0, r, scale) if eps else 0.0) for r in rs)
+    nans = [k for k, r in enumerate(rs) if math.isnan(r)]
+    worst = nans[0] if nans else max(range(len(rs)), key=lambda k: (rs[k], -k), default=None)
+    residual = math.nan if nans else max(rs, default=0.0)
+    if passed:
+        return passed, residual, None
+    e = entries[worst]
+    flat = next((i for i, x in enumerate(e) if math.isnan(x)), None)
+    if flat is None:
+        flat = e.index(max(e))
+    where = tuple(int(i) for i in np.unravel_index(flat, np.shape(arrays[worst])))
+    return passed, residual, (worst,) + where if len(arrays) > 1 else where or None
+
+
+verdict_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-12, 1e-9, -2e-9, 1e-3, 1.0, 1e12]),
+    st.floats(),
+)
+
+
+@st.composite
+def float_arrays(draw):
+    """A float array of 0, 1 or 2 axes, empty ones included."""
+    shape = tuple(draw(st.lists(st.integers(min_value=0, max_value=3), max_size=2)))
+    size = math.prod(shape)
+    return np.array(draw(st.lists(verdict_floats, min_size=size, max_size=size)), dtype=np.float64).reshape(shape)
+
+
+@given(
+    st.lists(float_arrays(), min_size=1, max_size=3),
+    st.sampled_from([0.0, 1e-9]),
+    st.lists(float_arrays(), max_size=2),
+)
+@example([np.array(-0.0)], 0.0, [np.array([math.nan, math.inf])])
+@example([np.array([1e-3]), np.array(math.nan)], 1e-9, [np.array(math.inf)])
+@example([np.zeros(0), np.array([[2e-9, -3e-9]])], 1e-9, [np.array([math.nan]), np.array([1.0])])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_float_verdict_is_the_plain_rule(arrays, eps, context):
+    passed, residual, where = _plain_float_test(arrays, eps, context)
+    got = scalars.zero_test(arrays, eps, *context)
+    assert got[0] == passed and got[2] == where
+    assert repr(got[1]) == repr(residual)
+    got = scalars.verdict(arrays, eps, *context)
+    assert got[0] == passed and repr(got[1]) == repr(residual)
+    assert scalars.is_zero(arrays[0], eps, *context) == _plain_float_test(arrays[:1], eps, context)[0]
+
+
+def test_a_mixed_rational_and_float_test_takes_the_general_path(monkeypatch):
+    general = []
+    real = scalars._residuals
+    monkeypatch.setattr(scalars, "_residuals", lambda arrays: general.append(len(arrays)) or real(arrays))
+    small, big = np.array([0.0, -1e-6]), np.array([1e4])
+    assert scalars.zero_test([small, small], 1e-9, big) == (True, 1e-6, None)
+    assert general == []
+    zero, half = scalars.zeros((2,), RATIONAL), scalars.array(["1/2"], RATIONAL)
+    assert scalars.zero_test([small, zero], 1e-9, big) == (True, 1e-6, None)
+    assert scalars.zero_test([small, zero], 1e-9) == (False, 1e-6, (0, 1))
+    assert scalars.zero_test([small, half], 1e-9, big) == (False, 0.5, (1, 0))
+    assert general == [2, 2, 2]
+
+
+# ---------------------------------------------------------------------------
+# freeze reads the fields that dataclasses.fields lists, once per class
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass
+class _Holder:
+    kept: np.ndarray
+    items: list
+    extra: dataclasses.InitVar[np.ndarray]
+    shared: ClassVar[np.ndarray] = np.zeros(2)
+
+    def __post_init__(self, extra):
+        self.note = extra  # an attribute that is not a field
+
+
+def test_freeze_reads_the_fields_dataclasses_lists():
+    for cls in (_Holder, LieAlgebra):
+        assert scalars._field_names(cls) == tuple(f.name for f in dataclasses.fields(cls))
+    assert scalars._field_names(LieAlgebra) == ("c",)
+    assert scalars._field_names(Fraction) == scalars._field_names(type) == ()
+    _Holder.shared = np.zeros(2)
+    holder = _Holder(np.zeros(3), [np.ones(2), (np.ones(1),)], np.zeros(4))
+    assert scalars.freeze(holder) is holder
+    assert not holder.kept.flags.writeable
+    assert not holder.items[0].flags.writeable and not holder.items[1][0].flags.writeable
+    # neither the InitVar's value nor the ClassVar is a field
+    assert holder.note.flags.writeable and _Holder.shared.flags.writeable
+    # a dataclass whose InitVar is no attribute of its instances
+    c = scalars.zeros((2, 2, 2), RATIONAL)
+    algebra = LieAlgebra(c, 1e-9)
+    c.setflags(write=True)
+    assert scalars.freeze(algebra) is algebra and not algebra.c.flags.writeable
+    # a class is not an instance: its fields are not read
+    assert scalars.freeze(_Holder) is _Holder
