@@ -27,7 +27,10 @@ time, in one interpreter, in rational mode.  The output holds these counts:
   (``ENTRY_POINTS``), by entry point, and their total: a call made inside
   another entry point's call, as ``is_zero`` makes one of ``verdict``, is
   not counted, so each count is a number of calls that code outside the
-  kernel made.
+  kernel made;
+- ``reentries``: the calls of an entry point made while a call of the same
+  entry point is in progress, by entry point, and their total.  The kernel
+  reads a scalar operand or term in its call's own pass, so this is 0.
 
 Compare two checkouts by running it from the root of each.
 """
@@ -46,7 +49,8 @@ from bcontact.checks import run_checks
 
 # the kernel functions this script wraps, by their name in ``scalars``
 TARGETS = ("_rebuild", "_scale", "_widen", "_zero")
-# the kernel's entry points whose outermost calls this script counts
+# the kernel's entry points whose outermost calls, and calls inside a call
+# of themselves, this script counts
 ENTRY_POINTS = ("einsum", "combine", "divide_rows", "zero_test", "verdict", "is_zero", "zero_rows")
 KERNEL_FILE = Path(scalars.__file__).name
 # frames that ``_caller`` passes over when it looks outside the kernel: the
@@ -74,7 +78,7 @@ def counting():
     fill."""
     counts = Counter()
     real = {name: getattr(scalars, name) for name in TARGETS + ENTRY_POINTS}
-    depth = 0  # the entry-point calls in progress
+    active = Counter()  # the entry-point calls in progress, by entry point
     real_new, raw_new = Fraction.__new__, vars(Fraction)["__new__"]
 
     def rebuild(n, den):
@@ -104,14 +108,15 @@ def counting():
         fn = real[name]
 
         def call(*args, **kwargs):
-            nonlocal depth
-            if not depth:
+            if not any(active.values()):
                 counts["entry:" + name] += 1
-            depth += 1
+            if active[name]:
+                counts["reentry:" + name] += 1
+            active[name] += 1
             try:
                 return fn(*args, **kwargs)
             finally:
-                depth -= 1
+                active[name] -= 1
         return call
 
     for name, wrapper in zip(TARGETS, (rebuild, scale, widen, zero)):
@@ -138,6 +143,7 @@ def count(entries) -> dict:
     built = {k.partition(":")[2]: n for k, n in sorted(counts.items()) if k.startswith("fraction:")}
     zeros = {name: counts["zero:" + name] for name in ("einsum", "combine")}
     calls = {name: counts["entry:" + name] for name in ENTRY_POINTS}
+    reentries = {name: counts["reentry:" + name] for name in ENTRY_POINTS}
     return {
         "models": [e.name for e in entries],
         "failed_checks": failed,
@@ -150,6 +156,7 @@ def count(entries) -> dict:
         },
         "zero_results": {"total": sum(zeros.values()), **zeros},
         "entry_calls": {"total": sum(calls.values()), **calls},
+        "reentries": {"total": sum(reentries.values()), **reentries},
     }
 
 

@@ -11,12 +11,11 @@ largest absolute entry of the context arrays, NaN entries ignored.  Every
 zero test in the library goes through ``zero_test`` (verdict, residual and
 worst index), ``verdict`` (verdict and residual), ``is_zero`` (its verdict
 alone) or ``zero_rows`` (the verdict of every row of a stack), and all four
-decide by that one rule; the tolerance
-``eps`` is fixed once per model when it is loaded and carried on the
-structure.  A test of float arrays alone reduces each array once with
-numpy, and reads its contexts only when a residual exceeds eps; the rule
-is the same.  ``zero_rows`` decides a float stack in one pass of numpy
-reductions over its rows and its contexts' rows.
+decide by that one rule; the tolerance ``eps`` is fixed once per model when
+it is loaded and carried on the structure.  A test reads each array once,
+by its dtype, and its contexts only when a float residual exceeds eps.
+``zero_rows`` decides a float stack in one pass of numpy reductions over
+its rows and its contexts' rows.
 
 Exact arithmetic on a model happens only in this module: every rational
 value that loading a model, its ``Workspace``, the check suite and the CLI
@@ -49,20 +48,19 @@ of term t.  Any other call runs over Python ints, the exact path that has
 no bound.  M = 0 proves an array zero: a contraction with such an operand
 and an explicit output without an ellipsis, and a combination of such
 terms alone, return a zero result at once, with no contraction, sum or
-scan, and a combination leaves such terms out.  A zero array result, so
-made or summed, is a read-only copy of one template of ``ZERO`` entries
-per shape (``_zero``), kept with the template's int64 zeros: each owns its
-memory, and no two results are one array.  Each call reads its operands
-in one pass that decides the backend and scales them.  A
-scaled form is kept while its array lives for a kernel result (born
-read-only, owning its memory), a read-only array that owns its memory, and
-a transpose ``einsum`` takes of either; any other view is scaled afresh.
-Each call looks an operand's kept form up once (``_scaled``).  So the
-next kernel call, ``max_abs``, ``zero_test`` and ``zero_rows`` read
-a result's integers: a rational verdict and worst index are exact, and a
-residual, like ``max_abs``, is the float of the exact largest entry (the
-smallest positive float when that rounds to 0 but the entry is not 0, and
-inf beyond the float range).  ``freeze`` makes other arrays read-only.
+scan, and a combination leaves such terms out.  Every exact zero the
+kernel returns, so made or summed, is ``ZERO`` when 0-d, else the one
+read-only array of ``ZERO`` entries of its shape (``_zero``).  Each call
+reads its operands, a scalar one as a 0-d array, in one pass that decides
+the backend and scales them.  A scaled form is kept while its array lives
+for a kernel result (born read-only, owning its memory), a read-only array
+that owns its memory, and a transpose ``einsum`` takes of either; any
+other view is scaled afresh.  Each call looks an operand's kept form up
+once (``_scaled``).  So the next kernel call, ``zero_test``, ``zero_rows``
+and ``residual`` read a result's integers: a rational verdict and worst
+index are exact, and a residual is the float of the exact largest entry
+(the smallest positive float when that rounds to 0 but the entry is not 0,
+and inf beyond the float range).  ``freeze`` makes other arrays read-only.
 """
 from __future__ import annotations
 
@@ -280,11 +278,11 @@ def _rebuild(n, den: int):
     result, so it is never scaled again.  Only the nonzero entries of an
     array are read, in one pass over a flat index; each distinct value is
     taken from the shared table of ``_fraction``, so a ``Fraction`` is built
-    only for a value the table does not hold.  A 0-d result is a ``Fraction``
-    of its own, and an all-zero array ``_zero``'s.  Every ``Fraction`` holds
-    Python ints."""
+    only for a value the table does not hold.  A nonzero 0-d result is a
+    ``Fraction`` of its own, and a zero one, or an all-zero array,
+    ``_zero``'s.  Every ``Fraction`` holds Python ints."""
     if not isinstance(n, np.ndarray) or not n.ndim:
-        return Fraction(int(n), den)
+        return Fraction(int(n), den) if n else ZERO
     flat = n.ravel()
     where = flat.nonzero()[0]
     if not len(where):
@@ -309,35 +307,27 @@ def _rebuild(n, den: int):
     return out
 
 
-# shape -> (a read-only object array of ``ZERO``, read-only int64 zeros) of
-# that shape: the template every zero result of the shape is copied from,
-# and the integers they are all kept with; emptied when it reaches
+# shape -> the read-only object array of ``ZERO`` that is the exact zero of
+# that shape, kept with read-only int64 zeros; emptied when it reaches
 # _ZEROS_MAX entries, as _FRACTIONS is
-_ZEROS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_ZEROS: dict[tuple, np.ndarray] = {}
 _ZEROS_MAX = 1024
 
 
 def _zero(shape: tuple):
-    """The exact zero of ``shape`` that the kernel returns: a ``Fraction(0)``
-    of its own when 0-d, else a read-only copy of the shape's template in
-    ``_ZEROS``, which owns its memory and is kept with the template's
-    int64 zeros, as ``(zeros, 1, 0)``."""
+    """The exact zero of ``shape`` that the kernel returns: ``ZERO`` when
+    0-d, else the shape's one array in ``_ZEROS``, read-only and owning its
+    memory, kept as ``(zeros, 1, 0)`` when it is made."""
     if not shape:
-        return Fraction(0)
-    template = _ZEROS.get(shape)
-    if template is None:
+        return ZERO
+    out = _ZEROS.get(shape)
+    if out is None:
         if len(_ZEROS) >= _ZEROS_MAX:
             _ZEROS.clear()
-        entries = np.empty(shape, dtype=object)
-        entries.fill(ZERO)
-        entries.setflags(write=False)
-        ints = np.zeros(shape, dtype=np.int64)
-        ints.setflags(write=False)
-        template = _ZEROS[shape] = (entries, ints)
-    entries, ints = template
-    out = entries.copy()
-    out.setflags(write=False)
-    _remember(out, ints, 1, 0)
+        out = _ZEROS[shape] = np.empty(shape, dtype=object)
+        out.fill(ZERO)
+        out.setflags(write=False)
+        _remember(out, np.zeros(shape, dtype=np.int64), 1, 0)
     return out
 
 
@@ -434,14 +424,6 @@ def _contract(spec: str, operands) -> np.ndarray:
     return operands[0]
 
 
-def _operand(a) -> np.ndarray:
-    """A kernel operand as an array: a ``Fraction`` scalar as a 0-d object
-    array, a float as a 0-d float64 one."""
-    if isinstance(a, np.ndarray):
-        return a
-    return np.asarray(a, dtype=object if isinstance(a, Fraction) else np.float64)
-
-
 def einsum(spec: str, *operands: np.ndarray):
     """``np.einsum(spec, *operands)``: the library's one contraction.
 
@@ -482,10 +464,11 @@ def einsum(spec: str, *operands: np.ndarray):
     shapes, ns, den, bound, wide = [], [], 1, 1, False
     for a in operands:
         try:
-            if a.dtype != _OBJECT:
-                return _contract(spec, operands)
-        except AttributeError:  # a scalar operand
-            return einsum(spec, *map(_operand, operands))
+            dtype = a.dtype
+        except AttributeError:  # a scalar operand: a 0-d array of its dtype
+            dtype = (a := np.asarray(a)).dtype
+        if dtype != _OBJECT:
+            return _contract(spec, operands)
         shapes.append(a.shape)
         if many and bound:
             n, d, m = _scaled(a)
@@ -494,8 +477,7 @@ def einsum(spec: str, *operands: np.ndarray):
             bound *= m
             wide = wide or n.dtype == _OBJECT
     sums, k, shape = _plan(spec, tuple(shapes))
-    if not many:
-        (a,) = operands
+    if not many:  # ``a`` is the one operand
         if not sums:
             # a read-only view that holds every entry of an array whose
             # scaled form is kept, as its read-only integers show (a
@@ -557,10 +539,11 @@ def combine(coefficients, arrays):
     ks, dens, ns, ms, zero_shapes, bound, wide = [], [], [], [], [], 0, False
     for c, a in zip(coefficients, arrays):
         try:
-            if a.dtype != _OBJECT:
-                return _float_sum(coefficients, arrays)
-        except AttributeError:  # a scalar term
-            return combine(coefficients, list(map(_operand, arrays)))
+            dtype = a.dtype
+        except AttributeError:  # a scalar term: a 0-d array of its dtype
+            dtype = (a := np.asarray(a)).dtype
+        if dtype != _OBJECT:
+            return _float_sum(coefficients, arrays)
         if type(c) is int:
             p, q = c, 1
         else:
@@ -604,15 +587,15 @@ def combine(coefficients, arrays):
 
 def _float_sum(coefficients, arrays):
     """``combine`` in float mode: numpy's c_0 a_0 + c_1 a_1 + ..., a
-    coefficient of 1 adding and one of -1 subtracting its array, a new
-    array even for one term."""
+    coefficient of 1 adding and one of -1 subtracting its term, a new
+    array even for one term that is an array."""
     out = None
     for c, a in zip(coefficients, arrays):
         if out is None:
             out = a if c == 1 else -a if c == -1 else float(c) * a
         else:
             out = out + a if c == 1 else out - a if c == -1 else out + float(c) * a
-    return out.copy() if out is arrays[0] else out
+    return out.copy() if out is arrays[0] and isinstance(out, np.ndarray) else out
 
 
 def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -732,19 +715,11 @@ def _rational_residual(peak: tuple[int, int]) -> float:
     return r if r or not p else math.ulp(0.0)
 
 
-def max_abs(arr: np.ndarray) -> float:
-    """The largest absolute entry, as a float; a rational array's is the
-    rounded exact maximum, found over its scaled integers
-    (``_rational_residual``)."""
-    if arr.dtype == _OBJECT:
-        return _rational_residual(_peak(arr))
-    return float(np.abs(arr).max()) if arr.size else 0.0
-
-
 def residual(a: np.ndarray, b=None) -> float:
-    """Max absolute entry of a - b (or of a alone), as a float."""
+    """Max absolute entry of a - b (or of a alone), as a float: the residual
+    ``zero_test`` reports for it."""
     d = a if b is None else combine([1, -1], [a, b])
-    return max_abs(np.asarray(d))
+    return _verdict([np.asarray(d)], 0.0, ())[1]
 
 
 def _within_tolerance(residual, eps: float, scale):
@@ -766,51 +741,42 @@ def _context_scale(c: np.ndarray) -> float:
     """The largest absolute entry of one context array, NaN entries ignored,
     so that the scale of several contexts does not depend on their order."""
     if c.dtype == _OBJECT:
-        return max_abs(c)
+        return _rational_residual(_peak(c))
     return float(np.fmax.reduce(np.abs(c), axis=None, initial=0.0))
-
-
-def _residuals(arrays: list[np.ndarray]) -> tuple[list, list]:
-    """``(residuals, peaks)``: the residual of each array, and the exact
-    ``_peak`` of each rational array (None for a float one)."""
-    peaks = [_peak(a) if a.dtype == _OBJECT else None for a in arrays]
-    res = [max_abs(a) if p is None else _rational_residual(p) for a, p in zip(arrays, peaks)]
-    return res, peaks
 
 
 def _verdict(arrays: list[np.ndarray], eps: float, context) -> tuple[bool, float, list, list]:
     """``(passed, residual, residuals, peaks)``: the verdict and residual of
-    ``zero_test``, with the ``_residuals`` they were found from, which a
-    failed test hands on to ``_locate``.
+    ``zero_test``, with the residual of each array and the exact ``_peak``
+    of each rational one (None for a float one), which a failed test hands
+    on to ``_locate``.
 
-    The scale of the ``context`` arrays is computed only when a float
-    residual exceeds eps and no rational array has failed: a residual
+    One pass reads each array by its dtype: a rational array's peak over
+    its scaled integers, a float array's largest absolute entry by one numpy
+    reduction, and keeps the worst residual, NaN when one is.  A nonzero
+    rational array fails the test.  Otherwise the scale of the ``context``
+    arrays is computed only when some residual exceeds eps: a residual
     within eps passes whatever the scale, by the first term of
-    ``_within_tolerance``.  When every array is float, each residual is one
-    numpy reduction, and the worst of them, NaN when one is, decides
-    whether any exceeds eps."""
-    res, worst = [], 0.0
+    ``_within_tolerance``."""
+    res, peaks, worst, nonzero = [], [], 0.0, False
     for a in arrays:
         if a.dtype == _OBJECT:
-            res, peaks = _residuals(arrays)
-            # a NaN residual is the worst, whatever its position
-            worst = math.nan if any(map(math.isnan, res)) else max(res, default=0.0)
-            if any(p[0] for p in peaks if p is not None):
-                return False, worst, res, peaks
-            break
-        r = float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
+            peak = _peak(a)
+            nonzero = nonzero or peak[0] != 0
+            r = _rational_residual(peak)
+        else:
+            peak = None
+            r = float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
         res.append(r)
+        peaks.append(peak)
         if r > worst or r != r:
             worst = r
-    else:
-        peaks = [None] * len(res)
-        if worst <= eps:
-            return True, worst, res, peaks
-    loose = [r for p, r in zip(peaks, res) if p is None and not r <= eps]
-    if not loose:
+    if nonzero:
+        return False, worst, res, peaks
+    if worst <= eps:
         return True, worst, res, peaks
     scale = max((_context_scale(np.asarray(c)) for c in context), default=0.0)
-    return all(_within_tolerance(r, eps, scale) for r in loose), worst, res, peaks
+    return all(_within_tolerance(r, eps, scale) for r in res), worst, res, peaks
 
 
 def verdict(arrays, eps: float, *context: np.ndarray) -> tuple[bool, float]:
@@ -820,10 +786,10 @@ def verdict(arrays, eps: float, *context: np.ndarray) -> tuple[bool, float]:
 
 
 def _locate(arrays: list[np.ndarray], res: list, peaks: list) -> tuple | None:
-    """The worst index of a failed ``zero_test``, from the ``_residuals``
-    of its ``arrays``: the first largest entry of the worst array, prefixed
-    by that array's position when there are several; exact when every array
-    is rational."""
+    """The worst index of a failed ``zero_test``, from the residuals and
+    peaks ``_verdict`` found for its ``arrays``: the first largest entry of
+    the worst array, prefixed by that array's position when there are
+    several; exact when every array is rational."""
     if all(p is not None for p in peaks):
         k = max(range(len(arrays)), key=lambda i: Fraction(*peaks[i]))
     else:

@@ -1,15 +1,15 @@
 """``scripts/kernel_counts.py``, the counts of what the exact kernel does
 while models are verified: every function it wraps still exists, so no
 count reads 0 because its target was renamed, and it counts a dim-3 entry,
-its exact zeros, the outermost calls of its entry points and a forced
-fall-back to Python ints."""
+its exact zeros, the outermost calls of its entry points, their calls of
+themselves (none) and a forced fall-back to Python ints."""
 import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
 
 from bcontact import scalars, zoo
-from bcontact.scalars import RATIONAL
+from bcontact.scalars import FLOAT, RATIONAL
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "kernel_counts.py"
 
@@ -54,6 +54,8 @@ def test_counts_of_a_dim3_entry(monkeypatch, capsys):
     assert calls["total"] == sum(n for k, n in calls.items() if k != "total")
     assert all(calls[name] > 0 for name in script.ENTRY_POINTS), calls
     assert calls["einsum"] >= zeros["einsum"] and calls["combine"] >= zeros["combine"]
+    # no entry point calls itself
+    assert out["reentries"] == {"total": 0, **{name: 0 for name in script.ENTRY_POINTS}}
     # every wrapper is taken off again
     assert {name: getattr(scalars, name) for name in wrapped} == real
     assert Fraction.__new__ is real_new
@@ -73,3 +75,17 @@ def test_counts_of_a_dim3_entry(monkeypatch, capsys):
     assert script.main(["--names", "solv3-f4", "--sizes"]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["rebuild_calls"] == out["rebuild_calls"]
+
+
+def test_a_scalar_operand_makes_no_reentry():
+    # a scalar operand or term is read in the call's own pass, in either mode
+    script = _script()
+    for mode in (RATIONAL, FLOAT):
+        x, y = scalars.parse_scalar("2/3", mode), scalars.parse_scalar("-5/7", mode)
+        a = scalars.array(["1/2", -3], mode)
+        with script.counting() as counts:
+            assert scalars.einsum(",i->i", x, a).tolist() == [x / 2, -3 * x]
+            assert scalars.combine([1, -2], [x, y]) == x - 2 * y
+        assert {k: n for k, n in counts.items() if k.startswith(("entry:", "reentry:"))} == {
+            "entry:einsum": 1, "entry:combine": 1,
+        }, mode

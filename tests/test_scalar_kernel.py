@@ -148,9 +148,11 @@ def _assert_einsum_is_exact(spec, operands):
         return
     assert got.dtype == object and got.shape == expected.shape
     assert all(g == e for g, e in zip(got.flat, expected.flat))
-    # every rational call of two or more operands runs on the integer kernel
+    # every rational call of two or more operands runs on the integer kernel,
+    # and its result is born scaled
     if len(operands) >= 2:
         assert all(type(x) is Fraction for x in got.flat)
+        _assert_born_scaled(got)
 
 
 def _float_operands(operands):
@@ -332,9 +334,9 @@ def test_rational_worst_index_is_the_exact_largest_entry():
 def test_rational_verdict_does_not_round_a_tiny_entry_to_zero():
     # 1/10**400 is below the smallest float: its float rounds to 0.0, but
     # the array is not zero, zero_rows agrees, and the failed test and
-    # max_abs report the smallest positive float as its residual, never 0
+    # residual report the smallest positive float as its residual, never 0
     tiny = scalars.array([Fraction(1, 10**400), 0], RATIONAL)
-    assert scalars.max_abs(tiny) == math.ulp(0.0)
+    assert scalars.residual(tiny) == math.ulp(0.0)
     assert scalars.zero_test([tiny], 0.0) == (False, math.ulp(0.0), (0,))
     assert not scalars.is_zero(tiny, 1e-9)
     assert scalars.zero_rows(tiny, 0.0) == [False, True]
@@ -347,7 +349,7 @@ def test_rational_verdict_does_not_round_a_tiny_entry_to_zero():
     huge = scalars.array([10**400, -(10**400 + 1)], RATIONAL)
     assert scalars.zero_test([tiny, huge], 0.0) == (False, math.inf, (1, 1))
     assert not scalars.is_zero(huge, 1e-9)
-    assert scalars.max_abs(huge) == scalars.residual(huge, tiny) == math.inf
+    assert scalars.residual(huge) == scalars.residual(huge, tiny) == math.inf
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -520,6 +522,12 @@ def _fraction_sum(cs, arrays):
 @example(([1, 1], [scalars.zeros((0, 2), RATIONAL), scalars.array(["1/2", 1], RATIONAL)]))
 @example(([3, -2], [_object_array([1, 2], (2,)), _object_array([5, -7], (2,))]))
 @example(([1], [scalars.array([["1/2", 0]], RATIONAL)]))
+# a result [2, 2], whose gcd g with the denominator is the denominator, and
+# an exact zero
+@example(([2, 2], [scalars.array(["1/2", "3/2"], RATIONAL),
+                   scalars.array(["1/2", "-1/2"], RATIONAL)]))
+@example(([1, -1], [scalars.array(["1/6", "1/3"], RATIONAL),
+                    scalars.array(["1/6", "1/3"], RATIONAL)]))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_rational_combine_equals_fraction_arithmetic(case):
     _assert_combine_is_exact(*case)
@@ -540,7 +548,9 @@ def _assert_combine_is_exact(cs, arrays):
     assert got.dtype == object and got.shape == expected.shape
     assert all(type(x) is Fraction for x in got.flat)
     assert all(g == e for g, e in zip(got.flat, expected.flat))
-    assert all(a is not got for a in arrays)
+    # no later write to an input reaches the result, which is born scaled
+    assert not any(a.flags.writeable and np.shares_memory(a, got) for a in arrays)
+    _assert_born_scaled(got)
 
 
 floats = st.one_of(
@@ -632,7 +642,7 @@ def test_frozen_result_of_the_kernel_is_scaled_once(scale_calls):
     del scale_calls[:]
     scalars.combine([1, 1], [r, scalars.einsum("ij->ji", r)])
     scalars.einsum("ij,jk->ik", r, r)
-    scalars.max_abs(r)
+    scalars.residual(r)
     assert scale_calls == []
 
 
@@ -670,11 +680,11 @@ def test_transpose_of_a_read_only_view_of_a_writable_base_is_never_stale():
     t = scalars.einsum("ij->ji", view)
     assert not t.flags.writeable
     assert scalars.combine([1, 1], [t, t])[1, 0] == Fraction(2, 3)
-    assert scalars.max_abs(t) == 5.0
+    assert scalars.residual(t) == 5.0
     base[0, 1] = Fraction(-11, 6)
     base[1, 1] = 0
     assert scalars.combine([1, 1], [t, t])[1, 0] == Fraction(-11, 3)
-    assert scalars.max_abs(t) == 11 / 6
+    assert scalars.residual(t) == 11 / 6
     assert scalars.zero_test([t], 0.0)[2] == (1, 0)
 
 
@@ -858,9 +868,9 @@ def test_combine_reads_int_numpy_and_fraction_coefficients_alike(mode):
 @given(st.lists(values, min_size=1, max_size=12))
 @example([Fraction(1, 3), Fraction(-1, 3), Fraction(333333333333333333, 10**18)])
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_rational_max_abs_is_the_rounded_exact_maximum(entries):
+def test_rational_residual_is_the_rounded_exact_maximum(entries):
     a = _object_array(entries, (len(entries),))
-    got = scalars.max_abs(a)
+    got = scalars.residual(a)
     assert type(got) is float
     assert got == float(max(abs(Fraction(x)) for x in entries))
 
@@ -880,28 +890,6 @@ def _assert_born_scaled(result):
     assert n.tolist() == expected_n.tolist()
 
 
-@given(contractions())
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_rational_einsum_result_is_born_scaled(case):
-    spec, operands = case
-    got = scalars.einsum(spec, *operands)
-    if len(operands) >= 2 and isinstance(got, np.ndarray):
-        _assert_born_scaled(got)
-
-
-@given(combinations())
-@example(([2, 2], [scalars.array(["1/2", "3/2"], RATIONAL),
-                   scalars.array(["1/2", "-1/2"], RATIONAL)]))  # result [2, 2]: g = den
-@example(([1, -1], [scalars.array(["1/6", "1/3"], RATIONAL),
-                    scalars.array(["1/6", "1/3"], RATIONAL)]))  # exactly zero
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_rational_combine_result_is_born_scaled(case):
-    cs, arrays = case
-    got = scalars.combine(cs, arrays)
-    if isinstance(got, np.ndarray):
-        _assert_born_scaled(got)
-
-
 def test_kernel_result_is_read_only():
     a = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
     for r in (scalars.einsum("ij,jk->ik", a, a), scalars.combine([1, 1], [a, a])):
@@ -909,19 +897,19 @@ def test_kernel_result_is_read_only():
             r[0, 0] = Fraction(1)
 
 
-def test_max_abs_of_a_scaled_array_counts_no_fraction(monkeypatch):
+def test_residual_of_a_scaled_array_counts_no_fraction(monkeypatch):
     a = scalars.array([["1/2", "1/3"], ["-2/7", 0]], RATIONAL)
     r = scalars.einsum("ij,jk->ik", a, a)
     zero = scalars.combine([1, -1], [a, a])
 
     def no_count(arr):
-        raise AssertionError("max_abs went through the Fraction entries")
+        raise AssertionError("residual went through the Fraction entries")
 
     monkeypatch.setattr(np, "count_nonzero", no_count)
-    assert scalars.max_abs(r) == float(max(abs(x) for x in np.einsum("ij,jk->ik", a, a).flat))
+    assert scalars.residual(r) == float(max(abs(x) for x in np.einsum("ij,jk->ik", a, a).flat))
     t = scalars.einsum("ij->ji", r)
-    assert scalars.max_abs(t) == float(max(abs(x) for x in t.flat))
-    assert scalars.max_abs(zero) == 0.0
+    assert scalars.residual(t) == float(max(abs(x) for x in t.flat))
+    assert scalars.residual(zero) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1308,6 +1296,7 @@ def test_scalar_operands_are_read_as_zero_dimensional_arrays():
     fx, fy = 0.1, np.float64(0.7)
     assert scalars.einsum(",->", fx, fy) == fx * fy
     assert scalars.combine([1, -1], [fx, fy]) == fx - fy
+    assert scalars.combine([1], [fx]) == fx and scalars.combine([-1], [fy]) == -fy
 
 
 @pytest.mark.parametrize(
@@ -1340,11 +1329,11 @@ def test_rational_trace_runs_on_the_integer_kernel(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _assert_zero_result(got, shape):
-    """The kernel's zero of ``shape``: a ``Fraction(0)`` of its own when
-    0-d, else a read-only array that owns its memory, every entry ``ZERO``,
-    kept as (int64 zeros, 1, 0)."""
+    """The kernel's zero of ``shape``: ``ZERO`` when 0-d, else a read-only
+    array that owns its memory, every entry ``ZERO``, kept as (int64 zeros,
+    1, 0)."""
     if not shape:
-        assert type(got) is Fraction and got == 0 and got is not scalars.ZERO
+        assert got is scalars.ZERO
         return
     assert got.shape == shape and got.dtype == object
     assert all(x is scalars.ZERO for x in got.flat)
@@ -1425,9 +1414,6 @@ def test_zero_terms_are_left_out_of_a_combination():
             ([2, Fraction(1, 6)], [zero[:, :1], a]),
         ):
             _assert_combine_is_exact(cs, arrays)
-            got = scalars.combine(cs, arrays)
-            assert got.shape == _fraction_sum(cs, arrays).shape
-            _assert_born_scaled(got)
         _assert_zero_result(scalars.combine([Fraction(2, 3), -1], [zero, zero[:1]]), (2, 3))
         _assert_zero_result(scalars.combine([1, 1], [zero[0, 0], Fraction(0)]), ())
 
@@ -1442,7 +1428,6 @@ def test_widened_operands_next_to_a_zero_operand():
         for cs, arrays in (([1, 3], [big, zero]), ([Fraction(1, 5), 1, -1], [zero, big, zero])):
             _assert_combine_is_exact(cs, arrays)
             got = scalars.combine(cs, arrays)
-            _assert_born_scaled(got)
             assert scalars._SCALED[id(got)][1].dtype == object
 
 
@@ -1464,7 +1449,7 @@ def test_a_kept_view_keeps_its_own_largest_numerator():
             assert (id(view) in scalars._SCALED) == (spec == "ij->ji")
     diagonal = scalars.einsum("ii->i", scalars.freeze(scalars.array([[0, 5], [7, 0]], RATIONAL)))
     assert scalars._scaled(diagonal)[2] == 0
-    assert scalars.max_abs(diagonal) == 0.0 and scalars.is_zero(diagonal, 0.0)
+    assert scalars.residual(diagonal) == 0.0 and scalars.is_zero(diagonal, 0.0)
 
 
 @pytest.fixture
@@ -1499,10 +1484,10 @@ def test_an_exact_zero_makes_no_contraction_and_builds_no_fraction(spies):
         assert not scalars.einsum("jk,ij,kl->il", b, zero, b.T).any()
         assert not scalars.combine([1, third], [zero, zero[0]]).any()
     assert einsums == [] and built == []
-    # a 0-d zero builds only its own Fraction(0)
-    assert scalars.einsum("ij,jk->", zeros[1], b) == 0
-    assert scalars.combine([1, -1], [scalar, zeros[0][0, 0]]) == 0
-    assert einsums == [] and built == [(0,)] * 2
+    # nor does a 0-d zero, which is ZERO
+    assert scalars.einsum("ij,jk->", zeros[1], b) is scalars.ZERO
+    assert scalars.combine([1, -1], [scalar, zeros[0][0, 0]]) is scalars.ZERO
+    assert einsums == [] and built == []
 
 
 def test_float_calls_with_a_zero_operand_reach_numpy(spies):
@@ -1518,27 +1503,36 @@ def test_float_calls_with_a_zero_operand_reach_numpy(spies):
 
 
 # ---------------------------------------------------------------------------
-# zero results are copies of one template per shape
+# the zero results of one shape are one array
 # ---------------------------------------------------------------------------
 
-def test_zero_results_of_one_shape_are_distinct_copies_of_the_template():
-    zero, _ = _zero_operands()
+def test_zero_results_of_one_shape_are_its_one_template():
+    zero, writable = _zero_operands()
     b = scalars.array([["1/3", 2], [-1, "1/5"], [0, "7/4"]], RATIONAL)
     c = scalars.array([["1/2", 0], [3, "-1/4"]], RATIONAL)
-    # the zero rule of a contraction, and a sum of terms that cancel
-    from_einsum = scalars.einsum("ij,jk->ik", zero, b)
-    from_combine = scalars.combine([1, -1], [c, c])
-    template, ints = scalars._ZEROS[(2, 2)]
-    assert not template.flags.writeable and not ints.flags.writeable
-    results = (from_einsum, from_combine)
-    assert from_einsum is not from_combine
-    assert not np.shares_memory(from_einsum, from_combine)
-    for got in results:
-        _assert_zero_result(got, (2, 2))
-        assert not got.flags.writeable and got.base is None
-        assert scalars._scaled(got)[2] == 0
-        assert got is not template and not np.shares_memory(got, template)
-        assert not any(np.shares_memory(got, a) for a in (zero, b, c))
+    # the zero rule of a contraction, a sum of terms that cancel, and a
+    # contraction whose products cancel
+    template = scalars._zero((2, 2))
+    kept = scalars._SCALED[id(template)]
+    results = (
+        scalars.einsum("ij,jk->ik", zero, b),
+        scalars.einsum("ij,jk->ik", writable, b),
+        scalars.combine([1, -1], [c, c]),
+        scalars.einsum("ij,jk->ik", scalars.array([[1, 1], [2, 2]], RATIONAL),
+                       scalars.array([[1, -1], [-1, 1]], RATIONAL)),
+    )
+    assert all(got is template for got in results)
+    _assert_zero_result(template, (2, 2))
+    assert not scalars._SCALED[id(template)][1].flags.writeable
+    # it is kept once, when it is made, and shares no memory with an input
+    assert scalars._SCALED[id(template)] is kept
+    assert not any(np.shares_memory(template, a) for a in (zero, writable, b, c))
+    # a 0-d zero is ZERO, from the zero rule and from sums that cancel
+    third = Fraction(1, 3)
+    assert scalars.einsum("ij,jk->", zero, b) is scalars.ZERO
+    assert scalars.combine([1, -1], [third, third]) is scalars.ZERO
+    ones, cancel = scalars.array([1, 1], RATIONAL), scalars.array([third, -third], RATIONAL)
+    assert scalars.einsum("i,i->", ones, cancel) is scalars.ZERO
 
 
 def test_zero_template_table_stays_within_its_bound(monkeypatch):
@@ -1615,18 +1609,15 @@ def test_float_verdict_is_the_plain_rule(arrays, eps, context):
     assert scalars.is_zero(arrays[0], eps, *context) == _plain_float_test(arrays[:1], eps, context)[0]
 
 
-def test_a_mixed_rational_and_float_test_takes_the_general_path(monkeypatch):
-    general = []
-    real = scalars._residuals
-    monkeypatch.setattr(scalars, "_residuals", lambda arrays: general.append(len(arrays)) or real(arrays))
+def test_a_mixed_rational_and_float_test_takes_the_general_path():
+    # a float array passes by its context, an exactly-zero rational one
+    # passes, and a nonzero rational one fails whatever the context
     small, big = np.array([0.0, -1e-6]), np.array([1e4])
     assert scalars.zero_test([small, small], 1e-9, big) == (True, 1e-6, None)
-    assert general == []
     zero, half = scalars.zeros((2,), RATIONAL), scalars.array(["1/2"], RATIONAL)
     assert scalars.zero_test([small, zero], 1e-9, big) == (True, 1e-6, None)
     assert scalars.zero_test([small, zero], 1e-9) == (False, 1e-6, (0, 1))
     assert scalars.zero_test([small, half], 1e-9, big) == (False, 0.5, (1, 0))
-    assert general == [2, 2, 2]
 
 
 # ---------------------------------------------------------------------------
