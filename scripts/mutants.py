@@ -1,4 +1,4 @@
-"""Mutation survey of the curvature, SvK, horizontal/vertical, structure and Lie algebra code.
+"""Mutation survey of the curvature, SvK, horizontal/vertical, structure, Lie algebra and scalar kernel code.
 
 Which one-site changes of the code do the check suite and the tests notice?
 
@@ -6,8 +6,9 @@ Which one-site changes of the code do the check suite and the tests notice?
 
 Run it from the root of a checkout.  The mutated code is
 ``src/bcontact/curvature.py``, ``svk.py``, ``hv.py``, ``structure.py``,
-``liegroup.py`` and the sectional part of ``src/bcontact/checks.py`` (from
-its "sectional-curvature sampling" header to its "suite driver" header).
+``liegroup.py``, ``scalars.py`` and the sectional part of
+``src/bcontact/checks.py`` (from its "sectional-curvature sampling" header
+to its "suite driver" header).
 Each mutant changes one site:
 
 - ``sign``: a binary ``+`` becomes ``-`` or back (``+=`` and ``-=`` too),
@@ -25,8 +26,8 @@ of the checkout that holds the mutant:
   entry), or when a run raises or times out;
 - ``tests``: pytest on ``tests/test_sectional.py``, ``test_curvature.py``,
   ``test_basis_change.py``, ``test_hv.py``, ``test_svk.py``,
-  ``test_structure.py`` and ``test_liegroup.py``; the mutant is killed when
-  a test fails.
+  ``test_structure.py``, ``test_liegroup.py``, ``test_scalar_kernel.py``
+  and ``test_tensor.py``; the mutant is killed when a test fails.
 
 The script prints the survivors of each oracle and the counts.  ``--out``
 writes every mutant with its verdicts as JSON.  ``--compare`` reads such a
@@ -59,11 +60,13 @@ TARGETS = {
     "src/bcontact/hv.py": None,
     "src/bcontact/structure.py": None,
     "src/bcontact/liegroup.py": None,
+    "src/bcontact/scalars.py": None,
     "src/bcontact/checks.py": ("# sectional-curvature sampling", "# suite driver"),
 }
 TESTS = [
     "tests/test_sectional.py", "tests/test_curvature.py", "tests/test_basis_change.py",
     "tests/test_hv.py", "tests/test_svk.py", "tests/test_structure.py", "tests/test_liegroup.py",
+    "tests/test_scalar_kernel.py", "tests/test_tensor.py",
 ]
 EINSUM_SPEC = re.compile(r"^[a-z]+(,[a-z]+)*->[a-z]*$")
 SUITE_TIMEOUT, TESTS_TIMEOUT = 120, 600

@@ -184,6 +184,6 @@ def equivalence_chains(
         },
     }
     return {
-        name: {k: scalars.zero_test(arrays, s.eps, conn)[0] for k, arrays in predicates.items()}
+        name: {k: scalars.verdict(arrays, s.eps, conn)[0] for k, arrays in predicates.items()}
         for name, predicates in chains.items()
     }

@@ -99,8 +99,6 @@ def covariant_derivative(gamma: np.ndarray, t: np.ndarray, up: int) -> np.ndarra
         scalars.einsum(f"mx{src[pos]},{src.replace(src[pos], 'm')}->{ups}x{downs}", gamma, t)
         for pos in range(up, t.ndim)
     ]
-    if not terms:  # a constant function
-        return scalars.zeros((gamma.shape[0],), scalars.mode_of(gamma))
     return scalars.combine([1] * up + [-1] * (t.ndim - up), terms)
 
 

@@ -122,7 +122,13 @@ def dumps(doc: dict) -> str:
     return json.dumps(canonicalize(doc), indent=2) + "\n"
 
 
-def _document(text: str) -> dict:
+def _read(path: str) -> dict:
+    """The JSON object a model file holds."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ModelFileError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -130,19 +136,6 @@ def _document(text: str) -> dict:
     if not isinstance(doc, dict):
         raise ModelFileError("model file must contain a JSON object")
     return doc
-
-
-def _read(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ModelFileError(f"cannot read {path}: {exc}") from exc
-    return _document(text)
-
-
-def loads(text: str) -> dict:
-    return canonicalize(_document(text))
 
 
 def load_path(path: str) -> dict:

@@ -43,24 +43,25 @@ Python ints, and it keeps M, its largest absolute numerator.  A
 contraction runs in int64 when every operand is int64 and
 K * prod(max(1, M_i)) <= 2**63 - 1, K being the number of products summed
 into one result entry, a bound that holds for every stage as well; a
-combination when sum_t |k_t| M_t <= 2**63 - 1, k_t being the integer factor
-of term t.  Any other call runs over Python ints, the exact path that has
-no bound.  M = 0 proves an array zero: a contraction with such an operand
-and an explicit output without an ellipsis, and a combination of such
-terms alone, return a zero result at once, with no contraction, sum or
-scan, and a combination leaves such terms out.  Every exact zero the
-kernel returns, so made or summed, is ``ZERO`` when 0-d, else the one
-read-only array of ``ZERO`` entries of its shape (``_zero``).  Each call
-reads its operands, a scalar one as a 0-d array, in one pass that decides
-the backend and scales them.  A scaled form is kept while its array lives
-for a kernel result (born read-only, owning its memory), a read-only array
-that owns its memory, and a transpose ``einsum`` takes of either; any
-other view is scaled afresh.  Each call looks an operand's kept form up
-once (``_scaled``).  So the next kernel call, ``zero_test``, ``zero_rows``
-and ``residual`` read a result's integers: a rational verdict and worst
-index are exact, and a residual is the float of the exact largest entry
-(the smallest positive float when that rounds to 0 but the entry is not 0,
-and inf beyond the float range).  ``freeze`` makes other arrays read-only.
+combination when sum_t |k_t| M_t <= 2**63 - 1, k_t being the integer
+factor of term t.  Any other call runs over Python ints, the exact path
+that has no bound.  An exact contraction's spec has an explicit output and
+no ellipsis.  M = 0 proves an array zero: a contraction with such an
+operand, and a combination of such terms alone, return a zero result at
+once, with no contraction, sum or scan, and a combination leaves such
+terms out.  Every exact zero the kernel returns, so made or summed, is
+``ZERO`` when 0-d, else the one read-only array of ``ZERO`` entries of its
+shape (``_zero``).  Each call reads its operands, a scalar one as a 0-d
+array, in one pass that decides the backend and scales them.  A scaled
+form is kept while its array lives for a kernel result (born read-only,
+owning its memory), a read-only array that owns its memory, and a
+transpose ``einsum`` takes of either; any other view is scaled afresh.
+Each call looks an operand's kept form up once (``_scaled``).  So the next
+kernel call, ``zero_test``, ``zero_rows`` and ``residual`` read a result's
+integers: a rational verdict and worst index are exact, and a residual is
+the float of the exact largest entry (the smallest positive float when
+that rounds to 0 but the entry is not 0, and inf beyond the float range).
+``freeze`` makes other arrays read-only.
 """
 from __future__ import annotations
 
@@ -338,32 +339,32 @@ def _widen(ns) -> list[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _plan(spec: str, shapes: tuple) -> tuple[bool, int, tuple | None]:
+def _plan(spec: str, shapes: tuple) -> tuple[bool, int, tuple]:
     """``(sums, K, shape)`` of ``np.einsum(spec, *operands)`` for operands
     of the given shapes: whether it sums over a label (one that the output
     leaves out), the number K of products it sums into one entry of its
     result (the product of the lengths of the summed labels), and the shape
-    of its result.  An implicit output keeps the labels that occur once; the
-    axes an ellipsis covers are never summed.  The shape is None for an
-    implicit output, an ellipsis, and operands whose shapes do not fit the
-    spec, which numpy refuses."""
+    of its result.  The exact kernel's grammar is an explicit output and no
+    ellipsis: any other spec raises ValueError naming it, and shapes that do
+    not fit the spec raise numpy's own error."""
     inputs, arrow, output = spec.replace(" ", "").partition("->")
+    if not arrow or "." in spec:
+        raise ValueError(f"an exact contraction needs an explicit output and no ellipsis, got {spec!r}")
     terms = inputs.split(",")
-    if not arrow:
-        output = [c for c in inputs if inputs.count(c) == 1]
-    sizes, fits = {}, bool(arrow) and "." not in spec and len(terms) == len(shapes)
+    sizes, fits = {}, len(terms) == len(shapes) and len(set(output)) == len(output)
     for term, shape in zip(terms, shapes):
-        head, _, tail = term.partition("...")
-        pairs = set(zip(head + tail, shape[:len(head)] + shape[len(shape) - len(tail):]))
+        pairs = set(zip(term, shape))
         # a label has one length in a term, and numpy stretches a length of
         # 1 to the length the label has in the other terms
         fits = fits and len(term) == len(shape) and len(pairs) == len(set(term))
         for c, k in pairs:
             fits = fits and (k == 1 or sizes.get(c, 1) in (1, k))
             sizes[c] = max(k, sizes.get(c, 0))
+    if not (fits and set(output) <= sizes.keys()):
+        # numpy's error, from operands of these shapes that hold no memory
+        np.einsum(spec, *(np.broadcast_to(0, s) for s in shapes))
     summed = [k for c, k in sizes.items() if c not in output]
-    fits = fits and len(set(output)) == len(output) and set(output) <= sizes.keys()
-    return bool(summed), math.prod(summed), tuple(sizes[c] for c in output) if fits else None
+    return bool(summed), math.prod(summed), tuple(sizes[c] for c in output)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -382,8 +383,9 @@ def _stages(spec: str) -> tuple | None:
     One call of p operands makes p - 1 products at each point of its loop
     over all labels, a stage one product at each point of its own loop, so
     the stages never make more products; they are kept when they make fewer,
-    that is when some stage's loop leaves a label out.  An implicit output,
-    an ellipsis and a label repeated inside one term take the one call."""
+    that is when some stage's loop leaves a label out.  A label repeated
+    inside one term takes the one call, and so do an implicit output and an
+    ellipsis, which only a float call may use."""
     inputs, arrow, output = spec.replace(" ", "").partition("->")
     terms = inputs.split(",")
     labels = set(inputs) - {","}
@@ -413,15 +415,17 @@ def _stages(spec: str) -> tuple | None:
 
 def _contract(spec: str, operands) -> np.ndarray:
     """``np.einsum(spec, *operands)``, run in the stages of ``_stages`` when
-    it gives some: each stage is one ``np.einsum`` call on two arrays."""
+    it gives some: each stage is one ``np.einsum`` call on two arrays.  A
+    stage that keeps no label gives a scalar, which is passed on as a 0-d
+    array of its operands' dtype: numpy would read a Python int as int64."""
     stages = _stages(spec) if len(operands) > 2 else None
     if stages is None:
         return np.einsum(spec, *operands)
     operands = list(operands)
-    for i, j, pair in stages:
+    for i, j, pair in stages[:-1]:
         b, a = operands.pop(j), operands.pop(i)
-        operands.append(np.einsum(pair, a, b))
-    return operands[0]
+        operands.append(np.asarray(np.einsum(pair, a, b), dtype=np.result_type(a, b)))
+    return np.einsum(stages[-1][2], *operands)
 
 
 def einsum(spec: str, *operands: np.ndarray):
@@ -438,22 +442,22 @@ def einsum(spec: str, *operands: np.ndarray):
     result is a ``Fraction`` scalar; an array result is read-only and
     carries its scaled form (see ``_rebuild``).  A read-only operand that
     owns its memory is scaled once in its lifetime (see ``_scaled``), and
-    ``combine`` adds exact arrays on the same scaled integers.  An operand
-    with M = 0 ends an explicit output without an ellipsis at once: the
-    result is ``_zero``'s, and no later operand is scaled; another spec
-    contracts it with int64 zeros of their shapes in place of the later
-    operands, which gives the same zero, or numpy's error.  A single
+    ``combine`` adds exact arrays on the same scaled integers.  A rational
+    spec has an explicit output and no ellipsis, and its operands' shapes
+    fit it (``_plan``), so an operand with M = 0 ends the call at once: the
+    result is ``_zero``'s, and no later operand is scaled.  A single
     rational operand that is summed over (a trace) takes the same integer
     path; one that is not (a transpose, a diagonal) is numpy's view of it.
     An operand may be a scalar of the backend (a ``Fraction`` or a float),
-    read as a 0-d array.  A float call of one or two operands is numpy's
-    own.  A call of three or more operands runs in the stages of
-    ``_stages`` when it has some, in either mode: a rational one over its
-    integers, building no ``Fraction`` between stages, and a float one with
-    the rounding of its stages, which matches numpy's single call bit for
-    bit on integer-valued operands and is within the rounding bound of its
-    sums otherwise.  numpy is looked up at each call, so a wrapper installed
-    on ``np.einsum`` sees every contraction, and every stage of one.
+    read as a 0-d array.  A float call is numpy's own, of any spec numpy
+    reads, and one of one or two operands is a single ``np.einsum`` call.
+    A call of three or more operands runs in the stages of ``_stages`` when
+    it has some, in either mode: a rational one over its integers, building
+    no ``Fraction`` between stages, and a float one with the rounding of its
+    stages, which matches numpy's single call bit for bit on integer-valued
+    operands and is within the rounding bound of its sums otherwise.  numpy
+    is looked up at each call, so a wrapper installed on ``np.einsum`` sees
+    every contraction, and every stage of one.
     """
     # one pass over the operands decides the backend (a float operand sends
     # the call to numpy, the first one at once) and collects the shapes and,
@@ -491,21 +495,14 @@ def einsum(spec: str, *operands: np.ndarray):
             return out
         n, den, bound = _scaled(a)
         ns, wide = [n], n.dtype == _OBJECT
-    if bound:
-        # the one bound covers every stage of a staged contraction: each
-        # entry, product and partial sum a stage forms is a sum of at most K
-        # products of entries of some of the operands (the labels summed so
-        # far are some of the summed labels), so its magnitude is at most
-        # K * prod(max(1, M_i))
-        if wide or k * bound > _INT64_MAX:
-            ns = _widen(ns)
-    elif shape is not None:
+    if not bound:
         return _zero(shape)
-    else:
-        # an implicit output, an ellipsis or shapes that do not fit: numpy
-        # contracts (or refuses) the operands, those not scaled after the
-        # zero one read as zeros of their shape, which give the same zero
-        ns += [np.zeros(s, dtype=np.int64) for s in shapes[len(ns):]]
+    # the one bound covers every stage of a staged contraction: each entry,
+    # product and partial sum a stage forms is a sum of at most K products
+    # of entries of some of the operands (the labels summed so far are some
+    # of the summed labels), so its magnitude is at most K * prod(max(1, M_i))
+    if wide or k * bound > _INT64_MAX:
+        ns = _widen(ns)
     return _rebuild(_contract(spec, ns), den)
 
 

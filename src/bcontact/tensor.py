@@ -77,4 +77,5 @@ def sharp(omega: np.ndarray, m: Metric) -> np.ndarray:
 def lower_out(t: np.ndarray, m: Metric) -> np.ndarray:
     """Lower the single contravariant slot of a (1,k) tensor into a trailing
     covariant slot: T(x_1,...,x_k, z) = g(T(x_1,...,x_k), z)."""
-    return scalars.einsum("l...,lz->...z", t, m.matrix)
+    rest = "abcdefgh"[: t.ndim - 1]
+    return scalars.einsum(f"l{rest},lz->{rest}z", t, m.matrix)

@@ -1,8 +1,11 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,9 +17,20 @@ RUN = [sys.executable, "-m", "bcontact.cli"]
 
 
 def run_cli(*args):
-    return subprocess.run(
-        RUN + list(args), capture_output=True, text=True, timeout=600
-    )
+    """``cli.main(args)`` in this process: its exit code (the code of a
+    ``SystemExit`` too) and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def run_module(*args, env=None):
+    """``python -m bcontact.cli`` in a fresh interpreter."""
+    return subprocess.run(RUN + list(args), capture_output=True, text=True, timeout=600, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -57,20 +71,20 @@ def files(tmp_path_factory):
 
 
 def test_validate_ok(files):
-    proc = run_cli("validate", files["abelian3"])
+    proc = run_module("validate", files["abelian3"])
     assert proc.returncode == 0
     assert "ok" in proc.stdout
 
 
 def test_validate_names_failed_identity(files):
-    proc = run_cli("validate", files["bad-eta"])
+    proc = run_module("validate", files["bad-eta"])
     assert proc.returncode == 1
     assert "eta(xi) = 1" in proc.stdout
     assert "FAIL" in proc.stdout
 
 
 def test_parse_error_exit_code(files):
-    proc = run_cli("validate", files["broken"])
+    proc = run_module("validate", files["broken"])
     assert proc.returncode == 2
     assert "input error" in proc.stderr
 
@@ -342,12 +356,9 @@ def test_bad_bcontact_eps_is_input_error(files, capsys, monkeypatch, value):
 
 def test_bad_bcontact_eps_leaves_help_and_explicit_eps_working(files):
     env = {**os.environ, "BCONTACT_EPS": "abc"}
-    proc = subprocess.run(RUN + ["--help"], capture_output=True, text=True, env=env)
+    proc = run_module("--help", env=env)
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
-    proc = subprocess.run(
-        RUN + ["validate", files["abelian3"], "--mode", "float", "--eps", "1e-9"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_module("validate", files["abelian3"], "--mode", "float", "--eps", "1e-9", env=env)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -15,14 +15,14 @@ def doc3():
 
 def test_canonical_dump_is_stable():
     text = modelfile.dumps(doc3())
-    assert modelfile.dumps(modelfile.loads(text)) == text
+    assert modelfile.dumps(modelfile.canonicalize(json.loads(text))) == text
 
 
 def test_scalars_normalize_to_rational_strings():
     doc = doc3()
     doc["g"][0][0] = 0.25
     doc["g"][1][1] = "-2/2"
-    out = modelfile.loads(modelfile.dumps(doc))
+    out = modelfile.canonicalize(json.loads(modelfile.dumps(doc)))
     assert out["g"][0][0] == "1/4"
     assert out["g"][1][1] == "-1"
 
@@ -43,32 +43,35 @@ MALFORMED_CONTAINERS = [
 ]
 
 
-def test_parse_errors():
-    with pytest.raises(ModelFileError, match="JSON"):
-        modelfile.loads("{oops")
+def test_parse_errors(tmp_path):
+    p = tmp_path / "model.json"
+    for text, message in (("{oops", "not valid JSON"), ("[]", "must contain a JSON object")):
+        p.write_text(text)
+        with pytest.raises(ModelFileError, match=message):
+            modelfile.load_model(str(p), RATIONAL, scalars.DEFAULT_EPS)
     with pytest.raises(ModelFileError, match="dim"):
-        modelfile.loads(json.dumps({"phi": []}))
+        modelfile.canonicalize({"phi": []})
     doc = doc3()
     del doc["eta"]
     with pytest.raises(ModelFileError, match="eta"):
-        modelfile.loads(json.dumps(doc))
+        modelfile.canonicalize(doc)
     doc = doc3()
     doc["xi"] = ["1", "0"]
     with pytest.raises(ModelFileError, match="entries"):
-        modelfile.loads(json.dumps(doc))
+        modelfile.canonicalize(doc)
     doc = doc3()
     doc["brackets"] = [[0, 5, ["1", "0", "0"]]]
     with pytest.raises(ModelFileError, match="out of range"):
-        modelfile.loads(json.dumps(doc))
+        modelfile.canonicalize(doc)
     doc = doc3()
     doc["g"][0][0] = "one"
     with pytest.raises(ModelFileError, match="bad scalar"):
-        modelfile.loads(json.dumps(doc))
+        modelfile.canonicalize(doc)
     for key, value, message in MALFORMED_CONTAINERS:
         doc = doc3()
         doc[key] = value
         with pytest.raises(ModelFileError, match=message):
-            modelfile.loads(json.dumps(doc))
+            modelfile.canonicalize(doc)
 
 
 def test_malformed_container_is_an_input_error(tmp_path, capsys):
@@ -88,7 +91,7 @@ def test_repeated_bracket_pair_is_an_input_error(repeat):
     assert any(b[:2] == [0, 2] for b in doc["brackets"])
     doc["brackets"].append(repeat)
     with pytest.raises(ModelFileError, match=r"bracket \(0,2\) given twice"):
-        modelfile.loads(json.dumps(doc))
+        modelfile.canonicalize(doc)
 
 
 def test_to_structure_both_modes():
@@ -140,7 +143,7 @@ def test_float_token_reads_as_its_shortest_decimal():
     doc["g"][0][1] = 1e-13
     doc["g"][1][0] = "1e-13"
     doc["g"][1][1] = 0.5
-    out = modelfile.loads(json.dumps(doc))
+    out = modelfile.canonicalize(doc)
     assert out["g"][0][1] == out["g"][1][0] == "1/10000000000000"
     assert out["g"][1][1] == "1/2"
     assert scalars.parse_scalar(1e-13, RATIONAL) == Fraction(1, 10**13)
@@ -153,7 +156,7 @@ def test_non_finite_json_number_is_a_bad_scalar(tmp_path, capsys, token):
     doc["g"][1][1] = "TOKEN"
     text = json.dumps(doc).replace('"TOKEN"', token)
     with pytest.raises(ModelFileError, match="bad scalar"):
-        modelfile.loads(text)
+        modelfile.canonicalize(json.loads(text))
     p = tmp_path / "model.json"
     p.write_text(text)
     assert cli.main(["validate", str(p)]) == 2
@@ -188,7 +191,7 @@ def test_json_boolean_is_not_a_number(tmp_path, capsys, where, message):
     # otherwise load as the valid model it was taken from
     text = _with_boolean(where)
     with pytest.raises(ModelFileError, match=message):
-        modelfile.loads(text)
+        modelfile.canonicalize(json.loads(text))
     p = tmp_path / "model.json"
     p.write_text(text)
     assert cli.main(["validate", str(p)]) == 2
@@ -215,7 +218,7 @@ def test_number_with_a_fractional_part_is_not_an_index(tmp_path, capsys, where, 
     # int() would truncate these to the valid model's dim 3 and index 0
     text = _with_number(where, value)
     with pytest.raises(ModelFileError, match=message):
-        modelfile.loads(text)
+        modelfile.canonicalize(json.loads(text))
     p = tmp_path / "model.json"
     p.write_text(text)
     assert cli.main(["validate", str(p)]) == 2
@@ -225,7 +228,8 @@ def test_number_with_a_fractional_part_is_not_an_index(tmp_path, capsys, where, 
 @pytest.mark.parametrize("where, value", [("dim", 3.0), ("bracket", 0.0)])
 def test_integral_float_is_an_index(where, value):
     expected = modelfile.dumps(zoo.builtin("solv3-f4").doc())
-    assert modelfile.dumps(modelfile.loads(_with_number(where, value))) == expected
+    doc = modelfile.canonicalize(json.loads(_with_number(where, value)))
+    assert modelfile.dumps(doc) == expected
 
 
 @pytest.mark.parametrize("token", [True, False, np.True_, np.False_])

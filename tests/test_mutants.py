@@ -1,7 +1,8 @@
 """``scripts/mutants.py``, the mutation survey of the curvature, SvK,
-horizontal/vertical and structure code and of the sectional checks: every mutant it makes
-is valid Python (it parses each one) that differs from its file in one
-line, and each has a key of its own.  The survey itself runs outside these
+horizontal/vertical, structure, Lie algebra and scalar kernel code and of
+the sectional checks: every mutant it makes is valid Python (it parses each
+one) that differs from its file in one line, each has a key of its own, and
+every target file is mutated.  The survey itself runs outside these
 tests."""
 import importlib.util
 import sys
@@ -25,6 +26,10 @@ def found():
 
 def test_each_mutant_changes_one_line_of_its_target(found):
     assert {m.kind for m, _ in found} == {"sign", "unary", "einsum"}
+    assert {m.file for m, _ in found} == {
+        f"src/bcontact/{name}.py"
+        for name in ("curvature", "svk", "hv", "structure", "liegroup", "scalars", "checks")
+    }
     assert len({m.key for m, _ in found}) == len(found)
     for m, mutated in found:
         original = (ROOT / m.file).read_text().splitlines()
