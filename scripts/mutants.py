@@ -29,6 +29,12 @@ of the checkout that holds the mutant:
   ``test_structure.py``, ``test_liegroup.py``, ``test_scalar_kernel.py``
   and ``test_tensor.py``; the mutant is killed when a test fails.
 
+Both oracles first run once on an unmutated copy, within ``SUITE_TIMEOUT``
+and ``TESTS_TIMEOUT`` seconds.  When either fails or times out there, the
+script names it and exits 1 without running a mutant, since every mutant
+would read killed.  A mutant's run of an oracle times out at
+``TIMEOUT_FACTOR`` times that oracle's unmutated run.
+
 The script prints the survivors of each oracle and the counts.  ``--out``
 writes every mutant with its verdicts as JSON.  ``--compare`` reads such a
 file from another checkout and names each mutant of the code both share
@@ -47,6 +53,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -69,7 +76,10 @@ TESTS = [
     "tests/test_scalar_kernel.py", "tests/test_tensor.py",
 ]
 EINSUM_SPEC = re.compile(r"^[a-z]+(,[a-z]+)*->[a-z]*$")
+# the run of an oracle on the unmutated code times out at these seconds,
+# and a mutant's run at TIMEOUT_FACTOR times that unmutated run
 SUITE_TIMEOUT, TESTS_TIMEOUT = 120, 600
+TIMEOUT_FACTOR = 10
 
 # failing checks per entry that differ from the frozen ones, as JSON
 SUITE_ORACLE = """
@@ -183,6 +193,9 @@ def mutants(root: Path) -> list[tuple[Mutant, str]]:
         tree = ast.parse(source)
         first, last = _region(source, bounds)
         owner = _functions(tree)
+        # the lines of each top-level statement, decorators included
+        spans = [(min([n.lineno] + [d.lineno for d in getattr(n, "decorator_list", [])]), n.end_lineno)
+                 for n in tree.body]
         seen = Counter()
         edits = sorted(set(_edits(tree, lines)))
         for kind, row, col, old, new in edits:
@@ -192,7 +205,10 @@ def mutants(root: Path) -> list[tuple[Mutant, str]]:
             assert text[col:col + len(old)] == old, (file, row, col, old)
             changed = text[:col] + new + text[col + len(old):]
             mutated = "".join(lines[: row - 1]) + changed + "".join(lines[row:])
-            ast.parse(mutated)  # every mutant is valid Python
+            # every mutant is valid Python: the statement that holds the
+            # changed line parses, and the others are those of the file
+            start, end = next(span for span in spans if span[0] <= row <= span[1])
+            ast.parse("".join(lines[start - 1: row - 1]) + changed + "".join(lines[row:end]))
             m = Mutant(file, owner.get(row, "<module>"), kind, row, text.strip(), changed.strip())
             base = f"{file}|{m.before}|{m.after}"
             m.key = f"{base}|{seen[base]}"
@@ -208,7 +224,7 @@ def _copy(root: Path, into: Path) -> Path:
     return into
 
 
-def _run(cmd, cwd: Path, timeout: int):
+def _run(cmd, cwd: Path, timeout: float):
     env = {**os.environ, "PYTHONPATH": str(cwd / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
@@ -216,8 +232,8 @@ def _run(cmd, cwd: Path, timeout: int):
         return None
 
 
-def _suite(copy: Path) -> str:
-    proc = _run([sys.executable, "-c", SUITE_ORACLE], copy, SUITE_TIMEOUT)
+def _suite(copy: Path, timeout: float) -> str:
+    proc = _run([sys.executable, "-c", SUITE_ORACLE], copy, timeout)
     if proc is None:
         return "killed: timeout"
     if proc.returncode != 0:
@@ -229,9 +245,9 @@ def _suite(copy: Path) -> str:
     return "survived"
 
 
-def _tests(copy: Path) -> str:
+def _tests(copy: Path, timeout: float) -> str:
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
-    proc = _run(cmd, copy, TESTS_TIMEOUT)
+    proc = _run(cmd, copy, timeout)
     if proc is None:
         return "killed: timeout"
     if proc.returncode == 0:
@@ -240,12 +256,36 @@ def _tests(copy: Path) -> str:
     return "killed: " + (failed[0] if failed else f"exit {proc.returncode}")[:200]
 
 
+class BaselineError(Exception):
+    """An oracle fails on the unmutated code, so it would kill every mutant."""
+
+
+def _timeouts(copy: Path) -> dict[str, float]:
+    """Each oracle's timeout for a mutant: ``TIMEOUT_FACTOR`` times its run
+    on the unmutated ``copy``, which times out at ``SUITE_TIMEOUT`` or
+    ``TESTS_TIMEOUT``.  An oracle that fails there, or times out, raises
+    BaselineError naming it."""
+    out = {}
+    for name, oracle, limit in (("suite", _suite, SUITE_TIMEOUT), ("tests", _tests, TESTS_TIMEOUT)):
+        start = time.monotonic()
+        verdict = oracle(copy, limit)
+        if verdict != "survived":
+            raise BaselineError(f"the {name} oracle fails on the unmutated code ({verdict})")
+        out[name] = TIMEOUT_FACTOR * (time.monotonic() - start)
+    return out
+
+
 def survey(root: Path, jobs: int) -> list[Mutant]:
-    todo = mutants(root)
+    """Every mutant of ``root`` with its verdicts, after both oracles passed
+    on the unmutated code (else BaselineError, and no mutant runs)."""
     with tempfile.TemporaryDirectory() as tmp:
         copies = queue.Queue()
         for j in range(jobs):
             copies.put(_copy(root, Path(tmp) / str(j)))
+        first = copies.get()
+        timeouts = _timeouts(first)
+        copies.put(first)
+        print(f"timeouts: suite {timeouts['suite']:.0f} s, tests {timeouts['tests']:.0f} s", file=sys.stderr)
 
         def run(item):
             m, mutated = item
@@ -254,7 +294,7 @@ def survey(root: Path, jobs: int) -> list[Mutant]:
             original = target.read_text()
             try:
                 target.write_text(mutated)
-                m.suite, m.tests = _suite(copy), _tests(copy)
+                m.suite, m.tests = _suite(copy, timeouts["suite"]), _tests(copy, timeouts["tests"])
             finally:
                 target.write_text(original)
                 copies.put(copy)
@@ -262,7 +302,7 @@ def survey(root: Path, jobs: int) -> list[Mutant]:
             return m
 
         with ThreadPoolExecutor(jobs) as pool:
-            return list(pool.map(run, todo))
+            return list(pool.map(run, mutants(root)))
 
 
 def _killed(m: dict) -> bool:
@@ -300,7 +340,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="write every mutant and its verdicts here")
     parser.add_argument("--compare", type=Path, help="a --out file of another checkout")
     args = parser.parse_args(argv)
-    found = [asdict(m) for m in survey(ROOT, max(1, args.jobs))]
+    try:
+        found = [asdict(m) for m in survey(ROOT, max(1, args.jobs))]
+    except BaselineError as exc:
+        print(f"mutants: {exc}; no mutant was run", file=sys.stderr)
+        return 1
     if args.out:
         args.out.write_text(json.dumps(found, indent=1) + "\n")
     old = json.loads(args.compare.read_text()) if args.compare else None

@@ -375,9 +375,6 @@ def main(argv=None) -> int:
     except DegeneratePlaneError as exc:
         print(f"degenerate plane: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except zoo.UnknownEntryError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ArithmeticError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

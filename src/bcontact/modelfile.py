@@ -34,9 +34,13 @@ def _exact_scalar(tok) -> Fraction:
 
 def _index(tok) -> int:
     """An integer entry (``dim`` or a bracket index); a boolean is none, and
-    so is a number with a fractional part (3.0 is 3, 3.7 is not 3)."""
+    so is a number with a fractional part (3.0 is 3, 3.7 is not 3) and a
+    string with a non-ASCII character (``int`` reads other scripts' digits,
+    as ``scalars.exact`` says)."""
     if isinstance(tok, (bool, np.bool_)):
         raise TypeError("a boolean is not an integer")
+    if isinstance(tok, str) and not tok.isascii():
+        raise ValueError("non-ASCII character in an integer")
     if isinstance(tok, (float, np.floating)) and not float(tok).is_integer():
         raise ValueError(f"{tok!r} is not an integer")
     return int(tok)

@@ -46,16 +46,19 @@ into one result entry, a bound that holds for every stage as well; a
 combination when sum_t |k_t| M_t <= 2**63 - 1, k_t being the integer
 factor of term t.  Any other call runs over Python ints, the exact path
 that has no bound.  An exact contraction's spec has an explicit output and
-no ellipsis.  M = 0 proves an array zero: a contraction with such an
-operand, and a combination of such terms alone, return a zero result at
-once, with no contraction, sum or scan, and a combination leaves such
-terms out.  Every exact zero the kernel returns, so made or summed, is
-``ZERO`` when 0-d, else the one read-only array of ``ZERO`` entries of its
-shape (``_zero``).  Each call reads its operands, a scalar one as a 0-d
-array, in one pass that decides the backend and scales them.  A scaled
-form is kept while its array lives for a kernel result (born read-only,
-owning its memory), a read-only array that owns its memory, and a
-transpose ``einsum`` takes of either; any other view is scaled afresh.
+no ellipsis, and its operands give each label one length in every term;
+the terms of an exact combination have one shape.  Where numpy would
+stretch a length of 1, the exact kernel raises ValueError.  M = 0 proves
+an array zero: a contraction with such an operand, and a combination of
+such terms alone, return a zero result at once, with no contraction, sum
+or scan, and a combination leaves such terms out.  Every exact zero the
+kernel returns, so made or summed, is ``ZERO`` when 0-d, else the one
+read-only array of ``ZERO`` entries of its shape (``_zero``).  Each call
+reads its operands, a scalar one as a 0-d array, in one pass that decides
+the backend and scales them.  A scaled form is kept while its array lives
+for a kernel result (born read-only, owning its memory), a read-only array
+that owns its memory, and a transpose ``einsum`` takes of either; any
+other view is scaled afresh.
 Each call looks an operand's kept form up once (``_scaled``).  So the next
 kernel call, ``zero_test``, ``zero_rows`` and ``residual`` read a result's
 integers: a rational verdict and worst index are exact, and a residual is
@@ -345,24 +348,19 @@ def _plan(spec: str, shapes: tuple) -> tuple[bool, int, tuple]:
     leaves out), the number K of products it sums into one entry of its
     result (the product of the lengths of the summed labels), and the shape
     of its result.  The exact kernel's grammar is an explicit output and no
-    ellipsis: any other spec raises ValueError naming it, and shapes that do
-    not fit the spec raise numpy's own error."""
+    ellipsis, and each label has one length in every term: any other spec,
+    or shapes that do not fit it, raise ValueError naming the spec."""
     inputs, arrow, output = spec.replace(" ", "").partition("->")
     if not arrow or "." in spec:
         raise ValueError(f"an exact contraction needs an explicit output and no ellipsis, got {spec!r}")
     terms = inputs.split(",")
     sizes, fits = {}, len(terms) == len(shapes) and len(set(output)) == len(output)
     for term, shape in zip(terms, shapes):
-        pairs = set(zip(term, shape))
-        # a label has one length in a term, and numpy stretches a length of
-        # 1 to the length the label has in the other terms
-        fits = fits and len(term) == len(shape) and len(pairs) == len(set(term))
-        for c, k in pairs:
-            fits = fits and (k == 1 or sizes.get(c, 1) in (1, k))
-            sizes[c] = max(k, sizes.get(c, 0))
+        fits = fits and len(term) == len(shape)
+        for c, k in zip(term, shape):
+            fits = fits and sizes.setdefault(c, k) == k
     if not (fits and set(output) <= sizes.keys()):
-        # numpy's error, from operands of these shapes that hold no memory
-        np.einsum(spec, *(np.broadcast_to(0, s) for s in shapes))
+        raise ValueError(f"operands of shapes {list(shapes)} do not fit the exact contraction {spec!r}")
     summed = [k for c, k in sizes.items() if c not in output]
     return bool(summed), math.prod(summed), tuple(sizes[c] for c in output)
 
@@ -443,11 +441,13 @@ def einsum(spec: str, *operands: np.ndarray):
     carries its scaled form (see ``_rebuild``).  A read-only operand that
     owns its memory is scaled once in its lifetime (see ``_scaled``), and
     ``combine`` adds exact arrays on the same scaled integers.  A rational
-    spec has an explicit output and no ellipsis, and its operands' shapes
-    fit it (``_plan``), so an operand with M = 0 ends the call at once: the
-    result is ``_zero``'s, and no later operand is scaled.  A single
-    rational operand that is summed over (a trace) takes the same integer
-    path; one that is not (a transpose, a diagonal) is numpy's view of it.
+    spec has an explicit output and no ellipsis, and its operands give each
+    label one length in every term (no length of 1 is stretched), or the
+    call raises ValueError naming the spec (``_plan``); so an operand with
+    M = 0 ends the call at once: the result is ``_zero``'s, and no later
+    operand is scaled.  A single rational operand that is summed over (a
+    trace) takes the same integer path; one that is not (a transpose, a
+    diagonal) is numpy's view of it.
     An operand may be a scalar of the backend (a ``Fraction`` or a float),
     read as a 0-d array.  A float call is numpy's own, of any spec numpy
     reads, and one of one or two operands is a single ``np.einsum`` call.
@@ -507,23 +507,23 @@ def einsum(spec: str, *operands: np.ndarray):
 
 
 def combine(coefficients, arrays):
-    """sum_t c_t a_t of scalar coefficients and (broadcastable) arrays, added
-    left to right.
+    """sum_t c_t a_t of scalar coefficients and arrays, added left to right.
 
     A coefficient is an int or a ``Fraction`` in either mode, or a float in
     float mode.  In float mode this is numpy's ``c_0 a_0 + c_1 a_1 + ...``,
-    where a coefficient of 1 adds and one of -1 subtracts its array, and a
-    ``Fraction`` coefficient is its nearest float.  In rational mode the
-    arrays are scaled to integers (read-only ones once, see ``_scaled``),
-    added over the least common multiple of the terms' denominators, and the
-    ``Fraction`` entries are built once at the end; a 0-d result is a
-    ``Fraction``, an array result is read-only and carries its scaled form.
-    The integers are added in int64 when sum_t |k_t| M_t <= 2**63 - 1, for
-    k_t the integer factor of term t and M_t the largest absolute numerator
-    of its array, and as Python ints otherwise.  A term with M = 0 is left
-    out, and with every term so the result is ``_zero``'s, of the shape of
-    all the terms.  A term may be a scalar of the backend, read as a 0-d
-    array.
+    broadcasting included, where a coefficient of 1 adds and one of -1
+    subtracts its array, and a ``Fraction`` coefficient is its nearest
+    float.  In rational mode the arrays have one shape, and two shapes raise
+    ValueError naming them; they are scaled to integers (read-only ones
+    once, see ``_scaled``), added over the least common multiple of the
+    terms' denominators, and the ``Fraction`` entries are built once at the
+    end; a 0-d result is a ``Fraction``, an array result is read-only and
+    carries its scaled form.  The integers are added in int64 when
+    sum_t |k_t| M_t <= 2**63 - 1, for k_t the integer factor of term t and
+    M_t the largest absolute numerator of its array, and as Python ints
+    otherwise.  A term with M = 0 is left out, and with every term so the
+    result is ``_zero``'s.  A term may be a scalar of the backend, read as a
+    0-d array.
     """
     if len(coefficients) != len(arrays) or not len(arrays):
         raise ValueError("combine needs one coefficient per array, and at least one array")
@@ -533,7 +533,8 @@ def combine(coefficients, arrays):
     # term's integer factor p, denominator q d, integers and M, the bound
     # sum |p| M, which is the int64 bound when every q d is the same, and
     # whether any integers are Python ints
-    ks, dens, ns, ms, zero_shapes, bound, wide = [], [], [], [], [], 0, False
+    ks, dens, ns, ms, bound, wide = [], [], [], [], 0, False
+    shape = getattr(arrays[0], "shape", ())
     for c, a in zip(coefficients, arrays):
         try:
             dtype = a.dtype
@@ -541,6 +542,8 @@ def combine(coefficients, arrays):
             dtype = (a := np.asarray(a)).dtype
         if dtype != _OBJECT:
             return _float_sum(coefficients, arrays)
+        if a.shape != shape:
+            raise ValueError(f"an exact combination takes terms of one shape, got {shape} and {a.shape}")
         if type(c) is int:
             p, q = c, 1
         else:
@@ -551,7 +554,6 @@ def combine(coefficients, arrays):
             p, q = int(c.numerator), int(c.denominator)
         n, d, m = _scaled(a)
         if not m:  # an all-zero term adds nothing, whatever its coefficient
-            zero_shapes.append(a.shape)
             continue
         ks.append(p)
         dens.append(q * d)
@@ -560,7 +562,7 @@ def combine(coefficients, arrays):
         bound += abs(p) * m
         wide = wide or n.dtype == _OBJECT
     if not ns:
-        return _zero(np.broadcast_shapes(*zero_shapes))
+        return _zero(shape)
     den = dens[0]
     if dens.count(den) != len(dens):
         den = math.lcm(*dens)
@@ -574,11 +576,6 @@ def combine(coefficients, arrays):
             out = n if k == 1 else n * k
         else:
             out = out + n if k == 1 else out - n if k == -1 else out + n * k
-    for s in zero_shapes:
-        if s != out.shape:
-            # the result has the shape of every term, the zero ones included
-            out = np.broadcast_to(out, np.broadcast_shapes(out.shape, *zero_shapes))
-            break
     return _rebuild(out, den)
 
 

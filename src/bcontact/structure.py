@@ -82,6 +82,8 @@ class ACBStructure:
     def __post_init__(self):
         if self.dim % 2 == 0:
             raise ValueError("almost contact structures need odd dimension")
+        if self.dim < 3:
+            raise ValueError(f"almost contact structures need dimension 3 or more, got {self.dim}")
         phi = scalars.freeze(self.phi)  # scaled once for phi o phi
         object.__setattr__(self, "phi2", scalars.einsum("ij,jk->ik", phi, phi))
         scalars.freeze(self)

@@ -70,6 +70,17 @@ def files(tmp_path_factory):
     return paths
 
 
+@pytest.mark.parametrize("command", ["validate", "classify", "report", "verify", "curvature"])
+def test_a_model_of_dimension_one_is_an_input_error(tmp_path, command):
+    # n = 0: the classifier would divide by 2n
+    doc = {"format": modelfile.FORMAT, "dim": 1, "phi": [["0"]], "xi": ["1"], "eta": ["1"], "g": [["1"]]}
+    p = tmp_path / "dim1.json"
+    p.write_text(json.dumps(doc))
+    proc = run_cli(command, str(p))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "input error: almost contact structures need dimension 3 or more, got 1" in proc.stderr
+
+
 def test_validate_ok(files):
     proc = run_module("validate", files["abelian3"])
     assert proc.returncode == 0

@@ -2,16 +2,44 @@
 while models are verified: every function it wraps still exists, so no
 count reads 0 because its target was renamed, and it counts a dim-3 entry,
 its exact zeros, the outermost calls of its entry points, their calls of
-themselves (none) and a forced fall-back to Python ints."""
+themselves (none) and a forced fall-back to Python ints.  The counts of the
+default model set are pinned, so that a lost memo, zero rule, shared
+``Fraction`` or int64 path shows as a changed count, and so are those of
+single calls: what each kind of operand costs in scalings, and when a sum
+leaves int64."""
 import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from bcontact import scalars, zoo
 from bcontact.scalars import FLOAT, RATIONAL
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "kernel_counts.py"
+
+# the counts of the default set (the curated zoo and random_structure(5, n)
+# for n = 1, 2), with an empty table of shared Fractions
+DEFAULT_COUNTS = {
+    "failed_checks": [],
+    "rebuild_calls": 5676,
+    "fractions_built": {
+        "total": 8582, "_fraction": 1769, "_rebuild": 171, "array": 4830, "diagonalize": 978, "exact": 834,
+    },
+    "scale_calls": 1274,
+    "scaled_entries": 21637,
+    "widen_callers": {"checks.py:_minus": 2, "curvature.py:formula": 7},
+    "zero_results": {"total": 2991, "einsum": 1520, "combine": 1471},
+    "entry_calls": {
+        "total": 12033, "einsum": 5940, "combine": 3953, "divide_rows": 117, "zero_test": 878,
+        "verdict": 806, "is_zero": 294, "zero_rows": 45,
+    },
+    "reentries": {
+        "total": 0, "einsum": 0, "combine": 0, "divide_rows": 0, "zero_test": 0, "verdict": 0,
+        "is_zero": 0, "zero_rows": 0,
+    },
+}
 
 
 def _script():
@@ -89,3 +117,68 @@ def test_a_scalar_operand_makes_no_reentry():
         assert {k: n for k, n in counts.items() if k.startswith(("entry:", "reentry:"))} == {
             "entry:einsum": 1, "entry:combine": 1,
         }, mode
+
+
+def test_counts_of_the_default_model_set(monkeypatch):
+    monkeypatch.setattr(scalars, "_FRACTIONS", {})
+    out = _script().count(zoo.all_entries() + [zoo.random_structure(5, n) for n in (1, 2)])
+    del out["models"]
+    assert out == DEFAULT_COUNTS
+
+
+def _counted(script, *calls):
+    with script.counting() as counts:
+        for call in calls:
+            call()
+    return counts
+
+
+def test_counts_of_single_kernel_calls():
+    script = _script()
+
+    def rat(nested):
+        return scalars.array(nested, RATIONAL)
+
+    def scalings(*calls):
+        return _counted(script, *calls)["scale_calls"]
+
+    def widened(*calls):
+        return sum(n for k, n in _counted(script, *calls).items() if k.startswith("widen:"))
+
+    # a frozen array is scaled once, also when the kernel transposes it
+    a = scalars.freeze(rat([["1/2", "1/3", 0], ["-2/7", 5, "3/4"]]))
+    v = scalars.freeze(rat(["1/5", -1, 2]))
+    assert scalings(
+        lambda: scalars.einsum("ij,j->i", a, v),
+        lambda: scalars.einsum("ij,j->i", a, v),
+        lambda: scalars.combine([1, 1], [scalars.einsum("ij->ji", a), scalars.einsum("ij->ji", a)]),
+        lambda: scalars.einsum("ij,jk->ik", a, scalars.einsum("ij->ji", a)),
+    ) == 2
+    # a kernel result, its kernel transpose and a transpose of that: never
+    r = scalars.einsum("ij,kj->ik", a, a)
+    t = scalars.einsum("ij->ji", r)
+    assert scalings(
+        lambda: scalars.combine([1, Fraction(-1, 2)], [r, t]),
+        lambda: scalars.einsum("ij,jk->ik", r, r),
+        lambda: scalars.residual(r),
+        lambda: scalars.zero_test([scalars.einsum("ij->ji", t)], 0.0),
+    ) == 0
+    # a writable array: at each use
+    w = rat([["1/2", "1/3", 0], ["-2/7", 5, "3/4"]])
+    assert scalings(lambda: scalars.einsum("ij,j->i", w, v), lambda: scalars.einsum("ij,j->i", w, v)) == 2
+    # each product fits int64, the sum of two does not
+    big = scalars.freeze(rat([3037000499, 3037000499]))
+    assert widened(lambda: scalars.einsum("i,i->i", big, big)) == 0
+    assert widened(lambda: scalars.einsum("i,i->", big, big)) == 1
+    # an all-zero term adds nothing to the bound, whatever its coefficient
+    zero = scalars.freeze(scalars.zeros((2,), RATIONAL))
+    assert widened(lambda: scalars.combine([2**70, 1, -(2**80)], [zero, v[:2], zero])) == 0
+    # the bound 4 r^3 of a staged contraction, on either side of 2**63 - 1
+    edge = 1 + round(((2**63 - 1) / 4) ** (1 / 3))
+    while 4 * edge**3 > 2**63 - 1:
+        edge -= 1
+    for value, n in ((edge, 0), (edge + 1, 1)):
+        operands = [scalars.freeze(rat(np.full(shape, value))) for shape in ((1, 2), (2, 2), (2, 1))]
+        assert widened(lambda: scalars.einsum("ij,jk,kl->il", *operands)) == n
+    # a whole rational run on a dim-5 model stays on int64
+    assert script.count([zoo.builtin("solv5-f1")])["widen_callers"] == {}

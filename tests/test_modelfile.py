@@ -225,6 +225,20 @@ def test_number_with_a_fractional_part_is_not_an_index(tmp_path, capsys, where, 
     assert f"input error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where, value, message",
+    [("dim", "\u0663", "missing or bad 'dim'"), ("bracket", "\u0660", "bad bracket entry")],
+)
+def test_non_ascii_index_is_an_input_error(tmp_path, capsys, where, value, message):
+    # int() reads other scripts' digits: these would load as dim 3 and index 0
+    p = tmp_path / "model.json"
+    p.write_text(_with_number(where, value))
+    with pytest.raises(ModelFileError, match=message):
+        modelfile.load_model(str(p), RATIONAL, 1e-9)
+    assert cli.main(["validate", str(p)]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where, value", [("dim", 3.0), ("bracket", 0.0)])
 def test_integral_float_is_an_index(where, value):
     expected = modelfile.dumps(zoo.builtin("solv3-f4").doc())

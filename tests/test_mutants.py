@@ -1,9 +1,10 @@
 """``scripts/mutants.py``, the mutation survey of the curvature, SvK,
 horizontal/vertical, structure, Lie algebra and scalar kernel code and of
-the sectional checks: every mutant it makes is valid Python (it parses each
-one) that differs from its file in one line, each has a key of its own, and
-every target file is mutated.  The survey itself runs outside these
-tests."""
+the sectional checks: every mutant it makes is valid Python (it parses the
+statement each one changes) that differs from its file in one line, each
+has a key of its own, and every target file is mutated; and an oracle that
+fails on the unmutated code stops the survey before any mutant runs.  The survey itself runs
+outside these tests."""
 import importlib.util
 import sys
 from collections import Counter
@@ -16,12 +17,17 @@ SCRIPT = ROOT / "scripts" / "mutants.py"
 
 
 @pytest.fixture(scope="module")
-def found():
+def script():
     spec = importlib.util.spec_from_file_location("mutants", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclass looks its module up
     spec.loader.exec_module(module)
-    return module.mutants(ROOT)
+    return module
+
+
+@pytest.fixture(scope="module")
+def found(script):
+    return script.mutants(ROOT)
 
 
 def test_each_mutant_changes_one_line_of_its_target(found):
@@ -43,3 +49,23 @@ def test_checks_is_mutated_only_in_its_sectional_part(found):
     assert per_function and set(per_function) <= {
         "sample_planes", "check_sectional_curvature", "_sectional_checks",
     }
+
+
+@pytest.mark.parametrize("failing", ["suite", "tests"])
+def test_a_failing_baseline_runs_no_mutant(script, monkeypatch, capsys, failing):
+    runs = []
+
+    def oracle(name):
+        def run(copy, timeout):
+            runs.append((name, timeout))
+            return "killed: planted" if name == failing else "survived"
+        return run
+
+    monkeypatch.setattr(script, "_suite", oracle("suite"))
+    monkeypatch.setattr(script, "_tests", oracle("tests"))
+    monkeypatch.setattr(script, "mutants", lambda root: pytest.fail("a mutant was made"))
+    monkeypatch.setattr(script, "ROOT", ROOT)
+    assert script.main([]) == 1
+    assert f"the {failing} oracle fails on the unmutated code" in capsys.readouterr().err
+    limits = [("suite", script.SUITE_TIMEOUT), ("tests", script.TESTS_TIMEOUT)]
+    assert runs == limits[: 1 if failing == "suite" else 2]

@@ -1,24 +1,21 @@
-"""The scalar kernel: ``scalars.einsum``, the one contraction path,
-``scalars.combine``, its linear combinations, the memo of scaled read-only
-arrays (kernel results are born in it), the exact-zero shortcut of
-``scalars.zero_test``, the exact zero that an all-zero operand or term makes
-of a rational call, and ``scalars.zero_rows``, the zero test of a stack.
+"""The scalar kernel through its contract: ``scalars.einsum``,
+``scalars.combine``, ``scalars.divide_rows``, the zero tests and
+``scalars.zero_rows``.
 
-A rational contraction of two or more operands, and a rational linear
-combination, run over integers scaled by a common denominator (int64 where a
-bound proves the sums fit, Python ints otherwise) and must give exactly what
-numpy gives over ``Fraction`` objects, on both sides of that bound; a
-rational zero test decides on those integers.  A float contraction of one or
-two operands is numpy's own call; one of three or more runs in pairwise
-stages, bit for bit with numpy's one call on integer-valued operands and
-within the rounding bound of its sums otherwise.  A float combination is
-numpy's own sum.  A float zero
-test fails a non-finite residual and ignores NaN context entries, and a
-float stack is decided in one numpy pass that gives the per-row verdicts,
-with no per-row ``zero_test``.  ``ast`` guards
-keep every contraction of the library on this path, every lowering of an
-upper index by a metric in ``tensor.lower_out``, and every zero test of a
-stack of planes or rows in ``zero_rows``.
+A rational call gives exactly what numpy gives over ``Fraction`` objects,
+whatever kind of operand the library hands it (``KINDS``) and on both sides
+of the int64 bound of its integer path; its array result is read-only, owns
+its memory, shares one ``Fraction`` between equal entries, is ``ZERO``
+wherever it is 0, is the one zero of its shape when all-zero, and the zero
+tests read it exactly.  A rational contraction has an explicit output and
+gives each label one length, and a rational combination takes terms of one
+shape.  A float call is numpy's own (a contraction of three or more
+operands in pairwise stages, bit for bit on integer-valued operands and
+within the rounding bound of its sums otherwise), and a float zero test
+follows its plain rule.  ``ast`` guards keep every contraction on this
+path, every lowering in ``tensor.lower_out`` and every zero test of a stack
+in ``zero_rows``.  How much work the kernel does is counted in
+``test_kernel_counts.py``.
 """
 import ast
 import dataclasses
@@ -27,6 +24,7 @@ import math
 import operator
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import ClassVar
@@ -41,9 +39,10 @@ from bcontact import scalars, zoo
 from bcontact.checks import run_checks
 from bcontact.liegroup import LieAlgebra
 from bcontact.tensor import Metric, lower_out
-from bcontact.scalars import FLOAT, RATIONAL, _INT64_MAX
+from bcontact.scalars import FLOAT, RATIONAL
 
 SRC = Path(bcontact.__file__).resolve().parent
+INT64_MAX = 2**63 - 1
 
 LETTERS = "ijklm"
 
@@ -76,16 +75,49 @@ edge_values = st.builds(
     st.integers(min_value=1, max_value=3),
 )
 
+# the kinds of operand the library hands the kernel, in each mode
+KINDS = ("fresh", "frozen", "frozen view", "result", "transpose", "view", "zero", "kept zero", "scalar")
+FLOAT_KINDS = ("fresh", "frozen", "frozen view", "view", "zero", "scalar")
+
+
+def _as_kind(a, kind):
+    """The fresh array ``a`` as an operand of ``kind``, with its values
+    (zeros for a zero kind): ``a`` itself, ``a`` frozen, a reversed view of
+    a frozen array, a kernel result, the kernel's transpose of a kernel
+    result, a read-only view of ``a``, which stays writable, a writable
+    zero, the kernel's zero, or the scalar of a 0-d ``a`` (a ``Fraction``,
+    or a numpy float)."""
+    if kind == "frozen":
+        return scalars.freeze(a)
+    if kind == "frozen view" and a.ndim:
+        return scalars.freeze(a[::-1].copy())[::-1]
+    if kind == "result":
+        return scalars.combine([1], [a])
+    if kind == "transpose" and a.ndim > 1:
+        labels = LETTERS[: a.ndim]
+        return scalars.einsum(f"{labels}->{labels[::-1]}", scalars.combine([1], [a.T.copy()]))
+    if kind == "view":
+        view = a.view()
+        view.setflags(write=False)
+        return view
+    if kind == "zero":
+        return scalars.zeros(a.shape, scalars.mode_of(a))
+    if kind == "kept zero":
+        return scalars.combine([1, -1], [a, a])
+    if kind == "scalar" and not a.ndim:
+        return Fraction(a[()]) if a.dtype == object else a[()]
+    return a
+
 
 @st.composite
-def contractions(draw, values=values, min_operands=1, max_operands=4):
+def contractions(draw, values=values, min_operands=1, max_operands=4, mode=RATIONAL):
     """An einsum spec over ``min_operands`` to ``max_operands`` operands, with
-    rational operands of axis lengths 0 to 4 (mixed denominators,
-    integer-valued entries, Python ints) and an explicit output of any rank,
-    0-d included, the exact kernel's grammar.  Labels are distinct within
-    each term in about half of the draws, so that a spec of three or more
-    operands is often one the kernel stages, summing in another order than
-    numpy's one call."""
+    operands of axis lengths 0 to 4 (mixed denominators, integer-valued
+    entries, Python ints), each of a drawn kind of ``mode``, and an explicit
+    output of any rank, 0-d included, the exact kernel's grammar.  Labels
+    are distinct within each term in about half of the draws, so that a
+    spec of three or more operands is often one the kernel stages, summing
+    in another order than numpy's one call."""
     sizes = {c: draw(st.integers(min_value=0, max_value=4)) for c in LETTERS}
     unique = draw(st.booleans())
     terms = draw(st.lists(
@@ -100,7 +132,10 @@ def contractions(draw, values=values, min_operands=1, max_operands=4):
         shape = tuple(sizes[c] for c in t)
         n = math.prod(shape)
         entries = draw(st.lists(values, min_size=n, max_size=n))
-        operands.append(_object_array(entries, shape))
+        a = _object_array(entries, shape)
+        if mode == FLOAT:
+            a = a.astype(np.float64)
+        operands.append(_as_kind(a, draw(st.sampled_from(KINDS if mode == RATIONAL else FLOAT_KINDS))))
     return spec, operands
 
 
@@ -149,18 +184,18 @@ def _assert_einsum_is_exact(spec, operands):
         assert got == expected
         if len(operands) >= 2:
             assert type(got) is Fraction
+            assert got or got is scalars.ZERO
         return
     assert got.dtype == object and got.shape == expected.shape
     assert all(g == e for g, e in zip(got.flat, expected.flat))
     # every rational call of two or more operands runs on the integer kernel,
-    # and its result is born scaled
+    # and gives a kernel result
     if len(operands) >= 2:
-        assert all(type(x) is Fraction for x in got.flat)
-        _assert_born_scaled(got)
+        _assert_kernel_result(got, operands)
 
 
 def _float_operands(operands):
-    return [a.astype(np.float64) for a in operands]
+    return [np.asarray(a, dtype=np.float64) for a in operands]
 
 
 def _assert_bit_for_bit(spec, operands):
@@ -172,20 +207,20 @@ def _assert_bit_for_bit(spec, operands):
     assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
-@given(contractions(max_operands=2))
+@given(contractions(max_operands=2, mode=FLOAT))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_float_einsum_of_one_or_two_operands_is_numpy_bit_for_bit(case):
     spec, operands = case
-    _assert_bit_for_bit(spec, _float_operands(operands))
+    _assert_bit_for_bit(spec, operands)
 
 
-@given(contractions(integers, min_operands=3))
+@given(contractions(integers, min_operands=3, mode=FLOAT))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_float_einsum_of_integers_is_numpy_bit_for_bit(case):
     # every product and partial sum of integers this small is exact in
     # float64, so the order of the stages does not show
     spec, operands = case
-    _assert_bit_for_bit(spec, _float_operands(operands))
+    _assert_bit_for_bit(spec, operands)
 
 
 def _gamma(n: int) -> Fraction:
@@ -194,7 +229,7 @@ def _gamma(n: int) -> Fraction:
     return n * u / (1 - n * u)
 
 
-@given(contractions(min_operands=3))
+@given(contractions(min_operands=3, mode=FLOAT))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_float_einsum_of_three_or_more_operands_is_within_its_rounding_bound(case):
     # An entry is a sum of K products of p operand entries.  numpy's one
@@ -207,14 +242,15 @@ def test_float_einsum_of_three_or_more_operands_is_within_its_rounding_bound(cas
     # their absolute values (Higham, Accuracy and Stability of Numerical
     # Algorithms, 2nd ed., ch. 3): the staged and the one-call results
     # differ by at most 2 gamma_n E.
-    spec, operands = case
-    floats = _float_operands(operands)
+    spec, floats = case
     got = np.asarray(scalars.einsum(spec, *floats))
     numpy = np.asarray(np.einsum(spec, *floats))
     exact = [_object_array([Fraction(x) for x in a.ravel().tolist()], a.shape) for a in floats]
     value = np.asarray(np.einsum(spec, *exact))
     size = np.asarray(np.einsum(spec, *(np.abs(a) for a in exact)))
-    n = scalars._plan(spec, tuple(a.shape for a in floats))[1] + len(floats) - 2
+    # every entry of a contraction of all-ones arrays is its number of terms
+    ones = np.einsum(spec, *(np.ones(a.shape, dtype=np.int64) for a in floats))
+    n = int(np.max(ones, initial=0)) + len(floats) - 2
     assert got.shape == numpy.shape == value.shape and got.dtype == np.float64
     for g, v, e in zip(got.ravel().tolist(), value.ravel().tolist(), size.ravel().tolist()):
         assert abs(Fraction(g) - v) <= _gamma(n) * e
@@ -282,21 +318,21 @@ def test_a_multi_operand_contraction_runs_in_pairwise_stages(monkeypatch, spec, 
     assert np.array_equal(got, expected)
 
 
-def test_staged_contraction_is_exact_on_both_sides_of_the_int64_bound(monkeypatch):
+def _just_below_the_bound(k: int, p: int) -> int:
+    """The largest r with k * r**p <= 2**63 - 1."""
+    r = 1 + math.floor((INT64_MAX // k) ** (1 / p))
+    while k * r**p > INT64_MAX:
+        r -= 1
+    return r
+
+
+def test_staged_contraction_is_exact_on_both_sides_of_the_int64_bound():
     # K * prod(max(1, M_i)) bounds every stage: with all entries r, the
     # stage "jk,kl->jl" sums 2 r^2 and the result 4 r^3 = K r^3
-    widened = []
-    real = scalars._widen
-    monkeypatch.setattr(scalars, "_widen", lambda ns: widened.append(len(ns)) or real(ns))
-    r = 1 + math.floor((_INT64_MAX // 4) ** (1 / 3))
-    while 4 * r**3 > _INT64_MAX:
-        r -= 1
+    r = _just_below_the_bound(4, 3)
     for v in (r, r + 1):
         a, b, c = (scalars.array(np.full(shape, v), RATIONAL) for shape in ((1, 2), (2, 2), (2, 1)))
-        assert scalars._stages("ij,jk,kl->il") is not None
         assert scalars.einsum("ij,jk,kl->il", a, b, c).tolist() == [[4 * v**3]]
-    # only r + 1, whose bound 4 (r + 1)^3 exceeds 2**63 - 1, takes Python ints
-    assert widened == [3]
 
 
 def test_no_numpy_einsum_outside_scalars():
@@ -504,6 +540,7 @@ def test_every_lowering_is_lower_out():
 coefficients = st.one_of(
     st.sampled_from([1, -1]),
     st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=-5, max_value=5).map(np.int64),
     st.fractions(min_value=-5, max_value=5, max_denominator=9),
 )
 
@@ -511,32 +548,22 @@ coefficients = st.one_of(
 @st.composite
 def combinations(draw, values=values):
     """Coefficients and arrays for ``combine``: up to four rational arrays of
-    axis lengths 0 to 3 that broadcast together (a shape is a suffix of the
-    broadcast shape, with some axes of length 1), each a fresh array, a
-    frozen one, a frozen one's transpose or a reversed view of it."""
-    full = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=3))
+    one shape, of axis lengths 0 to 3, each of a drawn kind."""
+    shape = tuple(draw(st.lists(st.integers(min_value=0, max_value=3), max_size=3)))
     terms = draw(st.integers(min_value=1, max_value=4))
     cs, arrays = [], []
     for _ in range(terms):
-        rank = draw(st.integers(min_value=0, max_value=len(full)))
-        shape = [n if draw(st.booleans()) else 1 for n in full[len(full) - rank:]]
-        view = draw(st.sampled_from(["fresh", "frozen", "transposed", "reversed"]))
-        drawn = shape[::-1] if view == "transposed" else shape
-        entries = draw(st.lists(values, min_size=math.prod(drawn), max_size=math.prod(drawn)))
-        a = _object_array(entries, tuple(drawn))
-        if view != "fresh":
-            scalars.freeze(a)
-        if view == "transposed":
-            a = a.T
-        elif view == "reversed" and a.ndim:
-            a = a[::-1]
+        entries = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+        a = _object_array(entries, shape)
         cs.append(draw(coefficients))
-        arrays.append(a)
+        arrays.append(_as_kind(a, draw(st.sampled_from(KINDS))))
     return cs, arrays
 
 
 def _fraction_sum(cs, arrays):
-    """sum_t c_t a_t in plain ``Fraction`` arithmetic over object arrays."""
+    """sum_t c_t a_t in plain ``Fraction`` arithmetic over object arrays, a
+    numpy integer coefficient read as the Python int it holds."""
+    cs = [int(c) if isinstance(c, np.integer) else c for c in cs]
     total = cs[0] * arrays[0]
     for c, a in zip(cs[1:], arrays[1:]):
         total = total + c * a
@@ -544,11 +571,11 @@ def _fraction_sum(cs, arrays):
 
 
 @given(combinations())
-# mixed denominators with broadcasting, a zero-size result, Python-int
-# entries, and a single term
+# mixed denominators, a zero-size result, Python-int entries, and a single
+# term
 @example(([Fraction(1, 2), -1], [scalars.array([["1/3", "2/5"]], RATIONAL),
-                                 scalars.array([["1/7"], [3]], RATIONAL)]))
-@example(([1, 1], [scalars.zeros((0, 2), RATIONAL), scalars.array(["1/2", 1], RATIONAL)]))
+                                 scalars.array([["1/7", 3]], RATIONAL)]))
+@example(([1, 1], [scalars.zeros((0, 2), RATIONAL), scalars.zeros((0, 2), RATIONAL)]))
 @example(([3, -2], [_object_array([1, 2], (2,)), _object_array([5, -7], (2,))]))
 @example(([1], [scalars.array([["1/2", 0]], RATIONAL)]))
 # a result [2, 2], whose gcd g with the denominator is the denominator, and
@@ -563,6 +590,8 @@ def test_rational_combine_equals_fraction_arithmetic(case):
 
 
 @given(combinations(big_values))
+# two int64 numerators whose sum is not
+@example(([1, 1], [scalars.array([2**62, 1], RATIONAL), scalars.array([2**62, -1], RATIONAL)]))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_rational_combine_is_exact_at_the_int64_bound(case):
     _assert_combine_is_exact(*case)
@@ -573,13 +602,11 @@ def _assert_combine_is_exact(cs, arrays):
     got = scalars.combine(cs, arrays)
     if not isinstance(expected, np.ndarray):
         assert type(got) is Fraction and got == expected
+        assert got or got is scalars.ZERO
         return
     assert got.dtype == object and got.shape == expected.shape
-    assert all(type(x) is Fraction for x in got.flat)
     assert all(g == e for g, e in zip(got.flat, expected.flat))
-    # no later write to an input reaches the result, which is born scaled
-    assert not any(a.flags.writeable and np.shares_memory(a, got) for a in arrays)
-    _assert_born_scaled(got)
+    _assert_kernel_result(got, arrays)
 
 
 floats = st.one_of(
@@ -590,13 +617,17 @@ floats = st.one_of(
 
 @st.composite
 def float_combinations(draw):
-    """Signs (or a float coefficient) and float arrays of one shape."""
+    """Signs (or a float coefficient) and float arrays of one shape, each of
+    a drawn kind."""
     shape = tuple(draw(st.lists(st.integers(min_value=0, max_value=3), max_size=3)))
     terms = draw(st.integers(min_value=1, max_value=4))
     cs = draw(st.lists(st.one_of(st.sampled_from([1, -1]), floats), min_size=terms, max_size=terms))
     arrays = [
-        np.array(draw(st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape))))
-        .reshape(shape)
+        _as_kind(
+            np.array(draw(st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape))))
+            .reshape(shape),
+            draw(st.sampled_from(FLOAT_KINDS)),
+        )
         for _ in range(terms)
     ]
     return cs, arrays
@@ -624,7 +655,7 @@ def test_float_combine_is_the_numpy_expression_bit_for_bit(case):
     got = scalars.combine(cs, arrays)
     assert got.dtype == np.float64 and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
-    assert all(a is not got for a in arrays)
+    assert all(a is not got for a in arrays if isinstance(a, np.ndarray))
 
 
 def test_combine_of_no_arrays_is_an_error():
@@ -636,56 +667,16 @@ def test_combine_of_no_arrays_is_an_error():
 # the memo of scaled read-only arrays
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def scale_calls(monkeypatch):
-    """The arrays ``scalars._scale`` is called on, as they are scaled."""
-    calls = []
-    real = scalars._scale
-
-    def counting(a):
-        calls.append(a.shape)
-        return real(a)
-
-    monkeypatch.setattr(scalars, "_scale", counting)
-    return calls
-
-
-def test_frozen_array_is_scaled_once(scale_calls):
-    a = scalars.freeze(scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL))
-    v = scalars.freeze(scalars.array(["1/5", -1], RATIONAL))
-    first = scalars.einsum("ij,j->i", a, v)
-    assert len(scale_calls) == 2
-    # again, through a kernel transpose, and in a linear combination
-    assert np.array_equal(scalars.einsum("ij,j->i", a, v), first)
-    scalars.einsum("ji,j->i", scalars.einsum("ij->ji", a), v)
-    scalars.combine([1, Fraction(-1, 3)], [a, scalars.einsum("ij->ji", a)])
-    assert len(scale_calls) == 2
-
-
-def test_frozen_result_of_the_kernel_is_scaled_once(scale_calls):
-    # a kernel result is born read-only, owning its memory, with its scaled
-    # form kept: reading it again, or its kernel transpose, scales nothing
-    a = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
-    r = scalars.freeze(scalars.einsum("ij,jk->ik", a, a))
-    assert r.base is None and not r.flags.writeable
-    del scale_calls[:]
-    scalars.combine([1, 1], [r, scalars.einsum("ij->ji", r)])
-    scalars.einsum("ij,jk->ik", r, r)
-    scalars.residual(r)
-    assert scale_calls == []
-
-
-def test_writable_array_is_not_served_from_the_memo(scale_calls):
+def test_writable_array_is_not_served_from_the_memo():
     a = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
     v = scalars.freeze(scalars.array(["1/5", -1], RATIONAL))
     scalars.einsum("ij,j->i", a, v)
     a[0, 0] = Fraction(9, 4)
     got = scalars.einsum("ij,j->i", a, v)
     assert list(got) == list(np.einsum("ij,j->i", a, v))
-    assert scale_calls == [(2, 2), (2,), (2, 2)]
 
 
-def test_read_only_view_of_a_writable_base_is_not_served_from_the_memo(scale_calls):
+def test_read_only_view_of_a_writable_base_is_not_served_from_the_memo():
     base = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
     view = base.view()
     view.setflags(write=False)
@@ -717,40 +708,29 @@ def test_transpose_of_a_read_only_view_of_a_writable_base_is_never_stale():
     assert scalars.zero_test([t], 0.0)[2] == (1, 0)
 
 
-def test_transpose_of_a_kept_array_scales_nothing(scale_calls):
-    a = scalars.freeze(scalars.array([["1/2", "1/3", 0], ["-2/7", 5, "3/4"]], RATIONAL))
-    r = scalars.einsum("ij,kj->ik", a, a)
-    del scale_calls[:]
-    for x, spec in ((a, "ij->ji"), (r, "ij->ji"), (r, "ij->ij")):
-        t = scalars.einsum(spec, x)
-        n, d, _ = scalars._SCALED[id(t)][1:]
-        assert [Fraction(v, d) for v in n.ravel().tolist()] == t.ravel().tolist()
-        got = scalars.combine([1, Fraction(-1, 2)], [t, t])
-        assert got.tolist() == [[v / 2 for v in row] for row in t.tolist()]
-        # a transpose of the transpose is kept too
-        back = scalars.einsum(spec, t)
-        assert scalars.combine([1, -1], [back, x]).tolist() == (x - x).tolist()
-    assert scale_calls == []
-
-
-def test_transpose_of_a_frozen_array_scales_it_once(scale_calls):
-    # the array is scaled when its transpose is taken, and both read its
-    # integers: no second scaling for the transpose
-    a = scalars.freeze(scalars.array([["1/2", "1/3", 0], ["-2/7", 5, "3/4"]], RATIONAL))
-    got = scalars.combine([1, 1], [scalars.einsum("ij->ji", a), scalars.einsum("ij->ji", a)])
-    assert got.tolist() == (a.T + a.T).tolist()
-    scalars.einsum("ij,jk->ik", a, scalars.einsum("ij->ji", a))
-    assert scale_calls == [(2, 3)]
+def _growth(step, n: int) -> int:
+    """The bytes still held after ``step(k)`` ran for each k < n and all
+    it made was dropped: what the kernel keeps."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(n):
+            step(k)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 def test_memo_entry_leaves_with_its_array():
-    a = scalars.freeze(scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL))
-    key = id(a)
-    scalars.combine([1, 1], [a, a])
-    assert key in scalars._SCALED
-    del a
-    gc.collect()
-    assert key not in scalars._SCALED
+    # 1,000 frozen arrays of the same values read by the kernel and dropped:
+    # what the kernel keeps for a read-only array leaves with it (a kept
+    # entry takes about 500 bytes)
+    def step(k):
+        a = scalars.freeze(scalars.array([[1, 2], [2, 3]], RATIONAL))
+        scalars.combine([1, 1], [a, a])
+
+    assert _growth(step, 1000) < 200_000
 
 
 def test_equal_entries_share_one_fraction():
@@ -776,46 +756,56 @@ def test_equal_entries_of_separate_results_are_one_fraction():
     assert scalars.einsum("ij->i", outer)[1] is scalars.combine([1], [v])[0]  # 1
 
 
-class _WatchedTable(dict):
-    """A ``scalars._FRACTIONS`` that records its size after each entry."""
-
-    def __init__(self):
-        super().__init__()
-        self.sizes = []
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.sizes.append(len(self))
-
-
-def test_fraction_table_stays_within_its_bound(monkeypatch):
-    table = _WatchedTable()
-    monkeypatch.setattr(scalars, "_FRACTIONS", table)
-    bound = scalars._FRACTIONS_MAX
-    # one result of more distinct values than the bound, each twice, then
-    # many small ones
-    ints = np.arange(1, bound + 200)
+def test_fraction_table_stays_within_its_bound():
+    # one result of more distinct values than the table holds, each twice:
+    # equal entries are still one object
+    ints = np.arange(1, 5000)
     a = scalars.combine([Fraction(1, 7)], [scalars.array(np.concatenate([ints, ints]), RATIONAL)])
     assert a.tolist() == [Fraction(int(i), 7) for i in ints] * 2
     assert all(a[k] is a[k + len(ints)] for k in range(len(ints)))
-    for k in range(1, 40):
-        scalars.combine([Fraction(1, k)], [scalars.array(np.arange(1, 100), RATIONAL)])
-    assert len(table.sizes) > bound and max(table.sizes) == bound
+
+    # 20,000 distinct values built and dropped: the table of shared values
+    # keeps at most a few thousand (a value takes about 150 bytes)
+    def step(k):
+        scalars.combine([Fraction(1, 2 * k + 1)], [scalars.array(np.arange(1, 1000), RATIONAL)])
+
+    assert _growth(step, 20) < 1_500_000
 
 
 def test_float_calls_never_touch_the_fraction_table(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a float call asked for a shared Fraction")
+    # a float call returns float64 values, not shared Fractions, and builds
+    # no Fraction in the kernel, save the exact value of a token it parses
+    workspace = zoo.builtin("solv3-f4").workspace(FLOAT)
+    results, built = [], []
+    for name in ("einsum", "combine", "divide_rows"):
+        def call(*args, real=getattr(scalars, name)):
+            results.append(real(*args))
+            return results[-1]
 
-    table = {}
-    monkeypatch.setattr(scalars, "_FRACTIONS", table)
-    monkeypatch.setattr(scalars, "_fraction", refuse)
+        monkeypatch.setattr(scalars, name, call)
+    real_new = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        if frame.f_code.co_filename == scalars.__file__:
+            built.append(frame.f_code.co_name)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
     a = scalars.array([["1/2", 3], [-1, "2/7"]], FLOAT)
     scalars.einsum("ij,jk,kl->il", a, a, a)
     scalars.combine([Fraction(1, 3), 2, -1], [a, a.T, a])
     scalars.divide_rows(a, np.array([2.0, -4.0]))
-    assert all(r.passed for r in run_checks(zoo.builtin("solv3-f4").workspace(FLOAT)))
-    assert table == {}
+    assert all(r.passed for r in run_checks(workspace))
+    assert set(built) <= {"exact"}
+    assert len(results) > 3 and all(np.asarray(r).dtype == np.float64 for r in results)
+
+
+class _Unread:
+    """A context that fails the test that reads it."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("a context was read")
 
 
 # ---------------------------------------------------------------------------
@@ -823,10 +813,7 @@ def test_float_calls_never_touch_the_fraction_table(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
-def test_residual_within_eps_passes_whatever_the_context(monkeypatch, eps):
-    scales = []
-    real = scalars._context_scale
-    monkeypatch.setattr(scalars, "_context_scale", lambda c: scales.append(c) or real(c))
+def test_residual_within_eps_passes_whatever_the_context(eps):
     small = np.array([eps, -eps / 2, 0.0])
     contexts = [
         (), (np.array([np.nan]),), (np.array([np.inf, 1.0]),), (np.array([-np.inf]),),
@@ -837,10 +824,10 @@ def test_residual_within_eps_passes_whatever_the_context(monkeypatch, eps):
         assert scalars.zero_test([small, np.zeros(2)], eps, *context) == (True, eps, None)
         assert scalars.verdict([small], eps, *context) == (True, eps)
         assert scalars.is_zero(small, eps, *context)
-    # no context was scaled, and a residual above eps scales them
-    assert scales == []
-    assert not scalars.is_zero(np.array([1.0]), eps, np.array([0.5]))
-    assert len(scales) == 1
+    # no context is read, and a residual above eps reads them
+    assert scalars.zero_test([small], eps, _Unread()) == (True, eps, None)
+    with pytest.raises(AssertionError, match="read"):
+        scalars.is_zero(np.array([1.0]), eps, _Unread())
 
 
 def test_residual_between_eps_and_the_scaled_tolerance_passes_only_by_its_context():
@@ -873,7 +860,9 @@ def test_combine_reads_int_numpy_and_fraction_coefficients_alike(mode):
         assert len({r.tobytes() for r in results}) == 1
         return
     assert results[0].tolist() == results[1].tolist() == results[2].tolist()
-    assert len({tuple(map(repr, scalars._SCALED[id(r)][1:])) for r in results}) == 1
+    # entry by entry, the same shared Fractions
+    assert all(x is y for r in results[1:] for x, y in zip(results[0].flat, r.flat))
+    _assert_kernel_result(results[1], arrays)
     # and no Fraction is built for such a coefficient
     built = []
     real_new, raw_new = Fraction.__new__, vars(Fraction)["__new__"]
@@ -904,19 +893,34 @@ def test_rational_residual_is_the_rounded_exact_maximum(entries):
     assert got == float(max(abs(Fraction(x)) for x in entries))
 
 
-def _assert_born_scaled(result):
-    """A rational kernel result is read-only and owns its memory, and the
-    memo holds exactly ``_scale``'s form of it: the same integers, int64
-    when they fit and Python ints otherwise, and the same largest absolute
-    numerator."""
+def _assert_read_exactly(a):
+    """The zero test of the rational array ``a`` is exact: its residual is
+    the float of its largest absolute entry, and a failed test locates the
+    first such entry."""
+    mags = [abs(x) for x in a.ravel().tolist()]
+    peak = max(mags, default=0)
+    where = tuple(int(i) for i in np.unravel_index(mags.index(peak), a.shape)) if peak else ()
+    assert scalars.zero_test([a], 0.0) == (not peak, float(peak), where or None)
+
+
+def _assert_kernel_result(result, inputs):
+    """A rational array result of the kernel is read-only, owns its memory
+    and shares none with a writable input, holds one ``Fraction`` of Python
+    ints for equal entries and ``ZERO`` for each 0, is the one zero of its
+    shape when every entry is 0, and is read exactly by the zero test."""
     assert not result.flags.writeable and result.base is None
-    ref, n, d, m = scalars._SCALED[id(result)]
-    assert ref() is result
-    expected_n, expected_d, expected_m = scalars._scale(result)
-    assert (d, m) == (expected_d, expected_m)
-    assert n.dtype == expected_n.dtype
-    assert n.dtype == np.int64 or all(type(v) is int for v in n.ravel())
-    assert n.tolist() == expected_n.tolist()
+    # no later write to an input reaches the result
+    for a in inputs:
+        assert not (isinstance(a, np.ndarray) and a.flags.writeable and np.shares_memory(a, result))
+    entries = result.ravel().tolist()
+    for x in entries:
+        assert type(x) is Fraction
+        assert type(x.numerator) is int and type(x.denominator) is int
+    assert all(x is scalars.ZERO for x in entries if not x)
+    assert len({id(x) for x in entries}) == len(set(entries))
+    if not any(entries):
+        assert result is scalars.combine([1], [scalars.zeros(result.shape, RATIONAL)])
+    _assert_read_exactly(result)
 
 
 def test_kernel_result_is_read_only():
@@ -945,25 +949,19 @@ def test_residual_of_a_scaled_array_counts_no_fraction(monkeypatch):
 # int64 where a bound proves the sums fit, Python ints otherwise
 # ---------------------------------------------------------------------------
 
-def test_contraction_beyond_the_bound_stays_exact(monkeypatch):
-    widened = []
-    real = scalars._widen
-    monkeypatch.setattr(scalars, "_widen", lambda ns: widened.append(len(ns)) or real(ns))
+def test_contraction_beyond_the_bound_stays_exact():
     # each product fits int64, the sum of two does not
     r = 3037000499  # floor(sqrt(2**63 - 1))
     a = scalars.freeze(scalars.array([r, r], RATIONAL))
-    assert scalars._scaled(a)[0].dtype == np.int64
     assert scalars.einsum("i,i->", a, a) == 2 * r * r > 2**63
     assert scalars.einsum("i,i->i", a, a).tolist() == [r * r, r * r]
-    assert widened == [2]
-    # a result of the exact path whose numerators fit keeps them as int64
+    # a result of the exact path whose numerators fit int64
     fits = scalars.einsum("ij,j->i", scalars.array([[r, -r], [r, 0]], RATIONAL), a)
-    assert fits.tolist() == [0, r * r] and widened == [2, 2]
-    _assert_born_scaled(fits)
-    # numerators that fit int64 only as Python ints: the operands are scaled
-    # to object arrays, and the result is exact
+    assert fits.tolist() == [0, r * r]
+    _assert_kernel_result(fits, [a])
+    _assert_combine_is_exact([1, -1], [fits, fits])
+    # numerators that fit int64 only as Python ints: the result is exact
     b = scalars.array([2**62, Fraction(-(2**63), 3)], RATIONAL)
-    assert scalars._scale(b)[0].dtype == object
     assert scalars.einsum("i,i->", b, b) == Fraction(2**124) + Fraction(2**126, 9)
     assert scalars.combine([1, 1], [b, b]).tolist() == [2**63, Fraction(-(2**64), 3)]
 
@@ -973,7 +971,7 @@ def test_all_zero_term_takes_any_coefficient():
     a = scalars.array([["1/2", -3], [0, 5]], RATIONAL)
     got = scalars.combine([2**70, 1, -(2**80)], [zero, a, zero])
     assert got.tolist() == a.tolist()
-    assert scalars._SCALED[id(got)][1].dtype == np.int64
+    _assert_kernel_result(got, [a])
 
 
 @pytest.mark.parametrize(
@@ -997,12 +995,19 @@ def test_term_count_is_the_brute_force_count(spec, shapes):
     # every entry of a contraction of all-ones arrays is its number of terms
     counts = np.einsum(spec, *(np.ones(s, dtype=np.int64) for s in shapes))
     assert np.all(counts == np.max(counts))
-    if _outside_grammar(spec):  # the exact kernel plans no such spec
+    if _outside_grammar(spec):  # the exact kernel reads no such spec
         with pytest.raises(ValueError, match="explicit output"):
-            scalars._plan(spec, tuple(shapes))
+            scalars.einsum(spec, *(scalars.zeros(s, RATIONAL) for s in shapes))
         return
-    _, k, shape = scalars._plan(spec, tuple(shapes))
-    assert k == np.max(counts) and shape == np.shape(counts)
+    # with every entry v, each entry is K v^p: the kernel's count K decides
+    # whether the int64 path may run, so a count too low wraps around just
+    # past the bound
+    k, p = int(np.max(counts)), len(shapes)
+    r = _just_below_the_bound(k, p)
+    for v in (r, r + 1):
+        got = scalars.einsum(spec, *(scalars.array(np.full(s, v), RATIONAL) for s in shapes))
+        assert np.shape(got) == np.shape(counts)
+        assert np.ravel(got).tolist() == [k * v**p] * counts.size
 
 
 def test_views_of_an_int64_owner_read_its_entries():
@@ -1010,43 +1015,33 @@ def test_views_of_an_int64_owner_read_its_entries():
         scalars.array([[Fraction(p * 7 - 40, p % 3 + 1) for p in range(q, q + 4)]
                        for q in range(0, 12, 4)], RATIONAL)
     )
-    n, d, m = scalars._scaled(owner)
-    assert n.dtype == np.int64 and m == max(abs(v) for v in n.ravel().tolist())
     views = [
         owner.T, owner[1:, ::2], owner[::-1, 1], owner[:, ::-1].T,
         np.broadcast_to(owner[0], (2, 4)), np.broadcast_to(owner[:, 2:3], (3, 3)),
     ]
     for view in views:
-        n, d, _ = scalars._scaled(view)
-        assert n.dtype == np.int64 and n.shape == view.shape
-        assert [Fraction(v, d) for v in n.ravel().tolist()] == view.ravel().tolist()
+        _assert_read_exactly(view)
         vec = scalars.array(list(range(1, view.shape[-1] + 1)), RATIONAL)
         rows = "i"[: view.ndim - 1]
         got = scalars.einsum(f"{rows}j,j->{rows}", view, vec)
         assert np.ravel(got).tolist() == np.ravel(view @ vec).tolist()
 
 
-def test_rational_verification_stays_on_int64():
-    # a whole rational run on a dim-5 model: no sum leaves int64, every
-    # scaled form the kernel keeps is int64, and every Fraction it returns
-    # holds Python ints
-    widened, results = [], []
-    real_widen, real_rebuild = scalars._widen, scalars._rebuild
+def test_rational_verification_stays_on_int64(monkeypatch):
+    # a whole rational run on a dim-5 model passes, and every value the
+    # kernel returns is a Fraction of Python ints (that no sum of it leaves
+    # int64 is counted in test_kernel_counts.py)
+    results = []
+    for name in ("einsum", "combine", "divide_rows"):
+        def call(*args, real=getattr(scalars, name)):
+            results.append(real(*args))
+            return results[-1]
 
-    def rebuild(n, den):
-        out = real_rebuild(n, den)
-        results.append(out)
-        return out
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scalars, "_widen", lambda ns: widened.append(ns) or real_widen(ns))
-        patch.setattr(scalars, "_rebuild", rebuild)
-        rows = run_checks(zoo.builtin("solv5-f1").workspace(RATIONAL))
+        monkeypatch.setattr(scalars, name, call)
+    rows = run_checks(zoo.builtin("solv5-f1").workspace(RATIONAL))
     assert all(r.passed for r in rows)
-    assert widened == [] and results
+    assert results
     for out in results:
-        if isinstance(out, np.ndarray):
-            assert scalars._SCALED[id(out)][1].dtype == np.int64
         for x in np.ravel(out).tolist():
             assert type(x) is Fraction
             assert type(x.numerator) is int and type(x.denominator) is int
@@ -1063,7 +1058,8 @@ def _per_row(a, eps, *context):
 @st.composite
 def stacks(draw):
     """A stack of rows (1-D rows of scalars, or rows of shape 2 or 2 x 2,
-    some of them zero) and a context stack of the same length."""
+    some of them zero), of a drawn kind, and a context stack of the same
+    length."""
     rows = draw(st.integers(min_value=0, max_value=5))
     shape = (rows, *draw(st.sampled_from([(), (2,), (2, 2)])))
     vanish = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
@@ -1073,17 +1069,13 @@ def stacks(draw):
     context = _object_array(
         draw(st.lists(values, min_size=rows * 3, max_size=rows * 3)), (rows, 3)
     )
-    return a, context
+    return _as_kind(a, draw(st.sampled_from(KINDS))), context
 
 
-@given(stacks(), st.sampled_from(["fresh", "frozen", "kernel result"]))
+@given(stacks())
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_rational_zero_rows_is_the_per_row_zero_test(case, kind):
+def test_rational_zero_rows_is_the_per_row_zero_test(case):
     a, context = case
-    if kind == "frozen":
-        a = scalars.freeze(a)
-    elif kind == "kernel result":
-        a = scalars.combine([Fraction(1, 3)], [a])
     assert scalars.zero_rows(a, 0.0, context) == _per_row(a, 0.0, context)
 
 
@@ -1257,12 +1249,14 @@ def test_stacks_are_tested_by_zero_rows():
 @st.composite
 def row_divisions(draw, values=values):
     """A stack of rows (scalars, or rows of shape 2 or 2 x 2) and one
-    nonzero rational per row."""
+    nonzero rational per row, each of a drawn kind."""
     rows = draw(st.integers(min_value=0, max_value=4))
     shape = (rows, *draw(st.sampled_from([(), (2,), (2, 2)])))
     entries = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
     dens = draw(st.lists(values.filter(bool), min_size=rows, max_size=rows))
-    return _object_array(entries, shape), _object_array(dens, (rows,))
+    a = _as_kind(_object_array(entries, shape), draw(st.sampled_from(KINDS)))
+    den = _as_kind(_object_array(dens, (rows,)), draw(st.sampled_from(("fresh", "frozen", "result", "view"))))
+    return a, den
 
 
 def _assert_division_is_exact(a, den):
@@ -1270,8 +1264,7 @@ def _assert_division_is_exact(a, den):
     expected = [[Fraction(x) / Fraction(d) for x in np.ravel(a[n])] for n, d in enumerate(den)]
     assert got.shape == a.shape and got.dtype == object
     assert [np.ravel(g).tolist() for g in got] == expected
-    assert all(type(x) is Fraction for x in got.flat)
-    _assert_born_scaled(got)
+    _assert_kernel_result(got, [a, den])
     return got
 
 
@@ -1295,10 +1288,9 @@ def test_row_beyond_the_int64_bound_takes_python_ints():
     # not: an int64 product would wrap around
     a = scalars.array([2**40, "-3/5", 0], RATIONAL)
     den = scalars.array([Fraction(1, 2**30), -7, "1/3"], RATIONAL)
-    assert scalars._scale(a)[0].dtype == scalars._scale(den)[0].dtype == np.int64
     got = _assert_division_is_exact(a, den)
     assert got.tolist() == [2**70, Fraction(3, 35), 0]
-    assert scalars._SCALED[id(got)][1].dtype == object
+    _assert_combine_is_exact([1, 1], [got, got])
 
 
 def test_row_division_by_zero_raises():
@@ -1337,9 +1329,20 @@ def test_scalar_operands_are_read_as_zero_dimensional_arrays():
      ("ij,jk->ik", True), ("i,j->ij", False)],
 )
 def test_sums_tells_a_reduction_from_a_view(spec, sums):
-    # every axis of length 2
+    # a single operand that a spec sums over is contracted into a result of
+    # its own, and one it does not sum over is numpy's view of it; two
+    # operands always make a result.  Every axis is of length 2.
     terms = spec.partition("->")[0].split(",")
-    assert scalars._plan(spec, tuple((2,) * len(t) for t in terms))[0] is sums
+    operands = []
+    for t in terms:
+        ints = np.arange(2 ** len(t)).reshape((2,) * len(t))
+        operands.append(scalars.combine([Fraction(1, 3)], [scalars.array(ints, RATIONAL)]))
+    got = scalars.einsum(spec, *operands)
+    assert np.array_equal(got, np.einsum(spec, *operands))
+    view = isinstance(got, np.ndarray) and np.shares_memory(got, operands[0])
+    assert view is (len(terms) == 1 and not sums)
+    if not view and isinstance(got, np.ndarray):
+        _assert_kernel_result(got, operands)
 
 
 def test_rational_trace_runs_on_the_integer_kernel(monkeypatch):
@@ -1360,17 +1363,14 @@ def test_rational_trace_runs_on_the_integer_kernel(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _assert_zero_result(got, shape):
-    """The kernel's zero of ``shape``: ``ZERO`` when 0-d, else a read-only
-    array that owns its memory, every entry ``ZERO``, kept as (int64 zeros,
-    1, 0)."""
+    """The kernel's zero of ``shape``: ``ZERO`` when 0-d, else the one
+    read-only array of ``ZERO`` entries of that shape."""
     if not shape:
         assert got is scalars.ZERO
         return
     assert got.shape == shape and got.dtype == object
-    assert all(x is scalars.ZERO for x in got.flat)
-    _assert_born_scaled(got)
-    _, n, d, m = scalars._SCALED[id(got)]
-    assert n.dtype == np.int64 and n.shape == shape and not n.any() and (d, m) == (1, 0)
+    assert not any(got.flat)
+    _assert_kernel_result(got, [])
 
 
 def _zero_operands():
@@ -1426,52 +1426,76 @@ def test_a_rational_spec_outside_the_grammar_raises():
         assert np.array_equal(scalars.einsum(spec, *floats), np.einsum(spec, *floats))
 
 
-def test_shapes_that_do_not_fit_raise_numpys_error():
-    zero, _ = _zero_operands()
-    for spec, operands in (
-        ("ij,jk->ik", (zero, zero)),
-        ("ij,kj->ik", (zero, zero[:, 1:])),
-        ("ii,i->i", (zero, zero[0])),
-        ("ij,j->ij", (zero, zero[0], zero)),
+def test_shapes_that_do_not_fit_the_spec_raise():
+    # a rational call raises ValueError naming the spec, a zero operand
+    # included, where numpy raises or stretches a label of length 1; a float
+    # call is numpy's own
+    zero, writable = _zero_operands()
+    row = scalars.array([[1, "1/2", 3]], RATIONAL)
+    for spec, operands, stretches in (
+        ("ij,jk->ik", (zero, zero), False),
+        ("ij,kj->ik", (zero, zero[:, 1:]), False),
+        ("ii,i->i", (zero, zero[0]), False),
+        ("ij,j->ij", (zero, zero[0], zero), False),
+        ("ij,ij->ij", (row, zero), True),
+        ("ij,jk->ik", (zero, row.T[:1]), True),
+        ("ij,ij->", (writable[:1], zero), True),
     ):
-        with pytest.raises(ValueError) as numpys:
-            np.einsum(spec, *operands)
-        with pytest.raises(ValueError, match=re.escape(str(numpys.value))):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
             scalars.einsum(spec, *operands)
+        floats = _float_operands(operands)
+        if stretches:
+            assert np.array_equal(scalars.einsum(spec, *floats), np.einsum(spec, *floats))
+            continue
+        with pytest.raises(ValueError) as numpys:
+            np.einsum(spec, *floats)
+        with pytest.raises(ValueError, match=re.escape(str(numpys.value))):
+            scalars.einsum(spec, *floats)
+
+
+def test_a_rational_combination_of_two_shapes_raises():
+    # numpy would broadcast them, and float mode still does
+    zero, writable = _zero_operands()
+    row = scalars.array([["1/2", -3, "5/7"]], RATIONAL)
+    for cs, arrays in (
+        ([1, 2], [row, zero]),
+        ([Fraction(-4, 9), 1], [zero, zero[0]]),
+        ([1, 1], [writable[:, :1], row[0]]),
+        ([1, -1], [Fraction(1, 3), row]),
+    ):
+        shapes = f"{np.shape(arrays[0])} and {np.shape(arrays[1])}"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            scalars.combine(cs, arrays)
+        floats = _float_operands(arrays)
+        assert np.array_equal(scalars.combine(cs, floats), _numpy_expression(cs, floats))
 
 
 def test_zero_terms_are_left_out_of_a_combination():
-    a = scalars.array(["1/2", -3, "5/7"], RATIONAL)
+    a = scalars.array([["1/2", -3, "5/7"], [0, "1/4", 2]], RATIONAL)
     for zero in _zero_operands():
-        # a zero term of the larger broadcast shape gives the result its shape
         for cs, arrays in (
             ([1, 2], [a, zero]),
             ([Fraction(1, 3), Fraction(-2, 7), 5], [zero, a, zero]),
-            ([Fraction(-4, 9), 1], [zero, zero[0]]),
-            ([2, Fraction(1, 6)], [zero[:, :1], a]),
+            ([2, Fraction(1, 6)], [zero, a]),
         ):
             _assert_combine_is_exact(cs, arrays)
-        _assert_zero_result(scalars.combine([Fraction(2, 3), -1], [zero, zero[:1]]), (2, 3))
+        _assert_zero_result(scalars.combine([Fraction(2, 3), -1], [zero, zero]), (2, 3))
         _assert_zero_result(scalars.combine([1, 1], [zero[0, 0], Fraction(0)]), ())
 
 
 def test_widened_operands_next_to_a_zero_operand():
     big = scalars.array([2**70, Fraction(-(2**66), 3), 5], RATIONAL)
-    assert scalars._scaled(big)[0].dtype == object
     for zero in _zero_operands():
         _assert_einsum_is_exact("ij,j->i", (zero, big))
         _assert_zero_result(scalars.einsum("ij,j->i", zero, big), (2,))
         _assert_zero_result(scalars.einsum("j,ij,k->ik", big, zero, big), (2, 3))
-        for cs, arrays in (([1, 3], [big, zero]), ([Fraction(1, 5), 1, -1], [zero, big, zero])):
+        for cs, arrays in (([1, 3], [big, zero[0]]), ([Fraction(1, 5), 1, -1], [zero[1], big, zero[0]])):
             _assert_combine_is_exact(cs, arrays)
-            got = scalars.combine(cs, arrays)
-            assert scalars._SCALED[id(got)][1].dtype == object
 
 
 def test_a_kept_view_keeps_its_own_largest_numerator():
-    # M is the largest absolute numerator of the array it is kept for: a
-    # transpose keeps its array's, a diagonal, which holds fewer entries,
-    # is not kept and is scaled as its own array
+    # a transpose of a kept array, and a diagonal, which holds fewer
+    # entries, each read as their own entries
     for a in (
         scalars.freeze(scalars.array([[0, 5], [7, 0]], RATIONAL)),
         scalars.einsum("ij,jk->ik", scalars.array([[0, 5], [7, 0]], RATIONAL), scalars.eye(2, RATIONAL)),
@@ -1479,14 +1503,11 @@ def test_a_kept_view_keeps_its_own_largest_numerator():
     ):
         for spec in ("ij->ji", "ii->i"):
             view = scalars.einsum(spec, a)
-            n, d, m = scalars._scaled(view)
-            assert [Fraction(v, d) for v in n.ravel().tolist()] == view.ravel().tolist()
-            entries = [Fraction(x) for x in view.ravel().tolist()]
-            assert m == max(abs(x) * math.lcm(*(x.denominator for x in entries)) for x in entries)
-            assert (id(view) in scalars._SCALED) == (spec == "ij->ji")
+            _assert_read_exactly(view)
+            _assert_combine_is_exact([1, Fraction(1, 3)], [view, view])
     diagonal = scalars.einsum("ii->i", scalars.freeze(scalars.array([[0, 5], [7, 0]], RATIONAL)))
-    assert scalars._scaled(diagonal)[2] == 0
     assert scalars.residual(diagonal) == 0.0 and scalars.is_zero(diagonal, 0.0)
+    _assert_zero_result(scalars.einsum("i,i->i", diagonal, scalars.array([3, 4], RATIONAL)), (2,))
 
 
 @pytest.fixture
@@ -1519,7 +1540,7 @@ def test_an_exact_zero_makes_no_contraction_and_builds_no_fraction(spies):
     for zero in zeros:
         assert not scalars.einsum("ij,jk->ik", zero, b).any()
         assert not scalars.einsum("jk,ij,kl->il", b, zero, b.T).any()
-        assert not scalars.combine([1, third], [zero, zero[0]]).any()
+        assert not scalars.combine([1, third], [zero, zero]).any()
     assert einsums == [] and built == []
     # nor does a 0-d zero, which is ZERO
     assert scalars.einsum("ij,jk->", zeros[1], b) is scalars.ZERO
@@ -1548,9 +1569,8 @@ def test_zero_results_of_one_shape_are_its_one_template():
     b = scalars.array([["1/3", 2], [-1, "1/5"], [0, "7/4"]], RATIONAL)
     c = scalars.array([["1/2", 0], [3, "-1/4"]], RATIONAL)
     # the zero rule of a contraction, a sum of terms that cancel, and a
-    # contraction whose products cancel
-    template = scalars._zero((2, 2))
-    kept = scalars._SCALED[id(template)]
+    # contraction whose products cancel: one array, which shares no memory
+    # with an input
     results = (
         scalars.einsum("ij,jk->ik", zero, b),
         scalars.einsum("ij,jk->ik", writable, b),
@@ -1558,11 +1578,9 @@ def test_zero_results_of_one_shape_are_its_one_template():
         scalars.einsum("ij,jk->ik", scalars.array([[1, 1], [2, 2]], RATIONAL),
                        scalars.array([[1, -1], [-1, 1]], RATIONAL)),
     )
+    template = results[0]
     assert all(got is template for got in results)
     _assert_zero_result(template, (2, 2))
-    assert not scalars._SCALED[id(template)][1].flags.writeable
-    # it is kept once, when it is made, and shares no memory with an input
-    assert scalars._SCALED[id(template)] is kept
     assert not any(np.shares_memory(template, a) for a in (zero, writable, b, c))
     # a 0-d zero is ZERO, from the zero rule and from sums that cancel
     third = Fraction(1, 3)
@@ -1572,14 +1590,13 @@ def test_zero_results_of_one_shape_are_its_one_template():
     assert scalars.einsum("i,i->", ones, cancel) is scalars.ZERO
 
 
-def test_zero_template_table_stays_within_its_bound(monkeypatch):
-    table = _WatchedTable()
-    monkeypatch.setattr(scalars, "_ZEROS", table)
-    monkeypatch.setattr(scalars, "_ZEROS_MAX", 4)
-    for k in range(1, 12):
-        _assert_zero_result(scalars._zero((k, 2)), (k, 2))
-    assert len(table.sizes) == 11 and max(table.sizes) == 4
-    assert len(table) <= scalars._ZEROS_MAX
+def test_zero_template_table_stays_within_its_bound():
+    # the zeros of 4,000 shapes made and dropped: the kernel keeps the zeros
+    # of at most 1,024 shapes (a zero takes about 700 bytes)
+    def step(k):
+        assert scalars.combine([1], [scalars.zeros((k, 0), RATIONAL)]).shape == (k, 0)
+
+    assert _growth(step, 4000) < 1_500_000
 
 
 # ---------------------------------------------------------------------------
@@ -1673,10 +1690,6 @@ class _Holder:
 
 
 def test_freeze_reads_the_fields_dataclasses_lists():
-    for cls in (_Holder, LieAlgebra):
-        assert scalars._field_names(cls) == tuple(f.name for f in dataclasses.fields(cls))
-    assert scalars._field_names(LieAlgebra) == ("c",)
-    assert scalars._field_names(Fraction) == scalars._field_names(type) == ()
     _Holder.shared = np.zeros(2)
     holder = _Holder(np.zeros(3), [np.ones(2), (np.ones(1),)], np.zeros(4))
     assert scalars.freeze(holder) is holder
@@ -1689,5 +1702,7 @@ def test_freeze_reads_the_fields_dataclasses_lists():
     algebra = LieAlgebra(c, 1e-9)
     c.setflags(write=True)
     assert scalars.freeze(algebra) is algebra and not algebra.c.flags.writeable
-    # a class is not an instance: its fields are not read
+    # a class is not an instance: its fields are not read; and a Fraction
+    # holds no array
     assert scalars.freeze(_Holder) is _Holder
+    assert scalars.freeze(Fraction(1, 2)) == Fraction(1, 2)
