@@ -17,8 +17,9 @@ time, in one interpreter, in rational mode.  The output holds these counts:
   inside ``fractions.py`` is not counted), and their total;
 - ``scale_calls`` and ``scaled_entries``: calls of ``scalars._scale``, which
   scales an array to integers, and the entries they scale;
-- ``widen_callers``: calls of ``scalars._widen``, the fall-back of a sum to
-  Python ints, by the first function outside ``scalars.py`` on the stack;
+- ``widen_callers``: calls of ``scalars._widen``, the fall-back of a sum or
+  a row division to Python ints, by the first function outside
+  ``scalars.py`` on the stack;
 - ``zero_results``: the ``einsum`` and ``combine`` calls that ended at an
   exact zero (an operand, or every term, with M = 0) without contracting or
   adding, by entry point, and their total.  An all-zero sum that

@@ -27,7 +27,9 @@ of the checkout that holds the mutant:
 - ``tests``: pytest on ``tests/test_sectional.py``, ``test_curvature.py``,
   ``test_basis_change.py``, ``test_hv.py``, ``test_svk.py``,
   ``test_structure.py``, ``test_liegroup.py``, ``test_scalar_kernel.py``
-  and ``test_tensor.py``; the mutant is killed when a test fails.
+  and ``test_tensor.py``; the mutant is killed when a test fails.  It is
+  not run on a mutant that the suite oracle kills by timeout, which would
+  most likely hang the tests too, and its verdict reads ``SKIPPED``.
 
 Both oracles first run once on an unmutated copy, within ``SUITE_TIMEOUT``
 and ``TESTS_TIMEOUT`` seconds.  When either fails or times out there, the
@@ -81,6 +83,11 @@ EINSUM_SPEC = re.compile(r"^[a-z]+(,[a-z]+)*->[a-z]*$")
 SUITE_TIMEOUT, TESTS_TIMEOUT = 120, 600
 TIMEOUT_FACTOR = 10
 
+# the verdict of an oracle whose run timed out, and the tests' verdict on a
+# mutant whose suite run timed out
+TIMEOUT = "killed: timeout"
+SKIPPED = "skipped: the suite timed out"
+
 # failing checks per entry that differ from the frozen ones, as JSON
 SUITE_ORACLE = """
 import json
@@ -114,7 +121,7 @@ class Mutant:
     after: str
     key: str = ""
     suite: str = ""  # "killed: <why>" or "survived"
-    tests: str = ""
+    tests: str = ""  # the same, or SKIPPED
 
 
 def _region(source: str, bounds) -> tuple[int, int]:
@@ -235,7 +242,7 @@ def _run(cmd, cwd: Path, timeout: float):
 def _suite(copy: Path, timeout: float) -> str:
     proc = _run([sys.executable, "-c", SUITE_ORACLE], copy, timeout)
     if proc is None:
-        return "killed: timeout"
+        return TIMEOUT
     if proc.returncode != 0:
         return "killed: " + (proc.stderr.strip().splitlines() or ["exit"])[-1][:120]
     differ = json.loads(proc.stdout)
@@ -249,7 +256,7 @@ def _tests(copy: Path, timeout: float) -> str:
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
     proc = _run(cmd, copy, timeout)
     if proc is None:
-        return "killed: timeout"
+        return TIMEOUT
     if proc.returncode == 0:
         return "survived"
     failed = [l for l in proc.stdout.splitlines() if l.startswith(("FAILED", "ERROR"))]
@@ -294,7 +301,8 @@ def survey(root: Path, jobs: int) -> list[Mutant]:
             original = target.read_text()
             try:
                 target.write_text(mutated)
-                m.suite, m.tests = _suite(copy, timeouts["suite"]), _tests(copy, timeouts["tests"])
+                m.suite = _suite(copy, timeouts["suite"])
+                m.tests = SKIPPED if m.suite == TIMEOUT else _tests(copy, timeouts["tests"])
             finally:
                 target.write_text(original)
                 copies.put(copy)
@@ -312,7 +320,9 @@ def _killed(m: dict) -> bool:
 def report(found: list[dict], old: list[dict] | None = None) -> None:
     for oracle in ("suite", "tests"):
         survivors = [m for m in found if m[oracle] == "survived"]
-        print(f"\n{oracle}: {len(found) - len(survivors)} of {len(found)} killed; survivors:")
+        skipped = sum(m[oracle] == SKIPPED for m in found)
+        print(f"\n{oracle}: {len(found) - len(survivors) - skipped} of {len(found)} killed, "
+              f"{skipped} not run; survivors:")
         for m in survivors:
             print(f"  {m['file']}:{m['line']} [{m['function']}] {m['kind']}: {m['after']}")
     both = [m for m in found if not _killed(m)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import modelfile, scalars, zoo
@@ -80,6 +81,24 @@ def _fmt(x) -> str:
     return scalars.format_scalar(x)
 
 
+def _json_safe(x):
+    """``x`` with each non-finite float spelt "inf", "-inf" or "nan": JSON
+    (RFC 8259) has no number for them."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else "inf" if x > 0 else "-inf"
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_json_safe(v) for v in x]
+    return x
+
+
+def _print_json(payload) -> None:
+    """Print the output of a --json command: an exact scalar as its canonical
+    string, a non-finite float as "inf", "-inf" or "nan"."""
+    print(json.dumps(_json_safe(payload), indent=2, default=_fmt, allow_nan=False))
+
+
 def _invalid(ws: Workspace) -> bool:
     """Name the broken axioms of an invalid model on stderr.  Nothing derived
     from such a model is meaningful, so callers stop when this is true."""
@@ -108,7 +127,7 @@ def cmd_validate(args) -> int:
                 for c in report.checks
             ],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for c in report.checks:
             print(str(c))
@@ -129,7 +148,7 @@ def cmd_classify(args) -> int:
             "residuals": rep.residuals,
             "scalars": {k: _fmt(v) for k, v in rep.scalars.items()},
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"classification with respect to {rep.metric_role}:")
         for flag in ALL_FLAGS:
@@ -190,7 +209,7 @@ def cmd_verify(args) -> int:
             for line in lines:
                 print(line)
     if args.json:
-        print(json.dumps({"passed": all_ok, "results": json_rows}, indent=2))
+        _print_json({"passed": all_ok, "results": json_rows})
     elif not all_ok:
         print("verification FAILED", file=sys.stderr)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
@@ -261,8 +280,7 @@ def cmd_curvature(args) -> int:
             payload["plane"][f"relation_residual[{tag}]"] = scalars.residual(k_svk, k_formula)
 
     if args.json:
-        out = json.loads(json.dumps(payload, default=_fmt))
-        print(json.dumps(out, indent=2))
+        _print_json(payload)
     else:
         for k, v in payload["scalars"].items():
             print(f"{k} = {_fmt(v)}")
@@ -294,7 +312,7 @@ def cmd_report(args) -> int:
             },
             "scalars": {k: v for k, v in ws.reported_scalars().items()},
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return EXIT_OK
     print(f"model: {doc.get('name', args.path)} (dim {ws.s.dim})")
     print(f"valid: {ws.validation.passed}")

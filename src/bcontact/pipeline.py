@@ -10,6 +10,7 @@ live in the check suite (``checks.run_checks``).
 """
 from __future__ import annotations
 
+import math
 import weakref
 from functools import cached_property, wraps
 
@@ -236,15 +237,25 @@ class Workspace:
 
     def reported_scalars(self) -> dict[str, float]:
         """Every scalar the reports print, as floats (used for backend
-        agreement checks and the JSON output)."""
+        agreement checks and the JSON output); an exact value beyond the
+        float range is -inf or inf."""
         out = {}
         for view in (self.g, self.gt):
             tag = view.role
             cls = view.classification
             for k, v in cls.scalars.items():
-                out[f"{tag}:{k}"] = float(v)
-            out[f"{tag}:tau"] = float(view.curv.tau)
-            out[f"{tag}:tau_svk"] = float(view.curv.tau_svk)
-            out[f"{tag}:rho(xi,xi)"] = float(view.rho_xi_xi)
-            out[f"{tag}:tr(shape)"] = float(view.shape.trace)
+                out[f"{tag}:{k}"] = _float(v)
+            out[f"{tag}:tau"] = _float(view.curv.tau)
+            out[f"{tag}:tau_svk"] = _float(view.curv.tau_svk)
+            out[f"{tag}:rho(xi,xi)"] = _float(view.rho_xi_xi)
+            out[f"{tag}:tr(shape)"] = _float(view.shape.trace)
         return out
+
+
+def _float(x) -> float:
+    """The float of a scalar of either backend, -inf or inf beyond the float
+    range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf

@@ -337,7 +337,7 @@ def _zero(shape: tuple):
 
 def _widen(ns) -> list[np.ndarray]:
     """The integer arrays ``ns`` as object arrays of Python ints: the exact
-    path for sums that int64 cannot be shown to hold."""
+    path for sums and quotients that int64 cannot be shown to hold."""
     return [n.astype(object) for n in ns]
 
 
@@ -615,7 +615,7 @@ def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
     lcm = math.lcm(*rows)
     factors = [q * (lcm // b) for b in rows]
     if na.dtype == _OBJECT or max(1, m) * max(map(abs, factors), default=0) > _INT64_MAX:
-        na, factors = na.astype(object), np.array(factors, dtype=object)
+        (na,), factors = _widen([na]), np.array(factors, dtype=object)
     else:
         factors = np.array(factors, dtype=np.int64)
     shaped = factors.reshape(factors.shape + (1,) * (na.ndim - factors.ndim))

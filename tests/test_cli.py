@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -236,6 +237,45 @@ def test_report_json(files):
     payload = json.loads(run_cli("report", files["solv3-f4"], "--json").stdout)
     assert payload["valid"] is True
     assert payload["classification"]["g"]["membership"]["F4"] is True
+
+
+def _strict_json(text: str):
+    """``text`` read as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _edited_model(tmp_path, key: str, edit) -> str:
+    """The file of solv3-a with ``edit`` applied to the ``key`` of its
+    document."""
+    doc = zoo.builtin("solv3-a").doc()
+    doc[key] = edit(doc[key])
+    path = tmp_path / f"huge-{key}.json"
+    modelfile.save_path(str(path), doc)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "report", "verify", "curvature"])
+def test_json_of_a_valid_model_beyond_the_float_range(tmp_path, command):
+    # the brackets of solv3-a times 10**400: the model stays valid, and its
+    # scalars are beyond the float range
+    path = _edited_model(tmp_path, "brackets", lambda brackets: [
+        [a, b, [str(Fraction(v) * 10**400) for v in vs]] for a, b, vs in brackets
+    ])
+    proc = run_cli(command, path, "--json")
+    assert proc.returncode == 0, proc.stderr
+    payload = _strict_json(proc.stdout)
+    if command == "report":
+        assert "inf" in payload["scalars"].values()
+
+
+def test_json_of_a_residual_beyond_the_float_range(tmp_path):
+    path = _edited_model(tmp_path, "phi", lambda phi: [[str(10**400), *phi[0][1:]], *phi[1:]])
+    proc = run_cli("validate", path, "--json")
+    assert proc.returncode == 1
+    residuals = [c["residual"] for c in _strict_json(proc.stdout)["checks"]]
+    assert "inf" in residuals
 
 
 def test_report_and_curvature_build_no_torsion_term(files, monkeypatch):

@@ -13,14 +13,12 @@ from bcontact.curvature import (
     PlaneStack,
     TOTALLY_REAL,
     XI_SECTION,
-    curvature_reeb_identity,
     ricci,
     ricci_xi_formula,
     section_type,
     sectional,
     svk_curvature_formula,
     svk_ricci_formula,
-    svk_scalar_formula,
 )
 from bcontact.liegroup import covariant_derivative
 from bcontact.scalars import DEFAULT_EPS, RATIONAL
@@ -57,14 +55,6 @@ def test_flat_model_everything_vanishes():
         assert view.rho_xi_xi == 0
 
 
-def test_svk_curvature_relation_direct_vs_formula():
-    for name in ALL_NAMES:
-        ws = workspace(name)
-        for view in (ws.g, ws.gt):
-            formula = svk_curvature_formula(view.curv, view.shape)
-            assert np.array_equal(view.curv.r04_svk, formula), name
-
-
 @pytest.mark.parametrize("name", ["solv7-u2", "dim5-tr", "x-mix5-f8"])
 def test_phi2_identity_is_the_sandwich_exactly(name):
     # R(x,y,phi^2 z,phi^2 w) = R - eta(z) R(x,y,xi,w) - eta(w) R(x,y,z,xi),
@@ -97,18 +87,6 @@ def test_svk_curvature_on_parallel_entry_is_projected_base():
         assert rd[i, j, k, l] == expected
 
 
-def test_svk_ricci_and_scalar_relations():
-    for name in ALL_NAMES:
-        ws = workspace(name)
-        for view in (ws.g, ws.gt):
-            rho_formula = svk_ricci_formula(
-                ws.s, view.curv.r04, view.curv.rho, view.shape, view.metric
-            )
-            assert np.array_equal(view.curv.rho_svk, rho_formula), name
-            tau_formula = svk_scalar_formula(view.curv.tau, view.rho_xi_xi, view.shape)
-            assert view.curv.tau_svk == tau_formula, name
-
-
 def _loop_trace(r, m):
     """m^{il} R(e_i, y, z, e_l) of a (0,4) tensor, by plain Python sums."""
     idx = range(len(m.matrix))
@@ -135,23 +113,6 @@ def test_ricci_relation_is_the_trace_of_the_curvature_relation(name):
         traced = _loop_trace(svk_curvature_formula(replace(view.curv, r04=r), view.shape), view.metric)
         formula = svk_ricci_formula(ws.s, r, rho, view.shape, view.metric)
         assert np.array_equal(formula, traced), view.role
-
-
-def test_ricci_reeb_formula():
-    for name in ALL_NAMES:
-        ws = workspace(name)
-        for view in (ws.g, ws.gt):
-            n_s = covariant_derivative(view.conn, view.shape.operator, 1)
-            via_shape = ricci_xi_formula(ws.s, view.conn, n_s, view.shape, view.metric)
-            assert view.rho_xi_xi == via_shape, name
-
-
-def test_curvature_reeb_identity_over_basis_pairs():
-    for name in ("solv3-a", "solv3-f11", "solv7-u2"):
-        ws = workspace(name)
-        n_s = covariant_derivative(ws.g.conn, ws.g.shape.operator, 1)
-        res = curvature_reeb_identity(ws.s, ws.g.curv.r13, n_s)
-        assert scalars.residual(res) == 0.0, name
 
 
 def test_section_types_on_dim5_entry():

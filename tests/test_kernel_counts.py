@@ -29,7 +29,7 @@ DEFAULT_COUNTS = {
     },
     "scale_calls": 1274,
     "scaled_entries": 21637,
-    "widen_callers": {"checks.py:_minus": 2, "curvature.py:formula": 7},
+    "widen_callers": {"checks.py:_minus": 2, "curvature.py:formula": 16, "curvature.py:sectional": 18},
     "zero_results": {"total": 2991, "einsum": 1520, "combine": 1471},
     "entry_calls": {
         "total": 12033, "einsum": 5940, "combine": 3953, "divide_rows": 117, "zero_test": 878,
@@ -170,6 +170,10 @@ def test_counts_of_single_kernel_calls():
     big = scalars.freeze(rat([3037000499, 3037000499]))
     assert widened(lambda: scalars.einsum("i,i->i", big, big)) == 0
     assert widened(lambda: scalars.einsum("i,i->", big, big)) == 1
+    # quotients of rows that fit int64, and quotients that do not
+    rows = rat([2**40, "-3/5", 0])
+    assert widened(lambda: scalars.divide_rows(rows, rat([1, -7, "1/3"]))) == 0
+    assert widened(lambda: scalars.divide_rows(rows, rat([Fraction(1, 2**30), -7, "1/3"]))) == 1
     # an all-zero term adds nothing to the bound, whatever its coefficient
     zero = scalars.freeze(scalars.zeros((2,), RATIONAL))
     assert widened(lambda: scalars.combine([2**70, 1, -(2**80)], [zero, v[:2], zero])) == 0
@@ -180,5 +184,8 @@ def test_counts_of_single_kernel_calls():
     for value, n in ((edge, 0), (edge + 1, 1)):
         operands = [scalars.freeze(rat(np.full(shape, value))) for shape in ((1, 2), (2, 2), (2, 1))]
         assert widened(lambda: scalars.einsum("ij,jk,kl->il", *operands)) == n
-    # a whole rational run on a dim-5 model stays on int64
-    assert script.count([zoo.builtin("solv5-f1")])["widen_callers"] == {}
+    # a whole rational run on a dim-5 model leaves int64 only where the
+    # sectional values of its sampled planes are divided by their pi_1
+    assert script.count([zoo.builtin("solv5-f1")])["widen_callers"] == {
+        "curvature.py:formula": 1, "curvature.py:sectional": 2,
+    }

@@ -2,9 +2,10 @@
 horizontal/vertical, structure, Lie algebra and scalar kernel code and of
 the sectional checks: every mutant it makes is valid Python (it parses the
 statement each one changes) that differs from its file in one line, each
-has a key of its own, and every target file is mutated; and an oracle that
+has a key of its own, and every target file is mutated; an oracle that
 fails on the unmutated code stops the survey before any mutant runs.  The survey itself runs
-outside these tests."""
+outside these tests, and a mutant on which the suite oracle times out
+does not run the tests oracle."""
 import importlib.util
 import sys
 from collections import Counter
@@ -69,3 +70,29 @@ def test_a_failing_baseline_runs_no_mutant(script, monkeypatch, capsys, failing)
     assert f"the {failing} oracle fails on the unmutated code" in capsys.readouterr().err
     limits = [("suite", script.SUITE_TIMEOUT), ("tests", script.TESTS_TIMEOUT)]
     assert runs == limits[: 1 if failing == "suite" else 2]
+
+
+def test_a_suite_timeout_skips_the_tests_oracle(script, monkeypatch, tmp_path):
+    # two faked mutants of one file: the suite oracle times out on the first
+    # only, and the tests oracle runs on the unmutated copy and the second
+    target = "src/bcontact/hv.py"
+
+    def copy(root, into):
+        (into / target).parent.mkdir(parents=True)
+        (into / target).write_text("original")
+        return into
+
+    hangs, other = (script.Mutant(target, "f", "sign", 1, "+", after) for after in ("hangs", "other"))
+    monkeypatch.setattr(script, "_copy", copy)
+    monkeypatch.setattr(script, "mutants", lambda root: [(hangs, "hangs"), (other, "other")])
+    monkeypatch.setattr(
+        script, "_suite",
+        lambda copy, timeout: script.TIMEOUT if (copy / target).read_text() == "hangs" else "survived",
+    )
+    tested = []
+    monkeypatch.setattr(
+        script, "_tests", lambda copy, timeout: tested.append((copy / target).read_text()) or "survived"
+    )
+    found = script.survey(tmp_path, 1)
+    assert tested == ["original", "other"]
+    assert [(m.suite, m.tests) for m in found] == [(script.TIMEOUT, script.SKIPPED), ("survived", "survived")]

@@ -733,16 +733,6 @@ def test_memo_entry_leaves_with_its_array():
     assert _growth(step, 1000) < 200_000
 
 
-def test_equal_entries_share_one_fraction():
-    a = scalars.array([["1/2", "-1/2"], ["1/2", 0]], RATIONAL)
-    b = scalars.combine([1, 1], [a, a.T])
-    assert b[0, 0] == 1 and b[0, 1] == 0 and b[1, 0] == 0
-    assert b[0, 1] is b[1, 0] is b[1, 1] is scalars.ZERO
-    c = scalars.einsum("ij,jk->ik", a, a)  # [[0, -1/4], [1/4, -1/4]]
-    assert c[0, 0] is scalars.ZERO
-    assert c[0, 1] == Fraction(-1, 4) and c[0, 1] is c[1, 1]
-
-
 def test_equal_entries_of_separate_results_are_one_fraction():
     u = scalars.array(["1/2", 3], RATIONAL)
     v = scalars.array([1, "-2/3"], RATIONAL)
@@ -921,13 +911,6 @@ def _assert_kernel_result(result, inputs):
     if not any(entries):
         assert result is scalars.combine([1], [scalars.zeros(result.shape, RATIONAL)])
     _assert_read_exactly(result)
-
-
-def test_kernel_result_is_read_only():
-    a = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
-    for r in (scalars.einsum("ij,jk->ik", a, a), scalars.combine([1, 1], [a, a])):
-        with pytest.raises(ValueError, match="read-only"):
-            r[0, 0] = Fraction(1)
 
 
 def test_residual_of_a_scaled_array_counts_no_fraction(monkeypatch):
