@@ -1,4 +1,4 @@
-"""Mutation survey of the curvature, SvK, horizontal/vertical, structure, Lie algebra and scalar kernel code.
+"""Mutation survey of the curvature, SvK, horizontal/vertical, structure, Lie algebra, tensor and scalar kernel code.
 
 Which one-site changes of the code do the check suite and the tests notice?
 
@@ -6,7 +6,7 @@ Which one-site changes of the code do the check suite and the tests notice?
 
 Run it from the root of a checkout.  The mutated code is
 ``src/bcontact/curvature.py``, ``svk.py``, ``hv.py``, ``structure.py``,
-``liegroup.py``, ``scalars.py`` and the sectional part of
+``liegroup.py``, ``tensor.py``, ``scalars.py`` and the sectional part of
 ``src/bcontact/checks.py`` (from its "sectional-curvature sampling" header
 to its "suite driver" header).
 Each mutant changes one site:
@@ -18,7 +18,8 @@ Each mutant changes one site:
   literal of the form ``ab,bc->ac``).
 
 Each mutant runs against two oracles, each in a fresh interpreter on a copy
-of the checkout that holds the mutant:
+of the checkout that holds the mutant (its ``src``, ``tests``,
+``pyproject.toml`` and ``bench/tracer.py``, which a test executes):
 
 - ``suite``: ``run_checks`` in rational mode on every curated and boundary
   entry up to dimension 5; the mutant is killed when an entry's failing
@@ -26,8 +27,9 @@ of the checkout that holds the mutant:
   entry), or when a run raises or times out;
 - ``tests``: pytest on ``tests/test_sectional.py``, ``test_curvature.py``,
   ``test_basis_change.py``, ``test_hv.py``, ``test_svk.py``,
-  ``test_structure.py``, ``test_liegroup.py``, ``test_scalar_kernel.py``
-  and ``test_tensor.py``; the mutant is killed when a test fails.  It is
+  ``test_structure.py``, ``test_liegroup.py``, ``test_scalar_kernel.py``,
+  ``test_tensor.py``, ``test_check_rows.py`` and ``test_zoo.py``; the
+  mutant is killed when a test fails.  It is
   not run on a mutant that the suite oracle kills by timeout, which would
   most likely hang the tests too, and its verdict reads ``SKIPPED``.
 
@@ -69,13 +71,14 @@ TARGETS = {
     "src/bcontact/hv.py": None,
     "src/bcontact/structure.py": None,
     "src/bcontact/liegroup.py": None,
+    "src/bcontact/tensor.py": None,
     "src/bcontact/scalars.py": None,
     "src/bcontact/checks.py": ("# sectional-curvature sampling", "# suite driver"),
 }
 TESTS = [
     "tests/test_sectional.py", "tests/test_curvature.py", "tests/test_basis_change.py",
     "tests/test_hv.py", "tests/test_svk.py", "tests/test_structure.py", "tests/test_liegroup.py",
-    "tests/test_scalar_kernel.py", "tests/test_tensor.py",
+    "tests/test_scalar_kernel.py", "tests/test_tensor.py", "tests/test_check_rows.py", "tests/test_zoo.py",
 ]
 EINSUM_SPEC = re.compile(r"^[a-z]+(,[a-z]+)*->[a-z]*$")
 # the run of an oracle on the unmutated code times out at these seconds,
@@ -227,7 +230,9 @@ def mutants(root: Path) -> list[tuple[Mutant, str]]:
 def _copy(root: Path, into: Path) -> Path:
     for part in ("src", "tests"):
         shutil.copytree(root / part, into / part, ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(root / "pyproject.toml", into / "pyproject.toml")
+    for part in ("pyproject.toml", "bench/tracer.py"):
+        (into / part).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(root / part, into / part)
     return into
 
 

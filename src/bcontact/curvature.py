@@ -228,7 +228,7 @@ class PlaneStack:
         # a read-only copy, which the kernel scales once for every contraction
         xy = scalars.freeze(np.array(np.reshape(xy, (len(xy), 2, len(m.matrix))), dtype=m.matrix.dtype))
         gram = _gram(m.matrix, xy, xy)
-        return cls(m, xy, gram, scalars.freeze(_pi1(gram)))
+        return cls(m, xy, gram, _pi1(gram))
 
     @classmethod
     def nondegenerate(cls, m: Metric, xy, eps: float) -> "PlaneStack":

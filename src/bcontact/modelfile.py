@@ -135,7 +135,7 @@ def _read(path: str) -> dict:
         raise ModelFileError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise ModelFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFileError("model file must contain a JSON object")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 
@@ -36,11 +36,6 @@ from .structure import (
 from .tensor import Metric, lower_out
 
 
-def _cached(fn):
-    """A field computed on first use and cached, with its arrays read-only."""
-    return cached_property(wraps(fn)(lambda self: scalars.freeze(fn(self))))
-
-
 class MetricView:
     """Everything attached to one metric of the pair."""
 
@@ -58,68 +53,68 @@ class MetricView:
         Workspace is gone."""
         return self._ws.gt if self is self._ws.g else self._ws.g
 
-    @_cached
+    @cached_property
     def conn(self) -> np.ndarray:
         """Coefficients of the Levi-Civita connection of this metric."""
         return levi_civita(self.s.algebra, self.metric)
 
     # the only derivatives of xi, eta and phi under this Levi-Civita
     # connection: every closed form of the structure reads them
-    @_cached
+    @cached_property
     def nabla_xi(self) -> np.ndarray:
         """(1,1) nabla xi of the Levi-Civita connection of this metric."""
         return covariant_derivative(self.conn, self.s.xi, 1)
 
-    @_cached
+    @cached_property
     def nabla_eta(self) -> np.ndarray:
         """(0,2) nabla eta of the Levi-Civita connection of this metric."""
         return covariant_derivative(self.conn, self.s.eta, 0)
 
-    @_cached
+    @cached_property
     def nabla_phi(self) -> np.ndarray:
         """(1,2) nabla phi of the Levi-Civita connection of this metric."""
         return covariant_derivative(self.conn, self.s.phi, 1)
 
-    @_cached
+    @cached_property
     def nabla_xi02(self) -> np.ndarray:
         """(0,2) m(nabla_x xi, y) of this view's metric m."""
         return lower_out(self.nabla_xi, self.metric)
 
-    @_cached
+    @cached_property
     def fundamental(self) -> np.ndarray:
         return fundamental_tensor(self.nabla_phi, self.metric)
 
-    @_cached
+    @cached_property
     def lee(self) -> LeeForms:
         return lee_forms(self.s, self.fundamental, self.metric)
 
-    @_cached
+    @cached_property
     def assoc(self) -> Metric:
         """The associated metric of this view's metric (for g~ it is
         -g + 2 eta (x) eta, not g again); it carries the starred divergence."""
         return self.s.assoc if self.role == "g" else associated_of(self.metric, self.s)
 
-    @_cached
+    @cached_property
     def div_pair(self):
         """(div(eta), div*(eta)) for the structure carried by this metric."""
         return divergences(self.nabla_eta, self.metric, self.assoc)
 
-    @_cached
+    @cached_property
     def partner_potential(self) -> np.ndarray:
         """(1,2) potential of the partner's Levi-Civita connection with
         respect to this one."""
         return scalars.combine([1, -1], [self.partner.conn, self.conn])
 
-    @_cached
+    @cached_property
     def partner_potential03(self) -> np.ndarray:
         return lower_out(self.partner_potential, self.metric)
 
-    @_cached
+    @cached_property
     def partner_potential_xi(self) -> np.ndarray:
         """(1,1) Phi(x, xi) of the partner potential Phi."""
         return scalars.einsum("lim,m->li", self.partner_potential, self.s.xi)
 
-    @_cached
+    @cached_property
     def classification(self) -> ClassificationReport:
         return classify(
             self.s, self.fundamental, self.lee, self.metric, self.nabla_xi,
@@ -127,69 +122,69 @@ class MetricView:
             self.role,
         )
 
-    @_cached
+    @cached_property
     def q_closed(self) -> QComponents:
         """Q^h and Q^v by their closed forms through nabla xi and nabla eta:
         the closed forms of Q and the phiB-connection add them."""
         return potential_components(self.s, self.nabla_xi, self.nabla_eta)
 
-    @_cached
+    @cached_property
     def hv_closed(self) -> HVComponents:
         """``q_closed`` with T^h and T^v by their closed forms through nabla
         xi: the closed form of T adds them.  Only the checks read it."""
         return connection_components(self.s, self.nabla_xi, self.q_closed)
 
-    @_cached
+    @cached_property
     def potential(self) -> np.ndarray:
         """(1,2) potential Q = D - nabla of the SvK connection, by its closed form."""
         return svk_mod.svk_potential_closed(self.q_closed)
 
-    @_cached
+    @cached_property
     def svk(self) -> np.ndarray:
         """Coefficients of the Schouten-van Kampen connection of this metric."""
         return svk_mod.svk_connection(self.conn, self.potential)
 
-    @_cached
+    @cached_property
     def torsion(self) -> np.ndarray:
         """(1,2) T of the SvK connection."""
         return torsion(self.svk, self.s.algebra)
 
-    @_cached
+    @cached_property
     def potential03(self) -> np.ndarray:
         return lower_out(self.potential, self.metric)
 
-    @_cached
+    @cached_property
     def torsion03(self) -> np.ndarray:
         return lower_out(self.torsion, self.metric)
 
-    @_cached
+    @cached_property
     def hv(self) -> HVComponents:
         """The horizontal/vertical split of this view's Q and T."""
         return hv_split(self.s, self.potential, self.torsion)
 
     # the only derivatives of phi (1,2), xi (1,1), eta (0,2) and this view's
     # metric (0,3) under the SvK connection: every check of them reads these
-    @_cached
+    @cached_property
     def svk_phi(self) -> np.ndarray:
         return covariant_derivative(self.svk, self.s.phi, 1)
 
-    @_cached
+    @cached_property
     def svk_xi(self) -> np.ndarray:
         return covariant_derivative(self.svk, self.s.xi, 1)
 
-    @_cached
+    @cached_property
     def svk_eta(self) -> np.ndarray:
         return covariant_derivative(self.svk, self.s.eta, 0)
 
-    @_cached
+    @cached_property
     def svk_metric(self) -> np.ndarray:
         return covariant_derivative(self.svk, self.metric.matrix, 0)
 
-    @_cached
+    @cached_property
     def shape(self) -> ShapeData:
         return shape_operator(self.nabla_xi, self.metric, self.s.xi)
 
-    @_cached
+    @cached_property
     def chains(self) -> dict[str, dict[str, bool]]:
         """The verdicts of the three predicate chains of this metric (see
         ``hv.equivalence_chains``); every check that asks whether the SvK
@@ -200,11 +195,11 @@ class MetricView:
             self.hv, self.metric,
         )
 
-    @_cached
+    @cached_property
     def curv(self) -> CurvatureData:
         return curvature_data(self.s, self.conn, self.svk, self.metric)
 
-    @_cached
+    @cached_property
     def rho_xi_xi(self):
         xi = self.s.xi
         return scalars.einsum("yz,y,z->", self.curv.rho, xi, xi)

@@ -17,6 +17,12 @@ by its dtype, and its contexts only when a float residual exceeds eps.
 ``zero_rows`` decides a float stack in one pass of numpy reductions over
 its rows and its contexts' rows.
 
+What the kernel returns is finished: every array that ``einsum``,
+``combine``, ``divide_rows``, ``diagonalize``, ``array`` and ``eye`` return
+is read-only when it is made, in both modes; ``zeros`` is the one writable
+buffer.  ``_rebuild`` builds every exact value the kernel hands out, but
+for the tokens ``exact`` parses, from one shared table.
+
 Exact arithmetic on a model happens only in this module: every rational
 value that loading a model, its ``Workspace``, the check suite and the CLI
 commands compute is made by ``einsum`` (contractions, products of scalars,
@@ -56,15 +62,15 @@ kernel returns, so made or summed, is ``ZERO`` when 0-d, else the one
 read-only array of ``ZERO`` entries of its shape (``_zero``).  Each call
 reads its operands, a scalar one as a 0-d array, in one pass that decides
 the backend and scales them.  A scaled form is kept while its array lives
-for a kernel result (born read-only, owning its memory), a read-only array
-that owns its memory, and a transpose ``einsum`` takes of either; any
-other view is scaled afresh.
+for a kernel result (born with it), a read-only array that owns its
+memory, and a transpose ``einsum`` takes of either; any other view is
+scaled afresh.
 Each call looks an operand's kept form up once (``_scaled``).  So the next
 kernel call, ``zero_test``, ``zero_rows`` and ``residual`` read a result's
 integers: a rational verdict and worst index are exact, and a residual is
 the float of the exact largest entry (the smallest positive float when
 that rounds to 0 but the entry is not 0, and inf beyond the float range).
-``freeze`` makes other arrays read-only.
+``freeze`` makes read-only an array that plain numpy or a caller built.
 """
 from __future__ import annotations
 
@@ -73,6 +79,8 @@ import functools
 import math
 import operator
 import os
+import re
+import sys
 import weakref
 from fractions import Fraction
 from typing import Union
@@ -114,6 +122,10 @@ def eps_or_env(eps: float | None) -> float:
         ) from None
 
 
+# the exponent of a decimal token, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def exact(tok: ScalarLike) -> Fraction:
     """The exact value of a scalar token ("p/q", decimal string, int, float).
 
@@ -121,7 +133,11 @@ def exact(tok: ScalarLike) -> Fraction:
     "1e-13" are the same value; a non-finite float raises ValueError, and so
     does a string with a non-ASCII character (``Fraction`` would read other
     scripts' digits).  A boolean is not a scalar and raises TypeError.  A
-    ``Fraction`` is its own value.
+    ``Fraction`` is its own value.  A decimal string whose digits and the
+    size of its exponent add up to more than ``sys.get_int_max_str_digits()``
+    (when that is not 0) raises ValueError before its power of 10 is
+    computed: Python converts no longer integer to or from text, so its
+    value could not be written back.
     """
     if type(tok) is Fraction:
         return tok
@@ -129,8 +145,12 @@ def exact(tok: ScalarLike) -> Fraction:
         raise TypeError("a boolean is not a number")
     if isinstance(tok, (float, np.floating)):
         return Fraction(repr(float(tok)))
-    if isinstance(tok, str) and not tok.isascii():
-        raise ValueError("non-ASCII character in a number")
+    if isinstance(tok, str):
+        if not tok.isascii():
+            raise ValueError("non-ASCII character in a number")
+        limit, power = sys.get_int_max_str_digits(), _EXPONENT.search(tok)
+        if limit and power and sum(map(str.isdigit, tok[: power.start()])) + abs(int(power[1])) > limit:
+            raise ValueError(f"{tok!r} has more than {limit} digits")
     return Fraction(tok)
 
 
@@ -167,30 +187,36 @@ def zeros(shape, mode: str) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 
 
+def _read_only(out):
+    """``out``, made read-only when it is an array: what the kernel returns
+    is finished."""
+    if isinstance(out, np.ndarray):
+        out.setflags(write=False)
+    return out
+
+
 def array(nested, mode: str) -> np.ndarray:
-    """Build a backend array from (possibly nested) scalar tokens, or from
+    """A read-only backend array of (possibly nested) scalar tokens, or of
     an integer array: in float mode the nearest float of each exact value
-    (an integer array's float64 copy), in rational mode one ``Fraction`` per
-    entry, of a Python int for an integer array."""
+    (an integer array's float64 copy), in rational mode the ``Fraction`` of
+    each token, or ``_rebuild``'s array of an integer array, which keeps
+    its integers as its scaled form."""
     if isinstance(nested, np.ndarray) and nested.dtype.kind in "iu":
         if mode != RATIONAL:
-            return nested.astype(np.float64)
-        values = [Fraction(v) for v in nested.ravel().tolist()]
-    else:
-        nested = np.asarray(nested, dtype=object)
-        values = list(map(exact, nested.ravel().tolist()))
-    # an array that owns its memory, so that the kernel may keep its scaled
-    # form once it is frozen
+            return _read_only(nested.astype(np.float64))
+        if nested.ndim:
+            # a copy of Python ints, which _rebuild keeps as int64 when they fit
+            return _rebuild(nested.astype(object), 1)
+    nested = np.asarray(nested, dtype=object)
+    # an array that owns its memory, so that the kernel keeps its scaled form
     out = np.empty(nested.shape, dtype=object)
-    out.reshape(-1)[:] = values
-    return out if mode == RATIONAL else out.astype(np.float64)
+    out.reshape(-1)[:] = list(map(exact, nested.ravel().tolist()))
+    return _read_only(out if mode == RATIONAL else out.astype(np.float64))
 
 
 def eye(dim: int, mode: str) -> np.ndarray:
     """Identity matrix in the backend type."""
-    out = zeros((dim, dim), mode)
-    np.fill_diagonal(out, parse_scalar(1, mode))
-    return out
+    return array(np.eye(dim, dtype=np.int64), mode)
 
 
 # the largest int64; an int64 sum of products whose magnitude bound is at
@@ -274,7 +300,8 @@ def _rebuild(n, den: int):
     """The exact value of ``n / den`` for an integer array (or integer) ``n``,
     int64 or Python ints: a read-only object array of ``Fraction``, equal
     entries sharing one object and every zero ``ZERO``, or a ``Fraction``
-    for a 0-d ``n``.
+    for a 0-d ``n``; the one builder of the exact values the kernel hands
+    out.
 
     ``n`` and ``den`` are first divided by g = gcd(den, n_1, ...), which
     gives ``_scale``'s form of the result: the least common multiple of the
@@ -282,11 +309,11 @@ def _rebuild(n, den: int):
     result, so it is never scaled again.  Only the nonzero entries of an
     array are read, in one pass over a flat index; each distinct value is
     taken from the shared table of ``_fraction``, so a ``Fraction`` is built
-    only for a value the table does not hold.  A nonzero 0-d result is a
-    ``Fraction`` of its own, and a zero one, or an all-zero array,
-    ``_zero``'s.  Every ``Fraction`` holds Python ints."""
+    only for a value the table does not hold.  A nonzero 0-d result is the
+    table's too, and a zero one, or an all-zero array, ``_zero``'s.  Every
+    ``Fraction`` holds Python ints."""
     if not isinstance(n, np.ndarray) or not n.ndim:
-        return Fraction(int(n), den) if n else ZERO
+        return _fraction(int(n), den) if n else ZERO
     flat = n.ravel()
     where = flat.nonzero()[0]
     if not len(where):
@@ -472,7 +499,7 @@ def einsum(spec: str, *operands: np.ndarray):
         except AttributeError:  # a scalar operand: a 0-d array of its dtype
             dtype = (a := np.asarray(a)).dtype
         if dtype != _OBJECT:
-            return _contract(spec, operands)
+            return _read_only(_contract(spec, operands))
         shapes.append(a.shape)
         if many and bound:
             n, d, m = _scaled(a)
@@ -483,16 +510,16 @@ def einsum(spec: str, *operands: np.ndarray):
     sums, k, shape = _plan(spec, tuple(shapes))
     if not many:  # ``a`` is the one operand
         if not sums:
-            # a read-only view that holds every entry of an array whose
-            # scaled form is kept, as its read-only integers show (a
-            # transpose, not a diagonal), keeps the same view of its
-            # integers, with the same M: its memory is never written
+            # a view that holds every entry of an array whose scaled form is
+            # kept, as its read-only integers show (a transpose, not a
+            # diagonal), keeps the same view of its integers, with the same
+            # M: its memory is never written
             out = np.einsum(spec, a)
-            if isinstance(out, np.ndarray) and not out.flags.writeable and out.size == a.size:
+            if not a.flags.writeable and isinstance(out, np.ndarray) and out.size == a.size:
                 n, d, m = _scaled(a)
                 if not n.flags.writeable:
                     _remember(out, np.einsum(spec, n), d, m)
-            return out
+            return _read_only(out)
         n, den, bound = _scaled(a)
         ns, wide = [n], n.dtype == _OBJECT
     if not bound:
@@ -589,7 +616,7 @@ def _float_sum(coefficients, arrays):
             out = a if c == 1 else -a if c == -1 else float(c) * a
         else:
             out = out + a if c == 1 else out - a if c == -1 else out + float(c) * a
-    return out.copy() if out is arrays[0] and isinstance(out, np.ndarray) else out
+    return _read_only(out.copy() if out is arrays[0] and isinstance(out, np.ndarray) else out)
 
 
 def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -606,7 +633,7 @@ def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
     zero in ``den`` raises ZeroDivisionError.
     """
     if a.dtype != _OBJECT or den.dtype != _OBJECT:
-        return a / np.reshape(den, den.shape + (1,) * (a.ndim - den.ndim))
+        return _read_only(a / np.reshape(den, den.shape + (1,) * (a.ndim - den.ndim)))
     na, p, m = _scaled(a)
     nb, q, _ = _scaled(den)
     rows = nb.tolist()
@@ -636,7 +663,7 @@ def diagonalize(m: np.ndarray):
     columns, and to the rows of E: a congruence by an integer matrix.  Row r
     of E is then divided by the gcd g of its entries, and row and column r
     of A by g, so the integers stay small.  Then e = E and d = diag(A) / q,
-    both read-only."""
+    both built by ``_rebuild``, read-only and with their scaled forms."""
     n, q, _ = _scaled(m)
     a = n.tolist()
     size = len(a)
@@ -670,11 +697,8 @@ def diagonalize(m: np.ndarray):
                 a[r] = [x // g for x in a[r]]
                 for row in a:
                     row[r] //= g
-    d = np.empty(size, dtype=object)
-    d[:] = [Fraction(a[i][i], q) for i in range(size)]
-    out = np.empty((size, size), dtype=object)
-    out[...] = [[Fraction(x) for x in row] for row in e]
-    return freeze(out), freeze(d)
+    d = np.array([a[i][i] for i in range(size)], dtype=object)
+    return _rebuild(np.array(e, dtype=object).reshape(size, size), 1), _rebuild(d, q)
 
 
 def mode_of(arr: np.ndarray) -> str:
@@ -858,14 +882,14 @@ def freeze(obj):
     """Make every array reachable from ``obj`` read-only, with the arrays of
     its ``.base`` chain, and return ``obj``.
 
-    Arrays are reached through tuples, lists, dict values and dataclass
-    fields, so one call covers a model or a cached derived value.  A frozen
-    array must not be written again (say, after ``setflags(write=True)``):
-    the kernel keeps the scaled form of one that owns its memory, but
-    scales a view at each use.  A rational result of ``einsum`` or
-    ``combine`` needs no call: it is born read-only and scaled.  Freeze an
-    owned array built otherwise (by ``Fraction`` arithmetic, ``@``, a mask)
-    that the kernel reads more than once.
+    Arrays are reached through tuples, lists and the fields that
+    ``dataclasses.fields`` lists, so one call covers the inputs of a model.
+    A frozen array must not be written again (say, after
+    ``setflags(write=True)``): the kernel keeps the scaled form of one that
+    owns its memory, but scales a view at each use.  What the kernel
+    returns needs no call: it is born read-only.  Freeze an array that
+    plain numpy built (by indexing, ``np.concatenate``, ``np.linalg``) or a
+    caller handed in, that the kernel reads more than once.
     """
     if isinstance(obj, np.ndarray):
         a = obj
@@ -875,20 +899,7 @@ def freeze(obj):
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             freeze(item)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            freeze(item)
-    else:
-        for name in _field_names(type(obj)):
-            freeze(getattr(obj, name))
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            freeze(getattr(obj, f.name))
     return obj
-
-
-@functools.lru_cache(maxsize=256)
-def _field_names(cls: type) -> tuple[str, ...]:
-    """The names of the fields of the dataclass ``cls`` that
-    ``dataclasses.fields`` lists (no ``InitVar`` or ``ClassVar``), read
-    once per class; none for a class that is not a dataclass."""
-    if not dataclasses.is_dataclass(cls):
-        return ()
-    return tuple(f.name for f in dataclasses.fields(cls))

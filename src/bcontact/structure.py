@@ -92,28 +92,34 @@ class ACBStructure:
     def assoc(self) -> Metric:
         """g~(x,y) = g(x, phi y) + eta(x) eta(y); built on first use, since it
         is a metric only when the axioms on g hold."""
-        return scalars.freeze(associated_of(self.metric, self))
+        return associated_of(self.metric, self)
 
     @cached_property
     def d_eta(self) -> np.ndarray:
         """d eta as a (0,2) tensor, the same for both metrics of the pair."""
-        return scalars.freeze(d_eta(self.algebra, self.eta))
+        return d_eta(self.algebra, self.eta)
+
+    @cached_property
+    def eta_eta(self) -> np.ndarray:
+        """eta (x) eta, which the associated metric and the B-metric axioms
+        add."""
+        return scalars.einsum("i,j->ij", self.eta, self.eta)
 
     @cached_property
     def vertical(self) -> np.ndarray:
         """xi (x) eta, the (1,1) projector onto span(xi) along ker(eta)."""
-        return scalars.freeze(scalars.einsum("k,l->kl", self.xi, self.eta))
+        return scalars.einsum("k,l->kl", self.xi, self.eta)
 
     @cached_property
     def horizontal(self) -> np.ndarray:
         """id - xi (x) eta, the (1,1) projector onto ker(eta) along span(xi)."""
         eye = scalars.eye(self.dim, self.mode)
-        return scalars.freeze(scalars.combine([1, -1], [eye, self.vertical]))
+        return scalars.combine([1, -1], [eye, self.vertical])
 
     @cached_property
     def d_eta_xi(self) -> np.ndarray:
         """d eta(x,y) xi [k, x, y], the vertical torsion of both SvK connections."""
-        return scalars.freeze(scalars.einsum("ij,k->kij", self.d_eta, self.xi))
+        return scalars.einsum("ij,k->kij", self.d_eta, self.xi)
 
     @property
     def dim(self) -> int:
@@ -130,10 +136,7 @@ class ACBStructure:
 
 def associated_of(m: Metric, s: "ACBStructure") -> Metric:
     """Associated metric of an arbitrary B-metric for the same (phi, eta)."""
-    mat = scalars.combine(
-        [1, 1],
-        [scalars.einsum("im,mj->ij", m.matrix, s.phi), scalars.einsum("i,j->ij", s.eta, s.eta)],
-    )
+    mat = scalars.combine([1, 1], [scalars.einsum("im,mj->ij", m.matrix, s.phi), s.eta_eta])
     return Metric.from_matrix(mat, s.eps)
 
 
@@ -156,7 +159,7 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
     def b_metric(m):
         return scalars.combine(
             [1, 1, -1],
-            [scalars.einsum("mi,rj,mr->ij", phi, phi, m), m, scalars.einsum("i,j->ij", eta, eta)],
+            [scalars.einsum("mi,rj,mr->ij", phi, phi, m), m, s.eta_eta],
         )
 
     def signature(name, m: Metric):

@@ -12,9 +12,9 @@ e_0, ..., e_{dim-1}):
   [e_i, e_j] = c^k_{ij} e_k;
 * a (0,3) tensor B stores ``B[i, j, k]`` = B(e_i, e_j, e_k).
 
-All operations are pure functions.  The arrays of a model and of the values
-a ``Workspace`` caches are made read-only (``scalars.freeze``), so they are
-safe to share between threads.
+All operations are pure functions.  Every array the scalar kernel returns is
+read-only, and the arrays a model is built from are made so
+(``scalars.freeze``), so they are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ class Metric:
             raise DegenerateMetricError(
                 f"metric determinant is numerically zero: smallest |eigenvalue| {smallest}"
             )
-        return cls(m, np.linalg.inv(m), (int(np.sum(ev > 0)), int(np.sum(ev < 0))))
+        return cls(m, scalars.freeze(np.linalg.inv(m)), (int(np.sum(ev > 0)), int(np.sum(ev < 0))))
 
     def inner(self, x: np.ndarray, y: np.ndarray):
         """m(x, y) of two vectors."""

@@ -1,5 +1,7 @@
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,3 +296,23 @@ def test_non_ascii_number_is_an_input_error(tmp_path, capsys, token, mode):
         modelfile.load_path(path)
     assert cli.main(["validate", path, "--mode", mode]) == 2
     assert "input error: bad scalar" in capsys.readouterr().err
+
+
+def test_json_integer_too_long_to_read_is_an_input_error(tmp_path, capsys):
+    # Python reads no integer of more than sys.get_int_max_str_digits()
+    # digits from text, so json.loads refuses this one
+    path = Path(_solv3_f4_file(tmp_path, "LONG"))
+    path.write_text(path.read_text().replace('"LONG"', "1" * (sys.get_int_max_str_digits() + 700)))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: not valid JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("token", ["1e5000", "-2.5E+4999", "1_0e-5000", "1e999999999"])
+def test_decimal_with_too_many_digits_is_an_input_error(tmp_path, capsys, token):
+    # its value has more digits than Python writes as text, and computing
+    # 10**999999999 would take minutes and hundreds of megabytes
+    path = _solv3_f4_file(tmp_path, token)
+    assert cli.main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert "input error: bad scalar" in err and "digits" in err and "Traceback" not in err

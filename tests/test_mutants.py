@@ -1,11 +1,12 @@
 """``scripts/mutants.py``, the mutation survey of the curvature, SvK,
-horizontal/vertical, structure, Lie algebra and scalar kernel code and of
-the sectional checks: every mutant it makes is valid Python (it parses the
-statement each one changes) that differs from its file in one line, each
-has a key of its own, and every target file is mutated; an oracle that
-fails on the unmutated code stops the survey before any mutant runs.  The survey itself runs
-outside these tests, and a mutant on which the suite oracle times out
-does not run the tests oracle."""
+horizontal/vertical, structure, Lie algebra, tensor and scalar kernel code
+and of the sectional checks: every mutant it makes is valid Python (it
+parses the statement each one changes) that differs from its file in one
+line, each has a key of its own, and every target file is mutated; an
+oracle that fails on the unmutated code stops the survey before any mutant
+runs, and the copy an oracle runs in holds what its tests read.  The survey
+itself runs outside these tests, and a mutant on which the suite oracle
+times out does not run the tests oracle."""
 import importlib.util
 import sys
 from collections import Counter
@@ -35,7 +36,7 @@ def test_each_mutant_changes_one_line_of_its_target(found):
     assert {m.kind for m, _ in found} == {"sign", "unary", "einsum"}
     assert {m.file for m, _ in found} == {
         f"src/bcontact/{name}.py"
-        for name in ("curvature", "svk", "hv", "structure", "liegroup", "scalars", "checks")
+        for name in ("curvature", "svk", "hv", "structure", "liegroup", "tensor", "scalars", "checks")
     }
     assert len({m.key for m, _ in found}) == len(found)
     for m, mutated in found:
@@ -96,3 +97,12 @@ def test_a_suite_timeout_skips_the_tests_oracle(script, monkeypatch, tmp_path):
     found = script.survey(tmp_path, 1)
     assert tested == ["original", "other"]
     assert [(m.suite, m.tests) for m in found] == [(script.TIMEOUT, script.SKIPPED), ("survived", "survived")]
+
+
+def test_the_copy_of_an_oracle_runs_the_row_tests(script, tmp_path):
+    # test_check_rows.py executes bench/tracer.py, which the copy must hold
+    assert "tests/test_check_rows.py" in script.TESTS
+    copy = script._copy(ROOT, tmp_path)
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_check_rows.py"]
+    proc = script._run(cmd, copy, 600)
+    assert proc is not None and proc.returncode == 0, proc and proc.stdout[-2000:]

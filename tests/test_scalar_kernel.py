@@ -12,10 +12,12 @@ gives each label one length, and a rational combination takes terms of one
 shape.  A float call is numpy's own (a contraction of three or more
 operands in pairwise stages, bit for bit on integer-valued operands and
 within the rounding bound of its sums otherwise), and a float zero test
-follows its plain rule.  ``ast`` guards keep every contraction on this
-path, every lowering in ``tensor.lower_out`` and every zero test of a stack
-in ``zero_rows``.  How much work the kernel does is counted in
-``test_kernel_counts.py``.
+follows its plain rule.  Every array the kernel returns, ``array`` and
+``eye`` included, is read-only in both modes, and ``exact`` refuses a
+decimal token with more digits than Python converts to text.  ``ast``
+guards keep every contraction on this path, every lowering in
+``tensor.lower_out`` and every zero test of a stack in ``zero_rows``.  How
+much work the kernel does is counted in ``test_kernel_counts.py``.
 """
 import ast
 import dataclasses
@@ -198,9 +200,15 @@ def _float_operands(operands):
     return [np.asarray(a, dtype=np.float64) for a in operands]
 
 
+def _assert_read_only(result):
+    """What the kernel returns is finished: an array result is read-only."""
+    assert not (isinstance(result, np.ndarray) and result.flags.writeable)
+
+
 def _assert_bit_for_bit(spec, operands):
     expected = np.einsum(spec, *operands)
     got = scalars.einsum(spec, *operands)
+    _assert_read_only(got)
     assert type(got) is type(expected)
     assert np.asarray(got).dtype == np.asarray(expected).dtype
     assert np.array_equal(got, expected)
@@ -243,7 +251,9 @@ def test_float_einsum_of_three_or_more_operands_is_within_its_rounding_bound(cas
     # Algorithms, 2nd ed., ch. 3): the staged and the one-call results
     # differ by at most 2 gamma_n E.
     spec, floats = case
-    got = np.asarray(scalars.einsum(spec, *floats))
+    got = scalars.einsum(spec, *floats)
+    _assert_read_only(got)
+    got = np.asarray(got)
     numpy = np.asarray(np.einsum(spec, *floats))
     exact = [_object_array([Fraction(x) for x in a.ravel().tolist()], a.shape) for a in floats]
     value = np.asarray(np.einsum(spec, *exact))
@@ -274,7 +284,10 @@ def test_einsum_calls_numpy_through_its_module_attribute(monkeypatch, mode):
     scalars.einsum("ij->ji", m)
     # a staged contraction: each stage is a call
     scalars.einsum("ij,jk,k->i", m, m, m[0])
-    assert seen == ["ij,j->i", "ij->ji", "jk,k->j", "ij,j->i"]
+    # the kernel keeps eye's scaled form, so a rational transpose of it
+    # takes the same view of its integers
+    transposes = ["ij->ji"] * (2 if mode == RATIONAL else 1)
+    assert seen == ["ij,j->i", *transposes, "jk,k->j", "ij,j->i"]
 
 
 def _outside_grammar(spec: str) -> bool:
@@ -653,6 +666,7 @@ def test_float_combine_is_the_numpy_expression_bit_for_bit(case):
     cs, arrays = case
     expected = _numpy_expression(cs, arrays)
     got = scalars.combine(cs, arrays)
+    _assert_read_only(got)
     assert got.dtype == np.float64 and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
     assert all(a is not got for a in arrays if isinstance(a, np.ndarray))
@@ -668,7 +682,7 @@ def test_combine_of_no_arrays_is_an_error():
 # ---------------------------------------------------------------------------
 
 def test_writable_array_is_not_served_from_the_memo():
-    a = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
+    a = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL).copy()
     v = scalars.freeze(scalars.array(["1/5", -1], RATIONAL))
     scalars.einsum("ij,j->i", a, v)
     a[0, 0] = Fraction(9, 4)
@@ -677,7 +691,7 @@ def test_writable_array_is_not_served_from_the_memo():
 
 
 def test_read_only_view_of_a_writable_base_is_not_served_from_the_memo():
-    base = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
+    base = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL).copy()
     view = base.view()
     view.setflags(write=False)
     v = scalars.array(["1/5", -1], RATIONAL)
@@ -694,7 +708,7 @@ def test_transpose_of_a_read_only_view_of_a_writable_base_is_never_stale():
     # numpy returns a read-only transpose of a read-only view, but its
     # memory is written through the base: the kernel keeps no scaled form
     # for it, so each read sees the written entry
-    base = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL)
+    base = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL).copy()
     view = base.view()
     view.setflags(write=False)
     t = scalars.einsum("ij->ji", view)
@@ -1162,6 +1176,37 @@ def test_array_of_an_integer_array_is_the_array_of_its_list(mode, ints):
             assert type(x.numerator) is int and type(x.denominator) is int
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize(
+    "nested",
+    [["1/2", 0, "-3"], [[1, "0.25"], [2.5, "7/3"]], np.arange(-3, 4), np.array(5), np.zeros((0, 3), dtype=np.int64)],
+)
+def test_array_and_eye_are_born_read_only(mode, nested):
+    for got in (scalars.array(nested, mode), scalars.eye(3, mode)):
+        assert isinstance(got, np.ndarray) and not got.flags.writeable
+    # an integer array and the identity are kernel results: their Fraction
+    # entries come from the shared table, and their integers are kept
+    if mode == RATIONAL and isinstance(nested, np.ndarray) and nested.ndim:
+        _assert_kernel_result(scalars.array(nested, mode), [nested])
+        _assert_kernel_result(scalars.eye(3, mode), [])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[2, "1/2", 0], ["1/2", -3, 1], [0, 1, "5/7"]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, -1]],  # a zero diagonal that takes e_i -> e_i + e_j
+        [[2**70, 1], [1, -(2**66)]],  # beyond int64
+    ],
+)
+def test_diagonalize_gives_kernel_results(m):
+    m = scalars.array(m, RATIONAL)
+    e, d = scalars.diagonalize(m)
+    assert np.array_equal(e @ m @ e.T, np.diag(d))
+    _assert_kernel_result(e, [m])
+    _assert_kernel_result(d, [m])
+
+
 def test_float_verdict_of_a_row_depends_on_its_own_context():
     # one residual, 1e-6: within eps of row 1's context scale of 1e4 only
     a = np.array([[1e-6, 0.0], [1e-6, 0.0]])
@@ -1289,6 +1334,7 @@ def test_float_row_division_is_numpy_bit_for_bit(case):
         got = scalars.divide_rows(a, den)
         expected = a / den.reshape(-1, *[1] * (a.ndim - 1))
         plain = a / den if a.ndim == 1 else expected  # what ``Sectional`` divided by
+    _assert_read_only(got)
     assert got.dtype == np.float64 and got.tobytes() == expected.tobytes() == plain.tobytes()
 
 
@@ -1657,8 +1703,23 @@ def test_a_mixed_rational_and_float_test_takes_the_general_path():
     assert scalars.zero_test([small, half], 1e-9, big) == (False, 0.5, (1, 0))
 
 
+def test_decimal_digits_are_limited_as_python_limits_integer_text():
+    limit = sys.get_int_max_str_digits()
+    assert scalars.exact(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert scalars.exact(f"0.{'0' * (limit - 2)}1") == Fraction(1, 10 ** (limit - 1))
+    for token in (f"1e{limit}", f"10e{limit - 1}", f"1e-{limit}"):
+        with pytest.raises(ValueError, match="digits"):
+            scalars.exact(token)
+    # a limit of 0 is no limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert scalars.exact(f"1e{limit}") == 10**limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------------------
-# freeze reads the fields that dataclasses.fields lists, once per class
+# freeze reads the fields that dataclasses.fields lists
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass

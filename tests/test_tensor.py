@@ -51,6 +51,12 @@ def test_metric_inverse_rejects_degenerate():
         Metric.from_matrix(np.zeros((3, 3)), DEFAULT_EPS)
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_metric_rejects_a_matrix_that_is_not_symmetric(mode):
+    with pytest.raises(ValueError, match="must be symmetric"):
+        Metric.from_matrix(scalars.array([[1, "1/2"], [0, -1]], mode), DEFAULT_EPS)
+
+
 def test_sharp_of_eta_is_xi():
     ws = workspace("abelian3")
     up = sharp(ws.s.eta, ws.s.metric)
