@@ -26,9 +26,8 @@ time, in one interpreter, in rational mode.  The output holds these counts:
   ``_rebuild`` receives is not counted: it was contracted or added;
 - ``entry_calls``: the outermost calls of the kernel's entry points
   (``ENTRY_POINTS``), by entry point, and their total: a call made inside
-  another entry point's call, as ``is_zero`` makes one of ``verdict``, is
-  not counted, so each count is a number of calls that code outside the
-  kernel made;
+  another entry point's call would not be counted, so each count is a
+  number of calls that code outside the kernel made;
 - ``reentries``: the calls of an entry point made while a call of the same
   entry point is in progress, by entry point, and their total.  The kernel
   reads a scalar operand or term in its call's own pass, so this is 0.
@@ -52,7 +51,7 @@ from bcontact.checks import run_checks
 TARGETS = ("_rebuild", "_scale", "_widen", "_zero")
 # the kernel's entry points whose outermost calls, and calls inside a call
 # of themselves, this script counts
-ENTRY_POINTS = ("einsum", "combine", "divide_rows", "zero_test", "verdict", "is_zero", "zero_rows")
+ENTRY_POINTS = ("einsum", "combine", "divide_rows", "zero_test", "is_zero", "zero_rows")
 KERNEL_FILE = Path(scalars.__file__).name
 # frames that ``_caller`` passes over when it looks outside the kernel: the
 # kernel's, and those of this script's wrappers

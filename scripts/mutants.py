@@ -1,4 +1,4 @@
-"""Mutation survey of the curvature, SvK, horizontal/vertical, structure, Lie algebra, tensor and scalar kernel code.
+"""Mutation survey of the curvature, SvK, horizontal/vertical, structure, Lie algebra, tensor, pipeline and scalar kernel code.
 
 Which one-site changes of the code do the check suite and the tests notice?
 
@@ -6,7 +6,7 @@ Which one-site changes of the code do the check suite and the tests notice?
 
 Run it from the root of a checkout.  The mutated code is
 ``src/bcontact/curvature.py``, ``svk.py``, ``hv.py``, ``structure.py``,
-``liegroup.py``, ``tensor.py``, ``scalars.py`` and the sectional part of
+``liegroup.py``, ``tensor.py``, ``pipeline.py``, ``scalars.py`` and the sectional part of
 ``src/bcontact/checks.py`` (from its "sectional-curvature sampling" header
 to its "suite driver" header).
 Each mutant changes one site:
@@ -15,7 +15,8 @@ Each mutant changes one site:
   and a positive coefficient of a ``scalars.combine`` list gains a minus;
 - ``unary``: a unary minus is dropped (a negative coefficient among them);
 - ``einsum``: two output letters of an einsum spec are swapped (every string
-  literal of the form ``ab,bc->ac``).
+  literal of the form ``ab,bc->ac``, each term led by the batch label ``B``
+  or not, which is never swapped).
 
 Each mutant runs against two oracles, each in a fresh interpreter on a copy
 of the checkout that holds the mutant (its ``src``, ``tests``,
@@ -72,6 +73,7 @@ TARGETS = {
     "src/bcontact/structure.py": None,
     "src/bcontact/liegroup.py": None,
     "src/bcontact/tensor.py": None,
+    "src/bcontact/pipeline.py": None,
     "src/bcontact/scalars.py": None,
     "src/bcontact/checks.py": ("# sectional-curvature sampling", "# suite driver"),
 }
@@ -80,7 +82,7 @@ TESTS = [
     "tests/test_hv.py", "tests/test_svk.py", "tests/test_structure.py", "tests/test_liegroup.py",
     "tests/test_scalar_kernel.py", "tests/test_tensor.py", "tests/test_check_rows.py", "tests/test_zoo.py",
 ]
-EINSUM_SPEC = re.compile(r"^[a-z]+(,[a-z]+)*->[a-z]*$")
+EINSUM_SPEC = re.compile(r"^(B?[a-z]+|B)(,(B?[a-z]+|B))*->B?[a-z]*$")
 # the run of an oracle on the unmutated code times out at these seconds,
 # and a mutant's run at TIMEOUT_FACTOR times that unmutated run
 SUITE_TIMEOUT, TESTS_TIMEOUT = 120, 600
@@ -174,7 +176,7 @@ def _edits(tree: ast.AST, lines: list[str]):
             spec = node.value
             if EINSUM_SPEC.match(spec) and node.lineno == node.end_lineno:
                 inputs, output = spec.split("->")
-                for p, q in combinations(range(len(output)), 2):
+                for p, q in combinations(range(output[:1] == "B", len(output)), 2):
                     out = list(output)
                     out[p], out[q] = out[q], out[p]
                     new = f"{inputs}->{''.join(out)}"

@@ -14,9 +14,11 @@ a ``CheckResult``:
   the compared ones were built from);
 * ``(name, booleans)`` passes when the named booleans of a dict agree.
 
-A family decorated with ``_rows`` yields the rows of one model; one decorated
-with ``_per_view`` is stated once for a ``MetricView`` and runs on g, then on
-g~, each name suffixed with the metric's role.
+A family decorated with ``_rows`` yields the rows of one model.  One
+decorated with ``_per_view`` yields rows of the model's ``Batch``, whose
+arrays carry g and g~ on a batch axis (a list holds a dict or a detail per
+metric); its results are those of g, then of g~, each name suffixed with
+the metric's role.
 """
 from __future__ import annotations
 
@@ -25,39 +27,17 @@ import functools
 import numpy as np
 
 from . import scalars, svk as svk_mod
-from .curvature import (
-    PlaneStack,
-    basis_invariance_forms,
-    curvature_reeb_identity,
-    horizontal_restriction,
-    pair_symmetries,
-    ricci_xi_formula,
-    sectional,
-    svk_curvature_formula,
-    svk_ricci_formula,
-    svk_scalar_formula,
-    svk_sectional_polarized,
-)
+from .curvature import PlaneStack, basis_invariance_forms, curvature_reeb_identity, horizontal_restriction
+from .curvature import pair_symmetries, ricci_xi_formula, sectional, svk_curvature_formula
+from .curvature import svk_ricci_formula, svk_scalar_formula, svk_sectional_polarized
 from .hv import potential_pi1_form, shape_components, wedge_form_operator
 from .liegroup import covariant_derivative, torsion
-from .pipeline import MetricView, Workspace
-from .structure import (
-    CheckResult,
-    assoc_fundamental_from_fundamental,
-    fundamental_from_potential,
-    nabla_xi_class_conditions,
-    potential_from_fundamental,
-)
-from .svk import (
-    potential_from_torsion,
-    svk_connection_projected,
-    svk_covariant_phi_closed,
-    svk_pair_covariant_phi,
-    svk_pair_difference,
-    svk_pair_from_potential,
-    svk_torsion_closed,
-    torsion_from_potential,
-)
+from .pipeline import ROLES, Batch, MetricView, Workspace
+from .structure import CheckResult, assoc_fundamental_from_fundamental, fundamental_from_potential
+from .structure import nabla_xi_class_conditions, potential_from_fundamental
+from .svk import potential_from_torsion, svk_connection_projected, svk_covariant_phi_closed
+from .svk import svk_pair_covariant_phi, svk_pair_difference, svk_pair_from_potential
+from .svk import svk_torsion_closed, torsion_from_potential
 
 # sampled planes per metric in the sectional-curvature checks
 PLANE_COUNT = 20
@@ -87,23 +67,32 @@ def _rows(family):
     @functools.wraps(family)
     def checks(ws: Workspace):
         for row in family(ws):
-            yield _result(ws.s.eps, *row)
+            yield row if isinstance(row, CheckResult) else _result(ws.s.eps, *row)
 
     CHECKS.append(checks)
     return checks
 
 
-def _views(ws: Workspace, rows):
-    """The rows of ``rows(ws, view)`` on g, then on g~, each name suffixed
-    with the metric's role."""
-    for view in (ws.g, ws.gt):
-        for name, *rest in rows(ws, view):
-            yield (f"{name}[{view.role}]", *rest)
+def _each_view(eps: float, name: str, tested, context=(), detail="") -> list[CheckResult]:
+    """The ``CheckResult`` of a batched row for each metric, in ``ROLES``
+    order, its arrays decided by one zero test of their rows."""
+    names = [f"{name}[{role}]" for role in ROLES]
+    if isinstance(tested[0], dict):
+        return [_result(eps, n, t) for n, t in zip(names, tested)]
+    details = detail if isinstance(detail, list) else [detail] * len(ROLES)
+    rows = scalars.zero_rows(tested, eps, *context)
+    return [CheckResult(n, *v, detail=d) for n, v, d in zip(names, rows, details)]
+
+
+def _view_rows(ws: Workspace, rows) -> list[CheckResult]:
+    """The results of the batched rows ``rows(ws, ws.batch)``: g's, then g~'s."""
+    results = [_each_view(ws.s.eps, *row) for row in rows(ws, ws.batch)]
+    return [by_metric[i] for i in range(len(ROLES)) for by_metric in results]
 
 
 def _per_view(rows):
-    """A check family stated once for a ``MetricView``; see ``_views``."""
-    return _rows(functools.wraps(rows)(lambda ws: _views(ws, rows)))
+    """A check family stated once for the ``Batch`` (module docstring)."""
+    return _rows(functools.wraps(rows)(lambda ws: _view_rows(ws, rows)))
 
 
 def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,65 +112,66 @@ def check_structure_axioms(ws: Workspace):
 
 
 @_per_view
-def check_fundamental_identities(ws: Workspace, view: MetricView):
+def check_fundamental_identities(ws: Workspace, b: Batch):
     """The identities F is built on: its symmetries, the projection identity,
     F(x, phi y, xi) = m(nabla_x xi, y) = (nabla_x eta)(y), and the two
     properties of the Levi-Civita connection F is taken with (torsion-free,
     metric)."""
     s = ws.s
     phi, xi, eta = s.phi, s.xi, s.eta
-    conn, m = view.conn, view.metric
-    f = view.fundamental
-    fxiz = scalars.einsum("xmz,m->xz", f, xi)
+    conn, m = b.conn, b.metric
+    f = b.fundamental
+    fxiz = scalars.einsum("Bxmz,m->Bxz", f, xi)
     proj = scalars.combine(
         [1, 1, 1],
         [
-            scalars.einsum("xab,ay,bz->xyz", f, phi, phi),
-            scalars.einsum("y,xz->xyz", eta, fxiz),
-            scalars.einsum("z,xy->xyz", eta, fxiz),
+            scalars.einsum("Bxab,ay,bz->Bxyz", f, phi, phi),
+            scalars.einsum("y,Bxz->Bxyz", eta, fxiz),
+            scalars.einsum("z,Bxy->Bxyz", eta, fxiz),
         ],
     )
     # F(x, phi y, xi) = (nabla_x eta)(y) = m(nabla_x xi, y)
-    lam = view.nabla_xi02
+    lam = b.nabla_xi02
     yield "fundamental-identities", [
-        _minus(f, scalars.einsum("xyz->xzy", f)),
+        _minus(f, scalars.einsum("Bxyz->Bxzy", f)),
         _minus(f, proj),
-        _minus(scalars.einsum("xaz,ay,z->xy", f, phi, xi), lam),
-        _minus(view.nabla_eta, lam),
-        torsion(conn, s.algebra),
-        covariant_derivative(conn, m.matrix, 0),
+        _minus(scalars.einsum("Bxaz,ay,z->Bxy", f, phi, xi), lam),
+        _minus(b.nabla_eta, lam),
+        torsion(conn, b.c),
+        covariant_derivative(conn, m.matrix, 0, batched=True),
     ], (f, conn, m.matrix)
 
 
 @_per_view
-def check_lee_identities(ws: Workspace, view: MetricView):
-    s, lee = ws.s, view.lee
+def check_lee_identities(ws: Workspace, b: Batch):
+    s, lee = ws.s, b.lee
     yield "lee-form-identities", [
-        scalars.einsum("i,i->", lee.omega, s.xi),
-        scalars.combine([1, 1], [scalars.einsum("i,ij->j", lee.theta_star, s.phi), lee.theta_phi2]),
-    ], (view.fundamental,)
+        scalars.einsum("Bi,i->B", lee.omega, s.xi),
+        scalars.combine([1, 1], [scalars.einsum("Bi,ij->Bj", lee.theta_star, s.phi), lee.theta_phi2]),
+    ], (b.fundamental,)
 
 
 @_per_view
-def check_divergence_traces(ws: Workspace, view: MetricView):
-    div, div_star = view.div_pair
+def check_divergence_traces(ws: Workspace, b: Batch):
+    div, div_star = b.div_pair
     yield "divergence-trace", [
-        _minus(view.lee.theta_xi, div_star),
-        _minus(view.lee.theta_star_xi, div),
+        _minus(b.lee.theta_xi, div_star),
+        _minus(b.lee.theta_star_xi, div),
     ], ()
 
 
-@_per_view
-def check_nabla_xi_table(ws: Workspace, view: MetricView):
-    conds = nabla_xi_class_conditions(
-        ws.s, view.nabla_xi, view.nabla_xi02, view.lee, view.div_pair, view.classification
-    )
-    yield (
-        "class-nabla-xi-table",
-        [a for arrays in conds.values() for a in arrays],
-        (view.conn,),
-        f"classes checked: {', '.join(sorted(conds)) or 'none'}",
-    )
+@_rows
+def check_nabla_xi_table(ws: Workspace):
+    for view in (ws.g, ws.gt):  # per metric: built for the classes it is in
+        conds = nabla_xi_class_conditions(
+            ws.s, view.nabla_xi, view.nabla_xi02, view.lee, view.div_pair, view.classification
+        )
+        yield (
+            f"class-nabla-xi-table[{view.role}]",
+            [a for arrays in conds.values() for a in arrays],
+            (view.conn,),
+            f"classes checked: {', '.join(sorted(conds)) or 'none'}",
+        )
 
 
 @_rows
@@ -222,55 +212,57 @@ def check_zero_class_equivalences(ws: Workspace):
 
 
 @_per_view
-def check_svk_preserves_structure(ws: Workspace, view: MetricView):
-    derivatives = [view.svk_metric, view.svk_xi, view.svk_eta]
-    yield "svk-preserves-structure", derivatives, (view.svk, view.metric.matrix)
+def check_svk_preserves_structure(ws: Workspace, b: Batch):
+    derivatives = [b.svk_metric, b.svk_xi, b.svk_eta]
+    yield "svk-preserves-structure", derivatives, (b.svk, b.metric.matrix)
 
 
 @_per_view
-def check_svk_two_routes(ws: Workspace, view: MetricView):
+def check_svk_two_routes(ws: Workspace, b: Batch):
     # svk-projector-route is D's independent oracle; the closed forms share one formula
-    proj = svk_connection_projected(view.conn, ws.s)
-    d = view.svk
+    proj = svk_connection_projected(b.conn, ws.s)
+    d = b.svk
     yield "svk-projector-route", [_minus(proj, d)], (d,)
 
 
 @_per_view
-def check_svk_distributions(ws: Workspace, view: MetricView):
-    s, d = ws.s, view.svk
-    horiz_stays = scalars.einsum("k,kim,mj->ij", s.eta, d, s.horizontal)
-    vert_stays = scalars.einsum("kl,lim,mj->kij", s.horizontal, d, s.vertical)
+def check_svk_distributions(ws: Workspace, b: Batch):
+    s, d = ws.s, b.svk
+    horiz_stays = scalars.einsum("k,Bkim,mj->Bij", s.eta, d, s.horizontal)
+    vert_stays = scalars.einsum("kl,Blim,mj->Bkij", s.horizontal, d, s.vertical)
     yield "svk-distributions-parallel", [horiz_stays, vert_stays], (d,)
 
 
 @_per_view
-def check_svk_closed_forms(ws: Workspace, view: MetricView):
+def check_svk_closed_forms(ws: Workspace, b: Batch):
     # the potential is built from its closed form, so only the torsion is
     # compared (svk-projector-route tests the potential)
-    t = view.torsion
+    t = b.torsion
     yield "svk-potential-torsion-closed-forms", [
-        _minus(t, svk_torsion_closed(view.hv_closed)),
-        scalars.combine([1, 1], [t, scalars.einsum("kij->kji", t)]),
-    ], (view.potential, t)
+        _minus(t, svk_torsion_closed(b.hv_closed)),
+        scalars.combine([1, 1], [t, scalars.einsum("Bkij->Bkji", t)]),
+    ], (b.potential, t)
 
 
 @_per_view
-def check_torsion_potential_bijection(ws: Workspace, view: MetricView):
-    q03, t03 = view.potential03, view.torsion03
+def check_torsion_potential_bijection(ws: Workspace, b: Batch):
+    q03, t03 = b.potential03, b.torsion03
     yield "torsion-potential-bijection", [
         _minus(torsion_from_potential(q03), t03),
         _minus(potential_from_torsion(t03, ws.s.eps), q03),
-        scalars.combine([1, 1], [q03, scalars.einsum("xyz->xzy", q03)]),  # metric potentials
+        scalars.combine([1, 1], [q03, scalars.einsum("Bxyz->Bxzy", q03)]),  # metric potentials
     ], (q03, t03)
 
 
 @_per_view
-def check_svk_coincidence(ws: Workspace, view: MetricView):
-    vanishing = view.chains["vanishing"]
-    yield "svk-coincides-iff-reeb-parallel", {
-        "svk equals levi-civita": vanishing["svk equals levi-civita"],
-        "nabla xi zero": vanishing["nabla-xi zero"],
-    }
+def check_svk_coincidence(ws: Workspace, b: Batch):
+    yield "svk-coincides-iff-reeb-parallel", [
+        {
+            "svk equals levi-civita": chains["vanishing"]["svk equals levi-civita"],
+            "nabla xi zero": chains["vanishing"]["nabla-xi zero"],
+        }
+        for chains in b.chains
+    ]
 
 
 @_rows
@@ -329,15 +321,15 @@ def check_svk_pair_routes(ws: Workspace):
     yield "svk-pair-potential-route", [_minus(via_pot, d)], (d,)
 
 
-def _svk_phi_closed_form(ws: Workspace, view: MetricView):
-    dphi = view.svk_phi
-    closed = svk_covariant_phi_closed(view.nabla_phi, view.nabla_xi, view.nabla_eta, ws.s)
+def _svk_phi_closed_form(ws: Workspace, b: Batch):
+    dphi = b.svk_phi
+    closed = svk_covariant_phi_closed(b.nabla_phi, b.nabla_xi, b.nabla_eta, ws.s)
     yield "svk-phi-closed-form", [_minus(dphi, closed)], (dphi,)
 
 
 @_rows
 def check_svk_phi_forms(ws: Workspace):
-    yield from _views(ws, _svk_phi_closed_form)
+    yield from _view_rows(ws, _svk_phi_closed_form)
     g = ws.g
     relation = svk_pair_covariant_phi(g.svk_phi, g.partner_potential, g.partner_potential_xi, ws.s)
     dphi_t = ws.gt.svk_phi
@@ -362,12 +354,12 @@ def check_svk_phi_equalities(ws: Workspace):
     yield "both-svk-natural-iff-u3", {"both svk-phi zero": both, "U3 condition": cls["U3"]}
 
 
-def _shape_operator_identities(ws: Workspace, view: MetricView):
+def _shape_operator_identities(ws: Workspace, b: Batch):
     s = ws.s
-    sop = view.shape.operator
-    horiz = scalars.einsum("ki,kj,j->i", sop, view.metric.matrix, s.xi)
+    sop = b.shape.operator
+    horiz = scalars.einsum("Bki,Bkj,j->Bi", sop, b.metric.matrix, s.xi)
     reeb_row = scalars.combine(
-        [1, 1], [view.shape.reeb, scalars.einsum("ki,i->k", s.phi, view.lee.omega_sharp)]
+        [1, 1], [b.shape.reeb, scalars.einsum("ki,Bi->Bk", s.phi, b.lee.omega_sharp)]
     )
     yield "shape-operator-identities", [horiz, reeb_row], (sop,)
 
@@ -375,7 +367,7 @@ def _shape_operator_identities(ws: Workspace, view: MetricView):
 @_rows
 def check_shape_operators(ws: Workspace):
     s = ws.s
-    yield from _views(ws, _shape_operator_identities)
+    yield from _view_rows(ws, _shape_operator_identities)
     # pair relations through the potential
     sd = ws.g.shape.diamond
     yield "shape-pair-relations", [
@@ -402,15 +394,15 @@ def check_trace_identity(ws: Workspace):
 
 
 @_per_view
-def check_qt_components(ws: Workspace, view: MetricView):
+def check_qt_components(ws: Workspace, b: Batch):
     s = ws.s
-    q, t = view.potential, view.torsion
-    comps = view.hv
+    q, t = b.potential, b.torsion
+    comps = b.hv
     arrays = [
         scalars.combine([1, 1, -1], [comps.q_h, comps.q_v, q]),
         scalars.combine([1, 1, -1], [comps.t_h, comps.t_v, t]),
     ]
-    for ref in (view.hv_closed, shape_components(s, view.shape)):
+    for ref in (b.hv_closed, shape_components(s, b.shape)):
         arrays += [
             _minus(comps.q_h, ref.q_h),
             _minus(comps.q_v, ref.q_v),
@@ -418,11 +410,11 @@ def check_qt_components(ws: Workspace, view: MetricView):
             _minus(comps.t_v, ref.t_v),
         ]
     yield "potential-torsion-hv-components", arrays, (q, t)
-    q03 = view.potential03
-    q_pi1 = potential_pi1_form(s, view.shape, view.metric)
+    q03 = b.potential03
+    q_pi1 = potential_pi1_form(s, b.shape, b.metric)
     yield "potential-torsion-pi1-forms", [
         _minus(q03, q_pi1),
-        _minus(view.torsion03, torsion_from_potential(q_pi1)),
+        _minus(b.torsion03, torsion_from_potential(q_pi1)),
     ], (q03,)
 
 
@@ -447,7 +439,7 @@ def check_qt_pair_relations(ws: Workspace):
     dsd = _minus(ws.gt.shape.diamond, ws.g.shape.diamond)
     ds_eta = scalars.einsum("ki,j->kij", ds, eta)
     dsd_xi = scalars.einsum("ij,k->kij", dsd, xi)
-    wedge_ds = wedge_form_operator(eta, ds)
+    wedge_ds = scalars.row(wedge_form_operator(eta, scalars.row(ds, np.newaxis)), 0)
     rel_q_shape = _minus(qt, scalars.combine([1, 1, -1], [q, ds_eta, dsd_xi]))
     rel_t_shape = _minus(tt, _minus(t, wedge_ds))
 
@@ -465,40 +457,44 @@ def check_qt_pair_relations(ws: Workspace):
 
 
 @_per_view
-def check_equivalence_chains(ws: Workspace, view: MetricView):
-    for chain, predicates in view.chains.items():
-        yield f"chain-{chain}", predicates
+def check_equivalence_chains(ws: Workspace, b: Batch):
+    for chain in b.chains[0]:
+        yield f"chain-{chain}", [chains[chain] for chains in b.chains]
 
 
 @_per_view
-def check_svk_curvature(ws: Workspace, view: MetricView):
-    s, curv = ws.s, view.curv
-    formula = svk_curvature_formula(curv, view.shape)
+def check_svk_curvature(ws: Workspace, b: Batch):
+    s, curv = ws.s, b.curv
+    formula = svk_curvature_formula(curv, b.shape)
     yield "svk-curvature-relation", [_minus(curv.r04_svk, formula)], (curv.r04, curv.r04_svk)
-    rho_formula = svk_ricci_formula(s, curv.r04, curv.rho, view.shape, view.metric)
+    rho_formula = svk_ricci_formula(s, curv.r04, curv.rho, b.shape, b.metric)
     yield "svk-ricci-relation", [_minus(curv.rho_svk, rho_formula)], (curv.rho,)
-    tau_formula = svk_scalar_formula(curv.tau, view.rho_xi_xi, view.shape)
+    tau_formula = svk_scalar_formula(curv.tau, b.rho_xi_xi, b.shape)
     yield "svk-scalar-relation", [_minus(curv.tau_svk, tau_formula)], ()
-    n_s = covariant_derivative(view.conn, view.shape.operator, 1)
-    via_shape = ricci_xi_formula(s, view.conn, n_s, view.shape, view.metric)
-    yield "ricci-reeb-formula", [_minus(view.rho_xi_xi, via_shape)], ()
+    n_s = covariant_derivative(b.conn, b.shape.operator, 1, batched=True)
+    via_shape = ricci_xi_formula(s, b.conn, n_s, b.shape, b.metric)
+    yield "ricci-reeb-formula", [_minus(b.rho_xi_xi, via_shape)], ()
     yield "curvature-reeb-identity", [curvature_reeb_identity(s, curv.r13, n_s)], (curv.r04,)
 
 
 @_per_view
-def check_curvature_symmetries(ws: Workspace, view: MetricView):
-    r = view.curv.r04
+def check_curvature_symmetries(ws: Workspace, b: Batch):
+    r = b.curv.r04
     bianchi = scalars.combine(
-        [1, 1, 1], [r, scalars.einsum("ijkl->jkil", r), scalars.einsum("ijkl->kijl", r)]
+        [1, 1, 1], [r, scalars.einsum("Bijkl->Bjkil", r), scalars.einsum("Bijkl->Bkijl", r)]
     )
     yield "curvature-symmetries", [*pair_symmetries(r).values(), bianchi], (r,)
     # the SvK curvature keeps the first-pair antisymmetry; the other two
     # pair symmetries are measured only
-    rd = view.curv.r04_svk
+    rd = b.curv.r04_svk
     others = pair_symmetries(rd)
     first_pair = others.pop("first-pair-antisymmetric")
-    measured = ", ".join(f"{k}={scalars.is_zero(a, ws.s.eps, rd)}" for k, a in others.items())
-    yield "svk-curvature-first-pair-antisymmetry", [first_pair], (rd,), "measured: " + measured
+    measured = {k: scalars.zero_rows([a], ws.s.eps, rd, locate=False) for k, a in others.items()}
+    details = [
+        "measured: " + ", ".join(f"{k}={rows[r][0]}" for k, rows in measured.items())
+        for r in range(len(ROLES))
+    ]
+    yield "svk-curvature-first-pair-antisymmetry", [first_pair], (rd,), details
 
 
 # ---------------------------------------------------------------------------
@@ -516,57 +512,51 @@ def sample_planes(ws: Workspace, view: MetricView, seed: int) -> PlaneStack:
     while accepted < PLANE_COUNT and attempts < 60 * PLANE_COUNT:
         n = min(PLANE_COUNT - accepted, 60 * PLANE_COUNT - attempts)
         attempts += n
-        draws = scalars.array(rng.integers(-3, 4, size=(2 * n, s.dim)), s.mode)
-        batch = PlaneStack.nondegenerate(view.metric, draws.reshape(n, 2, s.dim), s.eps)
+        draws = scalars.array(rng.integers(-3, 4, size=(n, 2, s.dim)), s.mode)
+        batch = PlaneStack.nondegenerate(view.metric, draws, s.eps)
         batches.append(batch)
         accepted += len(batch)
     return PlaneStack.concat(batches)
 
 
 def check_sectional_curvature(ws: Workspace, seed: int = 0):
-    """The checks of ``_sectional_checks`` on g, then on g~."""
-    for view in (ws.g, ws.gt):
-        yield from _sectional_checks(ws, view, seed)
-
-
-def _sectional_checks(ws: Workspace, view: MetricView, seed: int):
-    """The sectional-curvature relations of one metric: the relation between
-    k^D and k on the sampled planes, which witness the plane evaluator
-    ``sectional``, and the tensor identities that state the relation, and
-    its forms on Reeb, re-based and horizontal planes, for every plane at
-    once.  R^D can vanish exactly, and its float entries are then roundoff,
-    so R, not R^D, scales the float tolerance of the relation, of the basis
-    invariance and of the horizontal restriction."""
-    s, eps, role = ws.s, ws.s.eps, view.role
-    r04, r04_svk = view.curv.r04, view.curv.r04_svk
-    planes = sample_planes(ws, view, seed + (0 if role == "g" else 1))
-    sampled = sectional(planes, view.curv, view.shape, s)
-
-    polarized = svk_sectional_polarized(view.curv, view.shape)
-    relation = [_minus(sampled.k_svk, sampled.formula), polarized]
-    passed, residual, worst = scalars.zero_test(relation, eps, r04)
-    yield CheckResult(
-        f"sectional-relation[{role}]",
-        passed and len(planes) >= PLANE_COUNT,
-        residual,
-        worst,
-        f"{len(planes)} sampled planes",
-    )
-
+    """The checks of ``_sectional_checks`` on g, then on g~.  The tensor
+    identities that state the relation, and its forms on Reeb, re-based and
+    horizontal planes, hold for every plane at once; each is decided for
+    both metrics by one zero test.  R^D can vanish exactly, and its float
+    entries are then roundoff, so R, not R^D, scales the float tolerance of
+    the relation, of the basis invariance and of the horizontal
+    restriction."""
+    s, eps, b = ws.s, ws.s.eps, ws.batch
+    r04, r04_svk = b.curv.r04, b.curv.r04_svk
+    polarized = svk_sectional_polarized(b.curv, b.shape)
     # R^D(x,y,z,xi) = -(R^D(x,y) eta)(z) = 0 as D eta = 0; as D is metric,
     # it gives R^D(x,xi,xi,x) = 0 on every plane through xi
-    flat = [scalars.einsum("ijkm,m->ijk", r04_svk, s.xi)]
-    yield _result(eps, f"reeb-section-flatness[{role}]", flat, (r04_svk,), "R^D(x,y,z,xi) = 0")
-
+    flat = [scalars.einsum("Bijkm,m->Bijk", r04_svk, s.xi)]
+    flat = _each_view(eps, "reeb-section-flatness", flat, (r04_svk,), "R^D(x,y,z,xi) = 0")
     # k^D does not depend on the basis of the plane
-    yield _result(eps, f"sectional-basis-invariance[{role}]", basis_invariance_forms(r04_svk), (r04,))
-
+    invariance = _each_view(eps, "sectional-basis-invariance", basis_invariance_forms(r04_svk), (r04,))
     # on planes orthogonal to xi, the phi-holomorphic and phi-totally-real
     # ones among them, the eta terms of the relation vanish:
     # k^D = k + pi_1(Sx,Sy,y,x) / pi_1(x,y,y,x)
-    horizontal = [horizontal_restriction(polarized, s)]
-    detail = "every plane orthogonal to xi"
-    yield _result(eps, f"sectional-special-types[{role}]", horizontal, (r04,), detail)
+    special = [horizontal_restriction(polarized, s)]
+    special = _each_view(eps, "sectional-special-types", special, (r04,), "every plane orthogonal to xi")
+    for index, view in enumerate((ws.g, ws.gt)):
+        yield from _sectional_checks(ws, view, seed + index, scalars.row(polarized, index))
+        yield from (flat[index], invariance[index], special[index])
+
+
+def _sectional_checks(ws: Workspace, view: MetricView, seed: int, polarized: np.ndarray):
+    """The relation between k^D and k of one metric on the planes sampled
+    for it, which witness the plane evaluator ``sectional``, with
+    ``polarized``, its row of the relation as a tensor identity."""
+    eps = ws.s.eps
+    planes = sample_planes(ws, view, seed)
+    sampled = sectional(planes, view.curv, view.shape, ws.s)
+    relation = [_minus(sampled.k_svk, sampled.formula), polarized]
+    passed, residual, worst = scalars.zero_test(relation, eps, view.curv.r04)
+    enough = passed and len(planes) >= PLANE_COUNT
+    yield CheckResult(f"sectional-relation[{view.role}]", enough, residual, worst, f"{len(planes)} sampled planes")
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,7 @@ import sys
 
 from . import modelfile, scalars, zoo
 from .checks import run_checks
-from .curvature import (
-    DegeneratePlaneError,
-    PlaneStack,
-    pair_symmetries,
-    section_type,
-    sectional,
-)
+from .curvature import DegeneratePlaneError, PlaneStack, pair_symmetries, section_type, sectional
 from .modelfile import ModelFileError
 from .pipeline import Workspace
 from .scalars import FLOAT, RATIONAL
@@ -247,15 +241,15 @@ def cmd_curvature(args) -> int:
     if _invalid(ws):
         return EXIT_CHECK_FAILED
     payload = {"model": doc.get("name", args.path), "scalars": {}}
-    rows = []
-    for view in (ws.g, ws.gt):
+    rd = ws.batch.curv.r04_svk
+    symmetries = {k: scalars.zero_rows([a], ws.s.eps, rd, locate=False) for k, a in pair_symmetries(rd).items()}
+    for index, view in enumerate((ws.g, ws.gt)):
         tag = view.role
         payload["scalars"][f"tau[{tag}]"] = view.curv.tau
         payload["scalars"][f"tau_svk[{tag}]"] = view.curv.tau_svk
         payload["scalars"][f"rho(xi,xi)[{tag}]"] = view.rho_xi_xi
-        rd = view.curv.r04_svk
         payload.setdefault("svk_curvature_symmetries", {})[tag] = {
-            k: scalars.is_zero(a, ws.s.eps, rd) for k, a in pair_symmetries(rd).items()
+            k: rows[index][0] for k, rows in symmetries.items()
         }
 
     plane = _parse_plane(args, ws)
@@ -387,7 +381,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         return args.fn(args)
-    except ModelFileError as exc:
+    except (ModelFileError, scalars.DigitLimitError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except DegeneratePlaneError as exc:

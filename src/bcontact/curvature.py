@@ -13,7 +13,8 @@ xi (x) eta and R is antisymmetric in its last pair (so R(x,y,xi,xi) = 0),
     R(x, y, phi^2 z, phi^2 w) = R(x,y,z,w) - eta(z) R(x,y,xi,w) - eta(w) R(x,y,z,xi),
 
 which takes dim^5 products where the sandwich of R between two phi^2 takes
-dim^6; the sum of the two eta terms is ``CurvatureData.reeb_term``.
+dim^6; the sum of the two eta terms is ``CurvatureData.reeb_term``.  The
+sectional values of sampled planes are computed per metric.
 """
 from __future__ import annotations
 
@@ -35,11 +36,11 @@ class DegeneratePlaneError(ValueError):
 
 def ricci(r04: np.ndarray, m: Metric) -> np.ndarray:
     """rho(y,z) = m^{ij} R(e_i, y, z, e_j)."""
-    return scalars.einsum("ij,iabj->ab", m.inv, r04)
+    return scalars.einsum("Bij,Biabj->Bab", m.inv, r04)
 
 
 def scalar_curvature(rho: np.ndarray, m: Metric):
-    return scalars.einsum("ij,ij->", m.inv, rho)
+    return scalars.einsum("Bij,Bij->B", m.inv, rho)
 
 
 def svk_curvature_formula(curv: CurvatureData, shape: ShapeData) -> np.ndarray:
@@ -52,8 +53,8 @@ def svk_curvature_formula(curv: CurvatureData, shape: ShapeData) -> np.ndarray:
     return scalars.combine(
         [1, -1, 1, -1],
         [
-            scalars.einsum("jk,il->ijkl", sd, sd),
-            scalars.einsum("ik,jl->ijkl", sd, sd),
+            scalars.einsum("Bjk,Bil->Bijkl", sd, sd),
+            scalars.einsum("Bik,Bjl->Bijkl", sd, sd),
             curv.r04,
             curv.reeb_term,
         ],
@@ -66,23 +67,23 @@ def svk_ricci_formula(
     """rho^D(y,z) = rho(y,z) - eta(z) rho(y,xi) - R(xi,y,z,xi)
     - m(S(S(y)), z) + tr(S) m(S(y), z)."""
     xi, eta = s.xi, s.eta
-    rho_y_xi = scalars.einsum("ym,m->y", rho_base, xi)
-    r_xi = scalars.einsum("iyzj,i,j->yz", r04_base, xi, xi)
+    rho_y_xi = scalars.einsum("Bym,m->By", rho_base, xi)
+    r_xi = scalars.einsum("Biyzj,i,j->Byz", r04_base, xi, xi)
     return scalars.combine(
-        [1, -1, -1, -1, shape.trace],
+        [1, -1, -1, -1, 1],
         [
             rho_base,
-            scalars.einsum("z,y->yz", eta, rho_y_xi),
+            scalars.einsum("z,By->Byz", eta, rho_y_xi),
             r_xi,
             lower_out(shape.square, m),
-            shape.diamond,
+            scalars.einsum("B,Byz->Byz", shape.trace, shape.diamond),
         ],
     )
 
 
 def svk_scalar_formula(tau_base, rho_xi_xi, shape: ShapeData):
     """tau^D = tau - 2 rho(xi,xi) - tr(S^2) + (tr S)^2."""
-    trace_squared = scalars.einsum(",->", shape.trace, shape.trace)
+    trace_squared = scalars.einsum("B,B->B", shape.trace, shape.trace)
     return scalars.combine(
         [1, -2, -1, 1], [tau_base, rho_xi_xi, shape.square_trace, trace_squared]
     )
@@ -94,9 +95,9 @@ def ricci_xi_formula(
     """rho(xi,xi) = tr(nabla_xi S) - div(S(xi)) - tr(S^2), with ``n_s`` the
     covariant derivative nabla S indexed [k, x, i]."""
     xi = s.xi
-    tr_nabla_xi_s = scalars.einsum("kxk,x->", n_s, xi)
+    tr_nabla_xi_s = scalars.einsum("Bkxk,x->B", n_s, xi)
     div_s_xi = scalars.einsum(
-        "ij,ki,kj->", m.inv, covariant_derivative(conn, shape.reeb, 1), m.matrix
+        "Bij,Bki,Bkj->B", m.inv, covariant_derivative(conn, shape.reeb, 1, batched=True), m.matrix
     )
     return scalars.combine([1, -1, -1], [tr_nabla_xi_s, div_s_xi, shape.square_trace])
 
@@ -104,8 +105,8 @@ def ricci_xi_formula(
 def curvature_reeb_identity(s: ACBStructure, r13: np.ndarray, n_s: np.ndarray) -> np.ndarray:
     """Residual of R(x,y) xi = -(nabla_x S) y + (nabla_y S) x over the basis,
     from the (1,3) curvature and nabla S indexed [l, x, y]."""
-    lhs = scalars.einsum("lijk,k->lij", r13, s.xi)
-    rhs = scalars.combine([-1, 1], [n_s, scalars.einsum("lxy->lyx", n_s)])
+    lhs = scalars.einsum("Blijk,k->Blij", r13, s.xi)
+    rhs = scalars.combine([-1, 1], [n_s, scalars.einsum("Blxy->Blyx", n_s)])
     return scalars.combine([1, -1], [lhs, rhs])
 
 
@@ -113,17 +114,18 @@ def pair_symmetries(r: np.ndarray) -> dict[str, np.ndarray]:
     """The three pair symmetries every Levi-Civita (0,4) curvature has, each
     as the array that vanishes when ``r`` has it."""
     return {
-        "first-pair-antisymmetric": scalars.combine([1, 1], [r, scalars.einsum("ijkl->jikl", r)]),
-        "last-pair-antisymmetric": scalars.combine([1, 1], [r, scalars.einsum("ijkl->ijlk", r)]),
-        "pair-exchange-symmetric": scalars.combine([1, -1], [r, scalars.einsum("ijkl->klij", r)]),
+        "first-pair-antisymmetric": scalars.combine([1, 1], [r, scalars.einsum("Bijkl->Bjikl", r)]),
+        "last-pair-antisymmetric": scalars.combine([1, 1], [r, scalars.einsum("Bijkl->Bijlk", r)]),
+        "pair-exchange-symmetric": scalars.combine([1, -1], [r, scalars.einsum("Bijkl->Bklij", r)]),
     }
 
 
 @dataclass(frozen=True)
 class CurvatureData:
-    """Curvature package of one metric: its Levi-Civita curvature, as (1,3)
-    and (0,4) tensors, and the curvature of the associated Schouten-van
-    Kampen connection; ``xi`` and ``eta`` are the structure's."""
+    """Curvature package of the metrics of the pair: their Levi-Civita
+    curvature, as (1,3) and (0,4) tensors, and the curvature of the
+    associated Schouten-van Kampen connection; ``_xi`` and ``_eta`` are the
+    structure's, private so that a metric's view never takes a row of them."""
 
     r13: np.ndarray
     r04: np.ndarray
@@ -132,18 +134,18 @@ class CurvatureData:
     r04_svk: np.ndarray
     rho_svk: np.ndarray
     tau_svk: object
-    xi: np.ndarray = field(repr=False)
-    eta: np.ndarray = field(repr=False)
+    _xi: np.ndarray = field(repr=False)
+    _eta: np.ndarray = field(repr=False)
 
     @cached_property
     def reeb_term(self) -> np.ndarray:
         """eta(z) R(x,y,xi,w) + eta(w) R(x,y,z,xi), by which R exceeds
         R(x,y,phi^2 z,phi^2 w) (module docstring); the polarized sectional
         relation reads it too."""
-        r, xi, eta = self.r04, self.xi, self.eta
+        r, xi, eta = self.r04, self._xi, self._eta
         return scalars.combine(
             [1, 1],
-            [scalars.einsum("ijml,m,k->ijkl", r, xi, eta), scalars.einsum("ijkm,m,l->ijkl", r, xi, eta)],
+            [scalars.einsum("Bijml,m,k->Bijkl", r, xi, eta), scalars.einsum("Bijkm,m,l->Bijkl", r, xi, eta)],
         )
 
 
@@ -182,13 +184,9 @@ def _gram(form: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _pi1(gram: np.ndarray) -> np.ndarray:
     """B(y,y) B(x,x) - B(x,y) B(y,x) of each plane from its Gram block of a
     form B: pi_1(x,y,y,x) for the metric, pi_1(Sx,Sy,y,x) for m(S., .)."""
-    return scalars.combine(
-        [1, -1],
-        [
-            scalars.einsum("n,n->n", gram[:, 1, 1], gram[:, 0, 0]),
-            scalars.einsum("n,n->n", gram[:, 0, 1], gram[:, 1, 0]),
-        ],
-    )
+    g = [[scalars.row(gram, np.s_[:, a, b]) for b in range(2)] for a in range(2)]
+    yy_xx = scalars.einsum("n,n->n", g[1][1], g[0][0])
+    return scalars.combine([1, -1], [yy_xx, scalars.einsum("n,n->n", g[0][1], g[1][0])])
 
 
 @dataclass(frozen=True)
@@ -224,9 +222,12 @@ class PlaneStack:
     @classmethod
     def spanned(cls, m: Metric, xy) -> "PlaneStack":
         """Every plane xy[n], degenerate ones included, ``xy`` being pairs of
-        vectors, as a planes x 2 x dim array or a list."""
-        # a read-only copy, which the kernel scales once for every contraction
-        xy = scalars.freeze(np.array(np.reshape(xy, (len(xy), 2, len(m.matrix))), dtype=m.matrix.dtype))
+        vectors, as a planes x 2 x dim array or a list.  A read-only array of
+        the metric's dtype that owns its memory, as ``scalars.array`` makes,
+        is kept; any other is copied to one, which the kernel scales once."""
+        xy, shape = np.asarray(xy), (len(xy), 2, len(m.matrix))
+        if xy.shape != shape or xy.dtype != m.matrix.dtype or xy.base is not None or xy.flags.writeable:
+            xy = scalars.freeze(np.array(np.reshape(xy, shape), dtype=m.matrix.dtype))
         gram = _gram(m.matrix, xy, xy)
         return cls(m, xy, gram, _pi1(gram))
 
@@ -236,7 +237,7 @@ class PlaneStack:
         whose den does not vanish on the scale of the metric."""
         planes = cls.spanned(m, xy)
         scale = np.broadcast_to(m.matrix, (len(planes), *m.matrix.shape))
-        keep = [not d for d in scalars.zero_rows(planes.den, eps, scale)]
+        keep = [not d for d in _vanish(planes.den, eps, scale)]
         return planes if all(keep) else planes[keep]
 
     @classmethod
@@ -247,6 +248,11 @@ class PlaneStack:
         if len(planes) < len(xy):
             raise DegeneratePlaneError("plane is degenerate for this metric")
         return planes
+
+
+def _vanish(a: np.ndarray, eps: float, *context) -> list[bool]:
+    """Whether each row of the stack ``a`` vanishes (``scalars.zero_rows``)."""
+    return [passed for passed, _, _ in scalars.zero_rows([a], eps, *context, locate=False)]
 
 
 def _in_planes(planes: PlaneStack, w: np.ndarray, gw: np.ndarray, eps: float) -> np.ndarray:
@@ -268,7 +274,7 @@ def _in_planes(planes: PlaneStack, w: np.ndarray, gw: np.ndarray, eps: float) ->
     terms = (scalars.einsum("n,nbk->nbk", planes.den, w), parts[0], parts[1])
     dim = w.shape[-1]
     residual, *context = (t.reshape(-1, dim) for t in (scalars.combine([1, -1, -1], terms), *terms))
-    return np.reshape(scalars.zero_rows(residual, eps, *context), w.shape[:2])
+    return np.reshape(_vanish(residual, eps, *context), w.shape[:2])
 
 
 def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
@@ -290,7 +296,7 @@ def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
     reeb, phi_x_in, phi_y_in = _in_planes(planes, w, gw, eps).T
     # totally real: m(u, phi v) vanishes for (u, v) = (x,x), (x,y), (y,y)
     metric = np.broadcast_to(m.matrix, (n, dim, dim))
-    real = scalars.zero_rows(gw[:, [0, 0, 1], [1, 2, 2]], eps, metric)
+    real = _vanish(gw[:, [0, 0, 1], [1, 2, 2]], eps, metric)
     kinds = [
         XI_SECTION if on_reeb else HOLOMORPHIC if in_x and in_y else TOTALLY_REAL if r else GENERIC
         for on_reeb, in_x, in_y, r in zip(reeb, phi_x_in, phi_y_in, real)
@@ -299,7 +305,7 @@ def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
         raise DegeneratePlaneError("totally-real planes require dimension at least 5")
     # eta(x) and eta(y), each on the scale of its own vector
     eta = scalars.einsum("nai,i->na", xy, s.eta).reshape(-1)
-    orthogonal = np.reshape(scalars.zero_rows(eta, eps, xy.reshape(-1, dim)), (n, 2)).all(axis=1)
+    orthogonal = np.reshape(_vanish(eta, eps, xy.reshape(-1, dim)), (n, 2)).all(axis=1)
     return list(zip(kinds, orthogonal.tolist()))
 
 
@@ -327,11 +333,11 @@ def sectional(planes: PlaneStack, curv: CurvatureData, shape: ShapeData, s: ACBS
     """The ``Sectional`` values of the stack: R and R^D each enter one
     contraction R(x, y, ., .), which gives k and the eta terms, and
     pi_1(Sx,Sy,y,x) comes from one Gram block of the shape form m(S., .)."""
-    # owned copies of x and y, which the kernel scales once each
-    (x, y), den = scalars.freeze([planes.xy[:, 0].copy(), planes.xy[:, 1].copy()]), planes.den
+    (x, y), den = (scalars.row(planes.xy, np.s_[:, a]) for a in range(2)), planes.den
     rxy = scalars.einsum("ijkl,ni,nj->nkl", curv.r04, x, y)
     rxy_svk = scalars.einsum("ijkl,ni,nj->nkl", curv.r04_svk, x, y)
-    eta_x, eta_y = scalars.einsum("nai,i->an", planes.xy, s.eta)
+    eta_xy = scalars.einsum("nai,i->an", planes.xy, s.eta)
+    eta_x, eta_y = scalars.row(eta_xy, 0), scalars.row(eta_xy, 1)
     return Sectional(
         den,
         scalars.divide_rows(scalars.einsum("nkl,nk,nl->n", rxy, y, x), den),
@@ -351,7 +357,7 @@ def sectional(planes: PlaneStack, curv: CurvatureData, shape: ShapeData, s: ACBS
 # ch. V).
 
 # the identity, (i<->l), (j<->k) and both, as einsum transpositions
-_PLANE_SYMMETRIES = ("ijkl->ijkl", "ijkl->ljki", "ijkl->ikjl", "ijkl->lkji")
+_PLANE_SYMMETRIES = ("Bijkl->Bijkl", "Bijkl->Bljki", "Bijkl->Bikjl", "Bijkl->Blkji")
 
 
 def _plane_symmetrization(t: np.ndarray) -> np.ndarray:
@@ -370,10 +376,10 @@ def svk_sectional_polarized(curv: CurvatureData, shape: ShapeData) -> np.ndarray
     ``curv.reeb_term``; returns its (i<->l),(j<->k)-symmetrization, which
     vanishes iff the relation holds on every plane."""
     sd = shape.diamond
-    sdsd = scalars.einsum("jk,il->ijkl", sd, sd)
+    sdsd = scalars.einsum("Bjk,Bil->Bijkl", sd, sd)
     return _plane_symmetrization(scalars.combine(
         [1, -1, -1, 1, 1],
-        [curv.r04_svk, curv.r04, sdsd, scalars.einsum("ijkl->jikl", sdsd), curv.reeb_term],
+        [curv.r04_svk, curv.r04, sdsd, scalars.einsum("Bijkl->Bjikl", sdsd), curv.reeb_term],
     ))
 
 
@@ -390,8 +396,8 @@ def basis_invariance_forms(r: np.ndarray) -> list[np.ndarray]:
     has there.  Weaker than antisymmetry in both pairs, and exact."""
     b = _plane_symmetrization(r)
     return [
-        scalars.combine([1, 1, 1], [b, scalars.einsum("ijkl->jikl", b), scalars.einsum("ijkl->ilkj", b)]),
-        scalars.combine([1, 1, 1], [b, scalars.einsum("ijkl->ilkj", b), scalars.einsum("ijkl->ijlk", b)]),
+        scalars.combine([1, 1, 1], [b, scalars.einsum("Bijkl->Bjikl", b), scalars.einsum("Bijkl->Bilkj", b)]),
+        scalars.combine([1, 1, 1], [b, scalars.einsum("Bijkl->Bilkj", b), scalars.einsum("Bijkl->Bijlk", b)]),
     ]
 
 
@@ -400,4 +406,4 @@ def horizontal_restriction(t: np.ndarray, s: ACBStructure) -> np.ndarray:
     horizontal part: each slot contracted with phi^2 (the four signs
     cancel), which the kernel stages one slot at a time."""
     p = s.phi2
-    return scalars.einsum("abcd,ai,bj,ck,dl->ijkl", t, p, p, p, p)
+    return scalars.einsum("Babcd,ai,bj,ck,dl->Bijkl", t, p, p, p, p)

@@ -27,40 +27,34 @@ from .tensor import Metric, lower_out
 
 @dataclass(frozen=True)
 class ShapeData:
-    """Shape operator of one metric of the pair: S as a (1,1) tensor
-    (S(xi) = -nabla_xi xi included) and its bilinear form S<>(x,y) = m(S(x),y),
-    with the Reeb vector xi.  S(xi), S o S, tr S and tr(S^2) are computed on
-    first use."""
+    """Shape operators of the metrics of the pair: S as a (1,1) tensor
+    (S(xi) = -nabla_xi xi included), its bilinear form S<>(x,y) = m(S(x),y)
+    and S(xi).  S o S, tr S and tr(S^2) are computed on first use."""
 
     operator: np.ndarray  # (1,1)
     diamond: np.ndarray  # (0,2)
-    xi: np.ndarray  # (1,0)
-
-    @cached_property
-    def reeb(self) -> np.ndarray:
-        """S(xi)."""
-        return scalars.einsum("ki,i->k", self.operator, self.xi)
+    reeb: np.ndarray  # (1,0)
 
     @cached_property
     def square(self) -> np.ndarray:
         """S o S, a (1,1) tensor."""
-        return scalars.einsum("km,mi->ki", self.operator, self.operator)
+        return scalars.einsum("Bkm,Bmi->Bki", self.operator, self.operator)
 
     @cached_property
     def trace(self):
-        return scalars.einsum("kk->", self.operator)
+        return scalars.einsum("Bkk->B", self.operator)
 
     @cached_property
     def square_trace(self):
         """tr(S^2)."""
-        return scalars.einsum("kk->", self.square)
+        return scalars.einsum("Bkk->B", self.square)
 
 
 def shape_operator(nxi: np.ndarray, m: Metric, xi: np.ndarray) -> ShapeData:
     """The shape data of S = -nabla xi, from ``nxi`` = nabla xi of the
-    Levi-Civita connection of ``m``."""
+    Levi-Civita connection of each metric of ``m``."""
     op = scalars.combine([-1], [nxi])  # [k, i] = component k of S(e_i)
-    return ShapeData(op, lower_out(op, m), xi)
+    return ShapeData(op, lower_out(op, m), scalars.einsum("Bki,i->Bk", op, xi))
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,7 @@ def hv_split(s: ACBStructure, q: np.ndarray, t: np.ndarray) -> HVComponents:
     """Split the output slot of Q and T into horizontal and vertical parts."""
 
     def split(x: np.ndarray):
-        v = scalars.einsum("kl,lij->kij", s.vertical, x)
+        v = scalars.einsum("kl,Blij->Bkij", s.vertical, x)
         return scalars.combine([1, -1], [x, v]), v
 
     qh, qv = split(q)
@@ -93,10 +87,10 @@ def hv_split(s: ACBStructure, q: np.ndarray, t: np.ndarray) -> HVComponents:
 
 def wedge_form_operator(alpha: np.ndarray, b: np.ndarray, sign: int = 1) -> np.ndarray:
     """sign (alpha ^ B)(x,y) = sign (alpha(x) B(y) - alpha(y) B(x)), ``sign``
-    being 1 or -1; b indexed [k, arg]."""
+    being 1 or -1; b indexed [B, k, arg]."""
     return scalars.combine(
         [sign, -sign],
-        [scalars.einsum("i,kj->kij", alpha, b), scalars.einsum("j,ki->kij", alpha, b)],
+        [scalars.einsum("i,Bkj->Bkij", alpha, b), scalars.einsum("j,Bki->Bkij", alpha, b)],
     )
 
 
@@ -104,39 +98,40 @@ def potential_components(s: ACBStructure, nxi: np.ndarray, neta: np.ndarray) -> 
     """Q^h = -(nabla xi) (x) eta and Q^v = (nabla eta) (x) xi, from ``nxi`` and
     ``neta`` = nabla xi and nabla eta of the Levi-Civita connection; Q is their sum."""
     return QComponents(
-        scalars.combine([-1], [scalars.einsum("ki,j->kij", nxi, s.eta)]),
-        scalars.einsum("ij,k->kij", neta, s.xi),
+        scalars.combine([-1], [scalars.einsum("Bki,j->Bkij", nxi, s.eta)]),
+        scalars.einsum("Bij,k->Bkij", neta, s.xi),
     )
 
 
-def connection_components(s: ACBStructure, nxi: np.ndarray, q: QComponents) -> HVComponents:
+def connection_components(s: ACBStructure, nxi: np.ndarray, q: QComponents, d_eta_xi) -> HVComponents:
     """The components ``q`` of ``potential_components`` with T^h = eta ^ (nabla xi)
-    and T^v = d eta (x) xi, ``nxi`` being nabla xi of the Levi-Civita
-    connection; the closed form of T is the sum of the last two."""
-    return HVComponents(q.q_h, q.q_v, wedge_form_operator(s.eta, nxi), s.d_eta_xi)
+    and T^v = ``d_eta_xi``, d eta (x) xi once per row, ``nxi`` being nabla xi
+    of the Levi-Civita connection; the closed form of T is the sum of the
+    last two."""
+    return HVComponents(q.q_h, q.q_v, wedge_form_operator(s.eta, nxi), d_eta_xi)
 
 
 def shape_components(s: ACBStructure, shape: ShapeData) -> HVComponents:
     """Q^h = S (x) eta, Q^v = -S<> (x) xi, T^h = -eta ^ S, T^v = -2 Alt(S<>) (x) xi."""
     eta, xi = s.eta, s.xi
     sop, sd = shape.operator, shape.diamond
-    alt = scalars.combine([1, -1], [scalars.einsum("ij->ji", sd), sd])
+    alt = scalars.combine([1, -1], [scalars.einsum("Bij->Bji", sd), sd])
     return HVComponents(
-        scalars.einsum("ki,j->kij", sop, eta),
-        scalars.combine([-1], [scalars.einsum("ij,k->kij", sd, xi)]),
+        scalars.einsum("Bki,j->Bkij", sop, eta),
+        scalars.combine([-1], [scalars.einsum("Bij,k->Bkij", sd, xi)]),
         wedge_form_operator(eta, sop, -1),
-        scalars.einsum("ij,k->kij", alt, xi),
+        scalars.einsum("Bij,k->Bkij", alt, xi),
     )
 
 
 def potential_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarray:
     """Q(x,y,z) = -pi_1(xi, S(x), y, z) as a (0,3) tensor."""
     # pi_1(xi, S(x), y, z) = m(S(x),y) m(xi,z) - m(xi,y) m(S(x),z)
-    eta_like = scalars.einsum("ij,i->j", m.matrix, s.xi)
+    eta_like = scalars.einsum("Bij,i->Bj", m.matrix, s.xi)
     sd = shape.diamond
     return scalars.combine(
         [-1, 1],
-        [scalars.einsum("xy,z->xyz", sd, eta_like), scalars.einsum("y,xz->xyz", eta_like, sd)],
+        [scalars.einsum("Bxy,Bz->Bxyz", sd, eta_like), scalars.einsum("By,Bxz->Bxyz", eta_like, sd)],
     )
 
 
@@ -147,19 +142,20 @@ def potential_pi1_form(s: ACBStructure, shape: ShapeData, m: Metric) -> np.ndarr
 def equivalence_chains(
     s: ACBStructure, conn: np.ndarray, nxi: np.ndarray, neta: np.ndarray,
     svk_conn: np.ndarray, shape: ShapeData, comps: HVComponents, m: Metric,
-) -> dict[str, dict[str, bool]]:
-    """The three predicate chains for one metric of the pair, as chain ->
-    predicate -> boolean: within each chain all predicates must evaluate to
-    the same boolean on any model.  Each predicate is the vanishing of its
-    list of arrays; ``nxi`` and ``neta`` are nabla xi and nabla eta of the
-    Levi-Civita connection ``conn`` of ``m``, and ``comps`` is the
-    ``hv_split`` of the potential and torsion of its SvK connection."""
-    de = s.d_eta
+) -> list[dict[str, dict[str, bool]]]:
+    """The three predicate chains of each metric of the pair, as chain ->
+    predicate -> boolean, one dict per metric: within each chain all
+    predicates must evaluate to the same boolean on any model.  Each
+    predicate is the vanishing of its list of arrays; ``nxi`` and ``neta``
+    are nabla xi and nabla eta of the Levi-Civita connection ``conn`` of
+    ``m``, and ``comps`` is the ``hv_split`` of the potential and torsion of
+    its SvK connection."""
+    de = scalars.stack([s.d_eta] * len(conn))
     lg = lie_derivative_metric(s.algebra, s.xi, m)
     qv = comps.q_v
     sd = shape.diamond
-    qv_t = scalars.einsum("kij->kji", qv)
-    neta_t, sd_t = scalars.einsum("ij->ji", neta), scalars.einsum("ij->ji", sd)
+    qv_t = scalars.einsum("Bkij->Bkji", qv)
+    neta_t, sd_t = scalars.einsum("Bij->Bji", neta), scalars.einsum("Bij->Bji", sd)
 
     chains = {
         "symmetric": {
@@ -183,7 +179,5 @@ def equivalence_chains(
             "svk equals levi-civita": [scalars.combine([1, -1], [svk_conn, conn])],
         },
     }
-    return {
-        name: {k: scalars.verdict(arrays, s.eps, conn)[0] for k, arrays in predicates.items()}
-        for name, predicates in chains.items()
-    }
+    rows = {k: scalars.zero_rows(a, s.eps, conn, locate=False) for c in chains.values() for k, a in c.items()}
+    return [{name: {k: rows[k][r][0] for k in c} for name, c in chains.items()} for r in range(len(conn))]

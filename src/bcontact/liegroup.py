@@ -4,7 +4,8 @@ A Lie algebra with structure constants carries every tensor field of the
 model as an array of constant components; covariant derivatives then reduce
 to finite algebra in the connection coefficients, which is what makes exact
 verification possible at desk scale.  A connection is the array of those
-coefficients, ``gamma[k, i, j]`` with nabla_{e_i} e_j = gamma^k_{ij} e_k.
+coefficients, ``gamma[k, i, j]`` with nabla_{e_i} e_j = gamma^k_{ij} e_k,
+with a leading batch axis for the connections of a pair of metrics.
 """
 from __future__ import annotations
 
@@ -54,13 +55,15 @@ class LieAlgebra:
         )
 
 
-def torsion(gamma: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
-    """T(x,y) = nabla_x y - nabla_y x - [x,y], as a (1,2) tensor."""
-    return scalars.combine([1, -1, -1], [gamma, scalars.einsum("kij->kji", gamma), algebra.c])
+def torsion(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """T(x,y) = nabla_x y - nabla_y x - [x,y], as a (1,2) tensor, ``c``
+    holding the structure constants once per row of ``gamma``."""
+    return scalars.combine([1, -1, -1], [gamma, scalars.einsum("Bkij->Bkji", gamma), c])
 
 
 def levi_civita(algebra: LieAlgebra, m: Metric) -> np.ndarray:
-    """Levi-Civita connection of a left-invariant metric via the Koszul formula
+    """Levi-Civita connection of each left-invariant metric of ``m`` via
+    the Koszul formula
 
         m(nabla_x y, z) = 1/2 {m([x,y],z) - m([y,z],x) + m([z,x],y)},
 
@@ -73,33 +76,35 @@ def levi_civita(algebra: LieAlgebra, m: Metric) -> np.ndarray:
     rhs = scalars.combine(
         [half, Fraction(-1, 2), half],
         [
-            scalars.einsum("lij,lk->ijk", c, g),
-            scalars.einsum("ljk,li->ijk", c, g),
-            scalars.einsum("lki,lj->ijk", c, g),
+            scalars.einsum("lij,Blk->Bijk", c, g),
+            scalars.einsum("ljk,Bli->Bijk", c, g),
+            scalars.einsum("lki,Blj->Bijk", c, g),
         ],
     )
-    return scalars.einsum("ijk,km->mij", rhs, m.inv)
+    return scalars.einsum("Bijk,Bkm->Bmij", rhs, m.inv)
 
 
-def covariant_derivative(gamma: np.ndarray, t: np.ndarray, up: int) -> np.ndarray:
+def covariant_derivative(gamma: np.ndarray, t: np.ndarray, up: int, batched: bool = False) -> np.ndarray:
     """Covariant derivative of a constant-component tensor field with ``up``
-    contravariant slots, stored first, and covariant slots after them.
+    contravariant slots, stored first, and covariant slots after them, under
+    each connection of ``gamma``; ``t`` has one row per connection when
+    ``batched``.
 
     The direction slot is prepended to the covariant block, so a (r,s) input
     yields valence (r, s+1) with (nabla t)(x, y_1, ..., y_s) = (nabla_x t)(y_1, ...).
     Only connection terms survive since all components are constant.
     """
-    src = "abcdefgh"[: t.ndim]
-    ups, downs = src[:up], src[up:]
+    src = "abcdefgh"[: t.ndim - batched]
+    ups, downs, b = src[:up], src[up:], "B" * batched
     # result axes: up-axes of t, then direction axis, then down-axes of t
     terms = [
-        scalars.einsum(f"{src[a]}xm,{src.replace(src[a], 'm')}->{ups}x{downs}", gamma, t)
+        scalars.einsum(f"B{src[a]}xm,{b}{src.replace(src[a], 'm')}->B{ups}x{downs}", gamma, t)
         for a in range(up)
     ] + [
-        scalars.einsum(f"mx{src[pos]},{src.replace(src[pos], 'm')}->{ups}x{downs}", gamma, t)
-        for pos in range(up, t.ndim)
+        scalars.einsum(f"Bmx{src[pos]},{b}{src.replace(src[pos], 'm')}->B{ups}x{downs}", gamma, t)
+        for pos in range(up, len(src))
     ]
-    return scalars.combine([1] * up + [-1] * (t.ndim - up), terms)
+    return scalars.combine([1] * up + [-1] * (len(src) - up), terms)
 
 
 def curvature(algebra: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
@@ -109,9 +114,9 @@ def curvature(algebra: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
     return scalars.combine(
         [1, -1, -1],
         [
-            scalars.einsum("mjk,lim->lijk", g, g),
-            scalars.einsum("mik,ljm->lijk", g, g),
-            scalars.einsum("mij,lmk->lijk", c, g),
+            scalars.einsum("Bmjk,Blim->Blijk", g, g),
+            scalars.einsum("Bmik,Bljm->Blijk", g, g),
+            scalars.einsum("mij,Blmk->Blijk", c, g),
         ],
     )
 
@@ -123,5 +128,5 @@ def d_eta(algebra: LieAlgebra, eta: np.ndarray) -> np.ndarray:
 
 def lie_derivative_metric(algebra: LieAlgebra, xi: np.ndarray, m: Metric) -> np.ndarray:
     """(L_xi m)(x,y) = -m([xi,x],y) - m(x,[xi,y]) for left-invariant fields."""
-    ad = scalars.einsum("kji,j,kl->il", algebra.c, xi, m.matrix)  # m([xi,e_i], e_l)
-    return scalars.combine([-1, -1], [ad, scalars.einsum("il->li", ad)])
+    ad = scalars.einsum("kji,j,Bkl->Bil", algebra.c, xi, m.matrix)  # m([xi,e_i], e_l)
+    return scalars.combine([-1, -1], [ad, scalars.einsum("Bil->Bli", ad)])

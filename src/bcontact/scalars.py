@@ -9,13 +9,12 @@ tolerance scaled by the magnitude of the tensors involved: a float residual r
 passes when it is finite and r <= eps * max(1, r, scale), scale being the
 largest absolute entry of the context arrays, NaN entries ignored.  Every
 zero test in the library goes through ``zero_test`` (verdict, residual and
-worst index), ``verdict`` (verdict and residual), ``is_zero`` (its verdict
-alone) or ``zero_rows`` (the verdict of every row of a stack), and all four
-decide by that one rule; the tolerance ``eps`` is fixed once per model when
-it is loaded and carried on the structure.  A test reads each array once,
-by its dtype, and its contexts only when a float residual exceeds eps.
-``zero_rows`` decides a float stack in one pass of numpy reductions over
-its rows and its contexts' rows.
+worst index), ``is_zero`` (its verdict alone) or ``zero_rows`` (those of
+every row of a stack, such as a batch axis), and all three decide by that
+one rule, in ``_decide``; the tolerance ``eps`` is fixed once per model
+when it is loaded and carried on the structure.  A test reads each array
+once, by its dtype, as one table of rows, and its contexts only when a
+float residual exceeds eps.
 
 What the kernel returns is finished: every array that ``einsum``,
 ``combine``, ``divide_rows``, ``diagonalize``, ``array`` and ``eye`` return
@@ -35,41 +34,32 @@ A contraction of three or more operands with an explicit output runs in
 pairwise stages, one ``np.einsum`` call on two arrays each, in both modes:
 numpy runs a single call as one loop over all its labels, so the dim^6
 loop of R(x,y,a,b) phi^a_k phi^b_l, say, becomes two dim^5 ones.  The
-stages of a spec are planned once, from the spec alone (``_stages``).
+stages of a spec are planned once, from the spec alone (``_stages``).  The
+label ``B`` is a batch axis, such as the pair of metrics g and g~ that
+every per-metric field carries: a batched spec is staged as its rows are.
 
 The rational kernel does its arithmetic over integers.  ``einsum``
 contracts and ``combine`` adds arrays scaled to integer numerators over a
-common denominator, and each fills the ``Fraction`` entries of its result
-once, for its nonzero entries only, from one bounded table of ``Fraction``
+common denominator (int64 when a bound proves the sums fit, Python ints
+otherwise), and each builds the ``Fraction`` entries of its result once,
+for its nonzero entries only, from one bounded table of ``Fraction``
 values that every result shares, so that equal entries are one object
-(every 0 is ``ZERO``); the stages of a contraction pass integers from one
-to the next, and only the final result is built.  A scaled form is an
-int64 array when all its numerators fit in int64, else an object array of
-Python ints, and it keeps M, its largest absolute numerator.  A
-contraction runs in int64 when every operand is int64 and
-K * prod(max(1, M_i)) <= 2**63 - 1, K being the number of products summed
-into one result entry, a bound that holds for every stage as well; a
-combination when sum_t |k_t| M_t <= 2**63 - 1, k_t being the integer
-factor of term t.  Any other call runs over Python ints, the exact path
-that has no bound.  An exact contraction's spec has an explicit output and
-no ellipsis, and its operands give each label one length in every term;
-the terms of an exact combination have one shape.  Where numpy would
-stretch a length of 1, the exact kernel raises ValueError.  M = 0 proves
-an array zero: a contraction with such an operand, and a combination of
-such terms alone, return a zero result at once, with no contraction, sum
-or scan, and a combination leaves such terms out.  Every exact zero the
-kernel returns, so made or summed, is ``ZERO`` when 0-d, else the one
-read-only array of ``ZERO`` entries of its shape (``_zero``).  Each call
-reads its operands, a scalar one as a 0-d array, in one pass that decides
-the backend and scales them.  A scaled form is kept while its array lives
-for a kernel result (born with it), a read-only array that owns its
-memory, and a transpose ``einsum`` takes of either; any other view is
-scaled afresh.
-Each call looks an operand's kept form up once (``_scaled``).  So the next
-kernel call, ``zero_test``, ``zero_rows`` and ``residual`` read a result's
-integers: a rational verdict and worst index are exact, and a residual is
-the float of the exact largest entry (the smallest positive float when
-that rounds to 0 but the entry is not 0, and inf beyond the float range).
+(every 0 is ``ZERO``).  A scaled form keeps M, its largest absolute
+numerator, and M = 0 proves an array zero: a contraction with such an
+operand, and a combination of such terms alone, return the exact zero at
+once (``ZERO`` when 0-d, else the one read-only array of ``ZERO`` entries
+of its shape, ``_zero``).  An exact contraction's spec has an explicit
+output and no ellipsis, and gives each label one length in every term; the
+terms of an exact combination have one shape; numpy's stretching of a
+length of 1 raises ValueError.  A scaled form is kept while its array
+lives for a kernel result (born with it), a read-only array that owns its
+memory, a transpose ``einsum`` takes of either, a row ``row`` takes of a
+batched result, and a ``stack``; any other view is scaled afresh.  Each
+call looks an operand's kept form up once (``_scaled``), so the next
+kernel call and the zero tests read a result's integers: a rational
+verdict and worst index are exact, and a residual is the float of the
+exact largest entry (the smallest positive float when that rounds to 0 but
+the entry is not 0, and inf beyond the float range).
 ``freeze`` makes read-only an array that plain numpy or a caller built.
 """
 from __future__ import annotations
@@ -150,7 +140,7 @@ def exact(tok: ScalarLike) -> Fraction:
             raise ValueError("non-ASCII character in a number")
         limit, power = sys.get_int_max_str_digits(), _EXPONENT.search(tok)
         if limit and power and sum(map(str.isdigit, tok[: power.start()])) + abs(int(power[1])) > limit:
-            raise ValueError(f"{tok!r} has more than {limit} digits")
+            raise DigitLimitError(f"{tok!r} has more than {limit} digits")
     return Fraction(tok)
 
 
@@ -163,12 +153,20 @@ def parse_scalar(tok: ScalarLike, mode: str):
     return val if mode == RATIONAL else float(val)
 
 
+class DigitLimitError(ValueError):
+    """A value with more digits than Python converts to or from text."""
+
+
 def format_scalar(x) -> str:
-    """Canonical string form: "p" or "p/q" for rationals, repr for floats."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    """Canonical string form: "p" or "p/q" for rationals, repr for floats;
+    the one place a scalar leaves the library as text."""
+    try:
+        if isinstance(x, Fraction):
+            return str(x)
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+    except ValueError:  # Python converts no integer of more digits to text
+        raise DigitLimitError(f"a value has more than {sys.get_int_max_str_digits()} digits") from None
     return repr(float(x))
 
 
@@ -276,6 +274,37 @@ def _scaled(a: np.ndarray) -> tuple[np.ndarray, int, int]:
     return n, d, m
 
 
+def row(a: np.ndarray, index):
+    """``a[index]`` of a kernel result, for a basic index (a row of a batch
+    axis, say) or a list of rows; a single entry is its scalar.  Read-only
+    and, in rational mode, with that part of the form of ``a``: not scaled."""
+    out = a[index]
+    if not isinstance(out, np.ndarray):
+        return out
+    out.setflags(write=False)
+    if a.dtype == _OBJECT:
+        n, d, m = _scaled(a)
+        n = n[index]
+        _remember(out, n, d, int(np.abs(n).max(initial=0)) if m else 0)
+    return out
+
+
+def stack(arrays) -> np.ndarray:
+    """``np.stack(arrays)``, read-only, as the rows of a batch axis; in
+    rational mode its scaled form is made from those of the arrays, over the
+    least common multiple of their denominators, so it is never scaled."""
+    out = freeze(np.stack(arrays))
+    if out.dtype == _OBJECT:
+        forms = [_scaled(a) for a in arrays]
+        d = math.lcm(*(q for _, q, _ in forms))
+        m = max(k * (d // q) for _, q, k in forms)
+        ns = [n for n, _, _ in forms]
+        if m > _INT64_MAX or any(n.dtype == _OBJECT for n in ns):
+            ns = _widen(ns)
+        _remember(out, np.stack([n * (d // q) for n, (_, q, _) in zip(ns, forms)]), d, m)
+    return out
+
+
 # (numerator, denominator) in lowest terms -> the ``Fraction`` of that
 # value, shared by every kernel result that holds it, as ``ZERO`` is;
 # emptied when it reaches _FRACTIONS_MAX entries, so that it stays small
@@ -298,20 +327,13 @@ def _fraction(p: int, q: int) -> Fraction:
 
 def _rebuild(n, den: int):
     """The exact value of ``n / den`` for an integer array (or integer) ``n``,
-    int64 or Python ints: a read-only object array of ``Fraction``, equal
-    entries sharing one object and every zero ``ZERO``, or a ``Fraction``
-    for a 0-d ``n``; the one builder of the exact values the kernel hands
-    out.
-
-    ``n`` and ``den`` are first divided by g = gcd(den, n_1, ...), which
-    gives ``_scale``'s form of the result: the least common multiple of the
-    reduced denominators of n_i / den is den / g.  That form is kept for the
-    result, so it is never scaled again.  Only the nonzero entries of an
-    array are read, in one pass over a flat index; each distinct value is
-    taken from the shared table of ``_fraction``, so a ``Fraction`` is built
-    only for a value the table does not hold.  A nonzero 0-d result is the
-    table's too, and a zero one, or an all-zero array, ``_zero``'s.  Every
-    ``Fraction`` holds Python ints."""
+    int64 or Python ints: a read-only object array of ``Fraction``, or a
+    ``Fraction`` for a 0-d ``n``; the one builder of the exact values the
+    kernel hands out.  ``n`` and ``den`` are first divided by
+    g = gcd(den, n_1, ...), which gives ``_scale``'s form of the result,
+    kept for it.  Only the nonzero entries of an array are read, and each
+    distinct value is taken from the shared table of ``_fraction``; a zero
+    result is ``_zero``'s.  Every ``Fraction`` holds Python ints."""
     if not isinstance(n, np.ndarray) or not n.ndim:
         return _fraction(int(n), den) if n else ZERO
     flat = n.ravel()
@@ -410,30 +432,40 @@ def _stages(spec: str) -> tuple | None:
     the stages never make more products; they are kept when they make fewer,
     that is when some stage's loop leaves a label out.  A label repeated
     inside one term takes the one call, and so do an implicit output and an
-    ellipsis, which only a float call may use."""
+    ellipsis, which only a float call may use.
+
+    ``B`` is the batch label: it leads every term that carries it, and the
+    stages are planned as if no term did, so that a batched spec is staged
+    as each of its rows would be, with the same float rounding.  A stage
+    carries B on each operand that has it, and leads its result with B when
+    either operand has it."""
     inputs, arrow, output = spec.replace(" ", "").partition("->")
     terms = inputs.split(",")
-    labels = set(inputs) - {","}
+    labels = set(inputs) - {",", "B"}
     if (
-        not arrow or len(terms) < 3 or "." in spec or not set(output) <= labels
+        not arrow or len(terms) < 3 or "." in spec or not set(output) <= labels | {"B"}
         or any(len(set(t)) < len(t) for t in terms)
     ):
         return None
+    batched = [t[:1] == "B" for t in terms]
+    terms, rows = [t.lstrip("B") for t in terms], output.replace("B", "")
     stages, loops = [], []
     while len(terms) > 2:
         pairs = [(i, j) for i in range(len(terms)) for j in range(i + 1, len(terms))]
         shared = [(i, j) for i, j in pairs if set(terms[i]) & set(terms[j])]
         candidates = []
         for i, j in shared or pairs:
-            rest = set(output).union(*(t for k, t in enumerate(terms) if k not in (i, j)))
+            rest = set(rows).union(*(t for k, t in enumerate(terms) if k not in (i, j)))
             loop = terms[i] + "".join(c for c in terms[j] if c not in terms[i])
             kept = "".join(c for c in loop if c in rest)
             candidates.append((len(loop), len(kept), i, j, loop, kept))
         *_, i, j, loop, kept = min(candidates)
-        stages.append((i, j, f"{terms[i]},{terms[j]}->{kept}"))
+        b = "B" * (batched[i] or batched[j])
+        stages.append((i, j, f"{'B' * batched[i]}{terms[i]},{'B' * batched[j]}{terms[j]}->{b}{kept}"))
         loops.append(loop)
         terms = [t for k, t in enumerate(terms) if k not in (i, j)] + [kept]
-    stages.append((0, 1, f"{terms[0]},{terms[1]}->{output}"))
+        batched = [t for k, t in enumerate(batched) if k not in (i, j)] + [bool(b)]
+    stages.append((0, 1, f"{'B' * batched[0]}{terms[0]},{'B' * batched[1]}{terms[1]}->{output}"))
     loops.append(set(terms[0]) | set(terms[1]))
     return tuple(stages) if any(len(loop) < len(labels) for loop in loops) else None
 
@@ -456,41 +488,26 @@ def _contract(spec: str, operands) -> np.ndarray:
 def einsum(spec: str, *operands: np.ndarray):
     """``np.einsum(spec, *operands)``: the library's one contraction.
 
-    Every rational call of two or more operands runs over integers instead
-    of ``Fraction`` objects: each operand is scaled by the least common
-    denominator of its entries, numpy contracts the integer arrays, and each
-    entry of the result is the exact ``Fraction`` of its integer over the
-    product of the scales (equal entries share one ``Fraction``).  The
-    integers are int64 when a bound proves the sums fit: K * prod(max(1, M_i))
-    <= 2**63 - 1, for K products per result entry and M_i the largest
-    absolute numerator of operand i.  Otherwise they are Python ints.  A 0-d
-    result is a ``Fraction`` scalar; an array result is read-only and
-    carries its scaled form (see ``_rebuild``).  A read-only operand that
-    owns its memory is scaled once in its lifetime (see ``_scaled``), and
-    ``combine`` adds exact arrays on the same scaled integers.  A rational
-    spec has an explicit output and no ellipsis, and its operands give each
-    label one length in every term (no length of 1 is stretched), or the
-    call raises ValueError naming the spec (``_plan``); so an operand with
-    M = 0 ends the call at once: the result is ``_zero``'s, and no later
-    operand is scaled.  A single rational operand that is summed over (a
-    trace) takes the same integer path; one that is not (a transpose, a
-    diagonal) is numpy's view of it.
-    An operand may be a scalar of the backend (a ``Fraction`` or a float),
-    read as a 0-d array.  A float call is numpy's own, of any spec numpy
-    reads, and one of one or two operands is a single ``np.einsum`` call.
-    A call of three or more operands runs in the stages of ``_stages`` when
-    it has some, in either mode: a rational one over its integers, building
-    no ``Fraction`` between stages, and a float one with the rounding of its
-    stages, which matches numpy's single call bit for bit on integer-valued
-    operands and is within the rounding bound of its sums otherwise.  numpy
+    A rational call of two or more operands, or of one that it sums over (a
+    trace), runs over the operands' scaled integers: int64 when
+    K * prod(max(1, M_i)) <= 2**63 - 1, for K products per result entry and
+    M_i the largest absolute numerator of operand i, else Python ints; the
+    result is built by ``_rebuild``.  A rational spec has an explicit output
+    and no ellipsis and gives each label one length, or the call raises
+    ValueError naming it (``_plan``); an operand with M = 0 ends the call at
+    once, with ``_zero``'s result.  One rational operand that is not summed
+    over (a transpose, a diagonal) gives numpy's view of it.  An operand may
+    be a scalar of the backend, read as a 0-d array.  A float call is
+    numpy's own, of any spec numpy reads.  A call of three or more operands
+    runs in the stages of ``_stages`` when it has some, in either mode: a
+    float one matches numpy's single call bit for bit on integer-valued
+    operands, and is within the rounding bound of its sums otherwise.  numpy
     is looked up at each call, so a wrapper installed on ``np.einsum`` sees
     every contraction, and every stage of one.
     """
     # one pass over the operands decides the backend (a float operand sends
-    # the call to numpy, the first one at once) and collects the shapes and,
-    # for two or more operands, each scaled form until one with M = 0: the
-    # integers, the product of the denominators, that of the M_i, which are
-    # all >= 1 while no operand is zero, and whether any is Python ints
+    # the call to numpy at once) and collects the shapes and, for two or more
+    # operands, the scaled forms until one with M = 0
     many = len(operands) > 1
     shapes, ns, den, bound, wide = [], [], 1, 1, False
     for a in operands:
@@ -524,10 +541,8 @@ def einsum(spec: str, *operands: np.ndarray):
         ns, wide = [n], n.dtype == _OBJECT
     if not bound:
         return _zero(shape)
-    # the one bound covers every stage of a staged contraction: each entry,
-    # product and partial sum a stage forms is a sum of at most K products
-    # of entries of some of the operands (the labels summed so far are some
-    # of the summed labels), so its magnitude is at most K * prod(max(1, M_i))
+    # the one bound covers every stage: each value a stage forms is a sum of
+    # at most K products of entries of some of the operands
     if wide or k * bound > _INT64_MAX:
         ns = _widen(ns)
     return _rebuild(_contract(spec, ns), den)
@@ -540,17 +555,12 @@ def combine(coefficients, arrays):
     float mode.  In float mode this is numpy's ``c_0 a_0 + c_1 a_1 + ...``,
     broadcasting included, where a coefficient of 1 adds and one of -1
     subtracts its array, and a ``Fraction`` coefficient is its nearest
-    float.  In rational mode the arrays have one shape, and two shapes raise
-    ValueError naming them; they are scaled to integers (read-only ones
-    once, see ``_scaled``), added over the least common multiple of the
-    terms' denominators, and the ``Fraction`` entries are built once at the
-    end; a 0-d result is a ``Fraction``, an array result is read-only and
-    carries its scaled form.  The integers are added in int64 when
-    sum_t |k_t| M_t <= 2**63 - 1, for k_t the integer factor of term t and
-    M_t the largest absolute numerator of its array, and as Python ints
-    otherwise.  A term with M = 0 is left out, and with every term so the
-    result is ``_zero``'s.  A term may be a scalar of the backend, read as a
-    0-d array.
+    float.  In rational mode the terms have one shape (two shapes raise
+    ValueError), and their scaled integers are added over the least common
+    multiple of their denominators: in int64 when sum_t |k_t| M_t <= 2**63 - 1,
+    k_t being the integer factor of term t, else as Python ints; a term with
+    M = 0 is left out.  A term may be a scalar of the backend, read as a 0-d
+    array.
     """
     if len(coefficients) != len(arrays) or not len(arrays):
         raise ValueError("combine needs one coefficient per array, and at least one array")
@@ -705,27 +715,11 @@ def mode_of(arr: np.ndarray) -> str:
     return RATIONAL if arr.dtype == _OBJECT else FLOAT
 
 
-def _peak(a: np.ndarray) -> tuple[int, int]:
-    """``(p, d)``: the largest absolute entry of the rational array ``a`` is
-    exactly p / d, found over its scaled integers; those of a scaled form
-    with M = 0 are all zero and are not read.  A writable array, which is
-    never kept, is not scaled when it is exactly zero."""
-    if a.flags.writeable and not np.count_nonzero(a):
-        return 0, 1
-    n, d, m = _scaled(a)
-    if not m:
-        return 0, 1
-    if n.dtype == _OBJECT:
-        return max(map(abs, n.ravel().tolist())), d
-    return int(np.abs(n).max()), d
-
-
-def _rational_residual(peak: tuple[int, int]) -> float:
+def _rational_residual(p: int, d: int) -> float:
     """The exact largest absolute entry p / d of a rational array as a
     float; one that rounds to 0.0 but is not 0 is the smallest positive
     float, so a nonzero array never reports residual 0, and one beyond the
     float range is inf."""
-    p, d = peak
     try:
         r = p / d
     except OverflowError:
@@ -737,145 +731,118 @@ def residual(a: np.ndarray, b=None) -> float:
     """Max absolute entry of a - b (or of a alone), as a float: the residual
     ``zero_test`` reports for it."""
     d = a if b is None else combine([1, -1], [a, b])
-    return _verdict([np.asarray(d)], 0.0, ())[1]
+    return _decide([np.asarray(d)], 0.0, (), None, False)[0][1]
 
 
 def _within_tolerance(residual, eps: float, scale):
     """The float verdict: is ``residual`` within eps * max(1, residual,
-    scale)?  Elementwise when ``residual`` and ``scale`` are arrays.
+    scale)?
 
     A non-finite residual never passes, and a NaN scale adds nothing.  The
-    test is spelled as three comparisons, one per term of the max, so that
-    it runs on floats and on arrays alike.  Wherever eps * max(...) is a
-    number it is the same test, as multiplying by eps >= 0 keeps the order
-    of floats; where it is not (eps 0 times an infinite scale) eps 0 asks
-    for a residual of 0."""
-    return (residual < math.inf) & (
-        (residual <= eps) | (residual <= eps * residual) | (residual <= eps * scale)
+    test is spelled as three comparisons, one per term of the max.  Wherever
+    eps * max(...) is a number it is the same test, as multiplying by eps >=
+    0 keeps the order of floats; where it is not (eps 0 times an infinite
+    scale) eps 0 asks for a residual of 0."""
+    return residual < math.inf and (
+        residual <= eps or residual <= eps * residual or residual <= eps * scale
     )
 
 
-def _context_scale(c: np.ndarray) -> float:
-    """The largest absolute entry of one context array, NaN entries ignored,
-    so that the scale of several contexts does not depend on their order."""
-    if c.dtype == _OBJECT:
-        return _rational_residual(_peak(c))
-    return float(np.fmax.reduce(np.abs(c), axis=None, initial=0.0))
-
-
-def _verdict(arrays: list[np.ndarray], eps: float, context) -> tuple[bool, float, list, list]:
-    """``(passed, residual, residuals, peaks)``: the verdict and residual of
-    ``zero_test``, with the residual of each array and the exact ``_peak``
-    of each rational one (None for a float one), which a failed test hands
-    on to ``_locate``.
-
-    One pass reads each array by its dtype: a rational array's peak over
-    its scaled integers, a float array's largest absolute entry by one numpy
-    reduction, and keeps the worst residual, NaN when one is.  A nonzero
-    rational array fails the test.  Otherwise the scale of the ``context``
-    arrays is computed only when some residual exceeds eps: a residual
-    within eps passes whatever the scale, by the first term of
-    ``_within_tolerance``."""
-    res, peaks, worst, nonzero = [], [], 0.0, False
-    for a in arrays:
-        if a.dtype == _OBJECT:
-            peak = _peak(a)
-            nonzero = nonzero or peak[0] != 0
-            r = _rational_residual(peak)
+def _decide(arrays: list, eps: float, context, rows, locate: bool = True) -> list:
+    """``(passed, residual, worst_index)`` of each row of the arrays and
+    contexts, stacks of ``rows`` rows (the whole arrays are one row when
+    ``rows`` is None): the one place a zero test is decided, locating the
+    worst entry of a failed row when ``locate``.  Each array is read once,
+    as a table of the absolute values of each row: a rational array's scaled
+    integers (not read when M = 0), a float array's entries.  A nonzero
+    rational row fails; the contexts are read only when a float residual
+    exceeds eps, their largest entry in the row, NaN ignored, being its scale."""
+    count = 1 if rows is None else rows
+    for x in () if rows is None else (*arrays, *context):
+        if not np.ndim(x) or len(x) != rows:
+            raise ValueError(f"a stack needs one row per row ({rows}), got shape {np.shape(x)}")
+    tables, peaks, res, dens, failed = [], [], [], [], set()
+    for a in arrays:  # one whole-array reduction when there is one row
+        d, table = None, None
+        if a.dtype != _OBJECT:
+            table = np.abs(_by_row(a, count))
+            res.append(table.max(axis=1, initial=0.0).tolist() if rows else [float(table.max(initial=0.0))])
+            col = res[-1]
         else:
-            peak = None
-            r = float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
-        res.append(r)
-        peaks.append(peak)
-        if r > worst or r != r:
-            worst = r
-    if nonzero:
-        return False, worst, res, peaks
-    if worst <= eps:
-        return True, worst, res, peaks
-    scale = max((_context_scale(np.asarray(c)) for c in context), default=0.0)
-    return all(_within_tolerance(r, eps, scale) for r in res), worst, res, peaks
+            n, d, m = _scaled(a)
+            table = np.abs(_by_row(n, count)) if m else None
+            col = (table.max(axis=1).tolist() if rows else [int(table.max())]) if m else [0] * count
+            failed.update(r for r, p in enumerate(col) if p)
+            res.append([_rational_residual(p, d) if p else 0.0 for p in col] if m else [0.0] * count)
+        tables.append(table)
+        peaks.append(col)
+        dens.append(d)
+    scales, out = None, []
+    for r in range(count):
+        row = [col[r] for col in res]
+        worst = 0.0
+        for x in row:
+            if x > worst or x != x:
+                worst = x
+        if r not in failed and worst <= eps:
+            out.append((True, worst, None))
+            continue
+        if r not in failed and scales is None:
+            scales = np.zeros(count)
+            for c in context:
+                scale = np.abs(_by_row(np.asarray(c, dtype=np.float64), count))
+                scales = np.fmax(scales, np.fmax.reduce(scale, axis=1, initial=0.0))
+            scales = scales.tolist()
+        passed = r not in failed and all(_within_tolerance(x, eps, scales[r]) for x in row)
+        where = None
+        if locate and not passed:
+            if None in dens:
+                k = int(np.argmax(row))
+            else:  # the exactly largest peak p_i / d_i, over one denominator
+                common = math.lcm(*dens)
+                k = max(range(len(arrays)), key=lambda i: peaks[i][r] * (common // dens[i]))
+            shape = arrays[k].shape[rows is not None:]
+            where = tuple(int(i) for i in np.unravel_index(int(np.argmax(tables[k][r])), shape))
+            where = (k,) + where if len(arrays) > 1 else where or None
+        out.append((passed, worst, where))
+    return out
 
 
-def verdict(arrays, eps: float, *context: np.ndarray) -> tuple[bool, float]:
-    """``(passed, residual)`` of ``zero_test``, without locating the worst
-    entry of a failed test."""
-    return _verdict([np.asarray(a) for a in arrays], eps, context)[:2]
-
-
-def _locate(arrays: list[np.ndarray], res: list, peaks: list) -> tuple | None:
-    """The worst index of a failed ``zero_test``, from the residuals and
-    peaks ``_verdict`` found for its ``arrays``: the first largest entry of
-    the worst array, prefixed by that array's position when there are
-    several; exact when every array is rational."""
-    if all(p is not None for p in peaks):
-        k = max(range(len(arrays)), key=lambda i: Fraction(*peaks[i]))
-    else:
-        k = int(np.argmax(res))
-    a = arrays[k]
-    # np.abs of a 0-d array of Python ints is a Python int
-    mag = np.asarray(np.abs(_scaled(a)[0] if a.dtype == _OBJECT else a))
-    where = tuple(int(i) for i in np.unravel_index(np.argmax(mag), mag.shape))
-    if len(arrays) > 1:
-        return (k,) + where
-    return where or None
+def _by_row(a: np.ndarray, count: int) -> np.ndarray:
+    """``a`` as a table of ``count`` rows of its entries in order."""
+    return a.reshape(count, a.size // count if count else 0)
 
 
 def zero_test(arrays, eps: float, *context: np.ndarray):
     """The library's one zero test: do all ``arrays`` vanish?
 
-    Returns ``(passed, residual, worst_index)``.  The residual is the largest
-    absolute entry over all arrays, NaN when a float array holds one.  A
-    rational (object) array passes only when its scaled integers are all
-    zero; a float array passes when its own largest entry r is finite and
-    within eps * max(1, r, scale), scale being the largest absolute entry of
-    the ``context`` arrays the compared quantities were built from, NaN
-    entries ignored (``_within_tolerance``).
-    ``worst_index`` is None on success; on failure it locates the largest
-    entry of the worst array, prefixed by that array's position when more
-    than one array is tested.  When every array is rational, the verdict,
-    the worst array and its worst index are exact, and a nonzero residual
-    too small for a float reads as the smallest positive float.  The verdict
-    and residual are ``verdict``'s; only a failed test locates its worst
-    entry.
+    Returns ``(passed, residual, worst_index)``: the residual is the largest
+    absolute entry over all arrays, NaN when a float array holds one, and
+    the verdict is the rule of the module docstring, the ``context`` arrays
+    being those the compared quantities were built from.  ``worst_index`` is
+    None on success; on failure it locates the first largest entry of the
+    worst array, prefixed by that array's position when more than one array
+    is tested, exactly when every array is rational.
     """
-    arrays = [np.asarray(a) for a in arrays]
-    passed, worst, res, peaks = _verdict(arrays, eps, context)
-    return passed, worst, None if passed else _locate(arrays, res, peaks)
+    return _decide([np.asarray(a) for a in arrays], eps, context, None)[0]
 
 
 def is_zero(arr: np.ndarray, eps: float, *context: np.ndarray) -> bool:
     """The verdict of ``zero_test`` on a single array, without locating its
     worst entry."""
-    return verdict([arr], eps, *context)[0]
+    return _decide([np.asarray(arr)], eps, context, None, False)[0][0]
 
 
-def zero_rows(a: np.ndarray, eps: float, *context) -> list[bool]:
-    """``is_zero(a[n], eps, *(c[n] for c in context))`` for every row n of
-    ``a``, with each context a stack of one entry per row.  One pass over
-    the whole stack: over the scaled integers of a rational array, exactly,
-    and by numpy reductions over the rows of a float one and of its
-    contexts, with the verdict of ``_within_tolerance``; there a context of
-    another length raises ValueError."""
-    a = np.asarray(a)
-    if a.dtype != _OBJECT:
-        residual = np.abs(a).max(axis=tuple(range(1, a.ndim)), initial=0.0)
-        scale = 0.0
-        for c in context:
-            c = np.asarray(c, dtype=np.float64)
-            if not c.ndim or len(c) != len(a):
-                raise ValueError(
-                    f"a context needs one row per row of the stack ({len(a)}), got shape {c.shape}"
-                )
-            scale = np.fmax(scale, np.fmax.reduce(np.abs(c), axis=tuple(range(1, c.ndim)), initial=0.0))
-        # eps times an infinite entry is NaN when eps is 0, and a product may
-        # overflow to inf: the comparisons still give the verdict
-        with np.errstate(invalid="ignore", over="ignore"):
-            return _within_tolerance(residual, eps, scale).tolist()
-    if not len(a):
-        return []
-    n, _, _ = _scaled(a)
-    return [not any(row) for row in n.reshape(len(a), -1).tolist()]
+def zero_rows(arrays, eps: float, *context, locate: bool = True) -> list[tuple[bool, float, tuple | None]]:
+    """``zero_test([a[r] for a in arrays], eps, *(c[r] for c in context))``
+    for every row r: each array and context a stack of one entry per row, as
+    a batch axis or a stack of planes gives.  One pass over each whole stack
+    decides every row, by its own verdict, residual and worst index (None
+    for every row unless ``locate``); an array or a context of another
+    length raises ValueError.  The rows of a rational array are read off its
+    scaled integers, so a row is never scaled on its own."""
+    arrays = [np.asarray(a) for a in arrays]
+    return _decide(arrays, eps, context, len(arrays[0]) if arrays else 0, locate)
 
 
 def freeze(obj):

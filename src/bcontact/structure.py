@@ -238,17 +238,17 @@ def lee_forms(s: ACBStructure, f: np.ndarray, m: Metric) -> LeeForms:
     ``lee-form-identities``.
     """
     phi, xi = s.phi, s.xi
-    omega = scalars.einsum("i,j,ijz->z", xi, xi, f)
-    theta = scalars.combine([1, -1], [scalars.einsum("ij,ijz->z", m.inv, f), omega])
-    theta_star = scalars.einsum("ij,mj,imz->z", m.inv, phi, f)
+    omega = scalars.einsum("i,j,Bijz->Bz", xi, xi, f)
+    theta = scalars.combine([1, -1], [scalars.einsum("Bij,Bijz->Bz", m.inv, f), omega])
+    theta_star = scalars.einsum("Bij,mj,Bimz->Bz", m.inv, phi, f)
     return LeeForms(
         theta,
         theta_star,
         omega,
         sharp(omega, m),
-        scalars.einsum("i,i->", theta, xi),
-        scalars.einsum("i,i->", theta_star, xi),
-        scalars.einsum("i,ij->j", theta, s.phi2),
+        scalars.einsum("Bi,i->B", theta, xi),
+        scalars.einsum("Bi,i->B", theta_star, xi),
+        scalars.einsum("Bi,ij->Bj", theta, s.phi2),
     )
 
 
@@ -260,8 +260,8 @@ def divergences(neta: np.ndarray, m: Metric, m_assoc: Metric):
     associated metric of m.  The trace identities theta(xi) = div*(eta) and
     theta*(xi) = div(eta) are checked by ``divergence-trace``.
     """
-    div = scalars.einsum("ij,ij->", m.inv, neta)
-    div_star = scalars.einsum("ij,ij->", m_assoc.inv, neta)
+    div = scalars.einsum("Bij,Bij->B", m.inv, neta)
+    div_star = scalars.einsum("Bij,Bij->B", m_assoc.inv, neta)
     return div, div_star
 
 
@@ -404,26 +404,27 @@ class ClassificationReport:
 
 
 def _over_2n(s: ACBStructure, x, sign: int = 1):
-    """sign x / 2n of a scalar x, in the structure's scalar mode."""
-    return scalars.einsum(",->", x, scalars.parse_scalar(Fraction(sign, 2 * s.n), s.mode))
+    """sign x / 2n of a scalar, or of each of a batch of them."""
+    return scalars.combine([Fraction(sign, 2 * s.n)], [x])
 
 
 def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
     """Residual arrays for the defining identity of each basic class, and
     the residual of the U2 condition F(x,y,z) = F(x,y,xi) eta(z) +
-    F(x,z,xi) eta(y), which shares its two terms with F6-F9."""
+    F(x,z,xi) eta(y), which shares its two terms with F6-F9; for each
+    metric m of the batch, with its F and Lee forms."""
     phi, xi, eta, g = s.phi, s.xi, s.eta, m.matrix
     theta, theta_star = lee.theta, lee.theta_star
     omega = lee.omega
 
-    g_phi = scalars.einsum("im,mj->ij", g, phi)  # g(e_i, phi e_j)
-    g_phiphi = scalars.einsum("mi,rj,mr->ij", phi, phi, g)  # g(phi e_i, phi e_j)
-    th_phi = scalars.einsum("i,ij->j", theta, phi)
+    g_phi = scalars.einsum("Bim,mj->Bij", g, phi)  # g(e_i, phi e_j)
+    g_phiphi = scalars.einsum("mi,rj,Bmr->Bij", phi, phi, g)  # g(phi e_i, phi e_j)
+    th_phi = scalars.einsum("Bi,ij->Bj", theta, phi)
     th_phi2 = lee.theta_phi2
-    fxi = scalars.einsum("xym,m->xy", f, xi)  # F(x,y,xi)
-    f_first_xi = scalars.einsum("mxy,m->xy", f, xi)  # F(xi,y,z)
-    f_mid_xi = scalars.einsum("xmy,m->xy", f, xi)  # F(x,xi,z)
-    fxi_phiphi = scalars.einsum("abm,ax,by,m->xy", f, phi, phi, xi)  # F(phi x, phi y, xi)
+    fxi = scalars.einsum("Bxym,m->Bxy", f, xi)  # F(x,y,xi)
+    f_first_xi = scalars.einsum("Bmxy,m->Bxy", f, xi)  # F(xi,y,z)
+    f_mid_xi = scalars.einsum("Bxmy,m->Bxy", f, xi)  # F(x,xi,z)
+    fxi_phiphi = scalars.einsum("Babm,ax,by,m->Bxy", f, phi, phi, xi)  # F(phi x, phi y, xi)
 
     conds: dict[str, list[np.ndarray]] = {}
 
@@ -434,33 +435,34 @@ def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
         return scalars.combine([1] * len(arrays), arrays)
 
     rhs1 = total(
-        scalars.einsum("xy,z->xyz", g_phi, th_phi),
-        scalars.einsum("xy,z->xyz", g_phiphi, th_phi2),
-        scalars.einsum("xz,y->xyz", g_phi, th_phi),
-        scalars.einsum("xz,y->xyz", g_phiphi, th_phi2),
+        scalars.einsum("Bxy,Bz->Bxyz", g_phi, th_phi),
+        scalars.einsum("Bxy,Bz->Bxyz", g_phiphi, th_phi2),
+        scalars.einsum("Bxz,By->Bxyz", g_phi, th_phi),
+        scalars.einsum("Bxz,By->Bxyz", g_phiphi, th_phi2),
     )
     conds["F1"] = [scalars.combine([1, Fraction(-1, 2 * s.n)], [f, rhs1])]
 
-    f_phi_z = scalars.einsum("xym,mz->xyz", f, phi)  # F(x,y,phi z)
+    f_phi_z = scalars.einsum("Bxym,mz->Bxyz", f, phi)  # F(x,y,phi z)
     cyc_phi = total(
-        f_phi_z, scalars.einsum("xyz->yzx", f_phi_z), scalars.einsum("xyz->zxy", f_phi_z)
+        f_phi_z, scalars.einsum("Bxyz->Byzx", f_phi_z), scalars.einsum("Bxyz->Bzxy", f_phi_z)
     )
-    cyc = total(f, scalars.einsum("xyz->yzx", f), scalars.einsum("xyz->zxy", f))
+    cyc = total(f, scalars.einsum("Bxyz->Byzx", f), scalars.einsum("Bxyz->Bzxy", f))
     conds["F2"] = [f_first_xi, f_mid_xi, cyc_phi, theta]
     conds["F3"] = [f_first_xi, f_mid_xi, cyc]
 
-    # F4, F5: f = -(theta(xi) / 2n) (...) and f = -(theta*(xi) / 2n) (...)
-    rhs4 = total(
-        scalars.einsum("xy,z->xyz", g_phiphi, eta), scalars.einsum("xz,y->xyz", g_phiphi, eta)
-    )
-    conds["F4"] = [scalars.combine([1, _over_2n(s, lee.theta_xi)], [f, rhs4])]
+    # F4, F5: f = -(theta(xi) / 2n) (...) and f = -(theta*(xi) / 2n) (...),
+    # the coefficient of each row an operand of one contraction
+    def scaled(coefficient, a, b):
+        return scalars.einsum("B,Bxyz->Bxyz", _over_2n(s, coefficient), total(
+            scalars.einsum("Bxy,z->Bxyz", a, b), scalars.einsum("Bxz,y->Bxyz", a, b)
+        ))
 
-    rhs5 = total(scalars.einsum("xy,z->xyz", g_phi, eta), scalars.einsum("xz,y->xyz", g_phi, eta))
-    conds["F5"] = [scalars.combine([1, _over_2n(s, lee.theta_star_xi)], [f, rhs5])]
+    conds["F4"] = [total(f, scaled(lee.theta_xi, g_phiphi, eta))]
+    conds["F5"] = [total(f, scaled(lee.theta_star_xi, g_phi, eta))]
 
-    vert_terms = [scalars.einsum("xy,z->xyz", fxi, eta), scalars.einsum("xz,y->xyz", fxi, eta)]
+    vert_terms = [scalars.einsum("Bxy,z->Bxyz", fxi, eta), scalars.einsum("Bxz,y->Bxyz", fxi, eta)]
     form_res = minus_f(total(*vert_terms))
-    fxi_t = scalars.einsum("xy->yx", fxi)
+    fxi_t = scalars.einsum("Bxy->Byx", fxi)
     skew, sym = scalars.combine([1, -1], [fxi, fxi_t]), total(fxi, fxi_t)
     plus_phiphi = total(fxi, fxi_phiphi)
     minus_phiphi = scalars.combine([1, -1], [fxi, fxi_phiphi])
@@ -469,11 +471,11 @@ def _class_conditions(s: ACBStructure, f: np.ndarray, lee: LeeForms, m: Metric):
     conds["F8"] = [form_res, skew, minus_phiphi]
     conds["F9"] = [form_res, sym, minus_phiphi]
 
-    f_xi_phiphi = scalars.einsum("mab,m,ay,bz->yz", f, xi, phi, phi)  # F(xi, phi y, phi z)
-    conds["F10"] = [minus_f(scalars.einsum("x,yz->xyz", eta, f_xi_phiphi))]
+    f_xi_phiphi = scalars.einsum("Bmab,m,ay,bz->Byz", f, xi, phi, phi)  # F(xi, phi y, phi z)
+    conds["F10"] = [minus_f(scalars.einsum("x,Byz->Bxyz", eta, f_xi_phiphi))]
 
     rhs11 = total(
-        scalars.einsum("x,y,z->xyz", eta, eta, omega), scalars.einsum("x,z,y->xyz", eta, eta, omega)
+        scalars.einsum("x,y,Bz->Bxyz", eta, eta, omega), scalars.einsum("x,z,By->Bxyz", eta, eta, omega)
     )
     conds["F11"] = [minus_f(rhs11)]
     return conds, scalars.combine([1, -1, -1], [f, *vert_terms])
@@ -485,54 +487,51 @@ def classify(
     lee: LeeForms,
     m: Metric,
     nxi: np.ndarray,
-    nxi_partner: np.ndarray,
     pot03: np.ndarray,
     div_pair,
-    metric_role: str = "g",
-) -> ClassificationReport:
-    """Decide every membership flag by direct substitution into the defining
-    identities over the whole basis.
+    roles,
+) -> list[ClassificationReport]:
+    """Decide every membership flag of each metric of the pair by direct
+    substitution into the defining identities over the whole basis: one
+    report per row of the batch, for the metric role ``roles`` names.
 
-    ``nxi`` is nabla xi for the Levi-Civita connection of ``m``;
-    ``nxi_partner`` is nabla xi for the one of the other metric of the pair,
-    used for the U1_assoc flag.  ``pot03`` is the (0,3) potential of the
-    partner connection with respect to the one of ``m``, lowered by ``m``.
+    ``nxi`` is nabla xi for the Levi-Civita connection of each metric of
+    ``m``; the U1_assoc flag of a row is the U1 flag of the other row.
+    ``pot03`` is the (0,3) potential of the partner connection with respect
+    to the one of the row's metric, lowered by that metric.
     """
     phi, phi2 = s.phi, s.phi2
     basic, u2 = _class_conditions(s, f, lee, m)
-    conds = {"F0": [f], **basic, "U1": [nxi], "U1_assoc": [nxi_partner], "U2": [u2]}
+    conds = {"F0": [f], **basic, "U1": [nxi], "U1_assoc": None, "U2": [u2]}
 
     p = pot03
     conds["F3+U3"] = [scalars.combine(
         [1, 1],
         [
-            scalars.einsum("xab,ay,bz->xyz", p, phi2, phi2),
-            scalars.einsum("xab,ay,bz->xyz", p, phi, phi),
+            scalars.einsum("Bxab,ay,bz->Bxyz", p, phi2, phi2),
+            scalars.einsum("Bxab,ay,bz->Bxyz", p, phi, phi),
         ],
     )]
 
     # F(phi y,phi z,x) + F(phi^2 y,phi^2 z,x) - F(phi z,phi y,x) - F(phi^2 z,phi^2 y,x)
-    e1 = scalars.einsum("abx,ay,bz->xyz", f, phi, phi)
-    e2 = scalars.einsum("abx,ay,bz->xyz", f, phi2, phi2)
+    e1 = scalars.einsum("Babx,ay,bz->Bxyz", f, phi, phi)
+    e2 = scalars.einsum("Babx,ay,bz->Bxyz", f, phi2, phi2)
     conds["F1+F2+U3"] = [scalars.combine(
-        [1, 1, -1, -1], [e1, e2, scalars.einsum("xyz->xzy", e1), scalars.einsum("xyz->xzy", e2)]
+        [1, 1, -1, -1], [e1, e2, scalars.einsum("Bxyz->Bxzy", e1), scalars.einsum("Bxyz->Bxzy", e2)]
     )]
 
-    membership: dict[str, bool] = {}
-    residuals: dict[str, float] = {}
-    for flag, arrays in conds.items():
-        membership[flag], residuals[flag] = scalars.verdict(arrays, s.eps, f)
-    membership["U3"] = membership["U2"] and membership["F3+U3"]
-    residuals["U3"] = max(residuals["U2"], residuals["F3+U3"])
-
-    div, div_star = div_pair
-    report_scalars = {
-        "theta(xi)": lee.theta_xi,
-        "theta*(xi)": lee.theta_star_xi,
-        "div(eta)": div,
-        "div*(eta)": div_star,
-    }
-    return ClassificationReport(metric_role, membership, residuals, report_scalars)
+    decided = {flag: arrays and scalars.zero_rows(arrays, s.eps, f, locate=False) for flag, arrays in conds.items()}
+    decided["U1_assoc"] = decided["U1"][::-1]  # U1 of the other metric
+    names = ("theta(xi)", "theta*(xi)", "div(eta)", "div*(eta)")
+    reports = []
+    for r, role in enumerate(roles):
+        membership = {flag: rows[r][0] for flag, rows in decided.items()}
+        residuals = {flag: rows[r][1] for flag, rows in decided.items()}
+        membership["U3"] = membership["U2"] and membership["F3+U3"]
+        residuals["U3"] = max(residuals["U2"], residuals["F3+U3"])
+        values = (lee.theta_xi[r], lee.theta_star_xi[r], div_pair[0][r], div_pair[1][r])
+        reports.append(ClassificationReport(role, membership, residuals, dict(zip(names, values))))
+    return reports
 
 
 def nabla_xi_class_conditions(

@@ -6,7 +6,8 @@ either one onto the splitting ker(eta) (+) span(xi) yields a non-symmetric
 metric connection that keeps both distributions parallel.  Every derived
 quantity here (the connection itself, its potential and torsion, the
 covariant derivative of phi, the second connection of the pair) admits two
-computation routes; the check suite compares them.
+computation routes; the check suite compares them.  The functions that
+relate the two connections of the pair take the tensors of g alone.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ def svk_connection_projected(conn: np.ndarray, s: ACBStructure) -> np.ndarray:
     metrics m of the pair, so eta(nabla_x xi) = m(nabla_x xi, xi) = 0.
     Independent of the closed form; the two must agree exactly.
     """
-    return scalars.einsum("kl,lim,mj->kij", s.horizontal, conn, s.horizontal)
+    return scalars.einsum("kl,Blim,mj->Bkij", s.horizontal, conn, s.horizontal)
 
 
 def svk_potential_closed(parts: QComponents) -> np.ndarray:
@@ -54,19 +55,20 @@ def svk_torsion_closed(parts: HVComponents) -> np.ndarray:
 
 def torsion_from_potential(q: np.ndarray) -> np.ndarray:
     """T(x,y,z) = Q(x,y,z) - Q(y,x,z) on (0,3) tensors."""
-    return scalars.combine([1, -1], [q, scalars.einsum("xyz->yxz", q)])
+    return scalars.combine([1, -1], [q, scalars.einsum("Bxyz->Byxz", q)])
 
 
 def potential_from_torsion(t: np.ndarray, eps: float) -> np.ndarray:
     """2 Q(x,y,z) = T(x,y,z) - T(y,z,x) + T(z,x,y); requires T antisymmetric
     in its first two slots (to within ``eps`` in float mode)."""
-    if not scalars.is_zero(scalars.combine([1, 1], [t, scalars.einsum("xyz->yxz", t)]), eps, t):
+    skew = scalars.zero_rows([scalars.combine([1, 1], [t, scalars.einsum("Bxyz->Byxz", t)])], eps, t, locate=False)
+    if not all(passed for passed, _, _ in skew):
         raise ValueError("torsion must be antisymmetric in its first two slots")
     # out[x,y,z] = (T(x,y,z) - T(y,z,x) + T(z,x,y)) / 2
     half = Fraction(1, 2)
     return scalars.combine(
         [half, Fraction(-1, 2), half],
-        [t, scalars.einsum("yzx->xyz", t), scalars.einsum("zxy->xyz", t)],
+        [t, scalars.einsum("Byzx->Bxyz", t), scalars.einsum("Bzxy->Bxyz", t)],
     )
 
 
@@ -87,8 +89,8 @@ def svk_covariant_phi_closed(
         [1, 1, 1],
         [
             nphi,
-            scalars.einsum("j,km,mi->kij", s.eta, s.phi, nxi),
-            scalars.einsum("im,mj,k->kij", neta, s.phi, s.xi),
+            scalars.einsum("j,km,Bmi->Bkij", s.eta, s.phi, nxi),
+            scalars.einsum("Bim,mj,k->Bkij", neta, s.phi, s.xi),
         ],
     )
 

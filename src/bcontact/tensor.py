@@ -10,7 +10,9 @@ e_0, ..., e_{dim-1}):
 * connection coefficients: ``gamma[k, i, j]`` with nabla_{e_i} e_j =
   gamma^k_{ij} e_k, and structure constants ``c[k, i, j]`` with
   [e_i, e_j] = c^k_{ij} e_k;
-* a (0,3) tensor B stores ``B[i, j, k]`` = B(e_i, e_j, e_k).
+* a (0,3) tensor B stores ``B[i, j, k]`` = B(e_i, e_j, e_k);
+* a field of the metrics of a pair leads with a batch axis, one row per
+  metric, spelt ``B`` in a spec (see ``scalars._stages``).
 
 All operations are pure functions.  Every array the scalar kernel returns is
 read-only, and the arrays a model is built from are made so
@@ -64,18 +66,25 @@ class Metric:
             )
         return cls(m, scalars.freeze(np.linalg.inv(m)), (int(np.sum(ev > 0)), int(np.sum(ev < 0))))
 
+    @classmethod
+    def stack(cls, metrics) -> "Metric":
+        """The ``metrics`` on a batch axis, with the tuple of their signatures."""
+        arrays = [scalars.stack([getattr(m, f) for m in metrics]) for f in ("matrix", "inv")]
+        return cls(*arrays, tuple(m.signature for m in metrics))
+
     def inner(self, x: np.ndarray, y: np.ndarray):
         """m(x, y) of two vectors."""
         return scalars.einsum("ij,i,j->", self.matrix, x, y)
 
 
 def sharp(omega: np.ndarray, m: Metric) -> np.ndarray:
-    """Raise a covector with the metric: g(sharp(w), y) = w(y)."""
-    return scalars.einsum("ij,j->i", m.inv, omega)
+    """Raise a batch of covectors with a batch of metrics: g(sharp(w), y) = w(y)."""
+    return scalars.einsum("Bij,Bj->Bi", m.inv, omega)
 
 
 def lower_out(t: np.ndarray, m: Metric) -> np.ndarray:
-    """Lower the single contravariant slot of a (1,k) tensor into a trailing
-    covariant slot: T(x_1,...,x_k, z) = g(T(x_1,...,x_k), z)."""
-    rest = "abcdefgh"[: t.ndim - 1]
-    return scalars.einsum(f"l{rest},lz->{rest}z", t, m.matrix)
+    """Lower the single contravariant slot of a batch of (1,k) tensors into a
+    trailing covariant slot, each with the metric of its row:
+    T(x_1,...,x_k, z) = g(T(x_1,...,x_k), z)."""
+    rest = "abcdefgh"[: t.ndim - 2]
+    return scalars.einsum(f"Bl{rest},Blz->B{rest}z", t, m.matrix)

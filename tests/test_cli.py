@@ -267,7 +267,22 @@ def test_json_of_a_valid_model_beyond_the_float_range(tmp_path, command):
     assert proc.returncode == 0, proc.stderr
     payload = _strict_json(proc.stdout)
     if command == "report":
-        assert "inf" in payload["scalars"].values()
+        assert {"inf", "-inf"} <= set(payload["scalars"].values())
+
+
+def test_curvature_with_more_digits_than_python_writes_is_an_input_error(tmp_path, capsys):
+    # the brackets of solv3-a times 10**2500: the model is valid, but its
+    # curvature scalars have more digits than Python converts to text
+    path = _edited_model(tmp_path, "brackets", lambda brackets: [
+        [a, b, [str(Fraction(v) * 10**2500) for v in vs]] for a, b, vs in brackets
+    ])
+    assert cli.main(["validate", path]) == 0
+    capsys.readouterr()
+    for extra in ([], ["--json"]):
+        assert cli.main(["curvature", path, "--plane", "0,1", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: a value has more than {sys.get_int_max_str_digits()} digits\n"
 
 
 def test_json_of_a_residual_beyond_the_float_range(tmp_path):
@@ -279,7 +294,7 @@ def test_json_of_a_residual_beyond_the_float_range(tmp_path):
 
 
 def test_report_and_curvature_build_no_torsion_term(files, monkeypatch):
-    # both read the potential of each view, through Q^h and Q^v only: the
+    # both read the potential of the metrics, through Q^h and Q^v only: the
     # closed-form torsion terms T^h and T^v are the checks' alone
     made = []
     monkeypatch.setattr(cli, "Workspace", lambda s: made.append(pipeline.Workspace(s)) or made[-1])
@@ -288,9 +303,8 @@ def test_report_and_curvature_build_no_torsion_term(files, monkeypatch):
     assert len(made) == 2
     for ws in made:
         assert "d_eta_xi" not in vars(ws.s)
-        for view in (ws.g, ws.gt):
-            assert "q_closed" in vars(view), view.role
-            assert not {"hv_closed", "torsion", "hv"} & vars(view).keys(), view.role
+        assert "q_closed" in vars(ws.batch)
+        assert not {"hv_closed", "torsion", "hv"} & vars(ws.batch).keys()
 
 
 # the order in which the classifier decides its flags, which the JSON of

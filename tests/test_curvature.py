@@ -104,15 +104,16 @@ def test_ricci_relation_is_the_trace_of_the_curvature_relation(name):
     # rho and R(xi, ., ., xi) are not symmetric: each eta and transposition
     # of the Ricci relation shows
     ws = workspace(name)
+    b = ws.batch
     rng = np.random.default_rng(7)
-    for view in (ws.g, ws.gt):
-        a = rng.integers(-3, 4, size=(ws.s.dim,) * 4)
-        r = scalars.array(a - a.transpose(0, 1, 3, 2), RATIONAL)
-        rho = _loop_trace(r, view.metric)
-        assert np.array_equal(ricci(r, view.metric), rho), view.role
-        traced = _loop_trace(svk_curvature_formula(replace(view.curv, r04=r), view.shape), view.metric)
-        formula = svk_ricci_formula(ws.s, r, rho, view.shape, view.metric)
-        assert np.array_equal(formula, traced), view.role
+    a = np.stack([rng.integers(-3, 4, size=(ws.s.dim,) * 4) for _ in range(2)])
+    r = scalars.array(a - a.transpose(0, 1, 2, 4, 3), RATIONAL)
+    rho = scalars.stack([_loop_trace(r[i], view.metric) for i, view in enumerate((ws.g, ws.gt))])
+    assert np.array_equal(ricci(r, b.metric), rho)
+    curvature_formula = svk_curvature_formula(replace(b.curv, r04=r), b.shape)
+    formula = svk_ricci_formula(ws.s, r, rho, b.shape, b.metric)
+    for i, view in enumerate((ws.g, ws.gt)):
+        assert np.array_equal(formula[i], _loop_trace(curvature_formula[i], view.metric)), view.role
 
 
 def test_section_types_on_dim5_entry():
@@ -245,7 +246,8 @@ def test_sectional_invariant_under_basis_change():
 def test_ricci_xi_formula_pieces_nonzero():
     # the identity is only interesting when the pieces are individually nonzero
     ws = workspace("solv3-f11")
-    n_s = covariant_derivative(ws.g.conn, ws.g.shape.operator, 1)
-    val = ricci_xi_formula(ws.s, ws.g.conn, n_s, ws.g.shape, ws.s.metric)
-    assert val == ws.g.rho_xi_xi
+    b = ws.batch
+    n_s = covariant_derivative(b.conn, b.shape.operator, 1, batched=True)
+    val = ricci_xi_formula(ws.s, b.conn, n_s, b.shape, b.metric)
+    assert val.tolist() == [ws.g.rho_xi_xi, ws.gt.rho_xi_xi]
     assert scalars.residual(ws.g.shape.operator) > 0

@@ -61,7 +61,7 @@ def test_pi1_antisymmetries():
 
 def test_components_vanish_on_parallel_entry():
     ws = workspace("nil5-u1")
-    comps = hv_split(ws.s, ws.g.potential, ws.g.torsion)
+    comps = hv_split(ws.s, ws.batch.potential, ws.batch.torsion)
     for c in (comps.q_h, comps.q_v, comps.t_h, comps.t_v):
         assert scalars.residual(c) == 0.0
 
@@ -70,29 +70,26 @@ def test_boundary_killing_entry_vertical_torsion():
     # non-closed eta: vertical torsion survives while the vertical potential
     # component is skew
     ws = workspace("x-heis5-f7")
-    comps = hv_split(ws.s, ws.g.potential, ws.g.torsion)
-    assert scalars.residual(comps.t_v) > 0
-    qv = comps.q_v
+    comps = hv_split(ws.s, ws.batch.potential, ws.batch.torsion)
+    assert scalars.residual(comps.t_v[0]) > 0
+    qv = comps.q_v[0]
     assert scalars.residual(qv + np.einsum("kij->kji", qv)) == 0.0
 
 
-def _chain_values(ws, view):
-    """chain -> its one value; asserts that the chain's predicates agree."""
-    chains = equivalence_chains(
-        ws.s, view.conn, view.nabla_xi, view.nabla_eta, view.svk, view.shape,
-        view.hv, view.metric,
-    )
-    values = {}
-    for chain, predicates in chains.items():
-        assert len(set(predicates.values())) == 1, (chain, view.role, predicates)
-        values[chain] = next(iter(predicates.values()))
-    return values
+def _chain_values(ws):
+    """chain -> its one value on g; asserts that the chain's predicates
+    agree on each metric."""
+    b = ws.batch
+    by_metric = equivalence_chains(ws.s, b.conn, b.nabla_xi, b.nabla_eta, b.svk, b.shape, b.hv, b.metric)
+    for role, chains in zip(("g", "gtilde"), by_metric):
+        for chain, predicates in chains.items():
+            assert len(set(predicates.values())) == 1, (chain, role, predicates)
+    return {chain: next(iter(predicates.values())) for chain, predicates in by_metric[0].items()}
 
 
 def test_chain_values_on_representative_entries():
     def values(name):
-        ws = workspace(name)
-        return _chain_values(ws, ws.g)
+        return _chain_values(workspace(name))
 
     # symmetric chain true on the pure-trace entry, all chains true on a
     # parallel entry, every chain false on the omega entry

@@ -23,19 +23,19 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "kernel_counts.py"
 # for n = 1, 2), with an empty table of shared Fractions
 DEFAULT_COUNTS = {
     "failed_checks": [],
-    "rebuild_calls": 5786,
+    "rebuild_calls": 3929,
     "fractions_built": {"total": 2577, "_fraction": 1769, "exact": 808},
-    "scale_calls": 1170,
-    "scaled_entries": 20121,
+    "scale_calls": 368,
+    "scaled_entries": 6050,
     "widen_callers": {"checks.py:_minus": 2, "curvature.py:formula": 16, "curvature.py:sectional": 18},
-    "zero_results": {"total": 2991, "einsum": 1520, "combine": 1471},
+    "zero_results": {"total": 1819, "einsum": 929, "combine": 890},
     "entry_calls": {
-        "total": 11994, "einsum": 5901, "combine": 3953, "divide_rows": 117, "zero_test": 878,
-        "verdict": 806, "is_zero": 294, "zero_rows": 45,
+        "total": 7652, "einsum": 3733, "combine": 2520, "divide_rows": 117, "zero_test": 306,
+        "is_zero": 216, "zero_rows": 760,
     },
     "reentries": {
-        "total": 0, "einsum": 0, "combine": 0, "divide_rows": 0, "zero_test": 0, "verdict": 0,
-        "is_zero": 0, "zero_rows": 0,
+        "total": 0, "einsum": 0, "combine": 0, "divide_rows": 0, "zero_test": 0, "is_zero": 0,
+        "zero_rows": 0,
     },
 }
 

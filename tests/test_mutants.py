@@ -1,5 +1,5 @@
 """``scripts/mutants.py``, the mutation survey of the curvature, SvK,
-horizontal/vertical, structure, Lie algebra, tensor and scalar kernel code
+horizontal/vertical, structure, Lie algebra, tensor, pipeline and scalar kernel code
 and of the sectional checks: every mutant it makes is valid Python (it
 parses the statement each one changes) that differs from its file in one
 line, each has a key of its own, and every target file is mutated; an
@@ -36,7 +36,7 @@ def test_each_mutant_changes_one_line_of_its_target(found):
     assert {m.kind for m, _ in found} == {"sign", "unary", "einsum"}
     assert {m.file for m, _ in found} == {
         f"src/bcontact/{name}.py"
-        for name in ("curvature", "svk", "hv", "structure", "liegroup", "tensor", "scalars", "checks")
+        for name in ("curvature", "svk", "hv", "structure", "liegroup", "tensor", "pipeline", "scalars", "checks")
     }
     assert len({m.key for m, _ in found}) == len(found)
     for m, mutated in found:

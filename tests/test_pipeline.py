@@ -33,9 +33,9 @@ def test_classification_computes_no_curvature(monkeypatch):
     assert ws.view("g").classification.membership["F4"]
     assert ws.view("gtilde").classification.membership["F4"]
     assert calls == []
-    for view in (ws.g, ws.gt):
-        assert not DOWNSTREAM & vars(view).keys(), view.role
+    assert not DOWNSTREAM & vars(ws.batch).keys()
     ws.g.curv
+    ws.gt.curv
     assert len(calls) == 1
 
 
@@ -85,11 +85,13 @@ def test_verify_zoo_holds_one_model_at_a_time(monkeypatch, capsys, refcount_only
     assert all(ref() is None for ref in built)
 
 
-def test_a_view_outliving_its_workspace_has_no_partner():
-    view = zoo.builtin("solv3-a").workspace().g
-    assert view.conn is not None  # its own fields need only its structure and metric
-    with pytest.raises(ReferenceError):
-        view.partner
+def test_a_view_outliving_its_workspace_keeps_its_fields(refcount_only):
+    ws = zoo.builtin("solv3-a").workspace()
+    view, dropped = ws.g, weakref.ref(ws)
+    del ws
+    assert dropped() is None
+    # its fields are rows of the batch, which the view holds
+    assert view.conn.shape == (3, 3, 3) and view.curv.r04.shape == (3, 3, 3, 3)
 
 
 def test_run_checks_stops_at_broken_axioms():
@@ -132,9 +134,9 @@ def _count_calls(monkeypatch, fn, tag=None):
     when ``tag`` is given."""
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args if tag is None else (tag(), *args))
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "bcontact":
@@ -144,74 +146,46 @@ def _count_calls(monkeypatch, fn, tag=None):
     return calls
 
 
-def _role_on_stack():
-    """The role of the innermost ``MetricView`` on the stack: the ``self``
-    of one of its fields, or the ``view`` a check runs on."""
-    frame = sys._getframe(1)
-    while frame is not None:
-        for name in ("self", "view"):
-            view = frame.f_locals.get(name)
-            if isinstance(view, pipeline.MetricView):
-                return view.role
-        frame = frame.f_back
-    return None
-
-
 def test_each_structure_tensor_is_differentiated_once_per_metric(monkeypatch):
-    # every closed form reads the view's nabla_xi, nabla_eta and nabla_phi and
-    # the structure's d_eta, and every check of the SvK connection reads the
-    # view's D phi, D xi, D eta and D m; besides these, only nabla m, nabla S
-    # and nabla S(xi) are taken, once per metric each.  A derivative is known
-    # by the view it is taken for, as the SvK connections of both metrics
-    # may be one array, the kernel's exact zero of their shape
-    derivatives = _count_calls(monkeypatch, liegroup.covariant_derivative, _role_on_stack)
+    # every closed form reads the batch's nabla_xi, nabla_eta and nabla_phi
+    # and the structure's d_eta, and every check of the SvK connection reads
+    # the batch's D phi, D xi, D eta and D m; besides these, only nabla m,
+    # nabla S and nabla S(xi) are taken.  Each is taken once per model, for
+    # both metrics of the pair at once, on the batch axis
+    derivatives = _count_calls(monkeypatch, liegroup.covariant_derivative)
     d_eta_calls = _count_calls(monkeypatch, liegroup.d_eta)
     ws = zoo.builtin("solv7-u2").workspace(RATIONAL)
     assert all(r.passed for r in run_checks(ws))
-    s = ws.s
+    s, b = ws.s, ws.batch
     taken = Counter(
-        (view.role, connection, name)
-        for role, gamma, t, _ in derivatives
-        for view in (ws.view(role),)
-        for connection, conn in (("levi-civita", view.conn), ("svk", view.svk))
+        (connection, name)
+        for gamma, t, *_ in derivatives
+        for connection, conn in (("levi-civita", b.conn), ("svk", b.svk))
         if gamma is conn
-        for name, field in (
-            ("xi", s.xi), ("eta", s.eta), ("phi", s.phi), ("metric", view.metric.matrix)
-        )
+        for name, field in (("xi", s.xi), ("eta", s.eta), ("phi", s.phi), ("metric", b.metric.matrix))
         if t is field
     )
     assert taken == {
-        (role, connection, name): 1
-        for role in ("g", "gtilde")
+        (connection, name): 1
         for connection in ("levi-civita", "svk")
         for name in ("xi", "eta", "phi", "metric")
     }
-    assert len(derivatives) == 20
+    assert all(len(gamma) == 2 for gamma, *_ in derivatives)
+    assert len(derivatives) == 10
     assert len(d_eta_calls) == 1
 
 
 # The contractions of two or more operands that one rational run_checks on
 # solv7-u2 makes a second time on the same operands, by (calling function,
 # spec), with how many times and why; every other tensor that two families
-# use has one home on the structure or on a MetricView.
-F_ROUTES = "the second routes of the potential and of F~ take F alone, not the classifier's terms"
-AXIOMS = "validation tests the axioms before the associated metric or a view exists"
+# use has one home on the structure or on the Workspace's batch.
+F_ROUTES = "the second route of F~ takes F alone, as the closed form of the potential does"
 REPEATS_ALLOWED = {
-    ("potential_from_fundamental", "xym,m->xy"): (1, F_ROUTES),
-    ("potential_from_fundamental", "abm,ax,by,m->xy"): (1, F_ROUTES),
-    ("potential_from_fundamental", "xym,mz->xyz"): (1, F_ROUTES),
-    ("potential_from_fundamental", "mxy,m->xy"): (1, F_ROUTES),
     ("assoc_fundamental_from_fundamental", "xym,m->xy"): (1, F_ROUTES),
     ("assoc_fundamental_from_fundamental", "abm,ax,by,m->xy"): (1, F_ROUTES),
     ("assoc_fundamental_from_fundamental", "xam,ay,m->xy"): (1, F_ROUTES),
-    ("_class_conditions", "im,mj->ij"): (2, AXIOMS),
-    ("_class_conditions", "mi,rj,mr->ij"): (2, AXIOMS),
-    ("potential_pi1_form", "ij,i->j"): (1, AXIOMS + "; the pi_1 form reads g(xi, .), not eta"),
-    ("svk_scalar_formula", ",->"): (
-        1, "tr S is one value for both metrics of solv7-u2, and equal exact values are one Fraction"
-    ),
-    ("svk_sectional_polarized", "jk,il->ijkl"): (
-        2, "S<> (x) S<>: the curvature relation and its polarized sectional form"
+    ("svk_sectional_polarized", "Bjk,Bil->Bijkl"): (
+        1, "S<> (x) S<>: the curvature relation and its polarized sectional form"
     ),
     ("svk_pair_difference", "m,mij,k->kij"): (1, "two families test the pair difference"),
     ("svk_pair_difference", "j,ki->kij"): (1, "two families test the pair difference"),
@@ -255,7 +229,7 @@ def test_run_checks_repeats_only_the_allowed_contractions(monkeypatch):
         where: n for where, n in repeats.items() if n > REPEATS_ALLOWED.get(where, (0,))[0]
     }
     assert not unexpected
-    assert sum(repeats.values()) <= 17
+    assert sum(repeats.values()) <= 7
 
 
 # Fraction's arithmetic operators: every exact computation of the library

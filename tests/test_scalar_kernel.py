@@ -404,7 +404,7 @@ def test_rational_verdict_does_not_round_a_tiny_entry_to_zero():
     assert scalars.residual(tiny) == math.ulp(0.0)
     assert scalars.zero_test([tiny], 0.0) == (False, math.ulp(0.0), (0,))
     assert not scalars.is_zero(tiny, 1e-9)
-    assert scalars.zero_rows(tiny, 0.0) == [False, True]
+    assert scalars.zero_rows([tiny], 0.0) == [(False, math.ulp(0.0), None), (True, 0.0, None)]
     # the exactly larger of two tiny entries is the worst one
     tinier = scalars.array([0, Fraction(-1, 10**401)], RATIONAL)
     assert scalars.zero_test([tinier, tiny], 0.0) == (False, math.ulp(0.0), (1, 0))
@@ -425,7 +425,7 @@ def test_float_zero_test_never_passes_a_non_finite_residual(bad, eps):
     assert not passed and not math.isfinite(residual) and worst is not None
     assert not scalars.is_zero(a, eps)
     assert not scalars.is_zero(a, eps, np.array([1e300]))
-    assert scalars.zero_rows(np.stack([a, np.zeros(2)]), eps) == [False, True]
+    assert _passed(scalars.zero_rows([np.stack([a, np.zeros(2)])], eps)) == [False, True]
 
 
 def test_float_context_scale_ignores_nan_in_any_order():
@@ -436,10 +436,10 @@ def test_float_context_scale_ignores_nan_in_any_order():
     for context in [(nan, big), (big, nan), (mixed,), (mixed[::-1],), (nan, mixed)]:
         assert scalars.is_zero(a, 1e-9, *context)
         assert scalars.zero_test([a], 1e-9, *context) == (True, 1e-3, None)
-        assert scalars.zero_rows(a[None], 1e-9, *(c[None] for c in context)) == [True]
+        assert scalars.zero_rows([a[None]], 1e-9, *(c[None] for c in context)) == [(True, 1e-3, None)]
     # a NaN context alone scales nothing
     assert not scalars.is_zero(a, 1e-9, nan)
-    assert scalars.zero_rows(a[None], 1e-9, nan[None]) == [False]
+    assert _passed(scalars.zero_rows([a[None]], 1e-9, nan[None])) == [False]
 
 
 def test_failed_float_zero_test_reports_a_nan_array_in_either_order():
@@ -529,11 +529,13 @@ def test_lowering_pattern_recognized():
 def test_lower_out_spells_numpys_ellipsis(mode):
     rng = np.random.default_rng(3)
     m = Metric.from_matrix(scalars.array([[2, 1, 0], [1, -1, 0], [0, 0, 3]], mode), 1e-9)
+    other = Metric.from_matrix(scalars.array([[1, 0, 0], [0, -2, 1], [0, 1, 1]], mode), 1e-9)
+    pair = Metric.stack([m, other])
     for rank in range(1, 5):
-        t = scalars.array(rng.integers(-4, 5, size=(3,) * rank), mode)
+        t = scalars.array(rng.integers(-4, 5, size=(2,) + (3,) * rank), mode)
         t = scalars.combine([Fraction(1, 3)], [t])  # denominators too
-        expected = np.einsum("l...,lz->...z", t, m.matrix)
-        got = lower_out(t, m)
+        expected = np.einsum("bl...,blz->b...z", t, pair.matrix)
+        got = lower_out(t, pair)
         assert got.shape == expected.shape and got.dtype == expected.dtype
         assert got.tolist() == expected.tolist(), rank
 
@@ -826,7 +828,7 @@ def test_residual_within_eps_passes_whatever_the_context(eps):
     for context in contexts:
         assert scalars.zero_test([small], eps, *context) == (True, eps, None)
         assert scalars.zero_test([small, np.zeros(2)], eps, *context) == (True, eps, None)
-        assert scalars.verdict([small], eps, *context) == (True, eps)
+        assert scalars.zero_rows([small[None]], eps, *(c[None] for c in context)) == [(True, eps, None)]
         assert scalars.is_zero(small, eps, *context)
     # no context is read, and a residual above eps reads them
     assert scalars.zero_test([small], eps, _Unread()) == (True, eps, None)
@@ -838,13 +840,13 @@ def test_residual_between_eps_and_the_scaled_tolerance_passes_only_by_its_contex
     a = np.array([0.0, -1e-6])
     eps = 1e-9
     assert scalars.zero_test([a], eps) == (False, 1e-6, (1,))
-    assert scalars.verdict([a], eps, np.array([1e2])) == (False, 1e-6)
-    assert scalars.verdict([a], eps, np.array([1e2]), np.array([-1e4])) == (True, 1e-6)
+    assert scalars.zero_test([a], eps, np.array([1e2]))[:2] == (False, 1e-6)
+    assert scalars.zero_test([a], eps, np.array([1e2]), np.array([-1e4])) == (True, 1e-6, None)
     assert scalars.zero_test([a], eps, np.array([np.nan, 1e4])) == (True, 1e-6, None)
     assert not scalars.is_zero(a, eps, np.array([np.nan]))
     # a failing rational array fails the test whatever the float one gives
     one = scalars.array([1], RATIONAL)
-    assert scalars.verdict([a, one], eps, np.array([1e4])) == (False, 1.0)
+    assert scalars.is_zero(a, eps, np.array([1e4])) and not scalars.is_zero(one, eps, np.array([1e4]))
     assert scalars.zero_test([a, one], eps, np.array([1e4])) == (False, 1.0, (1, 0))
 
 
@@ -1049,7 +1051,12 @@ def test_rational_verification_stays_on_int64(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _per_row(a, eps, *context):
-    return [scalars.is_zero(a[n], eps, *(c[n] for c in context)) for n in range(len(a))]
+    return [scalars.zero_test([a[n]], eps, *(c[n] for c in context)) for n in range(len(a))]
+
+
+def _passed(rows):
+    """The verdicts of the rows ``zero_rows`` decided."""
+    return [passed for passed, _, _ in rows]
 
 
 @st.composite
@@ -1073,7 +1080,7 @@ def stacks(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_rational_zero_rows_is_the_per_row_zero_test(case):
     a, context = case
-    assert scalars.zero_rows(a, 0.0, context) == _per_row(a, 0.0, context)
+    assert scalars.zero_rows([a], 0.0, context) == _per_row(a, 0.0, context)
 
 
 float_values = st.one_of(
@@ -1111,8 +1118,9 @@ def float_stacks(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_float_zero_rows_is_the_per_row_zero_test(case, eps):
     a, contexts = case
-    verdicts = scalars.zero_rows(a, eps, *contexts)
-    assert verdicts == _per_row(a, eps, *contexts)
+    rows = scalars.zero_rows([a], eps, *contexts)
+    assert repr(rows) == repr(_per_row(a, eps, *contexts))  # NaN residuals compare by repr
+    verdicts = _passed(rows)
     # the rule itself, in plain Python floats: a row whose residual r is
     # finite passes when r <= eps * max(1, r, scale), scale ignoring NaN
     # (eps 0 asks for r == 0, even when the scale is inf); any other fails
@@ -1129,8 +1137,8 @@ def test_float_zero_rows_is_the_per_row_zero_test(case, eps):
         tolerance = eps * max(1.0, r, scale) if eps else 0.0
         assert verdict is (r <= tolerance)
     # and zero_test on each row gives the same verdicts
-    tested = [scalars.zero_test([a[n]], eps, *(c[n] for c in contexts))[0] for n in range(len(a))]
-    assert tested == _per_row(a, eps, *contexts)
+    tested = [scalars.is_zero(a[n], eps, *(c[n] for c in contexts)) for n in range(len(a))]
+    assert tested == verdicts
 
 
 def test_float_zero_rows_makes_no_per_row_zero_test(monkeypatch):
@@ -1141,16 +1149,16 @@ def test_float_zero_rows_makes_no_per_row_zero_test(monkeypatch):
     monkeypatch.setattr(scalars, "is_zero", refuse)
     a = np.array([[1e-12, 0.0], [1.0, 0.0], [0.0, -0.0], [np.inf, 0.0]])
     metric = np.broadcast_to(np.diag([1.0, -1.0]), (4, 2, 2))
-    assert scalars.zero_rows(a, 1e-9, metric, a) == [True, False, True, False]
+    assert _passed(scalars.zero_rows([a], 1e-9, metric, a)) == [True, False, True, False]
 
 
 def test_a_float_context_of_another_length_is_an_error():
     a = scalars.zeros((3, 2), FLOAT)
     for context in (scalars.zeros((2, 2), FLOAT), scalars.zeros((4,), FLOAT), scalars.zeros((), FLOAT)):
         with pytest.raises(ValueError):
-            scalars.zero_rows(a, 1e-9, context)
+            scalars.zero_rows([a], 1e-9, context)
     with pytest.raises(ValueError):
-        scalars.zero_rows(a, 1e-9, np.broadcast_to(np.eye(2), (2, 2, 2)))
+        scalars.zero_rows([a], 1e-9, np.broadcast_to(np.eye(2), (2, 2, 2)))
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
@@ -1211,17 +1219,17 @@ def test_float_verdict_of_a_row_depends_on_its_own_context():
     # one residual, 1e-6: within eps of row 1's context scale of 1e4 only
     a = np.array([[1e-6, 0.0], [1e-6, 0.0]])
     context = np.array([[1.0], [1e4]])
-    assert scalars.zero_rows(a, 1e-9, context) == [False, True]
-    assert scalars.zero_rows(a, 1e-9, context) == _per_row(a, 1e-9, context)
+    assert _passed(scalars.zero_rows([a], 1e-9, context)) == [False, True]
+    assert scalars.zero_rows([a], 1e-9, context) == _per_row(a, 1e-9, context)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_zero_rows_of_an_empty_stack_and_of_scalars(mode):
-    assert scalars.zero_rows(scalars.zeros((0, 3), mode), 0.0) == []
-    assert scalars.zero_rows(scalars.zeros((0,), mode), 0.0) == []
+    assert scalars.zero_rows([scalars.zeros((0, 3), mode)], 0.0) == []
+    assert scalars.zero_rows([scalars.zeros((0,), mode)], 0.0) == []
     col = scalars.array([0, "1/3", 0, "-2"], mode)
-    assert scalars.zero_rows(col, 1e-9) == [True, False, True, False]
-    assert scalars.zero_rows(scalars.zeros((2, 0), mode), 0.0) == [True, True]
+    assert _passed(scalars.zero_rows([col], 1e-9)) == [True, False, True, False]
+    assert scalars.zero_rows([scalars.zeros((2, 0), mode)], 0.0) == [(True, 0.0, None)] * 2
 
 
 def _callee(call: ast.Call):
@@ -1687,8 +1695,9 @@ def test_float_verdict_is_the_plain_rule(arrays, eps, context):
     got = scalars.zero_test(arrays, eps, *context)
     assert got[0] == passed and got[2] == where
     assert repr(got[1]) == repr(residual)
-    got = scalars.verdict(arrays, eps, *context)
-    assert got[0] == passed and repr(got[1]) == repr(residual)
+    # a batch of one row decides as the test of that row
+    (got,) = scalars.zero_rows([a[None] for a in arrays], eps, *(c[None] for c in context))
+    assert got[0] == passed and got[2] == where and repr(got[1]) == repr(residual)
     assert scalars.is_zero(arrays[0], eps, *context) == _plain_float_test(arrays[:1], eps, context)[0]
 
 

@@ -47,9 +47,9 @@ SECTIONAL_ROWS = [
 ]
 
 
-def _reeb_term(ws, view):
-    """eta(y) R(x,y,xi,x) as a tensor: R_ijml xi_m eta_k."""
-    return scalars.einsum("ijml,m,k->ijkl", view.curv.r04, ws.s.xi, ws.s.eta)
+def _reeb_term(ws):
+    """eta(y) R(x,y,xi,x) as a tensor of each metric: R_ijml xi_m eta_k."""
+    return scalars.einsum("Bijml,m,k->Bijkl", ws.batch.curv.r04, ws.s.xi, ws.s.eta)
 
 
 @pytest.mark.parametrize("name", ["solv5-f1", "sl2-f3"])
@@ -57,8 +57,7 @@ def test_reeb_term_vanishes_where_it_cannot_be_a_mutation(name):
     # adding a zero tensor to r04_svk changes nothing, so these entries
     # cannot show whether the checks see the Reeb term
     ws = workspace(name)
-    for view in (ws.g, ws.gt):
-        assert scalars.residual(_reeb_term(ws, view)) == 0.0
+    assert scalars.residual(_reeb_term(ws)) == 0.0
 
 
 @pytest.mark.parametrize("name, mode, residual", [
@@ -66,12 +65,12 @@ def test_reeb_term_vanishes_where_it_cannot_be_a_mutation(name):
     ("solv7-u2", FLOAT, 8.0),
 ])
 def test_sectional_relation_fails_when_svk_curvature_gains_reeb_term(name, mode, residual):
-    ws = zoo.builtin(name).workspace(mode)  # a fresh one: it is mutated
-    for view in (ws.g, ws.gt):
-        curv = view.curv
-        bad = replace(curv, r04_svk=curv.r04_svk + _reeb_term(ws, view))
-        assert scalars.residual(svk_sectional_polarized(bad, view.shape)) == residual
-        view.__dict__["curv"] = bad
+    ws = zoo.builtin(name).workspace(mode)  # a fresh one: its batch is mutated
+    curv = ws.batch.curv
+    bad = replace(curv, r04_svk=curv.r04_svk + _reeb_term(ws))
+    polarized = svk_sectional_polarized(bad, ws.batch.shape)
+    assert [scalars.residual(row) for row in polarized] == [residual, residual]
+    ws.batch.__dict__["curv"] = bad
     rows = {r.name: r for r in check_sectional_curvature(ws)}
     for role in ("g", "gtilde"):
         row = rows[f"sectional-relation[{role}]"]
@@ -100,11 +99,11 @@ def _gained_terms(ws, view):
     "reeb-section-flatness", "sectional-basis-invariance", "sectional-special-types",
 ])
 def test_sectional_row_fails_when_svk_curvature_gains_a_term_it_must_see(row, mode):
-    ws = zoo.builtin("dim5-tr").workspace(mode)  # a fresh one: it is mutated
-    for view in (ws.g, ws.gt):
-        curv = view.curv
-        bad = scalars.combine([1, 1], [curv.r04_svk, _gained_terms(ws, view)[row]])
-        view.__dict__["curv"] = replace(curv, r04_svk=bad)
+    ws = zoo.builtin("dim5-tr").workspace(mode)  # a fresh one: its batch is mutated
+    curv = ws.batch.curv
+    gained = scalars.stack([_gained_terms(ws, view)[row] for view in (ws.g, ws.gt)])
+    bad = scalars.combine([1, 1], [curv.r04_svk, gained])
+    ws.batch.__dict__["curv"] = replace(curv, r04_svk=bad)
     rows = {r.name: r for r in check_sectional_curvature(ws)}
     for role in ("g", "gtilde"):
         result = rows[f"{row}[{role}]"]
@@ -153,7 +152,7 @@ def quartic_tensors(draw):
 
 
 def _forms_vanish(t) -> bool:
-    forms = basis_invariance_forms(scalars.array(t, RATIONAL))
+    forms = basis_invariance_forms(scalars.array(t[None], RATIONAL))  # a batch of one
     return all(scalars.residual(f) == 0.0 for f in forms)
 
 
@@ -169,7 +168,7 @@ def test_shear_forms_pass_an_invariant_tensor_that_is_not_pair_antisymmetric():
     t = np.zeros((3,) * 4, dtype=np.int64)
     t[0, 1, 2, 1], t[1, 1, 2, 0] = 1, -1
     assert _rebasing_keeps_det2(t) and _forms_vanish(t)
-    symmetries = pair_symmetries(scalars.array(t, RATIONAL))
+    symmetries = pair_symmetries(scalars.array(t[None], RATIONAL))
     assert scalars.residual(symmetries["first-pair-antisymmetric"]) > 0
     assert scalars.residual(symmetries["last-pair-antisymmetric"]) > 0
     # the same entry alone is neither invariant nor passed

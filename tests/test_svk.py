@@ -30,7 +30,7 @@ def test_svk_equals_levi_civita_iff_parallel_reeb():
 
 
 def test_bijection_round_trip_zero():
-    z = scalars.zeros((3, 3, 3), RATIONAL)
+    z = scalars.zeros((1, 3, 3, 3), RATIONAL)  # a batch of one
     assert scalars.residual(torsion_from_potential(z)) == 0.0
     assert scalars.residual(potential_from_torsion(z, DEFAULT_EPS)) == 0.0
 
@@ -39,7 +39,7 @@ def test_bijection_loses_symmetric_part():
     # Q(x,y,z) = g(x,y) eta(z) is symmetric in x,y: its torsion vanishes and
     # the round trip returns only the antisymmetrized part (zero)
     ws = workspace("abelian3")
-    q = np.einsum("xy,z->xyz", ws.s.metric.matrix, ws.s.eta)
+    q = np.einsum("xy,z->xyz", ws.s.metric.matrix, ws.s.eta)[None]
     t = torsion_from_potential(q)
     assert scalars.residual(t) == 0.0
     back = potential_from_torsion(t, DEFAULT_EPS)
@@ -49,7 +49,7 @@ def test_bijection_loses_symmetric_part():
 
 def test_bijection_rejects_non_antisymmetric_torsion():
     ws = workspace("abelian3")
-    bad = np.einsum("xy,z->xyz", ws.s.metric.matrix, ws.s.eta)
+    bad = np.einsum("xy,z->xyz", ws.s.metric.matrix, ws.s.eta)[None]
     with pytest.raises(ValueError, match="antisym"):
         potential_from_torsion(bad, DEFAULT_EPS)
 
@@ -75,10 +75,10 @@ def metric_potentials(draw, dim=3):
 @given(metric_potentials())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_bijection_round_trip_identity_in_general(q):
-    t = torsion_from_potential(q)
-    assert scalars.residual(t + np.einsum("xyz->yxz", t)) == 0.0
+    t = torsion_from_potential(q[None])
+    assert scalars.residual(t + np.einsum("bxyz->byxz", t)) == 0.0
     back = potential_from_torsion(t, DEFAULT_EPS)
-    assert np.array_equal(back, q)
+    assert np.array_equal(back[0], q)
 
 
 def _is_natural(name):
@@ -184,7 +184,7 @@ def test_corrupted_connection_breaks_preservation():
     ws = workspace("solv3-f4")
     bad = ws.g.svk.copy()
     bad[0, 1, 1] += Fraction(1)
-    dg = covariant_derivative(bad, ws.s.metric.matrix, 0)
+    dg = covariant_derivative(bad[None], ws.s.metric.matrix, 0)
     assert scalars.residual(dg) > 0
 
 

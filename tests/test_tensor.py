@@ -58,14 +58,15 @@ def test_metric_rejects_a_matrix_that_is_not_symmetric(mode):
 
 
 def test_sharp_of_eta_is_xi():
+    # for both metrics of the pair: g(xi, .) = g~(xi, .) = eta
     ws = workspace("abelian3")
-    up = sharp(ws.s.eta, ws.s.metric)
-    assert np.array_equal(up, ws.s.xi)
+    up = sharp(scalars.stack([ws.s.eta] * 2), ws.batch.metric)
+    assert np.array_equal(up, scalars.stack([ws.s.xi] * 2))
 
 
 def test_sharp_zero_covector():
     m = Metric.from_matrix(rat([[1, 0], [0, -1]]), DEFAULT_EPS)
-    up = sharp(scalars.zeros((2,), RATIONAL), m)
+    up = sharp(scalars.zeros((1, 2), RATIONAL), Metric.stack([m]))  # a batch of one
     assert scalars.residual(up) == 0.0
 
 
