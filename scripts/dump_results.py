@@ -48,9 +48,10 @@ GENERATED = [(seed, n) for seed in (0, 3) for n in (1, 2)]
 
 
 def _value(x):
-    """A scalar or an array as JSON: ``format_scalar`` of each entry."""
+    """A scalar or an array as JSON: ``format_scalar`` of each exact value
+    (``scalars.fractions``) or float."""
     if hasattr(x, "tolist"):
-        x = x.tolist()
+        x = scalars.fractions(x).tolist()
     if isinstance(x, list):
         return [_value(v) for v in x]
     return scalars.format_scalar(x)

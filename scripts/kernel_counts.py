@@ -11,12 +11,16 @@ by default; each gets a ``Workspace`` and ``run_checks``, one model at a
 time, in one interpreter, in rational mode.  The output holds these counts:
 
 - ``rebuild_calls``: calls of ``scalars._rebuild``, the one place a kernel
-  result gets its entries;
+  result is made;
 - ``fractions_built``: ``Fraction`` objects that code in ``scalars.py``
   constructs, by the kernel function that constructs them (the arithmetic
   inside ``fractions.py`` is not counted), and their total;
+- ``fraction_arrays``: the object arrays holding a ``Fraction`` that the
+  kernel's functions hand out (``RETURNING``), counted at the outermost
+  call;
 - ``scale_calls`` and ``scaled_entries``: calls of ``scalars._scale``, which
-  scales an array to integers, and the entries they scale;
+  reads exact values (parsed tokens, scalar operands) into integers, and
+  the values they read;
 - ``widen_callers``: calls of ``scalars._widen``, the fall-back of a sum or
   a row division to Python ints, by the first function outside
   ``scalars.py`` on the stack;
@@ -44,11 +48,19 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from bcontact import scalars, zoo
 from bcontact.checks import run_checks
 
 # the kernel functions this script wraps, by their name in ``scalars``
 TARGETS = ("_rebuild", "_scale", "_widen", "_zero")
+# the kernel functions that hand out arrays, whose outermost calls are read
+# for object arrays of ``Fraction``
+RETURNING = (
+    "array", "eye", "zeros", "einsum", "combine", "divide_rows", "diagonalize", "row", "stack", "join",
+    "fractions",
+)
 # the kernel's entry points whose outermost calls, and calls inside a call
 # of themselves, this script counts
 ENTRY_POINTS = ("einsum", "combine", "divide_rows", "zero_test", "is_zero", "zero_rows")
@@ -73,22 +85,23 @@ def _caller(depth: int, outside: bool = False) -> str:
 
 @contextmanager
 def counting():
-    """Wrap the ``TARGETS`` and ``ENTRY_POINTS`` of ``scalars`` and
-    ``Fraction.__new__`` while the block runs; yields the ``Counter`` they
-    fill."""
+    """Wrap the ``TARGETS``, ``ENTRY_POINTS`` and ``RETURNING`` functions of
+    ``scalars`` and ``Fraction.__new__`` while the block runs; yields the
+    ``Counter`` they fill."""
     counts = Counter()
-    real = {name: getattr(scalars, name) for name in TARGETS + ENTRY_POINTS}
+    real = {name: getattr(scalars, name) for name in TARGETS + ENTRY_POINTS + RETURNING}
     active = Counter()  # the entry-point calls in progress, by entry point
+    returning = [0]  # the calls of RETURNING functions in progress
     real_new, raw_new = Fraction.__new__, vars(Fraction)["__new__"]
 
     def rebuild(n, den):
         counts["rebuild_calls"] += 1
         return real["_rebuild"](n, den)
 
-    def scale(a):
+    def scale(values, *shape):
         counts["scale_calls"] += 1
-        counts["scaled_entries"] += a.size
-        return real["_scale"](a)
+        counts["scaled_entries"] += len(values)
+        return real["_scale"](values, *shape)
 
     def widen(ns):
         counts["widen:" + _caller(1, outside=True)] += 1
@@ -119,10 +132,24 @@ def counting():
                 active[name] -= 1
         return call
 
+    def handing_out(fn):
+        def call(*args, **kwargs):
+            returning[0] += 1
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                returning[0] -= 1
+            if not returning[0] and isinstance(out, np.ndarray) and out.dtype == object:
+                counts["fraction_arrays"] += any(type(x) is Fraction for x in out.flat)
+            return out
+        return call
+
     for name, wrapper in zip(TARGETS, (rebuild, scale, widen, zero)):
         setattr(scalars, name, wrapper)
     for name in ENTRY_POINTS:
         setattr(scalars, name, entry(name))
+    for name in RETURNING:
+        setattr(scalars, name, handing_out(getattr(scalars, name)))
     Fraction.__new__ = staticmethod(new)
     try:
         yield counts
@@ -149,6 +176,7 @@ def count(entries) -> dict:
         "failed_checks": failed,
         "rebuild_calls": counts["rebuild_calls"],
         "fractions_built": {"total": sum(built.values()), **built},
+        "fraction_arrays": counts["fraction_arrays"],
         "scale_calls": counts["scale_calls"],
         "scaled_entries": counts["scaled_entries"],
         "widen_callers": {

@@ -29,7 +29,8 @@ of the checkout that holds the mutant (its ``src``, ``tests``,
 - ``tests``: pytest on ``tests/test_sectional.py``, ``test_curvature.py``,
   ``test_basis_change.py``, ``test_hv.py``, ``test_svk.py``,
   ``test_structure.py``, ``test_liegroup.py``, ``test_scalar_kernel.py``,
-  ``test_tensor.py``, ``test_check_rows.py`` and ``test_zoo.py``; the
+  ``test_tensor.py``, ``test_check_rows.py``, ``test_zoo.py`` and
+  ``test_cli.py`` (so that a branch only CLI output reaches is seen); the
   mutant is killed when a test fails.  It is
   not run on a mutant that the suite oracle kills by timeout, which would
   most likely hang the tests too, and its verdict reads ``SKIPPED``.
@@ -81,6 +82,7 @@ TESTS = [
     "tests/test_sectional.py", "tests/test_curvature.py", "tests/test_basis_change.py",
     "tests/test_hv.py", "tests/test_svk.py", "tests/test_structure.py", "tests/test_liegroup.py",
     "tests/test_scalar_kernel.py", "tests/test_tensor.py", "tests/test_check_rows.py", "tests/test_zoo.py",
+    "tests/test_cli.py",
 ]
 EINSUM_SPEC = re.compile(r"^(B?[a-z]+|B)(,(B?[a-z]+|B))*->B?[a-z]*$")
 # the run of an oracle on the unmutated code times out at these seconds,

@@ -222,7 +222,7 @@ def _parse_plane(args, ws: Workspace):
         if not (0 <= i < dim and 0 <= j < dim and i != j):
             raise ModelFileError(f"--plane indices must be distinct and < {dim}")
         basis = scalars.eye(dim, ws.s.mode)
-        return basis[i], basis[j]
+        return scalars.row(basis, i), scalars.row(basis, j)
     if args.plane_vectors:
         try:
             xs, ys = args.plane_vectors.split(";")
@@ -268,7 +268,7 @@ def cmd_curvature(args) -> int:
                     payload["plane"][f"k[{tag}]"] = "degenerate"
                     continue
             values = sectional(planes, view.curv, view.shape, ws.s)
-            (k_base,), (k_svk,), (k_formula,) = values.k, values.k_svk, values.formula
+            k_base, k_svk, k_formula = (scalars.row(v, 0) for v in (values.k, values.k_svk, values.formula))
             payload["plane"][f"k[{tag}]"] = k_base
             payload["plane"][f"k_svk[{tag}]"] = k_svk
             payload["plane"][f"relation_residual[{tag}]"] = scalars.residual(k_svk, k_formula)

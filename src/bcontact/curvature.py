@@ -207,27 +207,24 @@ class PlaneStack:
     def __getitem__(self, keep) -> "PlaneStack":
         """The planes where the boolean mask ``keep`` is true, in order."""
         keep = np.asarray(keep, dtype=bool)
-        arrays = (self.xy[keep], self.gram[keep], self.den[keep])
-        return PlaneStack(self.metric, *scalars.freeze(arrays))
+        return PlaneStack(self.metric, *(scalars.row(a, keep) for a in (self.xy, self.gram, self.den)))
 
     @classmethod
     def concat(cls, stacks: list["PlaneStack"]) -> "PlaneStack":
         """The planes of ``stacks`` (of one metric), one stack after the
-        other; a single stack is returned as it is, with its scaled arrays."""
+        other; a single stack is returned as it is."""
         if len(stacks) == 1:
             return stacks[0]
-        arrays = [np.concatenate([getattr(p, f) for p in stacks]) for f in ("xy", "gram", "den")]
-        return cls(stacks[0].metric, *scalars.freeze(arrays))
+        joined = (scalars.join([getattr(p, f) for p in stacks]) for f in ("xy", "gram", "den"))
+        return cls(stacks[0].metric, *joined)
 
     @classmethod
     def spanned(cls, m: Metric, xy) -> "PlaneStack":
-        """Every plane xy[n], degenerate ones included, ``xy`` being pairs of
-        vectors, as a planes x 2 x dim array or a list.  A read-only array of
-        the metric's dtype that owns its memory, as ``scalars.array`` makes,
-        is kept; any other is copied to one, which the kernel scales once."""
-        xy, shape = np.asarray(xy), (len(xy), 2, len(m.matrix))
-        if xy.shape != shape or xy.dtype != m.matrix.dtype or xy.base is not None or xy.flags.writeable:
-            xy = scalars.freeze(np.array(np.reshape(xy, shape), dtype=m.matrix.dtype))
+        """Every plane xy[n], degenerate ones included, ``xy`` being a
+        planes x 2 x dim array or a list of pairs of vectors, which are
+        stacked."""
+        if isinstance(xy, list):
+            xy = scalars.stack([scalars.stack(pair) for pair in xy])
         gram = _gram(m.matrix, xy, xy)
         return cls(m, xy, gram, _pi1(gram))
 
@@ -266,15 +263,21 @@ def _in_planes(planes: PlaneStack, w: np.ndarray, gw: np.ndarray, eps: float) ->
         den w - (m(y,y) m(x,w) - m(x,y) m(y,w)) x - (m(x,x) m(y,w) - m(x,y) m(x,w)) y = 0.
 
     Exact in rational mode; a float test is scaled by the three terms."""
-    g = planes.gram
-    minus_g01 = scalars.combine([-1], [g[:, 0, 1]])
-    adjugate = np.stack([g[:, 1, 1], minus_g01, minus_g01, g[:, 0, 0]], axis=1)
-    coefficients = scalars.einsum("nts,nsb->nbt", adjugate.reshape(-1, 2, 2), gw)
+    g = [[scalars.row(planes.gram, np.s_[:, a, b]) for b in range(2)] for a in range(2)]
+    minus_g01 = scalars.combine([-1], [g[0][1]])
+    adjugate = scalars.stack(
+        [scalars.stack(r, axis=1) for r in ([g[1][1], minus_g01], [minus_g01, g[0][0]])], axis=1
+    )
+    coefficients = scalars.einsum("nts,nsb->nbt", adjugate, gw)
     parts = scalars.einsum("nbt,ntk->tnbk", coefficients, planes.xy)
-    terms = (scalars.einsum("n,nbk->nbk", planes.den, w), parts[0], parts[1])
-    dim = w.shape[-1]
-    residual, *context = (t.reshape(-1, dim) for t in (scalars.combine([1, -1, -1], terms), *terms))
-    return np.reshape(_vanish(residual, eps, *context), w.shape[:2])
+    terms = (scalars.einsum("n,nbk->nbk", planes.den, w), scalars.row(parts, 0), scalars.row(parts, 1))
+    # one row per vector w[n, b], the rows of b = 0 first
+    k = w.shape[1]
+    residual, *context = (
+        scalars.join([scalars.row(t, np.s_[:, b]) for b in range(k)])
+        for t in (scalars.combine([1, -1, -1], terms), *terms)
+    )
+    return np.reshape(_vanish(residual, eps, *context), (k, len(planes))).T
 
 
 def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
@@ -291,21 +294,25 @@ def section_type(planes: PlaneStack, s: ACBStructure) -> list[tuple[str, bool]]:
     eps, m, xy, n, dim = s.eps, planes.metric, planes.xy, len(planes), s.dim
     # w = (xi, phi x, phi y) of every plane, and its Gram block with (x, y)
     phi_xy = scalars.einsum("ki,nai->nak", s.phi, xy)
-    w = scalars.freeze(np.concatenate([np.broadcast_to(s.xi, (n, 1, dim)), phi_xy], axis=1))
+    w = scalars.join([scalars.stack([scalars.stack([s.xi])] * n), phi_xy], axis=1)
     gw = _gram(m.matrix, xy, w)
     reeb, phi_x_in, phi_y_in = _in_planes(planes, w, gw, eps).T
     # totally real: m(u, phi v) vanishes for (u, v) = (x,x), (x,y), (y,y)
     metric = np.broadcast_to(m.matrix, (n, dim, dim))
-    real = _vanish(gw[:, [0, 0, 1], [1, 2, 2]], eps, metric)
+    real = _vanish(scalars.row(gw, np.s_[:, [0, 0, 1], [1, 2, 2]]), eps, metric)
     kinds = [
         XI_SECTION if on_reeb else HOLOMORPHIC if in_x and in_y else TOTALLY_REAL if r else GENERIC
         for on_reeb, in_x, in_y, r in zip(reeb, phi_x_in, phi_y_in, real)
     ]
     if TOTALLY_REAL in kinds and s.dim < 5:
         raise DegeneratePlaneError("totally-real planes require dimension at least 5")
-    # eta(x) and eta(y), each on the scale of its own vector
-    eta = scalars.einsum("nai,i->na", xy, s.eta).reshape(-1)
-    orthogonal = np.reshape(_vanish(eta, eps, xy.reshape(-1, dim)), (n, 2)).all(axis=1)
+    # eta(x) and eta(y), each on the scale of its own vector: the rows of x
+    # first
+    eta = scalars.einsum("nai,i->an", xy, s.eta)
+    eta, vectors = (
+        scalars.join([scalars.row(a, i) for i in range(2)]) for a in (eta, scalars.einsum("nai->ani", xy))
+    )
+    orthogonal = np.reshape(_vanish(eta, eps, vectors), (2, n)).all(axis=0)
     return list(zip(kinds, orthogonal.tolist()))
 
 

@@ -28,7 +28,7 @@ class LieAlgebra:
 
     Antisymmetry and the Jacobi identity are tested on construction with the
     tolerance ``eps`` of the model being loaded; the algebra does not keep it.
-    ``c`` is made read-only first, so the kernel scales it once for both tests.
+    ``c`` is made read-only.
     """
 
     c: np.ndarray  # (1,2), c[k,i,j]

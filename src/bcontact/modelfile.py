@@ -179,7 +179,7 @@ def _structure(parsed: dict, mode: str, eps: float) -> ACBStructure:
         for i, j, coeffs in parsed["brackets"]:
             upper[:, i, j] = coeffs
         # c[k, j, i] = -c[k, i, j]
-        scalars.freeze(upper)
+        upper = scalars.array(upper, mode)
         c = scalars.combine([1, -1], [upper, scalars.einsum("kij->kji", upper)])
         return ACBStructure(
             LieAlgebra(c, eps),

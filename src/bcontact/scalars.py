@@ -1,13 +1,14 @@
 """Scalar backends.
 
-Two interchangeable backends: exact rationals (``fractions.Fraction``) and
-binary floats.  Rational mode is the reference: all formulas in this library
-are rational in their inputs (the Koszul formula only divides by 2), so every
-identity can be verified with zero residual.  Float mode exists for speed and
-for data that arrives as decimals; comparisons there use an absolute
-tolerance scaled by the magnitude of the tensors involved: a float residual r
-passes when it is finite and r <= eps * max(1, r, scale), scale being the
-largest absolute entry of the context arrays, NaN entries ignored.  Every
+Two interchangeable backends: exact rationals, held as integers over a
+denominator, and binary floats.  Rational mode is the reference: all
+formulas in this library are rational in their inputs (the Koszul formula
+only divides by 2), so every identity can be verified with zero residual.
+Float mode exists for speed and for data that arrives as decimals;
+comparisons there use an absolute tolerance scaled by the magnitude of the
+tensors involved: a float residual r passes when it is finite and
+r <= eps * max(1, r, scale), scale being the largest absolute entry of the
+context arrays, NaN entries ignored.  Every
 zero test in the library goes through ``zero_test`` (verdict, residual and
 worst index), ``is_zero`` (its verdict alone) or ``zero_rows`` (those of
 every row of a stack, such as a batch axis), and all three decide by that
@@ -17,18 +18,16 @@ once, by its dtype, as one table of rows, and its contexts only when a
 float residual exceeds eps.
 
 What the kernel returns is finished: every array that ``einsum``,
-``combine``, ``divide_rows``, ``diagonalize``, ``array`` and ``eye`` return
-is read-only when it is made, in both modes; ``zeros`` is the one writable
-buffer.  ``_rebuild`` builds every exact value the kernel hands out, but
-for the tokens ``exact`` parses, from one shared table.
+``combine``, ``divide_rows``, ``diagonalize``, ``array``, ``eye``, ``row``,
+``stack`` and ``join`` return is read-only when it is made, in both modes;
+``zeros`` is the one writable buffer, for a caller to fill.
 
 Exact arithmetic on a model happens only in this module: every rational
 value that loading a model, its ``Workspace``, the check suite and the CLI
 commands compute is made by ``einsum`` (contractions, products of scalars,
 traces), ``combine`` (sums with rational coefficients), ``divide_rows`` (a
 stack of rows, each over its own scalar) or ``diagonalize`` (the congruence
-behind a metric's inverse and signature).  Elsewhere a ``Fraction`` is only
-read: compared, converted to float or printed.
+behind a metric's inverse and signature).
 
 A contraction of three or more operands with an explicit output runs in
 pairwise stages, one ``np.einsum`` call on two arrays each, in both modes:
@@ -38,29 +37,32 @@ stages of a spec are planned once, from the spec alone (``_stages``).  The
 label ``B`` is a batch axis, such as the pair of metrics g and g~ that
 every per-metric field carries: a batched spec is staged as its rows are.
 
-The rational kernel does its arithmetic over integers.  ``einsum``
-contracts and ``combine`` adds arrays scaled to integer numerators over a
-common denominator (int64 when a bound proves the sums fit, Python ints
-otherwise), and each builds the ``Fraction`` entries of its result once,
-for its nonzero entries only, from one bounded table of ``Fraction``
-values that every result shares, so that equal entries are one object
-(every 0 is ``ZERO``).  A scaled form keeps M, its largest absolute
-numerator, and M = 0 proves an array zero: a contraction with such an
+A rational array is its own integer numerators: int64 when a bound proves
+its entries fit, Python ints otherwise.  The kernel keeps, for each array
+it makes, the denominator d of its value and M, its largest absolute
+numerator (``_SCALED``, keyed by the array and left when it dies), so the
+value is ``a / d``; ``_rebuild`` makes every result, in lowest terms.
+``einsum`` contracts and ``combine`` adds those integers over a common
+denominator, and M = 0 proves an array zero: a contraction with such an
 operand, and a combination of such terms alone, return the exact zero at
-once (``ZERO`` when 0-d, else the one read-only array of ``ZERO`` entries
-of its shape, ``_zero``).  An exact contraction's spec has an explicit
-output and no ellipsis, and gives each label one length in every term; the
-terms of an exact combination have one shape; numpy's stretching of a
-length of 1 raises ValueError.  A scaled form is kept while its array
-lives for a kernel result (born with it), a read-only array that owns its
-memory, a transpose ``einsum`` takes of either, a row ``row`` takes of a
-batched result, and a ``stack``; any other view is scaled afresh.  Each
-call looks an operand's kept form up once (``_scaled``), so the next
-kernel call and the zero tests read a result's integers: a rational
-verdict and worst index are exact, and a residual is the float of the
-exact largest entry (the smallest positive float when that rounds to 0 but
-the entry is not 0, and inf beyond the float range).
-``freeze`` makes read-only an array that plain numpy or a caller built.
+once (``ZERO`` when 0-d, else the one read-only int64 zero of its shape,
+``_zero``).  An exact contraction's spec has an explicit output and no
+ellipsis, and gives each label one length in every term; the terms of an
+exact combination have one shape; numpy's stretching of a length of 1
+raises ValueError.  The kernel makes its views and joins itself: a
+transpose ``einsum`` takes, a part ``row`` takes, and a ``stack`` or
+``join`` of kernel results, each over the denominator of its parts.  An
+integer array it did not make, such as a slice or an ``np.concatenate``
+taken outside it, raises ValueError naming the operand, since its integers
+are not known to be numerators of anything.  A zero test reads a result's
+integers: a rational verdict and worst index are exact, and a residual is
+the float of the exact largest entry (the smallest positive float when
+that rounds to 0 but the entry is not 0, and inf beyond the float range).
+
+A ``Fraction`` is built only where a scalar leaves the library: a 0-d
+result (a trace, a row's entry) is one, and ``fractions`` is the reader of
+the exact values of an array, for output and for tests.  Values enter
+through ``array``, which parses tokens (``exact``) into integers.
 """
 from __future__ import annotations
 
@@ -170,19 +172,18 @@ def format_scalar(x) -> str:
     return repr(float(x))
 
 
-# the exact zero every rational zero entry built by this module shares
+# the exact zero, and every 0-d zero the kernel returns
 ZERO = Fraction(0)
 
-# the dtype of a rational array
+# the dtype of a float array, and of Python ints
+_FLOAT = np.dtype(np.float64)
 _OBJECT = np.dtype(object)
 
 
 def zeros(shape, mode: str) -> np.ndarray:
-    if mode == RATIONAL:
-        out = np.empty(shape, dtype=object)
-        out[...] = ZERO
-        return out
-    return np.zeros(shape, dtype=np.float64)
+    """A writable buffer of zeros for a caller to fill, Python ints in
+    rational mode; what it holds enters the kernel through ``array``."""
+    return np.zeros(shape, dtype=object if mode == RATIONAL else np.float64)
 
 
 def _read_only(out):
@@ -196,20 +197,22 @@ def _read_only(out):
 def array(nested, mode: str) -> np.ndarray:
     """A read-only backend array of (possibly nested) scalar tokens, or of
     an integer array: in float mode the nearest float of each exact value
-    (an integer array's float64 copy), in rational mode the ``Fraction`` of
-    each token, or ``_rebuild``'s array of an integer array, which keeps
-    its integers as its scaled form."""
-    if isinstance(nested, np.ndarray) and nested.dtype.kind in "iu":
+    (an integer or float array's float64 copy), in rational mode the
+    kernel's integers of the exact values (an integer array's int64 copy),
+    and the ``Fraction`` of a single token.  An int token is its own value."""
+    if isinstance(nested, np.ndarray) and nested.dtype.kind in ("iu" if mode == RATIONAL else "iuf"):
         if mode != RATIONAL:
             return _read_only(nested.astype(np.float64))
         if nested.ndim:
-            # a copy of Python ints, which _rebuild keeps as int64 when they fit
+            # Python ints, which _rebuild keeps as int64 when they fit
             return _rebuild(nested.astype(object), 1)
     nested = np.asarray(nested, dtype=object)
-    # an array that owns its memory, so that the kernel keeps its scaled form
-    out = np.empty(nested.shape, dtype=object)
-    out.reshape(-1)[:] = list(map(exact, nested.ravel().tolist()))
-    return _read_only(out if mode == RATIONAL else out.astype(np.float64))
+    values = [t if type(t) is int else exact(t) for t in nested.ravel().tolist()]
+    if mode != RATIONAL:
+        return _read_only(np.array(values, dtype=np.float64).reshape(nested.shape))
+    if not nested.ndim:
+        return Fraction(values[0])
+    return _rebuild(*_scale(values, nested.shape)[:2])
 
 
 def eye(dim: int, mode: str) -> np.ndarray:
@@ -222,165 +225,150 @@ def eye(dim: int, mode: str) -> np.ndarray:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _scale(a: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """``(n, d, m)`` with ``a == n / d``: ``d`` the least common denominator
-    of the entries of ``a``, ``m`` the largest ``abs(n_i)`` and ``n`` an int64
-    array when ``m`` fits in int64, else an object array of Python ints."""
-    ratios = [x.as_integer_ratio() for x in a.ravel().tolist()]
+def _scale(values: list, shape: tuple = ()) -> tuple[np.ndarray, int, int]:
+    """``(n, d, m)`` with ``n / d`` the array of ``shape`` of the exact
+    ``values`` (``Fraction`` or int), in order: ``d`` their least common
+    denominator, ``m`` the largest ``abs(n_i)`` and ``n`` an int64 array
+    when ``m`` fits in int64, else an object array of Python ints."""
+    ratios = [x.as_integer_ratio() for x in values]
     dens = {q for _, q in ratios}
     d = math.lcm(*dens)
     nums = [p for p, _ in ratios] if len(dens) == 1 else [p * (d // q) for p, q in ratios]
     m = max(map(abs, nums), default=0)
-    if m <= _INT64_MAX:
-        return np.array(nums, dtype=np.int64).reshape(a.shape), d, m
-    n = np.empty(len(nums), dtype=object)
+    n = np.empty(len(nums), dtype=np.int64 if m <= _INT64_MAX else object)
     n[:] = nums
-    return n.reshape(a.shape), d, m
+    return n.reshape(shape), d, m
 
 
-# id(a) -> (weak reference to a, scaled a, its denominator, its largest
-# absolute numerator), for each array whose scaled form is kept; an entry
-# leaves when its array dies.  Threads that race on one array at worst
-# scale it twice.
+# id(a) -> (weak reference to a, its denominator, its largest absolute
+# entry), for each integer array a of the kernel: the form that makes a
+# the numerators of its value; an entry leaves when its array dies
 _SCALED: dict[int, tuple] = {}
 
 
-def _remember(a: np.ndarray, n: np.ndarray, d: int, m: int) -> None:
-    """Keep ``(n, d, m)``, ``n`` made read-only, as the scaled form of ``a``."""
-    key = id(a)
+def _remember(n: np.ndarray, d: int, m: int) -> np.ndarray:
+    """``n``, made read-only and kept as the numerators of ``n / d``, ``m``
+    its largest absolute entry: a kernel result."""
+    key = id(n)
     n.setflags(write=False)
-    _SCALED[key] = (weakref.ref(a, lambda _, k=key: _SCALED.pop(k, None)), n, d, m)
+    _SCALED[key] = (weakref.ref(n, lambda _, k=key: _SCALED.pop(k, None)), d, m)
+    return n
 
 
-def _keeps(a: np.ndarray) -> bool:
-    """Whether the scaled form of ``a`` may be kept: ``a`` is read-only and
-    owns its memory (the memory of a view may be written through another
-    array)."""
-    return a.base is None and not a.flags.writeable
-
-
-def _scaled(a: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """``_scale(a)``, kept for ``a`` when ``_keeps(a)``: the one reader of
-    ``_SCALED``, one lookup per array.  The integers of a kept form are
-    read-only, and those of a form just scaled and not kept are not."""
+def _scaled(a: np.ndarray, call: str = "the kernel", operands=()) -> tuple[np.ndarray, int, int]:
+    """``(n, d, m)`` with ``a == n / d``: the kept form of a kernel result,
+    whose numerators are ``a`` itself, or ``_scale``'s form of a 0-d value.
+    Any other array raises ValueError naming ``call`` and the position of
+    ``a`` among its ``operands``: its integers are not known to be
+    numerators of anything."""
     hit = _SCALED.get(id(a))
     if hit is not None:
-        ref, n, d, m = hit
+        ref, d, m = hit
         if ref() is a:
-            return n, d, m
-    n, d, m = _scale(a)
-    if _keeps(a):
-        _remember(a, n, d, m)
-    return n, d, m
+            return a, d, m
+    if a.ndim:
+        index = next((i for i, x in enumerate(operands) if x is a), 0)
+        raise ValueError(
+            f"{call}: operand {index} is an array the kernel did not make, or a view or a join of"
+            " one taken outside scalars.row, scalars.stack and scalars.join; values enter through"
+            " scalars.array"
+        )
+    return _scale([a.tolist()])
 
 
 def row(a: np.ndarray, index):
     """``a[index]`` of a kernel result, for a basic index (a row of a batch
-    axis, say) or a list of rows; a single entry is its scalar.  Read-only
-    and, in rational mode, with that part of the form of ``a``: not scaled."""
-    out = a[index]
-    if not isinstance(out, np.ndarray):
-        return out
-    out.setflags(write=False)
-    if a.dtype == _OBJECT:
-        n, d, m = _scaled(a)
-        n = n[index]
-        _remember(out, n, d, int(np.abs(n).max(initial=0)) if m else 0)
-    return out
+    axis, say), a list of rows or a boolean mask; a single entry is its
+    scalar.  Read-only and, in rational mode, the integers of ``a`` there
+    over the denominator of ``a``: not scaled."""
+    if a.dtype == _FLOAT:
+        return _read_only(a[index])
+    n, d, m = _scaled(a, "row")
+    out = n[index]
+    if not isinstance(out, np.ndarray) or not out.ndim:
+        return _rebuild(out, d)
+    return _remember(out, d, m if not m or out.size == n.size else _peak(out))
 
 
-def stack(arrays) -> np.ndarray:
-    """``np.stack(arrays)``, read-only, as the rows of a batch axis; in
-    rational mode its scaled form is made from those of the arrays, over the
+def stack(arrays, axis: int = 0) -> np.ndarray:
+    """``np.stack(arrays, axis)``, read-only, as the rows of a batch axis,
+    say; in rational mode its integers are those of the arrays over the
     least common multiple of their denominators, so it is never scaled."""
-    out = freeze(np.stack(arrays))
-    if out.dtype == _OBJECT:
-        forms = [_scaled(a) for a in arrays]
-        d = math.lcm(*(q for _, q, _ in forms))
-        m = max(k * (d // q) for _, q, k in forms)
-        ns = [n for n, _, _ in forms]
-        if m > _INT64_MAX or any(n.dtype == _OBJECT for n in ns):
-            ns = _widen(ns)
-        _remember(out, np.stack([n * (d // q) for n, (_, q, _) in zip(ns, forms)]), d, m)
-    return out
+    return _joined(np.stack, arrays, axis)
 
 
-# (numerator, denominator) in lowest terms -> the ``Fraction`` of that
-# value, shared by every kernel result that holds it, as ``ZERO`` is;
-# emptied when it reaches _FRACTIONS_MAX entries, so that it stays small
-_FRACTIONS: dict[tuple[int, int], Fraction] = {}
-_FRACTIONS_MAX = 4096
+def join(arrays, axis: int = 0) -> np.ndarray:
+    """``np.concatenate(arrays, axis)``, read-only, formed as ``stack``
+    forms its result."""
+    return _joined(np.concatenate, arrays, axis)
 
 
-def _fraction(p: int, q: int) -> Fraction:
-    """The shared ``Fraction`` of p / q, for p != 0 and q > 0, built on its
-    first use."""
-    g = math.gcd(p, q)
-    key = (p // g, q // g)
-    f = _FRACTIONS.get(key)
-    if f is None:
-        if len(_FRACTIONS) >= _FRACTIONS_MAX:
-            _FRACTIONS.clear()
-        f = _FRACTIONS[key] = Fraction(*key)
-    return f
+def _joined(numpy_join, arrays, axis: int) -> np.ndarray:
+    if arrays[0].dtype == _FLOAT:
+        return _read_only(numpy_join(arrays, axis=axis))
+    forms = [_scaled(a, numpy_join.__name__, arrays) for a in arrays]
+    d = math.lcm(*(q for _, q, _ in forms))
+    m = max(k * (d // q) for _, q, k in forms)
+    ns = [n for n, _, _ in forms]
+    if m > _INT64_MAX:
+        ns = _widen(ns)
+    parts = [n if q == d else n * (d // q) for n, (_, q, _) in zip(ns, forms)]
+    return _remember(numpy_join(parts, axis=axis), d, m)
+
+
+def _peak(n: np.ndarray) -> int:
+    """The largest absolute entry of an integer array, 0 when it is empty."""
+    return int(np.maximum.reduce(np.abs(n), axis=None)) if n.size else 0
 
 
 def _rebuild(n, den: int):
-    """The exact value of ``n / den`` for an integer array (or integer) ``n``,
-    int64 or Python ints: a read-only object array of ``Fraction``, or a
-    ``Fraction`` for a 0-d ``n``; the one builder of the exact values the
-    kernel hands out.  ``n`` and ``den`` are first divided by
-    g = gcd(den, n_1, ...), which gives ``_scale``'s form of the result,
-    kept for it.  Only the nonzero entries of an array are read, and each
-    distinct value is taken from the shared table of ``_fraction``; a zero
-    result is ``_zero``'s.  Every ``Fraction`` holds Python ints."""
+    """The kernel's result ``n / den`` for an integer array (or integer)
+    ``n``, int64 or Python ints: the read-only array ``n / g`` kept with
+    denominator ``den / g``, g = gcd(den, n_1, ...), int64 when its entries
+    fit; the ``Fraction`` of a 0-d ``n``; ``_zero``'s array when ``n`` is
+    all zero.  The one place a result of the kernel is made."""
     if not isinstance(n, np.ndarray) or not n.ndim:
-        return _fraction(int(n), den) if n else ZERO
-    flat = n.ravel()
-    where = flat.nonzero()[0]
-    if not len(where):
+        return Fraction(int(n), den) if n else ZERO
+    m = _peak(n)
+    if not m:
         return _zero(n.shape)
-    values = flat[where].tolist()
-    distinct = set(values)
-    g = math.gcd(den, *distinct)
-    den //= g
-    built = {v: _fraction(v // g, den) for v in distinct}
-    out = np.empty(n.shape, dtype=object)
-    out.fill(ZERO)
-    out.reshape(-1)[where] = np.fromiter(
-        map(built.__getitem__, values), dtype=object, count=len(values)
-    )
-    m = max(map(abs, distinct)) // g
-    if g > 1:
-        n = n // g
+    if den > 1:
+        g = math.gcd(den, int(np.gcd.reduce(n.ravel())))
+        if g > 1:
+            n, den, m = n // g, den // g, m // g
     if n.dtype == _OBJECT and m <= _INT64_MAX:
         n = n.astype(np.int64)
-    out.setflags(write=False)
-    _remember(out, n, den, m)
-    return out
+    return _remember(n, den, m)
 
 
-# shape -> the read-only object array of ``ZERO`` that is the exact zero of
-# that shape, kept with read-only int64 zeros; emptied when it reaches
-# _ZEROS_MAX entries, as _FRACTIONS is
+# shape -> the read-only int64 zeros that are the exact zero of that shape;
+# emptied when it reaches _ZEROS_MAX entries, so that it stays small
 _ZEROS: dict[tuple, np.ndarray] = {}
 _ZEROS_MAX = 1024
 
 
 def _zero(shape: tuple):
     """The exact zero of ``shape`` that the kernel returns: ``ZERO`` when
-    0-d, else the shape's one array in ``_ZEROS``, read-only and owning its
-    memory, kept as ``(zeros, 1, 0)`` when it is made."""
+    0-d, else the shape's one array in ``_ZEROS``, kept as zeros over 1."""
     if not shape:
         return ZERO
     out = _ZEROS.get(shape)
     if out is None:
         if len(_ZEROS) >= _ZEROS_MAX:
             _ZEROS.clear()
-        out = _ZEROS[shape] = np.empty(shape, dtype=object)
-        out.fill(ZERO)
-        out.setflags(write=False)
-        _remember(out, np.zeros(shape, dtype=np.int64), 1, 0)
+        out = _ZEROS[shape] = _remember(np.zeros(shape, dtype=np.int64), 1, 0)
+    return out
+
+
+def fractions(a):
+    """The exact values of a rational kernel result: an object array of
+    ``Fraction``, the one place such an array is built, for output and for
+    tests.  A float array, and a scalar, is returned as it is."""
+    if not isinstance(a, np.ndarray) or a.dtype == _FLOAT:
+        return a
+    n, d, _ = _scaled(a, "fractions")
+    out = np.empty(a.shape, dtype=object)
+    out.reshape(-1)[:] = [Fraction(p, d) for p in n.ravel().tolist()]
     return out
 
 
@@ -489,56 +477,46 @@ def einsum(spec: str, *operands: np.ndarray):
     """``np.einsum(spec, *operands)``: the library's one contraction.
 
     A rational call of two or more operands, or of one that it sums over (a
-    trace), runs over the operands' scaled integers: int64 when
+    trace), contracts the operands' integers: int64 when
     K * prod(max(1, M_i)) <= 2**63 - 1, for K products per result entry and
     M_i the largest absolute numerator of operand i, else Python ints; the
-    result is built by ``_rebuild``.  A rational spec has an explicit output
+    result is made by ``_rebuild``.  A rational spec has an explicit output
     and no ellipsis and gives each label one length, or the call raises
-    ValueError naming it (``_plan``); an operand with M = 0 ends the call at
-    once, with ``_zero``'s result.  One rational operand that is not summed
-    over (a transpose, a diagonal) gives numpy's view of it.  An operand may
-    be a scalar of the backend, read as a 0-d array.  A float call is
-    numpy's own, of any spec numpy reads.  A call of three or more operands
-    runs in the stages of ``_stages`` when it has some, in either mode: a
-    float one matches numpy's single call bit for bit on integer-valued
-    operands, and is within the rounding bound of its sums otherwise.  numpy
-    is looked up at each call, so a wrapper installed on ``np.einsum`` sees
-    every contraction, and every stage of one.
+    ValueError naming it (``_plan``); an operand with M = 0 makes the result
+    ``_zero``'s, uncontracted.  One rational operand that is not summed over
+    (a transpose, a diagonal) gives numpy's view of its integers, over its
+    denominator.  An operand may be a scalar of the backend, read as a 0-d
+    array.  A float call, one with a float64 operand, is numpy's own, of
+    any spec numpy reads.  A call of three or more operands runs in the
+    stages of ``_stages`` when it has some, in either mode: a float one
+    matches numpy's single call bit for bit on integer-valued operands, and
+    is within the rounding bound of its sums otherwise.  numpy is looked up
+    at each call, so a wrapper installed on ``np.einsum`` sees every
+    contraction, and every stage of one.
     """
     # one pass over the operands decides the backend (a float operand sends
-    # the call to numpy at once) and collects the shapes and, for two or more
-    # operands, the scaled forms until one with M = 0
-    many = len(operands) > 1
+    # the call to numpy at once) and collects the shapes and the forms
     shapes, ns, den, bound, wide = [], [], 1, 1, False
     for a in operands:
         try:
             dtype = a.dtype
         except AttributeError:  # a scalar operand: a 0-d array of its dtype
             dtype = (a := np.asarray(a)).dtype
-        if dtype != _OBJECT:
+        if dtype == _FLOAT:
             return _read_only(_contract(spec, operands))
+        n, d, m = _scaled(a, spec, operands)
         shapes.append(a.shape)
-        if many and bound:
-            n, d, m = _scaled(a)
-            ns.append(n)
-            den *= d
-            bound *= m
-            wide = wide or n.dtype == _OBJECT
+        ns.append(n)
+        den *= d
+        bound *= m
+        wide = wide or n.dtype == _OBJECT
     sums, k, shape = _plan(spec, tuple(shapes))
-    if not many:  # ``a`` is the one operand
-        if not sums:
-            # a view that holds every entry of an array whose scaled form is
-            # kept, as its read-only integers show (a transpose, not a
-            # diagonal), keeps the same view of its integers, with the same
-            # M: its memory is never written
-            out = np.einsum(spec, a)
-            if not a.flags.writeable and isinstance(out, np.ndarray) and out.size == a.size:
-                n, d, m = _scaled(a)
-                if not n.flags.writeable:
-                    _remember(out, np.einsum(spec, n), d, m)
-            return _read_only(out)
-        n, den, bound = _scaled(a)
-        ns, wide = [n], n.dtype == _OBJECT
+    if len(ns) == 1 and not sums:
+        out = np.einsum(spec, ns[0])
+        if not out.ndim:
+            return _rebuild(out, den)
+        # a view that holds every entry (a transpose) has the same M
+        return _remember(out, den, bound if out.size == ns[0].size else _peak(out))
     if not bound:
         return _zero(shape)
     # the one bound covers every stage: each value a stage forms is a sum of
@@ -556,7 +534,7 @@ def combine(coefficients, arrays):
     broadcasting included, where a coefficient of 1 adds and one of -1
     subtracts its array, and a ``Fraction`` coefficient is its nearest
     float.  In rational mode the terms have one shape (two shapes raise
-    ValueError), and their scaled integers are added over the least common
+    ValueError), and their integers are added over the least common
     multiple of their denominators: in int64 when sum_t |k_t| M_t <= 2**63 - 1,
     k_t being the integer factor of term t, else as Python ints; a term with
     M = 0 is left out.  A term may be a scalar of the backend, read as a 0-d
@@ -577,7 +555,7 @@ def combine(coefficients, arrays):
             dtype = a.dtype
         except AttributeError:  # a scalar term: a 0-d array of its dtype
             dtype = (a := np.asarray(a)).dtype
-        if dtype != _OBJECT:
+        if dtype == _FLOAT:
             return _float_sum(coefficients, arrays)
         if a.shape != shape:
             raise ValueError(f"an exact combination takes terms of one shape, got {shape} and {a.shape}")
@@ -589,7 +567,7 @@ def combine(coefficients, arrays):
             if not isinstance(c, (int, np.integer, Fraction)):
                 c = Fraction(c)
             p, q = int(c.numerator), int(c.denominator)
-        n, d, m = _scaled(a)
+        n, d, m = _scaled(a, "combine", arrays)
         if not m:  # an all-zero term adds nothing, whatever its coefficient
             continue
         ks.append(p)
@@ -613,7 +591,8 @@ def combine(coefficients, arrays):
             out = n if k == 1 else n * k
         else:
             out = out + n if k == 1 else out - n if k == -1 else out + n * k
-    return _rebuild(out, den)
+    # a lone term keeps its form: its result over another denominator is a copy
+    return _rebuild(out.copy() if out is ns[0] else out, den)
 
 
 def _float_sum(coefficients, arrays):
@@ -634,18 +613,18 @@ def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
     nonzero scalar per row.
 
     In float mode this is numpy's ``a / den``, ``den`` given an axis of
-    length 1 for each further axis of ``a``.  In rational mode a and den are
-    scaled to integers, a = A / p and den = B / q, and every row is brought
-    over one denominator: with L the least common multiple of the B[n],
-    a[n] / den[n] = A[n] q (L / B[n]) / (p L).  The result is built once, as
-    by ``einsum``: read-only, with its scaled form.  The products are int64
+    length 1 for each further axis of ``a``.  In rational mode, with the
+    integers a = A / p and den = B / q, every row is brought over one
+    denominator: with L the least common multiple of the B[n],
+    a[n] / den[n] = A[n] q (L / B[n]) / (p L), made by ``_rebuild``, as an
+    ``einsum`` result is.  The products are int64
     when max(1, max |A|) * q * L <= 2**63 - 1, and Python ints otherwise.  A
     zero in ``den`` raises ZeroDivisionError.
     """
-    if a.dtype != _OBJECT or den.dtype != _OBJECT:
+    if a.dtype == _FLOAT or den.dtype == _FLOAT:
         return _read_only(a / np.reshape(den, den.shape + (1,) * (a.ndim - den.ndim)))
-    na, p, m = _scaled(a)
-    nb, q, _ = _scaled(den)
+    na, p, m = _scaled(a, "divide_rows", (a, den))
+    nb, q, _ = _scaled(den, "divide_rows", (a, den))
     rows = nb.tolist()
     if not all(rows):
         raise ZeroDivisionError("division of a row by zero")
@@ -661,11 +640,11 @@ def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def diagonalize(m: np.ndarray):
     """Congruence diagonalization of a symmetric rational matrix: ``(e, d)``,
-    rational arrays with ``e m e^T = diag(d)`` and every d[k] nonzero, so the
-    signs of d are the signature of m and m^-1 = e^T diag(d)^-1 e; None when
-    m is degenerate.
+    kernel results with ``e m e^T = diag(d)`` and every d[k] nonzero, so the
+    signs of d, those of its integers, are the signature of m and
+    m^-1 = e^T diag(d)^-1 e; None when m is degenerate.
 
-    Fraction-free, over the scaled integers M = q m: A = E M E^T starts as M
+    Fraction-free, over the integers M = q m of m: A = E M E^T starts as M
     with E the identity.  Each step takes a row k left whose diagonal entry
     p = A[k, k] is nonzero (creating one by e_i -> e_i + e_j when there is
     none), and clears A[r, k] and A[k, r] for every other row r left by
@@ -673,8 +652,8 @@ def diagonalize(m: np.ndarray):
     columns, and to the rows of E: a congruence by an integer matrix.  Row r
     of E is then divided by the gcd g of its entries, and row and column r
     of A by g, so the integers stay small.  Then e = E and d = diag(A) / q,
-    both built by ``_rebuild``, read-only and with their scaled forms."""
-    n, q, _ = _scaled(m)
+    both made by ``_rebuild``."""
+    n, q, _ = _scaled(m, "diagonalize")
     a = n.tolist()
     size = len(a)
     e = [[int(i == j) for j in range(size)] for i in range(size)]
@@ -712,7 +691,9 @@ def diagonalize(m: np.ndarray):
 
 
 def mode_of(arr: np.ndarray) -> str:
-    return RATIONAL if arr.dtype == _OBJECT else FLOAT
+    """The backend of an array: float64 is float mode, any other dtype
+    rational."""
+    return FLOAT if arr.dtype == _FLOAT else RATIONAL
 
 
 def _rational_residual(p: int, d: int) -> float:
@@ -753,10 +734,11 @@ def _decide(arrays: list, eps: float, context, rows, locate: bool = True) -> lis
     contexts, stacks of ``rows`` rows (the whole arrays are one row when
     ``rows`` is None): the one place a zero test is decided, locating the
     worst entry of a failed row when ``locate``.  Each array is read once,
-    as a table of the absolute values of each row: a rational array's scaled
+    as a table of the absolute values of each row: a rational array's
     integers (not read when M = 0), a float array's entries.  A nonzero
-    rational row fails; the contexts are read only when a float residual
-    exceeds eps, their largest entry in the row, NaN ignored, being its scale."""
+    rational row fails; the contexts are read, as floats of their values,
+    only when a float residual exceeds eps, their largest entry in the row,
+    NaN ignored, being its scale."""
     count = 1 if rows is None else rows
     for x in () if rows is None else (*arrays, *context):
         if not np.ndim(x) or len(x) != rows:
@@ -764,12 +746,12 @@ def _decide(arrays: list, eps: float, context, rows, locate: bool = True) -> lis
     tables, peaks, res, dens, failed = [], [], [], [], set()
     for a in arrays:  # one whole-array reduction when there is one row
         d, table = None, None
-        if a.dtype != _OBJECT:
+        if a.dtype == _FLOAT:
             table = np.abs(_by_row(a, count))
             res.append(table.max(axis=1, initial=0.0).tolist() if rows else [float(table.max(initial=0.0))])
             col = res[-1]
         else:
-            n, d, m = _scaled(a)
+            n, d, m = _scaled(a, "a zero test", arrays)
             table = np.abs(_by_row(n, count)) if m else None
             col = (table.max(axis=1).tolist() if rows else [int(table.max())]) if m else [0] * count
             failed.update(r for r, p in enumerate(col) if p)
@@ -790,7 +772,7 @@ def _decide(arrays: list, eps: float, context, rows, locate: bool = True) -> lis
         if r not in failed and scales is None:
             scales = np.zeros(count)
             for c in context:
-                scale = np.abs(_by_row(np.asarray(c, dtype=np.float64), count))
+                scale = np.abs(_by_row(np.asarray(fractions(c), dtype=np.float64), count))
                 scales = np.fmax(scales, np.fmax.reduce(scale, axis=1, initial=0.0))
             scales = scales.tolist()
         passed = r not in failed and all(_within_tolerance(x, eps, scales[r]) for x in row)
@@ -840,7 +822,7 @@ def zero_rows(arrays, eps: float, *context, locate: bool = True) -> list[tuple[b
     decides every row, by its own verdict, residual and worst index (None
     for every row unless ``locate``); an array or a context of another
     length raises ValueError.  The rows of a rational array are read off its
-    scaled integers, so a row is never scaled on its own."""
+    integers, so a row is never scaled on its own."""
     arrays = [np.asarray(a) for a in arrays]
     return _decide(arrays, eps, context, len(arrays[0]) if arrays else 0, locate)
 
@@ -851,12 +833,10 @@ def freeze(obj):
 
     Arrays are reached through tuples, lists and the fields that
     ``dataclasses.fields`` lists, so one call covers the inputs of a model.
-    A frozen array must not be written again (say, after
-    ``setflags(write=True)``): the kernel keeps the scaled form of one that
-    owns its memory, but scales a view at each use.  What the kernel
-    returns needs no call: it is born read-only.  Freeze an array that
-    plain numpy built (by indexing, ``np.concatenate``, ``np.linalg``) or a
-    caller handed in, that the kernel reads more than once.
+    What the kernel returns needs no call: it is born read-only.  Freeze a
+    float array that plain numpy built (``np.linalg``, say) or a caller
+    handed in, so that a model can be shared between threads; a rational
+    array enters the kernel through ``array`` alone.
     """
     if isinstance(obj, np.ndarray):
         a = obj

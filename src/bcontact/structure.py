@@ -84,8 +84,7 @@ class ACBStructure:
             raise ValueError("almost contact structures need odd dimension")
         if self.dim < 3:
             raise ValueError(f"almost contact structures need dimension 3 or more, got {self.dim}")
-        phi = scalars.freeze(self.phi)  # scaled once for phi o phi
-        object.__setattr__(self, "phi2", scalars.einsum("ij,jk->ik", phi, phi))
+        object.__setattr__(self, "phi2", scalars.einsum("ij,jk->ik", self.phi, self.phi))
         scalars.freeze(self)
 
     @cached_property
@@ -529,7 +528,7 @@ def classify(
         residuals = {flag: rows[r][1] for flag, rows in decided.items()}
         membership["U3"] = membership["U2"] and membership["F3+U3"]
         residuals["U3"] = max(residuals["U2"], residuals["F3+U3"])
-        values = (lee.theta_xi[r], lee.theta_star_xi[r], div_pair[0][r], div_pair[1][r])
+        values = [scalars.row(v, r) for v in (lee.theta_xi, lee.theta_star_xi, *div_pair)]
         reports.append(ClassificationReport(role, membership, residuals, dict(zip(names, values))))
     return reports
 

@@ -1,7 +1,8 @@
 """Dense multilinear algebra over a small fixed dimension.
 
-A tensor is the array of its components: an object array of ``Fraction`` in
-rational mode, a float64 array in float mode.  Index conventions used
+A tensor is the array of its components: in rational mode the integer
+numerators the scalar kernel keeps with one denominator (``scalars``), in
+float mode a float64 array.  Index conventions used
 throughout the library (all components are taken in the fixed basis
 e_0, ..., e_{dim-1}):
 
@@ -54,7 +55,8 @@ class Metric:
             e, d = diagonal
             # m^-1 = e^T diag(d)^-1 e: row k of e over d[k], contracted with e
             inv = scalars.einsum("ki,kj->ij", scalars.divide_rows(e, d), e)
-            return cls(m, inv, (sum(x > 0 for x in d), sum(x < 0 for x in d)))
+            # the signs of d are those of its integers, over a positive denominator
+            return cls(m, inv, (int(np.sum(d > 0)), int(np.sum(d < 0))))
         # the smallest |eigenvalue| decides, not the determinant, which is tiny
         # for a well-conditioned metric in a frame of short vectors; it comes
         # before the inverse, which raises on a singular matrix

@@ -1,4 +1,4 @@
-"""Shared helpers: cached workspaces and check-suite runs per zoo entry,
+"""Shared helpers: rational kernel arrays, cached workspaces and check-suite runs per zoo entry,
 broken variants of zoo entries, the covariant basis change of a model, and
 pi_1 and the Lie bracket by their definitions."""
 from __future__ import annotations
@@ -14,6 +14,11 @@ from bcontact.tensor import Metric
 
 _WS = {}
 _RESULTS = {}
+
+
+def rat(values):
+    """The rational kernel array of ``values``, tokens or integers."""
+    return scalars.array(values, RATIONAL)
 
 
 def workspace(name: str, mode: str = RATIONAL):
@@ -59,12 +64,14 @@ def basis_change(entry, p) -> dict:
     phi' = P^-1 phi P, xi' = P^-1 xi, eta' = eta P, g' = P^T g P, so any
     invariant of the model is unchanged.
     """
-    p = scalars.array(p, RATIONAL)
+    # the exact values, read through scalars.fractions
+    p = scalars.fractions(scalars.array(p, RATIONAL))
     # P^-1 = (P^T P)^-1 P^T, with P^T P symmetric and non-degenerate
-    q = Metric.from_matrix(p.T @ p, DEFAULT_EPS).inv @ p.T
-    assert np.array_equal(q @ p, scalars.eye(len(p), RATIONAL))
+    q = scalars.fractions(Metric.from_matrix(scalars.array(p.T @ p, RATIONAL), DEFAULT_EPS).inv) @ p.T
+    assert np.array_equal(q @ p, np.eye(len(p), dtype=int))
     s = entry.structure(RATIONAL)
-    c = np.einsum("kl,lij,ia,jb->kab", q, s.algebra.c, p, p)
+    phi, xi, eta, g, c = map(scalars.fractions, (s.phi, s.xi, s.eta, s.metric.matrix, s.algebra.c))
+    c = np.einsum("kl,lij,ia,jb->kab", q, c, p, p)
     dim = entry.dim
     brackets = [
         [a, b, [str(v) for v in c[:, a, b]]]
@@ -80,10 +87,10 @@ def basis_change(entry, p) -> dict:
         "name": f"{entry.name}-basis-change",
         "dim": dim,
         "brackets": brackets,
-        "phi": strings(q @ s.phi @ p),
-        "xi": strings(q @ s.xi),
-        "eta": strings(s.eta @ p),
-        "g": strings(p.T @ s.metric.matrix @ p),
+        "phi": strings(q @ phi @ p),
+        "xi": strings(q @ xi),
+        "eta": strings(eta @ p),
+        "g": strings(p.T @ g @ p),
     }
 
 

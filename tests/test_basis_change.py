@@ -80,8 +80,9 @@ def test_float_flags_match_rational(transformed):
 
 def test_section_types_in_the_changed_basis(transformed):
     # planes of dim5-tr in its own basis, with their (kind, orthogonal_to_xi)
-    e0, e1, e2, e3 = scalars.eye(5, RATIONAL)[:4]
-    xi = workspace("dim5-tr").s.xi
+    # exact values, read through scalars.fractions
+    e0, e1, e2, e3 = np.eye(5, dtype=int)[:4]
+    xi = scalars.fractions(workspace("dim5-tr").s.xi)
     planes = [
         (e0, xi, (XI_SECTION, False)),
         (e0, e2, (HOLOMORPHIC, True)),
@@ -94,11 +95,12 @@ def test_section_types_in_the_changed_basis(transformed):
         (e0 + xi, e1, (TOTALLY_REAL, False)),
     ]
     # a vector v has the components P^-1 v in the basis e'_a = sum_i P[i][a] e_i
-    p = scalars.array(P.tolist(), RATIONAL)
-    q = Metric.from_matrix(p.T @ p, DEFAULT_EPS).inv @ p.T
-    xy = np.array([[q @ x, q @ y] for x, y, _ in planes])
+    p = scalars.fractions(scalars.array(P.tolist(), RATIONAL))
+    q = scalars.fractions(Metric.from_matrix(scalars.array(p.T @ p, RATIONAL), DEFAULT_EPS).inv) @ p.T
+    xy = [[q @ x, q @ y] for x, y, _ in planes]
     expected = [kind for *_, kind in planes]
     for mode in (RATIONAL, FLOAT):
         ws, _ = transformed[mode]
         # in float mode, each component is the nearest float of its exact value
-        assert section_type(PlaneStack.of(ws.s.metric, xy, ws.s.eps), ws.s) == expected, mode
+        planes_m = PlaneStack.of(ws.s.metric, scalars.array(xy, mode), ws.s.eps)
+        assert section_type(planes_m, ws.s) == expected, mode

@@ -21,17 +21,20 @@ from bcontact.curvature import (
     svk_ricci_formula,
 )
 from bcontact.liegroup import covariant_derivative
-from bcontact.scalars import DEFAULT_EPS, RATIONAL
+from bcontact.scalars import DEFAULT_EPS, FLOAT, RATIONAL
 
-from support import pi1, workspace
+from support import pi1, rat, workspace
 
 ALL_NAMES = zoo.names()
 
+# the exact values of a kernel array
+F = scalars.fractions
+
 
 def _plane(m, x, y):
-    """The stack of the one plane spanned by x and y (rational, so eps is
-    not used)."""
-    return PlaneStack.of(m, [(x, y)], DEFAULT_EPS)
+    """The stack of the one plane spanned by the vectors of exact values x
+    and y (rational, so eps is not used)."""
+    return PlaneStack.of(m, rat([[x, y]]), DEFAULT_EPS)
 
 
 def _sectional(ws, view, x, y):
@@ -66,8 +69,8 @@ def test_phi2_identity_is_the_sandwich_exactly(name):
         curv = view.curv
         sandwich = scalars.einsum("ijab,ak,bl->ijkl", curv.r04, phi2, phi2)
         identity = scalars.combine([1, -1], [curv.r04, curv.reeb_term])
-        assert identity.dtype == object
-        assert np.array_equal(identity, sandwich), (name, view.role)
+        assert scalars.mode_of(identity) == RATIONAL
+        assert np.array_equal(F(identity), F(sandwich)), (name, view.role)
         assert scalars.residual(identity) > 0, (name, view.role)
 
 
@@ -75,8 +78,8 @@ def test_svk_curvature_on_parallel_entry_is_projected_base():
     # with a vanishing shape operator the relation collapses to the
     # double-phi projection of the base curvature, checked over all quadruples
     ws = workspace("nil5-u1")
-    r, rd = ws.g.curv.r04, ws.g.curv.r04_svk
-    phi2 = ws.s.phi2
+    r, rd = F(ws.g.curv.r04), F(ws.g.curv.r04_svk)
+    phi2 = F(ws.s.phi2)
     dim = ws.s.dim
     for i, j, k, l in product(range(dim), repeat=4):
         pk = phi2[:, k]
@@ -88,11 +91,12 @@ def test_svk_curvature_on_parallel_entry_is_projected_base():
 
 
 def _loop_trace(r, m):
-    """m^{il} R(e_i, y, z, e_l) of a (0,4) tensor, by plain Python sums."""
-    idx = range(len(m.matrix))
+    """m^{il} R(e_i, y, z, e_l) of the exact values of a (0,4) tensor, by
+    plain Python sums."""
+    idx, inv = range(len(m.matrix)), F(m.inv)
     out = np.empty((len(idx), len(idx)), dtype=object)
     for y, z in product(idx, idx):
-        out[y, z] = sum(m.inv[i, l] * r[i, y, z, l] for i in idx for l in idx)
+        out[y, z] = sum(inv[i, l] * r[i, y, z, l] for i in idx for l in idx)
     return out
 
 
@@ -108,18 +112,19 @@ def test_ricci_relation_is_the_trace_of_the_curvature_relation(name):
     rng = np.random.default_rng(7)
     a = np.stack([rng.integers(-3, 4, size=(ws.s.dim,) * 4) for _ in range(2)])
     r = scalars.array(a - a.transpose(0, 1, 2, 4, 3), RATIONAL)
-    rho = scalars.stack([_loop_trace(r[i], view.metric) for i, view in enumerate((ws.g, ws.gt))])
-    assert np.array_equal(ricci(r, b.metric), rho)
-    curvature_formula = svk_curvature_formula(replace(b.curv, r04=r), b.shape)
-    formula = svk_ricci_formula(ws.s, r, rho, b.shape, b.metric)
+    rho = scalars.stack([rat(_loop_trace(F(r)[i], view.metric)) for i, view in enumerate((ws.g, ws.gt))])
+    assert np.array_equal(F(ricci(r, b.metric)), F(rho))
+    curvature_formula = F(svk_curvature_formula(replace(b.curv, r04=r), b.shape))
+    formula = F(svk_ricci_formula(ws.s, r, rho, b.shape, b.metric))
     for i, view in enumerate((ws.g, ws.gt)):
         assert np.array_equal(formula[i], _loop_trace(curvature_formula[i], view.metric)), view.role
 
 
 def test_section_types_on_dim5_entry():
     ws = workspace("dim5-tr")
-    e0, e1, e2 = scalars.eye(5, RATIONAL)[:3]
-    kind, _ = _type(ws, e0, ws.s.xi)
+    e0, e1, e2 = np.eye(5, dtype=int)[:3]
+    xi = F(ws.s.xi)
+    kind, _ = _type(ws, e0, xi)
     assert kind == XI_SECTION
     kind, _ = _type(ws, e0, e2)
     assert kind == HOLOMORPHIC
@@ -130,8 +135,18 @@ def test_section_types_on_dim5_entry():
     kind, _ = _type(ws, e0 * Fraction(2) + e2, e1)
     assert kind == GENERIC
     # totally-real but not orthogonal to the Reeb vector
-    kind, ortho = _type(ws, e0 + ws.s.xi, e1)
+    kind, ortho = _type(ws, e0 + xi, e1)
     assert kind == TOTALLY_REAL and not ortho
+
+
+def test_a_float_eta_test_is_scaled_by_its_own_vector():
+    # eta(x) = 1/2 is within eps of x = 10**9 e2 + xi / 2 on the scale of x,
+    # and eta(x) of x = e2 + xi / 2 is not, whatever the other vector y = e1
+    ws = workspace("dim5-tr", FLOAT)
+    e = np.eye(5)
+    for scale, orthogonal in ((1e9, True), (1.0, False)):
+        xy = scalars.array(np.array([[scale * e[2] + ws.s.xi / 2, e[1]]]), FLOAT)
+        assert section_type(PlaneStack.of(ws.s.metric, xy, ws.s.eps), ws.s) == [(TOTALLY_REAL, orthogonal)]
 
 
 def test_recorded_planes_verify():
@@ -139,7 +154,7 @@ def test_recorded_planes_verify():
         entry = zoo.builtin(name)
         ws = workspace(name)
         for kind, x, y in entry.planes:
-            derived, _ = _type(ws, scalars.array(x, RATIONAL), scalars.array(y, RATIONAL))
+            derived, _ = _type(ws, x, y)
             assert derived == kind, (name, kind)
 
 
@@ -147,14 +162,14 @@ def test_totally_real_rejected_in_dim3():
     ws = workspace("solv3-a")
     # in dimension 3 no horizontal 2-plane can be orthogonal to its phi-image;
     # the classifier never reports the totally-real type there
-    e0, e1 = scalars.eye(3, RATIONAL)[:2]
+    e0, e1 = np.eye(3, dtype=int)[:2]
     kind, _ = _type(ws, e0, e1)
     assert kind != TOTALLY_REAL
 
 
 def test_degenerate_plane_raises():
     ws = workspace("dim5-tr")
-    e0, e1 = scalars.eye(5, RATIONAL)[:2]
+    e0, e1 = np.eye(5, dtype=int)[:2]
     # the (e0,e1)-plane is degenerate for the associated metric of this entry
     with pytest.raises(DegeneratePlaneError):
         _sectional(ws, ws.gt, e0, e1)
@@ -166,15 +181,16 @@ def test_degenerate_plane_raises():
 def test_reeb_sections_flat_for_svk():
     for name in ALL_NAMES:
         ws = workspace(name)
+        phi, xi, eta = F(ws.s.phi), F(ws.s.xi), F(ws.s.eta)
         for view in (ws.g, ws.gt):
             for i in range(ws.s.dim):
-                e = scalars.eye(ws.s.dim, RATIONAL)[i]
-                h = e - (ws.s.eta @ e) * ws.s.xi
-                if scalars.residual(h) == 0.0:
+                e = np.eye(ws.s.dim, dtype=int)[i]
+                h = e - (eta @ e) * xi
+                if not h.any():
                     continue
-                for x in (h, h + ws.s.phi @ h):
+                for x in (h, h + phi @ h):
                     try:
-                        (k,) = _sectional(ws, view, x, ws.s.xi).k_svk
+                        (k,) = F(_sectional(ws, view, x, xi).k_svk)
                     except DegeneratePlaneError:
                         continue
                     assert k == 0, name
@@ -186,50 +202,50 @@ def test_sectional_formula_on_seeded_planes():
         ws = workspace(name)
         checked = 0
         while checked < 20:
-            x = scalars.array(rng.integers(-3, 4, size=ws.s.dim).tolist(), RATIONAL)
-            y = scalars.array(rng.integers(-3, 4, size=ws.s.dim).tolist(), RATIONAL)
+            x = rng.integers(-3, 4, size=ws.s.dim).tolist()
+            y = rng.integers(-3, 4, size=ws.s.dim).tolist()
             try:
                 values = _sectional(ws, ws.g, x, y)
             except DegeneratePlaneError:
                 continue
-            assert list(values.k_svk) == list(values.formula)
+            assert list(F(values.k_svk)) == list(F(values.formula))
             checked += 1
 
 
 def test_sectional_holomorphic_correction():
     # k_svk = k + pi1(Sx, Sy, y, x) / pi1(x, y, y, x) on a phi-invariant plane
     ws = workspace("dim5-tr")
-    e0 = scalars.eye(5, RATIONAL)[0]
-    x, y = e0, ws.s.phi @ e0
+    e0 = np.eye(5, dtype=int)[0]
+    x, y = e0, F(ws.s.phi) @ e0
     m = ws.s.metric
-    sx = ws.g.shape.operator @ x
-    sy = ws.g.shape.operator @ y
-    corr = pi1(m, sx, sy, y, x) / pi1(m, x, y, y, x)
+    sx = F(ws.g.shape.operator) @ x
+    sy = F(ws.g.shape.operator) @ y
+    corr = pi1(m, *map(rat, (sx, sy, y, x))) / pi1(m, *map(rat, (x, y, y, x)))
     values = _sectional(ws, ws.g, x, y)
-    assert list(values.k_svk) == [values.k[0] + corr]
+    assert list(F(values.k_svk)) == [F(values.k)[0] + corr]
     # the Gram route to the correction is pi_1's definition
-    assert list(values.shape_term / values.den) == [corr]
+    assert list(F(values.shape_term) / F(values.den)) == [corr]
     assert corr != 0  # the correction genuinely matters on this entry
 
 
 def test_sectional_totally_real_correction():
     ws = workspace("dim5-tr")
-    e0, e1 = scalars.eye(5, RATIONAL)[:2]
+    e0, e1 = np.eye(5, dtype=int)[:2]
     x, y = e0, e1
     m = ws.s.metric
     kind, ortho = _type(ws, x, y)
     assert kind == TOTALLY_REAL and ortho
-    sx = ws.g.shape.operator @ x
-    sy = ws.g.shape.operator @ y
-    corr = pi1(m, sx, sy, y, x) / pi1(m, x, y, y, x)
+    sx = F(ws.g.shape.operator) @ x
+    sy = F(ws.g.shape.operator) @ y
+    corr = pi1(m, *map(rat, (sx, sy, y, x))) / pi1(m, *map(rat, (x, y, y, x)))
     values = _sectional(ws, ws.g, x, y)
-    assert list(values.k_svk) == [values.k[0] + corr]
+    assert list(F(values.k_svk)) == [F(values.k)[0] + corr]
 
 
 def test_sectional_invariant_under_basis_change():
     ws = workspace("solv3-f4")
-    e0, e1 = scalars.eye(3, RATIONAL)[:2]
-    (base,) = _sectional(ws, ws.g, e0, e1).k_svk
+    e0, e1 = np.eye(3, dtype=int)[:2]
+    (base,) = F(_sectional(ws, ws.g, e0, e1).k_svk)
     rng = np.random.default_rng(23)
     tried = 0
     while tried < 10:
@@ -238,7 +254,7 @@ def test_sectional_invariant_under_basis_change():
             continue
         x2 = e0 * Fraction(a) + e1 * Fraction(b)
         y2 = e0 * Fraction(c) + e1 * Fraction(d)
-        (k,) = _sectional(ws, ws.g, x2, y2).k_svk
+        (k,) = F(_sectional(ws, ws.g, x2, y2).k_svk)
         assert k == base
         tried += 1
 
@@ -249,5 +265,5 @@ def test_ricci_xi_formula_pieces_nonzero():
     b = ws.batch
     n_s = covariant_derivative(b.conn, b.shape.operator, 1, batched=True)
     val = ricci_xi_formula(ws.s, b.conn, n_s, b.shape, b.metric)
-    assert val.tolist() == [ws.g.rho_xi_xi, ws.gt.rho_xi_xi]
+    assert F(val).tolist() == [ws.g.rho_xi_xi, ws.gt.rho_xi_xi]
     assert scalars.residual(ws.g.shape.operator) > 0

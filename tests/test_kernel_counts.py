@@ -2,11 +2,11 @@
 while models are verified: every function it wraps still exists, so no
 count reads 0 because its target was renamed, and it counts a dim-3 entry,
 its exact zeros, the outermost calls of its entry points, their calls of
-themselves (none) and a forced fall-back to Python ints.  The counts of the
-default model set are pinned, so that a lost memo, zero rule, shared
-``Fraction`` or int64 path shows as a changed count, and so are those of
-single calls: what each kind of operand costs in scalings, and when a sum
-leaves int64."""
+themselves (none), the ``Fraction`` arrays it hands out (none) and a forced
+fall-back to Python ints.  The counts of the default model set are pinned,
+so that a lost form, zero rule, ``Fraction`` built between kernel calls or
+int64 path shows as a changed count, and so are those of single calls: what
+each kind of operand costs in scalings, and when a sum leaves int64."""
 import importlib.util
 import json
 from fractions import Fraction
@@ -20,13 +20,14 @@ from bcontact.scalars import FLOAT, RATIONAL
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "kernel_counts.py"
 
 # the counts of the default set (the curated zoo and random_structure(5, n)
-# for n = 1, 2), with an empty table of shared Fractions
+# for n = 1, 2)
 DEFAULT_COUNTS = {
     "failed_checks": [],
-    "rebuild_calls": 3929,
-    "fractions_built": {"total": 2577, "_fraction": 1769, "exact": 808},
-    "scale_calls": 368,
-    "scaled_entries": 6050,
+    "rebuild_calls": 4189,
+    "fractions_built": {"total": 910, "_rebuild": 102, "exact": 808},
+    "fraction_arrays": 0,
+    "scale_calls": 330,
+    "scaled_entries": 2270,
     "widen_callers": {"checks.py:_minus": 2, "curvature.py:formula": 16, "curvature.py:sectional": 18},
     "zero_results": {"total": 1819, "einsum": 929, "combine": 890},
     "entry_calls": {
@@ -49,16 +50,14 @@ def _script():
 
 def test_every_wrapped_function_resolves():
     script = _script()
-    for name in script.TARGETS + script.ENTRY_POINTS:
+    for name in script.TARGETS + script.ENTRY_POINTS + script.RETURNING:
         assert callable(getattr(scalars, name)), name
     assert script.KERNEL_FILE == "scalars.py"
 
 
 def test_counts_of_a_dim3_entry(monkeypatch, capsys):
     script = _script()
-    # an empty table of shared Fractions, as in a fresh interpreter
-    monkeypatch.setattr(scalars, "_FRACTIONS", {})
-    wrapped = script.TARGETS + script.ENTRY_POINTS
+    wrapped = script.TARGETS + script.ENTRY_POINTS + script.RETURNING
     real = {name: getattr(scalars, name) for name in wrapped}
     real_new = Fraction.__new__
     out = script.count([zoo.builtin("solv3-f4")])
@@ -66,8 +65,9 @@ def test_counts_of_a_dim3_entry(monkeypatch, capsys):
     assert out["rebuild_calls"] > 0 and out["scale_calls"] > 0
     assert out["scaled_entries"] >= out["scale_calls"]
     built = out["fractions_built"]
-    assert built["_fraction"] > 0
+    assert built["_rebuild"] > 0  # the 0-d results
     assert built["total"] == sum(n for k, n in built.items() if k != "total")
+    assert out["fraction_arrays"] == 0
     assert out["widen_callers"] == {}
     # calls that end at an exact zero without contracting or adding
     zeros = out["zero_results"]
@@ -110,15 +110,14 @@ def test_a_scalar_operand_makes_no_reentry():
         x, y = scalars.parse_scalar("2/3", mode), scalars.parse_scalar("-5/7", mode)
         a = scalars.array(["1/2", -3], mode)
         with script.counting() as counts:
-            assert scalars.einsum(",i->i", x, a).tolist() == [x / 2, -3 * x]
+            assert scalars.fractions(scalars.einsum(",i->i", x, a)).tolist() == [x / 2, -3 * x]
             assert scalars.combine([1, -2], [x, y]) == x - 2 * y
         assert {k: n for k, n in counts.items() if k.startswith(("entry:", "reentry:"))} == {
             "entry:einsum": 1, "entry:combine": 1,
         }, mode
 
 
-def test_counts_of_the_default_model_set(monkeypatch):
-    monkeypatch.setattr(scalars, "_FRACTIONS", {})
+def test_counts_of_the_default_model_set():
     out = _script().count(zoo.all_entries() + [zoo.random_structure(5, n) for n in (1, 2)])
     del out["models"]
     assert out == DEFAULT_COUNTS
@@ -143,15 +142,17 @@ def test_counts_of_single_kernel_calls():
     def widened(*calls):
         return sum(n for k, n in _counted(script, *calls).items() if k.startswith("widen:"))
 
-    # a frozen array is scaled once, also when the kernel transposes it
-    a = scalars.freeze(rat([["1/2", "1/3", 0], ["-2/7", 5, "3/4"]]))
-    v = scalars.freeze(rat(["1/5", -1, 2]))
+    # an array is scaled once, when its tokens are read, and never again,
+    # also when the kernel transposes it
+    assert scalings(lambda: rat([["1/2", "1/3", 0], ["-2/7", 5, "3/4"]])) == 1
+    a = rat([["1/2", "1/3", 0], ["-2/7", 5, "3/4"]])
+    v = rat(["1/5", -1, 2])
     assert scalings(
         lambda: scalars.einsum("ij,j->i", a, v),
         lambda: scalars.einsum("ij,j->i", a, v),
         lambda: scalars.combine([1, 1], [scalars.einsum("ij->ji", a), scalars.einsum("ij->ji", a)]),
         lambda: scalars.einsum("ij,jk->ik", a, scalars.einsum("ij->ji", a)),
-    ) == 2
+    ) == 0
     # a kernel result, its kernel transpose and a transpose of that: never
     r = scalars.einsum("ij,kj->ik", a, a)
     t = scalars.einsum("ij->ji", r)
@@ -161,11 +162,13 @@ def test_counts_of_single_kernel_calls():
         lambda: scalars.residual(r),
         lambda: scalars.zero_test([scalars.einsum("ij->ji", t)], 0.0),
     ) == 0
-    # a writable array: at each use
-    w = rat([["1/2", "1/3", 0], ["-2/7", 5, "3/4"]]).copy()
-    assert scalings(lambda: scalars.einsum("ij,j->i", w, v), lambda: scalars.einsum("ij,j->i", w, v)) == 2
+    # a scalar operand: at each use
+    half = Fraction(1, 2)
+    assert scalings(lambda: scalars.einsum(",j->j", half, v), lambda: scalars.einsum(",j->j", half, v)) == 2
+    # the one Fraction array is the reader's, at its outermost call
+    assert _counted(script, lambda: scalars.fractions(scalars.row(a, 0)))["fraction_arrays"] == 1
     # each product fits int64, the sum of two does not
-    big = scalars.freeze(rat([3037000499, 3037000499]))
+    big = rat([3037000499, 3037000499])
     assert widened(lambda: scalars.einsum("i,i->i", big, big)) == 0
     assert widened(lambda: scalars.einsum("i,i->", big, big)) == 1
     # quotients of rows that fit int64, and quotients that do not
@@ -173,14 +176,14 @@ def test_counts_of_single_kernel_calls():
     assert widened(lambda: scalars.divide_rows(rows, rat([1, -7, "1/3"]))) == 0
     assert widened(lambda: scalars.divide_rows(rows, rat([Fraction(1, 2**30), -7, "1/3"]))) == 1
     # an all-zero term adds nothing to the bound, whatever its coefficient
-    zero = scalars.freeze(scalars.zeros((2,), RATIONAL))
-    assert widened(lambda: scalars.combine([2**70, 1, -(2**80)], [zero, v[:2], zero])) == 0
+    zero = rat([0, 0])
+    assert widened(lambda: scalars.combine([2**70, 1, -(2**80)], [zero, scalars.row(v, np.s_[:2]), zero])) == 0
     # the bound 4 r^3 of a staged contraction, on either side of 2**63 - 1
     edge = 1 + round(((2**63 - 1) / 4) ** (1 / 3))
     while 4 * edge**3 > 2**63 - 1:
         edge -= 1
     for value, n in ((edge, 0), (edge + 1, 1)):
-        operands = [scalars.freeze(rat(np.full(shape, value))) for shape in ((1, 2), (2, 2), (2, 1))]
+        operands = [rat(np.full(shape, value)) for shape in ((1, 2), (2, 2), (2, 1))]
         assert widened(lambda: scalars.einsum("ij,jk,kl->il", *operands)) == n
     # a whole rational run on a dim-5 model leaves int64 only where the
     # sectional values of its sampled planes are divided by their pi_1

@@ -20,6 +20,9 @@ from support import bracket, workspace
 
 ZOO_NAMES = ["abelian3", "solv3-a", "solv3-f4", "solv3-f11", "nil5-u1", "solv5-f6"]
 
+# the exact values of a kernel array
+F = scalars.fractions
+
 
 def test_jacobi_violation_rejected():
     # [e0,e1] = e2 together with [e2,e0] = -e0 leaves a stray [[e2,e0],e1]
@@ -29,14 +32,14 @@ def test_jacobi_violation_rejected():
     c[0, 0, 2] = Fraction(1)
     c[0, 2, 0] = Fraction(-1)
     with pytest.raises(StructureError, match="Jacobi"):
-        LieAlgebra(c, DEFAULT_EPS)
+        LieAlgebra(scalars.array(c, RATIONAL), DEFAULT_EPS)
 
 
 def test_antisymmetry_violation_rejected():
     c = scalars.zeros((3, 3, 3), RATIONAL)
     c[0, 1, 2] = Fraction(1)  # missing the mirrored entry
     with pytest.raises(StructureError, match="antisymmetric"):
-        LieAlgebra(c, DEFAULT_EPS)
+        LieAlgebra(scalars.array(c, RATIONAL), DEFAULT_EPS)
 
 
 def test_koszul_abelian_is_flat():
@@ -53,7 +56,7 @@ def test_koszul_against_bruteforce_oracle():
     alg, m = ws.s.algebra, ws.s.metric
     dim = alg.dim
     gamma = scalars.zeros((dim, dim, dim), RATIONAL)
-    basis = scalars.eye(dim, RATIONAL)
+    basis = [scalars.row(scalars.eye(dim, RATIONAL), i) for i in range(dim)]
     for i, j in product(range(dim), repeat=2):
         ei, ej = basis[i], basis[j]
         rhs = scalars.zeros((dim,), RATIONAL)
@@ -63,14 +66,14 @@ def test_koszul_against_bruteforce_oracle():
                 - m.inner(bracket(alg, ej, ek), ei)
                 + m.inner(bracket(alg, ek, ei), ej)
             ) / 2
-        gamma[:, i, j] = m.inv @ rhs
-    assert np.array_equal(gamma, ws.g.conn)
+        gamma[:, i, j] = F(m.inv) @ rhs
+    assert np.array_equal(gamma, F(ws.g.conn))
     assert scalars.residual(ws.g.conn) > 0  # genuinely nonzero table
 
 
 def test_curvature_symmetries_bruteforce():
     ws = workspace("solv3-a")
-    r = ws.g.curv.r04
+    r = F(ws.g.curv.r04)
     dim = ws.s.dim
     for i, j, k, l in product(range(dim), repeat=4):
         assert r[i, j, k, l] == -r[j, i, k, l]
@@ -80,7 +83,7 @@ def test_curvature_symmetries_bruteforce():
 
 def test_covariant_derivative_zero_tensor():
     ws = workspace("solv3-f4")
-    z = scalars.zeros((3, 3), RATIONAL)
+    z = scalars.array(scalars.zeros((3, 3), RATIONAL), RATIONAL)
     assert scalars.residual(covariant_derivative(ws.batch.conn, z, 0)) == 0.0
 
 
@@ -95,10 +98,10 @@ def test_d_eta_flat_and_killing_flat():
 def test_d_eta_antisymmetric_and_matches_nabla_eta():
     for name in ZOO_NAMES:
         ws = workspace(name)
-        de = d_eta(ws.s.algebra, ws.s.eta)
-        assert scalars.residual(de + de.T) == 0.0
+        de = F(d_eta(ws.s.algebra, ws.s.eta))
+        assert not (de + de.T).any()
         # for both metrics of the pair
-        for neta in covariant_derivative(ws.batch.conn, ws.s.eta, 0):
+        for neta in F(covariant_derivative(ws.batch.conn, ws.s.eta, 0)):
             assert np.array_equal(de, neta - neta.T), name
 
 
@@ -107,7 +110,7 @@ def test_killing_reeb_with_nonparallel_xi():
     ws = workspace("x-heis5-f7")
     lg = lie_derivative_metric(ws.s.algebra, ws.s.xi, ws.batch.metric)
     assert scalars.residual(lg) == 0.0
-    assert scalars.residual(covariant_derivative(ws.batch.conn, ws.s.xi, 1)[0]) > 0
+    assert scalars.residual(scalars.row(covariant_derivative(ws.batch.conn, ws.s.xi, 1), 0)) > 0
 
 
 def test_lie_derivative_against_bracket_formula():
@@ -117,12 +120,12 @@ def test_lie_derivative_against_bracket_formula():
         ws = workspace(name)
         # both metrics of the pair at once
         via_brackets = lie_derivative_metric(ws.s.algebra, ws.s.xi, ws.batch.metric)
-        low = lower_out(ws.batch.nabla_xi, ws.batch.metric)
-        assert np.array_equal(via_brackets, low + low.transpose(0, 2, 1)), name
+        low = F(lower_out(ws.batch.nabla_xi, ws.batch.metric))
+        assert np.array_equal(F(via_brackets), low + low.transpose(0, 2, 1)), name
 
 
 def test_lie_derivative_symmetric():
     for name in ZOO_NAMES:
         ws = workspace(name)
         lg = lie_derivative_metric(ws.s.algebra, ws.s.xi, ws.batch.metric)
-        assert scalars.residual(lg - lg.transpose(0, 2, 1)) == 0.0
+        assert scalars.residual(lg, scalars.einsum("Bij->Bji", lg)) == 0.0

@@ -4,15 +4,16 @@
 
 A rational call gives exactly what numpy gives over ``Fraction`` objects,
 whatever kind of operand the library hands it (``KINDS``) and on both sides
-of the int64 bound of its integer path; its array result is read-only, owns
-its memory, shares one ``Fraction`` between equal entries, is ``ZERO``
-wherever it is 0, is the one zero of its shape when all-zero, and the zero
-tests read it exactly.  A rational contraction has an explicit output and
-gives each label one length, and a rational combination takes terms of one
-shape.  A float call is numpy's own (a contraction of three or more
-operands in pairwise stages, bit for bit on integer-valued operands and
-within the rounding bound of its sums otherwise), and a float zero test
-follows its plain rule.  Every array the kernel returns, ``array`` and
+of the int64 bound of its integer path; its array result is its own
+read-only integers, whose denominator the kernel keeps, so that
+``scalars.fractions`` reads its exact value; it is the one zero of its shape
+when all-zero, and the zero tests read it exactly.  An integer array the
+kernel did not make (a slice, a join or a copy taken outside it) is refused.
+A rational contraction has an explicit output and gives each label one
+length, and a rational combination takes terms of one shape.  A float call
+is numpy's own (a contraction of three or more operands in pairwise stages,
+bit for bit on integer-valued operands and within the rounding bound of its
+sums otherwise), and a float zero test follows its plain rule.  Every array the kernel returns, ``array`` and
 ``eye`` included, is read-only in both modes, and ``exact`` refuses a
 decimal token with more digits than Python converts to text.  ``ast``
 guards keep every contraction on this path, every lowering in
@@ -43,6 +44,8 @@ from bcontact.liegroup import LieAlgebra
 from bcontact.tensor import Metric, lower_out
 from bcontact.scalars import FLOAT, RATIONAL
 
+from support import rat
+
 SRC = Path(bcontact.__file__).resolve().parent
 INT64_MAX = 2**63 - 1
 
@@ -59,6 +62,13 @@ def _object_array(entries, shape):
     out = np.empty(len(entries), dtype=object)
     out[:] = entries
     return out.reshape(shape)
+
+
+def _values(a):
+    """The exact values of a rational operand, an object array of
+    ``Fraction`` for numpy's reference arithmetic (a scalar, and a float
+    operand, as it is)."""
+    return scalars.fractions(a) if isinstance(a, np.ndarray) and a.ndim else a
 
 
 # numerators from 2**31 to 2**70 over small denominators: their sums of
@@ -78,36 +88,46 @@ edge_values = st.builds(
 )
 
 # the kinds of operand the library hands the kernel, in each mode
-KINDS = ("fresh", "frozen", "frozen view", "result", "transpose", "view", "zero", "kept zero", "scalar")
+KINDS = ("array", "result", "transpose", "row", "join", "kept zero", "scalar")
 FLOAT_KINDS = ("fresh", "frozen", "frozen view", "view", "zero", "scalar")
 
 
 def _as_kind(a, kind):
-    """The fresh array ``a`` as an operand of ``kind``, with its values
-    (zeros for a zero kind): ``a`` itself, ``a`` frozen, a reversed view of
-    a frozen array, a kernel result, the kernel's transpose of a kernel
-    result, a read-only view of ``a``, which stays writable, a writable
-    zero, the kernel's zero, or the scalar of a 0-d ``a`` (a ``Fraction``,
-    or a numpy float)."""
+    """The array ``a`` of exact values (or floats) as an operand of
+    ``kind``, with its values (zeros for a zero kind).  Rational: ``array``'s
+    array of them, a kernel result, the kernel's transpose of an array, a row
+    of a batch whose other row has another denominator, a join of two arrays,
+    the kernel's zero, or the ``Fraction`` of a 0-d ``a``, which is otherwise
+    the 0-d array of its value.  Float: ``a`` itself, ``a`` frozen, a
+    reversed view of a frozen array, a read-only view of ``a``, which stays
+    writable, a writable zero, or the numpy float of a 0-d ``a``."""
+    if a.dtype == object:
+        if not a.ndim:
+            return Fraction(a[()]) if kind == "scalar" else a
+        if kind == "result":
+            return scalars.combine([1], [rat(a)])
+        if kind == "transpose" and a.ndim > 1:
+            labels = LETTERS[: a.ndim]
+            return scalars.einsum(f"{labels}->{labels[::-1]}", rat(np.transpose(a)))
+        if kind == "row":
+            return scalars.row(scalars.stack([scalars.combine([Fraction(1, 3)], [rat(a)]), rat(a)]), 1)
+        if kind == "join":
+            return scalars.join([rat(a[: len(a) // 2]), rat(a[len(a) // 2:])])
+        if kind == "kept zero":
+            return scalars.combine([1, -1], [rat(a), rat(a)])
+        return rat(a)
     if kind == "frozen":
         return scalars.freeze(a)
     if kind == "frozen view" and a.ndim:
         return scalars.freeze(a[::-1].copy())[::-1]
-    if kind == "result":
-        return scalars.combine([1], [a])
-    if kind == "transpose" and a.ndim > 1:
-        labels = LETTERS[: a.ndim]
-        return scalars.einsum(f"{labels}->{labels[::-1]}", scalars.combine([1], [a.T.copy()]))
     if kind == "view":
         view = a.view()
         view.setflags(write=False)
         return view
     if kind == "zero":
-        return scalars.zeros(a.shape, scalars.mode_of(a))
-    if kind == "kept zero":
-        return scalars.combine([1, -1], [a, a])
+        return scalars.zeros(a.shape, FLOAT)
     if kind == "scalar" and not a.ndim:
-        return Fraction(a[()]) if a.dtype == object else a[()]
+        return a[()]
     return a
 
 
@@ -145,7 +165,7 @@ def contractions(draw, values=values, min_operands=1, max_operands=4, mode=RATIO
 # an empty summed axis, a 0-d result of mixed denominators, an outer
 # product, which sums no index, and staged contractions of three and four
 # operands
-@example(("ij,jk->ik", [scalars.zeros((2, 0), RATIONAL), scalars.zeros((0, 3), RATIONAL)]))
+@example(("ij,jk->ik", [rat(np.zeros((2, 0), dtype=int)), rat(np.zeros((0, 3), dtype=int))]))
 @example(("i,i->", [scalars.array(["1/2", "-2/3", 5], RATIONAL),
                     scalars.array([3, "1/4", "-1/10"], RATIONAL)]))
 @example(("i,j->ij", [scalars.array(["1/2", "-2/3", 5], RATIONAL),
@@ -179,21 +199,10 @@ def test_rational_staged_einsum_is_exact_on_both_sides_of_the_int64_bound(case):
 
 
 def _assert_einsum_is_exact(spec, operands):
-    expected = np.einsum(spec, *operands)
+    values = [_values(a) for a in operands]
+    expected = np.einsum(spec, *values)
     got = scalars.einsum(spec, *operands)
-    if not isinstance(expected, np.ndarray):
-        assert not isinstance(got, np.ndarray)
-        assert got == expected
-        if len(operands) >= 2:
-            assert type(got) is Fraction
-            assert got or got is scalars.ZERO
-        return
-    assert got.dtype == object and got.shape == expected.shape
-    assert all(g == e for g, e in zip(got.flat, expected.flat))
-    # every rational call of two or more operands runs on the integer kernel,
-    # and gives a kernel result
-    if len(operands) >= 2:
-        _assert_kernel_result(got, operands)
+    _assert_kernel_result(got, expected, operands, values)
 
 
 def _float_operands(operands):
@@ -280,14 +289,11 @@ def test_einsum_calls_numpy_through_its_module_attribute(monkeypatch, mode):
 
     monkeypatch.setattr(np, "einsum", spy)
     m = scalars.eye(3, mode)
-    scalars.einsum("ij,j->i", m, m[0])
+    scalars.einsum("ij,j->i", m, scalars.row(m, 0))
     scalars.einsum("ij->ji", m)
     # a staged contraction: each stage is a call
-    scalars.einsum("ij,jk,k->i", m, m, m[0])
-    # the kernel keeps eye's scaled form, so a rational transpose of it
-    # takes the same view of its integers
-    transposes = ["ij->ji"] * (2 if mode == RATIONAL else 1)
-    assert seen == ["ij,j->i", *transposes, "jk,k->j", "ij,j->i"]
+    scalars.einsum("ij,jk,k->i", m, m, scalars.row(m, 0))
+    assert seen == ["ij,j->i", "ij->ji", "jk,k->j", "ij,j->i"]
 
 
 def _outside_grammar(spec: str) -> bool:
@@ -318,7 +324,7 @@ def test_a_multi_operand_contraction_runs_in_pairwise_stages(monkeypatch, spec, 
     inputs = spec.partition("->")[0].split(",")
     shapes = [(3,) * len(t.replace("...", "x")) for t in inputs]
     operands = [scalars.array(rng.integers(-3, 4, size=shape), mode) for shape in shapes]
-    expected = np.einsum(spec, *operands)
+    expected = np.einsum(spec, *map(_values, operands))
     real, seen = np.einsum, []
     monkeypatch.setattr(np, "einsum", lambda s, *ops: seen.append(s) or real(s, *ops))
     if mode == RATIONAL and _outside_grammar(spec):
@@ -328,7 +334,7 @@ def test_a_multi_operand_contraction_runs_in_pairwise_stages(monkeypatch, spec, 
         return
     got = scalars.einsum(spec, *operands)
     assert [s for s in seen if s.count(",") >= 1] == stages
-    assert np.array_equal(got, expected)
+    assert np.array_equal(_values(got), expected)
 
 
 def _just_below_the_bound(k: int, p: int) -> int:
@@ -345,7 +351,7 @@ def test_staged_contraction_is_exact_on_both_sides_of_the_int64_bound():
     r = _just_below_the_bound(4, 3)
     for v in (r, r + 1):
         a, b, c = (scalars.array(np.full(shape, v), RATIONAL) for shape in ((1, 2), (2, 2), (2, 1)))
-        assert scalars.einsum("ij,jk,kl->il", a, b, c).tolist() == [[4 * v**3]]
+        assert _values(scalars.einsum("ij,jk,kl->il", a, b, c)).tolist() == [[4 * v**3]]
 
 
 def test_no_numpy_einsum_outside_scalars():
@@ -376,12 +382,12 @@ class _NoFloat(Fraction):
 
 
 def test_exact_zero_is_tested_without_float_conversion():
-    zero = _object_array([_NoFloat(0)] * 27, (3, 3, 3))
+    zero = rat(_object_array([_NoFloat(0)] * 27, (3, 3, 3)))
     assert scalars.zero_test([zero, zero], 0.0) == (True, 0.0, None)
-    # a nonzero array: its worst index comes from its scaled integers too
+    # a nonzero array: its worst index comes from its integers too
     a = _object_array([_NoFloat(0)] * 6, (2, 3))
     a[1, 0] = _NoFloat(-7, 3)
-    assert scalars.zero_test([zero, a], 0.0) == (False, 7 / 3, (1, 1, 0))
+    assert scalars.zero_test([zero, rat(a)], 0.0) == (False, 7 / 3, (1, 1, 0))
 
 
 def test_rational_worst_index_is_the_exact_largest_entry():
@@ -408,7 +414,7 @@ def test_rational_verdict_does_not_round_a_tiny_entry_to_zero():
     # the exactly larger of two tiny entries is the worst one
     tinier = scalars.array([0, Fraction(-1, 10**401)], RATIONAL)
     assert scalars.zero_test([tinier, tiny], 0.0) == (False, math.ulp(0.0), (1, 0))
-    zero = scalars.zeros((2,), RATIONAL)
+    zero = rat([0, 0])
     assert scalars.zero_test([zero, tinier], 0.0) == (False, math.ulp(0.0), (1, 1))
     # an entry beyond the float range reads as inf, and is located exactly
     huge = scalars.array([10**400, -(10**400 + 1)], RATIONAL)
@@ -460,8 +466,9 @@ def test_nonzero_rational_array_keeps_residual_and_worst_index():
     a = scalars.zeros((3, 3), RATIONAL)
     a[1, 2] = Fraction(-3, 2)
     a[0, 0] = Fraction(1, 3)
+    a = rat(a)
     assert scalars.zero_test([a], 0.0) == (False, 1.5, (1, 2))
-    assert scalars.zero_test([scalars.zeros((2,), RATIONAL), a], 0.0) == (
+    assert scalars.zero_test([rat([0, 0]), a], 0.0) == (
         False, 1.5, (1, 1, 2),
     )
 
@@ -534,10 +541,10 @@ def test_lower_out_spells_numpys_ellipsis(mode):
     for rank in range(1, 5):
         t = scalars.array(rng.integers(-4, 5, size=(2,) + (3,) * rank), mode)
         t = scalars.combine([Fraction(1, 3)], [t])  # denominators too
-        expected = np.einsum("bl...,blz->b...z", t, pair.matrix)
+        expected = np.einsum("bl...,blz->b...z", _values(t), _values(pair.matrix))
         got = lower_out(t, pair)
-        assert got.shape == expected.shape and got.dtype == expected.dtype
-        assert got.tolist() == expected.tolist(), rank
+        assert got.shape == expected.shape and scalars.mode_of(got) == mode
+        assert _values(got).tolist() == expected.tolist(), rank
 
 
 def test_every_lowering_is_lower_out():
@@ -590,8 +597,8 @@ def _fraction_sum(cs, arrays):
 # term
 @example(([Fraction(1, 2), -1], [scalars.array([["1/3", "2/5"]], RATIONAL),
                                  scalars.array([["1/7", 3]], RATIONAL)]))
-@example(([1, 1], [scalars.zeros((0, 2), RATIONAL), scalars.zeros((0, 2), RATIONAL)]))
-@example(([3, -2], [_object_array([1, 2], (2,)), _object_array([5, -7], (2,))]))
+@example(([1, 1], [rat(np.zeros((0, 2), dtype=int)), rat(np.zeros((0, 2), dtype=int))]))
+@example(([3, -2], [rat(_object_array([1, 2], (2,))), rat(_object_array([5, -7], (2,)))]))
 @example(([1], [scalars.array([["1/2", 0]], RATIONAL)]))
 # a result [2, 2], whose gcd g with the denominator is the denominator, and
 # an exact zero
@@ -613,15 +620,10 @@ def test_rational_combine_is_exact_at_the_int64_bound(case):
 
 
 def _assert_combine_is_exact(cs, arrays):
-    expected = _fraction_sum(cs, arrays)
+    values = [_values(a) for a in arrays]
+    expected = _fraction_sum(cs, values)
     got = scalars.combine(cs, arrays)
-    if not isinstance(expected, np.ndarray):
-        assert type(got) is Fraction and got == expected
-        assert got or got is scalars.ZERO
-        return
-    assert got.dtype == object and got.shape == expected.shape
-    assert all(g == e for g, e in zip(got.flat, expected.flat))
-    _assert_kernel_result(got, arrays)
+    _assert_kernel_result(got, expected, arrays, values)
 
 
 floats = st.one_of(
@@ -680,48 +682,91 @@ def test_combine_of_no_arrays_is_an_error():
 
 
 # ---------------------------------------------------------------------------
-# the memo of scaled read-only arrays
+# the forms the kernel keeps: only for the arrays it makes
 # ---------------------------------------------------------------------------
 
+def _refused(*calls):
+    """Whether every call raises ValueError naming an operand the kernel did
+    not make."""
+    for call in calls:
+        with pytest.raises(ValueError, match="operand [0-9]+ is an array the kernel did not make"):
+            call()
+    return True
+
+
+def _skipped_the_kernel():
+    """Arrays of kernel results made by plain numpy: a slice, a writable copy,
+    an ``np.concatenate`` and an ``np.stack``, each next to what the kernel
+    makes of the same parts (``row``, ``join``, ``stack``)."""
+    a = rat([["1/2", "1/3"], ["-2/7", 5]])
+    b = rat([[1, "-1/5"], [0, 3]])
+    return [
+        (a[0], scalars.row(a, 0)),
+        (a.copy(), scalars.row(a, np.s_[:])),
+        (np.concatenate([a, b]), scalars.join([a, b])),
+        (np.stack([a, b]), scalars.stack([a, b])),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_an_array_the_kernel_did_not_make_is_refused(index):
+    # its integers are numerators over no known denominator: a, b have 6
+    # and 5, so np.concatenate would read -2/7 and -1/5 alike as integers
+    skipped, made = _skipped_the_kernel()[index]
+    labels = LETTERS[: skipped.ndim]
+    assert _refused(
+        lambda: scalars.einsum(f"{labels},{labels}->", skipped, made),
+        lambda: scalars.einsum(f"{labels}->{labels[::-1]}", skipped),
+        lambda: scalars.combine([1, -1], [made, skipped]),
+        lambda: scalars.zero_test([made, skipped], 0.0),
+        lambda: scalars.zero_rows([skipped], 0.0),
+        lambda: scalars.fractions(skipped),
+    )
+    # what the kernel makes of the same parts is read exactly
+    assert scalars.is_zero(scalars.combine([1, -1], [made, scalars.einsum(f"{labels}->{labels}", made)]), 0.0)
+    assert scalars.fractions(made).tolist() == _values_of_parts(index)
+
+
+def _values_of_parts(index):
+    a = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(-2, 7), 5]]
+    b = [[1, Fraction(-1, 5)], [0, 3]]
+    return [a[0], a, a + b, [a, b]][index]
+
+
 def test_writable_array_is_not_served_from_the_memo():
-    a = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL).copy()
-    v = scalars.freeze(scalars.array(["1/5", -1], RATIONAL))
-    scalars.einsum("ij,j->i", a, v)
-    a[0, 0] = Fraction(9, 4)
-    got = scalars.einsum("ij,j->i", a, v)
-    assert list(got) == list(np.einsum("ij,j->i", a, v))
+    # a writable copy of a kernel result has no kept form: it is refused, so
+    # a later write to it can never be read past
+    a = rat([["1/2", "1/3"], ["-2/7", 5]])
+    v = rat(["1/5", -1])
+    copy = a.copy()
+    copy[0, 0] = 9
+    assert _refused(lambda: scalars.einsum("ij,j->i", copy, v), lambda: scalars.residual(copy))
+    assert scalars.fractions(scalars.einsum("ij,j->i", a, v)).tolist() == [Fraction(-7, 30), Fraction(-177, 35)]
 
 
 def test_read_only_view_of_a_writable_base_is_not_served_from_the_memo():
-    base = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL).copy()
+    base = rat([["1/2", "1/3"], ["-2/7", 5]]).copy()
     view = base.view()
     view.setflags(write=False)
-    v = scalars.array(["1/5", -1], RATIONAL)
-    before = scalars.einsum("ij,j->i", view, v)
-    base[1, 1] = Fraction(-11, 6)
-    after = scalars.einsum("ij,j->i", view, v)
-    assert list(after) == list(np.einsum("ij,j->i", view, v))
-    assert list(after) != list(before)
-    combined = scalars.combine([1, 1], [view, view])
-    assert combined[1, 1] == Fraction(-11, 3)
+    assert _refused(
+        lambda: scalars.einsum("ij,j->i", view, rat(["1/5", -1])),
+        lambda: scalars.combine([1, 1], [view, view]),
+    )
 
 
 def test_transpose_of_a_read_only_view_of_a_writable_base_is_never_stale():
-    # numpy returns a read-only transpose of a read-only view, but its
-    # memory is written through the base: the kernel keeps no scaled form
-    # for it, so each read sees the written entry
-    base = scalars.array([["1/2", "1/3"], ["-2/7", 5]], RATIONAL).copy()
+    # the kernel takes no transpose of such a view: none can go stale when
+    # the base is written
+    base = rat([["1/2", "1/3"], ["-2/7", 5]]).copy()
     view = base.view()
     view.setflags(write=False)
-    t = scalars.einsum("ij->ji", view)
+    assert _refused(lambda: scalars.einsum("ij->ji", view))
+    # the kernel's transpose of its own result keeps its denominator
+    t = scalars.einsum("ij->ji", rat([["1/2", "1/3"], ["-2/7", 5]]))
     assert not t.flags.writeable
-    assert scalars.combine([1, 1], [t, t])[1, 0] == Fraction(2, 3)
+    assert scalars.fractions(scalars.combine([1, 1], [t, t]))[1, 0] == Fraction(2, 3)
     assert scalars.residual(t) == 5.0
-    base[0, 1] = Fraction(-11, 6)
-    base[1, 1] = 0
-    assert scalars.combine([1, 1], [t, t])[1, 0] == Fraction(-11, 3)
-    assert scalars.residual(t) == 11 / 6
-    assert scalars.zero_test([t], 0.0)[2] == (1, 0)
+    assert scalars.zero_test([t], 0.0)[2] == (1, 1)
 
 
 def _growth(step, n: int) -> int:
@@ -743,44 +788,15 @@ def test_memo_entry_leaves_with_its_array():
     # what the kernel keeps for a read-only array leaves with it (a kept
     # entry takes about 500 bytes)
     def step(k):
-        a = scalars.freeze(scalars.array([[1, 2], [2, 3]], RATIONAL))
+        a = rat([[1, 2], [2, 3]])
         scalars.combine([1, 1], [a, a])
 
     assert _growth(step, 1000) < 200_000
 
 
-def test_equal_entries_of_separate_results_are_one_fraction():
-    u = scalars.array(["1/2", 3], RATIONAL)
-    v = scalars.array([1, "-2/3"], RATIONAL)
-    outer = scalars.einsum("i,j->ij", u, v)  # [[1/2, -1/3], [3, -2]]
-    # [1/2, -1/3] over the denominator 6, as 3/6 and -2/6
-    summed = scalars.combine(
-        [1, -1], [scalars.array(["1/3", "-1/6"], RATIONAL), scalars.array(["-1/6", "1/6"], RATIONAL)]
-    )
-    assert summed.tolist() == [Fraction(1, 2), Fraction(-1, 3)]
-    assert summed[0] is outer[0, 0] and summed[1] is outer[0, 1]
-    assert scalars.einsum("ij->i", outer)[1] is scalars.combine([1], [v])[0]  # 1
-
-
-def test_fraction_table_stays_within_its_bound():
-    # one result of more distinct values than the table holds, each twice:
-    # equal entries are still one object
-    ints = np.arange(1, 5000)
-    a = scalars.combine([Fraction(1, 7)], [scalars.array(np.concatenate([ints, ints]), RATIONAL)])
-    assert a.tolist() == [Fraction(int(i), 7) for i in ints] * 2
-    assert all(a[k] is a[k + len(ints)] for k in range(len(ints)))
-
-    # 20,000 distinct values built and dropped: the table of shared values
-    # keeps at most a few thousand (a value takes about 150 bytes)
-    def step(k):
-        scalars.combine([Fraction(1, 2 * k + 1)], [scalars.array(np.arange(1, 1000), RATIONAL)])
-
-    assert _growth(step, 20) < 1_500_000
-
-
 def test_float_calls_never_touch_the_fraction_table(monkeypatch):
-    # a float call returns float64 values, not shared Fractions, and builds
-    # no Fraction in the kernel, save the exact value of a token it parses
+    # a float call returns float64 values, and builds no Fraction in the
+    # kernel, save the exact value of a token it parses
     workspace = zoo.builtin("solv3-f4").workspace(FLOAT)
     results, built = [], []
     for name in ("einsum", "combine", "divide_rows"):
@@ -865,10 +881,10 @@ def test_combine_reads_int_numpy_and_fraction_coefficients_alike(mode):
     if mode == FLOAT:
         assert len({r.tobytes() for r in results}) == 1
         return
+    # entry by entry, the same integers over the same denominator
     assert results[0].tolist() == results[1].tolist() == results[2].tolist()
-    # entry by entry, the same shared Fractions
-    assert all(x is y for r in results[1:] for x, y in zip(results[0].flat, r.flat))
-    _assert_kernel_result(results[1], arrays)
+    assert _values(results[0]).tolist() == _values(results[1]).tolist() == _values(results[2]).tolist()
+    _assert_combine_is_exact([np.int64(c) for c in ints], arrays)
     # and no Fraction is built for such a coefficient
     built = []
     real_new, raw_new = Fraction.__new__, vars(Fraction)["__new__"]
@@ -893,7 +909,7 @@ def test_combine_reads_int_numpy_and_fraction_coefficients_alike(mode):
 @example([Fraction(1, 3), Fraction(-1, 3), Fraction(333333333333333333, 10**18)])
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_rational_residual_is_the_rounded_exact_maximum(entries):
-    a = _object_array(entries, (len(entries),))
+    a = rat(_object_array(entries, (len(entries),)))
     got = scalars.residual(a)
     assert type(got) is float
     assert got == float(max(abs(Fraction(x)) for x in entries))
@@ -903,29 +919,43 @@ def _assert_read_exactly(a):
     """The zero test of the rational array ``a`` is exact: its residual is
     the float of its largest absolute entry, and a failed test locates the
     first such entry."""
-    mags = [abs(x) for x in a.ravel().tolist()]
+    mags = [abs(x) for x in _values(a).ravel().tolist()]
     peak = max(mags, default=0)
     where = tuple(int(i) for i in np.unravel_index(mags.index(peak), a.shape)) if peak else ()
     assert scalars.zero_test([a], 0.0) == (not peak, float(peak), where or None)
 
 
-def _assert_kernel_result(result, inputs):
-    """A rational array result of the kernel is read-only, owns its memory
-    and shares none with a writable input, holds one ``Fraction`` of Python
-    ints for equal entries and ``ZERO`` for each 0, is the one zero of its
-    shape when every entry is 0, and is read exactly by the zero test."""
-    assert not result.flags.writeable and result.base is None
-    # no later write to an input reaches the result
-    for a in inputs:
-        assert not (isinstance(a, np.ndarray) and a.flags.writeable and np.shares_memory(a, result))
+def _assert_kernel_result(result, expected, inputs=(), values=()):
+    """A rational result of the kernel holds the exact value ``expected``
+    and leaves its ``inputs`` at their ``values``.  A 0-d result is a
+    ``Fraction``, ``ZERO`` when 0.  An array result is its own integers: a
+    read-only int64 array, or an object array of Python ints when one is
+    beyond int64, whose denominator the kernel keeps, so that
+    ``scalars.fractions`` reads its value; unless it is a view of an
+    operand, its denominator is the least common one of its values (the
+    integers are in lowest terms) and it is the one zero of its shape when
+    every entry is 0; and it is read exactly by the zero test."""
+    for a, v in zip(inputs, values):
+        assert np.array_equal(_values(a), v)
+    if not isinstance(expected, np.ndarray):
+        assert type(result) is Fraction and result == expected
+        assert result or result is scalars.ZERO
+        return
+    assert isinstance(result, np.ndarray) and not result.flags.writeable
+    assert result.shape == expected.shape
     entries = result.ravel().tolist()
-    for x in entries:
-        assert type(x) is Fraction
-        assert type(x.numerator) is int and type(x.denominator) is int
-    assert all(x is scalars.ZERO for x in entries if not x)
-    assert len({id(x) for x in entries}) == len(set(entries))
-    if not any(entries):
-        assert result is scalars.combine([1], [scalars.zeros(result.shape, RATIONAL)])
+    assert all(type(x) is int for x in entries)
+    if result.dtype != np.int64:
+        assert result.dtype == object and max(map(abs, entries)) > INT64_MAX
+    exact = scalars.fractions(result).ravel().tolist()
+    assert exact == expected.ravel().tolist()
+    if result.base is None:  # not a view of an operand
+        if not any(entries):
+            assert result is scalars.combine([1, -1], [result, result])
+        else:
+            # n / d = x for an entry n of value x != 0
+            n, x = next((n, x) for n, x in zip(entries, exact) if n)
+            assert n * x.denominator // x.numerator == math.lcm(*(x.denominator for x in exact))
     _assert_read_exactly(result)
 
 
@@ -938,9 +968,9 @@ def test_residual_of_a_scaled_array_counts_no_fraction(monkeypatch):
         raise AssertionError("residual went through the Fraction entries")
 
     monkeypatch.setattr(np, "count_nonzero", no_count)
-    assert scalars.residual(r) == float(max(abs(x) for x in np.einsum("ij,jk->ik", a, a).flat))
+    assert scalars.residual(r) == float(max(abs(x) for x in np.einsum("ij,jk->ik", _values(a), _values(a)).flat))
     t = scalars.einsum("ij->ji", r)
-    assert scalars.residual(t) == float(max(abs(x) for x in t.flat))
+    assert scalars.residual(t) == float(max(abs(x) for x in _values(t).flat))
     assert scalars.residual(zero) == 0.0
 
 
@@ -951,26 +981,25 @@ def test_residual_of_a_scaled_array_counts_no_fraction(monkeypatch):
 def test_contraction_beyond_the_bound_stays_exact():
     # each product fits int64, the sum of two does not
     r = 3037000499  # floor(sqrt(2**63 - 1))
-    a = scalars.freeze(scalars.array([r, r], RATIONAL))
+    a = rat([r, r])
     assert scalars.einsum("i,i->", a, a) == 2 * r * r > 2**63
-    assert scalars.einsum("i,i->i", a, a).tolist() == [r * r, r * r]
+    assert _values(scalars.einsum("i,i->i", a, a)).tolist() == [r * r, r * r]
     # a result of the exact path whose numerators fit int64
-    fits = scalars.einsum("ij,j->i", scalars.array([[r, -r], [r, 0]], RATIONAL), a)
-    assert fits.tolist() == [0, r * r]
-    _assert_kernel_result(fits, [a])
+    _assert_einsum_is_exact("ij,j->i", [rat([[r, -r], [r, 0]]), a])
+    fits = scalars.einsum("ij,j->i", rat([[r, -r], [r, 0]]), a)
+    assert fits.dtype == np.int64 and _values(fits).tolist() == [0, r * r]
     _assert_combine_is_exact([1, -1], [fits, fits])
     # numerators that fit int64 only as Python ints: the result is exact
-    b = scalars.array([2**62, Fraction(-(2**63), 3)], RATIONAL)
+    b = rat([2**62, Fraction(-(2**63), 3)])
     assert scalars.einsum("i,i->", b, b) == Fraction(2**124) + Fraction(2**126, 9)
-    assert scalars.combine([1, 1], [b, b]).tolist() == [2**63, Fraction(-(2**64), 3)]
+    assert _values(scalars.combine([1, 1], [b, b])).tolist() == [2**63, Fraction(-(2**64), 3)]
+    _assert_combine_is_exact([1, 1], [b, b])
 
 
 def test_all_zero_term_takes_any_coefficient():
-    zero = scalars.freeze(scalars.zeros((2, 2), RATIONAL))
-    a = scalars.array([["1/2", -3], [0, 5]], RATIONAL)
-    got = scalars.combine([2**70, 1, -(2**80)], [zero, a, zero])
-    assert got.tolist() == a.tolist()
-    _assert_kernel_result(got, [a])
+    zero = rat([[0, 0], [0, 0]])
+    a = rat([["1/2", -3], [0, 5]])
+    _assert_combine_is_exact([2**70, 1, -(2**80)], [zero, a, zero])
 
 
 @pytest.mark.parametrize(
@@ -996,7 +1025,7 @@ def test_term_count_is_the_brute_force_count(spec, shapes):
     assert np.all(counts == np.max(counts))
     if _outside_grammar(spec):  # the exact kernel reads no such spec
         with pytest.raises(ValueError, match="explicit output"):
-            scalars.einsum(spec, *(scalars.zeros(s, RATIONAL) for s in shapes))
+            scalars.einsum(spec, *(rat(np.zeros(s, dtype=int)) for s in shapes))
         return
     # with every entry v, each entry is K v^p: the kernel's count K decides
     # whether the int64 path may run, so a count too low wraps around just
@@ -1006,30 +1035,34 @@ def test_term_count_is_the_brute_force_count(spec, shapes):
     for v in (r, r + 1):
         got = scalars.einsum(spec, *(scalars.array(np.full(s, v), RATIONAL) for s in shapes))
         assert np.shape(got) == np.shape(counts)
-        assert np.ravel(got).tolist() == [k * v**p] * counts.size
+        assert np.ravel(_values(got)).tolist() == [k * v**p] * counts.size
 
 
 def test_views_of_an_int64_owner_read_its_entries():
-    owner = scalars.freeze(
-        scalars.array([[Fraction(p * 7 - 40, p % 3 + 1) for p in range(q, q + 4)]
-                       for q in range(0, 12, 4)], RATIONAL)
-    )
+    # the kernel's views of an int64 owner: a transpose, slices, a reversed
+    # row, a fancy index and a new axis, each over the owner's denominator
+    owner = rat([[Fraction(p * 7 - 40, p % 3 + 1) for p in range(q, q + 4)] for q in range(0, 12, 4)])
+    values = _values(owner)
     views = [
-        owner.T, owner[1:, ::2], owner[::-1, 1], owner[:, ::-1].T,
-        np.broadcast_to(owner[0], (2, 4)), np.broadcast_to(owner[:, 2:3], (3, 3)),
+        (scalars.einsum("ij->ji", owner), values.T),
+        (scalars.row(owner, np.s_[1:, ::2]), values[1:, ::2]),
+        (scalars.row(owner, np.s_[::-1, 1]), values[::-1, 1]),
+        (scalars.row(owner, np.s_[:, [3, 0, 3]]), values[:, [3, 0, 3]]),
+        (scalars.row(owner, np.s_[np.newaxis, 0]), values[np.newaxis, 0]),
     ]
-    for view in views:
-        _assert_read_exactly(view)
-        vec = scalars.array(list(range(1, view.shape[-1] + 1)), RATIONAL)
+    for view, expected in views:
+        _assert_kernel_result(view, expected)
+        vec = rat(list(range(1, view.shape[-1] + 1)))
         rows = "i"[: view.ndim - 1]
-        got = scalars.einsum(f"{rows}j,j->{rows}", view, vec)
-        assert np.ravel(got).tolist() == np.ravel(view @ vec).tolist()
+        _assert_einsum_is_exact(f"{rows}j,j->{rows}", [view, vec])
+    # a single entry is its Fraction
+    assert scalars.row(owner, (2, 1)) == values[2, 1] and type(scalars.row(owner, (2, 1))) is Fraction
 
 
 def test_rational_verification_stays_on_int64(monkeypatch):
-    # a whole rational run on a dim-5 model passes, and every value the
-    # kernel returns is a Fraction of Python ints (that no sum of it leaves
-    # int64 is counted in test_kernel_counts.py)
+    # a whole rational run on a dim-5 model passes, and every array the
+    # kernel returns is int64, every scalar a Fraction of Python ints (that
+    # no sum leaves int64 is counted in test_kernel_counts.py)
     results = []
     for name in ("einsum", "combine", "divide_rows"):
         def call(*args, real=getattr(scalars, name)):
@@ -1041,9 +1074,11 @@ def test_rational_verification_stays_on_int64(monkeypatch):
     assert all(r.passed for r in rows)
     assert results
     for out in results:
-        for x in np.ravel(out).tolist():
-            assert type(x) is Fraction
-            assert type(x.numerator) is int and type(x.denominator) is int
+        if isinstance(out, np.ndarray):
+            assert out.dtype == np.int64
+            continue
+        assert type(out) is Fraction
+        assert type(out.numerator) is int and type(out.denominator) is int
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +1086,9 @@ def test_rational_verification_stays_on_int64(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _per_row(a, eps, *context):
-    return [scalars.zero_test([a[n]], eps, *(c[n] for c in context)) for n in range(len(a))]
+    return [
+        scalars.zero_test([scalars.row(a, n)], eps, *(scalars.row(c, n) for c in context)) for n in range(len(a))
+    ]
 
 
 def _passed(rows):
@@ -1070,9 +1107,7 @@ def stacks(draw):
     entries = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
     a = _object_array(entries, shape)
     a[np.array(vanish, dtype=bool)] = scalars.ZERO
-    context = _object_array(
-        draw(st.lists(values, min_size=rows * 3, max_size=rows * 3)), (rows, 3)
-    )
+    context = np.array(draw(st.lists(values, min_size=rows * 3, max_size=rows * 3)), dtype=float).reshape(rows, 3)
     return _as_kind(a, draw(st.sampled_from(KINDS))), context
 
 
@@ -1176,12 +1211,12 @@ def test_a_float_context_of_another_length_is_an_error():
 def test_array_of_an_integer_array_is_the_array_of_its_list(mode, ints):
     got, want = scalars.array(ints, mode), scalars.array(ints.tolist(), mode)
     # ``tolist`` keeps no shape for an empty array
-    assert got.dtype == want.dtype and got.shape == ints.shape
-    assert got.tolist() == want.tolist()
-    if mode == RATIONAL:
-        for x in np.ravel(got).tolist():
-            assert type(x) is Fraction
-            assert type(x.numerator) is int and type(x.denominator) is int
+    assert np.shape(got) == ints.shape and type(got) is type(want)
+    assert np.ravel(_values(got)).tolist() == np.ravel(_values(want)).tolist()
+    if mode == RATIONAL and ints.ndim:
+        _assert_kernel_result(got, _object_array(ints.ravel().tolist(), ints.shape))
+    elif mode == RATIONAL:
+        assert type(got) is Fraction and type(got.numerator) is int
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
@@ -1190,13 +1225,16 @@ def test_array_of_an_integer_array_is_the_array_of_its_list(mode, ints):
     [["1/2", 0, "-3"], [[1, "0.25"], [2.5, "7/3"]], np.arange(-3, 4), np.array(5), np.zeros((0, 3), dtype=np.int64)],
 )
 def test_array_and_eye_are_born_read_only(mode, nested):
+    tokens = np.asarray(nested, dtype=object)
     for got in (scalars.array(nested, mode), scalars.eye(3, mode)):
-        assert isinstance(got, np.ndarray) and not got.flags.writeable
-    # an integer array and the identity are kernel results: their Fraction
-    # entries come from the shared table, and their integers are kept
-    if mode == RATIONAL and isinstance(nested, np.ndarray) and nested.ndim:
-        _assert_kernel_result(scalars.array(nested, mode), [nested])
-        _assert_kernel_result(scalars.eye(3, mode), [])
+        # a single rational token is its Fraction
+        assert not tokens.ndim and mode == RATIONAL or isinstance(got, np.ndarray) and not got.flags.writeable
+    # an array of tokens and the identity are kernel results, with kept
+    # integers
+    if mode == RATIONAL and tokens.ndim:
+        exact = _object_array([scalars.exact(t) for t in tokens.ravel().tolist()], tokens.shape)
+        _assert_kernel_result(scalars.array(nested, mode), exact)
+        _assert_kernel_result(scalars.eye(3, mode), np.eye(3, dtype=int))
 
 
 @pytest.mark.parametrize(
@@ -1210,9 +1248,9 @@ def test_array_and_eye_are_born_read_only(mode, nested):
 def test_diagonalize_gives_kernel_results(m):
     m = scalars.array(m, RATIONAL)
     e, d = scalars.diagonalize(m)
-    assert np.array_equal(e @ m @ e.T, np.diag(d))
-    _assert_kernel_result(e, [m])
-    _assert_kernel_result(d, [m])
+    _assert_kernel_result(e, _values(e))
+    _assert_kernel_result(d, _values(d))
+    assert np.array_equal(_values(e) @ _values(m) @ _values(e).T, np.diag(_values(d)))
 
 
 def test_float_verdict_of_a_row_depends_on_its_own_context():
@@ -1225,11 +1263,14 @@ def test_float_verdict_of_a_row_depends_on_its_own_context():
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_zero_rows_of_an_empty_stack_and_of_scalars(mode):
-    assert scalars.zero_rows([scalars.zeros((0, 3), mode)], 0.0) == []
-    assert scalars.zero_rows([scalars.zeros((0,), mode)], 0.0) == []
+    def zeros(*shape):  # a buffer of zeros, entered through ``array``
+        return scalars.array(scalars.zeros(shape, mode), mode)
+
+    assert scalars.zero_rows([zeros(0, 3)], 0.0) == []
+    assert scalars.zero_rows([zeros(0)], 0.0) == []
     col = scalars.array([0, "1/3", 0, "-2"], mode)
     assert _passed(scalars.zero_rows([col], 1e-9)) == [True, False, True, False]
-    assert scalars.zero_rows([scalars.zeros((2, 0), mode)], 0.0) == [(True, 0.0, None)] * 2
+    assert scalars.zero_rows([zeros(2, 0)], 0.0) == [(True, 0.0, None)] * 2
 
 
 def _callee(call: ast.Call):
@@ -1283,24 +1324,28 @@ def test_stacks_are_tested_by_zero_rows():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def row_divisions(draw, values=values):
+def row_divisions(draw, values=values, mode=RATIONAL):
     """A stack of rows (scalars, or rows of shape 2 or 2 x 2) and one
-    nonzero rational per row, each of a drawn kind."""
+    nonzero scalar per row, each of a drawn kind of ``mode``."""
     rows = draw(st.integers(min_value=0, max_value=4))
     shape = (rows, *draw(st.sampled_from([(), (2,), (2, 2)])))
     entries = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
     dens = draw(st.lists(values.filter(bool), min_size=rows, max_size=rows))
-    a = _as_kind(_object_array(entries, shape), draw(st.sampled_from(KINDS)))
-    den = _as_kind(_object_array(dens, (rows,)), draw(st.sampled_from(("fresh", "frozen", "result", "view"))))
-    return a, den
+    a, den = _object_array(entries, shape), _object_array(dens, (rows,))
+    if mode == FLOAT:
+        a, den = a.astype(np.float64), den.astype(np.float64)
+    kinds = KINDS if mode == RATIONAL else FLOAT_KINDS
+    den_kinds = ("array", "result", "row", "join") if mode == RATIONAL else ("fresh", "frozen", "view")
+    return _as_kind(a, draw(st.sampled_from(kinds))), _as_kind(den, draw(st.sampled_from(den_kinds)))
 
 
 def _assert_division_is_exact(a, den):
+    values = [_values(a), _values(den)]
+    expected = _object_array(
+        [Fraction(x) / Fraction(d) for n, d in enumerate(values[1]) for x in np.ravel(values[0][n])], a.shape
+    )
     got = scalars.divide_rows(a, den)
-    expected = [[Fraction(x) / Fraction(d) for x in np.ravel(a[n])] for n, d in enumerate(den)]
-    assert got.shape == a.shape and got.dtype == object
-    assert [np.ravel(g).tolist() for g in got] == expected
-    _assert_kernel_result(got, [a, den])
+    _assert_kernel_result(got, expected, [a, den], values)
     return got
 
 
@@ -1325,7 +1370,7 @@ def test_row_beyond_the_int64_bound_takes_python_ints():
     a = scalars.array([2**40, "-3/5", 0], RATIONAL)
     den = scalars.array([Fraction(1, 2**30), -7, "1/3"], RATIONAL)
     got = _assert_division_is_exact(a, den)
-    assert got.tolist() == [2**70, Fraction(3, 35), 0]
+    assert got.dtype == object and _values(got).tolist() == [2**70, Fraction(3, 35), 0]
     _assert_combine_is_exact([1, 1], [got, got])
 
 
@@ -1334,10 +1379,10 @@ def test_row_division_by_zero_raises():
         scalars.divide_rows(scalars.array([1, 2], RATIONAL), scalars.array([1, 0], RATIONAL))
 
 
-@given(row_divisions(floats))
+@given(row_divisions(floats, mode=FLOAT))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_float_row_division_is_numpy_bit_for_bit(case):
-    a, den = (x.astype(np.float64) for x in case)
+    a, den = case
     with np.errstate(all="ignore"):
         got = scalars.divide_rows(a, den)
         expected = a / den.reshape(-1, *[1] * (a.ndim - 1))
@@ -1351,7 +1396,7 @@ def test_scalar_operands_are_read_as_zero_dimensional_arrays():
     assert scalars.einsum(",->", x, y) == x * y
     assert type(scalars.einsum(",->", x, y)) is Fraction
     a = scalars.array(["1/2", -3], RATIONAL)
-    assert scalars.einsum(",i->i", x, a).tolist() == [x / 2, -3 * x]
+    assert _values(scalars.einsum(",i->i", x, a)).tolist() == [x / 2, -3 * x]
     assert scalars.combine([1, -2], [x, y]) == x - 2 * y
     # float scalars: numpy's own operations
     fx, fy = 0.1, np.float64(0.7)
@@ -1374,12 +1419,10 @@ def test_sums_tells_a_reduction_from_a_view(spec, sums):
     for t in terms:
         ints = np.arange(2 ** len(t)).reshape((2,) * len(t))
         operands.append(scalars.combine([Fraction(1, 3)], [scalars.array(ints, RATIONAL)]))
+    _assert_einsum_is_exact(spec, operands)
     got = scalars.einsum(spec, *operands)
-    assert np.array_equal(got, np.einsum(spec, *operands))
     view = isinstance(got, np.ndarray) and np.shares_memory(got, operands[0])
     assert view is (len(terms) == 1 and not sums)
-    if not view and isinstance(got, np.ndarray):
-        _assert_kernel_result(got, operands)
 
 
 def test_rational_trace_runs_on_the_integer_kernel(monkeypatch):
@@ -1392,7 +1435,7 @@ def test_rational_trace_runs_on_the_integer_kernel(monkeypatch):
     monkeypatch.setattr(Fraction, "__radd__", no_fraction_sum)
     tr = scalars.einsum("kk->", a)
     assert type(tr) is Fraction and tr == Fraction(3, 10)
-    assert scalars.einsum("ij->i", a).tolist() == [Fraction(15, 2), Fraction(7, 15)]
+    assert _values(scalars.einsum("ij->i", a)).tolist() == [Fraction(15, 2), Fraction(7, 15)]
 
 
 # ---------------------------------------------------------------------------
@@ -1401,20 +1444,21 @@ def test_rational_trace_runs_on_the_integer_kernel(monkeypatch):
 
 def _assert_zero_result(got, shape):
     """The kernel's zero of ``shape``: ``ZERO`` when 0-d, else the one
-    read-only array of ``ZERO`` entries of that shape."""
+    read-only array of int64 zeros of that shape."""
     if not shape:
         assert got is scalars.ZERO
         return
-    assert got.shape == shape and got.dtype == object
-    assert not any(got.flat)
-    _assert_kernel_result(got, [])
+    assert got.dtype == np.int64
+    _assert_kernel_result(got, np.zeros(shape, dtype=int))
 
 
 def _zero_operands():
-    """An exactly-zero operand kept by the kernel (a result) and one it
-    does not keep (a writable array), each of shape (2, 3)."""
+    """Two exactly-zero operands, each of shape (2, 3): a result, which is
+    the kernel's zero, and a row of a batch of a zero and a nonzero array,
+    which is not."""
     a = scalars.array([["1/2", -3, 0], ["2/7", 0, "5/3"]], RATIONAL)
-    return scalars.combine([1, -1], [a, a]), scalars.zeros((2, 3), RATIONAL)
+    zero = scalars.combine([1, -1], [a, a])
+    return zero, scalars.row(scalars.stack([zero, a]), 0)
 
 
 def test_contraction_with_a_zero_operand_is_the_fraction_contraction():
@@ -1432,8 +1476,8 @@ def test_contraction_with_a_zero_operand_is_the_fraction_contraction():
 
 
 def test_contraction_over_a_zero_length_axis_is_zero():
-    empty = scalars.freeze(scalars.zeros((2, 0), RATIONAL))
-    b = scalars.zeros((0, 3), RATIONAL)
+    empty = rat(np.zeros((2, 0), dtype=int))
+    b = rat(np.zeros((0, 3), dtype=int))
     for spec, operands, shape in (
         ("ij,jk->ik", (empty, b), (2, 3)),
         ("ij,kj->ki", (empty, empty), (2, 2)),
@@ -1467,16 +1511,16 @@ def test_shapes_that_do_not_fit_the_spec_raise():
     # a rational call raises ValueError naming the spec, a zero operand
     # included, where numpy raises or stretches a label of length 1; a float
     # call is numpy's own
-    zero, writable = _zero_operands()
+    zero, other = _zero_operands()
     row = scalars.array([[1, "1/2", 3]], RATIONAL)
     for spec, operands, stretches in (
         ("ij,jk->ik", (zero, zero), False),
-        ("ij,kj->ik", (zero, zero[:, 1:]), False),
-        ("ii,i->i", (zero, zero[0]), False),
-        ("ij,j->ij", (zero, zero[0], zero), False),
+        ("ij,kj->ik", (zero, scalars.row(zero, np.s_[:, 1:])), False),
+        ("ii,i->i", (zero, scalars.row(zero, 0)), False),
+        ("ij,j->ij", (zero, scalars.row(zero, 0), zero), False),
         ("ij,ij->ij", (row, zero), True),
-        ("ij,jk->ik", (zero, row.T[:1]), True),
-        ("ij,ij->", (writable[:1], zero), True),
+        ("ij,jk->ik", (zero, scalars.row(scalars.einsum("ij->ji", row), np.s_[:1])), True),
+        ("ij,ij->", (scalars.row(other, np.s_[:1]), zero), True),
     ):
         with pytest.raises(ValueError, match=re.escape(repr(spec))):
             scalars.einsum(spec, *operands)
@@ -1492,12 +1536,12 @@ def test_shapes_that_do_not_fit_the_spec_raise():
 
 def test_a_rational_combination_of_two_shapes_raises():
     # numpy would broadcast them, and float mode still does
-    zero, writable = _zero_operands()
+    zero, other = _zero_operands()
     row = scalars.array([["1/2", -3, "5/7"]], RATIONAL)
     for cs, arrays in (
         ([1, 2], [row, zero]),
-        ([Fraction(-4, 9), 1], [zero, zero[0]]),
-        ([1, 1], [writable[:, :1], row[0]]),
+        ([Fraction(-4, 9), 1], [zero, scalars.row(zero, 0)]),
+        ([1, 1], [scalars.row(other, np.s_[:, :1]), scalars.row(row, 0)]),
         ([1, -1], [Fraction(1, 3), row]),
     ):
         shapes = f"{np.shape(arrays[0])} and {np.shape(arrays[1])}"
@@ -1517,7 +1561,7 @@ def test_zero_terms_are_left_out_of_a_combination():
         ):
             _assert_combine_is_exact(cs, arrays)
         _assert_zero_result(scalars.combine([Fraction(2, 3), -1], [zero, zero]), (2, 3))
-        _assert_zero_result(scalars.combine([1, 1], [zero[0, 0], Fraction(0)]), ())
+        _assert_zero_result(scalars.combine([1, 1], [scalars.row(zero, (0, 0)), Fraction(0)]), ())
 
 
 def test_widened_operands_next_to_a_zero_operand():
@@ -1526,7 +1570,8 @@ def test_widened_operands_next_to_a_zero_operand():
         _assert_einsum_is_exact("ij,j->i", (zero, big))
         _assert_zero_result(scalars.einsum("ij,j->i", zero, big), (2,))
         _assert_zero_result(scalars.einsum("j,ij,k->ik", big, zero, big), (2, 3))
-        for cs, arrays in (([1, 3], [big, zero[0]]), ([Fraction(1, 5), 1, -1], [zero[1], big, zero[0]])):
+        rows = [scalars.row(zero, i) for i in range(2)]
+        for cs, arrays in (([1, 3], [big, rows[0]]), ([Fraction(1, 5), 1, -1], [rows[1], big, rows[0]])):
             _assert_combine_is_exact(cs, arrays)
 
 
@@ -1534,15 +1579,15 @@ def test_a_kept_view_keeps_its_own_largest_numerator():
     # a transpose of a kept array, and a diagonal, which holds fewer
     # entries, each read as their own entries
     for a in (
-        scalars.freeze(scalars.array([[0, 5], [7, 0]], RATIONAL)),
-        scalars.einsum("ij,jk->ik", scalars.array([[0, 5], [7, 0]], RATIONAL), scalars.eye(2, RATIONAL)),
-        scalars.freeze(scalars.array([["1/2", 5, 0], [7, "-2/3", 1], [0, 0, 9]], RATIONAL)),
+        rat([[0, 5], [7, 0]]),
+        scalars.einsum("ij,jk->ik", rat([[0, 5], [7, 0]]), scalars.eye(2, RATIONAL)),
+        rat([["1/2", 5, 0], [7, "-2/3", 1], [0, 0, 9]]),
     ):
         for spec in ("ij->ji", "ii->i"):
             view = scalars.einsum(spec, a)
             _assert_read_exactly(view)
             _assert_combine_is_exact([1, Fraction(1, 3)], [view, view])
-    diagonal = scalars.einsum("ii->i", scalars.freeze(scalars.array([[0, 5], [7, 0]], RATIONAL)))
+    diagonal = scalars.einsum("ii->i", rat([[0, 5], [7, 0]]))
     assert scalars.residual(diagonal) == 0.0 and scalars.is_zero(diagonal, 0.0)
     _assert_zero_result(scalars.einsum("i,i->i", diagonal, scalars.array([3, 4], RATIONAL)), (2,))
 
@@ -1572,16 +1617,17 @@ def test_an_exact_zero_makes_no_contraction_and_builds_no_fraction(spies):
     einsums, built = spies
     b = scalars.array([["1/3", 2], [-1, "1/5"], [0, "7/4"]], RATIONAL)
     zeros, third = _zero_operands(), Fraction(1, 3)
-    scalar = scalars.einsum("ij,jk->", zeros[0], b)
+    scalar, bt = scalars.einsum("ij,jk->", zeros[0], b), scalars.einsum("ij->ji", b)
+    entry = scalars.row(zeros[0], (0, 0))
     del einsums[:], built[:]
     for zero in zeros:
         assert not scalars.einsum("ij,jk->ik", zero, b).any()
-        assert not scalars.einsum("jk,ij,kl->il", b, zero, b.T).any()
+        assert not scalars.einsum("jk,ij,kl->il", b, zero, bt).any()
         assert not scalars.combine([1, third], [zero, zero]).any()
     assert einsums == [] and built == []
     # nor does a 0-d zero, which is ZERO
     assert scalars.einsum("ij,jk->", zeros[1], b) is scalars.ZERO
-    assert scalars.combine([1, -1], [scalar, zeros[0][0, 0]]) is scalars.ZERO
+    assert scalars.combine([1, -1], [scalar, entry]) is scalars.ZERO
     assert einsums == [] and built == []
 
 
@@ -1602,7 +1648,7 @@ def test_float_calls_with_a_zero_operand_reach_numpy(spies):
 # ---------------------------------------------------------------------------
 
 def test_zero_results_of_one_shape_are_its_one_template():
-    zero, writable = _zero_operands()
+    zero, other = _zero_operands()
     b = scalars.array([["1/3", 2], [-1, "1/5"], [0, "7/4"]], RATIONAL)
     c = scalars.array([["1/2", 0], [3, "-1/4"]], RATIONAL)
     # the zero rule of a contraction, a sum of terms that cancel, and a
@@ -1610,7 +1656,7 @@ def test_zero_results_of_one_shape_are_its_one_template():
     # with an input
     results = (
         scalars.einsum("ij,jk->ik", zero, b),
-        scalars.einsum("ij,jk->ik", writable, b),
+        scalars.einsum("ij,jk->ik", other, b),
         scalars.combine([1, -1], [c, c]),
         scalars.einsum("ij,jk->ik", scalars.array([[1, 1], [2, 2]], RATIONAL),
                        scalars.array([[1, -1], [-1, 1]], RATIONAL)),
@@ -1618,7 +1664,7 @@ def test_zero_results_of_one_shape_are_its_one_template():
     template = results[0]
     assert all(got is template for got in results)
     _assert_zero_result(template, (2, 2))
-    assert not any(np.shares_memory(template, a) for a in (zero, writable, b, c))
+    assert not any(np.shares_memory(template, a) for a in (zero, other, b, c))
     # a 0-d zero is ZERO, from the zero rule and from sums that cancel
     third = Fraction(1, 3)
     assert scalars.einsum("ij,jk->", zero, b) is scalars.ZERO
@@ -1631,7 +1677,7 @@ def test_zero_template_table_stays_within_its_bound():
     # the zeros of 4,000 shapes made and dropped: the kernel keeps the zeros
     # of at most 1,024 shapes (a zero takes about 700 bytes)
     def step(k):
-        assert scalars.combine([1], [scalars.zeros((k, 0), RATIONAL)]).shape == (k, 0)
+        assert scalars.combine([1], [rat(np.zeros((k, 0), dtype=int))]).shape == (k, 0)
 
     assert _growth(step, 4000) < 1_500_000
 
@@ -1706,10 +1752,15 @@ def test_a_mixed_rational_and_float_test_takes_the_general_path():
     # passes, and a nonzero rational one fails whatever the context
     small, big = np.array([0.0, -1e-6]), np.array([1e4])
     assert scalars.zero_test([small, small], 1e-9, big) == (True, 1e-6, None)
-    zero, half = scalars.zeros((2,), RATIONAL), scalars.array(["1/2"], RATIONAL)
+    zero, half = rat([0, 0]), scalars.array(["1/2"], RATIONAL)
     assert scalars.zero_test([small, zero], 1e-9, big) == (True, 1e-6, None)
     assert scalars.zero_test([small, zero], 1e-9) == (False, 1e-6, (0, 1))
     assert scalars.zero_test([small, half], 1e-9, big) == (False, 0.5, (1, 0))
+    # a rational context scales by its values, not by its integers (10000 is
+    # 30000 over 3 next to 1/3)
+    residual = [np.array([2e-5])]
+    assert scalars.zero_test(residual, 1e-9, scalars.array(["10000", "1/3"], RATIONAL)) == (False, 2e-5, (0,))
+    assert scalars.zero_test(residual, 1e-9, scalars.array(["30000", "1/3"], RATIONAL)) == (True, 2e-5, None)
 
 
 def test_decimal_digits_are_limited_as_python_limits_integer_text():
@@ -1751,7 +1802,7 @@ def test_freeze_reads_the_fields_dataclasses_lists():
     # neither the InitVar's value nor the ClassVar is a field
     assert holder.note.flags.writeable and _Holder.shared.flags.writeable
     # a dataclass whose InitVar is no attribute of its instances
-    c = scalars.zeros((2, 2, 2), RATIONAL)
+    c = np.zeros((2, 2, 2))
     algebra = LieAlgebra(c, 1e-9)
     c.setflags(write=True)
     assert scalars.freeze(algebra) is algebra and not algebra.c.flags.writeable

@@ -33,7 +33,11 @@ from bcontact.curvature import (
 from bcontact.scalars import FLOAT, RATIONAL
 from bcontact.tensor import Metric
 
-from support import pi1, workspace
+from support import pi1, rat, workspace
+
+# the exact values of a kernel array (a float array as it is)
+F = scalars.fractions
+
 
 SECTIONAL_ROWS = [
     f"{name}[{role}]"
@@ -67,9 +71,9 @@ def test_reeb_term_vanishes_where_it_cannot_be_a_mutation(name):
 def test_sectional_relation_fails_when_svk_curvature_gains_reeb_term(name, mode, residual):
     ws = zoo.builtin(name).workspace(mode)  # a fresh one: its batch is mutated
     curv = ws.batch.curv
-    bad = replace(curv, r04_svk=curv.r04_svk + _reeb_term(ws))
+    bad = replace(curv, r04_svk=scalars.combine([1, 1], [curv.r04_svk, _reeb_term(ws)]))
     polarized = svk_sectional_polarized(bad, ws.batch.shape)
-    assert [scalars.residual(row) for row in polarized] == [residual, residual]
+    assert [scalars.residual(scalars.row(polarized, i)) for i in range(2)] == [residual, residual]
     ws.batch.__dict__["curv"] = bad
     rows = {r.name: r for r in check_sectional_curvature(ws)}
     for role in ("g", "gtilde"):
@@ -242,8 +246,8 @@ def test_batched_sectional_values_equal_a_plain_loop(mode):
         assert len(planes) == checks.PLANE_COUNT
         values = sectional(planes, view.curv, view.shape, ws.s)
         for r, batched in ((view.curv.r04, values.k), (view.curv.r04_svk, values.k_svk)):
-            g = view.metric.matrix
-            looped = [_loop_sectional(r, g, x, y) for x, y in planes.xy]
+            r, g, batched = F(r), F(view.metric.matrix), F(batched)
+            looped = [_loop_sectional(r, g, x, y) for x, y in F(planes.xy)]
             if mode == RATIONAL:
                 assert list(batched) == looped
             else:
@@ -318,27 +322,25 @@ fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 @st.composite
 def span_cases(draw):
-    """A ±1 diagonal metric, two rational vectors spanning a plane and a w
-    that is either a rational combination of them or drawn freely."""
+    """A ±1 diagonal metric, two vectors of rational values spanning a plane
+    and a w that is either a rational combination of them or drawn freely."""
     dim = draw(st.integers(min_value=3, max_value=5))
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim))
-    m = Metric.from_matrix(np.diag(scalars.array(signs, RATIONAL)), 0.0)
-    x, y = (
-        scalars.array(draw(st.lists(fractions, min_size=dim, max_size=dim)), RATIONAL)
-        for _ in range(2)
-    )
+    m = Metric.from_matrix(rat(np.diag(signs)), 0.0)
+    x, y = (np.array(draw(st.lists(fractions, min_size=dim, max_size=dim))) for _ in range(2))
     if draw(st.booleans()):
         a, b = draw(st.lists(fractions, min_size=2, max_size=2))
         w = x * a + y * b
     else:
-        w = scalars.array(draw(st.lists(fractions, min_size=dim, max_size=dim)), RATIONAL)
+        w = np.array(draw(st.lists(fractions, min_size=dim, max_size=dim)))
     return m, x, y, w
 
 
 def _in_plane(m, x, y, w) -> bool:
-    """The span rule of ``section_type`` on the one plane spanned by x, y."""
-    planes = PlaneStack.of(m, [(x, y)], 0.0)
-    w = w[None, None]
+    """The span rule of ``section_type`` on the one plane spanned by x, y,
+    vectors of exact values."""
+    planes = PlaneStack.of(m, rat([[x, y]]), 0.0)
+    w = rat([[w]])
     ((inside,),) = _in_planes(planes, w, _gram(m.matrix, planes.xy, w), 0.0)
     return inside
 
@@ -348,12 +350,12 @@ def _in_plane(m, x, y, w) -> bool:
 def test_exact_span_test_agrees_with_minors(case):
     m, x, y, w = case
     # the span rule is stated for non-degenerate planes
-    assume(pi1(m, x, y, y, x) != 0)
+    assume(pi1(m, *map(rat, (x, y, y, x))) != 0)
     assert _in_plane(m, x, y, w) == _in_span_by_minors([x, y], w)
 
 
 def test_exact_span_test_on_known_cases():
-    e = scalars.eye(4, RATIONAL)
-    m = Metric.from_matrix(np.diag(scalars.array([1, 1, -1, -1], RATIONAL)), 0.0)
+    e = np.eye(4, dtype=int)
+    m = Metric.from_matrix(rat(np.diag([1, 1, -1, -1])), 0.0)
     assert _in_plane(m, e[0], e[1], e[0] * Fraction(2, 3) - e[1])
     assert not _in_plane(m, e[0], e[1], e[2])

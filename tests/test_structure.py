@@ -17,6 +17,9 @@ from bcontact.tensor import Metric
 
 from support import workspace
 
+# the exact values of a kernel array
+F = scalars.fractions
+
 
 def test_validate_canonical_flat_structure():
     assert workspace("abelian3").validation.passed
@@ -50,7 +53,7 @@ def test_associated_metric_flat_model_matrix():
     # hand-substitution of g~(x,y) = g(x, phi y) + eta(x) eta(y) on all pairs
     ws = workspace("abelian3")
     expected = scalars.array([[0, -1, 0], [-1, 0, 0], [0, 0, 1]], RATIONAL)
-    assert np.array_equal(ws.s.assoc.matrix, expected)
+    assert np.array_equal(F(ws.s.assoc.matrix), F(expected))
     assert ws.s.assoc.inner(ws.s.xi, ws.s.xi) == 1
 
 
@@ -64,17 +67,17 @@ def test_fundamental_bruteforce_oracle():
     # independent evaluation over all 27 basis triples:
     # F(x,y,z) = g(nabla_x (phi y) - phi (nabla_x y), z)
     ws = workspace("solv3-a")
-    s, conn = ws.s, ws.g.conn
+    s, conn, phi, f = ws.s, F(ws.g.conn), F(ws.s.phi), F(ws.g.fundamental)
     dim = s.dim
-    basis = scalars.eye(dim, RATIONAL)
+    basis = np.eye(dim, dtype=int)
 
     def nabla(x, y):
         return np.einsum("kij,i,j->k", conn, x, y)
 
     for i, j, k in product(range(dim), repeat=3):
         ei, ej, ek = basis[i], basis[j], basis[k]
-        nabla_phi_y = nabla(ei, s.phi @ ej) - s.phi @ nabla(ei, ej)
-        assert ws.g.fundamental[i, j, k] == s.metric.inner(nabla_phi_y, ek)
+        nabla_phi_y = nabla(ei, phi @ ej) - phi @ nabla(ei, ej)
+        assert f[i, j, k] == nabla_phi_y @ F(s.metric.matrix) @ ek
 
 
 def test_lee_forms_vanish_in_zero_class():
@@ -117,9 +120,9 @@ def test_classify_omega_entry_nabla_xi_row():
     # nabla xi = eta (x) phi(omega#) checked componentwise
     ws = workspace("solv3-f11")
     assert ws.g.classification["F11"]
-    nxi = covariant_derivative(ws.batch.conn, ws.s.xi, 1)[0]
-    phi_om = ws.s.phi @ ws.g.lee.omega_sharp
-    assert np.array_equal(nxi, np.einsum("k,i->ki", phi_om, ws.s.eta))
+    nxi = F(covariant_derivative(ws.batch.conn, ws.s.xi, 1))[0]
+    phi_om = F(ws.s.phi) @ F(ws.g.lee.omega_sharp)
+    assert np.array_equal(nxi, np.einsum("k,i->ki", phi_om, F(ws.s.eta)))
 
 
 def test_second_trace_entry_row():
@@ -127,9 +130,9 @@ def test_second_trace_entry_row():
     ws = workspace("solv3-a")
     assert ws.g.classification["F5"]
     div = ws.g.div_pair[0]
-    nxi = covariant_derivative(ws.batch.conn, ws.s.xi, 1)[0]
-    res = nxi + ws.s.phi2 * (Fraction(div) / (2 * ws.s.n))
-    assert scalars.residual(res) == 0.0
+    nxi = F(covariant_derivative(ws.batch.conn, ws.s.xi, 1))[0]
+    res = nxi + F(ws.s.phi2) * (Fraction(div) / (2 * ws.s.n))
+    assert not res.any()
 
 
 def test_symmetry_row_of_boundary_entry():
@@ -137,9 +140,9 @@ def test_symmetry_row_of_boundary_entry():
     ws = workspace("x-solv3-f9")
     assert ws.g.classification["F9"]
     lam = np.einsum(
-        "ki,kj->ij", covariant_derivative(ws.batch.conn, ws.s.xi, 1)[0], ws.s.metric.matrix
+        "ki,kj->ij", F(covariant_derivative(ws.batch.conn, ws.s.xi, 1))[0], F(ws.s.metric.matrix)
     )
-    lam_phiphi = np.einsum("ab,ai,bj->ij", lam, ws.s.phi, ws.s.phi)
+    lam_phiphi = np.einsum("ab,ai,bj->ij", lam, F(ws.s.phi), F(ws.s.phi))
     assert np.array_equal(lam, lam.T)
     assert np.array_equal(lam, lam_phiphi)
 
@@ -149,12 +152,12 @@ def test_skew_row_of_symmetric_one_sided_entry():
     ws = workspace("x-mix5-f8")
     assert ws.g.classification["F8"]
     lam = np.einsum(
-        "ki,kj->ij", covariant_derivative(ws.batch.conn, ws.s.xi, 1)[0], ws.s.metric.matrix
+        "ki,kj->ij", F(covariant_derivative(ws.batch.conn, ws.s.xi, 1))[0], F(ws.s.metric.matrix)
     )
-    lam_phiphi = np.einsum("ab,ai,bj->ij", lam, ws.s.phi, ws.s.phi)
+    lam_phiphi = np.einsum("ab,ai,bj->ij", lam, F(ws.s.phi), F(ws.s.phi))
     assert np.array_equal(lam, -lam.T)
     assert np.array_equal(lam, lam_phiphi)
-    assert scalars.residual(lam) > 0
+    assert lam.any()
 
 
 def test_first_class_entry_lee_form():
@@ -169,24 +172,26 @@ def test_first_class_entry_lee_form():
 def test_double_associated_metric():
     # assoc(assoc(g)) = -g + 2 eta (x) eta
     ws = workspace("solv3-f4")
-    twice = associated_of(ws.s.assoc, ws.s).matrix
-    expected = -ws.s.metric.matrix + 2 * np.einsum(
-        "i,j->ij", ws.s.eta, ws.s.eta
+    twice = F(associated_of(ws.s.assoc, ws.s).matrix)
+    expected = -F(ws.s.metric.matrix) + 2 * np.einsum(
+        "i,j->ij", F(ws.s.eta), F(ws.s.eta)
     )
     assert np.array_equal(twice, expected)
 
 
 def test_invalid_dimension_rejected():
-    c = scalars.zeros((2, 2, 2), RATIONAL)
+    def zero(*shape):
+        return scalars.array(np.zeros(shape, dtype=int), RATIONAL)
+
     from bcontact.liegroup import LieAlgebra
 
-    alg = LieAlgebra(c, DEFAULT_EPS)
+    alg = LieAlgebra(zero(2, 2, 2), DEFAULT_EPS)
     with pytest.raises(ValueError, match="odd"):
         ACBStructure(
             alg,
-            scalars.zeros((2, 2), RATIONAL),
-            scalars.zeros((2,), RATIONAL),
-            scalars.zeros((2,), RATIONAL),
+            zero(2, 2),
+            zero(2),
+            zero(2),
             Metric.from_matrix(scalars.array([[1, 0], [0, -1]], RATIONAL), DEFAULT_EPS),
             DEFAULT_EPS,
         )
