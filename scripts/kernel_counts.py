@@ -58,7 +58,7 @@ TARGETS = ("_rebuild", "_scale", "_widen", "_zero")
 # the kernel functions that hand out arrays, whose outermost calls are read
 # for object arrays of ``Fraction``
 RETURNING = (
-    "array", "eye", "zeros", "einsum", "combine", "divide_rows", "diagonalize", "row", "stack", "join",
+    "array", "eye", "einsum", "combine", "divide_rows", "diagonalize", "row", "stack", "join",
     "fractions",
 )
 # the kernel's entry points whose outermost calls, and calls inside a call

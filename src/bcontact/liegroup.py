@@ -34,6 +34,8 @@ class LieAlgebra:
     c: np.ndarray  # (1,2), c[k,i,j]
     eps: InitVar[float]
 
+    __reduce__ = scalars.reduce_model
+
     def __post_init__(self, eps: float):
         c = scalars.freeze(self.c)
         if not scalars.is_zero(scalars.combine([1, 1], [c, scalars.einsum("kij->kji", c)]), eps):

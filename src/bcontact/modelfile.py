@@ -174,10 +174,11 @@ def _structure(parsed: dict, mode: str, eps: float) -> ACBStructure:
     """The structure of a parsed document; in float mode each scalar is the
     nearest float of its exact value."""
     dim = parsed["dim"]
-    upper = scalars.zeros((dim, dim, dim), mode)
+    upper = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, coeffs in parsed["brackets"]:
+        for k, x in enumerate(coeffs):
+            upper[k][i][j] = x
     try:
-        for i, j, coeffs in parsed["brackets"]:
-            upper[:, i, j] = coeffs
         # c[k, j, i] = -c[k, i, j]
         upper = scalars.array(upper, mode)
         c = scalars.combine([1, -1], [upper, scalars.einsum("kij->kji", upper)])

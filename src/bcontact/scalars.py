@@ -19,8 +19,9 @@ float residual exceeds eps.
 
 What the kernel returns is finished: every array that ``einsum``,
 ``combine``, ``divide_rows``, ``diagonalize``, ``array``, ``eye``, ``row``,
-``stack`` and ``join`` return is read-only when it is made, in both modes;
-``zeros`` is the one writable buffer, for a caller to fill.
+``stack`` and ``join`` return is read-only when it is made, in both modes.
+A model pickles and copies through ``reduce_model``, which carries each
+array with its kept form.
 
 Exact arithmetic on a model happens only in this module: every rational
 value that loading a model, its ``Workspace``, the check suite and the CLI
@@ -180,12 +181,6 @@ _FLOAT = np.dtype(np.float64)
 _OBJECT = np.dtype(object)
 
 
-def zeros(shape, mode: str) -> np.ndarray:
-    """A writable buffer of zeros for a caller to fill, Python ints in
-    rational mode; what it holds enters the kernel through ``array``."""
-    return np.zeros(shape, dtype=object if mode == RATIONAL else np.float64)
-
-
 def _read_only(out):
     """``out``, made read-only when it is an array: what the kernel returns
     is finished."""
@@ -196,11 +191,10 @@ def _read_only(out):
 
 def array(nested, mode: str) -> np.ndarray:
     """A read-only backend array of (possibly nested) scalar tokens, or of
-    an integer array: in float mode the nearest float of each exact value
-    (an integer or float array's float64 copy), in rational mode the
-    kernel's integers of the exact values (an integer array's int64 copy),
-    and the ``Fraction`` of a single token.  An int token is its own value."""
-    if isinstance(nested, np.ndarray) and nested.dtype.kind in ("iu" if mode == RATIONAL else "iuf"):
+    an integer array: in float mode the nearest float of each exact value,
+    in rational mode the kernel's integers of the exact values, and the
+    ``Fraction`` of a single token.  An int token is its own value."""
+    if isinstance(nested, np.ndarray) and nested.dtype.kind in "iu":
         if mode != RATIONAL:
             return _read_only(nested.astype(np.float64))
         if nested.ndim:
@@ -280,7 +274,7 @@ def row(a: np.ndarray, index):
     """``a[index]`` of a kernel result, for a basic index (a row of a batch
     axis, say), a list of rows or a boolean mask; a single entry is its
     scalar.  Read-only and, in rational mode, the integers of ``a`` there
-    over the denominator of ``a``: not scaled."""
+    over the denominator of ``a``."""
     if a.dtype == _FLOAT:
         return _read_only(a[index])
     n, d, m = _scaled(a, "row")
@@ -293,7 +287,7 @@ def row(a: np.ndarray, index):
 def stack(arrays, axis: int = 0) -> np.ndarray:
     """``np.stack(arrays, axis)``, read-only, as the rows of a batch axis,
     say; in rational mode its integers are those of the arrays over the
-    least common multiple of their denominators, so it is never scaled."""
+    least common multiple of their denominators."""
     return _joined(np.stack, arrays, axis)
 
 
@@ -639,10 +633,11 @@ def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def diagonalize(m: np.ndarray):
-    """Congruence diagonalization of a symmetric rational matrix: ``(e, d)``,
-    kernel results with ``e m e^T = diag(d)`` and every d[k] nonzero, so the
-    signs of d, those of its integers, are the signature of m and
-    m^-1 = e^T diag(d)^-1 e; None when m is degenerate.
+    """Congruence diagonalization of a symmetric rational matrix:
+    ``(e, d, signature)``, e and d kernel results with ``e m e^T = diag(d)``
+    and every d[k] nonzero, so m^-1 = e^T diag(d)^-1 e, and the signature
+    of m, the numbers of positive and of negative d[k]; None when m is
+    degenerate.
 
     Fraction-free, over the integers M = q m of m: A = E M E^T starts as M
     with E the identity.  Each step takes a row k left whose diagonal entry
@@ -686,8 +681,26 @@ def diagonalize(m: np.ndarray):
                 a[r] = [x // g for x in a[r]]
                 for row in a:
                     row[r] //= g
-    d = np.array([a[i][i] for i in range(size)], dtype=object)
-    return _rebuild(np.array(e, dtype=object).reshape(size, size), 1), _rebuild(d, q)
+    d = [a[i][i] for i in range(size)]
+    e = _rebuild(np.array(e, dtype=object).reshape(size, size), 1)
+    return e, _rebuild(np.array(d, dtype=object), q), (sum(x > 0 for x in d), sum(x < 0 for x in d))
+
+
+def reduce_model(obj):
+    """``obj.__reduce__`` for a model whose attributes hold kernel arrays:
+    pickle and ``copy`` carry each array with its kept form, so that the
+    arrays of the copy, in another process too, are kernel results again."""
+    fields = vars(obj).items()
+    forms = {k: v if v.dtype == _FLOAT else _scaled(v, "pickle") for k, v in fields if isinstance(v, np.ndarray)}
+    return _rebuilt, (type(obj), {k: v for k, v in fields if k not in forms}, forms)
+
+
+def _rebuilt(cls, state: dict, forms: dict):
+    """The ``cls`` that ``reduce_model`` carries, its arrays read-only."""
+    obj = cls.__new__(cls)
+    arrays = {k: _read_only(f) if isinstance(f, np.ndarray) else _remember(*f) for k, f in forms.items()}
+    vars(obj).update(state, **arrays)
+    return obj
 
 
 def mode_of(arr: np.ndarray) -> str:
@@ -712,7 +725,7 @@ def residual(a: np.ndarray, b=None) -> float:
     """Max absolute entry of a - b (or of a alone), as a float: the residual
     ``zero_test`` reports for it."""
     d = a if b is None else combine([1, -1], [a, b])
-    return _decide([np.asarray(d)], 0.0, (), None, False)[0][1]
+    return _decide([np.asanyarray(d)], 0.0, (), None, False)[0][1]
 
 
 def _within_tolerance(residual, eps: float, scale):
@@ -806,13 +819,13 @@ def zero_test(arrays, eps: float, *context: np.ndarray):
     worst array, prefixed by that array's position when more than one array
     is tested, exactly when every array is rational.
     """
-    return _decide([np.asarray(a) for a in arrays], eps, context, None)[0]
+    return _decide([np.asanyarray(a) for a in arrays], eps, context, None)[0]
 
 
 def is_zero(arr: np.ndarray, eps: float, *context: np.ndarray) -> bool:
     """The verdict of ``zero_test`` on a single array, without locating its
     worst entry."""
-    return _decide([np.asarray(arr)], eps, context, None, False)[0][0]
+    return _decide([np.asanyarray(arr)], eps, context, None, False)[0][0]
 
 
 def zero_rows(arrays, eps: float, *context, locate: bool = True) -> list[tuple[bool, float, tuple | None]]:
@@ -821,22 +834,16 @@ def zero_rows(arrays, eps: float, *context, locate: bool = True) -> list[tuple[b
     a batch axis or a stack of planes gives.  One pass over each whole stack
     decides every row, by its own verdict, residual and worst index (None
     for every row unless ``locate``); an array or a context of another
-    length raises ValueError.  The rows of a rational array are read off its
-    integers, so a row is never scaled on its own."""
-    arrays = [np.asarray(a) for a in arrays]
+    length raises ValueError."""
+    arrays = [np.asanyarray(a) for a in arrays]
     return _decide(arrays, eps, context, len(arrays[0]) if arrays else 0, locate)
 
 
 def freeze(obj):
-    """Make every array reachable from ``obj`` read-only, with the arrays of
-    its ``.base`` chain, and return ``obj``.
-
-    Arrays are reached through tuples, lists and the fields that
-    ``dataclasses.fields`` lists, so one call covers the inputs of a model.
-    What the kernel returns needs no call: it is born read-only.  Freeze a
-    float array that plain numpy built (``np.linalg``, say) or a caller
-    handed in, so that a model can be shared between threads; a rational
-    array enters the kernel through ``array`` alone.
+    """Make every array reachable from ``obj`` through tuples, lists and
+    dataclass fields read-only, with the arrays of its ``.base`` chain, and
+    return ``obj``: for a float array that plain numpy built (``np.linalg``,
+    say) or a caller handed in, as the kernel's results are born read-only.
     """
     if isinstance(obj, np.ndarray):
         a = obj

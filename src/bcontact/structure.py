@@ -79,6 +79,8 @@ class ACBStructure:
     eps: float
     phi2: np.ndarray = field(init=False, repr=False)  # (1,1)
 
+    __reduce__ = scalars.reduce_model
+
     def __post_init__(self):
         if self.dim % 2 == 0:
             raise ValueError("almost contact structures need odd dimension")

@@ -42,6 +42,8 @@ class Metric:
     inv: np.ndarray = field(repr=False)
     signature: tuple[int, int]
 
+    __reduce__ = scalars.reduce_model
+
     @classmethod
     def from_matrix(cls, m: np.ndarray, eps: float) -> "Metric":
         """The metric of the symmetric matrix ``m``, which is made read-only."""
@@ -52,11 +54,9 @@ class Metric:
             diagonal = scalars.diagonalize(m)
             if diagonal is None:
                 raise DegenerateMetricError("metric determinant is zero")
-            e, d = diagonal
+            e, d, signature = diagonal
             # m^-1 = e^T diag(d)^-1 e: row k of e over d[k], contracted with e
-            inv = scalars.einsum("ki,kj->ij", scalars.divide_rows(e, d), e)
-            # the signs of d are those of its integers, over a positive denominator
-            return cls(m, inv, (int(np.sum(d > 0)), int(np.sum(d < 0))))
+            return cls(m, scalars.einsum("ki,kj->ij", scalars.divide_rows(e, d), e), signature)
         # the smallest |eigenvalue| decides, not the determinant, which is tiny
         # for a well-conditioned metric in a frame of short vectors; it comes
         # before the inverse, which raises on a singular matrix

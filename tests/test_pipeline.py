@@ -1,6 +1,8 @@
 """The Workspace computes each field on first use, along the primary route
 only; run_checks is where the routes are compared."""
+import copy
 import gc
+import pickle
 import sys
 import weakref
 from collections import Counter
@@ -274,6 +276,96 @@ def test_fraction_arithmetic_happens_only_in_the_kernel(monkeypatch, tmp_path, c
     assert cli.main(["verify", "--zoo", "--seed", "1"]) == 0
     capsys.readouterr()
     assert {where: n for where, n in callers.items() if where[0] != "scalars.py"} == {}
+
+
+# the ndarray methods that read a rational kernel array's integers, which
+# hold its value only over the denominator that scalars.py keeps
+READS = [
+    "__getitem__", "__iter__", "__contains__", "__bool__", "__int__", "__float__", "__index__",
+    "__repr__", "__str__", "__format__", "tolist", "item",
+]
+# the numpy functions that read no entry: a view one takes is guarded in turn
+VIEWS = {np.broadcast_to, np.shape, np.ndim}
+
+
+def _numerator_readers(monkeypatch) -> Counter:
+    """Make every rational array the kernel hands out an ndarray subclass
+    whose reads (``READS``, ufuncs, and numpy functions other than
+    ``VIEWS``) are counted by the file and line outside numpy that made
+    them, for a file of the library other than scalars.py."""
+    readers = Counter()
+    package = Path(scalars.__file__).parent
+    numpy_dir = Path(np.__file__).parent
+
+    def note():
+        frame = sys._getframe(2)
+        while Path(frame.f_code.co_filename).is_relative_to(numpy_dir):
+            frame = frame.f_back
+        where = Path(frame.f_code.co_filename)
+        if where.parent == package and where.name != "scalars.py":
+            readers[where.name, frame.f_lineno] += 1
+
+    def reading(name):
+        def read(self, *args, **kwargs):
+            note()
+            return getattr(np.ndarray, name)(self, *args, **kwargs)
+        return read
+
+    def plain(x):
+        return x.view(np.ndarray) if isinstance(x, Numerators) else x
+
+    class Numerators(np.ndarray):
+        locals().update({name: reading(name) for name in READS})
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            note()
+            return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            out = super().__array_function__(func, (np.ndarray,), args, kwargs)
+            if func not in VIEWS:
+                note()
+            elif isinstance(out, np.ndarray):
+                out = out.view(Numerators)
+            return out
+
+    real = scalars._remember
+    monkeypatch.setattr(scalars, "_remember", lambda n, d, m: real(n.view(Numerators), d, m))
+    monkeypatch.setattr(scalars, "_ZEROS", {})
+    return readers
+
+
+def test_only_the_kernel_reads_the_integers_of_a_rational_array(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "dim5-tr.json"
+    modelfile.save_path(str(path), zoo.builtin("dim5-tr").doc())
+    readers = _numerator_readers(monkeypatch)
+    for name in zoo.names():
+        assert all(r.passed for r in run_checks(zoo.builtin(name).workspace(RATIONAL))), name
+    for argv in (["validate"], ["classify"], ["report"], ["curvature", "--plane", "0,1"]):
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    assert cli.main(["verify", "--zoo", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert readers == {}
+
+
+@pytest.mark.parametrize(
+    "carry", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"]
+)
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_a_model_pickles_and_copies_with_its_arrays(mode, carry):
+    # a rational array is its integers, with a denominator that the kernel
+    # keeps beside it: a copy of the model carries both, cached fields too
+    s = zoo.builtin("dim5-tr").structure(mode)
+    s.assoc, s.d_eta, s.horizontal
+    t = carry(s)
+    assert t is not s
+    for a, b in [(s.phi, t.phi), (s.algebra.c, t.algebra.c), (s.metric.inv, t.metric.inv),
+                 (s.assoc.matrix, t.assoc.matrix), (s.d_eta, t.d_eta), (s.horizontal, t.horizontal)]:
+        assert not b.flags.writeable
+        assert np.array_equal(scalars.fractions(a), scalars.fractions(b))
+    assert t.metric.signature == s.metric.signature and t.eps == s.eps
+    rows = run_checks(pipeline.Workspace(t), seed=0)
+    assert rows == run_checks(pipeline.Workspace(s), seed=0) and all(r.passed for r in rows)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
