@@ -174,10 +174,9 @@ def _structure(parsed: dict, mode: str, eps: float) -> ACBStructure:
     """The structure of a parsed document; in float mode each scalar is the
     nearest float of its exact value."""
     dim = parsed["dim"]
-    upper = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    upper = np.zeros((dim, dim, dim), dtype=object)
     for i, j, coeffs in parsed["brackets"]:
-        for k, x in enumerate(coeffs):
-            upper[k][i][j] = x
+        upper[:, i, j] = coeffs
     try:
         # c[k, j, i] = -c[k, i, j]
         upper = scalars.array(upper, mode)

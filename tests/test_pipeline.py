@@ -1,8 +1,6 @@
 """The Workspace computes each field on first use, along the primary route
 only; run_checks is where the routes are compared."""
-import copy
 import gc
-import pickle
 import sys
 import weakref
 from collections import Counter
@@ -346,26 +344,6 @@ def test_only_the_kernel_reads_the_integers_of_a_rational_array(monkeypatch, tmp
     assert cli.main(["verify", "--zoo", "--seed", "1"]) == 0
     capsys.readouterr()
     assert readers == {}
-
-
-@pytest.mark.parametrize(
-    "carry", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"]
-)
-@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
-def test_a_model_pickles_and_copies_with_its_arrays(mode, carry):
-    # a rational array is its integers, with a denominator that the kernel
-    # keeps beside it: a copy of the model carries both, cached fields too
-    s = zoo.builtin("dim5-tr").structure(mode)
-    s.assoc, s.d_eta, s.horizontal
-    t = carry(s)
-    assert t is not s
-    for a, b in [(s.phi, t.phi), (s.algebra.c, t.algebra.c), (s.metric.inv, t.metric.inv),
-                 (s.assoc.matrix, t.assoc.matrix), (s.d_eta, t.d_eta), (s.horizontal, t.horizontal)]:
-        assert not b.flags.writeable
-        assert np.array_equal(scalars.fractions(a), scalars.fractions(b))
-    assert t.metric.signature == s.metric.signature and t.eps == s.eps
-    rows = run_checks(pipeline.Workspace(t), seed=0)
-    assert rows == run_checks(pipeline.Workspace(s), seed=0) and all(r.passed for r in rows)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])

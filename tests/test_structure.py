@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -5,8 +7,10 @@ import numpy as np
 import pytest
 
 from bcontact import scalars, zoo
+from bcontact.checks import run_checks
+from bcontact.pipeline import Workspace
 from bcontact.liegroup import covariant_derivative
-from bcontact.scalars import DEFAULT_EPS, RATIONAL
+from bcontact.scalars import DEFAULT_EPS, FLOAT, RATIONAL
 from bcontact.structure import (
     ACBStructure,
     associated_of,
@@ -217,3 +221,23 @@ def test_nabla_xi_table_builds_no_array_for_a_model_in_no_class(monkeypatch):
         monkeypatch.setattr(scalars, name, lambda *a, _real=real: calls.append(a) or _real(*a))
     assert nabla_xi_class_conditions(*args) == {}
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "carry", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"]
+)
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_a_model_pickles_and_copies_with_its_arrays(mode, carry):
+    # a rational array is its integers, with a denominator that the kernel
+    # keeps beside it: a copy of the model carries both, cached fields too
+    s = zoo.builtin("dim5-tr").structure(mode)
+    s.assoc, s.d_eta, s.horizontal
+    t = carry(s)
+    assert t is not s
+    for a, b in [(s.phi, t.phi), (s.algebra.c, t.algebra.c), (s.metric.inv, t.metric.inv),
+                 (s.assoc.matrix, t.assoc.matrix), (s.d_eta, t.d_eta), (s.horizontal, t.horizontal)]:
+        assert not b.flags.writeable
+        assert np.array_equal(scalars.fractions(a), scalars.fractions(b))
+    assert t.metric.signature == s.metric.signature and t.eps == s.eps
+    rows = run_checks(Workspace(t), seed=0)
+    assert rows == run_checks(Workspace(s), seed=0) and all(r.passed for r in rows)
