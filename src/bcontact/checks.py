@@ -36,7 +36,7 @@ from .pipeline import ROLES, Batch, MetricView, Workspace
 from .structure import CheckResult, assoc_fundamental_from_fundamental, fundamental_from_potential
 from .structure import nabla_xi_class_conditions, potential_from_fundamental
 from .svk import potential_from_torsion, svk_connection_projected, svk_covariant_phi_closed
-from .svk import svk_pair_covariant_phi, svk_pair_difference, svk_pair_from_potential
+from .svk import svk_pair_covariant_phi, svk_pair_from_potential
 from .svk import svk_torsion_closed, torsion_from_potential
 
 # sampled planes per metric in the sectional-curvature checks
@@ -300,12 +300,11 @@ def check_svk_naturality(ws: Workspace):
 @_rows
 def check_svk_pair_coincide(ws: Workspace):
     s = ws.s
-    d, pot = ws.g.svk, ws.g.partner_potential
+    d = ws.g.svk
     same = scalars.is_zero(_minus(ws.gt.svk, d), s.eps, d)
-    difference = svk_pair_difference(pot, ws.g.partner_potential_xi, s)
     yield "svk-pair-coincide-iff-potential-vertical", {
         "pair coincide": same,
-        "potential vertical": scalars.is_zero(difference, s.eps, pot),
+        "potential vertical": scalars.is_zero(ws.pair_difference, s.eps, ws.g.partner_potential),
     }
     yield "svk-pair-coincide-iff-u2", {
         "pair coincide": same,
@@ -315,8 +314,7 @@ def check_svk_pair_coincide(ws: Workspace):
 
 @_rows
 def check_svk_pair_routes(ws: Workspace):
-    g = ws.g
-    via_pot = svk_pair_from_potential(g.svk, g.partner_potential, g.partner_potential_xi, ws.s)
+    via_pot = svk_pair_from_potential(ws.g.svk, ws.pair_difference)
     d = ws.gt.svk
     yield "svk-pair-potential-route", [_minus(via_pot, d)], (d,)
 

@@ -47,17 +47,11 @@ def svk_curvature_formula(curv: CurvatureData, shape: ShapeData) -> np.ndarray:
     """Right-hand side of the curvature relation tying the SvK connection to
     its base Levi-Civita connection, with R(x,y,phi^2 z,phi^2 w) taken
     as R - ``curv.reeb_term``."""
-    sd = shape.diamond  # m(S(x), y)
+    sdsd = shape.diamond_product
     # pi_1(S x, S y, z, w) + R(x,y,phi^2 z,phi^2 w), added left to right in
     # float mode
     return scalars.combine(
-        [1, -1, 1, -1],
-        [
-            scalars.einsum("Bjk,Bil->Bijkl", sd, sd),
-            scalars.einsum("Bik,Bjl->Bijkl", sd, sd),
-            curv.r04,
-            curv.reeb_term,
-        ],
+        [1, -1, 1, -1], [sdsd, scalars.einsum("Bijkl->Bjikl", sdsd), curv.r04, curv.reeb_term]
     )
 
 
@@ -382,8 +376,7 @@ def svk_sectional_polarized(curv: CurvatureData, shape: ShapeData) -> np.ndarray
     with T(x,y,y,x) = pi_1(x,y,y,x) (k^D - formula), its last two terms
     ``curv.reeb_term``; returns its (i<->l),(j<->k)-symmetrization, which
     vanishes iff the relation holds on every plane."""
-    sd = shape.diamond
-    sdsd = scalars.einsum("Bjk,Bil->Bijkl", sd, sd)
+    sdsd = shape.diamond_product
     return _plane_symmetrization(scalars.combine(
         [1, -1, -1, 1, 1],
         [curv.r04_svk, curv.r04, sdsd, scalars.einsum("Bijkl->Bjikl", sdsd), curv.reeb_term],

@@ -29,7 +29,8 @@ from .tensor import Metric, lower_out
 class ShapeData:
     """Shape operators of the metrics of the pair: S as a (1,1) tensor
     (S(xi) = -nabla_xi xi included), its bilinear form S<>(x,y) = m(S(x),y)
-    and S(xi).  S o S, tr S and tr(S^2) are computed on first use."""
+    and S(xi).  S o S, tr S, tr(S^2) and S<> (x) S<> are computed on first
+    use."""
 
     operator: np.ndarray  # (1,1)
     diamond: np.ndarray  # (0,2)
@@ -48,6 +49,13 @@ class ShapeData:
     def square_trace(self):
         """tr(S^2)."""
         return scalars.einsum("Bkk->B", self.square)
+
+    @cached_property
+    def diamond_product(self) -> np.ndarray:
+        """S<>(y,z) S<>(x,w) indexed [x, y, z, w], the pi_1(S., S., ., .)
+        term that the curvature relation and its polarized sectional form
+        both read."""
+        return scalars.einsum("Bjk,Bil->Bijkl", self.diamond, self.diamond)
 
 
 def shape_operator(nxi: np.ndarray, m: Metric, xi: np.ndarray) -> ShapeData:

@@ -22,7 +22,7 @@ from .curvature import CurvatureData, curvature_data
 from .hv import HVComponents, QComponents, ShapeData, connection_components
 from .hv import equivalence_chains, hv_split, potential_components, shape_operator
 from .liegroup import covariant_derivative, levi_civita, torsion
-from .structure import ACBStructure, ClassificationReport, LeeForms, ValidationReport, associated_of
+from .structure import ACBStructure, ClassificationReport, LeeForms, ValidationReport
 from .structure import classify, divergences, fundamental_tensor, lee_forms, validate_structure
 from .tensor import Metric, lower_out
 
@@ -43,10 +43,14 @@ class Batch:
         return Metric.stack([self.s.metric, self.s.assoc])
 
     @cached_property
-    def assoc(self) -> Metric:
-        """The associated metric of each metric (for g~ it is -g + 2 eta (x)
-        eta, not g again); it carries the starred divergence."""
-        return Metric.stack([self.s.assoc, associated_of(self.s.assoc, self.s)])
+    def assoc_inv(self) -> np.ndarray:
+        """The inverse of the associated metric of each metric m (for g~ that
+        metric is -g + 2 eta (x) eta, not g again), which the starred
+        divergence traces with: -phi m^-1 + xi (x) xi, as phi^2 = -id +
+        xi (x) eta and m(xi, .) = eta."""
+        xi_xi = scalars.einsum("i,j->ij", self.s.xi, self.s.xi)
+        phi_inv = scalars.einsum("ik,Bkj->Bij", self.s.phi, self.metric.inv)
+        return scalars.combine([-1, 1], [phi_inv, scalars.stack([xi_xi] * len(ROLES))])
 
     @cached_property
     def conn(self) -> np.ndarray:
@@ -86,7 +90,7 @@ class Batch:
     @cached_property
     def div_pair(self):
         """(div(eta), div*(eta)) for the structure carried by each metric."""
-        return divergences(self.nabla_eta, self.metric, self.assoc)
+        return divergences(self.nabla_eta, self.metric, self.assoc_inv)
 
     @cached_property
     def partner_potential(self) -> np.ndarray:
@@ -250,6 +254,14 @@ class Workspace:
         """The view of the associated metric; touching it on a model whose
         axioms fail raises, so callers gate on ``validation`` first."""
         return MetricView(self, "gtilde")
+
+    @cached_property
+    def pair_difference(self) -> np.ndarray:
+        """D~ - D, the difference of the SvK connections of the pair, from
+        the potential of g~'s Levi-Civita connection with respect to g's
+        (``svk.svk_pair_difference``)."""
+        g = self.g
+        return svk_mod.svk_pair_difference(g.partner_potential, g.partner_potential_xi, self.s)
 
     @cached_property
     def validation(self) -> ValidationReport:

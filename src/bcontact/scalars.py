@@ -147,15 +147,6 @@ def exact(tok: ScalarLike) -> Fraction:
     return Fraction(tok)
 
 
-def parse_scalar(tok: ScalarLike, mode: str):
-    """Parse a scalar token into the backend type; float mode keeps a float
-    token as it is."""
-    if mode != RATIONAL and isinstance(tok, (float, np.floating)):
-        return float(tok)
-    val = exact(tok)
-    return val if mode == RATIONAL else float(val)
-
-
 class DigitLimitError(ValueError):
     """A value with more digits than Python converts to or from text."""
 
@@ -197,15 +188,12 @@ def array(nested, mode: str) -> np.ndarray:
     if isinstance(nested, np.ndarray) and nested.dtype.kind in "iu":
         if mode != RATIONAL:
             return _read_only(nested.astype(np.float64))
-        if nested.ndim:
-            # Python ints, which _rebuild keeps as int64 when they fit
-            return _rebuild(nested.astype(object), 1)
+        # Python ints, which _rebuild keeps as int64 when they fit
+        return _rebuild(nested.astype(object), 1)
     nested = np.asarray(nested, dtype=object)
     values = [t if type(t) is int else exact(t) for t in nested.ravel().tolist()]
     if mode != RATIONAL:
         return _read_only(np.array(values, dtype=np.float64).reshape(nested.shape))
-    if not nested.ndim:
-        return Fraction(values[0])
     return _rebuild(*_scale(values, nested.shape)[:2])
 
 
@@ -523,8 +511,9 @@ def einsum(spec: str, *operands: np.ndarray):
 def combine(coefficients, arrays):
     """sum_t c_t a_t of scalar coefficients and arrays, added left to right.
 
-    A coefficient is an int or a ``Fraction`` in either mode, or a float in
-    float mode.  In float mode this is numpy's ``c_0 a_0 + c_1 a_1 + ...``,
+    A coefficient is an int (a numpy one too) or a ``Fraction`` in either
+    mode, or a float in float mode; a rational call raises TypeError on a
+    float one.  In float mode this is numpy's ``c_0 a_0 + c_1 a_1 + ...``,
     broadcasting included, where a coefficient of 1 adds and one of -1
     subtracts its array, and a ``Fraction`` coefficient is its nearest
     float.  In rational mode the terms have one shape (two shapes raise
@@ -555,12 +544,10 @@ def combine(coefficients, arrays):
             raise ValueError(f"an exact combination takes terms of one shape, got {shape} and {a.shape}")
         if type(c) is int:
             p, q = c, 1
-        else:
-            # a numpy integer and a Fraction carry their own numerator and
-            # denominator
-            if not isinstance(c, (int, np.integer, Fraction)):
-                c = Fraction(c)
+        elif isinstance(c, (int, np.integer, Fraction)):
             p, q = int(c.numerator), int(c.denominator)
+        else:
+            raise TypeError(f"an exact combination takes int and Fraction coefficients, got {c!r}")
         n, d, m = _scaled(a, "combine", arrays)
         if not m:  # an all-zero term adds nothing, whatever its coefficient
             continue

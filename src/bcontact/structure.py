@@ -149,7 +149,6 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
     with residual 1, like a wrong signature."""
     n, eps = s.n, s.eps
     phi, xi, eta, g = s.phi, s.xi, s.eta, s.metric.matrix
-    one = scalars.parse_scalar(1, s.mode)
 
     def row(name, arr, *context):
         return CheckResult(name, *scalars.zero_test([arr], eps, *context))
@@ -175,9 +174,9 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
             phi,
         ),
         row("eta o phi = 0", scalars.einsum("i,ij->j", eta, phi), phi),
-        row("eta(xi) = 1", minus(scalars.einsum("i,i->", eta, xi), one)),
+        row("eta(xi) = 1", minus(scalars.einsum("i,i->", eta, xi), 1)),
         row("g(phi x, phi y) = -g(x,y) + eta(x) eta(y)", b_metric(g), g),
-        row("g(xi, xi) = 1", minus(s.metric.inner(xi, xi), one), g),
+        row("g(xi, xi) = 1", minus(s.metric.inner(xi, xi), 1), g),
         row("g(xi, .) = eta", minus(scalars.einsum("ij,i->j", g, xi), eta), g),
         signature(f"signature of g is ({n + 1},{n})", s.metric),
     ]
@@ -191,7 +190,7 @@ def validate_structure(s: ACBStructure) -> ValidationReport:
     gt = s.assoc
     checks += [
         signature(assoc_names[0], gt),
-        row(assoc_names[1], minus(gt.inner(xi, xi), one), gt.matrix),
+        row(assoc_names[1], minus(gt.inner(xi, xi), 1), gt.matrix),
         row(assoc_names[2], b_metric(gt.matrix), gt.matrix),
     ]
     return ValidationReport(checks)
@@ -253,16 +252,17 @@ def lee_forms(s: ACBStructure, f: np.ndarray, m: Metric) -> LeeForms:
     )
 
 
-def divergences(neta: np.ndarray, m: Metric, m_assoc: Metric):
+def divergences(neta: np.ndarray, m: Metric, assoc_inv: np.ndarray):
     """div(eta) and div*(eta) for the structure carried by the metric m.
 
     Both divergences contract ``neta`` = nabla eta of the Levi-Civita
-    connection of m; the plain one traces with m, the starred one with the
-    associated metric of m.  The trace identities theta(xi) = div*(eta) and
-    theta*(xi) = div(eta) are checked by ``divergence-trace``.
+    connection of m; the plain one traces with m, the starred one with
+    ``assoc_inv``, the inverse of the associated metric of m.  The trace
+    identities theta(xi) = div*(eta) and theta*(xi) = div(eta) are checked
+    by ``divergence-trace``.
     """
     div = scalars.einsum("Bij,Bij->B", m.inv, neta)
-    div_star = scalars.einsum("Bij,Bij->B", m_assoc.inv, neta)
+    div_star = scalars.einsum("Bij,Bij->B", assoc_inv, neta)
     return div, div_star
 
 

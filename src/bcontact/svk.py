@@ -131,12 +131,11 @@ def svk_pair_difference(p: np.ndarray, p_xi: np.ndarray, s: ACBStructure) -> np.
     )
 
 
-def svk_pair_from_potential(
-    svk: np.ndarray, p: np.ndarray, p_xi: np.ndarray, s: ACBStructure
-) -> np.ndarray:
+def svk_pair_from_potential(svk: np.ndarray, difference: np.ndarray) -> np.ndarray:
     """Second connection of the pair from the first and the potential of the
-    second Levi-Civita connection: D~ = D + ``svk_pair_difference``."""
-    return scalars.combine([1, 1], [svk, svk_pair_difference(p, p_xi, s)])
+    second Levi-Civita connection: D~ = D + ``difference``, the
+    ``svk_pair_difference`` of that potential."""
+    return scalars.combine([1, 1], [svk, difference])
 
 
 def svk_pair_covariant_phi(

@@ -1,12 +1,18 @@
 """Shared helpers: rational kernel arrays, cached workspaces and check-suite runs per zoo entry,
-broken variants of zoo entries, the covariant basis change of a model, and
-pi_1 and the Lie bracket by their definitions."""
+broken variants of zoo entries, the covariant basis change of a model,
+pi_1 and the Lie bracket by their definitions, and the CLI run as a module
+in a fresh interpreter."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
+import bcontact
 from bcontact import scalars, zoo
 from bcontact.checks import run_checks
 from bcontact.scalars import DEFAULT_EPS, RATIONAL
@@ -105,3 +111,15 @@ def bracket(algebra, x, y):
     """[x, y] = c^k_ij x^i y^j of two vectors, by its definition: the oracle
     of the Koszul formula in ``levi_civita``."""
     return scalars.einsum("kij,i,j->k", algebra.c, x, y)
+
+
+def run_module(*args, env=None) -> subprocess.CompletedProcess:
+    """``python -m bcontact.cli args`` in a fresh interpreter, with ``env``
+    (this process's environment by default) and PYTHONPATH led by the
+    directory this process imported ``bcontact`` from, so that it runs the
+    same code whether or not the package is installed."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(bcontact.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    command = [sys.executable, "-m", "bcontact.cli", *args]
+    return subprocess.run(command, capture_output=True, text=True, timeout=600, env=env)

@@ -7,8 +7,6 @@ residual exactly zero, float mode uses eps = 1e-9, and the backend agreement
 bound is 1e-7 relative.
 """
 import json
-import subprocess
-import sys
 import time
 
 from bcontact import modelfile, scalars, zoo
@@ -18,7 +16,7 @@ from bcontact.structure import fundamental_tensor, validate_structure
 from bcontact.svk import phi_b_connection
 from bcontact.tensor import Metric
 
-from support import suite_results, workspace
+from support import run_module, suite_results, workspace
 
 NAMES = zoo.names()
 FLOAT_EPS = 1e-9
@@ -201,12 +199,6 @@ def test_criterion_9_backend_agreement():
 
 
 def test_criterion_10_cli_contract(tmp_path):
-    run = lambda *args: subprocess.run(
-        [sys.executable, "-m", "bcontact.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
     good = tmp_path / "good.json"
     modelfile.save_path(str(good), zoo.builtin("solv3-f4").doc())
 
@@ -214,21 +206,21 @@ def test_criterion_10_cli_contract(tmp_path):
     text = good.read_text()
     assert modelfile.dumps(modelfile.canonicalize(json.loads(text))) == text
 
-    assert run("validate", str(good)).returncode == 0
-    assert run("verify", str(good)).returncode == 0
+    assert run_module("validate", str(good)).returncode == 0
+    assert run_module("verify", str(good)).returncode == 0
 
     bad = tmp_path / "bad.json"
     doc = zoo.builtin("abelian3").doc()
     doc["eta"] = ["0", "0", "2"]
     modelfile.save_path(str(bad), doc)
-    proc = run("verify", str(bad))
+    proc = run_module("verify", str(bad))
     assert proc.returncode == 1
     assert "structure-axioms" in proc.stdout and "FAIL" in proc.stdout
 
     broken = tmp_path / "broken.json"
     broken.write_text("[1, 2")
-    assert run("classify", str(broken)).returncode == 2
+    assert run_module("classify", str(broken)).returncode == 2
 
-    payload = json.loads(run("classify", str(good), "--json").stdout)
+    payload = json.loads(run_module("classify", str(good), "--json").stdout)
     assert payload["membership"]["F4"] is True
     _verdict("10 (CLI exit codes, JSON round trip, corrupted fixture)", True)

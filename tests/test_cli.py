@@ -3,7 +3,6 @@ import contextlib
 import io
 import json
 import os
-import subprocess
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -12,9 +11,7 @@ import pytest
 
 from bcontact import cli, modelfile, pipeline, scalars, zoo
 
-from support import corrupted_phi_entry, non_isometric_phi_entry
-
-RUN = [sys.executable, "-m", "bcontact.cli"]
+from support import corrupted_phi_entry, non_isometric_phi_entry, run_module
 
 
 def run_cli(*args):
@@ -27,11 +24,6 @@ def run_cli(*args):
         except SystemExit as exc:
             code = exc.code
     return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
-
-
-def run_module(*args, env=None):
-    """``python -m bcontact.cli`` in a fresh interpreter."""
-    return subprocess.run(RUN + list(args), capture_output=True, text=True, timeout=600, env=env)
 
 
 @pytest.fixture(scope="module")

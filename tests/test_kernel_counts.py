@@ -23,16 +23,16 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "kernel_counts.py"
 # for n = 1, 2)
 DEFAULT_COUNTS = {
     "failed_checks": [],
-    "rebuild_calls": 4189,
-    "fractions_built": {"total": 910, "_rebuild": 102, "exact": 808},
+    "rebuild_calls": 4094,
+    "fractions_built": {"total": 897, "_rebuild": 102, "exact": 795},
     "fraction_arrays": 0,
     "scale_calls": 330,
     "scaled_entries": 2270,
     "widen_callers": {"checks.py:_minus": 2, "curvature.py:formula": 16, "curvature.py:sectional": 18},
-    "zero_results": {"total": 1819, "einsum": 929, "combine": 890},
+    "zero_results": {"total": 1797, "einsum": 908, "combine": 889},
     "entry_calls": {
-        "total": 7652, "einsum": 3733, "combine": 2520, "divide_rows": 117, "zero_test": 306,
-        "is_zero": 216, "zero_rows": 760,
+        "total": 7548, "einsum": 3681, "combine": 2494, "divide_rows": 104, "zero_test": 306,
+        "is_zero": 203, "zero_rows": 760,
     },
     "reentries": {
         "total": 0, "einsum": 0, "combine": 0, "divide_rows": 0, "zero_test": 0, "is_zero": 0,
@@ -107,7 +107,7 @@ def test_a_scalar_operand_makes_no_reentry():
     # a scalar operand or term is read in the call's own pass, in either mode
     script = _script()
     for mode in (RATIONAL, FLOAT):
-        x, y = scalars.parse_scalar("2/3", mode), scalars.parse_scalar("-5/7", mode)
+        x, y = (Fraction(t) if mode == RATIONAL else float(Fraction(t)) for t in ("2/3", "-5/7"))
         a = scalars.array(["1/2", -3], mode)
         with script.counting() as counts:
             assert scalars.fractions(scalars.einsum(",i->i", x, a)).tolist() == [x / 2, -3 * x]

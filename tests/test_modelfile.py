@@ -148,8 +148,8 @@ def test_float_token_reads_as_its_shortest_decimal():
     out = modelfile.canonicalize(doc)
     assert out["g"][0][1] == out["g"][1][0] == "1/10000000000000"
     assert out["g"][1][1] == "1/2"
-    assert scalars.parse_scalar(1e-13, RATIONAL) == Fraction(1, 10**13)
-    assert scalars.parse_scalar(0.25, RATIONAL) == Fraction(1, 4)
+    assert scalars.array(1e-13, RATIONAL) == Fraction(1, 10**13)
+    assert scalars.array(0.25, RATIONAL) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])

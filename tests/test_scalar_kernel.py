@@ -885,7 +885,8 @@ def test_combine_reads_int_numpy_and_fraction_coefficients_alike(mode):
     assert results[0].tolist() == results[1].tolist() == results[2].tolist()
     assert _values(results[0]).tolist() == _values(results[1]).tolist() == _values(results[2]).tolist()
     _assert_combine_is_exact([np.int64(c) for c in ints], arrays)
-    # and no Fraction is built for such a coefficient
+    # and no Fraction is built for such a coefficient, nor for a float one,
+    # which an exact combination refuses
     built = []
     real_new, raw_new = Fraction.__new__, vars(Fraction)["__new__"]
 
@@ -898,11 +899,11 @@ def test_combine_reads_int_numpy_and_fraction_coefficients_alike(mode):
     try:
         for coefficients in (ints, [np.int64(c) for c in ints], [Fraction(1, 2), Fraction(-3), 2]):
             scalars.combine(coefficients, arrays)
-        assert built == []
-        scalars.combine([0.5, 1, 1], arrays)
+        with pytest.raises(TypeError, match="int and Fraction coefficients, got 0.5"):
+            scalars.combine([0.5, 1, 1], arrays)
     finally:
         Fraction.__new__ = raw_new
-    assert built == [(0.5,)]
+    assert built == []
 
 
 @given(st.lists(values, min_size=1, max_size=12))

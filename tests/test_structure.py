@@ -181,6 +181,11 @@ def test_double_associated_metric():
         "i,j->ij", F(ws.s.eta), F(ws.s.eta)
     )
     assert np.array_equal(twice, expected)
+    # the batch's closed-form inverse of the associated metric of g, then of g~
+    inverse = F(ws.batch.assoc_inv)
+    eye = np.eye(ws.s.dim, dtype=int)
+    assert np.array_equal(F(ws.s.assoc.matrix) @ inverse[0], eye)
+    assert np.array_equal(twice @ inverse[1], eye)
 
 
 def test_invalid_dimension_rejected():
