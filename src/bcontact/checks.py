@@ -85,8 +85,9 @@ def _each_view(eps: float, name: str, tested, context=(), detail="") -> list[Che
 
 
 def _view_rows(ws: Workspace, rows) -> list[CheckResult]:
-    """The results of the batched rows ``rows(ws, ws.batch)``: g's, then g~'s."""
-    results = [_each_view(ws.s.eps, *row) for row in rows(ws, ws.batch)]
+    """The results of the batched rows ``rows(ws, ws.batch)``, each row
+    freed once it is decided: g's, then g~'s."""
+    results = list(map(lambda row: _each_view(ws.s.eps, *row), rows(ws, ws.batch)))
     return [by_metric[i] for i in range(len(ROLES)) for by_metric in results]
 
 
@@ -478,10 +479,10 @@ def check_svk_curvature(ws: Workspace, b: Batch):
 @_per_view
 def check_curvature_symmetries(ws: Workspace, b: Batch):
     r = b.curv.r04
-    bianchi = scalars.combine(
+    # the Bianchi sum is no local, so the row's arrays are freed once it is decided
+    yield "curvature-symmetries", [*pair_symmetries(r).values(), scalars.combine(
         [1, 1, 1], [r, scalars.einsum("Bijkl->Bjkil", r), scalars.einsum("Bijkl->Bkijl", r)]
-    )
-    yield "curvature-symmetries", [*pair_symmetries(r).values(), bianchi], (r,)
+    )], (r,)
     # the SvK curvature keeps the first-pair antisymmetry; the other two
     # pair symmetries are measured only
     rd = b.curv.r04_svk

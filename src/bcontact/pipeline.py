@@ -260,8 +260,7 @@ class Workspace:
         """D~ - D, the difference of the SvK connections of the pair, from
         the potential of g~'s Levi-Civita connection with respect to g's
         (``svk.svk_pair_difference``)."""
-        g = self.g
-        return svk_mod.svk_pair_difference(g.partner_potential, g.partner_potential_xi, self.s)
+        return svk_mod.svk_pair_difference(self.g.partner_potential, self.g.partner_potential_xi, self.s)
 
     @cached_property
     def validation(self) -> ValidationReport:

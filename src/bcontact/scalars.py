@@ -733,19 +733,19 @@ def _decide(arrays: list, eps: float, context, rows, locate: bool = True) -> lis
     """``(passed, residual, worst_index)`` of each row of the arrays and
     contexts, stacks of ``rows`` rows (the whole arrays are one row when
     ``rows`` is None): the one place a zero test is decided, locating the
-    worst entry of a failed row when ``locate``.  Each array is read once,
-    as a table of the absolute values of each row: a rational array's
-    integers (not read when M = 0), a float array's entries.  A nonzero
-    rational row fails; the contexts are read, as floats of their values,
-    only when a float residual exceeds eps, their largest entry in the row,
-    NaN ignored, being its scale."""
+    worst entry of a failed row, read again, when ``locate``.  Each array
+    is read once, as a table of the absolute values of each row that is not
+    kept: a rational array's integers (not read when M = 0), a float
+    array's entries.  A nonzero rational row fails; the contexts are read,
+    as floats of their values, only when a float residual exceeds eps,
+    their largest entry in the row, NaN ignored, being its scale."""
     count = 1 if rows is None else rows
     for x in () if rows is None else (*arrays, *context):
         if not np.ndim(x) or len(x) != rows:
             raise ValueError(f"a stack needs one row per row ({rows}), got shape {np.shape(x)}")
-    tables, peaks, res, dens, failed = [], [], [], [], set()
+    sources, peaks, res, dens, failed = [], [], [], [], set()
     for a in arrays:  # one whole-array reduction when there is one row
-        d, table = None, None
+        n, d = a, None
         if a.dtype == _FLOAT:
             table = np.abs(_by_row(a, count))
             res.append(table.max(axis=1, initial=0.0).tolist() if rows else [float(table.max(initial=0.0))])
@@ -756,7 +756,7 @@ def _decide(arrays: list, eps: float, context, rows, locate: bool = True) -> lis
             col = (table.max(axis=1).tolist() if rows else [int(table.max())]) if m else [0] * count
             failed.update(r for r, p in enumerate(col) if p)
             res.append([_rational_residual(p, d) if p else 0.0 for p in col] if m else [0.0] * count)
-        tables.append(table)
+        sources.append(n)
         peaks.append(col)
         dens.append(d)
     scales, out = None, []
@@ -784,7 +784,8 @@ def _decide(arrays: list, eps: float, context, rows, locate: bool = True) -> lis
                 common = math.lcm(*dens)
                 k = max(range(len(arrays)), key=lambda i: peaks[i][r] * (common // dens[i]))
             shape = arrays[k].shape[rows is not None:]
-            where = tuple(int(i) for i in np.unravel_index(int(np.argmax(tables[k][r])), shape))
+            at = int(np.argmax(np.abs(_by_row(sources[k], count)[r])))
+            where = tuple(int(i) for i in np.unravel_index(at, shape))
             where = (k,) + where if len(arrays) > 1 else where or None
         out.append((passed, worst, where))
     return out
