@@ -12,6 +12,9 @@ time, in one interpreter, in rational mode.  The output holds these counts:
 
 - ``rebuild_calls``: calls of ``scalars._rebuild``, the one place a kernel
   result is made;
+- ``peak_scans``: calls of ``scalars._peak``, the scans of an integer array
+  for its exact largest absolute entry, made only where a kept bound leaves
+  a dtype in doubt or no bound is known;
 - ``fractions_built``: ``Fraction`` objects that code in ``scalars.py``
   constructs, by the kernel function that constructs them (the arithmetic
   inside ``fractions.py`` is not counted), and their total;
@@ -25,7 +28,7 @@ time, in one interpreter, in rational mode.  The output holds these counts:
   a row division to Python ints, by the first function outside
   ``scalars.py`` on the stack;
 - ``zero_results``: the ``einsum`` and ``combine`` calls that ended at an
-  exact zero (an operand, or every term, with M = 0) without contracting or
+  exact zero (an operand, or every term, with bound 0) without contracting or
   adding, by entry point, and their total.  An all-zero sum that
   ``_rebuild`` receives is not counted: it was contracted or added;
 - ``entry_calls``: the outermost calls of the kernel's entry points
@@ -54,7 +57,7 @@ from bcontact import scalars, zoo
 from bcontact.checks import run_checks
 
 # the kernel functions this script wraps, by their name in ``scalars``
-TARGETS = ("_rebuild", "_scale", "_widen", "_zero")
+TARGETS = ("_rebuild", "_peak", "_scale", "_widen", "_zero")
 # the kernel functions that hand out arrays, whose outermost calls are read
 # for object arrays of ``Fraction``
 RETURNING = (
@@ -94,22 +97,26 @@ def counting():
     returning = [0]  # the calls of RETURNING functions in progress
     real_new, raw_new = Fraction.__new__, vars(Fraction)["__new__"]
 
-    def rebuild(n, den):
+    def rebuild(*args, **kwargs):
         counts["rebuild_calls"] += 1
-        return real["_rebuild"](n, den)
+        return real["_rebuild"](*args, **kwargs)
 
-    def scale(values, *shape):
+    def peak(*args, **kwargs):
+        counts["peak_scans"] += 1
+        return real["_peak"](*args, **kwargs)
+
+    def scale(values, *args, **kwargs):
         counts["scale_calls"] += 1
         counts["scaled_entries"] += len(values)
-        return real["_scale"](values, *shape)
+        return real["_scale"](values, *args, **kwargs)
 
-    def widen(ns):
+    def widen(*args, **kwargs):
         counts["widen:" + _caller(1, outside=True)] += 1
-        return real["_widen"](ns)
+        return real["_widen"](*args, **kwargs)
 
-    def zero(shape):
+    def zero(*args, **kwargs):
         counts["zero:" + _caller(1).partition(":")[2]] += 1
-        return real["_zero"](shape)
+        return real["_zero"](*args, **kwargs)
 
     def new(cls, *args, **kwargs):
         where = _caller(1)
@@ -144,7 +151,7 @@ def counting():
             return out
         return call
 
-    for name, wrapper in zip(TARGETS, (rebuild, scale, widen, zero)):
+    for name, wrapper in zip(TARGETS, (rebuild, peak, scale, widen, zero)):
         setattr(scalars, name, wrapper)
     for name in ENTRY_POINTS:
         setattr(scalars, name, entry(name))
@@ -175,6 +182,7 @@ def count(entries) -> dict:
         "models": [e.name for e in entries],
         "failed_checks": failed,
         "rebuild_calls": counts["rebuild_calls"],
+        "peak_scans": counts["peak_scans"],
         "fractions_built": {"total": sum(built.values()), **built},
         "fraction_arrays": counts["fraction_arrays"],
         "scale_calls": counts["scale_calls"],

@@ -3,12 +3,15 @@
 Which one-site changes of the code do the check suite and the tests notice?
 
     PYTHONPATH=src python scripts/mutants.py [--jobs N] [--out FILE] [--compare OLD.json]
+        [--targets FILE ...]
 
 Run it from the root of a checkout.  The mutated code is
 ``src/bcontact/curvature.py``, ``svk.py``, ``hv.py``, ``structure.py``,
 ``liegroup.py``, ``tensor.py``, ``pipeline.py``, ``scalars.py`` and the sectional part of
 ``src/bcontact/checks.py`` (from its "sectional-curvature sampling" header
-to its "suite driver" header).
+to its "suite driver" header), or only the files ``--targets`` names
+(``scalars.py`` or ``src/bcontact/scalars.py``, say), so that a survey of
+one change mutates only what it touches.
 Each mutant changes one site:
 
 - ``sign``: a binary ``+`` becomes ``-`` or back (``+=`` and ``-=`` too),
@@ -20,7 +23,8 @@ Each mutant changes one site:
 
 Each mutant runs against two oracles, each in a fresh interpreter on a copy
 of the checkout that holds the mutant (its ``src``, ``tests``,
-``pyproject.toml`` and ``bench/tracer.py``, which a test executes):
+``pyproject.toml``, and ``bench/tracer.py`` and ``scripts/kernel_counts.py``,
+which tests execute):
 
 - ``suite``: ``run_checks`` in rational mode on every curated and boundary
   entry up to dimension 5; the mutant is killed when an entry's failing
@@ -234,7 +238,7 @@ def mutants(root: Path) -> list[tuple[Mutant, str]]:
 def _copy(root: Path, into: Path) -> Path:
     for part in ("src", "tests"):
         shutil.copytree(root / part, into / part, ignore=shutil.ignore_patterns("__pycache__"))
-    for part in ("pyproject.toml", "bench/tracer.py"):
+    for part in ("pyproject.toml", "bench/tracer.py", "scripts/kernel_counts.py"):
         (into / part).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(root / part, into / part)
     return into
@@ -291,9 +295,10 @@ def _timeouts(copy: Path) -> dict[str, float]:
     return out
 
 
-def survey(root: Path, jobs: int) -> list[Mutant]:
-    """Every mutant of ``root`` with its verdicts, after both oracles passed
-    on the unmutated code (else BaselineError, and no mutant runs)."""
+def survey(root: Path, jobs: int, targets=None) -> list[Mutant]:
+    """Every mutant of ``root`` (of the files ``targets`` names, when it is
+    given) with its verdicts, after both oracles passed on the unmutated
+    code (else BaselineError, and no mutant runs)."""
     with tempfile.TemporaryDirectory() as tmp:
         copies = queue.Queue()
         for j in range(jobs):
@@ -318,8 +323,9 @@ def survey(root: Path, jobs: int) -> list[Mutant]:
             print(f"{m.suite[:8]:8} {m.tests[:8]:8} {m.file}:{m.line} {m.after}", file=sys.stderr)
             return m
 
+        chosen = [item for item in mutants(root) if targets is None or item[0].file in targets]
         with ThreadPoolExecutor(jobs) as pool:
-            return list(pool.map(run, mutants(root)))
+            return list(pool.map(run, chosen))
 
 
 def _killed(m: dict) -> bool:
@@ -353,14 +359,23 @@ def report(found: list[dict], old: list[dict] | None = None) -> None:
         print(f"  {m['file']} [{m['function']}] {m['kind']}: {m['after']}")
 
 
+def _target(name: str) -> str:
+    """The ``TARGETS`` file that ``name`` names, by its path or file name."""
+    found = [file for file in TARGETS if name in (file, Path(file).name)]
+    if not found:
+        raise argparse.ArgumentTypeError(f"{name!r} is none of {', '.join(TARGETS)}")
+    return found[0]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=1, help="mutants run at once (default 1)")
     parser.add_argument("--out", type=Path, help="write every mutant and its verdicts here")
     parser.add_argument("--compare", type=Path, help="a --out file of another checkout")
+    parser.add_argument("--targets", type=_target, nargs="+", help="mutate only these files (default: all)")
     args = parser.parse_args(argv)
     try:
-        found = [asdict(m) for m in survey(ROOT, max(1, args.jobs))]
+        found = [asdict(m) for m in survey(ROOT, max(1, args.jobs), args.targets)]
     except BaselineError as exc:
         print(f"mutants: {exc}; no mutant was run", file=sys.stderr)
         return 1

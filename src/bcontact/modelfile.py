@@ -173,13 +173,16 @@ def load_model(path: str, mode: str, eps: float) -> tuple[dict, ACBStructure]:
 def _structure(parsed: dict, mode: str, eps: float) -> ACBStructure:
     """The structure of a parsed document; in float mode each scalar is the
     nearest float of its exact value."""
-    dim = parsed["dim"]
-    upper = np.zeros((dim, dim, dim), dtype=object)
-    for i, j, coeffs in parsed["brackets"]:
-        upper[:, i, j] = coeffs
+    dim, brackets = parsed["dim"], parsed["brackets"]
+    # the coefficient row of bracket b, and the 0/1 array that places it at
+    # c[:, i, j] for its pair i < j
+    coeffs = np.array([c for _, _, c in brackets], dtype=object).reshape(len(brackets), dim)
+    place = np.zeros((len(brackets), dim, dim), dtype=np.int64)
+    for b, (i, j, _) in enumerate(brackets):
+        place[b, i, j] = 1
     try:
+        upper = scalars.einsum("bk,bij->kij", scalars.array(coeffs, mode), scalars.array(place, mode))
         # c[k, j, i] = -c[k, i, j]
-        upper = scalars.array(upper, mode)
         c = scalars.combine([1, -1], [upper, scalars.einsum("kij->kji", upper)])
         return ACBStructure(
             LieAlgebra(c, eps),

@@ -40,25 +40,34 @@ every per-metric field carries: a batched spec is staged as its rows are.
 
 A rational array is its own integer numerators: int64 when a bound proves
 its entries fit, Python ints otherwise.  The kernel keeps, for each array
-it makes, the denominator d of its value and M, its largest absolute
-numerator (``_SCALED``, keyed by the array and left when it dies), so the
-value is ``a / d``; ``_rebuild`` makes every result, in lowest terms.
-``einsum`` contracts and ``combine`` adds those integers over a common
-denominator, and M = 0 proves an array zero: a contraction with such an
-operand, and a combination of such terms alone, return the exact zero at
-once (``ZERO`` when 0-d, else the one read-only int64 zero of its shape,
-``_zero``).  An exact contraction's spec has an explicit output and no
-ellipsis, and gives each label one length in every term; the terms of an
-exact combination have one shape; numpy's stretching of a length of 1
-raises ValueError.  The kernel makes its views and joins itself: a
-transpose ``einsum`` takes, a part ``row`` takes, and a ``stack`` or
-``join`` of kernel results, each over the denominator of its parts.  An
+it makes, the denominator d of its value and a bound B of its absolute
+numerators, 0 exactly when the array is zero (``_SCALED``, keyed by the
+array and left when it dies), so the value is ``a / d``; ``_rebuild`` makes
+every result, in lowest terms.  Each call proves the bound of its result
+from its operands' bounds before it computes: K prod B_i for a contraction
+of K products per entry, sum |k_t| B_t for a combination, the operand's
+bound for a view.  Where such a bound fails the int64 test, the call reads
+its operands' exact largest numerators (``_peak``) before it takes Python
+ints, so that a sum leaves int64 only where those do not show it fits; an
+exact largest numerator is read otherwise only where an object result may
+fit int64.  ``einsum`` contracts and ``combine`` adds those
+integers over a common denominator, and B = 0 proves an array zero: a
+contraction with such an operand, and a combination of such terms alone,
+return the exact zero at once (``ZERO`` when 0-d, else the one read-only
+int64 zero of its shape, ``_zero``).  An exact contraction's spec has an
+explicit output and no ellipsis, and gives each label one length in every
+term; the terms of an exact combination have one shape; numpy's stretching
+of a length of 1 raises ValueError.  The kernel makes its views and joins
+itself: a transpose ``einsum`` takes, a part ``row`` takes, and a ``stack``
+or ``join`` of kernel results, each over the denominator of its parts.  An
 integer array it did not make, such as a slice or an ``np.concatenate``
 taken outside it, raises ValueError naming the operand, since its integers
-are not known to be numerators of anything.  A zero test reads a result's
-integers: a rational verdict and worst index are exact, and a residual is
-the float of the exact largest entry (the smallest positive float when
-that rounds to 0 but the entry is not 0, and inf beyond the float range).
+are not known to be numerators of anything; so does a rational array in a
+call with a float one, which numpy would read as its integers.  A zero test
+reads a result's integers: a rational verdict and worst index are exact,
+and a residual is the float of the exact largest entry (the smallest
+positive float when that rounds to 0 but the entry is not 0, and inf beyond
+the float range).
 
 A ``Fraction`` is built only where a scalar leaves the library: a 0-d
 result (a trace, a row's entry) is one, and ``fractions`` is the reader of
@@ -222,15 +231,16 @@ def _scale(values: list, shape: tuple = ()) -> tuple[np.ndarray, int, int]:
     return n.reshape(shape), d, m
 
 
-# id(a) -> (weak reference to a, its denominator, its largest absolute
-# entry), for each integer array a of the kernel: the form that makes a
-# the numerators of its value; an entry leaves when its array dies
+# id(a) -> (weak reference to a, its denominator, its bound), for each
+# integer array a of the kernel: the form that makes a the numerators of
+# its value, the bound being at least every absolute entry of a and 0
+# exactly when a is all zero; an entry leaves when its array dies
 _SCALED: dict[int, tuple] = {}
 
 
 def _remember(n: np.ndarray, d: int, m: int) -> np.ndarray:
     """``n``, made read-only and kept as the numerators of ``n / d``, ``m``
-    its largest absolute entry: a kernel result."""
+    its bound: a kernel result."""
     key = id(n)
     n.setflags(write=False)
     _SCALED[key] = (weakref.ref(n, lambda _, k=key: _SCALED.pop(k, None)), d, m)
@@ -238,8 +248,9 @@ def _remember(n: np.ndarray, d: int, m: int) -> np.ndarray:
 
 
 def _scaled(a: np.ndarray, call: str = "the kernel", operands=()) -> tuple[np.ndarray, int, int]:
-    """``(n, d, m)`` with ``a == n / d``: the kept form of a kernel result,
-    whose numerators are ``a`` itself, or ``_scale``'s form of a 0-d value.
+    """``(n, d, m)`` with ``a == n / d`` and ``m`` a bound of ``abs(n)``, 0
+    exactly when ``n`` is all zero: the kept form of a kernel result, whose
+    numerators are ``a`` itself, or ``_scale``'s form of a 0-d value.
     Any other array raises ValueError naming ``call`` and the position of
     ``a`` among its ``operands``: its integers are not known to be
     numerators of anything."""
@@ -269,7 +280,17 @@ def row(a: np.ndarray, index):
     out = n[index]
     if not isinstance(out, np.ndarray) or not out.ndim:
         return _rebuild(out, d)
-    return _remember(out, d, m if not m or out.size == n.size else _peak(out))
+    return _view(out, n, d, m)
+
+
+def _view(out: np.ndarray, n: np.ndarray, d: int, m: int) -> np.ndarray:
+    """``out``, a part or a view of the kept integers ``n`` over ``d``
+    with bound ``m``, kept over ``d`` with that bound: a view that holds
+    every entry (a transpose) shares it, and a part fewer entries keeps it
+    unless it is all zero, which one count finds."""
+    if out.size != n.size and not np.count_nonzero(out):
+        m = 0
+    return _remember(out, d, m)
 
 
 def stack(arrays, axis: int = 0) -> np.ndarray:
@@ -287,10 +308,12 @@ def join(arrays, axis: int = 0) -> np.ndarray:
 
 def _joined(numpy_join, arrays, axis: int) -> np.ndarray:
     if arrays[0].dtype == _FLOAT:
-        return _read_only(numpy_join(arrays, axis=axis))
+        return _read_only(numpy_join(_float_operands(numpy_join.__name__, arrays, 0), axis=axis))
     forms = [_scaled(a, numpy_join.__name__, arrays) for a in arrays]
     d = math.lcm(*(q for _, q, _ in forms))
     m = max(k * (d // q) for _, q, k in forms)
+    if m > _INT64_MAX:  # tightened before widening
+        m = max(_peak(n) * (d // q) for n, q, _ in forms)
     ns = [n for n, _, _ in forms]
     if m > _INT64_MAX:
         ns = _widen(ns)
@@ -299,28 +322,42 @@ def _joined(numpy_join, arrays, axis: int) -> np.ndarray:
 
 
 def _peak(n: np.ndarray) -> int:
-    """The largest absolute entry of an integer array, 0 when it is empty."""
+    """The largest absolute entry of an integer array, 0 when it is empty:
+    read only where a kept bound leaves a dtype in doubt, or where there is
+    no bound."""
     return int(np.maximum.reduce(np.abs(n), axis=None)) if n.size else 0
 
 
-def _rebuild(n, den: int):
+def _rebuild(n, den: int, bound: int | None = None):
     """The kernel's result ``n / den`` for an integer array (or integer)
-    ``n``, int64 or Python ints: the read-only array ``n / g`` kept with
-    denominator ``den / g``, g = gcd(den, n_1, ...), int64 when its entries
-    fit; the ``Fraction`` of a 0-d ``n``; ``_zero``'s array when ``n`` is
-    all zero.  The one place a result of the kernel is made."""
+    ``n``, int64 or Python ints, and ``bound``, at least every ``abs(n_i)``,
+    the bound its call proved (None when there is none): the read-only
+    array ``n / g`` kept with denominator ``den / g`` and bound
+    ``bound // g``, g = gcd(den, n_1, ...), int64 when its entries fit; the
+    ``Fraction`` of a 0-d ``n``; ``_zero``'s array when ``n`` is all zero.
+    One reduction finds an all-zero ``n``: the gcd of its entries, 0
+    exactly on zeros, when den > 1, else its count of nonzero entries.  The
+    exact largest entry is read (``_peak``) only where there is no bound,
+    and where an object array's bound leaves in doubt whether it fits
+    int64.  The one place a result of the kernel is made."""
     if not isinstance(n, np.ndarray) or not n.ndim:
         return Fraction(int(n), den) if n else ZERO
-    m = _peak(n)
-    if not m:
-        return _zero(n.shape)
     if den > 1:
-        g = math.gcd(den, int(np.gcd.reduce(n.ravel())))
+        g = int(np.gcd.reduce(n.ravel()))
+        if not g:
+            return _zero(n.shape)
+        g = math.gcd(den, g)
         if g > 1:
-            n, den, m = n // g, den // g, m // g
-    if n.dtype == _OBJECT and m <= _INT64_MAX:
+            n, den = n // g, den // g
+            if bound is not None:
+                bound //= g
+    elif not np.count_nonzero(n):
+        return _zero(n.shape)
+    if bound is None or n.dtype == _OBJECT and bound > _INT64_MAX:
+        bound = _peak(n)
+    if n.dtype == _OBJECT and bound <= _INT64_MAX:
         n = n.astype(np.int64)
-    return _remember(n, den, m)
+    return _remember(n, den, bound)
 
 
 # shape -> the read-only int64 zeros that are the exact zero of that shape;
@@ -358,6 +395,22 @@ def _widen(ns) -> list[np.ndarray]:
     """The integer arrays ``ns`` as object arrays of Python ints: the exact
     path for sums and quotients that int64 cannot be shown to hold."""
     return [n.astype(object) for n in ns]
+
+
+def _float_operands(call: str, operands, first: int):
+    """The ``operands`` of a float call, whose operand ``first`` is its
+    first float64 one, when none is a rational array; else ValueError
+    naming that operand, since numpy would read its integers as its value.
+    The operands before ``first`` were read as not float, so an array among
+    them is rational; each one after it is compared with float64 once.  A
+    scalar that is not a float (an int, a ``Fraction``) is its own value."""
+    for j, a in enumerate(operands):
+        if j != first and (j < first or getattr(a, "dtype", _FLOAT) != _FLOAT) and np.ndim(a):
+            raise ValueError(
+                f"{call}: operand {j} is a rational array and operand {first} a float one;"
+                " a call takes the arrays of one mode"
+            )
+    return operands
 
 
 @functools.lru_cache(maxsize=4096)
@@ -460,16 +513,19 @@ def einsum(spec: str, *operands: np.ndarray):
 
     A rational call of two or more operands, or of one that it sums over (a
     trace), contracts the operands' integers: int64 when
-    K * prod(max(1, M_i)) <= 2**63 - 1, for K products per result entry and
-    M_i the largest absolute numerator of operand i, else Python ints; the
-    result is made by ``_rebuild``.  A rational spec has an explicit output
-    and no ellipsis and gives each label one length, or the call raises
-    ValueError naming it (``_plan``); an operand with M = 0 makes the result
-    ``_zero``'s, uncontracted.  One rational operand that is not summed over
-    (a transpose, a diagonal) gives numpy's view of its integers, over its
-    denominator.  An operand may be a scalar of the backend, read as a 0-d
-    array.  A float call, one with a float64 operand, is numpy's own, of
-    any spec numpy reads.  A call of three or more operands runs in the
+    K * prod(B_i) <= 2**63 - 1, for K products per result entry and B_i the
+    kept bound of operand i, tightened to its exact largest absolute
+    numerator before the call widens, else Python ints; the result is made
+    by ``_rebuild``, with the bound K * prod(B_i).  A rational spec has an
+    explicit output and no ellipsis and gives each label one length, or the
+    call raises ValueError naming it (``_plan``); an operand with B = 0, an
+    exact zero, makes the result ``_zero``'s, uncontracted.  One rational
+    operand that is not summed over (a transpose, a diagonal) gives numpy's
+    view of its integers, over its denominator (``_view``).  An operand may
+    be a scalar of the backend, read as a 0-d array.  A float call, one with
+    a float64 operand, is numpy's own, of any spec numpy reads; a rational
+    array next to a float one raises ValueError naming it
+    (``_float_operands``).  A call of three or more operands runs in the
     stages of ``_stages`` when it has some, in either mode: a float one
     matches numpy's single call bit for bit on integer-valued operands, and
     is within the rounding bound of its sums otherwise.  numpy is looked up
@@ -479,13 +535,13 @@ def einsum(spec: str, *operands: np.ndarray):
     # one pass over the operands decides the backend (a float operand sends
     # the call to numpy at once) and collects the shapes and the forms
     shapes, ns, den, bound, wide = [], [], 1, 1, False
-    for a in operands:
+    for i, a in enumerate(operands):
         try:
             dtype = a.dtype
         except AttributeError:  # a scalar operand: a 0-d array of its dtype
             dtype = (a := np.asarray(a)).dtype
         if dtype == _FLOAT:
-            return _read_only(_contract(spec, operands))
+            return _read_only(_contract(spec, _float_operands(spec, operands, i)))
         n, d, m = _scaled(a, spec, operands)
         shapes.append(a.shape)
         ns.append(n)
@@ -495,17 +551,17 @@ def einsum(spec: str, *operands: np.ndarray):
     sums, k, shape = _plan(spec, tuple(shapes))
     if len(ns) == 1 and not sums:
         out = np.einsum(spec, ns[0])
-        if not out.ndim:
-            return _rebuild(out, den)
-        # a view that holds every entry (a transpose) has the same M
-        return _remember(out, den, bound if out.size == ns[0].size else _peak(out))
+        return _rebuild(out, den) if not out.ndim else _view(out, ns[0], den, bound)
     if not bound:
         return _zero(shape)
     # the one bound covers every stage: each value a stage forms is a sum of
     # at most K products of entries of some of the operands
-    if wide or k * bound > _INT64_MAX:
+    bound *= k
+    if not wide and bound > _INT64_MAX:  # tightened before widening
+        bound = k * math.prod(map(_peak, ns))
+    if wide or bound > _INT64_MAX:
         ns = _widen(ns)
-    return _rebuild(_contract(spec, ns), den)
+    return _rebuild(_contract(spec, ns), den, bound)
 
 
 def combine(coefficients, arrays):
@@ -518,28 +574,31 @@ def combine(coefficients, arrays):
     subtracts its array, and a ``Fraction`` coefficient is its nearest
     float.  In rational mode the terms have one shape (two shapes raise
     ValueError), and their integers are added over the least common
-    multiple of their denominators: in int64 when sum_t |k_t| M_t <= 2**63 - 1,
-    k_t being the integer factor of term t, else as Python ints; a term with
-    M = 0 is left out.  A term may be a scalar of the backend, read as a 0-d
-    array.
+    multiple of their denominators: in int64 when sum_t |k_t| B_t <= 2**63 - 1,
+    k_t being the integer factor of term t and B_t its kept bound, tightened
+    to its exact largest absolute numerator before the call widens, else as
+    Python ints; the result is made by ``_rebuild``, with the bound
+    sum_t |k_t| B_t.  A term with B = 0, an exact zero, is left out.  A term
+    may be a scalar of the backend, read as a 0-d array.  A rational array
+    next to a float one raises ValueError naming it.
     """
     if len(coefficients) != len(arrays) or not len(arrays):
         raise ValueError("combine needs one coefficient per array, and at least one array")
     # one pass over the terms decides the backend (a float array sends the
     # call to numpy's sum, the first one at once) and, while every array is
     # rational, reads each coefficient p / q once and collects each nonzero
-    # term's integer factor p, denominator q d, integers and M, the bound
-    # sum |p| M, which is the int64 bound when every q d is the same, and
-    # whether any integers are Python ints
+    # term's integer factor p, denominator q d, integers and bound B, the
+    # bound sum |p| B, which is the int64 bound when every q d is the same,
+    # and whether any integers are Python ints
     ks, dens, ns, ms, bound, wide = [], [], [], [], 0, False
     shape = getattr(arrays[0], "shape", ())
-    for c, a in zip(coefficients, arrays):
+    for i, (c, a) in enumerate(zip(coefficients, arrays)):
         try:
             dtype = a.dtype
         except AttributeError:  # a scalar term: a 0-d array of its dtype
             dtype = (a := np.asarray(a)).dtype
         if dtype == _FLOAT:
-            return _float_sum(coefficients, arrays)
+            return _float_sum(coefficients, _float_operands("combine", arrays, i))
         if a.shape != shape:
             raise ValueError(f"an exact combination takes terms of one shape, got {shape} and {a.shape}")
         if type(c) is int:
@@ -564,6 +623,8 @@ def combine(coefficients, arrays):
         den = math.lcm(*dens)
         ks = [p * (den // q) for p, q in zip(ks, dens)]
         bound = sum(map(operator.mul, map(abs, ks), ms))
+    if not wide and bound > _INT64_MAX:  # tightened before widening
+        bound = sum(map(operator.mul, map(abs, ks), map(_peak, ns)))
     if wide or bound > _INT64_MAX:
         ns = _widen(ns)
     out = None
@@ -573,7 +634,7 @@ def combine(coefficients, arrays):
         else:
             out = out + n if k == 1 else out - n if k == -1 else out + n * k
     # a lone term keeps its form: its result over another denominator is a copy
-    return _rebuild(out.copy() if out is ns[0] else out, den)
+    return _rebuild(out.copy() if out is ns[0] else out, den, bound)
 
 
 def _float_sum(coefficients, arrays):
@@ -598,12 +659,17 @@ def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
     integers a = A / p and den = B / q, every row is brought over one
     denominator: with L the least common multiple of the B[n],
     a[n] / den[n] = A[n] q (L / B[n]) / (p L), made by ``_rebuild``, as an
-    ``einsum`` result is.  The products are int64
-    when max(1, max |A|) * q * L <= 2**63 - 1, and Python ints otherwise.  A
-    zero in ``den`` raises ZeroDivisionError.
+    ``einsum`` result is, with the bound max(1, B) * F, B the kept bound of
+    A and F the largest factor q L / |B[n]|.  The products are int64 when
+    that bound is at most 2**63 - 1, B tightened to max |A| before the call
+    widens, and Python ints otherwise.  A zero in ``den`` raises
+    ZeroDivisionError, and a rational array next to a float one ValueError
+    naming it.
     """
-    if a.dtype == _FLOAT or den.dtype == _FLOAT:
-        return _read_only(a / np.reshape(den, den.shape + (1,) * (a.ndim - den.ndim)))
+    for i, x in enumerate((a, den)):
+        if x.dtype == _FLOAT:
+            _float_operands("divide_rows", (a, den), i)
+            return _read_only(a / np.reshape(den, den.shape + (1,) * (a.ndim - den.ndim)))
     na, p, m = _scaled(a, "divide_rows", (a, den))
     nb, q, _ = _scaled(den, "divide_rows", (a, den))
     rows = nb.tolist()
@@ -611,12 +677,16 @@ def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
         raise ZeroDivisionError("division of a row by zero")
     lcm = math.lcm(*rows)
     factors = [q * (lcm // b) for b in rows]
-    if na.dtype == _OBJECT or max(1, m) * max(map(abs, factors), default=0) > _INT64_MAX:
+    top = max(map(abs, factors), default=0)
+    bound = max(1, m) * top
+    if na.dtype != _OBJECT and bound > _INT64_MAX:  # tightened before widening
+        bound = max(1, _peak(na)) * top
+    if na.dtype == _OBJECT or bound > _INT64_MAX:
         (na,), factors = _widen([na]), np.array(factors, dtype=object)
     else:
         factors = np.array(factors, dtype=np.int64)
     shaped = factors.reshape(factors.shape + (1,) * (na.ndim - factors.ndim))
-    return _rebuild(na * shaped, p * lcm)
+    return _rebuild(na * shaped, p * lcm, bound)
 
 
 def diagonalize(m: np.ndarray):
@@ -735,7 +805,7 @@ def _decide(arrays: list, eps: float, context, rows, locate: bool = True) -> lis
     ``rows`` is None): the one place a zero test is decided, locating the
     worst entry of a failed row, read again, when ``locate``.  Each array
     is read once, as a table of the absolute values of each row that is not
-    kept: a rational array's integers (not read when M = 0), a float
+    kept: a rational array's integers (not read when its bound is 0), a float
     array's entries.  A nonzero rational row fails; the contexts are read,
     as floats of their values, only when a float residual exceeds eps,
     their largest entry in the row, NaN ignored, being its scale."""

@@ -23,15 +23,16 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "kernel_counts.py"
 # for n = 1, 2)
 DEFAULT_COUNTS = {
     "failed_checks": [],
-    "rebuild_calls": 4094,
+    "rebuild_calls": 4119,
+    "peak_scans": 284,
     "fractions_built": {"total": 897, "_rebuild": 102, "exact": 795},
     "fraction_arrays": 0,
     "scale_calls": 330,
-    "scaled_entries": 2270,
+    "scaled_entries": 1080,
     "widen_callers": {"checks.py:_minus": 2, "curvature.py:formula": 16, "curvature.py:sectional": 18},
-    "zero_results": {"total": 1797, "einsum": 908, "combine": 889},
+    "zero_results": {"total": 1798, "einsum": 909, "combine": 889},
     "entry_calls": {
-        "total": 7548, "einsum": 3681, "combine": 2494, "divide_rows": 104, "zero_test": 306,
+        "total": 7561, "einsum": 3694, "combine": 2494, "divide_rows": 104, "zero_test": 306,
         "is_zero": 203, "zero_rows": 760,
     },
     "reentries": {

@@ -106,3 +106,31 @@ def test_the_copy_of_an_oracle_runs_the_row_tests(script, tmp_path):
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_check_rows.py"]
     proc = script._run(cmd, copy, 600)
     assert proc is not None and proc.returncode == 0, proc and proc.stdout[-2000:]
+
+
+def test_targets_narrow_the_survey_to_the_files_they_name(script, monkeypatch, tmp_path):
+    # --targets takes a file of TARGETS by its path or its name; the survey
+    # then runs only the mutants of those files
+    assert script._target("scalars.py") == script._target("src/bcontact/scalars.py") == "src/bcontact/scalars.py"
+    with pytest.raises(Exception, match="is none of"):
+        script._target("cli.py")
+    made = [script.Mutant(f"src/bcontact/{name}.py", "f", "sign", 1, "+", "-") for name in ("hv", "scalars")]
+
+    def copy(root, into):
+        for m in made:
+            (into / m.file).parent.mkdir(parents=True, exist_ok=True)
+            (into / m.file).write_text("original")
+        return into
+
+    monkeypatch.setattr(script, "_copy", copy)
+    monkeypatch.setattr(script, "mutants", lambda root: [(m, "mutated") for m in made])
+    monkeypatch.setattr(script, "_suite", lambda copy, timeout: "survived")
+    monkeypatch.setattr(script, "_tests", lambda copy, timeout: "survived")
+    assert [m.file for m in script.survey(tmp_path, 1, ["src/bcontact/scalars.py"])] == ["src/bcontact/scalars.py"]
+    assert [m.file for m in script.survey(tmp_path, 1)] == [m.file for m in made]
+
+
+def test_the_copy_of_an_oracle_holds_the_counting_script(script, tmp_path):
+    # test_scalar_kernel.py counts widenings with scripts/kernel_counts.py
+    copy = script._copy(ROOT, tmp_path)
+    assert (copy / "scripts" / "kernel_counts.py").read_text() == (ROOT / "scripts" / "kernel_counts.py").read_text()

@@ -23,6 +23,7 @@ much work the kernel does is counted in ``test_kernel_counts.py``.
 import ast
 import dataclasses
 import gc
+import importlib.util
 import math
 import operator
 import re
@@ -733,6 +734,42 @@ def _values_of_parts(index):
     return [a[0], a, a + b, [a, b]][index]
 
 
+# each entry point that takes arrays, called with a rational array (at
+# position 0) and a float one (at 1): the rational array's integers are not
+# its values, so numpy would read 1/2 as 1
+MIXED = {
+    "einsum": lambda x, y: scalars.einsum("ij,jk->ik", x, y),
+    "combine": lambda x, y: scalars.combine([1, 1], [x, y]),
+    "divide_rows": lambda x, y: scalars.divide_rows(x, scalars.einsum("ii->i", y)),
+    "stack": lambda x, y: scalars.stack([x, y]),
+    "join": lambda x, y: scalars.join([x, y]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(MIXED))
+def test_a_rational_array_next_to_a_float_one_is_refused(call):
+    half, identity = rat([["1/2", 0], [0, "1/2"]]), scalars.eye(2, FLOAT)
+    run = MIXED[call]
+    # a float first names the rational array; a rational first names it,
+    # or, for a join, the float array it cannot read
+    with pytest.raises(ValueError, match="operand 1 is a rational array and operand 0 a float one"):
+        run(identity, half)
+    named = "operand 1 is an array the kernel did not make" if call in ("stack", "join") else (
+        "operand 0 is a rational array and operand 1 a float one"
+    )
+    with pytest.raises(ValueError, match=named):
+        run(half, identity)
+    # each mode on its own is read as it is
+    exact = scalars.fractions(run(half, scalars.eye(2, RATIONAL)))
+    assert np.array_equal(run(scalars.array(scalars.fractions(half), FLOAT), identity), exact.astype(np.float64))
+    if call in ("einsum", "combine"):  # 1/2 I, and 1/2 I + I
+        d = 1 if call == "einsum" else 3
+        assert exact.tolist() == [[Fraction(d, 2), 0], [0, Fraction(d, 2)]]
+    # a scalar that is no float is its own value next to a float array
+    assert np.array_equal(scalars.einsum(",ij->ij", 2, identity), 2 * np.eye(2))
+    assert np.array_equal(scalars.combine([1, 1], [2, identity]), 2 + np.eye(2))
+
+
 def test_writable_array_is_not_served_from_the_memo():
     # a writable copy of a kernel result has no kept form: it is refused, so
     # a later write to it can never be read past
@@ -1001,6 +1038,51 @@ def test_all_zero_term_takes_any_coefficient():
     zero = rat([[0, 0], [0, 0]])
     a = rat([["1/2", -3], [0, 5]])
     _assert_combine_is_exact([2**70, 1, -(2**80)], [zero, a, zero])
+
+
+def _loose(values):
+    """The kernel array of the integers ``values``, made as the difference of
+    two arrays near 2**40: the bound its call proved exceeds 2**41, far
+    above its entries."""
+    return scalars.combine([1, -1], [rat([v + 2**40 for v in values]), rat([2**40] * len(values))])
+
+
+def _tightening_case(call: str, fits: bool):
+    """A call of ``call`` whose operands' bounds put its sum or quotient
+    beyond 2**63 - 1 while the exact entries of its result fit int64 (or,
+    unless ``fits``, do not), and the exact values of that result."""
+    v = 3 if fits else 2**34
+    a = _loose([v, -1])
+    return {
+        "einsum": (lambda: scalars.einsum("i,i->i", a, rat([2**30, 5])), [v * 2**30, -5]),
+        "combine": (lambda: scalars.combine([2**30, 1], [a, rat([1, 1])]), [v * 2**30 + 1, 1 - 2**30]),
+        "divide_rows": (lambda: scalars.divide_rows(a, rat([Fraction(1, 2**30), 1])), [v * 2**30, -1]),
+        "join": (lambda: scalars.join([a, rat([Fraction(1, 2**30)])]), [v, -1, Fraction(1, 2**30)]),
+    }[call]
+
+
+def _widenings(call) -> int:
+    """The sums and quotients that ``call()`` takes out of int64, as
+    ``scripts/kernel_counts.py`` counts them."""
+    spec = importlib.util.spec_from_file_location("kernel_counts", SRC.parents[1] / "scripts" / "kernel_counts.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with script.counting() as counts:
+        call()
+    return sum(n for k, n in counts.items() if k.startswith("widen:"))
+
+
+@pytest.mark.parametrize("fits", [True, False])
+@pytest.mark.parametrize("call", ["einsum", "combine", "divide_rows", "join"])
+def test_a_call_leaves_int64_only_when_its_exact_entries_do(call, fits):
+    # the bound a result keeps may be far above its entries; a call whose
+    # operands' bounds fail the int64 test reads their exact entries before
+    # it takes Python ints, so its result is int64 exactly when they fit
+    run, expected = _tightening_case(call, fits)
+    got = run()
+    _assert_kernel_result(got, _object_array([Fraction(x) for x in expected], (len(expected),)))
+    assert (got.dtype == np.int64) is fits
+    assert _widenings(_tightening_case(call, fits)[0]) == (not fits)
 
 
 @pytest.mark.parametrize(
@@ -1441,7 +1523,7 @@ def test_rational_trace_runs_on_the_integer_kernel(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# exact zeros: an operand or term whose kept M is 0 ends the call at once
+# exact zeros: an operand or term whose kept bound is 0 ends the call at once
 # ---------------------------------------------------------------------------
 
 def _assert_zero_result(got, shape):
