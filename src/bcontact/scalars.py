@@ -330,16 +330,15 @@ def _peak(n: np.ndarray) -> int:
 
 def _rebuild(n, den: int, bound: int | None = None):
     """The kernel's result ``n / den`` for an integer array (or integer)
-    ``n``, int64 or Python ints, and ``bound``, at least every ``abs(n_i)``,
-    the bound its call proved (None when there is none): the read-only
-    array ``n / g`` kept with denominator ``den / g`` and bound
-    ``bound // g``, g = gcd(den, n_1, ...), int64 when its entries fit; the
-    ``Fraction`` of a 0-d ``n``; ``_zero``'s array when ``n`` is all zero.
-    One reduction finds an all-zero ``n``: the gcd of its entries, 0
-    exactly on zeros, when den > 1, else its count of nonzero entries.  The
-    exact largest entry is read (``_peak``) only where there is no bound,
-    and where an object array's bound leaves in doubt whether it fits
-    int64.  The one place a result of the kernel is made."""
+    ``n``, int64 or Python ints, whose call proved ``bound`` >= every
+    ``abs(n_i)`` (None: no bound): the read-only array ``n / g`` kept with
+    denominator ``den / g`` and bound ``bound // g``, g = gcd(den, n_1, ...),
+    int64 when its entries fit; the ``Fraction`` of a 0-d ``n``; ``_zero``'s
+    array when ``n`` is all zero, which one reduction finds (the gcd of the
+    entries, 0 exactly on zeros, when den > 1, else their nonzero count).
+    ``_peak`` runs only without a bound, or where an object array's bound
+    leaves in doubt whether it fits int64.  The one place a result of the
+    kernel is made."""
     if not isinstance(n, np.ndarray) or not n.ndim:
         return Fraction(int(n), den) if n else ZERO
     if den > 1:
@@ -398,12 +397,12 @@ def _widen(ns) -> list[np.ndarray]:
 
 
 def _float_operands(call: str, operands, first: int):
-    """The ``operands`` of a float call, whose operand ``first`` is its
-    first float64 one, when none is a rational array; else ValueError
-    naming that operand, since numpy would read its integers as its value.
-    The operands before ``first`` were read as not float, so an array among
-    them is rational; each one after it is compared with float64 once.  A
-    scalar that is not a float (an int, a ``Fraction``) is its own value."""
+    """``operands``, of a call whose first float64 operand is ``first``;
+    ValueError naming a rational array among them, whose integers numpy
+    would read as its value.  The operands before ``first`` were read as not
+    float, so an array among them is rational; each one after it is
+    compared with float64 once.  A scalar (an int, a ``Fraction``) is its
+    own value."""
     for j, a in enumerate(operands):
         if j != first and (j < first or getattr(a, "dtype", _FLOAT) != _FLOAT) and np.ndim(a):
             raise ValueError(
