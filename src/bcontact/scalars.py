@@ -308,7 +308,7 @@ def join(arrays, axis: int = 0) -> np.ndarray:
 
 def _joined(numpy_join, arrays, axis: int) -> np.ndarray:
     if arrays[0].dtype == _FLOAT:
-        return _read_only(numpy_join(_float_operands(numpy_join.__name__, arrays, 0), axis=axis))
+        return _read_only(numpy_join(_float_operands(numpy_join.__name__, arrays, arrays[0]), axis=axis))
     forms = [_scaled(a, numpy_join.__name__, arrays) for a in arrays]
     d = math.lcm(*(q for _, q, _ in forms))
     m = max(k * (d // q) for _, q, k in forms)
@@ -396,17 +396,16 @@ def _widen(ns) -> list[np.ndarray]:
     return [n.astype(object) for n in ns]
 
 
-def _float_operands(call: str, operands, first: int):
-    """``operands``, of a call whose first float64 operand is ``first``;
+def _float_operands(call: str, operands, found):
+    """``operands``, of a call in which ``found`` is a float64 operand;
     ValueError naming a rational array among them, whose integers numpy
-    would read as its value.  The operands before ``first`` were read as not
-    float, so an array among them is rational; each one after it is
-    compared with float64 once.  A scalar (an int, a ``Fraction``) is its
-    own value."""
-    for j, a in enumerate(operands):
-        if j != first and (j < first or getattr(a, "dtype", _FLOAT) != _FLOAT) and np.ndim(a):
+    would read as its value.  Each operand but ``found`` is compared with
+    float64 once; a scalar (an int, a ``Fraction``) is its own value."""
+    for a in operands:
+        if a is not found and getattr(a, "dtype", _FLOAT) != _FLOAT and np.ndim(a):
+            j = next(k for k, b in enumerate(operands) if b is a)
             raise ValueError(
-                f"{call}: operand {j} is a rational array and operand {first} a float one;"
+                f"{call}: operand {j} is a rational array in a call with a float one;"
                 " a call takes the arrays of one mode"
             )
     return operands
@@ -534,13 +533,13 @@ def einsum(spec: str, *operands: np.ndarray):
     # one pass over the operands decides the backend (a float operand sends
     # the call to numpy at once) and collects the shapes and the forms
     shapes, ns, den, bound, wide = [], [], 1, 1, False
-    for i, a in enumerate(operands):
+    for a in operands:
         try:
             dtype = a.dtype
         except AttributeError:  # a scalar operand: a 0-d array of its dtype
             dtype = (a := np.asarray(a)).dtype
         if dtype == _FLOAT:
-            return _read_only(_contract(spec, _float_operands(spec, operands, i)))
+            return _read_only(_contract(spec, _float_operands(spec, operands, a)))
         n, d, m = _scaled(a, spec, operands)
         shapes.append(a.shape)
         ns.append(n)
@@ -591,13 +590,13 @@ def combine(coefficients, arrays):
     # and whether any integers are Python ints
     ks, dens, ns, ms, bound, wide = [], [], [], [], 0, False
     shape = getattr(arrays[0], "shape", ())
-    for i, (c, a) in enumerate(zip(coefficients, arrays)):
+    for c, a in zip(coefficients, arrays):
         try:
             dtype = a.dtype
         except AttributeError:  # a scalar term: a 0-d array of its dtype
             dtype = (a := np.asarray(a)).dtype
         if dtype == _FLOAT:
-            return _float_sum(coefficients, _float_operands("combine", arrays, i))
+            return _float_sum(coefficients, _float_operands("combine", arrays, a))
         if a.shape != shape:
             raise ValueError(f"an exact combination takes terms of one shape, got {shape} and {a.shape}")
         if type(c) is int:
@@ -665,10 +664,10 @@ def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
     ZeroDivisionError, and a rational array next to a float one ValueError
     naming it.
     """
-    for i, x in enumerate((a, den)):
-        if x.dtype == _FLOAT:
-            _float_operands("divide_rows", (a, den), i)
-            return _read_only(a / np.reshape(den, den.shape + (1,) * (a.ndim - den.ndim)))
+    floats = a.dtype == _FLOAT
+    if floats or den.dtype == _FLOAT:
+        _float_operands("divide_rows", (a, den), a if floats else den)
+        return _read_only(a / np.reshape(den, den.shape + (1,) * (a.ndim - den.ndim)))
     na, p, m = _scaled(a, "divide_rows", (a, den))
     nb, q, _ = _scaled(den, "divide_rows", (a, den))
     rows = nb.tolist()

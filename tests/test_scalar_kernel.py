@@ -752,10 +752,10 @@ def test_a_rational_array_next_to_a_float_one_is_refused(call):
     run = MIXED[call]
     # a float first names the rational array; a rational first names it,
     # or, for a join, the float array it cannot read
-    with pytest.raises(ValueError, match="operand 1 is a rational array and operand 0 a float one"):
+    with pytest.raises(ValueError, match="operand 1 is a rational array in a call with a float one"):
         run(identity, half)
     named = "operand 1 is an array the kernel did not make" if call in ("stack", "join") else (
-        "operand 0 is a rational array and operand 1 a float one"
+        "operand 0 is a rational array in a call with a float one"
     )
     with pytest.raises(ValueError, match=named):
         run(half, identity)
