@@ -50,8 +50,8 @@ bound for a view.  Where such a bound fails the int64 test, the call reads
 its operands' exact largest numerators (``_peak``) before it takes Python
 ints, so that a sum leaves int64 only where those do not show it fits; an
 exact largest numerator is read otherwise only where an object result may
-fit int64.  ``einsum`` contracts and ``combine`` adds those
-integers over a common denominator, and B = 0 proves an array zero: a
+fit int64.  ``einsum`` contracts and ``combine`` adds those integers over a
+common denominator, and B = 0 proves an array zero: a
 contraction with such an operand, and a combination of such terms alone,
 return the exact zero at once (``ZERO`` when 0-d, else the one read-only
 int64 zero of its shape, ``_zero``).  An exact contraction's spec has an
@@ -308,7 +308,10 @@ def join(arrays, axis: int = 0) -> np.ndarray:
 
 def _joined(numpy_join, arrays, axis: int) -> np.ndarray:
     if arrays[0].dtype == _FLOAT:
-        return _read_only(numpy_join(_float_operands(numpy_join.__name__, arrays, arrays[0]), axis=axis))
+        for b in arrays[1:]:
+            if getattr(b, "dtype", _FLOAT) != _FLOAT and np.ndim(b):
+                raise _mixed(numpy_join.__name__, arrays, b)
+        return _read_only(numpy_join(arrays, axis=axis))
     forms = [_scaled(a, numpy_join.__name__, arrays) for a in arrays]
     d = math.lcm(*(q for _, q, _ in forms))
     m = max(k * (d // q) for _, q, k in forms)
@@ -396,19 +399,14 @@ def _widen(ns) -> list[np.ndarray]:
     return [n.astype(object) for n in ns]
 
 
-def _float_operands(call: str, operands, found):
-    """``operands``, of a call in which ``found`` is a float64 operand;
-    ValueError naming a rational array among them, whose integers numpy
-    would read as its value.  Each operand but ``found`` is compared with
-    float64 once; a scalar (an int, a ``Fraction``) is its own value."""
-    for a in operands:
-        if a is not found and getattr(a, "dtype", _FLOAT) != _FLOAT and np.ndim(a):
-            j = next(k for k, b in enumerate(operands) if b is a)
-            raise ValueError(
-                f"{call}: operand {j} is a rational array in a call with a float one;"
-                " a call takes the arrays of one mode"
-            )
-    return operands
+def _mixed(call: str, operands, rational) -> ValueError:
+    """The error of a float call whose operand ``rational`` is a rational
+    array: numpy would read its integers as its value.  A float call
+    compares each operand but its first float64 one with float64 once, and
+    a scalar that is no array (an int, a ``Fraction``) is its own value."""
+    j = next(k for k, a in enumerate(operands) if a is rational)
+    return ValueError(f"{call}: operand {j} is a rational array in a call with a float one;"
+                      " a call takes the arrays of one mode")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -522,13 +520,13 @@ def einsum(spec: str, *operands: np.ndarray):
     view of its integers, over its denominator (``_view``).  An operand may
     be a scalar of the backend, read as a 0-d array.  A float call, one with
     a float64 operand, is numpy's own, of any spec numpy reads; a rational
-    array next to a float one raises ValueError naming it
-    (``_float_operands``).  A call of three or more operands runs in the
-    stages of ``_stages`` when it has some, in either mode: a float one
-    matches numpy's single call bit for bit on integer-valued operands, and
-    is within the rounding bound of its sums otherwise.  numpy is looked up
-    at each call, so a wrapper installed on ``np.einsum`` sees every
-    contraction, and every stage of one.
+    array next to a float one raises ValueError naming it (``_mixed``).  A
+    call of three or more operands runs in the stages of ``_stages`` when
+    it has some, in either mode: a float one matches numpy's single call
+    bit for bit on integer-valued operands, and is within the rounding bound
+    of its sums otherwise.  numpy is looked up at each call, so a wrapper
+    installed on ``np.einsum`` sees every contraction, and every stage of
+    one.
     """
     # one pass over the operands decides the backend (a float operand sends
     # the call to numpy at once) and collects the shapes and the forms
@@ -539,7 +537,10 @@ def einsum(spec: str, *operands: np.ndarray):
         except AttributeError:  # a scalar operand: a 0-d array of its dtype
             dtype = (a := np.asarray(a)).dtype
         if dtype == _FLOAT:
-            return _read_only(_contract(spec, _float_operands(spec, operands, a)))
+            for b in operands:
+                if b is not a and getattr(b, "dtype", _FLOAT) != _FLOAT and np.ndim(b):
+                    raise _mixed(spec, operands, b)
+            return _read_only(_contract(spec, operands))
         n, d, m = _scaled(a, spec, operands)
         shapes.append(a.shape)
         ns.append(n)
@@ -596,7 +597,10 @@ def combine(coefficients, arrays):
         except AttributeError:  # a scalar term: a 0-d array of its dtype
             dtype = (a := np.asarray(a)).dtype
         if dtype == _FLOAT:
-            return _float_sum(coefficients, _float_operands("combine", arrays, a))
+            for b in arrays:
+                if b is not a and getattr(b, "dtype", _FLOAT) != _FLOAT and np.ndim(b):
+                    raise _mixed("combine", arrays, b)
+            return _float_sum(coefficients, arrays)
         if a.shape != shape:
             raise ValueError(f"an exact combination takes terms of one shape, got {shape} and {a.shape}")
         if type(c) is int:
@@ -665,8 +669,9 @@ def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
     naming it.
     """
     floats = a.dtype == _FLOAT
-    if floats or den.dtype == _FLOAT:
-        _float_operands("divide_rows", (a, den), a if floats else den)
+    if floats != (den.dtype == _FLOAT):
+        raise _mixed("divide_rows", (a, den), den if floats else a)
+    if floats:
         return _read_only(a / np.reshape(den, den.shape + (1,) * (a.ndim - den.ndim)))
     na, p, m = _scaled(a, "divide_rows", (a, den))
     nb, q, _ = _scaled(den, "divide_rows", (a, den))
