@@ -7,7 +7,8 @@ Run it from the root of each checkout, then ``diff`` the two files, or give
 the first file to the second run with ``--compare``: it then prints, for
 each mode, the keys whose values differ (the entry name left out, a check
 row named by its name) with the number of differing values, and the largest
-relative change of a number.  The models are the curated zoo, the boundary
+relative change of a number, and exits 1 when either mode differs and 0
+when both read identical.  The models are the curated zoo, the boundary
 catalog and ``random_structure(seed, n)`` for seeds 0 and 3 and n = 1, 2
 (dims 3 to 7).
 For each model, in rational and in float mode, the file holds:
@@ -218,8 +219,9 @@ def main(argv=None) -> int:
     out = dump(entries())
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     if args.compare:
-        old = json.loads(Path(args.compare).read_text())
-        print("\n".join(compare(old, json.loads(json.dumps(out)))))
+        lines = compare(json.loads(Path(args.compare).read_text()), json.loads(json.dumps(out)))
+        print("\n".join(lines))
+        return int(lines != [f"{mode}: identical" for mode in MODES])
     return 0
 
 

@@ -13,8 +13,9 @@ time, in one interpreter, in rational mode.  The output holds these counts:
 - ``rebuild_calls``: calls of ``scalars._rebuild``, the one place a kernel
   result is made;
 - ``peak_scans``: calls of ``scalars._peak``, the scans of an integer array
-  for its exact largest absolute entry, made only where a kept bound leaves
-  a dtype in doubt or no bound is known;
+  for its exact largest absolute entry, made only where a proved bound fails
+  the int64 test: to tighten it before a call widens, and on an object
+  result that may fit int64;
 - ``fractions_built``: ``Fraction`` objects that code in ``scalars.py``
   constructs, by the kernel function that constructs them (the arithmetic
   inside ``fractions.py`` is not counted), and their total;

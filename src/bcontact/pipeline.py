@@ -43,16 +43,6 @@ class Batch:
         return Metric.stack([self.s.metric, self.s.assoc])
 
     @cached_property
-    def assoc_inv(self) -> np.ndarray:
-        """The inverse of the associated metric of each metric m (for g~ that
-        metric is -g + 2 eta (x) eta, not g again), which the starred
-        divergence traces with: -phi m^-1 + xi (x) xi, as phi^2 = -id +
-        xi (x) eta and m(xi, .) = eta."""
-        xi_xi = scalars.einsum("i,j->ij", self.s.xi, self.s.xi)
-        phi_inv = scalars.einsum("ik,Bkj->Bij", self.s.phi, self.metric.inv)
-        return scalars.combine([-1, 1], [phi_inv, scalars.stack([xi_xi] * len(ROLES))])
-
-    @cached_property
     def conn(self) -> np.ndarray:
         """Coefficients of the Levi-Civita connections."""
         return levi_civita(self.s.algebra, self.metric)
@@ -90,7 +80,7 @@ class Batch:
     @cached_property
     def div_pair(self):
         """(div(eta), div*(eta)) for the structure carried by each metric."""
-        return divergences(self.nabla_eta, self.metric, self.assoc_inv)
+        return divergences(self.nabla_eta, self.metric, self.s.phi)
 
     @cached_property
     def partner_potential(self) -> np.ndarray:

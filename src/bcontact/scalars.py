@@ -43,15 +43,16 @@ its entries fit, Python ints otherwise.  The kernel keeps, for each array
 it makes, the denominator d of its value and a bound B of its absolute
 numerators, 0 exactly when the array is zero (``_SCALED``, keyed by the
 array and left when it dies), so the value is ``a / d``; ``_rebuild`` makes
-every result, in lowest terms.  Each call proves the bound of its result
-from its operands' bounds before it computes: K prod B_i for a contraction
-of K products per entry, sum |k_t| B_t for a combination, the operand's
-bound for a view.  Where such a bound fails the int64 test, the call reads
-its operands' exact largest numerators (``_peak``) before it takes Python
-ints, so that a sum leaves int64 only where those do not show it fits; an
-exact largest numerator is read otherwise only where an object result may
-fit int64.  ``einsum`` contracts and ``combine`` adds those integers over a
-common denominator, and B = 0 proves an array zero: a
+every result, in lowest terms, with the bound its maker proved: K prod B_i
+for a contraction of K products per entry, sum |k_t| B_t for a
+combination, the operand's bound for a view, the largest numerator read
+for the values ``array`` takes in, the largest integer built for
+``diagonalize``'s.  Where such a bound fails the int64 test, the call
+reads its operands' exact largest numerators (``_peak``) before it takes
+Python ints, so that a sum leaves int64 only where those do not show it
+fits; an exact largest numerator is read otherwise only where an object
+result may fit int64.  ``einsum`` contracts and ``combine`` adds those
+integers over a common denominator, and B = 0 proves an array zero: a
 contraction with such an operand, and a combination of such terms alone,
 return the exact zero at once (``ZERO`` when 0-d, else the one read-only
 int64 zero of its shape, ``_zero``).  An exact contraction's spec has an
@@ -193,17 +194,20 @@ def array(nested, mode: str) -> np.ndarray:
     """A read-only backend array of (possibly nested) scalar tokens, or of
     an integer array: in float mode the nearest float of each exact value,
     in rational mode the kernel's integers of the exact values, and the
-    ``Fraction`` of a single token.  An int token is its own value."""
+    ``Fraction`` of a single token.  An int token is its own value.  An
+    integer array's bound is its largest absolute entry, from one ``max``
+    and one ``min`` read as Python ints, which do not wrap; its integers
+    are int64 when that bound fits, else Python ints."""
     if isinstance(nested, np.ndarray) and nested.dtype.kind in "iu":
         if mode != RATIONAL:
             return _read_only(nested.astype(np.float64))
-        # Python ints, which _rebuild keeps as int64 when they fit
-        return _rebuild(nested.astype(object), 1)
+        bound = max(int(nested.max()), -int(nested.min())) if nested.size else 0
+        return _rebuild(nested.astype(np.int64 if bound <= _INT64_MAX else object), 1, bound)
     nested = np.asarray(nested, dtype=object)
     values = [t if type(t) is int else exact(t) for t in nested.ravel().tolist()]
     if mode != RATIONAL:
         return _read_only(np.array(values, dtype=np.float64).reshape(nested.shape))
-    return _rebuild(*_scale(values, nested.shape)[:2])
+    return _rebuild(*_scale(values, nested.shape))
 
 
 def eye(dim: int, mode: str) -> np.ndarray:
@@ -279,7 +283,7 @@ def row(a: np.ndarray, index):
     n, d, m = _scaled(a, "row")
     out = n[index]
     if not isinstance(out, np.ndarray) or not out.ndim:
-        return _rebuild(out, d)
+        return _rebuild(out, d, m)
     return _view(out, n, d, m)
 
 
@@ -326,22 +330,21 @@ def _joined(numpy_join, arrays, axis: int) -> np.ndarray:
 
 def _peak(n: np.ndarray) -> int:
     """The largest absolute entry of an integer array, 0 when it is empty:
-    read only where a kept bound leaves a dtype in doubt, or where there is
-    no bound."""
+    read only where a proved bound fails the int64 test, before a call
+    widens its operands and where an object result may fit int64."""
     return int(np.maximum.reduce(np.abs(n), axis=None)) if n.size else 0
 
 
-def _rebuild(n, den: int, bound: int | None = None):
+def _rebuild(n, den: int, bound: int):
     """The kernel's result ``n / den`` for an integer array (or integer)
-    ``n``, int64 or Python ints, whose call proved ``bound`` >= every
-    ``abs(n_i)`` (None: no bound): the read-only array ``n / g`` kept with
+    ``n``, int64 or Python ints, whose maker proved ``bound`` >= every
+    ``abs(n_i)``: the read-only array ``n / g`` kept with
     denominator ``den / g`` and bound ``bound // g``, g = gcd(den, n_1, ...),
     int64 when its entries fit; the ``Fraction`` of a 0-d ``n``; ``_zero``'s
     array when ``n`` is all zero, which one reduction finds (the gcd of the
     entries, 0 exactly on zeros, when den > 1, else their nonzero count).
-    ``_peak`` runs only without a bound, or where an object array's bound
-    leaves in doubt whether it fits int64.  The one place a result of the
-    kernel is made."""
+    ``_peak`` runs only where an object array's bound leaves in doubt
+    whether it fits int64.  The one place a result of the kernel is made."""
     if not isinstance(n, np.ndarray) or not n.ndim:
         return Fraction(int(n), den) if n else ZERO
     if den > 1:
@@ -350,12 +353,10 @@ def _rebuild(n, den: int, bound: int | None = None):
             return _zero(n.shape)
         g = math.gcd(den, g)
         if g > 1:
-            n, den = n // g, den // g
-            if bound is not None:
-                bound //= g
+            n, den, bound = n // g, den // g, bound // g
     elif not np.count_nonzero(n):
         return _zero(n.shape)
-    if bound is None or n.dtype == _OBJECT and bound > _INT64_MAX:
+    if n.dtype == _OBJECT and bound > _INT64_MAX:
         bound = _peak(n)
     if n.dtype == _OBJECT and bound <= _INT64_MAX:
         n = n.astype(np.int64)
@@ -550,7 +551,7 @@ def einsum(spec: str, *operands: np.ndarray):
     sums, k, shape = _plan(spec, tuple(shapes))
     if len(ns) == 1 and not sums:
         out = np.einsum(spec, ns[0])
-        return _rebuild(out, den) if not out.ndim else _view(out, ns[0], den, bound)
+        return _rebuild(out, den, bound) if not out.ndim else _view(out, ns[0], den, bound)
     if not bound:
         return _zero(shape)
     # the one bound covers every stage: each value a stage forms is a sum of
@@ -579,7 +580,8 @@ def combine(coefficients, arrays):
     Python ints; the result is made by ``_rebuild``, with the bound
     sum_t |k_t| B_t.  A term with B = 0, an exact zero, is left out.  A term
     may be a scalar of the backend, read as a 0-d array.  A rational array
-    next to a float one raises ValueError naming it.
+    next to a float one raises ValueError naming it.  Both modes add in
+    ``_sum``, the rational one with int coefficients alone.
     """
     if len(coefficients) != len(arrays) or not len(arrays):
         raise ValueError("combine needs one coefficient per array, and at least one array")
@@ -600,7 +602,7 @@ def combine(coefficients, arrays):
             for b in arrays:
                 if b is not a and getattr(b, "dtype", _FLOAT) != _FLOAT and np.ndim(b):
                     raise _mixed("combine", arrays, b)
-            return _float_sum(coefficients, arrays)
+            return _read_only(_sum(coefficients, arrays))
         if a.shape != shape:
             raise ValueError(f"an exact combination takes terms of one shape, got {shape} and {a.shape}")
         if type(c) is int:
@@ -629,27 +631,22 @@ def combine(coefficients, arrays):
         bound = sum(map(operator.mul, map(abs, ks), map(_peak, ns)))
     if wide or bound > _INT64_MAX:
         ns = _widen(ns)
-    out = None
-    for k, n in zip(ks, ns):
-        if out is None:
-            out = n if k == 1 else n * k
-        else:
-            out = out + n if k == 1 else out - n if k == -1 else out + n * k
-    # a lone term keeps its form: its result over another denominator is a copy
-    return _rebuild(out.copy() if out is ns[0] else out, den, bound)
+    return _rebuild(_sum(ks, ns), den, bound)
 
 
-def _float_sum(coefficients, arrays):
-    """``combine`` in float mode: numpy's c_0 a_0 + c_1 a_1 + ..., a
-    coefficient of 1 adding and one of -1 subtracting its term, a new
-    array even for one term that is an array."""
+def _sum(coefficients, arrays):
+    """c_0 a_0 + c_1 a_1 + ..., left to right: a coefficient of 1 adds and
+    one of -1 subtracts its term, another int multiplies it as it is and
+    any other as its float; a new array even for one term that is an array,
+    which a rational call keeps over another denominator."""
     out = None
     for c, a in zip(coefficients, arrays):
+        k = c if type(c) is int else float(c)
         if out is None:
-            out = a if c == 1 else -a if c == -1 else float(c) * a
+            out = a if c == 1 else -a if c == -1 else k * a
         else:
-            out = out + a if c == 1 else out - a if c == -1 else out + float(c) * a
-    return _read_only(out.copy() if out is arrays[0] and isinstance(out, np.ndarray) else out)
+            out = out + a if c == 1 else out - a if c == -1 else out + k * a
+    return out.copy() if out is arrays[0] and isinstance(out, np.ndarray) else out
 
 
 def divide_rows(a: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -707,7 +704,7 @@ def diagonalize(m: np.ndarray):
     columns, and to the rows of E: a congruence by an integer matrix.  Row r
     of E is then divided by the gcd g of its entries, and row and column r
     of A by g, so the integers stay small.  Then e = E and d = diag(A) / q,
-    both made by ``_rebuild``."""
+    both made by ``_rebuild``, each bound by its largest |integer|."""
     n, q, _ = _scaled(m, "diagonalize")
     a = n.tolist()
     size = len(a)
@@ -742,8 +739,9 @@ def diagonalize(m: np.ndarray):
                 for row in a:
                     row[r] //= g
     d = [a[i][i] for i in range(size)]
-    e = _rebuild(np.array(e, dtype=object).reshape(size, size), 1)
-    return e, _rebuild(np.array(d, dtype=object), q), (sum(x > 0 for x in d), sum(x < 0 for x in d))
+    e_out = _rebuild(np.array(e, dtype=object).reshape(size, size), 1, max((abs(x) for r in e for x in r), default=0))
+    d_out = _rebuild(np.array(d, dtype=object), q, max(map(abs, d), default=0))
+    return e_out, d_out, (sum(x > 0 for x in d), sum(x < 0 for x in d))
 
 
 def reduce_model(obj):
@@ -817,16 +815,14 @@ def _decide(arrays: list, eps: float, context, rows, locate: bool = True) -> lis
         if not np.ndim(x) or len(x) != rows:
             raise ValueError(f"a stack needs one row per row ({rows}), got shape {np.shape(x)}")
     sources, peaks, res, dens, failed = [], [], [], [], set()
-    for a in arrays:  # one whole-array reduction when there is one row
+    for a in arrays:
         n, d = a, None
         if a.dtype == _FLOAT:
-            table = np.abs(_by_row(a, count))
-            res.append(table.max(axis=1, initial=0.0).tolist() if rows else [float(table.max(initial=0.0))])
+            res.append(np.abs(_by_row(a, count)).max(axis=1, initial=0.0).tolist())
             col = res[-1]
         else:
             n, d, m = _scaled(a, "a zero test", arrays)
-            table = np.abs(_by_row(n, count)) if m else None
-            col = (table.max(axis=1).tolist() if rows else [int(table.max())]) if m else [0] * count
+            col = np.abs(_by_row(n, count)).max(axis=1).tolist() if m else [0] * count
             failed.update(r for r, p in enumerate(col) if p)
             res.append([_rational_residual(p, d) if p else 0.0 for p in col] if m else [0.0] * count)
         sources.append(n)

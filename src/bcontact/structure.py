@@ -252,17 +252,20 @@ def lee_forms(s: ACBStructure, f: np.ndarray, m: Metric) -> LeeForms:
     )
 
 
-def divergences(neta: np.ndarray, m: Metric, assoc_inv: np.ndarray):
+def divergences(neta: np.ndarray, m: Metric, phi: np.ndarray):
     """div(eta) and div*(eta) for the structure carried by the metric m.
 
     Both divergences contract ``neta`` = nabla eta of the Levi-Civita
-    connection of m; the plain one traces with m, the starred one with
-    ``assoc_inv``, the inverse of the associated metric of m.  The trace
+    connection of m; the plain one traces with m, the starred one with the
+    inverse of the associated metric of m, -phi m^-1 + xi (x) xi (as
+    phi^2 = -id + xi (x) eta and m(xi, .) = eta), whose xi (x) xi term adds
+    nabla eta(xi, xi) = -m(nabla_xi xi, xi) = 0: so
+    div*(eta) = -tr(phi m^-1 nabla eta), traced with -phi.  The trace
     identities theta(xi) = div*(eta) and theta*(xi) = div(eta) are checked
     by ``divergence-trace``.
     """
     div = scalars.einsum("Bij,Bij->B", m.inv, neta)
-    div_star = scalars.einsum("Bij,Bij->B", assoc_inv, neta)
+    div_star = scalars.einsum("ik,Bkj,Bij->B", scalars.combine([-1], [phi]), m.inv, neta)
     return div, div_star
 
 

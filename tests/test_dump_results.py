@@ -1,6 +1,7 @@
 """``scripts/dump_results.py``, the result dump that two checkouts are
-compared by: it runs on a model in both modes, and its output is plain JSON
-that is the same on a second run."""
+compared by: it runs on a model in both modes, its output is plain JSON
+that is the same on a second run, and its exit status says whether a
+comparison found a difference."""
 import importlib.util
 import json
 from pathlib import Path
@@ -61,3 +62,18 @@ def test_compare_names_the_keys_that_differ_and_the_largest_relative_change():
     assert script.compare(old, new)[0] == (
         "rational: 1 values differ under 1 keys; largest relative change inf"
     )
+
+
+def test_compare_exits_1_when_a_mode_differs_and_0_when_both_are_identical(monkeypatch, tmp_path, capsys):
+    script = _script()
+    monkeypatch.setattr(script, "entries", lambda: [zoo.builtin("solv3-f4")])
+    old = tmp_path / "old.json"
+    assert script.main([str(old)]) == 0
+    assert script.main([str(tmp_path / "same.json"), "--compare", str(old)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["rational: identical", "float: identical"]
+    dumped = json.loads(old.read_text())
+    dumped["solv3-f4/float"]["checks"][0][2] = "0.5"
+    old.write_text(json.dumps(dumped))
+    assert script.main([str(tmp_path / "new.json"), "--compare", str(old)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "rational: identical" and lines[1].startswith("float: 1 values differ under 1 keys")

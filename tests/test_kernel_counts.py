@@ -6,7 +6,8 @@ themselves (none), the ``Fraction`` arrays it hands out (none) and a forced
 fall-back to Python ints.  The counts of the default model set are pinned,
 so that a lost form, zero rule, ``Fraction`` built between kernel calls or
 int64 path shows as a changed count, and so are those of single calls: what
-each kind of operand costs in scalings, and when a sum leaves int64."""
+each kind of operand costs in scalings, which results are scanned for their
+peak, and when a sum leaves int64."""
 import importlib.util
 import json
 from fractions import Fraction
@@ -23,8 +24,8 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "kernel_counts.py"
 # for n = 1, 2)
 DEFAULT_COUNTS = {
     "failed_checks": [],
-    "rebuild_calls": 4119,
-    "peak_scans": 284,
+    "rebuild_calls": 4093,
+    "peak_scans": 85,
     "fractions_built": {"total": 897, "_rebuild": 102, "exact": 795},
     "fraction_arrays": 0,
     "scale_calls": 330,
@@ -32,7 +33,7 @@ DEFAULT_COUNTS = {
     "widen_callers": {"checks.py:_minus": 2, "curvature.py:formula": 16, "curvature.py:sectional": 18},
     "zero_results": {"total": 1798, "einsum": 909, "combine": 889},
     "entry_calls": {
-        "total": 7561, "einsum": 3694, "combine": 2494, "divide_rows": 104, "zero_test": 306,
+        "total": 7535, "einsum": 3668, "combine": 2494, "divide_rows": 104, "zero_test": 306,
         "is_zero": 203, "zero_rows": 760,
     },
     "reentries": {
@@ -163,6 +164,15 @@ def test_counts_of_single_kernel_calls():
         lambda: scalars.residual(r),
         lambda: scalars.zero_test([scalars.einsum("ij->ji", t)], 0.0),
     ) == 0
+    # values read in, and a kernel result diagonalized, carry the bound that
+    # was read or built with them: no result is scanned for its peak
+    def scans(*calls):
+        return _counted(script, *calls)["peak_scans"]
+
+    assert scans(lambda: rat([["1/2", "1/3", 0], ["-2/7", 5, "3/4"]])) == 0
+    assert scans(lambda: rat(np.arange(-3, 4))) == 0
+    assert scans(lambda: scalars.eye(3, RATIONAL)) == 0
+    assert scans(lambda: scalars.diagonalize(r)) == 0
     # a scalar operand: at each use
     half = Fraction(1, 2)
     assert scalings(lambda: scalars.einsum(",j->j", half, v), lambda: scalars.einsum(",j->j", half, v)) == 2

@@ -1289,6 +1289,7 @@ def test_a_float_context_of_another_length_is_an_error():
         np.arange(-6, 6, dtype=np.int8).reshape(3, 4),
         np.arange(7, dtype=np.uint16).reshape(7, 1),
         np.array([2**62 + 1, -(2**63), 2**63 - 1]),
+        np.array([2**64 - 1, 0], dtype=np.uint64),
     ],
 )
 def test_array_of_an_integer_array_is_the_array_of_its_list(mode, ints):
